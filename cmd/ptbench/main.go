@@ -14,7 +14,7 @@
 //	ptbench -benchjson [-bench-rows N] [-bench-execs N] [-bench-out DIR]
 //	                            measure materialize, bulk-load, and
 //	                            planned-vs-naive SQL per storage engine,
-//	                            vectorized-vs-row-at-a-time segment scans,
+//	                            segment-kernel scans at 1, 4 and all workers,
 //	                            plus serial/parallel diagnosis, writing
 //	                            BENCH_materialize.json, BENCH_bulkload.json,
 //	                            BENCH_sql.json, BENCH_scan.json, and
@@ -162,7 +162,7 @@ func main() {
 
 // runBenchJSON measures MaterializeResults and bulk load on every
 // storage engine over the synthetic corpus, planned-vs-naive SQL,
-// vectorized-vs-row-at-a-time segment scans, plus serial-vs-parallel
+// segment-kernel scans at 1, 4 and all workers, plus serial-vs-parallel
 // fleet diagnosis, and writes one JSON artifact per operation
 // (BENCH_materialize.json, BENCH_bulkload.json, BENCH_sql.json,
 // BENCH_scan.json, BENCH_diagnose.json).
@@ -203,7 +203,7 @@ func runBenchJSON(rows, iters, execs int, outDir string) error {
 	if err := writeBenchArtifact(filepath.Join(outDir, "BENCH_sql.json"), sql); err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "ptbench: scan vectorized vs row-at-a-time on segment (%d rows)...\n", rows)
+	fmt.Fprintf(os.Stderr, "ptbench: segment-kernel scan worker scaling (%d rows)...\n", rows)
 	scan, err := experiments.ScanBenchmark(filepath.Join(work, "scan-segment"), rows, iters)
 	if err != nil {
 		return fmt.Errorf("scan: %w", err)
@@ -247,9 +247,6 @@ func runBenchJSON(rows, iters, execs int, outDir string) error {
 	for _, r := range scan {
 		fmt.Printf("scan        %-18s %8d rows  %12.0f ns/op\n", r.Op, r.Rows, r.NsPerOp)
 		scanNs[r.Op] = r.NsPerOp
-	}
-	if vec := scanNs["scan-vectorized"]; vec > 0 {
-		fmt.Printf("scan        vectorized speedup over row fold: %5.1fx\n", scanNs["scan-rowfold"]/vec)
 	}
 	if w4 := scanNs["scan-vectorized-w4"]; w4 > 0 {
 		fmt.Printf("scan        1 -> 4 worker scaling:            %5.1fx\n", scanNs["scan-vectorized-w1"]/w4)

@@ -8,14 +8,15 @@
 // and the CI runner. Two artifact files carry ratios:
 //
 //   - BENCH_sql.json: planned-vs-naive per engine (naive / planned)
-//   - BENCH_scan.json: row-at-a-time vs vectorized segment scan
-//     (scan-rowfold / scan-vectorized), plus the 1->4 worker pair
+//   - BENCH_scan.json: the 1->4 worker pair of the segment-kernel scan
 //
-// Only ratios whose baseline is at least -min-ratio (default 5x) are
+// Only ratios whose baseline is at least -min-ratio (default 10x) are
 // gated: those are the order-of-magnitude claims the benchmarks exist
-// to protect. Smaller ratios (engines within a few x of each other,
-// worker scaling on single-core runners) are reported but not gated —
-// at that scale run-to-run scheduling noise exceeds any real signal.
+// to protect (today, planned-vs-naive on the segment engine). Smaller
+// ratios (planned-vs-naive on mem/wal, where one executor over
+// transposed blocks measures anywhere from 3x to 9x at CI scale, worker
+// scaling on single-core runners) are reported but not gated — at that
+// scale run-to-run scheduling noise exceeds any real signal.
 // Gated ratios are clipped to -cap-ratio (default 15x) before
 // comparison: past that point the fast side of the ratio is a handful
 // of microseconds and timer noise swings the raw quotient 2x between
@@ -42,7 +43,7 @@ func main() {
 	baseline := flag.String("baseline", "bench/baseline", "directory holding the checked-in BENCH_*.json baselines")
 	fresh := flag.String("fresh", ".", "directory holding the freshly generated BENCH_*.json artifacts")
 	maxRegress := flag.Float64("max-regress", 0.30, "maximum allowed fractional regression of a gated ratio")
-	minRatio := flag.Float64("min-ratio", 5.0, "baseline speedup below which a ratio is reported but not gated")
+	minRatio := flag.Float64("min-ratio", 10.0, "baseline speedup below which a ratio is reported but not gated")
 	capRatio := flag.Float64("cap-ratio", 15.0, "clip gated ratios here before comparing, absorbing timer noise on very large speedups")
 	flag.Parse()
 
@@ -121,9 +122,6 @@ func loadRatios(dir string) (map[string]float64, error) {
 		if naive := byOp(sql, "sql-naive", r.Engine); naive > 0 && r.NsPerOp > 0 {
 			out["sql-planned/"+r.Engine] = naive / r.NsPerOp
 		}
-	}
-	if vec, fold := byOp(scan, "scan-vectorized", ""), byOp(scan, "scan-rowfold", ""); vec > 0 && fold > 0 {
-		out["scan-vectorized"] = fold / vec
 	}
 	if w1, w4 := byOp(scan, "scan-vectorized-w1", ""), byOp(scan, "scan-vectorized-w4", ""); w1 > 0 && w4 > 0 {
 		out["scan-worker-scaling"] = w1 / w4

@@ -13,8 +13,10 @@ package datastore
 //   1. Prefetch the four metadata dictionaries (execution, metric,
 //      performance_tool, units) into plain maps — one scan each.
 //   2. Fetch the matched performance_result rows either with per-ID
-//      Gets sharded over workers (sparse) or one full table scan
-//      filtered by the ID set (dense).
+//      Gets sharded over workers (sparse) or one pass over the table's
+//      block source — segment blocks, then transposed B-tree rows —
+//      bounded by the chunk's ID range and filtered by the ID set
+//      (dense).
 //   3. Resolve result_has_focus the same way, grouping focus IDs per
 //      result in PK order (ascending focus ID — identical to the
 //      per-ID path's context ordering).
@@ -54,23 +56,14 @@ type MaterializeOptions struct {
 	// per emitted batch. <=0 means defaultMaterializeChunk. Ignored by
 	// MaterializeResults, which produces one batch.
 	ChunkSize int
-	// NoSegments forces the B-tree fetch path even on a segment engine,
-	// for equivalence testing and ablation benchmarks.
-	NoSegments bool
-}
-
-// segmentViewer is the optional columnar interface of the segment
-// engine: a consistent snapshot of a hot table's flushed segments.
-type segmentViewer interface {
-	SegmentView(table string) (*reldb.SegView, bool)
 }
 
 const (
 	defaultMaterializeChunk = 4096
 
-	// denseScanDivisor selects between per-ID Gets and one full table
-	// scan: when the wanted set is at least 1/denseScanDivisor of the
-	// table, a single scan beats len(ids) locked point lookups.
+	// denseScanDivisor selects between per-ID Gets and one block scan:
+	// when the wanted set is at least 1/denseScanDivisor of the table, a
+	// single scan beats len(ids) locked point lookups.
 	denseScanDivisor = 4
 )
 
@@ -240,9 +233,8 @@ type matFocus struct {
 // materializer carries the per-query state shared by every chunk of one
 // materialization: the prefetched dictionaries and the focus cache.
 type materializer struct {
-	s          *Store
-	workers    int
-	noSegments bool
+	s       *Store
+	workers int
 
 	exec, metric, tool, units *dict
 
@@ -250,12 +242,10 @@ type materializer struct {
 }
 
 func (s *Store) newMaterializer(ctx context.Context, opt MaterializeOptions) (*materializer, error) {
-	m := &materializer{
-		s:          s,
-		workers:    opt.Workers,
-		noSegments: opt.NoSegments,
-		foci:       make(map[int64]*matFocus),
+	if err := cancelled(ctx); err != nil {
+		return nil, err
 	}
+	m := &materializer{s: s, workers: opt.Workers, foci: make(map[int64]*matFocus)}
 	if m.workers <= 0 {
 		m.workers = runtime.GOMAXPROCS(0)
 	}
@@ -349,29 +339,14 @@ func shardRange(n, workers int, fn func(lo, hi int) error) error {
 	return nil
 }
 
-// segView returns the columnar view of a hot table when the engine has
-// one and the segment path is enabled; nil falls back to the B-tree.
-func (m *materializer) segView(table string) *reldb.SegView {
-	if m.noSegments {
-		return nil
+// cancelled reports a done context as a wrapped error. The materializer
+// checks it once per chunk phase, so an abandoned request stops at the
+// next phase boundary instead of finishing the retrieval.
+func cancelled(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return fmt.Errorf("datastore: materialize: %w", err)
 	}
-	sv, ok := m.s.eng.(segmentViewer)
-	if !ok {
-		return nil
-	}
-	v, ok := sv.SegmentView(table)
-	if !ok {
-		return nil
-	}
-	return v
-}
-
-// noteScan records one segment range scan in the store telemetry.
-func (m *materializer) noteScan(rows, pruned int, bytes int64) {
-	m.s.tel.segmentScans.Add(1)
-	m.s.tel.segmentRowsScanned.Add(uint64(rows))
-	m.s.tel.zoneMapPrunes.Add(uint64(pruned))
-	m.s.scanBytes.Observe(float64(bytes))
+	return nil
 }
 
 // minMax returns the bounds of a non-empty ID slice.
@@ -388,22 +363,19 @@ func minMax(ids []int64) (lo, hi int64) {
 	return lo, hi
 }
 
-// scanResultSegments fills recs from the columnar segments of
-// performance_result (PK == row ID), then point-fetches the unflushed
-// tail from the B-tree. IDs still missing afterwards are left !found for
-// the caller's not-found report.
-func (m *materializer) scanResultSegments(v *reldb.SegView, tab *reldb.Table, pos *posIndex, recs []resultRec) {
+// scanResults fills recs from performance_result's block source over
+// the wanted ID range (PK == row ID). IDs no block carried are left
+// !found for the caller's not-found report.
+func (m *materializer) scanResults(pos *posIndex, recs []resultRec) error {
 	lo, hi := minMax(pos.uniq)
-	scanned := 0
-	pruned, bytes := v.ScanPKRange(lo, hi, func(b reldb.ColumnBlock) bool {
-		ids := b.RowIDs()
-		execs := b.Int64s(1)
-		metrics := b.Int64s(2)
-		tools := b.Int64s(3)
-		units := b.Int64s(4)
+	scan, err := m.s.Blocks("performance_result", lo, hi)
+	if err != nil {
+		return err
+	}
+	return scan.Each(func(b *reldb.ColumnBlock) error {
+		execs, metrics, tools, units := b.Int64s(1), b.Int64s(2), b.Int64s(3), b.Int64s(4)
 		vals := b.Float64s(5)
-		scanned += len(ids)
-		for i, id := range ids {
+		for i, id := range b.RowIDs() {
 			if j, ok := pos.get(id); ok {
 				recs[j] = resultRec{
 					found:    true,
@@ -415,67 +387,30 @@ func (m *materializer) scanResultSegments(v *reldb.SegView, tab *reldb.Table, po
 				}
 			}
 		}
-		return true
+		return nil
 	})
-	m.noteScan(scanned, pruned, bytes)
-	for i := range recs {
-		if recs[i].found {
-			continue
-		}
-		row, ok := tab.Get(pos.uniq[i])
-		if !ok {
-			continue
-		}
-		recs[i] = resultRec{
-			found:    true,
-			execID:   row[1].Int64(),
-			metricID: row[2].Int64(),
-			toolID:   row[3].Int64(),
-			unitsID:  row[4].Int64(),
-			value:    row[5].Float64(),
-		}
-	}
 }
 
-// scanLinkSegments streams a two-column link table (owner_id, member_id)
-// from its columnar segments, then walks the unflushed B-tree tail,
-// calling add for every link whose owner is in the wanted set. Both
-// passes deliver links in PK order, and tail owners are >= the flushed
-// maximum (anything else would have invalidated the view), so each
-// owner's members arrive contiguously and ascending — the same contract
-// as a full B-tree scan.
-func (m *materializer) scanLinkSegments(v *reldb.SegView, tab *reldb.Table, want *posIndex, add func(i int, member int64)) {
+// scanLinks streams a two-column link table (owner_id, member_id)
+// through its block source, calling add for every link whose owner is
+// in the wanted set. Blocks arrive in PK order and unflushed owners are
+// >= the flushed maximum (anything else would have invalidated the
+// segment view), so each owner's members arrive contiguously and
+// ascending whatever mix of segment and B-tree blocks carries them.
+func (m *materializer) scanLinks(table string, want *posIndex, add func(i int, member int64)) error {
 	lo, hi := minMax(want.uniq)
-	scanned := 0
-	pruned, bytes := v.ScanPKRange(lo, hi, func(b reldb.ColumnBlock) bool {
-		owners := b.Int64s(0)
-		members := b.Int64s(1)
-		scanned += len(owners)
+	scan, err := m.s.Blocks(table, lo, hi)
+	if err != nil {
+		return err
+	}
+	return scan.Each(func(b *reldb.ColumnBlock) error {
+		owners, members := b.Int64s(0), b.Int64s(1)
 		for i, owner := range owners {
 			if j, ok := want.get(owner); ok {
 				add(j, members[i])
 			}
 		}
-		return true
-	})
-	m.noteScan(scanned, pruned, bytes)
-	tailFrom := v.MaxPK()
-	if hi < tailFrom {
-		return // every wanted owner is below the flushed tail
-	}
-	watermark := v.TailRowID()
-	tab.PKRange([]reldb.Value{reldb.Int(tailFrom)}, nil, func(id int64, row reldb.Row) bool {
-		if id <= watermark {
-			return true // flushed row at the boundary PK, already scanned
-		}
-		owner := row[0].Int64()
-		if owner > hi {
-			return false
-		}
-		if j, ok := want.get(owner); ok {
-			add(j, row[1].Int64())
-		}
-		return true
+		return nil
 	})
 }
 
@@ -484,6 +419,9 @@ func (m *materializer) scanLinkSegments(v *reldb.SegView, tab *reldb.Table, want
 func (m *materializer) run(ctx context.Context, ids []int64) ([]*core.PerformanceResult, error) {
 	if len(ids) == 0 {
 		return []*core.PerformanceResult{}, nil
+	}
+	if err := cancelled(ctx); err != nil {
+		return nil, err
 	}
 	// Dedupe while remembering each distinct ID's index. The chunk-sized
 	// working memory comes from the store's scratch pool; it is returned
@@ -515,24 +453,11 @@ func (m *materializer) run(ctx context.Context, ids []int64) ([]*core.Performanc
 		return nil, fmt.Errorf("datastore: no performance_result table: %w", ErrNotFound)
 	}
 	dense := len(uniq)*denseScanDivisor >= prTab.Len()
-	if prView := m.segView("performance_result"); dense && prView != nil {
-		m.scanResultSegments(prView, prTab, pos, recs)
-	} else if dense {
-		prTab.Scan(func(id int64, row reldb.Row) bool {
-			i, ok := pos.get(id)
-			if !ok {
-				return true
-			}
-			recs[i] = resultRec{
-				found:    true,
-				execID:   row[1].Int64(),
-				metricID: row[2].Int64(),
-				toolID:   row[3].Int64(),
-				unitsID:  row[4].Int64(),
-				value:    row[5].Float64(),
-			}
-			return true
-		})
+	if dense {
+		if err := m.scanResults(pos, recs); err != nil {
+			fetchSpan.End()
+			return nil, err
+		}
 	} else {
 		if err := shardRange(len(uniq), m.workers, func(lo, hi int) error {
 			for i := lo; i < hi; i++ {
@@ -564,13 +489,17 @@ func (m *materializer) run(ctx context.Context, ids []int64) ([]*core.Performanc
 
 	// Phase 2: result → focus links, grouped per result in PK order
 	// (ascending focus ID), matching ResultByID's context ordering.
+	if err := cancelled(ctx); err != nil {
+		fetchSpan.End()
+		return nil, err
+	}
 	rhfTab, ok := m.s.eng.Table("result_has_focus")
 	if !ok {
 		fetchSpan.End()
 		return nil, fmt.Errorf("datastore: no result_has_focus table: %w", ErrNotFound)
 	}
 	if dense {
-		// The PK is (result_id, focus_id), so either scan hands every
+		// The PK is (result_id, focus_id), so the block scan hands every
 		// result's links contiguously: stage them in one shared arena
 		// and slice it up afterwards instead of growing one tiny slice
 		// per result.
@@ -588,15 +517,9 @@ func (m *materializer) run(ctx context.Context, ids []int64) ([]*core.Performanc
 			arena = append(arena, fid)
 			counts[i]++
 		}
-		if rhfView := m.segView("result_has_focus"); rhfView != nil {
-			m.scanLinkSegments(rhfView, rhfTab, pos, stage)
-		} else {
-			rhfTab.Scan(func(_ int64, link reldb.Row) bool {
-				if i, ok := pos.get(link[0].Int64()); ok {
-					stage(i, link[1].Int64())
-				}
-				return true
-			})
+		if err := m.scanLinks("result_has_focus", pos, stage); err != nil {
+			fetchSpan.End()
+			return nil, err
 		}
 		sc.arena = arena // keep any growth for the next chunk
 		for i := range recs {
@@ -625,15 +548,21 @@ func (m *materializer) run(ctx context.Context, ids []int64) ([]*core.Performanc
 	fetchSpan.End()
 
 	// Phase 3: decode each focus not yet in the per-query cache.
+	if err := cancelled(ctx); err != nil {
+		return nil, err
+	}
 	_, focusSpan := obs.StartSpan(ctx, "materialize.focus")
 	// links counts only multi-focus results: single-focus results (the
 	// common case) reuse their focus's shared ctx1 slice at assembly and
-	// need no arena slot.
-	links := 0
+	// need no arena slot. refs counts every focus reference in the chunk,
+	// the population cache hits and misses are both drawn from.
+	links, refs := 0, 0
 	ctxOff := sc.ints(&sc.ctxOff, len(recs))
 	for i := range recs {
 		ctxOff[i] = links
-		if n := len(recs[i].focusIDs); n > 1 {
+		n := len(recs[i].focusIDs)
+		refs += n
+		if n > 1 {
 			links += n
 		}
 	}
@@ -657,8 +586,8 @@ func (m *materializer) run(ctx context.Context, ids []int64) ([]*core.Performanc
 			}
 		}
 	}
-	m.s.tel.focusCacheHits.Add(uint64(links - misses))
-	focusSpan.Annotate("cached", strconv.Itoa(links-misses))
+	m.s.tel.focusCacheHits.Add(uint64(refs - misses))
+	focusSpan.Annotate("cached", strconv.Itoa(refs-misses))
 	if len(needed) > 0 {
 		decode := sortDedup(needed)
 		m.s.tel.focusCacheMisses.Add(uint64(len(decode)))
@@ -673,6 +602,9 @@ func (m *materializer) run(ctx context.Context, ids []int64) ([]*core.Performanc
 	// Phase 4: assemble over the worker pool into one block (a single
 	// allocation for the whole chunk), then lay out pointers in input
 	// order.
+	if err := cancelled(ctx); err != nil {
+		return nil, err
+	}
 	_, assembleSpan := obs.StartSpan(ctx, "materialize.assemble")
 	defer assembleSpan.End()
 	assembled := make([]core.PerformanceResult, len(uniq))
@@ -786,15 +718,8 @@ func (m *materializer) decodeFoci(fids []int64) error {
 			arena = append(arena, rid)
 			counts[i]++
 		}
-		if fhrView := m.segView("focus_has_resource"); fhrView != nil {
-			m.scanLinkSegments(fhrView, fhrTab, fpos, stage)
-		} else {
-			fhrTab.Scan(func(_ int64, link reldb.Row) bool {
-				if i, ok := fpos.get(link[0].Int64()); ok {
-					stage(i, link[1].Int64())
-				}
-				return true
-			})
+		if err := m.scanLinks("focus_has_resource", fpos, stage); err != nil {
+			return err
 		}
 		for i := range resIDs {
 			if counts[i] > 0 {

@@ -1,6 +1,7 @@
 package datastore
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"runtime"
@@ -186,6 +187,84 @@ func TestQueryResultsUsesBatchPath(t *testing.T) {
 		if pr.Execution != "m-mcr" {
 			t.Errorf("stray execution %q", pr.Execution)
 		}
+	}
+}
+
+// TestMaterializeDenseBlocksOnMem pins the dense fetch on an engine
+// without segments: every row, result link and focus link arrives as a
+// block transposed from the B-tree, here across two 4096-row block
+// boundaries, and must equal the per-ID reference.
+func TestMaterializeDenseBlocksOnMem(t *testing.T) {
+	s := newStore(t)
+	seedSegmentStudy(t, s)
+	const n = 2*4096 + 100
+	ids := make([]int64, 0, n)
+	for i := 0; i < n; i++ {
+		ids = append(ids, addSegResult(t, s, i))
+	}
+	// A dense subset that starts and ends inside a block.
+	ids = ids[50 : n-50]
+	got, err := s.MaterializeResults(ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := perIDResults(t, s, ids)
+	for i := range want {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Fatalf("result %d differs:\n got  %+v\n want %+v", i, got[i], want[i])
+		}
+	}
+	if scans := s.Telemetry().SegmentScans; scans != 0 {
+		t.Fatalf("mem engine recorded %d segment scans", scans)
+	}
+}
+
+// TestFocusCacheHitsBounded materializes single-focus results twice on
+// one store: hits and misses are drawn from the same population (every
+// focus reference in a chunk), so hits can never exceed the references
+// seen — the counter used to go negative and wrap for single-focus
+// results.
+func TestFocusCacheHitsBounded(t *testing.T) {
+	s := newStore(t)
+	seedSegmentStudy(t, s)
+	var ids []int64
+	for i := 1; i <= 40; i++ {
+		if i%3 != 0 { // addSegResult gives every third result a second focus
+			ids = append(ids, addSegResult(t, s, i))
+		}
+	}
+	var refs uint64
+	for round := 0; round < 2; round++ {
+		// Two chunks per round: the second finds its foci cached.
+		err := s.MaterializeStream(ids, MaterializeOptions{ChunkSize: len(ids)/2 + 1},
+			func([]*core.PerformanceResult) error { return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		refs += uint64(len(ids)) // one focus each
+		if hits := s.Telemetry().FocusCacheHits; hits == 0 || hits > refs {
+			t.Fatalf("round %d: FocusCacheHits = %d, want in [1, %d focus references]", round, hits, refs)
+		}
+	}
+}
+
+// TestMaterializeCancelled checks that a cancelled context stops the
+// materializer before it reads anything.
+func TestMaterializeCancelled(t *testing.T) {
+	s, ids := seedMaterializeStudy(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	before := s.Telemetry().ResultsRead
+	err := s.MaterializeStreamCtx(ctx, ids, MaterializeOptions{ChunkSize: 2},
+		func([]*core.PerformanceResult) error {
+			t.Error("emit called under a cancelled context")
+			return nil
+		})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if after := s.Telemetry().ResultsRead; after != before {
+		t.Fatalf("cancelled materialization read %d results", after-before)
 	}
 }
 

@@ -48,7 +48,7 @@ func (s *Store) noteAttrLocked(attr, value string) {
 
 // TableStat describes one schema table for the planner: total rows, the
 // number of distinct logical keys (names, for the interned dictionary
-// tables), and how many rows are resident in flushed columnar segments.
+// tables), and how many rows are resident in scannable columnar segments.
 type TableStat struct {
 	Table        string `json:"table"`
 	Rows         int64  `json:"rows"`
@@ -116,10 +116,14 @@ func (s *Store) TableStatistics() TableStatistics {
 	s.mu.Unlock()
 	sort.Slice(attrs, func(i, j int) bool { return attrs[i].Name < attrs[j].Name })
 
+	// Only scannable segments count: a dirty or unordered table serves
+	// every read from the B-tree until the next checkpoint rebuilds it.
 	segRows := map[string]int64{}
 	if sv, ok := s.eng.(interface{ SegmentStats() reldb.SegmentStats }); ok {
 		for _, t := range sv.SegmentStats().Tables {
-			segRows[t.Table] = t.Rows
+			if !t.Dirty && !t.Unordered {
+				segRows[t.Table] = t.Rows
+			}
 		}
 	}
 	out := TableStatistics{Generation: s.gen.Load(), Attributes: attrs}
@@ -282,22 +286,29 @@ func (s *Store) ExecutionResultIDs(exec string) ([]int64, error) {
 	return ids, nil
 }
 
-// ResultSegmentView returns the columnar segment view of the
-// performance_result table when the engine keeps one and the scan path
-// is enabled.
-func (s *Store) ResultSegmentView() (*reldb.SegView, bool) {
-	sv, ok := s.eng.(segmentViewer)
+// Blocks opens the block source of one hot table (performance_result,
+// result_has_focus, focus_has_resource) for first-primary-key values in
+// [lo, hi] — the one bulk read path the planner and the materializer
+// share on every engine — and records the segment scan it implies, if
+// any, in the store telemetry.
+func (s *Store) Blocks(table string, lo, hi int64) (*reldb.BlockScan, error) {
+	tab, ok := s.eng.Table(table)
 	if !ok {
-		return nil, false
+		return nil, fmt.Errorf("datastore: no %s table: %w", table, ErrNotFound)
 	}
-	return sv.SegmentView("performance_result")
-}
-
-// NoteSegmentScan records one planner-driven segment range scan in the
-// store telemetry, mirroring the materializer's accounting.
-func (s *Store) NoteSegmentScan(rows, pruned int, bytes int64) {
-	s.tel.segmentScans.Add(1)
-	s.tel.segmentRowsScanned.Add(uint64(rows))
-	s.tel.zoneMapPrunes.Add(uint64(pruned))
-	s.scanBytes.Observe(float64(bytes))
+	scan, err := tab.Blocks(lo, hi)
+	if err != nil {
+		return nil, err
+	}
+	if scan.Segmented() {
+		rows := 0
+		for _, b := range scan.Segments {
+			rows += b.Len()
+		}
+		s.tel.segmentScans.Add(1)
+		s.tel.segmentRowsScanned.Add(uint64(rows))
+		s.tel.zoneMapPrunes.Add(uint64(scan.Pruned))
+		s.scanBytes.Observe(float64(scan.Bytes))
+	}
+	return scan, nil
 }

@@ -5,16 +5,12 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"time"
 
 	"perftrack/internal/datastore"
 	"perftrack/internal/reldb"
 	"perftrack/internal/sqldb"
 )
-
-// rowEmit receives one performance_result row that survived the pushed
-// predicates. Every access path emits in ascending row-ID order, so
-// planned and naive executions produce identically ordered results.
-type rowEmit func(id, execID, metricID, toolID, unitsID int64, value float64)
 
 // planResults plans and executes one SELECT over the virtual
 // performance_result table.
@@ -68,25 +64,23 @@ func (p *Planner) planResults(ctx context.Context, sel *sqldb.SelectStmt, prof *
 		sel.Where = stripConjuncts(sel.Where, drop)
 	}
 
-	vcols := virtualColumns["performance_result"]
-	if aggs, groupCols, ok := p.aggPushable(sel, residual); ok {
-		if res, done, err := p.execAggregateVec(sel, access, pushed, aggs, groupCols, plan); done || err != nil {
-			return res, plan, err
-		}
-		res, err := p.execAggregate(ctx, sel, access, pushed, aggs, groupCols, plan)
+	if specs, groupCols, ok := p.aggPushable(sel, residual); ok {
+		res, err := p.execAggregate(ctx, sel, access, pushed, specs, groupCols, plan)
 		return res, plan, err
 	}
-	res, err := p.execRows(ctx, sel, access, pushed, vcols, plan)
+	res, err := p.execRows(ctx, sel, access, pushed, plan)
 	return res, plan, err
 }
 
 // aggPushable decides whether the aggregation itself can run below
-// materialization: no residual predicates, every GROUP BY key a
-// dimension column, every aggregate over value, id, or *, and no other
-// column referenced outside aggregate arguments. Queries that fail the
-// test fall back to the row path, whose executor reports the same errors
-// naive execution would.
-func (p *Planner) aggPushable(sel *sqldb.SelectStmt, residual []sqldb.Expr) ([]*sqldb.FuncExpr, []string, bool) {
+// materialization, and classifies the aggregate calls for the kernels:
+// no residual predicates, every GROUP BY key a dimension column, every
+// aggregate a non-DISTINCT COUNT/SUM/AVG/MIN/MAX over value, id, or *,
+// and no other column referenced outside aggregate arguments. DISTINCT
+// needs per-group seen sets, which only the SQL executor keeps. Queries
+// that fail the test take the row path, whose executor reports the same
+// errors naive execution would.
+func (p *Planner) aggPushable(sel *sqldb.SelectStmt, residual []sqldb.Expr) ([]vecAggSpec, []string, bool) {
 	if p.Naive || len(residual) > 0 || !sqldb.HasAggregates(sel) {
 		return nil, nil, false
 	}
@@ -106,14 +100,25 @@ func (p *Planner) aggPushable(sel *sqldb.SelectStmt, residual []sqldb.Expr) ([]*
 			groupCols = append(groupCols, cr.Column)
 		}
 	}
+	specs := make([]vecAggSpec, 0, len(aggs))
 	for _, fe := range aggs {
-		if fe.Star {
-			continue
-		}
-		cr, ok := fe.Arg.(*sqldb.ColumnRef)
-		if !ok || (cr.Column != "value" && cr.Column != "id") {
+		if fe.Distinct {
 			return nil, nil, false
 		}
+		switch fe.Name {
+		case "COUNT", "SUM", "AVG", "MIN", "MAX":
+		default:
+			return nil, nil, false
+		}
+		sp := vecAggSpec{fe: fe, fn: fe.Name, star: fe.Star}
+		if !fe.Star {
+			cr, ok := fe.Arg.(*sqldb.ColumnRef)
+			if !ok || (cr.Column != "value" && cr.Column != "id") {
+				return nil, nil, false
+			}
+			sp.idArg = cr.Column == "id"
+		}
+		specs = append(specs, sp)
 	}
 	// Any non-aggregate column reference must be a group key: the pushed
 	// representative row carries only the group dimensions, where a naive
@@ -135,7 +140,7 @@ func (p *Planner) aggPushable(sel *sqldb.SelectStmt, residual []sqldb.Expr) ([]*
 	if !ok {
 		return nil, nil, false
 	}
-	return aggs, groupCols, true
+	return specs, groupCols, true
 }
 
 // walkNonAggRefs visits column references outside aggregate arguments.
@@ -164,80 +169,90 @@ func walkNonAggRefs(e sqldb.Expr, fn func(*sqldb.ColumnRef)) {
 }
 
 // execAggregate runs the scan with aggregation pushed below
-// materialization: groups accumulate over (id, dims, value) tuples
-// straight off the access path and no result row is ever built.
+// materialization: the kernels fold (id, dims, value) columns straight
+// off the access path into per-group accumulators and no result row is
+// ever built.
 func (p *Planner) execAggregate(ctx context.Context, sel *sqldb.SelectStmt, access resultAccess,
-	pushed []conjunct, aggs []*sqldb.FuncExpr, groupCols []string, plan *Plan) (*sqldb.Result, error) {
+	pushed []conjunct, specs []vecAggSpec, groupCols []string, plan *Plan) (*sqldb.Result, error) {
 	plan.Aggregate = true
 
-	type aggGroup struct{ accs []*sqldb.Aggregator }
-	groups := map[[4]int64]*aggGroup{}
-	var order [][4]int64
-	var actual int64
-	emit := func(id, e, m, t, u int64, v float64) {
-		actual++
-		var key [4]int64
-		for i, col := range groupCols {
-			switch col {
-			case "execution":
-				key[i] = e
-			case "metric":
-				key[i] = m
-			case "tool":
-				key[i] = t
-			case "units":
-				key[i] = u
-			}
+	// Packed key space: each key column sized by its dictionary's largest
+	// ID, read before the scan opens. A row carrying a newer ID still
+	// lands in its own group (aggSink.over), just not a packed one.
+	proto := aggSink{specs: specs, dense: 1}
+	dicts := make([]map[int64]string, len(groupCols))
+	for ki, col := range groupCols {
+		d, err := p.store.DictNames(resultDims[col].dict)
+		if err != nil {
+			return nil, err
 		}
-		g := groups[key]
-		if g == nil {
-			g = &aggGroup{accs: make([]*sqldb.Aggregator, len(aggs))}
-			for i, fe := range aggs {
-				g.accs[i] = sqldb.NewAggregator(fe)
-			}
-			groups[key] = g
-			order = append(order, key)
+		dicts[ki] = d
+		var maxID int64
+		for id := range d {
+			maxID = max(maxID, id)
 		}
-		for i, fe := range aggs {
-			switch {
-			case fe.Star:
-				g.accs[i].Add(reldb.Null())
-			case fe.Arg.(*sqldb.ColumnRef).Column == "id":
-				g.accs[i].Add(reldb.Int(id))
-			default:
-				g.accs[i].Add(reldb.Float(v))
-			}
+		proto.keyCols = append(proto.keyCols, resultDims[col].physCol)
+		proto.caps = append(proto.caps, maxID+1)
+		proto.mult = append(proto.mult, int64(proto.dense))
+		if int64(proto.dense) <= int64(maxDenseGroups)/(maxID+1) {
+			proto.dense *= int(maxID + 1)
+		} else {
+			proto.dense = 0 // too wide to pack; stays 0 for any further key
 		}
 	}
-	if err := p.scanResults(ctx, access, pushed, plan.Profile, emit); err != nil {
+	// Keep the total accumulator footprint bounded; an unpacked key space
+	// grows one shared set of accumulators on a single worker.
+	workers := 1
+	if proto.dense > 0 {
+		workers = maxDenseGroups / proto.dense
+	}
+	f := p.buildResultFilter(pushed)
+	merged, err := p.scanResults(ctx, access, &f, plan, workers, func() blockSink {
+		s := proto
+		s.acc = newVecAccum(s.dense, specs)
+		s.gbuf = make([]int32, 0, vecBatch)
+		return &s
+	})
+	if err != nil {
 		return nil, err
 	}
-	plan.ActualRows = actual
+	mergeStart := time.Now()
+	sink := merged.(*aggSink)
+	acc := sink.acc
+
+	// Groups in global first-appearance order; dictionary IDs resolve to
+	// names only here.
+	var gs []int32
+	for g, rc := range acc.rowCount {
+		if rc > 0 {
+			gs = append(gs, int32(g))
+			plan.ActualRows += rc
+		}
+	}
+	sort.Slice(gs, func(a, b int) bool { return acc.firstOrd[gs[a]] < acc.firstOrd[gs[b]] })
 
 	vcols := virtualColumns["performance_result"]
 	colIdx := map[string]int{}
 	for i, c := range vcols {
 		colIdx[c] = i
 	}
-	dicts := map[string]map[int64]string{}
-	for _, col := range groupCols {
-		d, err := p.store.DictNames(resultDims[col].dict)
-		if err != nil {
-			return nil, err
-		}
-		dicts[col] = d
-	}
-	pgs := make([]sqldb.PlannedGroup, 0, len(order))
-	for _, key := range order {
+	pgs := make([]sqldb.PlannedGroup, 0, len(gs))
+	for _, g := range gs {
 		repr := make(reldb.Row, len(vcols))
 		for i := range repr {
 			repr[i] = reldb.Null()
 		}
-		for i, col := range groupCols {
-			repr[colIdx[col]] = reldb.Str(dicts[col][key[i]])
+		key := sink.key(g)
+		for ki, col := range groupCols {
+			repr[colIdx[col]] = reldb.Str(dicts[ki][key[ki]])
 		}
-		pgs = append(pgs, sqldb.PlannedGroup{Repr: repr, Aggs: groups[key].accs})
+		ga := make([]*sqldb.Aggregator, len(specs))
+		for ai := range specs {
+			ga[ai] = specs[ai].finish(acc, ai, g)
+		}
+		pgs = append(pgs, sqldb.PlannedGroup{Repr: repr, Aggs: ga})
 	}
+	plan.Profile.MergeNanos += time.Since(mergeStart).Nanoseconds()
 	return sqldb.FinishGrouped(sel, vcols, pgs)
 }
 
@@ -246,7 +261,7 @@ func (p *Planner) execAggregate(ctx context.Context, sel *sqldb.SelectStmt, acce
 // the SQL executor for residual filtering, projection, grouping, and
 // ordering.
 func (p *Planner) execRows(ctx context.Context, sel *sqldb.SelectStmt, access resultAccess,
-	pushed []conjunct, vcols []string, plan *Plan) (*sqldb.Result, error) {
+	pushed []conjunct, plan *Plan) (*sqldb.Result, error) {
 	dicts := map[string]map[int64]string{}
 	for _, d := range []string{"execution", "metric", "performance_tool", "units"} {
 		m, err := p.store.DictNames(d)
@@ -255,177 +270,79 @@ func (p *Planner) execRows(ctx context.Context, sel *sqldb.SelectStmt, access re
 		}
 		dicts[d] = m
 	}
-	var rows []reldb.Row
-	emit := func(id, e, m, t, u int64, v float64) {
-		rows = append(rows, reldb.Row{
-			reldb.Int(id),
-			reldb.Str(dicts["execution"][e]),
-			reldb.Str(dicts["metric"][m]),
-			reldb.Float(v),
-			reldb.Str(dicts["units"][u]),
-			reldb.Str(dicts["performance_tool"][t]),
-		})
+	f := p.buildResultFilter(pushed)
+	var tuples []resultTuple
+	if p.Naive {
+		var err error
+		if tuples, err = p.naiveScan(ctx, &f, plan.Profile); err != nil {
+			return nil, err
+		}
+	} else {
+		sink, err := p.scanResults(ctx, access, &f, plan, math.MaxInt, func() blockSink { return &tupleSink{} })
+		if err != nil {
+			return nil, err
+		}
+		tuples = sink.(*tupleSink).out
 	}
-	if workers, done := p.scanResultsVec(access, pushed, plan.Profile, emit); done {
-		plan.Vectorized = true
-		plan.Workers = workers
-	} else if err := p.scanResults(ctx, access, pushed, plan.Profile, emit); err != nil {
-		return nil, err
+	mergeStart := time.Now()
+	rows := make([]reldb.Row, len(tuples))
+	for i, r := range tuples {
+		rows[i] = reldb.Row{
+			reldb.Int(r.id),
+			reldb.Str(dicts["execution"][r.e]),
+			reldb.Str(dicts["metric"][r.m]),
+			reldb.Float(r.v),
+			reldb.Str(dicts["units"][r.u]),
+			reldb.Str(dicts["performance_tool"][r.t]),
+		}
 	}
+	plan.Profile.MergeNanos += time.Since(mergeStart).Nanoseconds()
 	plan.ActualRows = int64(len(rows))
 	plan.Materialized = int64(len(rows))
-	return sqldb.ExecuteSelect(sel, vcols, rows)
+	return sqldb.ExecuteSelect(sel, virtualColumns["performance_result"], rows)
 }
 
-// scanResults drives the chosen access path, applies the pushed
-// predicates, and emits survivors in ascending row-ID order. Access-path
-// actuals (rows visited, blocks scanned/pruned, tail rows) accumulate
-// into prof.
-func (p *Planner) scanResults(ctx context.Context, access resultAccess, pushed []conjunct, prof *ExecProfile, emit rowEmit) error {
+// naiveScan is the reference scan behind Planner.Naive: a direct B-tree
+// walk of every row, with family specs (the only conjuncts naive mode
+// pushes) checked per row against the resolved ID set. It deliberately
+// shares nothing with the block source or the kernels it is the oracle
+// for.
+func (p *Planner) naiveScan(ctx context.Context, f *resultFilter, prof *ExecProfile) ([]resultTuple, error) {
 	tab, ok := p.store.Table("performance_result")
 	if !ok {
-		return fmt.Errorf("datastore: no performance_result table: %w", datastore.ErrNotFound)
+		return nil, fmt.Errorf("datastore: no performance_result table: %w", datastore.ErrNotFound)
 	}
-	if prof == nil {
-		prof = &ExecProfile{} // tolerate direct calls without a profile sink
-	}
-
-	f := p.buildResultFilter(pushed)
-	nums := f.nums
-
-	var famIDs []int64
 	var member map[int64]struct{}
 	if len(f.famSpecs) > 0 {
 		prf, err := p.buildPRFilter(ctx, f.famSpecs)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if famIDs, err = p.store.MatchingResultIDsCtx(ctx, prf); err != nil {
-			return err
+		famIDs, err := p.store.MatchingResultIDsCtx(ctx, prf)
+		if err != nil {
+			return nil, err
 		}
-		if access.strategy != StrategyIDSet && access.strategy != StrategyAttrIndex {
-			// Naive mode scans everything and checks membership per row.
-			member = make(map[int64]struct{}, len(famIDs))
-			for _, id := range famIDs {
-				member[id] = struct{}{}
-			}
+		member = make(map[int64]struct{}, len(famIDs))
+		for _, id := range famIDs {
+			member[id] = struct{}{}
 		}
 	}
-	if f.impossible {
-		return nil
-	}
-
-	pass := func(id, e, m, t, u int64, v float64) bool {
-		if !f.pass(id, e, m, t, u, v) {
-			return false
-		}
+	var out []resultTuple
+	tab.Scan(func(id int64, row reldb.Row) bool {
+		prof.RowsScanned++
 		if member != nil {
 			if _, ok := member[id]; !ok {
-				return false
+				return true
 			}
 		}
-		return true
-	}
-	visitRow := func(id int64, row reldb.Row) {
-		prof.RowsScanned++
-		e, m, t, u := row[1].Int64(), row[2].Int64(), row[3].Int64(), row[4].Int64()
-		v := row[5].Float64()
-		if pass(id, e, m, t, u, v) {
-			emit(id, e, m, t, u, v)
-		}
-	}
-
-	switch access.strategy {
-	case StrategyIDSet, StrategyAttrIndex:
-		for _, id := range famIDs { // already sorted ascending
-			if row, ok := tab.Get(id); ok {
-				visitRow(id, row)
-			}
-		}
-		return nil
-
-	case StrategyIndex:
-		d := resultDims[access.indexDim]
-		var key int64
-		for _, df := range f.dims {
-			if df.col == d.physCol {
-				key = df.id
-			}
-		}
-		idx := "performance_result_exec"
-		if access.indexDim == "metric" {
-			idx = "performance_result_metric"
-		}
-		// Index order is key order, not row order: buffer and sort so the
-		// stream stays ID-ascending.
-		type pair struct {
-			id  int64
-			row reldb.Row
-		}
-		var pairs []pair
-		if err := tab.IndexScan(idx, []reldb.Value{reldb.Int(key)}, func(id int64, row reldb.Row) bool {
-			pairs = append(pairs, pair{id, append(reldb.Row(nil), row...)})
-			return true
-		}); err != nil {
-			return err
-		}
-		sort.Slice(pairs, func(i, j int) bool { return pairs[i].id < pairs[j].id })
-		for _, pr := range pairs {
-			visitRow(pr.id, pr.row)
-		}
-		return nil
-
-	case StrategyZoneMap:
-		v, ok := p.store.ResultSegmentView()
-		if !ok {
-			break // view went away (new writes): fall through to full scan
-		}
-		lo, hi := idBounds(nums)
-		if lo > hi {
-			return nil
-		}
-		var scanned, blocks int
-		pruned, bytes := v.ScanPKRange(lo, hi, func(b reldb.ColumnBlock) bool {
-			ids := b.RowIDs()
-			es, ms := b.Int64s(1), b.Int64s(2)
-			ts, us := b.Int64s(3), b.Int64s(4)
-			vs := b.Float64s(5)
-			for i := 0; i < b.Len(); i++ {
-				if pass(ids[i], es[i], ms[i], ts[i], us[i], vs[i]) {
-					emit(ids[i], es[i], ms[i], ts[i], us[i], vs[i])
-				}
-			}
-			scanned += b.Len()
-			blocks++
-			return true
-		})
-		p.store.NoteSegmentScan(scanned, pruned, bytes)
-		prof.RowsScanned += int64(scanned)
-		prof.SegmentRows += int64(scanned)
-		prof.BlocksScanned += blocks
-		prof.BlocksPruned += pruned
-		// Rows above the segment watermark still live only in the B-tree.
-		tlo := v.TailRowID() + 1
-		if lo > tlo {
-			tlo = lo
-		}
-		tab.PKRange([]reldb.Value{reldb.Int(tlo)}, nil, func(id int64, row reldb.Row) bool {
-			prof.TailRows++
-			visitRow(id, row)
-			return true
-		})
-		return nil
-	}
-
-	tab.Scan(func(id int64, row reldb.Row) bool {
-		visitRow(id, row)
+		out = append(out, resultTuple{id, row[1].Int64(), row[2].Int64(), row[3].Int64(), row[4].Int64(), row[5].Float64()})
 		return true
 	})
-	return nil
+	return out, nil
 }
 
 // idBounds derives an inclusive primary-key range from pushed id
-// predicates, for zone-map pruning.
+// predicates; it bounds both zone-map pruning and the B-tree walk.
 func idBounds(nums []numPred) (lo, hi int64) {
 	lo, hi = 0, math.MaxInt64
 	for _, np := range nums {
@@ -586,6 +503,9 @@ func (p *Planner) planDimension(ctx context.Context, sel *sqldb.SelectStmt, prof
 	}
 
 	prof.markPlanned()
+	if err := ctx.Err(); err != nil {
+		return nil, nil, fmt.Errorf("planner: scan %s: %w", sel.From.Table, err)
+	}
 	dicts := map[string]map[int64]string{}
 	for _, d := range spec.dicts {
 		m, err := p.store.DictNames(d)
@@ -625,6 +545,5 @@ func (p *Planner) planDimension(ctx context.Context, sel *sqldb.SelectStmt, prof
 	if err != nil {
 		return nil, nil, err
 	}
-	_ = ctx
 	return res, plan, nil
 }

@@ -54,7 +54,7 @@ func (p *Plan) Text() string {
 	} else {
 		fmt.Fprintf(&b, "\n  materialized: %d rows", p.Materialized)
 	}
-	if p.Vectorized {
+	if p.Profile != nil && p.Profile.BlocksScanned > 0 {
 		fmt.Fprintf(&b, "\n  vectorized: segment kernels, %d workers", p.Workers)
 	}
 	if p.CacheHit {

@@ -1,58 +1,46 @@
 package planner
 
-import (
-	"context"
-	"testing"
-
-	"perftrack/internal/reldb"
-)
+import "testing"
 
 // FuzzSQLPlanner feeds arbitrary SQL through parse → plan → execute and
 // holds two invariants: the planner never panics, and whenever a query
 // runs at all, the cost-based execution returns exactly what the naive
-// (no pushdown, full-scan) execution returns. The check runs over two
-// stores holding the same corpus: a mem engine (full-scan and index
-// paths) and a segment engine with compacted segments plus a B-tree
-// tail, where zone-map scans execute through the vectorized kernels —
-// so every fuzzed query also differential-tests the vectorized path.
+// (no pushdown, direct B-tree scan) execution returns. The check runs
+// over every storage shape holding the same corpus (differentialStores):
+// mem and wal, where every block is transposed from the B-tree, a
+// segment store with compacted segments plus a tail, and a segment store
+// whose dirty view must be ignored — so every fuzzed query
+// differential-tests the one executor over each block producer.
 func FuzzSQLPlanner(f *testing.F) {
-	st := seedStore(f, reldb.NewMem(), 64)
-	planned := New(st)
-	naive := New(st)
-	naive.Naive = true
-	segSt, _ := seedSegmentStore(f, f.TempDir(), 48, 2, 16)
-	segPlanned := New(segSt)
-	segPlanned.Workers = 2
-	segNaive := New(segSt)
-	segNaive.Naive = true
+	type pair struct {
+		label          string
+		planned, naive *Planner
+	}
+	var pairs []pair
+	for _, s := range differentialStores(f, 64) {
+		planned := New(s.st)
+		planned.Workers = 2
+		naive := New(s.st)
+		naive.Naive = true
+		pairs = append(pairs, pair{s.label, planned, naive})
+	}
 	for _, q := range differentialQueries {
 		f.Add(q)
 	}
 	f.Add("SELECT count(*) FROM performance_result WHERE family = 'attr=clock<=3'")
 	f.Add("SELECT tool, units, sum(id) FROM performance_result GROUP BY tool, units")
-	// Vectorized-path seeds: every kernel (count/sum/min/max/avg over
-	// value and id), dictionary group-by shapes, selection kernels, and
-	// the id-bounds fast path.
+	// Kernel seeds: every aggregate (count/sum/min/max/avg over value and
+	// id), dictionary group-by shapes, selection kernels, and the
+	// id-bounds fast path.
 	f.Add("SELECT metric, min(value), max(value), sum(id), avg(id) FROM performance_result GROUP BY metric")
 	f.Add("SELECT execution, metric, count(*) FROM performance_result GROUP BY execution, metric ORDER BY execution, metric")
 	f.Add("SELECT sum(value) FROM performance_result WHERE value > 4 AND id <= 40")
 	f.Add("SELECT id, value FROM performance_result WHERE metric = 'metric-3' AND value >= 2 ORDER BY id")
 	f.Add("SELECT units, avg(value) FROM performance_result WHERE execution = 'exec-b' GROUP BY units")
+	f.Add("SELECT metric, count(DISTINCT value) FROM performance_result WHERE family = 'type=application' GROUP BY metric")
 	f.Fuzz(func(t *testing.T, q string) {
-		check := func(label string, p, n *Planner) {
-			pres, _, perr := p.Query(context.Background(), q)
-			nres, _, nerr := n.Query(context.Background(), q)
-			if (perr != nil) != (nerr != nil) {
-				t.Fatalf("%s %q: planned err = %v, naive err = %v", label, q, perr, nerr)
-			}
-			if perr != nil {
-				return
-			}
-			if got, want := renderResult(pres), renderResult(nres); got != want {
-				t.Fatalf("%s %q: planned and naive diverge:\n%s\nvs\n%s", label, q, got, want)
-			}
+		for _, p := range pairs {
+			checkPlannedMatchesNaive(t, p.label, p.planned, p.naive, q)
 		}
-		check("mem", planned, naive)
-		check("segment", segPlanned, segNaive)
 	})
 }

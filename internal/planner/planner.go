@@ -81,12 +81,8 @@ type Planner struct {
 	// BENCH_sql.json and the oracle for FuzzSQLPlanner.
 	Naive bool
 
-	// NoVector disables the vectorized segment kernels, keeping zone-map
-	// scans on the row-at-a-time path. It is the ablation baseline for
-	// BENCH_scan.json.
-	NoVector bool
-
-	// Workers caps the vectorized scan fan-out; 0 means GOMAXPROCS.
+	// Workers caps the scan fan-out over segment blocks; 0 means
+	// GOMAXPROCS.
 	Workers int
 
 	// Cache, when set, serves repeated queries from a generation-keyed
@@ -111,8 +107,7 @@ type Plan struct {
 	Aggregate    bool
 	Materialized int64
 	Alternatives []string // "strategy=cost" entries the cost model compared
-	Vectorized   bool     // scan ran through the batched segment kernels
-	Workers      int      // vectorized scan fan-out actually used
+	Workers      int      // fan-out actually used over segment blocks (0: none read)
 	CacheHit     bool     // result served from the plan-keyed result cache
 
 	// Profile records the execution's per-operator actuals (see
@@ -641,17 +636,15 @@ func (p *Planner) chooseResultAccess(stats datastore.TableStatistics, cs []conju
 		cost     float64
 	}
 	opts := []option{{strategy: StrategyFullScan, cost: float64(total) * costScanRow}}
-	if segRows > 0 {
-		if _, ok := p.store.ResultSegmentView(); ok {
-			tail := float64(total - segRows)
-			if tail < 0 {
-				tail = 0
-			}
-			opts = append(opts, option{
-				strategy: StrategyZoneMap,
-				cost:     float64(segRows)*costSegmentRow + tail*costScanRow,
-			})
+	if segRows > 0 { // the statistics count scannable segments only
+		tail := float64(total - segRows)
+		if tail < 0 {
+			tail = 0
 		}
+		opts = append(opts, option{
+			strategy: StrategyZoneMap,
+			cost:     float64(segRows)*costSegmentRow + tail*costScanRow,
+		})
 	}
 	for _, dim := range []string{"execution", "metric"} { // the indexed dims
 		if _, ok := dims[dim]; !ok {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -103,25 +104,74 @@ var differentialQueries = []string{
 	"SELECT execution_id, count(*) FROM performance_result GROUP BY execution_id ORDER BY execution_id",
 }
 
+// differentialStores seeds the same n-result corpus on every storage
+// shape the block source serves: the mem and wal engines (all rows
+// transposed from the B-tree), a segment store with compacted segments
+// plus an uncompacted tail, and a segment store whose view is refused
+// because a flushed row was updated (dirty: B-tree only, stale segments
+// must not be read).
+func differentialStores(t testing.TB, n int) []struct {
+	label string
+	st    *datastore.Store
+} {
+	t.Helper()
+	wal, err := reldb.Open(reldb.KindWAL, t.TempDir())
+	if err != nil {
+		t.Fatalf("open wal engine: %v", err)
+	}
+	seg, _ := seedSegmentStore(t, t.TempDir(), n-n/4, 2, n/4)
+	dirty, fe := seedSegmentStore(t, t.TempDir(), n-n/4, 2, n/4)
+	tab, _ := dirty.Table("performance_result")
+	row, ok := tab.Get(3)
+	if !ok {
+		t.Fatal("dirty store: no result 3")
+	}
+	row[5] = reldb.Float(row[5].Float64() + 64)
+	if err := fe.Update("performance_result", 3, row); err != nil {
+		t.Fatalf("update flushed row: %v", err)
+	}
+	if scan, err := dirty.Blocks("performance_result", 0, math.MaxInt64); err != nil || scan.Segmented() {
+		t.Fatalf("dirty store still serves segment blocks (err %v)", err)
+	}
+	return []struct {
+		label string
+		st    *datastore.Store
+	}{
+		{"mem", seedStore(t, reldb.NewMem(), n)},
+		{"wal", seedStore(t, wal, n)},
+		{"segment+tail", seg},
+		{"segment-dirty", dirty},
+	}
+}
+
+// checkPlannedMatchesNaive runs one query both ways on one store: the
+// planned execution must fail exactly when naive does and otherwise
+// return identical bytes.
+func checkPlannedMatchesNaive(t testing.TB, label string, planned, naive *Planner, q string) {
+	t.Helper()
+	pres, _, perr := planned.Query(context.Background(), q)
+	nres, _, nerr := naive.Query(context.Background(), q)
+	if (perr != nil) != (nerr != nil) {
+		t.Fatalf("%s %q: planned err = %v, naive err = %v", label, q, perr, nerr)
+	}
+	if perr != nil {
+		return
+	}
+	if got, want := renderResult(pres), renderResult(nres); got != want {
+		t.Fatalf("%s %q: planned and naive diverge:\n%s\nvs\n%s", label, q, got, want)
+	}
+}
+
 // TestPlannedMatchesNaive is the differential oracle: every query must
 // produce byte-identical results with the cost-based machinery on and
-// off.
+// off, on every storage shape.
 func TestPlannedMatchesNaive(t *testing.T) {
-	st := seedStore(t, reldb.NewMem(), 400)
-	planned := New(st)
-	naive := New(st)
-	naive.Naive = true
-	for _, q := range differentialQueries {
-		pres, _, perr := planned.Query(context.Background(), q)
-		nres, _, nerr := naive.Query(context.Background(), q)
-		if (perr != nil) != (nerr != nil) {
-			t.Fatalf("%s: planned err %v, naive err %v", q, perr, nerr)
-		}
-		if perr != nil {
-			continue
-		}
-		if got, want := renderResult(pres), renderResult(nres); got != want {
-			t.Errorf("%s:\nplanned: %s\nnaive:   %s", q, got, want)
+	for _, s := range differentialStores(t, 400) {
+		planned := New(s.st)
+		naive := New(s.st)
+		naive.Naive = true
+		for _, q := range differentialQueries {
+			checkPlannedMatchesNaive(t, s.label, planned, naive, q)
 		}
 	}
 }
@@ -265,6 +315,8 @@ func TestLargeAggregateNeverMaterializes(t *testing.T) {
 		t.Fatalf("materializer read %d results during pushed aggregation", after-before)
 	}
 
+	assertCancelledBeforeScan(t, p, "SELECT metric, avg(value) FROM performance_result GROUP BY metric")
+
 	// The selective attribute predicate on the same store picks the
 	// attribute-index path.
 	_, plan, err = p.Query(context.Background(),
@@ -274,5 +326,21 @@ func TestLargeAggregateNeverMaterializes(t *testing.T) {
 	}
 	if plan.Strategy != StrategyAttrIndex {
 		t.Fatalf("strategy = %q, want %q (plan: %s)", plan.Strategy, StrategyAttrIndex, plan.Text())
+	}
+}
+
+// assertCancelledBeforeScan runs q under an already-cancelled context:
+// the scan loop checks the context once per block, so the query must
+// fail with context.Canceled having scanned at most one block.
+func assertCancelledBeforeScan(t *testing.T, p *Planner, q string) {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, plan, err := p.Query(ctx, q)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("%s under a cancelled context: err = %v, want context.Canceled", q, err)
+	}
+	if plan == nil || plan.Profile.RowsScanned > vecBatch {
+		t.Fatalf("cancelled query still scanned the table (plan: %+v)", plan)
 	}
 }

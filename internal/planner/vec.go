@@ -1,13 +1,15 @@
 package planner
 
-// Vectorized segment execution. When the planner picks the zone-map
-// strategy, the scan can run over the decoded column vectors of the
-// immutable segments instead of row-at-a-time emission: selection
-// kernels filter fixed-size windows (vecBatch rows) of each block into
-// reusable index buffers, aggregation kernels fold the survivors into
-// dense per-group accumulator arrays indexed by packed dictionary
-// codes, and independent segments fan out across a bounded worker pool.
-// Dictionary-code → name resolution is deferred to final group output.
+// The one executor. Every planned performance_result scan runs here:
+// the access strategy only decides which ColumnBlocks are produced (a
+// PK range over the store's block source, or a gathered ascending ID
+// list), and each block then streams through the same loop — selection
+// kernels filter fixed-size windows (vecBatch rows) into a reusable
+// index buffer, and a sink folds the survivors, either into per-group
+// accumulator arrays (pushed aggregates) or into result tuples (row
+// queries). Immutable segment blocks fan out across a bounded worker
+// pool; transposed B-tree blocks reuse one buffer and fold sequentially.
+// Dictionary-ID → name resolution is deferred to final output.
 //
 // Kernel contract (DESIGN.md §12): every kernel must be byte-identical
 // to the naive row-at-a-time path. COUNT/MIN/MAX and integer sums merge
@@ -18,17 +20,20 @@ package planner
 // order) can differ from the naive left-to-right fold in final ULPs for
 // data whose sums are inexact. The differential and fuzz corpora use
 // dyadic values, whose sums are exact, so planned==naive stays
-// byte-for-byte. Compaction safety comes for free: a SegView pins an
-// immutable segment list, and the B-tree tail above its watermark is
+// byte-for-byte. Compaction safety comes for free: a block scan pins an
+// immutable segment list, and the B-tree rows above its watermark are
 // folded in sequentially afterwards.
 
 import (
+	"context"
+	"fmt"
 	"math"
 	"runtime"
 	"sort"
 	"sync"
 	"time"
 
+	"perftrack/internal/datastore"
 	"perftrack/internal/reldb"
 	"perftrack/internal/sqldb"
 )
@@ -40,11 +45,11 @@ const vecBatch = 4096
 
 // maxDenseGroups bounds the packed group-key space (the product of the
 // per-key-column dictionary sizes) and the total accumulator entries
-// across workers. Larger key spaces fall back to the row-at-a-time
-// map-based grouping path.
-const maxDenseGroups = 1 << 20
+// across workers. A larger key space gets its ordinals from a key →
+// ordinal map on one worker instead. Tests lower it to reach that path.
+var maxDenseGroups = 1 << 20
 
-// --- pushed-filter resolution (shared with the row-at-a-time path) ---
+// --- pushed-filter resolution ---
 
 // vecDim is one pushed dimension equality resolved to its physical
 // column index and dictionary ID.
@@ -54,7 +59,9 @@ type vecDim struct {
 }
 
 // resultFilter is the pushed predicate set of one performance_result
-// scan, resolved against the store's dictionaries.
+// scan, resolved against the store's dictionaries. Family specs are not
+// checked per row: they select the access strategy, whose gathered ID
+// list already is the family's result set.
 type resultFilter struct {
 	dims       []vecDim
 	nums       []numPred
@@ -85,35 +92,6 @@ func (p *Planner) buildResultFilter(pushed []conjunct) resultFilter {
 	return f
 }
 
-// pass is the scalar form of the filter, shared by the B-tree tail walk
-// and the row-at-a-time access paths.
-func (f *resultFilter) pass(id, e, m, t, u int64, v float64) bool {
-	for _, d := range f.dims {
-		got := e
-		switch d.col {
-		case 2:
-			got = m
-		case 3:
-			got = t
-		case 4:
-			got = u
-		}
-		if got != d.id {
-			return false
-		}
-	}
-	for _, np := range f.nums {
-		x := v
-		if np.col == "id" {
-			x = float64(id)
-		}
-		if !np.ok(x) {
-			return false
-		}
-	}
-	return true
-}
-
 // --- column vectors and selection kernels ---
 
 // blockVecs holds one performance_result block's decoded column slices.
@@ -124,10 +102,10 @@ type blockVecs struct {
 }
 
 // resultBlockVecs extracts and validates the column vectors of a block.
-// ok is false when the block does not look like performance_result
-// (schema drift) or any scanned column carries NULLs; callers fall back
-// to the row-at-a-time path then.
-func resultBlockVecs(b reldb.ColumnBlock) (blockVecs, bool) {
+// Every scanned column is NOT NULL in the schema and reldb rejects NULLs
+// at insert, so a NULL bitmap or a column of the wrong kind means the
+// block is corrupt: the scan fails rather than guess.
+func resultBlockVecs(b *reldb.ColumnBlock) (blockVecs, error) {
 	v := blockVecs{
 		ids: b.RowIDs(),
 		es:  b.Int64s(1), ms: b.Int64s(2), ts: b.Int64s(3), us: b.Int64s(4),
@@ -136,14 +114,14 @@ func resultBlockVecs(b reldb.ColumnBlock) (blockVecs, bool) {
 	n := b.Len()
 	if len(v.ids) != n || len(v.es) != n || len(v.ms) != n ||
 		len(v.ts) != n || len(v.us) != n || len(v.vs) != n {
-		return v, false
+		return v, fmt.Errorf("planner: performance_result block does not match the schema (%d rows)", n)
 	}
 	for col := 1; col <= 5; col++ {
 		if b.Nulls(col) != nil {
-			return v, false
+			return v, fmt.Errorf("planner: performance_result block has NULLs in NOT NULL column %d", col)
 		}
 	}
-	return v, true
+	return v, nil
 }
 
 // dim returns the vector of one physical dimension column.
@@ -279,7 +257,7 @@ func partitionBlocks(lens []int, w int) [][2]int {
 }
 
 // blockLens extracts per-block row counts for the partitioner.
-func blockLens(blocks []reldb.ColumnBlock) []int {
+func blockLens(blocks []*reldb.ColumnBlock) []int {
 	lens := make([]int, len(blocks))
 	for i, b := range blocks {
 		lens[i] = b.Len()
@@ -287,7 +265,19 @@ func blockLens(blocks []reldb.ColumnBlock) []int {
 	return lens
 }
 
-// --- vectorized aggregation ---
+// partRows sums per-block row counts into per-worker-part totals — the
+// utilization numbers analyze output reports.
+func partRows(lens []int, parts [][2]int) []int64 {
+	out := make([]int64, len(parts))
+	for pi, pr := range parts {
+		for bi := pr[0]; bi < pr[1]; bi++ {
+			out[pi] += int64(lens[bi])
+		}
+	}
+	return out
+}
+
+// --- aggregate sink ---
 
 // vecAggSpec classifies one aggregate call for the kernels.
 type vecAggSpec struct {
@@ -297,41 +287,8 @@ type vecAggSpec struct {
 	idArg bool // argument is id (int64); otherwise value (float64)
 }
 
-// vecAggSpecs classifies the aggregate calls, or ok=false when any of
-// them cannot run on the vectorized path (DISTINCT needs per-group seen
-// sets and stays row-at-a-time).
-func vecAggSpecs(aggs []*sqldb.FuncExpr) ([]vecAggSpec, bool) {
-	specs := make([]vecAggSpec, 0, len(aggs))
-	for _, fe := range aggs {
-		if fe.Distinct {
-			return nil, false
-		}
-		switch fe.Name {
-		case "COUNT", "SUM", "AVG", "MIN", "MAX":
-		default:
-			return nil, false
-		}
-		sp := vecAggSpec{fe: fe, fn: fe.Name, star: fe.Star}
-		if !fe.Star {
-			cr, ok := fe.Arg.(*sqldb.ColumnRef)
-			if !ok {
-				return nil, false
-			}
-			switch cr.Column {
-			case "id":
-				sp.idArg = true
-			case "value":
-			default:
-				return nil, false
-			}
-		}
-		specs = append(specs, sp)
-	}
-	return specs, true
-}
-
-// vecAccum is one worker's dense accumulator set, indexed by packed
-// group ordinal. rowCount doubles as the COUNT state and the
+// vecAccum is one worker's accumulator set, indexed by the group
+// ordinals its aggSink assigns. rowCount doubles as the COUNT state and the
 // group-membership sentinel (0 = unseen); firstOrd records the global
 // scan ordinal of the group's first row so output order matches the
 // naive first-appearance order.
@@ -390,80 +347,62 @@ func newVecAccum(n int, specs []vecAggSpec) *vecAccum {
 	return a
 }
 
-// addRow folds one scalar row (the B-tree tail path) into the
-// accumulators.
-func (acc *vecAccum) addRow(g int32, ord, id int64, v float64, specs []vecAggSpec) {
-	if acc.rowCount[g] == 0 {
-		acc.firstOrd[g] = ord
-	}
-	acc.rowCount[g]++
-	for ai := range specs {
+// grow appends one unseen group's slot and returns its ordinal.
+func (acc *vecAccum) grow() int32 {
+	g := int32(len(acc.rowCount))
+	acc.rowCount = append(acc.rowCount, 0)
+	acc.firstOrd = append(acc.firstOrd, 0)
+	for ai := range acc.aggs {
 		a := &acc.aggs[ai]
 		if a.sumF != nil {
-			if specs[ai].idArg {
-				a.sumF[g] += float64(id)
-			} else {
-				a.sumF[g] += v
-			}
+			a.sumF = append(a.sumF, 0)
 		}
 		if a.sumI != nil {
-			a.sumI[g] += id
+			a.sumI = append(a.sumI, 0)
 		}
 		if a.minF != nil {
-			if v < a.minF[g] {
-				a.minF[g] = v
-			}
-			if v > a.maxF[g] {
-				a.maxF[g] = v
-			}
+			a.minF = append(a.minF, math.Inf(1))
+			a.maxF = append(a.maxF, math.Inf(-1))
 		}
 		if a.minI != nil {
-			if id < a.minI[g] {
-				a.minI[g] = id
-			}
-			if id > a.maxI[g] {
-				a.maxI[g] = id
-			}
+			a.minI = append(a.minI, math.MaxInt64)
+			a.maxI = append(a.maxI, math.MinInt64)
 		}
 	}
+	return g
 }
 
-// merge folds src (a later contiguous run of segments) into dst. Sums
-// add in merge order; extrema keep the earlier-seen value on ties,
-// matching the naive first-seen rule.
-func (dst *vecAccum) merge(src *vecAccum, specs []vecAggSpec) {
-	for g := range dst.rowCount {
-		if src.rowCount[g] == 0 {
-			continue
+// combine folds group sg of src (a later contiguous run of blocks) into
+// group g of dst. Sums add in merge order; extrema keep the earlier-seen
+// value on ties, matching the naive first-seen rule.
+func (dst *vecAccum) combine(g int32, src *vecAccum, sg int) {
+	first := dst.rowCount[g] == 0
+	if first {
+		dst.firstOrd[g] = src.firstOrd[sg]
+	}
+	dst.rowCount[g] += src.rowCount[sg]
+	for ai := range dst.aggs {
+		da, sa := &dst.aggs[ai], &src.aggs[ai]
+		if da.sumF != nil {
+			da.sumF[g] += sa.sumF[sg]
 		}
-		first := dst.rowCount[g] == 0
-		if first {
-			dst.firstOrd[g] = src.firstOrd[g]
+		if da.sumI != nil {
+			da.sumI[g] += sa.sumI[sg]
 		}
-		dst.rowCount[g] += src.rowCount[g]
-		for ai := range specs {
-			da, sa := &dst.aggs[ai], &src.aggs[ai]
-			if da.sumF != nil {
-				da.sumF[g] += sa.sumF[g]
+		if da.minF != nil {
+			if first || sa.minF[sg] < da.minF[g] {
+				da.minF[g] = sa.minF[sg]
 			}
-			if da.sumI != nil {
-				da.sumI[g] += sa.sumI[g]
+			if first || sa.maxF[sg] > da.maxF[g] {
+				da.maxF[g] = sa.maxF[sg]
 			}
-			if da.minF != nil {
-				if first || sa.minF[g] < da.minF[g] {
-					da.minF[g] = sa.minF[g]
-				}
-				if first || sa.maxF[g] > da.maxF[g] {
-					da.maxF[g] = sa.maxF[g]
-				}
+		}
+		if da.minI != nil {
+			if first || sa.minI[sg] < da.minI[g] {
+				da.minI[g] = sa.minI[sg]
 			}
-			if da.minI != nil {
-				if first || sa.minI[g] < da.minI[g] {
-					da.minI[g] = sa.minI[g]
-				}
-				if first || sa.maxI[g] > da.maxI[g] {
-					da.maxI[g] = sa.maxI[g]
-				}
+			if first || sa.maxI[sg] > da.maxI[g] {
+				da.maxI[g] = sa.maxI[sg]
 			}
 		}
 	}
@@ -496,61 +435,135 @@ func (sp *vecAggSpec) finish(acc *vecAccum, ai int, g int32) *sqldb.Aggregator {
 	return sqldb.NewFinishedAggregator(sp.fe, count, sum, sumInt, allInt, min, max)
 }
 
-// vecWorker is one scan worker's reusable scratch state.
-type vecWorker struct {
-	acc  *vecAccum
-	sel  []int32
-	gbuf []int32
+// blockSink consumes the rows of a scan that survive the pushed
+// predicates. Each worker of a scan owns one sink.
+type blockSink interface {
+	// open prepares the sink for one block's columns.
+	open(b *reldb.ColumnBlock, bv *blockVecs)
+	// fold consumes rows [start, end) of the open block — only the rows
+	// in sel when it is non-nil. base is the block's global scan ordinal.
+	fold(base int64, start, end int, sel []int32)
+	// merge appends a sink that scanned a later contiguous run of blocks.
+	merge(later blockSink)
 }
 
-// scanBlock streams one block through the selection and aggregation
-// kernels, window by window. base is the block's global scan ordinal.
-func (w *vecWorker) scanBlock(b reldb.ColumnBlock, base int64, f *resultFilter,
-	keyCols []int, mult []int64, specs []vecAggSpec) {
-	bv, _ := resultBlockVecs(b) // pre-validated by the caller
-	ks := bv.kernels(f)
-	keys := make([][]int64, len(keyCols))
-	for ki, phys := range keyCols {
-		keys[ki] = bv.dim(phys)
-	}
-	n := b.Len()
-	for start := 0; start < n; start += vecBatch {
-		end := start + vecBatch
-		if end > n {
-			end = n
-		}
-		var sel []int32
-		if len(ks) > 0 {
-			sel = ks[0].fill(w.sel[:0], start, end)
-			for _, k := range ks[1:] {
-				sel = k.refine(sel)
-			}
-			w.sel = sel
-			if len(sel) == 0 {
-				continue
-			}
-		}
-		w.window(&bv, base, start, end, sel, keys, mult, specs)
+// aggSink folds rows into per-group accumulator arrays indexed by group
+// ordinal. Ordinals below dense are the group key itself, packed over
+// the dictionary-ID capacities of the key columns; a key outside that
+// space (a dictionary entry newer than the capacities, or any key when
+// the packed space would exceed maxDenseGroups and dense is 0) gets the
+// next ordinal above dense from the over map.
+type aggSink struct {
+	specs      []vecAggSpec
+	keyCols    []int   // physical dimension column per GROUP BY key
+	caps, mult []int64 // per key: dictionary-ID capacity, packing multiplier
+	dense      int     // size of the packed ordinal space
+	acc        *vecAccum
+	over       map[[4]int64]int32 // key outside the packed space → ordinal
+	overKeys   [][4]int64         // ordinal-dense → key
+	gbuf       []int32
+
+	// The open block.
+	bv     *blockVecs
+	keys   [][]int64
+	packed bool // every key of the block lies inside the packed space
+}
+
+func (s *aggSink) open(b *reldb.ColumnBlock, bv *blockVecs) {
+	s.bv = bv
+	s.keys = s.keys[:0]
+	s.packed = s.dense > 0
+	for ki, phys := range s.keyCols {
+		s.keys = append(s.keys, bv.dim(phys))
+		mn, mx, ok := b.ZoneInt64(phys)
+		s.packed = s.packed && ok && mn >= 0 && mx < s.caps[ki]
 	}
 }
 
-// window folds one selected window into the accumulators. sel==nil
-// means every row in [start, end).
-func (w *vecWorker) window(bv *blockVecs, base int64, start, end int, sel []int32,
-	keys [][]int64, mult []int64, specs []vecAggSpec) {
-	acc := w.acc
+// ordinal maps row i of an unpacked block to its accumulator slot.
+func (s *aggSink) ordinal(i int32) int32 {
+	var key [4]int64
+	g, packed := int64(0), s.dense > 0
+	for ki, col := range s.keys {
+		k := col[i]
+		key[ki] = k
+		packed = packed && k >= 0 && k < s.caps[ki]
+		g += k * s.mult[ki]
+	}
+	if packed {
+		return int32(g)
+	}
+	return s.overOrdinal(key)
+}
+
+// overOrdinal returns the ordinal of a key outside the packed space,
+// appending an accumulator slot on first sight.
+func (s *aggSink) overOrdinal(key [4]int64) int32 {
+	g, ok := s.over[key]
+	if !ok {
+		if s.over == nil {
+			s.over = make(map[[4]int64]int32)
+		}
+		g = s.acc.grow()
+		s.over[key] = g
+		s.overKeys = append(s.overKeys, key)
+	}
+	return g
+}
+
+// key returns the per-column dictionary IDs of group ordinal g.
+func (s *aggSink) key(g int32) (key [4]int64) {
+	if int(g) >= s.dense {
+		return s.overKeys[int(g)-s.dense]
+	}
+	rem := int64(g)
+	for ki := range s.keyCols {
+		key[ki] = rem % s.caps[ki]
+		rem /= s.caps[ki]
+	}
+	return key
+}
+
+func (s *aggSink) merge(later blockSink) {
+	src := later.(*aggSink)
+	for sg, rc := range src.acc.rowCount {
+		if rc == 0 {
+			continue
+		}
+		g := int32(sg)
+		if sg >= src.dense {
+			g = s.overOrdinal(src.overKeys[sg-src.dense])
+		}
+		s.acc.combine(g, src.acc, sg)
+	}
+}
+
+// fold runs the aggregation kernels over one selected window.
+func (s *aggSink) fold(base int64, start, end int, sel []int32) {
+	acc, bv, keys, specs := s.acc, s.bv, s.keys, s.specs
 	m := end - start
 	if sel != nil {
 		m = len(sel)
 	}
 
-	// Packed group ordinal per selected row.
-	g := w.gbuf[:0]
-	if len(keys) == 0 {
+	// Group ordinal per selected row.
+	g := s.gbuf[:0]
+	switch {
+	case !s.packed:
+		if sel != nil {
+			for _, i := range sel {
+				g = append(g, s.ordinal(i))
+			}
+		} else {
+			for i := start; i < end; i++ {
+				g = append(g, s.ordinal(int32(i)))
+			}
+		}
+	case len(keys) == 0:
 		for j := 0; j < m; j++ {
 			g = append(g, 0)
 		}
-	} else {
+	default:
 		k0 := keys[0]
 		if sel != nil {
 			for _, i := range sel {
@@ -562,7 +575,7 @@ func (w *vecWorker) window(bv *blockVecs, base int64, start, end int, sel []int3
 			}
 		}
 		for ki := 1; ki < len(keys); ki++ {
-			kk, mu := keys[ki], int32(mult[ki])
+			kk, mu := keys[ki], int32(s.mult[ki])
 			if sel != nil {
 				for j, i := range sel {
 					g[j] += int32(kk[i]) * mu
@@ -574,7 +587,7 @@ func (w *vecWorker) window(bv *blockVecs, base int64, start, end int, sel []int3
 			}
 		}
 	}
-	w.gbuf = g
+	s.gbuf = g
 
 	// Membership and first appearance.
 	if sel != nil {
@@ -686,382 +699,249 @@ func (w *vecWorker) window(bv *blockVecs, base int64, start, end int, sel []int3
 	}
 }
 
-// vecTailRow is one buffered B-tree tail survivor.
-type vecTailRow struct {
+// --- tuple sink ---
+
+// resultTuple is one surviving performance_result row in physical form.
+type resultTuple struct {
 	id, e, m, t, u int64
 	v              float64
 }
 
-func (tr *vecTailRow) dim(phys int) int64 {
-	switch phys {
-	case 1:
-		return tr.e
-	case 2:
-		return tr.m
-	case 3:
-		return tr.t
-	case 4:
-		return tr.u
-	}
-	return 0
+// tupleSink collects surviving rows for queries that need them
+// materialized; blocks arrive in ascending row-ID order and merge keeps
+// it, so downstream sees exactly the stream a naive scan produces.
+type tupleSink struct {
+	bv  *blockVecs
+	out []resultTuple
 }
 
-// execAggregateVec runs a pushed aggregation through the vectorized
-// segment path. done=false means the query cannot run here (wrong
-// strategy, DISTINCT aggregates, families, nulls, oversized key space,
-// vanished view) and the caller must fall back to the row-at-a-time
-// path; results are byte-identical either way.
-func (p *Planner) execAggregateVec(sel *sqldb.SelectStmt, access resultAccess,
-	pushed []conjunct, aggs []*sqldb.FuncExpr, groupCols []string, plan *Plan) (*sqldb.Result, bool, error) {
-	if p.NoVector || access.strategy != StrategyZoneMap {
-		return nil, false, nil
+func (s *tupleSink) open(_ *reldb.ColumnBlock, bv *blockVecs) { s.bv = bv }
+
+func (s *tupleSink) fold(_ int64, start, end int, sel []int32) {
+	bv := s.bv
+	if sel != nil {
+		for _, i := range sel {
+			s.out = append(s.out, resultTuple{bv.ids[i], bv.es[i], bv.ms[i], bv.ts[i], bv.us[i], bv.vs[i]})
+		}
+		return
 	}
-	specs, ok := vecAggSpecs(aggs)
-	if !ok {
-		return nil, false, nil
+	for i := start; i < end; i++ {
+		s.out = append(s.out, resultTuple{bv.ids[i], bv.es[i], bv.ms[i], bv.ts[i], bv.us[i], bv.vs[i]})
 	}
-	f := p.buildResultFilter(pushed)
-	if len(f.famSpecs) > 0 {
-		return nil, false, nil
+}
+
+func (s *tupleSink) merge(later blockSink) { s.out = append(s.out, later.(*tupleSink).out...) }
+
+// --- the scan loop ---
+
+// scanWorker is one scan goroutine's state: its sink plus the reusable
+// selection buffer.
+type scanWorker struct {
+	f    *resultFilter
+	sink blockSink
+	sel  []int32
+}
+
+// scanBlock streams one block through the selection kernels into the
+// sink, window by window. base is the block's global scan ordinal. It is
+// the only place planned execution iterates performance_result rows.
+func (w *scanWorker) scanBlock(ctx context.Context, b *reldb.ColumnBlock, base int64) error {
+	if err := ctx.Err(); err != nil {
+		return fmt.Errorf("planner: scan performance_result: %w", err)
 	}
-	v, ok := p.store.ResultSegmentView()
-	if !ok {
-		return nil, false, nil
+	bv, err := resultBlockVecs(b)
+	if err != nil {
+		return err
 	}
+	w.sink.open(b, &bv)
+	ks := bv.kernels(w.f)
+	n := b.Len()
+	for start := 0; start < n; start += vecBatch {
+		end := min(start+vecBatch, n)
+		var sel []int32
+		if len(ks) > 0 {
+			sel = ks[0].fill(w.sel[:0], start, end)
+			for _, k := range ks[1:] {
+				sel = k.refine(sel)
+			}
+			w.sel = sel
+			if len(sel) == 0 {
+				continue
+			}
+		}
+		w.sink.fold(base, start, end, sel)
+	}
+	return nil
+}
+
+// scanResults is the one planned scan of performance_result. The access
+// strategy is a block producer: full-scan and zone-map open the block
+// source over the pushed id bounds; idset-cache, attr-index and index
+// resolve an ascending row-ID list and gather it. Segment blocks fan
+// out over at most maxWorkers workers, one sink each, merged in block
+// order into the first; transposed blocks then fold into that sink one
+// at a time. It returns the merged sink.
+func (p *Planner) scanResults(ctx context.Context, access resultAccess, f *resultFilter, plan *Plan,
+	maxWorkers int, newSink func() blockSink) (blockSink, error) {
+	prof := plan.Profile
+	head := &scanWorker{f: f, sink: newSink(), sel: make([]int32, 0, vecBatch)}
 	tab, ok := p.store.Table("performance_result")
 	if !ok {
-		return nil, false, nil
+		return nil, fmt.Errorf("datastore: no performance_result table: %w", datastore.ErrNotFound)
 	}
-	keyCols := make([]int, len(groupCols))
-	for i, col := range groupCols {
-		keyCols[i] = resultDims[col].physCol
+	ranged := access.strategy == StrategyFullScan || access.strategy == StrategyZoneMap
+	var ids []int64
+	if !ranged {
+		// Resolved even when another predicate already rules every row
+		// out: naive execution reports a bad family spec either way.
+		var err error
+		if ids, err = p.accessIDs(ctx, tab, access, f); err != nil {
+			return nil, err
+		}
 	}
-
 	lo, hi := idBounds(f.nums)
-	live := !f.impossible && lo <= hi
-	var blocks []reldb.ColumnBlock
-	var prunedN int
-	var scanBytes int64
-	var scanned int
-	if live {
-		blocks, prunedN, scanBytes = v.BlocksPKRange(lo, hi)
-		for _, b := range blocks {
-			if _, ok := resultBlockVecs(b); !ok {
-				return nil, false, nil
-			}
-			scanned += b.Len()
-		}
+	if f.impossible || lo > hi {
+		return head.sink, nil
 	}
 
-	// Buffer the B-tree tail (rows above the flushed watermark) first,
-	// so the dense key space covers dictionary IDs the segments have not
-	// seen yet.
-	var tail []vecTailRow
-	var tailVisited int64
-	if live {
-		tlo := v.TailRowID() + 1
-		if lo > tlo {
-			tlo = lo
-		}
-		tab.PKRange([]reldb.Value{reldb.Int(tlo)}, nil, func(id int64, row reldb.Row) bool {
-			tailVisited++
-			e, m, t, u := row[1].Int64(), row[2].Int64(), row[3].Int64(), row[4].Int64()
-			vv := row[5].Float64()
-			if f.pass(id, e, m, t, u, vv) {
-				tail = append(tail, vecTailRow{id, e, m, t, u, vv})
+	var base int64
+	segmented := false
+	seq := func(b *reldb.ColumnBlock) error {
+		err := head.scanBlock(ctx, b, base)
+		if err == nil {
+			n := int64(b.Len())
+			base += n
+			prof.RowsScanned += n
+			if segmented {
+				prof.TailRows += n
 			}
-			return true
-		})
+		}
+		return err
 	}
+	var start time.Time
+	var err error
+	if ranged {
+		var scan *reldb.BlockScan
+		if scan, err = p.store.Blocks("performance_result", lo, hi); err != nil {
+			return nil, err
+		}
+		segmented = scan.Segmented()
+		prof.BlocksPruned += scan.Pruned
+		if len(scan.Segments) > 0 {
+			if base, err = p.fanOut(ctx, scan.Segments, head, plan, maxWorkers, newSink); err != nil {
+				return nil, err
+			}
+		}
+		start = time.Now()
+		err = scan.Tail(seq)
+	} else {
+		start = time.Now()
+		err = tab.Gather(ids, seq)
+	}
+	prof.KernelNanos += time.Since(start).Nanoseconds()
+	if err != nil {
+		return nil, err
+	}
+	return head.sink, nil
+}
 
-	// Dense key space: each key column sized by the maximum dictionary
-	// ID any surviving block's zone map or tail row carries.
-	caps := make([]int64, len(keyCols))
-	mult := make([]int64, len(keyCols))
-	dense := int64(1)
-	for ki, phys := range keyCols {
-		var maxID int64
-		for _, b := range blocks {
-			mn, mx, ok := b.ZoneInt64(phys)
-			if !ok || mn < 0 {
-				return nil, false, nil
-			}
-			if mx > maxID {
-				maxID = mx
-			}
-		}
-		for i := range tail {
-			d := tail[i].dim(phys)
-			if d < 0 {
-				return nil, false, nil
-			}
-			if d > maxID {
-				maxID = d
-			}
-		}
-		caps[ki] = maxID + 1
-		mult[ki] = dense
-		if dense > maxDenseGroups/caps[ki] {
-			return nil, false, nil
-		}
-		dense *= caps[ki]
-	}
-
-	// Fan out contiguous segment runs across the worker pool, keeping
-	// the total accumulator footprint bounded.
-	w := p.vecWorkers(len(blocks))
-	for w > 1 && dense*int64(w) > maxDenseGroups {
-		w--
-	}
+// fanOut scans immutable segment blocks in parallel: contiguous,
+// row-balanced runs of blocks go to one worker each (head takes the
+// first), and the workers' sinks merge into head's in block order. It
+// returns the rows scanned, the next block's global scan ordinal.
+func (p *Planner) fanOut(ctx context.Context, blocks []*reldb.ColumnBlock, head *scanWorker, plan *Plan,
+	maxWorkers int, newSink func() blockSink) (int64, error) {
 	lens := blockLens(blocks)
-	parts := partitionBlocks(lens, w)
+	parts := partitionBlocks(lens, min(p.vecWorkers(len(blocks)), maxWorkers))
 	bases := make([]int64, len(blocks))
 	var total int64
-	for i, b := range blocks {
+	for i, n := range lens {
 		bases[i] = total
-		total += int64(b.Len())
+		total += int64(n)
 	}
 	prof := plan.Profile
-	if prof == nil {
-		prof = &ExecProfile{}
-	}
-	prof.RowsScanned += int64(scanned) + tailVisited
-	prof.SegmentRows += int64(scanned)
-	prof.TailRows += tailVisited
-	prof.BlocksScanned += len(blocks)
-	prof.BlocksPruned += prunedN
 	prof.WorkerRows = partRows(lens, parts)
-	kernelStart := time.Now()
-	accs := make([]*vecAccum, len(parts))
-	var wg sync.WaitGroup
-	for pi, pr := range parts {
-		accs[pi] = newVecAccum(int(dense), specs)
-		wk := &vecWorker{acc: accs[pi], sel: make([]int32, 0, vecBatch), gbuf: make([]int32, 0, vecBatch)}
-		run := func(pr [2]int, wk *vecWorker) {
-			for bi := pr[0]; bi < pr[1]; bi++ {
-				wk.scanBlock(blocks[bi], bases[bi], &f, keyCols, mult, specs)
-			}
-		}
-		if len(parts) == 1 {
-			run(pr, wk)
-			continue
-		}
-		wg.Add(1)
-		go func(pr [2]int, wk *vecWorker) {
-			defer wg.Done()
-			run(pr, wk)
-		}(pr, wk)
-	}
-	wg.Wait()
-	prof.KernelNanos += time.Since(kernelStart).Nanoseconds()
-	mergeStart := time.Now()
-	acc := accs[0]
-	for _, src := range accs[1:] {
-		acc.merge(src, specs)
-	}
-
-	// Sequential tail fold above the segment watermark.
-	for si := range tail {
-		tr := &tail[si]
-		g := int32(0)
-		for ki := range keyCols {
-			g += int32(tr.dim(keyCols[ki])) * int32(mult[ki])
-		}
-		acc.addRow(g, total+int64(si), tr.id, tr.v, specs)
-	}
-	if live {
-		p.store.NoteSegmentScan(scanned, prunedN, scanBytes)
-	}
-
-	plan.Aggregate = true
-	plan.Vectorized = true
 	plan.Workers = len(parts)
 
-	// Groups in global first-appearance order; dictionary codes resolve
-	// to names only here.
-	type groupOut struct {
-		g   int32
-		ord int64
-	}
-	var gs []groupOut
-	var actual int64
-	for g, rc := range acc.rowCount {
-		if rc > 0 {
-			gs = append(gs, groupOut{int32(g), acc.firstOrd[g]})
-			actual += rc
-		}
-	}
-	sort.Slice(gs, func(a, b int) bool { return gs[a].ord < gs[b].ord })
-	plan.ActualRows = actual
-
-	vcols := virtualColumns["performance_result"]
-	colIdx := map[string]int{}
-	for i, c := range vcols {
-		colIdx[c] = i
-	}
-	dicts := map[string]map[int64]string{}
-	for _, col := range groupCols {
-		d, err := p.store.DictNames(resultDims[col].dict)
-		if err != nil {
-			return nil, true, err
-		}
-		dicts[col] = d
-	}
-	pgs := make([]sqldb.PlannedGroup, 0, len(gs))
-	for _, out := range gs {
-		repr := make(reldb.Row, len(vcols))
-		for i := range repr {
-			repr[i] = reldb.Null()
-		}
-		rem := int64(out.g)
-		for ki, col := range groupCols {
-			code := rem % caps[ki]
-			rem /= caps[ki]
-			repr[colIdx[col]] = reldb.Str(dicts[col][code])
-		}
-		ga := make([]*sqldb.Aggregator, len(specs))
-		for ai := range specs {
-			ga[ai] = specs[ai].finish(acc, ai, out.g)
-		}
-		pgs = append(pgs, sqldb.PlannedGroup{Repr: repr, Aggs: ga})
-	}
-	prof.MergeNanos += time.Since(mergeStart).Nanoseconds()
-	res, err := sqldb.FinishGrouped(sel, vcols, pgs)
-	return res, true, err
-}
-
-// partRows sums per-block row counts into per-worker-part totals — the
-// utilization numbers analyze output reports.
-func partRows(lens []int, parts [][2]int) []int64 {
-	out := make([]int64, len(parts))
-	for pi, pr := range parts {
-		for bi := pr[0]; bi < pr[1]; bi++ {
-			out[pi] += int64(lens[bi])
-		}
-	}
-	return out
-}
-
-// --- vectorized row scan ---
-
-// scanResultsVec drives a zone-map row scan through the vectorized
-// kernels: workers filter contiguous segment runs into compact tuple
-// buffers in parallel, then the survivors are emitted sequentially in
-// segment order (= ascending row-ID order) followed by the B-tree tail,
-// so downstream materialization sees exactly the stream the
-// row-at-a-time path produces. done=false falls back.
-func (p *Planner) scanResultsVec(access resultAccess, pushed []conjunct, prof *ExecProfile, emit rowEmit) (int, bool) {
-	if p.NoVector || access.strategy != StrategyZoneMap {
-		return 0, false
-	}
-	if prof == nil {
-		prof = &ExecProfile{}
-	}
-	f := p.buildResultFilter(pushed)
-	if len(f.famSpecs) > 0 {
-		return 0, false
-	}
-	v, ok := p.store.ResultSegmentView()
-	if !ok {
-		return 0, false
-	}
-	tab, ok := p.store.Table("performance_result")
-	if !ok {
-		return 0, false
-	}
-	if f.impossible {
-		return 1, true
-	}
-	lo, hi := idBounds(f.nums)
-	if lo > hi {
-		return 1, true
-	}
-	blocks, prunedN, scanBytes := v.BlocksPKRange(lo, hi)
-	var scanned int
-	for _, b := range blocks {
-		if _, ok := resultBlockVecs(b); !ok {
-			return 0, false
-		}
-		scanned += b.Len()
-	}
-
-	lens := blockLens(blocks)
-	parts := partitionBlocks(lens, p.vecWorkers(len(blocks)))
-	prof.SegmentRows += int64(scanned)
-	prof.BlocksScanned += len(blocks)
-	prof.BlocksPruned += prunedN
-	prof.WorkerRows = partRows(lens, parts)
 	kernelStart := time.Now()
-	outs := make([][]vecTailRow, len(parts))
+	workers := make([]*scanWorker, len(parts))
+	errs := make([]error, len(parts))
+	scanned := make([]int, len(parts)) // blocks each part finished
 	var wg sync.WaitGroup
-	for pi, pr := range parts {
-		collect := func(pi int, pr [2]int) {
-			var out []vecTailRow
-			sel := make([]int32, 0, vecBatch)
-			for bi := pr[0]; bi < pr[1]; bi++ {
-				b := blocks[bi]
-				bv, _ := resultBlockVecs(b)
-				ks := bv.kernels(&f)
-				n := b.Len()
-				for start := 0; start < n; start += vecBatch {
-					end := start + vecBatch
-					if end > n {
-						end = n
-					}
-					if len(ks) == 0 {
-						for i := start; i < end; i++ {
-							out = append(out, vecTailRow{bv.ids[i], bv.es[i], bv.ms[i], bv.ts[i], bv.us[i], bv.vs[i]})
-						}
-						continue
-					}
-					s := ks[0].fill(sel[:0], start, end)
-					for _, k := range ks[1:] {
-						s = k.refine(s)
-					}
-					sel = s
-					for _, i := range s {
-						out = append(out, vecTailRow{bv.ids[i], bv.es[i], bv.ms[i], bv.ts[i], bv.us[i], bv.vs[i]})
-					}
+	for pi := range parts {
+		w := head
+		if pi > 0 {
+			w = &scanWorker{f: head.f, sink: newSink(), sel: make([]int32, 0, vecBatch)}
+		}
+		workers[pi] = w
+		run := func(pi int, w *scanWorker) {
+			for bi := parts[pi][0]; bi < parts[pi][1]; bi++ {
+				if errs[pi] = w.scanBlock(ctx, blocks[bi], bases[bi]); errs[pi] != nil {
+					return
 				}
+				scanned[pi]++
 			}
-			outs[pi] = out
 		}
 		if len(parts) == 1 {
-			collect(pi, pr)
+			run(pi, w)
 			continue
 		}
 		wg.Add(1)
-		go func(pi int, pr [2]int) {
+		go func(pi int, w *scanWorker) {
 			defer wg.Done()
-			collect(pi, pr)
-		}(pi, pr)
+			run(pi, w)
+		}(pi, w)
 	}
 	wg.Wait()
 	prof.KernelNanos += time.Since(kernelStart).Nanoseconds()
-	mergeStart := time.Now()
-	for _, out := range outs {
-		for i := range out {
-			r := &out[i]
-			emit(r.id, r.e, r.m, r.t, r.u, r.v)
+	for pi, pr := range parts {
+		for _, n := range lens[pr[0] : pr[0]+scanned[pi]] {
+			prof.RowsScanned += int64(n)
+			prof.SegmentRows += int64(n)
 		}
+		prof.BlocksScanned += scanned[pi]
+	}
+	for _, err := range errs {
+		if err != nil {
+			return 0, err
+		}
+	}
+	mergeStart := time.Now()
+	for _, w := range workers[1:] {
+		head.sink.merge(w.sink)
 	}
 	prof.MergeNanos += time.Since(mergeStart).Nanoseconds()
-	p.store.NoteSegmentScan(scanned, prunedN, scanBytes)
-	prof.RowsScanned += int64(scanned)
+	return total, nil
+}
 
-	tlo := v.TailRowID() + 1
-	if lo > tlo {
-		tlo = lo
-	}
-	tab.PKRange([]reldb.Value{reldb.Int(tlo)}, nil, func(id int64, row reldb.Row) bool {
-		prof.RowsScanned++
-		prof.TailRows++
-		e, m, t, u := row[1].Int64(), row[2].Int64(), row[3].Int64(), row[4].Int64()
-		vv := row[5].Float64()
-		if f.pass(id, e, m, t, u, vv) {
-			emit(id, e, m, t, u, vv)
+// accessIDs resolves the ascending row-ID list of the set- and
+// index-based strategies: the family specs' cached ID-set intersection,
+// or one secondary-index prefix.
+func (p *Planner) accessIDs(ctx context.Context, tab *reldb.Table, access resultAccess, f *resultFilter) ([]int64, error) {
+	if access.strategy != StrategyIndex {
+		prf, err := p.buildPRFilter(ctx, f.famSpecs)
+		if err != nil {
+			return nil, err
 		}
+		return p.store.MatchingResultIDsCtx(ctx, prf) // sorted ascending
+	}
+	var key int64
+	for _, df := range f.dims {
+		if df.col == resultDims[access.indexDim].physCol {
+			key = df.id
+		}
+	}
+	idx := "performance_result_exec"
+	if access.indexDim == "metric" {
+		idx = "performance_result_metric"
+	}
+	// Index order is key order, not row order: sort so the gathered
+	// stream stays ID-ascending.
+	var ids []int64
+	err := tab.IndexScan(idx, []reldb.Value{reldb.Int(key)}, func(id int64, _ reldb.Row) bool {
+		ids = append(ids, id)
 		return true
 	})
-	return len(parts), true
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	return ids, err
 }

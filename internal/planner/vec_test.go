@@ -72,17 +72,7 @@ func TestVectorizedMatchesNaive(t *testing.T) {
 		planned := New(st)
 		planned.Workers = workers
 		for _, q := range differentialQueries {
-			pres, _, perr := planned.Query(context.Background(), q)
-			nres, _, nerr := naive.Query(context.Background(), q)
-			if (perr != nil) != (nerr != nil) {
-				t.Fatalf("w=%d %s: planned err %v, naive err %v", workers, q, perr, nerr)
-			}
-			if perr != nil {
-				continue
-			}
-			if got, want := renderResult(pres), renderResult(nres); got != want {
-				t.Errorf("w=%d %s:\nplanned: %s\nnaive:   %s", workers, q, got, want)
-			}
+			checkPlannedMatchesNaive(t, fmt.Sprintf("w=%d", workers), planned, naive, q)
 		}
 	}
 }
@@ -99,9 +89,9 @@ func TestVectorizedAggregate(t *testing.T) {
 	if err != nil {
 		t.Fatalf("query: %v", err)
 	}
-	if plan.Strategy != StrategyZoneMap || !plan.Vectorized {
-		t.Fatalf("strategy=%q vectorized=%v, want zone-map vectorized (plan: %s)",
-			plan.Strategy, plan.Vectorized, plan.Text())
+	if plan.Strategy != StrategyZoneMap || plan.Profile.BlocksScanned == 0 {
+		t.Fatalf("strategy=%q blocks=%d, want zone-map over segment blocks (plan: %s)",
+			plan.Strategy, plan.Profile.BlocksScanned, plan.Text())
 	}
 	if plan.Workers < 2 {
 		t.Fatalf("workers = %d, want parallel fan-out across segments", plan.Workers)
@@ -131,9 +121,9 @@ func TestVectorizedRowScan(t *testing.T) {
 	if err != nil {
 		t.Fatalf("query: %v", err)
 	}
-	if plan.Strategy != StrategyZoneMap || !plan.Vectorized {
-		t.Fatalf("strategy=%q vectorized=%v, want vectorized zone-map (plan: %s)",
-			plan.Strategy, plan.Vectorized, plan.Text())
+	if plan.Strategy != StrategyZoneMap || plan.Profile.BlocksScanned == 0 {
+		t.Fatalf("strategy=%q blocks=%d, want zone-map over segment blocks (plan: %s)",
+			plan.Strategy, plan.Profile.BlocksScanned, plan.Text())
 	}
 	naive := New(st)
 	naive.Naive = true
@@ -146,27 +136,22 @@ func TestVectorizedRowScan(t *testing.T) {
 	}
 }
 
-// TestVectorizedFallbacks pins the gates: DISTINCT aggregates fall back
-// from the pushed-aggregate kernels to vectorized row materialization
-// (Aggregate false), family predicates leave the vectorized path
-// entirely, and both still match naive.
-func TestVectorizedFallbacks(t *testing.T) {
-	st, _ := seedSegmentStore(t, t.TempDir(), 200, 2, 0)
+// TestOneExecutorDecisions pins the three decisions the executor makes
+// from what it can observe, none of which is an alternate executor:
+// family predicates arrive as a gathered ID list and run the kernels,
+// DISTINCT aggregates take the row path, and a GROUP BY whose packed key
+// space exceeds maxDenseGroups gets its ordinals from the key map — all
+// equal to naive.
+func TestOneExecutorDecisions(t *testing.T) {
+	st, _ := seedSegmentStore(t, t.TempDir(), 200, 2, 24)
 	p := New(st)
 	naive := New(st)
 	naive.Naive = true
-	distinctQ := "SELECT metric, count(DISTINCT execution) FROM performance_result GROUP BY metric ORDER BY metric"
-	familyQ := "SELECT count(*) FROM performance_result WHERE family = '" + fastAttrFamily + "'"
-	for _, q := range []string{distinctQ, familyQ} {
+	run := func(q string) *Plan {
+		t.Helper()
 		res, plan, err := p.Query(context.Background(), q)
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
-		}
-		if q == distinctQ && plan.Aggregate {
-			t.Fatalf("%s: DISTINCT aggregate pushed below materialization (plan: %s)", q, plan.Text())
-		}
-		if q == familyQ && plan.Vectorized {
-			t.Fatalf("%s: family scan vectorized, want set path (plan: %s)", q, plan.Text())
 		}
 		nres, _, err := naive.Query(context.Background(), q)
 		if err != nil {
@@ -175,23 +160,62 @@ func TestVectorizedFallbacks(t *testing.T) {
 		if renderResult(res) != renderResult(nres) {
 			t.Fatalf("%s diverges:\n%s\nvs\n%s", q, renderResult(res), renderResult(nres))
 		}
+		return plan
 	}
-	// NoVector ablation: zone-map scans still correct row-at-a-time.
-	p.NoVector = true
-	q := "SELECT metric, avg(value) FROM performance_result GROUP BY metric ORDER BY metric"
-	res, plan, err := p.Query(context.Background(), q)
-	if err != nil {
-		t.Fatalf("novector: %v", err)
+
+	plan := run("SELECT metric, count(*), avg(value) FROM performance_result WHERE family = '" + fastAttrFamily + "' GROUP BY metric")
+	if !plan.Aggregate || plan.Profile.KernelNanos <= 0 {
+		t.Fatalf("family aggregate: aggregate=%v kernel=%dns, want the kernels over the gathered IDs (plan: %s)",
+			plan.Aggregate, plan.Profile.KernelNanos, plan.Text())
 	}
-	if plan.Vectorized {
-		t.Fatalf("NoVector plan still vectorized (plan: %s)", plan.Text())
+
+	plan = run("SELECT metric, count(DISTINCT value) FROM performance_result GROUP BY metric ORDER BY metric")
+	if plan.Aggregate || plan.Materialized == 0 {
+		t.Fatalf("DISTINCT aggregate pushed below materialization (plan: %s)", plan.Text())
 	}
-	nres, _, err := naive.Query(context.Background(), q)
-	if err != nil {
-		t.Fatalf("novector naive: %v", err)
+
+	defer func(n int) { maxDenseGroups = n }(maxDenseGroups)
+	maxDenseGroups = 4 // execution x metric packs into 3*5 slots
+	for _, q := range []string{
+		"SELECT execution, metric, count(*), sum(value), min(id), max(value) FROM performance_result GROUP BY execution, metric",
+		"SELECT execution, metric, avg(value) FROM performance_result WHERE value > 10 GROUP BY execution, metric ORDER BY metric, execution",
+	} {
+		plan = run(q)
+		if !plan.Aggregate || plan.Materialized != 0 {
+			t.Fatalf("%s: aggregate=%v materialized=%d, want pushed aggregation (plan: %s)",
+				q, plan.Aggregate, plan.Materialized, plan.Text())
+		}
 	}
-	if renderResult(res) != renderResult(nres) {
-		t.Fatalf("novector diverges")
+}
+
+// TestKeyOutsidePackedSpace covers a block whose group key lies outside
+// the capacities the sink was sized with (a dictionary entry committed
+// after the sizing): the row lands in its own group, merged by key.
+func TestKeyOutsidePackedSpace(t *testing.T) {
+	spec := vecAggSpec{fn: "COUNT", star: true}
+	newSink := func() *aggSink {
+		s := &aggSink{specs: []vecAggSpec{spec}, keyCols: []int{2}, caps: []int64{3}, mult: []int64{1}, dense: 3}
+		s.acc = newVecAccum(s.dense, s.specs)
+		return s
+	}
+	fold := func(s *aggSink, ms []int64) {
+		bv := blockVecs{ms: ms}
+		s.bv, s.keys, s.packed = &bv, [][]int64{ms}, false
+		s.fold(0, 0, len(ms), nil)
+	}
+	a, b := newSink(), newSink()
+	fold(a, []int64{1, 7, 1, -2})
+	fold(b, []int64{7, 2, 9})
+	a.merge(b)
+	got := map[int64]int64{}
+	for g, rc := range a.acc.rowCount {
+		if rc > 0 {
+			got[a.key(int32(g))[0]] = rc
+		}
+	}
+	want := map[int64]int64{1: 2, 7: 2, -2: 1, 2: 1, 9: 1}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("groups = %v, want %v", got, want)
 	}
 }
 

@@ -1,0 +1,280 @@
+package reldb
+
+import (
+	"math"
+	"reflect"
+	"sync"
+	"testing"
+)
+
+// sameColumns fails unless block b carries exactly the row IDs, column
+// values, NULL bitmaps and zone maps of want (dictionary forms aside,
+// which only segments build).
+func sameColumns(t *testing.T, label string, b, want *ColumnBlock) {
+	t.Helper()
+	if b.Len() != want.Len() || !reflect.DeepEqual(b.rowIDs, want.rowIDs) {
+		t.Fatalf("%s: row IDs differ: %d rows %v..., want %d rows %v...",
+			label, b.Len(), head(b.rowIDs), want.Len(), head(want.rowIDs))
+	}
+	for ci := range want.cols {
+		g, w := &b.cols[ci], &want.cols[ci]
+		if !reflect.DeepEqual(g.ints, w.ints) || !reflect.DeepEqual(g.floats, w.floats) ||
+			!reflect.DeepEqual(g.nulls, w.nulls) {
+			t.Fatalf("%s: column %d differs", label, ci)
+		}
+		if b.zones[ci] != want.zones[ci] {
+			t.Fatalf("%s: column %d zone = %+v, want %+v", label, ci, b.zones[ci], want.zones[ci])
+		}
+	}
+}
+
+func head(ids []int64) []int64 { return ids[:min(len(ids), 4)] }
+
+// TestBlockSourceTransposeMatchesSegment checks the transposer against
+// buildSegment: for the same rows, blocks transposed from the B-tree —
+// by range and by gathered ID list, across a 4096-row boundary — carry
+// the columns, row IDs and zones a segment of those rows would.
+func TestBlockSourceTransposeMatchesSegment(t *testing.T) {
+	db := NewMem()
+	if err := db.CreateTable(resultSchema()); err != nil {
+		t.Fatal(err)
+	}
+	const n = blockRows + 1000
+	for i := 0; i < n; i++ {
+		if _, err := db.Insert("performance_result", resultRow(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tab, _ := db.Table("performance_result")
+	// want returns the segment buildSegment lays out for the given IDs.
+	want := func(ids []int64) *ColumnBlock {
+		rows := make([]Row, len(ids))
+		for i, id := range ids {
+			rows[i] = tab.rows[id]
+		}
+		seg, err := buildSegment(tab, ids, rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &seg.ColumnBlock
+	}
+	seq := func(lo, hi int64) []int64 {
+		var ids []int64
+		for id := lo; id <= hi; id++ {
+			ids = append(ids, id)
+		}
+		return ids
+	}
+
+	// Range form: [10, n-5] splits into one full block and a remainder.
+	scan, err := tab.Blocks(10, n-5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if scan.Segmented() || len(scan.Segments) != 0 {
+		t.Fatal("mem engine produced segment blocks")
+	}
+	next, blocks := int64(10), 0
+	err = scan.Each(func(b *ColumnBlock) error {
+		last := next + int64(b.Len()) - 1
+		sameColumns(t, "range", b, want(seq(next, last)))
+		next, blocks = last+1, blocks+1
+		return nil
+	})
+	if err != nil || next != n-4 || blocks != 2 {
+		t.Fatalf("range scan: err=%v, next id %d (want %d), %d blocks (want 2)", err, next, n-4, blocks)
+	}
+
+	// Gather form: an ascending list with holes, deleted rows and IDs that
+	// never existed, again spanning two blocks.
+	for _, id := range []int64{3, 4097, 4099} {
+		if err := db.Delete("performance_result", id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var ask, present []int64
+	for id := int64(1); id <= n+20; id++ {
+		if id%10 == 0 {
+			continue
+		}
+		ask = append(ask, id)
+		if _, ok := tab.rows[id]; ok {
+			present = append(present, id)
+		}
+	}
+	off := 0
+	err = tab.Gather(ask, func(b *ColumnBlock) error {
+		sameColumns(t, "gather", b, want(present[off:off+b.Len()]))
+		off += b.Len()
+		return nil
+	})
+	if err != nil || off != len(present) || off <= blockRows {
+		t.Fatalf("gather: err=%v, %d rows, want %d (more than one block)", err, off, len(present))
+	}
+}
+
+// linkPairs collects the (owner, member) links a block scan yields for
+// owners in [lo, hi]; segment blocks arrive whole, so it filters.
+func linkPairs(t *testing.T, tab *Table, lo, hi int64) [][2]int64 {
+	t.Helper()
+	scan, err := tab.Blocks(lo, hi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out [][2]int64
+	if err := scan.Each(func(b *ColumnBlock) error {
+		owners, members := b.Int64s(0), b.Int64s(1)
+		for i, o := range owners {
+			if o >= lo && o <= hi {
+				out = append(out, [2]int64{o, members[i]})
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestBlockSourceSegmentsThenTail checks the composite-key case on the
+// segment engine: a range scan yields the segment blocks, then only the
+// unflushed rows — including links of the owner at the flushed boundary
+// — each exactly once and in PK order, and stops serving segments once
+// the view is dirty.
+func TestBlockSourceSegmentsThenTail(t *testing.T) {
+	fe := openSegEngine(t, t.TempDir())
+	defer fe.Close()
+	if err := fe.CreateTable(fhrSchema()); err != nil {
+		t.Fatal(err)
+	}
+	link := func(owner, member int64) {
+		t.Helper()
+		if _, err := fe.Insert("focus_has_resource", Row{Int(owner), Int(member)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for owner := int64(1); owner <= 50; owner++ {
+		link(owner, 1)
+		link(owner, 2)
+	}
+	if err := fe.CompactSegments(); err != nil {
+		t.Fatal(err)
+	}
+	link(50, 3) // same owner as the flushed maximum: tail row at the boundary PK
+	for owner := int64(51); owner <= 60; owner++ {
+		link(owner, 1)
+	}
+	tab, _ := fe.Table("focus_has_resource")
+	var want [][2]int64
+	tab.Scan(func(_ int64, row Row) bool {
+		if o := row[0].Int64(); o >= 45 && o <= 55 {
+			want = append(want, [2]int64{o, row[1].Int64()})
+		}
+		return true
+	})
+	scan, err := tab.Blocks(45, 55)
+	if err != nil || !scan.Segmented() || len(scan.Segments) != 1 {
+		t.Fatalf("scan: err=%v segmented=%v segments=%d, want one live segment", err, scan.Segmented(), len(scan.Segments))
+	}
+	if got := linkPairs(t, tab, 45, 55); !reflect.DeepEqual(got, want) {
+		t.Fatalf("segments+tail links = %v, want %v", got, want)
+	}
+
+	// Deleting a flushed row poisons the view: the same range now comes
+	// entirely from the B-tree, without the deleted link.
+	_, id, ok := tab.GetByPK(Int(46), Int(1))
+	if !ok {
+		t.Fatal("link (46,1) missing")
+	}
+	if err := fe.Delete("focus_has_resource", id); err != nil {
+		t.Fatal(err)
+	}
+	scan, _ = tab.Blocks(45, 55)
+	if scan.Segmented() {
+		t.Fatal("dirty table still serves segment blocks")
+	}
+	want = append(want[:2], want[3:]...) // (45,1) (45,2) | (46,1)
+	if got := linkPairs(t, tab, 45, 55); !reflect.DeepEqual(got, want) {
+		t.Fatalf("dirty-view links = %v, want %v", got, want)
+	}
+}
+
+// TestBlockSourceDuringCompaction scans a fixed ID prefix through the
+// block source while a writer appends rows and the compactor publishes
+// segments: whatever mix of segment and transposed blocks a scan sees,
+// it must yield every prefix row exactly once, ascending (a segment
+// block may carry later rows too; blocks are pruned, not trimmed). Under
+// -race this is the check that the transposer's B-tree reads and the
+// compactor's publication are synchronized.
+func TestBlockSourceDuringCompaction(t *testing.T) {
+	fe := openSegEngine(t, t.TempDir())
+	defer fe.Close()
+	if err := fe.CreateTable(resultSchema()); err != nil {
+		t.Fatal(err)
+	}
+	const prefix = 3000
+	insertResults(t, fe, prefix)
+	tab, _ := fe.Table("performance_result")
+
+	stop := make(chan struct{})
+	var writer sync.WaitGroup
+	writer.Add(1)
+	go func() {
+		defer writer.Done()
+		for i := prefix; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := fe.Insert("performance_result", resultRow(i)); err != nil {
+				t.Errorf("insert %d: %v", i, err)
+				return
+			}
+			if i%500 == 0 {
+				if err := fe.CompactSegments(); err != nil {
+					t.Errorf("compact: %v", err)
+					return
+				}
+			}
+		}
+	}()
+	var readers sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for iter := 0; iter < 40; iter++ {
+				scan, err := tab.Blocks(1, prefix)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				next := int64(1)
+				err = scan.Each(func(b *ColumnBlock) error {
+					vals := b.Float64s(5)
+					for i, id := range b.RowIDs() {
+						if id > prefix {
+							break
+						}
+						if id != next || vals[i] != float64(id-1)*1.5 {
+							t.Errorf("iter %d: got row %d value %v, want row %d", iter, id, vals[i], next)
+						}
+						next++
+					}
+					return nil
+				})
+				if err != nil || next != prefix+1 {
+					t.Errorf("iter %d: err=%v, scanned up to %d, want %d", iter, err, next-1, prefix)
+					return
+				}
+			}
+		}()
+	}
+	readers.Wait()
+	close(stop)
+	writer.Wait()
+	if scan, _ := tab.Blocks(1, math.MaxInt64); !scan.Segmented() {
+		t.Error("no segment was ever published during the test")
+	}
+}

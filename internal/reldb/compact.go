@@ -692,166 +692,50 @@ func (st *segState) resetStaleLocked() []string {
 
 // --- read-side view ---
 
-// SegView is a consistent snapshot of one table's columnar segments.
+// segView is a consistent snapshot of one table's columnar segments.
 // Segments are immutable, so the view stays valid for the duration of a
 // scan even while the compactor publishes new ones.
-type SegView struct {
+type segView struct {
 	segs      []*segment
-	watermark int64
-	maxPK     int64
+	watermark int64 // max flushed row ID: rows above it live only in the B-tree
+	maxPK     int64 // max flushed first-PK value; every tail row's PK is >= it
 	rows      int64
 }
 
-// SegmentView returns the current columnar view of a hot table, or
-// ok=false when the engine keeps no segments for it or the scan path is
-// disabled (dirty or unordered state, or nothing flushed yet).
-func (fe *FileEngine) SegmentView(table string) (*SegView, bool) {
-	if fe.seg == nil {
-		return nil, false
-	}
-	sg := fe.seg.tables[table]
+// view returns the current columnar view of a hot table, or ok=false
+// when the table keeps no segments or the scan path is disabled (dirty
+// or unordered state, or nothing flushed yet).
+func (st *segState) view(table string) (*segView, bool) {
+	sg := st.tables[table]
 	if sg == nil || sg.dirty.Load() || sg.unordered.Load() {
 		return nil, false
 	}
-	fe.seg.mu.RLock()
-	v := &SegView{
+	st.mu.RLock()
+	v := &segView{
 		segs:      sg.segs,
 		watermark: sg.watermark.Load(),
 		maxPK:     sg.maxPK.Load(),
 		rows:      sg.segRows,
 	}
-	fe.seg.mu.RUnlock()
+	st.mu.RUnlock()
 	if len(v.segs) == 0 || sg.dirty.Load() || sg.unordered.Load() {
 		return nil, false
 	}
 	return v, true
 }
 
-// Rows reports the total segment-resident row count.
-func (v *SegView) Rows() int64 { return v.rows }
-
-// Segments reports the number of live segments in the view.
-func (v *SegView) Segments() int { return len(v.segs) }
-
-// TailRowID is the flushed watermark: rows with IDs above it are not in
-// any segment and must be read from the B-tree tail.
-func (v *SegView) TailRowID() int64 { return v.watermark }
-
-// MaxPK is the largest first-primary-key value resident in a segment;
-// under the ordered invariant every tail row's PK exceeds it.
-func (v *SegView) MaxPK() int64 { return v.maxPK }
-
-// ColumnBlock exposes one segment's decoded columns for scanning.
-type ColumnBlock struct {
-	seg *segment
-}
-
-// Len reports the number of rows in the block.
-func (b ColumnBlock) Len() int { return b.seg.rows }
-
-// RowIDs returns the block's row-ID column. Callers must not mutate it.
-func (b ColumnBlock) RowIDs() []int64 { return b.seg.rowIDs }
-
-// Int64s returns an integer column, or nil for other kinds.
-func (b ColumnBlock) Int64s(col int) []int64 {
-	if col < 0 || col >= len(b.seg.cols) {
-		return nil
-	}
-	return b.seg.cols[col].ints
-}
-
-// Float64s returns a float column, or nil for other kinds.
-func (b ColumnBlock) Float64s(col int) []float64 {
-	if col < 0 || col >= len(b.seg.cols) {
-		return nil
-	}
-	return b.seg.cols[col].floats
-}
-
-// Strings returns a string column, or nil for other kinds.
-func (b ColumnBlock) Strings(col int) []string {
-	if col < 0 || col >= len(b.seg.cols) {
-		return nil
-	}
-	return b.seg.cols[col].strs
-}
-
-// Nulls returns the column's NULL bitmap, or nil when it has no NULLs.
-func (b ColumnBlock) Nulls(col int) []bool {
-	if col < 0 || col >= len(b.seg.cols) {
-		return nil
-	}
-	return b.seg.cols[col].nulls
-}
-
-// DictCodes returns a string column's per-row dictionary codes, or nil
-// for other kinds. Vectorized scans filter and group on these small
-// integer codes and resolve them through DictWords only at final
-// output. Callers must not mutate the slice.
-func (b ColumnBlock) DictCodes(col int) []uint32 {
-	if col < 0 || col >= len(b.seg.cols) {
-		return nil
-	}
-	return b.seg.cols[col].codes
-}
-
-// DictWords returns a string column's code→value dictionary in code
-// order, or nil for other kinds. Callers must not mutate the slice.
-func (b ColumnBlock) DictWords(col int) []string {
-	if col < 0 || col >= len(b.seg.cols) {
-		return nil
-	}
-	return b.seg.cols[col].words
-}
-
-// ZoneInt64 returns an integer column's zone map (min/max over non-null
-// values), or ok=false when the column has no valid zone. Vectorized
-// group-by uses the maxima to size dense accumulator arrays.
-func (b ColumnBlock) ZoneInt64(col int) (min, max int64, ok bool) {
-	if col < 0 || col >= len(b.seg.zones) {
-		return 0, 0, false
-	}
-	z := b.seg.zones[col]
-	return z.minI, z.maxI, z.valid && b.seg.cols[col].kind == KindInt
-}
-
-// SizeBytes approximates the decoded bytes a full scan of the block
-// touches.
-func (b ColumnBlock) SizeBytes() int64 { return b.seg.decodedBytes() }
-
-// ScanPKRange visits every segment whose first-primary-key zone map
-// intersects [lo, hi], in flush (= ascending PK) order. Segments whose
-// zone maps cannot intersect the range are pruned without touching
-// their columns. It returns the number of pruned segments and the
-// decoded bytes scanned; fn returns false to stop early.
-func (v *SegView) ScanPKRange(lo, hi int64, fn func(b ColumnBlock) bool) (pruned int, bytes int64) {
+// blocksPKRange returns the blocks of every segment whose
+// first-primary-key zone map intersects [lo, hi], in flush (= ascending
+// PK) order, plus the count of segments pruned without touching their
+// columns and the decoded bytes the survivors hold.
+func (v *segView) blocksPKRange(lo, hi int64) (blocks []*ColumnBlock, pruned int, bytes int64) {
 	for _, s := range v.segs {
 		if s.maxPK < lo || s.minPK > hi {
 			pruned++
 			continue
 		}
 		bytes += s.decodedBytes()
-		if !fn(ColumnBlock{seg: s}) {
-			break
-		}
-	}
-	return pruned, bytes
-}
-
-// BlocksPKRange returns the blocks ScanPKRange would visit for [lo, hi],
-// in flush (= ascending PK) order, plus the pruned-segment count and the
-// decoded bytes the surviving blocks hold. Unlike the callback form it
-// hands the caller the whole pruned list at once, so independent
-// segments can fan out across a worker pool; the blocks stay valid for
-// the life of the view because segments are immutable.
-func (v *SegView) BlocksPKRange(lo, hi int64) (blocks []ColumnBlock, pruned int, bytes int64) {
-	for _, s := range v.segs {
-		if s.maxPK < lo || s.minPK > hi {
-			pruned++
-			continue
-		}
-		bytes += s.decodedBytes()
-		blocks = append(blocks, ColumnBlock{seg: s})
+		blocks = append(blocks, &s.ColumnBlock)
 	}
 	return blocks, pruned, bytes
 }

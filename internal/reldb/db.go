@@ -44,6 +44,7 @@ type DB struct {
 	mu     sync.RWMutex
 	tables map[string]*Table
 	logger mutationLogger
+	seg    *segState // non-nil on the "segment" engine: Table.Blocks reads its views
 }
 
 // NewMem creates an in-memory database engine. It corresponds to running

@@ -97,12 +97,46 @@ func readEngineMarker(dir string) (string, error) {
 	return "", fmt.Errorf("reldb: %s: unknown engine kind %q in marker", dir, kind)
 }
 
+// writeEngineMarker replaces the marker so that a crash at any point —
+// notably during the wal→segment upgrade — leaves the old marker (or
+// none) or the new one, never a truncated file that fails every later
+// open: write a temp file, fsync it, rename it into place, fsync the
+// directory.
 func writeEngineMarker(dir, kind string) error {
 	path := filepath.Join(dir, engineMarkerFile)
-	if err := os.WriteFile(path, []byte(kind+"\n"), 0o644); err != nil {
+	tmp := path + ".tmp"
+	err := writeSynced(tmp, []byte(kind+"\n"))
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err == nil {
+		var d *os.File
+		if d, err = os.Open(dir); err == nil {
+			err = d.Sync()
+			d.Close()
+		}
+	}
+	if err != nil {
 		return fmt.Errorf("reldb: write engine marker: %w", err)
 	}
 	return nil
+}
+
+// writeSynced writes data to a fresh file at path and fsyncs it.
+func writeSynced(path string, data []byte) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if _, err := f.Write(data); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // Kind reports the storage engine kind of the in-memory engine.

@@ -19,10 +19,9 @@ type FileEngine struct {
 	dir        string
 	wal        *os.File
 	walW       *recordWriter
-	walCount   int64     // records since last checkpoint
-	syncWAL    bool      // fsync the WAL after every flush
-	batchDepth int       // >0: defer flush/sync to EndWALBatch
-	seg        *segState // non-nil on the "segment" engine
+	walCount   int64 // records since last checkpoint
+	syncWAL    bool  // fsync the WAL after every flush
+	batchDepth int   // >0: defer flush/sync to EndWALBatch
 
 	// AutoCheckpoint, when > 0, triggers a snapshot after that many WAL
 	// records. Zero disables automatic checkpoints.

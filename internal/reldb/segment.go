@@ -52,11 +52,9 @@ const (
 	segEncBool   byte = 4
 )
 
-// colVec is one decoded, memory-resident column. String columns keep
-// both representations: the expanded strs slice for row-at-a-time reads
-// and the dictionary form (codes + words) so vectorized kernels can
-// filter and group on small integer codes, deferring code→string
-// resolution to final output.
+// colVec is one decoded, memory-resident column. String columns of a
+// segment keep both representations: the expanded strs slice for reads
+// and the dictionary form (codes + words) the file encoding stores.
 type colVec struct {
 	kind   Kind
 	ints   []int64
@@ -76,16 +74,13 @@ type zoneMap struct {
 	minF, maxF float64
 }
 
-// segment is a decoded in-memory segment: the columns stay resident so
-// scans are pure slice iteration, bounded by memory bandwidth.
+// segment is a decoded in-memory segment: its ColumnBlock stays resident
+// so scans are pure slice iteration, bounded by memory bandwidth.
 type segment struct {
+	ColumnBlock
 	table    string
 	file     string // on-disk path ("" for not-yet-written)
-	rows     int
-	sizeOn   int64 // encoded (on-disk) size in bytes
-	rowIDs   []int64
-	cols     []colVec
-	zones    []zoneMap
+	sizeOn   int64  // encoded (on-disk) size in bytes
 	minRowID int64
 	maxRowID int64
 	minPK    int64 // first primary-key column zone (int PKs only)
@@ -124,79 +119,18 @@ func buildSegment(t *Table, ids []int64, rows []Row) (*segment, error) {
 		return string(keys[order[a]]) < string(keys[order[b]])
 	})
 	schema := t.schema
-	seg := &segment{
-		table:    schema.Name,
-		rows:     len(ids),
-		rowIDs:   make([]int64, len(ids)),
-		cols:     make([]colVec, len(schema.Columns)),
-		zones:    make([]zoneMap, len(schema.Columns)),
-		minRowID: math.MaxInt64,
-		maxRowID: math.MinInt64,
+	seg := &segment{table: schema.Name, minRowID: math.MaxInt64, maxRowID: math.MinInt64}
+	if err := seg.reset(schema, len(ids)); err != nil {
+		return nil, err
 	}
-	for ci, col := range schema.Columns {
-		cv := &seg.cols[ci]
-		cv.kind = col.Type
-		switch col.Type {
-		case KindInt:
-			cv.ints = make([]int64, len(ids))
-		case KindFloat:
-			cv.floats = make([]float64, len(ids))
-		case KindString:
-			cv.strs = make([]string, len(ids))
-		case KindBool:
-			cv.bools = make([]bool, len(ids))
-		default:
-			return nil, fmt.Errorf("reldb: buildSegment: column %q has unsupported kind %v", col.Name, col.Type)
-		}
-	}
+	sorted := make([]Row, len(rows))
 	for out, in := range order {
-		id, row := ids[in], rows[in]
-		seg.rowIDs[out] = id
-		if id < seg.minRowID {
-			seg.minRowID = id
-		}
-		if id > seg.maxRowID {
-			seg.maxRowID = id
-		}
-		for ci := range schema.Columns {
-			cv := &seg.cols[ci]
-			v := row[ci]
-			if v.IsNull() {
-				if cv.nulls == nil {
-					cv.nulls = make([]bool, len(ids))
-				}
-				cv.nulls[out] = true
-				continue
-			}
-			z := &seg.zones[ci]
-			switch cv.kind {
-			case KindInt:
-				n := v.Int64()
-				cv.ints[out] = n
-				if !z.valid || n < z.minI {
-					z.minI = n
-				}
-				if !z.valid || n > z.maxI {
-					z.maxI = n
-				}
-				z.valid = true
-			case KindFloat:
-				f := v.Float64()
-				cv.floats[out] = f
-				if !z.valid || f < z.minF {
-					z.minF = f
-				}
-				if !z.valid || f > z.maxF {
-					z.maxF = f
-				}
-				z.valid = true
-			case KindString:
-				cv.strs[out] = v.Text()
-			case KindBool:
-				cv.bools[out] = v.Truth()
-			}
-		}
+		id := ids[in]
+		seg.rowIDs[out], sorted[out] = id, rows[in]
+		seg.minRowID = min(seg.minRowID, id)
+		seg.maxRowID = max(seg.maxRowID, id)
 	}
+	seg.fill(sorted)
 	for ci := range seg.cols {
 		if cv := &seg.cols[ci]; cv.kind == KindString {
 			cv.buildDict()
@@ -607,20 +541,8 @@ func decodeSegment(buf []byte) (*segment, error) {
 func writeSegmentFile(path string, s *segment) error {
 	buf := encodeSegment(s)
 	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
+	if err := writeSynced(tmp, buf); err != nil {
 		return fmt.Errorf("reldb: write segment: %w", err)
-	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
 	}
 	if err := os.Rename(tmp, path); err != nil {
 		return err

@@ -140,24 +140,25 @@ func TestSegmentCompactScanAndPrune(t *testing.T) {
 		t.Fatal(err)
 	}
 	insertResults(t, fe, 1000)
-	if _, ok := fe.SegmentView("performance_result"); ok {
+	if _, ok := fe.seg.view("performance_result"); ok {
 		t.Fatal("view before compaction")
 	}
 	if err := fe.CompactSegments(); err != nil {
 		t.Fatal(err)
 	}
-	v, ok := fe.SegmentView("performance_result")
+	v, ok := fe.seg.view("performance_result")
 	if !ok {
 		t.Fatal("no view after compaction")
 	}
-	if v.Rows() != 1000 || v.TailRowID() != 1000 || v.MaxPK() != 1000 {
-		t.Fatalf("view rows=%d tail=%d maxPK=%d", v.Rows(), v.TailRowID(), v.MaxPK())
+	if v.rows != 1000 || v.watermark != 1000 || v.maxPK != 1000 {
+		t.Fatalf("view rows=%d tail=%d maxPK=%d", v.rows, v.watermark, v.maxPK)
 	}
 
 	// Full scan must reproduce every row.
 	tab, _ := fe.Table("performance_result")
 	seen := 0
-	v.ScanPKRange(1, 1000, func(b ColumnBlock) bool {
+	blocks, _, _ := v.blocksPKRange(1, 1000)
+	for _, b := range blocks {
 		ids := b.Int64s(0)
 		execs := b.Int64s(1)
 		vals := b.Float64s(5)
@@ -179,8 +180,7 @@ func TestSegmentCompactScanAndPrune(t *testing.T) {
 			}
 			seen++
 		}
-		return true
-	})
+	}
 	if seen != 1000 {
 		t.Fatalf("scanned %d rows, want 1000", seen)
 	}
@@ -190,11 +190,11 @@ func TestSegmentCompactScanAndPrune(t *testing.T) {
 	if err := fe.CompactSegments(); err != nil {
 		t.Fatal(err)
 	}
-	v, ok = fe.SegmentView("performance_result")
-	if !ok || v.Segments() != 2 || v.Rows() != 1500 {
-		t.Fatalf("segments=%d rows=%d", v.Segments(), v.Rows())
+	v, ok = fe.seg.view("performance_result")
+	if !ok || len(v.segs) != 2 || v.rows != 1500 {
+		t.Fatalf("segments=%d rows=%d", len(v.segs), v.rows)
 	}
-	pruned, bytes := v.ScanPKRange(1200, 1400, func(b ColumnBlock) bool { return true })
+	_, pruned, bytes := v.blocksPKRange(1200, 1400)
 	if pruned != 1 {
 		t.Fatalf("pruned = %d, want 1", pruned)
 	}
@@ -260,11 +260,11 @@ func TestSegmentCrashRecoveryBetweenCompactionAndCheckpoint(t *testing.T) {
 			t.Fatalf("row %d value = %v, want %v", id, row[5], want[5])
 		}
 	}
-	v, ok := fe2.SegmentView("performance_result")
-	if !ok || v.Rows() != 2000 {
-		t.Fatalf("recovered view: ok=%v rows=%d, want 2000", ok, v.Rows())
+	v, ok := fe2.seg.view("performance_result")
+	if !ok || v.rows != 2000 {
+		t.Fatalf("recovered view: ok=%v rows=%d, want 2000", ok, v.rows)
 	}
-	if v2, ok := fe2.SegmentView("focus_has_resource"); !ok || v2.Rows() != 200 {
+	if v2, ok := fe2.seg.view("focus_has_resource"); !ok || v2.rows != 200 {
 		t.Fatalf("recovered link view: ok=%v", ok)
 	}
 }
@@ -351,7 +351,7 @@ func TestSegmentDirtyFallbackAndCheckpointReset(t *testing.T) {
 	if err := fe.CompactSegments(); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := fe.SegmentView("performance_result"); !ok {
+	if _, ok := fe.seg.view("performance_result"); !ok {
 		t.Fatal("no view after compaction")
 	}
 	// In-place update of a flushed row: the segment copy is stale, so
@@ -362,7 +362,7 @@ func TestSegmentDirtyFallbackAndCheckpointReset(t *testing.T) {
 	if err := fe.Update("performance_result", 5, row); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := fe.SegmentView("performance_result"); ok {
+	if _, ok := fe.seg.view("performance_result"); ok {
 		t.Fatal("view survived a dirtying update")
 	}
 	st := fe.SegmentStats()
@@ -377,12 +377,13 @@ func TestSegmentDirtyFallbackAndCheckpointReset(t *testing.T) {
 	if err := fe.CompactSegments(); err != nil {
 		t.Fatal(err)
 	}
-	v, ok := fe.SegmentView("performance_result")
-	if !ok || v.Rows() != 1000 {
-		t.Fatalf("rebuilt view: ok=%v rows=%d, want 1000", ok, v.Rows())
+	v, ok := fe.seg.view("performance_result")
+	if !ok || v.rows != 1000 {
+		t.Fatalf("rebuilt view: ok=%v rows=%d, want 1000", ok, v.rows)
 	}
 	found := false
-	v.ScanPKRange(5, 5, func(b ColumnBlock) bool {
+	blocks, _, _ := v.blocksPKRange(5, 5)
+	for _, b := range blocks {
 		ids := b.Int64s(0)
 		vals := b.Float64s(5)
 		for i, id := range ids {
@@ -393,8 +394,7 @@ func TestSegmentDirtyFallbackAndCheckpointReset(t *testing.T) {
 				}
 			}
 		}
-		return true
-	})
+	}
 	if !found {
 		t.Fatal("updated row missing from rebuilt segment")
 	}
@@ -414,14 +414,14 @@ func TestSegmentUnorderedInsertDisablesScan(t *testing.T) {
 	if err := fe.CompactSegments(); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := fe.SegmentView("performance_result"); !ok {
+	if _, ok := fe.seg.view("performance_result"); !ok {
 		t.Fatal("no view")
 	}
 	// Out-of-order explicit PK breaks the tail invariant.
 	if _, err := fe.Insert("performance_result", Row{Int(15), Int(1), Int(1), Int(1), Null(), Float(1)}); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := fe.SegmentView("performance_result"); ok {
+	if _, ok := fe.seg.view("performance_result"); ok {
 		t.Fatal("view survived an out-of-order insert")
 	}
 	// Checkpoint heals by rebuilding from scratch.
@@ -431,8 +431,8 @@ func TestSegmentUnorderedInsertDisablesScan(t *testing.T) {
 	if err := fe.CompactSegments(); err != nil {
 		t.Fatal(err)
 	}
-	v, ok := fe.SegmentView("performance_result")
-	if !ok || v.Rows() != 4 {
+	v, ok := fe.seg.view("performance_result")
+	if !ok || v.rows != 4 {
 		t.Fatalf("rebuilt view: ok=%v", ok)
 	}
 }
@@ -517,6 +517,47 @@ func TestOpenFactoryKindsAndMarker(t *testing.T) {
 	tab, _ := eng2.Table("performance_result")
 	if tab.Len() != 1 {
 		t.Fatalf("rows after upgrade = %d", tab.Len())
+	}
+}
+
+// TestEngineMarkerNeverTruncatedInPlace simulates a crash during the
+// wal→segment upgrade, before the new marker is renamed into place: the
+// live marker's bytes are never touched (a hard link to the old file
+// still reads "wal" after the upgrade), and the zero-length temp file
+// such a crash leaves behind is never observed — the store keeps
+// opening as the old kind and the next upgrade replaces it.
+func TestEngineMarkerNeverTruncatedInPlace(t *testing.T) {
+	dir := t.TempDir()
+	eng, err := Open(KindWAL, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.Close()
+	marker := filepath.Join(dir, engineMarkerFile)
+	// A crash after creating the temp file and before the rename.
+	if err := os.WriteFile(marker+".tmp", nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if kind, err := readEngineMarker(dir); err != nil || kind != KindWAL {
+		t.Fatalf("marker after crashed upgrade = %q, %v; want %q", kind, err, KindWAL)
+	}
+	old := filepath.Join(dir, "old-marker")
+	if err := os.Link(marker, old); err != nil {
+		t.Skipf("hard links unavailable: %v", err)
+	}
+	eng, err = Open(KindSegment, dir)
+	if err != nil {
+		t.Fatalf("upgrade over a stale temp marker: %v", err)
+	}
+	eng.Close()
+	if kind, err := readEngineMarker(dir); err != nil || kind != KindSegment {
+		t.Fatalf("marker after upgrade = %q, %v; want %q", kind, err, KindSegment)
+	}
+	if data, err := os.ReadFile(old); err != nil || string(data) != KindWAL+"\n" {
+		t.Fatalf("old marker file now reads %q (%v): it was rewritten in place", data, err)
+	}
+	if _, err := os.Stat(marker + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("temp marker left behind: %v", err)
 	}
 }
 

@@ -2,6 +2,7 @@ package reldb
 
 import (
 	"fmt"
+	"sync"
 )
 
 // Table holds the rows and indexes for one relation. All access is
@@ -20,6 +21,8 @@ type Table struct {
 	pkCols    []int // column positions of the primary key
 	dataBytes int64 // approximate stored data volume
 	pkBytes   int64 // approximate primary B-tree key volume
+
+	transposers sync.Pool // *transposer: reusable blocks for Blocks/Gather
 }
 
 type tableIndex struct {
@@ -312,25 +315,6 @@ func (t *Table) PKScan(prefix []Value, fn func(id int64, row Row) bool) error {
 		return fn(id, t.rows[id])
 	})
 	return nil
-}
-
-// PKRange visits rows whose encoded primary key k satisfies lo <= k < hi
-// in primary-key order; nil bounds are unbounded. The materializer's
-// segment path uses it to walk the unflushed tail of a hot table,
-// starting just past the flushed primary-key maximum.
-func (t *Table) PKRange(lo, hi []Value, fn func(id int64, row Row) bool) {
-	t.db.mu.RLock()
-	defer t.db.mu.RUnlock()
-	var loKey, hiKey []byte
-	if len(lo) > 0 {
-		loKey = EncodeKey(nil, lo...)
-	}
-	if len(hi) > 0 {
-		hiKey = EncodeKey(nil, hi...)
-	}
-	t.primary.Ascend(loKey, hiKey, func(_ []byte, id int64) bool {
-		return fn(id, t.rows[id])
-	})
 }
 
 // IndexScan visits rows whose index-key prefix equals the given values, in

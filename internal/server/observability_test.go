@@ -406,11 +406,11 @@ func TestSelfDiagnoseForceSample(t *testing.T) {
 // quality selects the OpenMetrics (exemplar-carrying) format.
 func TestAcceptsOpenMetrics(t *testing.T) {
 	for accept, want := range map[string]bool{
-		"":           false,
-		"text/plain": false,
-		"application/openmetrics-text":                                   true,
-		openMetricsAccept:                                                true,
-		"application/openmetrics-text;q=0":                               false,
+		"":                                 false,
+		"text/plain":                       false,
+		"application/openmetrics-text":     true,
+		openMetricsAccept:                  true,
+		"application/openmetrics-text;q=0": false,
 		"text/plain, application/openmetrics-text; version=0.0.1; q=0.8": true,
 	} {
 		if got := acceptsOpenMetrics(accept); got != want {

@@ -65,36 +65,23 @@ func ExecuteSelect(s *SelectStmt, columns []string, rows []reldb.Row) (*Result, 
 	return execPlain(s, rows, f)
 }
 
-// Aggregator accumulates one aggregate function's state for one group. It
-// implements the same COUNT/SUM/AVG/MIN/MAX (and DISTINCT) semantics the
-// in-executor grouping path uses, so a planner that feeds scan values
-// directly produces bit-identical results.
+// Aggregator is one aggregate function's finished state for one group,
+// built by NewFinishedAggregator from the planner kernels' partial
+// state and read back by FinishGrouped.
 type Aggregator struct {
 	st *aggState
 }
 
-// NewAggregator builds an accumulator for one aggregate call node.
-func NewAggregator(fe *FuncExpr) *Aggregator {
-	return &Aggregator{st: newAggState(fe)}
-}
-
-// Add folds one input value into the aggregate. COUNT(*) accumulators
-// count every call regardless of the value; pass reldb.Null() for them.
-func (a *Aggregator) Add(v reldb.Value) { a.st.add(v) }
-
-// Result finalizes the aggregate's value.
-func (a *Aggregator) Result() reldb.Value { return a.st.result() }
-
 // NewFinishedAggregator builds an already-accumulated aggregate from the
-// merged partial state a vectorized kernel produces, bypassing per-value
-// Add calls. The parts mirror aggState exactly so results stay
-// bit-identical to the row-at-a-time path: count is the number of
+// merged partial state the planner's kernels produce. The parts mirror
+// aggState exactly so results stay bit-identical to the executor's own
+// row-at-a-time grouping: count is the number of
 // accumulated values (rows for COUNT(*), non-null inputs otherwise), sum
 // and sumInt the float and integer running sums, allInt whether every
 // input was an integer (true when count is zero), and min/max the
 // extrema (Null when no value was seen — always Null for COUNT(*),
 // whose accumulator never inspects values). DISTINCT aggregates cannot
-// be reconstructed this way; callers must keep them on the Add path.
+// be reconstructed this way; the planner leaves them to ExecuteSelect.
 func NewFinishedAggregator(fe *FuncExpr, count int64, sum float64, sumInt int64, allInt bool, min, max reldb.Value) *Aggregator {
 	st := newAggState(fe)
 	st.count = count
