@@ -35,7 +35,6 @@ import (
 	"strings"
 
 	"perftrack/internal/client"
-	"perftrack/internal/core"
 	"perftrack/internal/datastore"
 	"perftrack/internal/planner"
 	"perftrack/internal/query"
@@ -150,41 +149,23 @@ func main() {
 		return
 	}
 
-	// Build the pr-filter.
-	prf := core.PRFilter{}
-	for _, spec := range families {
-		rf, err := query.ParseFilterSpec(spec)
-		if err != nil {
-			fatal(err)
-		}
-		fam, err := store.ApplyFilter(rf)
-		if err != nil {
-			fatal(err)
-		}
-		n, err := store.CountFamilyMatches(fam)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "family %q: %d resources, matches %d results alone\n",
-			spec, fam.Size(), n)
-		prf.Families = append(prf.Families, fam)
-	}
-	total, err := store.CountMatches(prf)
+	sel := &query.Selection{Families: families}
+	res, err := query.Resolve(context.Background(), store, sel)
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Fprintf(os.Stderr, "pr-filter matches %d performance results\n", total)
+	printCounts(res.Counts, len(res.IDs))
 	if *explain {
 		st := store.QueryEngineStats()
 		fmt.Fprintf(os.Stderr, "query engine: generation %d, cache %d hits / %d misses, %d entries\n",
 			st.Generation, st.CacheHits, st.CacheMisses, st.CacheEntries)
-		fmt.Fprint(os.Stderr, planner.Format(planner.PRFilterPlan(store, nil, families, total)))
+		fmt.Fprint(os.Stderr, planner.Format(planner.PRFilterPlan(store, sel, res)))
 	}
 	if *countOnly {
 		return
 	}
 
-	tbl, err := query.Retrieve(store, prf)
+	tbl, err := query.NewTable(context.Background(), store, res.IDs)
 	if err != nil {
 		fatal(err)
 	}
@@ -200,25 +181,11 @@ func main() {
 		}
 		return
 	}
-	if *metricFilter != "" {
-		tbl.FilterMetric(*metricFilter)
-	}
-	for _, col := range addCols {
-		if err := tbl.AddColumn(core.TypePath(col), false); err != nil {
-			fatal(err)
-		}
-	}
-	for _, spec := range addAttrs {
-		i := strings.LastIndexByte(spec, '.')
-		if i <= 0 {
-			fatal(fmt.Errorf("bad -addattr %q, want type.attribute", spec))
-		}
-		if err := tbl.AddAttributeColumn(core.TypePath(spec[:i]), spec[i+1:]); err != nil {
-			fatal(err)
-		}
-	}
-	if *sortBy != "" {
-		tbl.SortBy(*sortBy, *desc)
+	if err := tbl.Refine(query.Refinement{
+		Metric: *metricFilter, AddColumns: addCols, AddAttributes: addAttrs,
+		SortBy: *sortBy, Descending: *desc,
+	}); err != nil {
+		fatal(err)
 	}
 	if *csvOut != "" {
 		f, err := os.Create(*csvOut)
@@ -297,11 +264,7 @@ func runRemote(baseURL string, q remoteQuery) {
 	if err != nil {
 		fatal(err)
 	}
-	for _, fam := range qr.Families {
-		fmt.Fprintf(os.Stderr, "family %q: %d resources, matches %d results alone\n",
-			fam.Spec, fam.Resources, fam.Matches)
-	}
-	fmt.Fprintf(os.Stderr, "pr-filter matches %d performance results\n", qr.Matches)
+	printCounts(qr.Families, qr.Matches)
 	if q.explain {
 		fmt.Fprintf(os.Stderr, "query engine: generation %d, cache %d hits / %d misses\n",
 			qr.Generation, qr.CacheHits, qr.CacheMisses)
@@ -377,6 +340,15 @@ func runReport(store *datastore.Store, report string) {
 	default:
 		fatal(fmt.Errorf("unknown report %q", report))
 	}
+}
+
+// printCounts prints the Figure 3 live counts, local or remote.
+func printCounts(fams []query.FamilyCount, total int) {
+	for _, fam := range fams {
+		fmt.Fprintf(os.Stderr, "family %q: %d resources, matches %d results alone\n",
+			fam.Spec, fam.Resources, fam.Matches)
+	}
+	fmt.Fprintf(os.Stderr, "pr-filter matches %d performance results\n", total)
 }
 
 func printStats(st datastore.Stats) {

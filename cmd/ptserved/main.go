@@ -96,7 +96,6 @@ func main() {
 		ReadOnly:             *readOnly,
 		MaxInFlight:          *maxInFlight,
 		RequestTimeout:       *timeout,
-		Logger:               logger,
 		Log:                  slog,
 		TraceBuffer:          *traceBuffer,
 		SlowRequestThreshold: *slowThreshold,

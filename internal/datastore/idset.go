@@ -116,3 +116,35 @@ func intersectAll(sets []idSet) idSet {
 	}
 	return acc
 }
+
+// union returns the ascending, duplicate-free merge of a and b as a new
+// idSet. Both inputs must be sorted and deduplicated.
+func (a idSet) union(b idSet) idSet {
+	out := make(idSet, 0, len(a)+len(b))
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			out = append(out, a[i])
+			i++
+		case a[i] > b[j]:
+			out = append(out, b[j])
+			j++
+		default:
+			out = append(out, a[i])
+			i++
+			j++
+		}
+	}
+	out = append(out, a[i:]...)
+	return append(out, b[j:]...)
+}
+
+// IntersectIDs and UnionIDs combine ascending, duplicate-free ID lists —
+// what MatchingResultIDs and ExecutionResultIDs return — into a new list
+// of the same shape, for callers outside the package that narrow one
+// selection by another.
+func IntersectIDs(a, b []int64) []int64 { return idSet(a).intersect(b) }
+
+// UnionIDs is the union counterpart of IntersectIDs.
+func UnionIDs(a, b []int64) []int64 { return idSet(a).union(b) }

@@ -53,23 +53,11 @@ func resolveSide(ctx context.Context, s *datastore.Store, exec string, execs, fa
 		sort.Strings(out)
 		return out, nil
 	}
-	prf := core.PRFilter{}
-	for _, spec := range families {
-		rf, err := query.ParseFilterSpec(spec)
-		if err != nil {
-			return nil, fmt.Errorf("diagnose: side %s family %q: %w: %w", side, spec, err, datastore.ErrBadSpec)
-		}
-		fam, err := s.ApplyFilterCtx(ctx, rf)
-		if err != nil {
-			return nil, err
-		}
-		prf.Families = append(prf.Families, fam)
-	}
-	ids, err := s.MatchingResultIDsCtx(ctx, prf)
+	res, err := query.Resolve(ctx, s, &query.Selection{Families: families})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("diagnose: side %s %w", side, err)
 	}
-	matched, err := s.ExecutionsOfResults(ids)
+	matched, err := s.ExecutionsOfResults(res.IDs)
 	if err != nil {
 		return nil, err
 	}

@@ -46,8 +46,12 @@ func (p *Planner) planResults(ctx context.Context, sel *sqldb.SelectStmt, prof *
 		return nil, nil, err
 	}
 
+	f, err := p.buildResultFilter(ctx, pushed)
+	if err != nil {
+		return nil, nil, err
+	}
 	stats := p.store.TableStatistics()
-	access := p.chooseResultAccess(stats, pushed)
+	access := p.chooseResultAccess(stats, pushed, f.fams)
 	plan := &Plan{
 		Table:        "performance_result",
 		Strategy:     access.strategy,
@@ -65,10 +69,10 @@ func (p *Planner) planResults(ctx context.Context, sel *sqldb.SelectStmt, prof *
 	}
 
 	if specs, groupCols, ok := p.aggPushable(sel, residual); ok {
-		res, err := p.execAggregate(ctx, sel, access, pushed, specs, groupCols, plan)
+		res, err := p.execAggregate(ctx, sel, access, &f, specs, groupCols, plan)
 		return res, plan, err
 	}
-	res, err := p.execRows(ctx, sel, access, pushed, plan)
+	res, err := p.execRows(ctx, sel, access, &f, plan)
 	return res, plan, err
 }
 
@@ -173,7 +177,7 @@ func walkNonAggRefs(e sqldb.Expr, fn func(*sqldb.ColumnRef)) {
 // off the access path into per-group accumulators and no result row is
 // ever built.
 func (p *Planner) execAggregate(ctx context.Context, sel *sqldb.SelectStmt, access resultAccess,
-	pushed []conjunct, specs []vecAggSpec, groupCols []string, plan *Plan) (*sqldb.Result, error) {
+	f *resultFilter, specs []vecAggSpec, groupCols []string, plan *Plan) (*sqldb.Result, error) {
 	plan.Aggregate = true
 
 	// Packed key space: each key column sized by its dictionary's largest
@@ -206,8 +210,7 @@ func (p *Planner) execAggregate(ctx context.Context, sel *sqldb.SelectStmt, acce
 	if proto.dense > 0 {
 		workers = maxDenseGroups / proto.dense
 	}
-	f := p.buildResultFilter(pushed)
-	merged, err := p.scanResults(ctx, access, &f, plan, workers, func() blockSink {
+	merged, err := p.scanResults(ctx, access, f, plan, workers, func() blockSink {
 		s := proto
 		s.acc = newVecAccum(s.dense, specs)
 		s.gbuf = make([]int32, 0, vecBatch)
@@ -261,7 +264,7 @@ func (p *Planner) execAggregate(ctx context.Context, sel *sqldb.SelectStmt, acce
 // the SQL executor for residual filtering, projection, grouping, and
 // ordering.
 func (p *Planner) execRows(ctx context.Context, sel *sqldb.SelectStmt, access resultAccess,
-	pushed []conjunct, plan *Plan) (*sqldb.Result, error) {
+	f *resultFilter, plan *Plan) (*sqldb.Result, error) {
 	dicts := map[string]map[int64]string{}
 	for _, d := range []string{"execution", "metric", "performance_tool", "units"} {
 		m, err := p.store.DictNames(d)
@@ -270,15 +273,14 @@ func (p *Planner) execRows(ctx context.Context, sel *sqldb.SelectStmt, access re
 		}
 		dicts[d] = m
 	}
-	f := p.buildResultFilter(pushed)
 	var tuples []resultTuple
 	if p.Naive {
 		var err error
-		if tuples, err = p.naiveScan(ctx, &f, plan.Profile); err != nil {
+		if tuples, err = p.naiveScan(f, plan.Profile); err != nil {
 			return nil, err
 		}
 	} else {
-		sink, err := p.scanResults(ctx, access, &f, plan, math.MaxInt, func() blockSink { return &tupleSink{} })
+		sink, err := p.scanResults(ctx, access, f, plan, math.MaxInt, func() blockSink { return &tupleSink{} })
 		if err != nil {
 			return nil, err
 		}
@@ -307,23 +309,15 @@ func (p *Planner) execRows(ctx context.Context, sel *sqldb.SelectStmt, access re
 // pushes) checked per row against the resolved ID set. It deliberately
 // shares nothing with the block source or the kernels it is the oracle
 // for.
-func (p *Planner) naiveScan(ctx context.Context, f *resultFilter, prof *ExecProfile) ([]resultTuple, error) {
+func (p *Planner) naiveScan(f *resultFilter, prof *ExecProfile) ([]resultTuple, error) {
 	tab, ok := p.store.Table("performance_result")
 	if !ok {
 		return nil, fmt.Errorf("datastore: no performance_result table: %w", datastore.ErrNotFound)
 	}
 	var member map[int64]struct{}
-	if len(f.famSpecs) > 0 {
-		prf, err := p.buildPRFilter(ctx, f.famSpecs)
-		if err != nil {
-			return nil, err
-		}
-		famIDs, err := p.store.MatchingResultIDsCtx(ctx, prf)
-		if err != nil {
-			return nil, err
-		}
-		member = make(map[int64]struct{}, len(famIDs))
-		for _, id := range famIDs {
+	if len(f.fams) > 0 {
+		member = make(map[int64]struct{}, len(f.famIDs))
+		for _, id := range f.famIDs {
 			member[id] = struct{}{}
 		}
 	}

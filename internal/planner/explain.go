@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"perftrack/internal/datastore"
+	"perftrack/internal/query"
 )
 
 // PlanWire is the explain payload every v1 endpoint shares: /v1/sql and
@@ -86,26 +87,26 @@ func Format(w *PlanWire) string {
 	return b.String()
 }
 
-// PRFilterPlan describes one pr-filter evaluation — optionally
-// restricted to named executions — in the shared wire shape, so explain
-// on /v1/query matches explain on /v1/sql.
-func PRFilterPlan(st *datastore.Store, executions, families []string, actual int) *PlanWire {
+// PRFilterPlan describes one resolved selection — a pr-filter,
+// optionally restricted to named executions — in the shared wire shape,
+// so explain on /v1/query matches explain on /v1/sql.
+func PRFilterPlan(st *datastore.Store, sel *query.Selection, res *query.Resolution) *PlanWire {
 	stats := st.TableStatistics()
 	total := stats.TableStat("performance_result").Rows
 	p := Plan{
 		Table:      "performance_result",
 		Strategy:   StrategyFullScan,
 		EstRows:    total,
-		ActualRows: int64(actual),
+		ActualRows: int64(len(res.IDs)),
 	}
-	if len(families) > 0 {
-		p.Strategy = familiesStrategy(families)
-		p.EstRows = estimateFamilies(stats, families)
-		for _, f := range families {
+	if len(res.Filters) > 0 {
+		p.Strategy = familiesStrategy(res.Filters)
+		p.EstRows = estimateFamilies(stats, res.Filters)
+		for _, f := range sel.Families {
 			p.Pushed = append(p.Pushed, fmt.Sprintf("family=%q", f))
 		}
 	}
-	if len(executions) > 0 {
+	if executions := sel.ExecutionList(); len(executions) > 0 {
 		if p.Strategy == StrategyFullScan {
 			p.Strategy = StrategyIndex // execution_id index lookup
 		}

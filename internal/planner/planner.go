@@ -21,7 +21,6 @@ import (
 	"perftrack/internal/core"
 	"perftrack/internal/datastore"
 	"perftrack/internal/obs"
-	"perftrack/internal/query"
 	"perftrack/internal/reldb"
 	"perftrack/internal/sqldb"
 )
@@ -490,30 +489,12 @@ func stripConjuncts(e sqldb.Expr, drop map[sqldb.Expr]bool) sqldb.Expr {
 
 // --- family evaluation and estimation ---
 
-// buildPRFilter evaluates family specs into a pr-filter through the
-// store's cached set layer.
-func (p *Planner) buildPRFilter(ctx context.Context, specs []string) (core.PRFilter, error) {
-	var prf core.PRFilter
-	for _, spec := range specs {
-		rf, err := query.ParseFilterSpec(spec)
-		if err != nil {
-			return prf, fmt.Errorf("planner: family %q: %v: %w", spec, err, datastore.ErrBadSpec)
-		}
-		fam, err := p.store.ApplyFilterCtx(ctx, rf)
-		if err != nil {
-			return prf, err
-		}
-		prf.Families = append(prf.Families, fam)
-	}
-	return prf, nil
-}
-
 // familiesStrategy names the access path family specs use: attr-index
 // when any spec carries attribute predicates (those walk the
 // resource_attribute (name, value) index), idset-cache otherwise.
-func familiesStrategy(specs []string) string {
-	for _, spec := range specs {
-		if rf, err := query.ParseFilterSpec(spec); err == nil && len(rf.Attrs) > 0 {
+func familiesStrategy(fams []core.ResourceFilter) string {
+	for _, rf := range fams {
+		if len(rf.Attrs) > 0 {
 			return StrategyAttrIndex
 		}
 	}
@@ -525,15 +506,11 @@ func familiesStrategy(specs []string) string {
 // distinct value over the resource population); name selections assume a
 // small subtree; base/type selections a broad one. The estimate only has
 // to rank access paths, not be exact.
-func estimateFamilies(stats datastore.TableStatistics, specs []string) int64 {
+func estimateFamilies(stats datastore.TableStatistics, fams []core.ResourceFilter) int64 {
 	total := stats.TableStat("performance_result").Rows
 	resources := stats.TableStat("resource_item").Rows
 	est := float64(total)
-	for _, spec := range specs {
-		rf, err := query.ParseFilterSpec(spec)
-		if err != nil {
-			continue
-		}
+	for _, rf := range fams {
 		sel := 1.0
 		switch {
 		case len(rf.Attrs) > 0:
@@ -573,18 +550,16 @@ type resultAccess struct {
 }
 
 // chooseResultAccess costs the applicable access paths and picks the
-// cheapest. Family specs force the set-based path (they are semantics);
-// everything else competes on estimated rows visited times per-row cost.
-func (p *Planner) chooseResultAccess(stats datastore.TableStatistics, cs []conjunct) resultAccess {
+// cheapest. Family specs (families holds their parsed filters) force the
+// set-based path (they are semantics); everything else competes on
+// estimated rows visited times per-row cost.
+func (p *Planner) chooseResultAccess(stats datastore.TableStatistics, cs []conjunct, families []core.ResourceFilter) resultAccess {
 	total := stats.TableStat("performance_result").Rows
 	segRows := stats.TableStat("performance_result").SegmentRows
-	var families []string
 	dims := map[string]string{}
 	nums := 0
 	for _, c := range cs {
 		switch c.kind {
-		case kindFamily:
-			families = append(families, c.famSpec)
 		case kindDim:
 			dims[c.dimCol] = c.dimVal
 		case kindNum:

@@ -33,7 +33,9 @@ import (
 	"sync"
 	"time"
 
+	"perftrack/internal/core"
 	"perftrack/internal/datastore"
+	"perftrack/internal/query"
 	"perftrack/internal/reldb"
 	"perftrack/internal/sqldb"
 )
@@ -61,18 +63,23 @@ type vecDim struct {
 // resultFilter is the pushed predicate set of one performance_result
 // scan, resolved against the store's dictionaries. Family specs are not
 // checked per row: they select the access strategy, whose gathered ID
-// list already is the family's result set.
+// list (famIDs) already is the family's result set.
 type resultFilter struct {
 	dims       []vecDim
 	nums       []numPred
-	famSpecs   []string
-	impossible bool // a pushed dimension name is unknown: nothing matches
+	fams       []core.ResourceFilter // the parsed family specs
+	famIDs     []int64               // their selection, ascending; set when fams is
+	impossible bool                  // a pushed dimension name is unknown: nothing matches
 }
 
 // buildResultFilter resolves the pushed conjuncts of a
-// performance_result scan.
-func (p *Planner) buildResultFilter(pushed []conjunct) resultFilter {
+// performance_result scan. Family specs resolve here — even when another
+// predicate already rules every row out, because naive execution reports
+// a bad spec either way — and parse exactly once: the cost model and the
+// plan text read the parsed filters from the result.
+func (p *Planner) buildResultFilter(ctx context.Context, pushed []conjunct) (resultFilter, error) {
 	var f resultFilter
+	var sel query.Selection
 	for _, c := range pushed {
 		switch c.kind {
 		case kindDim:
@@ -86,10 +93,17 @@ func (p *Planner) buildResultFilter(pushed []conjunct) resultFilter {
 		case kindNum:
 			f.nums = append(f.nums, c.num)
 		case kindFamily:
-			f.famSpecs = append(f.famSpecs, c.famSpec)
+			sel.Families = append(sel.Families, c.famSpec)
 		}
 	}
-	return f
+	if len(sel.Families) > 0 {
+		res, err := query.Resolve(ctx, p.store, &sel)
+		if err != nil {
+			return f, fmt.Errorf("planner: %w", err)
+		}
+		f.fams, f.famIDs = res.Filters, res.IDs
+	}
+	return f, nil
 }
 
 // --- column vectors and selection kernels ---
@@ -790,15 +804,6 @@ func (p *Planner) scanResults(ctx context.Context, access resultAccess, f *resul
 		return nil, fmt.Errorf("datastore: no performance_result table: %w", datastore.ErrNotFound)
 	}
 	ranged := access.strategy == StrategyFullScan || access.strategy == StrategyZoneMap
-	var ids []int64
-	if !ranged {
-		// Resolved even when another predicate already rules every row
-		// out: naive execution reports a bad family spec either way.
-		var err error
-		if ids, err = p.accessIDs(ctx, tab, access, f); err != nil {
-			return nil, err
-		}
-	}
 	lo, hi := idBounds(f.nums)
 	if f.impossible || lo > hi {
 		return head.sink, nil
@@ -835,6 +840,10 @@ func (p *Planner) scanResults(ctx context.Context, access resultAccess, f *resul
 		start = time.Now()
 		err = scan.Tail(seq)
 	} else {
+		var ids []int64
+		if ids, err = accessIDs(tab, access, f); err != nil {
+			return nil, err
+		}
 		start = time.Now()
 		err = tab.Gather(ids, seq)
 	}
@@ -914,16 +923,12 @@ func (p *Planner) fanOut(ctx context.Context, blocks []*reldb.ColumnBlock, head 
 	return total, nil
 }
 
-// accessIDs resolves the ascending row-ID list of the set- and
-// index-based strategies: the family specs' cached ID-set intersection,
-// or one secondary-index prefix.
-func (p *Planner) accessIDs(ctx context.Context, tab *reldb.Table, access resultAccess, f *resultFilter) ([]int64, error) {
+// accessIDs is the ascending row-ID list of the set- and index-based
+// strategies: the family specs' resolved selection, or one
+// secondary-index prefix.
+func accessIDs(tab *reldb.Table, access resultAccess, f *resultFilter) ([]int64, error) {
 	if access.strategy != StrategyIndex {
-		prf, err := p.buildPRFilter(ctx, f.famSpecs)
-		if err != nil {
-			return nil, err
-		}
-		return p.store.MatchingResultIDsCtx(ctx, prf) // sorted ascending
+		return f.famIDs, nil
 	}
 	var key int64
 	for _, df := range f.dims {

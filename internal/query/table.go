@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
+	"strings"
 
 	"perftrack/internal/core"
 	"perftrack/internal/datastore"
@@ -62,6 +63,12 @@ func RetrieveCtx(ctx context.Context, s *datastore.Store, prf core.PRFilter) (*T
 	if err != nil {
 		return nil, err
 	}
+	return NewTable(ctx, s, ids)
+}
+
+// NewTable materializes the given results — typically Resolution.IDs —
+// into a table, one row per ID in the order given.
+func NewTable(ctx context.Context, s *datastore.Store, ids []int64) (*Table, error) {
 	results, err := s.MaterializeResultsCtx(ctx, ids)
 	if err != nil {
 		return nil, err
@@ -81,6 +88,41 @@ func RetrieveCtx(ctx context.Context, s *datastore.Store, prf core.PRFilter) (*T
 		t.Rows = append(t.Rows, row)
 	}
 	return t, nil
+}
+
+// Refinement is the second step of the two-step retrieval (§3.2): the
+// view changes applied to a retrieved table, in field order.
+type Refinement struct {
+	Metric        string   // keep only rows with this metric
+	AddColumns    []string // free-resource columns, by resource type
+	AddAttributes []string // attribute columns, each "type.attribute"
+	SortBy        string
+	Descending    bool
+}
+
+// Refine applies a refinement; zero fields are skipped.
+func (t *Table) Refine(r Refinement) error {
+	if r.Metric != "" {
+		t.FilterMetric(r.Metric)
+	}
+	for _, col := range r.AddColumns {
+		if err := t.AddColumn(core.TypePath(col), false); err != nil {
+			return err
+		}
+	}
+	for _, spec := range r.AddAttributes {
+		i := strings.LastIndexByte(spec, '.')
+		if i <= 0 {
+			return fmt.Errorf("bad attribute column %q, want type.attribute", spec)
+		}
+		if err := t.AddAttributeColumn(core.TypePath(spec[:i]), spec[i+1:]); err != nil {
+			return err
+		}
+	}
+	if r.SortBy != "" {
+		t.SortBy(r.SortBy, r.Descending)
+	}
+	return nil
 }
 
 func (t *Table) resolveType(name core.ResourceName) (core.TypePath, error) {

@@ -46,12 +46,8 @@ type QueryRequest struct {
 }
 
 // FamilyCount reports one family's size and how many performance results
-// it matches alone.
-type FamilyCount struct {
-	Spec      string `json:"spec"`
-	Resources int    `json:"resources"`
-	Matches   int    `json:"matches"`
-}
+// it matches alone; the resolver that fills it defines it.
+type FamilyCount = query.FamilyCount
 
 // QueryResponse carries per-family and combined match counts plus the
 // query engine's cache state at evaluation time.

@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -239,141 +238,29 @@ func (s *Server) handleBulkLoad(w http.ResponseWriter, r *http.Request, boundary
 		"records", total.Records, "j", workers, "rid", RequestIDFromContext(r.Context()))
 }
 
-// buildPRFilter parses each family spec, applies it against the store,
-// and reports the per-family live counts alongside the assembled
-// pr-filter.
-func (s *Server) buildPRFilter(ctx context.Context, specs []string) (core.PRFilter, []FamilyCount, error) {
-	prf := core.PRFilter{}
-	counts := make([]FamilyCount, 0, len(specs))
-	for _, spec := range specs {
-		rf, err := query.ParseFilterSpec(spec)
-		if err != nil {
-			return prf, nil, fmt.Errorf("%w: %w", err, datastore.ErrBadSpec)
-		}
-		fam, err := s.store.ApplyFilterCtx(ctx, rf)
-		if err != nil {
-			return prf, nil, fmt.Errorf("family %q: %w", spec, err)
-		}
-		n, err := s.store.CountFamilyMatchesCtx(ctx, fam)
-		if err != nil {
-			return prf, nil, fmt.Errorf("family %q: %w", spec, err)
-		}
-		counts = append(counts, FamilyCount{Spec: spec, Resources: fam.Size(), Matches: n})
-		prf.Families = append(prf.Families, fam)
-	}
-	return prf, counts, nil
-}
-
-// selectionParts merges the unified Select spec with an endpoint's
-// legacy top-level families list: the full family-spec list plus the
-// execution restriction. Every selection-taking handler converges here,
-// so the old and new spellings cannot drift apart.
-func selectionParts(sel *Selection, legacyFamilies []string) (families, executions []string) {
-	families = append(families, legacyFamilies...)
-	if sel != nil {
-		families = append(families, sel.Families...)
-	}
-	return families, sel.ExecutionList()
-}
-
-// executionResultIDs unions the sorted result-ID lists of the named
-// executions. An unknown execution is ErrNotFound (404 on the wire).
-func (s *Server) executionResultIDs(execs []string) ([]int64, error) {
-	var out []int64
-	for _, e := range execs {
-		ids, err := s.store.ExecutionResultIDs(e)
-		if err != nil {
-			return nil, err
-		}
-		out = unionSorted(out, ids)
-	}
-	return out, nil
-}
-
-// unionSorted merges two ascending ID lists, dropping duplicates.
-func unionSorted(a, b []int64) []int64 {
-	out := make([]int64, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			out = append(out, a[i])
-			i++
-		case a[i] > b[j]:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
-}
-
-// intersectSorted intersects two ascending ID lists.
-func intersectSorted(a, b []int64) []int64 {
-	var out []int64
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	return out
-}
-
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req QueryRequest
 	if err := decodeJSON(w, r, &req); err != nil {
 		writeError(w, r, http.StatusBadRequest, err)
 		return
 	}
-	families, execs := selectionParts(req.Select, req.Families)
-	prf, counts, err := s.buildPRFilter(r.Context(), families)
+	sel := req.Select.WithFamilies(req.Families)
+	res, err := query.Resolve(r.Context(), s.store, sel)
 	if err != nil {
-		writeError(w, r, http.StatusBadRequest, err)
+		writeError(w, r, http.StatusInternalServerError, err)
 		return
-	}
-	var total int
-	if len(execs) == 0 {
-		total, err = s.store.CountMatchesCtx(r.Context(), prf)
-		if err != nil {
-			writeError(w, r, http.StatusInternalServerError, err)
-			return
-		}
-	} else {
-		ids, err := s.store.MatchingResultIDsCtx(r.Context(), prf)
-		if err != nil {
-			writeError(w, r, statusOf(err, http.StatusInternalServerError), err)
-			return
-		}
-		restrict, err := s.executionResultIDs(execs)
-		if err != nil {
-			writeError(w, r, statusOf(err, http.StatusInternalServerError), err)
-			return
-		}
-		total = len(intersectSorted(ids, restrict))
 	}
 	es := s.store.QueryEngineStats()
 	resp := QueryResponse{
 		APIVersion:  APIVersion,
-		Families:    counts,
-		Matches:     total,
+		Families:    res.Counts,
+		Matches:     len(res.IDs),
 		Generation:  es.Generation,
 		CacheHits:   es.CacheHits,
 		CacheMisses: es.CacheMisses,
 	}
 	if req.Explain {
-		resp.Plan = planner.PRFilterPlan(s.store, execs, families, total)
+		resp.Plan = planner.PRFilterPlan(s.store, sel, res)
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -388,55 +275,31 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 		writeErrorString(w, r, http.StatusBadRequest, "limit must be >= 0")
 		return
 	}
-	families, execs := selectionParts(req.Select, req.Families)
+	sel := req.Select.WithFamilies(req.Families)
 	if v := r.URL.Query().Get("stream"); v == "1" || v == "true" {
-		s.handleResultsStream(w, r, req, families, execs)
+		s.handleResultsStream(w, r, req, sel)
 		return
 	}
 	if req.Cursor != "" && req.Limit <= 0 {
 		writeErrorString(w, r, http.StatusBadRequest, "cursor requires a positive limit")
 		return
 	}
-	prf, _, err := s.buildPRFilter(r.Context(), families)
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, err)
-		return
-	}
-	tbl, err := query.RetrieveCtx(r.Context(), s.store, prf)
+	res, err := query.Resolve(r.Context(), s.store, sel)
 	if err != nil {
 		writeError(w, r, http.StatusInternalServerError, err)
 		return
 	}
-	if len(execs) > 0 {
-		keep := make(map[string]bool, len(execs))
-		for _, e := range execs {
-			keep[e] = true
-		}
-		tbl.FilterRows(func(row *query.Row) bool { return keep[row.Execution] })
+	tbl, err := query.NewTable(r.Context(), s.store, res.IDs)
+	if err != nil {
+		writeError(w, r, http.StatusInternalServerError, err)
+		return
 	}
-	if req.Metric != "" {
-		tbl.FilterMetric(req.Metric)
-	}
-	for _, col := range req.AddColumns {
-		if err := tbl.AddColumn(core.TypePath(col), false); err != nil {
-			writeError(w, r, http.StatusBadRequest, err)
-			return
-		}
-	}
-	for _, spec := range req.AddAttributes {
-		i := strings.LastIndexByte(spec, '.')
-		if i <= 0 {
-			writeErrorString(w, r, http.StatusBadRequest,
-				fmt.Sprintf("bad attribute column %q, want type.attribute", spec))
-			return
-		}
-		if err := tbl.AddAttributeColumn(core.TypePath(spec[:i]), spec[i+1:]); err != nil {
-			writeError(w, r, http.StatusBadRequest, err)
-			return
-		}
-	}
-	if req.SortBy != "" {
-		tbl.SortBy(req.SortBy, req.Descending)
+	if err := tbl.Refine(query.Refinement{
+		Metric: req.Metric, AddColumns: req.AddColumns, AddAttributes: req.AddAttributes,
+		SortBy: req.SortBy, Descending: req.Descending,
+	}); err != nil {
+		writeError(w, r, http.StatusBadRequest, err)
+		return
 	}
 
 	cols := tbl.Columns()
@@ -446,8 +309,8 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	// Pagination: the cursor is bound to the refinements (but not the
 	// page size) via a fingerprint, so a cursor replayed against a
 	// different query is a 400 rather than a silently wrong page.
-	sigFields := append([]string{strconv.Itoa(len(families))}, families...)
-	sigFields = append(sigFields, execs...)
+	sigFields := append([]string{strconv.Itoa(len(sel.Families))}, sel.Families...)
+	sigFields = append(sigFields, sel.ExecutionList()...)
 	sigFields = append(sigFields, req.Metric,
 		strings.Join(req.AddColumns, ","), strings.Join(req.AddAttributes, ","),
 		req.SortBy, strconv.FormatBool(req.Descending))
@@ -501,7 +364,7 @@ const resultStreamChunk = 2048
 // chunks as NDJSON, so neither side holds a full-corpus retrieval in
 // memory. Refinements that need the whole result set (sorting, added
 // columns) are rejected; the metric filter and row limit apply per row.
-func (s *Server) handleResultsStream(w http.ResponseWriter, r *http.Request, req ResultsRequest, families, execs []string) {
+func (s *Server) handleResultsStream(w http.ResponseWriter, r *http.Request, req ResultsRequest, sel *Selection) {
 	if len(req.AddColumns) > 0 || len(req.AddAttributes) > 0 || req.SortBy != "" {
 		writeErrorString(w, r, http.StatusBadRequest,
 			"stream=1 supports selection, metric, and limit only (sorting and added columns need the full result set)")
@@ -511,24 +374,12 @@ func (s *Server) handleResultsStream(w http.ResponseWriter, r *http.Request, req
 		writeErrorString(w, r, http.StatusBadRequest, "stream=1 does not paginate; use limit, or the buffered form with a cursor")
 		return
 	}
-	prf, _, err := s.buildPRFilter(r.Context(), families)
+	res, err := query.Resolve(r.Context(), s.store, sel)
 	if err != nil {
-		writeError(w, r, http.StatusBadRequest, err)
+		writeError(w, r, http.StatusInternalServerError, err)
 		return
 	}
-	ids, err := s.store.MatchingResultIDsCtx(r.Context(), prf)
-	if err != nil {
-		writeError(w, r, statusOf(err, http.StatusInternalServerError), err)
-		return
-	}
-	if len(execs) > 0 {
-		restrict, err := s.executionResultIDs(execs)
-		if err != nil {
-			writeError(w, r, statusOf(err, http.StatusInternalServerError), err)
-			return
-		}
-		ids = intersectSorted(ids, restrict)
-	}
+	ids := res.IDs
 	total := len(ids)
 	if req.Metric == "" && req.Limit > 0 && len(ids) > req.Limit {
 		ids = ids[:req.Limit]

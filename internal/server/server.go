@@ -14,6 +14,7 @@ import (
 	"log"
 	"net"
 	"net/http"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -48,13 +49,9 @@ type Config struct {
 	RequestTimeout time.Duration
 
 	// Log receives structured key=value lines (one per request plus
-	// lifecycle events). Nil falls back to wrapping Logger's writer at
-	// info level, or no logging when both are nil.
+	// lifecycle events, and net/http's own error lines at error level).
+	// Nil means no logging.
 	Log *obs.Logger
-
-	// Logger is the legacy plain logger; retained so existing callers
-	// keep their output destination. When Log is set it wins.
-	Logger *log.Logger
 
 	// TraceBuffer bounds how many completed (and, separately, slow)
 	// traces are retained for /v1/debug/traces. 0 means the default of
@@ -131,15 +128,11 @@ func New(cfg Config) (*Server, error) {
 	if cfg.SlowRequestThreshold == 0 {
 		cfg.SlowRequestThreshold = time.Second
 	}
-	logger := cfg.Log
-	if logger == nil && cfg.Logger != nil {
-		logger = obs.NewLogger(cfg.Logger.Writer(), obs.LevelInfo)
-	}
 	s := &Server{
 		cfg:     cfg,
 		store:   cfg.Store,
 		metrics: newServerMetrics(),
-		log:     logger,
+		log:     cfg.Log,
 		sem:     make(chan struct{}, cfg.MaxInFlight),
 	}
 	if cfg.PlanCacheBytes >= 0 {
@@ -166,9 +159,19 @@ func New(cfg Config) (*Server, error) {
 		Handler:     s.Handler(),
 		ReadTimeout: 0, // streamed loads may upload for a long time
 		IdleTimeout: 2 * time.Minute,
-		ErrorLog:    cfg.Logger,
+		ErrorLog:    log.New(errorLogWriter{cfg.Log}, "", 0),
 	}
 	return s, nil
+}
+
+// errorLogWriter feeds net/http's own error lines (failed accepts,
+// malformed requests, superfluous WriteHeader calls) into the structured
+// log.
+type errorLogWriter struct{ log *obs.Logger }
+
+func (w errorLogWriter) Write(p []byte) (int, error) {
+	w.log.Error("http server", "err", strings.TrimSpace(string(p)))
+	return len(p), nil
 }
 
 // route wires one endpoint with the full middleware stack. Outermost to

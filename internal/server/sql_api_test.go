@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -11,6 +12,8 @@ import (
 	"net/url"
 	"strings"
 	"testing"
+
+	"perftrack/internal/query"
 )
 
 // seedTwoExecServer loads two small PTdf documents (tags a and b), so
@@ -152,47 +155,112 @@ func TestSQLStream(t *testing.T) {
 	}
 }
 
-// TestSQLDifferentialWithPRFilter runs the same selections through
-// /v1/sql and the pr-filter endpoints and asserts identical answers —
-// the server-level counterpart of the planner's fuzz oracle.
-func TestSQLDifferentialWithPRFilter(t *testing.T) {
-	ts := seedTwoExecServer(t)
-	sqlCount := func(q string) int {
-		var resp SQLResponse
-		code, raw := postJSON(t, ts.URL+"/v1/sql", SQLRequest{SQL: q}, &resp)
-		if code != http.StatusOK {
-			t.Fatalf("%s: status %d: %s", q, code, raw)
-		}
-		return int(resp.Rows[0][0].(float64))
-	}
+// TestSelectionSameOnEveryRoute evaluates one table of selections through
+// every spelling the service has for one — /v1/query, buffered
+// /v1/results, /v1/results?stream=1, the family/execution columns of
+// /v1/sql, and query.Resolve in-process — and asserts one answer: the
+// same count on success, the same status on failure. The buffered route
+// must also materialize exactly the selection, not the families' matches
+// filtered afterwards.
+func TestSelectionSameOnEveryRoute(t *testing.T) {
+	srv, ts := newTestServer(t, nil)
+	loadDoc(t, ts.URL, ptdfDoc("a", 5))
+	loadDoc(t, ts.URL, ptdfDoc("b", 5))
 
 	cases := []struct {
-		sql string
-		req QueryRequest
+		name   string
+		legacy []string // top-level "families", the pre-Selection spelling
+		sel    *Selection
+		status int
+		want   int
 	}{
-		{
-			sql: "SELECT count(*) FROM performance_result WHERE family = 'type=application'",
-			req: QueryRequest{Families: []string{"type=application"}},
-		},
-		{
-			sql: "SELECT count(*) FROM performance_result WHERE execution = 'exec-a'",
-			req: QueryRequest{Select: &Selection{Execution: "exec-a"}},
-		},
-		{
-			sql: "SELECT count(*) FROM performance_result WHERE family = 'name=/app-b' AND execution = 'exec-b'",
-			req: QueryRequest{Select: &Selection{Execution: "exec-b", Families: []string{"name=/app-b"}}},
-		},
+		{name: "everything", status: 200, want: 10},
+		{name: "families only", sel: &Selection{Families: []string{"type=application"}}, status: 200, want: 10},
+		{name: "legacy families only", legacy: []string{"type=application"}, status: 200, want: 10},
+		{name: "execution only", sel: &Selection{Execution: "exec-a"}, status: 200, want: 5},
+		{name: "both", sel: &Selection{Execution: "exec-b", Families: []string{"name=/app-b"}}, status: 200, want: 5},
+		{name: "both, disjoint", sel: &Selection{Execution: "exec-a", Families: []string{"name=/app-b"}}, status: 200, want: 0},
+		{name: "legacy families, selected execution", legacy: []string{"type=application"}, sel: &Selection{Execution: "exec-a"}, status: 200, want: 5},
+		{name: "legacy and selected families", legacy: []string{"type=application"}, sel: &Selection{Families: []string{"name=/exec-b"}}, status: 200, want: 5},
+		{name: "two executions", sel: &Selection{Executions: []string{"exec-b", "exec-a"}}, status: 200, want: 10},
+		{name: "duplicate and empty execution names", sel: &Selection{Execution: "exec-a", Executions: []string{"", "exec-a"}}, status: 200, want: 5},
+		{name: "unknown execution", sel: &Selection{Execution: "nope"}, status: 404},
+		{name: "unknown execution beside families", sel: &Selection{Executions: []string{"exec-a", "nope"}, Families: []string{"type=application"}}, status: 404},
+		{name: "malformed spec", sel: &Selection{Families: []string{"bogus"}}, status: 400},
+		{name: "malformed legacy spec", legacy: []string{"rel=sideways"}, sel: &Selection{Execution: "exec-a"}, status: 400},
 	}
 	for _, tc := range cases {
-		var qr QueryResponse
-		code, raw := postJSON(t, ts.URL+"/v1/query", tc.req, &qr)
-		if code != http.StatusOK {
-			t.Fatalf("query: status %d: %s", code, raw)
-		}
-		if got := sqlCount(tc.sql); got != qr.Matches {
-			t.Errorf("%s: sql says %d, /v1/query says %d", tc.sql, got, qr.Matches)
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			var qr QueryResponse
+			if code, raw := postJSON(t, ts.URL+"/v1/query", QueryRequest{Families: tc.legacy, Select: tc.sel}, &qr); code != tc.status {
+				t.Errorf("/v1/query: status %d, want %d: %s", code, tc.status, raw)
+			}
+			read := srv.store.Telemetry().ResultsRead
+			var rr ResultsResponse
+			code, raw := postJSON(t, ts.URL+"/v1/results", ResultsRequest{Families: tc.legacy, Select: tc.sel}, &rr)
+			if code != tc.status {
+				t.Errorf("/v1/results: status %d, want %d: %s", code, tc.status, raw)
+			}
+			if got := int(srv.store.Telemetry().ResultsRead - read); got != tc.want {
+				t.Errorf("/v1/results materialized %d results for a selection of %d", got, tc.want)
+			}
+			code, lines := streamResults(t, ts.URL, ResultsRequest{Families: tc.legacy, Select: tc.sel})
+			if code != tc.status {
+				t.Errorf("/v1/results?stream=1: status %d, want %d", code, tc.status)
+			}
+
+			sel := tc.sel.WithFamilies(tc.legacy)
+			res, err := query.Resolve(context.Background(), srv.store, sel)
+			if got := statusOf(err, 200); got != tc.status {
+				t.Errorf("query.Resolve: %v (status %d), want status %d", err, got, tc.status)
+			}
+			if tc.status == 404 {
+				return // SQL has no unknown execution, only one that matches nothing
+			}
+			var where []string
+			for _, f := range sel.Families {
+				where = append(where, "family = '"+f+"'")
+			}
+			if execs := sel.ExecutionList(); len(execs) > 0 {
+				where = append(where, "execution IN ('"+strings.Join(execs, "', '")+"')")
+			}
+			sqlText := "SELECT count(*) FROM performance_result"
+			if len(where) > 0 {
+				sqlText += " WHERE " + strings.Join(where, " AND ")
+			}
+			var sr SQLResponse
+			if code, raw := postJSON(t, ts.URL+"/v1/sql", SQLRequest{SQL: sqlText}, &sr); code != tc.status {
+				t.Errorf("%s: status %d, want %d: %s", sqlText, code, tc.status, raw)
+			}
+			if tc.status != 200 {
+				return
+			}
+			if len(qr.Families) != len(sel.Families) || len(res.Counts) != len(sel.Families) {
+				t.Errorf("per-family counts: /v1/query %d, query.Resolve %d, want %d",
+					len(qr.Families), len(res.Counts), len(sel.Families))
+			}
+			for route, got := range map[string]int{
+				"/v1/query matches":          qr.Matches,
+				"/v1/results total":          rr.Total,
+				"/v1/results rows":           len(rr.Rows),
+				"/v1/results?stream=1 total": lines[0].Total,
+				"/v1/results?stream=1 rows":  lines[len(lines)-1].Rows,
+				"query.Resolve IDs":          len(res.IDs),
+				sqlText:                      int(sr.Rows[0][0].(float64)),
+			} {
+				if got != tc.want {
+					t.Errorf("%s = %d, want %d", route, got, tc.want)
+				}
+			}
+		})
 	}
+}
+
+// TestSQLDifferentialWithPRFilter retrieves the same family through
+// /v1/results and through /v1/sql and asserts identical rows — the
+// server-level counterpart of the planner's fuzz oracle.
+func TestSQLDifferentialWithPRFilter(t *testing.T) {
+	ts := seedTwoExecServer(t)
 
 	// Row-level: the same family through /v1/results and through SQL must
 	// yield the same (execution, metric, value) rows.
@@ -323,6 +391,20 @@ func TestResultsPagination(t *testing.T) {
 	}
 	if fmt.Sprint(paged) != fmt.Sprint(all.Rows) {
 		t.Errorf("paged walk diverges from the full retrieval:\n%v\nvs\n%v", paged, all.Rows)
+	}
+
+	// Cursors minted before every route shared one resolver keep resuming:
+	// the fingerprint covers the merged families, then the executions.
+	for cursor, req := range map[string]ResultsRequest{
+		"cjF8MXwyZ3N4MGppbG1pc2Nv": full,
+		"cjF8MXx1YXJpZXNrNTJhdHE": {Families: []string{"type=application"}, Metric: "wall time",
+			Select: &Selection{Execution: "exec-a", Families: []string{"type=execution"}}},
+	} {
+		req.Limit, req.Cursor = 2, cursor
+		var page ResultsResponse
+		if code, raw := postJSON(t, ts.URL+"/v1/results", req, &page); code != 200 || len(page.Rows) != 2 {
+			t.Errorf("cursor %s: status %d, %d rows: %s", cursor, code, len(page.Rows), raw)
+		}
 	}
 
 	// Bad cursors are 400s, not wrong pages.

@@ -6,6 +6,7 @@ package shell
 
 import (
 	"bufio"
+	"context"
 	"fmt"
 	"io"
 	"os"
@@ -23,11 +24,10 @@ import (
 // pr-filter under construction (Figure 3) and the retrieved result table
 // (Figure 4).
 type Session struct {
-	store    *datastore.Store
-	families []core.Family
-	specs    []string
-	tbl      *query.Table
-	out      *bufio.Writer
+	store *datastore.Store
+	specs []string // family specs of the pr-filter, in the order added
+	tbl   *query.Table
+	out   *bufio.Writer
 }
 
 // New creates a session writing to out.
@@ -127,24 +127,24 @@ func (s *Session) Dispatch(line string) error {
 	case "family":
 		return s.addFamily(rest)
 	case "families":
-		for i, spec := range s.specs {
-			n, err := s.store.CountFamilyMatches(s.families[i])
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(s.out, "%d: %q (%d resources, %d results alone)\n",
-				i, spec, s.families[i].Size(), n)
-		}
-		n, err := s.store.CountMatches(core.PRFilter{Families: s.families})
+		res, err := s.resolve(s.specs)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(s.out, "whole pr-filter: %d results\n", n)
+		for i, c := range res.Counts {
+			fmt.Fprintf(s.out, "%d: %q (%d resources, %d results alone)\n",
+				i, c.Spec, c.Resources, c.Matches)
+		}
+		fmt.Fprintf(s.out, "whole pr-filter: %d results\n", len(res.IDs))
 	case "clear":
-		s.families, s.specs, s.tbl = nil, nil, nil
+		s.specs, s.tbl = nil, nil
 		fmt.Fprintln(s.out, "cleared")
 	case "fetch":
-		tbl, err := query.Retrieve(s.store, core.PRFilter{Families: s.families})
+		res, err := s.resolve(s.specs)
+		if err != nil {
+			return err
+		}
+		tbl, err := query.NewTable(context.Background(), s.store, res.IDs)
 		if err != nil {
 			return err
 		}
@@ -170,9 +170,9 @@ func (s *Session) Dispatch(line string) error {
 			return fmt.Errorf("usage: addcol TYPE or addcol TYPE.ATTR")
 		}
 		if i := strings.LastIndexByte(args[0], '.'); i > 0 && !strings.Contains(args[0][i:], "/") {
-			return s.tbl.AddAttributeColumn(core.TypePath(args[0][:i]), args[0][i+1:])
+			return s.tbl.Refine(query.Refinement{AddAttributes: args})
 		}
-		return s.tbl.AddColumn(core.TypePath(args[0]), false)
+		return s.tbl.Refine(query.Refinement{AddColumns: args})
 	case "sort":
 		if s.tbl == nil {
 			return fmt.Errorf("fetch first")
@@ -314,27 +314,21 @@ func (s *Session) Dispatch(line string) error {
 	return nil
 }
 
+// resolve evaluates the pr-filter built from the given family specs.
+func (s *Session) resolve(specs []string) (*query.Resolution, error) {
+	return query.Resolve(context.Background(), s.store, &query.Selection{Families: specs})
+}
+
 func (s *Session) addFamily(spec string) error {
-	rf, err := query.ParseFilterSpec(spec)
+	specs := append(s.specs, spec)
+	res, err := s.resolve(specs)
 	if err != nil {
 		return err
 	}
-	fam, err := s.store.ApplyFilter(rf)
-	if err != nil {
-		return err
-	}
-	s.families = append(s.families, fam)
-	s.specs = append(s.specs, spec)
-	n, err := s.store.CountFamilyMatches(fam)
-	if err != nil {
-		return err
-	}
-	total, err := s.store.CountMatches(core.PRFilter{Families: s.families})
-	if err != nil {
-		return err
-	}
+	s.specs = specs
+	added := res.Counts[len(res.Counts)-1]
 	fmt.Fprintf(s.out, "family added: %d resources, %d results alone; whole filter now matches %d\n",
-		fam.Size(), n, total)
+		added.Resources, added.Matches, len(res.IDs))
 	return nil
 }
 
