@@ -832,17 +832,16 @@ func BenchmarkBulkLoad(b *testing.B) {
 	const nFiles = 8
 	paths := prepareBulkFiles(b, nFiles)
 
-	newFileStore := func(b *testing.B, kind string) (*datastore.Store, func()) {
+	newFileStore := func(b *testing.B) (*datastore.Store, func()) {
 		b.Helper()
 		dir, err := os.MkdirTemp("", "bulkbench")
 		if err != nil {
 			b.Fatal(err)
 		}
-		eng, err := reldb.Open(kind, dir)
+		fe, err := reldb.OpenFile(dir)
 		if err != nil {
 			b.Fatal(err)
 		}
-		fe := eng.(*reldb.FileEngine)
 		fe.SetSync(true)
 		s, err := datastore.Open(fe)
 		if err != nil {
@@ -860,11 +859,11 @@ func BenchmarkBulkLoad(b *testing.B) {
 		return s, func() { fe.Close(); os.RemoveAll(dir) }
 	}
 
-	run := func(kind string, load func(b *testing.B, s *datastore.Store)) func(*testing.B) {
+	run := func(load func(b *testing.B, s *datastore.Store)) func(*testing.B) {
 		return func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				s, cleanup := newFileStore(b, kind)
+				s, cleanup := newFileStore(b)
 				b.StartTimer()
 				load(b, s)
 				b.StopTimer()
@@ -875,7 +874,7 @@ func BenchmarkBulkLoad(b *testing.B) {
 		}
 	}
 
-	b.Run("per-record", run(reldb.KindWAL, func(b *testing.B, s *datastore.Store) {
+	b.Run("per-record", run(func(b *testing.B, s *datastore.Store) {
 		for _, path := range paths {
 			f, err := os.Open(path)
 			if err != nil {
@@ -897,24 +896,14 @@ func BenchmarkBulkLoad(b *testing.B) {
 			f.Close()
 		}
 	}))
-	b.Run("seq", run(reldb.KindWAL, func(b *testing.B, s *datastore.Store) {
+	b.Run("seq", run(func(b *testing.B, s *datastore.Store) {
 		for _, path := range paths {
 			if _, err := s.LoadPTdfFile(path); err != nil {
 				b.Fatal(err)
 			}
 		}
 	}))
-	// Same batched sequential load on the segment engine: the front-end
-	// write path is identical (WAL first), so this measures the cost of
-	// running ingest with the background compactor live.
-	b.Run("seq-segment", run(reldb.KindSegment, func(b *testing.B, s *datastore.Store) {
-		for _, path := range paths {
-			if _, err := s.LoadPTdfFile(path); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}))
-	b.Run("j4", run(reldb.KindWAL, func(b *testing.B, s *datastore.Store) {
+	b.Run("j4", run(func(b *testing.B, s *datastore.Store) {
 		for _, dr := range s.BulkLoadFiles(paths, 4) {
 			if dr.Err != nil {
 				b.Fatal(dr.Err)
@@ -940,12 +929,13 @@ func benchResultRows(b *testing.B) int {
 }
 
 // BenchmarkMaterializeEngines compares the full MaterializeResults fetch
-// path across storage engines on the synthetic corpus (benchResultRows
-// result rows, heavily shared foci). The segment engine is compacted
-// before timing, so its runs take the zone-map-pruned columnar scan path
-// while wal takes the same request through per-row B-tree lookups. The
-// headline claim is segment vs wal: sequential column scans beat B-tree
-// walks by >=3x at 100k rows.
+// path across storage shapes on the synthetic corpus (benchResultRows
+// result rows, heavily shared foci): mem, a durable store that has
+// compacted nothing, and a durable store compacted before timing. The
+// compacted runs take the zone-map-pruned columnar scan path while the
+// other two take the same request through the B-tree. The headline claim
+// is compacted vs uncompacted: sequential column scans beat B-tree walks
+// by >=3x at 100k rows.
 func BenchmarkMaterializeEngines(b *testing.B) {
 	rows := benchResultRows(b)
 	recs := experiments.SynthResultRecords(rows)
@@ -954,11 +944,17 @@ func BenchmarkMaterializeEngines(b *testing.B) {
 	// the mark cost of the seeded store dominates both sides and buries
 	// the fetch-path difference being measured.
 	defer debug.SetGCPercent(debug.SetGCPercent(400))
-	for _, kind := range []string{reldb.KindMem, reldb.KindWAL, reldb.KindSegment} {
-		b.Run(kind, func(b *testing.B) {
-			eng, err := reldb.Open(kind, b.TempDir())
-			if err != nil {
-				b.Fatal(err)
+	for _, shape := range []string{"mem", "durable-uncompacted", "durable-compacted"} {
+		b.Run(shape, func(b *testing.B) {
+			var eng reldb.Engine = reldb.NewMem()
+			var fe *reldb.FileEngine
+			if shape != "mem" {
+				var err error
+				if fe, err = reldb.OpenFile(b.TempDir()); err != nil {
+					b.Fatal(err)
+				}
+				fe.SetSegmentFlushRows(1 << 40) // the compactor runs only when asked
+				eng = fe
 			}
 			defer eng.Close()
 			s, ids, err := experiments.SeedSynthStore(eng, recs)
@@ -968,8 +964,9 @@ func BenchmarkMaterializeEngines(b *testing.B) {
 			if len(ids) != rows {
 				b.Fatalf("seeded %d of %d results", len(ids), rows)
 			}
-			if kind == reldb.KindSegment {
-				if err := eng.(*reldb.FileEngine).CompactSegments(); err != nil {
+			compacted := shape == "durable-compacted"
+			if compacted {
+				if err := fe.CompactSegments(); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -994,8 +991,8 @@ func BenchmarkMaterializeEngines(b *testing.B) {
 			// compactor drain) is not part of the materialize cost.
 			b.StopTimer()
 			b.ReportMetric(float64(rows)*float64(b.N)/b.Elapsed().Seconds(), "results/s")
-			if kind == reldb.KindSegment && s.Telemetry().SegmentScans == 0 {
-				b.Fatal("segment run never took the columnar scan path")
+			if scanned := s.Telemetry().SegmentScans > 0; scanned != compacted {
+				b.Fatalf("columnar scan path taken = %v on a %s store", scanned, shape)
 			}
 		})
 	}

@@ -167,7 +167,7 @@ func main() {
 // (BENCH_materialize.json, BENCH_bulkload.json, BENCH_sql.json,
 // BENCH_scan.json, BENCH_diagnose.json).
 func runBenchJSON(rows, iters, execs int, outDir string) error {
-	engines := []string{reldb.KindMem, reldb.KindWAL, reldb.KindSegment}
+	engines := []string{reldb.KindMem, reldb.KindSegment}
 	work, err := os.MkdirTemp("", "perftrack-bench-*")
 	if err != nil {
 		return err

@@ -13,7 +13,7 @@
 // Only ratios whose baseline is at least -min-ratio (default 10x) are
 // gated: those are the order-of-magnitude claims the benchmarks exist
 // to protect (today, planned-vs-naive on the segment engine). Smaller
-// ratios (planned-vs-naive on mem/wal, where one executor over
+// ratios (planned-vs-naive on mem, where one executor over
 // transposed blocks measures anywhere from 3x to 9x at CI scale, worker
 // scaling on single-core runners) are reported but not gated — at that
 // scale run-to-run scheduling noise exceeds any real signal.

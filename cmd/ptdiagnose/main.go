@@ -44,7 +44,6 @@ func (s *stringList) Set(v string) error {
 
 func main() {
 	dbDir := flag.String("db", "", "data store directory")
-	storage := flag.String("storage", "", "storage engine: wal or segment (default: auto-detect)")
 	remote := flag.String("remote", "", "ptserved base URL (e.g. http://localhost:7075) instead of -db")
 	var execsA, execsB, famsA, famsB stringList
 	flag.Var(&execsA, "a", "fast-side execution (repeatable)")
@@ -67,7 +66,7 @@ func main() {
 		os.Exit(2)
 	}
 	if *attrs {
-		runAttrs(*dbDir, *storage, *remote, *attrPrefix)
+		runAttrs(*dbDir, *remote, *attrPrefix)
 		return
 	}
 
@@ -107,12 +106,12 @@ func main() {
 			fatal(err)
 		}
 		spec.Workers = *workers
-		eng, err := reldb.Open(*storage, *dbDir)
+		fe, err := reldb.OpenFile(*dbDir)
 		if err != nil {
 			fatal(err)
 		}
-		defer eng.Close()
-		store, err := datastore.Open(eng)
+		defer fe.Close()
+		store, err := datastore.Open(fe)
 		if err != nil {
 			fatal(err)
 		}
@@ -126,7 +125,7 @@ func main() {
 }
 
 // runAttrs lists attribute keys with their value domains.
-func runAttrs(dbDir, storage, remote, prefix string) {
+func runAttrs(dbDir, remote, prefix string) {
 	var keys []server.AttributeKey
 	if remote != "" {
 		resp, err := client.New(remote).Attributes(context.Background(), prefix)
@@ -135,12 +134,12 @@ func runAttrs(dbDir, storage, remote, prefix string) {
 		}
 		keys = resp.Keys
 	} else {
-		eng, err := reldb.Open(storage, dbDir)
+		fe, err := reldb.OpenFile(dbDir)
 		if err != nil {
 			fatal(err)
 		}
-		defer eng.Close()
-		store, err := datastore.Open(eng)
+		defer fe.Close()
+		store, err := datastore.Open(fe)
 		if err != nil {
 			fatal(err)
 		}

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	ptinit -db DIR [-storage wal|segment] [-machines] [-maxnodes N]
+//	ptinit -db DIR [-machines] [-maxnodes N]
 package main
 
 import (
@@ -21,20 +21,15 @@ func main() {
 	dbDir := flag.String("db", "", "data store directory (required)")
 	machines := flag.Bool("machines", false, "preload the MCR/Frost/UV/BG/L machine catalog")
 	maxNodes := flag.Int("maxnodes", 8, "cap on nodes emitted per partition when preloading machines (0 = all)")
-	storage := flag.String("storage", "", "storage engine: wal or segment (default: wal)")
 	flag.Parse()
 	if *dbDir == "" {
 		fmt.Fprintln(os.Stderr, "ptinit: -db is required")
 		flag.Usage()
 		os.Exit(2)
 	}
-	eng, err := reldb.Open(*storage, *dbDir)
+	fe, err := reldb.OpenFile(*dbDir)
 	if err != nil {
 		fatal(err)
-	}
-	fe, ok := eng.(*reldb.FileEngine)
-	if !ok {
-		fatal(fmt.Errorf("storage engine %q is not durable; use wal or segment", eng.Kind()))
 	}
 	defer fe.Close()
 	store, err := datastore.Open(fe)

@@ -29,7 +29,6 @@ func main() {
 	dbDir := flag.String("db", "", "data store directory")
 	remote := flag.String("remote", "", "ptserved base URL (e.g. http://localhost:7075) instead of -db")
 	checkpoint := flag.Bool("checkpoint", true, "checkpoint the store after loading (direct -db mode only)")
-	storage := flag.String("storage", "", "storage engine: wal or segment (default: auto-detect; wal for a new store)")
 	workers := flag.Int("j", 1, "parallel decode workers (bulk mode when > 1)")
 	verbose := flag.Bool("verbose", false, "print client instrumentation (requests, retries, backoff) after a -remote load")
 	flag.Parse()
@@ -46,13 +45,9 @@ func main() {
 		loadRemote(*remote, flag.Args(), *workers, *verbose)
 		return
 	}
-	eng, err := reldb.Open(*storage, *dbDir)
+	fe, err := reldb.OpenFile(*dbDir)
 	if err != nil {
 		fatal(err)
-	}
-	fe, ok := eng.(*reldb.FileEngine)
-	if !ok {
-		fatal(fmt.Errorf("storage engine %q is not durable; use wal or segment", eng.Kind()))
 	}
 	defer fe.Close()
 	store, err := datastore.Open(fe)

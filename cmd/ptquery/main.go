@@ -74,7 +74,6 @@ func main() {
 	limit := flag.Int("limit", 50, "maximum rows to print (0 = all)")
 	stream := flag.Bool("stream", false, "with -remote: stream rows as NDJSON arrives (/v1/results?stream=1) instead of fetching the whole table")
 	verbose := flag.Bool("verbose", false, "with -remote: print client instrumentation (requests, retries, backoff) to stderr")
-	storage := flag.String("storage", "", "storage engine: wal or segment (default: auto-detect)")
 	flag.Parse()
 
 	if (*dbDir == "") == (*remote == "") {
@@ -101,12 +100,12 @@ func main() {
 	if *stream {
 		fatal(fmt.Errorf("-stream needs -remote; local retrieval is already in-process"))
 	}
-	eng, err := reldb.Open(*storage, *dbDir)
+	fe, err := reldb.OpenFile(*dbDir)
 	if err != nil {
 		fatal(err)
 	}
-	defer eng.Close()
-	store, err := datastore.Open(eng)
+	defer fe.Close()
+	store, err := datastore.Open(fe)
 	if err != nil {
 		fatal(err)
 	}
@@ -136,10 +135,8 @@ func main() {
 		if err := store.DeleteExecution(*deleteExec); err != nil {
 			fatal(err)
 		}
-		if fe, ok := eng.(*reldb.FileEngine); ok {
-			if err := fe.Checkpoint(); err != nil {
-				fatal(err)
-			}
+		if err := fe.Checkpoint(); err != nil {
+			fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "deleted execution %s\n", *deleteExec)
 		return

@@ -6,9 +6,9 @@
 // Usage:
 //
 //	ptserved -db DIR [-addr :7075] [-readonly] [-max-inflight N]
-//	         [-timeout 30s] [-auto-checkpoint N] [-sync] [-pprof addr]
+//	         [-timeout 30s] [-sync] [-pprof addr]
 //	         [-log-level info] [-slow-threshold 1s] [-trace-buffer 256]
-//	         [-storage mem|wal|segment] [-segment-flush N]
+//	         [-storage mem|segment] [-segment-flush N]
 //	         [-plan-cache-bytes N]
 //
 // On SIGINT/SIGTERM the server drains in-flight requests, checkpoints
@@ -39,15 +39,14 @@ func main() {
 	readOnly := flag.Bool("readonly", false, "reject PTdf ingest (/v1/load returns 403)")
 	maxInFlight := flag.Int("max-inflight", 64, "maximum concurrently served API requests; excess is shed with 429")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request timeout for API endpoints")
-	autoCheckpoint := flag.Int64("auto-checkpoint", 50000, "snapshot after this many WAL records (0 disables)")
 	syncWAL := flag.Bool("sync", false, "fsync the WAL on every mutation")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight requests")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); empty disables")
 	logLevel := flag.String("log-level", "info", "structured log level: debug, info, warn, or error")
 	slowThreshold := flag.Duration("slow-threshold", time.Second, "log requests at or over this duration and keep their traces in the slow ring (negative disables)")
 	traceBuffer := flag.Int("trace-buffer", 256, "completed traces retained for /v1/debug/traces")
-	storage := flag.String("storage", "", "storage engine: mem, wal, or segment (default: auto-detect; wal for a new store)")
-	segmentFlush := flag.Int64("segment-flush", 0, "segment engine: compact a hot table once this many rows are pending (0 = engine default)")
+	storage := flag.String("storage", "", "storage engine: mem or segment (default segment; the legacy name wal means segment)")
+	segmentFlush := flag.Int64("segment-flush", 0, "compact a hot table once this many rows are pending (0 = engine default)")
 	planCacheBytes := flag.Int64("plan-cache-bytes", 0, "byte bound for the /v1/sql result cache (0 = default 32MiB, negative disables)")
 	queryLogBytes := flag.Int64("query-log-bytes", 0, "byte bound per ring of the /v1/debug/queries profile capture (0 = default 1MiB, negative disables)")
 	selfMonInterval := flag.Duration("selfmon-interval", 0, "continuous self-diagnosis sampling period (0 = default 15s, negative disables)")
@@ -75,7 +74,6 @@ func main() {
 	defer eng.Close()
 	var checkpointer server.Checkpointer
 	if fe, ok := eng.(*reldb.FileEngine); ok {
-		fe.AutoCheckpoint = *autoCheckpoint
 		fe.SetSync(*syncWAL)
 		if *segmentFlush > 0 {
 			fe.SetSegmentFlushRows(*segmentFlush)

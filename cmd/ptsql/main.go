@@ -40,7 +40,6 @@ import (
 func main() {
 	dbDir := flag.String("db", "", "data store directory")
 	remote := flag.String("remote", "", "ptserved base URL (e.g. http://localhost:7075) instead of -db")
-	storage := flag.String("storage", "", "storage engine: wal or segment (default: auto-detect)")
 	explain := flag.Bool("explain", false, "print the chosen plan with estimated vs. actual cardinalities to stderr")
 	analyze := flag.Bool("analyze", false, "like -explain, plus the execution profile (rows, blocks, kernel/merge time, workers)")
 	limit := flag.Int("limit", 0, "maximum rows to return (0 = all)")
@@ -72,12 +71,12 @@ func main() {
 		return
 	}
 
-	eng, err := reldb.Open(*storage, *dbDir)
+	fe, err := reldb.OpenFile(*dbDir)
 	if err != nil {
 		fatal(err)
 	}
-	defer eng.Close()
-	store, err := datastore.Open(eng)
+	defer fe.Close()
+	store, err := datastore.Open(fe)
 	if err != nil {
 		fatal(err)
 	}

@@ -10,19 +10,18 @@ import (
 	"perftrack/internal/reldb"
 )
 
-// newSegmentStore opens a store on a fresh segment engine with an
+// newSegmentStore opens a store on a fresh durable engine with an
 // aggressive flush threshold so the background compactor engages at
 // test scale.
 func newSegmentStore(t *testing.T) (*Store, *reldb.FileEngine) {
 	t.Helper()
-	eng, err := reldb.Open(reldb.KindSegment, t.TempDir())
+	fe, err := reldb.OpenFile(t.TempDir())
 	if err != nil {
-		t.Fatalf("Open segment engine: %v", err)
+		t.Fatalf("Open durable engine: %v", err)
 	}
-	fe := eng.(*reldb.FileEngine)
 	fe.SetSegmentFlushRows(256)
 	t.Cleanup(func() { fe.Close() })
-	s, err := Open(eng)
+	s, err := Open(fe)
 	if err != nil {
 		t.Fatalf("Open store: %v", err)
 	}
@@ -64,15 +63,38 @@ func addSegResult(t testing.TB, s *Store, i int) int64 {
 }
 
 // TestMaterializeSegmentEquivalence compares the block-source fetch on
-// a compacted segment store — segment blocks plus the transposed,
-// unflushed tail — against the per-ID reference for every result.
+// a durable store against the per-ID reference for every result, first
+// with nothing compacted (every row transposed from the B-tree), then
+// compacted — segment blocks plus the transposed, unflushed tail.
 func TestMaterializeSegmentEquivalence(t *testing.T) {
 	s, fe := newSegmentStore(t)
+	fe.SetSegmentFlushRows(1 << 40) // the compactor runs only when asked
 	seedSegmentStudy(t, s)
-	ids := make([]int64, 0, 600)
+	ids := make([]int64, 0, 650)
 	for i := 0; i < 600; i++ {
 		ids = append(ids, addSegResult(t, s, i))
 	}
+	compare := func(wantSegmentScan bool) {
+		t.Helper()
+		before := s.Telemetry().SegmentScans
+		got, err := s.MaterializeResults(ids)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if scanned := s.Telemetry().SegmentScans != before; scanned != wantSegmentScan {
+			t.Fatalf("segment scan path taken = %v, want %v", scanned, wantSegmentScan)
+		}
+		want := perIDResults(t, s, ids)
+		if len(got) != len(want) {
+			t.Fatalf("%d results, want %d", len(got), len(want))
+		}
+		for i := range want {
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Fatalf("result %d differs:\n got  %+v\n want %+v", i, got[i], want[i])
+			}
+		}
+	}
+	compare(false)
 	if err := fe.CompactSegments(); err != nil {
 		t.Fatal(err)
 	}
@@ -80,23 +102,7 @@ func TestMaterializeSegmentEquivalence(t *testing.T) {
 	for i := 600; i < 650; i++ {
 		ids = append(ids, addSegResult(t, s, i))
 	}
-	before := s.Telemetry().SegmentScans
-	got, err := s.MaterializeResults(ids)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Telemetry().SegmentScans == before {
-		t.Fatal("segment scan path not taken on a compacted store")
-	}
-	want := perIDResults(t, s, ids)
-	if len(got) != len(want) {
-		t.Fatalf("%d results, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if !reflect.DeepEqual(got[i], want[i]) {
-			t.Fatalf("result %d differs:\n got  %+v\n want %+v", i, got[i], want[i])
-		}
-	}
+	compare(true)
 }
 
 // TestMaterializeSegmentEquivalenceConcurrentLoad runs the comparison

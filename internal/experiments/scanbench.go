@@ -2,7 +2,7 @@ package experiments
 
 // Segment-kernel scan benchmark behind `ptbench -benchjson`'s
 // BENCH_scan.json artifact. The grouped aggregate below runs on the
-// segment engine through the column kernels at 1, 4, and all available
+// durable engine through the column kernels at 1, 4, and all available
 // workers; the w1/w4 pair documents parallel scaling. (The executor-vs-
 // oracle comparison is BENCH_sql.json's sql-planned vs sql-naive.)
 
@@ -22,9 +22,9 @@ import (
 // commits, compacting after each, so the result table lands in that many
 // columnar segments instead of one (a single compaction pass flushes the
 // whole tail into one segment file).
-func seedSegmentedSynthStore(eng reldb.Engine, fe *reldb.FileEngine, rows, segments int) (*datastore.Store, error) {
+func seedSegmentedSynthStore(fe *reldb.FileEngine, rows, segments int) (*datastore.Store, error) {
 	recs := SynthResultRecords(rows)
-	s, err := datastore.Open(eng)
+	s, err := datastore.Open(fe)
 	if err != nil {
 		return nil, err
 	}
@@ -79,23 +79,19 @@ type scanBenchMode struct {
 	workers int // 0 = GOMAXPROCS
 }
 
-// ScanBenchmark seeds the synthetic corpus on the segment engine,
+// ScanBenchmark seeds the synthetic corpus on the durable engine,
 // compacts it into columnar segments, and times ScanBenchQuery in each
 // mode, returning one BenchResult per mode. Every mode must actually read
 // segment blocks (Profile.BlocksScanned > 0); a scan served from the
 // B-tree instead is reported as an error rather than a bogus number.
 func ScanBenchmark(dir string, rows, iters int) ([]BenchResult, error) {
 	date := time.Now().UTC().Format("2006-01-02")
-	eng, err := openBenchEngine(reldb.KindSegment, dir)
+	fe, err := reldb.OpenFile(dir)
 	if err != nil {
 		return nil, err
 	}
-	defer eng.Close()
-	fe, ok := eng.(*reldb.FileEngine)
-	if !ok {
-		return nil, fmt.Errorf("scan benchmark: segment engine is %T, want *reldb.FileEngine", eng)
-	}
-	s, err := seedSegmentedSynthStore(eng, fe, rows, scanBenchSegments)
+	defer fe.Close()
+	s, err := seedSegmentedSynthStore(fe, rows, scanBenchSegments)
 	if err != nil {
 		return nil, err
 	}

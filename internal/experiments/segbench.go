@@ -80,16 +80,11 @@ func SeedSynthStore(eng reldb.Engine, recs []ptdf.Record) (*datastore.Store, []i
 // BenchResult is one measurement row in the BENCH_*.json artifacts.
 type BenchResult struct {
 	Op       string  `json:"op"`     // materialize or bulkload
-	Engine   string  `json:"engine"` // mem, wal, segment
+	Engine   string  `json:"engine"` // mem or segment
 	Rows     int     `json:"rows"`
 	NsPerOp  float64 `json:"ns_per_op"`
 	MBPerSec float64 `json:"mb_per_sec"`
 	Date     string  `json:"date"` // UTC, YYYY-MM-DD
-}
-
-// openBenchEngine opens a fresh engine of the given kind under dir.
-func openBenchEngine(kind, dir string) (reldb.Engine, error) {
-	return reldb.Open(kind, dir)
 }
 
 // MaterializeBenchmark times MaterializeResults over the full synthetic
@@ -101,7 +96,7 @@ func MaterializeBenchmark(kind, dir string, rows, iters int) (BenchResult, error
 	// Same collector pacing as BenchmarkMaterializeEngines, so the JSON
 	// artifact and the go-test numbers are comparable.
 	defer debug.SetGCPercent(debug.SetGCPercent(400))
-	eng, err := openBenchEngine(kind, dir)
+	eng, err := reldb.Open(kind, dir)
 	if err != nil {
 		return res, err
 	}
@@ -110,7 +105,7 @@ func MaterializeBenchmark(kind, dir string, rows, iters int) (BenchResult, error
 	if err != nil {
 		return res, err
 	}
-	if fe, ok := eng.(*reldb.FileEngine); ok && kind == reldb.KindSegment {
+	if fe, ok := eng.(*reldb.FileEngine); ok {
 		if err := fe.CompactSegments(); err != nil {
 			return res, err
 		}
@@ -147,7 +142,7 @@ func BulkLoadBenchmark(kind, dir string, rows int) (BenchResult, error) {
 	res := BenchResult{Op: "bulkload", Engine: kind, Rows: rows,
 		Date: time.Now().UTC().Format("2006-01-02")}
 	recs := SynthResultRecords(rows)
-	eng, err := openBenchEngine(kind, dir)
+	eng, err := reldb.Open(kind, dir)
 	if err != nil {
 		return res, err
 	}

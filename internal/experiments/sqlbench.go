@@ -29,7 +29,7 @@ const sqlBenchGroups = 16
 // per mode ("sql-planned", then "sql-naive").
 func SQLBenchmark(kind, dir string, rows, iters int) ([]BenchResult, error) {
 	date := time.Now().UTC().Format("2006-01-02")
-	eng, err := openBenchEngine(kind, dir)
+	eng, err := reldb.Open(kind, dir)
 	if err != nil {
 		return nil, err
 	}
@@ -38,7 +38,7 @@ func SQLBenchmark(kind, dir string, rows, iters int) ([]BenchResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	if fe, ok := eng.(*reldb.FileEngine); ok && kind == reldb.KindSegment {
+	if fe, ok := eng.(*reldb.FileEngine); ok {
 		if err := fe.CompactSegments(); err != nil {
 			return nil, err
 		}

@@ -105,20 +105,22 @@ var differentialQueries = []string{
 }
 
 // differentialStores seeds the same n-result corpus on every storage
-// shape the block source serves: the mem and wal engines (all rows
-// transposed from the B-tree), a segment store with compacted segments
-// plus an uncompacted tail, and a segment store whose view is refused
-// because a flushed row was updated (dirty: B-tree only, stale segments
-// must not be read).
+// shape the block source serves: the mem engine and a durable store that
+// has compacted nothing (all rows transposed from the B-tree), a durable
+// store with compacted segments plus an uncompacted tail, and one whose
+// view is refused because a flushed row was updated (dirty: B-tree only,
+// stale segments must not be read).
 func differentialStores(t testing.TB, n int) []struct {
 	label string
 	st    *datastore.Store
 } {
 	t.Helper()
-	wal, err := reldb.Open(reldb.KindWAL, t.TempDir())
+	uncompacted, err := reldb.OpenFile(t.TempDir())
 	if err != nil {
-		t.Fatalf("open wal engine: %v", err)
+		t.Fatalf("open durable engine: %v", err)
 	}
+	t.Cleanup(func() { uncompacted.Close() })
+	uncompacted.SetSegmentFlushRows(1 << 40)
 	seg, _ := seedSegmentStore(t, t.TempDir(), n-n/4, 2, n/4)
 	dirty, fe := seedSegmentStore(t, t.TempDir(), n-n/4, 2, n/4)
 	tab, _ := dirty.Table("performance_result")
@@ -138,7 +140,7 @@ func differentialStores(t testing.TB, n int) []struct {
 		st    *datastore.Store
 	}{
 		{"mem", seedStore(t, reldb.NewMem(), n)},
-		{"wal", seedStore(t, wal, n)},
+		{"durable-uncompacted", seedStore(t, uncompacted, n)},
 		{"segment+tail", seg},
 		{"segment-dirty", dirty},
 	}
@@ -233,16 +235,16 @@ func TestAggregatePushdown(t *testing.T) {
 	}
 }
 
-// TestZoneMapStrategy checks that on a segment engine with flushed
+// TestZoneMapStrategy checks that on a durable engine with flushed
 // columnar segments, unselective scans choose zone-map pruning and still
 // match naive results.
 func TestZoneMapStrategy(t *testing.T) {
-	eng, err := reldb.Open(reldb.KindSegment, t.TempDir())
+	eng, err := reldb.OpenFile(t.TempDir())
 	if err != nil {
 		t.Fatalf("open engine: %v", err)
 	}
 	st := seedStore(t, eng, 400)
-	if err := eng.(*reldb.FileEngine).CompactSegments(); err != nil {
+	if err := eng.CompactSegments(); err != nil {
 		t.Fatalf("compact: %v", err)
 	}
 	p := New(st)

@@ -9,17 +9,16 @@ import (
 	"perftrack/internal/reldb"
 )
 
-// seedSegmentStore seeds a segment-engine store in batches, compacting
+// seedSegmentStore seeds a durable store in batches, compacting
 // after each, so the view holds batches independent segments plus a
 // B-tree tail of extra uncompacted rows.
 func seedSegmentStore(t testing.TB, dir string, n, batches, tail int) (*datastore.Store, *reldb.FileEngine) {
 	t.Helper()
-	eng, err := reldb.Open(reldb.KindSegment, dir)
+	fe, err := reldb.OpenFile(dir)
 	if err != nil {
 		t.Fatalf("open engine: %v", err)
 	}
-	fe := eng.(*reldb.FileEngine)
-	st, err := datastore.Open(eng)
+	st, err := datastore.Open(fe)
 	if err != nil {
 		t.Fatalf("open store: %v", err)
 	}

@@ -9,8 +9,8 @@ import (
 // sees, on every engine. Table.Blocks opens an inclusive range of
 // first-primary-key values and yields ColumnBlocks in ascending PK
 // order — first the immutable segment blocks whose zone maps intersect
-// the range (none on mem/wal, or while the segment view is dirty or
-// unordered), then the B-tree rows no segment covers, transposed into a
+// the range (none on mem, before the first compaction, or while the
+// segment view is dirty or unordered), then the B-tree rows no segment covers, transposed into a
 // reusable block of up to blockRows rows. Table.Gather transposes an
 // ascending row-ID list the same way. Consumers never learn which
 // storage shape a block came from.

@@ -142,7 +142,7 @@ func linkPairs(t *testing.T, tab *Table, lo, hi int64) [][2]int64 {
 // — each exactly once and in PK order, and stops serving segments once
 // the view is dirty.
 func TestBlockSourceSegmentsThenTail(t *testing.T) {
-	fe := openSegEngine(t, t.TempDir())
+	fe := openTestEngine(t, t.TempDir())
 	defer fe.Close()
 	if err := fe.CreateTable(fhrSchema()); err != nil {
 		t.Fatal(err)
@@ -207,7 +207,7 @@ func TestBlockSourceSegmentsThenTail(t *testing.T) {
 // -race this is the check that the transposer's B-tree reads and the
 // compactor's publication are synchronized.
 func TestBlockSourceDuringCompaction(t *testing.T) {
-	fe := openSegEngine(t, t.TempDir())
+	fe := openTestEngine(t, t.TempDir())
 	defer fe.Close()
 	if err := fe.CreateTable(resultSchema()); err != nil {
 		t.Fatal(err)

@@ -12,9 +12,9 @@ import (
 	"time"
 )
 
-// The segment engine ("segment" storage kind) extends the WAL engine
-// with a background compactor that drains committed WAL batches for the
-// hot, bulk-scanned tables into immutable columnar segment files. The
+// The durable engine's background compactor drains committed WAL
+// batches for the hot, bulk-scanned tables into immutable columnar
+// segment files. The
 // WAL remains the single source of truth: a segment only becomes
 // load-bearing once the WAL records it covers are fsynced, the segment
 // file itself is fsynced, and the manifest references it — and the WAL
@@ -37,8 +37,8 @@ import (
 //	            next checkpoint drops the segments, snapshots the full
 //	            table, and starts over.
 
-// segmentHotTables lists the bulk-scanned relations the segment engine
-// compacts into columnar files. Everything else lives purely in the
+// segmentHotTables lists the bulk-scanned relations the compactor
+// drains into columnar files. Everything else lives purely in the
 // B-tree and the snapshot.
 var segmentHotTables = []string{"performance_result", "result_has_focus", "focus_has_resource"}
 
@@ -75,7 +75,7 @@ type segTable struct {
 	havePK  bool
 }
 
-// segState is the segment-engine extension hung off a FileEngine.
+// segState is a FileEngine's compaction and segment-residency state.
 type segState struct {
 	fe     *FileEngine
 	dir    string
@@ -93,7 +93,6 @@ type segState struct {
 	stop     chan struct{}
 	done     chan struct{}
 	stopOnce sync.Once
-	started  bool
 }
 
 func newSegState(fe *FileEngine) *segState {
@@ -114,9 +113,8 @@ func newSegState(fe *FileEngine) *segState {
 
 // SetSegmentFlushRows sets how many unflushed tail rows a hot table
 // accumulates before the background compactor drains it into a segment.
-// No-op on non-segment engines.
 func (fe *FileEngine) SetSegmentFlushRows(n int64) {
-	if fe.seg != nil && n > 0 {
+	if n > 0 {
 		fe.seg.flushRows.Store(n)
 	}
 }
@@ -244,22 +242,14 @@ func (st *segState) run() {
 func (st *segState) shutdown() {
 	st.stopOnce.Do(func() {
 		close(st.stop)
-		if st.started {
-			<-st.done
-		}
+		<-st.done
 	})
 }
 
 // CompactSegments synchronously drains every hot table's unflushed tail
 // into columnar segments, regardless of the flush threshold. It returns
-// errCompactBusy semantics as an error if a write batch is open. No-op
-// on non-segment engines.
-func (fe *FileEngine) CompactSegments() error {
-	if fe.seg == nil {
-		return nil
-	}
-	return fe.seg.compact(1)
-}
+// errCompactBusy semantics as an error if a write batch is open.
+func (fe *FileEngine) CompactSegments() error { return fe.seg.compact(1) }
 
 // compact runs one compaction pass over every hot table whose tail has
 // at least min rows, then rewrites the manifest once.
@@ -409,42 +399,28 @@ func (st *segState) writeManifest() error {
 	}
 	st.mu.RUnlock()
 
-	path := filepath.Join(st.dir, manifestFile)
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
+	err := replaceFile(filepath.Join(st.dir, manifestFile), func(rw *recordWriter) error {
+		hdr := putUvarint(nil, 1) // version
+		hdr = putVarint(hdr, st.nextSeq)
+		if err := rw.writeRecord(hdr); err != nil {
+			return err
+		}
+		for _, e := range entries {
+			p := putString(nil, e.name)
+			p = putUvarint(p, uint64(len(e.files)))
+			for _, file := range e.files {
+				p = putString(p, file)
+			}
+			if err := rw.writeRecord(p); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 	if err != nil {
 		return fmt.Errorf("reldb: write manifest: %w", err)
 	}
-	rw := newRecordWriter(f)
-	hdr := putUvarint(nil, 1) // version
-	hdr = putVarint(hdr, st.nextSeq)
-	if err := rw.writeRecord(hdr); err != nil {
-		f.Close()
-		return err
-	}
-	for _, e := range entries {
-		p := putString(nil, e.name)
-		p = putUvarint(p, uint64(len(e.files)))
-		for _, file := range e.files {
-			p = putString(p, file)
-		}
-		if err := rw.writeRecord(p); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	if err := rw.flush(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
+	return nil
 }
 
 // load reads the manifest and its segment files, registering each
@@ -754,21 +730,17 @@ type SegmentTableStatus struct {
 	Unordered   bool   `json:"unordered"`
 }
 
-// SegmentStats summarizes the segment engine's compaction state.
+// SegmentStats summarizes the durable engine's compaction state.
 type SegmentStats struct {
-	Enabled         bool                 `json:"enabled"`
+	Enabled         bool                 `json:"enabled"` // always true; kept on the wire for /v1/stats readers
 	FlushRows       int64                `json:"flush_rows"`
 	Compactions     uint64               `json:"compactions"`
 	SegmentsWritten uint64               `json:"segments_written"`
 	Tables          []SegmentTableStatus `json:"tables,omitempty"`
 }
 
-// SegmentStats reports compaction status; Enabled is false on the plain
-// WAL engine.
+// SegmentStats reports compaction status.
 func (fe *FileEngine) SegmentStats() SegmentStats {
-	if fe.seg == nil {
-		return SegmentStats{}
-	}
 	st := fe.seg
 	out := SegmentStats{
 		Enabled:         true,

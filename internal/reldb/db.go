@@ -44,7 +44,7 @@ type DB struct {
 	mu     sync.RWMutex
 	tables map[string]*Table
 	logger mutationLogger
-	seg    *segState // non-nil on the "segment" engine: Table.Blocks reads its views
+	seg    *segState // nil on mem, set by OpenFile: Table.Blocks reads its views
 }
 
 // NewMem creates an in-memory database engine. It corresponds to running
@@ -297,7 +297,7 @@ func (t *Table) containsValueLocked(column string, v Value) bool {
 // Stats summarizes the database contents and storage footprint. The
 // file-backed engines additionally fill the on-disk fields.
 type Stats struct {
-	Kind       string                `json:"kind"` // storage engine kind: mem, wal, segment
+	Kind       string                `json:"kind"` // storage engine kind: mem or segment
 	Tables     int                   `json:"tables"`
 	Rows       int64                 `json:"rows"`
 	DataBytes  int64                 `json:"data_bytes"`  // row payload bytes resident in memory
@@ -306,12 +306,12 @@ type Stats struct {
 
 	WALBytes      int64 `json:"wal_bytes,omitempty"` // durable engines only
 	SnapshotBytes int64 `json:"snapshot_bytes,omitempty"`
-	SegmentBytes  int64 `json:"segment_bytes,omitempty"` // segment engine only
+	SegmentBytes  int64 `json:"segment_bytes,omitempty"` // durable engine only
 	DiskBytes     int64 `json:"disk_bytes,omitempty"`    // WAL + snapshot + segments
 }
 
 // TableStats summarizes one table: row/byte footprint in the B-tree
-// representation plus, on the segment engine, columnar residency.
+// representation plus, on the durable engine, columnar residency.
 type TableStats struct {
 	Rows       int64 `json:"rows"`
 	DataBytes  int64 `json:"data_bytes"`

@@ -7,25 +7,25 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"sort"
 )
 
 // FileEngine is the durable storage engine: an in-memory DB whose
-// mutations stream to a write-ahead log, with periodic full snapshots.
-// Opening a directory loads the latest snapshot and replays the WAL,
-// discarding a torn trailing record. It stands in for the persistent DBMS
-// backends (Oracle, PostgreSQL) of the original PerfTrack prototype.
+// mutations stream to a write-ahead log, a background compactor that
+// drains the hot tables into columnar segment files (compact.go), and
+// snapshots written by Checkpoint. Opening a directory loads the latest
+// snapshot, attaches the segments and replays the WAL, discarding a torn
+// trailing record; a store that has compacted nothing yet is just
+// snapshot + WAL. It stands in for the persistent DBMS backends (Oracle,
+// PostgreSQL) of the original PerfTrack prototype. Its DB.seg is never
+// nil.
 type FileEngine struct {
 	*DB
 	dir        string
 	wal        *os.File
 	walW       *recordWriter
-	walCount   int64 // records since last checkpoint
-	syncWAL    bool  // fsync the WAL after every flush
-	batchDepth int   // >0: defer flush/sync to EndWALBatch
-
-	// AutoCheckpoint, when > 0, triggers a snapshot after that many WAL
-	// records. Zero disables automatic checkpoints.
-	AutoCheckpoint int64
+	syncWAL    bool // fsync the WAL after every flush
+	batchDepth int  // >0: defer flush/sync to EndWALBatch
 }
 
 const (
@@ -39,25 +39,21 @@ const (
 	snapTagRow    byte = 2
 )
 
-// openFile opens (or creates) a durable database rooted at dir, with or
-// without the columnar segment extension. Recovery order is snapshot,
-// then segments (skipping rows the snapshot already holds), then WAL
-// replay (replacing divergent rows: the log is truth).
-func openFile(dir string, segmented bool) (*FileEngine, error) {
+// OpenFile opens (or creates) the durable database rooted at dir.
+// Recovery order is snapshot, then segments (skipping rows the snapshot
+// already holds), then WAL replay (replacing divergent rows: the log is
+// truth).
+func OpenFile(dir string) (*FileEngine, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("reldb: open %s: %w", dir, err)
 	}
 	fe := &FileEngine{DB: NewMem(), dir: dir}
-	if segmented {
-		fe.seg = newSegState(fe)
-	}
+	fe.seg = newSegState(fe)
 	if err := fe.loadSnapshot(); err != nil {
 		return nil, err
 	}
-	if fe.seg != nil {
-		if err := fe.seg.load(); err != nil {
-			return nil, err
-		}
+	if err := fe.seg.load(); err != nil {
+		return nil, err
 	}
 	if err := fe.replayWAL(); err != nil {
 		return nil, err
@@ -69,18 +65,15 @@ func openFile(dir string, segmented bool) (*FileEngine, error) {
 	fe.wal = wal
 	fe.walW = newRecordWriter(wal)
 	fe.DB.logger = fe
-	if fe.seg != nil {
-		fe.seg.initAfterRecovery()
-		// Resync the manifest with post-replay state (a replayed DROP
-		// TABLE may have retired segments) before orphan cleanup, so the
-		// manifest never references a deleted file.
-		if err := fe.seg.writeManifest(); err != nil {
-			return nil, err
-		}
-		fe.seg.cleanOrphans()
-		fe.seg.started = true
-		go fe.seg.run()
+	fe.seg.initAfterRecovery()
+	// Resync the manifest with post-replay state (a replayed DROP
+	// TABLE may have retired segments) before orphan cleanup, so the
+	// manifest never references a deleted file.
+	if err := fe.seg.writeManifest(); err != nil {
+		return nil, err
 	}
+	fe.seg.cleanOrphans()
+	go fe.seg.run()
 	return fe, nil
 }
 
@@ -110,12 +103,9 @@ func (fe *FileEngine) logMutation(m *mutation) error {
 			return err
 		}
 	}
-	fe.walCount++
-	if fe.seg != nil {
-		fe.seg.note(m)
-		if fe.batchDepth == 0 {
-			fe.seg.maybeNotify()
-		}
+	fe.seg.note(m)
+	if fe.batchDepth == 0 {
+		fe.seg.maybeNotify()
 	}
 	return nil
 }
@@ -146,9 +136,7 @@ func (fe *FileEngine) EndWALBatch() error {
 	if err := fe.walW.flush(); err != nil {
 		return err
 	}
-	if fe.seg != nil {
-		fe.seg.maybeNotify()
-	}
+	fe.seg.maybeNotify()
 	if fe.syncWAL {
 		return fe.wal.Sync()
 	}
@@ -164,9 +152,7 @@ func (fe *FileEngine) apply(m *mutation) error {
 		return fe.createTableLocked(m.schema, false)
 	case opDropTable:
 		delete(fe.tables, m.table)
-		if fe.seg != nil {
-			fe.seg.resetTable(m.table)
-		}
+		fe.seg.resetTable(m.table)
 		return nil
 	case opCreateIndex:
 		t, ok := fe.tables[m.table]
@@ -207,9 +193,7 @@ func (fe *FileEngine) apply(m *mutation) error {
 			if _, err := t.updateLocked(m.id, m.row); err != nil {
 				return err
 			}
-			if fe.seg != nil {
-				fe.seg.markDirtyBelow(m.table, m.id)
-			}
+			fe.seg.markDirtyBelow(m.table, m.id)
 			return nil
 		}
 		return t.insertAtLocked(m.id, m.row)
@@ -227,9 +211,7 @@ func (fe *FileEngine) apply(m *mutation) error {
 		if _, err := fe.updateLocked(m.table, m.id, m.row, false); err != nil {
 			return err
 		}
-		if fe.seg != nil {
-			fe.seg.markDirtyBelow(m.table, m.id)
-		}
+		fe.seg.markDirtyBelow(m.table, m.id)
 		return nil
 	case opDelete:
 		t, ok := fe.tables[m.table]
@@ -242,9 +224,7 @@ func (fe *FileEngine) apply(m *mutation) error {
 		if _, err := fe.deleteLocked(m.table, m.id, false); err != nil {
 			return err
 		}
-		if fe.seg != nil {
-			fe.seg.markDirtyBelow(m.table, m.id)
-		}
+		fe.seg.markDirtyBelow(m.table, m.id)
 		return nil
 	default:
 		return fmt.Errorf("%w: op %d", ErrCorruptLog, m.op)
@@ -414,102 +394,106 @@ func (fe *FileEngine) replayWAL() error {
 	return nil
 }
 
-// Checkpoint writes a snapshot atomically and truncates the WAL. On the
-// plain WAL engine the snapshot holds every row. On the segment engine
-// the hot tables' segment-resident rows are omitted — they are already
-// durable in fsynced segment files referenced by the manifest — so the
+// replaceFile durably replaces path with the records write emits: temp
+// file, fsync, rename over path, fsync the directory (without which a
+// power loss can undo the rename while later writes survive). On error
+// the temp file is removed and path keeps its old bytes.
+func replaceFile(path string, write func(*recordWriter) error) (err error) {
+	tmp := path + ".tmp"
+	f, err := os.Create(tmp)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if err != nil {
+			f.Close()
+			os.Remove(tmp)
+		}
+	}()
+	rw := newRecordWriter(f)
+	if err = write(rw); err != nil {
+		return err
+	}
+	if err = rw.flush(); err != nil {
+		return err
+	}
+	if err = f.Sync(); err != nil {
+		return err
+	}
+	if err = f.Close(); err != nil {
+		return err
+	}
+	if err = os.Rename(tmp, path); err != nil {
+		return err
+	}
+	d, err := os.Open(filepath.Dir(path))
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
+}
+
+// Checkpoint writes a snapshot atomically and truncates the WAL. The hot
+// tables' segment-resident rows are omitted — they are already durable
+// in fsynced segment files referenced by the manifest — so the
 // checkpoint costs O(non-hot tables + unflushed tail) instead of a full
 // rewrite of the result tables. Dirty or unordered hot tables are reset
 // here: their segments are dropped and the snapshot holds them in full.
 func (fe *FileEngine) Checkpoint() error {
-	if fe.seg != nil {
-		// Drain the tails first so the snapshot's hot-table share is
-		// only whatever arrived since this compaction.
-		if err := fe.seg.compact(1); err != nil && !errors.Is(err, errCompactBusy) {
-			return err
-		}
-		fe.seg.compactMu.Lock()
-		defer fe.seg.compactMu.Unlock()
+	// Drain the tails first so the snapshot's hot-table share is only
+	// whatever arrived since this compaction.
+	if err := fe.seg.compact(1); err != nil && !errors.Is(err, errCompactBusy) {
+		return err
 	}
+	fe.seg.compactMu.Lock()
+	defer fe.seg.compactMu.Unlock()
 	fe.mu.Lock()
 	defer fe.mu.Unlock()
-	var dropped []string
-	if fe.seg != nil {
-		dropped = fe.seg.resetStaleLocked()
-	}
-	tmp := fe.snapPath() + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("reldb: checkpoint: %w", err)
-	}
-	rw := newRecordWriter(f)
+	dropped := fe.seg.resetStaleLocked()
 	names := make([]string, 0, len(fe.tables))
 	for name := range fe.tables {
 		names = append(names, name)
 	}
-	// Stable order for reproducible snapshots.
-	for i := 0; i < len(names); i++ {
-		for j := i + 1; j < len(names); j++ {
-			if names[j] < names[i] {
-				names[i], names[j] = names[j], names[i]
+	sort.Strings(names) // stable order for reproducible snapshots
+	err := replaceFile(fe.snapPath(), func(rw *recordWriter) error {
+		for _, name := range names {
+			t := fe.tables[name]
+			payload := append([]byte{snapTagSchema}, encodeSchemaPayload(nil, t.schema)...)
+			if err := rw.writeRecord(payload); err != nil {
+				return err
 			}
-		}
-	}
-	for _, name := range names {
-		t := fe.tables[name]
-		payload := append([]byte{snapTagSchema}, encodeSchemaPayload(nil, t.schema)...)
-		if err := rw.writeRecord(payload); err != nil {
-			f.Close()
-			return err
-		}
-		// Segment-resident rows (ID at or below the watermark) are
-		// durable in their segment files; only the tail goes into the
-		// snapshot.
-		var skipBelow int64
-		if fe.seg != nil {
+			// Segment-resident rows (ID at or below the watermark) are
+			// durable in their segment files; only the tail goes into the
+			// snapshot.
+			var skipBelow int64
 			if sg := fe.seg.tables[name]; sg != nil {
 				skipBelow = sg.watermark.Load()
 			}
-		}
-		var werr error
-		t.primary.Ascend(nil, nil, func(_ []byte, id int64) bool {
-			if skipBelow > 0 && id <= skipBelow {
-				return true
+			var werr error
+			t.primary.Ascend(nil, nil, func(_ []byte, id int64) bool {
+				if skipBelow > 0 && id <= skipBelow {
+					return true
+				}
+				p := []byte{snapTagRow}
+				p = putVarint(p, id)
+				p = encodeRowPayload(p, t.rows[id])
+				werr = rw.writeRecord(p)
+				return werr == nil
+			})
+			if werr != nil {
+				return werr
 			}
-			p := []byte{snapTagRow}
-			p = putVarint(p, id)
-			p = encodeRowPayload(p, t.rows[id])
-			if err := rw.writeRecord(p); err != nil {
-				werr = err
-				return false
-			}
-			return true
-		})
-		if werr != nil {
-			f.Close()
-			return werr
 		}
-	}
-	if err := rw.flush(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, fe.snapPath()); err != nil {
-		return err
+		return nil
+	})
+	if err != nil {
+		return fmt.Errorf("reldb: checkpoint: %w", err)
 	}
 	// The manifest must reflect the surviving segments before the WAL —
 	// their other source of truth — is discarded.
-	if fe.seg != nil {
-		if err := fe.seg.writeManifest(); err != nil {
-			return err
-		}
+	if err := fe.seg.writeManifest(); err != nil {
+		return err
 	}
 	// Truncate the WAL: its effects are captured by the snapshot and
 	// the manifest-referenced segments.
@@ -520,18 +504,8 @@ func (fe *FileEngine) Checkpoint() error {
 		return err
 	}
 	fe.walW = newRecordWriter(fe.wal)
-	fe.walCount = 0
 	for _, path := range dropped {
 		os.Remove(path) // best effort; open-time cleanup catches leftovers
-	}
-	return nil
-}
-
-// maybeCheckpoint runs a checkpoint if the auto-checkpoint threshold has
-// been crossed. Callers invoke it between batches, not per row.
-func (fe *FileEngine) MaybeCheckpoint() error {
-	if fe.AutoCheckpoint > 0 && fe.walCount >= fe.AutoCheckpoint {
-		return fe.Checkpoint()
 	}
 	return nil
 }
@@ -556,10 +530,7 @@ func (fe *FileEngine) DiskSize() (int64, error) {
 		}
 		total += info.Size()
 	}
-	if fe.seg != nil {
-		total += fe.seg.segmentBytes()
-	}
-	return total, nil
+	return total + fe.seg.segmentBytes(), nil
 }
 
 // Stats extends the in-memory statistics with on-disk footprint: WAL,
@@ -576,30 +547,26 @@ func (fe *FileEngine) Stats() Stats {
 	if info, err := os.Stat(fe.snapPath()); err == nil {
 		s.SnapshotBytes = info.Size()
 	}
-	if fe.seg != nil {
-		fe.seg.mu.RLock()
-		for name, sg := range fe.seg.tables {
-			if len(sg.segs) == 0 {
-				continue
-			}
-			ts := s.PerTable[name]
-			ts.Segments = len(sg.segs)
-			ts.SegmentRows = sg.segRows
-			ts.SegmentBytes = sg.segBytes
-			s.PerTable[name] = ts
-			s.SegmentBytes += sg.segBytes
+	fe.seg.mu.RLock()
+	for name, sg := range fe.seg.tables {
+		if len(sg.segs) == 0 {
+			continue
 		}
-		fe.seg.mu.RUnlock()
+		ts := s.PerTable[name]
+		ts.Segments = len(sg.segs)
+		ts.SegmentRows = sg.segRows
+		ts.SegmentBytes = sg.segBytes
+		s.PerTable[name] = ts
+		s.SegmentBytes += sg.segBytes
 	}
+	fe.seg.mu.RUnlock()
 	s.DiskBytes = s.WALBytes + s.SnapshotBytes + s.SegmentBytes
 	return s
 }
 
 // Close stops the compactor, flushes the WAL, and releases file handles.
 func (fe *FileEngine) Close() error {
-	if fe.seg != nil {
-		fe.seg.shutdown()
-	}
+	fe.seg.shutdown()
 	if fe.walW != nil {
 		if err := fe.walW.flush(); err != nil {
 			return err

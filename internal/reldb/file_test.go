@@ -213,27 +213,6 @@ func TestFileEngineCheckpointSurvivesWALLoss(t *testing.T) {
 	}
 }
 
-func TestFileEngineMaybeCheckpoint(t *testing.T) {
-	dir := t.TempDir()
-	fe := openTestEngine(t, dir)
-	defer fe.Close()
-	fe.AutoCheckpoint = 10
-	mustCreate(t, fe, personSchema())
-	for i := 0; i < 20; i++ {
-		fe.Insert("person", Row{Int(int64(i)), Str("x"), Null(), Null()})
-		if err := fe.MaybeCheckpoint(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	info, err := os.Stat(filepath.Join(dir, snapshotFile))
-	if err != nil {
-		t.Fatalf("snapshot not created by auto-checkpoint: %v", err)
-	}
-	if info.Size() == 0 {
-		t.Error("snapshot is empty")
-	}
-}
-
 func TestFileEngineDiskSize(t *testing.T) {
 	dir := t.TempDir()
 	fe := openTestEngine(t, dir)

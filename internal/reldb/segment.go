@@ -537,7 +537,10 @@ func decodeSegment(buf []byte) (*segment, error) {
 
 // writeSegmentFile encodes the segment and writes it durably to path
 // (write temp, fsync, rename). The manifest gates visibility, so a crash
-// mid-write leaves only an orphan file that open-time cleanup removes.
+// mid-write leaves only an orphan file that open-time cleanup removes,
+// and the rename needs no directory fsync of its own: the manifest that
+// first names the segment lives in the same directory and replaceFile
+// fsyncs it.
 func writeSegmentFile(path string, s *segment) error {
 	buf := encodeSegment(s)
 	tmp := path + ".tmp"
@@ -550,6 +553,23 @@ func writeSegmentFile(path string, s *segment) error {
 	s.file = path
 	s.sizeOn = int64(len(buf))
 	return nil
+}
+
+// writeSynced writes data to a fresh file at path and fsyncs it.
+func writeSynced(path string, data []byte) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if _, err := f.Write(data); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // readSegmentFile loads and validates one segment file.

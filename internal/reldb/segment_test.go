@@ -1,6 +1,7 @@
 package reldb
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"os"
@@ -34,15 +35,6 @@ func fhrSchema() *Schema {
 	}
 }
 
-func openSegEngine(t *testing.T, dir string) *FileEngine {
-	t.Helper()
-	eng, err := Open(KindSegment, dir)
-	if err != nil {
-		t.Fatalf("Open segment: %v", err)
-	}
-	return eng.(*FileEngine)
-}
-
 // resultRow synthesizes a deterministic performance_result row for i.
 func resultRow(i int) Row {
 	units := Null()
@@ -69,9 +61,7 @@ func insertResults(t *testing.T, fe *FileEngine, n int) {
 // handles without flushing, checkpointing, or closing cleanly. With
 // sync mode on, everything committed is already in the WAL.
 func abandon(fe *FileEngine) {
-	if fe.seg != nil {
-		fe.seg.shutdown()
-	}
+	fe.seg.shutdown()
 	fe.wal.Close()
 }
 
@@ -134,7 +124,7 @@ func TestSegmentRoundTrip(t *testing.T) {
 }
 
 func TestSegmentCompactScanAndPrune(t *testing.T) {
-	fe := openSegEngine(t, t.TempDir())
+	fe := openTestEngine(t, t.TempDir())
 	defer fe.Close()
 	if err := fe.CreateTable(resultSchema()); err != nil {
 		t.Fatal(err)
@@ -205,7 +195,7 @@ func TestSegmentCompactScanAndPrune(t *testing.T) {
 
 func TestSegmentCrashRecoveryBetweenCompactionAndCheckpoint(t *testing.T) {
 	dir := t.TempDir()
-	fe := openSegEngine(t, dir)
+	fe := openTestEngine(t, dir)
 	fe.SetSync(true)
 	if err := fe.CreateTable(resultSchema()); err != nil {
 		t.Fatal(err)
@@ -233,14 +223,8 @@ func TestSegmentCrashRecoveryBetweenCompactionAndCheckpoint(t *testing.T) {
 	insertResults(t, fe, 500)
 	abandon(fe)
 
-	fe2, err := OpenFile(dir) // auto-detects the segment marker
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
+	fe2 := openTestEngine(t, dir)
 	defer fe2.Close()
-	if fe2.Kind() != KindSegment {
-		t.Fatalf("kind = %q, want segment", fe2.Kind())
-	}
 	tab, _ := fe2.Table("performance_result")
 	if tab.Len() != 2500 {
 		t.Fatalf("rows after recovery = %d, want 2500", tab.Len())
@@ -303,7 +287,7 @@ func countSnapshotRows(t *testing.T, path string) map[string]int {
 
 func TestSegmentCheckpointIsIncremental(t *testing.T) {
 	dir := t.TempDir()
-	fe := openSegEngine(t, dir)
+	fe := openTestEngine(t, dir)
 	if err := fe.CreateTable(resultSchema()); err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +326,7 @@ func TestSegmentCheckpointIsIncremental(t *testing.T) {
 
 func TestSegmentDirtyFallbackAndCheckpointReset(t *testing.T) {
 	dir := t.TempDir()
-	fe := openSegEngine(t, dir)
+	fe := openTestEngine(t, dir)
 	defer fe.Close()
 	if err := fe.CreateTable(resultSchema()); err != nil {
 		t.Fatal(err)
@@ -401,7 +385,7 @@ func TestSegmentDirtyFallbackAndCheckpointReset(t *testing.T) {
 }
 
 func TestSegmentUnorderedInsertDisablesScan(t *testing.T) {
-	fe := openSegEngine(t, t.TempDir())
+	fe := openTestEngine(t, t.TempDir())
 	defer fe.Close()
 	if err := fe.CreateTable(resultSchema()); err != nil {
 		t.Fatal(err)
@@ -439,7 +423,7 @@ func TestSegmentUnorderedInsertDisablesScan(t *testing.T) {
 
 func TestTornSegmentRejected(t *testing.T) {
 	dir := t.TempDir()
-	fe := openSegEngine(t, dir)
+	fe := openTestEngine(t, dir)
 	if err := fe.CreateTable(resultSchema()); err != nil {
 		t.Fatal(err)
 	}
@@ -466,98 +450,131 @@ func TestTornSegmentRejected(t *testing.T) {
 	}
 }
 
-func TestOpenFactoryKindsAndMarker(t *testing.T) {
+// copyTree copies the files under src into dst.
+func copyTree(t *testing.T, src, dst string) {
+	t.Helper()
+	err := filepath.WalkDir(src, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(src, path)
+		if d.IsDir() {
+			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dst, rel), data, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestOpenLegacyStoreDirectories opens store directories written by the
+// last commit that still had a separate "wal" engine and a
+// perftrack.engine marker (testdata/legacy_wal: 5 metric rows and 40
+// results in the snapshot, 20 more results only in the WAL;
+// testdata/legacy_segment: the same rows, the first 40 results in a
+// segment). Every spelling of the durable kind opens them as the one
+// durable engine with every row; the store then compacts, checkpoints
+// and reopens with every row, and the leftover marker is ignored.
+func TestOpenLegacyStoreDirectories(t *testing.T) {
 	if eng, err := Open(KindMem, ""); err != nil || eng.Kind() != KindMem {
 		t.Fatalf("mem open: %v", err)
 	}
 	if _, err := Open("bogus", t.TempDir()); err == nil {
 		t.Fatal("bogus kind accepted")
 	}
-
-	dir := t.TempDir()
-	fe := openSegEngine(t, dir)
-	if fe.Kind() != KindSegment {
-		t.Fatalf("kind = %q", fe.Kind())
+	if _, err := Open(KindSegment, ""); err == nil {
+		t.Fatal("durable engine opened without a directory")
 	}
-	fe.Close()
-	// Explicit downgrade to wal must refuse (it would strand segment rows).
-	if _, err := Open(KindWAL, dir); err == nil {
-		t.Fatal("segment store opened as wal")
-	}
-	// Auto-detection keeps legacy call sites correct.
-	for _, kind := range []string{"", KindSegment} {
-		eng, err := Open(kind, dir)
-		if err != nil || eng.Kind() != KindSegment {
-			t.Fatalf("Open(%q): kind=%v err=%v", kind, eng, err)
+	check := func(t *testing.T, eng Engine, wantSegRows int64) {
+		t.Helper()
+		fe, ok := eng.(*FileEngine)
+		if !ok || fe.Kind() != KindSegment {
+			t.Fatalf("engine = %T of kind %q, want *FileEngine of kind %q", eng, eng.Kind(), KindSegment)
 		}
-		eng.Close()
+		if tab, _ := fe.Table("metric"); tab == nil || tab.Len() != 5 {
+			t.Fatalf("metric rows = %v, want 5", tab)
+		}
+		tab, _ := fe.Table("performance_result")
+		if tab == nil || tab.Len() != 60 {
+			t.Fatalf("performance_result = %v, want 60 rows", tab)
+		}
+		for i := 0; i < 60; i++ {
+			want := resultRow(i)
+			want[0] = Int(int64(i + 1))
+			if got, ok := tab.Get(int64(i + 1)); !ok || !rowsEqual(got, want) {
+				t.Fatalf("row %d = %v, want %v", i+1, got, want)
+			}
+		}
+		if got := fe.Stats().PerTable["performance_result"].SegmentRows; got != wantSegRows {
+			t.Fatalf("segment-resident rows = %d, want %d", got, wantSegRows)
+		}
 	}
-
-	// Plain WAL store upgrades in place to segment.
-	dir2 := t.TempDir()
-	eng, err := Open(KindWAL, dir2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.CreateTable(resultSchema()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.Insert("performance_result", resultRow(1)); err != nil {
-		t.Fatal(err)
-	}
-	eng.Close()
-	eng2, err := Open(KindSegment, dir2)
-	if err != nil {
-		t.Fatalf("upgrade: %v", err)
-	}
-	defer eng2.Close()
-	if eng2.Kind() != KindSegment {
-		t.Fatalf("kind after upgrade = %q", eng2.Kind())
-	}
-	tab, _ := eng2.Table("performance_result")
-	if tab.Len() != 1 {
-		t.Fatalf("rows after upgrade = %d", tab.Len())
+	for _, fixture := range []struct {
+		name    string
+		segRows int64 // segment-resident rows as written
+	}{{"legacy_wal", 0}, {"legacy_segment", 40}} {
+		for _, kind := range []string{"wal", "", KindSegment} {
+			t.Run(fixture.name+"/open-"+kind, func(t *testing.T) {
+				dir := t.TempDir()
+				copyTree(t, filepath.Join("testdata", fixture.name), dir)
+				eng, err := Open(kind, dir)
+				if err != nil {
+					t.Fatalf("Open(%q): %v", kind, err)
+				}
+				check(t, eng, fixture.segRows)
+				fe := eng.(*FileEngine)
+				if err := fe.CompactSegments(); err != nil {
+					t.Fatal(err)
+				}
+				if err := fe.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+				check(t, fe, 60)
+				fe.Close()
+				fe2, err := OpenFile(dir)
+				if err != nil {
+					t.Fatalf("reopen: %v", err)
+				}
+				defer fe2.Close()
+				check(t, fe2, 60)
+			})
+		}
 	}
 }
 
-// TestEngineMarkerNeverTruncatedInPlace simulates a crash during the
-// wal→segment upgrade, before the new marker is renamed into place: the
-// live marker's bytes are never touched (a hard link to the old file
-// still reads "wal" after the upgrade), and the zero-length temp file
-// such a crash leaves behind is never observed — the store keeps
-// opening as the old kind and the next upgrade replaces it.
-func TestEngineMarkerNeverTruncatedInPlace(t *testing.T) {
+// TestReplaceFileFailureKeepsOldBytes: a write callback that fails
+// part-way leaves the destination's previous bytes and no temp file.
+func TestReplaceFileFailureKeepsOldBytes(t *testing.T) {
 	dir := t.TempDir()
-	eng, err := Open(KindWAL, dir)
-	if err != nil {
+	path := filepath.Join(dir, "f")
+	good := func(rw *recordWriter) error { return rw.writeRecord([]byte("old")) }
+	if err := replaceFile(path, good); err != nil {
 		t.Fatal(err)
 	}
-	eng.Close()
-	marker := filepath.Join(dir, engineMarkerFile)
-	// A crash after creating the temp file and before the rename.
-	if err := os.WriteFile(marker+".tmp", nil, 0o644); err != nil {
-		t.Fatal(err)
+	old, err := os.ReadFile(path)
+	if err != nil || len(old) == 0 {
+		t.Fatalf("first replace wrote %d bytes, err %v", len(old), err)
 	}
-	if kind, err := readEngineMarker(dir); err != nil || kind != KindWAL {
-		t.Fatalf("marker after crashed upgrade = %q, %v; want %q", kind, err, KindWAL)
+	boom := errors.New("boom")
+	err = replaceFile(path, func(rw *recordWriter) error {
+		if err := rw.writeRecord(bytes.Repeat([]byte("new"), 1<<16)); err != nil {
+			return err
+		}
+		return boom
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want boom", err)
 	}
-	old := filepath.Join(dir, "old-marker")
-	if err := os.Link(marker, old); err != nil {
-		t.Skipf("hard links unavailable: %v", err)
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, old) {
+		t.Fatalf("destination changed after failed replace: %q, %v", got, err)
 	}
-	eng, err = Open(KindSegment, dir)
-	if err != nil {
-		t.Fatalf("upgrade over a stale temp marker: %v", err)
-	}
-	eng.Close()
-	if kind, err := readEngineMarker(dir); err != nil || kind != KindSegment {
-		t.Fatalf("marker after upgrade = %q, %v; want %q", kind, err, KindSegment)
-	}
-	if data, err := os.ReadFile(old); err != nil || string(data) != KindWAL+"\n" {
-		t.Fatalf("old marker file now reads %q (%v): it was rewritten in place", data, err)
-	}
-	if _, err := os.Stat(marker + ".tmp"); !os.IsNotExist(err) {
-		t.Fatalf("temp marker left behind: %v", err)
+	if entries, _ := os.ReadDir(dir); len(entries) != 1 {
+		t.Fatalf("directory holds %d entries after failed replace, want only the file", len(entries))
 	}
 }
 

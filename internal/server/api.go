@@ -214,7 +214,7 @@ type StatsResponse struct {
 }
 
 // StorageStats describes the storage engine behind the store: its kind,
-// per-table byte footprint, and — on the segment engine — compaction
+// per-table byte footprint, and — on the durable engine — compaction
 // status.
 type StorageStats struct {
 	Kind     string              `json:"kind"`
@@ -222,7 +222,7 @@ type StorageStats struct {
 	Segments *reldb.SegmentStats `json:"segments,omitempty"`
 }
 
-// segmentStatser is implemented by the segment storage engine.
+// segmentStatser is implemented by the durable storage engine.
 type segmentStatser interface {
 	SegmentStats() reldb.SegmentStats
 }

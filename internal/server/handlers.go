@@ -451,9 +451,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Statistics: s.store.TableStatistics(),
 	}
 	if se, ok := s.store.Engine().(segmentStatser); ok {
-		if st := se.SegmentStats(); st.Enabled {
-			resp.Storage.Segments = &st
-		}
+		st := se.SegmentStats()
+		resp.Storage.Segments = &st
 	}
 	if s.planCache != nil {
 		pc := s.planCache.Stats()

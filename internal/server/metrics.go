@@ -123,7 +123,7 @@ func (m *serverMetrics) registerStore(store *datastore.Store) {
 		store.SegmentScanBytes())
 
 	// Compactor counters live on the storage engine rather than the
-	// store; bridge them only when a segment engine is attached.
+	// store; bridge them only on the durable engine.
 	if se, ok := store.Engine().(segmentStatser); ok {
 		m.reg.CounterFunc("ptserved_store_segments_compacted_total",
 			"Background compaction passes that wrote segments.",

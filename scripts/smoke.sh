@@ -5,7 +5,7 @@
 # back with ptquery -remote. Exercises startup, ingest, query, reports,
 # health, metrics, remote and local ptdiagnose (including the not-found
 # hint), and graceful SIGTERM shutdown (drain + checkpoint).
-# A second pass boots the columnar segment engine, forces compaction,
+# A second pass starts a fresh durable store, forces compaction,
 # kills the server without a checkpoint, and verifies that recovery
 # loses nothing.
 set -eu
@@ -164,8 +164,8 @@ if bin/ptdiagnose -db store -a smg-bgl-000 -b nope >notfound.txt 2>&1; then
 fi
 grep -q 'execution "nope" not found' notfound.txt
 
-echo "== segment engine: load, compact, crash, recover"
-bin/ptinit -db segstore -storage segment -machines >/dev/null
+echo "== durable engine: load, compact, crash, recover"
+bin/ptinit -db segstore -machines >/dev/null
 start_server segserved.log -db segstore -addr "$addr" -storage segment -segment-flush 8
 
 bin/ptload -remote "$base" ptdf/*.ptdf >/dev/null
