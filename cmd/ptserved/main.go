@@ -7,9 +7,8 @@
 //
 //	ptserved -db DIR [-addr :7075] [-readonly] [-max-inflight N]
 //	         [-timeout 30s] [-sync] [-pprof addr]
-//	         [-log-level info] [-slow-threshold 1s] [-trace-buffer 256]
+//	         [-log-level info] [-slow-threshold 1s]
 //	         [-storage mem|segment] [-segment-flush N]
-//	         [-plan-cache-bytes N]
 //
 // On SIGINT/SIGTERM the server drains in-flight requests, checkpoints
 // the store (snapshot + truncated WAL), and exits.
@@ -44,13 +43,9 @@ func main() {
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); empty disables")
 	logLevel := flag.String("log-level", "info", "structured log level: debug, info, warn, or error")
 	slowThreshold := flag.Duration("slow-threshold", time.Second, "log requests at or over this duration and keep their traces in the slow ring (negative disables)")
-	traceBuffer := flag.Int("trace-buffer", 256, "completed traces retained for /v1/debug/traces")
 	storage := flag.String("storage", "", "storage engine: mem or segment (default segment; the legacy name wal means segment)")
 	segmentFlush := flag.Int64("segment-flush", 0, "compact a hot table once this many rows are pending (0 = engine default)")
-	planCacheBytes := flag.Int64("plan-cache-bytes", 0, "byte bound for the /v1/sql result cache (0 = default 32MiB, negative disables)")
-	queryLogBytes := flag.Int64("query-log-bytes", 0, "byte bound per ring of the /v1/debug/queries profile capture (0 = default 1MiB, negative disables)")
 	selfMonInterval := flag.Duration("selfmon-interval", 0, "continuous self-diagnosis sampling period (0 = default 15s, negative disables)")
-	selfMonWindow := flag.Int("selfmon-window", 0, "telemetry samples retained by the self-monitor (0 = default 64)")
 	flag.Parse()
 
 	if *dbDir == "" {
@@ -95,12 +90,8 @@ func main() {
 		MaxInFlight:          *maxInFlight,
 		RequestTimeout:       *timeout,
 		Log:                  slog,
-		TraceBuffer:          *traceBuffer,
 		SlowRequestThreshold: *slowThreshold,
-		PlanCacheBytes:       *planCacheBytes,
-		QueryLogBytes:        *queryLogBytes,
 		SelfMonInterval:      *selfMonInterval,
-		SelfMonWindow:        *selfMonWindow,
 	})
 	if err != nil {
 		fatal(err)

@@ -153,15 +153,6 @@ func (b *Batch) CommitCtx(ctx context.Context) (LoadStats, error) {
 		span.Annotate("outcome", "rollback")
 		return LoadStats{}, flush(err)
 	}
-	// Refresh the planner statistics inside the still-open WAL batch so
-	// they ride the same group flush as the data. Failure is advisory —
-	// the batch is committed; the planner just keeps its previous
-	// estimates until the next commit.
-	if err := s.persistStatistics(); err != nil {
-		s.tel.statsRefreshErrors.Add(1)
-	} else {
-		s.tel.statsRefreshes.Add(1)
-	}
 	if err := flush(nil); err != nil {
 		return LoadStats{}, err
 	}

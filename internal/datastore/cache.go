@@ -1,73 +1,125 @@
 package datastore
 
 import (
+	"container/list"
 	"sync"
-	"sync/atomic"
 )
 
-// maxCacheEntries bounds the match cache. The GUI workload re-issues a
-// handful of signatures per click, so the bound exists only to keep a
-// pathological scripted workload from growing the map without limit;
-// overflow drops the whole map (entries are cheap to recompute).
-const maxCacheEntries = 1024
+// DefaultCacheBytes is the byte bound of a Cache built with size 0 — the
+// one bound the store's match cache and the planner's result cache share.
+const DefaultCacheBytes = 32 << 20
 
-// queryCache memoizes pr-filter evaluation keyed by canonical filter
-// signature and stamped with the store generation. Every store mutation
-// bumps the generation, so a stale entry can never be served: the first
-// lookup at a newer generation discards the previous generation's
-// entries wholesale.
-type queryCache struct {
+// cacheEntryOverhead is the approximate bookkeeping cost charged per
+// entry on top of its payload bytes, so many tiny values still respect
+// the byte bound.
+const cacheEntryOverhead = 256
+
+// Cache memoizes values derived from store contents: the store's
+// pr-filter ID sets and the planner's finished query results are its two
+// instances. The policy is the same for both and lives only here.
+//
+// An entry is stamped with the store generation it was computed at.
+// Generations are monotone, so the first Get or Put at a newer
+// generation drops every older entry at once — none can ever hit again —
+// and that flush is not eviction. A Put from a generation older than the
+// cache has seen is discarded: the value was computed against a snapshot
+// a mutation has since replaced. Within a generation, LRU eviction keeps
+// resident bytes at or under the bound, and a value larger than the whole
+// bound is not cached. Cached values are shared between callers and must
+// be treated as immutable.
+type Cache[V any] struct {
 	mu      sync.Mutex
+	max     int64
+	cur     int64
 	gen     uint64
-	entries map[string]idSet
+	lru     *list.List // front = most recent; values are *cacheEntry[V]
+	entries map[string]*list.Element
 
-	hits   atomic.Uint64
-	misses atomic.Uint64
+	hits, misses, evictions uint64
 }
 
-func newQueryCache() *queryCache {
-	return &queryCache{entries: make(map[string]idSet)}
+type cacheEntry[V any] struct {
+	key   string
+	val   V
+	bytes int64
 }
 
-// get returns the cached set for key at generation gen. Cached sets are
-// shared: callers must treat them as immutable.
-func (c *queryCache) get(gen uint64, key string) (idSet, bool) {
+// NewCache builds a cache bounded to maxBytes of (approximate) payload;
+// maxBytes <= 0 uses DefaultCacheBytes.
+func NewCache[V any](maxBytes int64) *Cache[V] {
+	if maxBytes <= 0 {
+		maxBytes = DefaultCacheBytes
+	}
+	return &Cache[V]{max: maxBytes, lru: list.New(), entries: make(map[string]*list.Element)}
+}
+
+// CacheStats is a point-in-time counter snapshot for /v1/stats and the
+// metrics bridge.
+type CacheStats struct {
+	Hits      uint64 `json:"hits"`
+	Misses    uint64 `json:"misses"`
+	Evictions uint64 `json:"evictions"`
+	Entries   int    `json:"entries"`
+	Bytes     int64  `json:"bytes"`
+	MaxBytes  int64  `json:"max_bytes"`
+}
+
+// Stats snapshots the cache counters.
+func (c *Cache[V]) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.gen != gen {
-		c.gen = gen
-		c.entries = make(map[string]idSet)
+	return CacheStats{
+		Hits: c.hits, Misses: c.misses, Evictions: c.evictions,
+		Entries: c.lru.Len(), Bytes: c.cur, MaxBytes: c.max,
 	}
-	ids, ok := c.entries[key]
-	if ok {
-		c.hits.Add(1)
-	} else {
-		c.misses.Add(1)
-	}
-	return ids, ok
 }
 
-// put stores a set computed at generation gen unless the store has moved
-// on since the computation started.
-func (c *queryCache) put(gen uint64, key string, ids idSet) {
+// advanceLocked moves the cache to generation gen, dropping every entry
+// of an older one, and reports whether gen is current (not stale).
+func (c *Cache[V]) advanceLocked(gen uint64) bool {
+	if gen > c.gen {
+		c.gen, c.cur = gen, 0
+		c.lru.Init()
+		c.entries = make(map[string]*list.Element) // a fresh map, so a past burst's buckets are released too
+	}
+	return gen == c.gen
+}
+
+// Get returns the value cached for key at generation gen.
+func (c *Cache[V]) Get(gen uint64, key string) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.gen != gen {
-		if c.gen > gen {
-			return // computed against an older snapshot; do not poison
+	if c.advanceLocked(gen) {
+		if el, ok := c.entries[key]; ok {
+			c.lru.MoveToFront(el)
+			c.hits++
+			return el.Value.(*cacheEntry[V]).val, true
 		}
-		c.gen = gen
-		c.entries = make(map[string]idSet)
 	}
-	if len(c.entries) >= maxCacheEntries {
-		c.entries = make(map[string]idSet)
-	}
-	c.entries[key] = ids
+	c.misses++
+	var zero V
+	return zero, false
 }
 
-// size reports the current number of cached entries.
-func (c *queryCache) size() int {
+// Put stores a value of the given payload size computed at generation
+// gen, evicting from the LRU tail to stay under the byte bound.
+func (c *Cache[V]) Put(gen uint64, key string, val V, bytes int64) {
+	bytes += cacheEntryOverhead
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.entries)
+	if !c.advanceLocked(gen) || bytes > c.max {
+		return
+	}
+	if el, ok := c.entries[key]; ok { // racing fill: keep the first
+		c.lru.MoveToFront(el)
+		return
+	}
+	for c.cur+bytes > c.max {
+		e := c.lru.Remove(c.lru.Back()).(*cacheEntry[V])
+		delete(c.entries, e.key)
+		c.cur -= e.bytes
+		c.evictions++
+	}
+	c.entries[key] = c.lru.PushFront(&cacheEntry[V]{key, val, bytes})
+	c.cur += bytes
 }

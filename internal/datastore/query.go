@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"sort"
 	"strconv"
-	"sync"
 
 	"perftrack/internal/core"
 	"perftrack/internal/obs"
@@ -425,7 +424,7 @@ func (s *Store) familyResultIDs(ctx context.Context, fam core.Family) (idSet, er
 	key := "fam:" + fam.Signature()
 	_, span := obs.StartSpan(ctx, "datastore.family")
 	defer span.End()
-	if ids, ok := s.cache.get(gen, key); ok {
+	if ids, ok := s.cache.Get(gen, key); ok {
 		span.Annotate("cache", "hit")
 		return ids, nil
 	}
@@ -461,53 +460,26 @@ func (s *Store) familyResultIDs(ctx context.Context, fam core.Family) (idSet, er
 		}
 	}
 	ids := sortDedup(results)
-	s.cache.put(gen, key, ids)
+	s.cache.Put(gen, key, ids, 8*int64(len(ids)))
 	return ids, nil
 }
 
-// familySets evaluates every family's result-ID set, fanning out over a
-// bounded worker pool when more than one family (and CPU) is available.
-// The engine takes a reader lock per scan, so independent families read
-// concurrently without blocking each other.
+// familySets evaluates every family's result-ID set, fanned out over
+// the available CPUs. The engine takes a reader lock per scan, so
+// independent families read concurrently without blocking each other.
 func (s *Store) familySets(ctx context.Context, fams []core.Family) ([]idSet, error) {
 	sets := make([]idSet, len(fams))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(fams) {
-		workers = len(fams)
-	}
-	if workers <= 1 {
-		for i, fam := range fams {
-			ids, err := s.familyResultIDs(ctx, fam)
+	err := shardRange(len(fams), runtime.GOMAXPROCS(0), func(lo, hi int) error {
+		for i := lo; i < hi; i++ {
+			ids, err := s.familyResultIDs(ctx, fams[i])
 			if err != nil {
-				return nil, err
+				return err
 			}
 			sets[i] = ids
 		}
-		return sets, nil
-	}
-	errs := make([]error, len(fams))
-	work := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				sets[i], errs[i] = s.familyResultIDs(ctx, fams[i])
-			}
-		}()
-	}
-	for i := range fams {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return sets, nil
+		return nil
+	})
+	return sets, err
 }
 
 // matchingIDs evaluates a pr-filter to its sorted result ID-set. The
@@ -528,7 +500,7 @@ func (s *Store) matchingIDs(ctx context.Context, prf core.PRFilter) (idSet, erro
 	key := "prf:" + prf.Signature()
 	ctx, span := obs.StartSpan(ctx, "datastore.prfilter")
 	defer span.End()
-	if ids, ok := s.cache.get(gen, key); ok {
+	if ids, ok := s.cache.Get(gen, key); ok {
 		span.Annotate("cache", "hit")
 		return ids, nil
 	}
@@ -538,7 +510,7 @@ func (s *Store) matchingIDs(ctx context.Context, prf core.PRFilter) (idSet, erro
 		return nil, err
 	}
 	ids := intersectAll(sets)
-	s.cache.put(gen, key, ids)
+	s.cache.Put(gen, key, ids, 8*int64(len(ids)))
 	return ids, nil
 }
 
@@ -669,19 +641,8 @@ func (s *Store) ResultsOfExecution(exec string) ([]*core.PerformanceResult, erro
 
 // ResultsOfExecutionCtx is ResultsOfExecution under a context.
 func (s *Store) ResultsOfExecutionCtx(ctx context.Context, exec string) ([]*core.PerformanceResult, error) {
-	s.mu.Lock()
-	execID, ok := s.execIDs[exec]
-	s.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("datastore: unknown execution %q: %w", exec, ErrNotFound)
-	}
-	prTab, _ := s.eng.Table("performance_result")
-	var ids []int64
-	if err := prTab.IndexScan("performance_result_exec", []reldb.Value{reldb.Int(execID)},
-		func(id int64, _ reldb.Row) bool {
-			ids = append(ids, id)
-			return true
-		}); err != nil {
+	ids, err := s.ExecutionResultIDs(exec)
+	if err != nil {
 		return nil, err
 	}
 	return s.MaterializeResultsCtx(ctx, ids)

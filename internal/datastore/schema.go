@@ -182,21 +182,6 @@ var schemaDDL = []string{
 		FOREIGN KEY (focus_id) REFERENCES focus (id)
 	)`,
 	`CREATE INDEX rhf_focus ON result_has_focus (focus_id)`,
-
-	// Planner statistics: advisory row counts, distinct-value estimates,
-	// and segment-resident row coverage, refreshed at batch-commit time.
-	// kind is "table" or "attribute"; a restarted store warm-starts its
-	// cost model from these rows before the first commit rebuilds them.
-	`CREATE TABLE table_statistics (
-		id INTEGER PRIMARY KEY,
-		kind TEXT NOT NULL,
-		name TEXT NOT NULL,
-		row_count INTEGER NOT NULL,
-		distinct_count INTEGER NOT NULL,
-		segment_rows INTEGER NOT NULL,
-		generation INTEGER NOT NULL
-	)`,
-	`CREATE INDEX table_statistics_name ON table_statistics (kind, name)`,
 }
 
 // tableNames lists every schema table, used for existence checks and
@@ -206,7 +191,7 @@ var tableNames = []string{
 	"resource_attribute", "resource_constraint", "resource_has_ancestor",
 	"resource_has_descendant", "metric", "performance_tool", "units",
 	"focus", "focus_has_resource", "performance_result",
-	"result_histogram", "result_has_focus", "table_statistics",
+	"result_histogram", "result_has_focus",
 }
 
 // createSchema creates the Figure 1 schema through the SQL layer.

@@ -10,10 +10,10 @@ import (
 // Planner statistics. The cost-based planner (internal/planner) chooses
 // between attribute-index scans, cached ID-set intersection, zone-map
 // segment scans, and full scans using row counts, distinct-value
-// estimates, and segment coverage. The live numbers come from the name
-// caches the store already maintains; they are persisted to the
-// table_statistics table at batch-commit time so a restarted store can
-// warm-start its cost model, and served over the wire via GET /v1/stats.
+// estimates, and segment coverage. The numbers are computed on demand
+// from the name caches the store already maintains (warmCaches rebuilds
+// them from the rows on open), never stored, and served over the wire
+// via GET /v1/stats.
 
 // maxAttrStatValues caps the per-attribute distinct-value set. Past the
 // cap the count becomes a lower-bound estimate, which is all the cost
@@ -128,9 +128,6 @@ func (s *Store) TableStatistics() TableStatistics {
 	}
 	out := TableStatistics{Generation: s.gen.Load(), Attributes: attrs}
 	for _, name := range tableNames {
-		if name == "table_statistics" {
-			continue
-		}
 		tab, ok := s.eng.Table(name)
 		if !ok {
 			continue
@@ -143,84 +140,6 @@ func (s *Store) TableStatistics() TableStatistics {
 		})
 	}
 	return out
-}
-
-// persistStatistics rewrites the table_statistics rows from a fresh
-// snapshot. It runs on the batch-commit path with wmu held (and s.mu
-// released), after the data transaction committed and before the WAL
-// group flush, so the statistics ride the same flush as the batch. The
-// rows are advisory: a crash between delete and reinsert only costs the
-// warm start, never correctness.
-func (s *Store) persistStatistics() error {
-	tab, ok := s.eng.Table("table_statistics")
-	if !ok {
-		return nil
-	}
-	snap := s.TableStatistics()
-	var stale []int64
-	tab.Scan(func(id int64, _ reldb.Row) bool {
-		stale = append(stale, id)
-		return true
-	})
-	for _, id := range stale {
-		if err := s.eng.Delete("table_statistics", id); err != nil {
-			return err
-		}
-	}
-	gen := reldb.Int(int64(snap.Generation))
-	for _, t := range snap.Tables {
-		if _, err := s.eng.Insert("table_statistics", reldb.Row{
-			reldb.Null(), reldb.Str("table"), reldb.Str(t.Table),
-			reldb.Int(t.Rows), reldb.Int(t.DistinctKeys), reldb.Int(t.SegmentRows), gen,
-		}); err != nil {
-			return err
-		}
-	}
-	for _, a := range snap.Attributes {
-		if _, err := s.eng.Insert("table_statistics", reldb.Row{
-			reldb.Null(), reldb.Str("attribute"), reldb.Str(a.Name),
-			reldb.Int(a.Rows), reldb.Int(a.Distinct), reldb.Int(0), gen,
-		}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// PersistedStatistics reads back the statistics written by the last
-// batch commit. A store that has committed nothing since opening returns
-// an empty snapshot.
-func (s *Store) PersistedStatistics() (TableStatistics, error) {
-	tab, ok := s.eng.Table("table_statistics")
-	if !ok {
-		return TableStatistics{}, fmt.Errorf("datastore: no table_statistics table: %w", ErrNotFound)
-	}
-	var out TableStatistics
-	tab.Scan(func(_ int64, row reldb.Row) bool {
-		gen := uint64(row[6].Int64())
-		if gen > out.Generation {
-			out.Generation = gen
-		}
-		switch row[1].Text() {
-		case "table":
-			out.Tables = append(out.Tables, TableStat{
-				Table:        row[2].Text(),
-				Rows:         row[3].Int64(),
-				DistinctKeys: row[4].Int64(),
-				SegmentRows:  row[5].Int64(),
-			})
-		case "attribute":
-			out.Attributes = append(out.Attributes, AttributeStat{
-				Name:     row[2].Text(),
-				Rows:     row[3].Int64(),
-				Distinct: row[4].Int64(),
-			})
-		}
-		return true
-	})
-	sort.Slice(out.Tables, func(i, j int) bool { return out.Tables[i].Table < out.Tables[j].Table })
-	sort.Slice(out.Attributes, func(i, j int) bool { return out.Attributes[i].Name < out.Attributes[j].Name })
-	return out, nil
 }
 
 // --- planner access-path surface ---
@@ -268,7 +187,7 @@ func (s *Store) LookupDict(table, name string) (id int64, ok bool) {
 func (s *Store) ExecutionResultIDs(exec string) ([]int64, error) {
 	id, ok := s.LookupDict("execution", exec)
 	if !ok {
-		return nil, fmt.Errorf("datastore: execution %q not found: %w", exec, ErrNotFound)
+		return nil, fmt.Errorf("datastore: unknown execution %q: %w", exec, ErrNotFound)
 	}
 	tab, ok := s.eng.Table("performance_result")
 	if !ok {

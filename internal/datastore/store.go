@@ -37,7 +37,7 @@ type Store struct {
 	// reader that overlaps a mutation caches under the pre-mutation
 	// generation, which the post-mutation bump discards.
 	gen   atomic.Uint64
-	cache *queryCache
+	cache *Cache[idSet]
 
 	// wmu serializes mutating entry points against each other and against
 	// whole-file transactional loads, without blocking readers.
@@ -106,7 +106,7 @@ func Open(eng reldb.Engine) (*Store, error) {
 	s := &Store{
 		eng:              eng,
 		sql:              sqldb.Open(eng),
-		cache:            newQueryCache(),
+		cache:            NewCache[idSet](0),
 		scanBytes:        obs.NewHistogram(segScanBytesBuckets),
 		UseClosureTables: true,
 		types:            core.NewTypeSystem(),
@@ -178,11 +178,12 @@ type QueryEngineStats struct {
 
 // QueryEngineStats snapshots the query engine counters.
 func (s *Store) QueryEngineStats() QueryEngineStats {
+	cs := s.cache.Stats()
 	return QueryEngineStats{
 		Generation:   s.gen.Load(),
-		CacheHits:    s.cache.hits.Load(),
-		CacheMisses:  s.cache.misses.Load(),
-		CacheEntries: s.cache.size(),
+		CacheHits:    cs.Hits,
+		CacheMisses:  cs.Misses,
+		CacheEntries: cs.Entries,
 	}
 }
 

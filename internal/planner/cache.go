@@ -1,144 +1,32 @@
 package planner
 
-// ResultCache is a byte-bounded LRU over finished SELECT results, keyed
-// by (query text, store generation). The store bumps its generation on
-// every mutation, so a key can never serve stale data: entries written
-// under an older generation simply stop matching and age out through
-// normal LRU eviction. Hits return the cached *sqldb.Result pointer —
-// results are immutable once built — with a copy of the plan marked
-// CacheHit.
-
 import (
-	"container/list"
-	"sync"
-	"sync/atomic"
-
+	"perftrack/internal/datastore"
 	"perftrack/internal/reldb"
 	"perftrack/internal/sqldb"
 )
 
-// DefaultCacheBytes bounds a cache built with size 0.
-const DefaultCacheBytes = 32 << 20
+// ResultCache caches finished SELECT results by query text under the
+// store generation: the planner's instance of datastore.Cache, whose
+// policy (flush on a newer generation, discard stale fills, byte-bounded
+// LRU) is documented there. Hits return the cached *sqldb.Result
+// pointer — results are immutable once built — with a copy of the plan
+// marked CacheHit.
+type ResultCache = datastore.Cache[cachedResult]
 
-// cacheEntryOverhead is the approximate bookkeeping cost charged per
-// entry on top of its row bytes, so many tiny results still respect the
-// byte bound.
-const cacheEntryOverhead = 256
+// ResultCacheStats is the counter snapshot behind /v1/stats' plan_cache
+// section and the ptserved_plan_cache_* metrics.
+type ResultCacheStats = datastore.CacheStats
 
-// ResultCache caches planner query results. The zero value is not
-// usable; build with NewResultCache.
-type ResultCache struct {
-	mu      sync.Mutex
-	max     int64
-	cur     int64
-	lru     *list.List // front = most recent; values are *cacheEntry
-	entries map[cacheKey]*list.Element
-
-	hits      atomic.Uint64
-	misses    atomic.Uint64
-	evictions atomic.Uint64
-}
-
-type cacheKey struct {
-	sql string
-	gen uint64
-}
-
-type cacheEntry struct {
-	key   cacheKey
-	res   *sqldb.Result
-	plan  Plan
-	bytes int64
+type cachedResult struct {
+	res  *sqldb.Result
+	plan Plan
 }
 
 // NewResultCache builds a cache bounded to maxBytes of (approximate)
-// result payload; maxBytes <= 0 uses DefaultCacheBytes.
+// result payload; maxBytes <= 0 uses datastore.DefaultCacheBytes.
 func NewResultCache(maxBytes int64) *ResultCache {
-	if maxBytes <= 0 {
-		maxBytes = DefaultCacheBytes
-	}
-	return &ResultCache{
-		max:     maxBytes,
-		lru:     list.New(),
-		entries: make(map[cacheKey]*list.Element),
-	}
-}
-
-// ResultCacheStats is a point-in-time counter snapshot for /v1/stats and
-// the metrics bridge.
-type ResultCacheStats struct {
-	Hits      uint64 `json:"hits"`
-	Misses    uint64 `json:"misses"`
-	Evictions uint64 `json:"evictions"`
-	Entries   int    `json:"entries"`
-	Bytes     int64  `json:"bytes"`
-	MaxBytes  int64  `json:"max_bytes"`
-}
-
-// Stats snapshots the cache counters.
-func (c *ResultCache) Stats() ResultCacheStats {
-	c.mu.Lock()
-	entries, bytes := c.lru.Len(), c.cur
-	c.mu.Unlock()
-	return ResultCacheStats{
-		Hits:      c.hits.Load(),
-		Misses:    c.misses.Load(),
-		Evictions: c.evictions.Load(),
-		Entries:   entries,
-		Bytes:     bytes,
-		MaxBytes:  c.max,
-	}
-}
-
-// get returns the cached result for (sql, gen), if any, and a CacheHit
-// copy of its plan.
-func (c *ResultCache) get(sql string, gen uint64) (*sqldb.Result, *Plan, bool) {
-	key := cacheKey{sql, gen}
-	c.mu.Lock()
-	el, ok := c.entries[key]
-	if !ok {
-		c.mu.Unlock()
-		c.misses.Add(1)
-		return nil, nil, false
-	}
-	c.lru.MoveToFront(el)
-	e := el.Value.(*cacheEntry)
-	c.mu.Unlock()
-	c.hits.Add(1)
-	plan := e.plan // copy
-	plan.CacheHit = true
-	return e.res, &plan, true
-}
-
-// put stores a finished result under (sql, gen), evicting from the LRU
-// tail to stay under the byte bound. Results larger than the whole
-// bound are not cached.
-func (c *ResultCache) put(sql string, gen uint64, res *sqldb.Result, plan *Plan) {
-	bytes := resultBytes(res) + cacheEntryOverhead
-	if bytes > c.max {
-		return
-	}
-	key := cacheKey{sql, gen}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok { // racing fill: keep the first
-		c.lru.MoveToFront(el)
-		return
-	}
-	for c.cur+bytes > c.max {
-		tail := c.lru.Back()
-		if tail == nil {
-			break
-		}
-		te := tail.Value.(*cacheEntry)
-		c.lru.Remove(tail)
-		delete(c.entries, te.key)
-		c.cur -= te.bytes
-		c.evictions.Add(1)
-	}
-	e := &cacheEntry{key: key, res: res, plan: *plan, bytes: bytes}
-	c.entries[key] = c.lru.PushFront(e)
-	c.cur += bytes
+	return datastore.NewCache[cachedResult](maxBytes)
 }
 
 // resultBytes approximates a result's resident size: column headers plus

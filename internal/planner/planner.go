@@ -94,7 +94,7 @@ type Planner struct {
 func New(st *datastore.Store) *Planner { return &Planner{store: st} }
 
 // Plan describes how one query ran: the chosen strategy with estimated
-// (from commit-time statistics) versus actual scan-output cardinality,
+// (from the store's live statistics) versus actual scan-output cardinality,
 // the pushed-down predicates, and how many virtual rows were built.
 type Plan struct {
 	Table        string
@@ -129,16 +129,17 @@ func (p *Planner) Query(ctx context.Context, sqlText string) (*sqldb.Result, *Pl
 	cached := p.Cache != nil && !p.Naive
 	if cached {
 		gen = p.store.Generation()
-		if res, plan, ok := p.Cache.get(sqlText, gen); ok {
+		if e, ok := p.Cache.Get(gen, sqlText); ok {
+			e.plan.CacheHit = true // e is a copy; the cached plan stays unmarked
 			span.Annotate("cache", "hit")
-			span.Annotate("strategy", plan.Strategy)
-			return res, plan, nil
+			span.Annotate("strategy", e.plan.Strategy)
+			return e.res, &e.plan, nil
 		}
 		span.Annotate("cache", "miss")
 	}
 	res, plan, err := p.execute(ctx, sqlText)
 	if cached && err == nil {
-		p.Cache.put(sqlText, gen, res, plan)
+		p.Cache.Put(gen, sqlText, cachedResult{res, *plan}, resultBytes(res))
 	}
 	if err == nil {
 		span.Annotate("strategy", plan.Strategy)

@@ -346,3 +346,72 @@ func assertCancelledBeforeScan(t *testing.T, p *Planner, q string) {
 		t.Fatalf("cancelled query still scanned the table (plan: %+v)", plan)
 	}
 }
+
+// TestLeftoverStatisticsTableIgnored opens a store directory that still
+// holds the populated table_statistics table earlier versions rewrote at
+// every commit: the table is carried along unread — the store opens,
+// loads a document and answers a planned query from computed statistics.
+func TestLeftoverStatisticsTableIgnored(t *testing.T) {
+	dir := t.TempDir()
+	fe, err := reldb.OpenFile(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := seedStore(t, fe, 40)
+	for _, ddl := range []string{
+		`CREATE TABLE table_statistics (
+			id INTEGER PRIMARY KEY, kind TEXT NOT NULL, name TEXT NOT NULL,
+			row_count INTEGER NOT NULL, distinct_count INTEGER NOT NULL,
+			segment_rows INTEGER NOT NULL, generation INTEGER NOT NULL
+		)`,
+		`CREATE INDEX table_statistics_name ON table_statistics (kind, name)`,
+	} {
+		if _, err := st.SQL().Exec(ddl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A stale claim: had anything read it, the cost model would see an
+	// empty performance_result.
+	if _, err := fe.Insert("table_statistics", reldb.Row{
+		reldb.Null(), reldb.Str("table"), reldb.Str("performance_result"),
+		reldb.Int(0), reldb.Int(0), reldb.Int(0), reldb.Int(1),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := fe.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	fe2, err := reldb.OpenFile(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fe2.Close()
+	st2, err := datastore.Open(fe2)
+	if err != nil {
+		t.Fatalf("open with a leftover table_statistics: %v", err)
+	}
+	if tab, ok := fe2.Table("table_statistics"); !ok || tab.Len() != 1 {
+		t.Fatalf("leftover table not carried along untouched (present %v)", ok)
+	}
+	if err := st2.LoadRecord(ptdf.PerfResultRec{
+		Exec: "exec-a",
+		Sets: []ptdf.ResourceSet{{Names: []core.ResourceName{"/app"}, Type: core.FocusPrimary}},
+		Tool: "tool", Metric: "metric-0", Value: 1, Units: "seconds",
+	}); err != nil {
+		t.Fatalf("load: %v", err)
+	}
+	if tab, _ := fe2.Table("table_statistics"); tab.Len() != 1 {
+		t.Errorf("a commit touched the leftover table: %d rows, want 1", tab.Len())
+	}
+	if got := st2.TableStatistics().TableStat("performance_result").Rows; got != 41 {
+		t.Errorf("computed performance_result rows = %d, want 41", got)
+	}
+	res, plan, err := New(st2).Query(context.Background(), "SELECT count(*) FROM performance_result")
+	if err != nil {
+		t.Fatalf("planned query: %v", err)
+	}
+	if got := res.Rows[0][0].Int64(); got != 41 {
+		t.Errorf("count(*) = %d, want 41 (plan: %s)", got, plan.Text())
+	}
+}

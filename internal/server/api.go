@@ -208,8 +208,7 @@ type StatsResponse struct {
 	Storage    StorageStats               `json:"storage"`
 	Statistics datastore.TableStatistics  `json:"statistics"`
 
-	// PlanCache reports the /v1/sql result cache (generation-keyed LRU);
-	// absent when the cache is disabled.
+	// PlanCache reports the /v1/sql result cache (generation-keyed LRU).
 	PlanCache *planner.ResultCacheStats `json:"plan_cache,omitempty"`
 }
 

@@ -112,10 +112,6 @@ func (s *Server) handleSelfPTdf(w http.ResponseWriter, r *http.Request) {
 // (queries at or over the slow-request threshold); ?limit=N caps the
 // list.
 func (s *Server) handleDebugQueries(w http.ResponseWriter, r *http.Request) {
-	if s.queries == nil {
-		writeErrorString(w, r, http.StatusNotFound, "query capture is disabled")
-		return
-	}
 	q := r.URL.Query()
 	limit := debugTraceLimit
 	if raw := q.Get("limit"); raw != "" {

@@ -454,10 +454,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		st := se.SegmentStats()
 		resp.Storage.Segments = &st
 	}
-	if s.planCache != nil {
-		pc := s.planCache.Stats()
-		resp.PlanCache = &pc
-	}
+	pc := s.planCache.Stats()
+	resp.PlanCache = &pc
 	writeJSON(w, http.StatusOK, resp)
 }
 

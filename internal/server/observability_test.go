@@ -424,7 +424,7 @@ func TestAcceptsOpenMetrics(t *testing.T) {
 // and a record that would alone exceed a ring's whole budget is dropped
 // rather than pinning the ring above its bound.
 func TestQueryLogBoundsOversizedRecords(t *testing.T) {
-	ql := newQueryLog(0, 0)
+	ql := newQueryLog(queryLogBytes, 0)
 	ql.add(queryRecord{SQL: strings.Repeat("s", 3*maxQueryTextBytes)})
 	recs := ql.list(false, 10)
 	if len(recs) != 1 || len(recs[0].SQL) != maxQueryTextBytes {

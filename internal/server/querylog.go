@@ -96,13 +96,7 @@ type queryLog struct {
 	slowTotal uint64
 }
 
-// defaultQueryLogBytes bounds each ring of the query log.
-const defaultQueryLogBytes = 1 << 20
-
 func newQueryLog(maxBytes int64, slowThreshold time.Duration) *queryLog {
-	if maxBytes <= 0 {
-		maxBytes = defaultQueryLogBytes
-	}
 	return &queryLog{
 		recent:        queryRing{maxBytes: maxBytes},
 		slow:          queryRing{maxBytes: maxBytes},
@@ -113,9 +107,6 @@ func newQueryLog(maxBytes int64, slowThreshold time.Duration) *queryLog {
 // add records one completed query, classifying it against the slow
 // threshold.
 func (ql *queryLog) add(rec queryRecord) {
-	if ql == nil {
-		return
-	}
 	rec.Slow = ql.slowThreshold > 0 && rec.Duration >= ql.slowThreshold
 	rec.SQL = truncateText(rec.SQL, maxQueryTextBytes)
 	rec.Error = truncateText(rec.Error, maxQueryTextBytes)

@@ -52,10 +52,8 @@ func (s *Server) takeSelfSnapshot() selfSnapshot {
 	})
 	_, _, slowN, _ := s.tracer.Stats()
 	snap.slowTraces = slowN
-	if s.planCache != nil {
-		st := s.planCache.Stats()
-		snap.planHits, snap.planMisses = st.Hits, st.Misses
-	}
+	st := s.planCache.Stats()
+	snap.planHits, snap.planMisses = st.Hits, st.Misses
 	return snap
 }
 
@@ -106,10 +104,8 @@ func (s *Server) collectSelfSample() selfmon.Sample {
 	attr("requests_delta", strconv.FormatUint(dCount, 10))
 	attr("slow_traces_delta", strconv.FormatUint(cur.slowTraces-prev.slowTraces, 10))
 	attr("shed_delta", strconv.FormatUint(cur.shed-prev.shed, 10))
-	if s.planCache != nil {
-		attr("plan_cache_hits_delta", strconv.FormatUint(cur.planHits-prev.planHits, 10))
-		attr("plan_cache_misses_delta", strconv.FormatUint(cur.planMisses-prev.planMisses, 10))
-	}
+	attr("plan_cache_hits_delta", strconv.FormatUint(cur.planHits-prev.planHits, 10))
+	attr("plan_cache_misses_delta", strconv.FormatUint(cur.planMisses-prev.planMisses, 10))
 	attr("in_flight", strconv.FormatInt(int64(s.metrics.inFlight.Value()), 10))
 	attr("goroutines", strconv.Itoa(runtime.NumGoroutine()))
 	var ms runtime.MemStats
@@ -169,7 +165,7 @@ func (s *Server) buildSelfMonitor() error {
 		App:      "ptserved",
 		Host:     hostname(),
 		Interval: s.cfg.SelfMonInterval,
-		Window:   s.cfg.SelfMonWindow,
+		Window:   selfMonWindow,
 		Collect:  s.collectSelfSample,
 		OnError:  func(err error) { s.log.Warn("selfmon sample", "err", err) },
 	})

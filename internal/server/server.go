@@ -53,25 +53,10 @@ type Config struct {
 	// Nil means no logging.
 	Log *obs.Logger
 
-	// TraceBuffer bounds how many completed (and, separately, slow)
-	// traces are retained for /v1/debug/traces. 0 means the default of
-	// 256.
-	TraceBuffer int
-
 	// SlowRequestThreshold marks traces at or over this duration as slow
 	// (kept in a separate ring and logged at warn level). 0 means the
 	// default of 1s; negative disables slow-request detection.
 	SlowRequestThreshold time.Duration
-
-	// PlanCacheBytes bounds the /v1/sql result cache (keyed by query
-	// text + store generation). 0 means the planner default
-	// (planner.DefaultCacheBytes); negative disables the cache.
-	PlanCacheBytes int64
-
-	// QueryLogBytes bounds each ring (recent and slow) of the /v1/sql
-	// query-profile capture behind GET /v1/debug/queries. 0 means the
-	// default of 1 MiB; negative disables capture.
-	QueryLogBytes int64
 
 	// SelfMonInterval is the continuous self-diagnosis sampling period:
 	// the server snapshots its own telemetry as PTdf executions and
@@ -79,12 +64,15 @@ type Config struct {
 	// rolling baseline. 0 means the default of 15s; negative disables
 	// self-monitoring.
 	SelfMonInterval time.Duration
-
-	// SelfMonWindow bounds how many telemetry samples the self-monitor
-	// retains (older samples age out of its side store). 0 means the
-	// default of 64.
-	SelfMonWindow int
 }
+
+// Fixed capacities of the server's bounded buffers. The /v1/sql result
+// cache takes the shared datastore.DefaultCacheBytes.
+const (
+	traceBuffer   = 256     // completed (and, separately, slow) traces kept for /v1/debug/traces
+	queryLogBytes = 1 << 20 // per ring (recent, slow) of the /v1/debug/queries capture
+	selfMonWindow = 64      // telemetry samples the self-monitor retains
+)
 
 // Server is the ptserved HTTP service.
 type Server struct {
@@ -95,9 +83,9 @@ type Server struct {
 	log       *obs.Logger
 	sem       chan struct{}
 	httpSrv   *http.Server
-	planCache *planner.ResultCache // nil when disabled
-	queries   *queryLog            // nil when disabled
-	selfmon   *selfmon.Sampler     // nil when disabled
+	planCache *planner.ResultCache
+	queries   *queryLog
+	selfmon   *selfmon.Sampler // nil when disabled
 
 	selfMu   sync.Mutex   // guards selfPrev (interval-delta state)
 	selfPrev selfSnapshot // previous self-sample counter snapshot
@@ -122,28 +110,21 @@ func New(cfg Config) (*Server, error) {
 	if cfg.RequestTimeout == 0 {
 		cfg.RequestTimeout = 30 * time.Second
 	}
-	if cfg.TraceBuffer == 0 {
-		cfg.TraceBuffer = 256
-	}
 	if cfg.SlowRequestThreshold == 0 {
 		cfg.SlowRequestThreshold = time.Second
 	}
 	s := &Server{
-		cfg:     cfg,
-		store:   cfg.Store,
-		metrics: newServerMetrics(),
-		log:     cfg.Log,
-		sem:     make(chan struct{}, cfg.MaxInFlight),
+		cfg:       cfg,
+		store:     cfg.Store,
+		metrics:   newServerMetrics(),
+		log:       cfg.Log,
+		sem:       make(chan struct{}, cfg.MaxInFlight),
+		planCache: planner.NewResultCache(0),
+		queries:   newQueryLog(queryLogBytes, cfg.SlowRequestThreshold),
 	}
-	if cfg.PlanCacheBytes >= 0 {
-		s.planCache = planner.NewResultCache(cfg.PlanCacheBytes)
-		s.metrics.registerPlanCache(s.planCache)
-	}
-	if cfg.QueryLogBytes >= 0 {
-		s.queries = newQueryLog(cfg.QueryLogBytes, cfg.SlowRequestThreshold)
-		s.metrics.registerQueryLog(s.queries)
-	}
-	s.tracer = obs.NewTracer(cfg.TraceBuffer, cfg.SlowRequestThreshold, func(tr *obs.Trace) {
+	s.metrics.registerPlanCache(s.planCache)
+	s.metrics.registerQueryLog(s.queries)
+	s.tracer = obs.NewTracer(traceBuffer, cfg.SlowRequestThreshold, func(tr *obs.Trace) {
 		d := tr.Data()
 		s.log.Warn("slow request", "rid", tr.ID(), "route", tr.Name(),
 			"dur", d.Duration, "spans", len(d.Spans))
