@@ -441,9 +441,10 @@ func (s *Store) familyResultIDs(ctx context.Context, fam core.Family) (idSet, er
 	s.mu.Unlock()
 	var focusIDs []int64
 	for _, rid := range memberIDs {
-		if err := fhrTab.IndexScan("fhr_resource", []reldb.Value{reldb.Int(rid)},
-			func(_ int64, row reldb.Row) bool {
-				focusIDs = append(focusIDs, row[0].Int64())
+		// Column 0 of both link tables is the owner: the focus, the result.
+		if err := fhrTab.IndexScanInt("fhr_resource", []reldb.Value{reldb.Int(rid)}, 0,
+			func(_, focus int64) bool {
+				focusIDs = append(focusIDs, focus)
 				return true
 			}); err != nil {
 			return nil, err
@@ -451,9 +452,9 @@ func (s *Store) familyResultIDs(ctx context.Context, fam core.Family) (idSet, er
 	}
 	var results []int64
 	for _, fid := range sortDedup(focusIDs) {
-		if err := rhfTab.IndexScan("rhf_focus", []reldb.Value{reldb.Int(fid)},
-			func(_ int64, row reldb.Row) bool {
-				results = append(results, row[0].Int64())
+		if err := rhfTab.IndexScanInt("rhf_focus", []reldb.Value{reldb.Int(fid)}, 0,
+			func(_, result int64) bool {
+				results = append(results, result)
 				return true
 			}); err != nil {
 			return nil, err

@@ -663,6 +663,6 @@ func (s *Store) Stats() Stats {
 		Results:      count("performance_result"),
 		Metrics:      count("metric"),
 		Foci:         count("focus"),
-		DataBytes:    s.eng.Stats().DataBytes,
+		DataBytes:    s.eng.Stats().LogicalBytes(),
 	}
 }

@@ -3,6 +3,7 @@ package reldb
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // The block source: the one read shape every bulk consumer of a table
@@ -10,9 +11,10 @@ import (
 // first-primary-key values and yields ColumnBlocks in ascending PK
 // order — first the immutable segment blocks whose zone maps intersect
 // the range (none on mem, before the first compaction, or while the
-// segment view is dirty or unordered), then the B-tree rows no segment covers, transposed into a
-// reusable block of up to blockRows rows. Table.Gather transposes an
-// ascending row-ID list the same way. Consumers never learn which
+// table is rehydrated), then the rows of the sealed and active row sets,
+// transposed into a reusable block of up to blockRows rows. Table.Gather
+// transposes an ascending row-ID list the same way, copying a flushed
+// row's values straight out of its segment. Consumers never learn which
 // storage shape a block came from.
 
 // blockRows is the transposer's window: B-tree rows are handed out in
@@ -70,21 +72,12 @@ func (b *ColumnBlock) ZoneInt64(col int) (min, max int64, ok bool) {
 	return z.minI, z.maxI, z.valid && b.cols[col].kind == KindInt
 }
 
-// resize returns s with length n, reusing its storage when it fits.
-// Contents are stale: callers overwrite every element.
-func resize[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
-}
-
-// reset shapes the block for n rows of schema, reusing column storage
-// from any previous use and dropping its NULL bitmaps; fill then writes
-// every value and zone.
+// reset empties the block for rows of schema, keeping column storage
+// from any previous use and making room for n rows (exactly n for fresh
+// storage, so a resident segment carries no slack).
 func (b *ColumnBlock) reset(schema *Schema, n int) error {
-	b.rows = n
-	b.rowIDs = resize(b.rowIDs, n)
+	b.rows = 0
+	b.rowIDs = slices.Grow(b.rowIDs[:0], n)
 	if len(b.cols) != len(schema.Columns) {
 		b.cols = make([]colVec, len(schema.Columns))
 		b.zones = make([]zoneMap, len(schema.Columns))
@@ -94,13 +87,13 @@ func (b *ColumnBlock) reset(schema *Schema, n int) error {
 		cv.kind, cv.nulls = col.Type, nil
 		switch col.Type {
 		case KindInt:
-			cv.ints = resize(cv.ints, n)
+			cv.ints = slices.Grow(cv.ints[:0], n)
 		case KindFloat:
-			cv.floats = resize(cv.floats, n)
+			cv.floats = slices.Grow(cv.floats[:0], n)
 		case KindString:
-			cv.strs = resize(cv.strs, n)
+			cv.strs = slices.Grow(cv.strs[:0], n)
 		case KindBool:
-			cv.bools = resize(cv.bools, n)
+			cv.bools = slices.Grow(cv.bools[:0], n)
 		default:
 			return fmt.Errorf("reldb: table %q: column %q has unsupported kind %v", schema.Name, col.Name, col.Type)
 		}
@@ -108,37 +101,105 @@ func (b *ColumnBlock) reset(schema *Schema, n int) error {
 	return nil
 }
 
-// fill lays rows out column-major — rows[i] lands at position i, which
-// rowIDs must already name — then computes the zone maps. The copy
-// walks each row once (its values are contiguous in memory); the zones
-// are a second, sequential pass over each finished column. NULLs leave
-// a zero placeholder in the value stream.
-func (b *ColumnBlock) fill(rows []Row) {
-	cols := b.cols
-	for i, row := range rows {
-		for ci := range cols {
-			cv, v := &cols[ci], &row[ci]
-			switch cv.kind {
-			case KindInt:
-				cv.ints[i] = v.i
-			case KindFloat:
-				cv.floats[i] = v.Float64()
-			case KindString:
-				cv.strs[i] = v.s
-			case KindBool:
-				cv.bools[i] = v.b
-			}
-			if v.kind == KindNull {
-				if cv.nulls == nil {
-					cv.nulls = make([]bool, len(b.rowIDs))
-				}
-				cv.nulls[i] = true
-			}
+// push appends one cell to a column that holds n so far. A NULL leaves a
+// zero placeholder in the value stream.
+func (c *colVec) push(v Value, n int) {
+	switch c.kind {
+	case KindInt:
+		c.ints = append(c.ints, v.i)
+	case KindFloat:
+		c.floats = append(c.floats, v.Float64())
+	case KindString:
+		c.strs = append(c.strs, v.s)
+	case KindBool:
+		c.bools = append(c.bools, v.b)
+	}
+	if v.kind == KindNull {
+		if c.nulls == nil {
+			c.nulls = make([]bool, n, max(n+1, blockRows))
+		}
+		c.nulls = append(c.nulls, true)
+	} else if c.nulls != nil {
+		c.nulls = append(c.nulls, false)
+	}
+}
+
+// appendRow adds one row, laid out column-major.
+func (b *ColumnBlock) appendRow(id int64, row Row) {
+	for ci := range b.cols {
+		b.cols[ci].push(row[ci], b.rows)
+	}
+	b.rowIDs = append(b.rowIDs, id)
+	b.rows++
+}
+
+// appendFrom adds row i of src, column to column, without building a Row.
+func (b *ColumnBlock) appendFrom(src *ColumnBlock, i int) {
+	for ci := range b.cols {
+		b.cols[ci].push(src.cell(ci, i), b.rows)
+	}
+	b.rowIDs = append(b.rowIDs, src.rowIDs[i])
+	b.rows++
+}
+
+// finish computes the zone maps of a block whose rows are all appended.
+func (b *ColumnBlock) finish() {
+	for ci := range b.cols {
+		b.zones[ci] = b.cols[ci].zone()
+	}
+}
+
+// cell returns the value at row i of column ci.
+func (b *ColumnBlock) cell(ci, i int) Value {
+	c := &b.cols[ci]
+	if c.nulls != nil && c.nulls[i] {
+		return Null()
+	}
+	switch c.kind {
+	case KindInt:
+		return Int(c.ints[i])
+	case KindFloat:
+		return Float(c.floats[i])
+	case KindString:
+		return Str(c.strs[i])
+	case KindBool:
+		return Bool(c.bools[i])
+	}
+	return Null()
+}
+
+// row builds row i as a Row that is the caller's to keep.
+func (b *ColumnBlock) row(i int) Row {
+	row := make(Row, len(b.cols))
+	for ci := range row {
+		row[ci] = b.cell(ci, i)
+	}
+	return row
+}
+
+// eachRow builds the rows at positions perm[from:to] (positions
+// from..to-1 themselves when perm is nil) and hands each to fn with its
+// row ID until fn returns false, which eachRow then returns too. The
+// rows are carved from slabs of up to 256, so a run of matches costs an
+// allocation per slab, not per row; each is still the callee's to keep,
+// at the price of pinning its slab.
+func (b *ColumnBlock) eachRow(perm []int32, from, to int, fn func(id int64, row Row) bool) bool {
+	n := len(b.cols)
+	var slab []Value
+	for p := from; p < to; p++ {
+		if len(slab) == 0 {
+			slab = make([]Value, min(to-p, 256)*n)
+		}
+		i, row := at(perm, p), Row(slab[:n:n])
+		slab = slab[n:]
+		for ci := range row {
+			row[ci] = b.cell(ci, i)
+		}
+		if !fn(b.rowIDs[i], row) {
+			return false
 		}
 	}
-	for ci := range cols {
-		b.zones[ci] = cols[ci].zone()
-	}
+	return true
 }
 
 // zone computes the min/max summary over the column's non-null values.
@@ -170,18 +231,15 @@ func (c *colVec) zone() (z zoneMap) {
 	return z
 }
 
-// transposer stages B-tree rows and, each time blockRows of them have
-// gathered, lays them out in one reusable block and hands it to fn. The
-// caller holds the DB read lock. Column storage is sized at flush time,
-// so a short walk allocates only what it read; transposers are pooled
-// per table, so in steady state a walk allocates nothing.
+// transposer lays rows out in one reusable block as they arrive and,
+// each time blockRows of them have gathered, hands the block to fn. The
+// caller holds the DB read lock. Transposers are pooled per table, so in
+// steady state a walk allocates nothing.
 type transposer struct {
-	t    *Table
-	fn   func(*ColumnBlock) error
-	b    ColumnBlock
-	ids  []int64
-	rows []Row
-	err  error
+	t   *Table
+	fn  func(*ColumnBlock) error
+	b   ColumnBlock
+	err error
 }
 
 // transposer takes a transposer for one walk from the table's pool;
@@ -191,7 +249,7 @@ func (t *Table) transposer(fn func(*ColumnBlock) error) *transposer {
 	if tr == nil {
 		tr = &transposer{t: t}
 	}
-	tr.fn, tr.err = fn, nil
+	tr.fn, tr.err = fn, tr.b.reset(t.schema, 0)
 	return tr
 }
 
@@ -204,27 +262,41 @@ func (tr *transposer) finish() error {
 	return err
 }
 
-// add stages one row, flushing a full block; false stops the walk.
+// add takes one stored row, flushing a full block; false stops the walk.
 func (tr *transposer) add(id int64, row Row) bool {
-	tr.ids, tr.rows = append(tr.ids, id), append(tr.rows, row)
-	if len(tr.rows) == blockRows {
+	if tr.err == nil {
+		tr.b.appendRow(id, row)
+	}
+	return tr.added()
+}
+
+// addRef takes one located row, reading a segment's columns directly.
+func (tr *transposer) addRef(ref rowRef) bool {
+	if ref.seg == nil {
+		return tr.add(ref.id, ref.set.rows[ref.id])
+	}
+	if tr.err == nil {
+		tr.b.appendFrom(&ref.seg.ColumnBlock, ref.pos)
+	}
+	return tr.added()
+}
+
+func (tr *transposer) added() bool {
+	if tr.b.rows == blockRows {
 		tr.flush()
 	}
 	return tr.err == nil
 }
 
-// flush transposes the staged rows and hands the block to fn. It
-// returns the first error of the walk.
+// flush hands the gathered rows to fn and empties the block. It returns
+// the first error of the walk.
 func (tr *transposer) flush() error {
-	if len(tr.rows) > 0 && tr.err == nil {
-		if tr.err = tr.b.reset(tr.t.schema, len(tr.rows)); tr.err == nil {
-			copy(tr.b.rowIDs, tr.ids)
-			tr.b.fill(tr.rows)
-			tr.err = tr.fn(&tr.b)
+	if tr.b.rows > 0 && tr.err == nil {
+		tr.b.finish()
+		if tr.err = tr.fn(&tr.b); tr.err == nil {
+			tr.err = tr.b.reset(tr.t.schema, 0)
 		}
 	}
-	clear(tr.rows) // a pooled transposer must not pin rows deleted later
-	tr.ids, tr.rows = tr.ids[:0], tr.rows[:0]
 	return tr.err
 }
 
@@ -242,9 +314,9 @@ type BlockScan struct {
 	Pruned int
 	Bytes  int64
 
-	t         *Table
-	lo, hi    int64 // first-PK range left for the B-tree
-	watermark int64 // row IDs at or below it are segment-resident
+	t      *Table
+	lo, hi int64     // first-PK range
+	sets   []*rowSet // the row sets when the scan opened: with Segments, every row the table then held
 }
 
 // Blocks opens the block source for first-primary-key values in
@@ -253,20 +325,22 @@ func (t *Table) Blocks(lo, hi int64) (*BlockScan, error) {
 	if len(t.pkCols) == 0 || t.schema.Columns[t.pkCols[0]].Type != KindInt {
 		return nil, fmt.Errorf("reldb: table %q: block scans need an integer leading primary-key column", t.schema.Name)
 	}
-	bs := &BlockScan{t: t, lo: lo, hi: hi}
-	if st := t.db.seg; st != nil {
-		if v, ok := st.view(t.schema.Name); ok {
-			bs.Segments, bs.Pruned, bs.Bytes = v.blocksPKRange(lo, hi)
-			// Under the ordered invariant every unflushed row's PK is at
-			// least the flushed maximum.
-			bs.lo, bs.watermark = max(lo, v.maxPK), v.watermark
+	t.db.mu.RLock()
+	defer t.db.mu.RUnlock()
+	bs := &BlockScan{t: t, lo: lo, hi: hi, sets: t.sets}
+	for _, s := range t.segs {
+		if s.maxPK < lo || s.minPK > hi {
+			bs.Pruned++
+			continue
 		}
+		bs.Bytes += s.decodedBytes()
+		bs.Segments = append(bs.Segments, &s.ColumnBlock)
 	}
 	return bs, nil
 }
 
-// Segmented reports whether the table had a live segment view when the
-// scan opened, i.e. whether Tail covers only the unflushed rows.
+// Segmented reports whether the table had segments when the scan
+// opened, i.e. whether Tail covers only the unflushed rows.
 func (bs *BlockScan) Segmented() bool { return len(bs.Segments)+bs.Pruned > 0 }
 
 // Each calls fn with every block of the scan in ascending PK order: the
@@ -280,30 +354,27 @@ func (bs *BlockScan) Each(fn func(*ColumnBlock) error) error {
 	return bs.Tail(fn)
 }
 
-// Tail transposes the rows of the range that no segment holds — the
-// whole range when the scan is not Segmented — and calls fn with each
-// block in ascending PK order. The block is reused: it is valid only
-// until fn returns. fn runs under the engine read lock and must not
-// write to the engine; a non-nil error stops the walk and is returned.
+// Tail transposes the rows of the range that no segment held when the
+// scan opened — the whole range when the scan is not Segmented — and
+// calls fn with each block in ascending PK order. A row set sealed,
+// flushed or rehydrated away since then is still read as it was, so
+// Segments plus Tail see each row exactly once. The block is reused: it is
+// valid only until fn returns. fn runs under the engine read lock and
+// must not write to the engine; a non-nil error stops the walk and is
+// returned.
 func (bs *BlockScan) Tail(fn func(*ColumnBlock) error) error {
-	if bs.lo > bs.hi {
-		return nil
-	}
-	t := bs.t
 	loKey := EncodeKey(nil, Int(bs.lo))
 	var hiKey []byte
 	if bs.hi < math.MaxInt64 {
 		hiKey = EncodeKey(nil, Int(bs.hi+1))
 	}
+	t := bs.t
 	t.db.mu.RLock()
 	defer t.db.mu.RUnlock()
 	tr := t.transposer(fn)
-	t.primary.Ascend(loKey, hiKey, func(_ []byte, id int64) bool {
-		if id <= bs.watermark {
-			return true // flushed row at the boundary PK: a segment served it
-		}
-		return tr.add(id, t.rows[id])
-	})
+	if bs.lo <= bs.hi {
+		walkSets(bs.sets, "", loKey, hiKey, tr.add)
+	}
 	return tr.finish()
 }
 
@@ -315,7 +386,7 @@ func (t *Table) Gather(ids []int64, fn func(*ColumnBlock) error) error {
 	defer t.db.mu.RUnlock()
 	tr := t.transposer(fn)
 	for _, id := range ids {
-		if row, ok := t.rows[id]; ok && !tr.add(id, row) {
+		if ref, ok := t.findIDLocked(id); ok && !tr.addRef(ref) {
 			break
 		}
 	}

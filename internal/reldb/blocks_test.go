@@ -31,7 +31,7 @@ func sameColumns(t *testing.T, label string, b, want *ColumnBlock) {
 func head(ids []int64) []int64 { return ids[:min(len(ids), 4)] }
 
 // TestBlockSourceTransposeMatchesSegment checks the transposer against
-// buildSegment: for the same rows, blocks transposed from the B-tree —
+// buildSegment: for the same rows, blocks transposed from the row store —
 // by range and by gathered ID list, across a 4096-row boundary — carry
 // the columns, row IDs and zones a segment of those rows would.
 func TestBlockSourceTransposeMatchesSegment(t *testing.T) {
@@ -50,7 +50,7 @@ func TestBlockSourceTransposeMatchesSegment(t *testing.T) {
 	want := func(ids []int64) *ColumnBlock {
 		rows := make([]Row, len(ids))
 		for i, id := range ids {
-			rows[i] = tab.rows[id]
+			rows[i] = tab.active.rows[id]
 		}
 		seg, err := buildSegment(tab, ids, rows)
 		if err != nil {
@@ -98,7 +98,7 @@ func TestBlockSourceTransposeMatchesSegment(t *testing.T) {
 			continue
 		}
 		ask = append(ask, id)
-		if _, ok := tab.rows[id]; ok {
+		if _, ok := tab.active.rows[id]; ok {
 			present = append(present, id)
 		}
 	}
@@ -139,8 +139,8 @@ func linkPairs(t *testing.T, tab *Table, lo, hi int64) [][2]int64 {
 // TestBlockSourceSegmentsThenTail checks the composite-key case on the
 // segment engine: a range scan yields the segment blocks, then only the
 // unflushed rows — including links of the owner at the flushed boundary
-// — each exactly once and in PK order, and stops serving segments once
-// the view is dirty.
+// — each exactly once and in PK order, and serves no segments once a
+// delete has rehydrated the table.
 func TestBlockSourceSegmentsThenTail(t *testing.T) {
 	fe := openTestEngine(t, t.TempDir())
 	defer fe.Close()
@@ -180,8 +180,8 @@ func TestBlockSourceSegmentsThenTail(t *testing.T) {
 		t.Fatalf("segments+tail links = %v, want %v", got, want)
 	}
 
-	// Deleting a flushed row poisons the view: the same range now comes
-	// entirely from the B-tree, without the deleted link.
+	// Deleting a flushed row rehydrates the table: the same range now
+	// comes entirely from the row store, without the deleted link.
 	_, id, ok := tab.GetByPK(Int(46), Int(1))
 	if !ok {
 		t.Fatal("link (46,1) missing")
@@ -191,11 +191,11 @@ func TestBlockSourceSegmentsThenTail(t *testing.T) {
 	}
 	scan, _ = tab.Blocks(45, 55)
 	if scan.Segmented() {
-		t.Fatal("dirty table still serves segment blocks")
+		t.Fatal("rehydrated table still serves segment blocks")
 	}
 	want = append(want[:2], want[3:]...) // (45,1) (45,2) | (46,1)
 	if got := linkPairs(t, tab, 45, 55); !reflect.DeepEqual(got, want) {
-		t.Fatalf("dirty-view links = %v, want %v", got, want)
+		t.Fatalf("rehydrated links = %v, want %v", got, want)
 	}
 }
 
@@ -204,8 +204,8 @@ func TestBlockSourceSegmentsThenTail(t *testing.T) {
 // segments: whatever mix of segment and transposed blocks a scan sees,
 // it must yield every prefix row exactly once, ascending (a segment
 // block may carry later rows too; blocks are pruned, not trimmed). Under
-// -race this is the check that the transposer's B-tree reads and the
-// compactor's publication are synchronized.
+// -race this is the check that a scan's reads of the row sets are
+// synchronized with the seals and publications that replace them.
 func TestBlockSourceDuringCompaction(t *testing.T) {
 	fe := openTestEngine(t, t.TempDir())
 	defer fe.Close()

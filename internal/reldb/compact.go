@@ -1,46 +1,39 @@
 package reldb
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
-// The durable engine's background compactor drains committed WAL
-// batches for the hot, bulk-scanned tables into immutable columnar
-// segment files. The
-// WAL remains the single source of truth: a segment only becomes
-// load-bearing once the WAL records it covers are fsynced, the segment
-// file itself is fsynced, and the manifest references it — and the WAL
-// is only truncated at checkpoint, after all of that is durable.
+// The durable engine keeps one resident copy of every row of its hot,
+// bulk-scanned tables (Table's doc comment has the read side). A batch
+// boundary that leaves a table's active row set at or above the flush
+// threshold seals it — swaps in an empty one, O(1); the background
+// compactor encodes the sealed set into an immutable columnar segment
+// file, publishes the decoded segment and drops the set, again O(1).
+// Nothing is deleted row by row and nothing re-inserted, at run time or
+// at recovery. A mutation the frozen shapes cannot absorb rehydrates the
+// table (Table.rehydrateLocked), the only fallback.
 //
-// Invariants the scan path relies on (per hot table):
-//
-//	watermark   max row ID resident in any live segment; rows with
-//	            higher IDs form the unflushed tail and are read from
-//	            the B-tree.
-//	ordered     inserts arrive in ascending first-PK order (true for
-//	            PerfTrack's append-only result and link tables), so
-//	            segments partition the PK space and every tail row's
-//	            PK exceeds the flushed maximum. Violations set the
-//	            unordered flag, which disables the columnar scan path
-//	            (reads fall back to the B-tree) until a checkpoint
-//	            rebuilds the segments from scratch.
-//	dirty       an update/delete/replay-replace touched a flushed row,
-//	            so some segment content is stale. Same fallback; the
-//	            next checkpoint drops the segments, snapshots the full
-//	            table, and starts over.
+// The WAL remains the durable source of truth until a checkpoint: a
+// segment only becomes load-bearing once the WAL records it covers are
+// fsynced, the segment file itself is fsynced, and the manifest
+// references it — and the WAL is only truncated at checkpoint, after all
+// of that is durable.
 
 // segmentHotTables lists the bulk-scanned relations the compactor
-// drains into columnar files. Everything else lives purely in the
-// B-tree and the snapshot.
+// drains into columnar files. Everything else lives purely in its row
+// set and the snapshot.
 var segmentHotTables = []string{"performance_result", "result_has_focus", "focus_has_resource"}
+
+func isHotTable(name string) bool { return slices.Contains(segmentHotTables, name) }
 
 const (
 	segmentSubdir   = "segments"
@@ -48,46 +41,22 @@ const (
 	defaultSegFlush = 4096
 )
 
-// errCompactBusy reports a compaction skipped because a write batch was
-// open; the compactor retries shortly after.
-var errCompactBusy = errors.New("reldb: compaction deferred: write batch open")
-
-// segTable is the per-hot-table segment state.
-type segTable struct {
-	name string
-
-	// Guarded by segState.mu. watermark/maxPK are additionally atomics
-	// so the mutation path can read them without taking segState.mu.
-	segs     []*segment
-	segRows  int64
-	segBytes int64
-
-	watermark   atomic.Int64 // max row ID flushed into a live segment
-	maxPK       atomic.Int64 // max first-PK value flushed
-	flushingMax atomic.Int64 // max row ID in an in-flight compaction batch
-	dirty       atomic.Bool
-	unordered   atomic.Bool
-	pendingN    atomic.Int64
-
-	// Guarded by the owning DB's write lock (note runs under it).
-	pending []int64 // unflushed row IDs in insert order
-	lastPK  int64   // max first-PK value ever inserted
-	havePK  bool
-}
-
-// segState is a FileEngine's compaction and segment-residency state.
+// segState is a FileEngine's compaction state; what each hot table has
+// sealed and flushed lives on the Table, under the engine lock.
 type segState struct {
-	fe     *FileEngine
-	dir    string
-	tables map[string]*segTable // fixed at construction; lock-free reads
+	fe  *FileEngine
+	dir string
 
-	mu        sync.RWMutex // guards segTable.segs slices and counters
-	compactMu sync.Mutex   // serializes compaction passes and checkpoints
-	nextSeq   int64        // under compactMu
+	compactMu sync.Mutex // serializes compaction passes and checkpoints
+	nextSeq   int64      // under compactMu
 
 	flushRows   atomic.Int64
 	compactions atomic.Uint64 // compaction passes that wrote segments
 	segsWritten atomic.Uint64 // segment files written
+
+	// Guarded by the engine lock.
+	loaded  map[string][]*segment // recovery: manifest-listed segments, by table, until replay ends
+	garbage []string              // files of released segments, removed after the next manifest write
 
 	notify   chan struct{}
 	stop     chan struct{}
@@ -99,118 +68,89 @@ func newSegState(fe *FileEngine) *segState {
 	st := &segState{
 		fe:     fe,
 		dir:    filepath.Join(fe.dir, segmentSubdir),
-		tables: make(map[string]*segTable, len(segmentHotTables)),
 		notify: make(chan struct{}, 1),
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
 	}
 	st.flushRows.Store(defaultSegFlush)
-	for _, name := range segmentHotTables {
-		st.tables[name] = &segTable{name: name}
-	}
 	return st
 }
 
 // SetSegmentFlushRows sets how many unflushed tail rows a hot table
-// accumulates before the background compactor drains it into a segment.
+// accumulates before a batch boundary seals them for the compactor.
 func (fe *FileEngine) SetSegmentFlushRows(n int64) {
 	if n > 0 {
 		fe.seg.flushRows.Store(n)
 	}
 }
 
-// --- mutation tracking (called with the DB write lock held) ---
+// --- sealing (engine write lock held) ---
 
-func (st *segState) note(m *mutation) {
-	sg := st.tables[m.table]
-	if sg == nil {
-		return
+// sealable reports whether a hot table's tail may be sealed: it has an
+// integer leading key, no unique index (segments cannot enforce one) and
+// no disorder since the last checkpoint.
+func (t *Table) sealable() bool {
+	if t.resident == residentUnordered || len(t.pkCols) == 0 || t.schema.Columns[t.pkCols[0]].Type != KindInt {
+		return false
 	}
-	switch m.op {
-	case opInsert:
-		if m.id <= sg.watermark.Load() {
-			// Row-ID reuse below the watermark (transaction rollback
-			// compensation): the flushed image may now be stale.
-			sg.dirty.Store(true)
-			return
-		}
-		st.notePK(sg, m.row)
-		sg.pending = append(sg.pending, m.id)
-		sg.pendingN.Add(1)
-	case opUpdate, opDelete:
-		if m.id <= sg.watermark.Load() || (sg.flushingMax.Load() > 0 && m.id <= sg.flushingMax.Load()) {
-			sg.dirty.Store(true)
-		}
-	case opDropTable:
-		sg.pending = nil
-		sg.pendingN.Store(0)
-		if sg.watermark.Load() > 0 {
-			sg.dirty.Store(true)
+	for _, ix := range t.active.indexes {
+		if ix.spec.Unique {
+			return false
 		}
 	}
+	return true
 }
 
-func (st *segState) notePK(sg *segTable, row Row) {
-	t := st.fe.tables[sg.name]
-	if t == nil || len(t.pkCols) == 0 {
-		sg.unordered.Store(true)
-		return
-	}
-	v := row[t.pkCols[0]]
-	if v.Kind() != KindInt {
-		sg.unordered.Store(true)
-		return
-	}
-	pk := v.Int64()
-	if sg.havePK && pk < sg.lastPK {
-		sg.unordered.Store(true)
-	}
-	if !sg.havePK || pk > sg.lastPK {
-		sg.lastPK = pk
-		sg.havePK = true
-	}
-}
-
-// markDirtyBelow poisons the scan path when recovery replaces or
-// removes a row at or below the table's flushed watermark.
-func (st *segState) markDirtyBelow(table string, id int64) {
-	if sg := st.tables[table]; sg != nil && id <= sg.watermark.Load() {
-		sg.dirty.Store(true)
-	}
-}
-
-// resetTable forgets a hot table's segments entirely (recovery replay
-// of a DROP TABLE: the rows they held died with the table).
-func (st *segState) resetTable(table string) {
-	sg := st.tables[table]
-	if sg == nil {
-		return
-	}
-	st.mu.Lock()
-	sg.segs = nil
-	sg.segRows, sg.segBytes = 0, 0
-	st.mu.Unlock()
-	sg.watermark.Store(0)
-	sg.maxPK.Store(0)
-	sg.dirty.Store(false)
-	sg.unordered.Store(false)
-	sg.pending = nil
-	sg.pendingN.Store(0)
-	sg.lastPK, sg.havePK = 0, false
-}
-
-// maybeNotify wakes the compactor when any hot table's tail crossed the
-// flush threshold. Non-blocking; safe under the DB lock.
-func (st *segState) maybeNotify() {
-	thr := st.flushRows.Load()
-	for _, sg := range st.tables {
-		if sg.pendingN.Load() >= thr {
-			select {
-			case st.notify <- struct{}{}:
-			default:
+// sealReadyLocked seals every hot table whose active set holds at least
+// atLeast rows and has no sealed set in flight, then wakes the compactor if
+// any table has work for it. Callers have no write batch open, so every
+// row sealed is final: rollback compensation has already run.
+func (st *segState) sealReadyLocked(atLeast int64) {
+	work := false
+	for _, name := range segmentHotTables {
+		t := st.fe.tables[name]
+		if t == nil {
+			continue
+		}
+		if n := int64(len(t.active.rows)); t.sealed == nil && n > 0 && n >= atLeast && t.sealable() {
+			t.frozenMaxID = max(t.frozenMaxID, t.active.maxID)
+			t.frozenMaxKey = t.active.primary.root.max().key
+			if t.resident == residentMutated {
+				t.resident = 0
 			}
-			return
+			t.installLocked(t.active, t.newRowSet())
 		}
+		work = work || t.sealed != nil
+	}
+	if work {
+		select {
+		case st.notify <- struct{}{}:
+		default:
+		}
+	}
+}
+
+// adoptLocked makes a segment part of the table.
+func (t *Table) adoptLocked(s *segment) {
+	s.perms = make(map[string]*lazyPerm, len(t.active.indexes))
+	for name := range t.active.indexes {
+		s.perms[name] = new(lazyPerm)
+	}
+	t.segs = append(t.segs, s)
+	t.segRows += int64(s.rows)
+	t.segBytes += s.sizeOn
+	t.segDataBytes += s.decodedBytes()
+}
+
+// releaseStaleLocked gives up the files of rehydrated-away segments, once
+// their rows are durable elsewhere: in the table's first new segment,
+// which a seal after rehydration fills with every row, or in a snapshot.
+// The files are deleted when a manifest that no longer lists them is
+// durable.
+func (t *Table) releaseStaleLocked() {
+	if len(t.stale) > 0 {
+		t.db.seg.garbage = append(t.db.seg.garbage, t.stale...)
+		t.stale, t.staleBytes = nil, 0
 	}
 }
 
@@ -224,18 +164,11 @@ func (st *segState) run() {
 			return
 		case <-st.notify:
 		}
-		if err := st.compact(st.flushRows.Load()); errors.Is(err, errCompactBusy) {
-			// A write batch was open; retry shortly.
-			select {
-			case <-st.stop:
-				return
-			case <-time.After(20 * time.Millisecond):
-			}
-			select {
-			case st.notify <- struct{}{}:
-			default:
-			}
-		}
+		st.compactMu.Lock()
+		// A failed pass leaves its sealed sets in place, still serving
+		// reads; the next batch boundary wakes the compactor to retry.
+		_ = st.drain(false)
+		st.compactMu.Unlock()
 	}
 }
 
@@ -246,169 +179,132 @@ func (st *segState) shutdown() {
 	})
 }
 
-// CompactSegments synchronously drains every hot table's unflushed tail
-// into columnar segments, regardless of the flush threshold. It returns
-// errCompactBusy semantics as an error if a write batch is open.
-func (fe *FileEngine) CompactSegments() error { return fe.seg.compact(1) }
-
-// compact runs one compaction pass over every hot table whose tail has
-// at least min rows, then rewrites the manifest once.
-func (st *segState) compact(min int64) error {
-	st.compactMu.Lock()
-	defer st.compactMu.Unlock()
-	wrote := false
-	for _, name := range segmentHotTables {
-		sg := st.tables[name]
-		if sg.pendingN.Load() < min {
-			continue
-		}
-		did, err := st.compactTable(sg)
-		if err != nil {
-			return err
-		}
-		wrote = wrote || did
-	}
-	if !wrote {
-		return nil
-	}
-	st.compactions.Add(1)
-	return st.writeManifest()
+// CompactSegments synchronously seals and drains every hot table's tail
+// into columnar segments, whatever the flush threshold. Rows of a write
+// batch still open stay in the tail.
+func (fe *FileEngine) CompactSegments() error {
+	fe.seg.compactMu.Lock()
+	defer fe.seg.compactMu.Unlock()
+	return fe.seg.drain(true)
 }
 
-// compactTable flushes one table's tail into a new segment file:
-// collect under the DB lock, fsync the WAL (truth first), encode and
-// fsync the segment outside the lock, then publish watermark + segment
-// atomically with respect to readers. Requires compactMu.
-func (st *segState) compactTable(sg *segTable) (bool, error) {
+// drain encodes and publishes sealed sets until none is left; with force
+// it first seals every non-empty tail. Each pass makes the WAL durable
+// once, writes a segment per sealed set outside the engine lock, then
+// under it appends the segment and drops the set — sealing the table's
+// next tail itself when that has meanwhile crossed the threshold — and
+// rewrites the manifest. Requires compactMu.
+func (st *segState) drain(force bool) error {
 	fe := st.fe
-
-	fe.mu.Lock()
-	if fe.batchDepth > 0 {
-		fe.mu.Unlock()
-		return false, errCompactBusy
+	type job struct {
+		t   *Table
+		set *rowSet
 	}
-	if err := fe.walW.flush(); err != nil {
-		fe.mu.Unlock()
-		return false, err
-	}
-	t := fe.tables[sg.name]
-	if t == nil {
-		sg.pending = nil
-		sg.pendingN.Store(0)
-		fe.mu.Unlock()
-		return false, nil
-	}
-	w := sg.watermark.Load()
-	taken := sg.pending
-	sg.pending = nil
-	sg.pendingN.Store(0)
-	seen := make(map[int64]struct{}, len(taken))
-	ids := make([]int64, 0, len(taken))
-	rows := make([]Row, 0, len(taken))
-	maxID := int64(0)
-	for _, id := range taken {
-		if id <= w {
-			continue
-		}
-		if _, dup := seen[id]; dup {
-			continue
-		}
-		row, ok := t.rows[id]
-		if !ok {
-			continue // deleted before it was ever flushed
-		}
-		seen[id] = struct{}{}
-		ids = append(ids, id)
-		rows = append(rows, row)
-		if id > maxID {
-			maxID = id
-		}
-	}
-	if len(ids) == 0 {
-		fe.mu.Unlock()
-		return false, nil
-	}
-	sg.flushingMax.Store(maxID)
-	prevMaxPK := sg.maxPK.Load()
-	hadSegs := sg.watermark.Load() > 0
-	fe.mu.Unlock()
-
-	requeue := func() {
+	for ; ; force = false {
+		var jobs []job
 		fe.mu.Lock()
-		sg.flushingMax.Store(0)
-		sg.pending = append(ids, sg.pending...)
-		sg.pendingN.Store(int64(len(sg.pending)))
+		if force && fe.batchDepth == 0 {
+			st.sealReadyLocked(1)
+		}
+		for _, name := range segmentHotTables {
+			if t := fe.tables[name]; t != nil && t.sealed != nil {
+				jobs = append(jobs, job{t, t.sealed})
+			}
+		}
+		err := fe.walW.flush()
 		fe.mu.Unlock()
+		if err != nil || len(jobs) == 0 {
+			return err
+		}
+		// The WAL is truth: its records must be durable before a segment
+		// that mirrors them can be named.
+		if err := fe.wal.Sync(); err != nil {
+			return err
+		}
+		for _, j := range jobs {
+			seg, err := st.writeSegment(j.t, j.set)
+			if err != nil {
+				return err
+			}
+			fe.mu.Lock()
+			if fe.tables[seg.table] == j.t && j.t.sealed == j.set {
+				j.t.adoptLocked(seg)
+				j.t.releaseStaleLocked()
+				j.t.installLocked(nil, j.t.active)
+				st.segsWritten.Add(1)
+				if fe.batchDepth == 0 {
+					st.sealReadyLocked(st.flushRows.Load())
+				}
+			} else {
+				// Dropped or rehydrated while it was being encoded.
+				st.garbage = append(st.garbage, seg.file)
+			}
+			fe.mu.Unlock()
+		}
+		st.compactions.Add(1)
+		fe.mu.Lock()
+		files, garbage := st.manifestLocked()
+		fe.mu.Unlock()
+		if err := st.writeManifest(files, garbage); err != nil {
+			return err
+		}
 	}
+}
 
-	// WAL is truth: its records must be durable before the segment that
-	// mirrors them can ever be referenced.
-	if err := fe.wal.Sync(); err != nil {
-		requeue()
-		return false, err
-	}
+// writeSegment encodes a sealed row set, already in primary-key order
+// and immutable, into a new fsynced segment file.
+func (st *segState) writeSegment(t *Table, set *rowSet) (*segment, error) {
+	ids := make([]int64, 0, len(set.rows))
+	rows := make([]Row, 0, len(set.rows))
+	set.primary.Ascend(nil, nil, func(_ []byte, id int64) bool {
+		ids, rows = append(ids, id), append(rows, set.rows[id])
+		return true
+	})
 	seg, err := buildSegment(t, ids, rows)
 	if err != nil {
-		requeue()
-		return false, err
+		return nil, err
 	}
 	st.nextSeq++
-	path := filepath.Join(st.dir, fmt.Sprintf("seg-%s-%08d.seg", sg.name, st.nextSeq))
-	if err := writeSegmentFile(path, seg); err != nil {
-		requeue()
-		return false, err
-	}
-
-	fe.mu.Lock()
-	if hadSegs && seg.minPK <= prevMaxPK {
-		sg.unordered.Store(true)
-	}
-	st.mu.Lock()
-	sg.watermark.Store(maxID)
-	if seg.maxPK > sg.maxPK.Load() {
-		sg.maxPK.Store(seg.maxPK)
-	}
-	sg.flushingMax.Store(0)
-	sg.segs = append(sg.segs, seg)
-	sg.segRows += int64(seg.rows)
-	sg.segBytes += seg.sizeOn
-	st.mu.Unlock()
-	fe.mu.Unlock()
-	st.segsWritten.Add(1)
-	return true, nil
+	path := filepath.Join(st.dir, fmt.Sprintf("seg-%s-%08d.seg", seg.table, st.nextSeq))
+	return seg, writeSegmentFile(path, seg)
 }
 
 // --- manifest ---
 
-// writeManifest atomically rewrites the manifest listing the live
-// segment files per table. Safe with or without the DB lock held.
-func (st *segState) writeManifest() error {
-	type entry struct {
-		name  string
-		files []string
-	}
-	st.mu.RLock()
-	entries := make([]entry, 0, len(segmentHotTables))
+// manifestLocked returns what the next manifest lists — the live and
+// the stale segment files of each hot table — and takes the released
+// files it thereby stops referencing.
+func (st *segState) manifestLocked() (files [][]string, garbage []string) {
 	for _, name := range segmentHotTables {
-		sg := st.tables[name]
-		e := entry{name: name}
-		for _, s := range sg.segs {
-			e.files = append(e.files, filepath.Base(s.file))
+		var list []string
+		if t := st.fe.tables[name]; t != nil {
+			for _, path := range t.stale {
+				list = append(list, filepath.Base(path))
+			}
+			for _, s := range t.segs {
+				list = append(list, filepath.Base(s.file))
+			}
 		}
-		entries = append(entries, e)
+		files = append(files, list)
 	}
-	st.mu.RUnlock()
+	garbage, st.garbage = st.garbage, nil
+	return files, garbage
+}
 
+// writeManifest atomically rewrites the manifest (files[i] belongs to
+// segmentHotTables[i]) and then deletes the garbage it no longer names.
+// Requires compactMu.
+func (st *segState) writeManifest(files [][]string, garbage []string) error {
 	err := replaceFile(filepath.Join(st.dir, manifestFile), func(rw *recordWriter) error {
 		hdr := putUvarint(nil, 1) // version
 		hdr = putVarint(hdr, st.nextSeq)
 		if err := rw.writeRecord(hdr); err != nil {
 			return err
 		}
-		for _, e := range entries {
-			p := putString(nil, e.name)
-			p = putUvarint(p, uint64(len(e.files)))
-			for _, file := range e.files {
+		for i, name := range segmentHotTables {
+			p := putString(nil, name)
+			p = putUvarint(p, uint64(len(files[i])))
+			for _, file := range files[i] {
 				p = putString(p, file)
 			}
 			if err := rw.writeRecord(p); err != nil {
@@ -420,14 +316,16 @@ func (st *segState) writeManifest() error {
 	if err != nil {
 		return fmt.Errorf("reldb: write manifest: %w", err)
 	}
+	for _, path := range garbage {
+		os.Remove(path) // best effort; open-time cleanup catches leftovers
+	}
 	return nil
 }
 
-// load reads the manifest and its segment files, registering each
-// segment and inserting its rows into tables that already exist (from
-// the snapshot). Rows of tables created after the last checkpoint are
-// still fully present in the WAL and arrive during replay. Runs after
-// loadSnapshot and before replayWAL.
+// load reads the manifest and decodes the segment files it lists into
+// st.loaded. Runs after loadSnapshot; attachLocked then hands each table
+// its segments, at once if the snapshot created the table, else when WAL
+// replay does.
 func (st *segState) load() error {
 	if err := os.MkdirAll(st.dir, 0o755); err != nil {
 		return fmt.Errorf("reldb: open %s: %w", st.dir, err)
@@ -452,13 +350,14 @@ func (st *segState) load() error {
 	if st.nextSeq, err = hp.varint(); err != nil {
 		return fmt.Errorf("reldb: manifest: %w", err)
 	}
+	st.loaded = make(map[string][]*segment)
 	for {
 		payload, err := rr.readRecord()
 		if err != nil {
 			if errors.Is(err, ErrCorruptLog) {
 				return fmt.Errorf("reldb: manifest: %w", err)
 			}
-			break // io.EOF
+			return nil // io.EOF
 		}
 		p := &payloadReader{buf: payload}
 		name, err := p.str()
@@ -469,7 +368,6 @@ func (st *segState) load() error {
 		if err != nil {
 			return fmt.Errorf("reldb: manifest: %w", err)
 		}
-		sg := st.tables[name]
 		for i := uint64(0); i < n; i++ {
 			file, err := p.str()
 			if err != nil {
@@ -483,121 +381,68 @@ func (st *segState) load() error {
 				return fmt.Errorf("%w: segment %s holds table %q, manifest says %q",
 					ErrCorruptSegment, file, seg.table, name)
 			}
-			if sg == nil {
-				continue // table no longer hot; orphan cleanup removes it
-			}
-			if err := st.loadSegmentRows(name, seg); err != nil {
-				return err
-			}
-			sg.segs = append(sg.segs, seg)
-			sg.segRows += int64(seg.rows)
-			sg.segBytes += seg.sizeOn
-			if seg.maxRowID > sg.watermark.Load() {
-				sg.watermark.Store(seg.maxRowID)
-			}
-			if seg.maxPK > sg.maxPK.Load() {
-				sg.maxPK.Store(seg.maxPK)
+			if isHotTable(name) { // else no longer hot; orphan cleanup removes the file
+				st.loaded[name] = append(st.loaded[name], seg)
 			}
 		}
 	}
-	return nil
 }
 
-// loadSegmentRows reinserts a segment's rows into the B-tree under
-// their original row IDs. Rows already present (the snapshot is newer,
-// e.g. after a crash between snapshot rename and manifest rewrite) are
-// skipped: later recovery layers win.
-func (st *segState) loadSegmentRows(table string, seg *segment) error {
-	fe := st.fe
-	fe.mu.Lock()
-	defer fe.mu.Unlock()
-	t, ok := fe.tables[table]
-	if !ok {
+// attachLocked hands a table created during recovery the segments the
+// manifest lists for it, without inserting a row: the table's next row
+// ID and frozen range move past them, and WAL replay finds their rows
+// already served. The snapshot normally holds none of those rows. It
+// does when it and the manifest are of different ages — a checkpoint
+// crashed between writing the two, or it snapshotted a tail (a batch was
+// open) that a later re-segmentation then flushed — and in both cases
+// the WAL since the older of them is intact, so either image replays to
+// the truth: the segment's is kept and the snapshot's copy dropped. If
+// what remains is not in ascending key and row-ID order (a store
+// written before rows left the row store could hold such), the table is
+// rehydrated at once.
+func (st *segState) attachLocked(t *Table) error {
+	segs := st.loaded[t.schema.Name]
+	if len(segs) == 0 {
 		return nil
 	}
-	for i := 0; i < seg.rows; i++ {
-		id := seg.rowIDs[i]
-		if _, exists := t.rows[id]; exists {
-			continue
+	ordered := t.sealable()
+	for i, s := range segs {
+		if !s.matches(t.schema) {
+			return fmt.Errorf("%w: segment %s does not match the schema of table %q",
+				ErrCorruptSegment, s.file, s.table)
 		}
-		if err := t.insertAtLocked(id, seg.row(i)); err != nil {
-			return fmt.Errorf("reldb: segment %s: %w", seg.file, err)
+		key := t.pkKey(s.row(0))
+		if i > 0 && (s.minRowID <= t.frozenMaxID || bytes.Compare(key, t.frozenMaxKey) <= 0) {
+			ordered = false
 		}
+		t.frozenMaxID, t.frozenMaxKey = max(t.frozenMaxID, s.maxRowID), t.pkKey(s.row(s.rows-1))
+		t.adoptLocked(s)
+	}
+	for id, row := range t.active.rows {
+		if ref, ok := t.findIDLocked(id); ok && ref.seg != nil {
+			t.active.remove(id, row, t.pkKey(row))
+		}
+	}
+	if t.active.primary.Len() > 0 && bytes.Compare(t.active.primary.root.min().key, t.frozenMaxKey) <= 0 {
+		ordered = false
+	}
+	t.nextID = max(t.nextID, t.frozenMaxID+1)
+	if !ordered {
+		t.rehydrateLocked(residentUnordered)
 	}
 	return nil
 }
 
-// initAfterRecovery rebuilds the in-memory tail bookkeeping (pending
-// row IDs, last-PK high-water mark, ordering flags) after the snapshot,
-// segments, and WAL have all been applied, then starts from a
-// consistent state.
-func (st *segState) initAfterRecovery() {
-	fe := st.fe
-	fe.mu.Lock()
-	defer fe.mu.Unlock()
-	for _, name := range segmentHotTables {
-		sg := st.tables[name]
-		t := fe.tables[name]
-		if t == nil {
-			st.mu.Lock()
-			sg.segs = nil
-			sg.segRows, sg.segBytes = 0, 0
-			st.mu.Unlock()
-			sg.watermark.Store(0)
-			sg.maxPK.Store(0)
-			continue
-		}
-		intPK := len(t.pkCols) > 0 && t.schema.Columns[t.pkCols[0]].Type == KindInt
-		if !intPK && len(sg.segs) > 0 {
-			sg.unordered.Store(true)
-		}
-		for i := 1; i < len(sg.segs); i++ {
-			if sg.segs[i].minPK <= sg.segs[i-1].maxPK {
-				sg.unordered.Store(true)
-			}
-		}
-		w := sg.watermark.Load()
-		maxPK := sg.maxPK.Load()
-		ids := make([]int64, 0)
-		for id := range t.rows {
-			if id > w {
-				ids = append(ids, id)
-			}
-		}
-		sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-		sg.pending = ids
-		sg.pendingN.Store(int64(len(ids)))
-		if intPK {
-			pkc := t.pkCols[0]
-			last := maxPK
-			have := len(sg.segs) > 0
-			for _, id := range ids {
-				pk := t.rows[id][pkc].Int64()
-				if len(sg.segs) > 0 && pk <= maxPK {
-					sg.unordered.Store(true)
-				}
-				if !have || pk > last {
-					last = pk
-					have = true
-				}
-			}
-			sg.lastPK = last
-			sg.havePK = have
-		}
-	}
-}
-
-// cleanOrphans removes segment files not referenced by any live
-// segment — leftovers of crashed compactions or checkpoint drops.
-func (st *segState) cleanOrphans() {
+// cleanOrphans removes segment files the manifest (files, as
+// manifestLocked returns them) does not list — leftovers of crashed
+// compactions or released segments.
+func (st *segState) cleanOrphans(files [][]string) {
 	live := make(map[string]bool)
-	st.mu.RLock()
-	for _, sg := range st.tables {
-		for _, s := range sg.segs {
-			live[filepath.Base(s.file)] = true
+	for _, list := range files {
+		for _, file := range list {
+			live[file] = true
 		}
 	}
-	st.mu.RUnlock()
 	entries, err := os.ReadDir(st.dir)
 	if err != nil {
 		return
@@ -613,112 +458,13 @@ func (st *segState) cleanOrphans() {
 	}
 }
 
-// resetStaleLocked drops the segments of every dirty or unordered hot
-// table so the checkpoint snapshot captures those tables in full and
-// the next compaction rebuilds their segments from a clean, sorted
-// slate. Called with the DB write lock and compactMu held; returns the
-// dropped files for deletion after the manifest and WAL are rewritten.
-func (st *segState) resetStaleLocked() []string {
-	var dropped []string
-	for _, name := range segmentHotTables {
-		sg := st.tables[name]
-		if !sg.dirty.Load() && !sg.unordered.Load() {
-			continue
-		}
-		st.mu.Lock()
-		for _, s := range sg.segs {
-			dropped = append(dropped, s.file)
-		}
-		sg.segs = nil
-		sg.segRows, sg.segBytes = 0, 0
-		sg.watermark.Store(0)
-		sg.maxPK.Store(0)
-		st.mu.Unlock()
-		sg.dirty.Store(false)
-		sg.unordered.Store(false)
-		// With the watermark reset, every row is tail again: queue the
-		// full table so the next compaction writes one sorted segment.
-		t := st.fe.tables[name]
-		if t == nil {
-			sg.pending = nil
-			sg.pendingN.Store(0)
-			sg.lastPK, sg.havePK = 0, false
-			continue
-		}
-		ids := make([]int64, 0, len(t.rows))
-		for id := range t.rows {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-		sg.pending = ids
-		sg.pendingN.Store(int64(len(ids)))
-		if len(t.pkCols) > 0 && t.schema.Columns[t.pkCols[0]].Type == KindInt {
-			pkc := t.pkCols[0]
-			last, have := int64(0), false
-			for _, row := range t.rows {
-				if pk := row[pkc].Int64(); !have || pk > last {
-					last, have = pk, true
-				}
-			}
-			sg.lastPK, sg.havePK = last, have
-		}
-	}
-	return dropped
-}
-
-// --- read-side view ---
-
-// segView is a consistent snapshot of one table's columnar segments.
-// Segments are immutable, so the view stays valid for the duration of a
-// scan even while the compactor publishes new ones.
-type segView struct {
-	segs      []*segment
-	watermark int64 // max flushed row ID: rows above it live only in the B-tree
-	maxPK     int64 // max flushed first-PK value; every tail row's PK is >= it
-	rows      int64
-}
-
-// view returns the current columnar view of a hot table, or ok=false
-// when the table keeps no segments or the scan path is disabled (dirty
-// or unordered state, or nothing flushed yet).
-func (st *segState) view(table string) (*segView, bool) {
-	sg := st.tables[table]
-	if sg == nil || sg.dirty.Load() || sg.unordered.Load() {
-		return nil, false
-	}
-	st.mu.RLock()
-	v := &segView{
-		segs:      sg.segs,
-		watermark: sg.watermark.Load(),
-		maxPK:     sg.maxPK.Load(),
-		rows:      sg.segRows,
-	}
-	st.mu.RUnlock()
-	if len(v.segs) == 0 || sg.dirty.Load() || sg.unordered.Load() {
-		return nil, false
-	}
-	return v, true
-}
-
-// blocksPKRange returns the blocks of every segment whose
-// first-primary-key zone map intersects [lo, hi], in flush (= ascending
-// PK) order, plus the count of segments pruned without touching their
-// columns and the decoded bytes the survivors hold.
-func (v *segView) blocksPKRange(lo, hi int64) (blocks []*ColumnBlock, pruned int, bytes int64) {
-	for _, s := range v.segs {
-		if s.maxPK < lo || s.minPK > hi {
-			pruned++
-			continue
-		}
-		bytes += s.decodedBytes()
-		blocks = append(blocks, &s.ColumnBlock)
-	}
-	return blocks, pruned, bytes
-}
-
 // --- stats ---
 
 // SegmentTableStatus describes one hot table's segment state.
+// PendingRows counts the rows not yet in a segment (sealed and active).
+// Dirty and Unordered report the two row-resident fallbacks: rehydrated
+// for a changed row until the next seal, or kept out of segments (key
+// disorder until the next checkpoint, or a shape segments cannot hold).
 type SegmentTableStatus struct {
 	Table       string `json:"table"`
 	Segments    int    `json:"segments"`
@@ -748,31 +494,20 @@ func (fe *FileEngine) SegmentStats() SegmentStats {
 		Compactions:     st.compactions.Load(),
 		SegmentsWritten: st.segsWritten.Load(),
 	}
-	st.mu.RLock()
-	defer st.mu.RUnlock()
+	fe.mu.RLock()
+	defer fe.mu.RUnlock()
 	for _, name := range segmentHotTables {
-		sg := st.tables[name]
-		out.Tables = append(out.Tables, SegmentTableStatus{
-			Table:       name,
-			Segments:    len(sg.segs),
-			Rows:        sg.segRows,
-			Bytes:       sg.segBytes,
-			PendingRows: sg.pendingN.Load(),
-			Watermark:   sg.watermark.Load(),
-			Dirty:       sg.dirty.Load(),
-			Unordered:   sg.unordered.Load(),
-		})
+		status := SegmentTableStatus{Table: name}
+		if t := fe.tables[name]; t != nil {
+			status.Segments, status.Rows, status.Bytes = len(t.segs), t.segRows, t.segBytes
+			status.PendingRows = t.lenLocked() - t.segRows
+			if len(t.segs) > 0 {
+				status.Watermark = t.segs[len(t.segs)-1].maxRowID
+			}
+			status.Dirty = t.resident == residentMutated
+			status.Unordered = !t.sealable()
+		}
+		out.Tables = append(out.Tables, status)
 	}
 	return out
-}
-
-// segmentBytes sums on-disk segment bytes across hot tables.
-func (st *segState) segmentBytes() int64 {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	var n int64
-	for _, sg := range st.tables {
-		n += sg.segBytes
-	}
-	return n
 }

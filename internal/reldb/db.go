@@ -44,7 +44,7 @@ type DB struct {
 	mu     sync.RWMutex
 	tables map[string]*Table
 	logger mutationLogger
-	seg    *segState // nil on mem, set by OpenFile: Table.Blocks reads its views
+	seg    *segState // nil on mem, set by OpenFile: its hot tables seal and flush
 }
 
 // NewMem creates an in-memory database engine. It corresponds to running
@@ -90,19 +90,34 @@ func (db *DB) DropTable(name string) error {
 			return err
 		}
 	}
-	delete(db.tables, name)
+	db.dropTableLocked(name)
 	return nil
+}
+
+// dropTableLocked forgets a table; its segment files die with it.
+func (db *DB) dropTableLocked(name string) {
+	if t := db.tables[name]; t != nil {
+		for _, s := range t.segs {
+			t.stale = append(t.stale, s.file)
+		}
+		t.releaseStaleLocked()
+	}
+	delete(db.tables, name)
 }
 
 // CreateIndex adds a secondary index to an existing table and backfills it.
 func (db *DB) CreateIndex(table string, spec IndexSpec) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	return db.createIndexLocked(table, spec, true)
+}
+
+func (db *DB) createIndexLocked(table string, spec IndexSpec, log bool) error {
 	t, exists := db.tables[table]
 	if !exists {
 		return fmt.Errorf("reldb: no table %q", table)
 	}
-	if db.logger != nil {
+	if log && db.logger != nil {
 		if err := db.logger.logMutation(&mutation{op: opCreateIndex, table: table, index: spec}); err != nil {
 			return err
 		}
@@ -118,20 +133,24 @@ func (db *DB) CreateIndex(table string, spec IndexSpec) error {
 func (db *DB) DropIndex(table, index string) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	return db.dropIndexLocked(table, index, true)
+}
+
+func (db *DB) dropIndexLocked(table, index string, log bool) error {
 	t, exists := db.tables[table]
 	if !exists {
 		return fmt.Errorf("reldb: no table %q", table)
 	}
-	if _, exists := t.indexes[index]; !exists {
+	if _, exists := t.active.indexes[index]; !exists {
 		return fmt.Errorf("reldb: table %q has no index %q", table, index)
 	}
-	if db.logger != nil {
+	if log && db.logger != nil {
 		if err := db.logger.logMutation(&mutation{op: opDropIndex, table: table,
 			index: IndexSpec{Name: index}}); err != nil {
 			return err
 		}
 	}
-	delete(t.indexes, index)
+	t.dropIndex(index)
 	for i, spec := range t.schema.Indexes {
 		if spec.Name == index {
 			t.schema.Indexes = append(t.schema.Indexes[:i], t.schema.Indexes[i+1:]...)
@@ -174,12 +193,12 @@ func (db *DB) insertLocked(table string, row Row, log bool) (int64, error) {
 	if !exists {
 		return 0, fmt.Errorf("reldb: no table %q", table)
 	}
-	id, err := t.insertLocked(row)
+	id, stored, err := t.insertLocked(row)
 	if err != nil {
 		return 0, err
 	}
 	if log && db.logger != nil {
-		if err := db.logger.logMutation(&mutation{op: opInsert, table: table, id: id, row: t.rows[id]}); err != nil {
+		if err := db.logger.logMutation(&mutation{op: opInsert, table: table, id: id, row: stored}); err != nil {
 			_, _ = t.deleteLocked(id)
 			return 0, err
 		}
@@ -205,7 +224,7 @@ func (db *DB) updateLocked(table string, id int64, row Row, log bool) (Row, erro
 		return nil, err
 	}
 	if log && db.logger != nil {
-		if err := db.logger.logMutation(&mutation{op: opUpdate, table: table, id: id, row: t.rows[id]}); err != nil {
+		if err := db.logger.logMutation(&mutation{op: opUpdate, table: table, id: id, row: t.active.rows[id]}); err != nil {
 			_, _ = t.updateLocked(id, old)
 			return nil, err
 		}
@@ -232,7 +251,7 @@ func (db *DB) deleteLocked(table string, id int64, log bool) (Row, error) {
 	}
 	if log && db.logger != nil {
 		if err := db.logger.logMutation(&mutation{op: opDelete, table: table, id: id}); err != nil {
-			_, _ = t.insertLocked(old)
+			_, _ = t.insertAtLocked(id, old)
 			return nil, err
 		}
 	}
@@ -265,16 +284,14 @@ func (db *DB) checkForeignKeys(schema *Schema, row Row) error {
 func (t *Table) containsValueLocked(column string, v Value) bool {
 	// Fast path: column is the whole primary key.
 	if len(t.pkCols) == 1 && t.schema.Columns[t.pkCols[0]].Name == column {
-		_, ok := t.primary.Get(EncodeKey(nil, v))
+		_, ok := t.findPKLocked(EncodeKey(nil, v))
 		return ok
 	}
+	found := false
 	// Indexed path.
-	for _, ix := range t.indexes {
+	for _, ix := range t.active.indexes {
 		if t.schema.Columns[ix.cols[0]].Name == column {
-			lo := EncodeKey(nil, v)
-			hi := prefixUpperBound(lo)
-			found := false
-			ix.tree.Ascend(lo, hi, func([]byte, int64) bool {
+			t.indexScanLocked(ix, []Value{v}, func(int64, Row) bool {
 				found = true
 				return false
 			})
@@ -282,46 +299,59 @@ func (t *Table) containsValueLocked(column string, v Value) bool {
 		}
 	}
 	// Fallback scan.
-	ci := t.schema.ColumnIndex(column)
-	if ci < 0 {
-		return false
+	if ci := t.schema.ColumnIndex(column); ci >= 0 {
+		t.ascendLocked(nil, func(_ int64, row Row) bool {
+			found = Equal(row[ci], v)
+			return !found
+		})
 	}
-	for _, row := range t.rows {
-		if Equal(row[ci], v) {
-			return true
-		}
-	}
-	return false
+	return found
 }
 
-// Stats summarizes the database contents and storage footprint. The
-// file-backed engines additionally fill the on-disk fields.
+// Stats summarizes the database contents and storage footprint. Rows
+// counts logical rows wherever they live. DataBytes and IndexBytes
+// measure the row-store representation only — what is resident in row
+// form; a row the durable engine has flushed leaves them and is counted
+// under the Segment fields instead. LogicalBytes is the data size that
+// does not depend on where rows live. The durable engine additionally
+// fills the on-disk fields.
 type Stats struct {
 	Kind       string                `json:"kind"` // storage engine kind: mem or segment
 	Tables     int                   `json:"tables"`
-	Rows       int64                 `json:"rows"`
-	DataBytes  int64                 `json:"data_bytes"`  // row payload bytes resident in memory
+	Rows       int64                 `json:"rows"`        // logical rows: row store + segments
+	DataBytes  int64                 `json:"data_bytes"`  // row payload bytes resident in row form
 	IndexBytes int64                 `json:"index_bytes"` // primary + secondary B-tree key bytes
 	PerTable   map[string]TableStats `json:"per_table"`
 
-	WALBytes      int64 `json:"wal_bytes,omitempty"` // durable engines only
-	SnapshotBytes int64 `json:"snapshot_bytes,omitempty"`
-	SegmentBytes  int64 `json:"segment_bytes,omitempty"` // durable engine only
-	DiskBytes     int64 `json:"disk_bytes,omitempty"`    // WAL + snapshot + segments
+	WALBytes         int64  `json:"wal_bytes,omitempty"` // durable engine only, as are all below
+	SnapshotBytes    int64  `json:"snapshot_bytes,omitempty"`
+	SegmentBytes     int64  `json:"segment_bytes,omitempty"`      // encoded segment files
+	SegmentDataBytes int64  `json:"segment_data_bytes,omitempty"` // decoded segment columns: about what their rows would take in row form
+	DiskBytes        int64  `json:"disk_bytes,omitempty"`         // WAL + snapshot + segments
+	FlushErrors      uint64 `json:"flush_errors,omitempty"`       // Stats calls whose WAL flush failed (WALBytes is then the last good value)
 }
 
-// TableStats summarizes one table: row/byte footprint in the B-tree
-// representation plus, on the durable engine, columnar residency.
+// LogicalBytes is the payload size of every row in row form, resident
+// that way or not.
+func (s Stats) LogicalBytes() int64 { return s.DataBytes + s.SegmentDataBytes }
+
+// TableStats summarizes one table: Rows is logical; DataBytes and
+// IndexBytes cover the rows resident in row form, the Segment fields the
+// rest (durable engine, hot tables).
 type TableStats struct {
 	Rows       int64 `json:"rows"`
 	DataBytes  int64 `json:"data_bytes"`
 	IndexBytes int64 `json:"index_bytes"`
 	Indexes    int   `json:"indexes"`
 
-	Segments     int   `json:"segments,omitempty"`
-	SegmentRows  int64 `json:"segment_rows,omitempty"`
-	SegmentBytes int64 `json:"segment_bytes,omitempty"`
+	Segments         int   `json:"segments,omitempty"`
+	SegmentRows      int64 `json:"segment_rows,omitempty"`
+	SegmentBytes     int64 `json:"segment_bytes,omitempty"`
+	SegmentDataBytes int64 `json:"segment_data_bytes,omitempty"`
 }
+
+// LogicalBytes is the payload size of the table's rows in row form.
+func (ts TableStats) LogicalBytes() int64 { return ts.DataBytes + ts.SegmentDataBytes }
 
 // Stats returns current row counts and approximate data volume.
 func (db *DB) Stats() Stats {
@@ -330,15 +360,23 @@ func (db *DB) Stats() Stats {
 	s := Stats{Kind: KindMem, PerTable: make(map[string]TableStats, len(db.tables))}
 	for name, t := range db.tables {
 		ts := TableStats{
-			Rows:       int64(len(t.rows)),
-			DataBytes:  t.dataBytes,
-			IndexBytes: t.indexBytesLocked(),
-			Indexes:    len(t.indexes),
+			Rows:             t.lenLocked(),
+			Indexes:          len(t.active.indexes),
+			Segments:         len(t.segs),
+			SegmentRows:      t.segRows,
+			SegmentBytes:     t.segBytes + t.staleBytes,
+			SegmentDataBytes: t.segDataBytes,
+		}
+		for _, rs := range t.sets {
+			ts.DataBytes += rs.dataBytes
+			ts.IndexBytes += rs.indexBytes()
 		}
 		s.Tables++
 		s.Rows += ts.Rows
 		s.DataBytes += ts.DataBytes
 		s.IndexBytes += ts.IndexBytes
+		s.SegmentBytes += ts.SegmentBytes
+		s.SegmentDataBytes += ts.SegmentDataBytes
 		s.PerTable[name] = ts
 	}
 	return s

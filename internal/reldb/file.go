@@ -7,12 +7,13 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 )
 
 // FileEngine is the durable storage engine: an in-memory DB whose
 // mutations stream to a write-ahead log, a background compactor that
-// drains the hot tables into columnar segment files (compact.go), and
+// moves the hot tables' rows into columnar segments (compact.go), and
 // snapshots written by Checkpoint. Opening a directory loads the latest
 // snapshot, attaches the segments and replays the WAL, discarding a torn
 // trailing record; a store that has compacted nothing yet is just
@@ -26,6 +27,9 @@ type FileEngine struct {
 	walW       *recordWriter
 	syncWAL    bool // fsync the WAL after every flush
 	batchDepth int  // >0: defer flush/sync to EndWALBatch
+
+	walBytes    int64  // WAL size at the last Stats call that could flush it
+	flushErrors uint64 // Stats calls that could not
 }
 
 const (
@@ -40,9 +44,11 @@ const (
 )
 
 // OpenFile opens (or creates) the durable database rooted at dir.
-// Recovery order is snapshot, then segments (skipping rows the snapshot
-// already holds), then WAL replay (replacing divergent rows: the log is
-// truth).
+// Recovery order is snapshot (the rows no segment holds), then the
+// manifest's segments, attached without inserting a row, then WAL
+// replay, where an insert a segment already serves is a no-op and an
+// update or delete of a flushed row rehydrates its table exactly as it
+// would at run time (the log is truth).
 func OpenFile(dir string) (*FileEngine, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("reldb: open %s: %w", dir, err)
@@ -55,9 +61,17 @@ func OpenFile(dir string) (*FileEngine, error) {
 	if err := fe.seg.load(); err != nil {
 		return nil, err
 	}
+	for _, name := range segmentHotTables {
+		if t := fe.tables[name]; t != nil {
+			if err := fe.seg.attachLocked(t); err != nil {
+				return nil, err
+			}
+		}
+	}
 	if err := fe.replayWAL(); err != nil {
 		return nil, err
 	}
+	fe.seg.loaded = nil
 	wal, err := os.OpenFile(fe.walPath(), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("reldb: open WAL: %w", err)
@@ -65,15 +79,21 @@ func OpenFile(dir string) (*FileEngine, error) {
 	fe.wal = wal
 	fe.walW = newRecordWriter(wal)
 	fe.DB.logger = fe
-	fe.seg.initAfterRecovery()
-	// Resync the manifest with post-replay state (a replayed DROP
-	// TABLE may have retired segments) before orphan cleanup, so the
-	// manifest never references a deleted file.
-	if err := fe.seg.writeManifest(); err != nil {
+	// Resync the manifest with post-replay state (a replayed DROP TABLE
+	// or rehydration may have retired segments) before orphan cleanup, so
+	// the manifest never references a deleted file.
+	files, garbage := fe.seg.manifestLocked()
+	if err := fe.seg.writeManifest(files, garbage); err != nil {
+		wal.Close()
 		return nil, err
 	}
-	fe.seg.cleanOrphans()
+	fe.seg.cleanOrphans(files)
 	go fe.seg.run()
+	// A tail that replay left at or above the threshold drains now, not
+	// at the next commit.
+	fe.mu.Lock()
+	fe.seg.sealReadyLocked(fe.seg.flushRows.Load())
+	fe.mu.Unlock()
 	return fe, nil
 }
 
@@ -103,9 +123,11 @@ func (fe *FileEngine) logMutation(m *mutation) error {
 			return err
 		}
 	}
-	fe.seg.note(m)
-	if fe.batchDepth == 0 {
-		fe.seg.maybeNotify()
+	// An unbatched insert is its own batch boundary. Updates and deletes
+	// are not: one that rehydrated a table would otherwise see it sealed
+	// again at once, and the next would rehydrate it again.
+	if fe.batchDepth == 0 && m.op == opInsert {
+		fe.seg.sealReadyLocked(fe.seg.flushRows.Load())
 	}
 	return nil
 }
@@ -136,7 +158,7 @@ func (fe *FileEngine) EndWALBatch() error {
 	if err := fe.walW.flush(); err != nil {
 		return err
 	}
-	fe.seg.maybeNotify()
+	fe.seg.sealReadyLocked(fe.seg.flushRows.Load())
 	if fe.syncWAL {
 		return fe.wal.Sync()
 	}
@@ -149,83 +171,51 @@ func (fe *FileEngine) apply(m *mutation) error {
 	defer fe.mu.Unlock()
 	switch m.op {
 	case opCreateTable:
-		return fe.createTableLocked(m.schema, false)
+		if err := fe.createTableLocked(m.schema, false); err != nil {
+			return err
+		}
+		return fe.seg.attachLocked(fe.tables[m.schema.Name])
 	case opDropTable:
-		delete(fe.tables, m.table)
-		fe.seg.resetTable(m.table)
+		fe.dropTableLocked(m.table)
+		delete(fe.seg.loaded, m.table) // the rows the manifest's segments held died with the table
 		return nil
 	case opCreateIndex:
-		t, ok := fe.tables[m.table]
-		if !ok {
-			return fmt.Errorf("reldb: recovery: no table %q", m.table)
+		return fe.createIndexLocked(m.table, m.index, false)
+	case opDropIndex:
+		if t := fe.tables[m.table]; t != nil && t.active.indexes[m.index.Name] == nil {
+			return nil // the snapshot is newer than this record and already lacks the index
 		}
-		if err := t.addIndex(m.index); err != nil {
+		return fe.dropIndexLocked(m.table, m.index.Name, false)
+	}
+	t, ok := fe.tables[m.table]
+	if !ok {
+		return fmt.Errorf("reldb: recovery: no table %q", m.table)
+	}
+	ref, exists := t.findIDLocked(m.id)
+	switch m.op {
+	case opInsert, opUpdate:
+		if !exists {
+			// For an update: the snapshot is newer than this record and
+			// the row was later deleted-and-recreated; restoring the image
+			// lets the remaining log replay onto the right state.
+			_, err := t.insertAtLocked(m.id, m.row)
 			return err
 		}
-		t.schema.Indexes = append(t.schema.Indexes, m.index)
-		return nil
-	case opDropIndex:
-		t, ok := fe.tables[m.table]
-		if !ok {
-			return fmt.Errorf("reldb: recovery: no table %q", m.table)
-		}
-		delete(t.indexes, m.index.Name)
-		for i, spec := range t.schema.Indexes {
-			if spec.Name == m.index.Name {
-				t.schema.Indexes = append(t.schema.Indexes[:i], t.schema.Indexes[i+1:]...)
-				break
-			}
-		}
-		return nil
-	case opInsert:
-		t, ok := fe.tables[m.table]
-		if !ok {
-			return fmt.Errorf("reldb: recovery: no table %q", m.table)
-		}
-		if existing, dup := t.rows[m.id]; dup {
-			// The row was preloaded from the snapshot or a segment (the
-			// WAL survived a checkpoint crash window or a compaction).
-			// Equal images are an idempotent no-op; on divergence the
-			// log wins, and any segment copy is now stale.
-			if rowsEqual(existing, m.row) {
-				return nil
-			}
-			if _, err := t.updateLocked(m.id, m.row); err != nil {
-				return err
-			}
-			fe.seg.markDirtyBelow(m.table, m.id)
+		// The row was loaded from the snapshot or is served by a segment
+		// (the WAL outlives compactions and a checkpoint's crash window).
+		// Equal images are an idempotent no-op, which keeps a flushed row
+		// flushed; on divergence the log wins.
+		if rowsEqual(ref.clone(), m.row) {
 			return nil
 		}
-		return t.insertAtLocked(m.id, m.row)
-	case opUpdate:
-		t, ok := fe.tables[m.table]
-		if !ok {
-			return fmt.Errorf("reldb: recovery: no table %q", m.table)
-		}
-		if _, exists := t.rows[m.id]; !exists {
-			// Snapshot newer than this record and the row was later
-			// deleted-and-recreated; restore the update image so the
-			// remaining log replays onto the right state.
-			return t.insertAtLocked(m.id, m.row)
-		}
-		if _, err := fe.updateLocked(m.table, m.id, m.row, false); err != nil {
-			return err
-		}
-		fe.seg.markDirtyBelow(m.table, m.id)
-		return nil
+		_, err := t.updateLocked(m.id, m.row)
+		return err
 	case opDelete:
-		t, ok := fe.tables[m.table]
-		if !ok {
-			return fmt.Errorf("reldb: recovery: no table %q", m.table)
-		}
-		if _, exists := t.rows[m.id]; !exists {
+		if !exists {
 			return nil // snapshot already reflects the delete
 		}
-		if _, err := fe.deleteLocked(m.table, m.id, false); err != nil {
-			return err
-		}
-		fe.seg.markDirtyBelow(m.table, m.id)
-		return nil
+		_, err := t.deleteLocked(m.id)
+		return err
 	default:
 		return fmt.Errorf("%w: op %d", ErrCorruptLog, m.op)
 	}
@@ -263,34 +253,6 @@ func rowsEqual(a, b Row) bool {
 		}
 	}
 	return true
-}
-
-// insertAtLocked inserts a row under a specific row ID (recovery path).
-func (t *Table) insertAtLocked(id int64, row Row) error {
-	if _, exists := t.rows[id]; exists {
-		return fmt.Errorf("reldb: recovery: table %q: row %d already present", t.schema.Name, id)
-	}
-	row = row.Clone()
-	if err := t.schema.CheckRow(row); err != nil {
-		return err
-	}
-	pk := t.pkKey(row)
-	if _, exists := t.primary.Get(pk); exists {
-		return fmt.Errorf("reldb: recovery: table %q: duplicate primary key %s", t.schema.Name, row)
-	}
-	for _, ix := range t.indexes {
-		if err := ix.insert(row, id); err != nil {
-			return err
-		}
-	}
-	t.rows[id] = row
-	t.primary.Set(pk, id)
-	t.dataBytes += rowBytes(row)
-	t.pkBytes += int64(len(pk)) + 8
-	if id >= t.nextID {
-		t.nextID = id + 1
-	}
-	return nil
 }
 
 func (fe *FileEngine) loadSnapshot() error {
@@ -345,7 +307,7 @@ func (fe *FileEngine) loadSnapshot() error {
 				fe.mu.Unlock()
 				return fmt.Errorf("reldb: snapshot row before schema")
 			}
-			err = t.insertAtLocked(id, row)
+			_, err = t.insertAtLocked(id, row)
 			fe.mu.Unlock()
 			if err != nil {
 				return err
@@ -434,23 +396,40 @@ func replaceFile(path string, write func(*recordWriter) error) (err error) {
 	return d.Sync()
 }
 
-// Checkpoint writes a snapshot atomically and truncates the WAL. The hot
-// tables' segment-resident rows are omitted — they are already durable
-// in fsynced segment files referenced by the manifest — so the
-// checkpoint costs O(non-hot tables + unflushed tail) instead of a full
-// rewrite of the result tables. Dirty or unordered hot tables are reset
-// here: their segments are dropped and the snapshot holds them in full.
+// Checkpoint writes a snapshot atomically and truncates the WAL. It
+// first seals and drains every hot table's tail — lifting the
+// row-resident hold on tables rehydrated for disorder — so the snapshot,
+// which is simply the row sets, holds none of the rows that fsynced,
+// manifest-listed segments already make durable: the checkpoint costs
+// O(non-hot tables + whatever arrived during it), not a rewrite of the
+// result tables.
 func (fe *FileEngine) Checkpoint() error {
-	// Drain the tails first so the snapshot's hot-table share is only
-	// whatever arrived since this compaction.
-	if err := fe.seg.compact(1); err != nil && !errors.Is(err, errCompactBusy) {
-		return err
-	}
-	fe.seg.compactMu.Lock()
-	defer fe.seg.compactMu.Unlock()
+	st := fe.seg
+	st.compactMu.Lock()
+	defer st.compactMu.Unlock()
 	fe.mu.Lock()
+	for _, name := range segmentHotTables {
+		if t := fe.tables[name]; t != nil && t.resident == residentUnordered {
+			t.resident = 0
+		}
+	}
+	fe.mu.Unlock()
+	for {
+		if err := st.drain(true); err != nil {
+			return err
+		}
+		fe.mu.Lock()
+		// A commit that sealed a set since the drain sends us round again:
+		// a sealed set in the snapshot would be published as a segment too.
+		if !slices.ContainsFunc(segmentHotTables, func(name string) bool {
+			t := fe.tables[name]
+			return t != nil && t.sealed != nil
+		}) {
+			break
+		}
+		fe.mu.Unlock()
+	}
 	defer fe.mu.Unlock()
-	dropped := fe.seg.resetStaleLocked()
 	names := make([]string, 0, len(fe.tables))
 	for name := range fe.tables {
 		names = append(names, name)
@@ -463,21 +442,11 @@ func (fe *FileEngine) Checkpoint() error {
 			if err := rw.writeRecord(payload); err != nil {
 				return err
 			}
-			// Segment-resident rows (ID at or below the watermark) are
-			// durable in their segment files; only the tail goes into the
-			// snapshot.
-			var skipBelow int64
-			if sg := fe.seg.tables[name]; sg != nil {
-				skipBelow = sg.watermark.Load()
-			}
 			var werr error
-			t.primary.Ascend(nil, nil, func(_ []byte, id int64) bool {
-				if skipBelow > 0 && id <= skipBelow {
-					return true
-				}
+			t.active.primary.Ascend(nil, nil, func(_ []byte, id int64) bool {
 				p := []byte{snapTagRow}
 				p = putVarint(p, id)
-				p = encodeRowPayload(p, t.rows[id])
+				p = encodeRowPayload(p, t.active.rows[id])
 				werr = rw.writeRecord(p)
 				return werr == nil
 			})
@@ -491,8 +460,15 @@ func (fe *FileEngine) Checkpoint() error {
 		return fmt.Errorf("reldb: checkpoint: %w", err)
 	}
 	// The manifest must reflect the surviving segments before the WAL —
-	// their other source of truth — is discarded.
-	if err := fe.seg.writeManifest(); err != nil {
+	// their other source of truth — is discarded. Stale ones go: a table
+	// that still has any was not re-segmented, so the snapshot holds it
+	// in full.
+	for _, name := range segmentHotTables {
+		if t := fe.tables[name]; t != nil {
+			t.releaseStaleLocked()
+		}
+	}
+	if err := st.writeManifest(st.manifestLocked()); err != nil {
 		return err
 	}
 	// Truncate the WAL: its effects are captured by the snapshot and
@@ -504,9 +480,6 @@ func (fe *FileEngine) Checkpoint() error {
 		return err
 	}
 	fe.walW = newRecordWriter(fe.wal)
-	for _, path := range dropped {
-		os.Remove(path) // best effort; open-time cleanup catches leftovers
-	}
 	return nil
 }
 
@@ -530,53 +503,34 @@ func (fe *FileEngine) DiskSize() (int64, error) {
 		}
 		total += info.Size()
 	}
-	return total + fe.seg.segmentBytes(), nil
+	return total + fe.DB.Stats().SegmentBytes, nil
 }
 
 // Stats extends the in-memory statistics with on-disk footprint: WAL,
-// snapshot, and per-table segment residency.
+// snapshot and segment files. When the WAL cannot be flushed its size on
+// disk is stale, so WALBytes (and with it DiskBytes) stays at the last
+// good value and the failure is counted in FlushErrors.
 func (fe *FileEngine) Stats() Stats {
 	s := fe.DB.Stats()
 	s.Kind = fe.Kind()
 	fe.mu.Lock()
-	_ = fe.walW.flush()
-	fe.mu.Unlock()
-	if info, err := os.Stat(fe.walPath()); err == nil {
-		s.WALBytes = info.Size()
+	if err := fe.walW.flush(); err != nil {
+		fe.flushErrors++
+	} else if info, err := os.Stat(fe.walPath()); err == nil {
+		fe.walBytes = info.Size()
 	}
+	s.WALBytes, s.FlushErrors = fe.walBytes, fe.flushErrors
+	fe.mu.Unlock()
 	if info, err := os.Stat(fe.snapPath()); err == nil {
 		s.SnapshotBytes = info.Size()
 	}
-	fe.seg.mu.RLock()
-	for name, sg := range fe.seg.tables {
-		if len(sg.segs) == 0 {
-			continue
-		}
-		ts := s.PerTable[name]
-		ts.Segments = len(sg.segs)
-		ts.SegmentRows = sg.segRows
-		ts.SegmentBytes = sg.segBytes
-		s.PerTable[name] = ts
-		s.SegmentBytes += sg.segBytes
-	}
-	fe.seg.mu.RUnlock()
 	s.DiskBytes = s.WALBytes + s.SnapshotBytes + s.SegmentBytes
 	return s
 }
 
-// Close stops the compactor, flushes the WAL, and releases file handles.
+// Close stops the compactor, flushes and fsyncs the WAL, and releases its
+// file handle — always, whatever failed before; it returns every failure.
 func (fe *FileEngine) Close() error {
 	fe.seg.shutdown()
-	if fe.walW != nil {
-		if err := fe.walW.flush(); err != nil {
-			return err
-		}
-	}
-	if fe.wal != nil {
-		if err := fe.wal.Sync(); err != nil {
-			return err
-		}
-		return fe.wal.Close()
-	}
-	return nil
+	return errors.Join(fe.walW.flush(), fe.wal.Sync(), fe.wal.Close())
 }

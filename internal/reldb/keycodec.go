@@ -1,10 +1,12 @@
 package reldb
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 )
 
 // Order-preserving key encoding. EncodeKey maps a tuple of values to a byte
@@ -54,14 +56,8 @@ func encodeValue(dst []byte, v Value) []byte {
 		dst = append(dst, tagInt)
 		return append(dst, buf[:]...)
 	case KindFloat:
-		bits := math.Float64bits(v.f)
-		if bits&(1<<63) != 0 {
-			bits = ^bits // negative: flip all bits
-		} else {
-			bits |= 1 << 63 // positive: flip sign bit
-		}
 		var buf [8]byte
-		binary.BigEndian.PutUint64(buf[:], bits)
+		binary.BigEndian.PutUint64(buf[:], floatKeyBits(v.f))
 		dst = append(dst, tagFloat)
 		return append(dst, buf[:]...)
 	case KindString:
@@ -83,6 +79,42 @@ func encodeValue(dst []byte, v Value) []byte {
 	default:
 		panic(fmt.Sprintf("reldb: cannot encode kind %v", v.kind))
 	}
+}
+
+// floatKeyBits maps a float to bits whose unsigned order is the codec's
+// float order.
+func floatKeyBits(f float64) uint64 {
+	bits := math.Float64bits(f)
+	if bits&(1<<63) != 0 {
+		return ^bits // negative: flip all bits
+	}
+	return bits | 1<<63 // positive: flip sign bit
+}
+
+// keyOrder compares two values exactly as bytes.Compare orders their
+// encodings, without encoding them: kind tag first (tags ascend with
+// Kind), then payload. Segments search their columns with it, so a
+// segment and a B-tree agree on every key's place.
+func keyOrder(a, b Value) int {
+	if a.kind != b.kind {
+		return cmp.Compare(a.kind, b.kind)
+	}
+	switch a.kind {
+	case KindInt:
+		return cmp.Compare(a.i, b.i)
+	case KindFloat:
+		return cmp.Compare(floatKeyBits(a.f), floatKeyBits(b.f))
+	case KindString:
+		return strings.Compare(a.s, b.s)
+	case KindBool:
+		if a.b == b.b {
+			return 0
+		} else if b.b {
+			return -1
+		}
+		return 1
+	}
+	return 0
 }
 
 // DecodeKey decodes all values from an encoding produced by EncodeKey.

@@ -1,0 +1,645 @@
+package reldb
+
+import (
+	"math/rand"
+	"os"
+	"runtime"
+	"sync"
+	"testing"
+)
+
+// hotSchemas returns the three hot tables in the shape the PerfTrack
+// schema gives them: their secondary indexes, and the foreign key every
+// result_has_focus insert probes performance_result with.
+func hotSchemas() []*Schema {
+	pr := resultSchema()
+	pr.Indexes = []IndexSpec{
+		{Name: "performance_result_exec", Columns: []string{"execution_id"}},
+		{Name: "performance_result_metric", Columns: []string{"metric_id"}},
+	}
+	rhf := &Schema{
+		Name: "result_has_focus",
+		Columns: []Column{
+			{Name: "result_id", Type: KindInt},
+			{Name: "focus_id", Type: KindInt},
+		},
+		PrimaryKey:  []string{"result_id", "focus_id"},
+		ForeignKeys: []ForeignKey{{Column: "result_id", RefTable: "performance_result", RefColumn: "id"}},
+		Indexes:     []IndexSpec{{Name: "rhf_focus", Columns: []string{"focus_id"}}},
+	}
+	fhr := fhrSchema()
+	fhr.Indexes = []IndexSpec{{Name: "fhr_resource", Columns: []string{"resource_id"}}}
+	return []*Schema{pr, rhf, fhr}
+}
+
+// hotPair is a durable engine and the mem engine it must agree with.
+type hotPair struct {
+	t   *testing.T
+	dir string
+	fe  *FileEngine
+	mem *DB
+}
+
+func newHotPair(t *testing.T) *hotPair {
+	p := &hotPair{t: t, dir: t.TempDir(), mem: NewMem()}
+	p.fe = openTestEngine(t, p.dir)
+	for _, schema := range hotSchemas() {
+		for _, eng := range []Engine{p.fe, p.mem} {
+			if err := eng.CreateTable(schema); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return p
+}
+
+// both applies op to the durable engine and to mem and fails unless they
+// agree on whether it is refused.
+func (p *hotPair) both(what string, op func(Engine) error) error {
+	p.t.Helper()
+	ferr, merr := op(p.fe), op(p.mem)
+	if (ferr == nil) != (merr == nil) {
+		p.t.Fatalf("%s: durable engine says %v, mem says %v", what, ferr, merr)
+	}
+	return merr
+}
+
+// loadResults appends n results — each linked to two foci, each new
+// focus to two resources — the way a document load does.
+func loadResults(eng Engine, first, n int) error {
+	for i := first; i < first+n; i++ {
+		rid, err := eng.Insert("performance_result", resultRow(i))
+		if err != nil {
+			return err
+		}
+		focus := int64(i/3 + 1)
+		for _, f := range []int64{focus + 1, focus} { // descending within a result
+			if _, err := eng.Insert("result_has_focus", Row{Int(rid), Int(f)}); err != nil {
+				return err
+			}
+		}
+		if i%3 == 0 {
+			for _, r := range []int64{int64(i % 11), int64(i%11 + 20)} {
+				if _, err := eng.Insert("focus_has_resource", Row{Int(focus), Int(r)}); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// load appends n results to both engines, as one write batch on the
+// durable one.
+func (p *hotPair) load(first, n int) {
+	p.t.Helper()
+	p.fe.BeginWALBatch()
+	err := loadResults(p.fe, first, n)
+	if ferr := p.fe.EndWALBatch(); err == nil {
+		err = ferr
+	}
+	if err == nil {
+		err = loadResults(p.mem, first, n)
+	}
+	if err != nil {
+		p.t.Fatal(err)
+	}
+}
+
+func (p *hotPair) check(label string) {
+	p.t.Helper()
+	for _, schema := range hotSchemas() {
+		got, _ := p.fe.Table(schema.Name)
+		want, _ := p.mem.Table(schema.Name)
+		sameReads(p.t, label+": "+schema.Name, got, want)
+	}
+}
+
+func (p *hotPair) reopen() {
+	p.t.Helper()
+	if err := p.fe.Close(); err != nil {
+		p.t.Fatal(err)
+	}
+	p.fe = openTestEngine(p.t, p.dir)
+}
+
+// TestSegmentReadsMatchMem applies one seeded random history — ordered
+// loads, updates, deletes, a rolled-back transaction, an out-of-order
+// insert, with compactions, checkpoints and reopens in between — to the
+// durable engine and to mem, and after every step requires every read a
+// Table offers to agree row for row and in order, and every refusal
+// (duplicate key, dangling foreign key into a flushed range) to be shared.
+func TestSegmentReadsMatchMem(t *testing.T) {
+	p := newHotPair(t)
+	defer func() { p.fe.Close() }()
+	p.fe.SetSegmentFlushRows(64)
+	rng := rand.New(rand.NewSource(19))
+	next, segmented := 0, 0
+	randomID := func(table string) int64 {
+		tab, _ := p.mem.Table(table)
+		var ids []int64
+		tab.Scan(func(id int64, _ Row) bool {
+			ids = append(ids, id)
+			return true
+		})
+		return ids[rng.Intn(len(ids))]
+	}
+	p.load(next, 90)
+	next += 90
+	for step := 0; step < 60; step++ {
+		var label string
+		switch op := rng.Intn(10); op {
+		case 0, 1:
+			label = "load"
+			n := 20 + rng.Intn(60)
+			p.load(next, n)
+			next += n
+		case 2:
+			label = "update"
+			id, exec := randomID("performance_result"), int64(rng.Intn(7))
+			p.both(label, func(eng Engine) error {
+				tab, _ := eng.Table("performance_result")
+				row, _ := tab.Get(id)
+				row[1], row[5] = Int(exec), Float(-1)
+				return eng.Update("performance_result", id, row)
+			})
+		case 3:
+			label = "delete"
+			table := []string{"performance_result", "result_has_focus", "focus_has_resource"}[rng.Intn(3)]
+			id := randomID(table)
+			p.both(label, func(eng Engine) error { return eng.Delete(table, id) })
+		case 4:
+			label = "rolled-back transaction"
+			id, link := randomID("performance_result"), randomID("result_has_focus")
+			p.both(label, func(eng Engine) error {
+				tx := eng.Begin()
+				if _, err := tx.Insert("performance_result", resultRow(next)); err != nil {
+					return err
+				}
+				tab, _ := eng.Table("performance_result")
+				row, _ := tab.Get(id)
+				row[5] = Float(-2)
+				if err := tx.Update("performance_result", id, row); err != nil {
+					return err
+				}
+				if err := tx.Delete("result_has_focus", link); err != nil {
+					return err
+				}
+				return tx.Rollback()
+			})
+		case 5:
+			label = "out-of-order insert"
+			id := randomID("focus_has_resource")
+			p.both(label, func(eng Engine) error {
+				tab, _ := eng.Table("focus_has_resource")
+				row, _ := tab.Get(id)
+				row[1] = Int(row[1].Int64() + 100) // same focus as an old row: below the flushed maximum
+				_, err := eng.Insert("focus_has_resource", row)
+				return err
+			})
+		case 6:
+			label = "refused inserts"
+			dup := randomID("performance_result")
+			if err := p.both("duplicate key", func(eng Engine) error {
+				row := resultRow(0)
+				row[0] = Int(dup)
+				_, err := eng.Insert("performance_result", row)
+				return err
+			}); err == nil {
+				t.Fatalf("step %d: duplicate primary key %d accepted", step, dup)
+			}
+			victim := randomID("performance_result")
+			p.both("delete", func(eng Engine) error { return eng.Delete("performance_result", victim) })
+			if err := p.both("dangling foreign key", func(eng Engine) error {
+				_, err := eng.Insert("result_has_focus", Row{Int(victim), Int(1 << 20)})
+				return err
+			}); err == nil {
+				t.Fatalf("step %d: link to deleted result %d accepted", step, victim)
+			}
+		case 7:
+			label = "compact"
+			if err := p.fe.CompactSegments(); err != nil {
+				t.Fatal(err)
+			}
+		case 8:
+			label = "checkpoint"
+			if err := p.fe.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		case 9:
+			label = "reopen"
+			// Recovery restarts row IDs after the highest surviving row,
+			// mem after the highest ever assigned: make them the same row.
+			p.load(next, 3)
+			next += 3
+			if rng.Intn(2) == 0 {
+				p.reopen()
+			} else { // crash: the WAL reached the file (Stats flushes it), nothing was closed
+				p.fe.Stats()
+				abandon(p.fe)
+				p.fe = openTestEngine(t, p.dir)
+			}
+			p.fe.SetSegmentFlushRows(64)
+		}
+		p.check(label)
+		for _, st := range p.fe.SegmentStats().Tables {
+			if st.Segments > 0 {
+				segmented++
+			}
+		}
+	}
+	if segmented < 60 {
+		t.Fatalf("only %d of 180 table states compared had segments: the history does not exercise them", segmented)
+	}
+}
+
+// TestCompactorKeepsUpUnderBackToBackCommits: with two writers committing
+// threshold-sized batches back to back (serialized, as the datastore's
+// write lock serializes commits, so a batch is nearly always open) the
+// committer hands the compactor every batch boundary: segments are
+// written while the writers run and the tail stays bounded.
+func TestCompactorKeepsUpUnderBackToBackCommits(t *testing.T) {
+	fe := openTestEngine(t, t.TempDir())
+	defer fe.Close()
+	for _, schema := range hotSchemas() {
+		if err := fe.CreateTable(schema); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const (
+		threshold = 4096
+		batch     = threshold // results per commit
+		batches   = 24
+	)
+	fe.SetSegmentFlushRows(threshold)
+	var commit sync.Mutex
+	var writers sync.WaitGroup
+	next, maxTail := 0, int64(0)
+	for w := 0; w < 2; w++ {
+		writers.Add(1)
+		go func() {
+			defer writers.Done()
+			for {
+				commit.Lock()
+				if next == batches*batch {
+					commit.Unlock()
+					return
+				}
+				fe.BeginWALBatch()
+				if err := loadResults(fe, next, batch); err != nil {
+					t.Error(err)
+				}
+				if err := fe.EndWALBatch(); err != nil {
+					t.Error(err)
+				}
+				next += batch
+				maxTail = max(maxTail, fe.SegmentStats().Tables[0].PendingRows) // performance_result
+				commit.Unlock()
+			}
+		}()
+	}
+	writers.Wait()
+	st := fe.SegmentStats()
+	if limit := int64(2 * (threshold + batch)); maxTail > limit {
+		t.Errorf("performance_result tail reached %d rows of %d loaded, want at most %d", maxTail, batches*batch, limit)
+	}
+	// Each commit leaves two of the three tables at the threshold.
+	if st.SegmentsWritten < batches {
+		t.Errorf("%d segments written while %d batches committed: the compactor did not keep up", st.SegmentsWritten, batches)
+	}
+}
+
+// heapAfterGC returns the live heap after two collections.
+func heapAfterGC() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// flushedRowsAreNotResident fails unless the hot tables' row-store bytes
+// cover their tails only (tailRows[i] rows of hotSchemas()[i]).
+func flushedRowsAreNotResident(t *testing.T, fe *FileEngine, tailRows []int64) {
+	t.Helper()
+	stats := fe.Stats()
+	for i, schema := range hotSchemas() {
+		ts := stats.PerTable[schema.Name]
+		if ts.Rows-ts.SegmentRows != tailRows[i] {
+			t.Fatalf("%s: %d of %d rows outside segments, want %d", schema.Name, ts.Rows-ts.SegmentRows, ts.Rows, tailRows[i])
+		}
+		// A row costs 8 bytes of header plus its cells in DataBytes and a
+		// key per index in IndexBytes: far under 256 bytes for these shapes.
+		if resident := ts.DataBytes + ts.IndexBytes; resident > 256*tailRows[i] {
+			t.Fatalf("%s: %d row-store bytes resident for a %d-row tail (%d rows flushed)",
+				schema.Name, resident, tailRows[i], ts.SegmentRows)
+		}
+	}
+}
+
+// TestSegmentFlushedRowsLeaveRowStore: once compacted, a row is resident
+// in its segment only — the row-store byte counters cover the tail, and
+// the live heap is under half of what mem pays for the same rows.
+func TestSegmentFlushedRowsLeaveRowStore(t *testing.T) {
+	const rows = 30000
+	base := heapAfterGC()
+	p := newHotPair(t)
+	defer func() { p.fe.Close() }()
+	p.fe.SetSegmentFlushRows(1 << 40) // hold everything in the tail first
+	p.load(0, rows)
+	both := heapAfterGC() - base
+	if err := p.fe.CompactSegments(); err != nil {
+		t.Fatal(err)
+	}
+	flushedRowsAreNotResident(t, p.fe, []int64{0, 0, 0})
+	p.load(rows, 10)
+	flushedRowsAreNotResident(t, p.fe, []int64{10, 20, 8})
+	// The two engines held the same rows in the same form; what remains
+	// after the flush is mem's share plus the segments.
+	after := heapAfterGC() - base
+	memShare := both / 2
+	if segShare := after - memShare; after < memShare || segShare > memShare/2 {
+		t.Fatalf("live heap: %d KB with both engines row-resident, %d KB after the flush; the durable engine still holds %d KB, want under half of mem's %d KB",
+			both>>10, after>>10, (after-memShare)>>10, memShare>>10)
+	}
+	runtime.KeepAlive(p)
+}
+
+// TestSegmentReopenAttachesWithoutReinserting: recovery attaches the
+// manifest's segments instead of re-inserting their rows — the row store
+// holds the tail only, row IDs continue past the watermark — and a WAL
+// that ends with an update and a delete of flushed rows replays to the
+// mem engine's answer.
+func TestSegmentReopenAttachesWithoutReinserting(t *testing.T) {
+	const rows = 3000
+	p := newHotPair(t)
+	defer func() { p.fe.Close() }()
+	p.load(0, rows)
+	if err := p.fe.CompactSegments(); err != nil {
+		t.Fatal(err)
+	}
+	p.load(rows, 10)
+	p.reopen()
+	flushedRowsAreNotResident(t, p.fe, []int64{10, 20, 8})
+	p.check("reopened")
+	var ids [2]int64
+	p.both("insert after reopen", func(eng Engine) (err error) {
+		i := 0
+		if eng == Engine(p.mem) {
+			i = 1
+		}
+		ids[i], err = eng.Insert("performance_result", resultRow(7))
+		return err
+	})
+	if ids[0] != rows+11 || ids[0] != ids[1] {
+		t.Fatalf("first row ID after reopen = %d (mem %d), want %d", ids[0], ids[1], rows+11)
+	}
+
+	// Flushed rows change last; the crash leaves that in the WAL only.
+	p.fe.SetSync(true)
+	p.both("update flushed row", func(eng Engine) error {
+		tab, _ := eng.Table("performance_result")
+		row, _ := tab.Get(17)
+		row[5] = Float(-17)
+		return eng.Update("performance_result", 17, row)
+	})
+	p.both("delete flushed row", func(eng Engine) error { return eng.Delete("focus_has_resource", 5) })
+	abandon(p.fe)
+	p.fe = openTestEngine(t, p.dir)
+	p.check("replayed update and delete of flushed rows")
+	if st := hotStatus(t, p.fe, "result_has_focus"); st.Rows != 2*rows || st.PendingRows != 20 {
+		t.Fatalf("untouched table after replay = %+v, want it still segment-resident", st)
+	}
+}
+
+// TestSegmentIndexDDLCoversFlushedRows: an index created on a hot table
+// after its rows were flushed (migrateSchema does this to an old store)
+// serves them, a dropped one is gone everywhere, and a unique index —
+// which segments cannot enforce — moves the table back to the row store.
+func TestSegmentIndexDDLCoversFlushedRows(t *testing.T) {
+	p := newHotPair(t)
+	defer func() { p.fe.Close() }()
+	p.load(0, 300)
+	if err := p.fe.CompactSegments(); err != nil {
+		t.Fatal(err)
+	}
+	p.load(300, 20)
+	p.both("create index", func(eng Engine) error {
+		return eng.CreateIndex("performance_result", IndexSpec{Name: "pr_tool_metric", Columns: []string{"tool_id", "metric_id"}})
+	})
+	p.both("drop index", func(eng Engine) error { return eng.DropIndex("result_has_focus", "rhf_focus") })
+	got, _ := p.fe.Table("performance_result")
+	want, _ := p.mem.Table("performance_result")
+	sameReads(t, "after CREATE INDEX", got, want)
+	var n int
+	if err := got.IndexScan("pr_tool_metric", []Value{Int(1), Int(3)}, func(int64, Row) bool { n++; return true }); err != nil || n == 0 {
+		t.Fatalf("two-column index scan over flushed rows: %d rows, err %v", n, err)
+	}
+	if st := hotStatus(t, p.fe, "performance_result"); st.Rows != 300 {
+		t.Fatalf("status after CREATE INDEX = %+v, want the 300 flushed rows still in segments", st)
+	}
+	// The projected scan wants a whole key and an integer column.
+	ignore := func(int64, int64) bool { return true }
+	if got.IndexScanInt("pr_tool_metric", []Value{Int(1)}, 0, ignore) == nil ||
+		got.IndexScanInt("performance_result_exec", []Value{Int(1)}, 5, ignore) == nil ||
+		got.IndexScanInt("nope", []Value{Int(1)}, 0, ignore) == nil {
+		t.Fatal("IndexScanInt accepted a partial key, a float column or an unknown index")
+	}
+	got, want = nil, nil
+	rhf, _ := p.fe.Table("result_has_focus")
+	if err := rhf.IndexScan("rhf_focus", nil, func(int64, Row) bool { return true }); err == nil {
+		t.Fatal("dropped index still scans")
+	}
+	p.reopen()
+	p.both("unique index", func(eng Engine) error {
+		return eng.CreateIndex("focus_has_resource", IndexSpec{Name: "fhr_pair", Columns: []string{"resource_id", "focus_id"}, Unique: true})
+	})
+	if st := hotStatus(t, p.fe, "focus_has_resource"); !st.Unordered || st.Segments != 0 {
+		t.Fatalf("status after a unique index = %+v, want row-resident", st)
+	}
+	if err := p.both("violate unique index", func(eng Engine) error {
+		_, err := eng.Insert("focus_has_resource", Row{Int(1), Int(0)})
+		return err
+	}); err == nil {
+		t.Fatal("duplicate (focus, resource) pair accepted")
+	}
+	for _, name := range []string{"performance_result", "result_has_focus", "focus_has_resource"} {
+		got, _ := p.fe.Table(name)
+		want, _ := p.mem.Table(name)
+		sameReads(t, "reopened: "+name, got, want)
+	}
+}
+
+// TestSegmentRecoveryWhenSnapshotAndManifestOverlap covers the two ways a
+// snapshot can hold rows a manifest-listed segment also holds; in both
+// the WAL since the older of the two is intact and recovery must reach
+// the mem engine's answer.
+func TestSegmentRecoveryWhenSnapshotAndManifestOverlap(t *testing.T) {
+	// A checkpoint that ran while a batch was open snapshotted its rows;
+	// a rehydration and re-seal later put them in a segment as well, the
+	// only segment the manifest then lists.
+	t.Run("tail-snapshotted-then-resegmented", func(t *testing.T) {
+		p := newHotPair(t)
+		defer func() { p.fe.Close() }()
+		p.load(0, 200)
+		if err := p.fe.CompactSegments(); err != nil {
+			t.Fatal(err)
+		}
+		p.fe.BeginWALBatch()
+		err := loadResults(p.fe, 200, 50)
+		if err == nil {
+			err = p.fe.Checkpoint()
+		}
+		if ferr := p.fe.EndWALBatch(); err == nil {
+			err = ferr
+		}
+		if err == nil {
+			err = loadResults(p.mem, 200, 50)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := hotStatus(t, p.fe, "performance_result"); st.Rows != 200 || st.PendingRows != 50 {
+			t.Fatalf("status after the checkpoint = %+v, want the open batch's 50 rows in the tail", st)
+		}
+		p.both("update flushed row", func(eng Engine) error {
+			tab, _ := eng.Table("performance_result")
+			row, _ := tab.Get(5)
+			row[5] = Float(-5)
+			return eng.Update("performance_result", 5, row)
+		})
+		if err := p.fe.CompactSegments(); err != nil {
+			t.Fatal(err)
+		}
+		if st := hotStatus(t, p.fe, "performance_result"); st.Segments != 1 || st.Rows != 250 {
+			t.Fatalf("status after re-segmentation = %+v, want one 250-row segment", st)
+		}
+		p.fe.Stats() // flushes the WAL to its file
+		abandon(p.fe)
+		p.fe = openTestEngine(t, p.dir)
+		p.check("reopened")
+		if st := hotStatus(t, p.fe, "performance_result"); st.Rows != 250 || st.PendingRows != 0 {
+			t.Fatalf("status after recovery = %+v, want the segment to serve all 250 rows", st)
+		}
+	})
+	// A checkpoint wrote a snapshot holding a rehydrated table in full (a
+	// batch was open, so it could not re-segment the table) and crashed
+	// before rewriting the manifest, which still lists the table's
+	// pre-rehydration segments.
+	t.Run("checkpoint-crashed-before-manifest", func(t *testing.T) {
+		p := newHotPair(t)
+		defer func() { p.fe.Close() }()
+		if err := p.fe.Checkpoint(); err != nil { // replaying DDL over a newer snapshot is not idempotent
+			t.Fatal(err)
+		}
+		p.load(0, 200)
+		if err := p.fe.CompactSegments(); err != nil {
+			t.Fatal(err)
+		}
+		p.fe.BeginWALBatch()
+		p.both("delete flushed row", func(eng Engine) error { return eng.Delete("performance_result", 7) })
+		p.fe.Stats() // flushes the WAL to its file
+		before := t.TempDir()
+		copyTree(t, p.dir, before)
+		if err := p.fe.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if counts := countSnapshotRows(t, p.dir+"/"+snapshotFile); counts["performance_result"] != 199 {
+			t.Fatalf("snapshot holds %d performance_result rows, want all 199", counts["performance_result"])
+		}
+		abandon(p.fe)
+		snap, err := os.ReadFile(p.dir + "/" + snapshotFile)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.RemoveAll(p.dir); err != nil {
+			t.Fatal(err)
+		}
+		copyTree(t, before, p.dir) // the old manifest, its segments, the whole WAL
+		if err := os.WriteFile(p.dir+"/"+snapshotFile, snap, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		p.fe = openTestEngine(t, p.dir)
+		p.check("reopened")
+	})
+}
+
+// TestFileEngineCloseAlwaysClosesWAL: Close releases the WAL handle and
+// reports every failure, instead of returning at the first.
+func TestFileEngineCloseAlwaysClosesWAL(t *testing.T) {
+	fe := openTestEngine(t, t.TempDir())
+	if err := fe.CreateTable(resultSchema()); err != nil {
+		t.Fatal(err)
+	}
+	wal := fe.wal
+	closed, err := os.Open(os.DevNull)
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed.Close()
+	fe.walW = newRecordWriter(closed) // the buffered CREATE TABLE record cannot be flushed
+	if err := fe.walW.writeRecord([]byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if err := fe.Close(); err == nil {
+		t.Fatal("Close hid a flush failure")
+	}
+	if err := wal.Close(); err == nil {
+		t.Fatal("Close left the WAL file open after a flush failure")
+	}
+}
+
+// TestFileEngineOpenClosesWALOnError: an open that fails after the WAL
+// was opened (the manifest cannot be written) does not leak its handle.
+func TestFileEngineOpenClosesWALOnError(t *testing.T) {
+	dir := t.TempDir()
+	fe := openTestEngine(t, dir)
+	fe.Close()
+	before := openFiles(t)
+	// A directory squatting on the manifest's temp name fails the rewrite.
+	if err := os.MkdirAll(dir+"/"+segmentSubdir+"/"+manifestFile+".tmp/x", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenFile(dir); err == nil {
+		t.Fatal("OpenFile succeeded without a writable manifest")
+	}
+	if after := openFiles(t); after != before {
+		t.Fatalf("%d files open after the failed OpenFile, %d before", after, before)
+	}
+}
+
+func openFiles(t *testing.T) int {
+	t.Helper()
+	entries, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("cannot count open files: %v", err)
+	}
+	return len(entries)
+}
+
+// TestFileEngineStatsCountsFlushFailure: when Stats cannot flush the WAL
+// it keeps the last good wal_bytes and counts the failure.
+func TestFileEngineStatsCountsFlushFailure(t *testing.T) {
+	fe := openTestEngine(t, t.TempDir())
+	defer fe.Close()
+	if err := fe.CreateTable(resultSchema()); err != nil {
+		t.Fatal(err)
+	}
+	good := fe.Stats()
+	if good.WALBytes == 0 || good.FlushErrors != 0 {
+		t.Fatalf("healthy stats = %+v", good)
+	}
+	closed, _ := os.Open(os.DevNull)
+	closed.Close()
+	healthy := fe.walW
+	fe.walW = newRecordWriter(closed)
+	if err := fe.walW.writeRecord([]byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	bad := fe.Stats()
+	if bad.FlushErrors != 1 || bad.WALBytes != good.WALBytes || bad.DiskBytes != good.DiskBytes {
+		t.Fatalf("stats after a failed flush = wal %d disk %d errors %d, want the last good %d / %d and 1 error",
+			bad.WALBytes, bad.DiskBytes, bad.FlushErrors, good.WALBytes, good.DiskBytes)
+	}
+	fe.walW = healthy
+}

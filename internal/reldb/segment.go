@@ -7,7 +7,9 @@ import (
 	"hash/crc32"
 	"math"
 	"os"
+	"slices"
 	"sort"
+	"sync"
 )
 
 // Columnar segment files. A segment is an immutable, PK-sorted,
@@ -74,8 +76,10 @@ type zoneMap struct {
 	minF, maxF float64
 }
 
-// segment is a decoded in-memory segment: its ColumnBlock stays resident
-// so scans are pure slice iteration, bounded by memory bandwidth.
+// segment is a decoded in-memory segment, the only resident copy of its
+// rows: its ColumnBlock serves bulk scans as pure slice iteration, and
+// point, range and index reads binary-search it — directly, for it is
+// sorted by primary key, or through a permutation built on first use.
 type segment struct {
 	ColumnBlock
 	table    string
@@ -85,10 +89,23 @@ type segment struct {
 	maxRowID int64
 	minPK    int64 // first primary-key column zone (int PKs only)
 	maxPK    int64
+
+	// In memory only; a table fills perms when it adopts the segment.
+	byID  lazyPerm             // positions by row ID; nil perm when rowIDs already ascend
+	perms map[string]*lazyPerm // per secondary index: positions by (index columns, row ID)
+}
+
+// lazyPerm is a permutation of a segment's positions, sorted on first
+// use by whichever reader gets there first.
+type lazyPerm struct {
+	once sync.Once
+	perm []int32
 }
 
 // decodedBytes approximates the resident bytes a full scan of the
-// segment touches, for the scan-bytes histogram.
+// segment touches, for the scan-bytes histogram — and, being within a
+// few bytes a row of what rowBytes charges the same rows, for the
+// logical size of rows that have left the row store.
 func (s *segment) decodedBytes() int64 {
 	n := int64(len(s.rowIDs) * 8)
 	for i := range s.cols {
@@ -102,45 +119,147 @@ func (s *segment) decodedBytes() int64 {
 	return n
 }
 
-// buildSegment sorts (ids, rows) by encoded primary key and lays the
-// batch out column-major. rows must all match schema; ids[i] is the row
-// ID of rows[i].
+// buildSegment lays (ids, rows) out column-major. The rows must match
+// the table's schema and arrive in primary-key order; ids[i] is the row
+// ID of rows[i]. It reads only what never changes about t.
 func buildSegment(t *Table, ids []int64, rows []Row) (*segment, error) {
 	if len(ids) == 0 || len(ids) != len(rows) {
 		return nil, fmt.Errorf("reldb: buildSegment: bad batch (%d ids, %d rows)", len(ids), len(rows))
 	}
-	order := make([]int, len(ids))
-	keys := make([][]byte, len(ids))
-	for i := range ids {
-		order[i] = i
-		keys[i] = t.pkKey(rows[i])
-	}
-	sort.Slice(order, func(a, b int) bool {
-		return string(keys[order[a]]) < string(keys[order[b]])
-	})
-	schema := t.schema
-	seg := &segment{table: schema.Name, minRowID: math.MaxInt64, maxRowID: math.MinInt64}
-	if err := seg.reset(schema, len(ids)); err != nil {
+	seg := &segment{table: t.schema.Name, minRowID: math.MaxInt64, maxRowID: math.MinInt64}
+	if err := seg.reset(t.schema, len(ids)); err != nil {
 		return nil, err
 	}
-	sorted := make([]Row, len(rows))
-	for out, in := range order {
-		id := ids[in]
-		seg.rowIDs[out], sorted[out] = id, rows[in]
-		seg.minRowID = min(seg.minRowID, id)
-		seg.maxRowID = max(seg.maxRowID, id)
+	for i, row := range rows {
+		seg.appendRow(ids[i], row)
+		seg.minRowID = min(seg.minRowID, ids[i])
+		seg.maxRowID = max(seg.maxRowID, ids[i])
 	}
-	seg.fill(sorted)
+	seg.finish()
 	for ci := range seg.cols {
 		if cv := &seg.cols[ci]; cv.kind == KindString {
 			cv.buildDict()
 		}
 	}
-	if len(t.pkCols) > 0 && schema.Columns[t.pkCols[0]].Type == KindInt {
+	if len(t.pkCols) > 0 && t.schema.Columns[t.pkCols[0]].Type == KindInt {
 		z := seg.zones[t.pkCols[0]]
 		seg.minPK, seg.maxPK = z.minI, z.maxI
 	}
 	return seg, nil
+}
+
+// at maps a position in sorted order to a position in the segment; a nil
+// permutation is the identity.
+func at(perm []int32, p int) int {
+	if perm == nil {
+		return p
+	}
+	return int(perm[p])
+}
+
+// cmpTuple orders row i's values in cols against vals, over the first
+// len(vals) columns, the way the key codec orders their encodings.
+func (b *ColumnBlock) cmpTuple(cols []int, i int, vals []Value) int {
+	for k, v := range vals {
+		if c := keyOrder(b.cell(cols[k], i), v); c != 0 {
+			return c
+		}
+	}
+	return 0
+}
+
+// bound returns the first position in perm order whose cols tuple is at
+// least vals — or, with after set, greater than vals. The rows must be
+// sorted by cols in that order. One integer against a column without
+// NULLs — every lookup the PerfTrack schema makes on a hot table —
+// compares the column directly.
+func (b *ColumnBlock) bound(perm []int32, cols []int, vals []Value, after bool) int {
+	if len(vals) == 1 && vals[0].kind == KindInt {
+		if c := &b.cols[cols[0]]; c.kind == KindInt && c.nulls == nil {
+			v := vals[0].i
+			return sort.Search(b.rows, func(p int) bool {
+				x := c.ints[at(perm, p)]
+				return x > v || (x == v && !after)
+			})
+		}
+	}
+	return sort.Search(b.rows, func(p int) bool {
+		c := b.cmpTuple(cols, at(perm, p), vals)
+		return c > 0 || (c == 0 && !after)
+	})
+}
+
+// sortedBy returns the segment's positions ordered by (cols, row ID).
+func (s *segment) sortedBy(cols []int) []int32 {
+	perm := make([]int32, s.rows)
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	sort.Slice(perm, func(a, b int) bool {
+		i, j := int(perm[a]), int(perm[b])
+		for _, c := range cols {
+			if o := keyOrder(s.cell(c, i), s.cell(c, j)); o != 0 {
+				return o < 0
+			}
+		}
+		return s.rowIDs[i] < s.rowIDs[j]
+	})
+	return perm
+}
+
+// indexPerm returns the segment's positions in the order of index ix.
+func (s *segment) indexPerm(ix *tableIndex) []int32 {
+	lp := s.perms[ix.spec.Name]
+	lp.once.Do(func() { lp.perm = s.sortedBy(ix.cols) })
+	return lp.perm
+}
+
+// findID returns the position of the row with the given row ID.
+func (s *segment) findID(id int64) (int, bool) {
+	// Appended rows get consecutive IDs, so the offset from the first is
+	// usually the position.
+	if g := id - s.minRowID; g >= 0 && g < int64(s.rows) && s.rowIDs[g] == id {
+		return int(g), true
+	}
+	s.byID.once.Do(func() {
+		if !slices.IsSorted(s.rowIDs) {
+			s.byID.perm = s.sortedBy(nil)
+		}
+	})
+	perm := s.byID.perm
+	p := sort.Search(s.rows, func(p int) bool { return s.rowIDs[at(perm, p)] >= id })
+	if p == s.rows || s.rowIDs[at(perm, p)] != id {
+		return 0, false
+	}
+	return at(perm, p), true
+}
+
+// zoneExcludes reports whether the column's zone map proves no row of
+// the segment holds v.
+func (s *segment) zoneExcludes(col int, v Value) bool {
+	z := s.zones[col]
+	switch {
+	case !z.valid || v.kind != s.cols[col].kind:
+		return false
+	case v.kind == KindInt:
+		return v.i < z.minI || v.i > z.maxI
+	case v.kind == KindFloat:
+		return v.f < z.minF || v.f > z.maxF
+	}
+	return false
+}
+
+// matches reports whether the segment's columns are those of schema.
+func (s *segment) matches(schema *Schema) bool {
+	if len(s.cols) != len(schema.Columns) {
+		return false
+	}
+	for ci, col := range schema.Columns {
+		if s.cols[ci].kind != col.Type {
+			return false
+		}
+	}
+	return true
 }
 
 // buildDict derives the dictionary form (codes + words) of a string
@@ -160,29 +279,6 @@ func (c *colVec) buildDict() {
 		}
 		c.codes[i] = code
 	}
-}
-
-// row reconstructs row i as a Row (recovery path).
-func (s *segment) row(i int) Row {
-	row := make(Row, len(s.cols))
-	for ci := range s.cols {
-		c := &s.cols[ci]
-		if c.nulls != nil && c.nulls[i] {
-			row[ci] = Null()
-			continue
-		}
-		switch c.kind {
-		case KindInt:
-			row[ci] = Int(c.ints[i])
-		case KindFloat:
-			row[ci] = Float(c.floats[i])
-		case KindString:
-			row[ci] = Str(c.strs[i])
-		case KindBool:
-			row[ci] = Bool(c.bools[i])
-		}
-	}
-	return row
 }
 
 // --- encoding ---

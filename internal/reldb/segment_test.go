@@ -3,9 +3,12 @@ package reldb
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -63,6 +66,18 @@ func insertResults(t *testing.T, fe *FileEngine, n int) {
 func abandon(fe *FileEngine) {
 	fe.seg.shutdown()
 	fe.wal.Close()
+}
+
+// hotStatus returns the compaction status /v1/stats reports for a table.
+func hotStatus(t *testing.T, fe *FileEngine, table string) SegmentTableStatus {
+	t.Helper()
+	for _, st := range fe.SegmentStats().Tables {
+		if st.Table == table {
+			return st
+		}
+	}
+	t.Fatalf("no segment status for %q", table)
+	return SegmentTableStatus{}
 }
 
 func TestSegmentRoundTrip(t *testing.T) {
@@ -130,25 +145,24 @@ func TestSegmentCompactScanAndPrune(t *testing.T) {
 		t.Fatal(err)
 	}
 	insertResults(t, fe, 1000)
-	if _, ok := fe.seg.view("performance_result"); ok {
-		t.Fatal("view before compaction")
+	tab, _ := fe.Table("performance_result")
+	if scan, err := tab.Blocks(1, 1000); err != nil || scan.Segmented() {
+		t.Fatalf("segments before compaction (err=%v)", err)
 	}
 	if err := fe.CompactSegments(); err != nil {
 		t.Fatal(err)
 	}
-	v, ok := fe.seg.view("performance_result")
-	if !ok {
-		t.Fatal("no view after compaction")
-	}
-	if v.rows != 1000 || v.watermark != 1000 || v.maxPK != 1000 {
-		t.Fatalf("view rows=%d tail=%d maxPK=%d", v.rows, v.watermark, v.maxPK)
+	if st := hotStatus(t, fe, "performance_result"); st.Rows != 1000 || st.Watermark != 1000 || st.PendingRows != 0 {
+		t.Fatalf("status after compaction = %+v", st)
 	}
 
 	// Full scan must reproduce every row.
-	tab, _ := fe.Table("performance_result")
+	scan, err := tab.Blocks(1, 1000)
+	if err != nil || len(scan.Segments) != 1 {
+		t.Fatalf("scan after compaction: err=%v segments=%d, want 1", err, len(scan.Segments))
+	}
 	seen := 0
-	blocks, _, _ := v.blocksPKRange(1, 1000)
-	for _, b := range blocks {
+	for _, b := range scan.Segments {
 		ids := b.Int64s(0)
 		execs := b.Int64s(1)
 		vals := b.Float64s(5)
@@ -180,15 +194,14 @@ func TestSegmentCompactScanAndPrune(t *testing.T) {
 	if err := fe.CompactSegments(); err != nil {
 		t.Fatal(err)
 	}
-	v, ok = fe.seg.view("performance_result")
-	if !ok || len(v.segs) != 2 || v.rows != 1500 {
-		t.Fatalf("segments=%d rows=%d", len(v.segs), v.rows)
+	if st := hotStatus(t, fe, "performance_result"); st.Segments != 2 || st.Rows != 1500 {
+		t.Fatalf("status after second compaction = %+v", st)
 	}
-	_, pruned, bytes := v.blocksPKRange(1200, 1400)
-	if pruned != 1 {
-		t.Fatalf("pruned = %d, want 1", pruned)
+	scan, err = tab.Blocks(1200, 1400)
+	if err != nil || scan.Pruned != 1 || len(scan.Segments) != 1 {
+		t.Fatalf("scan: err=%v pruned=%d segments=%d, want 1 and 1", err, scan.Pruned, len(scan.Segments))
 	}
-	if bytes == 0 {
+	if scan.Bytes == 0 {
 		t.Fatal("scan bytes not accounted")
 	}
 }
@@ -244,12 +257,11 @@ func TestSegmentCrashRecoveryBetweenCompactionAndCheckpoint(t *testing.T) {
 			t.Fatalf("row %d value = %v, want %v", id, row[5], want[5])
 		}
 	}
-	v, ok := fe2.seg.view("performance_result")
-	if !ok || v.rows != 2000 {
-		t.Fatalf("recovered view: ok=%v rows=%d, want 2000", ok, v.rows)
+	if st := hotStatus(t, fe2, "performance_result"); st.Rows != 2000 || st.PendingRows != 500 {
+		t.Fatalf("recovered status = %+v, want 2000 segment rows and a 500-row tail", st)
 	}
-	if v2, ok := fe2.seg.view("focus_has_resource"); !ok || v2.rows != 200 {
-		t.Fatalf("recovered link view: ok=%v", ok)
+	if st := hotStatus(t, fe2, "focus_has_resource"); st.Rows != 200 || st.PendingRows != 0 {
+		t.Fatalf("recovered link status = %+v, want 200 segment rows", st)
 	}
 }
 
@@ -324,101 +336,246 @@ func TestSegmentCheckpointIsIncremental(t *testing.T) {
 	}
 }
 
+// sameReads fails unless got and want hold the same rows, read every way
+// a Table can be read, in the same order.
+func sameReads(t *testing.T, label string, got, want *Table) {
+	t.Helper()
+	type visit struct {
+		id  int64
+		row string
+	}
+	collect := func(into *[]visit) func(int64, Row) bool {
+		return func(id int64, row Row) bool {
+			*into = append(*into, visit{id, row.String()})
+			return true
+		}
+	}
+	same := func(what string, read func(tab *Table, fn func(int64, Row) bool) error) {
+		t.Helper()
+		var g, w []visit
+		if err := read(got, collect(&g)); err != nil {
+			t.Fatalf("%s: %s: %v", label, what, err)
+		}
+		if err := read(want, collect(&w)); err != nil {
+			t.Fatalf("%s: %s on the reference: %v", label, what, err)
+		}
+		if !reflect.DeepEqual(g, w) {
+			t.Fatalf("%s: %s differs:\n got %d rows %v\nwant %d rows %v", label, what, len(g), g[:min(len(g), 6)], len(w), w[:min(len(w), 6)])
+		}
+	}
+	if got.Len() != want.Len() {
+		t.Fatalf("%s: Len = %d, want %d", label, got.Len(), want.Len())
+	}
+	var ids []int64
+	var firsts []Value
+	same("Scan", func(tab *Table, fn func(int64, Row) bool) error {
+		tab.Scan(fn)
+		return nil
+	})
+	want.Scan(func(id int64, row Row) bool {
+		ids = append(ids, id)
+		firsts = append(firsts, row[want.pkCols[0]])
+		return true
+	})
+	for i, id := range ids {
+		g, gok := got.Get(id)
+		w, _ := want.Get(id)
+		if !gok || !rowsEqual(g, w) {
+			t.Fatalf("%s: Get(%d) = %v, %v; want %v", label, id, g, gok, w)
+		}
+		g, gid, gok := got.GetByPK(w[:len(want.pkCols)]...)
+		if !gok || gid != id || !rowsEqual(g, w) {
+			t.Fatalf("%s: GetByPK(%v) = %v, %d, %v; want %v, %d", label, w[:len(want.pkCols)], g, gid, gok, w, id)
+		}
+		if i%7 == 0 {
+			same(fmt.Sprintf("PKScan(%v)", firsts[i]), func(tab *Table, fn func(int64, Row) bool) error {
+				return tab.PKScan(firsts[i:i+1], fn)
+			})
+		}
+	}
+	if _, ok := got.Get(1 << 40); ok {
+		t.Fatalf("%s: Get of a row ID never assigned succeeded", label)
+	}
+	for _, spec := range want.schema.Indexes {
+		col := want.schema.ColumnIndex(spec.Columns[0])
+		same("IndexScan("+spec.Name+")", func(tab *Table, fn func(int64, Row) bool) error {
+			return tab.IndexScan(spec.Name, nil, fn)
+		})
+		same("IndexRange("+spec.Name+", 2, 5)", func(tab *Table, fn func(int64, Row) bool) error {
+			return tab.IndexRange(spec.Name, Int(2), Int(5), fn)
+		})
+		same("IndexRange("+spec.Name+", -, 3)", func(tab *Table, fn func(int64, Row) bool) error {
+			return tab.IndexRange(spec.Name, Null(), Int(3), fn)
+		})
+		seen := map[int64]bool{}
+		want.Scan(func(_ int64, row Row) bool {
+			seen[row[col].Int64()] = true
+			return true
+		})
+		seen[-1] = true // a value no row holds
+		for v := range seen {
+			same(fmt.Sprintf("IndexScan(%s, %d)", spec.Name, v), func(tab *Table, fn func(int64, Row) bool) error {
+				return tab.IndexScan(spec.Name, []Value{Int(v)}, fn)
+			})
+			if len(spec.Columns) > 1 {
+				continue
+			}
+			// The projected scan reads the leading key column the same.
+			same(fmt.Sprintf("IndexScanInt(%s, %d)", spec.Name, v), func(tab *Table, fn func(int64, Row) bool) error {
+				return tab.IndexScanInt(spec.Name, []Value{Int(v)}, tab.pkCols[0], func(id, first int64) bool {
+					return fn(id, Row{Int(first)})
+				})
+			})
+		}
+	}
+	// Gather by ID list (with holes) and the block source by range carry
+	// the same rows in the same order as the reference's.
+	ask := append([]int64{0}, ids...)
+	sort.Slice(ask, func(a, b int) bool { return ask[a] < ask[b] })
+	blocks := func(read func(tab *Table, fn func(*ColumnBlock) error) error) func(*Table, func(int64, Row) bool) error {
+		return func(tab *Table, fn func(int64, Row) bool) error {
+			return read(tab, func(b *ColumnBlock) error {
+				for i, id := range b.RowIDs() {
+					fn(id, b.row(i))
+				}
+				return nil
+			})
+		}
+	}
+	same("Gather", blocks(func(tab *Table, fn func(*ColumnBlock) error) error { return tab.Gather(ask, fn) }))
+	if want.schema.Columns[want.pkCols[0]].Type == KindInt {
+		same("Blocks", blocks(func(tab *Table, fn func(*ColumnBlock) error) error {
+			scan, err := tab.Blocks(math.MinInt64, math.MaxInt64)
+			if err != nil {
+				return err
+			}
+			return scan.Each(fn)
+		}))
+	}
+}
+
+// memResults returns a mem engine holding resultRow(0..n-1), the
+// reference the durable engine's reads are compared with.
+func memResults(t *testing.T, n int) *DB {
+	t.Helper()
+	db := NewMem()
+	schema := resultSchema()
+	schema.Indexes = []IndexSpec{{Name: "by_exec", Columns: []string{"execution_id"}}}
+	if err := db.CreateTable(schema); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if _, err := db.Insert("performance_result", resultRow(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return db
+}
+
+// TestSegmentDirtyFallbackAndCheckpointReset: an update of a flushed row
+// takes the one fallback — the table answers every read as the mem
+// engine does while it is row-resident — and the next seal makes it
+// segment-resident again, with the new image.
 func TestSegmentDirtyFallbackAndCheckpointReset(t *testing.T) {
 	dir := t.TempDir()
 	fe := openTestEngine(t, dir)
 	defer fe.Close()
-	if err := fe.CreateTable(resultSchema()); err != nil {
+	schema := resultSchema()
+	schema.Indexes = []IndexSpec{{Name: "by_exec", Columns: []string{"execution_id"}}}
+	if err := fe.CreateTable(schema); err != nil {
 		t.Fatal(err)
 	}
 	insertResults(t, fe, 1000)
 	if err := fe.CompactSegments(); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := fe.seg.view("performance_result"); !ok {
-		t.Fatal("no view after compaction")
-	}
-	// In-place update of a flushed row: the segment copy is stale, so
-	// the scan path must disable itself.
+	mem := memResults(t, 1000)
+	ref, _ := mem.Table("performance_result")
 	tab, _ := fe.Table("performance_result")
+	sameReads(t, "flushed", tab, ref)
+
 	row, _ := tab.Get(5)
 	row[5] = Float(-123.5)
-	if err := fe.Update("performance_result", 5, row); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := fe.seg.view("performance_result"); ok {
-		t.Fatal("view survived a dirtying update")
-	}
-	st := fe.SegmentStats()
-	if !st.Enabled || !st.Tables[0].Dirty {
-		t.Fatalf("stats = %+v, want dirty", st.Tables[0])
-	}
-	// Checkpoint resets: drops the stale segments, snapshots in full,
-	// and requeues the table so the next compaction rebuilds it.
-	if err := fe.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if err := fe.CompactSegments(); err != nil {
-		t.Fatal(err)
-	}
-	v, ok := fe.seg.view("performance_result")
-	if !ok || v.rows != 1000 {
-		t.Fatalf("rebuilt view: ok=%v rows=%d, want 1000", ok, v.rows)
-	}
-	found := false
-	blocks, _, _ := v.blocksPKRange(5, 5)
-	for _, b := range blocks {
-		ids := b.Int64s(0)
-		vals := b.Float64s(5)
-		for i, id := range ids {
-			if id == 5 {
-				found = true
-				if vals[i] != -123.5 {
-					t.Fatalf("rebuilt segment has stale value %v", vals[i])
-				}
-			}
-		}
-	}
-	if !found {
-		t.Fatal("updated row missing from rebuilt segment")
-	}
-}
-
-func TestSegmentUnorderedInsertDisablesScan(t *testing.T) {
-	fe := openTestEngine(t, t.TempDir())
-	defer fe.Close()
-	if err := fe.CreateTable(resultSchema()); err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range []int64{10, 20, 30} {
-		if _, err := fe.Insert("performance_result", Row{Int(id), Int(1), Int(1), Int(1), Null(), Float(1)}); err != nil {
+	for _, eng := range []Engine{fe, mem} {
+		if err := eng.Update("performance_result", 5, row); err != nil {
 			t.Fatal(err)
 		}
 	}
+	if st := hotStatus(t, fe, "performance_result"); !st.Dirty || st.Segments != 0 || st.PendingRows != 1000 {
+		t.Fatalf("status after updating a flushed row = %+v, want dirty and row-resident", st)
+	}
+	sameReads(t, "row-resident after update", tab, ref)
+
+	// The next batch boundary at or above the threshold re-segments the
+	// whole table from a sorted slate.
+	fe.SetSegmentFlushRows(100)
+	insertResults(t, fe, 1)
+	if _, err := mem.Insert("performance_result", resultRow(0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := fe.CompactSegments(); err != nil { // waits for the in-flight pass
+		t.Fatal(err)
+	}
+	if st := hotStatus(t, fe, "performance_result"); st.Dirty || st.Rows != 1001 || st.PendingRows != 0 {
+		t.Fatalf("status after the next seal = %+v, want 1001 segment rows", st)
+	}
+	sameReads(t, "re-segmented", tab, ref)
+	if got, _ := tab.Get(5); got[5].Float64() != -123.5 {
+		t.Fatalf("rebuilt segment has stale value %v", got[5])
+	}
+}
+
+// TestSegmentUnorderedInsertDisablesScan: an insert below the flushed
+// maximum rehydrates the table and keeps it row-resident — later seals
+// skip it — until a checkpoint, after which it is segment-resident again.
+// Reads equal the mem engine's throughout.
+func TestSegmentUnorderedInsertDisablesScan(t *testing.T) {
+	fe := openTestEngine(t, t.TempDir())
+	defer fe.Close()
+	mem := NewMem()
+	insert := func(id int64) {
+		t.Helper()
+		for _, eng := range []Engine{fe, mem} {
+			if _, err := eng.Insert("performance_result", Row{Int(id), Int(1), Int(1), Int(1), Null(), Float(1)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, eng := range []Engine{fe, mem} {
+		if err := eng.CreateTable(resultSchema()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, id := range []int64{10, 20, 30} {
+		insert(id)
+	}
 	if err := fe.CompactSegments(); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := fe.seg.view("performance_result"); !ok {
-		t.Fatal("no view")
+	tab, _ := fe.Table("performance_result")
+	ref, _ := mem.Table("performance_result")
+	if st := hotStatus(t, fe, "performance_result"); st.Rows != 3 || st.Unordered {
+		t.Fatalf("status after compaction = %+v", st)
 	}
-	// Out-of-order explicit PK breaks the tail invariant.
-	if _, err := fe.Insert("performance_result", Row{Int(15), Int(1), Int(1), Int(1), Null(), Float(1)}); err != nil {
+	// Out-of-order explicit PK breaks the ordered invariant.
+	insert(15)
+	sameReads(t, "after out-of-order insert", tab, ref)
+	insert(40)
+	if err := fe.CompactSegments(); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := fe.seg.view("performance_result"); ok {
-		t.Fatal("view survived an out-of-order insert")
+	if st := hotStatus(t, fe, "performance_result"); !st.Unordered || st.Segments != 0 || st.PendingRows != 5 {
+		t.Fatalf("status = %+v, want unordered and row-resident across a compaction", st)
 	}
-	// Checkpoint heals by rebuilding from scratch.
+	sameReads(t, "row-resident", tab, ref)
+	// Checkpoint heals by re-segmenting from a sorted slate.
 	if err := fe.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if err := fe.CompactSegments(); err != nil {
-		t.Fatal(err)
+	if st := hotStatus(t, fe, "performance_result"); st.Unordered || st.Rows != 5 || st.PendingRows != 0 {
+		t.Fatalf("status after checkpoint = %+v, want 5 segment rows", st)
 	}
-	v, ok := fe.seg.view("performance_result")
-	if !ok || v.rows != 4 {
-		t.Fatalf("rebuilt view: ok=%v", ok)
-	}
+	sameReads(t, "after checkpoint", tab, ref)
 }
 
 func TestTornSegmentRejected(t *testing.T) {

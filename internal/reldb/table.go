@@ -1,28 +1,67 @@
 package reldb
 
 import (
+	"bytes"
 	"fmt"
+	"sort"
 	"sync"
 )
 
 // Table holds the rows and indexes for one relation. All access is
 // mediated by the owning DB, which provides locking; Table methods assume
 // the caller holds the appropriate DB lock.
+//
+// Rows live in exactly one of three places, and every read walks them in
+// this order: the immutable columnar segments (flushed rows; only the
+// durable engine's hot tables ever have any, see compact.go), the sealed
+// row set (a frozen former tail the compactor is encoding), and the
+// active row set, the only place mutations land. The ordered invariant
+// makes that walk a concatenation, never a merge: segments partition the
+// primary-key space in flush order, every sealed key exceeds every
+// segment key, every active key exceeds both, and row IDs ascend the same
+// way. A mutation that would break it rehydrates the table first.
 type Table struct {
 	db     *DB
 	schema *Schema
+	nextID int64 // next row ID / auto primary key
+	pkCols []int // column positions of the primary key
 
-	rows   map[int64]Row // row ID -> row
-	nextID int64         // next row ID / auto primary key
+	active *rowSet
+	sealed *rowSet    // nil unless a compaction is in flight
+	sets   []*rowSet  // the non-nil ones of sealed, active: the row sets in key order
+	segs   []*segment // ascending in primary key and in row ID
 
-	primary *btree                 // encoded PK -> row ID
-	indexes map[string]*tableIndex // secondary indexes by name
-
-	pkCols    []int // column positions of the primary key
-	dataBytes int64 // approximate stored data volume
-	pkBytes   int64 // approximate primary B-tree key volume
+	// Like sealed and segs, set only on a durable engine's hot tables (compact.go).
+	segRows      int64 // rows, encoded bytes and decoded bytes in segs
+	segBytes     int64
+	segDataBytes int64
+	stale        []string  // files of rehydrated-away segments the manifest must keep listing
+	staleBytes   int64     // until the table is re-segmented or snapshotted: they may be the rows' only durable copy
+	frozenMaxID  int64     // highest row ID in segs and sealed
+	frozenMaxKey []byte    // highest encoded primary key there; nil when both are empty
+	resident     residency // why a hot table is row-resident, if it is
 
 	transposers sync.Pool // *transposer: reusable blocks for Blocks/Gather
+}
+
+// residency records the fallback a hot table is in: all of its rows are
+// back in the active set.
+type residency uint8
+
+const (
+	residentMutated   residency = iota + 1 // a flushed row changed; the next seal re-segments
+	residentUnordered                      // an insert arrived below the flushed maximum; row-resident until the next checkpoint
+)
+
+// rowSet is a row store: rows by ID, the primary B-tree and the
+// secondary indexes over them.
+type rowSet struct {
+	rows      map[int64]Row
+	primary   *btree                 // encoded PK -> row ID
+	indexes   map[string]*tableIndex // secondary indexes by name
+	dataBytes int64                  // approximate stored data volume
+	pkBytes   int64                  // approximate primary B-tree key volume
+	maxID     int64                  // highest row ID ever inserted
 }
 
 type tableIndex struct {
@@ -36,14 +75,8 @@ func newTable(db *DB, schema *Schema) (*Table, error) {
 	if err := schema.Validate(); err != nil {
 		return nil, err
 	}
-	t := &Table{
-		db:      db,
-		schema:  schema,
-		rows:    make(map[int64]Row),
-		nextID:  1,
-		primary: newBTree(),
-		indexes: make(map[string]*tableIndex),
-	}
+	t := &Table{db: db, schema: schema, nextID: 1}
+	t.installLocked(nil, t.newRowSet())
 	for _, pk := range schema.PrimaryKey {
 		t.pkCols = append(t.pkCols, schema.ColumnIndex(pk))
 	}
@@ -55,21 +88,66 @@ func newTable(db *DB, schema *Schema) (*Table, error) {
 	return t, nil
 }
 
-func (t *Table) addIndex(spec IndexSpec) error {
-	if _, dup := t.indexes[spec.Name]; dup {
-		return fmt.Errorf("reldb: table %q: index %q already exists", t.schema.Name, spec.Name)
-	}
-	ix := &tableIndex{spec: spec, tree: newBTree()}
-	for _, col := range spec.Columns {
-		ix.cols = append(ix.cols, t.schema.ColumnIndex(col))
-	}
-	for id, row := range t.rows {
-		if err := ix.insert(row, id); err != nil {
-			return err
+// newRowSet returns an empty row set carrying the table's indexes.
+func (t *Table) newRowSet() *rowSet {
+	rs := &rowSet{rows: make(map[int64]Row), primary: newBTree(), indexes: make(map[string]*tableIndex)}
+	if t.active != nil {
+		for name, ix := range t.active.indexes {
+			rs.indexes[name] = &tableIndex{spec: ix.spec, cols: ix.cols, tree: newBTree()}
 		}
 	}
-	t.indexes[spec.Name] = ix
+	return rs
+}
+
+// installLocked makes sealed (nil for none) and active the table's row
+// sets.
+func (t *Table) installLocked(sealed, active *rowSet) {
+	t.sealed, t.active, t.sets = sealed, active, []*rowSet{active}
+	if sealed != nil {
+		t.sets = []*rowSet{sealed, active}
+	}
+}
+
+// addIndex builds a secondary index over every row: a B-tree per row
+// set, a lazily sorted permutation per segment. Segments cannot enforce
+// uniqueness, so a unique index first makes the table row-resident.
+func (t *Table) addIndex(spec IndexSpec) error {
+	if _, dup := t.active.indexes[spec.Name]; dup {
+		return fmt.Errorf("reldb: table %q: index %q already exists", t.schema.Name, spec.Name)
+	}
+	if spec.Unique && t.frozenMaxKey != nil {
+		t.rehydrateLocked(residentUnordered)
+	}
+	var cols []int
+	for _, col := range spec.Columns {
+		cols = append(cols, t.schema.ColumnIndex(col))
+	}
+	built := make([]*tableIndex, len(t.sets))
+	for i, rs := range t.sets {
+		built[i] = &tableIndex{spec: spec, cols: cols, tree: newBTree()}
+		for id, row := range rs.rows {
+			if err := built[i].insert(row, id); err != nil {
+				return err
+			}
+		}
+	}
+	for i, rs := range t.sets {
+		rs.indexes[spec.Name] = built[i]
+	}
+	for _, s := range t.segs {
+		s.perms[spec.Name] = new(lazyPerm)
+	}
 	return nil
+}
+
+// dropIndex forgets a secondary index everywhere it is kept.
+func (t *Table) dropIndex(name string) {
+	for _, rs := range t.sets {
+		delete(rs.indexes, name)
+	}
+	for _, s := range t.segs {
+		delete(s.perms, name)
+	}
 }
 
 // key builds the index key for a row; non-unique indexes append the row ID
@@ -103,6 +181,47 @@ func (ix *tableIndex) remove(row Row, id int64) {
 	ix.bytes -= int64(len(key)) + 8
 }
 
+// insert stores a row whose primary key pk the caller found unused. A
+// unique-index violation leaves the set as it was.
+func (rs *rowSet) insert(id int64, row Row, pk []byte) error {
+	for _, ix := range rs.indexes {
+		if ix.spec.Unique {
+			if _, exists := ix.tree.Get(ix.key(row, id)); exists {
+				return fmt.Errorf("reldb: unique index %q violated", ix.spec.Name)
+			}
+		}
+	}
+	for _, ix := range rs.indexes {
+		_ = ix.insert(row, id) // uniqueness was just checked; nothing else fails
+	}
+	rs.rows[id] = row
+	rs.primary.Set(pk, id)
+	rs.dataBytes += rowBytes(row)
+	rs.pkBytes += int64(len(pk)) + 8
+	rs.maxID = max(rs.maxID, id)
+	return nil
+}
+
+func (rs *rowSet) remove(id int64, row Row, pk []byte) {
+	rs.primary.Delete(pk)
+	rs.pkBytes -= int64(len(pk)) + 8
+	for _, ix := range rs.indexes {
+		ix.remove(row, id)
+	}
+	delete(rs.rows, id)
+	rs.dataBytes -= rowBytes(row)
+}
+
+// indexBytes approximates the key bytes held by the set's primary B-tree
+// and secondary indexes.
+func (rs *rowSet) indexBytes() int64 {
+	n := rs.pkBytes
+	for _, ix := range rs.indexes {
+		n += ix.bytes
+	}
+	return n
+}
+
 // Schema returns the table's schema. Callers must not mutate it.
 func (t *Table) Schema() *Schema { return t.schema }
 
@@ -130,72 +249,164 @@ func rowBytes(row Row) int64 {
 	return n + 8 // row header
 }
 
+// rowRef locates a stored row: in a row set, or at a segment position.
+type rowRef struct {
+	id  int64
+	set *rowSet
+	seg *segment
+	pos int
+}
+
+// clone returns a copy of the located row that is the caller's to keep.
+func (r rowRef) clone() Row {
+	if r.seg != nil {
+		return r.seg.row(r.pos)
+	}
+	return r.set.rows[r.id].Clone()
+}
+
+// findIDLocked locates the row with the given row ID.
+func (t *Table) findIDLocked(id int64) (rowRef, bool) {
+	if n := len(t.segs); n > 0 && id <= t.segs[n-1].maxRowID {
+		k := sort.Search(n, func(k int) bool { return t.segs[k].maxRowID >= id })
+		pos, ok := t.segs[k].findID(id)
+		return rowRef{id: id, seg: t.segs[k], pos: pos}, ok
+	}
+	for _, rs := range t.sets {
+		if _, ok := rs.rows[id]; ok {
+			return rowRef{id: id, set: rs}, true
+		}
+	}
+	return rowRef{}, false
+}
+
+// findPKLocked locates the row with the given encoded primary key: the
+// row sets first, a segment only when the key is at or below the flushed
+// maximum.
+func (t *Table) findPKLocked(key []byte) (rowRef, bool) {
+	for _, rs := range t.sets {
+		if id, ok := rs.primary.Get(key); ok {
+			return rowRef{id: id, set: rs}, true
+		}
+	}
+	if len(t.segs) == 0 || bytes.Compare(key, t.frozenMaxKey) > 0 {
+		return rowRef{}, false
+	}
+	vals, err := DecodeKey(key)
+	if err != nil || len(vals) != len(t.pkCols) {
+		return rowRef{}, false
+	}
+	k := sort.Search(len(t.segs), func(k int) bool {
+		s := t.segs[k]
+		return s.cmpTuple(t.pkCols, s.rows-1, vals) >= 0
+	})
+	if k == len(t.segs) {
+		return rowRef{}, false
+	}
+	s := t.segs[k]
+	pos := s.bound(nil, t.pkCols, vals, false)
+	if pos == s.rows || s.cmpTuple(t.pkCols, pos, vals) != 0 {
+		return rowRef{}, false
+	}
+	return rowRef{id: s.rowIDs[pos], seg: s, pos: pos}, true
+}
+
+// admitLocked runs the two checks on a new row that span the whole
+// table: its primary key pk is unused, and neither its row ID nor its key
+// falls inside the frozen range — which would break the ordered
+// invariant, so the table rehydrates first.
+func (t *Table) admitLocked(id int64, pk []byte, row Row) error {
+	if _, exists := t.findPKLocked(pk); exists {
+		return fmt.Errorf("reldb: table %q: duplicate primary key %s", t.schema.Name, row)
+	}
+	if t.frozenMaxKey != nil {
+		if id <= t.frozenMaxID {
+			t.rehydrateLocked(residentMutated)
+		} else if bytes.Compare(pk, t.frozenMaxKey) < 0 {
+			t.rehydrateLocked(residentUnordered)
+		}
+	}
+	return nil
+}
+
 // insertLocked adds a row. If the primary key is a single integer column
 // whose value is NULL, a fresh ID is assigned (sequence semantics). It
 // returns the row ID, which equals the integer primary key when one is
-// auto-assigned.
-func (t *Table) insertLocked(row Row) (int64, error) {
+// auto-assigned, and the stored row.
+func (t *Table) insertLocked(row Row) (int64, Row, error) {
 	row = row.Clone()
 	if len(t.pkCols) == 1 && t.schema.Columns[t.pkCols[0]].Type == KindInt && row[t.pkCols[0]].IsNull() {
 		row[t.pkCols[0]] = Int(t.nextID)
 	}
 	if err := t.schema.CheckRow(row); err != nil {
-		return 0, err
+		return 0, nil, err
 	}
 	if err := t.db.checkForeignKeys(t.schema, row); err != nil {
-		return 0, err
+		return 0, nil, err
 	}
 	pk := t.pkKey(row)
-	if _, exists := t.primary.Get(pk); exists {
-		return 0, fmt.Errorf("reldb: table %q: duplicate primary key %s", t.schema.Name, row)
+	if err := t.admitLocked(t.nextID, pk, row); err != nil {
+		return 0, nil, err
 	}
 	id := t.nextID
 	t.nextID++
 	// Keep nextID ahead of explicit integer primary keys.
 	if len(t.pkCols) == 1 && row[t.pkCols[0]].Kind() == KindInt {
-		if v := row[t.pkCols[0]].Int64(); v >= t.nextID {
-			t.nextID = v + 1
-		}
+		t.nextID = max(t.nextID, row[t.pkCols[0]].Int64()+1)
 	}
-	for _, ix := range t.indexes {
-		if err := ix.insert(row, id); err != nil {
-			// Roll back indexes already updated.
-			for _, prev := range t.indexes {
-				if prev == ix {
-					break
-				}
-				prev.remove(row, id)
-			}
-			return 0, err
-		}
+	if err := t.active.insert(id, row, pk); err != nil {
+		return 0, nil, err
 	}
-	t.rows[id] = row
-	t.primary.Set(pk, id)
-	t.dataBytes += rowBytes(row)
-	t.pkBytes += int64(len(pk)) + 8
-	return id, nil
+	return id, row, nil
 }
 
-func (t *Table) deleteLocked(id int64) (Row, error) {
-	row, ok := t.rows[id]
+// insertAtLocked stores a row under a specific row ID: recovery, and the
+// rollback of a delete.
+func (t *Table) insertAtLocked(id int64, row Row) (Row, error) {
+	if _, exists := t.findIDLocked(id); exists {
+		return nil, fmt.Errorf("reldb: table %q: row %d already present", t.schema.Name, id)
+	}
+	row = row.Clone()
+	if err := t.schema.CheckRow(row); err != nil {
+		return nil, err
+	}
+	pk := t.pkKey(row)
+	if err := t.admitLocked(id, pk, row); err != nil {
+		return nil, err
+	}
+	if err := t.active.insert(id, row, pk); err != nil {
+		return nil, err
+	}
+	t.nextID = max(t.nextID, id+1)
+	return row, nil
+}
+
+// mutableLocked returns the stored row with the given ID, rehydrating
+// the table first when the row is frozen in a segment or the sealed set.
+func (t *Table) mutableLocked(id int64) (Row, error) {
+	ref, ok := t.findIDLocked(id)
 	if !ok {
 		return nil, fmt.Errorf("reldb: table %q: no row %d", t.schema.Name, id)
 	}
-	pk := t.pkKey(row)
-	t.primary.Delete(pk)
-	t.pkBytes -= int64(len(pk)) + 8
-	for _, ix := range t.indexes {
-		ix.remove(row, id)
+	if ref.set != t.active {
+		t.rehydrateLocked(residentMutated)
 	}
-	delete(t.rows, id)
-	t.dataBytes -= rowBytes(row)
+	return t.active.rows[id], nil
+}
+
+func (t *Table) deleteLocked(id int64) (Row, error) {
+	row, err := t.mutableLocked(id)
+	if err != nil {
+		return nil, err
+	}
+	t.active.remove(id, row, t.pkKey(row))
 	return row, nil
 }
 
 func (t *Table) updateLocked(id int64, row Row) (Row, error) {
-	old, ok := t.rows[id]
-	if !ok {
-		return nil, fmt.Errorf("reldb: table %q: no row %d", t.schema.Name, id)
+	old, err := t.mutableLocked(id)
+	if err != nil {
+		return nil, err
 	}
 	row = row.Clone()
 	if err := t.schema.CheckRow(row); err != nil {
@@ -204,45 +415,55 @@ func (t *Table) updateLocked(id int64, row Row) (Row, error) {
 	if err := t.db.checkForeignKeys(t.schema, row); err != nil {
 		return nil, err
 	}
-	newPK := t.pkKey(row)
-	oldPK := t.pkKey(old)
-	if string(newPK) != string(oldPK) {
-		if _, exists := t.primary.Get(newPK); exists {
+	newPK, oldPK := t.pkKey(row), t.pkKey(old)
+	if !bytes.Equal(newPK, oldPK) {
+		if _, exists := t.findPKLocked(newPK); exists {
 			return nil, fmt.Errorf("reldb: table %q: duplicate primary key %s", t.schema.Name, row)
 		}
-	}
-	for _, ix := range t.indexes {
-		ix.remove(old, id)
-	}
-	for _, ix := range t.indexes {
-		if err := ix.insert(row, id); err != nil {
-			// Restore the previous index state.
-			for _, prev := range t.indexes {
-				if prev == ix {
-					break
-				}
-				prev.remove(row, id)
-			}
-			for _, prev := range t.indexes {
-				_ = prev.insert(old, id)
-			}
-			return nil, err
+		if t.frozenMaxKey != nil && bytes.Compare(newPK, t.frozenMaxKey) < 0 {
+			t.rehydrateLocked(residentUnordered)
 		}
 	}
-	t.primary.Delete(oldPK)
-	t.primary.Set(newPK, id)
-	t.rows[id] = row
-	t.dataBytes += rowBytes(row) - rowBytes(old)
-	t.pkBytes += int64(len(newPK)) - int64(len(oldPK))
+	t.active.remove(id, old, oldPK)
+	if err := t.active.insert(id, row, newPK); err != nil {
+		_ = t.active.insert(id, old, oldPK) // puts back exactly what was just removed
+		return nil, err
+	}
 	return old, nil
 }
 
-// indexBytesLocked approximates the key bytes held by the primary
-// B-tree and every secondary index.
-func (t *Table) indexBytesLocked() int64 {
-	n := t.pkBytes
-	for _, ix := range t.indexes {
-		n += ix.bytes
+// rehydrateLocked folds the segments and the sealed set back into one
+// active row set — the single fallback for a mutation the frozen shapes
+// cannot absorb (an update or delete of a frozen row, a row ID or key
+// inside the frozen range, a unique index). It builds a fresh set and
+// leaves the old ones untouched, so an in-flight compaction (which will
+// find its sealed set gone and discard its work) and an open BlockScan
+// keep reading a consistent image. The segment files stay in the
+// manifest as stale: since the last checkpoint truncated the WAL they
+// may be the only durable copy of their rows, and recovery, replaying
+// the same mutation over them, rehydrates the same way.
+func (t *Table) rehydrateLocked(why residency) {
+	fresh := t.newRowSet()
+	t.ascendLocked(nil, func(id int64, row Row) bool {
+		// Keys arrive ascending and unique, and a table with frozen rows
+		// has no unique index, so the insert cannot fail.
+		_ = fresh.insert(id, row, t.pkKey(row))
+		return true
+	})
+	for _, s := range t.segs {
+		t.stale, t.staleBytes = append(t.stale, s.file), t.staleBytes+s.sizeOn
+	}
+	t.segs, t.segRows, t.segBytes, t.segDataBytes = nil, 0, 0, 0
+	t.installLocked(nil, fresh)
+	t.frozenMaxID, t.frozenMaxKey = 0, nil
+	t.resident = why
+}
+
+// lenLocked counts the table's rows wherever they live.
+func (t *Table) lenLocked() int64 {
+	n := t.segRows
+	for _, rs := range t.sets {
+		n += int64(len(rs.rows))
 	}
 	return n
 }
@@ -251,36 +472,84 @@ func (t *Table) indexBytesLocked() int64 {
 func (t *Table) Len() int {
 	t.db.mu.RLock()
 	defer t.db.mu.RUnlock()
-	return len(t.rows)
-}
-
-// DataBytes reports the approximate stored data volume in bytes.
-func (t *Table) DataBytes() int64 {
-	t.db.mu.RLock()
-	defer t.db.mu.RUnlock()
-	return t.dataBytes
+	return int(t.lenLocked())
 }
 
 // Get returns the row with the given row ID.
 func (t *Table) Get(id int64) (Row, bool) {
 	t.db.mu.RLock()
 	defer t.db.mu.RUnlock()
-	row, ok := t.rows[id]
+	ref, ok := t.findIDLocked(id)
 	if !ok {
 		return nil, false
 	}
-	return row.Clone(), true
+	return ref.clone(), true
 }
 
 // GetByPK returns the row whose primary key columns equal key.
 func (t *Table) GetByPK(key ...Value) (Row, int64, bool) {
 	t.db.mu.RLock()
 	defer t.db.mu.RUnlock()
-	id, ok := t.primary.Get(EncodeKey(nil, key...))
+	ref, ok := t.findPKLocked(EncodeKey(nil, key...))
 	if !ok {
 		return nil, 0, false
 	}
-	return t.rows[id].Clone(), id, true
+	return ref.clone(), ref.id, true
+}
+
+// prefixRange turns a key prefix into the half-open encoded range that
+// holds exactly the keys starting with it (nil, nil for an empty prefix).
+func prefixRange(prefix []Value) (lo, hi []byte) {
+	if len(prefix) == 0 {
+		return nil, nil
+	}
+	lo = EncodeKey(nil, prefix...)
+	return lo, prefixUpperBound(lo)
+}
+
+// ascendLocked visits the rows whose leading primary-key columns equal
+// prefix (every row when it is empty) in primary-key order: the segments,
+// binary-searched, then the row sets. A row built from a segment is the
+// visitor's to keep; a stored row must not be mutated.
+func (t *Table) ascendLocked(prefix []Value, fn func(id int64, row Row) bool) {
+	k := 0
+	if len(prefix) > 0 {
+		k = sort.Search(len(t.segs), func(k int) bool {
+			s := t.segs[k]
+			return s.cmpTuple(t.pkCols, s.rows-1, prefix) >= 0
+		})
+	}
+	for ; k < len(t.segs); k++ {
+		s := t.segs[k]
+		to := s.bound(nil, t.pkCols, prefix, true)
+		if !s.eachRow(nil, s.bound(nil, t.pkCols, prefix, false), to, fn) || to < s.rows {
+			return // stopped, or past the prefix: every later key is larger still
+		}
+	}
+	lo, hi := prefixRange(prefix)
+	walkSets(t.sets, "", lo, hi, fn)
+}
+
+// walkSets ascends [lo, hi) of each row set's primary B-tree in turn —
+// of its named secondary index when index is not "" — handing fn every
+// entry's stored row until fn returns false, which walkSets then
+// returns too.
+func walkSets(sets []*rowSet, index string, lo, hi []byte, fn func(id int64, row Row) bool) bool {
+	more := true
+	for _, rs := range sets {
+		tree := rs.primary
+		if index != "" {
+			tree = rs.indexes[index].tree
+		}
+		tree.Ascend(lo, hi, func(_ []byte, id int64) bool {
+			more = fn(id, rs.rows[id])
+			return more
+		})
+		if !more {
+			break
+		}
+	}
+	return more
 }
 
 // Scan visits every row in primary-key order. The visitor must not mutate
@@ -288,9 +557,7 @@ func (t *Table) GetByPK(key ...Value) (Row, int64, bool) {
 func (t *Table) Scan(fn func(id int64, row Row) bool) {
 	t.db.mu.RLock()
 	defer t.db.mu.RUnlock()
-	t.primary.Ascend(nil, nil, func(_ []byte, id int64) bool {
-		return fn(id, t.rows[id])
-	})
+	t.ascendLocked(nil, fn)
 }
 
 // PKScan visits rows whose leading primary-key columns equal the given
@@ -303,17 +570,105 @@ func (t *Table) PKScan(prefix []Value, fn func(id int64, row Row) bool) error {
 		return fmt.Errorf("reldb: table %q: PK prefix has %d values, key has %d columns",
 			t.schema.Name, len(prefix), len(t.pkCols))
 	}
-	lo := EncodeKey(nil, prefix...)
-	var hi []byte
-	if len(lo) > 0 {
-		hi = prefixUpperBound(lo)
+	t.ascendLocked(prefix, fn)
+	return nil
+}
+
+// indexVisitLocked visits the entries of one secondary index with
+// encoded key in [lo, hi): span gives each segment's matching stretch of
+// its sorted permutation, the row sets walk their B-trees. Row IDs ascend
+// from source to source, so when every match shares one index value
+// (concat) the sources' runs concatenate into global (value, row ID)
+// order; otherwise the matches are gathered and sorted by key.
+func (t *Table) indexVisitLocked(ix *tableIndex, lo, hi []byte, concat bool,
+	span func(*segment) (perm []int32, from, to int), fn func(id int64, row Row) bool) {
+	type hit struct {
+		key []byte
+		id  int64
+		row Row
 	}
-	if len(lo) == 0 {
-		lo = nil
+	var hits []hit
+	visit := fn
+	if !concat && len(t.segs)+len(t.sets) > 1 {
+		visit = func(id int64, row Row) bool {
+			hits = append(hits, hit{ix.key(row, id), id, row})
+			return true
+		}
 	}
-	t.primary.Ascend(lo, hi, func(_ []byte, id int64) bool {
-		return fn(id, t.rows[id])
-	})
+	for _, s := range t.segs {
+		if perm, from, to := span(s); !s.eachRow(perm, from, to, visit) {
+			return
+		}
+	}
+	if !walkSets(t.sets, ix.spec.Name, lo, hi, visit) {
+		return
+	}
+	sort.Slice(hits, func(a, b int) bool { return bytes.Compare(hits[a].key, hits[b].key) < 0 })
+	for _, h := range hits {
+		if !fn(h.id, h.row) {
+			return
+		}
+	}
+}
+
+// equalSpan returns the stretch of a segment's permutation for index ix
+// whose entries start with prefix. A segment whose zone map excludes the
+// leading value is skipped before its permutation is ever built.
+func (s *segment) equalSpan(ix *tableIndex, prefix []Value) (perm []int32, from, to int) {
+	if len(prefix) > 0 && s.zoneExcludes(ix.cols[0], prefix[0]) {
+		return nil, 0, 0
+	}
+	perm = s.indexPerm(ix)
+	return perm, s.bound(perm, ix.cols, prefix, false), s.bound(perm, ix.cols, prefix, true)
+}
+
+// indexScanLocked visits rows whose index-key prefix equals the given
+// values, in index order.
+func (t *Table) indexScanLocked(ix *tableIndex, prefix []Value, fn func(id int64, row Row) bool) {
+	lo, hi := prefixRange(prefix)
+	t.indexVisitLocked(ix, lo, hi, len(prefix) == len(ix.cols), func(s *segment) ([]int32, int, int) {
+		return s.equalSpan(ix, prefix)
+	}, fn)
+}
+
+// indexLocked checks an index scan's arguments.
+func (t *Table) indexLocked(index string, prefix []Value) (*tableIndex, error) {
+	ix, ok := t.active.indexes[index]
+	if !ok {
+		return nil, fmt.Errorf("reldb: table %q: no index %q", t.schema.Name, index)
+	}
+	if len(prefix) > len(ix.cols) {
+		return nil, fmt.Errorf("reldb: table %q index %q: prefix has %d values, index has %d columns",
+			t.schema.Name, index, len(prefix), len(ix.cols))
+	}
+	return ix, nil
+}
+
+// IndexScanInt is IndexScan for a caller that reads one NOT NULL integer
+// column of each row whose index key equals key, a value for every index
+// column: fn gets the row ID and that column's value, in (key, row ID)
+// order, and no Row is built for a flushed row. The pr-filter's two
+// link-table scans, half of what a cold query costs, read this way.
+func (t *Table) IndexScanInt(index string, key []Value, col int, fn func(id, v int64) bool) error {
+	t.db.mu.RLock()
+	defer t.db.mu.RUnlock()
+	ix, err := t.indexLocked(index, key)
+	if err != nil {
+		return err
+	}
+	if len(key) != len(ix.cols) || col < 0 || col >= len(t.schema.Columns) || t.schema.Columns[col].Type != KindInt {
+		return fmt.Errorf("reldb: table %q index %q: IndexScanInt needs a whole key and an integer column", t.schema.Name, index)
+	}
+	for _, s := range t.segs {
+		perm, from, to := s.equalSpan(ix, key)
+		for _, i := range perm[from:to] {
+			if !fn(s.rowIDs[i], s.cols[col].ints[i]) {
+				return nil
+			}
+		}
+	}
+	lo, hi := prefixRange(key)
+	walkSets(t.sets, index, lo, hi, func(id int64, row Row) bool { return fn(id, row[col].i) })
 	return nil
 }
 
@@ -322,25 +677,11 @@ func (t *Table) PKScan(prefix []Value, fn func(id int64, row Row) bool) error {
 func (t *Table) IndexScan(index string, prefix []Value, fn func(id int64, row Row) bool) error {
 	t.db.mu.RLock()
 	defer t.db.mu.RUnlock()
-	ix, ok := t.indexes[index]
-	if !ok {
-		return fmt.Errorf("reldb: table %q: no index %q", t.schema.Name, index)
+	ix, err := t.indexLocked(index, prefix)
+	if err != nil {
+		return err
 	}
-	if len(prefix) > len(ix.cols) {
-		return fmt.Errorf("reldb: table %q index %q: prefix has %d values, index has %d columns",
-			t.schema.Name, index, len(prefix), len(ix.cols))
-	}
-	lo := EncodeKey(nil, prefix...)
-	var hi []byte
-	if len(lo) > 0 {
-		hi = prefixUpperBound(lo)
-	}
-	if len(lo) == 0 {
-		lo = nil
-	}
-	ix.tree.Ascend(lo, hi, func(_ []byte, id int64) bool {
-		return fn(id, t.rows[id])
-	})
+	t.indexScanLocked(ix, prefix, fn)
 	return nil
 }
 
@@ -349,9 +690,9 @@ func (t *Table) IndexScan(index string, prefix []Value, fn func(id int64, row Ro
 func (t *Table) IndexRange(index string, lo, hi Value, fn func(id int64, row Row) bool) error {
 	t.db.mu.RLock()
 	defer t.db.mu.RUnlock()
-	ix, ok := t.indexes[index]
-	if !ok {
-		return fmt.Errorf("reldb: table %q: no index %q", t.schema.Name, index)
+	ix, err := t.indexLocked(index, nil)
+	if err != nil {
+		return err
 	}
 	var loKey, hiKey []byte
 	if !lo.IsNull() {
@@ -360,9 +701,17 @@ func (t *Table) IndexRange(index string, lo, hi Value, fn func(id int64, row Row
 	if !hi.IsNull() {
 		hiKey = EncodeKey(nil, hi)
 	}
-	ix.tree.Ascend(loKey, hiKey, func(_ []byte, id int64) bool {
-		return fn(id, t.rows[id])
-	})
+	t.indexVisitLocked(ix, loKey, hiKey, false, func(s *segment) ([]int32, int, int) {
+		perm := s.indexPerm(ix)
+		from, to := 0, s.rows
+		if !lo.IsNull() {
+			from = s.bound(perm, ix.cols[:1], []Value{lo}, false)
+		}
+		if !hi.IsNull() {
+			to = s.bound(perm, ix.cols[:1], []Value{hi}, false)
+		}
+		return perm, from, max(from, to)
+	}, fn)
 	return nil
 }
 
@@ -370,7 +719,7 @@ func (t *Table) IndexRange(index string, lo, hi Value, fn func(id int64, row Row
 func (t *Table) HasIndex(name string) bool {
 	t.db.mu.RLock()
 	defer t.db.mu.RUnlock()
-	_, ok := t.indexes[name]
+	_, ok := t.active.indexes[name]
 	return ok
 }
 
@@ -379,8 +728,9 @@ func (t *Table) HasIndex(name string) bool {
 func (t *Table) IndexOnColumns(cols ...string) string {
 	t.db.mu.RLock()
 	defer t.db.mu.RUnlock()
+	indexes := t.active.indexes
 	best := ""
-	for name, ix := range t.indexes {
+	for name, ix := range indexes {
 		if len(ix.spec.Columns) < len(cols) {
 			continue
 		}
@@ -394,8 +744,8 @@ func (t *Table) IndexOnColumns(cols ...string) string {
 		if !match {
 			continue
 		}
-		if best == "" || (ix.spec.Unique && !t.indexes[best].spec.Unique) ||
-			(ix.spec.Unique == t.indexes[best].spec.Unique && name < best) {
+		if best == "" || (ix.spec.Unique && !indexes[best].spec.Unique) ||
+			(ix.spec.Unique == indexes[best].spec.Unique && name < best) {
 			best = name
 		}
 	}

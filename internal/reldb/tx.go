@@ -118,36 +118,12 @@ func (db *DB) reinsertLocked(table string, id int64, row Row) error {
 	if !exists {
 		return fmt.Errorf("reldb: no table %q", table)
 	}
-	if _, exists := t.rows[id]; exists {
-		return fmt.Errorf("reldb: table %q: row %d already present", table, id)
-	}
-	row = row.Clone()
-	pk := t.pkKey(row)
-	if _, exists := t.primary.Get(pk); exists {
-		return fmt.Errorf("reldb: table %q: duplicate primary key %s", table, row)
-	}
-	for _, ix := range t.indexes {
-		if err := ix.insert(row, id); err != nil {
-			for _, prev := range t.indexes {
-				if prev == ix {
-					break
-				}
-				prev.remove(row, id)
-			}
-			return err
-		}
-	}
-	t.rows[id] = row
-	t.primary.Set(pk, id)
-	t.dataBytes += rowBytes(row)
-	t.pkBytes += int64(len(pk)) + 8
-	if id >= t.nextID {
-		t.nextID = id + 1
+	stored, err := t.insertAtLocked(id, row)
+	if err != nil {
+		return err
 	}
 	if db.logger != nil {
-		if err := db.logger.logMutation(&mutation{op: opInsert, table: table, id: id, row: row}); err != nil {
-			return err
-		}
+		return db.logger.logMutation(&mutation{op: opInsert, table: table, id: id, row: stored})
 	}
 	return nil
 }

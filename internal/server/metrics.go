@@ -131,6 +131,24 @@ func (m *serverMetrics) registerStore(store *datastore.Store) {
 		m.reg.CounterFunc("ptserved_store_segments_written_total",
 			"Immutable columnar segment files written.",
 			func() uint64 { return uint64(se.SegmentStats().SegmentsWritten) })
+		m.reg.GaugeFunc("ptserved_store_compactor_lag_rows",
+			"Hot-table rows not yet in a segment (sealed and active row sets).",
+			func() float64 {
+				var lag int64
+				for _, t := range se.SegmentStats().Tables {
+					lag += t.PendingRows
+				}
+				return float64(lag)
+			})
+		m.reg.GaugeFunc("ptserved_store_row_resident_bytes",
+			"Row payload and B-tree key bytes resident in row form (flushed rows have left).",
+			func() float64 {
+				st := store.Engine().Stats()
+				return float64(st.DataBytes + st.IndexBytes)
+			})
+		m.reg.CounterFunc("ptserved_store_stats_flush_errors_total",
+			"Storage statistics reads whose WAL flush failed (wal_bytes then reports the last good value).",
+			func() uint64 { return store.Engine().Stats().FlushErrors })
 	}
 }
 

@@ -502,6 +502,24 @@ func TestShutdownDrainsAndCheckpoints(t *testing.T) {
 
 	loadDoc(t, base, ptdfDoc("shut", 3))
 
+	// The durable engine's residency gauges: three results (and their
+	// links) sit in the tail, resident in row form.
+	mr, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	metrics, _ := io.ReadAll(mr.Body)
+	mr.Body.Close()
+	for _, family := range []string{"ptserved_store_compactor_lag_rows", "ptserved_store_row_resident_bytes"} {
+		var v float64
+		for _, line := range strings.Split(string(metrics), "\n") {
+			fmt.Sscanf(line, family+" %g", &v)
+		}
+		if v < 3 {
+			t.Errorf("%s = %v after loading three results, want at least 3", family, v)
+		}
+	}
+
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {

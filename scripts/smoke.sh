@@ -7,7 +7,8 @@
 # hint), and graceful SIGTERM shutdown (drain + checkpoint).
 # A second pass starts a fresh durable store, forces compaction,
 # kills the server without a checkpoint, and verifies that recovery
-# loses nothing.
+# loses nothing and re-attaches the segments without re-counting their
+# rows.
 set -eu
 
 workdir=$(mktemp -d)
@@ -201,6 +202,18 @@ start_server segserved2.log -db segstore -addr "$addr" -storage segment
 recovered=$(bin/ptquery -remote "$base" -family 'type=application' -count 2>&1 |
     sed -n 's/^pr-filter matches \([0-9]*\) performance results$/\1/p')
 [ "$recovered" = "$count" ] || { echo "post-crash count $recovered != $count" >&2; exit 1; }
+if command -v curl >/dev/null; then
+    echo "== recovery kept the segments and did not double-count their rows"
+    curl -fsS "$base/v1/stats" > recstats.json
+    # "rows segment_rows" of performance_result in storage.engine.per_table
+    set -- $(awk '/"per_table": \{/ { p = 1 }
+        p && /"performance_result": \{/ { t = 1 }
+        t && /"rows":/ { gsub(/[^0-9]/, ""); rows = $0 }
+        t && /"segment_rows":/ { gsub(/[^0-9]/, ""); seg = $0 }
+        t && /\}/ { print rows + 0, seg + 0; exit }' recstats.json)
+    [ "$2" -gt 0 ] || { echo "no segment-resident performance_result rows after recovery" >&2; exit 1; }
+    [ "$1" = "$recovered" ] || { echo "performance_result holds $1 rows after recovery, queries see $recovered" >&2; exit 1; }
+fi
 kill -TERM "$pid"
 wait "$pid"
 pid=""
