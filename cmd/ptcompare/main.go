@@ -10,7 +10,7 @@
 //	ptcompare -remote http://host:7075 -a execA -b execB [...]
 //
 // With -remote the comparison runs server-side (GET /v1/compare on a
-// ptserved instance) and prints the same sections.
+// ptserved instance); both print the same wire form through one printer.
 package main
 
 import (
@@ -45,83 +45,39 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	var resp server.CompareResponse
 	if *remote != "" {
-		compareRemote(*remote, *execA, *execB, *metric, *threshold, *diagnose, *top)
-		return
-	}
-	fe, err := reldb.OpenFile(*dbDir)
-	if err != nil {
-		fatal(err)
-	}
-	defer fe.Close()
-	store, err := datastore.Open(fe)
-	if err != nil {
-		fatal(err)
-	}
-	cmp, err := compare.Executions(store, *execA, *execB)
-	if err != nil {
-		fatalExec(err, *execA, *execB)
-	}
-	if *metric != "" {
-		cmp = cmp.FilterMetric(*metric)
-	}
-	sum := cmp.Summarize()
-	fmt.Printf("comparing %s (A) vs %s (B)\n", *execA, *execB)
-	fmt.Printf("aligned pairs: %d   only in A: %d   only in B: %d\n",
-		sum.Paired, sum.OnlyA, sum.OnlyB)
-	fmt.Printf("geometric-mean ratio B/A: %.4f   mean difference: %+.4f\n\n",
-		sum.GeoMeanRatio, sum.MeanDiff)
-
-	if *diagnose {
-		findings := cmp.DiagnoseBottlenecks(*metric, *top)
-		if len(findings) == 0 {
-			fmt.Println("no bottlenecks: B is not slower than A anywhere")
-			return
+		var err error
+		resp, err = client.New(*remote).Compare(context.Background(), *execA, *execB, client.CompareOptions{
+			Metric: *metric, Threshold: *threshold, Top: *top,
+		})
+		if err != nil {
+			fatalExec(err, *execA, *execB)
 		}
-		fmt.Printf("bottlenecks (B slower than A), worst first:\n")
-		fmt.Printf("%-40s %-24s %10s %8s\n", "context", "metric", "delta", "share")
-		for _, f := range findings {
-			fmt.Printf("%-40s %-24s %+10.4f %7.1f%%\n",
-				contextLabel(f.Pair), f.Pair.Metric, f.Delta, f.Contribution*100)
+	} else {
+		fe, err := reldb.OpenFile(*dbDir)
+		if err != nil {
+			fatal(err)
 		}
-		return
-	}
-
-	regs := cmp.Regressions(*threshold)
-	fmt.Printf("regressions beyond %.0f%%: %d\n", *threshold*100, len(regs))
-	for i, r := range regs {
-		if i >= *top {
-			fmt.Printf("  ... %d more\n", len(regs)-*top)
-			break
+		defer fe.Close()
+		store, err := datastore.Open(fe)
+		if err != nil {
+			fatal(err)
 		}
-		fmt.Printf("  %-40s %-24s %8.3f -> %8.3f  (+%.1f%%)\n",
-			contextLabel(r.Pair), r.Pair.Metric, r.Pair.A, r.Pair.B, r.Percent)
-	}
-	imps := cmp.Improvements(*threshold)
-	fmt.Printf("improvements beyond %.0f%%: %d\n", *threshold*100, len(imps))
-	for i, r := range imps {
-		if i >= *top {
-			fmt.Printf("  ... %d more\n", len(imps)-*top)
-			break
+		cmp, err := compare.Executions(store, *execA, *execB)
+		if err != nil {
+			fatalExec(err, *execA, *execB)
 		}
-		fmt.Printf("  %-40s %-24s %8.3f -> %8.3f  (-%.1f%%)\n",
-			contextLabel(r.Pair), r.Pair.Metric, r.Pair.A, r.Pair.B, r.Percent)
+		resp = server.NewCompareResponse(cmp, *metric, *threshold, *top)
 	}
+	printComparison(resp, *threshold, *diagnose, *top)
 }
 
-// compareRemote prints the same sections from a server-side comparison.
-// The server applies the metric filter and computes regressions,
-// improvements, and bottlenecks with the given threshold and top.
-func compareRemote(baseURL, execA, execB, metric string, threshold float64, diagnose bool, top int) {
-	c := client.New(baseURL)
-	resp, err := c.Compare(context.Background(), execA, execB, client.CompareOptions{
-		Metric: metric, Threshold: threshold, Top: top,
-	})
-	if err != nil {
-		fatalExec(err, execA, execB)
-	}
+// printComparison renders a comparison, computed here or by the server:
+// the metric filter, threshold and top are already applied to it.
+func printComparison(resp server.CompareResponse, threshold float64, diagnose bool, top int) {
 	sum := resp.Summary
-	fmt.Printf("comparing %s (A) vs %s (B)\n", execA, execB)
+	fmt.Printf("comparing %s (A) vs %s (B)\n", resp.ExecA, resp.ExecB)
 	fmt.Printf("aligned pairs: %d   only in A: %d   only in B: %d\n",
 		sum.Paired, sum.OnlyA, sum.OnlyB)
 	fmt.Printf("geometric-mean ratio B/A: %.4f   mean difference: %+.4f\n\n",
@@ -136,46 +92,34 @@ func compareRemote(baseURL, execA, execB, metric string, threshold float64, diag
 		fmt.Printf("%-40s %-24s %10s %8s\n", "context", "metric", "delta", "share")
 		for _, f := range resp.Bottlenecks {
 			fmt.Printf("%-40s %-24s %+10.4f %7.1f%%\n",
-				wireContextLabel(f.Pair), f.Pair.Metric, f.Delta, f.Contribution*100)
+				contextLabel(f.Pair), f.Pair.Metric, f.Delta, f.Contribution*100)
 		}
 		return
 	}
 
-	fmt.Printf("regressions beyond %.0f%%: %d\n", threshold*100, len(resp.Regressions))
-	for i, r := range resp.Regressions {
-		if i >= top {
-			fmt.Printf("  ... %d more\n", len(resp.Regressions)-top)
-			break
+	for _, section := range []struct {
+		name   string
+		sign   string
+		deltas []server.CompareDelta
+	}{{"regressions", "+", resp.Regressions}, {"improvements", "-", resp.Improvements}} {
+		fmt.Printf("%s beyond %.0f%%: %d\n", section.name, threshold*100, len(section.deltas))
+		for i, r := range section.deltas {
+			if i >= top {
+				fmt.Printf("  ... %d more\n", len(section.deltas)-top)
+				break
+			}
+			fmt.Printf("  %-40s %-24s %8.3f -> %8.3f  (%s%.1f%%)\n",
+				contextLabel(r.Pair), r.Pair.Metric, r.Pair.A, r.Pair.B, section.sign, r.Percent)
 		}
-		fmt.Printf("  %-40s %-24s %8.3f -> %8.3f  (+%.1f%%)\n",
-			wireContextLabel(r.Pair), r.Pair.Metric, r.Pair.A, r.Pair.B, r.Percent)
-	}
-	fmt.Printf("improvements beyond %.0f%%: %d\n", threshold*100, len(resp.Improvements))
-	for i, r := range resp.Improvements {
-		if i >= top {
-			fmt.Printf("  ... %d more\n", len(resp.Improvements)-top)
-			break
-		}
-		fmt.Printf("  %-40s %-24s %8.3f -> %8.3f  (-%.1f%%)\n",
-			wireContextLabel(r.Pair), r.Pair.Metric, r.Pair.A, r.Pair.B, r.Percent)
 	}
 }
 
 // contextLabel renders the portable context of a pair compactly.
-func contextLabel(p compare.Pair) string {
-	return resourceLabel(p.Context)
-}
-
-// wireContextLabel is contextLabel for the wire form of a pair.
-func wireContextLabel(p server.ComparePair) string {
-	rs := make([]core.ResourceName, len(p.Context))
+func contextLabel(p server.ComparePair) string {
+	ctx := make([]core.ResourceName, len(p.Context))
 	for i, s := range p.Context {
-		rs[i] = core.ResourceName(s)
+		ctx[i] = core.ResourceName(s)
 	}
-	return resourceLabel(rs)
-}
-
-func resourceLabel(ctx []core.ResourceName) string {
 	var parts []string
 	for _, r := range ctx {
 		if r.Depth() > 1 { // skip bare applications; keep code/time paths

@@ -31,35 +31,11 @@ var nonPortableRoots = map[string]bool{
 	"submission": true,
 }
 
-// typeCache memoizes Store.TypeOfResource for one comparison: the same
-// resource names appear in nearly every result of an execution, and each
-// store lookup costs a mutex round trip plus two engine point reads.
-type typeCache struct {
-	s *datastore.Store
-	m map[core.ResourceName]core.TypePath
-}
-
-func newTypeCache(s *datastore.Store) *typeCache {
-	return &typeCache{s: s, m: make(map[core.ResourceName]core.TypePath)}
-}
-
-func (tc *typeCache) typeOf(r core.ResourceName) (core.TypePath, error) {
-	if tp, ok := tc.m[r]; ok {
-		return tp, nil
-	}
-	tp, err := tc.s.TypeOfResource(r)
-	if err != nil {
-		return "", err
-	}
-	tc.m[r] = tp
-	return tp, nil
-}
-
 // alignmentKey builds the canonical key for one result.
-func alignmentKey(tc *typeCache, pr *core.PerformanceResult) (string, error) {
+func alignmentKey(s *datastore.Store, pr *core.PerformanceResult) (string, error) {
 	var tokens []string
 	for _, r := range pr.AllResources() {
-		tp, err := tc.typeOf(r)
+		tp, err := s.TypeOfResource(r)
 		if err != nil {
 			return "", err
 		}
@@ -126,7 +102,6 @@ type Comparison struct {
 // store. Results that align to the same key within one execution are
 // averaged before pairing (several values measured at the same place).
 func Executions(s *datastore.Store, execA, execB string) (*Comparison, error) {
-	tc := newTypeCache(s)
 	load := func(exec string) (map[string][]*core.PerformanceResult, error) {
 		resA, err := resultsOfExecution(s, exec)
 		if err != nil {
@@ -134,7 +109,7 @@ func Executions(s *datastore.Store, execA, execB string) (*Comparison, error) {
 		}
 		keyed := make(map[string][]*core.PerformanceResult)
 		for _, pr := range resA {
-			k, err := alignmentKey(tc, pr)
+			k, err := alignmentKey(s, pr)
 			if err != nil {
 				return nil, err
 			}
@@ -170,7 +145,7 @@ func Executions(s *datastore.Store, execA, execB string) (*Comparison, error) {
 			B:      mean(bs),
 		}
 		for _, r := range as[0].AllResources() {
-			tp, err := tc.typeOf(r)
+			tp, err := s.TypeOfResource(r)
 			if err != nil {
 				return nil, err
 			}

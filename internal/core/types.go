@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 )
 
@@ -72,6 +73,11 @@ func (ts *TypeSystem) Add(t TypePath) error {
 	}
 	ts.types[t] = true
 	return nil
+}
+
+// Clone returns an independent copy of the type system.
+func (ts *TypeSystem) Clone() *TypeSystem {
+	return &TypeSystem{types: maps.Clone(ts.types)}
 }
 
 // Has reports whether the type path is registered.

@@ -141,30 +141,20 @@ func (s *Store) AttributeValues(attr string) (map[int64]string, error) {
 // a process ran on), and all of their ancestors. This is the resource set
 // over which attribute predicates about the execution are evaluated.
 func (s *Store) ExecutionResourceIDs(exec string) ([]int64, error) {
-	s.mu.Lock()
-	execID, ok := s.execIDs[exec]
-	s.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("datastore: unknown execution %q: %w", exec, ErrNotFound)
-	}
 	// Results of the execution → foci → context resources. Each scan only
 	// collects IDs; nesting engine calls inside a scan callback would
 	// recursively lock the engine.
-	prTab, _ := s.eng.Table("performance_result")
-	var resultIDs []int64
-	if err := prTab.IndexScan("performance_result_exec", []reldb.Value{reldb.Int(execID)},
-		func(id int64, _ reldb.Row) bool {
-			resultIDs = append(resultIDs, id)
-			return true
-		}); err != nil {
-		return nil, err
+	resultIDs, err := s.ExecutionResultIDs(exec)
+	if err != nil {
+		return nil, err // an unknown execution among them
 	}
+	execID, _ := s.names.id(dictExecution, exec)
 	rhfTab, _ := s.eng.Table("result_has_focus")
-	var focusIDs []int64
+	var foci []int64
 	for _, rid := range resultIDs {
 		if err := rhfTab.PKScan([]reldb.Value{reldb.Int(rid)},
 			func(_ int64, row reldb.Row) bool {
-				focusIDs = append(focusIDs, row[1].Int64())
+				foci = append(foci, row[1].Int64())
 				return true
 			}); err != nil {
 			return nil, err
@@ -172,7 +162,7 @@ func (s *Store) ExecutionResourceIDs(exec string) ([]int64, error) {
 	}
 	fhrTab, _ := s.eng.Table("focus_has_resource")
 	var ids []int64
-	for _, fid := range sortDedup(focusIDs) {
+	for _, fid := range sortDedup(foci) {
 		if err := fhrTab.PKScan([]reldb.Value{reldb.Int(fid)},
 			func(_ int64, row reldb.Row) bool {
 				ids = append(ids, row[1].Int64())
@@ -228,23 +218,13 @@ func (s *Store) ExecutionsOfResults(ids []int64) ([]string, error) {
 	if !ok {
 		return nil, fmt.Errorf("datastore: no performance_result table")
 	}
-	execIDs := make(map[int64]bool)
+	owners := make(map[int64]bool)
 	for _, id := range ids {
 		row, ok := prTab.Get(id)
 		if !ok {
 			continue
 		}
-		execIDs[row[1].Int64()] = true
+		owners[row[1].Int64()] = true
 	}
-	exTab, _ := s.eng.Table("execution")
-	out := make([]string, 0, len(execIDs))
-	for eid := range execIDs {
-		row, ok := exTab.Get(eid)
-		if !ok {
-			return nil, fmt.Errorf("datastore: no execution id %d", eid)
-		}
-		out = append(out, row[1].Text())
-	}
-	sort.Strings(out)
-	return out, nil
+	return s.resolveSet(dictExecution, owners)
 }

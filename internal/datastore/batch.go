@@ -80,8 +80,8 @@ type walBatcher interface {
 // Commit applies every staged record in order inside one writer critical
 // section: one engine transaction, one generation bump, and — on a
 // durable engine — one WAL flush. On error nothing of the batch remains
-// (the engine transaction rolls back and the in-memory caches are
-// rebuilt) and the error names the failing record.
+// (the engine transaction rolls back and the names directory is reloaded
+// from the rows) and the error names the failing record.
 func (b *Batch) Commit() (LoadStats, error) {
 	return b.CommitCtx(context.Background())
 }
@@ -126,7 +126,6 @@ func (b *Batch) CommitCtx(ctx context.Context) (LoadStats, error) {
 	}
 
 	tx := s.eng.Begin()
-	s.mu.Lock()
 	s.ins = tx
 	var applyErr error
 	for i, rec := range b.recs {
@@ -139,7 +138,6 @@ func (b *Batch) CommitCtx(ctx context.Context) (LoadStats, error) {
 		}
 	}
 	s.ins = nil
-	s.mu.Unlock()
 
 	if applyErr != nil {
 		// rollbackLoad logs compensation records; the deferred flush below

@@ -18,8 +18,6 @@ func (s *Store) AddHistogramResult(pr *core.PerformanceResult, binWidth float64,
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
 	defer s.bumpGen()
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.addHistogramResultLocked(pr, binWidth, values)
 }
 

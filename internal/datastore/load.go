@@ -46,8 +46,7 @@ func (s *Store) LoadRecord(rec ptdf.Record) error {
 	return err
 }
 
-// loadRecordLocked applies one PTdf record. Callers hold s.mu (and s.wmu
-// when the record is part of a multi-record load).
+// loadRecordLocked applies one PTdf record. Callers hold s.wmu.
 func (s *Store) loadRecordLocked(rec ptdf.Record) error {
 	switch r := rec.(type) {
 	case ptdf.ApplicationRec:
@@ -131,16 +130,15 @@ func (s *Store) LoadPTdfCtx(ctx context.Context, r io.Reader) (LoadStats, error)
 	}
 }
 
-// rollbackLoad undoes a failed load's engine mutations and rebuilds the
-// in-memory caches, which may hold IDs for rows the rollback removed.
+// rollbackLoad undoes a failed load's engine mutations and reloads the
+// names directory, which may hold IDs for rows the rollback removed.
+// Callers hold s.wmu.
 func (s *Store) rollbackLoad(tx *reldb.Tx, cause error) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if err := tx.Rollback(); err != nil {
 		return errors.Join(cause, fmt.Errorf("datastore: rollback: %w", err))
 	}
-	if err := s.resetCachesLocked(); err != nil {
-		return errors.Join(cause, fmt.Errorf("datastore: cache rebuild after rollback: %w", err))
+	if err := s.reloadNames(); err != nil {
+		return errors.Join(cause, fmt.Errorf("datastore: names reload after rollback: %w", err))
 	}
 	return cause
 }

@@ -4,14 +4,14 @@ package datastore
 // QueryResults, ResultsOfExecution, query.Retrieve, the compare engine,
 // and /v1/results.
 //
-// The per-ID path (ResultByID) pays four dictionary Gets plus two or
-// more PK-prefix scans per result, each taking the engine read lock
-// once. At SMG-UV scale (~10k results per execution) a single retrieval
-// is millions of lock acquisitions. The batch path amortizes all of it
-// per query instead of per result:
+// The per-ID path (ResultByID) pays two or more PK-prefix scans per
+// result, each taking the engine read lock once. At SMG-UV scale (~10k
+// results per execution) a single retrieval is millions of lock
+// acquisitions. The batch path amortizes all of it per query instead of
+// per result:
 //
-//   1. Prefetch the four metadata dictionaries (execution, metric,
-//      performance_tool, units) into plain maps — one scan each.
+//   1. Take the four metadata dictionaries' ID → name views (execution,
+//      metric, performance_tool, units) from the names directory.
 //   2. Fetch the matched performance_result rows either with per-ID
 //      Gets sharded over workers (sparse) or one pass over the table's
 //      block source — segment blocks, then transposed B-tree rows —
@@ -22,8 +22,8 @@ package datastore
 //      per-ID path's context ordering).
 //   4. Decode each distinct focus exactly once into a shared
 //      focus → Context cache (foci are heavily shared across results):
-//      one focus Get plus one focus_has_resource scan per focus, then a
-//      single s.mu critical section to map every resource ID to its
+//      one focus Get plus one focus_has_resource scan per focus, then
+//      one view of the resource dictionary maps every resource ID to its
 //      name.
 //   5. Assemble PerformanceResults over N worker goroutines sharding
 //      the ID slice, preserving input order.
@@ -67,78 +67,34 @@ const (
 	denseScanDivisor = 4
 )
 
-// dictNames loads an ID → name dictionary table (name at row[1]) into a
-// map in one scan.
-func (s *Store) dictNames(table string) (map[int64]string, error) {
-	t, ok := s.eng.Table(table)
-	if !ok {
-		return nil, fmt.Errorf("datastore: no %s table: %w", table, ErrNotFound)
+// resultDicts are the views a performance_result row's execution,
+// metric, tool and units columns resolve through, taken once per query.
+type resultDicts struct{ exec, metric, tool, units Dict }
+
+func (s *Store) resultDicts() resultDicts {
+	return resultDicts{
+		exec:   s.names.dict(dictExecution),
+		metric: s.names.dict(dictMetric),
+		tool:   s.names.dict(dictTool),
+		units:  s.names.dict(dictUnits),
 	}
-	out := make(map[int64]string, t.Len())
-	t.Scan(func(id int64, row reldb.Row) bool {
-		out[id] = row[1].Text()
-		return true
-	})
-	return out, nil
 }
 
-// dict is an ID → name lookup over one prefetched dictionary table.
-// Dictionary IDs are allocated sequentially, so the common case is a
-// compact ID range served by a direct-index slice; sparse ranges fall
-// back to a map. The distinction matters in the assembly loop, which
-// does four lookups per result.
-type dict struct {
-	base  int64
-	names []string
-	has   []bool
-	m     map[int64]string
-}
-
-func (s *Store) loadDict(table string) (*dict, error) {
-	names, err := s.dictNames(table)
-	if err != nil {
-		return nil, err
+// resolve fills in a result's four names from its row's IDs.
+func (d *resultDicts) resolve(pr *core.PerformanceResult, exec, metric, tool, units int64) error {
+	if pr.Execution = d.exec.Name(exec); pr.Execution == "" {
+		return fmt.Errorf("datastore: no execution id %d", exec)
 	}
-	d := &dict{}
-	if len(names) == 0 {
-		d.m = names
-		return d, nil
+	if pr.Metric = d.metric.Name(metric); pr.Metric == "" {
+		return fmt.Errorf("datastore: no metric id %d", metric)
 	}
-	lo, hi := int64(0), int64(0)
-	first := true
-	for id := range names {
-		if first || id < lo {
-			lo = id
-		}
-		if first || id > hi {
-			hi = id
-		}
-		first = false
+	if pr.Tool = d.tool.Name(tool); pr.Tool == "" {
+		return fmt.Errorf("datastore: no performance_tool id %d", tool)
 	}
-	if span := hi - lo + 1; span <= int64(4*len(names))+1024 {
-		d.base = lo
-		d.names = make([]string, span)
-		d.has = make([]bool, span)
-		for id, name := range names {
-			d.names[id-lo] = name
-			d.has[id-lo] = true
-		}
-		return d, nil
+	if pr.Units = d.units.Name(units); pr.Units == "" {
+		return fmt.Errorf("datastore: no units id %d", units)
 	}
-	d.m = names
-	return d, nil
-}
-
-func (d *dict) get(id int64) (string, bool) {
-	if d.has != nil {
-		off := id - d.base
-		if off < 0 || off >= int64(len(d.has)) || !d.has[off] {
-			return "", false
-		}
-		return d.names[off], true
-	}
-	name, ok := d.m[id]
-	return name, ok
+	return nil
 }
 
 // posIndex maps each distinct input ID to its index in the
@@ -231,38 +187,21 @@ type matFocus struct {
 }
 
 // materializer carries the per-query state shared by every chunk of one
-// materialization: the prefetched dictionaries and the focus cache.
+// materialization: the dictionary views and the focus cache.
 type materializer struct {
 	s       *Store
 	workers int
-
-	exec, metric, tool, units *dict
-
-	foci map[int64]*matFocus // focus ID → decoded, grows chunk by chunk
+	dicts   resultDicts
+	foci    map[int64]*matFocus // focus ID → decoded, grows chunk by chunk
 }
 
 func (s *Store) newMaterializer(ctx context.Context, opt MaterializeOptions) (*materializer, error) {
 	if err := cancelled(ctx); err != nil {
 		return nil, err
 	}
-	m := &materializer{s: s, workers: opt.Workers, foci: make(map[int64]*matFocus)}
+	m := &materializer{s: s, workers: opt.Workers, dicts: s.resultDicts(), foci: make(map[int64]*matFocus)}
 	if m.workers <= 0 {
 		m.workers = runtime.GOMAXPROCS(0)
-	}
-	_, span := obs.StartSpan(ctx, "materialize.prefetch")
-	defer span.End()
-	var err error
-	if m.exec, err = s.loadDict("execution"); err != nil {
-		return nil, err
-	}
-	if m.metric, err = s.loadDict("metric"); err != nil {
-		return nil, err
-	}
-	if m.tool, err = s.loadDict("performance_tool"); err != nil {
-		return nil, err
-	}
-	if m.units, err = s.loadDict("units"); err != nil {
-		return nil, err
 	}
 	return m, nil
 }
@@ -291,13 +230,10 @@ func (sc *matScratch) ints(buf *[]int, n int) []int {
 // resultRec is one performance_result row plus its focus links, staged
 // between the fetch phases and assembly.
 type resultRec struct {
-	found    bool
-	execID   int64
-	metricID int64
-	toolID   int64
-	unitsID  int64
-	value    float64
-	focusIDs []int64
+	found                     bool
+	exec, metric, tool, units int64 // dictionary IDs
+	value                     float64
+	foci                      []int64
 }
 
 // shardRange splits [0, n) into contiguous spans, runs fn(lo, hi) on
@@ -378,12 +314,12 @@ func (m *materializer) scanResults(pos *posIndex, recs []resultRec) error {
 		for i, id := range b.RowIDs() {
 			if j, ok := pos.get(id); ok {
 				recs[j] = resultRec{
-					found:    true,
-					execID:   execs[i],
-					metricID: metrics[i],
-					toolID:   tools[i],
-					unitsID:  units[i],
-					value:    vals[i],
+					found:  true,
+					exec:   execs[i],
+					metric: metrics[i],
+					tool:   tools[i],
+					units:  units[i],
+					value:  vals[i],
 				}
 			}
 		}
@@ -466,12 +402,12 @@ func (m *materializer) run(ctx context.Context, ids []int64) ([]*core.Performanc
 					continue // reported below, like the dense path
 				}
 				recs[i] = resultRec{
-					found:    true,
-					execID:   row[1].Int64(),
-					metricID: row[2].Int64(),
-					toolID:   row[3].Int64(),
-					unitsID:  row[4].Int64(),
-					value:    row[5].Float64(),
+					found:  true,
+					exec:   row[1].Int64(),
+					metric: row[2].Int64(),
+					tool:   row[3].Int64(),
+					units:  row[4].Int64(),
+					value:  row[5].Float64(),
 				}
 			}
 			return nil
@@ -524,7 +460,7 @@ func (m *materializer) run(ctx context.Context, ids []int64) ([]*core.Performanc
 		sc.arena = arena // keep any growth for the next chunk
 		for i := range recs {
 			if counts[i] > 0 {
-				recs[i].focusIDs = arena[starts[i] : starts[i]+counts[i] : starts[i]+counts[i]]
+				recs[i].foci = arena[starts[i] : starts[i]+counts[i] : starts[i]+counts[i]]
 			}
 		}
 	} else {
@@ -532,7 +468,7 @@ func (m *materializer) run(ctx context.Context, ids []int64) ([]*core.Performanc
 			for i := lo; i < hi; i++ {
 				if err := rhfTab.PKScan([]reldb.Value{reldb.Int(uniq[i])},
 					func(_ int64, link reldb.Row) bool {
-						recs[i].focusIDs = append(recs[i].focusIDs, link[1].Int64())
+						recs[i].foci = append(recs[i].foci, link[1].Int64())
 						return true
 					}); err != nil {
 					return err
@@ -560,7 +496,7 @@ func (m *materializer) run(ctx context.Context, ids []int64) ([]*core.Performanc
 	ctxOff := sc.ints(&sc.ctxOff, len(recs))
 	for i := range recs {
 		ctxOff[i] = links
-		n := len(recs[i].focusIDs)
+		n := len(recs[i].foci)
 		refs += n
 		if n > 1 {
 			links += n
@@ -572,7 +508,7 @@ func (m *materializer) run(ctx context.Context, ids []int64) ([]*core.Performanc
 	var pending map[int64]struct{}
 	misses := 0
 	for i := range recs {
-		for _, fid := range recs[i].focusIDs {
+		for _, fid := range recs[i].foci {
 			if _, ok := m.foci[fid]; ok {
 				continue
 			}
@@ -616,25 +552,15 @@ func (m *materializer) run(ctx context.Context, ids []int64) ([]*core.Performanc
 			rec := &recs[i]
 			pr := &assembled[i]
 			pr.Value = rec.value
-			var ok bool
-			if pr.Execution, ok = m.exec.get(rec.execID); !ok {
-				return fmt.Errorf("datastore: no execution id %d", rec.execID)
+			if err := m.dicts.resolve(pr, rec.exec, rec.metric, rec.tool, rec.units); err != nil {
+				return err
 			}
-			if pr.Metric, ok = m.metric.get(rec.metricID); !ok {
-				return fmt.Errorf("datastore: no metric id %d", rec.metricID)
-			}
-			if pr.Tool, ok = m.tool.get(rec.toolID); !ok {
-				return fmt.Errorf("datastore: no performance_tool id %d", rec.toolID)
-			}
-			if pr.Units, ok = m.units.get(rec.unitsID); !ok {
-				return fmt.Errorf("datastore: no units id %d", rec.unitsID)
-			}
-			switch n := len(rec.focusIDs); {
+			switch n := len(rec.foci); {
 			case n == 1:
-				pr.Contexts = m.foci[rec.focusIDs[0]].ctx1
+				pr.Contexts = m.foci[rec.foci[0]].ctx1
 			case n > 1:
 				ctxs := ctxArena[ctxOff[i] : ctxOff[i]+n : ctxOff[i]+n]
-				for k, fid := range rec.focusIDs {
+				for k, fid := range rec.foci {
 					f := m.foci[fid]
 					ctxs[k] = core.Context{Type: f.typ, Resources: f.res}
 				}
@@ -664,10 +590,8 @@ func (m *materializer) run(ctx context.Context, ids []int64) ([]*core.Performanc
 
 // decodeFoci resolves the given sorted, deduplicated focus IDs into the
 // cache: type plus resource names in ascending resource-ID order. All
-// engine reads happen first (sharded over workers), then one s.mu
-// critical section maps every resource ID to its name — s.mu must never
-// be taken inside an engine scan callback (lock order is store →
-// engine).
+// engine reads happen first (sharded over workers), then one view of the
+// resource dictionary maps every resource ID to its name.
 func (m *materializer) decodeFoci(fids []int64) error {
 	fTab, ok := m.s.eng.Table("focus")
 	if !ok {
@@ -678,7 +602,7 @@ func (m *materializer) decodeFoci(fids []int64) error {
 		return fmt.Errorf("datastore: no focus_has_resource table: %w", ErrNotFound)
 	}
 	types := make([]core.FocusType, len(fids))
-	resIDs := make([][]int64, len(fids))
+	members := make([][]int64, len(fids))
 	if len(fids)*denseScanDivisor >= fTab.Len() {
 		fpos := newPosIndex(fids)
 		found := make([]bool, len(fids))
@@ -721,9 +645,9 @@ func (m *materializer) decodeFoci(fids []int64) error {
 		if err := m.scanLinks("focus_has_resource", fpos, stage); err != nil {
 			return err
 		}
-		for i := range resIDs {
+		for i := range members {
 			if counts[i] > 0 {
-				resIDs[i] = arena[starts[i] : starts[i]+counts[i] : starts[i]+counts[i]]
+				members[i] = arena[starts[i] : starts[i]+counts[i] : starts[i]+counts[i]]
 			}
 		}
 	} else {
@@ -740,7 +664,7 @@ func (m *materializer) decodeFoci(fids []int64) error {
 				types[i] = ft
 				if err := fhrTab.PKScan([]reldb.Value{reldb.Int(fids[i])},
 					func(_ int64, link reldb.Row) bool {
-						resIDs[i] = append(resIDs[i], link[1].Int64())
+						members[i] = append(members[i], link[1].Int64())
 						return true
 					}); err != nil {
 					return err
@@ -751,25 +675,15 @@ func (m *materializer) decodeFoci(fids []int64) error {
 			return err
 		}
 	}
-	// One critical section resolves every resource name for the whole
-	// batch of foci (the per-ID path pays one s.mu round trip per focus
-	// per result).
-	m.s.mu.Lock()
+	res := m.s.names.dict(dictResource)
 	for i := range fids {
-		var names []core.ResourceName
-		if len(resIDs[i]) > 0 {
-			names = make([]core.ResourceName, 0, len(resIDs[i]))
-			for _, rid := range resIDs[i] {
-				names = append(names, m.s.resNames[rid])
-			}
-		}
+		names := resourceNames(res, members[i])
 		m.foci[fids[i]] = &matFocus{
 			typ:  types[i],
 			res:  names,
 			ctx1: []core.Context{{Type: types[i], Resources: names}},
 		}
 	}
-	m.s.mu.Unlock()
 	return nil
 }
 
@@ -783,8 +697,7 @@ func (s *Store) MaterializeResults(ids []int64) ([]*core.PerformanceResult, erro
 
 // MaterializeResultsCtx is MaterializeResults under a context: when a
 // trace rides ctx, the materializer records its phase spans
-// (materialize.prefetch, .fetch, .focus, .assemble) in the request's
-// span tree.
+// (materialize.fetch, .focus, .assemble) in the request's span tree.
 func (s *Store) MaterializeResultsCtx(ctx context.Context, ids []int64) ([]*core.PerformanceResult, error) {
 	return s.MaterializeResultsOptsCtx(ctx, ids, MaterializeOptions{})
 }
@@ -806,7 +719,7 @@ func (s *Store) MaterializeResultsOptsCtx(ctx context.Context, ids []int64, opt 
 
 // MaterializeStream materializes IDs in bounded chunks, invoking emit
 // with each batch in input order, so memory stays bounded on
-// full-corpus retrievals. The dictionary prefetch and focus cache are
+// full-corpus retrievals. The dictionary views and focus cache are
 // shared across chunks. A non-nil error from emit aborts the stream.
 func (s *Store) MaterializeStream(ids []int64, opt MaterializeOptions, emit func([]*core.PerformanceResult) error) error {
 	return s.MaterializeStreamCtx(context.Background(), ids, opt, emit)

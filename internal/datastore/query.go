@@ -14,26 +14,11 @@ import (
 
 // ResourceByName fetches a resource with its attributes and constraints.
 func (s *Store) ResourceByName(name core.ResourceName) (*core.Resource, error) {
-	s.mu.Lock()
-	id, ok := s.resIDs[name]
-	s.mu.Unlock()
+	id, ok := s.names.id(dictResource, string(name))
 	if !ok {
 		return nil, fmt.Errorf("datastore: no resource %q: %w", name, ErrNotFound)
 	}
-	return s.resourceByID(id)
-}
-
-func (s *Store) resourceByID(id int64) (*core.Resource, error) {
-	riTab, _ := s.eng.Table("resource_item")
-	row, ok := riTab.Get(id)
-	if !ok {
-		return nil, fmt.Errorf("datastore: no resource id %d: %w", id, ErrNotFound)
-	}
-	name := core.ResourceName(row[1].Text())
-	typ, err := s.typeOfID(row[4].Int64())
-	if err != nil {
-		return nil, err
-	}
+	typ, _ := s.names.typeOfResource(name)
 	res := core.NewResource(name, typ)
 	raTab, _ := s.eng.Table("resource_attribute")
 	if err := raTab.IndexScan("resource_attribute_res", []reldb.Value{reldb.Int(id)},
@@ -44,8 +29,7 @@ func (s *Store) resourceByID(id int64) (*core.Resource, error) {
 		return nil, err
 	}
 	// Collect constraint partner IDs inside the scan and resolve names
-	// after it returns: taking s.mu inside an engine scan callback would
-	// invert the store → engine lock order and deadlock against writers.
+	// after it returns.
 	rcTab, _ := s.eng.Table("resource_constraint")
 	var partnerIDs []int64
 	if err := rcTab.IndexScan("resource_constraint_r1", []reldb.Value{reldb.Int(id)},
@@ -55,53 +39,31 @@ func (s *Store) resourceByID(id int64) (*core.Resource, error) {
 		}); err != nil {
 		return nil, err
 	}
-	s.mu.Lock()
-	for _, pid := range partnerIDs {
-		res.AddConstraint(s.resNames[pid])
+	for _, partner := range s.namesOfIDs(partnerIDs) {
+		res.AddConstraint(partner)
 	}
-	s.mu.Unlock()
 	return res, nil
-}
-
-func (s *Store) typeOfID(ffid int64) (core.TypePath, error) {
-	ffTab, _ := s.eng.Table("focus_framework")
-	row, ok := ffTab.Get(ffid)
-	if !ok {
-		return "", fmt.Errorf("datastore: no type id %d", ffid)
-	}
-	return core.TypePath(row[1].Text()), nil
 }
 
 // TypeOfResource returns the type of an existing resource without
 // materializing its attributes.
 func (s *Store) TypeOfResource(name core.ResourceName) (core.TypePath, error) {
-	s.mu.Lock()
-	id, ok := s.resIDs[name]
-	s.mu.Unlock()
+	typ, ok := s.names.typeOfResource(name)
 	if !ok {
 		return "", fmt.Errorf("datastore: no resource %q: %w", name, ErrNotFound)
 	}
-	riTab, _ := s.eng.Table("resource_item")
-	row, ok := riTab.Get(id)
-	if !ok {
-		return "", fmt.Errorf("datastore: no resource id %d: %w", id, ErrNotFound)
-	}
-	return s.typeOfID(row[4].Int64())
+	return typ, nil
 }
 
 // HasResource reports whether the full resource name exists.
 func (s *Store) HasResource(name core.ResourceName) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.resIDs[name]
+	_, ok := s.names.id(dictResource, string(name))
 	return ok
 }
 
 // ResourcesOfType lists resources with exactly the given type, sorted.
 func (s *Store) ResourcesOfType(t core.TypePath) ([]core.ResourceName, error) {
-	s.mu.Lock()
-	ffid, ok := s.typeIDs[t]
-	s.mu.Unlock()
+	ffid, ok := s.names.id(dictType, string(t))
 	if !ok {
 		return nil, fmt.Errorf("datastore: unknown type %q: %w", t, ErrNotFound)
 	}
@@ -136,9 +98,7 @@ func (s *Store) ResourcesWithBaseName(base string) ([]core.ResourceName, error) 
 // Children lists the direct child resources of a name, sorted. The GUI
 // fetches children lazily when the user expands a resource.
 func (s *Store) Children(name core.ResourceName) ([]core.ResourceName, error) {
-	s.mu.Lock()
-	id, ok := s.resIDs[name]
-	s.mu.Unlock()
+	id, ok := s.names.id(dictResource, string(name))
 	if !ok {
 		return nil, fmt.Errorf("datastore: no resource %q: %w", name, ErrNotFound)
 	}
@@ -159,9 +119,7 @@ func (s *Store) Children(name core.ResourceName) ([]core.ResourceName, error) {
 // tables enabled this reads resource_has_ancestor; otherwise it walks
 // parent_id links (the paper notes the tables exist to avoid that walk).
 func (s *Store) Ancestors(name core.ResourceName) ([]core.ResourceName, error) {
-	s.mu.Lock()
-	id, ok := s.resIDs[name]
-	s.mu.Unlock()
+	id, ok := s.names.id(dictResource, string(name))
 	if !ok {
 		return nil, fmt.Errorf("datastore: no resource %q: %w", name, ErrNotFound)
 	}
@@ -199,9 +157,7 @@ func (s *Store) Ancestors(name core.ResourceName) ([]core.ResourceName, error) {
 
 // Descendants returns all proper descendants of a resource.
 func (s *Store) Descendants(name core.ResourceName) ([]core.ResourceName, error) {
-	s.mu.Lock()
-	id, ok := s.resIDs[name]
-	s.mu.Unlock()
+	id, ok := s.names.id(dictResource, string(name))
 	if !ok {
 		return nil, fmt.Errorf("datastore: no resource %q: %w", name, ErrNotFound)
 	}
@@ -242,18 +198,21 @@ func sortNames(ns []core.ResourceName) {
 	sort.Slice(ns, func(i, j int) bool { return ns[i] < ns[j] })
 }
 
-// namesOfIDs maps resource IDs to names under s.mu, outside any engine
-// lock (lock order is always store → engine, never the reverse).
+// namesOfIDs maps resource IDs to names.
 func (s *Store) namesOfIDs(ids []int64) []core.ResourceName {
+	return resourceNames(s.names.dict(dictResource), ids)
+}
+
+// resourceNames maps resource IDs to names through a view of the
+// resource dictionary.
+func resourceNames(res Dict, ids []int64) []core.ResourceName {
 	if len(ids) == 0 {
 		return nil
 	}
 	out := make([]core.ResourceName, 0, len(ids))
-	s.mu.Lock()
 	for _, id := range ids {
-		out = append(out, s.resNames[id])
+		out = append(out, core.ResourceName(res.Name(id)))
 	}
-	s.mu.Unlock()
 	return out
 }
 
@@ -311,32 +270,22 @@ func (s *Store) applyFilter(rf core.ResourceFilter) (core.Family, error) {
 		}
 		if selected {
 			// Narrow the selected names by the attribute ID-set.
-			s.mu.Lock()
-			sel := make([]int64, 0, len(matched))
-			for _, name := range matched {
-				if id, ok := s.resIDs[name]; ok {
-					sel = append(sel, id)
-				}
-			}
-			s.mu.Unlock()
+			sel, _ := s.names.resourceIDs(matched)
 			ids = sortDedup(sel).intersect(ids)
 		}
 		matched = matched[:0]
-		s.mu.Lock()
+		res := s.names.dict(dictResource)
 		for _, id := range ids {
-			if n, ok := s.resNames[id]; ok {
-				matched = append(matched, n)
+			if n := res.Name(id); n != "" {
+				matched = append(matched, core.ResourceName(n))
 			}
 		}
-		s.mu.Unlock()
 		sortNames(matched)
 	case !selected:
 		// No selection criteria at all: every resource matches.
-		riTab, _ := s.eng.Table("resource_item")
-		riTab.Scan(func(_ int64, row reldb.Row) bool {
-			matched = append(matched, core.ResourceName(row[1].Text()))
-			return true
-		})
+		for _, name := range s.names.sorted(dictResource) {
+			matched = append(matched, core.ResourceName(name))
+		}
 	}
 	for _, m := range matched {
 		fam.Add(m)
@@ -431,27 +380,20 @@ func (s *Store) familyResultIDs(ctx context.Context, fam core.Family) (idSet, er
 	span.Annotate("cache", "miss")
 	fhrTab, _ := s.eng.Table("focus_has_resource")
 	rhfTab, _ := s.eng.Table("result_has_focus")
-	s.mu.Lock()
-	memberIDs := make([]int64, 0, fam.Size())
-	for _, name := range fam.Members() {
-		if id, ok := s.resIDs[name]; ok {
-			memberIDs = append(memberIDs, id)
-		}
-	}
-	s.mu.Unlock()
-	var focusIDs []int64
+	memberIDs, _ := s.names.resourceIDs(fam.Members())
+	var foci []int64
 	for _, rid := range memberIDs {
 		// Column 0 of both link tables is the owner: the focus, the result.
 		if err := fhrTab.IndexScanInt("fhr_resource", []reldb.Value{reldb.Int(rid)}, 0,
 			func(_, focus int64) bool {
-				focusIDs = append(focusIDs, focus)
+				foci = append(foci, focus)
 				return true
 			}); err != nil {
 			return nil, err
 		}
 	}
 	var results []int64
-	for _, fid := range sortDedup(focusIDs) {
+	for _, fid := range sortDedup(foci) {
 		if err := rhfTab.IndexScanInt("rhf_focus", []reldb.Value{reldb.Int(fid)}, 0,
 			func(_, result int64) bool {
 				results = append(results, result)
@@ -569,7 +511,8 @@ func (s *Store) CountFamilyMatchesCtx(ctx context.Context, fam core.Family) (int
 	return len(ids), nil
 }
 
-// ResultByID materializes a performance result with its contexts.
+// ResultByID materializes a performance result with its contexts: the
+// per-ID reference the batch materializer is tested against.
 func (s *Store) ResultByID(id int64) (*core.PerformanceResult, error) {
 	prTab, _ := s.eng.Table("performance_result")
 	row, ok := prTab.Get(id)
@@ -577,34 +520,25 @@ func (s *Store) ResultByID(id int64) (*core.PerformanceResult, error) {
 		return nil, fmt.Errorf("datastore: no performance result %d: %w", id, ErrNotFound)
 	}
 	pr := &core.PerformanceResult{Value: row[5].Float64()}
-	var err error
-	if pr.Execution, err = s.nameOf("execution", row[1].Int64()); err != nil {
-		return nil, err
-	}
-	if pr.Metric, err = s.nameOf("metric", row[2].Int64()); err != nil {
-		return nil, err
-	}
-	if pr.Tool, err = s.nameOf("performance_tool", row[3].Int64()); err != nil {
-		return nil, err
-	}
-	if pr.Units, err = s.nameOf("units", row[4].Int64()); err != nil {
+	dicts := s.resultDicts()
+	if err := dicts.resolve(pr, row[1].Int64(), row[2].Int64(), row[3].Int64(), row[4].Int64()); err != nil {
 		return nil, err
 	}
 	// Contexts: result -> foci -> resources, via PK-prefix scans on the
 	// composite-keyed link tables. Each scan only collects IDs: nesting an
-	// engine call (or s.mu) inside a scan callback would recursively RLock
-	// the engine, which deadlocks when a writer is waiting in between.
+	// engine call inside a scan callback would recursively RLock the
+	// engine, which deadlocks when a writer is waiting in between.
 	rhfTab, _ := s.eng.Table("result_has_focus")
 	fTab, _ := s.eng.Table("focus")
 	fhrTab, _ := s.eng.Table("focus_has_resource")
-	var focusIDs []int64
+	var foci []int64
 	if err := rhfTab.PKScan([]reldb.Value{reldb.Int(id)}, func(_ int64, link reldb.Row) bool {
-		focusIDs = append(focusIDs, link[1].Int64())
+		foci = append(foci, link[1].Int64())
 		return true
 	}); err != nil {
 		return nil, err
 	}
-	for _, fid := range focusIDs {
+	for _, fid := range foci {
 		frow, ok := fTab.Get(fid)
 		if !ok {
 			return nil, fmt.Errorf("datastore: missing focus %d", fid)
@@ -613,25 +547,16 @@ func (s *Store) ResultByID(id int64) (*core.PerformanceResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		var resIDs []int64
+		var members []int64
 		if err := fhrTab.PKScan([]reldb.Value{reldb.Int(fid)}, func(_ int64, fr reldb.Row) bool {
-			resIDs = append(resIDs, fr[1].Int64())
+			members = append(members, fr[1].Int64())
 			return true
 		}); err != nil {
 			return nil, err
 		}
-		pr.Contexts = append(pr.Contexts, core.Context{Type: ft, Resources: s.namesOfIDs(resIDs)})
+		pr.Contexts = append(pr.Contexts, core.Context{Type: ft, Resources: s.namesOfIDs(members)})
 	}
 	return pr, nil
-}
-
-func (s *Store) nameOf(table string, id int64) (string, error) {
-	t, _ := s.eng.Table(table)
-	row, ok := t.Get(id)
-	if !ok {
-		return "", fmt.Errorf("datastore: no %s id %d", table, id)
-	}
-	return row[1].Text(), nil
 }
 
 // ResultsOfExecution materializes every performance result of one
@@ -665,29 +590,13 @@ func (s *Store) QueryResultsCtx(ctx context.Context, prf core.PRFilter) ([]*core
 }
 
 // Applications lists application names, sorted.
-func (s *Store) Applications() ([]string, error) { return s.sortedNames("application") }
+func (s *Store) Applications() ([]string, error) { return s.names.sorted(dictApplication), nil }
 
 // Executions lists execution names, sorted.
-func (s *Store) Executions() ([]string, error) { return s.sortedNames("execution") }
+func (s *Store) Executions() ([]string, error) { return s.names.sorted(dictExecution), nil }
 
 // Metrics lists metric names, sorted.
-func (s *Store) Metrics() ([]string, error) { return s.sortedNames("metric") }
+func (s *Store) Metrics() ([]string, error) { return s.names.sorted(dictMetric), nil }
 
 // Tools lists performance tool names, sorted.
-func (s *Store) Tools() ([]string, error) { return s.sortedNames("performance_tool") }
-
-func (s *Store) sortedNames(table string) ([]string, error) {
-	t, ok := s.eng.Table(table)
-	if !ok {
-		// A dictionary table missing from a migrated store is real
-		// corruption; surfacing it beats returning an empty listing.
-		return nil, fmt.Errorf("datastore: no %s table: %w", table, ErrNotFound)
-	}
-	var out []string
-	t.Scan(func(_ int64, row reldb.Row) bool {
-		out = append(out, row[1].Text())
-		return true
-	})
-	sort.Strings(out)
-	return out, nil
-}
+func (s *Store) Tools() ([]string, error) { return s.names.sorted(dictTool), nil }

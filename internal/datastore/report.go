@@ -1,6 +1,7 @@
 package datastore
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -21,29 +22,16 @@ type ExecutionDetail struct {
 
 // ExecutionDetail assembles the report for one execution.
 func (s *Store) ExecutionDetail(name string) (*ExecutionDetail, error) {
-	s.mu.Lock()
-	execID, ok := s.execIDs[name]
-	s.mu.Unlock()
+	execID, ok := s.names.id(dictExecution, name)
 	if !ok {
 		return nil, fmt.Errorf("datastore: unknown execution %q: %w", name, ErrNotFound)
 	}
-	d := &ExecutionDetail{Name: name, Attributes: map[string]string{}}
-
-	execTab, ok := s.eng.Table("execution")
-	if !ok {
-		return nil, fmt.Errorf("datastore: no execution table: %w", ErrNotFound)
+	appID, _ := s.names.ref(dictExecution, execID)
+	d := &ExecutionDetail{
+		Name:        name,
+		Application: s.names.dict(dictApplication).Name(appID),
+		Attributes:  map[string]string{},
 	}
-	// The name cache and the table can disagree during a racing delete;
-	// a missed Get is "not found", not a nil-row panic.
-	row, ok := execTab.Get(execID)
-	if !ok {
-		return nil, fmt.Errorf("datastore: unknown execution %q: %w", name, ErrNotFound)
-	}
-	app, err := s.nameOf("application", row[2].Int64())
-	if err != nil {
-		return nil, err
-	}
-	d.Application = app
 
 	// Execution-resource attributes, when a resource named /<exec> exists.
 	if res, err := s.ResourceByName(core.ResourceName("/" + name)); err == nil {
@@ -63,32 +51,13 @@ func (s *Store) ExecutionDetail(name string) (*ExecutionDetail, error) {
 		}); err != nil {
 		return nil, err
 	}
-	// Resolve names through one prefetched dictionary per table instead
-	// of a locked point lookup per distinct ID.
-	metricNames, err := s.dictNames("metric")
-	if err != nil {
+	var err error
+	if d.Metrics, err = s.resolveSet(dictMetric, metricSet); err != nil {
 		return nil, err
 	}
-	toolNames, err := s.dictNames("performance_tool")
-	if err != nil {
+	if d.Tools, err = s.resolveSet(dictTool, toolSet); err != nil {
 		return nil, err
 	}
-	for id := range metricSet {
-		n, ok := metricNames[id]
-		if !ok {
-			return nil, fmt.Errorf("datastore: no metric id %d", id)
-		}
-		d.Metrics = append(d.Metrics, n)
-	}
-	for id := range toolSet {
-		n, ok := toolNames[id]
-		if !ok {
-			return nil, fmt.Errorf("datastore: no performance_tool id %d", id)
-		}
-		d.Tools = append(d.Tools, n)
-	}
-	sort.Strings(d.Metrics)
-	sort.Strings(d.Tools)
 
 	// Execution-scoped resources.
 	riTab, _ := s.eng.Table("resource_item")
@@ -102,30 +71,45 @@ func (s *Store) ExecutionDetail(name string) (*ExecutionDetail, error) {
 	return d, nil
 }
 
+// resolveSet returns the sorted names of a set of dictionary k's IDs.
+func (s *Store) resolveSet(k int, ids map[int64]bool) ([]string, error) {
+	view := s.names.dict(k)
+	out := make([]string, 0, len(ids))
+	for id := range ids {
+		name := view.Name(id)
+		if name == "" {
+			return nil, fmt.Errorf("datastore: no %s id %d", dictSpecs[k].table, id)
+		}
+		out = append(out, name)
+	}
+	sort.Strings(out)
+	return out, nil
+}
+
 // DeleteExecution removes one execution and everything only it owns:
 // its performance results (with their focus links and histograms), its
 // execution-scoped resources (with attributes, constraints, closure rows,
 // and focus links), and any foci left unreferenced. Shared resources
 // (machines, code, applications) are untouched.
-func (s *Store) DeleteExecution(name string) error {
+func (s *Store) DeleteExecution(name string) (err error) {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
 	defer s.bumpGen()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	execID, ok := s.execIDs[name]
+	execID, ok := s.names.id(dictExecution, name)
 	if !ok {
 		return fmt.Errorf("datastore: unknown execution %q: %w", name, ErrNotFound)
 	}
+	// Whatever the deletes below remove — or leave behind on an error —
+	// the directory is reloaded from the rows that remain.
+	defer func() {
+		if rerr := s.reloadNames(); rerr != nil {
+			err = errors.Join(err, fmt.Errorf("datastore: names reload after delete: %w", rerr))
+		}
+	}()
 
 	// 1. Results of the execution, plus their focus links and histograms.
-	prTab, _ := s.eng.Table("performance_result")
-	var resultIDs []int64
-	if err := prTab.IndexScan("performance_result_exec", []reldb.Value{reldb.Int(execID)},
-		func(id int64, _ reldb.Row) bool {
-			resultIDs = append(resultIDs, id)
-			return true
-		}); err != nil {
+	resultIDs, err := s.ExecutionResultIDs(name)
+	if err != nil {
 		return err
 	}
 	rhfTab, _ := s.eng.Table("result_has_focus")
@@ -229,15 +213,15 @@ func (s *Store) DeleteExecution(name string) error {
 		// Focus membership: remove the focus rows wholesale (any focus
 		// containing a per-execution resource exists only for this
 		// execution's results, all deleted above).
-		var focusIDs []int64
+		var foci []int64
 		if err := fhrTab.IndexScan("fhr_resource", []reldb.Value{reldb.Int(re.id)},
 			func(_ int64, frow reldb.Row) bool {
-				focusIDs = append(focusIDs, frow[0].Int64())
+				foci = append(foci, frow[0].Int64())
 				return true
 			}); err != nil {
 			return err
 		}
-		for _, fid := range focusIDs {
+		for _, fid := range foci {
 			if err := s.deleteFocusLocked(fid); err != nil {
 				return err
 			}
@@ -245,8 +229,6 @@ func (s *Store) DeleteExecution(name string) error {
 		if err := s.deleteRow("resource_item", re.id); err != nil {
 			return err
 		}
-		delete(s.resIDs, re.name)
-		delete(s.resNames, re.id)
 	}
 
 	// 3. Foci touched by the execution's results that are now orphaned.
@@ -267,11 +249,7 @@ func (s *Store) DeleteExecution(name string) error {
 	}
 
 	// 4. The execution row itself.
-	if err := s.deleteRow("execution", execID); err != nil {
-		return err
-	}
-	delete(s.execIDs, name)
-	return nil
+	return s.deleteRow("execution", execID)
 }
 
 // deleteMatching removes every row of a table whose index prefix matches.
@@ -292,14 +270,12 @@ func (s *Store) deleteMatching(tab *reldb.Table, table, index string, prefix []r
 }
 
 // deleteFocusLocked removes a focus, its resource links, and any result
-// links referencing it, then drops the signature cache entry.
+// links referencing it.
 func (s *Store) deleteFocusLocked(fid int64) error {
 	fTab, _ := s.eng.Table("focus")
-	row, ok := fTab.Get(fid)
-	if !ok {
+	if _, ok := fTab.Get(fid); !ok {
 		return nil // already removed via another resource
 	}
-	sig := row[2].Text()
 	fhrTab, _ := s.eng.Table("focus_has_resource")
 	var linkIDs []int64
 	if err := fhrTab.PKScan([]reldb.Value{reldb.Int(fid)}, func(id int64, _ reldb.Row) bool {
@@ -327,15 +303,11 @@ func (s *Store) deleteFocusLocked(fid int64) error {
 			return err
 		}
 	}
-	if err := s.deleteRow("focus", fid); err != nil {
-		return err
-	}
-	delete(s.focusIDs, sig)
-	return nil
+	return s.deleteRow("focus", fid)
 }
 
 // deleteRow deletes one engine row. The engine takes its own lock; lock
-// ordering is always store → engine.
+// ordering is always wmu → engine.
 func (s *Store) deleteRow(table string, id int64) error {
 	return s.eng.Delete(table, id)
 }

@@ -2,7 +2,7 @@ package datastore
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"perftrack/internal/reldb"
 )
@@ -11,40 +11,8 @@ import (
 // between attribute-index scans, cached ID-set intersection, zone-map
 // segment scans, and full scans using row counts, distinct-value
 // estimates, and segment coverage. The numbers are computed on demand
-// from the name caches the store already maintains (warmCaches rebuilds
-// them from the rows on open), never stored, and served over the wire
-// via GET /v1/stats.
-
-// maxAttrStatValues caps the per-attribute distinct-value set. Past the
-// cap the count becomes a lower-bound estimate, which is all the cost
-// model needs (it only distinguishes selective from unselective keys).
-const maxAttrStatValues = 1024
-
-// attrStat accumulates one attribute name's statistics. Maintained under
-// s.mu by the sole resource_attribute insert path and rebuilt with the
-// other caches on warm start and rollback.
-type attrStat struct {
-	rows     int64
-	vals     map[string]struct{}
-	overflow bool
-}
-
-// noteAttrLocked folds one resource_attribute row into the statistics.
-// Callers hold s.mu.
-func (s *Store) noteAttrLocked(attr, value string) {
-	st := s.attrStats[attr]
-	if st == nil {
-		st = &attrStat{vals: make(map[string]struct{})}
-		s.attrStats[attr] = st
-	}
-	st.rows++
-	if !st.overflow {
-		st.vals[value] = struct{}{}
-		if len(st.vals) > maxAttrStatValues {
-			st.overflow = true
-		}
-	}
-}
+// from the names directory (loadNames builds it from the rows), never
+// stored, and served over the wire via GET /v1/stats.
 
 // TableStat describes one schema table for the planner: total rows, the
 // number of distinct logical keys (names, for the interned dictionary
@@ -92,29 +60,10 @@ func (ts TableStatistics) AttributeStat(name string) (AttributeStat, bool) {
 }
 
 // TableStatistics snapshots the live planner statistics: engine row
-// counts, distinct-key counts from the name caches, per-attribute
-// statistics, and segment-resident rows from the compaction state.
+// counts, distinct-key counts and per-attribute statistics from the names
+// directory, and segment-resident rows from the compaction state.
 func (s *Store) TableStatistics() TableStatistics {
-	s.mu.Lock()
-	distinct := map[string]int64{
-		"application":        int64(len(s.appIDs)),
-		"execution":          int64(len(s.execIDs)),
-		"focus_framework":    int64(len(s.typeIDs)),
-		"resource_item":      int64(len(s.resIDs)),
-		"resource_attribute": int64(len(s.attrStats)),
-		"metric":             int64(len(s.metricID)),
-		"performance_tool":   int64(len(s.toolID)),
-		"units":              int64(len(s.unitsID)),
-		"focus":              int64(len(s.focusIDs)),
-	}
-	attrs := make([]AttributeStat, 0, len(s.attrStats))
-	for name, st := range s.attrStats {
-		attrs = append(attrs, AttributeStat{
-			Name: name, Rows: st.rows, Distinct: int64(len(st.vals)),
-		})
-	}
-	s.mu.Unlock()
-	sort.Slice(attrs, func(i, j int) bool { return attrs[i].Name < attrs[j].Name })
+	distinct, attrs := s.names.statistics()
 
 	// Only scannable segments count: a dirty or unordered table serves
 	// every read from the B-tree until the next checkpoint rebuilds it.
@@ -151,41 +100,32 @@ func (s *Store) Table(name string) (*reldb.Table, bool) {
 	return s.eng.Table(name)
 }
 
-// DictNames loads an ID → name dictionary table (execution, metric,
-// performance_tool, units, application) into a map in one scan.
-func (s *Store) DictNames(table string) (map[int64]string, error) {
-	return s.dictNames(table)
+// Dict returns the ID → name view of a dictionary table (application,
+// execution, metric, performance_tool, units, focus_framework,
+// resource_item): take it once per query and read it per value without a
+// lock. Any other table yields an empty view.
+func (s *Store) Dict(table string) Dict {
+	if k := dictOf(table); k >= 0 {
+		return s.names.dict(k)
+	}
+	return Dict{}
 }
 
-// LookupDict resolves a name in one of the interned dictionary caches
-// without touching the engine. ok is false for unknown names and
-// non-dictionary tables.
+// LookupDict resolves a name in one of the dictionary tables without
+// touching the engine. ok is false for unknown names and non-dictionary
+// tables.
 func (s *Store) LookupDict(table, name string) (id int64, ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var cache map[string]int64
-	switch table {
-	case "application":
-		cache = s.appIDs
-	case "execution":
-		cache = s.execIDs
-	case "metric":
-		cache = s.metricID
-	case "performance_tool":
-		cache = s.toolID
-	case "units":
-		cache = s.unitsID
-	default:
-		return 0, false
+	if k := dictOf(table); k >= 0 {
+		return s.names.id(k, name)
 	}
-	id, ok = cache[name]
-	return id, ok
+	return 0, false
 }
 
 // ExecutionResultIDs returns the sorted performance_result IDs of one
-// execution via the execution_id index.
+// execution, reading the execution_id index for row IDs alone: no row is
+// built for a flushed entry.
 func (s *Store) ExecutionResultIDs(exec string) ([]int64, error) {
-	id, ok := s.LookupDict("execution", exec)
+	id, ok := s.names.id(dictExecution, exec)
 	if !ok {
 		return nil, fmt.Errorf("datastore: unknown execution %q: %w", exec, ErrNotFound)
 	}
@@ -194,14 +134,14 @@ func (s *Store) ExecutionResultIDs(exec string) ([]int64, error) {
 		return nil, fmt.Errorf("datastore: no performance_result table: %w", ErrNotFound)
 	}
 	var ids []int64
-	if err := tab.IndexScan("performance_result_exec", []reldb.Value{reldb.Int(id)},
-		func(rid int64, _ reldb.Row) bool {
+	if err := tab.IndexScanInt("performance_result_exec", []reldb.Value{reldb.Int(id)}, 0,
+		func(rid, _ int64) bool {
 			ids = append(ids, rid)
 			return true
 		}); err != nil {
 		return nil, err
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids, nil
 }
 

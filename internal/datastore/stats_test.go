@@ -70,7 +70,7 @@ func TestTableStatisticsCounts(t *testing.T) {
 
 // TestStatisticsRecomputedOnReopen pins that statistics are derived
 // state: a reopened store computes the pre-close snapshot from its rows
-// (warmCaches), with nothing stored for the purpose.
+// (loadNames), with nothing stored for the purpose.
 func TestStatisticsRecomputedOnReopen(t *testing.T) {
 	dir := t.TempDir()
 	fe, err := openEngine(dir)

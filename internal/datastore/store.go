@@ -1,6 +1,7 @@
 package datastore
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 	"strconv"
@@ -16,10 +17,10 @@ import (
 
 // Store is PTDataStore: PerfTrack's interface to the underlying DBMS. It
 // is safe for concurrent use: writers serialize on wmu (so a streamed
-// PTdf load is atomic with respect to other writers), per-record state is
-// guarded by mu, and reads go through the engine's reader lock. Lock
-// ordering is always wmu → mu → engine; read paths never acquire mu or
-// re-enter the engine from inside an engine scan callback.
+// PTdf load is atomic with respect to other writers), reads go through
+// the engine's reader lock, and every name is resolved by the names
+// directory, whose lock is a leaf. Lock ordering is wmu → engine; read
+// paths never re-enter the engine from inside an engine scan callback.
 type Store struct {
 	eng reldb.Engine
 	sql *sqldb.DB
@@ -40,27 +41,14 @@ type Store struct {
 	cache *Cache[idSet]
 
 	// wmu serializes mutating entry points against each other and against
-	// whole-file transactional loads, without blocking readers.
+	// whole-file transactional loads, without blocking readers. It guards
+	// ins, the mutation sink: the active load transaction, or nil for the
+	// engine.
 	wmu sync.Mutex
+	ins inserter
 
-	mu       sync.Mutex
-	ins      inserter // mutation sink: the active load transaction, or nil for the engine
-	types    *core.TypeSystem
-	typeIDs  map[core.TypePath]int64
-	resIDs   map[core.ResourceName]int64
-	resNames map[int64]core.ResourceName
-	resTypes map[int64]int64 // resource id -> focus_framework (type) id
-	appIDs   map[string]int64
-	execIDs  map[string]int64
-	execApp  map[string]int64 // execution name -> application id
-	metricID map[string]int64
-	toolID   map[string]int64
-	unitsID  map[string]int64
-	focusIDs map[string]int64 // signature -> focus id
-
-	// attrStats tracks per-attribute-name row counts and distinct-value
-	// estimates for the query planner's cost model; see stats.go.
-	attrStats map[string]*attrStat
+	// names resolves every name ↔ ID; see names.go.
+	names names
 
 	// tel counts store operations for the observability layer; see
 	// telemetry.go.
@@ -92,7 +80,7 @@ type inserter interface {
 }
 
 // insert routes a row insert through the active load transaction when one
-// is open, and straight to the engine otherwise. Callers hold s.mu.
+// is open, and straight to the engine otherwise. Callers hold s.wmu.
 func (s *Store) insert(table string, row reldb.Row) (int64, error) {
 	if s.ins != nil {
 		return s.ins.Insert(table, row)
@@ -101,7 +89,8 @@ func (s *Store) insert(table string, row reldb.Row) (int64, error) {
 }
 
 // Open attaches a store to a storage engine, creating and bootstrapping
-// the schema if it is not present, and warming the name caches if it is.
+// the schema if it is not present, and loading the names directory from
+// the rows if it is.
 func Open(eng reldb.Engine) (*Store, error) {
 	s := &Store{
 		eng:              eng,
@@ -109,25 +98,21 @@ func Open(eng reldb.Engine) (*Store, error) {
 		cache:            NewCache[idSet](0),
 		scanBytes:        obs.NewHistogram(segScanBytesBuckets),
 		UseClosureTables: true,
-		types:            core.NewTypeSystem(),
-		typeIDs:          make(map[core.TypePath]int64),
-		resIDs:           make(map[core.ResourceName]int64),
-		resNames:         make(map[int64]core.ResourceName),
-		resTypes:         make(map[int64]int64),
-		appIDs:           make(map[string]int64),
-		execIDs:          make(map[string]int64),
-		execApp:          make(map[string]int64),
-		metricID:         make(map[string]int64),
-		toolID:           make(map[string]int64),
-		unitsID:          make(map[string]int64),
-		focusIDs:         make(map[string]int64),
-		attrStats:        make(map[string]*attrStat),
 	}
 	s.scratch.New = func() any { return new(matScratch) }
-	if !schemaExists(eng) {
+	fresh := !schemaExists(eng)
+	if fresh {
 		if err := createSchema(s.sql); err != nil {
 			return nil, err
 		}
+	} else if err := migrateSchema(s.sql, eng); err != nil {
+		// Existing store: create any tables added since it was initialized.
+		return nil, err
+	}
+	if err := s.reloadNames(); err != nil {
+		return nil, err
+	}
+	if fresh {
 		// §3.1: PerfTrack uses the type extension interface to load the
 		// initial set of base types when a new database is initialized.
 		for _, t := range core.BaseTypes() {
@@ -135,17 +120,19 @@ func Open(eng reldb.Engine) (*Store, error) {
 				return nil, err
 			}
 		}
-		return s, nil
-	}
-	// Existing store: create any tables added since it was initialized,
-	// then warm the name caches.
-	if err := migrateSchema(s.sql, eng); err != nil {
-		return nil, err
-	}
-	if err := s.warmCaches(); err != nil {
-		return nil, err
 	}
 	return s, nil
+}
+
+// reloadNames rebuilds the names directory from the rows and swaps it in.
+// Callers are Open or hold s.wmu.
+func (s *Store) reloadNames() error {
+	st, err := loadNames(s.eng)
+	if err != nil {
+		return err
+	}
+	s.names.swap(st)
+	return nil
 }
 
 // Engine returns the underlying storage engine.
@@ -190,91 +177,8 @@ func (s *Store) QueryEngineStats() QueryEngineStats {
 // SQL returns the SQL interface over the same data, for ad-hoc queries.
 func (s *Store) SQL() *sqldb.DB { return s.sql }
 
-// resetCachesLocked discards and rebuilds every in-memory name cache and
-// the type system from the engine. The rollback path of a transactional
-// load uses it: after the engine rows are undone, the caches must not
-// retain IDs for rows that no longer exist. Callers hold s.mu.
-func (s *Store) resetCachesLocked() error {
-	s.types = core.NewTypeSystem()
-	s.typeIDs = make(map[core.TypePath]int64)
-	s.resIDs = make(map[core.ResourceName]int64)
-	s.resNames = make(map[int64]core.ResourceName)
-	s.resTypes = make(map[int64]int64)
-	s.appIDs = make(map[string]int64)
-	s.execIDs = make(map[string]int64)
-	s.execApp = make(map[string]int64)
-	s.metricID = make(map[string]int64)
-	s.toolID = make(map[string]int64)
-	s.unitsID = make(map[string]int64)
-	s.focusIDs = make(map[string]int64)
-	s.attrStats = make(map[string]*attrStat)
-	return s.warmCaches()
-}
-
-// warmCaches rebuilds the in-memory name caches from an existing store.
-func (s *Store) warmCaches() error {
-	ffTab, _ := s.eng.Table("focus_framework")
-	ffTab.Scan(func(_ int64, row reldb.Row) bool {
-		tp := core.TypePath(row[1].Text())
-		s.typeIDs[tp] = row[0].Int64()
-		return true
-	})
-	// Register types root-first so the type system accepts children.
-	var types []core.TypePath
-	for t := range s.typeIDs {
-		types = append(types, t)
-	}
-	sort.Slice(types, func(i, j int) bool { return types[i].Depth() < types[j].Depth() })
-	for _, t := range types {
-		if err := s.types.Add(t); err != nil {
-			return err
-		}
-	}
-	riTab, _ := s.eng.Table("resource_item")
-	riTab.Scan(func(_ int64, row reldb.Row) bool {
-		id := row[0].Int64()
-		name := core.ResourceName(row[1].Text())
-		s.resIDs[name] = id
-		s.resNames[id] = name
-		s.resTypes[id] = row[4].Int64()
-		return true
-	})
-	warm := func(table string, cache map[string]int64) {
-		t, _ := s.eng.Table(table)
-		t.Scan(func(_ int64, row reldb.Row) bool {
-			cache[row[1].Text()] = row[0].Int64()
-			return true
-		})
-	}
-	warm("application", s.appIDs)
-	warm("execution", s.execIDs)
-	exTab, _ := s.eng.Table("execution")
-	exTab.Scan(func(_ int64, row reldb.Row) bool {
-		s.execApp[row[1].Text()] = row[2].Int64()
-		return true
-	})
-	warm("metric", s.metricID)
-	warm("performance_tool", s.toolID)
-	warm("units", s.unitsID)
-	fTab, _ := s.eng.Table("focus")
-	fTab.Scan(func(_ int64, row reldb.Row) bool {
-		s.focusIDs[row[2].Text()] = row[0].Int64()
-		return true
-	})
-	raTab, _ := s.eng.Table("resource_attribute")
-	raTab.Scan(func(_ int64, row reldb.Row) bool {
-		s.noteAttrLocked(row[2].Text(), row[3].Text())
-		return true
-	})
-	return nil
-}
-
-// Types returns the type system view of the store.
-func (s *Store) Types() *core.TypeSystem {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.types
-}
+// Types returns a copy of the store's type system.
+func (s *Store) Types() *core.TypeSystem { return s.names.typeSystem() }
 
 // AddResourceType registers a resource type (the extensible type system of
 // §2.1). Parent levels must be registered first; re-adding is a no-op.
@@ -282,21 +186,22 @@ func (s *Store) AddResourceType(t core.TypePath) error {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
 	defer s.bumpGen()
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.addResourceTypeLocked(t)
 }
 
+// The add*Locked functions apply one record; callers hold s.wmu.
+
 func (s *Store) addResourceTypeLocked(t core.TypePath) error {
-	if _, ok := s.typeIDs[t]; ok {
+	if _, ok := s.names.id(dictType, string(t)); ok {
 		return nil
 	}
-	if err := s.types.Add(t); err != nil {
+	if err := s.names.declareType(t); err != nil {
 		return err
 	}
 	parentID := reldb.Null()
 	if p := t.Parent(); p != "" {
-		parentID = reldb.Int(s.typeIDs[p])
+		pid, _ := s.names.id(dictType, string(p))
+		parentID = reldb.Int(pid)
 	}
 	id, err := s.insert("focus_framework", reldb.Row{
 		reldb.Null(), reldb.Str(string(t)), parentID,
@@ -304,7 +209,7 @@ func (s *Store) addResourceTypeLocked(t core.TypePath) error {
 	if err != nil {
 		return err
 	}
-	s.typeIDs[t] = id
+	s.names.add(dictType, id, string(t), 0)
 	return nil
 }
 
@@ -314,24 +219,14 @@ func (s *Store) AddApplication(name string) (int64, error) {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
 	defer s.bumpGen()
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.addApplicationLocked(name)
 }
 
 func (s *Store) addApplicationLocked(name string) (int64, error) {
-	if id, ok := s.appIDs[name]; ok {
-		return id, nil
-	}
 	if name == "" {
 		return 0, fmt.Errorf("datastore: empty application name: %w", ErrBadSpec)
 	}
-	id, err := s.insert("application", reldb.Row{reldb.Null(), reldb.Str(name)})
-	if err != nil {
-		return 0, err
-	}
-	s.appIDs[name] = id
-	return id, nil
+	return s.intern(dictApplication, name)
 }
 
 // AddExecution registers an execution of an application, creating the
@@ -340,20 +235,17 @@ func (s *Store) AddExecution(name, app string) (int64, error) {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
 	defer s.bumpGen()
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.addExecutionLocked(name, app)
 }
 
 func (s *Store) addExecutionLocked(name, app string) (int64, error) {
-	if id, ok := s.execIDs[name]; ok {
+	if id, ok := s.names.id(dictExecution, name); ok {
 		// Idempotent re-add; redefining under a different application is a
 		// conflict, not a silent aliasing.
-		if owner, ok := s.execApp[name]; ok {
-			if curID, ok := s.appIDs[app]; !ok || curID != owner {
-				return 0, fmt.Errorf("datastore: execution %q already registered under a different application: %w",
-					name, ErrExists)
-			}
+		owner, _ := s.names.ref(dictExecution, id)
+		if appID, ok := s.names.id(dictApplication, app); !ok || appID != owner {
+			return 0, fmt.Errorf("datastore: execution %q already registered under a different application: %w",
+				name, ErrExists)
 		}
 		return id, nil
 	}
@@ -370,21 +262,21 @@ func (s *Store) addExecutionLocked(name, app string) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	s.execIDs[name] = id
-	s.execApp[name] = appID
+	s.names.add(dictExecution, id, name, appID)
 	return id, nil
 }
 
-// lookupIn interns a name in one of the small lookup tables.
-func (s *Store) lookupIn(table string, cache map[string]int64, name string) (int64, error) {
-	if id, ok := cache[name]; ok {
+// intern returns the ID of a name in one of the (id, name) dictionary
+// tables, inserting the row if the name is new.
+func (s *Store) intern(k int, name string) (int64, error) {
+	if id, ok := s.names.id(k, name); ok {
 		return id, nil
 	}
-	id, err := s.insert(table, reldb.Row{reldb.Null(), reldb.Str(name)})
+	id, err := s.insert(dictSpecs[k].table, reldb.Row{reldb.Null(), reldb.Str(name)})
 	if err != nil {
 		return 0, err
 	}
-	cache[name] = id
+	s.names.add(k, id, name, 0)
 	return id, nil
 }
 
@@ -396,29 +288,26 @@ func (s *Store) AddResource(name core.ResourceName, typ core.TypePath, exec stri
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
 	defer s.bumpGen()
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.addResourceLocked(name, typ, exec)
 }
 
 func (s *Store) addResourceLocked(name core.ResourceName, typ core.TypePath, exec string) (int64, error) {
-	if id, ok := s.resIDs[name]; ok {
+	typeID, known := s.names.id(dictType, string(typ))
+	if id, ok := s.names.id(dictResource, string(name)); ok {
 		// Idempotent re-add; redefining with a different (known) type is a
 		// conflict.
-		if wantID, known := s.typeIDs[typ]; known {
-			if tid, ok := s.resTypes[id]; ok && tid != wantID {
-				return 0, fmt.Errorf("datastore: resource %q already registered with a different type: %w",
-					name, ErrExists)
-			}
+		if have, _ := s.names.ref(dictResource, id); known && have != typeID {
+			return 0, fmt.Errorf("datastore: resource %q already registered with a different type: %w",
+				name, ErrExists)
 		}
 		return id, nil
 	}
-	if err := s.types.CheckResource(name, typ); err != nil {
+	if err := s.names.checkResource(name, typ); err != nil {
 		return 0, fmt.Errorf("%w: %w", err, ErrBadSpec)
 	}
 	var execID reldb.Value = reldb.Null()
 	if exec != "" {
-		id, ok := s.execIDs[exec]
+		id, ok := s.names.id(dictExecution, exec)
 		if !ok {
 			return 0, fmt.Errorf("datastore: resource %q references unknown execution %q: %w", name, exec, ErrNotFound)
 		}
@@ -427,7 +316,7 @@ func (s *Store) addResourceLocked(name core.ResourceName, typ core.TypePath, exe
 	// Create missing ancestors, root first, with the matching type prefix.
 	parentID := reldb.Null()
 	if p := name.Parent(); p != "" {
-		pid, ok := s.resIDs[p]
+		pid, ok := s.names.id(dictResource, string(p))
 		if !ok {
 			var err error
 			pid, err = s.addResourceLocked(p, typ.Parent(), exec)
@@ -442,18 +331,16 @@ func (s *Store) addResourceLocked(name core.ResourceName, typ core.TypePath, exe
 		reldb.Str(string(name)),
 		reldb.Str(name.BaseName()),
 		parentID,
-		reldb.Int(s.typeIDs[typ]),
+		reldb.Int(typeID),
 		execID,
 	})
 	if err != nil {
 		return 0, err
 	}
-	s.resIDs[name] = id
-	s.resNames[id] = name
-	s.resTypes[id] = s.typeIDs[typ]
+	s.names.add(dictResource, id, string(name), typeID)
 	// Maintain the closure tables: link this resource to every ancestor.
-	for _, anc := range name.Ancestors() {
-		aid := s.resIDs[anc]
+	ancestors, _ := s.names.resourceIDs(name.Ancestors())
+	for _, aid := range ancestors {
 		if _, err := s.insert("resource_has_ancestor", reldb.Row{
 			reldb.Int(id), reldb.Int(aid),
 		}); err != nil {
@@ -473,13 +360,11 @@ func (s *Store) SetResourceAttribute(name core.ResourceName, attr, value string)
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
 	defer s.bumpGen()
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.setResourceAttributeLocked(name, attr, value)
 }
 
 func (s *Store) setResourceAttributeLocked(name core.ResourceName, attr, value string) error {
-	id, ok := s.resIDs[name]
+	id, ok := s.names.id(dictResource, string(name))
 	if !ok {
 		return fmt.Errorf("datastore: no resource %q: %w", name, ErrNotFound)
 	}
@@ -487,7 +372,7 @@ func (s *Store) setResourceAttributeLocked(name core.ResourceName, attr, value s
 		reldb.Null(), reldb.Int(id), reldb.Str(attr), reldb.Str(value), reldb.Str("string"),
 	})
 	if err == nil {
-		s.noteAttrLocked(attr, value)
+		s.names.addAttr(attr, value)
 	}
 	return err
 }
@@ -498,22 +383,17 @@ func (s *Store) AddResourceConstraint(r1, r2 core.ResourceName) error {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
 	defer s.bumpGen()
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.addResourceConstraintLocked(r1, r2)
 }
 
 func (s *Store) addResourceConstraintLocked(r1, r2 core.ResourceName) error {
-	id1, ok := s.resIDs[r1]
-	if !ok {
-		return fmt.Errorf("datastore: no resource %q: %w", r1, ErrNotFound)
-	}
-	id2, ok := s.resIDs[r2]
-	if !ok {
-		return fmt.Errorf("datastore: no resource %q: %w", r2, ErrNotFound)
+	pair := []core.ResourceName{r1, r2}
+	ids, miss := s.names.resourceIDs(pair)
+	if miss >= 0 {
+		return fmt.Errorf("datastore: no resource %q: %w", pair[miss], ErrNotFound)
 	}
 	_, err := s.insert("resource_constraint", reldb.Row{
-		reldb.Null(), reldb.Int(id1), reldb.Int(id2),
+		reldb.Null(), reldb.Int(ids[0]), reldb.Int(ids[1]),
 	})
 	return err
 }
@@ -534,16 +414,12 @@ func focusSignature(ft core.FocusType, ids []int64) string {
 // internFocus returns the focus ID for a context, creating the focus and
 // its focus_has_resource rows if it is new.
 func (s *Store) internFocus(ctx core.Context) (int64, error) {
-	ids := make([]int64, 0, len(ctx.Resources))
-	for _, r := range ctx.Resources {
-		id, ok := s.resIDs[r]
-		if !ok {
-			return 0, fmt.Errorf("datastore: context references unknown resource %q: %w", r, ErrNotFound)
-		}
-		ids = append(ids, id)
+	ids, miss := s.names.resourceIDs(ctx.Resources)
+	if miss >= 0 {
+		return 0, fmt.Errorf("datastore: context references unknown resource %q: %w", ctx.Resources[miss], ErrNotFound)
 	}
 	sig := focusSignature(ctx.Type, ids)
-	if id, ok := s.focusIDs[sig]; ok {
+	if id, ok := s.names.focusID(sig); ok {
 		return id, nil
 	}
 	fid, err := s.insert("focus", reldb.Row{
@@ -564,7 +440,7 @@ func (s *Store) internFocus(ctx core.Context) (int64, error) {
 			return 0, err
 		}
 	}
-	s.focusIDs[sig] = fid
+	s.names.addFocus(sig, fid)
 	return fid, nil
 }
 
@@ -574,8 +450,6 @@ func (s *Store) AddPerfResult(pr *core.PerformanceResult) (int64, error) {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
 	defer s.bumpGen()
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.addPerfResultLocked(pr)
 }
 
@@ -583,33 +457,25 @@ func (s *Store) addPerfResultLocked(pr *core.PerformanceResult) (int64, error) {
 	if err := pr.Validate(); err != nil {
 		return 0, fmt.Errorf("%w: %w", err, ErrBadSpec)
 	}
-	execID, ok := s.execIDs[pr.Execution]
+	exec, ok := s.names.id(dictExecution, pr.Execution)
 	if !ok {
 		return 0, fmt.Errorf("datastore: unknown execution %q: %w", pr.Execution, ErrNotFound)
 	}
-	metricID, err := s.lookupIn("metric", s.metricID, pr.Metric)
+	metric, err := s.intern(dictMetric, pr.Metric)
 	if err != nil {
 		return 0, err
 	}
-	tool := pr.Tool
-	if tool == "" {
-		tool = "unknown"
-	}
-	toolID, err := s.lookupIn("performance_tool", s.toolID, tool)
+	tool, err := s.intern(dictTool, cmp.Or(pr.Tool, "unknown"))
 	if err != nil {
 		return 0, err
 	}
-	units := pr.Units
-	if units == "" {
-		units = "unitless"
-	}
-	unitsID, err := s.lookupIn("units", s.unitsID, units)
+	units, err := s.intern(dictUnits, cmp.Or(pr.Units, "unitless"))
 	if err != nil {
 		return 0, err
 	}
 	rid, err := s.insert("performance_result", reldb.Row{
-		reldb.Null(), reldb.Int(execID), reldb.Int(metricID),
-		reldb.Int(toolID), reldb.Int(unitsID), reldb.Float(pr.Value),
+		reldb.Null(), reldb.Int(exec), reldb.Int(metric),
+		reldb.Int(tool), reldb.Int(units), reldb.Float(pr.Value),
 	})
 	if err != nil {
 		return 0, err

@@ -184,17 +184,10 @@ func (p *Planner) execAggregate(ctx context.Context, sel *sqldb.SelectStmt, acce
 	// ID, read before the scan opens. A row carrying a newer ID still
 	// lands in its own group (aggSink.over), just not a packed one.
 	proto := aggSink{specs: specs, dense: 1}
-	dicts := make([]map[int64]string, len(groupCols))
+	dicts := make([]datastore.Dict, len(groupCols))
 	for ki, col := range groupCols {
-		d, err := p.store.DictNames(resultDims[col].dict)
-		if err != nil {
-			return nil, err
-		}
-		dicts[ki] = d
-		var maxID int64
-		for id := range d {
-			maxID = max(maxID, id)
-		}
+		dicts[ki] = p.store.Dict(resultDims[col].dict)
+		maxID := dicts[ki].MaxID()
 		proto.keyCols = append(proto.keyCols, resultDims[col].physCol)
 		proto.caps = append(proto.caps, maxID+1)
 		proto.mult = append(proto.mult, int64(proto.dense))
@@ -247,7 +240,7 @@ func (p *Planner) execAggregate(ctx context.Context, sel *sqldb.SelectStmt, acce
 		}
 		key := sink.key(g)
 		for ki, col := range groupCols {
-			repr[colIdx[col]] = reldb.Str(dicts[ki][key[ki]])
+			repr[colIdx[col]] = reldb.Str(dicts[ki].Name(key[ki]))
 		}
 		ga := make([]*sqldb.Aggregator, len(specs))
 		for ai := range specs {
@@ -265,14 +258,8 @@ func (p *Planner) execAggregate(ctx context.Context, sel *sqldb.SelectStmt, acce
 // ordering.
 func (p *Planner) execRows(ctx context.Context, sel *sqldb.SelectStmt, access resultAccess,
 	f *resultFilter, plan *Plan) (*sqldb.Result, error) {
-	dicts := map[string]map[int64]string{}
-	for _, d := range []string{"execution", "metric", "performance_tool", "units"} {
-		m, err := p.store.DictNames(d)
-		if err != nil {
-			return nil, err
-		}
-		dicts[d] = m
-	}
+	execs, metrics := p.store.Dict("execution"), p.store.Dict("metric")
+	units, tools := p.store.Dict("units"), p.store.Dict("performance_tool")
 	var tuples []resultTuple
 	if p.Naive {
 		var err error
@@ -291,11 +278,11 @@ func (p *Planner) execRows(ctx context.Context, sel *sqldb.SelectStmt, access re
 	for i, r := range tuples {
 		rows[i] = reldb.Row{
 			reldb.Int(r.id),
-			reldb.Str(dicts["execution"][r.e]),
-			reldb.Str(dicts["metric"][r.m]),
+			reldb.Str(execs.Name(r.e)),
+			reldb.Str(metrics.Name(r.m)),
 			reldb.Float(r.v),
-			reldb.Str(dicts["units"][r.u]),
-			reldb.Str(dicts["performance_tool"][r.t]),
+			reldb.Str(units.Name(r.u)),
+			reldb.Str(tools.Name(r.t)),
 		}
 	}
 	plan.Profile.MergeNanos += time.Since(mergeStart).Nanoseconds()
@@ -381,8 +368,9 @@ type dimSpec struct {
 	phys string
 	// index returns the index and prefix serving col = lit, if any.
 	index func(p *Planner, col string, lit string) (string, []reldb.Value, bool)
-	// row builds the virtual row for one physical row.
-	row func(p *Planner, dicts map[string]map[int64]string, row reldb.Row) reldb.Row
+	// row builds the virtual row for one physical row; dicts holds a view
+	// of each dictionary the field below names, in that order.
+	row func(dicts []datastore.Dict, row reldb.Row) reldb.Row
 	// dicts names the dictionaries the row builder needs.
 	dicts []string
 }
@@ -397,8 +385,8 @@ var dimSpecs = map[string]dimSpec{
 			}
 			return "", nil, false
 		},
-		row: func(p *Planner, dicts map[string]map[int64]string, row reldb.Row) reldb.Row {
-			return reldb.Row{row[1], reldb.Str(dicts["application"][row[2].Int64()])}
+		row: func(dicts []datastore.Dict, row reldb.Row) reldb.Row {
+			return reldb.Row{row[1], reldb.Str(dicts[0].Name(row[2].Int64()))}
 		},
 	},
 	"resource": {
@@ -417,12 +405,12 @@ var dimSpecs = map[string]dimSpec{
 			}
 			return "", nil, false
 		},
-		row: func(p *Planner, dicts map[string]map[int64]string, row reldb.Row) reldb.Row {
+		row: func(dicts []datastore.Dict, row reldb.Row) reldb.Row {
 			exec := reldb.Null()
 			if !row[5].IsNull() {
-				exec = reldb.Str(dicts["execution"][row[5].Int64()])
+				exec = reldb.Str(dicts[1].Name(row[5].Int64()))
 			}
-			return reldb.Row{row[1], row[2], reldb.Str(dicts["focus_framework"][row[4].Int64()]), exec}
+			return reldb.Row{row[1], row[2], reldb.Str(dicts[0].Name(row[4].Int64())), exec}
 		},
 	},
 	"attribute": {
@@ -434,8 +422,8 @@ var dimSpecs = map[string]dimSpec{
 			}
 			return "", nil, false
 		},
-		row: func(p *Planner, dicts map[string]map[int64]string, row reldb.Row) reldb.Row {
-			return reldb.Row{reldb.Str(dicts["resource_item"][row[1].Int64()]), row[2], row[3]}
+		row: func(dicts []datastore.Dict, row reldb.Row) reldb.Row {
+			return reldb.Row{reldb.Str(dicts[0].Name(row[1].Int64())), row[2], row[3]}
 		},
 	},
 }
@@ -500,13 +488,9 @@ func (p *Planner) planDimension(ctx context.Context, sel *sqldb.SelectStmt, prof
 	if err := ctx.Err(); err != nil {
 		return nil, nil, fmt.Errorf("planner: scan %s: %w", sel.From.Table, err)
 	}
-	dicts := map[string]map[int64]string{}
-	for _, d := range spec.dicts {
-		m, err := p.store.DictNames(d)
-		if err != nil {
-			return nil, nil, err
-		}
-		dicts[d] = m
+	dicts := make([]datastore.Dict, len(spec.dicts))
+	for i, d := range spec.dicts {
+		dicts[i] = p.store.Dict(d)
 	}
 	type pair struct {
 		id  int64
@@ -529,7 +513,7 @@ func (p *Planner) planDimension(ctx context.Context, sel *sqldb.SelectStmt, prof
 	}
 	rows := make([]reldb.Row, 0, len(pairs))
 	for _, pr := range pairs {
-		rows = append(rows, spec.row(p, dicts, pr.row))
+		rows = append(rows, spec.row(dicts, pr.row))
 	}
 	prof.RowsScanned = int64(len(pairs))
 	plan.ActualRows = int64(len(rows))

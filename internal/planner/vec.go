@@ -29,7 +29,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -943,10 +943,10 @@ func accessIDs(tab *reldb.Table, access resultAccess, f *resultFilter) ([]int64,
 	// Index order is key order, not row order: sort so the gathered
 	// stream stays ID-ascending.
 	var ids []int64
-	err := tab.IndexScan(idx, []reldb.Value{reldb.Int(key)}, func(id int64, _ reldb.Row) bool {
+	err := tab.IndexScanInt(idx, []reldb.Value{reldb.Int(key)}, 0, func(id, _ int64) bool {
 		ids = append(ids, id)
 		return true
 	})
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids, err
 }

@@ -41,9 +41,6 @@ type Table struct {
 	Rows []*Row
 	// ExtraColumns lists added free-resource columns in display order.
 	ExtraColumns []string
-
-	// typeOf caches resource types for free-resource analysis.
-	typeOf map[core.ResourceName]core.TypePath
 }
 
 // FixedColumns is the initial column set of the main window table.
@@ -73,7 +70,7 @@ func NewTable(ctx context.Context, s *datastore.Store, ids []int64) (*Table, err
 	if err != nil {
 		return nil, err
 	}
-	t := &Table{store: s, typeOf: make(map[core.ResourceName]core.TypePath)}
+	t := &Table{store: s}
 	for i, pr := range results {
 		row := &Row{
 			ID:        ids[i],
@@ -129,15 +126,7 @@ func (t *Table) resolveType(name core.ResourceName) (core.TypePath, error) {
 	if t.store == nil {
 		return "", fmt.Errorf("query: table is detached from a store (CSV import); free-resource columns are unavailable")
 	}
-	if tp, ok := t.typeOf[name]; ok {
-		return tp, nil
-	}
-	tp, err := t.store.TypeOfResource(name)
-	if err != nil {
-		return "", err
-	}
-	t.typeOf[name] = tp
-	return tp, nil
+	return t.store.TypeOfResource(name)
 }
 
 // FreeResourceColumn describes one candidate column from the "Add

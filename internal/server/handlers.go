@@ -525,15 +525,22 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusInternalServerError, err)
 		return
 	}
-	metric := q.Get("metric")
+	writeJSON(w, http.StatusOK, NewCompareResponse(cmp, q.Get("metric"), threshold, top))
+}
+
+// NewCompareResponse converts a comparison into its wire form: the
+// metric filter applied, then the summary, the pairs, regressions and
+// improvements beyond threshold, and the top bottlenecks. Exported so
+// ptcompare renders local and remote comparisons through one path.
+func NewCompareResponse(cmp *compare.Comparison, metric string, threshold float64, top int) CompareResponse {
 	if metric != "" {
 		cmp = cmp.FilterMetric(metric)
 	}
 	sum := cmp.Summarize()
 	resp := CompareResponse{
 		APIVersion: APIVersion,
-		ExecA:      a,
-		ExecB:      b,
+		ExecA:      cmp.ExecA,
+		ExecB:      cmp.ExecB,
 		Summary: CompareSummary{
 			Paired:       sum.Paired,
 			OnlyA:        sum.OnlyA,
@@ -556,7 +563,7 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 			Pair: wirePair(f.Pair), Delta: finite(f.Delta), Contribution: finite(f.Contribution),
 		})
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return resp
 }
 
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {

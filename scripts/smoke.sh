@@ -4,7 +4,8 @@
 # generate data, ingest it over HTTP with ptload -remote, and query it
 # back with ptquery -remote. Exercises startup, ingest, query, reports,
 # health, metrics, remote and local ptdiagnose (including the not-found
-# hint), and graceful SIGTERM shutdown (drain + checkpoint).
+# hint), remote and local ptcompare (one output), and graceful SIGTERM
+# shutdown (drain + checkpoint).
 # A second pass starts a fresh durable store, forces compaction,
 # kills the server without a checkpoint, and verifies that recovery
 # loses nothing and re-attaches the segments without re-counting their
@@ -89,6 +90,10 @@ echo "== remote diagnosis"
 bin/ptdiagnose -remote "$base" -a smg-bgl-000 -b smg-bgl-001 | grep -q 'diagnosing smg-bgl-000'
 bin/ptdiagnose -remote "$base" -attrs | grep -q 'attribute'
 
+echo "== remote comparison"
+bin/ptcompare -remote "$base" -a smg-bgl-000 -b smg-bgl-001 > compare_remote.txt
+grep -q 'aligned pairs:' compare_remote.txt
+
 echo "== health and metrics"
 if command -v curl >/dev/null; then
     curl -fsS "$base/healthz" > health.json
@@ -164,6 +169,10 @@ if bin/ptdiagnose -db store -a smg-bgl-000 -b nope >notfound.txt 2>&1; then
     exit 1
 fi
 grep -q 'execution "nope" not found' notfound.txt
+
+echo "== local ptcompare prints what the served one did"
+bin/ptcompare -db store -a smg-bgl-000 -b smg-bgl-001 > compare_local.txt
+diff compare_remote.txt compare_local.txt || { echo "ptcompare -db and -remote diverge" >&2; exit 1; }
 
 echo "== durable engine: load, compact, crash, recover"
 bin/ptinit -db segstore -machines >/dev/null
