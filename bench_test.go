@@ -42,6 +42,7 @@ import (
 	"perftrack/internal/gen"
 	"perftrack/internal/irs"
 	"perftrack/internal/paradyn"
+	"perftrack/internal/planner"
 	"perftrack/internal/ptdf"
 	"perftrack/internal/query"
 	"perftrack/internal/reldb"
@@ -446,8 +447,8 @@ func BenchmarkQuerySQLVsDirect(b *testing.B) {
 	s := fig34Store(b)
 	b.Run("sql", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			res, err := s.SQL().Query(
-				"SELECT m.name, COUNT(*), AVG(pr.value) FROM performance_result pr " +
+			res, _, err := planner.New(s).Query(context.Background(),
+				"SELECT m.name, COUNT(*), AVG(pr.value) FROM performance_result pr "+
 					"JOIN metric m ON pr.metric_id = m.id GROUP BY m.name")
 			if err != nil {
 				b.Fatal(err)

@@ -129,10 +129,10 @@ func TestCLIEndToEnd(t *testing.T) {
 	if !strings.Contains(out, "results:     8") {
 		t.Fatalf("ptquery detail:\n%s", out)
 	}
-	out = c.run("ptquery", "-db", db, "-sql",
+	out = c.run("ptsql", "-db", db,
 		"SELECT COUNT(*) FROM performance_result")
 	if !strings.Contains(out, "24") {
-		t.Fatalf("ptquery sql:\n%s", out)
+		t.Fatalf("ptsql:\n%s", out)
 	}
 	csvPath := filepath.Join(work, "out.csv")
 	c.run("ptquery", "-db", db, "-family", "type=application",

@@ -2,7 +2,7 @@
 // store: it builds pr-filters from resource-filter specs, reports match
 // counts (the Figure 3 live counts), retrieves results in tabular form
 // (Figure 4), adds free-resource columns, sorts, exports CSV, renders bar
-// charts (Figure 5), runs raw SQL, and prints simple reports.
+// charts (Figure 5), and prints simple reports. SQL is ptsql's job.
 //
 // Filter specs (one per -family flag) are semicolon-separated key=value
 // pairs:
@@ -18,11 +18,10 @@
 //	ptquery -db store -family 'name=/MCRGrid/MCR;rel=D' -family 'type=application' -count
 //	ptquery -db store -family 'type=application' -addattr execution.nprocs -sort value -csv out.csv
 //	ptquery -db store -report metrics
-//	ptquery -db store -sql 'SELECT name FROM metric ORDER BY name'
 //
 // With -remote http://host:7075 the same counts, result tables, and
 // reports are answered by a running ptserved instance instead of a local
-// store directory; -sql, -detail, -delete-exec, -chart, -csv, and
+// store directory; -detail, -delete-exec, -chart, -csv, and
 // -report free need direct store access and remain local-only.
 package main
 
@@ -58,7 +57,6 @@ func main() {
 	countOnly := flag.Bool("count", false, "print match counts only (Figure 3 live counts)")
 	explain := flag.Bool("explain", false, "print the access-path plan and query-engine statistics to stderr")
 	report := flag.String("report", "", "report: executions, metrics, applications, tools, stats, free")
-	sqlQuery := flag.String("sql", "", "run a raw SQL query against the store")
 	detail := flag.String("detail", "", "print the detail report for one execution")
 	deleteExec := flag.String("delete-exec", "", "delete one execution and all data only it owns")
 	var addCols stringList
@@ -83,7 +81,7 @@ func main() {
 	}
 	if *remote != "" {
 		for flagName, set := range map[string]bool{
-			"-sql": *sqlQuery != "", "-detail": *detail != "", "-delete-exec": *deleteExec != "",
+			"-detail": *detail != "", "-delete-exec": *deleteExec != "",
 			"-chart": *chartBy != "", "-csv": *csvOut != "", "-report free": *report == "free",
 		} {
 			if set {
@@ -110,14 +108,6 @@ func main() {
 		fatal(err)
 	}
 
-	if *sqlQuery != "" {
-		res, err := store.SQL().Query(*sqlQuery)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Print(res.FormatTable())
-		return
-	}
 	if *detail != "" {
 		d, err := store.ExecutionDetail(*detail)
 		if err != nil {

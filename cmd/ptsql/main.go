@@ -13,13 +13,15 @@
 //	ptsql -remote http://localhost:7075 'SELECT name, application FROM execution ORDER BY name'
 //
 // With -remote the statement runs on a ptserved instance via POST
-// /v1/sql; -explain prints the chosen plan (with estimated vs. actual
-// cardinalities) to stderr in both modes, through the same formatter
-// ptquery uses. -analyze is the EXPLAIN ANALYZE form: the plan plus the
-// execution profile — per-operator row counts, segment blocks scanned
-// vs. zone-map-pruned, B-tree tail rows, kernel vs. merge wall time,
-// per-worker row loads, and the planner's cardinality error. -naive
-// disables the cost-based machinery locally, for A/B-ing plans.
+// /v1/sql; both modes end in the same response body and print it through
+// one function, so a statement reads the same either way. -explain prints
+// the chosen plan (with estimated vs. actual cardinalities) to stderr,
+// through the same formatter ptquery uses. -analyze is the EXPLAIN
+// ANALYZE form: the plan plus the execution profile — per-operator row
+// counts, segment blocks scanned vs. zone-map-pruned, B-tree tail rows,
+// kernel vs. merge wall time, per-worker row loads, and the planner's
+// cardinality error. -naive disables the cost-based machinery locally,
+// for A/B-ing plans.
 package main
 
 import (
@@ -27,7 +29,9 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
+	"strconv"
 	"strings"
 
 	"perftrack/internal/client"
@@ -35,6 +39,7 @@ import (
 	"perftrack/internal/planner"
 	"perftrack/internal/reldb"
 	"perftrack/internal/server"
+	"perftrack/internal/sqldb"
 )
 
 func main() {
@@ -63,84 +68,77 @@ func main() {
 		fatal(fmt.Errorf("no SQL given (pass the statement as arguments or on stdin)"))
 	}
 
+	req := server.SQLRequest{SQL: sqlText, Explain: *explain, Analyze: *analyze, Limit: *limit}
+	var resp server.SQLResponse
 	if *remote != "" {
 		if *naive {
 			fatal(fmt.Errorf("-naive needs direct store access; use -db"))
 		}
-		runRemote(*remote, sqlText, *explain, *analyze, *limit)
-		return
+		var err error
+		if resp, err = client.New(*remote).SQL(context.Background(), req); err != nil {
+			fatal(err)
+		}
+	} else {
+		fe, err := reldb.OpenFile(*dbDir)
+		if err != nil {
+			fatal(err)
+		}
+		defer fe.Close()
+		store, err := datastore.Open(fe)
+		if err != nil {
+			fatal(err)
+		}
+		p := planner.New(store)
+		p.Naive = *naive
+		res, plan, err := p.Query(context.Background(), sqlText)
+		if err != nil {
+			fatal(err)
+		}
+		resp = server.NewSQLResponse(res, plan, req)
 	}
-
-	fe, err := reldb.OpenFile(*dbDir)
-	if err != nil {
-		fatal(err)
-	}
-	defer fe.Close()
-	store, err := datastore.Open(fe)
-	if err != nil {
-		fatal(err)
-	}
-	p := planner.New(store)
-	p.Naive = *naive
-	res, plan, err := p.Query(context.Background(), sqlText)
-	if err != nil {
-		fatal(err)
-	}
-	if *limit > 0 && len(res.Rows) > *limit {
-		res.Rows = res.Rows[:*limit]
-	}
-	fmt.Print(res.FormatTable())
-	if *analyze {
-		fmt.Fprint(os.Stderr, planner.Format(plan.WireAnalyze()))
-	} else if *explain {
-		fmt.Fprint(os.Stderr, planner.Format(plan.Wire()))
-	}
+	printResponse(resp)
 }
 
-// runRemote executes the statement on a ptserved instance via POST
-// /v1/sql, rendering the rows tab-separated and the plan through the
-// shared formatter.
-func runRemote(baseURL, sqlText string, explain, analyze bool, limit int) {
-	c := client.New(baseURL)
-	resp, err := c.SQL(context.Background(), server.SQLRequest{
-		SQL: sqlText, Explain: explain, Analyze: analyze, Limit: limit,
-	})
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Println(strings.Join(resp.Columns, "\t"))
-	for _, row := range resp.Rows {
-		cells := make([]string, len(row))
-		for i, v := range row {
-			cells[i] = formatCell(v)
+// printResponse renders a /v1/sql body — received from a server or built
+// locally — as an aligned table on stdout and the plan, when one was
+// asked for, on stderr.
+func printResponse(resp server.SQLResponse) {
+	cells := make([][]string, len(resp.Rows))
+	for i, row := range resp.Rows {
+		cells[i] = make([]string, len(row))
+		for j, v := range row {
+			cells[i][j] = cellText(v)
 		}
-		fmt.Println(strings.Join(cells, "\t"))
 	}
+	fmt.Print(sqldb.FormatCells(resp.Columns, cells))
 	if resp.Truncated {
 		fmt.Printf("... %d more rows\n", resp.RowCount-len(resp.Rows))
 	}
-	if explain || analyze {
+	if resp.Plan != nil {
 		fmt.Fprint(os.Stderr, planner.Format(resp.Plan))
 	}
 }
 
-// formatCell renders one JSON cell: null as NULL, numbers via %g so
-// integers round-trip without a trailing ".0".
-func formatCell(v any) string {
+// cellText renders one cell by value, so a number prints the same
+// whether it is still an int64 or float64 or came back from JSON as a
+// float64: integral values as integers, the rest in shortest form.
+// (Integers beyond 2^53 stay exact only locally; JSON already rounded
+// them.)
+func cellText(v any) string {
 	switch x := v.(type) {
 	case nil:
 		return "NULL"
 	case string:
 		return x
+	case int64:
+		return strconv.FormatInt(x, 10)
 	case float64:
-		return fmt.Sprintf("%g", x)
-	case bool:
-		if x {
-			return "TRUE"
+		if x == math.Trunc(x) && math.Abs(x) < 1<<53 {
+			return strconv.FormatInt(int64(x), 10)
 		}
-		return "FALSE"
+		return strconv.FormatFloat(x, 'g', -1, 64)
 	}
-	return fmt.Sprintf("%v", v)
+	return fmt.Sprint(v)
 }
 
 func fatal(err error) {

@@ -22,239 +22,297 @@ package datastore
 
 import (
 	"fmt"
-	"strings"
 
 	"perftrack/internal/reldb"
-	"perftrack/internal/sqldb"
 )
 
-// schemaDDL is the Figure 1 schema expressed in the sqldb SQL subset. The
-// statements run in order; foreign keys require their referenced tables
-// first.
-var schemaDDL = []string{
-	`CREATE TABLE application (
-		id INTEGER PRIMARY KEY,
-		name TEXT NOT NULL
-	)`,
-	`CREATE UNIQUE INDEX application_name ON application (name)`,
-
-	`CREATE TABLE execution (
-		id INTEGER PRIMARY KEY,
-		name TEXT NOT NULL,
-		application_id INTEGER NOT NULL,
-		FOREIGN KEY (application_id) REFERENCES application (id)
-	)`,
-	`CREATE UNIQUE INDEX execution_name ON execution (name)`,
-	`CREATE INDEX execution_app ON execution (application_id)`,
-
-	`CREATE TABLE focus_framework (
-		id INTEGER PRIMARY KEY,
-		type_name TEXT NOT NULL,
-		parent_id INTEGER,
-		FOREIGN KEY (parent_id) REFERENCES focus_framework (id)
-	)`,
-	`CREATE UNIQUE INDEX focus_framework_name ON focus_framework (type_name)`,
-	`CREATE INDEX focus_framework_parent ON focus_framework (parent_id)`,
-
-	`CREATE TABLE resource_item (
-		id INTEGER PRIMARY KEY,
-		name TEXT NOT NULL,
-		base_name TEXT NOT NULL,
-		parent_id INTEGER,
-		focus_framework_id INTEGER NOT NULL,
-		execution_id INTEGER,
-		FOREIGN KEY (parent_id) REFERENCES resource_item (id),
-		FOREIGN KEY (focus_framework_id) REFERENCES focus_framework (id),
-		FOREIGN KEY (execution_id) REFERENCES execution (id)
-	)`,
-	`CREATE UNIQUE INDEX resource_item_name ON resource_item (name)`,
-	`CREATE INDEX resource_item_parent ON resource_item (parent_id)`,
-	`CREATE INDEX resource_item_type ON resource_item (focus_framework_id)`,
-	`CREATE INDEX resource_item_base ON resource_item (base_name)`,
-	`CREATE INDEX resource_item_exec ON resource_item (execution_id)`,
-
-	`CREATE TABLE resource_attribute (
-		id INTEGER PRIMARY KEY,
-		resource_id INTEGER NOT NULL,
-		name TEXT NOT NULL,
-		value TEXT NOT NULL,
-		attr_type TEXT NOT NULL,
-		FOREIGN KEY (resource_id) REFERENCES resource_item (id)
-	)`,
-	`CREATE INDEX resource_attribute_res ON resource_attribute (resource_id)`,
-	`CREATE INDEX resource_attribute_name ON resource_attribute (name, value)`,
-
-	`CREATE TABLE resource_constraint (
-		id INTEGER PRIMARY KEY,
-		resource_id_1 INTEGER NOT NULL,
-		resource_id_2 INTEGER NOT NULL,
-		FOREIGN KEY (resource_id_1) REFERENCES resource_item (id),
-		FOREIGN KEY (resource_id_2) REFERENCES resource_item (id)
-	)`,
-	`CREATE INDEX resource_constraint_r1 ON resource_constraint (resource_id_1)`,
-	`CREATE INDEX resource_constraint_r2 ON resource_constraint (resource_id_2)`,
-
-	`CREATE TABLE resource_has_ancestor (
-		resource_id INTEGER NOT NULL,
-		ancestor_id INTEGER NOT NULL,
-		PRIMARY KEY (resource_id, ancestor_id),
-		FOREIGN KEY (resource_id) REFERENCES resource_item (id),
-		FOREIGN KEY (ancestor_id) REFERENCES resource_item (id)
-	)`,
-	`CREATE INDEX rha_ancestor ON resource_has_ancestor (ancestor_id)`,
-
-	`CREATE TABLE resource_has_descendant (
-		resource_id INTEGER NOT NULL,
-		descendant_id INTEGER NOT NULL,
-		PRIMARY KEY (resource_id, descendant_id),
-		FOREIGN KEY (resource_id) REFERENCES resource_item (id),
-		FOREIGN KEY (descendant_id) REFERENCES resource_item (id)
-	)`,
-	`CREATE INDEX rhd_descendant ON resource_has_descendant (descendant_id)`,
-
-	`CREATE TABLE metric (
-		id INTEGER PRIMARY KEY,
-		name TEXT NOT NULL
-	)`,
-	`CREATE UNIQUE INDEX metric_name ON metric (name)`,
-
-	`CREATE TABLE performance_tool (
-		id INTEGER PRIMARY KEY,
-		name TEXT NOT NULL
-	)`,
-	`CREATE UNIQUE INDEX performance_tool_name ON performance_tool (name)`,
-
-	`CREATE TABLE units (
-		id INTEGER PRIMARY KEY,
-		name TEXT NOT NULL
-	)`,
-	`CREATE UNIQUE INDEX units_name ON units (name)`,
-
-	`CREATE TABLE focus (
-		id INTEGER PRIMARY KEY,
-		focus_type TEXT NOT NULL,
-		signature TEXT NOT NULL
-	)`,
-	`CREATE UNIQUE INDEX focus_signature ON focus (signature)`,
-
-	`CREATE TABLE focus_has_resource (
-		focus_id INTEGER NOT NULL,
-		resource_id INTEGER NOT NULL,
-		PRIMARY KEY (focus_id, resource_id),
-		FOREIGN KEY (focus_id) REFERENCES focus (id),
-		FOREIGN KEY (resource_id) REFERENCES resource_item (id)
-	)`,
-	`CREATE INDEX fhr_resource ON focus_has_resource (resource_id)`,
-
-	`CREATE TABLE performance_result (
-		id INTEGER PRIMARY KEY,
-		execution_id INTEGER NOT NULL,
-		metric_id INTEGER NOT NULL,
-		performance_tool_id INTEGER NOT NULL,
-		units_id INTEGER NOT NULL,
-		value REAL NOT NULL,
-		FOREIGN KEY (execution_id) REFERENCES execution (id),
-		FOREIGN KEY (metric_id) REFERENCES metric (id),
-		FOREIGN KEY (performance_tool_id) REFERENCES performance_tool (id),
-		FOREIGN KEY (units_id) REFERENCES units (id)
-	)`,
-	`CREATE INDEX performance_result_exec ON performance_result (execution_id)`,
-	`CREATE INDEX performance_result_metric ON performance_result (metric_id)`,
-
+// figure1 is the Figure 1 schema. Tables are listed so that every foreign
+// key's referenced table comes first.
+var figure1 = []*reldb.Schema{
+	{
+		Name: "application",
+		Columns: []reldb.Column{
+			{Name: "id", Type: reldb.KindInt},
+			{Name: "name", Type: reldb.KindString},
+		},
+		PrimaryKey: []string{"id"},
+		Indexes: []reldb.IndexSpec{
+			{Name: "application_name", Columns: []string{"name"}, Unique: true},
+		},
+	},
+	{
+		Name: "execution",
+		Columns: []reldb.Column{
+			{Name: "id", Type: reldb.KindInt},
+			{Name: "name", Type: reldb.KindString},
+			{Name: "application_id", Type: reldb.KindInt},
+		},
+		PrimaryKey: []string{"id"},
+		ForeignKeys: []reldb.ForeignKey{
+			{Column: "application_id", RefTable: "application", RefColumn: "id"},
+		},
+		Indexes: []reldb.IndexSpec{
+			{Name: "execution_name", Columns: []string{"name"}, Unique: true},
+			{Name: "execution_app", Columns: []string{"application_id"}},
+		},
+	},
+	{
+		Name: "focus_framework",
+		Columns: []reldb.Column{
+			{Name: "id", Type: reldb.KindInt},
+			{Name: "type_name", Type: reldb.KindString},
+			{Name: "parent_id", Type: reldb.KindInt, Nullable: true},
+		},
+		PrimaryKey: []string{"id"},
+		ForeignKeys: []reldb.ForeignKey{
+			{Column: "parent_id", RefTable: "focus_framework", RefColumn: "id"},
+		},
+		Indexes: []reldb.IndexSpec{
+			{Name: "focus_framework_name", Columns: []string{"type_name"}, Unique: true},
+			{Name: "focus_framework_parent", Columns: []string{"parent_id"}},
+		},
+	},
+	{
+		Name: "resource_item",
+		Columns: []reldb.Column{
+			{Name: "id", Type: reldb.KindInt},
+			{Name: "name", Type: reldb.KindString},
+			{Name: "base_name", Type: reldb.KindString},
+			{Name: "parent_id", Type: reldb.KindInt, Nullable: true},
+			{Name: "focus_framework_id", Type: reldb.KindInt},
+			{Name: "execution_id", Type: reldb.KindInt, Nullable: true},
+		},
+		PrimaryKey: []string{"id"},
+		ForeignKeys: []reldb.ForeignKey{
+			{Column: "parent_id", RefTable: "resource_item", RefColumn: "id"},
+			{Column: "focus_framework_id", RefTable: "focus_framework", RefColumn: "id"},
+			{Column: "execution_id", RefTable: "execution", RefColumn: "id"},
+		},
+		Indexes: []reldb.IndexSpec{
+			{Name: "resource_item_name", Columns: []string{"name"}, Unique: true},
+			{Name: "resource_item_parent", Columns: []string{"parent_id"}},
+			{Name: "resource_item_type", Columns: []string{"focus_framework_id"}},
+			{Name: "resource_item_base", Columns: []string{"base_name"}},
+			{Name: "resource_item_exec", Columns: []string{"execution_id"}},
+		},
+	},
+	{
+		Name: "resource_attribute",
+		Columns: []reldb.Column{
+			{Name: "id", Type: reldb.KindInt},
+			{Name: "resource_id", Type: reldb.KindInt},
+			{Name: "name", Type: reldb.KindString},
+			{Name: "value", Type: reldb.KindString},
+			{Name: "attr_type", Type: reldb.KindString},
+		},
+		PrimaryKey: []string{"id"},
+		ForeignKeys: []reldb.ForeignKey{
+			{Column: "resource_id", RefTable: "resource_item", RefColumn: "id"},
+		},
+		Indexes: []reldb.IndexSpec{
+			{Name: "resource_attribute_res", Columns: []string{"resource_id"}},
+			{Name: "resource_attribute_name", Columns: []string{"name", "value"}},
+		},
+	},
+	{
+		Name: "resource_constraint",
+		Columns: []reldb.Column{
+			{Name: "id", Type: reldb.KindInt},
+			{Name: "resource_id_1", Type: reldb.KindInt},
+			{Name: "resource_id_2", Type: reldb.KindInt},
+		},
+		PrimaryKey: []string{"id"},
+		ForeignKeys: []reldb.ForeignKey{
+			{Column: "resource_id_1", RefTable: "resource_item", RefColumn: "id"},
+			{Column: "resource_id_2", RefTable: "resource_item", RefColumn: "id"},
+		},
+		Indexes: []reldb.IndexSpec{
+			{Name: "resource_constraint_r1", Columns: []string{"resource_id_1"}},
+			{Name: "resource_constraint_r2", Columns: []string{"resource_id_2"}},
+		},
+	},
+	{
+		Name: "resource_has_ancestor",
+		Columns: []reldb.Column{
+			{Name: "resource_id", Type: reldb.KindInt},
+			{Name: "ancestor_id", Type: reldb.KindInt},
+		},
+		PrimaryKey: []string{"resource_id", "ancestor_id"},
+		ForeignKeys: []reldb.ForeignKey{
+			{Column: "resource_id", RefTable: "resource_item", RefColumn: "id"},
+			{Column: "ancestor_id", RefTable: "resource_item", RefColumn: "id"},
+		},
+		Indexes: []reldb.IndexSpec{
+			{Name: "rha_ancestor", Columns: []string{"ancestor_id"}},
+		},
+	},
+	{
+		Name: "resource_has_descendant",
+		Columns: []reldb.Column{
+			{Name: "resource_id", Type: reldb.KindInt},
+			{Name: "descendant_id", Type: reldb.KindInt},
+		},
+		PrimaryKey: []string{"resource_id", "descendant_id"},
+		ForeignKeys: []reldb.ForeignKey{
+			{Column: "resource_id", RefTable: "resource_item", RefColumn: "id"},
+			{Column: "descendant_id", RefTable: "resource_item", RefColumn: "id"},
+		},
+		Indexes: []reldb.IndexSpec{
+			{Name: "rhd_descendant", Columns: []string{"descendant_id"}},
+		},
+	},
+	{
+		Name: "metric",
+		Columns: []reldb.Column{
+			{Name: "id", Type: reldb.KindInt},
+			{Name: "name", Type: reldb.KindString},
+		},
+		PrimaryKey: []string{"id"},
+		Indexes: []reldb.IndexSpec{
+			{Name: "metric_name", Columns: []string{"name"}, Unique: true},
+		},
+	},
+	{
+		Name: "performance_tool",
+		Columns: []reldb.Column{
+			{Name: "id", Type: reldb.KindInt},
+			{Name: "name", Type: reldb.KindString},
+		},
+		PrimaryKey: []string{"id"},
+		Indexes: []reldb.IndexSpec{
+			{Name: "performance_tool_name", Columns: []string{"name"}, Unique: true},
+		},
+	},
+	{
+		Name: "units",
+		Columns: []reldb.Column{
+			{Name: "id", Type: reldb.KindInt},
+			{Name: "name", Type: reldb.KindString},
+		},
+		PrimaryKey: []string{"id"},
+		Indexes: []reldb.IndexSpec{
+			{Name: "units_name", Columns: []string{"name"}, Unique: true},
+		},
+	},
+	{
+		Name: "focus",
+		Columns: []reldb.Column{
+			{Name: "id", Type: reldb.KindInt},
+			{Name: "focus_type", Type: reldb.KindString},
+			{Name: "signature", Type: reldb.KindString},
+		},
+		PrimaryKey: []string{"id"},
+		Indexes: []reldb.IndexSpec{
+			{Name: "focus_signature", Columns: []string{"signature"}, Unique: true},
+		},
+	},
+	{
+		Name: "focus_has_resource",
+		Columns: []reldb.Column{
+			{Name: "focus_id", Type: reldb.KindInt},
+			{Name: "resource_id", Type: reldb.KindInt},
+		},
+		PrimaryKey: []string{"focus_id", "resource_id"},
+		ForeignKeys: []reldb.ForeignKey{
+			{Column: "focus_id", RefTable: "focus", RefColumn: "id"},
+			{Column: "resource_id", RefTable: "resource_item", RefColumn: "id"},
+		},
+		Indexes: []reldb.IndexSpec{
+			{Name: "fhr_resource", Columns: []string{"resource_id"}},
+		},
+	},
+	{
+		Name: "performance_result",
+		Columns: []reldb.Column{
+			{Name: "id", Type: reldb.KindInt},
+			{Name: "execution_id", Type: reldb.KindInt},
+			{Name: "metric_id", Type: reldb.KindInt},
+			{Name: "performance_tool_id", Type: reldb.KindInt},
+			{Name: "units_id", Type: reldb.KindInt},
+			{Name: "value", Type: reldb.KindFloat},
+		},
+		PrimaryKey: []string{"id"},
+		ForeignKeys: []reldb.ForeignKey{
+			{Column: "execution_id", RefTable: "execution", RefColumn: "id"},
+			{Column: "metric_id", RefTable: "metric", RefColumn: "id"},
+			{Column: "performance_tool_id", RefTable: "performance_tool", RefColumn: "id"},
+			{Column: "units_id", RefTable: "units", RefColumn: "id"},
+		},
+		Indexes: []reldb.IndexSpec{
+			{Name: "performance_result_exec", Columns: []string{"execution_id"}},
+			{Name: "performance_result_metric", Columns: []string{"metric_id"}},
+		},
+	},
 	// Complex (histogram-valued) performance results — the paper's §6
 	// future-work item: one row holds every bin of a Paradyn histogram,
 	// instead of one performance_result per bin. The owning
 	// performance_result row stores the summary scalar (mean over bins
 	// with data).
-	`CREATE TABLE result_histogram (
-		result_id INTEGER PRIMARY KEY,
-		bin_width REAL NOT NULL,
-		num_bins INTEGER NOT NULL,
-		bin_values TEXT NOT NULL,
-		FOREIGN KEY (result_id) REFERENCES performance_result (id)
-	)`,
-
-	`CREATE TABLE result_has_focus (
-		result_id INTEGER NOT NULL,
-		focus_id INTEGER NOT NULL,
-		PRIMARY KEY (result_id, focus_id),
-		FOREIGN KEY (result_id) REFERENCES performance_result (id),
-		FOREIGN KEY (focus_id) REFERENCES focus (id)
-	)`,
-	`CREATE INDEX rhf_focus ON result_has_focus (focus_id)`,
+	{
+		Name: "result_histogram",
+		Columns: []reldb.Column{
+			{Name: "result_id", Type: reldb.KindInt},
+			{Name: "bin_width", Type: reldb.KindFloat},
+			{Name: "num_bins", Type: reldb.KindInt},
+			{Name: "bin_values", Type: reldb.KindString},
+		},
+		PrimaryKey: []string{"result_id"},
+		ForeignKeys: []reldb.ForeignKey{
+			{Column: "result_id", RefTable: "performance_result", RefColumn: "id"},
+		},
+	},
+	{
+		Name: "result_has_focus",
+		Columns: []reldb.Column{
+			{Name: "result_id", Type: reldb.KindInt},
+			{Name: "focus_id", Type: reldb.KindInt},
+		},
+		PrimaryKey: []string{"result_id", "focus_id"},
+		ForeignKeys: []reldb.ForeignKey{
+			{Column: "result_id", RefTable: "performance_result", RefColumn: "id"},
+			{Column: "focus_id", RefTable: "focus", RefColumn: "id"},
+		},
+		Indexes: []reldb.IndexSpec{
+			{Name: "rhf_focus", Columns: []string{"focus_id"}},
+		},
+	},
 }
 
 // tableNames lists every schema table, used for existence checks and
 // statistics.
-var tableNames = []string{
-	"application", "execution", "focus_framework", "resource_item",
-	"resource_attribute", "resource_constraint", "resource_has_ancestor",
-	"resource_has_descendant", "metric", "performance_tool", "units",
-	"focus", "focus_has_resource", "performance_result",
-	"result_histogram", "result_has_focus",
-}
-
-// createSchema creates the Figure 1 schema through the SQL layer.
-func createSchema(sql *sqldb.DB) error {
-	for _, ddl := range schemaDDL {
-		if _, err := sql.Exec(ddl); err != nil {
-			return fmt.Errorf("datastore: schema: %w", err)
-		}
+var tableNames = func() []string {
+	names := make([]string, len(figure1))
+	for i, t := range figure1 {
+		names[i] = t.Name
 	}
-	return nil
-}
+	return names
+}()
 
-// migrateSchema creates any tables and indexes added to the schema after
-// an existing store was initialized, so stores survive upgrades of this
-// package. Indexes missing from an existing table (e.g. the
-// resource_attribute (name, value) index the pr-filter fast path scans)
-// are created through the engine, which backfills them from the table's
-// current rows.
-func migrateSchema(sql *sqldb.DB, eng reldb.Engine) error {
-	for _, ddl := range schemaDDL {
-		trimmed := strings.TrimSpace(ddl)
-		switch {
-		case strings.HasPrefix(trimmed, "CREATE TABLE "):
-			name := strings.Fields(strings.TrimPrefix(trimmed, "CREATE TABLE "))[0]
-			if _, exists := eng.Table(name); exists {
+// ensureSchema brings the engine up to the schema: a missing table is
+// created with its indexes, and an index missing from an existing table
+// (one added to the schema after the store was initialized) is created
+// through the engine, which backfills it from the table's rows. A fresh
+// store and an old one take the same path; an up-to-date one is not
+// touched.
+func ensureSchema(eng reldb.Engine) error {
+	for _, want := range figure1 {
+		tab, exists := eng.Table(want.Name)
+		if !exists {
+			if err := eng.CreateTable(want); err != nil {
+				return fmt.Errorf("datastore: schema: %w", err)
+			}
+			continue
+		}
+		for _, ix := range want.Indexes {
+			if tab.HasIndex(ix.Name) {
 				continue
 			}
-			if _, err := sql.Exec(ddl); err != nil {
-				return fmt.Errorf("datastore: migrate %s: %w", name, err)
-			}
-		case strings.Contains(trimmed, "INDEX"):
-			idxName, tblName, err := parseIndexDDL(trimmed)
-			if err != nil {
-				return err
-			}
-			tab, exists := eng.Table(tblName)
-			if !exists || tab.HasIndex(idxName) {
-				continue
-			}
-			if _, err := sql.Exec(ddl); err != nil {
-				return fmt.Errorf("datastore: migrate index %s: %w", idxName, err)
+			if err := eng.CreateIndex(want.Name, ix); err != nil {
+				return fmt.Errorf("datastore: schema: index %s: %w", ix.Name, err)
 			}
 		}
 	}
 	return nil
-}
-
-// parseIndexDDL extracts the index and table names from a
-// CREATE [UNIQUE] INDEX statement of the schema DDL.
-func parseIndexDDL(ddl string) (index, table string, err error) {
-	fields := strings.Fields(ddl)
-	for i, f := range fields {
-		if f == "INDEX" && i+1 < len(fields) {
-			index = fields[i+1]
-		}
-		if f == "ON" && i+1 < len(fields) {
-			table = fields[i+1]
-		}
-	}
-	if index == "" || table == "" {
-		return "", "", fmt.Errorf("datastore: malformed index DDL %q", ddl)
-	}
-	return index, table, nil
 }
 
 // schemaExists reports whether the schema is already present.

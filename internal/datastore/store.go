@@ -12,7 +12,6 @@ import (
 	"perftrack/internal/core"
 	"perftrack/internal/obs"
 	"perftrack/internal/reldb"
-	"perftrack/internal/sqldb"
 )
 
 // Store is PTDataStore: PerfTrack's interface to the underlying DBMS. It
@@ -23,7 +22,6 @@ import (
 // paths never re-enter the engine from inside an engine scan callback.
 type Store struct {
 	eng reldb.Engine
-	sql *sqldb.DB
 
 	// UseClosureTables controls whether ancestor/descendant queries use the
 	// resource_has_ancestor / resource_has_descendant tables (the paper's
@@ -94,19 +92,13 @@ func (s *Store) insert(table string, row reldb.Row) (int64, error) {
 func Open(eng reldb.Engine) (*Store, error) {
 	s := &Store{
 		eng:              eng,
-		sql:              sqldb.Open(eng),
 		cache:            NewCache[idSet](0),
 		scanBytes:        obs.NewHistogram(segScanBytesBuckets),
 		UseClosureTables: true,
 	}
 	s.scratch.New = func() any { return new(matScratch) }
 	fresh := !schemaExists(eng)
-	if fresh {
-		if err := createSchema(s.sql); err != nil {
-			return nil, err
-		}
-	} else if err := migrateSchema(s.sql, eng); err != nil {
-		// Existing store: create any tables added since it was initialized.
+	if err := ensureSchema(eng); err != nil {
 		return nil, err
 	}
 	if err := s.reloadNames(); err != nil {
@@ -151,8 +143,8 @@ func (s *Store) bumpGen() { s.gen.Add(1) }
 func (s *Store) Generation() uint64 { return s.gen.Load() }
 
 // InvalidateQueryCache discards all cached pr-filter results. Callers
-// that mutate the engine behind the store's back (raw SQL DML, direct
-// engine inserts) must call it before querying again.
+// that mutate the engine behind the store's back (direct engine writes)
+// must call it before querying again.
 func (s *Store) InvalidateQueryCache() { s.bumpGen() }
 
 // QueryEngineStats reports the pr-filter fast path's cache behaviour.
@@ -173,9 +165,6 @@ func (s *Store) QueryEngineStats() QueryEngineStats {
 		CacheEntries: cs.Entries,
 	}
 }
-
-// SQL returns the SQL interface over the same data, for ad-hoc queries.
-func (s *Store) SQL() *sqldb.DB { return s.sql }
 
 // Types returns a copy of the store's type system.
 func (s *Store) Types() *core.TypeSystem { return s.names.typeSystem() }

@@ -2,12 +2,15 @@ package datastore
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 
 	"perftrack/internal/core"
 	"perftrack/internal/reldb"
+	"perftrack/internal/sqldb"
 )
 
 // openEngine opens a file engine for persistence tests.
@@ -604,15 +607,92 @@ func TestSchemaMigrationAddsNewTables(t *testing.T) {
 	}
 }
 
+// TestSQLInterfaceOverStore runs a physical-schema JOIN the way the
+// planner's raw-sql path does (this package cannot import the planner):
+// the sqldb executor over a source that scans the engine's tables.
 func TestSQLInterfaceOverStore(t *testing.T) {
 	s := seedStudy(t)
-	r, err := s.SQL().Query(`SELECT m.name, COUNT(*) FROM performance_result pr
+	sel, err := sqldb.Parse(`SELECT m.name, COUNT(*) FROM performance_result pr
 		JOIN metric m ON pr.metric_id = m.id GROUP BY m.name ORDER BY m.name`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := sqldb.Execute(sel, func(name string) ([]string, []reldb.Row, bool) {
+		tab, ok := s.Table(name)
+		if !ok {
+			return nil, nil, false
+		}
+		var cols []string
+		for _, c := range tab.Schema().Columns {
+			cols = append(cols, c.Name)
+		}
+		var rows []reldb.Row
+		tab.Scan(func(_ int64, row reldb.Row) bool {
+			rows = append(rows, row)
+			return true
+		})
+		return cols, rows, true
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(r.Rows) != 3 {
 		t.Errorf("metric groups = %d", len(r.Rows))
+	}
+}
+
+// TestSchemaDDLGolden pins Figure 1 as rendered before the schema became
+// data: testdata/figure1.ddl is SchemaDDL() of a fresh store at the last
+// commit that fed DDL strings through the SQL parser, and
+// testdata/parent_store is a directory that commit's ptinit and one
+// ptload (of parent_store.ptdf) wrote. Both must render the same text,
+// and opening the old directory must not write to it.
+func TestSchemaDDLGolden(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "figure1.ddl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := newStore(t).SchemaDDL(); got != string(golden) {
+		t.Errorf("fresh store renders a different Figure 1:\n%s", got)
+	}
+
+	dir := t.TempDir()
+	src := filepath.Join("testdata", "parent_store")
+	err = filepath.WalkDir(src, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(src, path)
+		if d.IsDir() {
+			return os.MkdirAll(filepath.Join(dir, rel), 0o755)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dir, rel), data, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fe, err := reldb.OpenFile(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fe.Close()
+	walBefore := fe.Stats().WALBytes
+	s, err := Open(fe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if walAfter := fe.Stats().WALBytes; walAfter != walBefore {
+		t.Errorf("opening an up-to-date store logged %d WAL bytes", walAfter-walBefore)
+	}
+	if got := s.SchemaDDL(); got != string(golden) {
+		t.Errorf("parent-written store renders a different Figure 1:\n%s", got)
+	}
+	if st := s.Stats(); st.Executions != 1 || st.Results != 4 {
+		t.Errorf("parent-written store holds %d executions, %d results; want 1, 4", st.Executions, st.Results)
 	}
 }
 

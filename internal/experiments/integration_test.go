@@ -6,6 +6,7 @@ package experiments
 // analysis session.
 
 import (
+	"context"
 	"fmt"
 	"path/filepath"
 	"testing"
@@ -14,6 +15,7 @@ import (
 	"perftrack/internal/datastore"
 	"perftrack/internal/gen"
 	"perftrack/internal/paradyn"
+	"perftrack/internal/planner"
 	"perftrack/internal/query"
 	"perftrack/internal/reldb"
 )
@@ -139,7 +141,7 @@ func TestSingleSessionIntegratesAllToolsAndMachines(t *testing.T) {
 	}
 
 	// SQL over the merged store: result counts per tool.
-	res, err := s.SQL().Query(`SELECT pt.name, COUNT(*) FROM performance_result pr
+	res, _, err := planner.New(s).Query(context.Background(), `SELECT pt.name, COUNT(*) FROM performance_result pr
 		JOIN performance_tool pt ON pr.performance_tool_id = pt.id
 		GROUP BY pt.name ORDER BY pt.name`)
 	if err != nil {

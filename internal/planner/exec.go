@@ -288,7 +288,7 @@ func (p *Planner) execRows(ctx context.Context, sel *sqldb.SelectStmt, access re
 	plan.Profile.MergeNanos += time.Since(mergeStart).Nanoseconds()
 	plan.ActualRows = int64(len(rows))
 	plan.Materialized = int64(len(rows))
-	return sqldb.ExecuteSelect(sel, virtualColumns["performance_result"], rows)
+	return sqldb.Execute(sel, virtualSource(virtualColumns["performance_result"], rows))
 }
 
 // naiveScan is the reference scan behind Planner.Naive: a direct B-tree
@@ -519,7 +519,7 @@ func (p *Planner) planDimension(ctx context.Context, sel *sqldb.SelectStmt, prof
 	plan.ActualRows = int64(len(rows))
 	plan.Materialized = int64(len(rows))
 	plan.Residual = sel.Where != nil
-	res, err := sqldb.ExecuteSelect(sel, vcols, rows)
+	res, err := sqldb.Execute(sel, virtualSource(vcols, rows))
 	if err != nil {
 		return nil, nil, err
 	}

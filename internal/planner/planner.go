@@ -10,8 +10,9 @@
 // builds result rows.
 //
 // Queries the catalog cannot express (joins, physical columns such as
-// execution_id, unknown tables) fall through to the raw sqldb executor
-// over the physical schema, so the SQL surface never shrinks.
+// execution_id, physical-only tables) run through the same sqldb executor
+// over a source that scans the engine's physical tables (raw-sql in
+// plans), so the SQL surface never shrinks. Either way it is read-only.
 package planner
 
 import (
@@ -32,7 +33,7 @@ const (
 	StrategyIndex     = "index"       // secondary-index prefix scan
 	StrategyIDSet     = "idset-cache" // cached pr-filter ID-set intersection
 	StrategyAttrIndex = "attr-index"  // attribute-index scan feeding the ID set
-	StrategyRawSQL    = "raw-sql"     // delegated to the physical-schema executor
+	StrategyRawSQL    = "raw-sql"     // scan + join over the physical tables
 )
 
 // Cost-model weights: relative cost of visiting one row on each access
@@ -147,16 +148,13 @@ func (p *Planner) Query(ctx context.Context, sqlText string) (*sqldb.Result, *Pl
 	return res, plan, err
 }
 
-// execute parses, plans, and runs one SELECT, bypassing the cache.
+// execute parses, plans, and runs one SELECT, bypassing the cache. It is
+// the one place in the repository that runs SQL text.
 func (p *Planner) execute(ctx context.Context, sqlText string) (*sqldb.Result, *Plan, error) {
 	prof := newExecProfile()
-	stmt, err := sqldb.Parse(sqlText)
+	sel, err := sqldb.Parse(sqlText)
 	if err != nil {
 		return nil, nil, fmt.Errorf("planner: %v: %w", err, datastore.ErrBadSpec)
-	}
-	sel, ok := stmt.(*sqldb.SelectStmt)
-	if !ok {
-		return nil, nil, fmt.Errorf("planner: only SELECT is supported (got %T): %w", stmt, datastore.ErrBadSpec)
 	}
 	var res *sqldb.Result
 	var plan *Plan
@@ -166,7 +164,7 @@ func (p *Planner) execute(ctx context.Context, sqlText string) (*sqldb.Result, *
 	case p.virtualizable(sel):
 		res, plan, err = p.planDimension(ctx, sel, prof)
 	default:
-		res, plan, err = p.rawQuery(sel, sqlText, prof)
+		res, plan, err = p.rawQuery(sel, prof)
 	}
 	if err == nil {
 		prof.finish(len(res.Rows))
@@ -174,20 +172,46 @@ func (p *Planner) execute(ctx context.Context, sqlText string) (*sqldb.Result, *
 	return res, plan, err
 }
 
-// rawQuery delegates to the physical-schema SQL executor.
-func (p *Planner) rawQuery(sel *sqldb.SelectStmt, sqlText string, prof *ExecProfile) (*sqldb.Result, *Plan, error) {
+// virtualSource is the row source of a virtualizable statement: its one
+// table, materialized by the chosen access path.
+func virtualSource(columns []string, rows []reldb.Row) sqldb.Source {
+	return func(string) ([]string, []reldb.Row, bool) { return columns, rows, true }
+}
+
+// rawQuery runs a statement the virtual catalog cannot express over the
+// engine's physical tables: every table the statement names is scanned
+// whole and the executor filters and joins. It only reads.
+func (p *Planner) rawQuery(sel *sqldb.SelectStmt, prof *ExecProfile) (*sqldb.Result, *Plan, error) {
 	prof.markPlanned()
-	res, err := p.store.SQL().Query(sqlText)
+	var scanned int64
+	res, err := sqldb.Execute(sel, func(name string) ([]string, []reldb.Row, bool) {
+		tab, ok := p.store.Table(name)
+		if !ok {
+			return nil, nil, false
+		}
+		schema := tab.Schema()
+		cols := make([]string, len(schema.Columns))
+		for i, c := range schema.Columns {
+			cols[i] = c.Name
+		}
+		var rows []reldb.Row
+		tab.Scan(func(_ int64, row reldb.Row) bool {
+			rows = append(rows, row)
+			return true
+		})
+		scanned += int64(len(rows))
+		return cols, rows, true
+	})
 	if err != nil {
 		return nil, nil, fmt.Errorf("planner: %v: %w", err, datastore.ErrBadSpec)
 	}
-	prof.RowsScanned = int64(len(res.Rows))
+	prof.RowsScanned = scanned
 	return res, &Plan{
 		Table:        sel.From.Table,
 		Strategy:     StrategyRawSQL,
 		EstRows:      int64(len(res.Rows)),
 		ActualRows:   int64(len(res.Rows)),
-		Materialized: int64(len(res.Rows)),
+		Materialized: scanned,
 		Profile:      prof,
 	}, nil
 }

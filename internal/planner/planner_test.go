@@ -357,18 +357,19 @@ func TestLeftoverStatisticsTableIgnored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := seedStore(t, fe, 40)
-	for _, ddl := range []string{
-		`CREATE TABLE table_statistics (
-			id INTEGER PRIMARY KEY, kind TEXT NOT NULL, name TEXT NOT NULL,
-			row_count INTEGER NOT NULL, distinct_count INTEGER NOT NULL,
-			segment_rows INTEGER NOT NULL, generation INTEGER NOT NULL
-		)`,
-		`CREATE INDEX table_statistics_name ON table_statistics (kind, name)`,
-	} {
-		if _, err := st.SQL().Exec(ddl); err != nil {
-			t.Fatal(err)
-		}
+	seedStore(t, fe, 40)
+	i64, text := reldb.KindInt, reldb.KindString
+	if err := fe.CreateTable(&reldb.Schema{
+		Name: "table_statistics",
+		Columns: []reldb.Column{
+			{Name: "id", Type: i64}, {Name: "kind", Type: text}, {Name: "name", Type: text},
+			{Name: "row_count", Type: i64}, {Name: "distinct_count", Type: i64},
+			{Name: "segment_rows", Type: i64}, {Name: "generation", Type: i64},
+		},
+		PrimaryKey: []string{"id"},
+		Indexes:    []reldb.IndexSpec{{Name: "table_statistics_name", Columns: []string{"kind", "name"}}},
+	}); err != nil {
+		t.Fatal(err)
 	}
 	// A stale claim: had anything read it, the cost model would see an
 	// empty performance_result.

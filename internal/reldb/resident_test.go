@@ -413,7 +413,7 @@ func TestSegmentReopenAttachesWithoutReinserting(t *testing.T) {
 }
 
 // TestSegmentIndexDDLCoversFlushedRows: an index created on a hot table
-// after its rows were flushed (migrateSchema does this to an old store)
+// after its rows were flushed (ensureSchema does this to an old store)
 // serves them, a dropped one is gone everywhere, and a unique index —
 // which segments cannot enforce — moves the table back to the row store.
 func TestSegmentIndexDDLCoversFlushedRows(t *testing.T) {

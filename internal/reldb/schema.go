@@ -140,8 +140,8 @@ func (s *Schema) CheckRow(r Row) error {
 }
 
 // DDL renders the schema as a CREATE TABLE statement (plus CREATE INDEX
-// statements) in the SQL subset understood by package sqldb. It is used to
-// print the live Figure 1 schema.
+// statements). It is used to print the live Figure 1 schema; nothing in
+// the repository parses it back.
 func (s *Schema) DDL() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "CREATE TABLE %s (\n", s.Name)

@@ -85,19 +85,32 @@ func (s *Server) handleSQL(w http.ResponseWriter, r *http.Request) {
 	rec.Rows = len(res.Rows)
 	rec.Profile = plan.ProfileWire()
 	s.queries.add(rec)
-	var wire *PlanWire
-	if req.Analyze {
-		wire = plan.WireAnalyze()
-	} else if req.Explain {
-		wire = plan.Wire()
-	}
 	s.log.Debug("sql", "strategy", plan.Strategy, "rows", len(res.Rows),
 		"est", plan.EstRows, "actual", plan.ActualRows, "cache_hit", plan.CacheHit,
 		"rid", RequestIDFromContext(r.Context()))
 	if v := r.URL.Query().Get("stream"); v == "1" || v == "true" {
-		s.streamSQL(w, res, req, wire)
+		s.streamSQL(w, res, req, sqlPlanWire(plan, req))
 		return
 	}
+	writeJSON(w, http.StatusOK, NewSQLResponse(res, plan, req))
+}
+
+// sqlPlanWire is the plan a request asked to see: with its execution
+// profile for Analyze, without for Explain, nil otherwise.
+func sqlPlanWire(plan *planner.Plan, req SQLRequest) *PlanWire {
+	switch {
+	case req.Analyze:
+		return plan.WireAnalyze()
+	case req.Explain:
+		return plan.Wire()
+	}
+	return nil
+}
+
+// NewSQLResponse builds the buffered /v1/sql reply for an executed
+// statement, applying the request's Limit. ptsql -db builds the same
+// body locally, so both of its doors print through one function.
+func NewSQLResponse(res *sqldb.Result, plan *planner.Plan, req SQLRequest) SQLResponse {
 	rows := res.Rows
 	truncated := false
 	if req.Limit > 0 && len(rows) > req.Limit {
@@ -110,12 +123,12 @@ func (s *Server) handleSQL(w http.ResponseWriter, r *http.Request) {
 		Rows:       make([][]any, 0, len(rows)),
 		RowCount:   len(res.Rows),
 		Truncated:  truncated,
-		Plan:       wire,
+		Plan:       sqlPlanWire(plan, req),
 	}
 	for _, row := range rows {
 		resp.Rows = append(resp.Rows, sqlRow(row))
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return resp
 }
 
 // streamSQL emits a completed result set as NDJSON. sqldb results are

@@ -5,15 +5,21 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"reflect"
 	"strings"
 	"testing"
 
+	"perftrack/internal/datastore"
+	"perftrack/internal/planner"
 	"perftrack/internal/query"
+	"perftrack/internal/shell"
+	"perftrack/internal/sqldb"
 )
 
 // seedTwoExecServer loads two small PTdf documents (tags a and b), so
@@ -253,6 +259,141 @@ func TestSelectionSameOnEveryRoute(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSQLSameOnEveryDoor runs one table of statements through every door
+// SQL text can arrive by — planner.Query planned and naive, POST /v1/sql
+// buffered and streamed, and the shell's sql command — and asserts one
+// answer: the same columns and the same cells. It covers both sources
+// the one executor reads: the virtual catalog and, for statements the
+// catalog cannot express, the physical tables.
+func TestSQLSameOnEveryDoor(t *testing.T) {
+	srv, ts := newTestServer(t, nil)
+	loadDoc(t, ts.URL, ptdfDoc("a", 5))
+	loadDoc(t, ts.URL, ptdfDoc("b", 5))
+
+	// wire is a result as JSON carries it, the form every door can be
+	// brought to.
+	wire := func(res *sqldb.Result) ([]string, [][]any) {
+		raw, err := json.Marshal(NewSQLResponse(res, &planner.Plan{}, SQLRequest{}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var resp SQLResponse
+		if err := json.Unmarshal(raw, &resp); err != nil {
+			t.Fatal(err)
+		}
+		return resp.Columns, resp.Rows
+	}
+	for name, stmt := range map[string]string{
+		"star over a virtual table": "SELECT * FROM performance_result LIMIT 3",
+		"grouped aggregate":         "SELECT metric, count(*), avg(value) FROM performance_result GROUP BY metric ORDER BY metric",
+		"family pseudo-column":      "SELECT execution, value FROM performance_result WHERE family = 'name=/app-a' ORDER BY id",
+		"physical columns":          "SELECT id, name FROM execution",
+		"three-way physical join": "SELECT e.name, m.name, pr.value FROM performance_result pr " +
+			"JOIN execution e ON pr.execution_id = e.id JOIN metric m ON pr.metric_id = m.id ORDER BY pr.id",
+		"float literal against an integer key": "SELECT name FROM execution WHERE id = 1.0",
+	} {
+		t.Run(name, func(t *testing.T) {
+			planned, _, err := planner.New(srv.store).Query(context.Background(), stmt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(planned.Rows) == 0 {
+				t.Fatal("statement matched nothing; the comparison would be empty")
+			}
+			wantCols, wantRows := wire(planned)
+			check := func(door string, cols []string, rows [][]any) {
+				t.Helper()
+				if !reflect.DeepEqual(cols, wantCols) {
+					t.Errorf("%s: columns %v, planner.Query says %v", door, cols, wantCols)
+				}
+				if !reflect.DeepEqual(rows, wantRows) {
+					t.Errorf("%s: rows %v, planner.Query says %v", door, rows, wantRows)
+				}
+			}
+
+			naive := planner.New(srv.store)
+			naive.Naive = true
+			res, _, err := naive.Query(context.Background(), stmt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			naiveCols, naiveRows := wire(res)
+			check("planner.Query naive", naiveCols, naiveRows)
+
+			var sr SQLResponse
+			if code, raw := postJSON(t, ts.URL+"/v1/sql", SQLRequest{SQL: stmt}, &sr); code != http.StatusOK {
+				t.Fatalf("/v1/sql: status %d: %s", code, raw)
+			}
+			check("/v1/sql", sr.Columns, sr.Rows)
+
+			body, _ := json.Marshal(SQLRequest{SQL: stmt})
+			r, err := http.Post(ts.URL+"/v1/sql?stream=1", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Body.Close()
+			var streamCols []string
+			var streamRows [][]any
+			sc := bufio.NewScanner(r.Body)
+			for sc.Scan() {
+				var line SQLStreamLine
+				if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
+					t.Fatalf("decode line %q: %v", sc.Text(), err)
+				}
+				switch {
+				case line.Columns != nil:
+					streamCols = line.Columns
+				case line.Row != nil:
+					streamRows = append(streamRows, line.Row)
+				}
+			}
+			check("/v1/sql?stream=1", streamCols, streamRows)
+
+			var out bytes.Buffer
+			sh := shell.New(srv.store, &out)
+			if err := sh.Run(strings.NewReader("sql "+stmt+"\n"), false); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := out.String(), planned.FormatTable(); got != want {
+				t.Errorf("shell sql prints\n%s\nplanner.Query says\n%s", got, want)
+			}
+		})
+	}
+}
+
+// TestNonSelectIsBadSpec pins the language as read-only on every door a
+// statement can reach: DML and DDL are ErrBadSpec (a 400 with the v1
+// envelope over HTTP) and leave the store exactly as it was.
+func TestNonSelectIsBadSpec(t *testing.T) {
+	srv, ts := newTestServer(t, nil)
+	loadDoc(t, ts.URL, ptdfDoc("a", 5))
+	gen, stats := srv.store.Generation(), srv.store.Stats()
+
+	for _, stmt := range []string{
+		"INSERT INTO metric (id, name) VALUES (99, 'injected')",
+		"UPDATE performance_result SET value = 0",
+		"DELETE FROM performance_result",
+		"CREATE TABLE x (id INTEGER PRIMARY KEY)",
+		"DROP TABLE performance_result",
+	} {
+		if _, _, err := planner.New(srv.store).Query(context.Background(), stmt); !errors.Is(err, datastore.ErrBadSpec) {
+			t.Errorf("planner.Query(%q): %v, want ErrBadSpec", stmt, err)
+		}
+		code, raw := postJSON(t, ts.URL+"/v1/sql", SQLRequest{SQL: stmt}, nil)
+		var er ErrorResponse
+		if err := json.Unmarshal([]byte(raw), &er); code != http.StatusBadRequest ||
+			err != nil || er.APIVersion != APIVersion || er.Error == "" {
+			t.Errorf("/v1/sql %q: status %d, body %s; want a 400 v1 error envelope", stmt, code, raw)
+		}
+	}
+	if got := srv.store.Generation(); got != gen {
+		t.Errorf("generation moved %d -> %d", gen, got)
+	}
+	if got := srv.store.Stats(); got != stats {
+		t.Errorf("store changed: %+v -> %+v", stats, got)
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 	"perftrack/internal/compare"
 	"perftrack/internal/core"
 	"perftrack/internal/datastore"
+	"perftrack/internal/planner"
 	"perftrack/internal/query"
 )
 
@@ -303,7 +304,7 @@ func (s *Session) Dispatch(line string) error {
 		fmt.Fprintf(s.out, "executions %d, resources %d, results %d, metrics %d\n",
 			st.Executions, st.Resources, st.Results, st.Metrics)
 	case "sql":
-		res, err := s.store.SQL().Query(rest)
+		res, _, err := planner.New(s.store).Query(context.Background(), rest)
 		if err != nil {
 			return err
 		}
@@ -369,7 +370,7 @@ func (s *Session) help() {
   import FILE.csv             read an exported table back in
   compare EXEC_A EXEC_B       §6 comparison operators + bottleneck diagnosis
   hist RESULT_ID              sparkline of a histogram-valued result
-  sql QUERY                   raw SQL against the store
+  sql SELECT ...              one SELECT over the virtual catalog (physical tables as fallback)
   stats                       store statistics
   quit
 `)

@@ -2,58 +2,6 @@ package sqldb
 
 import "perftrack/internal/reldb"
 
-// Statement is any parsed SQL statement.
-type Statement interface{ stmt() }
-
-// CreateTableStmt is CREATE TABLE.
-type CreateTableStmt struct {
-	Schema *reldb.Schema
-}
-
-// CreateIndexStmt is CREATE [UNIQUE] INDEX.
-type CreateIndexStmt struct {
-	Table string
-	Spec  reldb.IndexSpec
-}
-
-// DropIndexStmt is DROP INDEX name ON table.
-type DropIndexStmt struct {
-	Table string
-	Index string
-}
-
-// DropTableStmt is DROP TABLE.
-type DropTableStmt struct {
-	Table    string
-	IfExists bool
-}
-
-// InsertStmt is INSERT INTO ... VALUES.
-type InsertStmt struct {
-	Table   string
-	Columns []string // empty means full-row positional
-	Rows    [][]Expr
-}
-
-// UpdateStmt is UPDATE ... SET ... [WHERE].
-type UpdateStmt struct {
-	Table string
-	Set   []Assignment
-	Where Expr // nil means all rows
-}
-
-// Assignment is one SET column = expr clause.
-type Assignment struct {
-	Column string
-	Value  Expr
-}
-
-// DeleteStmt is DELETE FROM ... [WHERE].
-type DeleteStmt struct {
-	Table string
-	Where Expr
-}
-
 // SelectStmt is SELECT with optional JOINs, WHERE, GROUP BY, ORDER BY,
 // LIMIT/OFFSET.
 type SelectStmt struct {
@@ -104,15 +52,6 @@ type OrderItem struct {
 	Expr Expr
 	Desc bool
 }
-
-func (*CreateTableStmt) stmt() {}
-func (*CreateIndexStmt) stmt() {}
-func (*DropTableStmt) stmt()   {}
-func (*DropIndexStmt) stmt()   {}
-func (*InsertStmt) stmt()      {}
-func (*UpdateStmt) stmt()      {}
-func (*DeleteStmt) stmt()      {}
-func (*SelectStmt) stmt()      {}
 
 // Expr is a SQL expression tree node.
 type Expr interface{ expr() }

@@ -8,303 +8,75 @@ import (
 	"perftrack/internal/reldb"
 )
 
-// DB executes SQL statements against a reldb storage engine.
-type DB struct {
-	eng reldb.Engine
-}
-
-// Open wraps a storage engine in a SQL executor.
-func Open(eng reldb.Engine) *DB { return &DB{eng: eng} }
-
-// Engine returns the underlying storage engine.
-func (db *DB) Engine() reldb.Engine { return db.eng }
-
 // Result is a query result set.
 type Result struct {
 	Columns []string
 	Rows    []reldb.Row
 }
 
-// Exec parses and runs a statement that returns no rows (DDL, INSERT,
-// UPDATE, DELETE). It reports the number of affected rows.
-func (db *DB) Exec(query string) (int64, error) {
-	stmt, err := Parse(query)
-	if err != nil {
-		return 0, err
-	}
-	switch s := stmt.(type) {
-	case *CreateTableStmt:
-		if err := s.Schema.Validate(); err != nil {
-			return 0, err
-		}
-		return 0, db.eng.CreateTable(s.Schema)
-	case *CreateIndexStmt:
-		return 0, db.eng.CreateIndex(s.Table, s.Spec)
-	case *DropIndexStmt:
-		return 0, db.eng.DropIndex(s.Table, s.Index)
-	case *DropTableStmt:
-		err := db.eng.DropTable(s.Table)
-		if err != nil && s.IfExists {
-			return 0, nil
-		}
-		return 0, err
-	case *InsertStmt:
-		return db.execInsert(s)
-	case *UpdateStmt:
-		return db.execUpdate(s)
-	case *DeleteStmt:
-		return db.execDelete(s)
-	case *SelectStmt:
-		return 0, fmt.Errorf("sql: use Query for SELECT")
-	default:
-		return 0, fmt.Errorf("sql: unsupported statement %T", stmt)
-	}
-}
+// Source hands the executor the tables a statement names: each table's
+// column names in row order and its rows, or ok=false when there is no
+// such table. The executor only reads what it is handed (neither the
+// slice nor a row is modified), so a source decides what a statement can
+// see — the planner passes the virtual catalog's materialized rows or the
+// engine's physical tables.
+type Source func(table string) (columns []string, rows []reldb.Row, ok bool)
 
-// Query parses and runs a SELECT.
-func (db *DB) Query(query string) (*Result, error) {
-	stmt, err := Parse(query)
+// Execute runs a parsed SELECT over the tables src provides: FROM and
+// JOINs (hash join on an equi-condition, nested loop otherwise), WHERE,
+// then grouping with HAVING or plain projection, ORDER BY, DISTINCT and
+// LIMIT/OFFSET. The statement's WHERE is always applied here, so a source
+// may hand over a superset of the matching rows.
+func Execute(s *SelectStmt, src Source) (*Result, error) {
+	rows, f, err := buildInput(s, src)
 	if err != nil {
 		return nil, err
 	}
-	sel, ok := stmt.(*SelectStmt)
-	if !ok {
-		return nil, fmt.Errorf("sql: Query requires SELECT, got %T", stmt)
-	}
-	return db.execSelect(sel)
-}
-
-// QueryScalar runs a SELECT expected to return a single value.
-func (db *DB) QueryScalar(query string) (reldb.Value, error) {
-	res, err := db.Query(query)
-	if err != nil {
-		return reldb.Null(), err
-	}
-	if len(res.Rows) != 1 || len(res.Rows[0]) != 1 {
-		return reldb.Null(), fmt.Errorf("sql: scalar query returned %d rows x %d cols",
-			len(res.Rows), len(res.Columns))
-	}
-	return res.Rows[0][0], nil
-}
-
-func (db *DB) execInsert(s *InsertStmt) (int64, error) {
-	tab, ok := db.eng.Table(s.Table)
-	if !ok {
-		return 0, fmt.Errorf("sql: no table %q", s.Table)
-	}
-	schema := tab.Schema()
-	emptyFrame := &frame{}
-	var count int64
-	for _, exprRow := range s.Rows {
-		row := make(reldb.Row, len(schema.Columns))
-		if len(s.Columns) == 0 {
-			if len(exprRow) != len(schema.Columns) {
-				return count, fmt.Errorf("sql: INSERT has %d values, table %q has %d columns",
-					len(exprRow), s.Table, len(schema.Columns))
-			}
-			for i, e := range exprRow {
-				v, err := eval(e, emptyFrame, nil)
-				if err != nil {
-					return count, err
-				}
-				row[i] = v
-			}
-		} else {
-			if len(exprRow) != len(s.Columns) {
-				return count, fmt.Errorf("sql: INSERT names %d columns but has %d values",
-					len(s.Columns), len(exprRow))
-			}
-			for i := range row {
-				row[i] = reldb.Null()
-			}
-			for i, col := range s.Columns {
-				ci := schema.ColumnIndex(col)
-				if ci < 0 {
-					return count, fmt.Errorf("sql: table %q has no column %q", s.Table, col)
-				}
-				v, err := eval(exprRow[i], emptyFrame, nil)
-				if err != nil {
-					return count, err
-				}
-				row[ci] = v
-			}
-		}
-		if _, err := db.eng.Insert(s.Table, row); err != nil {
-			return count, err
-		}
-		count++
-	}
-	return count, nil
-}
-
-func (db *DB) execUpdate(s *UpdateStmt) (int64, error) {
-	tab, ok := db.eng.Table(s.Table)
-	if !ok {
-		return 0, fmt.Errorf("sql: no table %q", s.Table)
-	}
-	schema := tab.Schema()
-	f := frameForTable(s.Table, schema)
-	type pending struct {
-		id  int64
-		row reldb.Row
-	}
-	var updates []pending
-	var scanErr error
-	tab.Scan(func(id int64, row reldb.Row) bool {
-		if s.Where != nil {
-			v, err := eval(s.Where, f, row)
-			if err != nil {
-				scanErr = err
-				return false
-			}
-			if v.Kind() != reldb.KindBool || !v.Truth() {
-				return true
-			}
-		}
-		newRow := row.Clone()
-		for _, a := range s.Set {
-			ci := schema.ColumnIndex(a.Column)
-			if ci < 0 {
-				scanErr = fmt.Errorf("sql: table %q has no column %q", s.Table, a.Column)
-				return false
-			}
-			v, err := eval(a.Value, f, row)
-			if err != nil {
-				scanErr = err
-				return false
-			}
-			newRow[ci] = v
-		}
-		updates = append(updates, pending{id: id, row: newRow})
-		return true
-	})
-	if scanErr != nil {
-		return 0, scanErr
-	}
-	for _, u := range updates {
-		if err := db.eng.Update(s.Table, u.id, u.row); err != nil {
-			return 0, err
-		}
-	}
-	return int64(len(updates)), nil
-}
-
-func (db *DB) execDelete(s *DeleteStmt) (int64, error) {
-	tab, ok := db.eng.Table(s.Table)
-	if !ok {
-		return 0, fmt.Errorf("sql: no table %q", s.Table)
-	}
-	f := frameForTable(s.Table, tab.Schema())
-	var ids []int64
-	var scanErr error
-	tab.Scan(func(id int64, row reldb.Row) bool {
-		if s.Where != nil {
-			v, err := eval(s.Where, f, row)
-			if err != nil {
-				scanErr = err
-				return false
-			}
-			if v.Kind() != reldb.KindBool || !v.Truth() {
-				return true
-			}
-		}
-		ids = append(ids, id)
-		return true
-	})
-	if scanErr != nil {
-		return 0, scanErr
-	}
-	for _, id := range ids {
-		if err := db.eng.Delete(s.Table, id); err != nil {
-			return 0, err
-		}
-	}
-	return int64(len(ids)), nil
-}
-
-func frameForTable(alias string, schema *reldb.Schema) *frame {
-	f := &frame{}
-	for _, c := range schema.Columns {
-		f.cols = append(f.cols, colBinding{table: alias, column: c.Name})
-	}
-	return f
-}
-
-// --- SELECT execution ---
-
-func (db *DB) execSelect(s *SelectStmt) (*Result, error) {
-	rows, f, err := db.buildInput(s)
-	if err != nil {
-		return nil, err
-	}
-	// WHERE.
 	if s.Where != nil {
-		kept := rows[:0]
+		kept := make([]reldb.Row, 0, len(rows))
 		for _, row := range rows {
-			v, err := eval(s.Where, f, row)
+			ok, err := isTrue(s.Where, f, row)
 			if err != nil {
 				return nil, err
 			}
-			if v.Kind() == reldb.KindBool && v.Truth() {
+			if ok {
 				kept = append(kept, row)
 			}
 		}
 		rows = kept
 	}
-
-	grouped := len(s.GroupBy) > 0
-	if !grouped {
-		for _, item := range s.Items {
-			if item.Expr != nil && hasAggregate(item.Expr) {
-				grouped = true // implicit single group
-				break
-			}
-		}
-	}
-	if grouped {
+	if HasAggregates(s) {
 		return execGrouped(s, rows, f)
 	}
 	return execPlain(s, rows, f)
 }
 
-// buildInput scans the FROM table and applies JOIN clauses, producing the
+// frameFor binds column names under a table alias so qualified and
+// unqualified references both resolve.
+func frameFor(alias string, columns []string) *frame {
+	f := &frame{cols: make([]colBinding, len(columns))}
+	for i, c := range columns {
+		f.cols[i] = colBinding{table: alias, column: c}
+	}
+	return f
+}
+
+// buildInput reads the FROM table and applies JOIN clauses, producing the
 // combined rows and the column frame.
-func (db *DB) buildInput(s *SelectStmt) ([]reldb.Row, *frame, error) {
-	baseTab, ok := db.eng.Table(s.From.Table)
+func buildInput(s *SelectStmt, src Source) ([]reldb.Row, *frame, error) {
+	cols, rows, ok := src(s.From.Table)
 	if !ok {
 		return nil, nil, fmt.Errorf("sql: no table %q", s.From.Table)
 	}
-	f := frameForTable(s.From.name(), baseTab.Schema())
-	var rows []reldb.Row
-	// Single-table queries can use an access path derived from WHERE.
-	if len(s.Joins) == 0 && s.Where != nil {
-		if planned := db.plannedScan(baseTab, s.From.name(), s.Where); planned != nil {
-			rows = planned
-		}
-	}
-	if rows == nil {
-		baseTab.Scan(func(_ int64, row reldb.Row) bool {
-			rows = append(rows, row)
-			return true
-		})
-	}
+	f := frameFor(s.From.name(), cols)
 
 	for _, j := range s.Joins {
-		tab, ok := db.eng.Table(j.Table.Table)
+		rightCols, rightRows, ok := src(j.Table.Table)
 		if !ok {
 			return nil, nil, fmt.Errorf("sql: no table %q", j.Table.Table)
 		}
-		schema := tab.Schema()
-		rightName := j.Table.name()
-		rightFrame := frameForTable(rightName, schema)
-
+		rightFrame := frameFor(j.Table.name(), rightCols)
 		combined := &frame{cols: append(append([]colBinding{}, f.cols...), rightFrame.cols...)}
-
-		var rightRows []reldb.Row
-		tab.Scan(func(_ int64, row reldb.Row) bool {
-			rightRows = append(rightRows, row)
-			return true
-		})
 
 		// Try a hash join on an equi-condition a = b splitting across sides.
 		leftKey, rightKey := splitEquiJoin(j.On, f, rightFrame)
@@ -319,7 +91,7 @@ func (db *DB) buildInput(s *SelectStmt) ([]reldb.Row, *frame, error) {
 				if kv.IsNull() {
 					continue
 				}
-				k := string(reldb.EncodeKey(nil, kv))
+				k := joinKey(kv)
 				hash[k] = append(hash[k], rr)
 			}
 			for _, lr := range rows {
@@ -329,9 +101,9 @@ func (db *DB) buildInput(s *SelectStmt) ([]reldb.Row, *frame, error) {
 				}
 				matched := false
 				if !kv.IsNull() {
-					for _, rr := range hash[string(reldb.EncodeKey(nil, kv))] {
+					for _, rr := range hash[joinKey(kv)] {
 						joined := append(append(reldb.Row{}, lr...), rr...)
-						ok, err := onMatches(j.On, combined, joined)
+						ok, err := isTrue(j.On, combined, joined)
 						if err != nil {
 							return nil, nil, err
 						}
@@ -342,7 +114,7 @@ func (db *DB) buildInput(s *SelectStmt) ([]reldb.Row, *frame, error) {
 					}
 				}
 				if j.Left && !matched {
-					out = append(out, padRight(lr, len(schema.Columns)))
+					out = append(out, padRight(lr, len(rightCols)))
 				}
 			}
 		} else {
@@ -351,7 +123,7 @@ func (db *DB) buildInput(s *SelectStmt) ([]reldb.Row, *frame, error) {
 				matched := false
 				for _, rr := range rightRows {
 					joined := append(append(reldb.Row{}, lr...), rr...)
-					ok, err := onMatches(j.On, combined, joined)
+					ok, err := isTrue(j.On, combined, joined)
 					if err != nil {
 						return nil, nil, err
 					}
@@ -361,7 +133,7 @@ func (db *DB) buildInput(s *SelectStmt) ([]reldb.Row, *frame, error) {
 					}
 				}
 				if j.Left && !matched {
-					out = append(out, padRight(lr, len(schema.Columns)))
+					out = append(out, padRight(lr, len(rightCols)))
 				}
 			}
 		}
@@ -369,6 +141,16 @@ func (db *DB) buildInput(s *SelectStmt) ([]reldb.Row, *frame, error) {
 		f = combined
 	}
 	return rows, f, nil
+}
+
+// joinKey is the hash-join bucket of a key value. Integers bucket as
+// floats because the ON condition compares 1 and 1.0 equal; a bucket may
+// therefore hold near misses, which re-evaluating ON per pair rejects.
+func joinKey(v reldb.Value) string {
+	if v.Kind() == reldb.KindInt {
+		v = reldb.Float(float64(v.Int64()))
+	}
+	return string(reldb.EncodeKey(nil, v))
 }
 
 func padRight(left reldb.Row, n int) reldb.Row {
@@ -379,8 +161,9 @@ func padRight(left reldb.Row, n int) reldb.Row {
 	return out
 }
 
-func onMatches(on Expr, f *frame, row reldb.Row) (bool, error) {
-	v, err := eval(on, f, row)
+// isTrue evaluates a predicate; only an exact boolean true keeps a row.
+func isTrue(pred Expr, f *frame, row reldb.Row) (bool, error) {
+	v, err := eval(pred, f, row)
 	if err != nil {
 		return false, err
 	}
@@ -428,93 +211,6 @@ func resolvesIn(e Expr, f *frame) bool {
 	default:
 		return false
 	}
-}
-
-// plannedScan inspects WHERE for equality conjuncts over indexed columns
-// and returns pre-filtered rows using the best access path, or nil to fall
-// back to a full scan. The full WHERE is still applied afterward, so the
-// plan only needs to be a superset of the matching rows.
-func (db *DB) plannedScan(tab *reldb.Table, alias string, where Expr) []reldb.Row {
-	eqs := map[string]reldb.Value{}
-	collectEqualities(where, alias, eqs)
-	if len(eqs) == 0 {
-		return nil
-	}
-	schema := tab.Schema()
-	// Primary-key point lookup.
-	if len(schema.PrimaryKey) == 1 {
-		if v, ok := eqs[schema.PrimaryKey[0]]; ok {
-			row, _, found := tab.GetByPK(v)
-			if !found {
-				return []reldb.Row{}
-			}
-			return []reldb.Row{row}
-		}
-	}
-	// Longest matching index prefix.
-	bestName, bestLen := "", 0
-	var bestPrefix []reldb.Value
-	for col, v := range eqs {
-		if name := tab.IndexOnColumns(col); name != "" && 1 > bestLen {
-			bestName, bestLen = name, 1
-			bestPrefix = []reldb.Value{v}
-		}
-		// Try two-column prefixes.
-		for col2, v2 := range eqs {
-			if col2 == col {
-				continue
-			}
-			if name := tab.IndexOnColumns(col, col2); name != "" && 2 > bestLen {
-				bestName, bestLen = name, 2
-				bestPrefix = []reldb.Value{v, v2}
-			}
-		}
-	}
-	if bestName == "" {
-		return nil
-	}
-	var rows []reldb.Row
-	if err := tab.IndexScan(bestName, bestPrefix, func(_ int64, row reldb.Row) bool {
-		rows = append(rows, row)
-		return true
-	}); err != nil {
-		return nil
-	}
-	return rows
-}
-
-// collectEqualities gathers col = literal conjuncts (under ANDs only) whose
-// column references the given table alias or is unqualified.
-func collectEqualities(e Expr, alias string, out map[string]reldb.Value) {
-	be, ok := e.(*BinaryExpr)
-	if !ok {
-		return
-	}
-	switch be.Op {
-	case "AND":
-		collectEqualities(be.L, alias, out)
-		collectEqualities(be.R, alias, out)
-	case "=":
-		if col, lit, ok := colLitPair(be.L, be.R); ok {
-			if col.Table == "" || col.Table == alias {
-				out[col.Column] = lit
-			}
-		}
-	}
-}
-
-func colLitPair(a, b Expr) (*ColumnRef, reldb.Value, bool) {
-	if c, ok := a.(*ColumnRef); ok {
-		if l, ok := b.(*Literal); ok {
-			return c, l.Value, true
-		}
-	}
-	if c, ok := b.(*ColumnRef); ok {
-		if l, ok := a.(*Literal); ok {
-			return c, l.Value, true
-		}
-	}
-	return nil, reldb.Null(), false
 }
 
 // execPlain handles non-aggregated SELECT: projection, DISTINCT, ORDER BY,
@@ -998,23 +694,33 @@ func finishGrouped(s *SelectStmt, f *frame, aggs []*FuncExpr, ordered []*group) 
 
 // FormatTable renders a result set as an aligned text table for CLI output.
 func (r *Result) FormatTable() string {
-	widths := make([]int, len(r.Columns))
-	for i, c := range r.Columns {
-		widths[i] = len(c)
-	}
 	cells := make([][]string, len(r.Rows))
 	for ri, row := range r.Rows {
 		cells[ri] = make([]string, len(row))
 		for ci, v := range row {
-			s := v.String()
-			cells[ri][ci] = s
+			cells[ri][ci] = v.String()
+		}
+	}
+	return FormatCells(r.Columns, cells)
+}
+
+// FormatCells lays already-rendered cells out as FormatTable does: a
+// header, a dashed rule, and one line per row, columns padded to the
+// widest entry.
+func FormatCells(columns []string, cells [][]string) string {
+	widths := make([]int, len(columns))
+	for i, c := range columns {
+		widths[i] = len(c)
+	}
+	for _, row := range cells {
+		for ci, s := range row {
 			if ci < len(widths) && len(s) > widths[ci] {
 				widths[ci] = len(s)
 			}
 		}
 	}
 	var b strings.Builder
-	for i, c := range r.Columns {
+	for i, c := range columns {
 		if i > 0 {
 			b.WriteString("  ")
 		}

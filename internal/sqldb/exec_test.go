@@ -1,43 +1,97 @@
 package sqldb
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 
 	"perftrack/internal/reldb"
 )
 
-func testDB(t *testing.T) *DB {
-	t.Helper()
-	db := Open(reldb.NewMem())
-	mustExec(t, db, `CREATE TABLE emp (
-		id INTEGER PRIMARY KEY,
-		name TEXT NOT NULL,
-		dept TEXT,
-		salary REAL,
-		boss INTEGER
-	)`)
-	mustExec(t, db, "CREATE INDEX emp_dept ON emp (dept)")
-	mustExec(t, db, `INSERT INTO emp (id, name, dept, salary, boss) VALUES
-		(1, 'ada', 'eng', 120.0, NULL),
-		(2, 'bob', 'eng', 100.0, 1),
-		(3, 'carol', 'ops', 90.0, 1),
-		(4, 'dave', 'ops', 80.0, 3),
-		(5, 'eve', NULL, 70.0, 3)`)
-	return db
-}
+// testDB is the door these tests query through: Parse, then Execute over
+// a source that reads an engine's tables whole, as the planner's raw-sql
+// path does.
+type testDB struct{ eng reldb.Engine }
 
-func mustExec(t *testing.T, db *DB, q string) int64 {
-	t.Helper()
-	n, err := db.Exec(q)
+func (db testDB) Query(q string) (*Result, error) {
+	sel, err := Parse(q)
 	if err != nil {
-		t.Fatalf("Exec(%q): %v", q, err)
+		return nil, err
 	}
-	return n
+	return Execute(sel, func(name string) ([]string, []reldb.Row, bool) {
+		tab, ok := db.eng.Table(name)
+		if !ok {
+			return nil, nil, false
+		}
+		var cols []string
+		for _, c := range tab.Schema().Columns {
+			cols = append(cols, c.Name)
+		}
+		var rows []reldb.Row
+		tab.Scan(func(_ int64, row reldb.Row) bool {
+			rows = append(rows, row)
+			return true
+		})
+		return cols, rows, true
+	})
 }
 
-func mustQuery(t *testing.T, db *DB, q string) *Result {
+// mkTable builds one fixture table through the engine: columns are
+// "name TYPE" (nullable) or "name TYPE!" (NOT NULL), the first column is
+// the primary key, and each index covers one column.
+func mkTable(t testing.TB, eng reldb.Engine, name string, columns, indexes []string, rows ...reldb.Row) {
+	t.Helper()
+	kinds := map[string]reldb.Kind{"INTEGER": reldb.KindInt, "REAL": reldb.KindFloat, "TEXT": reldb.KindString}
+	schema := &reldb.Schema{Name: name}
+	for i, c := range columns {
+		col, typ, _ := strings.Cut(c, " ")
+		notNull := strings.HasSuffix(typ, "!") || i == 0
+		schema.Columns = append(schema.Columns, reldb.Column{
+			Name: col, Type: kinds[strings.TrimSuffix(typ, "!")], Nullable: !notNull,
+		})
+	}
+	schema.PrimaryKey = []string{schema.Columns[0].Name}
+	for _, col := range indexes {
+		schema.Indexes = append(schema.Indexes, reldb.IndexSpec{Name: name + "_" + col, Columns: []string{col}})
+	}
+	if err := eng.CreateTable(schema); err != nil {
+		t.Fatalf("CreateTable(%s): %v", name, err)
+	}
+	for _, row := range rows {
+		if _, err := eng.Insert(name, row); err != nil {
+			t.Fatalf("Insert(%s, %v): %v", name, row, err)
+		}
+	}
+}
+
+var (
+	null = reldb.Null()
+	num  = reldb.Int
+	flt  = reldb.Float
+	str  = reldb.Str
+)
+
+var empColumns = []string{"id INTEGER", "name TEXT!", "dept TEXT", "salary REAL", "boss INTEGER"}
+
+func testDBOn(t testing.TB, eng reldb.Engine) testDB {
+	mkTable(t, eng, "emp", empColumns, []string{"dept"},
+		reldb.Row{num(1), str("ada"), str("eng"), flt(120), null},
+		reldb.Row{num(2), str("bob"), str("eng"), flt(100), num(1)},
+		reldb.Row{num(3), str("carol"), str("ops"), flt(90), num(1)},
+		reldb.Row{num(4), str("dave"), str("ops"), flt(80), num(3)},
+		reldb.Row{num(5), str("eve"), null, flt(70), num(3)})
+	return testDB{eng}
+}
+
+func newTestDB(t testing.TB) testDB { return testDBOn(t, reldb.NewMem()) }
+
+// addDept adds the second table the join tests use.
+func addDept(t *testing.T, db testDB) {
+	mkTable(t, db.eng, "dept", []string{"code TEXT", "title TEXT"}, nil,
+		reldb.Row{str("eng"), str("Engineering")},
+		reldb.Row{str("ops"), str("Operations")})
+}
+
+func mustQuery(t *testing.T, db testDB, q string) *Result {
 	t.Helper()
 	r, err := db.Query(q)
 	if err != nil {
@@ -59,7 +113,7 @@ func rowStrings(r *Result) []string {
 }
 
 func TestSelectAll(t *testing.T) {
-	db := testDB(t)
+	db := newTestDB(t)
 	r := mustQuery(t, db, "SELECT * FROM emp")
 	if len(r.Rows) != 5 || len(r.Columns) != 5 {
 		t.Fatalf("rows=%d cols=%v", len(r.Rows), r.Columns)
@@ -69,8 +123,8 @@ func TestSelectAll(t *testing.T) {
 	}
 }
 
-func TestSelectWherePKUsesPointLookup(t *testing.T) {
-	db := testDB(t)
+func TestSelectWherePrimaryKeyReturnsRow(t *testing.T) {
+	db := newTestDB(t)
 	r := mustQuery(t, db, "SELECT name FROM emp WHERE id = 3")
 	if len(r.Rows) != 1 || r.Rows[0][0].Text() != "carol" {
 		t.Fatalf("got %v", rowStrings(r))
@@ -82,8 +136,8 @@ func TestSelectWherePKUsesPointLookup(t *testing.T) {
 	}
 }
 
-func TestSelectWhereIndexedColumn(t *testing.T) {
-	db := testDB(t)
+func TestSelectWhereIndexedColumnReturnsRows(t *testing.T) {
+	db := newTestDB(t)
 	r := mustQuery(t, db, "SELECT name FROM emp WHERE dept = 'eng' ORDER BY name")
 	got := rowStrings(r)
 	if len(got) != 2 || got[0] != "ada" || got[1] != "bob" {
@@ -92,7 +146,7 @@ func TestSelectWhereIndexedColumn(t *testing.T) {
 }
 
 func TestSelectComparisonsAndLogic(t *testing.T) {
-	db := testDB(t)
+	db := newTestDB(t)
 	r := mustQuery(t, db, "SELECT name FROM emp WHERE salary >= 90 AND salary < 120 ORDER BY name")
 	got := rowStrings(r)
 	if strings.Join(got, ",") != "bob,carol" {
@@ -105,7 +159,7 @@ func TestSelectComparisonsAndLogic(t *testing.T) {
 }
 
 func TestSelectNullSemantics(t *testing.T) {
-	db := testDB(t)
+	db := newTestDB(t)
 	// dept = NULL never matches; IS NULL does.
 	r := mustQuery(t, db, "SELECT name FROM emp WHERE dept = NULL")
 	if len(r.Rows) != 0 {
@@ -127,7 +181,7 @@ func TestSelectNullSemantics(t *testing.T) {
 }
 
 func TestSelectInBetweenLike(t *testing.T) {
-	db := testDB(t)
+	db := newTestDB(t)
 	r := mustQuery(t, db, "SELECT name FROM emp WHERE id IN (1, 3, 5) ORDER BY id")
 	if strings.Join(rowStrings(r), ",") != "ada,carol,eve" {
 		t.Errorf("IN got %v", rowStrings(r))
@@ -147,7 +201,7 @@ func TestSelectInBetweenLike(t *testing.T) {
 }
 
 func TestSelectArithmetic(t *testing.T) {
-	db := testDB(t)
+	db := newTestDB(t)
 	r := mustQuery(t, db, "SELECT salary * 2 + 1 FROM emp WHERE id = 4")
 	if r.Rows[0][0].Float64() != 161 {
 		t.Errorf("got %v", r.Rows[0][0])
@@ -163,7 +217,7 @@ func TestSelectArithmetic(t *testing.T) {
 }
 
 func TestSelectOrderByMulti(t *testing.T) {
-	db := testDB(t)
+	db := newTestDB(t)
 	r := mustQuery(t, db, "SELECT dept, name FROM emp WHERE dept IS NOT NULL ORDER BY dept DESC, name ASC")
 	got := rowStrings(r)
 	want := []string{"ops|carol", "ops|dave", "eng|ada", "eng|bob"}
@@ -173,7 +227,7 @@ func TestSelectOrderByMulti(t *testing.T) {
 }
 
 func TestSelectOrderByPositionAndAlias(t *testing.T) {
-	db := testDB(t)
+	db := newTestDB(t)
 	r := mustQuery(t, db, "SELECT name AS n, salary FROM emp ORDER BY 2 DESC LIMIT 1")
 	if r.Rows[0][0].Text() != "ada" {
 		t.Errorf("got %v", rowStrings(r))
@@ -185,7 +239,7 @@ func TestSelectOrderByPositionAndAlias(t *testing.T) {
 }
 
 func TestSelectLimitOffset(t *testing.T) {
-	db := testDB(t)
+	db := newTestDB(t)
 	r := mustQuery(t, db, "SELECT id FROM emp ORDER BY id LIMIT 2 OFFSET 2")
 	if strings.Join(rowStrings(r), ",") != "3,4" {
 		t.Errorf("got %v", rowStrings(r))
@@ -197,7 +251,7 @@ func TestSelectLimitOffset(t *testing.T) {
 }
 
 func TestSelectDistinct(t *testing.T) {
-	db := testDB(t)
+	db := newTestDB(t)
 	r := mustQuery(t, db, "SELECT DISTINCT dept FROM emp WHERE dept IS NOT NULL ORDER BY dept")
 	if strings.Join(rowStrings(r), ",") != "eng,ops" {
 		t.Errorf("got %v", rowStrings(r))
@@ -205,7 +259,7 @@ func TestSelectDistinct(t *testing.T) {
 }
 
 func TestAggregatesWholeTable(t *testing.T) {
-	db := testDB(t)
+	db := newTestDB(t)
 	r := mustQuery(t, db, "SELECT COUNT(*), COUNT(dept), SUM(salary), AVG(salary), MIN(salary), MAX(salary) FROM emp")
 	row := r.Rows[0]
 	if row[0].Int64() != 5 || row[1].Int64() != 4 {
@@ -220,8 +274,8 @@ func TestAggregatesWholeTable(t *testing.T) {
 }
 
 func TestAggregateEmptyTable(t *testing.T) {
-	db := testDB(t)
-	mustExec(t, db, "DELETE FROM emp")
+	db := testDB{reldb.NewMem()}
+	mkTable(t, db.eng, "emp", empColumns, nil)
 	r := mustQuery(t, db, "SELECT COUNT(*), SUM(salary), MIN(salary) FROM emp")
 	row := r.Rows[0]
 	if row[0].Int64() != 0 {
@@ -233,7 +287,7 @@ func TestAggregateEmptyTable(t *testing.T) {
 }
 
 func TestGroupBy(t *testing.T) {
-	db := testDB(t)
+	db := newTestDB(t)
 	r := mustQuery(t, db, `SELECT dept, COUNT(*) AS n, AVG(salary) AS avg_sal
 		FROM emp WHERE dept IS NOT NULL
 		GROUP BY dept ORDER BY dept`)
@@ -245,7 +299,7 @@ func TestGroupBy(t *testing.T) {
 }
 
 func TestGroupByOrderByAggregate(t *testing.T) {
-	db := testDB(t)
+	db := newTestDB(t)
 	r := mustQuery(t, db, `SELECT dept, SUM(salary) FROM emp WHERE dept IS NOT NULL
 		GROUP BY dept ORDER BY SUM(salary) DESC`)
 	if r.Rows[0][0].Text() != "eng" {
@@ -254,7 +308,7 @@ func TestGroupByOrderByAggregate(t *testing.T) {
 }
 
 func TestHaving(t *testing.T) {
-	db := testDB(t)
+	db := newTestDB(t)
 	r := mustQuery(t, db, `SELECT dept, COUNT(*) FROM emp WHERE dept IS NOT NULL
 		GROUP BY dept HAVING AVG(salary) > 100 ORDER BY dept`)
 	if len(r.Rows) != 1 || r.Rows[0][0].Text() != "eng" {
@@ -278,7 +332,7 @@ func TestHaving(t *testing.T) {
 }
 
 func TestCountDistinct(t *testing.T) {
-	db := testDB(t)
+	db := newTestDB(t)
 	r := mustQuery(t, db, "SELECT COUNT(DISTINCT dept) FROM emp")
 	if r.Rows[0][0].Int64() != 2 {
 		t.Errorf("COUNT(DISTINCT dept) = %v", r.Rows[0][0])
@@ -286,7 +340,7 @@ func TestCountDistinct(t *testing.T) {
 }
 
 func TestAggregateArithmetic(t *testing.T) {
-	db := testDB(t)
+	db := newTestDB(t)
 	r := mustQuery(t, db, "SELECT MAX(salary) - MIN(salary) FROM emp")
 	if r.Rows[0][0].Float64() != 50 {
 		t.Errorf("range = %v", r.Rows[0][0])
@@ -294,7 +348,7 @@ func TestAggregateArithmetic(t *testing.T) {
 }
 
 func TestInnerJoin(t *testing.T) {
-	db := testDB(t)
+	db := newTestDB(t)
 	// Self join: employee with boss name.
 	r := mustQuery(t, db, `SELECT e.name, b.name FROM emp e
 		JOIN emp b ON e.boss = b.id ORDER BY e.id`)
@@ -303,10 +357,17 @@ func TestInnerJoin(t *testing.T) {
 	if strings.Join(got, " ") != strings.Join(want, " ") {
 		t.Errorf("got %v", got)
 	}
+	// The hash join must match what the ON condition's own comparison
+	// matches: an integer key equals the float of the same value.
+	r = mustQuery(t, db, `SELECT e.name, b.name FROM emp e
+		JOIN emp b ON e.boss = b.id + 0.0 ORDER BY e.id`)
+	if got := rowStrings(r); strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("int = float join got %v", got)
+	}
 }
 
 func TestLeftJoin(t *testing.T) {
-	db := testDB(t)
+	db := newTestDB(t)
 	r := mustQuery(t, db, `SELECT e.name, b.name FROM emp e
 		LEFT JOIN emp b ON e.boss = b.id ORDER BY e.id`)
 	if len(r.Rows) != 5 {
@@ -318,9 +379,8 @@ func TestLeftJoin(t *testing.T) {
 }
 
 func TestJoinSecondTable(t *testing.T) {
-	db := testDB(t)
-	mustExec(t, db, "CREATE TABLE dept (code TEXT PRIMARY KEY, title TEXT)")
-	mustExec(t, db, "INSERT INTO dept VALUES ('eng', 'Engineering'), ('ops', 'Operations')")
+	db := newTestDB(t)
+	addDept(t, db)
 	r := mustQuery(t, db, `SELECT e.name, d.title FROM emp e
 		JOIN dept d ON e.dept = d.code WHERE e.salary > 95 ORDER BY e.id`)
 	got := rowStrings(r)
@@ -331,9 +391,8 @@ func TestJoinSecondTable(t *testing.T) {
 }
 
 func TestThreeWayJoin(t *testing.T) {
-	db := testDB(t)
-	mustExec(t, db, "CREATE TABLE dept (code TEXT PRIMARY KEY, title TEXT)")
-	mustExec(t, db, "INSERT INTO dept VALUES ('eng', 'Engineering'), ('ops', 'Operations')")
+	db := newTestDB(t)
+	addDept(t, db)
 	r := mustQuery(t, db, `SELECT e.name, b.name, d.title FROM emp e
 		JOIN emp b ON e.boss = b.id
 		JOIN dept d ON e.dept = d.code
@@ -347,7 +406,7 @@ func TestThreeWayJoin(t *testing.T) {
 }
 
 func TestJoinGroupBy(t *testing.T) {
-	db := testDB(t)
+	db := newTestDB(t)
 	r := mustQuery(t, db, `SELECT b.name, COUNT(*) FROM emp e
 		JOIN emp b ON e.boss = b.id GROUP BY b.name ORDER BY b.name`)
 	got := rowStrings(r)
@@ -357,65 +416,8 @@ func TestJoinGroupBy(t *testing.T) {
 	}
 }
 
-func TestUpdateRows(t *testing.T) {
-	db := testDB(t)
-	n := mustExec(t, db, "UPDATE emp SET salary = salary + 10 WHERE dept = 'ops'")
-	if n != 2 {
-		t.Fatalf("updated %d, want 2", n)
-	}
-	r := mustQuery(t, db, "SELECT salary FROM emp WHERE id = 3")
-	if r.Rows[0][0].Float64() != 100 {
-		t.Errorf("salary = %v", r.Rows[0][0])
-	}
-}
-
-func TestUpdateAllRows(t *testing.T) {
-	db := testDB(t)
-	n := mustExec(t, db, "UPDATE emp SET dept = 'all'")
-	if n != 5 {
-		t.Errorf("updated %d, want 5", n)
-	}
-}
-
-func TestDeleteRows(t *testing.T) {
-	db := testDB(t)
-	n := mustExec(t, db, "DELETE FROM emp WHERE salary < 90")
-	if n != 2 {
-		t.Fatalf("deleted %d, want 2", n)
-	}
-	r := mustQuery(t, db, "SELECT COUNT(*) FROM emp")
-	if r.Rows[0][0].Int64() != 3 {
-		t.Errorf("remaining = %v", r.Rows[0][0])
-	}
-}
-
-func TestInsertNamedColumnsDefaultsNull(t *testing.T) {
-	db := testDB(t)
-	mustExec(t, db, "INSERT INTO emp (id, name) VALUES (10, 'zed')")
-	r := mustQuery(t, db, "SELECT dept, salary FROM emp WHERE id = 10")
-	if !r.Rows[0][0].IsNull() || !r.Rows[0][1].IsNull() {
-		t.Errorf("unnamed columns should be NULL: %v", rowStrings(r))
-	}
-}
-
-func TestInsertErrors(t *testing.T) {
-	db := testDB(t)
-	bad := []string{
-		"INSERT INTO missing VALUES (1)",
-		"INSERT INTO emp VALUES (1, 'x')",              // arity
-		"INSERT INTO emp (id, nosuch) VALUES (1, 'x')", // bad column
-		"INSERT INTO emp (id, name) VALUES (1, 'dup')", // PK collision
-		"INSERT INTO emp (id) VALUES (100)",            // name NOT NULL
-	}
-	for _, q := range bad {
-		if _, err := db.Exec(q); err == nil {
-			t.Errorf("Exec(%q) should fail", q)
-		}
-	}
-}
-
 func TestQueryErrors(t *testing.T) {
-	db := testDB(t)
+	db := newTestDB(t)
 	bad := []string{
 		"SELECT nosuch FROM emp",
 		"SELECT name FROM missing",
@@ -432,59 +434,17 @@ func TestQueryErrors(t *testing.T) {
 	if _, err := db.Query("UPDATE emp SET dept = 'x'"); err == nil {
 		t.Error("Query on UPDATE should fail")
 	}
-	if _, err := db.Exec("SELECT * FROM emp"); err == nil {
-		t.Error("Exec on SELECT should fail")
-	}
 }
 
 func TestAmbiguousColumn(t *testing.T) {
-	db := testDB(t)
+	db := newTestDB(t)
 	if _, err := db.Query("SELECT name FROM emp e JOIN emp b ON e.boss = b.id"); err == nil {
 		t.Error("ambiguous column should fail")
 	}
 }
 
-func TestQueryScalar(t *testing.T) {
-	db := testDB(t)
-	v, err := db.QueryScalar("SELECT COUNT(*) FROM emp")
-	if err != nil || v.Int64() != 5 {
-		t.Errorf("scalar = %v, %v", v, err)
-	}
-	if _, err := db.QueryScalar("SELECT id FROM emp"); err == nil {
-		t.Error("multi-row scalar should fail")
-	}
-}
-
-func TestDropIndexStatement(t *testing.T) {
-	db := testDB(t)
-	mustExec(t, db, "DROP INDEX emp_dept ON emp")
-	tab, _ := db.Engine().Table("emp")
-	if tab.HasIndex("emp_dept") {
-		t.Error("index survives DROP INDEX")
-	}
-	// Queries on the column still work via full scan.
-	r := mustQuery(t, db, "SELECT name FROM emp WHERE dept = 'eng' ORDER BY name")
-	if len(r.Rows) != 2 {
-		t.Errorf("got %v", rowStrings(r))
-	}
-	if _, err := db.Exec("DROP INDEX emp_dept ON emp"); err == nil {
-		t.Error("double DROP INDEX accepted")
-	}
-	if _, err := db.Exec("DROP INDEX x ON missing"); err == nil {
-		t.Error("DROP INDEX on missing table accepted")
-	}
-}
-
-func TestDropIfExists(t *testing.T) {
-	db := testDB(t)
-	mustExec(t, db, "DROP TABLE IF EXISTS nosuch")
-	if _, err := db.Exec("DROP TABLE nosuch"); err == nil {
-		t.Error("DROP of missing table should fail without IF EXISTS")
-	}
-}
-
 func TestFormatTable(t *testing.T) {
-	db := testDB(t)
+	db := newTestDB(t)
 	r := mustQuery(t, db, "SELECT id, name FROM emp WHERE id <= 2 ORDER BY id")
 	out := r.FormatTable()
 	if !strings.Contains(out, "id") || !strings.Contains(out, "ada") || !strings.Contains(out, "---") {
@@ -498,9 +458,8 @@ func TestSQLOnFileEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db := Open(fe)
-	mustExec(t, db, "CREATE TABLE kv (k TEXT PRIMARY KEY, v INTEGER)")
-	mustExec(t, db, "INSERT INTO kv VALUES ('a', 1), ('b', 2)")
+	mkTable(t, fe, "kv", []string{"k TEXT", "v INTEGER"}, nil,
+		reldb.Row{str("a"), num(1)}, reldb.Row{str("b"), num(2)})
 	fe.Close()
 
 	fe2, err := reldb.OpenFile(dir)
@@ -508,15 +467,14 @@ func TestSQLOnFileEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fe2.Close()
-	db2 := Open(fe2)
-	r := mustQuery(t, db2, "SELECT v FROM kv WHERE k = 'b'")
+	r := mustQuery(t, testDB{fe2}, "SELECT v FROM kv WHERE k = 'b'")
 	if r.Rows[0][0].Int64() != 2 {
 		t.Errorf("got %v", rowStrings(r))
 	}
 }
 
 func TestSelectTableStarInJoin(t *testing.T) {
-	db := testDB(t)
+	db := newTestDB(t)
 	r := mustQuery(t, db, "SELECT e.* FROM emp e JOIN emp b ON e.boss = b.id WHERE e.id = 2")
 	if len(r.Columns) != 5 || r.Rows[0][1].Text() != "bob" {
 		t.Errorf("got cols=%v rows=%v", r.Columns, rowStrings(r))
@@ -524,17 +482,12 @@ func TestSelectTableStarInJoin(t *testing.T) {
 }
 
 func TestLargeScanAndAggregate(t *testing.T) {
-	db := Open(reldb.NewMem())
-	mustExec(t, db, "CREATE TABLE big (id INTEGER PRIMARY KEY, grp INTEGER, v REAL)")
-	var sb strings.Builder
-	sb.WriteString("INSERT INTO big VALUES ")
-	for i := 0; i < 1000; i++ {
-		if i > 0 {
-			sb.WriteString(", ")
-		}
-		fmt.Fprintf(&sb, "(%d, %d, %d.5)", i, i%10, i)
+	db := testDB{reldb.NewMem()}
+	var rows []reldb.Row
+	for i := int64(0); i < 1000; i++ {
+		rows = append(rows, reldb.Row{num(i), num(i % 10), flt(float64(i) + 0.5)})
 	}
-	mustExec(t, db, sb.String())
+	mkTable(t, db.eng, "big", []string{"id INTEGER", "grp INTEGER", "v REAL"}, nil, rows...)
 	r := mustQuery(t, db, "SELECT grp, COUNT(*) FROM big GROUP BY grp ORDER BY grp")
 	if len(r.Rows) != 10 {
 		t.Fatalf("groups = %d", len(r.Rows))

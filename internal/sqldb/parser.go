@@ -14,14 +14,18 @@ type parser struct {
 	pos  int
 }
 
-// Parse parses one SQL statement. A trailing semicolon is permitted.
-func Parse(input string) (Statement, error) {
+// Parse parses one SELECT statement. A trailing semicolon is permitted.
+// The language is read-only: any other statement is a parse error.
+func Parse(input string) (*SelectStmt, error) {
 	toks, err := lex(input)
 	if err != nil {
 		return nil, err
 	}
 	p := &parser{toks: toks}
-	stmt, err := p.parseStatement()
+	if t := p.peek(); t.kind != tokKeyword || t.text != "SELECT" {
+		return nil, p.errorf("only SELECT statements are supported, got %q", t.text)
+	}
+	stmt, err := p.parseSelect()
 	if err != nil {
 		return nil, err
 	}
@@ -82,352 +86,6 @@ func (p *parser) ident() (string, error) {
 	return "", p.errorf("expected identifier, got %q", t.text)
 }
 
-func (p *parser) parseStatement() (Statement, error) {
-	t := p.peek()
-	if t.kind != tokKeyword {
-		return nil, p.errorf("expected statement keyword, got %q", t.text)
-	}
-	switch t.text {
-	case "CREATE":
-		return p.parseCreate()
-	case "DROP":
-		return p.parseDrop()
-	case "INSERT":
-		return p.parseInsert()
-	case "UPDATE":
-		return p.parseUpdate()
-	case "DELETE":
-		return p.parseDelete()
-	case "SELECT":
-		return p.parseSelect()
-	default:
-		return nil, p.errorf("unsupported statement %q", t.text)
-	}
-}
-
-func (p *parser) parseCreate() (Statement, error) {
-	p.next() // CREATE
-	unique := p.acceptKeyword("UNIQUE")
-	switch {
-	case p.acceptKeyword("TABLE"):
-		if unique {
-			return nil, p.errorf("UNIQUE applies to indexes only")
-		}
-		return p.parseCreateTable()
-	case p.acceptKeyword("INDEX"):
-		return p.parseCreateIndex(unique)
-	default:
-		return nil, p.errorf("expected TABLE or INDEX after CREATE")
-	}
-}
-
-func (p *parser) parseColumnType() (reldb.Kind, error) {
-	t := p.peek()
-	if t.kind != tokKeyword {
-		return 0, p.errorf("expected column type, got %q", t.text)
-	}
-	p.next()
-	switch t.text {
-	case "INTEGER", "INT":
-		return reldb.KindInt, nil
-	case "REAL", "FLOAT":
-		return reldb.KindFloat, nil
-	case "TEXT":
-		return reldb.KindString, nil
-	case "VARCHAR":
-		// Accept VARCHAR(n); the length is advisory.
-		if p.acceptSymbol("(") {
-			if p.peek().kind != tokNumber {
-				return 0, p.errorf("expected length in VARCHAR(n)")
-			}
-			p.next()
-			if err := p.expectSymbol(")"); err != nil {
-				return 0, err
-			}
-		}
-		return reldb.KindString, nil
-	case "BOOLEAN", "BOOL":
-		return reldb.KindBool, nil
-	default:
-		return 0, p.errorf("unsupported type %q", t.text)
-	}
-}
-
-func (p *parser) parseCreateTable() (Statement, error) {
-	name, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expectSymbol("("); err != nil {
-		return nil, err
-	}
-	schema := &reldb.Schema{Name: name}
-	for {
-		t := p.peek()
-		switch {
-		case t.kind == tokKeyword && t.text == "PRIMARY":
-			p.next()
-			if err := p.expectKeyword("KEY"); err != nil {
-				return nil, err
-			}
-			cols, err := p.parseParenIdentList()
-			if err != nil {
-				return nil, err
-			}
-			schema.PrimaryKey = cols
-		case t.kind == tokKeyword && t.text == "FOREIGN":
-			p.next()
-			if err := p.expectKeyword("KEY"); err != nil {
-				return nil, err
-			}
-			cols, err := p.parseParenIdentList()
-			if err != nil {
-				return nil, err
-			}
-			if len(cols) != 1 {
-				return nil, p.errorf("foreign keys must name exactly one column")
-			}
-			if err := p.expectKeyword("REFERENCES"); err != nil {
-				return nil, err
-			}
-			refTable, err := p.ident()
-			if err != nil {
-				return nil, err
-			}
-			refCols, err := p.parseParenIdentList()
-			if err != nil {
-				return nil, err
-			}
-			if len(refCols) != 1 {
-				return nil, p.errorf("foreign key references must name exactly one column")
-			}
-			schema.ForeignKeys = append(schema.ForeignKeys, reldb.ForeignKey{
-				Column: cols[0], RefTable: refTable, RefColumn: refCols[0],
-			})
-		default:
-			colName, err := p.ident()
-			if err != nil {
-				return nil, err
-			}
-			kind, err := p.parseColumnType()
-			if err != nil {
-				return nil, err
-			}
-			col := reldb.Column{Name: colName, Type: kind, Nullable: true}
-			for {
-				if p.acceptKeyword("NOT") {
-					if err := p.expectKeyword("NULL"); err != nil {
-						return nil, err
-					}
-					col.Nullable = false
-					continue
-				}
-				if p.acceptKeyword("PRIMARY") {
-					if err := p.expectKeyword("KEY"); err != nil {
-						return nil, err
-					}
-					col.Nullable = false
-					schema.PrimaryKey = append(schema.PrimaryKey, col.Name)
-					continue
-				}
-				break
-			}
-			schema.Columns = append(schema.Columns, col)
-		}
-		if p.acceptSymbol(",") {
-			continue
-		}
-		break
-	}
-	if err := p.expectSymbol(")"); err != nil {
-		return nil, err
-	}
-	return &CreateTableStmt{Schema: schema}, nil
-}
-
-func (p *parser) parseParenIdentList() ([]string, error) {
-	if err := p.expectSymbol("("); err != nil {
-		return nil, err
-	}
-	var cols []string
-	for {
-		c, err := p.ident()
-		if err != nil {
-			return nil, err
-		}
-		cols = append(cols, c)
-		if p.acceptSymbol(",") {
-			continue
-		}
-		break
-	}
-	if err := p.expectSymbol(")"); err != nil {
-		return nil, err
-	}
-	return cols, nil
-}
-
-func (p *parser) parseCreateIndex(unique bool) (Statement, error) {
-	name, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expectKeyword("ON"); err != nil {
-		return nil, err
-	}
-	table, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	cols, err := p.parseParenIdentList()
-	if err != nil {
-		return nil, err
-	}
-	return &CreateIndexStmt{
-		Table: table,
-		Spec:  reldb.IndexSpec{Name: name, Columns: cols, Unique: unique},
-	}, nil
-}
-
-func (p *parser) parseDrop() (Statement, error) {
-	p.next() // DROP
-	if p.acceptKeyword("INDEX") {
-		index, err := p.ident()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectKeyword("ON"); err != nil {
-			return nil, err
-		}
-		table, err := p.ident()
-		if err != nil {
-			return nil, err
-		}
-		return &DropIndexStmt{Table: table, Index: index}, nil
-	}
-	if err := p.expectKeyword("TABLE"); err != nil {
-		return nil, err
-	}
-	ifExists := false
-	if p.acceptKeyword("IF") {
-		if err := p.expectKeyword("EXISTS"); err != nil {
-			return nil, err
-		}
-		ifExists = true
-	}
-	name, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	return &DropTableStmt{Table: name, IfExists: ifExists}, nil
-}
-
-func (p *parser) parseInsert() (Statement, error) {
-	p.next() // INSERT
-	if err := p.expectKeyword("INTO"); err != nil {
-		return nil, err
-	}
-	table, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	stmt := &InsertStmt{Table: table}
-	if p.peek().kind == tokSymbol && p.peek().text == "(" {
-		cols, err := p.parseParenIdentList()
-		if err != nil {
-			return nil, err
-		}
-		stmt.Columns = cols
-	}
-	if err := p.expectKeyword("VALUES"); err != nil {
-		return nil, err
-	}
-	for {
-		if err := p.expectSymbol("("); err != nil {
-			return nil, err
-		}
-		var row []Expr
-		for {
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, e)
-			if p.acceptSymbol(",") {
-				continue
-			}
-			break
-		}
-		if err := p.expectSymbol(")"); err != nil {
-			return nil, err
-		}
-		stmt.Rows = append(stmt.Rows, row)
-		if p.acceptSymbol(",") {
-			continue
-		}
-		break
-	}
-	return stmt, nil
-}
-
-func (p *parser) parseUpdate() (Statement, error) {
-	p.next() // UPDATE
-	table, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expectKeyword("SET"); err != nil {
-		return nil, err
-	}
-	stmt := &UpdateStmt{Table: table}
-	for {
-		col, err := p.ident()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectSymbol("="); err != nil {
-			return nil, err
-		}
-		val, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		stmt.Set = append(stmt.Set, Assignment{Column: col, Value: val})
-		if p.acceptSymbol(",") {
-			continue
-		}
-		break
-	}
-	if p.acceptKeyword("WHERE") {
-		w, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		stmt.Where = w
-	}
-	return stmt, nil
-}
-
-func (p *parser) parseDelete() (Statement, error) {
-	p.next() // DELETE
-	if err := p.expectKeyword("FROM"); err != nil {
-		return nil, err
-	}
-	table, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	stmt := &DeleteStmt{Table: table}
-	if p.acceptKeyword("WHERE") {
-		w, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		stmt.Where = w
-	}
-	return stmt, nil
-}
-
 func (p *parser) parseTableRef() (TableRef, error) {
 	name, err := p.ident()
 	if err != nil {
@@ -446,7 +104,7 @@ func (p *parser) parseTableRef() (TableRef, error) {
 	return ref, nil
 }
 
-func (p *parser) parseSelect() (Statement, error) {
+func (p *parser) parseSelect() (*SelectStmt, error) {
 	p.next() // SELECT
 	stmt := &SelectStmt{Limit: -1}
 	stmt.Distinct = p.acceptKeyword("DISTINCT")

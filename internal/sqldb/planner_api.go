@@ -1,26 +1,16 @@
 package sqldb
 
-// Exported execution hooks for the cost-based planner (internal/planner).
-// The planner materializes virtual-table rows (or pre-aggregated groups)
-// from the datastore's access paths and hands them here so SQL semantics —
-// projection, HAVING, ORDER BY, DISTINCT, LIMIT — stay in one place.
+// The door for groups the cost-based planner (internal/planner)
+// pre-aggregated below materialization: its kernels hand over finished
+// accumulators and FinishGrouped applies the rest of the statement, so SQL
+// semantics — projection, HAVING, ORDER BY, DISTINCT, LIMIT — stay in
+// this package.
 
 import (
 	"fmt"
 
 	"perftrack/internal/reldb"
 )
-
-// frameFor binds the given column names under the FROM clause's alias so
-// qualified and unqualified references both resolve.
-func frameFor(s *SelectStmt, columns []string) *frame {
-	alias := s.From.name()
-	f := &frame{}
-	for _, c := range columns {
-		f.cols = append(f.cols, colBinding{table: alias, column: c})
-	}
-	return f
-}
 
 // HasAggregates reports whether a SELECT must run through the grouped
 // executor: an explicit GROUP BY, or an aggregate call in the select list.
@@ -34,35 +24,6 @@ func HasAggregates(s *SelectStmt) bool {
 		}
 	}
 	return false
-}
-
-// ExecuteSelect runs an already-parsed single-table SELECT against
-// caller-supplied rows instead of a storage engine. columns names the
-// virtual table's columns in row order. The statement's WHERE (after any
-// planner rewrite of pushed-down conjuncts) is re-applied here, so callers
-// may pass a superset of the matching rows.
-func ExecuteSelect(s *SelectStmt, columns []string, rows []reldb.Row) (*Result, error) {
-	if len(s.Joins) > 0 {
-		return nil, fmt.Errorf("sql: ExecuteSelect does not support joins")
-	}
-	f := frameFor(s, columns)
-	if s.Where != nil {
-		kept := make([]reldb.Row, 0, len(rows))
-		for _, row := range rows {
-			v, err := eval(s.Where, f, row)
-			if err != nil {
-				return nil, err
-			}
-			if v.Kind() == reldb.KindBool && v.Truth() {
-				kept = append(kept, row)
-			}
-		}
-		rows = kept
-	}
-	if HasAggregates(s) {
-		return execGrouped(s, rows, f)
-	}
-	return execPlain(s, rows, f)
 }
 
 // Aggregator is one aggregate function's finished state for one group,
@@ -81,7 +42,7 @@ type Aggregator struct {
 // input was an integer (true when count is zero), and min/max the
 // extrema (Null when no value was seen — always Null for COUNT(*),
 // whose accumulator never inspects values). DISTINCT aggregates cannot
-// be reconstructed this way; the planner leaves them to ExecuteSelect.
+// be reconstructed this way; the planner leaves them to Execute.
 func NewFinishedAggregator(fe *FuncExpr, count int64, sum float64, sumInt int64, allInt bool, min, max reldb.Value) *Aggregator {
 	st := newAggState(fe)
 	st.count = count
@@ -135,5 +96,5 @@ func FinishGrouped(s *SelectStmt, columns []string, groups []PlannedGroup) (*Res
 	if len(s.GroupBy) == 0 && len(ordered) == 0 {
 		ordered = append(ordered, emptyGroup(len(columns), aggs))
 	}
-	return finishGrouped(s, frameFor(s, columns), aggs, ordered)
+	return finishGrouped(s, frameFor(s.From.name(), columns), aggs, ordered)
 }

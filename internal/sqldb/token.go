@@ -1,12 +1,11 @@
-// Package sqldb implements a SQL subset over the reldb storage engines:
-// CREATE TABLE / CREATE [UNIQUE] INDEX / DROP TABLE / DROP INDEX for DDL,
-// INSERT, SELECT with WHERE, JOIN ... ON (inner and left), GROUP BY with
-// aggregates and HAVING, ORDER BY, LIMIT/OFFSET, DISTINCT, plus UPDATE
-// and DELETE. PerfTrack's data store issues its relational workload
-// through this layer, mirroring the SQL interface the original prototype
-// used against Oracle and PostgreSQL. The planner chooses primary-key
-// lookups, index scans, or full scans per predicate; equi-joins use hash
-// joins.
+// Package sqldb is a read-only SQL language: a lexer, a SELECT parser, an
+// expression evaluator and one executor (Execute) that runs a parsed
+// statement over a row source — WHERE, JOIN ... ON (inner and left;
+// equi-joins hash), GROUP BY with aggregates and HAVING, ORDER BY,
+// DISTINCT, LIMIT/OFFSET. It holds no storage handle: internal/planner is
+// the one caller that runs SQL text, and it decides whether the source is
+// the virtual catalog or the engine's physical tables. Any statement other
+// than SELECT is a parse error.
 package sqldb
 
 import (

@@ -74,11 +74,15 @@ bin/ptquery -remote "$base" -report stats
 
 echo "== remote SQL through the planner"
 sqlcount=$(bin/ptsql -remote "$base" \
-    "SELECT count(*) FROM performance_result WHERE family = 'type=application'" | sed -n 2p)
+    "SELECT count(*) FROM performance_result WHERE family = 'type=application'" | sed -n 3p | tr -d ' ')
 [ "$sqlcount" = "$count" ] || { echo "ptsql count $sqlcount != ptquery count $count" >&2; exit 1; }
 bin/ptsql -remote "$base" -explain \
     "SELECT metric, avg(value) FROM performance_result GROUP BY metric" >/dev/null 2>sqlplan.txt
 grep -q 'strategy=' sqlplan.txt
+# one printer for both doors: compared with the -db output after shutdown
+sqldoors="SELECT id + 999999, value FROM performance_result LIMIT 1"
+bin/ptsql -remote "$base" "$sqldoors" > sql_remote.txt
+grep -q '^1000000 ' sql_remote.txt
 
 echo "== remote EXPLAIN ANALYZE carries the execution profile"
 bin/ptsql -remote "$base" -analyze \
@@ -160,6 +164,8 @@ sqlq="SELECT metric, count(*), avg(value) FROM performance_result GROUP BY metri
 bin/ptsql -db store "$sqlq" > sql_planned.txt
 bin/ptsql -db store -naive "$sqlq" > sql_naive.txt
 cmp sql_planned.txt sql_naive.txt || { echo "planned and naive SQL diverge" >&2; exit 1; }
+bin/ptsql -db store "$sqldoors" > sql_local.txt
+diff sql_remote.txt sql_local.txt || { echo "ptsql -remote and -db print one statement differently" >&2; exit 1; }
 
 echo "== local diagnosis and the not-found hint"
 bin/ptdiagnose -db store -a smg-bgl-000 -b smg-bgl-001 >diag.txt
