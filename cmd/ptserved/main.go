@@ -38,7 +38,7 @@ func main() {
 	readOnly := flag.Bool("readonly", false, "reject PTdf ingest (/v1/load returns 403)")
 	maxInFlight := flag.Int("max-inflight", 64, "maximum concurrently served API requests; excess is shed with 429")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request timeout for API endpoints")
-	syncWAL := flag.Bool("sync", false, "fsync the WAL on every mutation")
+	syncWAL := flag.Bool("sync", false, "fsync the logs a mutation or load wrote to (perftrack.wal, the hot tables' tail logs)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight requests")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); empty disables")
 	logLevel := flag.String("log-level", "info", "structured log level: debug, info, warn, or error")

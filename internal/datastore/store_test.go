@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -656,25 +657,7 @@ func TestSchemaDDLGolden(t *testing.T) {
 		t.Errorf("fresh store renders a different Figure 1:\n%s", got)
 	}
 
-	dir := t.TempDir()
-	src := filepath.Join("testdata", "parent_store")
-	err = filepath.WalkDir(src, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		rel, _ := filepath.Rel(src, path)
-		if d.IsDir() {
-			return os.MkdirAll(filepath.Join(dir, rel), 0o755)
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		return os.WriteFile(filepath.Join(dir, rel), data, 0o644)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	dir := copyDir(t, filepath.Join("testdata", "parent_store"))
 	fe, err := reldb.OpenFile(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -693,6 +676,87 @@ func TestSchemaDDLGolden(t *testing.T) {
 	}
 	if st := s.Stats(); st.Executions != 1 || st.Results != 4 {
 		t.Errorf("parent-written store holds %d executions, %d results; want 1, 4", st.Executions, st.Results)
+	}
+}
+
+// copyDir copies the files under src into a fresh temporary directory.
+func copyDir(t *testing.T, src string) string {
+	t.Helper()
+	dir := t.TempDir()
+	err := filepath.WalkDir(src, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(src, path)
+		if d.IsDir() {
+			return os.MkdirAll(filepath.Join(dir, rel), 0o755)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dir, rel), data, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// TestLegacyStoreParentDirectoryRecoversUnderTailLogs: the directory the
+// parent commit wrote (testdata/parent_store, see TestSchemaDDLGolden)
+// opens with no upgrade step, takes a load, compacts, and — crashed
+// without a checkpoint, which a copy of the directory is — reopens with
+// every result, the old ones and the new, materializing the same.
+func TestLegacyStoreParentDirectoryRecoversUnderTailLogs(t *testing.T) {
+	dir := copyDir(t, filepath.Join("testdata", "parent_store"))
+	fe, err := reldb.OpenFile(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fe.Close()
+	s, err := Open(fe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seedSegmentStudy(t, s)
+	var ids []int64
+	tab, _ := fe.Table("performance_result")
+	tab.Scan(func(id int64, _ reldb.Row) bool { ids = append(ids, id); return true })
+	for i := 0; i < 40; i++ {
+		ids = append(ids, addSegResult(t, s, i))
+	}
+	if err := fe.CompactSegments(); err != nil {
+		t.Fatal(err)
+	}
+	ids = append(ids, addSegResult(t, s, 40)) // stays in the tail, durable in a tail log alone
+	want, err := s.MaterializeResults(ids)
+	if err != nil || len(want) != 4+41 {
+		t.Fatalf("materialized %d results (err %v), want the parent's 4 and 41 new", len(want), err)
+	}
+	fe.Stats() // flushes the logs
+	if logs, _ := filepath.Glob(filepath.Join(dir, "segments", "tail-*.log")); len(logs) == 0 {
+		t.Fatal("no tail log holds the unflushed result")
+	}
+
+	fe2, err := reldb.OpenFile(copyDir(t, dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fe2.Close()
+	s2, err := Open(fe2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := s2.MaterializeResults(ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("the crashed copy materializes %d results differently from the %d loaded", len(got), len(want))
+	}
+	if st, st2 := s.Stats(), s2.Stats(); st != st2 {
+		t.Fatalf("store statistics after the crash = %+v, want %+v", st2, st)
 	}
 }
 

@@ -2,11 +2,13 @@ package reldb
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -22,11 +24,12 @@ import (
 // at recovery. A mutation the frozen shapes cannot absorb rehydrates the
 // table (Table.rehydrateLocked), the only fallback.
 //
-// The WAL remains the durable source of truth until a checkpoint: a
-// segment only becomes load-bearing once the WAL records it covers are
-// fsynced, the segment file itself is fsynced, and the manifest
-// references it — and the WAL is only truncated at checkpoint, after all
-// of that is durable.
+// A hot row is durable in exactly one place: the tail log of the row set
+// that holds it, then — once the segment file is fsynced and a durable
+// manifest names it — that segment, at which point the pass deletes the
+// set's tail logs. Five rules make the deletion safe (DESIGN §9): the
+// barrier before a manifest, the hand-off at rehydration, snapshot-held
+// rows pinning the log, the pass counted last, and the flush order.
 
 // segmentHotTables lists the bulk-scanned relations the compactor
 // drains into columnar files. Everything else lives purely in its row
@@ -35,9 +38,15 @@ var segmentHotTables = []string{"performance_result", "result_has_focus", "focus
 
 func isHotTable(name string) bool { return slices.Contains(segmentHotTables, name) }
 
+// logFlushOrder is segmentHotTables in the order a batch flushes their
+// tail logs (rule 5): results before the foci's resources before the
+// links from results to foci — parents before children.
+var logFlushOrder = []string{"performance_result", "focus_has_resource", "result_has_focus"}
+
 const (
 	segmentSubdir   = "segments"
 	manifestFile    = "MANIFEST"
+	manifestVersion = 2 // 1 had no low-water marks
 	defaultSegFlush = 4096
 )
 
@@ -51,12 +60,17 @@ type segState struct {
 	nextSeq   int64      // under compactMu
 
 	flushRows   atomic.Int64
-	compactions atomic.Uint64 // compaction passes that wrote segments
+	compactions atomic.Uint64 // compaction passes that wrote segments and have deleted the logs those supersede (rule 4)
 	segsWritten atomic.Uint64 // segment files written
 
 	// Guarded by the engine lock.
-	loaded  map[string][]*segment // recovery: manifest-listed segments, by table, until replay ends
-	garbage []string              // files of released segments, removed after the next manifest write
+	loaded    map[string][]*segment // recovery: manifest-listed segments, by table, until replay ends
+	loadedLow map[string]int64      // recovery: the manifest's low-water marks
+	garbage   []string              // files of released segments, removed after the next manifest write
+	logSeq    map[string]int64      // sequence number of each hot table's next tail log
+	retired   []*logFile            // tail logs of published sets, deleted after the next manifest write
+
+	step func(string) // tests: called after each durable step of a pass or checkpoint
 
 	notify   chan struct{}
 	stop     chan struct{}
@@ -68,12 +82,22 @@ func newSegState(fe *FileEngine) *segState {
 	st := &segState{
 		fe:     fe,
 		dir:    filepath.Join(fe.dir, segmentSubdir),
+		logSeq: make(map[string]int64),
 		notify: make(chan struct{}, 1),
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
 	}
+	for _, name := range segmentHotTables {
+		st.logSeq[name] = 1
+	}
 	st.flushRows.Store(defaultSegFlush)
 	return st
+}
+
+func (st *segState) stepped(name string) {
+	if st.step != nil {
+		st.step(name)
+	}
 }
 
 // SetSegmentFlushRows sets how many unflushed tail rows a hot table
@@ -104,7 +128,10 @@ func (t *Table) sealable() bool {
 // sealReadyLocked seals every hot table whose active set holds at least
 // atLeast rows and has no sealed set in flight, then wakes the compactor if
 // any table has work for it. Callers have no write batch open, so every
-// row sealed is final: rollback compensation has already run.
+// row sealed is final: rollback compensation has already run. The sealed
+// set keeps its tail logs and the next record opens a new one — unless
+// the table's logs are pinned (rule 3), when they stay with the active
+// set, where no pass trims them.
 func (st *segState) sealReadyLocked(atLeast int64) {
 	work := false
 	for _, name := range segmentHotTables {
@@ -113,12 +140,18 @@ func (st *segState) sealReadyLocked(atLeast int64) {
 			continue
 		}
 		if n := int64(len(t.active.rows)); t.sealed == nil && n > 0 && n >= atLeast && t.sealable() {
-			t.frozenMaxID = max(t.frozenMaxID, t.active.maxID)
-			t.frozenMaxKey = t.active.primary.root.max().key
+			sealed, active := t.active, t.newRowSet()
+			if t.pinLogs {
+				sealed.logs, active.logs = nil, sealed.logs
+			} else if k := len(sealed.logs); k > 0 && sealed.logs[k-1].finish() != nil {
+				continue // the log cannot take its buffered records: the set stays active, the committer's next flush reports it
+			}
+			t.frozenMaxID = max(t.frozenMaxID, sealed.maxID)
+			t.frozenMaxKey = sealed.primary.root.max().key
 			if t.resident == residentMutated {
 				t.resident = 0
 			}
-			t.installLocked(t.active, t.newRowSet())
+			t.installLocked(sealed, active)
 		}
 		work = work || t.sealed != nil
 	}
@@ -128,6 +161,68 @@ func (st *segState) sealReadyLocked(atLeast int64) {
 		default:
 		}
 	}
+}
+
+// tailLogLocked returns the tail log the table's next record goes to:
+// the last one its active set owns while that still takes records, else
+// a new one under the table's next sequence number.
+func (st *segState) tailLogLocked(t *Table) (*logFile, error) {
+	if n := len(t.active.logs); n > 0 && t.active.logs[n-1].w != nil {
+		return t.active.logs[n-1], nil
+	}
+	name := t.schema.Name
+	seq := st.logSeq[name]
+	l, err := openLog(st.tailLogPath(name, seq), seq, 0)
+	if err != nil {
+		return nil, fmt.Errorf("reldb: open tail log: %w", err)
+	}
+	if st.fe.syncWAL {
+		if err := syncDir(st.dir); err != nil { // the batch's fsync must not outlive the file's name
+			l.discard()
+			return nil, err
+		}
+	}
+	st.logSeq[name] = seq + 1
+	t.active.logs = append(t.active.logs, l)
+	return l, nil
+}
+
+func (st *segState) tailLogPath(table string, seq int64) string {
+	return filepath.Join(st.dir, fmt.Sprintf("tail-%s-%08d.log", table, seq))
+}
+
+// parseTailLogName undoes tailLogPath on a file's base name.
+func parseTailLogName(base string) (table string, seq int64, ok bool) {
+	base, ok = strings.CutSuffix(base, ".log")
+	cut := strings.LastIndexByte(base, '-')
+	if !ok || !strings.HasPrefix(base, "tail-") || cut < len("tail-") {
+		return "", 0, false
+	}
+	seq, err := strconv.ParseInt(base[cut+1:], 10, 64)
+	return base[len("tail-"):cut], seq, err == nil
+}
+
+// discardLogsLocked deletes the table's tail logs: it is being dropped,
+// or a checkpoint has captured its rows.
+func (t *Table) discardLogsLocked() {
+	if logs := t.logsLocked(); len(logs) > 0 {
+		t.db.seg.fe.logTrimmed += discardLogs(logs)
+		for _, rs := range t.sets {
+			rs.logs = nil
+		}
+	}
+}
+
+// lowWaterLocked is the sequence number below which no tail log of the
+// table is needed: the lowest one a row set owns, or the next to be
+// assigned.
+func (t *Table) lowWaterLocked() int64 {
+	for _, rs := range t.sets {
+		if len(rs.logs) > 0 {
+			return rs.logs[0].seq
+		}
+	}
+	return t.db.seg.logSeq[t.schema.Name]
 }
 
 // adoptLocked makes a segment part of the table.
@@ -189,11 +284,18 @@ func (fe *FileEngine) CompactSegments() error {
 }
 
 // drain encodes and publishes sealed sets until none is left; with force
-// it first seals every non-empty tail. Each pass makes the WAL durable
-// once, writes a segment per sealed set outside the engine lock, then
-// under it appends the segment and drops the set — sealing the table's
-// next tail itself when that has meanwhile crossed the threshold — and
-// rewrites the manifest. Requires compactMu.
+// it first seals every non-empty tail. Each pass starts with the barrier
+// (rule 1): every log that outlives it — perftrack.wal and the tail logs
+// of every set but the ones it is about to publish — is flushed and
+// fsynced, so that no segment is named before what its rows refer to is
+// durable; the sealed sets' own logs are about to be deleted and need no
+// fsync. It then writes a segment per sealed set outside the engine
+// lock, and under it appends the segment, drops the set and retires its
+// tail logs — sealing the table's next tail itself when that has
+// meanwhile crossed the threshold. Then the manifest is rewritten, the
+// retired logs deleted, and only then is the pass counted (rule 4): a
+// reader of the counters never sees a finished pass with its logs still
+// on disk. Requires compactMu.
 func (st *segState) drain(force bool) error {
 	fe := st.fe
 	type job struct {
@@ -202,6 +304,7 @@ func (st *segState) drain(force bool) error {
 	}
 	for ; ; force = false {
 		var jobs []job
+		var doomed []*logFile
 		fe.mu.Lock()
 		if force && fe.batchDepth == 0 {
 			st.sealReadyLocked(1)
@@ -209,18 +312,24 @@ func (st *segState) drain(force bool) error {
 		for _, name := range segmentHotTables {
 			if t := fe.tables[name]; t != nil && t.sealed != nil {
 				jobs = append(jobs, job{t, t.sealed})
+				doomed = append(doomed, t.sealed.logs...)
 			}
 		}
-		err := fe.walW.flush()
+		var unsynced []logMark
+		var err error
+		if len(jobs) > 0 {
+			unsynced, err = fe.flushLogsLocked(doomed)
+		}
 		fe.mu.Unlock()
 		if err != nil || len(jobs) == 0 {
 			return err
 		}
-		// The WAL is truth: its records must be durable before a segment
-		// that mirrors them can be named.
-		if err := fe.wal.Sync(); err != nil {
+		st.stepped("seal")
+		if err := fe.syncLogs(unsynced); err != nil {
 			return err
 		}
+		st.stepped("barrier")
+		handedOn := false
 		for _, j := range jobs {
 			seg, err := st.writeSegment(j.t, j.set)
 			if err != nil {
@@ -231,24 +340,85 @@ func (st *segState) drain(force bool) error {
 				j.t.adoptLocked(seg)
 				j.t.releaseStaleLocked()
 				j.t.installLocked(nil, j.t.active)
+				st.retired = append(st.retired, j.set.logs...)
 				st.segsWritten.Add(1)
 				if fe.batchDepth == 0 {
 					st.sealReadyLocked(st.flushRows.Load())
 				}
 			} else {
-				// Dropped or rehydrated while it was being encoded.
+				// Dropped or rehydrated while it was being encoded; if
+				// rehydrated, the logs the barrier skipped outlive the pass
+				// after all.
 				st.garbage = append(st.garbage, seg.file)
+				handedOn = true
 			}
 			fe.mu.Unlock()
+			st.stepped("segment file")
 		}
-		st.compactions.Add(1)
 		fe.mu.Lock()
-		files, garbage := st.manifestLocked()
+		m, garbage := st.manifestLocked()
+		retired := st.retired
+		if unsynced = nil; handedOn {
+			unsynced, err = fe.flushLogsLocked(nil)
+		}
 		fe.mu.Unlock()
-		if err := st.writeManifest(files, garbage); err != nil {
+		if err == nil {
+			err = fe.syncLogs(unsynced)
+		}
+		if err != nil {
 			return err
 		}
+		if err := st.writeManifest(m, garbage); err != nil {
+			return err
+		}
+		st.stepped("manifest")
+		trimmed := discardLogs(retired)
+		fe.mu.Lock()
+		st.retired = nil // appended to under compactMu only
+		fe.logTrimmed += trimmed
+		fe.mu.Unlock()
+		st.stepped("log removal")
+		st.compactions.Add(1)
 	}
+}
+
+// logMark is a log and how many bytes it held when the mark was taken.
+type logMark struct {
+	l    *logFile
+	size int64
+}
+
+// flushLogsLocked flushes every log still taking records and marks the
+// logs a pass must fsync — perftrack.wal and the tail logs row sets own,
+// but for the doomed ones — where they hold bytes no fsync covers.
+func (fe *FileEngine) flushLogsLocked(doomed []*logFile) (unsynced []logMark, err error) {
+	for _, l := range fe.openLogsLocked() {
+		if err := l.flush(); err != nil {
+			return nil, err
+		}
+	}
+	for _, l := range append(fe.tailLogsLocked(), fe.wal) {
+		if l.size > l.synced && !slices.Contains(doomed, l) {
+			unsynced = append(unsynced, logMark{l, l.size})
+		}
+	}
+	return unsynced, nil
+}
+
+// syncLogs fsyncs the marked logs, outside the engine lock, and records
+// how much of each is now durable.
+func (fe *FileEngine) syncLogs(marks []logMark) error {
+	for _, m := range marks {
+		if err := m.l.f.Sync(); err != nil {
+			return fmt.Errorf("reldb: sync %s: %w", m.l.path, err)
+		}
+	}
+	fe.mu.Lock()
+	for _, m := range marks {
+		m.l.synced = max(m.l.synced, m.size)
+	}
+	fe.mu.Unlock()
+	return nil
 }
 
 // writeSegment encodes a sealed row set, already in primary-key order
@@ -271,12 +441,21 @@ func (st *segState) writeSegment(t *Table, set *rowSet) (*segment, error) {
 
 // --- manifest ---
 
-// manifestLocked returns what the next manifest lists — the live and
-// the stale segment files of each hot table — and takes the released
-// files it thereby stops referencing.
-func (st *segState) manifestLocked() (files [][]string, garbage []string) {
+// manifest is what the MANIFEST file says of each hot table: files[i]
+// and lowWater[i] belong to segmentHotTables[i].
+type manifest struct {
+	files    [][]string // live and stale segment files
+	lowWater []int64    // tail logs numbered below it are dead: the files hold their rows
+}
+
+// manifestLocked returns what the next manifest says — the live and the
+// stale segment files of each hot table, and the lowest tail log a row
+// set of it still owns — and takes the released segment files it
+// thereby stops referencing.
+func (st *segState) manifestLocked() (m manifest, garbage []string) {
 	for _, name := range segmentHotTables {
 		var list []string
+		low := st.logSeq[name]
 		if t := st.fe.tables[name]; t != nil {
 			for _, path := range t.stale {
 				list = append(list, filepath.Base(path))
@@ -284,29 +463,30 @@ func (st *segState) manifestLocked() (files [][]string, garbage []string) {
 			for _, s := range t.segs {
 				list = append(list, filepath.Base(s.file))
 			}
+			low = t.lowWaterLocked()
 		}
-		files = append(files, list)
+		m.files, m.lowWater = append(m.files, list), append(m.lowWater, low)
 	}
 	garbage, st.garbage = st.garbage, nil
-	return files, garbage
+	return m, garbage
 }
 
-// writeManifest atomically rewrites the manifest (files[i] belongs to
-// segmentHotTables[i]) and then deletes the garbage it no longer names.
-// Requires compactMu.
-func (st *segState) writeManifest(files [][]string, garbage []string) error {
+// writeManifest atomically rewrites the manifest and then deletes the
+// garbage it no longer names. Requires compactMu.
+func (st *segState) writeManifest(m manifest, garbage []string) error {
 	err := replaceFile(filepath.Join(st.dir, manifestFile), func(rw *recordWriter) error {
-		hdr := putUvarint(nil, 1) // version
+		hdr := putUvarint(nil, manifestVersion)
 		hdr = putVarint(hdr, st.nextSeq)
 		if err := rw.writeRecord(hdr); err != nil {
 			return err
 		}
 		for i, name := range segmentHotTables {
 			p := putString(nil, name)
-			p = putUvarint(p, uint64(len(files[i])))
-			for _, file := range files[i] {
+			p = putUvarint(p, uint64(len(m.files[i])))
+			for _, file := range m.files[i] {
 				p = putString(p, file)
 			}
+			p = putVarint(p, m.lowWater[i])
 			if err := rw.writeRecord(p); err != nil {
 				return err
 			}
@@ -344,13 +524,17 @@ func (st *segState) load() error {
 		return fmt.Errorf("reldb: manifest: %w", err)
 	}
 	hp := &payloadReader{buf: hdr}
-	if _, err := hp.uvarint(); err != nil { // version
+	version, err := hp.uvarint()
+	if err != nil {
 		return fmt.Errorf("reldb: manifest: %w", err)
+	}
+	if version > manifestVersion {
+		return fmt.Errorf("reldb: manifest: version %d is newer than this program's %d", version, manifestVersion)
 	}
 	if st.nextSeq, err = hp.varint(); err != nil {
 		return fmt.Errorf("reldb: manifest: %w", err)
 	}
-	st.loaded = make(map[string][]*segment)
+	st.loaded, st.loadedLow = make(map[string][]*segment), make(map[string]int64)
 	for {
 		payload, err := rr.readRecord()
 		if err != nil {
@@ -385,7 +569,63 @@ func (st *segState) load() error {
 				st.loaded[name] = append(st.loaded[name], seg)
 			}
 		}
+		if version >= 2 { // version 1 trimmed nothing: low-water 0
+			if st.loadedLow[name], err = p.varint(); err != nil {
+				return fmt.Errorf("reldb: manifest: %w", err)
+			}
+		}
 	}
+}
+
+// replayTailLogs ends recovery: it deletes, unread, the tail logs below
+// their table's low-water mark (a crash came between a manifest write and
+// the removal of the logs it superseded) and those of tables that no
+// longer exist, replays the rest table by table in sequence order, and
+// hands them to each table's active set, which now holds their rows. The
+// next record opens a new log.
+func (st *segState) replayTailLogs() error {
+	entries, err := os.ReadDir(st.dir)
+	if err != nil {
+		return fmt.Errorf("reldb: open %s: %w", st.dir, err)
+	}
+	logs := make(map[string][]*logFile)
+	for _, e := range entries {
+		if !strings.HasPrefix(e.Name(), "tail-") {
+			continue
+		}
+		table, seq, ok := parseTailLogName(e.Name())
+		if !ok || !isHotTable(table) {
+			return fmt.Errorf("reldb: %s is not the tail log of a hot table", filepath.Join(st.dir, e.Name()))
+		}
+		logs[table] = append(logs[table], &logFile{path: filepath.Join(st.dir, e.Name()), seq: seq})
+		st.logSeq[table] = max(st.logSeq[table], seq+1)
+	}
+	for _, name := range segmentHotTables {
+		t := st.fe.tables[name]
+		st.logSeq[name] = max(st.logSeq[name], st.loadedLow[name])
+		slices.SortFunc(logs[name], func(a, b *logFile) int { return cmp.Compare(a.seq, b.seq) })
+		for _, l := range logs[name] {
+			if t == nil || l.seq < st.loadedLow[name] {
+				os.Remove(l.path)
+				continue
+			}
+			l.size, err = st.fe.replayLog(l.path, func(m *mutation) error {
+				if !m.isRowOp() || m.table != name {
+					return fmt.Errorf("%w: a tail log of %q holds op %d on %q", ErrCorruptLog, name, m.op, m.table)
+				}
+				st.fe.replayedHot++
+				return st.fe.apply(m)
+			})
+			if err != nil {
+				return err
+			}
+			if l.f, err = os.OpenFile(l.path, os.O_WRONLY|os.O_APPEND, 0o644); err != nil {
+				return fmt.Errorf("reldb: open tail log: %w", err)
+			}
+			t.active.logs = append(t.active.logs, l)
+		}
+	}
+	return nil
 }
 
 // attachLocked hands a table created during recovery the segments the
@@ -474,15 +714,22 @@ type SegmentTableStatus struct {
 	Watermark   int64  `json:"watermark"`
 	Dirty       bool   `json:"dirty"`
 	Unordered   bool   `json:"unordered"`
+	LogBytes    int64  `json:"log_bytes,omitempty"` // the tail logs the table's row sets own, buffered records included
+	LogFiles    int    `json:"log_files,omitempty"`
+	LowWater    int64  `json:"low_water,omitempty"` // tail logs numbered below it are gone
 }
 
 // SegmentStats summarizes the durable engine's compaction state.
 type SegmentStats struct {
-	Enabled         bool                 `json:"enabled"` // always true; kept on the wire for /v1/stats readers
-	FlushRows       int64                `json:"flush_rows"`
-	Compactions     uint64               `json:"compactions"`
-	SegmentsWritten uint64               `json:"segments_written"`
-	Tables          []SegmentTableStatus `json:"tables,omitempty"`
+	Enabled         bool   `json:"enabled"` // always true; kept on the wire for /v1/stats readers
+	FlushRows       int64  `json:"flush_rows"`
+	Compactions     uint64 `json:"compactions"`
+	SegmentsWritten uint64 `json:"segments_written"`
+	// Log bytes ever appended (perftrack.wal and tail logs alike) and ever
+	// deleted or truncated away; wal_bytes is what is live.
+	LogBytesAppended uint64               `json:"log_bytes_appended"`
+	LogBytesTrimmed  uint64               `json:"log_bytes_trimmed"`
+	Tables           []SegmentTableStatus `json:"tables,omitempty"`
 }
 
 // SegmentStats reports compaction status.
@@ -496,9 +743,14 @@ func (fe *FileEngine) SegmentStats() SegmentStats {
 	}
 	fe.mu.RLock()
 	defer fe.mu.RUnlock()
+	out.LogBytesAppended, out.LogBytesTrimmed = fe.logAppended, fe.logTrimmed
 	for _, name := range segmentHotTables {
 		status := SegmentTableStatus{Table: name}
 		if t := fe.tables[name]; t != nil {
+			for _, l := range t.logsLocked() {
+				status.LogBytes, status.LogFiles = status.LogBytes+l.size, status.LogFiles+1
+			}
+			status.LowWater = t.lowWaterLocked()
 			status.Segments, status.Rows, status.Bytes = len(t.segs), t.segRows, t.segBytes
 			status.PendingRows = t.lenLocked() - t.segRows
 			if len(t.segs) > 0 {

@@ -94,13 +94,15 @@ func (db *DB) DropTable(name string) error {
 	return nil
 }
 
-// dropTableLocked forgets a table; its segment files die with it.
+// dropTableLocked forgets a table; its segment files and tail logs die
+// with it.
 func (db *DB) dropTableLocked(name string) {
 	if t := db.tables[name]; t != nil {
 		for _, s := range t.segs {
 			t.stale = append(t.stale, s.file)
 		}
 		t.releaseStaleLocked()
+		t.discardLogsLocked()
 	}
 	delete(db.tables, name)
 }

@@ -1,6 +1,7 @@
 package reldb
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -12,30 +13,111 @@ import (
 )
 
 // FileEngine is the durable storage engine: an in-memory DB whose
-// mutations stream to a write-ahead log, a background compactor that
-// moves the hot tables' rows into columnar segments (compact.go), and
-// snapshots written by Checkpoint. Opening a directory loads the latest
-// snapshot, attaches the segments and replays the WAL, discarding a torn
+// mutations stream to write-ahead logs split by record lifetime, a
+// background compactor that moves the hot tables' rows into columnar
+// segments (compact.go), and snapshots written by Checkpoint. Records of
+// the hot tables go to numbered per-table tail logs that are deleted as
+// soon as a manifest names the segment holding their rows; everything
+// else goes to perftrack.wal, which a checkpoint truncates. Opening a
+// directory loads the latest snapshot, attaches the segments and replays
+// perftrack.wal and then each table's tail logs, discarding a torn
 // trailing record; a store that has compacted nothing yet is just
-// snapshot + WAL. It stands in for the persistent DBMS backends (Oracle,
+// snapshot + logs. It stands in for the persistent DBMS backends (Oracle,
 // PostgreSQL) of the original PerfTrack prototype. Its DB.seg is never
 // nil.
 type FileEngine struct {
 	*DB
 	dir        string
-	wal        *os.File
-	walW       *recordWriter
-	syncWAL    bool // fsync the WAL after every flush
-	batchDepth int  // >0: defer flush/sync to EndWALBatch
+	wal        *logFile // perftrack.wal: DDL and the records of every table that is not hot
+	syncWAL    bool     // fsync the logs a batch touched when it ends
+	batchDepth int      // >0: defer flush/sync to EndWALBatch
 
-	walBytes    int64  // WAL size at the last Stats call that could flush it
+	// Guarded by the engine lock.
+	logBytes    int64  // bytes of all live logs at the last Stats call that could flush them
 	flushErrors uint64 // Stats calls that could not
+	logAppended uint64 // bytes ever appended to a log
+	logTrimmed  uint64 // bytes of log deleted or truncated away
+	replayedHot int    // hot-table records the open applied
 }
 
 const (
 	snapshotFile = "perftrack.snap"
 	walFile      = "perftrack.wal"
 )
+
+// logFile is one append-only record log: perftrack.wal, or a numbered
+// tail log of one hot table (segments/tail-<table>-<seq>.log), owned by
+// the row set whose rows it holds. Guarded by the engine lock, except
+// that f may be fsynced outside it.
+type logFile struct {
+	path   string
+	seq    int64 // tail logs: the file's place in its table's replay order
+	f      *os.File
+	w      *recordWriter // nil once the log takes no more records
+	size   int64         // bytes appended, buffered ones included
+	synced int64         // leading bytes known to be fsynced
+}
+
+// openLog opens path for appending, creating it if need be; size is what
+// the file already holds.
+func openLog(path string, seq, size int64) (*logFile, error) {
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	return &logFile{path: path, seq: seq, f: f, w: newRecordWriter(f), size: size}, nil
+}
+
+func (l *logFile) append(payload []byte) error {
+	l.size += int64(len(payload)) + 8
+	return l.w.writeRecord(payload)
+}
+
+func (l *logFile) flush() error {
+	if l.w == nil {
+		return nil
+	}
+	return l.w.flush()
+}
+
+// sync flushes the log and fsyncs it if it has bytes no fsync covers.
+func (l *logFile) sync() error {
+	if err := l.flush(); err != nil {
+		return err
+	}
+	if l.size > l.synced {
+		if err := l.f.Sync(); err != nil {
+			return err
+		}
+		l.synced = l.size
+	}
+	return nil
+}
+
+// finish flushes the log and stops it taking records: it now travels
+// with a sealed set and holds exactly what its file holds.
+func (l *logFile) finish() error {
+	if err := l.flush(); err != nil {
+		return err
+	}
+	l.w = nil
+	return nil
+}
+
+// discard closes and deletes a log whose records are durable elsewhere.
+func (l *logFile) discard() {
+	l.f.Close()
+	os.Remove(l.path) // best effort: open-time cleanup deletes what falls below the low-water mark
+}
+
+// discardLogs discards every given log and returns how many bytes went.
+func discardLogs(logs []*logFile) (bytes uint64) {
+	for _, l := range logs {
+		bytes += uint64(l.size)
+		l.discard()
+	}
+	return bytes
+}
 
 // snapshot record tags
 const (
@@ -45,16 +127,24 @@ const (
 
 // OpenFile opens (or creates) the durable database rooted at dir.
 // Recovery order is snapshot (the rows no segment holds), then the
-// manifest's segments, attached without inserting a row, then WAL
-// replay, where an insert a segment already serves is a no-op and an
-// update or delete of a flushed row rehydrates its table exactly as it
-// would at run time (the log is truth).
-func OpenFile(dir string) (*FileEngine, error) {
+// manifest's segments, attached without inserting a row, then
+// perftrack.wal, then each hot table's tail logs at or above its
+// low-water mark in sequence order (the ones below it are deleted
+// unread: a segment the manifest names holds their rows). An insert a
+// segment already serves is a no-op and an update or delete of a flushed
+// row rehydrates its table exactly as it would at run time (the log is
+// truth).
+func OpenFile(dir string) (_ *FileEngine, err error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("reldb: open %s: %w", dir, err)
 	}
 	fe := &FileEngine{DB: NewMem(), dir: dir}
 	fe.seg = newSegState(fe)
+	defer func() {
+		if err != nil {
+			fe.closeLogs()
+		}
+	}()
 	if err := fe.loadSnapshot(); err != nil {
 		return nil, err
 	}
@@ -63,31 +153,44 @@ func OpenFile(dir string) (*FileEngine, error) {
 	}
 	for _, name := range segmentHotTables {
 		if t := fe.tables[name]; t != nil {
+			// Rule 3: the snapshot holds rows of this table, so a delete of
+			// one lives in the log alone until a checkpoint rewrites it.
+			t.pinLogs = len(t.active.rows) > 0
 			if err := fe.seg.attachLocked(t); err != nil {
 				return nil, err
 			}
 		}
 	}
-	if err := fe.replayWAL(); err != nil {
+	walBytes, err := fe.replayLog(fe.walPath(), func(m *mutation) error {
+		if m.isRowOp() && isHotTable(m.table) {
+			// A perftrack.wal written before hot tables had tail logs: its
+			// rows pin the tail logs as the snapshot's do.
+			if t := fe.tables[m.table]; t != nil {
+				t.pinLogs = true
+			}
+			fe.replayedHot++
+		}
+		return fe.apply(m)
+	})
+	if err != nil {
 		return nil, err
 	}
-	fe.seg.loaded = nil
-	wal, err := os.OpenFile(fe.walPath(), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
+	if err := fe.seg.replayTailLogs(); err != nil {
+		return nil, err
+	}
+	fe.seg.loaded, fe.seg.loadedLow = nil, nil
+	if fe.wal, err = openLog(fe.walPath(), 0, walBytes); err != nil {
 		return nil, fmt.Errorf("reldb: open WAL: %w", err)
 	}
-	fe.wal = wal
-	fe.walW = newRecordWriter(wal)
 	fe.DB.logger = fe
 	// Resync the manifest with post-replay state (a replayed DROP TABLE
 	// or rehydration may have retired segments) before orphan cleanup, so
 	// the manifest never references a deleted file.
-	files, garbage := fe.seg.manifestLocked()
-	if err := fe.seg.writeManifest(files, garbage); err != nil {
-		wal.Close()
+	m, garbage := fe.seg.manifestLocked()
+	if err := fe.seg.writeManifest(m, garbage); err != nil {
 		return nil, err
 	}
-	fe.seg.cleanOrphans(files)
+	fe.seg.cleanOrphans(m.files)
 	go fe.seg.run()
 	// A tail that replay left at or above the threshold drains now, not
 	// at the next commit.
@@ -97,29 +200,44 @@ func OpenFile(dir string) (*FileEngine, error) {
 	return fe, nil
 }
 
-// SetSync controls whether the WAL is fsynced after every logged mutation
-// batch. Synchronous mode is durable against power loss but much slower;
-// it is off by default, matching a DBMS with commit batching.
+// SetSync controls whether the logs are fsynced after every logged
+// mutation batch. Synchronous mode is durable against power loss but much
+// slower — a batch fsyncs each log it touched, up to four — and it is off
+// by default, matching a DBMS with commit batching.
 func (fe *FileEngine) SetSync(sync bool) { fe.syncWAL = sync }
 
 func (fe *FileEngine) snapPath() string { return filepath.Join(fe.dir, snapshotFile) }
 func (fe *FileEngine) walPath() string  { return filepath.Join(fe.dir, walFile) }
 
-// logMutation appends one mutation to the WAL. Called with the DB write
-// lock held. In the default asynchronous mode records accumulate in the
-// writer's buffer and reach the file in batches (flushed on checkpoint,
+// isRowOp reports whether the mutation changes a row, not the schema.
+func (m *mutation) isRowOp() bool { return m.op == opInsert || m.op == opUpdate || m.op == opDelete }
+
+// logMutation appends one mutation to the log its lifetime picks: a row
+// of a hot table to that table's tail log, everything else to
+// perftrack.wal. Called with the DB write lock held. In the default
+// asynchronous mode records accumulate in the log's buffer and reach the
+// file in batches (flushed at the end of a write batch, on checkpoint,
 // close, and size queries); synchronous mode flushes and fsyncs per
 // mutation, trading load throughput for crash durability — the usual
 // DBMS commit-batching trade-off.
 func (fe *FileEngine) logMutation(m *mutation) error {
-	if err := fe.walW.writeRecord(encodeMutationPayload(m)); err != nil {
-		return err
-	}
-	if fe.syncWAL && fe.batchDepth == 0 {
-		if err := fe.walW.flush(); err != nil {
+	l := fe.wal
+	if m.isRowOp() && isHotTable(m.table) {
+		var err error
+		if l, err = fe.seg.tailLogLocked(fe.tables[m.table]); err != nil {
 			return err
 		}
-		if err := fe.wal.Sync(); err != nil {
+	}
+	payload := encodeMutationPayload(m)
+	if err := l.append(payload); err != nil {
+		return err
+	}
+	fe.logAppended += uint64(len(payload)) + 8
+	// Nothing orders perftrack.wal against the tail logs at recovery, so a
+	// dropped hot table's logs are deleted at once (dropTableLocked) — but
+	// only behind a durable DROP record.
+	if (fe.syncWAL && fe.batchDepth == 0) || (m.op == opDropTable && isHotTable(m.table)) {
+		if err := l.sync(); err != nil {
 			return err
 		}
 	}
@@ -132,12 +250,52 @@ func (fe *FileEngine) logMutation(m *mutation) error {
 	return nil
 }
 
-// BeginWALBatch suspends per-mutation WAL flushing until the matching
-// EndWALBatch, which flushes (and, in synchronous mode, fsyncs) exactly
-// once. The datastore's batch commit wraps each multi-record commit in a
-// BeginWALBatch/EndWALBatch pair so a thousand-record document costs one
-// flush instead of a thousand — the DBMS group-commit discipline. Calls
-// nest; only the outermost EndWALBatch performs the flush.
+// openLogsLocked returns the logs still taking records in the order a
+// batch flushes them (rule 5): perftrack.wal, then the hot tables'
+// tail logs, parents before children, so that a process killed between
+// two flushes leaves results without their links rather than links
+// without their results.
+func (fe *FileEngine) openLogsLocked() []*logFile {
+	logs := []*logFile{fe.wal}
+	for _, name := range logFlushOrder {
+		if t := fe.tables[name]; t != nil {
+			if n := len(t.active.logs); n > 0 && t.active.logs[n-1].w != nil {
+				logs = append(logs, t.active.logs[n-1])
+			}
+		}
+	}
+	return logs
+}
+
+// tailLogsLocked returns the tail logs the hot tables' row sets own.
+func (fe *FileEngine) tailLogsLocked() []*logFile {
+	var logs []*logFile
+	for _, name := range segmentHotTables {
+		if t := fe.tables[name]; t != nil {
+			logs = append(logs, t.logsLocked()...)
+		}
+	}
+	return logs
+}
+
+// liveLogsLocked returns every log file the engine has on disk: the
+// tail logs row sets own, the ones a compaction pass is about to delete,
+// and perftrack.wal (once the open got that far).
+func (fe *FileEngine) liveLogsLocked() []*logFile {
+	logs := append(fe.tailLogsLocked(), fe.seg.retired...)
+	if fe.wal != nil {
+		logs = append(logs, fe.wal)
+	}
+	return logs
+}
+
+// BeginWALBatch suspends per-mutation log flushing until the matching
+// EndWALBatch, which flushes (and, in synchronous mode, fsyncs) each log
+// exactly once. The datastore's batch commit wraps each multi-record
+// commit in a BeginWALBatch/EndWALBatch pair so a thousand-record
+// document costs one flush per log it touched instead of a thousand —
+// the DBMS group-commit discipline. Calls nest; only the outermost
+// EndWALBatch performs the flush.
 func (fe *FileEngine) BeginWALBatch() {
 	fe.mu.Lock()
 	fe.batchDepth++
@@ -145,7 +303,7 @@ func (fe *FileEngine) BeginWALBatch() {
 }
 
 // EndWALBatch closes a BeginWALBatch window, performing the single
-// deferred WAL flush for everything logged inside it.
+// deferred flush of each log for everything logged inside it.
 func (fe *FileEngine) EndWALBatch() error {
 	fe.mu.Lock()
 	defer fe.mu.Unlock()
@@ -155,13 +313,16 @@ func (fe *FileEngine) EndWALBatch() error {
 	if fe.batchDepth > 0 {
 		return nil
 	}
-	if err := fe.walW.flush(); err != nil {
-		return err
+	flush := (*logFile).flush
+	if fe.syncWAL {
+		flush = (*logFile).sync
+	}
+	for _, l := range fe.openLogsLocked() {
+		if err := flush(l); err != nil {
+			return err
+		}
 	}
 	fe.seg.sealReadyLocked(fe.seg.flushRows.Load())
-	if fe.syncWAL {
-		return fe.wal.Sync()
-	}
 	return nil
 }
 
@@ -171,6 +332,18 @@ func (fe *FileEngine) apply(m *mutation) error {
 	defer fe.mu.Unlock()
 	switch m.op {
 	case opCreateTable:
+		// A checkpoint that crashed between its snapshot and the truncation
+		// leaves DDL the snapshot already reflects: a table or index that
+		// exists as the record describes it is a no-op. Indexes are set
+		// aside when tables are compared — the log's later CREATE and DROP
+		// INDEX records are what made the snapshot's list.
+		if t := fe.tables[m.schema.Name]; t != nil {
+			have := *t.schema
+			have.Indexes = m.schema.Indexes
+			if bytes.Equal(encodeSchemaPayload(nil, &have), encodeSchemaPayload(nil, m.schema)) {
+				return nil
+			}
+		}
 		if err := fe.createTableLocked(m.schema, false); err != nil {
 			return err
 		}
@@ -180,6 +353,11 @@ func (fe *FileEngine) apply(m *mutation) error {
 		delete(fe.seg.loaded, m.table) // the rows the manifest's segments held died with the table
 		return nil
 	case opCreateIndex:
+		if t := fe.tables[m.table]; t != nil {
+			if ix := t.active.indexes[m.index.Name]; ix != nil && ix.spec.Unique == m.index.Unique && slices.Equal(ix.spec.Columns, m.index.Columns) {
+				return nil
+			}
+		}
 		return fe.createIndexLocked(m.table, m.index, false)
 	case opDropIndex:
 		if t := fe.tables[m.table]; t != nil && t.active.indexes[m.index.Name] == nil {
@@ -202,7 +380,8 @@ func (fe *FileEngine) apply(m *mutation) error {
 			return err
 		}
 		// The row was loaded from the snapshot or is served by a segment
-		// (the WAL outlives compactions and a checkpoint's crash window).
+		// (a log outlives a checkpoint's crash window, and one written
+		// before hot tables had tail logs outlives compactions).
 		// Equal images are an idempotent no-op, which keeps a flushed row
 		// flushed; on divergence the log wins.
 		if rowsEqual(ref.clone(), m.row) {
@@ -318,42 +497,43 @@ func (fe *FileEngine) loadSnapshot() error {
 	}
 }
 
-func (fe *FileEngine) replayWAL() error {
-	f, err := os.Open(fe.walPath())
+// replayLog applies the records of the log at path in order and returns
+// how many bytes of it are good. A torn tail — a crash mid-append — ends
+// the log: the file is truncated to its last whole record. A missing
+// file is an empty log.
+func (fe *FileEngine) replayLog(path string, apply func(*mutation) error) (good int64, err error) {
+	f, err := os.Open(path)
 	if errors.Is(err, os.ErrNotExist) {
-		return nil
+		return 0, nil
 	}
 	if err != nil {
-		return fmt.Errorf("reldb: open WAL: %w", err)
+		return 0, fmt.Errorf("reldb: open log: %w", err)
 	}
 	defer f.Close()
 	rr := newRecordReader(f)
-	var good int64 // bytes of fully-valid records
 	for {
 		payload, err := rr.readRecord()
 		if err == io.EOF {
-			break
+			return good, nil
 		}
 		if errors.Is(err, ErrCorruptLog) {
-			// Torn tail: truncate the WAL to the last valid record.
-			if terr := os.Truncate(fe.walPath(), good); terr != nil {
-				return fmt.Errorf("reldb: truncate torn WAL: %w", terr)
+			if terr := os.Truncate(path, good); terr != nil {
+				return 0, fmt.Errorf("reldb: truncate torn log: %w", terr)
 			}
-			break
+			return good, nil
 		}
 		if err != nil {
-			return err
+			return 0, err
 		}
 		m, err := decodeMutationPayload(payload)
 		if err != nil {
-			return err
+			return 0, fmt.Errorf("%w (%s)", err, path)
 		}
-		if err := fe.apply(m); err != nil {
-			return err
+		if err := apply(m); err != nil {
+			return 0, fmt.Errorf("%w (%s)", err, path)
 		}
 		good += int64(len(payload)) + 8
 	}
-	return nil
 }
 
 // replaceFile durably replaces path with the records write emits: temp
@@ -388,7 +568,13 @@ func replaceFile(path string, write func(*recordWriter) error) (err error) {
 	if err = os.Rename(tmp, path); err != nil {
 		return err
 	}
-	d, err := os.Open(filepath.Dir(path))
+	return syncDir(filepath.Dir(path))
+}
+
+// syncDir fsyncs a directory, making the entries created, renamed or
+// removed in it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
 	if err != nil {
 		return err
 	}
@@ -396,13 +582,13 @@ func replaceFile(path string, write func(*recordWriter) error) (err error) {
 	return d.Sync()
 }
 
-// Checkpoint writes a snapshot atomically and truncates the WAL. It
-// first seals and drains every hot table's tail — lifting the
-// row-resident hold on tables rehydrated for disorder — so the snapshot,
-// which is simply the row sets, holds none of the rows that fsynced,
-// manifest-listed segments already make durable: the checkpoint costs
-// O(non-hot tables + whatever arrived during it), not a rewrite of the
-// result tables.
+// Checkpoint writes a snapshot atomically, truncates perftrack.wal and
+// deletes every tail log. It first seals and drains every hot table's
+// tail — lifting the row-resident hold on tables rehydrated for disorder
+// — so the snapshot, which is simply the row sets, holds none of the rows
+// that fsynced, manifest-listed segments already make durable: the
+// checkpoint costs O(non-hot tables + whatever arrived during it), not a
+// rewrite of the result tables.
 func (fe *FileEngine) Checkpoint() error {
 	st := fe.seg
 	st.compactMu.Lock()
@@ -459,78 +645,105 @@ func (fe *FileEngine) Checkpoint() error {
 	if err != nil {
 		return fmt.Errorf("reldb: checkpoint: %w", err)
 	}
-	// The manifest must reflect the surviving segments before the WAL —
-	// their other source of truth — is discarded. Stale ones go: a table
-	// that still has any was not re-segmented, so the snapshot holds it
-	// in full.
+	st.stepped("snapshot")
+	// The manifest must reflect the surviving segments, and put every tail
+	// log below its table's low-water mark, before the logs — their other
+	// source of truth — are discarded. Stale segments go: a table that
+	// still has any was not re-segmented, so the snapshot holds it in
+	// full. A table the snapshot holds rows of (a batch is open, or it
+	// cannot be sealed) pins its tail logs from here on (rule 3).
 	for _, name := range segmentHotTables {
 		if t := fe.tables[name]; t != nil {
 			t.releaseStaleLocked()
+			t.pinLogs = len(t.active.rows) > 0
 		}
 	}
-	if err := st.writeManifest(st.manifestLocked()); err != nil {
+	m, garbage := st.manifestLocked()
+	for i, name := range segmentHotTables {
+		m.lowWater[i] = st.logSeq[name]
+	}
+	if err := st.writeManifest(m, garbage); err != nil {
 		return err
 	}
-	// Truncate the WAL: its effects are captured by the snapshot and
-	// the manifest-referenced segments.
-	if err := fe.wal.Truncate(0); err != nil {
+	st.stepped("checkpoint manifest")
+	// Snapshot and manifest-referenced segments now capture every log's
+	// effects.
+	if err := fe.wal.f.Truncate(0); err != nil { // opened O_APPEND: the next record lands at offset 0
 		return err
 	}
-	if _, err := fe.wal.Seek(0, io.SeekStart); err != nil {
-		return err
+	fe.logTrimmed += uint64(fe.wal.size) + discardLogs(st.retired)
+	fe.wal.w, fe.wal.size, fe.wal.synced = newRecordWriter(fe.wal.f), 0, 0
+	st.retired = nil
+	for _, name := range segmentHotTables {
+		if t := fe.tables[name]; t != nil {
+			t.discardLogsLocked()
+		}
 	}
-	fe.walW = newRecordWriter(fe.wal)
+	st.stepped("checkpoint truncate")
 	return nil
 }
 
-// DiskSize reports the total bytes on disk (snapshot + WAL + segment
-// files), flushing buffered WAL records first so the figure is accurate.
+// DiskSize reports the total bytes on disk (logs + snapshot + segment
+// files), flushing buffered log records first so the figure is accurate.
 func (fe *FileEngine) DiskSize() (int64, error) {
-	fe.mu.Lock()
-	err := fe.walW.flush()
-	fe.mu.Unlock()
-	if err != nil {
-		return 0, err
-	}
-	var total int64
-	for _, path := range []string{fe.snapPath(), fe.walPath()} {
-		info, err := os.Stat(path)
-		if errors.Is(err, os.ErrNotExist) {
-			continue
-		}
-		if err != nil {
-			return 0, err
-		}
-		total += info.Size()
-	}
-	return total + fe.DB.Stats().SegmentBytes, nil
+	s, err := fe.stats()
+	return s.DiskBytes, err
 }
 
-// Stats extends the in-memory statistics with on-disk footprint: WAL,
-// snapshot and segment files. When the WAL cannot be flushed its size on
-// disk is stale, so WALBytes (and with it DiskBytes) stays at the last
-// good value and the failure is counted in FlushErrors.
+// Stats extends the in-memory statistics with on-disk footprint: logs
+// (perftrack.wal and every live tail log, as WALBytes), snapshot and
+// segment files. When a log cannot be flushed its size on disk is stale,
+// so WALBytes (and with it DiskBytes) stays at the last good value and
+// the failure is counted in FlushErrors.
 func (fe *FileEngine) Stats() Stats {
+	s, _ := fe.stats()
+	return s
+}
+
+func (fe *FileEngine) stats() (Stats, error) {
 	s := fe.DB.Stats()
 	s.Kind = fe.Kind()
 	fe.mu.Lock()
-	if err := fe.walW.flush(); err != nil {
-		fe.flushErrors++
-	} else if info, err := os.Stat(fe.walPath()); err == nil {
-		fe.walBytes = info.Size()
+	var err error
+	for _, l := range fe.openLogsLocked() {
+		err = errors.Join(err, l.flush())
 	}
-	s.WALBytes, s.FlushErrors = fe.walBytes, fe.flushErrors
+	if err != nil {
+		fe.flushErrors++
+	} else {
+		fe.logBytes = 0
+		for _, l := range fe.liveLogsLocked() {
+			fe.logBytes += l.size
+		}
+	}
+	s.WALBytes, s.FlushErrors = fe.logBytes, fe.flushErrors
 	fe.mu.Unlock()
 	if info, err := os.Stat(fe.snapPath()); err == nil {
 		s.SnapshotBytes = info.Size()
 	}
 	s.DiskBytes = s.WALBytes + s.SnapshotBytes + s.SegmentBytes
-	return s
+	return s, err
 }
 
-// Close stops the compactor, flushes and fsyncs the WAL, and releases its
-// file handle — always, whatever failed before; it returns every failure.
+// closeLogs releases every log's file handle without flushing.
+func (fe *FileEngine) closeLogs() error {
+	var err error
+	for _, l := range fe.liveLogsLocked() {
+		err = errors.Join(err, l.f.Close())
+	}
+	return err
+}
+
+// Close stops the compactor, flushes and fsyncs the logs, and releases
+// their file handles — always, whatever failed before; it returns every
+// failure.
 func (fe *FileEngine) Close() error {
 	fe.seg.shutdown()
-	return errors.Join(fe.walW.flush(), fe.wal.Sync(), fe.wal.Close())
+	fe.mu.Lock()
+	defer fe.mu.Unlock()
+	var err error
+	for _, l := range fe.liveLogsLocked() {
+		err = errors.Join(err, l.sync())
+	}
+	return errors.Join(err, fe.closeLogs())
 }

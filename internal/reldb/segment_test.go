@@ -62,10 +62,10 @@ func insertResults(t *testing.T, fe *FileEngine, n int) {
 
 // abandon simulates a crash: stop the compactor and drop the file
 // handles without flushing, checkpointing, or closing cleanly. With
-// sync mode on, everything committed is already in the WAL.
+// sync mode on, everything committed is already in the logs.
 func abandon(fe *FileEngine) {
 	fe.seg.shutdown()
-	fe.wal.Close()
+	fe.closeLogs()
 }
 
 // hotStatus returns the compaction status /v1/stats reports for a table.
@@ -701,6 +701,41 @@ func TestOpenLegacyStoreDirectories(t *testing.T) {
 				check(t, fe2, 60)
 			})
 		}
+		// The old directory under the tail logs, never checkpointed: it loads,
+		// compacts, crashes and reopens with every row. Results 41..60 are
+		// durable in the old perftrack.wal alone, so the delete of one must
+		// outlive the compaction that would otherwise trim its tail log.
+		t.Run(fixture.name+"/tail-logs", func(t *testing.T) {
+			dir := t.TempDir()
+			copyTree(t, filepath.Join("testdata", fixture.name), dir)
+			fe := openTestEngine(t, dir)
+			insertResults(t, fe, 10)
+			if err := fe.Delete("performance_result", 50); err != nil {
+				t.Fatal(err)
+			}
+			if err := fe.CompactSegments(); err != nil {
+				t.Fatal(err)
+			}
+			fe.Stats() // flushes the logs
+			abandon(fe)
+			fe = openTestEngine(t, dir)
+			defer fe.Close()
+			tab, _ := fe.Table("performance_result")
+			if _, ok := tab.Get(50); ok || tab.Len() != 69 {
+				t.Fatalf("after the crash: %d results, deleted row back = %v; want 69 and gone", tab.Len(), ok)
+			}
+			for i := 0; i < 10; i++ {
+				want := resultRow(i)
+				want[0] = Int(int64(61 + i))
+				if got, ok := tab.Get(int64(61 + i)); !ok || !rowsEqual(got, want) {
+					t.Fatalf("row %d = %v, want %v", 61+i, got, want)
+				}
+			}
+			// Replaying the delete over the segment that holds row 50 rehydrated the table.
+			if st := hotStatus(t, fe, "performance_result"); !st.Dirty || st.LogFiles == 0 {
+				t.Fatalf("status after the crash = %+v, want the pinned tail log replayed", st)
+			}
+		})
 	}
 }
 

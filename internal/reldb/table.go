@@ -40,6 +40,11 @@ type Table struct {
 	frozenMaxID  int64     // highest row ID in segs and sealed
 	frozenMaxKey []byte    // highest encoded primary key there; nil when both are empty
 	resident     residency // why a hot table is row-resident, if it is
+	// pinLogs: the snapshot (or a perftrack.wal from before hot tables had
+	// tail logs) holds rows of this table, so a delete of one is durable in
+	// a tail log alone and no log of the table may be trimmed until a
+	// checkpoint writes a snapshot without them (rule 3).
+	pinLogs bool
 
 	transposers sync.Pool // *transposer: reusable blocks for Blocks/Gather
 }
@@ -62,6 +67,7 @@ type rowSet struct {
 	dataBytes int64                  // approximate stored data volume
 	pkBytes   int64                  // approximate primary B-tree key volume
 	maxID     int64                  // highest row ID ever inserted
+	logs      []*logFile             // durable engine, hot tables: the tail logs holding this set's records, in replay order
 }
 
 type tableIndex struct {
@@ -454,9 +460,23 @@ func (t *Table) rehydrateLocked(why residency) {
 		t.stale, t.staleBytes = append(t.stale, s.file), t.staleBytes+s.sizeOn
 	}
 	t.segs, t.segRows, t.segBytes, t.segDataBytes = nil, 0, 0, 0
+	// Rule 2: the fresh set inherits the logs of the sets it folds — their
+	// rows are in no segment yet, and the mutation that caused this is about
+	// to be logged behind them.
+	fresh.logs = t.logsLocked()
 	t.installLocked(nil, fresh)
 	t.frozenMaxID, t.frozenMaxKey = 0, nil
 	t.resident = why
+}
+
+// logsLocked returns the tail logs the table's row sets own, in replay
+// order.
+func (t *Table) logsLocked() []*logFile {
+	var logs []*logFile
+	for _, rs := range t.sets {
+		logs = append(logs, rs.logs...)
+	}
+	return logs
 }
 
 // lenLocked counts the table's rows wherever they live.

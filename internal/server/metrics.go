@@ -147,8 +147,20 @@ func (m *serverMetrics) registerStore(store *datastore.Store) {
 				return float64(st.DataBytes + st.IndexBytes)
 			})
 		m.reg.CounterFunc("ptserved_store_stats_flush_errors_total",
-			"Storage statistics reads whose WAL flush failed (wal_bytes then reports the last good value).",
+			"Storage statistics reads whose log flush failed (wal_bytes then reports the last good value).",
 			func() uint64 { return store.Engine().Stats().FlushErrors })
+		// wal_bytes is what is live, not what was ever written: hot-table
+		// tail logs are deleted as their rows reach segments. These two keep
+		// write amplification visible.
+		m.reg.CounterFunc("ptserved_store_log_bytes_appended_total",
+			"Bytes appended to perftrack.wal and the hot tables' tail logs.",
+			func() uint64 { return se.SegmentStats().LogBytesAppended })
+		m.reg.CounterFunc("ptserved_store_log_bytes_trimmed_total",
+			"Log bytes deleted once segments or a snapshot superseded them.",
+			func() uint64 { return se.SegmentStats().LogBytesTrimmed })
+		m.reg.GaugeFunc("ptserved_store_log_bytes",
+			"Bytes of live logs on disk: perftrack.wal and every tail log (wal_bytes on /v1/stats).",
+			func() float64 { return float64(store.Engine().Stats().WALBytes) })
 	}
 }
 

@@ -6,10 +6,11 @@
 # health, metrics, remote and local ptdiagnose (including the not-found
 # hint), remote and local ptcompare (one output), and graceful SIGTERM
 # shutdown (drain + checkpoint).
-# A second pass starts a fresh durable store, forces compaction,
-# kills the server without a checkpoint, and verifies that recovery
+# A second pass starts a fresh durable store, loads enough results to
+# compact and then a little more, kills the server without a checkpoint,
+# and verifies that the logs held only what no segment did, that recovery
 # loses nothing and re-attaches the segments without re-counting their
-# rows.
+# rows, and that a graceful shutdown leaves no tail log behind.
 set -eu
 
 workdir=$(mktemp -d)
@@ -153,6 +154,10 @@ wait "$pid"
 pid=""
 [ -s store/perftrack.snap ] || { echo "no snapshot after shutdown" >&2; exit 1; }
 [ ! -s store/perftrack.wal ] || { echo "WAL not truncated after shutdown" >&2; exit 1; }
+if ls store/segments/tail-*.log >/dev/null 2>&1; then
+    echo "tail logs left after the shutdown checkpoint" >&2
+    exit 1
+fi
 
 echo "== local ptquery sees the served store"
 final=$(bin/ptquery -db store -family 'type=application' -count 2>&1 |
@@ -181,42 +186,55 @@ bin/ptcompare -db store -a smg-bgl-000 -b smg-bgl-001 > compare_local.txt
 diff compare_remote.txt compare_local.txt || { echo "ptcompare -db and -remote diverge" >&2; exit 1; }
 
 echo "== durable engine: load, compact, crash, recover"
+# A result-heavy dataset first (two IRS runs: thousands of results, which
+# cross the flush threshold and reach segments), then the small one, whose
+# 16 results stay in the hot tables' tail logs.
+bin/ptgen -kind irs -out rawirs -execs 2 -np 16 >/dev/null
+bin/ptdfgen -index rawirs/index.txt -out ptdfirs >/dev/null 2>&1
+ptdfbytes=$(cat ptdfirs/*.ptdf ptdf/*.ptdf | wc -c)
 bin/ptinit -db segstore -machines >/dev/null
-start_server segserved.log -db segstore -addr "$addr" -storage segment -segment-flush 8
+start_server segserved.log -db segstore -addr "$addr" -storage segment -segment-flush 64
 
-bin/ptload -remote "$base" ptdf/*.ptdf >/dev/null
+bin/ptload -remote "$base" ptdfirs/*.ptdf ptdf/*.ptdf >/dev/null
 segcount=$(bin/ptquery -remote "$base" -family 'type=application' -count 2>&1 |
     sed -n 's/^pr-filter matches \([0-9]*\) performance results$/\1/p')
-[ "$segcount" = "$count" ] || { echo "segment store served $segcount != $count results" >&2; exit 1; }
+[ "$segcount" -gt "$count" ] || { echo "segment store served $segcount results, want more than the small dataset's $count" >&2; exit 1; }
 
+# Wait for the background compactor (flush threshold 64 rows) to flush
+# the hot tables into columnar segments and delete the tail logs those
+# supersede: a finished pass is counted only after its logs are gone.
+for i in $(seq 1 50); do
+    if ls segstore/segments/seg-performance_result-*.seg >/dev/null 2>&1 &&
+        [ "$(ls segstore/segments/tail-performance_result-*.log 2>/dev/null | wc -l)" -eq 1 ]; then
+        break
+    fi
+    [ "$i" -eq 50 ] && { echo "compactor wrote no segments, or left the logs they supersede" >&2; exit 1; }
+    sleep 0.2
+done
+
+walbytes=""
 if command -v curl >/dev/null; then
-    echo "== /v1/stats reports segment storage"
+    echo "== /v1/stats reports segment storage and logs that hold the uncompacted tail only"
     curl -fsS "$base/v1/stats" > segstats.json
     grep -q '"kind": "segment"' segstats.json
     grep -q '"segments"' segstats.json
+    walbytes=$(sed -n 's/^ *"wal_bytes": \([0-9]*\),*$/\1/p' segstats.json)
+    [ "$walbytes" -lt "$ptdfbytes" ] || { echo "live logs hold $walbytes bytes for $ptdfbytes bytes of PTdf loaded" >&2; exit 1; }
+    curl -fsS "$base/metrics" | grep -q '^ptserved_store_log_bytes_trimmed_total [1-9]'
 fi
-
-# Wait for the background compactor (flush threshold 64 rows) to flush
-# the hot tables into columnar segments.
-for i in $(seq 1 50); do
-    if ls segstore/segments/seg-performance_result-*.seg >/dev/null 2>&1; then
-        break
-    fi
-    [ "$i" -eq 50 ] && { echo "compactor wrote no segments" >&2; exit 1; }
-    sleep 0.2
-done
 
 echo "== kill -9 between compaction and checkpoint"
 kill -9 "$pid"
 wait "$pid" 2>/dev/null || true
 pid=""
 [ -s segstore/perftrack.wal ] || { echo "expected a live WAL after hard kill" >&2; exit 1; }
+ls segstore/segments/tail-*.log >/dev/null 2>&1 || { echo "expected the uncompacted tail in tail logs after hard kill" >&2; exit 1; }
 
 echo "== recovery serves every committed batch"
 start_server segserved2.log -db segstore -addr "$addr" -storage segment
 recovered=$(bin/ptquery -remote "$base" -family 'type=application' -count 2>&1 |
     sed -n 's/^pr-filter matches \([0-9]*\) performance results$/\1/p')
-[ "$recovered" = "$count" ] || { echo "post-crash count $recovered != $count" >&2; exit 1; }
+[ "$recovered" = "$segcount" ] || { echo "post-crash count $recovered != $segcount" >&2; exit 1; }
 if command -v curl >/dev/null; then
     echo "== recovery kept the segments and did not double-count their rows"
     curl -fsS "$base/v1/stats" > recstats.json
@@ -232,5 +250,10 @@ fi
 kill -TERM "$pid"
 wait "$pid"
 pid=""
+[ ! -s segstore/perftrack.wal ] || { echo "WAL not truncated after shutdown" >&2; exit 1; }
+if ls segstore/segments/tail-*.log >/dev/null 2>&1; then
+    echo "tail logs left after the shutdown checkpoint" >&2
+    exit 1
+fi
 
 echo "smoke test passed ($count results served, $recovered recovered on segment engine)"
