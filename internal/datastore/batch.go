@@ -23,8 +23,12 @@ var ErrBatchDone = errors.New("datastore: batch already finished")
 //
 // Commit is transactional per batch: every record applies inside one
 // engine transaction, a bad record rolls the whole batch back (durably —
-// the WAL carries the compensation records), the store generation bumps
-// exactly once, and on a durable engine the WAL is flushed exactly once.
+// the WAL carries the compensation records; the rows of the three result
+// tables were private to the transaction and never logged), the store
+// generation bumps exactly once, and on a durable engine the WAL is
+// flushed exactly once. On a durable engine the batch's result rows and
+// their links become visible in one step, at the commit: a reader sees
+// none or all of a document's results.
 // This is the write API every multi-record path sits on: LoadPTdf stages
 // one document per batch, and BulkLoad pipelines many batches from
 // parallel decoders into a single committer.
@@ -147,9 +151,11 @@ func (b *Batch) CommitCtx(ctx context.Context) (LoadStats, error) {
 		return LoadStats{}, flush(s.rollbackLoad(tx, applyErr))
 	}
 	if err := tx.Commit(); err != nil {
+		// The engine refused the batch's hot-table rows — nothing of them is
+		// installed — and the transaction is still open: the rest goes too.
 		s.tel.batchRollbacks.Add(1)
 		span.Annotate("outcome", "rollback")
-		return LoadStats{}, flush(err)
+		return LoadStats{}, flush(s.rollbackLoad(tx, err))
 	}
 	if err := flush(nil); err != nil {
 		return LoadStats{}, err

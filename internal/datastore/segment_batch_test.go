@@ -1,0 +1,160 @@
+package datastore
+
+import (
+	"context"
+	"fmt"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"perftrack/internal/core"
+	"perftrack/internal/ptdf"
+)
+
+// fullShapedDoc returns the records of one execution shaped like the
+// benchmark's doc_full: procs x funcs foci of three resources (a process,
+// a function, a processor), each carrying one result per metric — one
+// three-resource context per result.
+func fullShapedDoc(exec string, procs, funcs, metrics int) []ptdf.Record {
+	recs := []ptdf.Record{ptdf.ExecutionRec{Name: exec, App: "shaped"}}
+	for p := 0; p < procs; p++ {
+		recs = append(recs, ptdf.ResourceRec{Name: core.ResourceName(fmt.Sprintf("/%s/p%d", exec, p)), Type: "execution/process", Exec: exec})
+	}
+	for p := 0; p < procs; p++ {
+		for f := 0; f < funcs; f++ {
+			sets := []ptdf.ResourceSet{{
+				Names: []core.ResourceName{
+					core.ResourceName(fmt.Sprintf("/%s/p%d", exec, p)),
+					core.ResourceName(fmt.Sprintf("/bld/m/f%d", f)),
+					core.ResourceName(fmt.Sprintf("/G/M/pt/n%d/c%d", p/8, p%8)),
+				},
+				Type: core.FocusPrimary,
+			}}
+			for m := 0; m < metrics; m++ {
+				recs = append(recs, ptdf.PerfResultRec{Exec: exec, Sets: sets, Tool: "tool",
+					Metric: fmt.Sprintf("metric %d", m), Units: "seconds", Value: float64(p*funcs+f) + float64(m)/8})
+			}
+		}
+	}
+	return recs
+}
+
+// shapedShared returns what every fullShapedDoc refers to: the
+// application, the functions of the build and the machine's processors.
+func shapedShared(procs, funcs int) []ptdf.Record {
+	recs := []ptdf.Record{ptdf.ApplicationRec{Name: "shaped"}}
+	for f := 0; f < funcs; f++ {
+		recs = append(recs, ptdf.ResourceRec{Name: core.ResourceName(fmt.Sprintf("/bld/m/f%d", f)), Type: "build/module/function"})
+	}
+	for p := 0; p < procs; p++ {
+		recs = append(recs, ptdf.ResourceRec{Name: core.ResourceName(fmt.Sprintf("/G/M/pt/n%d/c%d", p/8, p%8)), Type: "grid/machine/partition/node/processor"})
+	}
+	return recs
+}
+
+func stage(s *Store, recs []ptdf.Record) *Batch {
+	b := s.NewBatch()
+	for _, rec := range recs {
+		b.Stage(rec)
+	}
+	return b
+}
+
+// TestSegmentCommitAllocsPerResult counts — it does not time — what the
+// commit of a document shaped like doc_full allocates: at most 29 objects
+// a result, half of the 58 it took when every row of the three result
+// tables was cloned, key-encoded, threaded into B-trees and given an undo
+// entry.
+func TestSegmentCommitAllocsPerResult(t *testing.T) {
+	s, _ := newSegmentStore(t)
+	const procs, funcs, metrics = 16, 8, 8
+	if _, err := stage(s, shapedShared(procs, funcs)).Commit(); err != nil {
+		t.Fatal(err)
+	}
+	const runs = 5
+	var batches []*Batch
+	for i := 0; i <= runs; i++ { // AllocsPerRun warms up with one call more
+		batches = append(batches, stage(s, fullShapedDoc(fmt.Sprintf("e%d", i), procs, funcs, metrics)))
+	}
+	next := 0
+	perCommit := testing.AllocsPerRun(runs, func() {
+		if _, err := batches[next].CommitCtx(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	})
+	t.Logf("%.1f allocations per result", perCommit/(procs*funcs*metrics))
+	if perResult := perCommit / (procs * funcs * metrics); perResult > 29 {
+		t.Fatalf("a commit allocates %.1f objects per result, want at most 29", perResult)
+	}
+}
+
+// TestSegmentBatchHotRowsAppearTogether is the store-level leg of the
+// engine's test of that name: while documents load — every third one
+// refused at its last record and rolled back — the result count a reader
+// sees is always that of whole loaded documents.
+func TestSegmentBatchHotRowsAppearTogether(t *testing.T) {
+	s, _ := newSegmentStore(t)
+	const procs, funcs, metrics = 8, 8, 8
+	const perDoc = procs * funcs * metrics
+	if _, err := stage(s, shapedShared(procs, funcs)).Commit(); err != nil {
+		t.Fatal(err)
+	}
+	const docs = 30
+	var next, loaded atomic.Int64
+	var loaders, readers sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		loaders.Add(1)
+		go func() {
+			defer loaders.Done()
+			for {
+				k := int(next.Add(1)) - 1
+				if k >= docs {
+					return
+				}
+				var doc strings.Builder
+				for _, rec := range fullShapedDoc(fmt.Sprintf("e%d", k), procs, funcs, metrics) {
+					doc.WriteString(ptdf.FormatRecord(rec))
+					doc.WriteByte('\n')
+				}
+				if k%3 == 2 {
+					fmt.Fprintf(&doc, "PerfResult e%d /nobody/has/this(primary) tool \"metric 0\" 1.0 seconds\n", k)
+				}
+				_, err := s.LoadPTdf(strings.NewReader(doc.String()))
+				switch {
+				case k%3 == 2 && err == nil:
+					t.Errorf("document %d: its last record names an unknown resource, yet it loaded", k)
+				case k%3 != 2 && err != nil:
+					t.Errorf("document %d: %v", k, err)
+				case err == nil:
+					loaded.Add(1)
+				}
+			}
+		}()
+	}
+	done := make(chan struct{})
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if n := s.Stats().Results; n%perDoc != 0 {
+					t.Errorf("Stats().Results = %d: not a number of whole %d-result documents", n, perDoc)
+					return
+				}
+			}
+		}()
+	}
+	loaders.Wait()
+	close(done)
+	readers.Wait()
+	if got, want := s.Stats().Results, loaded.Load()*perDoc; got != want || loaded.Load() != docs-docs/3 {
+		t.Fatalf("%d results after %d loaded documents, want %d (and %d documents)", got, loaded.Load(), want, docs-docs/3)
+	}
+}

@@ -11,10 +11,11 @@ import (
 // first-primary-key values and yields ColumnBlocks in ascending PK
 // order — first the immutable segment blocks whose zone maps intersect
 // the range (none on mem, before the first compaction, or while the
-// table is rehydrated), then the rows of the sealed and active row sets,
+// table is rehydrated), then the unflushed rows: a columnar tail as a
+// view pinned at the length it had when the scan opened, a row set
 // transposed into a reusable block of up to blockRows rows. Table.Gather
-// transposes an ascending row-ID list the same way, copying a flushed
-// row's values straight out of its segment. Consumers never learn which
+// transposes an ascending row-ID list the same way, copying a columnar
+// row's values straight out of its block. Consumers never learn which
 // storage shape a block came from.
 
 // blockRows is the transposer's window: B-tree rows are handed out in
@@ -22,8 +23,8 @@ import (
 const blockRows = 4096
 
 // ColumnBlock is a run of rows laid out column-major: a whole decoded
-// segment, or one window of transposed B-tree rows. Callers must not
-// mutate the slices it hands out.
+// segment, a view of a columnar tail, or one window of transposed rows.
+// Callers must not mutate the slices it hands out.
 type ColumnBlock struct {
 	rows   int
 	rowIDs []int64
@@ -147,6 +148,86 @@ func (b *ColumnBlock) finish() {
 	for ci := range b.cols {
 		b.zones[ci] = b.cols[ci].zone()
 	}
+}
+
+// appendBlock adds every row of src, column to column, and widens the
+// zone maps by src's, which must be computed. Rows already in b do not
+// move: a view of them stays valid.
+func (b *ColumnBlock) appendBlock(src *ColumnBlock) {
+	for ci := range b.cols {
+		b.cols[ci].appendVec(&src.cols[ci], b.rows, src.rows)
+		b.zones[ci].widen(src.zones[ci])
+	}
+	b.rowIDs = append(b.rowIDs, src.rowIDs...)
+	b.rows += src.rows
+}
+
+// appendVec appends the m values of src to a column that holds n.
+func (c *colVec) appendVec(src *colVec, n, m int) {
+	c.ints = append(c.ints, src.ints...)
+	c.floats = append(c.floats, src.floats...)
+	c.strs = append(c.strs, src.strs...)
+	c.bools = append(c.bools, src.bools...)
+	switch {
+	case src.nulls != nil:
+		if c.nulls == nil {
+			c.nulls = make([]bool, n, n+m)
+		}
+		c.nulls = append(c.nulls, src.nulls...)
+	case c.nulls != nil:
+		c.nulls = append(c.nulls, make([]bool, m)...)
+	}
+}
+
+// widen extends the zone to cover o. A NaN bound poisons the float zone,
+// which then excludes nothing; finish recomputes it exactly.
+func (z *zoneMap) widen(o zoneMap) {
+	switch {
+	case !o.valid:
+	case !z.valid:
+		*z = o
+	default:
+		z.minI, z.maxI = min(z.minI, o.minI), max(z.maxI, o.maxI)
+		z.minF, z.maxF = min(z.minF, o.minF), max(z.maxF, o.maxF)
+	}
+}
+
+// cellZone is the zone of one value in a column of the given kind.
+func cellZone(kind Kind, v Value) zoneMap {
+	switch {
+	case v.kind == KindNull:
+	case kind == KindInt:
+		return zoneMap{valid: true, minI: v.i, maxI: v.i}
+	case kind == KindFloat:
+		return zoneMap{valid: true, minF: v.Float64(), maxF: v.Float64()}
+	}
+	return zoneMap{}
+}
+
+// view returns rows [from, to) of the block as a block of its own,
+// sharing their storage. The zone maps are the whole block's: bounds on
+// the view's values, not tight ones. Rows appended to b later are not
+// part of the view and do not disturb it.
+func (b *ColumnBlock) view(from, to int) ColumnBlock {
+	v := ColumnBlock{rows: to - from, rowIDs: b.rowIDs[from:to:to], cols: make([]colVec, len(b.cols)), zones: slices.Clone(b.zones)}
+	for ci := range b.cols {
+		c, vc := &b.cols[ci], &v.cols[ci]
+		vc.kind = c.kind
+		switch c.kind {
+		case KindInt:
+			vc.ints = c.ints[from:to:to]
+		case KindFloat:
+			vc.floats = c.floats[from:to:to]
+		case KindString:
+			vc.strs = c.strs[from:to:to]
+		case KindBool:
+			vc.bools = c.bools[from:to:to]
+		}
+		if c.nulls != nil {
+			vc.nulls = c.nulls[from:to:to]
+		}
+	}
+	return v
 }
 
 // cell returns the value at row i of column ci.
@@ -315,8 +396,16 @@ type BlockScan struct {
 	Bytes  int64
 
 	t      *Table
-	lo, hi int64     // first-PK range
-	sets   []*rowSet // the row sets when the scan opened: with Segments, every row the table then held
+	lo, hi int64      // first-PK range
+	tails  []tailView // the sealed and active columnar tails when the scan opened
+	set    *rowSet    // the row set then: with Segments and tails, every row the table held
+}
+
+// tailView pins the rows a tail held when a scan opened, which never
+// move; perm is their primary-key order where that is not their position.
+type tailView struct {
+	b    ColumnBlock
+	perm []int32
 }
 
 // Blocks opens the block source for first-primary-key values in
@@ -327,7 +416,7 @@ func (t *Table) Blocks(lo, hi int64) (*BlockScan, error) {
 	}
 	t.db.mu.RLock()
 	defer t.db.mu.RUnlock()
-	bs := &BlockScan{t: t, lo: lo, hi: hi, sets: t.sets}
+	bs := &BlockScan{t: t, lo: lo, hi: hi, set: t.active}
 	for _, s := range t.segs {
 		if s.maxPK < lo || s.minPK > hi {
 			bs.Pruned++
@@ -335,6 +424,11 @@ func (t *Table) Blocks(lo, hi int64) (*BlockScan, error) {
 		}
 		bs.Bytes += s.decodedBytes()
 		bs.Segments = append(bs.Segments, &s.ColumnBlock)
+	}
+	for _, s := range t.tailsLocked() {
+		if s.rows > 0 {
+			bs.tails = append(bs.tails, tailView{s.view(0, s.rows), s.pkPerm(t.pkCols)})
+		}
 	}
 	return bs, nil
 }
@@ -354,33 +448,66 @@ func (bs *BlockScan) Each(fn func(*ColumnBlock) error) error {
 	return bs.Tail(fn)
 }
 
-// Tail transposes the rows of the range that no segment held when the
-// scan opened — the whole range when the scan is not Segmented — and
-// calls fn with each block in ascending PK order. A row set sealed,
-// flushed or rehydrated away since then is still read as it was, so
-// Segments plus Tail see each row exactly once. The block is reused: it is
-// valid only until fn returns. fn runs under the engine read lock and
-// must not write to the engine; a non-nil error stops the walk and is
+// Tail calls fn with the rows of the range that no segment held when the
+// scan opened — the whole range when the scan is not Segmented — block by
+// block in ascending PK order: a columnar tail whose rows lie in key
+// order as a view of them, trimmed to the range, with no copy and no
+// lock; one whose rows do not, and the row set, transposed into a
+// reusable block. A tail sealed, flushed or rehydrated away since the
+// scan opened is still read as it was then, so Segments plus Tail see
+// each row exactly once. A block is valid only until fn returns. While
+// the row set is walked fn runs under the engine read lock, so it must
+// not write to the engine; a non-nil error stops the walk and is
 // returned.
 func (bs *BlockScan) Tail(fn func(*ColumnBlock) error) error {
+	if bs.lo > bs.hi {
+		return nil
+	}
+	t := bs.t
+	first := t.pkCols[:1]
+	for i := range bs.tails {
+		tv := &bs.tails[i]
+		from := tv.b.bound(tv.perm, first, []Value{Int(bs.lo)}, false)
+		to := tv.b.bound(tv.perm, first, []Value{Int(bs.hi)}, true)
+		if from >= to {
+			continue
+		}
+		if tv.perm == nil {
+			v := tv.b.view(from, to)
+			if err := fn(&v); err != nil {
+				return err
+			}
+			continue
+		}
+		tr := t.transposer(fn)
+		for _, p := range tv.perm[from:to] {
+			if tr.err == nil {
+				tr.b.appendFrom(&tv.b, int(p))
+			}
+			if !tr.added() {
+				break
+			}
+		}
+		if err := tr.finish(); err != nil {
+			return err
+		}
+	}
 	loKey := EncodeKey(nil, Int(bs.lo))
 	var hiKey []byte
 	if bs.hi < math.MaxInt64 {
 		hiKey = EncodeKey(nil, Int(bs.hi+1))
 	}
-	t := bs.t
 	t.db.mu.RLock()
 	defer t.db.mu.RUnlock()
 	tr := t.transposer(fn)
-	if bs.lo <= bs.hi {
-		walkSets(bs.sets, "", loKey, hiKey, tr.add)
-	}
+	bs.set.walk("", loKey, hiKey, tr.add)
 	return tr.finish()
 }
 
 // Gather transposes the rows with the given IDs, in the order given
 // (ascending, for every caller), under one read lock; missing IDs are
-// skipped. fn has the same contract as in BlockScan.Tail.
+// skipped. fn runs under the engine read lock and must not write to the
+// engine; a block is valid only until fn returns.
 func (t *Table) Gather(ids []int64, fn func(*ColumnBlock) error) error {
 	t.db.mu.RLock()
 	defer t.db.mu.RUnlock()

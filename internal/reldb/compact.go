@@ -15,19 +15,22 @@ import (
 )
 
 // The durable engine keeps one resident copy of every row of its hot,
-// bulk-scanned tables (Table's doc comment has the read side). A batch
-// boundary that leaves a table's active row set at or above the flush
-// threshold seals it — swaps in an empty one, O(1); the background
-// compactor encodes the sealed set into an immutable columnar segment
-// file, publishes the decoded segment and drops the set, again O(1).
-// Nothing is deleted row by row and nothing re-inserted, at run time or
-// at recovery. A mutation the frozen shapes cannot absorb rehydrates the
-// table (Table.rehydrateLocked), the only fallback.
+// bulk-scanned tables, and keeps it columnar from the moment the row is
+// committed (Table's doc comment has the read side): the unflushed rows
+// are a tail, a segment with no file yet. A batch boundary that leaves a
+// table's tail at or above the flush threshold seals it — swaps in an
+// empty one, O(1); the background compactor encodes the sealed tail as it
+// stands into an immutable segment file and publishes the same object as
+// a segment, permutations and all, again O(1). Nothing is transposed,
+// deleted row by row or re-inserted, at run time or at recovery. A
+// mutation columns cannot absorb rehydrates the table into a row set
+// (Table.rehydrateLocked), the only fallback; the next seal transposes
+// the row set back.
 //
-// A hot row is durable in exactly one place: the tail log of the row set
+// A hot row is durable in exactly one place: the tail log of the tail
 // that holds it, then — once the segment file is fsynced and a durable
 // manifest names it — that segment, at which point the pass deletes the
-// set's tail logs. Five rules make the deletion safe (DESIGN §9): the
+// tail's logs. Five rules make the deletion safe (DESIGN §9): the
 // barrier before a manifest, the hand-off at rehydration, snapshot-held
 // rows pinning the log, the pass counted last, and the flush order.
 
@@ -110,9 +113,10 @@ func (fe *FileEngine) SetSegmentFlushRows(n int64) {
 
 // --- sealing (engine write lock held) ---
 
-// sealable reports whether a hot table's tail may be sealed: it has an
-// integer leading key, no unique index (segments cannot enforce one) and
-// no disorder since the last checkpoint.
+// sealable reports whether a hot table's tail may be sealed, which is
+// also whether it may be columnar: it has an integer leading key, no
+// unique index (blocks cannot enforce one) and no disorder since the last
+// checkpoint.
 func (t *Table) sealable() bool {
 	if t.resident == residentUnordered || len(t.pkCols) == 0 || t.schema.Columns[t.pkCols[0]].Type != KindInt {
 		return false
@@ -125,33 +129,57 @@ func (t *Table) sealable() bool {
 	return true
 }
 
-// sealReadyLocked seals every hot table whose active set holds at least
-// atLeast rows and has no sealed set in flight, then wakes the compactor if
-// any table has work for it. Callers have no write batch open, so every
-// row sealed is final: rollback compensation has already run. The sealed
-// set keeps its tail logs and the next record opens a new one — unless
-// the table's logs are pinned (rule 3), when they stay with the active
-// set, where no pass trims them.
-func (st *segState) sealReadyLocked(atLeast int64) {
+// columnarLocked gives a sealable hot table of a durable engine its
+// columnar tail, if it has none, transposing into it whatever the row set
+// holds — which a rehydration, or a snapshot at recovery, put there. The
+// row set's keys and row IDs all exceed the frozen ones, so the tail's do.
+func (t *Table) columnarLocked() {
+	if t.tail != nil || t.db.seg == nil || !isHotTable(t.schema.Name) || !t.sealable() {
+		return
+	}
+	tail, err := t.newTail()
+	if err != nil {
+		return // a column kind blocks cannot hold: the table stays row-resident
+	}
+	if n := len(t.active.rows); n > 0 {
+		ids, rows := make([]int64, 0, n), make([]Row, 0, n)
+		t.active.primary.Ascend(nil, nil, func(_ []byte, id int64) bool {
+			ids, rows = append(ids, id), append(rows, t.active.rows[id])
+			return true
+		})
+		built, err := buildSegment(t, ids, rows)
+		if err != nil {
+			return
+		}
+		built.perms, built.logs = tail.perms, t.active.logs
+		tail, t.active = built, t.newRowSet()
+	}
+	t.installLocked(t.sealed, tail)
+}
+
+// sealReadyLocked seals every hot table whose tail holds at least atLeast
+// rows and has no sealed tail in flight — a pointer moves; a row-resident
+// table is transposed first — then wakes the compactor if any table has
+// work for it. Callers have no write batch open, so every row sealed is
+// final: rollback compensation has already run. The sealed tail keeps its
+// logs and the next record opens a new one — unless the table's logs are
+// pinned (rule 3), when they stay with the active tail, where no pass
+// trims them. It reports whether some table is full behind a sealed tail:
+// its tail is at the threshold too and cannot be sealed until the pass in
+// flight publishes.
+func (st *segState) sealReadyLocked(atLeast int64) (full bool) {
 	work := false
 	for _, name := range segmentHotTables {
 		t := st.fe.tables[name]
 		if t == nil {
 			continue
 		}
-		if n := int64(len(t.active.rows)); t.sealed == nil && n > 0 && n >= atLeast && t.sealable() {
-			sealed, active := t.active, t.newRowSet()
-			if t.pinLogs {
-				sealed.logs, active.logs = nil, sealed.logs
-			} else if k := len(sealed.logs); k > 0 && sealed.logs[k-1].finish() != nil {
-				continue // the log cannot take its buffered records: the set stays active, the committer's next flush reports it
+		if n := t.unsealedLocked(); n > 0 && n >= atLeast && t.sealable() {
+			if t.sealed != nil {
+				full = true
+			} else if t.columnarLocked(); t.tail != nil {
+				st.sealLocked(t)
 			}
-			t.frozenMaxID = max(t.frozenMaxID, sealed.maxID)
-			t.frozenMaxKey = sealed.primary.root.max().key
-			if t.resident == residentMutated {
-				t.resident = 0
-			}
-			t.installLocked(sealed, active)
 		}
 		work = work || t.sealed != nil
 	}
@@ -161,14 +189,36 @@ func (st *segState) sealReadyLocked(atLeast int64) {
 		default:
 		}
 	}
+	return full
+}
+
+// sealLocked freezes the table's tail and starts a new one.
+func (st *segState) sealLocked(t *Table) {
+	sealed := t.tail
+	var logs []*logFile
+	if t.pinLogs {
+		logs, sealed.logs = sealed.logs, nil
+	} else if k := len(sealed.logs); k > 0 && sealed.logs[k-1].finish() != nil {
+		return // the log cannot take its buffered records: the tail stays active, the committer's next flush reports it
+	}
+	sealed.freeze(t.pkCols)
+	t.frozenMaxID = max(t.frozenMaxID, sealed.maxRowID)
+	t.frozenMaxKey = t.pkKey(sealed.row(sealed.top))
+	if t.resident == residentMutated {
+		t.resident = 0
+	}
+	tail, _ := t.newTail() // the table has one: its column kinds are fine
+	tail.logs = logs
+	t.installLocked(sealed, tail)
 }
 
 // tailLogLocked returns the tail log the table's next record goes to:
-// the last one its active set owns while that still takes records, else
+// the last one its active tail owns while that still takes records, else
 // a new one under the table's next sequence number.
 func (st *segState) tailLogLocked(t *Table) (*logFile, error) {
-	if n := len(t.active.logs); n > 0 && t.active.logs[n-1].w != nil {
-		return t.active.logs[n-1], nil
+	logs := t.activeLogsLocked()
+	if n := len(*logs); n > 0 && (*logs)[n-1].w != nil {
+		return (*logs)[n-1], nil
 	}
 	name := t.schema.Name
 	seq := st.logSeq[name]
@@ -183,7 +233,7 @@ func (st *segState) tailLogLocked(t *Table) (*logFile, error) {
 		}
 	}
 	st.logSeq[name] = seq + 1
-	t.active.logs = append(t.active.logs, l)
+	*logs = append(*logs, l)
 	return l, nil
 }
 
@@ -205,31 +255,32 @@ func parseTailLogName(base string) (table string, seq int64, ok bool) {
 // discardLogsLocked deletes the table's tail logs: it is being dropped,
 // or a checkpoint has captured its rows.
 func (t *Table) discardLogsLocked() {
-	if logs := t.logsLocked(); len(logs) > 0 {
-		t.db.seg.fe.logTrimmed += discardLogs(logs)
-		for _, rs := range t.sets {
-			rs.logs = nil
+	for _, owned := range t.logOwnersLocked() {
+		if len(*owned) > 0 {
+			t.db.seg.fe.logTrimmed += discardLogs(*owned)
+			*owned = nil
 		}
 	}
 }
 
 // lowWaterLocked is the sequence number below which no tail log of the
-// table is needed: the lowest one a row set owns, or the next to be
-// assigned.
+// table is needed: the lowest one its unflushed rows own, or the next to
+// be assigned.
 func (t *Table) lowWaterLocked() int64 {
-	for _, rs := range t.sets {
-		if len(rs.logs) > 0 {
-			return rs.logs[0].seq
-		}
+	if logs := t.logsLocked(); len(logs) > 0 {
+		return logs[0].seq
 	}
 	return t.db.seg.logSeq[t.schema.Name]
 }
 
-// adoptLocked makes a segment part of the table.
+// adoptLocked makes a segment part of the table. A published tail keeps
+// the permutations it has built; a decoded file starts with none.
 func (t *Table) adoptLocked(s *segment) {
-	s.perms = make(map[string]*lazyPerm, len(t.active.indexes))
-	for name := range t.active.indexes {
-		s.perms[name] = new(lazyPerm)
+	if s.perms == nil {
+		s.perms = make(map[string]*lazyPerm, len(t.active.indexes))
+		for name := range t.active.indexes {
+			s.perms[name] = new(lazyPerm)
+		}
 	}
 	t.segs = append(t.segs, s)
 	t.segRows += int64(s.rows)
@@ -260,7 +311,7 @@ func (st *segState) run() {
 		case <-st.notify:
 		}
 		st.compactMu.Lock()
-		// A failed pass leaves its sealed sets in place, still serving
+		// A failed pass leaves its sealed tails in place, still serving
 		// reads; the next batch boundary wakes the compactor to retry.
 		_ = st.drain(false)
 		st.compactMu.Unlock()
@@ -283,103 +334,126 @@ func (fe *FileEngine) CompactSegments() error {
 	return fe.seg.drain(true)
 }
 
-// drain encodes and publishes sealed sets until none is left; with force
-// it first seals every non-empty tail. Each pass starts with the barrier
-// (rule 1): every log that outlives it — perftrack.wal and the tail logs
-// of every set but the ones it is about to publish — is flushed and
-// fsynced, so that no segment is named before what its rows refer to is
-// durable; the sealed sets' own logs are about to be deleted and need no
-// fsync. It then writes a segment per sealed set outside the engine
-// lock, and under it appends the segment, drops the set and retires its
-// tail logs — sealing the table's next tail itself when that has
-// meanwhile crossed the threshold. Then the manifest is rewritten, the
-// retired logs deleted, and only then is the pass counted (rule 4): a
-// reader of the counters never sees a finished pass with its logs still
-// on disk. Requires compactMu.
+// drain runs passes until no sealed tail is left; with force the first
+// one seals every non-empty tail. Requires compactMu.
 func (st *segState) drain(force bool) error {
+	for ; ; force = false {
+		if worked, err := st.pass(force); err != nil || !worked {
+			return err
+		}
+	}
+}
+
+// pass encodes and publishes the tails that are sealed, and reports
+// whether any was. It starts with the barrier (rule 1): every log that
+// outlives it — perftrack.wal and the tail logs of every tail but the
+// ones it is about to publish — is flushed and fsynced, so that no segment
+// is named before what its rows refer to is durable; the sealed tails' own
+// logs are about to be deleted and need no fsync. It then writes a segment
+// file per sealed tail outside the engine lock, and under it moves the
+// tail to the table's segments and retires its logs — sealing the table's
+// next tail itself when that has meanwhile crossed the threshold. Then the
+// manifest is rewritten, the retired logs deleted, and only then is the
+// pass counted (rule 4): a reader of the counters never sees a finished
+// pass with its logs still on disk. Requires compactMu.
+func (st *segState) pass(force bool) (worked bool, err error) {
 	fe := st.fe
 	type job struct {
-		t   *Table
-		set *rowSet
+		t      *Table
+		sealed *segment
 	}
-	for ; ; force = false {
-		var jobs []job
-		var doomed []*logFile
-		fe.mu.Lock()
-		if force && fe.batchDepth == 0 {
-			st.sealReadyLocked(1)
+	var jobs []job
+	var doomed []*logFile
+	fe.mu.Lock()
+	if force && fe.batchDepth == 0 {
+		st.sealReadyLocked(1)
+	}
+	for _, name := range segmentHotTables {
+		if t := fe.tables[name]; t != nil && t.sealed != nil {
+			jobs = append(jobs, job{t, t.sealed})
+			doomed = append(doomed, t.sealed.logs...)
 		}
-		for _, name := range segmentHotTables {
-			if t := fe.tables[name]; t != nil && t.sealed != nil {
-				jobs = append(jobs, job{t, t.sealed})
-				doomed = append(doomed, t.sealed.logs...)
-			}
-		}
-		var unsynced []logMark
-		var err error
-		if len(jobs) > 0 {
-			unsynced, err = fe.flushLogsLocked(doomed)
-		}
-		fe.mu.Unlock()
-		if err != nil || len(jobs) == 0 {
-			return err
-		}
-		st.stepped("seal")
-		if err := fe.syncLogs(unsynced); err != nil {
-			return err
-		}
-		st.stepped("barrier")
-		handedOn := false
-		for _, j := range jobs {
-			seg, err := st.writeSegment(j.t, j.set)
-			if err != nil {
-				return err
-			}
-			fe.mu.Lock()
-			if fe.tables[seg.table] == j.t && j.t.sealed == j.set {
-				j.t.adoptLocked(seg)
-				j.t.releaseStaleLocked()
-				j.t.installLocked(nil, j.t.active)
-				st.retired = append(st.retired, j.set.logs...)
-				st.segsWritten.Add(1)
-				if fe.batchDepth == 0 {
-					st.sealReadyLocked(st.flushRows.Load())
-				}
-			} else {
-				// Dropped or rehydrated while it was being encoded; if
-				// rehydrated, the logs the barrier skipped outlive the pass
-				// after all.
-				st.garbage = append(st.garbage, seg.file)
-				handedOn = true
-			}
-			fe.mu.Unlock()
-			st.stepped("segment file")
-		}
-		fe.mu.Lock()
-		m, garbage := st.manifestLocked()
-		retired := st.retired
-		if unsynced = nil; handedOn {
-			unsynced, err = fe.flushLogsLocked(nil)
-		}
-		fe.mu.Unlock()
-		if err == nil {
-			err = fe.syncLogs(unsynced)
-		}
+	}
+	var unsynced []logMark
+	if len(jobs) > 0 {
+		unsynced, err = fe.flushLogsLocked(doomed)
+	}
+	fe.mu.Unlock()
+	if err != nil || len(jobs) == 0 {
+		return false, err
+	}
+	st.stepped("seal")
+	if err := fe.syncLogs(unsynced); err != nil {
+		return false, err
+	}
+	st.stepped("barrier")
+	handedOn := false
+	for _, j := range jobs {
+		seg, path, size, err := st.writeSegment(j.t, j.sealed)
 		if err != nil {
-			return err
+			return false, err
 		}
-		if err := st.writeManifest(m, garbage); err != nil {
-			return err
-		}
-		st.stepped("manifest")
-		trimmed := discardLogs(retired)
 		fe.mu.Lock()
-		st.retired = nil // appended to under compactMu only
-		fe.logTrimmed += trimmed
+		if fe.tables[seg.table] == j.t && j.t.sealed == j.sealed {
+			seg.file, seg.sizeOn = path, size
+			st.retired = append(st.retired, j.sealed.logs...)
+			j.sealed.logs = nil
+			j.t.adoptLocked(seg)
+			j.t.releaseStaleLocked()
+			j.t.installLocked(nil, j.t.tail)
+			st.segsWritten.Add(1)
+			if fe.batchDepth == 0 {
+				st.sealReadyLocked(st.flushRows.Load())
+			}
+		} else {
+			// Dropped or rehydrated while it was being encoded; if
+			// rehydrated, the logs the barrier skipped outlive the pass
+			// after all.
+			st.garbage = append(st.garbage, path)
+			handedOn = true
+		}
 		fe.mu.Unlock()
-		st.stepped("log removal")
-		st.compactions.Add(1)
+		st.stepped("segment file")
 	}
+	fe.mu.Lock()
+	m, garbage := st.manifestLocked()
+	retired := st.retired
+	if unsynced = nil; handedOn {
+		unsynced, err = fe.flushLogsLocked(nil)
+	}
+	fe.mu.Unlock()
+	if err == nil {
+		err = fe.syncLogs(unsynced)
+	}
+	if err != nil {
+		return false, err
+	}
+	if err := st.writeManifest(m, garbage); err != nil {
+		return false, err
+	}
+	st.stepped("manifest")
+	trimmed := discardLogs(retired)
+	fe.mu.Lock()
+	st.retired = nil // appended to under compactMu only
+	fe.logTrimmed += trimmed
+	fe.mu.Unlock()
+	st.stepped("log removal")
+	st.compactions.Add(1)
+	return true, nil
+}
+
+// awaitPass is what a committer does at a batch boundary that finds a
+// table full behind a sealed tail: it waits, outside the engine lock, for
+// the pass that publishes that tail — running it here if the compactor
+// has not got to it — and publication seals the full one (no batch is
+// open; if another has begun meanwhile, its end will). The tail is
+// thereby bounded by rule, at two thresholds and a batch, and where a
+// segment ends depends on the sequence of batches alone.
+func (st *segState) awaitPass() error {
+	st.compactMu.Lock()
+	defer st.compactMu.Unlock()
+	_, err := st.pass(false)
+	return err
 }
 
 // logMark is a log and how many bytes it held when the mark was taken.
@@ -421,22 +495,18 @@ func (fe *FileEngine) syncLogs(marks []logMark) error {
 	return nil
 }
 
-// writeSegment encodes a sealed row set, already in primary-key order
-// and immutable, into a new fsynced segment file.
-func (st *segState) writeSegment(t *Table, set *rowSet) (*segment, error) {
-	ids := make([]int64, 0, len(set.rows))
-	rows := make([]Row, 0, len(set.rows))
-	set.primary.Ascend(nil, nil, func(_ []byte, id int64) bool {
-		ids, rows = append(ids, id), append(rows, set.rows[id])
-		return true
-	})
-	seg, err := buildSegment(t, ids, rows)
-	if err != nil {
-		return nil, err
+// writeSegment encodes a sealed tail as it stands — through its key
+// order, if its rows do not lie that way — into a new fsynced segment
+// file, and returns the block the file holds: the tail itself, or the
+// sorted copy.
+func (st *segState) writeSegment(t *Table, sealed *segment) (seg *segment, path string, size int64, err error) {
+	if seg, err = sealed.inKeyOrder(t); err != nil {
+		return nil, "", 0, err
 	}
 	st.nextSeq++
-	path := filepath.Join(st.dir, fmt.Sprintf("seg-%s-%08d.seg", seg.table, st.nextSeq))
-	return seg, writeSegmentFile(path, seg)
+	path = filepath.Join(st.dir, fmt.Sprintf("seg-%s-%08d.seg", seg.table, st.nextSeq))
+	size, err = writeSegmentFile(path, seg)
+	return seg, path, size, err
 }
 
 // --- manifest ---
@@ -581,7 +651,7 @@ func (st *segState) load() error {
 // their table's low-water mark (a crash came between a manifest write and
 // the removal of the logs it superseded) and those of tables that no
 // longer exist, replays the rest table by table in sequence order, and
-// hands them to each table's active set, which now holds their rows. The
+// hands them to each table's active tail, which now holds their rows. The
 // next record opens a new log.
 func (st *segState) replayTailLogs() error {
 	entries, err := os.ReadDir(st.dir)
@@ -622,7 +692,8 @@ func (st *segState) replayTailLogs() error {
 			if l.f, err = os.OpenFile(l.path, os.O_WRONLY|os.O_APPEND, 0o644); err != nil {
 				return fmt.Errorf("reldb: open tail log: %w", err)
 			}
-			t.active.logs = append(t.active.logs, l)
+			logs := t.activeLogsLocked()
+			*logs = append(*logs, l)
 		}
 	}
 	return nil
@@ -639,12 +710,11 @@ func (st *segState) replayTailLogs() error {
 // the truth: the segment's is kept and the snapshot's copy dropped. If
 // what remains is not in ascending key and row-ID order (a store
 // written before rows left the row store could hold such), the table is
-// rehydrated at once.
+// rehydrated at once. Whatever rows the snapshot leaves in the row set
+// then move to the table's columnar tail, if it may have one, where
+// replay appends to them.
 func (st *segState) attachLocked(t *Table) error {
 	segs := st.loaded[t.schema.Name]
-	if len(segs) == 0 {
-		return nil
-	}
 	ordered := t.sealable()
 	for i, s := range segs {
 		if !s.matches(t.schema) {
@@ -658,18 +728,22 @@ func (st *segState) attachLocked(t *Table) error {
 		t.frozenMaxID, t.frozenMaxKey = max(t.frozenMaxID, s.maxRowID), t.pkKey(s.row(s.rows-1))
 		t.adoptLocked(s)
 	}
-	for id, row := range t.active.rows {
-		if ref, ok := t.findIDLocked(id); ok && ref.seg != nil {
-			t.active.remove(id, row, t.pkKey(row))
+	if len(segs) > 0 {
+		t.installLocked(nil, nil)
+		for id, row := range t.active.rows {
+			if ref, ok := t.findIDLocked(id); ok && ref.seg != nil {
+				t.active.remove(id, row, t.pkKey(row))
+			}
+		}
+		if t.active.primary.Len() > 0 && bytes.Compare(t.active.primary.root.min().key, t.frozenMaxKey) <= 0 {
+			ordered = false
+		}
+		t.advanceID(t.frozenMaxID + 1)
+		if !ordered {
+			t.rehydrateLocked(residentUnordered)
 		}
 	}
-	if t.active.primary.Len() > 0 && bytes.Compare(t.active.primary.root.min().key, t.frozenMaxKey) <= 0 {
-		ordered = false
-	}
-	t.nextID = max(t.nextID, t.frozenMaxID+1)
-	if !ordered {
-		t.rehydrateLocked(residentUnordered)
-	}
+	t.columnarLocked()
 	return nil
 }
 
@@ -701,7 +775,8 @@ func (st *segState) cleanOrphans(files [][]string) {
 // --- stats ---
 
 // SegmentTableStatus describes one hot table's segment state.
-// PendingRows counts the rows not yet in a segment (sealed and active).
+// PendingRows counts the rows not yet in a segment (the sealed and active
+// tails, the row set).
 // Dirty and Unordered report the two row-resident fallbacks: rehydrated
 // for a changed row until the next seal, or kept out of segments (key
 // disorder until the next checkpoint, or a shape segments cannot hold).
@@ -714,7 +789,7 @@ type SegmentTableStatus struct {
 	Watermark   int64  `json:"watermark"`
 	Dirty       bool   `json:"dirty"`
 	Unordered   bool   `json:"unordered"`
-	LogBytes    int64  `json:"log_bytes,omitempty"` // the tail logs the table's row sets own, buffered records included
+	LogBytes    int64  `json:"log_bytes,omitempty"` // the tail logs the table's unflushed rows own, buffered records included
 	LogFiles    int    `json:"log_files,omitempty"`
 	LowWater    int64  `json:"low_water,omitempty"` // tail logs numbered below it are gone
 }

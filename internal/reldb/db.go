@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // mutOp enumerates logical mutations, as recorded in the write-ahead log
@@ -20,13 +21,12 @@ const (
 	opDropIndex
 )
 
-// mutation is one logical change to the database.
+// mutation is one logical change to the database, as the logs record it.
 type mutation struct {
 	op     mutOp
 	table  string
 	id     int64
 	row    Row     // opInsert/opUpdate: new image
-	old    Row     // opUpdate/opDelete: previous image (for undo; not logged)
 	schema *Schema // opCreateTable
 	index  IndexSpec
 }
@@ -41,10 +41,22 @@ type mutationLogger interface {
 // guarded by one readers-writer lock. Mutations optionally stream to a
 // mutationLogger for durability.
 type DB struct {
-	mu     sync.RWMutex
+	mu     engineLock
 	tables map[string]*Table
 	logger mutationLogger
 	seg    *segState // nil on mem, set by OpenFile: its hot tables seal and flush
+}
+
+// engineLock is the engine's readers-writer lock; it counts how often it
+// was taken for writing, which is what a commit is meant to do once.
+type engineLock struct {
+	sync.RWMutex
+	writes atomic.Uint64
+}
+
+func (l *engineLock) Lock() {
+	l.writes.Add(1)
+	l.RWMutex.Lock()
 }
 
 // NewMem creates an in-memory database engine. It corresponds to running
@@ -75,6 +87,9 @@ func (db *DB) createTableLocked(schema *Schema, log bool) error {
 		}
 	}
 	db.tables[schema.Name] = t
+	if db.logger != nil { // running, not recovering: recovery decides once a table's rows are in
+		t.columnarLocked()
+	}
 	return nil
 }
 
@@ -187,19 +202,19 @@ func (db *DB) TableNames() []string {
 func (db *DB) Insert(table string, row Row) (int64, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	return db.insertLocked(table, row, true)
+	return db.insertLocked(table, row, nil)
 }
 
-func (db *DB) insertLocked(table string, row Row, log bool) (int64, error) {
+func (db *DB) insertLocked(table string, row Row, priv *Tx) (int64, error) {
 	t, exists := db.tables[table]
 	if !exists {
 		return 0, fmt.Errorf("reldb: no table %q", table)
 	}
-	id, stored, err := t.insertLocked(row)
+	id, stored, err := t.insertLocked(row, priv)
 	if err != nil {
 		return 0, err
 	}
-	if log && db.logger != nil {
+	if db.logger != nil {
 		if err := db.logger.logMutation(&mutation{op: opInsert, table: table, id: id, row: stored}); err != nil {
 			_, _ = t.deleteLocked(id)
 			return 0, err
@@ -212,22 +227,22 @@ func (db *DB) insertLocked(table string, row Row, log bool) (int64, error) {
 func (db *DB) Update(table string, id int64, row Row) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	_, err := db.updateLocked(table, id, row, true)
+	_, err := db.updateLocked(table, id, row, nil)
 	return err
 }
 
-func (db *DB) updateLocked(table string, id int64, row Row, log bool) (Row, error) {
+func (db *DB) updateLocked(table string, id int64, row Row, priv *Tx) (Row, error) {
 	t, exists := db.tables[table]
 	if !exists {
 		return nil, fmt.Errorf("reldb: no table %q", table)
 	}
-	old, err := t.updateLocked(id, row)
+	old, err := t.updateLocked(id, row, priv)
 	if err != nil {
 		return nil, err
 	}
-	if log && db.logger != nil {
+	if db.logger != nil {
 		if err := db.logger.logMutation(&mutation{op: opUpdate, table: table, id: id, row: t.active.rows[id]}); err != nil {
-			_, _ = t.updateLocked(id, old)
+			_, _ = t.updateLocked(id, old, priv)
 			return nil, err
 		}
 	}
@@ -238,11 +253,11 @@ func (db *DB) updateLocked(table string, id int64, row Row, log bool) (Row, erro
 func (db *DB) Delete(table string, id int64) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	_, err := db.deleteLocked(table, id, true)
+	_, err := db.deleteLocked(table, id)
 	return err
 }
 
-func (db *DB) deleteLocked(table string, id int64, log bool) (Row, error) {
+func (db *DB) deleteLocked(table string, id int64) (Row, error) {
 	t, exists := db.tables[table]
 	if !exists {
 		return nil, fmt.Errorf("reldb: no table %q", table)
@@ -251,7 +266,7 @@ func (db *DB) deleteLocked(table string, id int64, log bool) (Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	if log && db.logger != nil {
+	if db.logger != nil {
 		if err := db.logger.logMutation(&mutation{op: opDelete, table: table, id: id}); err != nil {
 			_, _ = t.insertAtLocked(id, old)
 			return nil, err
@@ -261,8 +276,9 @@ func (db *DB) deleteLocked(table string, id int64, log bool) (Row, error) {
 }
 
 // checkForeignKeys verifies every foreign key of schema against the
-// current table set. Called with the write lock held.
-func (db *DB) checkForeignKeys(schema *Schema, row Row) error {
+// current table set and, when the row belongs to a transaction, against
+// the rows still private to it. Called with the write lock held.
+func (db *DB) checkForeignKeys(schema *Schema, row Row, priv *Tx) error {
 	for _, fk := range schema.ForeignKeys {
 		v := row[schema.ColumnIndex(fk.Column)]
 		if v.IsNull() {
@@ -273,12 +289,16 @@ func (db *DB) checkForeignKeys(schema *Schema, row Row) error {
 			return fmt.Errorf("reldb: table %q: foreign key references missing table %q",
 				schema.Name, fk.RefTable)
 		}
-		if !ref.containsValueLocked(fk.RefColumn, v) {
-			return fmt.Errorf("reldb: table %q: foreign key %s=%s has no match in %s.%s",
-				schema.Name, fk.Column, v, fk.RefTable, fk.RefColumn)
+		if !priv.holds(ref, fk.RefColumn, v) && !ref.containsValueLocked(fk.RefColumn, v) {
+			return fkError(schema, fk, v)
 		}
 	}
 	return nil
+}
+
+func fkError(schema *Schema, fk ForeignKey, v Value) error {
+	return fmt.Errorf("reldb: table %q: foreign key %s=%s has no match in %s.%s",
+		schema.Name, fk.Column, v, fk.RefTable, fk.RefColumn)
 }
 
 // containsValueLocked reports whether any row has the given value in the
@@ -312,17 +332,18 @@ func (t *Table) containsValueLocked(column string, v Value) bool {
 
 // Stats summarizes the database contents and storage footprint. Rows
 // counts logical rows wherever they live. DataBytes and IndexBytes
-// measure the row-store representation only — what is resident in row
-// form; a row the durable engine has flushed leaves them and is counted
-// under the Segment fields instead. LogicalBytes is the data size that
+// measure the unflushed rows only — the row set's rows and B-tree keys,
+// a columnar tail's vectors and built permutations; a row the durable
+// engine has flushed leaves them and is counted under the Segment fields
+// instead. LogicalBytes is the data size that
 // does not depend on where rows live. The durable engine additionally
 // fills the on-disk fields.
 type Stats struct {
 	Kind       string                `json:"kind"` // storage engine kind: mem or segment
 	Tables     int                   `json:"tables"`
 	Rows       int64                 `json:"rows"`        // logical rows: row store + segments
-	DataBytes  int64                 `json:"data_bytes"`  // row payload bytes resident in row form
-	IndexBytes int64                 `json:"index_bytes"` // primary + secondary B-tree key bytes
+	DataBytes  int64                 `json:"data_bytes"`  // payload bytes of the unflushed rows
+	IndexBytes int64                 `json:"index_bytes"` // B-tree key and tail permutation bytes over them
 	PerTable   map[string]TableStats `json:"per_table"`
 
 	WALBytes         int64  `json:"wal_bytes,omitempty"` // durable engine only, as are all below
@@ -338,8 +359,8 @@ type Stats struct {
 func (s Stats) LogicalBytes() int64 { return s.DataBytes + s.SegmentDataBytes }
 
 // TableStats summarizes one table: Rows is logical; DataBytes and
-// IndexBytes cover the rows resident in row form, the Segment fields the
-// rest (durable engine, hot tables).
+// IndexBytes cover the unflushed rows, the Segment fields the rest
+// (durable engine, hot tables).
 type TableStats struct {
 	Rows       int64 `json:"rows"`
 	DataBytes  int64 `json:"data_bytes"`
@@ -369,9 +390,10 @@ func (db *DB) Stats() Stats {
 			SegmentBytes:     t.segBytes + t.staleBytes,
 			SegmentDataBytes: t.segDataBytes,
 		}
-		for _, rs := range t.sets {
-			ts.DataBytes += rs.dataBytes
-			ts.IndexBytes += rs.indexBytes()
+		ts.DataBytes, ts.IndexBytes = t.active.dataBytes, t.active.indexBytes()
+		for _, s := range t.tailsLocked() {
+			ts.DataBytes += s.decodedBytes()
+			ts.IndexBytes += s.permBytes()
 		}
 		s.Tables++
 		s.Rows += ts.Rows

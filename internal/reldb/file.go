@@ -47,7 +47,7 @@ const (
 
 // logFile is one append-only record log: perftrack.wal, or a numbered
 // tail log of one hot table (segments/tail-<table>-<seq>.log), owned by
-// the row set whose rows it holds. Guarded by the engine lock, except
+// the tail (or row set) whose rows it holds. Guarded by the engine lock, except
 // that f may be fsynced outside it.
 type logFile struct {
 	path   string
@@ -73,6 +73,12 @@ func (l *logFile) append(payload []byte) error {
 	return l.w.writeRecord(payload)
 }
 
+// appendFramed appends records that already carry their frames.
+func (l *logFile) appendFramed(records []byte) error {
+	l.size += int64(len(records))
+	return l.w.writeFramed(records)
+}
+
 func (l *logFile) flush() error {
 	if l.w == nil {
 		return nil
@@ -95,7 +101,7 @@ func (l *logFile) sync() error {
 }
 
 // finish flushes the log and stops it taking records: it now travels
-// with a sealed set and holds exactly what its file holds.
+// with a sealed tail and holds exactly what its file holds.
 func (l *logFile) finish() error {
 	if err := l.flush(); err != nil {
 		return err
@@ -179,6 +185,11 @@ func OpenFile(dir string) (_ *FileEngine, err error) {
 		return nil, err
 	}
 	fe.seg.loaded, fe.seg.loadedLow = nil, nil
+	for _, name := range segmentHotTables {
+		if t := fe.tables[name]; t != nil {
+			t.columnarLocked() // a table replay rehydrated is row-resident again
+		}
+	}
 	if fe.wal, err = openLog(fe.walPath(), 0, walBytes); err != nil {
 		return nil, fmt.Errorf("reldb: open WAL: %w", err)
 	}
@@ -259,15 +270,15 @@ func (fe *FileEngine) openLogsLocked() []*logFile {
 	logs := []*logFile{fe.wal}
 	for _, name := range logFlushOrder {
 		if t := fe.tables[name]; t != nil {
-			if n := len(t.active.logs); n > 0 && t.active.logs[n-1].w != nil {
-				logs = append(logs, t.active.logs[n-1])
+			if owned := *t.activeLogsLocked(); len(owned) > 0 && owned[len(owned)-1].w != nil {
+				logs = append(logs, owned[len(owned)-1])
 			}
 		}
 	}
 	return logs
 }
 
-// tailLogsLocked returns the tail logs the hot tables' row sets own.
+// tailLogsLocked returns the tail logs the hot tables' unflushed rows own.
 func (fe *FileEngine) tailLogsLocked() []*logFile {
 	var logs []*logFile
 	for _, name := range segmentHotTables {
@@ -279,7 +290,7 @@ func (fe *FileEngine) tailLogsLocked() []*logFile {
 }
 
 // liveLogsLocked returns every log file the engine has on disk: the
-// tail logs row sets own, the ones a compaction pass is about to delete,
+// tail logs unflushed rows own, the ones a compaction pass is about to delete,
 // and perftrack.wal (once the open got that far).
 func (fe *FileEngine) liveLogsLocked() []*logFile {
 	logs := append(fe.tailLogsLocked(), fe.seg.retired...)
@@ -303,15 +314,29 @@ func (fe *FileEngine) BeginWALBatch() {
 }
 
 // EndWALBatch closes a BeginWALBatch window, performing the single
-// deferred flush of each log for everything logged inside it.
+// deferred flush of each log for everything logged inside it. The
+// outermost one is a batch boundary: it seals the tails that have reached
+// the flush threshold, first waiting — outside the engine lock — for the
+// compaction pass in flight if a table's tail reached it behind a sealed
+// one (segState.awaitPass).
 func (fe *FileEngine) EndWALBatch() error {
+	full, err := fe.endWALBatch()
+	if err == nil && full {
+		// The batch is in the logs whatever becomes of the pass; one that
+		// fails is retried at the next boundary.
+		_ = fe.seg.awaitPass()
+	}
+	return err
+}
+
+func (fe *FileEngine) endWALBatch() (full bool, err error) {
 	fe.mu.Lock()
 	defer fe.mu.Unlock()
 	if fe.batchDepth > 0 {
 		fe.batchDepth--
 	}
 	if fe.batchDepth > 0 {
-		return nil
+		return false, nil
 	}
 	flush := (*logFile).flush
 	if fe.syncWAL {
@@ -319,11 +344,10 @@ func (fe *FileEngine) EndWALBatch() error {
 	}
 	for _, l := range fe.openLogsLocked() {
 		if err := flush(l); err != nil {
-			return err
+			return false, err
 		}
 	}
-	fe.seg.sealReadyLocked(fe.seg.flushRows.Load())
-	return nil
+	return fe.seg.sealReadyLocked(fe.seg.flushRows.Load()), nil
 }
 
 // apply reproduces a logged mutation during recovery (no re-logging).
@@ -387,7 +411,7 @@ func (fe *FileEngine) apply(m *mutation) error {
 		if rowsEqual(ref.clone(), m.row) {
 			return nil
 		}
-		_, err := t.updateLocked(m.id, m.row)
+		_, err := t.updateLocked(m.id, m.row, nil)
 		return err
 	case opDelete:
 		if !exists {
@@ -585,8 +609,8 @@ func syncDir(dir string) error {
 // Checkpoint writes a snapshot atomically, truncates perftrack.wal and
 // deletes every tail log. It first seals and drains every hot table's
 // tail — lifting the row-resident hold on tables rehydrated for disorder
-// — so the snapshot, which is simply the row sets, holds none of the rows
-// that fsynced, manifest-listed segments already make durable: the
+// — so the snapshot, which is simply every unflushed row, holds none of
+// the rows that fsynced, manifest-listed segments already make durable: the
 // checkpoint costs O(non-hot tables + whatever arrived during it), not a
 // rewrite of the result tables.
 func (fe *FileEngine) Checkpoint() error {
@@ -629,13 +653,19 @@ func (fe *FileEngine) Checkpoint() error {
 				return err
 			}
 			var werr error
-			t.active.primary.Ascend(nil, nil, func(_ []byte, id int64) bool {
+			write := func(id int64, row Row) bool {
 				p := []byte{snapTagRow}
 				p = putVarint(p, id)
-				p = encodeRowPayload(p, t.active.rows[id])
+				p = encodeRowPayload(p, row)
 				werr = rw.writeRecord(p)
 				return werr == nil
-			})
+			}
+			// No tail is sealed, so what is not in a segment is the active
+			// tail (a batch is open) or the row set.
+			if s := t.tail; s != nil {
+				s.eachRow(s.pkPerm(t.pkCols), 0, s.rows, write)
+			}
+			t.active.walk("", nil, nil, write)
 			if werr != nil {
 				return werr
 			}
@@ -655,7 +685,7 @@ func (fe *FileEngine) Checkpoint() error {
 	for _, name := range segmentHotTables {
 		if t := fe.tables[name]; t != nil {
 			t.releaseStaleLocked()
-			t.pinLogs = len(t.active.rows) > 0
+			t.pinLogs = t.unsealedLocked() > 0
 		}
 	}
 	m, garbage := st.manifestLocked()

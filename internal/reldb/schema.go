@@ -119,24 +119,33 @@ func (s *Schema) CheckRow(r Row) error {
 		return fmt.Errorf("reldb: table %q: row has %d values, want %d", s.Name, len(r), len(s.Columns))
 	}
 	for i, v := range r {
-		c := s.Columns[i]
-		if v.IsNull() {
-			if !c.Nullable {
-				return fmt.Errorf("reldb: table %q: column %q is NOT NULL", s.Name, c.Name)
-			}
-			continue
+		w, err := s.checkValue(i, v)
+		if err != nil {
+			return err
 		}
-		if v.Kind() != c.Type {
-			// Permit exact int literals in float columns.
-			if c.Type == KindFloat && v.Kind() == KindInt {
-				r[i] = Float(float64(v.Int64()))
-				continue
-			}
-			return fmt.Errorf("reldb: table %q: column %q holds %v, got %v",
-				s.Name, c.Name, c.Type, v.Kind())
-		}
+		r[i] = w
 	}
 	return nil
+}
+
+// checkValue checks one value against column i and returns it as the
+// column stores it.
+func (s *Schema) checkValue(i int, v Value) (Value, error) {
+	c := s.Columns[i]
+	switch {
+	case v.IsNull():
+		if !c.Nullable {
+			return v, fmt.Errorf("reldb: table %q: column %q is NOT NULL", s.Name, c.Name)
+		}
+	case v.Kind() == c.Type:
+	case c.Type == KindFloat && v.Kind() == KindInt:
+		// Permit exact int literals in float columns.
+		return Float(float64(v.Int64())), nil
+	default:
+		return v, fmt.Errorf("reldb: table %q: column %q holds %v, got %v",
+			s.Name, c.Name, c.Type, v.Kind())
+	}
+	return v, nil
 }
 
 // DDL renders the schema as a CREATE TABLE statement (plus CREATE INDEX

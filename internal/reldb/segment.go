@@ -1,6 +1,7 @@
 package reldb
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -10,6 +11,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // Columnar segment files. A segment is an immutable, PK-sorted,
@@ -76,10 +78,20 @@ type zoneMap struct {
 	minF, maxF float64
 }
 
-// segment is a decoded in-memory segment, the only resident copy of its
-// rows: its ColumnBlock serves bulk scans as pure slice iteration, and
-// point, range and index reads binary-search it — directly, for it is
-// sorted by primary key, or through a permutation built on first use.
+// segment is a run of one table's rows held column-major, the only
+// resident copy of them: its ColumnBlock serves bulk scans as pure slice
+// iteration, and point, range and index reads binary-search it —
+// directly where the rows lie in the wanted order, else through a
+// permutation built on first use.
+//
+// A segment with a file is immutable and sorted by primary key. One
+// without is a tail: the unflushed rows of a durable engine's hot table
+// in arrival order, which is row-ID order and, for a document load,
+// primary-key order. A tail only grows, by whole appends under the
+// engine write lock; nothing in it ever moves, so a view of its first n
+// rows stays valid without a lock, and its permutations are extended by
+// the appended run, not rebuilt. Sealing a tail and publishing it as a
+// segment move the same object (compact.go).
 type segment struct {
 	ColumnBlock
 	table    string
@@ -91,15 +103,30 @@ type segment struct {
 	maxPK    int64
 
 	// In memory only; a table fills perms when it adopts the segment.
-	byID  lazyPerm             // positions by row ID; nil perm when rowIDs already ascend
+	pkAsc bool                 // positions ascend in primary key: always, once written
+	idAsc bool                 // positions ascend in row ID
+	top   int                  // position of the greatest primary key; -1 when empty
+	byPK  lazyPerm             // positions by primary key, unless pkAsc
+	byID  lazyPerm             // positions by row ID, unless idAsc
 	perms map[string]*lazyPerm // per secondary index: positions by (index columns, row ID)
+	logs  []*logFile           // tails: the tail logs holding these rows' records, in replay order
 }
 
-// lazyPerm is a permutation of a segment's positions, sorted on first
-// use by whichever reader gets there first.
+// lazyPerm is a permutation of a segment's leading positions, sorted on
+// first use by whichever reader gets there first and, over a tail,
+// extended by whichever reader first finds it short. A published slice
+// is never written again.
 type lazyPerm struct {
-	once sync.Once
-	perm []int32
+	mu   sync.Mutex
+	perm atomic.Pointer[[]int32]
+}
+
+// covered returns the permutation as far as it has been built.
+func (lp *lazyPerm) covered() []int32 {
+	if p := lp.perm.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
 // decodedBytes approximates the resident bytes a full scan of the
@@ -126,26 +153,110 @@ func buildSegment(t *Table, ids []int64, rows []Row) (*segment, error) {
 	if len(ids) == 0 || len(ids) != len(rows) {
 		return nil, fmt.Errorf("reldb: buildSegment: bad batch (%d ids, %d rows)", len(ids), len(rows))
 	}
-	seg := &segment{table: t.schema.Name, minRowID: math.MaxInt64, maxRowID: math.MinInt64}
+	seg := &segment{table: t.schema.Name}
 	if err := seg.reset(t.schema, len(ids)); err != nil {
 		return nil, err
 	}
 	for i, row := range rows {
 		seg.appendRow(ids[i], row)
-		seg.minRowID = min(seg.minRowID, ids[i])
-		seg.maxRowID = max(seg.maxRowID, ids[i])
 	}
-	seg.finish()
-	for ci := range seg.cols {
-		if cv := &seg.cols[ci]; cv.kind == KindString {
+	seg.complete(t.pkCols)
+	return seg, nil
+}
+
+// complete fills in what a segment says of rows that are all appended
+// and lie in primary-key order: the zone maps, the row-ID and key ranges,
+// the dictionary form of its string columns.
+func (s *segment) complete(pkCols []int) {
+	s.freeze(pkCols)
+	s.minRowID, s.maxRowID = slices.Min(s.rowIDs), slices.Max(s.rowIDs)
+	s.pkAsc, s.idAsc, s.top = true, slices.IsSorted(s.rowIDs), s.rows-1
+	for ci := range s.cols {
+		if cv := &s.cols[ci]; cv.kind == KindString {
 			cv.buildDict()
 		}
 	}
-	if len(t.pkCols) > 0 && t.schema.Columns[t.pkCols[0]].Type == KindInt {
-		z := seg.zones[t.pkCols[0]]
-		seg.minPK, seg.maxPK = z.minI, z.maxI
+}
+
+// freeze computes the exact zone maps of rows that will not be added to,
+// and the key zone a block scan prunes by.
+func (s *segment) freeze(pkCols []int) {
+	s.finish()
+	if len(pkCols) > 0 && s.cols[pkCols[0]].kind == KindInt {
+		z := s.zones[pkCols[0]]
+		s.minPK, s.maxPK = z.minI, z.maxI
 	}
-	return seg, nil
+}
+
+// newTail returns an empty tail for the table's rows. Its row IDs will
+// all exceed the frozen ones, which is where its range starts.
+func (t *Table) newTail() (*segment, error) {
+	s := &segment{table: t.schema.Name, minRowID: math.MaxInt64, maxRowID: t.frozenMaxID,
+		pkAsc: true, idAsc: true, top: -1, perms: make(map[string]*lazyPerm, len(t.active.indexes))}
+	for name := range t.active.indexes {
+		s.perms[name] = new(lazyPerm)
+	}
+	return s, s.reset(t.schema, 0)
+}
+
+// appended takes note of the rows just added at positions from and up:
+// their row-ID range, and whether positions still ascend in row ID and in
+// primary key — where they do not, reads go through a permutation.
+func (s *segment) appended(pkCols []int, from int) {
+	for i := from; i < s.rows; i++ {
+		id := s.rowIDs[i]
+		if i > 0 && id <= s.rowIDs[i-1] {
+			s.idAsc = false
+		}
+		s.minRowID, s.maxRowID = min(s.minRowID, id), max(s.maxRowID, id)
+		if s.top < 0 || cmpRows(&s.ColumnBlock, i, &s.ColumnBlock, s.top, pkCols) > 0 {
+			s.top = i
+		} else {
+			s.pkAsc = false
+		}
+	}
+}
+
+// tailAppendRow adds one row to a tail.
+func (s *segment) tailAppendRow(pkCols []int, id int64, row Row) {
+	s.appendRow(id, row)
+	for ci := range s.cols {
+		s.zones[ci].widen(cellZone(s.cols[ci].kind, row[ci]))
+	}
+	s.appended(pkCols, s.rows-1)
+}
+
+// tailAppendBlock adds a block of rows, its zone maps computed, to a tail.
+func (s *segment) tailAppendBlock(pkCols []int, b *ColumnBlock) {
+	from := s.rows
+	s.appendBlock(b)
+	s.appended(pkCols, from)
+}
+
+// inKeyOrder returns the tail itself when its rows lie in primary-key
+// order, else a copy of them that does: the block a segment file holds.
+func (s *segment) inKeyOrder(t *Table) (*segment, error) {
+	if s.pkAsc {
+		return s, nil
+	}
+	sorted := &segment{table: s.table}
+	if err := sorted.reset(t.schema, s.rows); err != nil {
+		return nil, err
+	}
+	for _, p := range s.pkPerm(t.pkCols) {
+		sorted.appendFrom(&s.ColumnBlock, int(p))
+	}
+	sorted.complete(t.pkCols)
+	return sorted, nil
+}
+
+// permBytes is the memory the segment's built permutations take.
+func (s *segment) permBytes() int64 {
+	n := len(s.byPK.covered()) + len(s.byID.covered())
+	for _, lp := range s.perms {
+		n += len(lp.covered())
+	}
+	return int64(n) * 4
 }
 
 // at maps a position in sorted order to a position in the segment; a nil
@@ -174,44 +285,138 @@ func (b *ColumnBlock) cmpTuple(cols []int, i int, vals []Value) int {
 // NULLs — every lookup the PerfTrack schema makes on a hot table —
 // compares the column directly.
 func (b *ColumnBlock) bound(perm []int32, cols []int, vals []Value, after bool) int {
+	return b.boundN(perm, b.rows, cols, vals, after)
+}
+
+// boundN is bound over the first n positions of the order.
+func (b *ColumnBlock) boundN(perm []int32, n int, cols []int, vals []Value, after bool) int {
 	if len(vals) == 1 && vals[0].kind == KindInt {
 		if c := &b.cols[cols[0]]; c.kind == KindInt && c.nulls == nil {
 			v := vals[0].i
-			return sort.Search(b.rows, func(p int) bool {
+			return sort.Search(n, func(p int) bool {
 				x := c.ints[at(perm, p)]
 				return x > v || (x == v && !after)
 			})
 		}
 	}
-	return sort.Search(b.rows, func(p int) bool {
+	return sort.Search(n, func(p int) bool {
 		c := b.cmpTuple(cols, at(perm, p), vals)
 		return c > 0 || (c == 0 && !after)
 	})
 }
 
-// sortedBy returns the segment's positions ordered by (cols, row ID).
-func (s *segment) sortedBy(cols []int) []int32 {
-	perm := make([]int32, s.rows)
-	for i := range perm {
-		perm[i] = int32(i)
+// cmpRows orders row i of a against row j of b by their values in cols,
+// the way the key codec orders their encodings.
+func cmpRows(a *ColumnBlock, i int, b *ColumnBlock, j int, cols []int) int {
+	for _, c := range cols {
+		ca, cb := &a.cols[c], &b.cols[c]
+		if ca.kind == KindInt && ca.nulls == nil && cb.nulls == nil {
+			if o := cmp.Compare(ca.ints[i], cb.ints[j]); o != 0 {
+				return o
+			}
+		} else if o := keyOrder(a.cell(c, i), b.cell(c, j)); o != 0 {
+			return o
+		}
 	}
-	sort.Slice(perm, func(a, b int) bool {
-		i, j := int(perm[a]), int(perm[b])
-		for _, c := range cols {
-			if o := keyOrder(s.cell(c, i), s.cell(c, j)); o != 0 {
-				return o < 0
+	return 0
+}
+
+// sortedRun returns positions [from, to) ordered by (cols, row ID). One
+// integer column without NULLs — every index of the PerfTrack schema on
+// a hot table — is compared directly.
+func (b *ColumnBlock) sortedRun(cols []int, from, to int) []int32 {
+	run := make([]int32, to-from)
+	for i := range run {
+		run[i] = int32(from + i)
+	}
+	ids := b.rowIDs
+	if len(cols) == 1 && b.cols[cols[0]].kind == KindInt && b.cols[cols[0]].nulls == nil {
+		ints := b.cols[cols[0]].ints
+		slices.SortFunc(run, func(x, y int32) int {
+			return cmp.Or(cmp.Compare(ints[x], ints[y]), cmp.Compare(ids[x], ids[y]))
+		})
+		return run
+	}
+	slices.SortFunc(run, func(x, y int32) int {
+		return cmp.Or(cmpRows(b, int(x), b, int(y), cols), cmp.Compare(ids[x], ids[y]))
+	})
+	return run
+}
+
+// order returns the segment's positions ordered by (cols, row ID),
+// building lp or extending it by the rows appended since it was built:
+// the appended run is sorted and merged in, so a tail's permutation costs
+// each append its own rows, not the tail's.
+func (s *segment) order(lp *lazyPerm, cols []int) []int32 {
+	if perm := lp.covered(); len(perm) == s.rows {
+		return perm
+	}
+	lp.mu.Lock()
+	defer lp.mu.Unlock()
+	perm := lp.covered()
+	if len(perm) == s.rows {
+		return perm
+	}
+	run := s.sortedRun(cols, len(perm), s.rows)
+	if len(perm) > 0 {
+		merged := make([]int32, 0, s.rows)
+		i, j := 0, 0
+		for i < len(perm) && j < len(run) {
+			x, y := int(perm[i]), int(run[j])
+			if c := cmpRows(&s.ColumnBlock, x, &s.ColumnBlock, y, cols); c < 0 || (c == 0 && s.rowIDs[x] < s.rowIDs[y]) {
+				merged, i = append(merged, perm[i]), i+1
+			} else {
+				merged, j = append(merged, run[j]), j+1
 			}
 		}
-		return s.rowIDs[i] < s.rowIDs[j]
-	})
-	return perm
+		run = append(append(merged, perm[i:]...), run[j:]...)
+	}
+	lp.perm.Store(&run)
+	return run
 }
 
 // indexPerm returns the segment's positions in the order of index ix.
 func (s *segment) indexPerm(ix *tableIndex) []int32 {
-	lp := s.perms[ix.spec.Name]
-	lp.once.Do(func() { lp.perm = s.sortedBy(ix.cols) })
-	return lp.perm
+	return s.order(s.perms[ix.spec.Name], ix.cols)
+}
+
+// pkPerm returns the segment's positions in primary-key order; nil, the
+// identity, when they lie that way.
+func (s *segment) pkPerm(pkCols []int) []int32 {
+	if s.pkAsc {
+		return nil
+	}
+	return s.order(&s.byPK, pkCols)
+}
+
+// permSlack is how many appended rows a point lookup scans one by one
+// before it extends a tail's permutation over them: a writer that probes
+// for a duplicate key before every single-row append would otherwise
+// merge the whole permutation each time.
+const permSlack = 256
+
+// findPK returns the position of the row whose primary-key columns hold
+// vals.
+func (s *segment) findPK(pkCols []int, vals []Value) (int, bool) {
+	if s.rows == 0 || s.cmpTuple(pkCols, s.top, vals) < 0 {
+		return 0, false
+	}
+	n, perm := s.rows, []int32(nil)
+	if !s.pkAsc {
+		if perm = s.byPK.covered(); s.rows-len(perm) > permSlack {
+			perm = s.order(&s.byPK, pkCols)
+		}
+		n = len(perm)
+	}
+	if p := s.boundN(perm, n, pkCols, vals, false); p < n && s.cmpTuple(pkCols, at(perm, p), vals) == 0 {
+		return at(perm, p), true
+	}
+	for i := n; i < s.rows; i++ {
+		if s.cmpTuple(pkCols, i, vals) == 0 {
+			return i, true
+		}
+	}
+	return 0, false
 }
 
 // findID returns the position of the row with the given row ID.
@@ -221,12 +426,10 @@ func (s *segment) findID(id int64) (int, bool) {
 	if g := id - s.minRowID; g >= 0 && g < int64(s.rows) && s.rowIDs[g] == id {
 		return int(g), true
 	}
-	s.byID.once.Do(func() {
-		if !slices.IsSorted(s.rowIDs) {
-			s.byID.perm = s.sortedBy(nil)
-		}
-	})
-	perm := s.byID.perm
+	var perm []int32
+	if !s.idAsc {
+		perm = s.order(&s.byID, nil)
+	}
 	p := sort.Search(s.rows, func(p int) bool { return s.rowIDs[at(perm, p)] >= id })
 	if p == s.rows || s.rowIDs[at(perm, p)] != id {
 		return 0, false
@@ -266,19 +469,21 @@ func (s *segment) matches(schema *Schema) bool {
 // column from its expanded values, in first-appearance order — the same
 // order encodeColumn assigns on-disk codes, so a segment round-trips to
 // identical codes.
-func (c *colVec) buildDict() {
+func (c *colVec) buildDict() { c.codes, c.words = dictOf(c.strs) }
+
+func dictOf(strs []string) (codes []uint32, words []string) {
 	dict := make(map[string]uint32)
-	c.codes = make([]uint32, len(c.strs))
-	c.words = c.words[:0]
-	for i, s := range c.strs {
+	codes = make([]uint32, len(strs))
+	for i, s := range strs {
 		code, ok := dict[s]
 		if !ok {
-			code = uint32(len(c.words))
+			code = uint32(len(words))
 			dict[s] = code
-			c.words = append(c.words, s)
+			words = append(words, s)
 		}
-		c.codes[i] = code
+		codes[i] = code
 	}
+	return codes, words
 }
 
 // --- encoding ---
@@ -320,14 +525,15 @@ func encodeColumn(dst []byte, c *colVec) []byte {
 			dst = append(dst, buf[:]...)
 		}
 	case KindString:
-		if c.codes == nil {
-			c.buildDict()
+		codes, words := c.codes, c.words
+		if codes == nil { // a tail: it is being read, so it is not given one here
+			codes, words = dictOf(c.strs)
 		}
-		dst = putUvarint(dst, uint64(len(c.words)))
-		for _, w := range c.words {
+		dst = putUvarint(dst, uint64(len(words)))
+		for _, w := range words {
 			dst = putString(dst, w)
 		}
-		for _, code := range c.codes {
+		for _, code := range codes {
 			dst = putUvarint(dst, uint64(code))
 		}
 	case KindBool:
@@ -628,27 +834,24 @@ func decodeSegment(buf []byte) (*segment, error) {
 			return nil, err
 		}
 	}
+	s.pkAsc, s.idAsc, s.top = true, slices.IsSorted(s.rowIDs), s.rows-1
 	return s, nil
 }
 
 // writeSegmentFile encodes the segment and writes it durably to path
-// (write temp, fsync, rename). The manifest gates visibility, so a crash
-// mid-write leaves only an orphan file that open-time cleanup removes,
-// and the rename needs no directory fsync of its own: the manifest that
-// first names the segment lives in the same directory and replaceFile
-// fsyncs it.
-func writeSegmentFile(path string, s *segment) error {
+// (write temp, fsync, rename), returning the file's size. The segment
+// itself is only read: readers may be using it. The manifest gates
+// visibility, so a crash mid-write leaves only an orphan file that
+// open-time cleanup removes, and the rename needs no directory fsync of
+// its own: the manifest that first names the segment lives in the same
+// directory and replaceFile fsyncs it.
+func writeSegmentFile(path string, s *segment) (int64, error) {
 	buf := encodeSegment(s)
 	tmp := path + ".tmp"
 	if err := writeSynced(tmp, buf); err != nil {
-		return fmt.Errorf("reldb: write segment: %w", err)
+		return 0, fmt.Errorf("reldb: write segment: %w", err)
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		return err
-	}
-	s.file = path
-	s.sizeOn = int64(len(buf))
-	return nil
+	return int64(len(buf)), os.Rename(tmp, path)
 }
 
 // writeSynced writes data to a fresh file at path and fsyncs it.

@@ -3,36 +3,42 @@ package reldb
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // Table holds the rows and indexes for one relation. All access is
 // mediated by the owning DB, which provides locking; Table methods assume
 // the caller holds the appropriate DB lock.
 //
-// Rows live in exactly one of three places, and every read walks them in
-// this order: the immutable columnar segments (flushed rows; only the
-// durable engine's hot tables ever have any, see compact.go), the sealed
-// row set (a frozen former tail the compactor is encoding), and the
-// active row set, the only place mutations land. The ordered invariant
-// makes that walk a concatenation, never a merge: segments partition the
-// primary-key space in flush order, every sealed key exceeds every
-// segment key, every active key exceeds both, and row IDs ascend the same
-// way. A mutation that would break it rehydrates the table first.
+// Rows live in exactly one place, and every read walks the places in this
+// order: the columnar blocks — the immutable segments (flushed rows), the
+// sealed tail (a frozen former tail the compactor is encoding) and the
+// active tail, an unwritten segment that only grows — and then the row
+// set, a row store under B-trees. Only a durable engine's hot tables have
+// blocks (compact.go), and while such a table is sealable its unflushed
+// rows are in its tail and its row set is empty; everywhere else, and in
+// a hot table a mutation has rehydrated, the row set is the only place.
+// The ordered invariant makes the walk a concatenation, never a merge:
+// the blocks partition the primary-key space in the order listed, every
+// row-set key exceeds every block key, and row IDs ascend the same way. A
+// mutation that would break it rehydrates the table first.
 type Table struct {
 	db     *DB
 	schema *Schema
-	nextID int64 // next row ID / auto primary key
-	pkCols []int // column positions of the primary key
+	nextID atomic.Int64 // next row ID / auto primary key; a transaction reserves from it under no lock
+	pkCols []int        // column positions of the primary key
 
-	active *rowSet
-	sealed *rowSet    // nil unless a compaction is in flight
-	sets   []*rowSet  // the non-nil ones of sealed, active: the row sets in key order
-	segs   []*segment // ascending in primary key and in row ID
+	active *rowSet // the row store; also the catalog of the table's indexes
 
-	// Like sealed and segs, set only on a durable engine's hot tables (compact.go).
-	segRows      int64 // rows, encoded bytes and decoded bytes in segs
+	// Set only on a durable engine's hot tables (compact.go).
+	tail         *segment   // the active columnar tail; nil while the table is row-resident
+	sealed       *segment   // nil unless a compaction is in flight
+	segs         []*segment // ascending in primary key and in row ID
+	blocks       []*segment // segs, sealed, tail: the columnar sources in key order
+	segRows      int64      // rows, encoded bytes and decoded bytes in segs
 	segBytes     int64
 	segDataBytes int64
 	stale        []string  // files of rehydrated-away segments the manifest must keep listing
@@ -50,11 +56,11 @@ type Table struct {
 }
 
 // residency records the fallback a hot table is in: all of its rows are
-// back in the active set.
+// back in the row set.
 type residency uint8
 
 const (
-	residentMutated   residency = iota + 1 // a flushed row changed; the next seal re-segments
+	residentMutated   residency = iota + 1 // a columnar row changed; the next seal re-segments
 	residentUnordered                      // an insert arrived below the flushed maximum; row-resident until the next checkpoint
 )
 
@@ -66,7 +72,6 @@ type rowSet struct {
 	indexes   map[string]*tableIndex // secondary indexes by name
 	dataBytes int64                  // approximate stored data volume
 	pkBytes   int64                  // approximate primary B-tree key volume
-	maxID     int64                  // highest row ID ever inserted
 	logs      []*logFile             // durable engine, hot tables: the tail logs holding this set's records, in replay order
 }
 
@@ -81,8 +86,9 @@ func newTable(db *DB, schema *Schema) (*Table, error) {
 	if err := schema.Validate(); err != nil {
 		return nil, err
 	}
-	t := &Table{db: db, schema: schema, nextID: 1}
-	t.installLocked(nil, t.newRowSet())
+	t := &Table{db: db, schema: schema}
+	t.nextID.Store(1)
+	t.active = t.newRowSet()
 	for _, pk := range schema.PrimaryKey {
 		t.pkCols = append(t.pkCols, schema.ColumnIndex(pk))
 	}
@@ -105,42 +111,43 @@ func (t *Table) newRowSet() *rowSet {
 	return rs
 }
 
-// installLocked makes sealed (nil for none) and active the table's row
-// sets.
-func (t *Table) installLocked(sealed, active *rowSet) {
-	t.sealed, t.active, t.sets = sealed, active, []*rowSet{active}
-	if sealed != nil {
-		t.sets = []*rowSet{sealed, active}
+// tailsLocked returns the sealed and active columnar tails, whichever
+// the table has.
+func (t *Table) tailsLocked() []*segment { return t.blocks[len(t.segs):] }
+
+// installLocked makes sealed and tail (nil for none) the table's tails.
+func (t *Table) installLocked(sealed, tail *segment) {
+	t.sealed, t.tail = sealed, tail
+	t.blocks = slices.Clone(t.segs)
+	for _, s := range []*segment{sealed, tail} {
+		if s != nil {
+			t.blocks = append(t.blocks, s)
+		}
 	}
 }
 
-// addIndex builds a secondary index over every row: a B-tree per row
-// set, a lazily sorted permutation per segment. Segments cannot enforce
+// addIndex builds a secondary index over every row: a B-tree over the
+// row set, a lazily sorted permutation per block. Blocks cannot enforce
 // uniqueness, so a unique index first makes the table row-resident.
 func (t *Table) addIndex(spec IndexSpec) error {
 	if _, dup := t.active.indexes[spec.Name]; dup {
 		return fmt.Errorf("reldb: table %q: index %q already exists", t.schema.Name, spec.Name)
 	}
-	if spec.Unique && t.frozenMaxKey != nil {
+	if spec.Unique && len(t.blocks) > 0 {
 		t.rehydrateLocked(residentUnordered)
 	}
 	var cols []int
 	for _, col := range spec.Columns {
 		cols = append(cols, t.schema.ColumnIndex(col))
 	}
-	built := make([]*tableIndex, len(t.sets))
-	for i, rs := range t.sets {
-		built[i] = &tableIndex{spec: spec, cols: cols, tree: newBTree()}
-		for id, row := range rs.rows {
-			if err := built[i].insert(row, id); err != nil {
-				return err
-			}
+	built := &tableIndex{spec: spec, cols: cols, tree: newBTree()}
+	for id, row := range t.active.rows {
+		if err := built.insert(row, id); err != nil {
+			return err
 		}
 	}
-	for i, rs := range t.sets {
-		rs.indexes[spec.Name] = built[i]
-	}
-	for _, s := range t.segs {
+	t.active.indexes[spec.Name] = built
+	for _, s := range t.blocks {
 		s.perms[spec.Name] = new(lazyPerm)
 	}
 	return nil
@@ -148,10 +155,8 @@ func (t *Table) addIndex(spec IndexSpec) error {
 
 // dropIndex forgets a secondary index everywhere it is kept.
 func (t *Table) dropIndex(name string) {
-	for _, rs := range t.sets {
-		delete(rs.indexes, name)
-	}
-	for _, s := range t.segs {
+	delete(t.active.indexes, name)
+	for _, s := range t.blocks {
 		delete(s.perms, name)
 	}
 }
@@ -204,7 +209,6 @@ func (rs *rowSet) insert(id int64, row Row, pk []byte) error {
 	rs.primary.Set(pk, id)
 	rs.dataBytes += rowBytes(row)
 	rs.pkBytes += int64(len(pk)) + 8
-	rs.maxID = max(rs.maxID, id)
 	return nil
 }
 
@@ -255,7 +259,7 @@ func rowBytes(row Row) int64 {
 	return n + 8 // row header
 }
 
-// rowRef locates a stored row: in a row set, or at a segment position.
+// rowRef locates a stored row: in the row set, or at a block position.
 type rowRef struct {
 	id  int64
 	set *rowSet
@@ -273,45 +277,46 @@ func (r rowRef) clone() Row {
 
 // findIDLocked locates the row with the given row ID.
 func (t *Table) findIDLocked(id int64) (rowRef, bool) {
-	if n := len(t.segs); n > 0 && id <= t.segs[n-1].maxRowID {
-		k := sort.Search(n, func(k int) bool { return t.segs[k].maxRowID >= id })
-		pos, ok := t.segs[k].findID(id)
-		return rowRef{id: id, seg: t.segs[k], pos: pos}, ok
+	if n := len(t.blocks); n > 0 && id <= t.blocks[n-1].maxRowID {
+		k := sort.Search(n, func(k int) bool { return t.blocks[k].maxRowID >= id })
+		pos, ok := t.blocks[k].findID(id)
+		return rowRef{id: id, seg: t.blocks[k], pos: pos}, ok
 	}
-	for _, rs := range t.sets {
-		if _, ok := rs.rows[id]; ok {
-			return rowRef{id: id, set: rs}, true
-		}
+	if _, ok := t.active.rows[id]; ok {
+		return rowRef{id: id, set: t.active}, true
 	}
 	return rowRef{}, false
 }
 
 // findPKLocked locates the row with the given encoded primary key: the
-// row sets first, a segment only when the key is at or below the flushed
-// maximum.
+// row set first, then the one block that can hold it — the tail for a
+// key above the frozen maximum, else a segment or the sealed tail.
 func (t *Table) findPKLocked(key []byte) (rowRef, bool) {
-	for _, rs := range t.sets {
-		if id, ok := rs.primary.Get(key); ok {
-			return rowRef{id: id, set: rs}, true
-		}
+	if id, ok := t.active.primary.Get(key); ok {
+		return rowRef{id: id, set: t.active}, true
 	}
-	if len(t.segs) == 0 || bytes.Compare(key, t.frozenMaxKey) > 0 {
+	frozen := t.blocks
+	if t.tail != nil {
+		frozen = frozen[:len(frozen)-1]
+	}
+	aboveFrozen := len(frozen) == 0 || bytes.Compare(key, t.frozenMaxKey) > 0
+	if aboveFrozen && (t.tail == nil || t.tail.rows == 0) {
 		return rowRef{}, false
 	}
 	vals, err := DecodeKey(key)
 	if err != nil || len(vals) != len(t.pkCols) {
 		return rowRef{}, false
 	}
-	k := sort.Search(len(t.segs), func(k int) bool {
-		s := t.segs[k]
-		return s.cmpTuple(t.pkCols, s.rows-1, vals) >= 0
-	})
-	if k == len(t.segs) {
-		return rowRef{}, false
+	s := t.tail
+	if !aboveFrozen {
+		k := sort.Search(len(frozen), func(k int) bool { return frozen[k].cmpTuple(t.pkCols, frozen[k].top, vals) >= 0 })
+		if k == len(frozen) {
+			return rowRef{}, false
+		}
+		s = frozen[k]
 	}
-	s := t.segs[k]
-	pos := s.bound(nil, t.pkCols, vals, false)
-	if pos == s.rows || s.cmpTuple(t.pkCols, pos, vals) != 0 {
+	pos, ok := s.findPK(t.pkCols, vals)
+	if !ok {
 		return rowRef{}, false
 	}
 	return rowRef{id: s.rowIDs[pos], seg: s, pos: pos}, true
@@ -335,39 +340,77 @@ func (t *Table) admitLocked(id int64, pk []byte, row Row) error {
 	return nil
 }
 
+// autoKey reports whether the table assigns row's primary key: a single
+// integer key column holding NULL (sequence semantics).
+func (t *Table) autoKey(row Row) bool {
+	return len(t.pkCols) == 1 && t.schema.Columns[t.pkCols[0]].Type == KindInt && row[t.pkCols[0]].IsNull()
+}
+
+// reserveID takes the next row ID — which is row's primary key when
+// that is assigned — and moves the counter past it and past an explicit
+// integer key. It returns the counter's new value too, for unreserveID.
+func (t *Table) reserveID(row Row) (id, next int64) {
+	for {
+		id = t.nextID.Load()
+		next = id + 1
+		if len(t.pkCols) == 1 && row[t.pkCols[0]].Kind() == KindInt {
+			next = max(next, row[t.pkCols[0]].Int64()+1)
+		}
+		if t.nextID.CompareAndSwap(id, next) {
+			return id, next
+		}
+	}
+}
+
+// unreserveID gives back the ID of a row that was refused, unless
+// another writer has taken one since.
+func (t *Table) unreserveID(id, next int64) { t.nextID.CompareAndSwap(next, id) }
+
+// appendLocked stores an admitted row in the table's active tail: the
+// columnar one, or the row set.
+func (t *Table) appendLocked(id int64, row Row, pk []byte) error {
+	if t.tail == nil {
+		return t.active.insert(id, row, pk)
+	}
+	t.tail.tailAppendRow(t.pkCols, id, row)
+	return nil
+}
+
 // insertLocked adds a row. If the primary key is a single integer column
 // whose value is NULL, a fresh ID is assigned (sequence semantics). It
 // returns the row ID, which equals the integer primary key when one is
-// auto-assigned, and the stored row.
-func (t *Table) insertLocked(row Row) (int64, Row, error) {
+// auto-assigned, and the stored row. priv, if not nil, is the
+// transaction the insert belongs to: its private rows satisfy foreign
+// keys too.
+func (t *Table) insertLocked(row Row, priv *Tx) (int64, Row, error) {
+	if len(row) != len(t.schema.Columns) {
+		return 0, nil, t.schema.CheckRow(row)
+	}
 	row = row.Clone()
-	if len(t.pkCols) == 1 && t.schema.Columns[t.pkCols[0]].Type == KindInt && row[t.pkCols[0]].IsNull() {
-		row[t.pkCols[0]] = Int(t.nextID)
+	auto := t.autoKey(row)
+	id, next := t.reserveID(row)
+	if auto {
+		row[t.pkCols[0]] = Int(id)
 	}
-	if err := t.schema.CheckRow(row); err != nil {
-		return 0, nil, err
+	err := t.schema.CheckRow(row)
+	if err == nil {
+		err = t.db.checkForeignKeys(t.schema, row, priv)
 	}
-	if err := t.db.checkForeignKeys(t.schema, row); err != nil {
-		return 0, nil, err
+	if err == nil {
+		pk := t.pkKey(row)
+		if err = t.admitLocked(id, pk, row); err == nil {
+			err = t.appendLocked(id, row, pk)
+		}
 	}
-	pk := t.pkKey(row)
-	if err := t.admitLocked(t.nextID, pk, row); err != nil {
-		return 0, nil, err
-	}
-	id := t.nextID
-	t.nextID++
-	// Keep nextID ahead of explicit integer primary keys.
-	if len(t.pkCols) == 1 && row[t.pkCols[0]].Kind() == KindInt {
-		t.nextID = max(t.nextID, row[t.pkCols[0]].Int64()+1)
-	}
-	if err := t.active.insert(id, row, pk); err != nil {
+	if err != nil {
+		t.unreserveID(id, next)
 		return 0, nil, err
 	}
 	return id, row, nil
 }
 
-// insertAtLocked stores a row under a specific row ID: recovery, and the
-// rollback of a delete.
+// insertAtLocked stores a row under a specific row ID: recovery, the
+// rollback of a delete, and a transaction's rows installed one by one.
 func (t *Table) insertAtLocked(id int64, row Row) (Row, error) {
 	if _, exists := t.findIDLocked(id); exists {
 		return nil, fmt.Errorf("reldb: table %q: row %d already present", t.schema.Name, id)
@@ -380,21 +423,28 @@ func (t *Table) insertAtLocked(id int64, row Row) (Row, error) {
 	if err := t.admitLocked(id, pk, row); err != nil {
 		return nil, err
 	}
-	if err := t.active.insert(id, row, pk); err != nil {
+	if err := t.appendLocked(id, row, pk); err != nil {
 		return nil, err
 	}
-	t.nextID = max(t.nextID, id+1)
+	t.advanceID(id + 1)
 	return row, nil
 }
 
+// advanceID moves the row-ID counter up to next, if it is below.
+func (t *Table) advanceID(next int64) {
+	for cur := t.nextID.Load(); cur < next && !t.nextID.CompareAndSwap(cur, next); cur = t.nextID.Load() {
+	}
+}
+
 // mutableLocked returns the stored row with the given ID, rehydrating
-// the table first when the row is frozen in a segment or the sealed set.
+// the table first when the row is in a block: columns take no update and
+// no delete.
 func (t *Table) mutableLocked(id int64) (Row, error) {
 	ref, ok := t.findIDLocked(id)
 	if !ok {
 		return nil, fmt.Errorf("reldb: table %q: no row %d", t.schema.Name, id)
 	}
-	if ref.set != t.active {
+	if ref.seg != nil {
 		t.rehydrateLocked(residentMutated)
 	}
 	return t.active.rows[id], nil
@@ -409,7 +459,7 @@ func (t *Table) deleteLocked(id int64) (Row, error) {
 	return row, nil
 }
 
-func (t *Table) updateLocked(id int64, row Row) (Row, error) {
+func (t *Table) updateLocked(id int64, row Row, priv *Tx) (Row, error) {
 	old, err := t.mutableLocked(id)
 	if err != nil {
 		return nil, err
@@ -418,7 +468,7 @@ func (t *Table) updateLocked(id int64, row Row) (Row, error) {
 	if err := t.schema.CheckRow(row); err != nil {
 		return nil, err
 	}
-	if err := t.db.checkForeignKeys(t.schema, row); err != nil {
+	if err := t.db.checkForeignKeys(t.schema, row, priv); err != nil {
 		return nil, err
 	}
 	newPK, oldPK := t.pkKey(row), t.pkKey(old)
@@ -438,52 +488,82 @@ func (t *Table) updateLocked(id int64, row Row) (Row, error) {
 	return old, nil
 }
 
-// rehydrateLocked folds the segments and the sealed set back into one
-// active row set — the single fallback for a mutation the frozen shapes
-// cannot absorb (an update or delete of a frozen row, a row ID or key
-// inside the frozen range, a unique index). It builds a fresh set and
-// leaves the old ones untouched, so an in-flight compaction (which will
-// find its sealed set gone and discard its work) and an open BlockScan
-// keep reading a consistent image. The segment files stay in the
-// manifest as stale: since the last checkpoint truncated the WAL they
-// may be the only durable copy of their rows, and recovery, replaying
-// the same mutation over them, rehydrates the same way.
+// rehydrateLocked folds the blocks back into one row set — the single
+// fallback for a mutation columns cannot absorb (an update or delete of a
+// row in a block, a row ID or key inside the frozen range, a unique
+// index). It builds a fresh set and leaves the blocks untouched, so an
+// in-flight compaction (which will find its sealed tail gone and discard
+// its work) and an open BlockScan keep reading a consistent image. The
+// segment files stay in the manifest as stale: since the last checkpoint
+// truncated the WAL they may be the only durable copy of their rows, and
+// recovery, replaying the same mutation over them, rehydrates the same
+// way.
 func (t *Table) rehydrateLocked(why residency) {
 	fresh := t.newRowSet()
 	t.ascendLocked(nil, func(id int64, row Row) bool {
-		// Keys arrive ascending and unique, and a table with frozen rows
-		// has no unique index, so the insert cannot fail.
+		// Keys arrive ascending and unique, and a table with blocks has no
+		// unique index, so the insert cannot fail.
 		_ = fresh.insert(id, row, t.pkKey(row))
 		return true
 	})
 	for _, s := range t.segs {
 		t.stale, t.staleBytes = append(t.stale, s.file), t.staleBytes+s.sizeOn
 	}
-	t.segs, t.segRows, t.segBytes, t.segDataBytes = nil, 0, 0, 0
-	// Rule 2: the fresh set inherits the logs of the sets it folds — their
+	// Rule 2: the fresh set inherits the logs of the tails it folds — their
 	// rows are in no segment yet, and the mutation that caused this is about
 	// to be logged behind them.
 	fresh.logs = t.logsLocked()
-	t.installLocked(nil, fresh)
+	t.segs, t.segRows, t.segBytes, t.segDataBytes = nil, 0, 0, 0
+	t.active = fresh
+	t.installLocked(nil, nil)
 	t.frozenMaxID, t.frozenMaxKey = 0, nil
 	t.resident = why
 }
 
-// logsLocked returns the tail logs the table's row sets own, in replay
-// order.
+// logOwnersLocked returns the tail-log lists of everything that owns
+// tail logs, in replay order: the sealed tail, the active one, the row
+// set.
+func (t *Table) logOwnersLocked() []*[]*logFile {
+	owners := make([]*[]*logFile, 0, 3)
+	for _, s := range t.tailsLocked() {
+		owners = append(owners, &s.logs)
+	}
+	return append(owners, &t.active.logs)
+}
+
+// logsLocked returns the tail logs the table's unflushed rows own, in
+// replay order.
 func (t *Table) logsLocked() []*logFile {
 	var logs []*logFile
-	for _, rs := range t.sets {
-		logs = append(logs, rs.logs...)
+	for _, owned := range t.logOwnersLocked() {
+		logs = append(logs, *owned...)
 	}
 	return logs
 }
 
+// activeLogsLocked returns the tail-log list of whichever holds the
+// table's next row.
+func (t *Table) activeLogsLocked() *[]*logFile {
+	if t.tail != nil {
+		return &t.tail.logs
+	}
+	return &t.active.logs
+}
+
+// unsealedLocked counts the rows of the active tail, whichever form it
+// has.
+func (t *Table) unsealedLocked() int64 {
+	if t.tail != nil {
+		return int64(t.tail.rows)
+	}
+	return int64(len(t.active.rows))
+}
+
 // lenLocked counts the table's rows wherever they live.
 func (t *Table) lenLocked() int64 {
-	n := t.segRows
-	for _, rs := range t.sets {
-		n += int64(len(rs.rows))
+	n := t.segRows + int64(len(t.active.rows))
+	for _, s := range t.tailsLocked() {
+		n += int64(s.rows)
 	}
 	return n
 }
@@ -528,47 +608,42 @@ func prefixRange(prefix []Value) (lo, hi []byte) {
 }
 
 // ascendLocked visits the rows whose leading primary-key columns equal
-// prefix (every row when it is empty) in primary-key order: the segments,
-// binary-searched, then the row sets. A row built from a segment is the
+// prefix (every row when it is empty) in primary-key order: the blocks,
+// binary-searched, then the row set. A row built from a block is the
 // visitor's to keep; a stored row must not be mutated.
 func (t *Table) ascendLocked(prefix []Value, fn func(id int64, row Row) bool) {
 	k := 0
 	if len(prefix) > 0 {
-		k = sort.Search(len(t.segs), func(k int) bool {
-			s := t.segs[k]
-			return s.cmpTuple(t.pkCols, s.rows-1, prefix) >= 0
+		k = sort.Search(len(t.blocks), func(k int) bool {
+			s := t.blocks[k]
+			return s.rows == 0 || s.cmpTuple(t.pkCols, s.top, prefix) >= 0
 		})
 	}
-	for ; k < len(t.segs); k++ {
-		s := t.segs[k]
-		to := s.bound(nil, t.pkCols, prefix, true)
-		if !s.eachRow(nil, s.bound(nil, t.pkCols, prefix, false), to, fn) || to < s.rows {
+	for ; k < len(t.blocks); k++ {
+		s := t.blocks[k]
+		perm := s.pkPerm(t.pkCols)
+		to := s.bound(perm, t.pkCols, prefix, true)
+		if !s.eachRow(perm, s.bound(perm, t.pkCols, prefix, false), to, fn) || to < s.rows {
 			return // stopped, or past the prefix: every later key is larger still
 		}
 	}
 	lo, hi := prefixRange(prefix)
-	walkSets(t.sets, "", lo, hi, fn)
+	t.active.walk("", lo, hi, fn)
 }
 
-// walkSets ascends [lo, hi) of each row set's primary B-tree in turn —
-// of its named secondary index when index is not "" — handing fn every
-// entry's stored row until fn returns false, which walkSets then
-// returns too.
-func walkSets(sets []*rowSet, index string, lo, hi []byte, fn func(id int64, row Row) bool) bool {
+// walk ascends [lo, hi) of the set's primary B-tree — of its named
+// secondary index when index is not "" — handing fn every entry's stored
+// row until fn returns false, which walk then returns too.
+func (rs *rowSet) walk(index string, lo, hi []byte, fn func(id int64, row Row) bool) bool {
 	more := true
-	for _, rs := range sets {
-		tree := rs.primary
-		if index != "" {
-			tree = rs.indexes[index].tree
-		}
-		tree.Ascend(lo, hi, func(_ []byte, id int64) bool {
-			more = fn(id, rs.rows[id])
-			return more
-		})
-		if !more {
-			break
-		}
+	tree := rs.primary
+	if index != "" {
+		tree = rs.indexes[index].tree
 	}
+	tree.Ascend(lo, hi, func(_ []byte, id int64) bool {
+		more = fn(id, rs.rows[id])
+		return more
+	})
 	return more
 }
 
@@ -595,8 +670,8 @@ func (t *Table) PKScan(prefix []Value, fn func(id int64, row Row) bool) error {
 }
 
 // indexVisitLocked visits the entries of one secondary index with
-// encoded key in [lo, hi): span gives each segment's matching stretch of
-// its sorted permutation, the row sets walk their B-trees. Row IDs ascend
+// encoded key in [lo, hi): span gives each block's matching stretch of
+// its sorted permutation, the row set walks its B-tree. Row IDs ascend
 // from source to source, so when every match shares one index value
 // (concat) the sources' runs concatenate into global (value, row ID)
 // order; otherwise the matches are gathered and sorted by key.
@@ -609,18 +684,18 @@ func (t *Table) indexVisitLocked(ix *tableIndex, lo, hi []byte, concat bool,
 	}
 	var hits []hit
 	visit := fn
-	if !concat && len(t.segs)+len(t.sets) > 1 {
+	if !concat && len(t.blocks)+min(len(t.active.rows), 1) > 1 {
 		visit = func(id int64, row Row) bool {
 			hits = append(hits, hit{ix.key(row, id), id, row})
 			return true
 		}
 	}
-	for _, s := range t.segs {
+	for _, s := range t.blocks {
 		if perm, from, to := span(s); !s.eachRow(perm, from, to, visit) {
 			return
 		}
 	}
-	if !walkSets(t.sets, ix.spec.Name, lo, hi, visit) {
+	if !t.active.walk(ix.spec.Name, lo, hi, visit) {
 		return
 	}
 	sort.Slice(hits, func(a, b int) bool { return bytes.Compare(hits[a].key, hits[b].key) < 0 })
@@ -631,8 +706,8 @@ func (t *Table) indexVisitLocked(ix *tableIndex, lo, hi []byte, concat bool,
 	}
 }
 
-// equalSpan returns the stretch of a segment's permutation for index ix
-// whose entries start with prefix. A segment whose zone map excludes the
+// equalSpan returns the stretch of a block's permutation for index ix
+// whose entries start with prefix. A block whose zone map excludes the
 // leading value is skipped before its permutation is ever built.
 func (s *segment) equalSpan(ix *tableIndex, prefix []Value) (perm []int32, from, to int) {
 	if len(prefix) > 0 && s.zoneExcludes(ix.cols[0], prefix[0]) {
@@ -667,7 +742,7 @@ func (t *Table) indexLocked(index string, prefix []Value) (*tableIndex, error) {
 // IndexScanInt is IndexScan for a caller that reads one NOT NULL integer
 // column of each row whose index key equals key, a value for every index
 // column: fn gets the row ID and that column's value, in (key, row ID)
-// order, and no Row is built for a flushed row. The pr-filter's two
+// order, and no Row is built for a columnar row. The pr-filter's two
 // link-table scans, half of what a cold query costs, read this way.
 func (t *Table) IndexScanInt(index string, key []Value, col int, fn func(id, v int64) bool) error {
 	t.db.mu.RLock()
@@ -679,7 +754,7 @@ func (t *Table) IndexScanInt(index string, key []Value, col int, fn func(id, v i
 	if len(key) != len(ix.cols) || col < 0 || col >= len(t.schema.Columns) || t.schema.Columns[col].Type != KindInt {
 		return fmt.Errorf("reldb: table %q index %q: IndexScanInt needs a whole key and an integer column", t.schema.Name, index)
 	}
-	for _, s := range t.segs {
+	for _, s := range t.blocks {
 		perm, from, to := s.equalSpan(ix, key)
 		for _, i := range perm[from:to] {
 			if !fn(s.rowIDs[i], s.cols[col].ints[i]) {
@@ -688,7 +763,7 @@ func (t *Table) IndexScanInt(index string, key []Value, col int, fn func(id, v i
 		}
 	}
 	lo, hi := prefixRange(key)
-	walkSets(t.sets, index, lo, hi, func(id int64, row Row) bool { return fn(id, row[col].i) })
+	t.active.walk(index, lo, hi, func(id int64, row Row) bool { return fn(id, row[col].i) })
 	return nil
 }
 

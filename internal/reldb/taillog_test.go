@@ -137,7 +137,14 @@ func TestSegmentTailLogCrashSweep(t *testing.T) {
 		PrimaryKey: []string{"id"},
 	}
 	p.both("create metric", func(eng Engine) error { return eng.CreateTable(metric) })
-	tables := []string{"metric", "performance_result", "result_has_focus", "focus_has_resource"}
+	histogram := &Schema{
+		Name:        "result_histogram",
+		Columns:     []Column{{Name: "result_id", Type: KindInt}, {Name: "bins", Type: KindString}},
+		PrimaryKey:  []string{"result_id"},
+		ForeignKeys: []ForeignKey{{Column: "result_id", RefTable: "performance_result", RefColumn: "id"}},
+	}
+	p.both("create result_histogram", func(eng Engine) error { return eng.CreateTable(histogram) })
+	tables := []string{"metric", "result_histogram", "performance_result", "result_has_focus", "focus_has_resource"}
 
 	steps := map[string]int{}
 	var phase string
@@ -181,6 +188,9 @@ func TestSegmentTailLogCrashSweep(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// load is a document's commit: one transaction, whose hot rows — links
+	// descending within a result, as loadResults makes them — are private to
+	// it until it commits.
 	load := func(n int) {
 		t.Helper()
 		first := next
@@ -189,7 +199,7 @@ func TestSegmentTailLogCrashSweep(t *testing.T) {
 			if _, err := eng.Insert("metric", Row{Int(int64(first)), Str("m")}); err != nil {
 				return err
 			}
-			return loadResults(eng, first, n)
+			return commitResults(eng, first, n)
 		})
 	}
 	sealed := func(table string) bool { tab, _ := p.fe.Table(table); return tab.sealed != nil }
@@ -199,6 +209,28 @@ func TestSegmentTailLogCrashSweep(t *testing.T) {
 	pass()
 	load(40)
 	pass()
+	next++
+	batch("histogram of a private result", func(eng Engine) error {
+		tx := eng.Begin()
+		rid, err := tx.Insert("performance_result", resultRow(next-1))
+		if err != nil {
+			return err
+		}
+		// The child goes in at once, and finds its parent in the transaction.
+		if _, err := tx.Insert("result_histogram", Row{Int(rid), Str("1,2,3")}); err != nil {
+			return err
+		}
+		if _, err := tx.Insert("result_has_focus", Row{Int(rid), Int(9)}); err != nil {
+			return err
+		}
+		return tx.Commit()
+	})
+	if err := p.both("histogram of no result", func(eng Engine) error {
+		_, err := eng.Begin().Insert("result_histogram", Row{Int(1 << 30), Str("")})
+		return err
+	}); err == nil {
+		t.Fatal("a histogram of a result nobody has was accepted")
+	}
 	p.both("create index", func(eng Engine) error {
 		return eng.CreateIndex("performance_result", IndexSpec{Name: "pr_tool", Columns: []string{"tool_id"}})
 	})
@@ -288,12 +320,15 @@ func TestSegmentTailLogCrashSweep(t *testing.T) {
 	}
 	pass()
 	victim := lastResult() // the open batch's last result
+	// The delete rehydrates performance_result — the victim is in its tail —
+	// and the batch's end re-seals it, without the victim.
 	batch("delete of a snapshotted row", func(eng Engine) error { return eng.Delete("performance_result", victim) })
-	load(60) // re-seals performance_result without the victim
 	pass()
 	if st := hotStatus(t, p.fe, "performance_result"); st.PendingRows != 0 || st.LogFiles == 0 {
 		t.Fatalf("performance_result after the re-seal = %+v, want it flushed and its logs pinned", st)
 	}
+	load(60)
+	pass()
 
 	phase = "final checkpoint"
 	if err := p.fe.Checkpoint(); err != nil {
@@ -361,13 +396,16 @@ func TestSegmentLogsHoldOnlyUnflushedRows(t *testing.T) {
 		}
 		tab, _ := p.fe.Table(status.Table)
 		held := map[int64]bool{}
-		for _, rs := range tab.sets {
-			for id := range rs.rows {
+		for _, tail := range tab.tailsLocked() {
+			for _, id := range tail.rowIDs {
 				held[id] = true
 			}
 		}
+		if len(tab.active.rows) != 0 {
+			t.Fatalf("%s: %d rows are in the row set of a table that was only loaded into", status.Table, len(tab.active.rows))
+		}
 		if !reflect.DeepEqual(logged, held) || int64(len(held)) != status.PendingRows {
-			t.Fatalf("%s: tail logs hold %d rows, the row sets %d, pending_rows says %d", status.Table, len(logged), len(held), status.PendingRows)
+			t.Fatalf("%s: tail logs hold %d rows, the tails %d, pending_rows says %d", status.Table, len(logged), len(held), status.PendingRows)
 		}
 		pending += status.PendingRows
 		logBytes += status.LogBytes

@@ -44,6 +44,12 @@ func (rw *recordWriter) writeRecord(payload []byte) error {
 	return err
 }
 
+// writeFramed appends records that already carry their frames.
+func (rw *recordWriter) writeFramed(records []byte) error {
+	_, err := rw.w.Write(records)
+	return err
+}
+
 func (rw *recordWriter) flush() error { return rw.w.Flush() }
 
 type recordReader struct {
@@ -150,23 +156,25 @@ func (p *payloadReader) empty() bool { return len(p.buf) == 0 }
 func encodeRowPayload(dst []byte, row Row) []byte {
 	dst = putUvarint(dst, uint64(len(row)))
 	for _, v := range row {
-		dst = append(dst, byte(v.Kind()))
-		switch v.Kind() {
-		case KindNull:
-		case KindInt:
-			dst = putVarint(dst, v.Int64())
-		case KindFloat:
-			var buf [8]byte
-			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v.Float64()))
-			dst = append(dst, buf[:]...)
-		case KindString:
-			dst = putString(dst, v.Text())
-		case KindBool:
-			if v.Truth() {
-				dst = append(dst, 1)
-			} else {
-				dst = append(dst, 0)
-			}
+		dst = appendValuePayload(dst, v)
+	}
+	return dst
+}
+
+func appendValuePayload(dst []byte, v Value) []byte {
+	dst = append(dst, byte(v.Kind()))
+	switch v.Kind() {
+	case KindInt:
+		dst = putVarint(dst, v.Int64())
+	case KindFloat:
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v.Float64()))
+	case KindString:
+		dst = putString(dst, v.Text())
+	case KindBool:
+		if v.Truth() {
+			dst = append(dst, 1)
+		} else {
+			dst = append(dst, 0)
 		}
 	}
 	return dst
