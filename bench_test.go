@@ -860,18 +860,32 @@ func BenchmarkBulkLoad(b *testing.B) {
 		return s, func() { fe.Close(); os.RemoveAll(dir) }
 	}
 
+	// liveHeap is the heap in use after two collections.
+	liveHeap := func() float64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return float64(ms.HeapAlloc)
+	}
 	run := func(load func(b *testing.B, s *datastore.Store)) func(*testing.B) {
 		return func(b *testing.B) {
+			var live, results float64
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
+				before := liveHeap()
 				s, cleanup := newFileStore(b)
 				b.StartTimer()
 				load(b, s)
 				b.StopTimer()
+				// Residency: what the loaded store keeps on the heap, per result.
+				live += liveHeap() - before
+				results += float64(s.Stats().Results)
 				cleanup()
 				b.StartTimer()
 			}
 			b.ReportMetric(float64(nFiles)*float64(b.N)/b.Elapsed().Seconds(), "files/s")
+			b.ReportMetric(live/results, "live-B/result")
 		}
 	}
 

@@ -167,10 +167,10 @@ func (n ResourceName) Validate() error {
 	if strings.ContainsAny(string(n), "(),:") {
 		return fmt.Errorf("core: resource name %q contains a character reserved by PTdf resource-set syntax", n)
 	}
-	for _, seg := range n.Segments() {
-		if seg == "" {
-			return fmt.Errorf("core: resource name %q has an empty component", n)
-		}
+	// Between a leading '/' and a last character that is none, a component is
+	// empty exactly where two separators meet.
+	if strings.Contains(string(n), "//") {
+		return fmt.Errorf("core: resource name %q has an empty component", n)
 	}
 	return nil
 }

@@ -103,7 +103,7 @@ func TestResourceNameValidate(t *testing.T) {
 			t.Errorf("Validate(%q): %v", n, err)
 		}
 	}
-	bad := []ResourceName{"", "a", "a/b", "/a/", "/a//b",
+	bad := []ResourceName{"", "a", "a/b", "/a/", "/a//b", "//a", "/",
 		// Reserved by the PTdf resource-set grammar.
 		"/a(b", "/a)b", "/a,b", "/a:b"}
 	for _, n := range bad {

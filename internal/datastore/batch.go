@@ -23,12 +23,13 @@ var ErrBatchDone = errors.New("datastore: batch already finished")
 //
 // Commit is transactional per batch: every record applies inside one
 // engine transaction, a bad record rolls the whole batch back (durably —
-// the WAL carries the compensation records; the rows of the three result
-// tables were private to the transaction and never logged), the store
-// generation bumps exactly once, and on a durable engine the WAL is
-// flushed exactly once. On a durable engine the batch's result rows and
-// their links become visible in one step, at the commit: a reader sees
-// none or all of a document's results.
+// the WAL carries the compensation records; the rows of the hot tables —
+// results, foci, closure links and the links between them — were private
+// to the transaction and never logged), the store generation bumps exactly
+// once, and on a durable engine the WAL is flushed exactly once. On a
+// durable engine the batch's results, its foci and their links become
+// visible in one step, at the commit: a reader sees none or all of a
+// document's results, and no focus of a batch that rolls back.
 // This is the write API every multi-record path sits on: LoadPTdf stages
 // one document per batch, and BulkLoad pipelines many batches from
 // parallel decoders into a single committer.

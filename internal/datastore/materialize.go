@@ -22,9 +22,10 @@ package datastore
 //      per-ID path's context ordering).
 //   4. Decode each distinct focus exactly once into a shared
 //      focus → Context cache (foci are heavily shared across results):
-//      one focus Get plus one focus_has_resource scan per focus, then
-//      one view of the resource dictionary maps every resource ID to its
-//      name.
+//      one focus Get plus one focus_has_resource scan per focus — or,
+//      when most of the table is wanted, one pass over each table's
+//      blocks, the focus type read as a column — then one view of the
+//      resource dictionary maps every resource ID to its name.
 //   5. Assemble PerformanceResults over N worker goroutines sharding
 //      the ID slice, preserving input order.
 //
@@ -606,23 +607,26 @@ func (m *materializer) decodeFoci(fids []int64) error {
 	if len(fids)*denseScanDivisor >= fTab.Len() {
 		fpos := newPosIndex(fids)
 		found := make([]bool, len(fids))
-		var perr error
-		fTab.Scan(func(id int64, row reldb.Row) bool {
-			i, ok := fpos.get(id)
-			if !ok {
-				return true
+		scan, err := m.s.Blocks("focus", fids[0], fids[len(fids)-1])
+		if err != nil {
+			return err
+		}
+		if err := scan.Each(func(b *reldb.ColumnBlock) error {
+			kinds := b.Strings(1)
+			for k, id := range b.RowIDs() {
+				i, ok := fpos.get(id)
+				if !ok {
+					continue
+				}
+				ft, err := core.ParseFocusType(kinds[k])
+				if err != nil {
+					return err
+				}
+				types[i], found[i] = ft, true
 			}
-			ft, err := core.ParseFocusType(row[1].Text())
-			if err != nil {
-				perr = err
-				return false
-			}
-			types[i] = ft
-			found[i] = true
-			return true
-		})
-		if perr != nil {
-			return perr
+			return nil
+		}); err != nil {
+			return err
 		}
 		for i, fid := range fids {
 			if !found[i] {

@@ -1,6 +1,8 @@
 package datastore
 
 import (
+	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -142,7 +144,9 @@ type nameState struct {
 //     commit.
 //
 // A reader may therefore see the names of a batch that is still applying
-// or will roll back, exactly as it may see that batch's rows.
+// or will roll back — a focus signature among them, whose focus row, like
+// every hot-table row of the batch, a durable engine shows only from the
+// commit on — exactly as it may see that batch's rows in the other tables.
 type names struct {
 	mu sync.RWMutex
 	nameState
@@ -296,7 +300,6 @@ func (n *names) statistics() (distinct map[string]int64, attrs []AttributeStat) 
 func loadNames(eng reldb.Engine) (*nameState, error) {
 	st := &nameState{
 		types:     core.NewTypeSystem(),
-		focusIDs:  make(map[string]int64),
 		attrStats: make(map[string]*attrStat),
 	}
 	scan := func(table string, fn func(id int64, row reldb.Row)) {
@@ -341,7 +344,28 @@ func loadNames(eng reldb.Engine) (*nameState, error) {
 			return nil, err
 		}
 	}
-	scan("focus", func(id int64, row reldb.Row) { st.focusIDs[row[2].Text()] = id })
+	// The directory is the one owner of signature uniqueness — the focus
+	// table has no index to enforce it — so this is where a second row under
+	// one signature is found. The signatures are read as a column: no Row is
+	// built for a focus.
+	focus, _ := eng.Table("focus")
+	st.focusIDs = make(map[string]int64, focus.Len())
+	foci, err := focus.Blocks(math.MinInt64, math.MaxInt64)
+	if err != nil {
+		return nil, err
+	}
+	if err := foci.Each(func(b *reldb.ColumnBlock) error {
+		sigs := b.Strings(2)
+		for i, id := range b.RowIDs() {
+			if first, dup := st.focusIDs[sigs[i]]; dup {
+				return fmt.Errorf("datastore: foci %d and %d share the signature %q", first, id, sigs[i])
+			}
+			st.focusIDs[sigs[i]] = id
+		}
+		return nil
+	}); err != nil {
+		return nil, err
+	}
 	scan("resource_attribute", func(_ int64, row reldb.Row) { st.noteAttr(row[2].Text(), row[3].Text()) })
 	return st, nil
 }

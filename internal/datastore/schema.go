@@ -22,6 +22,7 @@ package datastore
 
 import (
 	"fmt"
+	"slices"
 
 	"perftrack/internal/reldb"
 )
@@ -202,9 +203,6 @@ var figure1 = []*reldb.Schema{
 			{Name: "signature", Type: reldb.KindString},
 		},
 		PrimaryKey: []string{"id"},
-		Indexes: []reldb.IndexSpec{
-			{Name: "focus_signature", Columns: []string{"signature"}, Unique: true},
-		},
 	},
 	{
 		Name: "focus_has_resource",
@@ -288,12 +286,14 @@ var tableNames = func() []string {
 	return names
 }()
 
-// ensureSchema brings the engine up to the schema: a missing table is
-// created with its indexes, and an index missing from an existing table
-// (one added to the schema after the store was initialized) is created
-// through the engine, which backfills it from the table's rows. A fresh
-// store and an old one take the same path; an up-to-date one is not
-// touched.
+// ensureSchema brings the engine to the schema: a missing table is
+// created with its indexes; an index missing from an existing table (one
+// added to the schema after the store was initialized) is created through
+// the engine, which backfills it from the table's rows; and an index the
+// schema no longer has is dropped — focus_signature, in a store from
+// before the names directory alone decided signature uniqueness, whose
+// focus table the engine can only then hold in columns. A fresh store and
+// an old one take the same path; an up-to-date one is not touched.
 func ensureSchema(eng reldb.Engine) error {
 	for _, want := range figure1 {
 		tab, exists := eng.Table(want.Name)
@@ -309,6 +309,14 @@ func ensureSchema(eng reldb.Engine) error {
 			}
 			if err := eng.CreateIndex(want.Name, ix); err != nil {
 				return fmt.Errorf("datastore: schema: index %s: %w", ix.Name, err)
+			}
+		}
+		for _, have := range slices.Clone(tab.Schema().Indexes) {
+			if slices.ContainsFunc(want.Indexes, func(ix reldb.IndexSpec) bool { return ix.Name == have.Name }) {
+				continue
+			}
+			if err := eng.DropIndex(want.Name, have.Name); err != nil {
+				return fmt.Errorf("datastore: schema: index %s: %w", have.Name, err)
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package datastore
 import (
 	"context"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -10,6 +11,7 @@ import (
 
 	"perftrack/internal/core"
 	"perftrack/internal/ptdf"
+	"perftrack/internal/reldb"
 )
 
 // fullShapedDoc returns the records of one execution shaped like the
@@ -62,10 +64,10 @@ func stage(s *Store, recs []ptdf.Record) *Batch {
 }
 
 // TestSegmentCommitAllocsPerResult counts — it does not time — what the
-// commit of a document shaped like doc_full allocates: at most 29 objects
-// a result, half of the 58 it took when every row of the three result
-// tables was cloned, key-encoded, threaded into B-trees and given an undo
-// entry.
+// commit of a document shaped like doc_full allocates: at most 14 objects
+// a result. It took 58 when every row of the result tables was cloned,
+// key-encoded, threaded into B-trees and given an undo entry, and 17 while
+// the document's foci still went that way.
 func TestSegmentCommitAllocsPerResult(t *testing.T) {
 	s, _ := newSegmentStore(t)
 	const procs, funcs, metrics = 16, 8, 8
@@ -85,21 +87,41 @@ func TestSegmentCommitAllocsPerResult(t *testing.T) {
 		next++
 	})
 	t.Logf("%.1f allocations per result", perCommit/(procs*funcs*metrics))
-	if perResult := perCommit / (procs * funcs * metrics); perResult > 29 {
-		t.Fatalf("a commit allocates %.1f objects per result, want at most 29", perResult)
+	if perResult := perCommit / (procs * funcs * metrics); perResult > 14 {
+		t.Fatalf("a commit allocates %.1f objects per result, want at most 14", perResult)
 	}
 }
 
 // TestSegmentBatchHotRowsAppearTogether is the store-level leg of the
 // engine's test of that name: while documents load — every third one
-// refused at its last record and rolled back — the result count a reader
-// sees is always that of whole loaded documents.
+// refused at its last record and rolled back — the counts a reader sees of
+// results, of foci and of closure links are always those of whole loaded
+// documents, a result that is visible has its foci, and afterwards none of
+// the six hot tables holds a row outside its columns.
 func TestSegmentBatchHotRowsAppearTogether(t *testing.T) {
-	s, _ := newSegmentStore(t)
+	s, fe := newSegmentStore(t)
 	const procs, funcs, metrics = 8, 8, 8
 	const perDoc = procs * funcs * metrics
 	if _, err := stage(s, shapedShared(procs, funcs)).Commit(); err != nil {
 		t.Fatal(err)
+	}
+	// A document adds a focus per (process, function) and, for each of its
+	// processes, one closure link either way; the shared resources' links
+	// were there before.
+	tables := map[string]*reldb.Table{}
+	for _, name := range []string{"performance_result", "result_has_focus", "focus", "resource_has_ancestor", "resource_has_descendant"} {
+		tables[name], _ = fe.Table(name)
+	}
+	sharedLinks := tables["resource_has_ancestor"].Len()
+	whole := func() (results int, err error) {
+		results = tables["performance_result"].Len()
+		foci := tables["focus"].Len()
+		up, down := tables["resource_has_ancestor"].Len()-sharedLinks, tables["resource_has_descendant"].Len()-sharedLinks
+		if results%perDoc != 0 || foci%(procs*funcs) != 0 || up%procs != 0 || down%procs != 0 {
+			err = fmt.Errorf("%d results, %d foci, %d and %d closure links: not those of whole documents (%d, %d, %d and %d each)",
+				results, foci, up, down, perDoc, procs*funcs, procs, procs)
+		}
+		return results, err
 	}
 	const docs = 30
 	var next, loaded atomic.Int64
@@ -144,8 +166,32 @@ func TestSegmentBatchHotRowsAppearTogether(t *testing.T) {
 					return
 				default:
 				}
-				if n := s.Stats().Results; n%perDoc != 0 {
-					t.Errorf("Stats().Results = %d: not a number of whole %d-result documents", n, perDoc)
+				if _, err := whole(); err != nil {
+					t.Error(err)
+					return
+				}
+				var last int64
+				if scan, err := tables["performance_result"].Blocks(0, math.MaxInt64); err == nil {
+					scan.Each(func(b *reldb.ColumnBlock) error {
+						if ids := b.RowIDs(); len(ids) > 0 {
+							last = ids[len(ids)-1]
+						}
+						return nil
+					})
+				}
+				var foci []int64
+				tables["result_has_focus"].PKScan([]reldb.Value{reldb.Int(last)}, func(_ int64, link reldb.Row) bool {
+					foci = append(foci, link[1].Int64())
+					return true
+				})
+				for _, fid := range foci {
+					if _, ok := tables["focus"].Get(fid); !ok {
+						t.Errorf("result %d is visible and links to focus %d, which is not", last, fid)
+						return
+					}
+				}
+				if last > 0 && len(foci) != 1 {
+					t.Errorf("result %d is visible with %d focus links, want 1", last, len(foci))
 					return
 				}
 			}
@@ -154,7 +200,12 @@ func TestSegmentBatchHotRowsAppearTogether(t *testing.T) {
 	loaders.Wait()
 	close(done)
 	readers.Wait()
-	if got, want := s.Stats().Results, loaded.Load()*perDoc; got != want || loaded.Load() != docs-docs/3 {
-		t.Fatalf("%d results after %d loaded documents, want %d (and %d documents)", got, loaded.Load(), want, docs-docs/3)
+	if got, err := whole(); err != nil || int64(got) != loaded.Load()*perDoc || loaded.Load() != docs-docs/3 {
+		t.Fatalf("%d results (%v) after %d loaded documents, want %d (and %d documents)", got, err, loaded.Load(), loaded.Load()*perDoc, docs-docs/3)
+	}
+	for _, st := range fe.SegmentStats().Tables {
+		if st.Dirty || st.Unordered || st.Rows+st.PendingRows == 0 {
+			t.Errorf("%s after the loads = %+v, want every row in its columns", st.Table, st)
+		}
 	}
 }

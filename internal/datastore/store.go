@@ -3,6 +3,7 @@ package datastore
 import (
 	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -417,12 +418,10 @@ func (s *Store) internFocus(ctx core.Context) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	seen := make(map[int64]bool, len(ids))
-	for _, rid := range ids {
-		if seen[rid] {
+	for i, rid := range ids {
+		if i > 0 && rid == ids[i-1] { // focusSignature sorted them
 			continue
 		}
-		seen[rid] = true
 		if _, err := s.insert("focus_has_resource", reldb.Row{
 			reldb.Int(fid), reldb.Int(rid),
 		}); err != nil {
@@ -470,16 +469,17 @@ func (s *Store) addPerfResultLocked(pr *core.PerformanceResult) (int64, error) {
 		return 0, err
 	}
 	// Duplicate contexts within one result collapse to a single focus link.
-	seenFoci := make(map[int64]bool, len(pr.Contexts))
+	var few [4]int64 // results carry a context or two: no allocation
+	linked := few[:0]
 	for _, ctx := range pr.Contexts {
 		fid, err := s.internFocus(ctx)
 		if err != nil {
 			return 0, err
 		}
-		if seenFoci[fid] {
+		if slices.Contains(linked, fid) {
 			continue
 		}
-		seenFoci[fid] = true
+		linked = append(linked, fid)
 		if _, err := s.insert("result_has_focus", reldb.Row{
 			reldb.Int(rid), reldb.Int(fid),
 		}); err != nil {

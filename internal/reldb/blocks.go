@@ -54,6 +54,14 @@ func (b *ColumnBlock) Float64s(col int) []float64 {
 	return b.cols[col].floats
 }
 
+// Strings returns a string column, or nil for other kinds.
+func (b *ColumnBlock) Strings(col int) []string {
+	if col < 0 || col >= len(b.cols) {
+		return nil
+	}
+	return b.cols[col].strs
+}
+
 // Nulls returns the column's NULL bitmap, or nil when it has no NULLs.
 func (b *ColumnBlock) Nulls(col int) []bool {
 	if col < 0 || col >= len(b.cols) {

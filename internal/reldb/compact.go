@@ -34,22 +34,32 @@ import (
 // barrier before a manifest, the hand-off at rehydration, snapshot-held
 // rows pinning the log, the pass counted last, and the flush order.
 
-// segmentHotTables lists the bulk-scanned relations the compactor
-// drains into columnar files. Everything else lives purely in its row
-// set and the snapshot.
-var segmentHotTables = []string{"performance_result", "result_has_focus", "focus_has_resource"}
+// segmentHotTables lists the relations the compactor drains into columnar
+// files: the tables a document load appends to and nothing ever updates —
+// its results and their links, and the per-document half of the names,
+// its foci and its resources' closure links. Everything else lives purely
+// in its row set and the snapshot. The manifest names them in this order.
+var segmentHotTables = []string{"performance_result", "result_has_focus", "focus_has_resource",
+	"focus", "resource_has_ancestor", "resource_has_descendant"}
 
 func isHotTable(name string) bool { return slices.Contains(segmentHotTables, name) }
 
 // logFlushOrder is segmentHotTables in the order a batch flushes their
-// tail logs (rule 5): results before the foci's resources before the
-// links from results to foci — parents before children.
-var logFlushOrder = []string{"performance_result", "focus_has_resource", "result_has_focus"}
+// tail logs (rule 5), parents before children: the closure links (their
+// parent, resource_item, is in perftrack.wal, flushed first of all) and
+// the foci, then results before the foci's resources before the links from
+// results to foci.
+var logFlushOrder = []string{"resource_has_ancestor", "resource_has_descendant", "focus",
+	"performance_result", "focus_has_resource", "result_has_focus"}
 
 const (
-	segmentSubdir   = "segments"
-	manifestFile    = "MANIFEST"
-	manifestVersion = 2 // 1 had no low-water marks
+	segmentSubdir = "segments"
+	manifestFile  = "MANIFEST"
+	// manifestVersion: 1 had no low-water marks; 2 named the three result
+	// tables only. A program that knows fewer hot tables than a manifest
+	// names would take the others' segment files for orphans and delete
+	// them, so the version moved with the set: such a program refuses 3.
+	manifestVersion = 3
 	defaultSegFlush = 4096
 )
 

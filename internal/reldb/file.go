@@ -213,7 +213,7 @@ func OpenFile(dir string) (_ *FileEngine, err error) {
 
 // SetSync controls whether the logs are fsynced after every logged
 // mutation batch. Synchronous mode is durable against power loss but much
-// slower — a batch fsyncs each log it touched, up to four — and it is off
+// slower — a batch fsyncs each log it touched, up to seven — and it is off
 // by default, matching a DBMS with commit batching.
 func (fe *FileEngine) SetSync(sync bool) { fe.syncWAL = sync }
 
@@ -264,8 +264,8 @@ func (fe *FileEngine) logMutation(m *mutation) error {
 // openLogsLocked returns the logs still taking records in the order a
 // batch flushes them (rule 5): perftrack.wal, then the hot tables'
 // tail logs, parents before children, so that a process killed between
-// two flushes leaves results without their links rather than links
-// without their results.
+// two flushes leaves foci and results without their links rather than
+// links without what they name.
 func (fe *FileEngine) openLogsLocked() []*logFile {
 	logs := []*logFile{fe.wal}
 	for _, name := range logFlushOrder {
@@ -612,7 +612,7 @@ func syncDir(dir string) error {
 // — so the snapshot, which is simply every unflushed row, holds none of
 // the rows that fsynced, manifest-listed segments already make durable: the
 // checkpoint costs O(non-hot tables + whatever arrived during it), not a
-// rewrite of the result tables.
+// rewrite of the hot tables.
 func (fe *FileEngine) Checkpoint() error {
 	st := fe.seg
 	st.compactMu.Lock()

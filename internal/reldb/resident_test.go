@@ -2,6 +2,7 @@ package reldb
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"runtime"
@@ -9,9 +10,10 @@ import (
 	"testing"
 )
 
-// hotSchemas returns the three hot tables in the shape the PerfTrack
-// schema gives them: their secondary indexes, and the foreign key every
-// result_has_focus insert probes performance_result with.
+// hotSchemas returns the six hot tables, in segmentHotTables order, in
+// the shape the PerfTrack schema gives them: their secondary indexes, the
+// foreign key every result_has_focus insert probes performance_result
+// with and the one a focus_has_resource insert probes focus with.
 func hotSchemas() []*Schema {
 	pr := resultSchema()
 	pr.Indexes = []IndexSpec{
@@ -29,8 +31,28 @@ func hotSchemas() []*Schema {
 		Indexes:     []IndexSpec{{Name: "rhf_focus", Columns: []string{"focus_id"}}},
 	}
 	fhr := fhrSchema()
+	fhr.ForeignKeys = []ForeignKey{{Column: "focus_id", RefTable: "focus", RefColumn: "id"}}
 	fhr.Indexes = []IndexSpec{{Name: "fhr_resource", Columns: []string{"resource_id"}}}
-	return []*Schema{pr, rhf, fhr}
+	focus := &Schema{
+		Name: "focus",
+		Columns: []Column{
+			{Name: "id", Type: KindInt},
+			{Name: "focus_type", Type: KindString},
+			{Name: "signature", Type: KindString},
+		},
+		PrimaryKey: []string{"id"},
+	}
+	closure := func(name, other, index string) *Schema {
+		return &Schema{
+			Name:       name,
+			Columns:    []Column{{Name: "resource_id", Type: KindInt}, {Name: other, Type: KindInt}},
+			PrimaryKey: []string{"resource_id", other},
+			Indexes:    []IndexSpec{{Name: index, Columns: []string{other}}},
+		}
+	}
+	return []*Schema{pr, rhf, fhr, focus,
+		closure("resource_has_ancestor", "ancestor_id", "rha_ancestor"),
+		closure("resource_has_descendant", "descendant_id", "rhd_descendant")}
 }
 
 // hotPair is a durable engine and the mem engine it must agree with.
@@ -82,7 +104,8 @@ func commitResults(eng Engine, first, n int) error {
 }
 
 // loadResults appends n results — each linked to two foci, each new
-// focus to two resources — the way a document load does.
+// focus to two resources, and with each new focus a new resource under a
+// new ancestor, linked both ways — the way a document load does.
 func loadResults(eng inserter, first, n int) error {
 	for i := first; i < first+n; i++ {
 		rid, err := eng.Insert("performance_result", resultRow(i))
@@ -96,10 +119,21 @@ func loadResults(eng inserter, first, n int) error {
 			}
 		}
 		if i%3 == 0 {
-			for _, r := range []int64{int64(i % 11), int64(i%11 + 20)} {
+			r1, r2 := int64(i%11), int64(i%11+20)
+			if _, err := eng.Insert("focus", Row{Int(focus), Str("primary"), Str(fmt.Sprintf("primary:%d:%d:%d", r1, r2, focus))}); err != nil {
+				return err
+			}
+			for _, r := range []int64{r1, r2} {
 				if _, err := eng.Insert("focus_has_resource", Row{Int(focus), Int(r)}); err != nil {
 					return err
 				}
+			}
+			anc, res := 2*focus, 2*focus+1
+			if _, err := eng.Insert("resource_has_ancestor", Row{Int(res), Int(anc)}); err != nil {
+				return err
+			}
+			if _, err := eng.Insert("resource_has_descendant", Row{Int(anc), Int(res)}); err != nil {
+				return err
 			}
 		}
 	}
@@ -320,7 +354,7 @@ func TestCompactorKeepsUpUnderBackToBackCommits(t *testing.T) {
 	if limit := int64(2 * (threshold + batch)); maxTail > limit {
 		t.Errorf("performance_result tail reached %d rows of %d loaded, want at most %d", maxTail, batches*batch, limit)
 	}
-	// Each commit leaves two of the three tables at the threshold.
+	// Each commit leaves performance_result and result_has_focus at the threshold.
 	if st.SegmentsWritten < batches {
 		t.Errorf("%d segments written while %d batches committed: the compactor did not keep up", st.SegmentsWritten, batches)
 	}
@@ -379,9 +413,9 @@ func TestSegmentFlushedRowsLeaveRowStore(t *testing.T) {
 	if err := p.fe.CompactSegments(); err != nil {
 		t.Fatal(err)
 	}
-	flushedRowsAreNotResident(t, p.fe, []int64{0, 0, 0})
+	flushedRowsAreNotResident(t, p.fe, []int64{0, 0, 0, 0, 0, 0})
 	p.load(rows, 10)
-	flushedRowsAreNotResident(t, p.fe, []int64{10, 20, 8})
+	flushedRowsAreNotResident(t, p.fe, []int64{10, 20, 8, 4, 4, 4})
 	// What remains after the flush is mem's share plus the segments.
 	after := heapAfterGC() - base
 	if segShare := after - memShare; after < memShare || segShare > memShare/2 {
@@ -406,7 +440,7 @@ func TestSegmentReopenAttachesWithoutReinserting(t *testing.T) {
 	}
 	p.load(rows, 10)
 	p.reopen()
-	flushedRowsAreNotResident(t, p.fe, []int64{10, 20, 8})
+	flushedRowsAreNotResident(t, p.fe, []int64{10, 20, 8, 4, 4, 4})
 	p.check("reopened")
 	var ids [2]int64
 	p.both("insert after reopen", func(eng Engine) (err error) {

@@ -130,8 +130,8 @@ func (lp *lazyPerm) covered() []int32 {
 }
 
 // decodedBytes approximates the resident bytes a full scan of the
-// segment touches, for the scan-bytes histogram — and, being within a
-// few bytes a row of what rowBytes charges the same rows, for the
+// segment touches, for the scan-bytes histogram — and, being what
+// rowBytes charges the same rows where no cell is NULL or a bool, for the
 // logical size of rows that have left the row store.
 func (s *segment) decodedBytes() int64 {
 	n := int64(len(s.rowIDs) * 8)
@@ -139,7 +139,7 @@ func (s *segment) decodedBytes() int64 {
 		c := &s.cols[i]
 		n += int64(len(c.ints)*8 + len(c.floats)*8 + len(c.bools))
 		for _, v := range c.strs {
-			n += int64(len(v)) + 16
+			n += int64(len(v)) + 4
 		}
 		n += int64(len(c.nulls))
 	}

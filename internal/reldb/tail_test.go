@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -21,10 +20,10 @@ import (
 const batchRows = 512
 
 // commitBatch builds the k'th batch in a transaction — batchRows results
-// of execution 0, each linked to foci 2 and 1 (descending), and one
-// focus_has_resource row per result, all to resource 0 — and commits it;
-// with fail set the batch's last row is refused and the transaction is
-// rolled back instead.
+// of execution 0, each linked to foci 2 and 1 (descending, and in the
+// table once batch 0 is), and with each result a new focus of resource 0
+// and a new resource under ancestor 0 — and commits it; with fail set the
+// batch's last row is refused and the transaction is rolled back instead.
 func commitBatch(eng Engine, k int, fail bool) error {
 	tx := eng.Begin()
 	for i := 0; i < batchRows; i++ {
@@ -37,8 +36,19 @@ func commitBatch(eng Engine, k int, fail bool) error {
 				return err
 			}
 		}
-		if _, err := tx.Insert("focus_has_resource", Row{Int(int64(k*batchRows + i + 1)), Int(0)}); err != nil {
-			return err
+		fresh := int64(k*batchRows + i + 1)
+		for _, ins := range []struct {
+			table string
+			row   Row
+		}{
+			{"focus", Row{Int(fresh), Str("primary"), Str(fmt.Sprintf("primary:0:%d", fresh))}},
+			{"focus_has_resource", Row{Int(fresh), Int(0)}},
+			{"resource_has_ancestor", Row{Int(fresh), Int(0)}},
+			{"resource_has_descendant", Row{Int(0), Int(fresh)}},
+		} {
+			if _, err := tx.Insert(ins.table, ins.row); err != nil {
+				return err
+			}
 		}
 	}
 	if fail {
@@ -54,8 +64,9 @@ func commitBatch(eng Engine, k int, fail bool) error {
 // every third one rolled back after its last row — and the compactor seals
 // and publishes tails, every count a reader observes, by Len, by block
 // scan and by index scan, on each hot table, is that of whole committed
-// batches, and a result that is visible has its focus links. At the end no
-// hot table holds a row in its row set: the tail is the only way in.
+// batches, and a result that is visible has its focus links, and they
+// their foci. At the end no hot table holds a row in its row set: the tail
+// is the only way in.
 func TestSegmentBatchHotRowsAppearTogether(t *testing.T) {
 	fe := openTestEngine(t, t.TempDir())
 	defer fe.Close()
@@ -95,7 +106,8 @@ func TestSegmentBatchHotRowsAppearTogether(t *testing.T) {
 		}()
 	}
 	done := make(chan struct{})
-	// Rows per batch, and an index scan that visits each table's every row.
+	// Rows per batch, and — where the table has one — an index scan that
+	// visits the same number of its rows in every batch.
 	type shape struct {
 		rows  int
 		index string
@@ -103,9 +115,12 @@ func TestSegmentBatchHotRowsAppearTogether(t *testing.T) {
 		per   int // rows the index scan finds per batch
 	}
 	shapes := map[string]shape{
-		"performance_result": {batchRows, "performance_result_exec", 0, batchRows},
-		"result_has_focus":   {2 * batchRows, "rhf_focus", 1, batchRows},
-		"focus_has_resource": {batchRows, "fhr_resource", 0, batchRows},
+		"performance_result":      {batchRows, "performance_result_exec", 0, batchRows},
+		"result_has_focus":        {2 * batchRows, "rhf_focus", 1, batchRows},
+		"focus_has_resource":      {batchRows, "fhr_resource", 0, batchRows},
+		"focus":                   {rows: batchRows},
+		"resource_has_ancestor":   {batchRows, "rha_ancestor", 0, batchRows},
+		"resource_has_descendant": {rows: batchRows},
 	}
 	for r := 0; r < 3; r++ {
 		readers.Add(1)
@@ -139,6 +154,9 @@ func TestSegmentBatchHotRowsAppearTogether(t *testing.T) {
 					if n%sh.rows != 0 {
 						t.Errorf("block scan of %s saw %d rows: not a number of whole %d-row batches", table, n, sh.rows)
 					}
+					if sh.index == "" {
+						continue
+					}
 					n = 0
 					if err := tab.IndexScanInt(sh.index, []Value{Int(sh.key)}, 0, func(int64, int64) bool { n++; return true }); err != nil {
 						t.Error(err)
@@ -149,10 +167,19 @@ func TestSegmentBatchHotRowsAppearTogether(t *testing.T) {
 				}
 				if lastResult > 0 {
 					links, _ := fe.Table("result_has_focus")
-					n := 0
-					links.PKScan([]Value{Int(lastResult)}, func(int64, Row) bool { n++; return true })
-					if n != 2 {
-						t.Errorf("result %d is visible with %d of its 2 focus links", lastResult, n)
+					var foci []int64
+					links.PKScan([]Value{Int(lastResult)}, func(_ int64, link Row) bool {
+						foci = append(foci, link[1].Int64())
+						return true
+					})
+					if len(foci) != 2 {
+						t.Errorf("result %d is visible with %d of its 2 focus links", lastResult, len(foci))
+					}
+					focus, _ := fe.Table("focus")
+					for _, f := range foci {
+						if _, _, ok := focus.GetByPK(Int(f)); !ok {
+							t.Errorf("result %d is visible and links to focus %d, which is not", lastResult, f)
+						}
 					}
 				}
 			}
@@ -204,9 +231,9 @@ func TestSegmentCommitTakesEngineLockOnce(t *testing.T) {
 	p.check("committed")
 }
 
-// hotFiles is the size of every file under the store's segments
-// directory — the tail logs and segment files — and the log bytes the
-// engine says each hot table's unflushed rows own.
+// hotFiles is the size of every file of the store — perftrack.wal, the
+// tail logs and segment files — and the log bytes the engine says each
+// hot table's unflushed rows own.
 func hotFiles(t *testing.T, fe *FileEngine, dir string) (map[string]int64, map[string]int64) {
 	t.Helper()
 	fe.Stats() // flushes the logs
@@ -214,14 +241,15 @@ func hotFiles(t *testing.T, fe *FileEngine, dir string) (map[string]int64, map[s
 	for _, st := range fe.SegmentStats().Tables {
 		logBytes[st.Table] = st.LogBytes
 	}
-	return listing(t, filepath.Join(dir, segmentSubdir)), logBytes
+	return listing(t, dir), logBytes
 }
 
 // TestSegmentRolledBackBatchWritesNoHotRecord: a batch whose last record
 // is refused — by the schema when it is added, or by a foreign key when
 // the batch commits — leaves every hot table's tail logs and segment
-// files byte for byte as they were, installs nothing, and leaves the same
-// gap in the row IDs as it does on mem.
+// files, and perftrack.wal (the batch holds foci and closure links, and no
+// row of any other table), byte for byte as they were, installs nothing,
+// and leaves the same gap in the row IDs as it does on mem.
 func TestSegmentRolledBackBatchWritesNoHotRecord(t *testing.T) {
 	p := newHotPair(t)
 	defer func() { p.fe.Close() }()

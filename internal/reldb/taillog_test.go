@@ -144,7 +144,7 @@ func TestSegmentTailLogCrashSweep(t *testing.T) {
 		ForeignKeys: []ForeignKey{{Column: "result_id", RefTable: "performance_result", RefColumn: "id"}},
 	}
 	p.both("create result_histogram", func(eng Engine) error { return eng.CreateTable(histogram) })
-	tables := []string{"metric", "result_histogram", "performance_result", "result_has_focus", "focus_has_resource"}
+	tables := append([]string{"metric", "result_histogram"}, segmentHotTables...)
 
 	steps := map[string]int{}
 	var phase string
@@ -188,9 +188,9 @@ func TestSegmentTailLogCrashSweep(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// load is a document's commit: one transaction, whose hot rows — links
-	// descending within a result, as loadResults makes them — are private to
-	// it until it commits.
+	// load is a document's commit: one transaction, whose hot rows — its
+	// foci and closure links among them; links descending within a result,
+	// as loadResults makes them — are private to it until it commits.
 	load := func(n int) {
 		t.Helper()
 		first := next
@@ -378,7 +378,11 @@ func TestSegmentLogsHoldOnlyUnflushedRows(t *testing.T) {
 		}
 	}
 	var pending, logBytes int64
-	for _, status := range p.fe.SegmentStats().Tables {
+	statuses := p.fe.SegmentStats().Tables
+	if len(statuses) != len(hotSchemas()) {
+		t.Fatalf("%d tables have a segment status, want all %d that were loaded into", len(statuses), len(hotSchemas()))
+	}
+	for _, status := range statuses {
 		if status.Rows == 0 {
 			t.Fatalf("%s has no flushed rows: the loads did not cross the threshold", status.Table)
 		}
