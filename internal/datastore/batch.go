@@ -8,6 +8,7 @@ import (
 
 	"perftrack/internal/obs"
 	"perftrack/internal/ptdf"
+	"perftrack/internal/reldb"
 )
 
 // ErrBatchDone is returned by operations on a committed or rolled-back
@@ -22,17 +23,15 @@ var ErrBatchDone = errors.New("datastore: batch already finished")
 // mutex.
 //
 // Commit is transactional per batch: every record applies inside one
-// engine transaction, a bad record rolls the whole batch back (durably —
-// the WAL carries the compensation records; the rows of the hot tables —
-// results, foci, closure links and the links between them — were private
-// to the transaction and never logged), the store generation bumps exactly
-// once, and on a durable engine the WAL is flushed exactly once. On a
-// durable engine the batch's results, its foci and their links become
-// visible in one step, at the commit: a reader sees none or all of a
-// document's results, and no focus of a batch that rolls back.
-// This is the write API every multi-record path sits on: LoadPTdf stages
-// one document per batch, and BulkLoad pipelines many batches from
-// parallel decoders into a single committer.
+// engine transaction, whose rows — of every table, on either engine — are
+// private to it until the engine commits them all at once. A reader sees
+// none or all of a document's rows; a bad record rolls the whole batch
+// back, and the engine never saw a row of it, so nothing is undone or
+// logged. The store generation bumps exactly once, and on a durable
+// engine the commit flushes each log it touched exactly once. This is the
+// write API every multi-record path sits on: LoadPTdf stages one document
+// per batch, and BulkLoad pipelines many batches from parallel decoders
+// into a single committer.
 type Batch struct {
 	s     *Store
 	recs  []ptdf.Record
@@ -75,27 +74,21 @@ func (b *Batch) Len() int { return len(b.recs) }
 // Stats reports the statistics of the records staged so far.
 func (b *Batch) Stats() LoadStats { return b.stats }
 
-// walBatcher is implemented by engines (reldb.FileEngine) that can defer
-// per-mutation WAL flushing to a single end-of-batch flush.
-type walBatcher interface {
-	BeginWALBatch()
-	EndWALBatch() error
-}
-
 // Commit applies every staged record in order inside one writer critical
 // section: one engine transaction, one generation bump, and — on a
-// durable engine — one WAL flush. On error nothing of the batch remains
-// (the engine transaction rolls back and the names directory is reloaded
-// from the rows) and the error names the failing record.
+// durable engine — one flush of each log the transaction touched. On
+// error nothing of the batch remains (the transaction rolls back and the
+// names directory is reloaded from the rows) and the error names the
+// failing record.
 func (b *Batch) Commit() (LoadStats, error) {
 	return b.CommitCtx(context.Background())
 }
 
 // CommitCtx is Commit under a context: when a trace rides ctx, the
-// commit records a datastore.batch.commit span (annotated with the
-// record count) and the WAL group flush its own datastore.wal.flush
-// child. The context carries telemetry only — commit is not cancelable
-// midway, by design: a batch either fully applies or fully rolls back.
+// commit records a datastore.batch.commit span, annotated with the record
+// count, that covers the engine commit and its log flush. The context
+// carries telemetry only — commit is not cancelable midway, by design: a
+// batch either fully applies or fully rolls back.
 func (b *Batch) CommitCtx(ctx context.Context) (LoadStats, error) {
 	if b.done {
 		return LoadStats{}, ErrBatchDone
@@ -105,61 +98,27 @@ func (b *Batch) CommitCtx(ctx context.Context) (LoadStats, error) {
 		return LoadStats{}, nil
 	}
 	s := b.s
-	ctx, span := obs.StartSpan(ctx, "datastore.batch.commit")
+	_, span := obs.StartSpan(ctx, "datastore.batch.commit")
 	span.Annotate("records", strconv.Itoa(len(b.recs)))
 	defer span.End()
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
-	defer s.bumpGen()
-
-	wb, _ := s.eng.(walBatcher)
-	if wb != nil {
-		wb.BeginWALBatch()
-	}
-	flush := func(err error) error {
-		if wb == nil {
-			return err
-		}
-		_, fspan := obs.StartSpan(ctx, "datastore.wal.flush")
-		ferr := wb.EndWALBatch()
-		fspan.End()
-		s.tel.walFlushes.Add(1)
-		if ferr != nil {
-			return errors.Join(err, fmt.Errorf("datastore: WAL flush: %w", ferr))
-		}
-		return err
-	}
-
-	tx := s.eng.Begin()
-	s.ins = tx
-	var applyErr error
-	for i, rec := range b.recs {
-		if err := s.loadRecordLocked(rec); err != nil {
-			if len(b.recs) > 1 {
-				err = fmt.Errorf("datastore: record %d: %w", i+1, err)
+	err := s.write(func() error {
+		for i, rec := range b.recs {
+			if err := s.loadRecordLocked(rec); err != nil {
+				if len(b.recs) > 1 {
+					err = fmt.Errorf("datastore: record %d: %w", i+1, err)
+				}
+				return err
 			}
-			applyErr = err
-			break
 		}
-	}
-	s.ins = nil
-
-	if applyErr != nil {
-		// rollbackLoad logs compensation records; the deferred flush below
-		// makes the rollback durable.
+		return nil
+	})
+	if err != nil {
 		s.tel.batchRollbacks.Add(1)
 		span.Annotate("outcome", "rollback")
-		return LoadStats{}, flush(s.rollbackLoad(tx, applyErr))
-	}
-	if err := tx.Commit(); err != nil {
-		// The engine refused the batch's hot-table rows — nothing of them is
-		// installed — and the transaction is still open: the rest goes too.
-		s.tel.batchRollbacks.Add(1)
-		span.Annotate("outcome", "rollback")
-		return LoadStats{}, flush(s.rollbackLoad(tx, err))
-	}
-	if err := flush(nil); err != nil {
 		return LoadStats{}, err
+	}
+	if s.eng.Kind() == reldb.KindSegment {
+		s.tel.walFlushes.Add(1)
 	}
 	s.tel.batchCommits.Add(1)
 	s.tel.recordsLoaded.Add(uint64(len(b.recs)))

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"perftrack/internal/core"
@@ -302,5 +304,132 @@ func TestSentinelErrors(t *testing.T) {
 	}
 	if _, err := s.ExecutionDetail("ghost"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("missing execution: err = %v, want ErrNotFound", err)
+	}
+}
+
+// openKind opens a store on a fresh engine of the given kind.
+func openKind(t *testing.T, kind string) *Store {
+	t.Helper()
+	eng, err := reldb.Open(kind, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { eng.Close() })
+	s, err := Open(eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// TestTxBatchAppearsWhole: while a loader commits documents shaped like
+// doc_small through Batch — every third one refused at its last record
+// and rolled back — readers polling the row counts of execution,
+// resource_item, resource_attribute and performance_result only ever see
+// the base count plus whole committed documents, and never a rolled-back
+// document's rows. Every table's rows are private to the batch's
+// transaction until it commits, on both engines.
+func TestTxBatchAppearsWhole(t *testing.T) {
+	const procs, funcs, metrics, docs = 8, 4, 8, 24
+	per := map[string]int{ // rows a document adds
+		"execution":          1,
+		"resource_item":      1 + procs, // the execution resource and its processes
+		"resource_attribute": 1,
+		"performance_result": procs * funcs * metrics,
+	}
+	for _, kind := range []string{reldb.KindMem, reldb.KindSegment} {
+		t.Run(kind, func(t *testing.T) {
+			s := openKind(t, kind)
+			if _, err := stage(s, shapedShared(procs, funcs)).Commit(); err != nil {
+				t.Fatal(err)
+			}
+			base, tables := map[string]int{}, map[string]*reldb.Table{}
+			for name := range per {
+				tables[name], _ = s.Engine().Table(name)
+				base[name] = tables[name].Len()
+			}
+			var committed, visible atomic.Int64 // documents committed; documents whose rows may be visible
+			done := make(chan struct{})
+			var readers sync.WaitGroup
+			for r := 0; r < 2; r++ {
+				readers.Add(1)
+				go func() {
+					defer readers.Done()
+					for {
+						select {
+						case <-done:
+							return
+						default:
+						}
+						for name, n := range per {
+							lo := committed.Load()
+							rows := tables[name].Len() - base[name]
+							hi := visible.Load()
+							if whole := int64(rows / n); rows%n != 0 || whole < lo || whole > hi {
+								t.Errorf("%s holds %d rows past the base: not %d-row documents numbering %d to %d", name, rows, n, lo, hi)
+								return
+							}
+						}
+					}
+				}()
+			}
+			for k := 0; k < docs; k++ {
+				exec := fmt.Sprintf("s%d", k)
+				recs := fullShapedDoc(exec, procs, funcs, metrics)
+				attr := ptdf.ResourceAttributeRec{Resource: core.ResourceName("/" + exec), Attr: "origin", Value: "tx", AttrType: "string"}
+				recs = append(recs[:1+procs:1+procs], append([]ptdf.Record{attr}, recs[1+procs:]...)...)
+				bad := k%3 == 2
+				if bad {
+					recs = append(recs, resultFor(exec, "/nobody/has/this"))
+				} else {
+					visible.Add(1)
+				}
+				_, err := stage(s, recs).Commit()
+				if bad != (err != nil) {
+					t.Fatalf("document %d (refused at its last record: %v): %v", k, bad, err)
+				}
+				if !bad {
+					committed.Add(1)
+				}
+			}
+			close(done)
+			readers.Wait()
+			for name, n := range per {
+				if got, want := tables[name].Len()-base[name], n*int(committed.Load()); got != want {
+					t.Errorf("%s holds %d rows past the base after %d documents, want %d", name, got, committed.Load(), want)
+				}
+			}
+		})
+	}
+}
+
+// TestAddPerfResultFailureLeavesNothing: each public write is a
+// transaction too. An AddPerfResult whose context names an unknown
+// resource is refused and leaves neither its result row nor the metric it
+// interned — in the rows or in the names directory — on both engines, and
+// bumps the generation once.
+func TestAddPerfResultFailureLeavesNothing(t *testing.T) {
+	for _, kind := range []string{reldb.KindMem, reldb.KindSegment} {
+		s := openKind(t, kind)
+		if _, err := s.AddExecution("e1", "app"); err != nil {
+			t.Fatal(err)
+		}
+		before, gen := s.Stats(), s.Generation()
+		_, err := s.AddPerfResult(&core.PerformanceResult{
+			Execution: "e1", Metric: "fresh metric", Value: 1,
+			Contexts: []core.Context{core.NewContext("/ghost")},
+		})
+		if !errors.Is(err, ErrNotFound) {
+			t.Fatalf("%s: AddPerfResult = %v, want ErrNotFound", kind, err)
+		}
+		if after := s.Stats(); after.Results != before.Results || after.Metrics != before.Metrics || after.Foci != before.Foci {
+			t.Fatalf("%s: the refused result left rows behind:\nbefore %+v\n after %+v", kind, before, after)
+		}
+		if _, ok := s.LookupDict("metric", "fresh metric"); ok {
+			t.Fatalf("%s: the names directory kept the refused result's metric", kind)
+		}
+		if s.Generation() != gen+1 {
+			t.Fatalf("%s: generation %d after one refused write, want %d", kind, s.Generation(), gen+1)
+		}
 	}
 }

@@ -15,10 +15,7 @@ import (
 // holding every bin. NaN marks bins with no data. It returns the
 // performance-result ID.
 func (s *Store) AddHistogramResult(pr *core.PerformanceResult, binWidth float64, values []float64) (int64, error) {
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
-	defer s.bumpGen()
-	return s.addHistogramResultLocked(pr, binWidth, values)
+	return s.writeID(func() (int64, error) { return s.addHistogramResultLocked(pr, binWidth, values) })
 }
 
 func (s *Store) addHistogramResultLocked(pr *core.PerformanceResult, binWidth float64, values []float64) (int64, error) {
@@ -48,7 +45,7 @@ func (s *Store) addHistogramResultLocked(pr *core.PerformanceResult, binWidth fl
 	if err != nil {
 		return 0, err
 	}
-	_, err = s.insert("result_histogram", reldb.Row{
+	_, err = s.tx.Insert("result_histogram", reldb.Row{
 		reldb.Int(id),
 		reldb.Float(binWidth),
 		reldb.Int(int64(len(values))),

@@ -99,8 +99,9 @@ func (s *Store) loadRecordLocked(rec ptdf.Record) error {
 // document decodes into a staged Batch outside every lock — a slow or
 // partially-bad document costs nothing under the writer mutex — then
 // commits in one critical section: one engine transaction, one
-// generation bump, one WAL flush. A bad record (decode or apply) leaves
-// no trace of the document behind; the error names the failing record.
+// generation bump, one flush of each log it touched. A bad record
+// (decode or apply) leaves no trace of the document behind; the error
+// names the failing record.
 // Concurrent loads decode in parallel and serialize only at commit.
 func (s *Store) LoadPTdf(r io.Reader) (LoadStats, error) {
 	return s.LoadPTdfCtx(context.Background(), r)
@@ -130,13 +131,11 @@ func (s *Store) LoadPTdfCtx(ctx context.Context, r io.Reader) (LoadStats, error)
 	}
 }
 
-// rollbackLoad undoes a failed load's engine mutations and reloads the
-// names directory, which may hold IDs for rows the rollback removed.
-// Callers hold s.wmu.
+// rollbackLoad drops a failed write's transaction — the engine never saw
+// its rows — and reloads the names directory, which may hold IDs for
+// them. Callers hold s.wmu.
 func (s *Store) rollbackLoad(tx *reldb.Tx, cause error) error {
-	if err := tx.Rollback(); err != nil {
-		return errors.Join(cause, fmt.Errorf("datastore: rollback: %w", err))
-	}
+	_ = tx.Rollback() // cannot fail: the transaction is open
 	if err := s.reloadNames(); err != nil {
 		return errors.Join(cause, fmt.Errorf("datastore: names reload after rollback: %w", err))
 	}

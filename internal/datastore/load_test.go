@@ -158,7 +158,7 @@ PerfResult scorch-9 /ghost(primary) tool "wall time" 1.5 seconds
 
 // TestLoadPTdfRollbackSurvivesReopen checks that a rollback is durable:
 // reopening the store from disk after a failed load shows none of the
-// rolled-back rows (the WAL carries compensation records).
+// rolled-back rows (no log ever held them).
 func TestLoadPTdfRollbackSurvivesReopen(t *testing.T) {
 	dir := t.TempDir()
 	fe, err := reldb.OpenFile(dir)

@@ -41,10 +41,9 @@ type Store struct {
 
 	// wmu serializes mutating entry points against each other and against
 	// whole-file transactional loads, without blocking readers. It guards
-	// ins, the mutation sink: the active load transaction, or nil for the
-	// engine.
+	// tx, the open write transaction every insert goes into.
 	wmu sync.Mutex
-	ins inserter
+	tx  *reldb.Tx
 
 	// names resolves every name ↔ ID; see names.go.
 	names names
@@ -72,19 +71,38 @@ var segScanBytesBuckets = []float64{
 // range scan.
 func (s *Store) SegmentScanBytes() *obs.Histogram { return s.scanBytes }
 
-// inserter is the mutation surface shared by the engine and a transaction;
-// store inserts route through it so a PTdf load can run inside a Tx.
-type inserter interface {
-	Insert(table string, row reldb.Row) (int64, error)
+// write runs apply — the add*Locked calls of one public call or one
+// batch — as one engine transaction in one writer critical section:
+// begin, apply, then commit, or on failure roll back and reload the names
+// directory, which apply updated in place. The store generation bumps
+// once, after the outcome, whatever it is.
+func (s *Store) write(apply func() error) error {
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	defer s.bumpGen()
+	s.tx = s.eng.Begin()
+	defer func() { s.tx = nil }()
+	err := apply()
+	if err == nil {
+		err = s.tx.Commit()
+	}
+	if err != nil {
+		return s.rollbackLoad(s.tx, err)
+	}
+	return nil
 }
 
-// insert routes a row insert through the active load transaction when one
-// is open, and straight to the engine otherwise. Callers hold s.wmu.
-func (s *Store) insert(table string, row reldb.Row) (int64, error) {
-	if s.ins != nil {
-		return s.ins.Insert(table, row)
+// writeID is write for an apply that returns the ID of what it added.
+func (s *Store) writeID(apply func() (int64, error)) (int64, error) {
+	var id int64
+	err := s.write(func() (err error) {
+		id, err = apply()
+		return err
+	})
+	if err != nil {
+		return 0, err
 	}
-	return s.eng.Insert(table, row)
+	return id, nil
 }
 
 // Open attaches a store to a storage engine, creating and bootstrapping
@@ -173,13 +191,11 @@ func (s *Store) Types() *core.TypeSystem { return s.names.typeSystem() }
 // AddResourceType registers a resource type (the extensible type system of
 // §2.1). Parent levels must be registered first; re-adding is a no-op.
 func (s *Store) AddResourceType(t core.TypePath) error {
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
-	defer s.bumpGen()
-	return s.addResourceTypeLocked(t)
+	return s.write(func() error { return s.addResourceTypeLocked(t) })
 }
 
-// The add*Locked functions apply one record; callers hold s.wmu.
+// The add*Locked functions apply one record into s.tx; callers are
+// inside write.
 
 func (s *Store) addResourceTypeLocked(t core.TypePath) error {
 	if _, ok := s.names.id(dictType, string(t)); ok {
@@ -193,7 +209,7 @@ func (s *Store) addResourceTypeLocked(t core.TypePath) error {
 		pid, _ := s.names.id(dictType, string(p))
 		parentID = reldb.Int(pid)
 	}
-	id, err := s.insert("focus_framework", reldb.Row{
+	id, err := s.tx.Insert("focus_framework", reldb.Row{
 		reldb.Null(), reldb.Str(string(t)), parentID,
 	})
 	if err != nil {
@@ -206,10 +222,7 @@ func (s *Store) addResourceTypeLocked(t core.TypePath) error {
 // AddApplication registers an application; re-adding returns the existing
 // ID.
 func (s *Store) AddApplication(name string) (int64, error) {
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
-	defer s.bumpGen()
-	return s.addApplicationLocked(name)
+	return s.writeID(func() (int64, error) { return s.addApplicationLocked(name) })
 }
 
 func (s *Store) addApplicationLocked(name string) (int64, error) {
@@ -222,10 +235,7 @@ func (s *Store) addApplicationLocked(name string) (int64, error) {
 // AddExecution registers an execution of an application, creating the
 // application if needed.
 func (s *Store) AddExecution(name, app string) (int64, error) {
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
-	defer s.bumpGen()
-	return s.addExecutionLocked(name, app)
+	return s.writeID(func() (int64, error) { return s.addExecutionLocked(name, app) })
 }
 
 func (s *Store) addExecutionLocked(name, app string) (int64, error) {
@@ -246,7 +256,7 @@ func (s *Store) addExecutionLocked(name, app string) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	id, err := s.insert("execution", reldb.Row{
+	id, err := s.tx.Insert("execution", reldb.Row{
 		reldb.Null(), reldb.Str(name), reldb.Int(appID),
 	})
 	if err != nil {
@@ -262,7 +272,7 @@ func (s *Store) intern(k int, name string) (int64, error) {
 	if id, ok := s.names.id(k, name); ok {
 		return id, nil
 	}
-	id, err := s.insert(dictSpecs[k].table, reldb.Row{reldb.Null(), reldb.Str(name)})
+	id, err := s.tx.Insert(dictSpecs[k].table, reldb.Row{reldb.Null(), reldb.Str(name)})
 	if err != nil {
 		return 0, err
 	}
@@ -275,10 +285,7 @@ func (s *Store) intern(k int, name string) (int64, error) {
 // created automatically with the corresponding type prefix. Re-adding an
 // existing resource returns its ID.
 func (s *Store) AddResource(name core.ResourceName, typ core.TypePath, exec string) (int64, error) {
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
-	defer s.bumpGen()
-	return s.addResourceLocked(name, typ, exec)
+	return s.writeID(func() (int64, error) { return s.addResourceLocked(name, typ, exec) })
 }
 
 func (s *Store) addResourceLocked(name core.ResourceName, typ core.TypePath, exec string) (int64, error) {
@@ -316,7 +323,7 @@ func (s *Store) addResourceLocked(name core.ResourceName, typ core.TypePath, exe
 		}
 		parentID = reldb.Int(pid)
 	}
-	id, err := s.insert("resource_item", reldb.Row{
+	id, err := s.tx.Insert("resource_item", reldb.Row{
 		reldb.Null(),
 		reldb.Str(string(name)),
 		reldb.Str(name.BaseName()),
@@ -331,12 +338,12 @@ func (s *Store) addResourceLocked(name core.ResourceName, typ core.TypePath, exe
 	// Maintain the closure tables: link this resource to every ancestor.
 	ancestors, _ := s.names.resourceIDs(name.Ancestors())
 	for _, aid := range ancestors {
-		if _, err := s.insert("resource_has_ancestor", reldb.Row{
+		if _, err := s.tx.Insert("resource_has_ancestor", reldb.Row{
 			reldb.Int(id), reldb.Int(aid),
 		}); err != nil {
 			return 0, err
 		}
-		if _, err := s.insert("resource_has_descendant", reldb.Row{
+		if _, err := s.tx.Insert("resource_has_descendant", reldb.Row{
 			reldb.Int(aid), reldb.Int(id),
 		}); err != nil {
 			return 0, err
@@ -347,10 +354,7 @@ func (s *Store) addResourceLocked(name core.ResourceName, typ core.TypePath, exe
 
 // SetResourceAttribute attaches a string attribute to a resource.
 func (s *Store) SetResourceAttribute(name core.ResourceName, attr, value string) error {
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
-	defer s.bumpGen()
-	return s.setResourceAttributeLocked(name, attr, value)
+	return s.write(func() error { return s.setResourceAttributeLocked(name, attr, value) })
 }
 
 func (s *Store) setResourceAttributeLocked(name core.ResourceName, attr, value string) error {
@@ -358,7 +362,7 @@ func (s *Store) setResourceAttributeLocked(name core.ResourceName, attr, value s
 	if !ok {
 		return fmt.Errorf("datastore: no resource %q: %w", name, ErrNotFound)
 	}
-	_, err := s.insert("resource_attribute", reldb.Row{
+	_, err := s.tx.Insert("resource_attribute", reldb.Row{
 		reldb.Null(), reldb.Int(id), reldb.Str(attr), reldb.Str(value), reldb.Str("string"),
 	})
 	if err == nil {
@@ -370,10 +374,7 @@ func (s *Store) setResourceAttributeLocked(name core.ResourceName, attr, value s
 // AddResourceConstraint records a resource-valued attribute: r2 is an
 // attribute of r1 (e.g. the node a process ran on).
 func (s *Store) AddResourceConstraint(r1, r2 core.ResourceName) error {
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
-	defer s.bumpGen()
-	return s.addResourceConstraintLocked(r1, r2)
+	return s.write(func() error { return s.addResourceConstraintLocked(r1, r2) })
 }
 
 func (s *Store) addResourceConstraintLocked(r1, r2 core.ResourceName) error {
@@ -382,7 +383,7 @@ func (s *Store) addResourceConstraintLocked(r1, r2 core.ResourceName) error {
 	if miss >= 0 {
 		return fmt.Errorf("datastore: no resource %q: %w", pair[miss], ErrNotFound)
 	}
-	_, err := s.insert("resource_constraint", reldb.Row{
+	_, err := s.tx.Insert("resource_constraint", reldb.Row{
 		reldb.Null(), reldb.Int(ids[0]), reldb.Int(ids[1]),
 	})
 	return err
@@ -412,7 +413,7 @@ func (s *Store) internFocus(ctx core.Context) (int64, error) {
 	if id, ok := s.names.focusID(sig); ok {
 		return id, nil
 	}
-	fid, err := s.insert("focus", reldb.Row{
+	fid, err := s.tx.Insert("focus", reldb.Row{
 		reldb.Null(), reldb.Str(ctx.Type.String()), reldb.Str(sig),
 	})
 	if err != nil {
@@ -422,7 +423,7 @@ func (s *Store) internFocus(ctx core.Context) (int64, error) {
 		if i > 0 && rid == ids[i-1] { // focusSignature sorted them
 			continue
 		}
-		if _, err := s.insert("focus_has_resource", reldb.Row{
+		if _, err := s.tx.Insert("focus_has_resource", reldb.Row{
 			reldb.Int(fid), reldb.Int(rid),
 		}); err != nil {
 			return 0, err
@@ -435,10 +436,7 @@ func (s *Store) internFocus(ctx core.Context) (int64, error) {
 // AddPerfResult stores a performance result with its contexts. The
 // execution and all context resources must already exist.
 func (s *Store) AddPerfResult(pr *core.PerformanceResult) (int64, error) {
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
-	defer s.bumpGen()
-	return s.addPerfResultLocked(pr)
+	return s.writeID(func() (int64, error) { return s.addPerfResultLocked(pr) })
 }
 
 func (s *Store) addPerfResultLocked(pr *core.PerformanceResult) (int64, error) {
@@ -461,7 +459,7 @@ func (s *Store) addPerfResultLocked(pr *core.PerformanceResult) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	rid, err := s.insert("performance_result", reldb.Row{
+	rid, err := s.tx.Insert("performance_result", reldb.Row{
 		reldb.Null(), reldb.Int(exec), reldb.Int(metric),
 		reldb.Int(tool), reldb.Int(units), reldb.Float(pr.Value),
 	})
@@ -480,7 +478,7 @@ func (s *Store) addPerfResultLocked(pr *core.PerformanceResult) (int64, error) {
 			continue
 		}
 		linked = append(linked, fid)
-		if _, err := s.insert("result_has_focus", reldb.Row{
+		if _, err := s.tx.Insert("result_has_focus", reldb.Row{
 			reldb.Int(rid), reldb.Int(fid),
 		}); err != nil {
 			return 0, err

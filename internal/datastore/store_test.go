@@ -568,18 +568,20 @@ func TestConcurrentLoadersAndReaders(t *testing.T) {
 
 func TestSchemaMigrationAddsNewTables(t *testing.T) {
 	// Simulate a store created by an older version that lacked the
-	// result_histogram table: drop it, reopen, and expect it recreated
-	// (with a working index path) by the migration in Open.
+	// result_histogram table: every other table of the schema, reopened,
+	// and expect the table recreated by the migration in Open.
 	dir := t.TempDir()
 	fe, err := reldb.OpenFile(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(fe); err != nil {
-		t.Fatal(err)
-	}
-	if err := fe.DropTable("result_histogram"); err != nil {
-		t.Fatal(err)
+	for _, schema := range figure1 {
+		if schema.Name == "result_histogram" {
+			continue
+		}
+		if err := fe.CreateTable(schema); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := fe.Close(); err != nil {
 		t.Fatal(err)
@@ -598,8 +600,17 @@ func TestSchemaMigrationAddsNewTables(t *testing.T) {
 		t.Fatal("migration did not recreate result_histogram")
 	}
 	// The recreated table is usable.
-	s.AddResource("/app", "application", "")
-	s.AddExecution("e1", "app")
+	for _, typ := range core.BaseTypes() {
+		if err := s.AddResourceType(typ); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.AddResource("/app", "application", ""); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.AddExecution("e1", "app"); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := s.AddHistogramResult(&core.PerformanceResult{
 		Execution: "e1", Metric: "m", Tool: "t", Units: "u",
 		Contexts: []core.Context{core.NewContext("/app")},

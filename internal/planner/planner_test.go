@@ -108,7 +108,7 @@ var differentialQueries = []string{
 // shape the block source serves: the mem engine and a durable store that
 // has compacted nothing (all rows transposed from the B-tree), a durable
 // store with compacted segments plus an uncompacted tail, and one whose
-// view is refused because a flushed row was updated (dirty: B-tree only,
+// view is refused because a flushed row was deleted (dirty: B-tree only,
 // stale segments must not be read).
 func differentialStores(t testing.TB, n int) []struct {
 	label string
@@ -123,14 +123,8 @@ func differentialStores(t testing.TB, n int) []struct {
 	uncompacted.SetSegmentFlushRows(1 << 40)
 	seg, _ := seedSegmentStore(t, t.TempDir(), n-n/4, 2, n/4)
 	dirty, fe := seedSegmentStore(t, t.TempDir(), n-n/4, 2, n/4)
-	tab, _ := dirty.Table("performance_result")
-	row, ok := tab.Get(3)
-	if !ok {
-		t.Fatal("dirty store: no result 3")
-	}
-	row[5] = reldb.Float(row[5].Float64() + 64)
-	if err := fe.Update("performance_result", 3, row); err != nil {
-		t.Fatalf("update flushed row: %v", err)
+	if err := fe.Delete("performance_result", 3); err != nil {
+		t.Fatalf("delete flushed row: %v", err)
 	}
 	if scan, err := dirty.Blocks("performance_result", 0, math.MaxInt64); err != nil || scan.Segmented() {
 		t.Fatalf("dirty store still serves segment blocks (err %v)", err)

@@ -111,21 +111,28 @@ func (b *ColumnBlock) reset(schema *Schema, n int) error {
 }
 
 // push appends one cell to a column that holds n so far. A NULL leaves a
-// zero placeholder in the value stream.
+// zero placeholder in the value stream; the column's first one sizes the
+// NULL bitmap to the value stream's capacity, so a block of a few rows
+// stays a few rows.
 func (c *colVec) push(v Value, n int) {
+	var capacity int
 	switch c.kind {
 	case KindInt:
 		c.ints = append(c.ints, v.i)
+		capacity = cap(c.ints)
 	case KindFloat:
 		c.floats = append(c.floats, v.Float64())
+		capacity = cap(c.floats)
 	case KindString:
 		c.strs = append(c.strs, v.s)
+		capacity = cap(c.strs)
 	case KindBool:
 		c.bools = append(c.bools, v.b)
+		capacity = cap(c.bools)
 	}
 	if v.kind == KindNull {
 		if c.nulls == nil {
-			c.nulls = make([]bool, n, max(n+1, blockRows))
+			c.nulls = make([]bool, n, capacity)
 		}
 		c.nulls = append(c.nulls, true)
 	} else if c.nulls != nil {

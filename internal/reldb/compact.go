@@ -17,8 +17,8 @@ import (
 // The durable engine keeps one resident copy of every row of its hot,
 // bulk-scanned tables, and keeps it columnar from the moment the row is
 // committed (Table's doc comment has the read side): the unflushed rows
-// are a tail, a segment with no file yet. A batch boundary that leaves a
-// table's tail at or above the flush threshold seals it — swaps in an
+// are a tail, a segment with no file yet. A commit that leaves a table's
+// tail at or above the flush threshold seals it — swaps in an
 // empty one, O(1); the background compactor encodes the sealed tail as it
 // stands into an immutable segment file and publishes the same object as
 // a segment, permutations and all, again O(1). Nothing is transposed,
@@ -44,7 +44,7 @@ var segmentHotTables = []string{"performance_result", "result_has_focus", "focus
 
 func isHotTable(name string) bool { return slices.Contains(segmentHotTables, name) }
 
-// logFlushOrder is segmentHotTables in the order a batch flushes their
+// logFlushOrder is segmentHotTables in the order a commit flushes their
 // tail logs (rule 5), parents before children: the closure links (their
 // parent, resource_item, is in perftrack.wal, flushed first of all) and
 // the foci, then results before the foci's resources before the links from
@@ -114,7 +114,7 @@ func (st *segState) stepped(name string) {
 }
 
 // SetSegmentFlushRows sets how many unflushed tail rows a hot table
-// accumulates before a batch boundary seals them for the compactor.
+// accumulates before a commit seals them for the compactor.
 func (fe *FileEngine) SetSegmentFlushRows(n int64) {
 	if n > 0 {
 		fe.seg.flushRows.Store(n)
@@ -170,8 +170,8 @@ func (t *Table) columnarLocked() {
 // sealReadyLocked seals every hot table whose tail holds at least atLeast
 // rows and has no sealed tail in flight — a pointer moves; a row-resident
 // table is transposed first — then wakes the compactor if any table has
-// work for it. Callers have no write batch open, so every row sealed is
-// final: rollback compensation has already run. The sealed tail keeps its
+// work for it. Every row a tail holds is committed, so every row sealed
+// is final. The sealed tail keeps its
 // logs and the next record opens a new one — unless the table's logs are
 // pinned (rule 3), when they stay with the active tail, where no pass
 // trims them. It reports whether some table is full behind a sealed tail:
@@ -237,7 +237,7 @@ func (st *segState) tailLogLocked(t *Table) (*logFile, error) {
 		return nil, fmt.Errorf("reldb: open tail log: %w", err)
 	}
 	if st.fe.syncWAL {
-		if err := syncDir(st.dir); err != nil { // the batch's fsync must not outlive the file's name
+		if err := syncDir(st.dir); err != nil { // the commit's fsync must not outlive the file's name
 			l.discard()
 			return nil, err
 		}
@@ -322,7 +322,7 @@ func (st *segState) run() {
 		}
 		st.compactMu.Lock()
 		// A failed pass leaves its sealed tails in place, still serving
-		// reads; the next batch boundary wakes the compactor to retry.
+		// reads; the next commit wakes the compactor to retry.
 		_ = st.drain(false)
 		st.compactMu.Unlock()
 	}
@@ -336,8 +336,7 @@ func (st *segState) shutdown() {
 }
 
 // CompactSegments synchronously seals and drains every hot table's tail
-// into columnar segments, whatever the flush threshold. Rows of a write
-// batch still open stay in the tail.
+// into columnar segments, whatever the flush threshold.
 func (fe *FileEngine) CompactSegments() error {
 	fe.seg.compactMu.Lock()
 	defer fe.seg.compactMu.Unlock()
@@ -375,7 +374,7 @@ func (st *segState) pass(force bool) (worked bool, err error) {
 	var jobs []job
 	var doomed []*logFile
 	fe.mu.Lock()
-	if force && fe.batchDepth == 0 {
+	if force {
 		st.sealReadyLocked(1)
 	}
 	for _, name := range segmentHotTables {
@@ -412,9 +411,7 @@ func (st *segState) pass(force bool) (worked bool, err error) {
 			j.t.releaseStaleLocked()
 			j.t.installLocked(nil, j.t.tail)
 			st.segsWritten.Add(1)
-			if fe.batchDepth == 0 {
-				st.sealReadyLocked(st.flushRows.Load())
-			}
+			st.sealReadyLocked(st.flushRows.Load())
 		} else {
 			// Dropped or rehydrated while it was being encoded; if
 			// rehydrated, the logs the barrier skipped outlive the pass
@@ -452,13 +449,12 @@ func (st *segState) pass(force bool) (worked bool, err error) {
 	return true, nil
 }
 
-// awaitPass is what a committer does at a batch boundary that finds a
-// table full behind a sealed tail: it waits, outside the engine lock, for
-// the pass that publishes that tail — running it here if the compactor
-// has not got to it — and publication seals the full one (no batch is
-// open; if another has begun meanwhile, its end will). The tail is
-// thereby bounded by rule, at two thresholds and a batch, and where a
-// segment ends depends on the sequence of batches alone.
+// awaitPass is what a committer does when its commit finds a table full
+// behind a sealed tail: it waits, outside the engine lock, for the pass
+// that publishes that tail — running it here if the compactor has not got
+// to it — and publication seals the full one. The tail is thereby bounded
+// by rule, at two thresholds and a commit, and where a segment ends
+// depends on the sequence of commits alone.
 func (st *segState) awaitPass() error {
 	st.compactMu.Lock()
 	defer st.compactMu.Unlock()
@@ -714,8 +710,9 @@ func (st *segState) replayTailLogs() error {
 // ID and frozen range move past them, and WAL replay finds their rows
 // already served. The snapshot normally holds none of those rows. It
 // does when it and the manifest are of different ages — a checkpoint
-// crashed between writing the two, or it snapshotted a tail (a batch was
-// open) that a later re-segmentation then flushed — and in both cases
+// crashed between writing the two, or it snapshotted a tail (a commit
+// landed between its drain and its snapshot) that a later
+// re-segmentation then flushed — and in both cases
 // the WAL since the older of them is intact, so either image replays to
 // the truth: the segment's is kept and the snapshot's copy dropped. If
 // what remains is not in ascending key and row-ID order (a store

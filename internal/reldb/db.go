@@ -7,8 +7,9 @@ import (
 	"sync/atomic"
 )
 
-// mutOp enumerates logical mutations, as recorded in the write-ahead log
-// and in transaction undo logs.
+// mutOp enumerates logical mutations, as the logs record them. Nothing
+// running logs an update or a DROP TABLE any more; replay still applies
+// the ones an older directory holds.
 type mutOp uint8
 
 const (
@@ -31,8 +32,10 @@ type mutation struct {
 	index  IndexSpec
 }
 
-// mutationLogger receives each applied mutation; the file engine uses it
-// to append to the WAL. It is invoked with the DB write lock held.
+// mutationLogger receives each mutation applied in place — DDL and
+// deletes; a transaction's inserts are logged by its commit. The file
+// engine appends them to its logs. It is invoked with the DB write lock
+// held.
 type mutationLogger interface {
 	logMutation(m *mutation) error
 }
@@ -93,24 +96,8 @@ func (db *DB) createTableLocked(schema *Schema, log bool) error {
 	return nil
 }
 
-// DropTable removes a table and its data.
-func (db *DB) DropTable(name string) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if _, exists := db.tables[name]; !exists {
-		return fmt.Errorf("reldb: no table %q", name)
-	}
-	if db.logger != nil {
-		if err := db.logger.logMutation(&mutation{op: opDropTable, table: name}); err != nil {
-			return err
-		}
-	}
-	db.dropTableLocked(name)
-	return nil
-}
-
-// dropTableLocked forgets a table; its segment files and tail logs die
-// with it.
+// dropTableLocked forgets a table — recovery replaying a DROP TABLE
+// record; its segment files and tail logs die with it.
 func (db *DB) dropTableLocked(name string) {
 	if t := db.tables[name]; t != nil {
 		for _, s := range t.segs {
@@ -197,100 +184,39 @@ func (db *DB) TableNames() []string {
 	return names
 }
 
-// Insert adds a row to the named table, returning its row ID. A NULL value
-// in a single-column integer primary key receives an auto-assigned ID.
+// Insert adds a row to the named table, returning its row ID: a
+// one-row transaction. A NULL value in a single-column integer primary key
+// receives an auto-assigned ID.
 func (db *DB) Insert(table string, row Row) (int64, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.insertLocked(table, row, nil)
-}
-
-func (db *DB) insertLocked(table string, row Row, priv *Tx) (int64, error) {
-	t, exists := db.tables[table]
-	if !exists {
-		return 0, fmt.Errorf("reldb: no table %q", table)
+	tx := db.Begin()
+	id, err := tx.Insert(table, row)
+	if err == nil {
+		err = tx.Commit()
 	}
-	id, stored, err := t.insertLocked(row, priv)
 	if err != nil {
+		_ = tx.Rollback() // the transaction is open: it hands its block back
 		return 0, err
-	}
-	if db.logger != nil {
-		if err := db.logger.logMutation(&mutation{op: opInsert, table: table, id: id, row: stored}); err != nil {
-			_, _ = t.deleteLocked(id)
-			return 0, err
-		}
 	}
 	return id, nil
 }
 
-// Update replaces the row with the given ID.
-func (db *DB) Update(table string, id int64, row Row) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	_, err := db.updateLocked(table, id, row, nil)
-	return err
-}
-
-func (db *DB) updateLocked(table string, id int64, row Row, priv *Tx) (Row, error) {
-	t, exists := db.tables[table]
-	if !exists {
-		return nil, fmt.Errorf("reldb: no table %q", table)
-	}
-	old, err := t.updateLocked(id, row, priv)
-	if err != nil {
-		return nil, err
-	}
-	if db.logger != nil {
-		if err := db.logger.logMutation(&mutation{op: opUpdate, table: table, id: id, row: t.active.rows[id]}); err != nil {
-			_, _ = t.updateLocked(id, old, priv)
-			return nil, err
-		}
-	}
-	return old, nil
-}
-
-// Delete removes the row with the given ID.
+// Delete removes the row with the given ID, in place: the one row write
+// that is not a transaction's.
 func (db *DB) Delete(table string, id int64) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	_, err := db.deleteLocked(table, id)
-	return err
-}
-
-func (db *DB) deleteLocked(table string, id int64) (Row, error) {
 	t, exists := db.tables[table]
 	if !exists {
-		return nil, fmt.Errorf("reldb: no table %q", table)
+		return fmt.Errorf("reldb: no table %q", table)
 	}
 	old, err := t.deleteLocked(id)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if db.logger != nil {
 		if err := db.logger.logMutation(&mutation{op: opDelete, table: table, id: id}); err != nil {
 			_, _ = t.insertAtLocked(id, old)
-			return nil, err
-		}
-	}
-	return old, nil
-}
-
-// checkForeignKeys verifies every foreign key of schema against the
-// current table set and, when the row belongs to a transaction, against
-// the rows still private to it. Called with the write lock held.
-func (db *DB) checkForeignKeys(schema *Schema, row Row, priv *Tx) error {
-	for _, fk := range schema.ForeignKeys {
-		v := row[schema.ColumnIndex(fk.Column)]
-		if v.IsNull() {
-			continue
-		}
-		ref, ok := db.tables[fk.RefTable]
-		if !ok {
-			return fmt.Errorf("reldb: table %q: foreign key references missing table %q",
-				schema.Name, fk.RefTable)
-		}
-		if !priv.holds(ref, fk.RefColumn, v) && !ref.containsValueLocked(fk.RefColumn, v) {
-			return fkError(schema, fk, v)
+			return err
 		}
 	}
 	return nil

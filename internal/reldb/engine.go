@@ -8,11 +8,9 @@ type Engine interface {
 	CreateTable(schema *Schema) error
 	CreateIndex(table string, spec IndexSpec) error
 	DropIndex(table, index string) error
-	DropTable(name string) error
 	Table(name string) (*Table, bool)
 	TableNames() []string
 	Insert(table string, row Row) (int64, error)
-	Update(table string, id int64, row Row) error
 	Delete(table string, id int64) error
 	Begin() *Tx
 	Stats() Stats

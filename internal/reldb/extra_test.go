@@ -156,7 +156,7 @@ func TestIndexConsistencyUnderRandomOps(t *testing.T) {
 		case 2: // update random live row
 			for id := range live {
 				row := Row{live[id][0], Int(int64(rng.Intn(8))), Str(fmt.Sprintf("L%d", rng.Intn(4)))}
-				if err := db.Update("t", id, row); err != nil {
+				if err := replayUpdate(db, "t", id, row); err != nil {
 					t.Fatal(err)
 				}
 				live[id] = row

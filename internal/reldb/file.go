@@ -27,10 +27,9 @@ import (
 // nil.
 type FileEngine struct {
 	*DB
-	dir        string
-	wal        *logFile // perftrack.wal: DDL and the records of every table that is not hot
-	syncWAL    bool     // fsync the logs a batch touched when it ends
-	batchDepth int      // >0: defer flush/sync to EndWALBatch
+	dir     string
+	wal     *logFile // perftrack.wal: DDL and the records of every table that is not hot
+	syncWAL bool     // fsync the logs a commit touched
 
 	// Guarded by the engine lock.
 	logBytes    int64  // bytes of all live logs at the last Stats call that could flush them
@@ -211,10 +210,10 @@ func OpenFile(dir string) (_ *FileEngine, err error) {
 	return fe, nil
 }
 
-// SetSync controls whether the logs are fsynced after every logged
-// mutation batch. Synchronous mode is durable against power loss but much
-// slower — a batch fsyncs each log it touched, up to seven — and it is off
-// by default, matching a DBMS with commit batching.
+// SetSync controls whether a commit fsyncs the logs it touched (and a
+// DDL statement or delete its log). Synchronous mode is durable against
+// power loss but much slower — a commit fsyncs each log it touched, up to
+// seven — and it is off by default, matching a DBMS with commit batching.
 func (fe *FileEngine) SetSync(sync bool) { fe.syncWAL = sync }
 
 func (fe *FileEngine) snapPath() string { return filepath.Join(fe.dir, snapshotFile) }
@@ -223,14 +222,12 @@ func (fe *FileEngine) walPath() string  { return filepath.Join(fe.dir, walFile) 
 // isRowOp reports whether the mutation changes a row, not the schema.
 func (m *mutation) isRowOp() bool { return m.op == opInsert || m.op == opUpdate || m.op == opDelete }
 
-// logMutation appends one mutation to the log its lifetime picks: a row
-// of a hot table to that table's tail log, everything else to
-// perftrack.wal. Called with the DB write lock held. In the default
-// asynchronous mode records accumulate in the log's buffer and reach the
-// file in batches (flushed at the end of a write batch, on checkpoint,
-// close, and size queries); synchronous mode flushes and fsyncs per
-// mutation, trading load throughput for crash durability — the usual
-// DBMS commit-batching trade-off.
+// logMutation appends one mutation applied in place — DDL or a delete —
+// to the log its lifetime picks: a row of a hot table to that table's
+// tail log, everything else to perftrack.wal. Called with the DB write
+// lock held. In the default asynchronous mode the record waits in the
+// log's buffer for the next commit, checkpoint, close or size query to
+// flush it; synchronous mode flushes and fsyncs it at once.
 func (fe *FileEngine) logMutation(m *mutation) error {
 	l := fe.wal
 	if m.isRowOp() && isHotTable(m.table) {
@@ -244,25 +241,14 @@ func (fe *FileEngine) logMutation(m *mutation) error {
 		return err
 	}
 	fe.logAppended += uint64(len(payload)) + 8
-	// Nothing orders perftrack.wal against the tail logs at recovery, so a
-	// dropped hot table's logs are deleted at once (dropTableLocked) — but
-	// only behind a durable DROP record.
-	if (fe.syncWAL && fe.batchDepth == 0) || (m.op == opDropTable && isHotTable(m.table)) {
-		if err := l.sync(); err != nil {
-			return err
-		}
-	}
-	// An unbatched insert is its own batch boundary. Updates and deletes
-	// are not: one that rehydrated a table would otherwise see it sealed
-	// again at once, and the next would rehydrate it again.
-	if fe.batchDepth == 0 && m.op == opInsert {
-		fe.seg.sealReadyLocked(fe.seg.flushRows.Load())
+	if fe.syncWAL {
+		return l.sync()
 	}
 	return nil
 }
 
 // openLogsLocked returns the logs still taking records in the order a
-// batch flushes them (rule 5): perftrack.wal, then the hot tables'
+// commit flushes them (rule 5): perftrack.wal, then the hot tables'
 // tail logs, parents before children, so that a process killed between
 // two flushes leaves foci and results without their links rather than
 // links without what they name.
@@ -298,56 +284,6 @@ func (fe *FileEngine) liveLogsLocked() []*logFile {
 		logs = append(logs, fe.wal)
 	}
 	return logs
-}
-
-// BeginWALBatch suspends per-mutation log flushing until the matching
-// EndWALBatch, which flushes (and, in synchronous mode, fsyncs) each log
-// exactly once. The datastore's batch commit wraps each multi-record
-// commit in a BeginWALBatch/EndWALBatch pair so a thousand-record
-// document costs one flush per log it touched instead of a thousand —
-// the DBMS group-commit discipline. Calls nest; only the outermost
-// EndWALBatch performs the flush.
-func (fe *FileEngine) BeginWALBatch() {
-	fe.mu.Lock()
-	fe.batchDepth++
-	fe.mu.Unlock()
-}
-
-// EndWALBatch closes a BeginWALBatch window, performing the single
-// deferred flush of each log for everything logged inside it. The
-// outermost one is a batch boundary: it seals the tails that have reached
-// the flush threshold, first waiting — outside the engine lock — for the
-// compaction pass in flight if a table's tail reached it behind a sealed
-// one (segState.awaitPass).
-func (fe *FileEngine) EndWALBatch() error {
-	full, err := fe.endWALBatch()
-	if err == nil && full {
-		// The batch is in the logs whatever becomes of the pass; one that
-		// fails is retried at the next boundary.
-		_ = fe.seg.awaitPass()
-	}
-	return err
-}
-
-func (fe *FileEngine) endWALBatch() (full bool, err error) {
-	fe.mu.Lock()
-	defer fe.mu.Unlock()
-	if fe.batchDepth > 0 {
-		fe.batchDepth--
-	}
-	if fe.batchDepth > 0 {
-		return false, nil
-	}
-	flush := (*logFile).flush
-	if fe.syncWAL {
-		flush = (*logFile).sync
-	}
-	for _, l := range fe.openLogsLocked() {
-		if err := flush(l); err != nil {
-			return false, err
-		}
-	}
-	return fe.seg.sealReadyLocked(fe.seg.flushRows.Load()), nil
 }
 
 // apply reproduces a logged mutation during recovery (no re-logging).
@@ -411,7 +347,7 @@ func (fe *FileEngine) apply(m *mutation) error {
 		if rowsEqual(ref.clone(), m.row) {
 			return nil
 		}
-		_, err := t.updateLocked(m.id, m.row, nil)
+		_, err := t.updateLocked(m.id, m.row)
 		return err
 	case opDelete:
 		if !exists {
@@ -661,7 +597,7 @@ func (fe *FileEngine) Checkpoint() error {
 				return werr == nil
 			}
 			// No tail is sealed, so what is not in a segment is the active
-			// tail (a batch is open) or the row set.
+			// tail (a commit landed after the drain) or the row set.
 			if s := t.tail; s != nil {
 				s.eachRow(s.pkPerm(t.pkCols), 0, s.rows, write)
 			}
@@ -680,8 +616,9 @@ func (fe *FileEngine) Checkpoint() error {
 	// log below its table's low-water mark, before the logs — their other
 	// source of truth — are discarded. Stale segments go: a table that
 	// still has any was not re-segmented, so the snapshot holds it in
-	// full. A table the snapshot holds rows of (a batch is open, or it
-	// cannot be sealed) pins its tail logs from here on (rule 3).
+	// full. A table the snapshot holds rows of (a commit landed after the
+	// drain, or it cannot be sealed) pins its tail logs from here on (rule
+	// 3).
 	for _, name := range segmentHotTables {
 		if t := fe.tables[name]; t != nil {
 			t.releaseStaleLocked()

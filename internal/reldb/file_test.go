@@ -16,6 +16,27 @@ func openTestEngine(t *testing.T, dir string) *FileEngine {
 	return fe
 }
 
+// replayUpdate applies an update the way recovery replays one: nothing
+// running makes an update any more, but a log written before can hold it.
+func replayUpdate(db *DB, table string, id int64, row Row) error {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	_, err := db.tables[table].updateLocked(id, row)
+	return err
+}
+
+// logRecord appends a record through the durable engine's logger without
+// applying it: what an older program left in the log for replay.
+func logRecord(t *testing.T, fe *FileEngine, m *mutation) {
+	t.Helper()
+	fe.mu.Lock()
+	err := fe.logMutation(m)
+	fe.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestFileEngineBasicPersistence(t *testing.T) {
 	dir := t.TempDir()
 	fe := openTestEngine(t, dir)
@@ -61,9 +82,8 @@ func TestFileEngineUpdateDeletePersist(t *testing.T) {
 	mustCreate(t, fe, personSchema())
 	id1, _ := fe.Insert("person", Row{Int(1), Str("a"), Null(), Null()})
 	id2, _ := fe.Insert("person", Row{Int(2), Str("b"), Null(), Null()})
-	if err := fe.Update("person", id1, Row{Int(1), Str("a2"), Null(), Null()}); err != nil {
-		t.Fatal(err)
-	}
+	// An update record, as a program from before updates went left one.
+	logRecord(t, fe, &mutation{op: opUpdate, table: "person", id: id1, row: Row{Int(1), Str("a2"), Null(), Null()}})
 	if err := fe.Delete("person", id2); err != nil {
 		t.Fatal(err)
 	}
@@ -298,9 +318,11 @@ func TestFileEngineDropTablePersists(t *testing.T) {
 	dir := t.TempDir()
 	fe := openTestEngine(t, dir)
 	mustCreate(t, fe, personSchema())
-	if err := fe.DropTable("person"); err != nil {
+	if _, err := fe.Insert("person", Row{Int(1), Str("a"), Null(), Null()}); err != nil {
 		t.Fatal(err)
 	}
+	// A DROP TABLE record, as a program from before DROP TABLE went left one.
+	logRecord(t, fe, &mutation{op: opDropTable, table: "person"})
 	fe.Close()
 
 	fe2 := openTestEngine(t, dir)

@@ -140,15 +140,11 @@ func loadResults(eng inserter, first, n int) error {
 	return nil
 }
 
-// load appends n results to both engines, as one write batch on the
-// durable one.
+// load appends n results to both engines: as one transaction on the
+// durable one, a row a commit on mem.
 func (p *hotPair) load(first, n int) {
 	p.t.Helper()
-	p.fe.BeginWALBatch()
-	err := loadResults(p.fe, first, n)
-	if ferr := p.fe.EndWALBatch(); err == nil {
-		err = ferr
-	}
+	err := commitResults(p.fe, first, n)
 	if err == nil {
 		err = loadResults(p.mem, first, n)
 	}
@@ -175,8 +171,9 @@ func (p *hotPair) reopen() {
 }
 
 // TestSegmentReadsMatchMem applies one seeded random history — ordered
-// loads, updates, deletes, a rolled-back transaction, an out-of-order
-// insert, with compactions, checkpoints and reopens in between — to the
+// loads, replaced rows, deletes, a rolled-back transaction, an
+// out-of-order insert, with compactions, checkpoints and reopens in
+// between — to the
 // durable engine and to mem, and after every step requires every read a
 // Table offers to agree row for row and in order, and every refusal
 // (duplicate key, dangling foreign key into a flushed range) to be shared.
@@ -206,13 +203,17 @@ func TestSegmentReadsMatchMem(t *testing.T) {
 			p.load(next, n)
 			next += n
 		case 2:
-			label = "update"
+			label = "replace"
 			id, exec := randomID("performance_result"), int64(rng.Intn(7))
 			p.both(label, func(eng Engine) error {
 				tab, _ := eng.Table("performance_result")
 				row, _ := tab.Get(id)
 				row[1], row[5] = Int(exec), Float(-1)
-				return eng.Update("performance_result", id, row)
+				if err := eng.Delete("performance_result", id); err != nil {
+					return err
+				}
+				_, err := eng.Insert("performance_result", row) // the same key, under a new row ID
+				return err
 			})
 		case 3:
 			label = "delete"
@@ -221,19 +222,9 @@ func TestSegmentReadsMatchMem(t *testing.T) {
 			p.both(label, func(eng Engine) error { return eng.Delete(table, id) })
 		case 4:
 			label = "rolled-back transaction"
-			id, link := randomID("performance_result"), randomID("result_has_focus")
 			p.both(label, func(eng Engine) error {
 				tx := eng.Begin()
-				if _, err := tx.Insert("performance_result", resultRow(next)); err != nil {
-					return err
-				}
-				tab, _ := eng.Table("performance_result")
-				row, _ := tab.Get(id)
-				row[5] = Float(-2)
-				if err := tx.Update("performance_result", id, row); err != nil {
-					return err
-				}
-				if err := tx.Delete("result_has_focus", link); err != nil {
+				if err := loadResults(tx, next, 5); err != nil {
 					return err
 				}
 				return tx.Rollback()
@@ -250,14 +241,15 @@ func TestSegmentReadsMatchMem(t *testing.T) {
 			})
 		case 6:
 			label = "refused inserts"
-			dup := randomID("performance_result")
+			results, _ := p.mem.Table("performance_result")
+			dup, _ := results.Get(randomID("performance_result")) // a replaced row's key is not its row ID
 			if err := p.both("duplicate key", func(eng Engine) error {
 				row := resultRow(0)
-				row[0] = Int(dup)
+				row[0] = dup[0]
 				_, err := eng.Insert("performance_result", row)
 				return err
 			}); err == nil {
-				t.Fatalf("step %d: duplicate primary key %d accepted", step, dup)
+				t.Fatalf("step %d: duplicate primary key %v accepted", step, dup[0])
 			}
 			victim := randomID("performance_result")
 			p.both("delete", func(eng Engine) error { return eng.Delete("performance_result", victim) })
@@ -336,11 +328,7 @@ func TestCompactorKeepsUpUnderBackToBackCommits(t *testing.T) {
 					commit.Unlock()
 					return
 				}
-				fe.BeginWALBatch()
-				if err := loadResults(fe, next, batch); err != nil {
-					t.Error(err)
-				}
-				if err := fe.EndWALBatch(); err != nil {
+				if err := commitResults(fe, next, batch); err != nil {
 					t.Error(err)
 				}
 				next += batch
@@ -403,11 +391,7 @@ func TestSegmentFlushedRowsLeaveRowStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	memShare := heapAfterGC() - base
-	p.fe.BeginWALBatch()
-	if err := loadResults(p.fe, 0, rows); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.fe.EndWALBatch(); err != nil {
+	if err := commitResults(p.fe, 0, rows); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.fe.CompactSegments(); err != nil {
@@ -427,9 +411,9 @@ func TestSegmentFlushedRowsLeaveRowStore(t *testing.T) {
 
 // TestSegmentReopenAttachesWithoutReinserting: recovery attaches the
 // manifest's segments instead of re-inserting their rows — the row store
-// holds the tail only, row IDs continue past the watermark — and a WAL
-// that ends with an update and a delete of flushed rows replays to the
-// mem engine's answer.
+// holds the tail only, row IDs continue past the watermark — and logs
+// that end with deletes of flushed rows replay to the mem engine's
+// answer.
 func TestSegmentReopenAttachesWithoutReinserting(t *testing.T) {
 	const rows = 3000
 	p := newHotPair(t)
@@ -457,16 +441,11 @@ func TestSegmentReopenAttachesWithoutReinserting(t *testing.T) {
 
 	// Flushed rows change last; the crash leaves that in the WAL only.
 	p.fe.SetSync(true)
-	p.both("update flushed row", func(eng Engine) error {
-		tab, _ := eng.Table("performance_result")
-		row, _ := tab.Get(17)
-		row[5] = Float(-17)
-		return eng.Update("performance_result", 17, row)
-	})
-	p.both("delete flushed row", func(eng Engine) error { return eng.Delete("focus_has_resource", 5) })
+	p.both("delete flushed result", func(eng Engine) error { return eng.Delete("performance_result", 17) })
+	p.both("delete flushed link", func(eng Engine) error { return eng.Delete("focus_has_resource", 5) })
 	abandon(p.fe)
 	p.fe = openTestEngine(t, p.dir)
-	p.check("replayed update and delete of flushed rows")
+	p.check("replayed deletes of flushed rows")
 	if st := hotStatus(t, p.fe, "result_has_focus"); st.Rows != 2*rows || st.PendingRows != 20 {
 		t.Fatalf("untouched table after replay = %+v, want it still segment-resident", st)
 	}
@@ -535,74 +514,58 @@ func TestSegmentIndexDDLCoversFlushedRows(t *testing.T) {
 // the WAL since the older of the two is intact and recovery must reach
 // the mem engine's answer.
 func TestSegmentRecoveryWhenSnapshotAndManifestOverlap(t *testing.T) {
-	// A checkpoint that ran while a batch was open snapshotted its rows;
-	// a rehydration and re-seal later put them in a segment as well, the
-	// only segment the manifest then lists.
+	// A commit that landed between a checkpoint's drain and its snapshot
+	// had its rows snapshotted; a rehydration and re-seal later put them
+	// in a segment as well, the only segment the manifest then lists.
 	t.Run("tail-snapshotted-then-resegmented", func(t *testing.T) {
 		p := newHotPair(t)
 		defer func() { p.fe.Close() }()
+		p.fe.seg.shutdown() // every pass runs on this goroutine
 		p.load(0, 200)
 		if err := p.fe.CompactSegments(); err != nil {
 			t.Fatal(err)
 		}
-		p.fe.BeginWALBatch()
-		err := loadResults(p.fe, 200, 50)
-		if err == nil {
-			err = p.fe.Checkpoint()
+		p.load(200, 10)
+		p.checkpointWith(func() { p.load(210, 50) })
+		if st := hotStatus(t, p.fe, "performance_result"); st.Rows != 210 || st.PendingRows != 50 {
+			t.Fatalf("status after the checkpoint = %+v, want the late commit's 50 rows in the tail", st)
 		}
-		if ferr := p.fe.EndWALBatch(); err == nil {
-			err = ferr
-		}
-		if err == nil {
-			err = loadResults(p.mem, 200, 50)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st := hotStatus(t, p.fe, "performance_result"); st.Rows != 200 || st.PendingRows != 50 {
-			t.Fatalf("status after the checkpoint = %+v, want the open batch's 50 rows in the tail", st)
-		}
-		p.both("update flushed row", func(eng Engine) error {
-			tab, _ := eng.Table("performance_result")
-			row, _ := tab.Get(5)
-			row[5] = Float(-5)
-			return eng.Update("performance_result", 5, row)
-		})
+		p.both("delete flushed row", func(eng Engine) error { return eng.Delete("performance_result", 5) })
 		if err := p.fe.CompactSegments(); err != nil {
 			t.Fatal(err)
 		}
-		if st := hotStatus(t, p.fe, "performance_result"); st.Segments != 1 || st.Rows != 250 {
-			t.Fatalf("status after re-segmentation = %+v, want one 250-row segment", st)
+		if st := hotStatus(t, p.fe, "performance_result"); st.Segments != 1 || st.Rows != 259 {
+			t.Fatalf("status after re-segmentation = %+v, want one 259-row segment", st)
 		}
-		p.fe.Stats() // flushes the WAL to its file
+		p.fe.Stats() // flushes the logs to their files
 		abandon(p.fe)
 		p.fe = openTestEngine(t, p.dir)
 		p.check("reopened")
-		if st := hotStatus(t, p.fe, "performance_result"); st.Rows != 250 || st.PendingRows != 0 {
-			t.Fatalf("status after recovery = %+v, want the segment to serve all 250 rows", st)
+		if st := hotStatus(t, p.fe, "performance_result"); st.Rows != 259 || st.PendingRows != 0 {
+			t.Fatalf("status after recovery = %+v, want the segment to serve all 259 rows", st)
 		}
 	})
 	// A checkpoint wrote a snapshot holding a rehydrated table in full (a
-	// batch was open, so it could not re-segment the table) and crashed
-	// before rewriting the manifest, which still lists the table's
-	// pre-rehydration segments.
+	// delete landed between its drain and its snapshot, so it could not
+	// re-segment the table) and crashed before rewriting the manifest,
+	// which still lists the table's pre-rehydration segments.
 	t.Run("checkpoint-crashed-before-manifest", func(t *testing.T) {
 		p := newHotPair(t)
 		defer func() { p.fe.Close() }()
+		p.fe.seg.shutdown()
 		p.load(0, 200)
 		if err := p.fe.CompactSegments(); err != nil {
 			t.Fatal(err)
 		}
-		p.fe.BeginWALBatch()
-		p.both("delete flushed row", func(eng Engine) error { return eng.Delete("performance_result", 7) })
-		p.fe.Stats() // flushes the WAL to its file
+		p.load(200, 10)
 		before := t.TempDir()
-		copyTree(t, p.dir, before)
-		if err := p.fe.Checkpoint(); err != nil {
-			t.Fatal(err)
-		}
-		if counts := countSnapshotRows(t, p.dir+"/"+snapshotFile); counts["performance_result"] != 199 {
-			t.Fatalf("snapshot holds %d performance_result rows, want all 199", counts["performance_result"])
+		p.checkpointWith(func() {
+			p.both("delete flushed row", func(eng Engine) error { return eng.Delete("performance_result", 7) })
+			p.fe.Stats() // flushes the logs to their files
+			copyTree(t, p.dir, before)
+		})
+		if counts := countSnapshotRows(t, p.dir+"/"+snapshotFile); counts["performance_result"] != 209 {
+			t.Fatalf("snapshot holds %d performance_result rows, want all 209", counts["performance_result"])
 		}
 		abandon(p.fe)
 		snap, err := os.ReadFile(p.dir + "/" + snapshotFile)
@@ -612,13 +575,35 @@ func TestSegmentRecoveryWhenSnapshotAndManifestOverlap(t *testing.T) {
 		if err := os.RemoveAll(p.dir); err != nil {
 			t.Fatal(err)
 		}
-		copyTree(t, before, p.dir) // the old manifest, its segments, the whole WAL
+		copyTree(t, before, p.dir) // the old manifest, its segments, every log
 		if err := os.WriteFile(p.dir+"/"+snapshotFile, snap, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		p.fe = openTestEngine(t, p.dir)
 		p.check("reopened")
 	})
+}
+
+// checkpointWith runs a checkpoint that calls late once its drain has
+// published what it sealed: a write that lands between the drain and the
+// snapshot. The compactor must be stopped, and the checkpoint must find
+// something to seal.
+func (p *hotPair) checkpointWith(late func()) {
+	p.t.Helper()
+	st := p.fe.seg
+	st.step = func(step string) {
+		if f := late; step == "log removal" && f != nil {
+			late = nil
+			f()
+		}
+	}
+	defer func() { st.step = nil }()
+	if err := p.fe.Checkpoint(); err != nil {
+		p.t.Fatal(err)
+	}
+	if late != nil {
+		p.t.Fatal("the checkpoint sealed nothing")
+	}
 }
 
 // TestFileEngineCloseAlwaysClosesWAL: Close releases the WAL handle and

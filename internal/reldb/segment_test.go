@@ -47,16 +47,17 @@ func resultRow(i int) Row {
 	return Row{Null(), Int(int64(i % 7)), Int(int64(i % 13)), Int(1), units, Float(float64(i) * 1.5)}
 }
 
+// insertResults commits resultRow(0..n-1) as one transaction.
 func insertResults(t *testing.T, fe *FileEngine, n int) {
 	t.Helper()
-	fe.BeginWALBatch()
+	tx := fe.Begin()
 	for i := 0; i < n; i++ {
-		if _, err := fe.Insert("performance_result", resultRow(i)); err != nil {
+		if _, err := tx.Insert("performance_result", resultRow(i)); err != nil {
 			t.Fatalf("insert %d: %v", i, err)
 		}
 	}
-	if err := fe.EndWALBatch(); err != nil {
-		t.Fatalf("EndWALBatch: %v", err)
+	if err := tx.Commit(); err != nil {
+		t.Fatalf("commit: %v", err)
 	}
 }
 
@@ -217,21 +218,21 @@ func TestSegmentCrashRecoveryBetweenCompactionAndCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	insertResults(t, fe, 2000)
-	fe.BeginWALBatch()
+	tx := fe.Begin()
 	for f := 1; f <= 50; f++ {
 		for r := 1; r <= 4; r++ {
-			if _, err := fe.Insert("focus_has_resource", Row{Int(int64(f)), Int(int64(r))}); err != nil {
+			if _, err := tx.Insert("focus_has_resource", Row{Int(int64(f)), Int(int64(r))}); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	if err := fe.EndWALBatch(); err != nil {
+	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	if err := fe.CompactSegments(); err != nil {
 		t.Fatal(err)
 	}
-	// Committed batches after the compaction, then crash before any
+	// Committed transactions after the compaction, then crash before any
 	// checkpoint: the WAL must carry everything across the restart.
 	insertResults(t, fe, 500)
 	abandon(fe)
@@ -472,10 +473,10 @@ func memResults(t *testing.T, n int) *DB {
 	return db
 }
 
-// TestSegmentDirtyFallbackAndCheckpointReset: an update of a flushed row
+// TestSegmentDirtyFallbackAndCheckpointReset: a delete of a flushed row
 // takes the one fallback — the table answers every read as the mem
 // engine does while it is row-resident — and the next seal makes it
-// segment-resident again, with the new image.
+// segment-resident again, without the row.
 func TestSegmentDirtyFallbackAndCheckpointReset(t *testing.T) {
 	dir := t.TempDir()
 	fe := openTestEngine(t, dir)
@@ -494,19 +495,17 @@ func TestSegmentDirtyFallbackAndCheckpointReset(t *testing.T) {
 	tab, _ := fe.Table("performance_result")
 	sameReads(t, "flushed", tab, ref)
 
-	row, _ := tab.Get(5)
-	row[5] = Float(-123.5)
 	for _, eng := range []Engine{fe, mem} {
-		if err := eng.Update("performance_result", 5, row); err != nil {
+		if err := eng.Delete("performance_result", 5); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if st := hotStatus(t, fe, "performance_result"); !st.Dirty || st.Segments != 0 || st.PendingRows != 1000 {
-		t.Fatalf("status after updating a flushed row = %+v, want dirty and row-resident", st)
+	if st := hotStatus(t, fe, "performance_result"); !st.Dirty || st.Segments != 0 || st.PendingRows != 999 {
+		t.Fatalf("status after deleting a flushed row = %+v, want dirty and row-resident", st)
 	}
-	sameReads(t, "row-resident after update", tab, ref)
+	sameReads(t, "row-resident after delete", tab, ref)
 
-	// The next batch boundary at or above the threshold re-segments the
+	// The next commit at or above the threshold re-segments the
 	// whole table from a sorted slate.
 	fe.SetSegmentFlushRows(100)
 	insertResults(t, fe, 1)
@@ -516,12 +515,12 @@ func TestSegmentDirtyFallbackAndCheckpointReset(t *testing.T) {
 	if err := fe.CompactSegments(); err != nil { // waits for the in-flight pass
 		t.Fatal(err)
 	}
-	if st := hotStatus(t, fe, "performance_result"); st.Dirty || st.Rows != 1001 || st.PendingRows != 0 {
-		t.Fatalf("status after the next seal = %+v, want 1001 segment rows", st)
+	if st := hotStatus(t, fe, "performance_result"); st.Dirty || st.Rows != 1000 || st.PendingRows != 0 {
+		t.Fatalf("status after the next seal = %+v, want 1000 segment rows", st)
 	}
 	sameReads(t, "re-segmented", tab, ref)
-	if got, _ := tab.Get(5); got[5].Float64() != -123.5 {
-		t.Fatalf("rebuilt segment has stale value %v", got[5])
+	if got, ok := tab.Get(5); ok {
+		t.Fatalf("rebuilt segment holds the deleted row: %v", got)
 	}
 }
 

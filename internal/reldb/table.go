@@ -53,6 +53,7 @@ type Table struct {
 	pinLogs bool
 
 	transposers sync.Pool // *transposer: reusable blocks for Blocks/Gather
+	txBlocks    sync.Pool // *txBlock: reusable private blocks for transactions
 }
 
 // residency records the fallback a hot table is in: all of its rows are
@@ -348,69 +349,22 @@ func (t *Table) autoKey(row Row) bool {
 
 // reserveID takes the next row ID — which is row's primary key when
 // that is assigned — and moves the counter past it and past an explicit
-// integer key. It returns the counter's new value too, for unreserveID.
-func (t *Table) reserveID(row Row) (id, next int64) {
+// integer key.
+func (t *Table) reserveID(row Row) int64 {
 	for {
-		id = t.nextID.Load()
-		next = id + 1
+		id := t.nextID.Load()
+		next := id + 1
 		if len(t.pkCols) == 1 && row[t.pkCols[0]].Kind() == KindInt {
 			next = max(next, row[t.pkCols[0]].Int64()+1)
 		}
 		if t.nextID.CompareAndSwap(id, next) {
-			return id, next
+			return id
 		}
 	}
 }
 
-// unreserveID gives back the ID of a row that was refused, unless
-// another writer has taken one since.
-func (t *Table) unreserveID(id, next int64) { t.nextID.CompareAndSwap(next, id) }
-
-// appendLocked stores an admitted row in the table's active tail: the
-// columnar one, or the row set.
-func (t *Table) appendLocked(id int64, row Row, pk []byte) error {
-	if t.tail == nil {
-		return t.active.insert(id, row, pk)
-	}
-	t.tail.tailAppendRow(t.pkCols, id, row)
-	return nil
-}
-
-// insertLocked adds a row. If the primary key is a single integer column
-// whose value is NULL, a fresh ID is assigned (sequence semantics). It
-// returns the row ID, which equals the integer primary key when one is
-// auto-assigned, and the stored row. priv, if not nil, is the
-// transaction the insert belongs to: its private rows satisfy foreign
-// keys too.
-func (t *Table) insertLocked(row Row, priv *Tx) (int64, Row, error) {
-	if len(row) != len(t.schema.Columns) {
-		return 0, nil, t.schema.CheckRow(row)
-	}
-	row = row.Clone()
-	auto := t.autoKey(row)
-	id, next := t.reserveID(row)
-	if auto {
-		row[t.pkCols[0]] = Int(id)
-	}
-	err := t.schema.CheckRow(row)
-	if err == nil {
-		err = t.db.checkForeignKeys(t.schema, row, priv)
-	}
-	if err == nil {
-		pk := t.pkKey(row)
-		if err = t.admitLocked(id, pk, row); err == nil {
-			err = t.appendLocked(id, row, pk)
-		}
-	}
-	if err != nil {
-		t.unreserveID(id, next)
-		return 0, nil, err
-	}
-	return id, row, nil
-}
-
-// insertAtLocked stores a row under a specific row ID: recovery, the
-// rollback of a delete, and a transaction's rows installed one by one.
+// insertAtLocked stores a row under a specific row ID: recovery loading
+// a snapshot or replaying a log, and a failed delete put back.
 func (t *Table) insertAtLocked(id int64, row Row) (Row, error) {
 	if _, exists := t.findIDLocked(id); exists {
 		return nil, fmt.Errorf("reldb: table %q: row %d already present", t.schema.Name, id)
@@ -423,7 +377,9 @@ func (t *Table) insertAtLocked(id int64, row Row) (Row, error) {
 	if err := t.admitLocked(id, pk, row); err != nil {
 		return nil, err
 	}
-	if err := t.appendLocked(id, row, pk); err != nil {
+	if t.tail != nil {
+		t.tail.tailAppendRow(t.pkCols, id, row)
+	} else if err := t.active.insert(id, row, pk); err != nil {
 		return nil, err
 	}
 	t.advanceID(id + 1)
@@ -459,16 +415,17 @@ func (t *Table) deleteLocked(id int64) (Row, error) {
 	return row, nil
 }
 
-func (t *Table) updateLocked(id int64, row Row, priv *Tx) (Row, error) {
+// updateLocked replaces a row: recovery replaying an update record,
+// which a directory written before the engine stopped taking updates can
+// hold. Like every replayed record it is truth: no foreign key is
+// probed.
+func (t *Table) updateLocked(id int64, row Row) (Row, error) {
 	old, err := t.mutableLocked(id)
 	if err != nil {
 		return nil, err
 	}
 	row = row.Clone()
 	if err := t.schema.CheckRow(row); err != nil {
-		return nil, err
-	}
-	if err := t.db.checkForeignKeys(t.schema, row, priv); err != nil {
 		return nil, err
 	}
 	newPK, oldPK := t.pkKey(row), t.pkKey(old)

@@ -149,7 +149,7 @@ func TestUpdate(t *testing.T) {
 	db := NewMem()
 	mustCreate(t, db, personSchema())
 	id, _ := db.Insert("person", Row{Int(1), Str("a"), Int(10), Null()})
-	if err := db.Update("person", id, Row{Int(1), Str("b"), Int(11), Null()}); err != nil {
+	if err := replayUpdate(db, "person", id, Row{Int(1), Str("b"), Int(11), Null()}); err != nil {
 		t.Fatal(err)
 	}
 	tab, _ := db.Table("person")
@@ -181,11 +181,11 @@ func TestUpdatePKChange(t *testing.T) {
 	id, _ := db.Insert("person", Row{Int(1), Str("a"), Null(), Null()})
 	db.Insert("person", Row{Int(2), Str("b"), Null(), Null()})
 	// Changing PK to an occupied value must fail.
-	if err := db.Update("person", id, Row{Int(2), Str("a"), Null(), Null()}); err == nil {
+	if err := replayUpdate(db, "person", id, Row{Int(2), Str("a"), Null(), Null()}); err == nil {
 		t.Error("PK collision on update accepted")
 	}
 	// Changing PK to a free value must work.
-	if err := db.Update("person", id, Row{Int(3), Str("a"), Null(), Null()}); err != nil {
+	if err := replayUpdate(db, "person", id, Row{Int(3), Str("a"), Null(), Null()}); err != nil {
 		t.Fatal(err)
 	}
 	tab, _ := db.Table("person")
@@ -401,17 +401,23 @@ func TestIndexOnColumns(t *testing.T) {
 	}
 }
 
+// TestDropTable: replaying a DROP TABLE forgets the table and its rows;
+// a table of the name can be created again, empty.
 func TestDropTable(t *testing.T) {
 	db := NewMem()
 	mustCreate(t, db, personSchema())
-	if err := db.DropTable("person"); err != nil {
+	if _, err := db.Insert("person", Row{Int(1), Str("a"), Null(), Null()}); err != nil {
 		t.Fatal(err)
 	}
+	db.mu.Lock()
+	db.dropTableLocked("person")
+	db.mu.Unlock()
 	if _, ok := db.Table("person"); ok {
 		t.Error("table survives drop")
 	}
-	if err := db.DropTable("person"); err == nil {
-		t.Error("double drop accepted")
+	mustCreate(t, db, personSchema())
+	if tab, _ := db.Table("person"); tab.Len() != 0 {
+		t.Errorf("the re-created table holds %d rows", tab.Len())
 	}
 }
 
@@ -523,43 +529,72 @@ func TestTxRollbackInsert(t *testing.T) {
 	}
 }
 
-func TestTxRollbackUpdateAndDelete(t *testing.T) {
-	db := NewMem()
-	mustCreate(t, db, personSchema())
-	id1, _ := db.Insert("person", Row{Int(1), Str("a"), Int(10), Null()})
-	id2, _ := db.Insert("person", Row{Int(2), Str("b"), Int(20), Null()})
-
-	tx := db.Begin()
-	if err := tx.Update("person", id1, Row{Int(1), Str("changed"), Int(11), Null()}); err != nil {
-		t.Fatal(err)
+// TestTxRowsInvisibleUntilCommit: on either engine, and whether the
+// table is a row set, has a unique index or is a hot table with a
+// columnar tail, no read — Len, Get, GetByPK, Scan — sees a row of an
+// open transaction, and every read sees all of them once it commits.
+func TestTxRowsInvisibleUntilCommit(t *testing.T) {
+	unique := personSchema()
+	unique.Name = "unique_person"
+	unique.Indexes = []IndexSpec{{Name: "unique_person_name", Columns: []string{"name"}, Unique: true}}
+	hot := hotSchemas()[3] // focus
+	tables := []string{"person", "unique_person", hot.Name}
+	rowFor := func(table string, i int64) Row {
+		if table == hot.Name {
+			return Row{Int(i), Str("primary"), Str(fmt.Sprintf("primary:%d", i))}
+		}
+		return Row{Int(i), Str(fmt.Sprintf("n%d", i)), Null(), Null()}
 	}
-	if err := tx.Delete("person", id2); err != nil {
-		t.Fatal(err)
+	for _, eng := range []Engine{NewMem(), openTestEngine(t, t.TempDir())} {
+		for _, schema := range []*Schema{personSchema(), unique, hot} {
+			mustCreate(t, eng, schema)
+		}
+		if fe, ok := eng.(*FileEngine); ok {
+			if tab, _ := fe.Table(hot.Name); tab.tail == nil {
+				t.Fatalf("%s: the hot table has no columnar tail", eng.Kind())
+			}
+		}
+		tx := eng.Begin()
+		ids := map[string][]int64{}
+		for _, table := range tables {
+			for i := int64(1); i <= 5; i++ {
+				id, err := tx.Insert(table, rowFor(table, i))
+				if err != nil {
+					t.Fatal(err)
+				}
+				ids[table] = append(ids[table], id)
+			}
+		}
+		// reads counts what every read of the table finds: 16 for five rows.
+		reads := func(table string) int {
+			tab, _ := eng.Table(table)
+			n := tab.Len()
+			tab.Scan(func(int64, Row) bool { n++; return true })
+			for _, id := range ids[table] {
+				if _, ok := tab.Get(id); ok {
+					n++
+				}
+			}
+			if _, _, ok := tab.GetByPK(Int(3)); ok {
+				n++
+			}
+			return n
+		}
+		for _, table := range tables {
+			if n := reads(table); n != 0 {
+				t.Fatalf("%s: %s: reads found an open transaction's rows %d times", eng.Kind(), table, n)
+			}
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		for _, table := range tables {
+			if n := reads(table); n != 16 {
+				t.Fatalf("%s: %s: reads found the committed rows %d times, want 16", eng.Kind(), table, n)
+			}
+		}
+		eng.Close()
 	}
-	if err := tx.Rollback(); err != nil {
-		t.Fatal(err)
-	}
-	tab, _ := db.Table("person")
-	row, _ := tab.Get(id1)
-	if row[1].Text() != "a" || row[2].Int64() != 10 {
-		t.Errorf("update not undone: %v", row)
-	}
-	row2, ok := tab.Get(id2)
-	if !ok || row2[1].Text() != "b" {
-		t.Errorf("delete not undone: %v ok=%v", row2, ok)
-	}
-}
-
-func TestTxReadsOwnWrites(t *testing.T) {
-	db := NewMem()
-	mustCreate(t, db, personSchema())
-	tx := db.Begin()
-	id, _ := tx.Insert("person", Row{Int(1), Str("a"), Null(), Null()})
-	tab, _ := db.Table("person")
-	if _, ok := tab.Get(id); !ok {
-		t.Error("transaction cannot read its own write")
-	}
-	tx.Rollback()
 }
 
 func TestTxOperationsAfterDone(t *testing.T) {
@@ -569,12 +604,6 @@ func TestTxOperationsAfterDone(t *testing.T) {
 	tx.Commit()
 	if _, err := tx.Insert("person", Row{Int(1), Str("a"), Null(), Null()}); err != ErrTxDone {
 		t.Errorf("Insert after commit = %v", err)
-	}
-	if err := tx.Update("person", 1, nil); err != ErrTxDone {
-		t.Errorf("Update after commit = %v", err)
-	}
-	if err := tx.Delete("person", 1); err != ErrTxDone {
-		t.Errorf("Delete after commit = %v", err)
 	}
 	if err := tx.Rollback(); err != ErrTxDone {
 		t.Errorf("Rollback after commit = %v", err)

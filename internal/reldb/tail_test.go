@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -13,7 +14,7 @@ import (
 
 // Tests of the columnar tail: a durable engine's sealable hot table keeps
 // its unflushed rows as an unwritten segment, and a transaction's rows for
-// it stay private to the transaction until Commit installs them under one
+// it stay private to the transaction until Commit appends them under one
 // hold of the engine write lock.
 
 // batchRows is the number of results one batch of commitBatch carries.
@@ -91,12 +92,7 @@ func TestSegmentBatchHotRowsAppearTogether(t *testing.T) {
 					commit.Unlock()
 					return
 				}
-				fe.BeginWALBatch()
-				err := commitBatch(fe, k, k%3 == 2)
-				if ferr := fe.EndWALBatch(); err == nil {
-					err = ferr
-				}
-				if err != nil {
+				if err := commitBatch(fe, k, k%3 == 2); err != nil {
 					t.Error(err)
 				} else if k%3 != 2 {
 					committed.Add(1)
@@ -204,62 +200,49 @@ func TestSegmentBatchHotRowsAppearTogether(t *testing.T) {
 	}
 }
 
-// TestSegmentCommitTakesEngineLockOnce: a transaction's inserts into the
-// hot tables take the engine write lock not at all, and its Commit takes
-// it once, however many rows it installs.
-func TestSegmentCommitTakesEngineLockOnce(t *testing.T) {
-	p := newHotPair(t)
-	defer func() { p.fe.Close() }()
-	p.fe.seg.shutdown() // the compactor takes the lock too
-	tx := p.fe.Begin()
-	before := p.fe.mu.writes.Load()
-	if err := loadResults(tx, 0, 600); err != nil {
-		t.Fatal(err)
-	}
-	if n := p.fe.mu.writes.Load() - before; n != 0 {
-		t.Fatalf("600 results' inserts took the engine write lock %d times, want none", n)
-	}
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if n := p.fe.mu.writes.Load() - before; n != 1 {
-		t.Fatalf("Commit took the engine write lock %d times, want once", n)
-	}
-	if err := loadResults(p.mem, 0, 600); err != nil {
-		t.Fatal(err)
-	}
-	p.check("committed")
-}
-
-// hotFiles is the size of every file of the store — perftrack.wal, the
-// tail logs and segment files — and the log bytes the engine says each
+// storeFiles is the content of every file of the store — perftrack.wal,
+// the tail logs and segment files — and the log bytes the engine says each
 // hot table's unflushed rows own.
-func hotFiles(t *testing.T, fe *FileEngine, dir string) (map[string]int64, map[string]int64) {
+func storeFiles(t *testing.T, fe *FileEngine, dir string) (map[string]string, map[string]int64) {
 	t.Helper()
 	fe.Stats() // flushes the logs
 	logBytes := make(map[string]int64)
 	for _, st := range fe.SegmentStats().Tables {
 		logBytes[st.Table] = st.LogBytes
 	}
-	return listing(t, dir), logBytes
+	files := make(map[string]string)
+	for rel := range listing(t, dir) {
+		data, err := os.ReadFile(filepath.Join(dir, rel))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[rel] = string(data)
+	}
+	return files, logBytes
 }
 
-// TestSegmentRolledBackBatchWritesNoHotRecord: a batch whose last record
-// is refused — by the schema when it is added, or by a foreign key when
-// the batch commits — leaves every hot table's tail logs and segment
-// files, and perftrack.wal (the batch holds foci and closure links, and no
-// row of any other table), byte for byte as they were, installs nothing,
-// and leaves the same gap in the row IDs as it does on mem.
-func TestSegmentRolledBackBatchWritesNoHotRecord(t *testing.T) {
+// TestSegmentRolledBackBatchWritesNothing: a batch — a document's metric
+// row, results, foci and closure links — whose last record is refused, by
+// the schema when it is added or by a foreign key when the batch commits,
+// leaves perftrack.wal, every tail log and every segment file byte for
+// byte as they were, installs nothing, and leaves the same gap in the row
+// IDs as it does on mem.
+func TestSegmentRolledBackBatchWritesNothing(t *testing.T) {
 	p := newHotPair(t)
 	defer func() { p.fe.Close() }()
+	metric := &Schema{
+		Name:       "metric",
+		Columns:    []Column{{Name: "id", Type: KindInt}, {Name: "name", Type: KindString}},
+		PrimaryKey: []string{"id"},
+	}
+	p.both("create metric", func(eng Engine) error { return eng.CreateTable(metric) })
 	p.fe.SetSegmentFlushRows(64)
 	p.load(0, 100) // a segment and a tail each
 	if err := p.fe.CompactSegments(); err != nil {
 		t.Fatal(err)
 	}
 	p.load(100, 20)
-	files, logBytes := hotFiles(t, p.fe, p.dir)
+	files, logBytes := storeFiles(t, p.fe, p.dir)
 
 	for _, c := range []struct {
 		name string
@@ -272,28 +255,28 @@ func TestSegmentRolledBackBatchWritesNoHotRecord(t *testing.T) {
 			return tx.Rollback()
 		}},
 		{"refused at commit", func(tx *Tx) error {
-			// mem refuses the dangling link at once, the durable engine when
-			// the block it went into is committed.
-			if _, err := tx.Insert("result_has_focus", Row{Int(1 << 30), Int(1)}); err == nil && tx.Commit() == nil {
+			if _, err := tx.Insert("result_has_focus", Row{Int(1 << 30), Int(1)}); err != nil {
+				t.Fatal(err)
+			}
+			if tx.Commit() == nil {
 				t.Fatal("a link to a result nobody has was committed")
 			}
 			return tx.Rollback()
 		}},
 	} {
-		p.fe.BeginWALBatch()
 		p.both(c.name, func(eng Engine) error {
 			tx := eng.Begin()
+			if _, err := tx.Insert("metric", Row{Null(), Str("m")}); err != nil {
+				return err
+			}
 			if err := loadResults(tx, 500, 40); err != nil {
 				return err
 			}
 			return c.last(tx)
 		})
-		if err := p.fe.EndWALBatch(); err != nil {
-			t.Fatal(err)
-		}
-		afterFiles, afterBytes := hotFiles(t, p.fe, p.dir)
+		afterFiles, afterBytes := storeFiles(t, p.fe, p.dir)
 		if !reflect.DeepEqual(afterFiles, files) || !reflect.DeepEqual(afterBytes, logBytes) {
-			t.Fatalf("%s: the rolled-back batch changed the hot tables' files:\nbefore %v %v\n after %v %v", c.name, files, logBytes, afterFiles, afterBytes)
+			t.Fatalf("%s: the rolled-back batch changed the store's files", c.name)
 		}
 		p.check(c.name)
 	}
@@ -319,10 +302,8 @@ func TestSegmentPublishKeepsTailObject(t *testing.T) {
 	defer func() { p.fe.Close() }()
 	p.fe.seg.shutdown()
 	p.fe.SetSegmentFlushRows(1 << 40)
-	p.fe.BeginWALBatch()
-	err := commitResults(p.fe, 0, 300)
-	if ferr := p.fe.EndWALBatch(); err != nil || ferr != nil {
-		t.Fatal(err, ferr)
+	if err := commitResults(p.fe, 0, 300); err != nil {
+		t.Fatal(err)
 	}
 	tab, _ := p.fe.Table("performance_result")
 	tail := tab.tail
@@ -385,7 +366,7 @@ func TestSegmentPublishKeepsTailObject(t *testing.T) {
 }
 
 // TestSegmentTailOutOfOrderKeys: links that arrive descending within each
-// result — one by one, and as a transaction's block — are kept as they
+// result — a row a commit, and as one transaction's block — are kept as they
 // arrive and read through a permutation: key-ordered scans, point reads,
 // the refusal of a duplicate (against the tail, and inside one block) and
 // the segment written from the tail all agree with mem.
@@ -393,12 +374,8 @@ func TestSegmentTailOutOfOrderKeys(t *testing.T) {
 	p := newHotPair(t)
 	defer func() { p.fe.Close() }()
 	p.fe.SetSegmentFlushRows(1 << 40)
-	p.load(0, 200) // raw inserts, one row at a time
-	p.fe.BeginWALBatch()
+	p.both("one-row transactions", func(eng Engine) error { return loadResults(eng, 0, 200) })
 	p.both("transaction", func(eng Engine) error { return commitResults(eng, 200, 400) })
-	if err := p.fe.EndWALBatch(); err != nil {
-		t.Fatal(err)
-	}
 	links, _ := p.fe.Table("result_has_focus")
 	if links.tail == nil || links.tail.rows != 1200 || links.tail.pkAsc || len(links.active.rows) != 0 {
 		t.Fatalf("the links are not a 1200-row tail out of key order: %+v", links.tail)
@@ -445,12 +422,12 @@ func TestSegmentTailOutOfOrderKeys(t *testing.T) {
 }
 
 // TestSegmentTxFallbacks drives a transaction's private blocks down every
-// path but the bulk append, on the durable engine and on mem, which must
-// agree afterwards: an update and a delete that name rows still private
-// (the blocks are installed first, and stay undoable), a table rehydrated
-// between a block's first row and its commit, a block whose keys lie below
-// the flushed maximum, and one whose row IDs were reserved before rows
-// that have since been flushed.
+// path but the append to a columnar tail, on the durable engine and on
+// mem, which must agree afterwards: a table rehydrated between a block's
+// first row and its commit (the block goes into the row set), a block
+// whose keys lie below the flushed maximum, and one whose row IDs were
+// reserved before rows that have since been flushed (the table is
+// rehydrated first).
 func TestSegmentTxFallbacks(t *testing.T) {
 	for _, commit := range []bool{true, false} {
 		p := newHotPair(t)
@@ -467,28 +444,6 @@ func TestSegmentTxFallbacks(t *testing.T) {
 			t.Fatal(err)
 		}
 		p.load(90, 30)
-
-		p.both("update and delete of private rows", func(eng Engine) error {
-			tx := eng.Begin()
-			if err := loadResults(tx, 120, 30); err != nil {
-				return err
-			}
-			row := resultRow(125)
-			row[0], row[5] = Int(126), Float(-1) // result 126 is the transaction's own
-			if err := tx.Update("performance_result", 126, row); err != nil {
-				return err
-			}
-			tab, _ := eng.Table("result_has_focus")
-			_, link, ok := tab.GetByPK(Int(130), Int(44))
-			if !ok {
-				return fmt.Errorf("the installed link (130, 44) is not visible to its transaction")
-			}
-			if err := tx.Delete("result_has_focus", link); err != nil {
-				return err
-			}
-			return end(tx)
-		})
-		p.check(label("update and delete of private rows"))
 
 		p.both("table rehydrated under a block", func(eng Engine) error {
 			tx := eng.Begin()
@@ -585,10 +540,8 @@ func TestSegmentConcurrentTransactions(t *testing.T) {
 						return
 					}
 				}
-				p.fe.BeginWALBatch()
-				err := tx.Commit()
-				if ferr := p.fe.EndWALBatch(); err != nil || ferr != nil {
-					t.Error(err, ferr)
+				if err := tx.Commit(); err != nil {
+					t.Error(err)
 					return
 				}
 			}

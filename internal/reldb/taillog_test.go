@@ -119,12 +119,13 @@ func (p *hotPair) crashCheck(label string, tables []string) {
 // at some step: the barrier (rule 1, checked directly: once a manifest
 // has named a pass's segments, no log that outlives the pass holds bytes
 // no fsync covers — also when a sealed set the barrier skipped was
-// rehydrated mid-pass and handed its logs on), the hand-off at rehydration (rule 2: a pass inside the
-// open batch that rehydrated focus_has_resource), and the pin (rule 3: a
-// checkpoint inside an open batch, then a delete of a row it
-// snapshotted, then a re-seal). The background compactor is stopped and
-// the passes are run by the script, so every step fires on this
-// goroutine, when everything applied so far has reached the files.
+// rehydrated mid-pass and handed its logs on), the hand-off at
+// rehydration (rule 2: a pass after a committed delete rehydrated
+// focus_has_resource) and the pin (rule 3: a commit that lands between a
+// checkpoint's drain and its snapshot, then a delete of a row the
+// snapshot holds, then a re-seal). The background compactor is stopped
+// and the passes are run by the script, so every step fires on this
+// goroutine, when everything committed so far has reached the files.
 func TestSegmentTailLogCrashSweep(t *testing.T) {
 	p := newHotPair(t)
 	defer func() { p.fe.Close() }()
@@ -148,12 +149,12 @@ func TestSegmentTailLogCrashSweep(t *testing.T) {
 
 	steps := map[string]int{}
 	var phase string
-	var midPass func() // the script's hand inside a pass: runs once, after the next barrier
+	var hand func() // the script's hand inside a pass: runs once, after the next step named handAt
+	var handAt string
 	st.step = func(step string) {
 		steps[step]++
-		if step == "barrier" && midPass != nil {
-			f := midPass
-			midPass = nil
+		if f := hand; step == handAt && f != nil {
+			hand = nil
 			f()
 		}
 		if step == "manifest" {
@@ -176,47 +177,50 @@ func TestSegmentTailLogCrashSweep(t *testing.T) {
 			t.Fatalf("%s: %v", phase, err)
 		}
 	}
-	// batch applies op to both engines, as one acknowledged write batch on
-	// the durable one.
-	next := 0
-	batch := func(what string, op func(Engine) error) {
+	// write applies op to both engines; on the durable one it is
+	// acknowledged — a delete waits in its log's buffer for the next
+	// commit, so Stats flushes it — and a crash at any later step must
+	// keep it.
+	write := func(what string, op func(Engine) error) {
 		t.Helper()
 		phase = what
-		p.fe.BeginWALBatch()
 		p.both(what, op)
-		if err := p.fe.EndWALBatch(); err != nil {
-			t.Fatal(err)
-		}
+		p.fe.Stats()
 	}
-	// load is a document's commit: one transaction, whose hot rows — its
-	// foci and closure links among them; links descending within a result,
-	// as loadResults makes them — are private to it until it commits.
+	// load is a document's commit: one transaction, a metric row in
+	// perftrack.wal and results, foci and closure links in the tail logs —
+	// links descending within a result, as loadResults makes them.
+	next := 0
 	load := func(n int) {
 		t.Helper()
 		first := next
 		next += n
-		batch(fmt.Sprintf("load of results %d..%d", first, next-1), func(eng Engine) error {
-			if _, err := eng.Insert("metric", Row{Int(int64(first)), Str("m")}); err != nil {
+		write(fmt.Sprintf("load of results %d..%d", first, next-1), func(eng Engine) error {
+			tx := eng.Begin()
+			if _, err := tx.Insert("metric", Row{Int(int64(first)), Str("m")}); err != nil {
 				return err
 			}
-			return commitResults(eng, first, n)
+			if err := loadResults(tx, first, n); err != nil {
+				return err
+			}
+			return tx.Commit()
 		})
 	}
 	sealed := func(table string) bool { tab, _ := p.fe.Table(table); return tab.sealed != nil }
 
-	// Committed batches across several seals.
+	// Committed transactions across several seals.
 	load(100)
 	pass()
 	load(40)
 	pass()
 	next++
-	batch("histogram of a private result", func(eng Engine) error {
+	write("histogram of a private result", func(eng Engine) error {
 		tx := eng.Begin()
 		rid, err := tx.Insert("performance_result", resultRow(next-1))
 		if err != nil {
 			return err
 		}
-		// The child goes in at once, and finds its parent in the transaction.
+		// The child finds its parent in the transaction.
 		if _, err := tx.Insert("result_histogram", Row{Int(rid), Str("1,2,3")}); err != nil {
 			return err
 		}
@@ -226,7 +230,7 @@ func TestSegmentTailLogCrashSweep(t *testing.T) {
 		return tx.Commit()
 	})
 	if err := p.both("histogram of no result", func(eng Engine) error {
-		_, err := eng.Begin().Insert("result_histogram", Row{Int(1 << 30), Str("")})
+		_, err := eng.Insert("result_histogram", Row{Int(1 << 30), Str("")})
 		return err
 	}); err == nil {
 		t.Fatal("a histogram of a result nobody has was accepted")
@@ -234,7 +238,7 @@ func TestSegmentTailLogCrashSweep(t *testing.T) {
 	p.both("create index", func(eng Engine) error {
 		return eng.CreateIndex("performance_result", IndexSpec{Name: "pr_tool", Columns: []string{"tool_id"}})
 	})
-	batch("rolled-back batch", func(eng Engine) error {
+	write("rolled-back transaction", func(eng Engine) error {
 		tx := eng.Begin()
 		rid, err := tx.Insert("performance_result", resultRow(7))
 		if err != nil {
@@ -243,38 +247,27 @@ func TestSegmentTailLogCrashSweep(t *testing.T) {
 		if _, err := tx.Insert("result_has_focus", Row{Int(rid), Int(3)}); err != nil {
 			return err
 		}
-		if err := tx.Delete("focus_has_resource", 3); err != nil { // a flushed row: rehydrates, and is put back
-			return err
-		}
 		return tx.Rollback()
 	})
 	pass()
 
 	// Rule 2. performance_result is sealed and waits for a pass;
-	// focus_has_resource has flushed rows and an unflushed tail.
+	// focus_has_resource has flushed rows and an unflushed tail, which a
+	// committed delete of a flushed row folds into a row set: no commit
+	// re-seals it before the pass writes its manifest.
 	load(30)
 	if !sealed("performance_result") || hotStatus(t, p.fe, "focus_has_resource").LogFiles == 0 {
 		t.Fatalf("set-up: performance_result sealed = %v, focus_has_resource = %+v",
 			sealed("performance_result"), hotStatus(t, p.fe, "focus_has_resource"))
 	}
-	phase = "pass inside the batch that rehydrated focus_has_resource"
-	p.fe.BeginWALBatch()
-	p.both("delete flushed row", func(eng Engine) error { return eng.Delete("focus_has_resource", 5) })
+	write("pass after a delete rehydrated focus_has_resource", func(eng Engine) error {
+		return eng.Delete("focus_has_resource", 5)
+	})
 	if st := hotStatus(t, p.fe, "focus_has_resource"); !st.Dirty {
 		t.Fatalf("focus_has_resource after the delete = %+v, want rehydrated", st)
 	}
-	p.fe.Stats() // the open batch's records reach the files
 	pass()
-	if err := p.fe.EndWALBatch(); err != nil {
-		t.Fatal(err)
-	}
-	pass()
-	batch("update of a flushed row", func(eng Engine) error {
-		tab, _ := eng.Table("performance_result")
-		row, _ := tab.Get(17)
-		row[5] = Float(-17)
-		return eng.Update("performance_result", 17, row)
-	})
+	write("delete of a flushed row", func(eng Engine) error { return eng.Delete("performance_result", 17) })
 	pass()
 
 	// Rule 1, the late half. A delete of a sealed row while its set is being
@@ -289,46 +282,43 @@ func TestSegmentTailLogCrashSweep(t *testing.T) {
 	if !sealed("performance_result") {
 		t.Fatal("set-up: performance_result is not sealed")
 	}
-	midPass = func() {
-		p.fe.BeginWALBatch()
+	handAt, hand = "barrier", func() {
 		p.both("delete of a sealed row", func(eng Engine) error { return eng.Delete("performance_result", lastResult()) })
-		if err := p.fe.EndWALBatch(); err != nil {
-			t.Fatal(err)
-		}
+		p.fe.Stats()
 	}
 	phase = "pass whose sealed set is rehydrated under it"
 	pass()
-	if midPass != nil || hotStatus(t, p.fe, "performance_result").PendingRows != 0 {
+	if hand != nil || hotStatus(t, p.fe, "performance_result").PendingRows != 0 {
 		t.Fatalf("the pass did not run the delete, or left %+v", hotStatus(t, p.fe, "performance_result"))
 	}
 
-	// Rule 3. A checkpoint inside an open batch snapshots the batch's rows.
-	phase = "checkpoint inside an open batch"
-	p.fe.BeginWALBatch()
-	first := next
-	next += 20
-	p.both("load", func(eng Engine) error { return loadResults(eng, first, 20) })
-	p.fe.Stats()
+	// Rule 3. A commit that lands between a checkpoint's drain and its
+	// snapshot — here, once the drain's one pass is done — has its rows
+	// snapshotted.
+	load(10)
+	phase = "checkpoint with a commit after its drain"
+	handAt, hand = "log removal", func() {
+		first := next
+		next += 20
+		p.both("late load", func(eng Engine) error { return commitResults(eng, first, 20) })
+	}
 	if err := p.fe.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.fe.EndWALBatch(); err != nil {
-		t.Fatal(err)
-	}
-	if counts := countSnapshotRows(t, filepath.Join(p.dir, snapshotFile)); counts["performance_result"] != 20 {
-		t.Fatalf("the snapshot holds %d performance_result rows, want the open batch's 20", counts["performance_result"])
+	if counts := countSnapshotRows(t, filepath.Join(p.dir, snapshotFile)); hand != nil || counts["performance_result"] != 20 {
+		t.Fatalf("the snapshot holds %d performance_result rows, want the late commit's 20", counts["performance_result"])
 	}
 	pass()
-	victim := lastResult() // the open batch's last result
+	victim := lastResult() // the late commit's last result
 	// The delete rehydrates performance_result — the victim is in its tail —
-	// and the batch's end re-seals it, without the victim.
-	batch("delete of a snapshotted row", func(eng Engine) error { return eng.Delete("performance_result", victim) })
+	// and the next commit re-seals it, without the victim.
+	write("delete of a snapshotted row", func(eng Engine) error { return eng.Delete("performance_result", victim) })
+	pass()
+	load(60)
 	pass()
 	if st := hotStatus(t, p.fe, "performance_result"); st.PendingRows != 0 || st.LogFiles == 0 {
 		t.Fatalf("performance_result after the re-seal = %+v, want it flushed and its logs pinned", st)
 	}
-	load(60)
-	pass()
 
 	phase = "final checkpoint"
 	if err := p.fe.Checkpoint(); err != nil {

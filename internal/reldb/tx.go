@@ -13,50 +13,43 @@ import (
 // transaction.
 var ErrTxDone = errors.New("reldb: transaction already finished")
 
-// Tx is a database transaction. It writes in one of two ways.
+// Tx is a database transaction, and the engine's only way in for a row.
+// An insert, into any table on either engine, is checked against the
+// schema, given its row ID and laid out in a column block private to the
+// transaction, under no lock: nobody — the transaction included — reads
+// a row of it before Commit.
 //
-// A change to a row set is applied to the database immediately (so the
-// transaction reads it back through the normal table handles) and
-// recorded in an undo log; Rollback applies the inverse operations in
-// reverse order, and those are themselves logged as compensation records,
-// so a WAL replay reconstructs the post-rollback state.
+// Commit is the only time a transaction touches the engine. It takes the
+// engine write lock once and admits every block against the published
+// tables — primary keys and unique-index keys unused there and within the
+// block, each foreign key matched by a published row or one of the
+// transaction's own — then logs the records and installs the rows: onto
+// a table's columnar tail, or into its row set. Readers see all of a
+// transaction's rows or none. On the durable engine the commit is also
+// the batch boundary: each log it touched is flushed once (fsynced in
+// synchronous mode), and tails that reached the flush threshold are
+// sealed. A Commit that fails changes nothing visible and leaves the
+// transaction open; Rollback drops the blocks and writes nothing.
 //
-// An insert into a table whose tail is columnar (a durable engine's
-// sealable hot table) is checked against the schema, given its row ID
-// and laid out in a column block private to the transaction, under no
-// lock. Commit encodes the blocks' log records, then takes the engine
-// write lock once and admits, logs and appends them all: other readers
-// see none of the transaction's hot rows or all of them. Rollback drops
-// the blocks, and nothing was logged. The price is that the transaction
-// does not read those rows back before Commit, and that Commit can fail —
-// a duplicate key or a dangling foreign key among them is found there —
-// in which case nothing of the blocks is installed and the transaction
-// stays open for Rollback.
-//
-// reldb serializes writers, so transactions are serializable by
-// construction.
+// Committers serialize on the engine lock and a transaction reads nothing,
+// so transactions are serializable in commit order.
 type Tx struct {
-	db   *DB
-	undo []undoEntry
-	priv map[string]*txBlock // by table: its private block, or nil for a table written in place
-	done bool
+	db     *DB
+	blocks []*txBlock // one per table, in the order the tables were first written
+	done   bool
 }
 
-// undoEntry is what reverting one applied mutation takes.
-type undoEntry struct {
-	op    mutOp
-	table string
-	id    int64
-	old   Row // opUpdate/opDelete: previous image
-}
-
-// txBlock holds the rows a transaction has inserted into one table with
-// a columnar tail, in arrival order, until Commit.
+// txBlock holds the rows a transaction has inserted into one table, in
+// arrival order, until Commit. Blocks are pooled per table: a commit
+// copies what it keeps, so a finished transaction's blocks are reused.
 type txBlock struct {
 	t *Table
 	ColumnBlock
-	keyAsc bool   // the table has one integer key column and its values here ascend
-	recs   []byte // the rows' insert records, framed as a log holds them; nil until Commit
+	keyAsc bool     // the table has one integer key column and its values here ascend
+	recs   []byte   // durable engine: the rows' insert records, framed as a log holds them
+	keys   [][]byte // the rows' encoded primary keys, where admission looked them up
+	why    residency
+	placed bool // ordered has placed the block
 }
 
 // Begin starts a transaction.
@@ -64,34 +57,51 @@ func (db *DB) Begin() *Tx {
 	return &Tx{db: db}
 }
 
-// block returns the transaction's private block for the table, nil when
-// the table is written in place.
-func (tx *Tx) block(table string) (*txBlock, error) {
-	if tx.db.seg == nil {
-		return nil, nil // only a durable engine has columnar tails
+// find returns the transaction's block for the table, or nil.
+func (tx *Tx) find(table string) *txBlock {
+	for _, tb := range tx.blocks {
+		if tb.t.schema.Name == table {
+			return tb
+		}
 	}
-	tb, known := tx.priv[table]
-	if known {
+	return nil
+}
+
+// block returns the transaction's private block for the table.
+func (tx *Tx) block(table string) (*txBlock, error) {
+	if tb := tx.find(table); tb != nil {
 		return tb, nil
 	}
 	tx.db.mu.RLock()
 	t := tx.db.tables[table]
-	columnar := t != nil && t.tail != nil
 	tx.db.mu.RUnlock()
-	if columnar {
-		tb = &txBlock{t: t, keyAsc: len(t.pkCols) == 1 && t.schema.Columns[t.pkCols[0]].Type == KindInt}
-		if err := tb.reset(t.schema, 0); err != nil {
-			return nil, err
-		}
+	if t == nil {
+		return nil, fmt.Errorf("reldb: no table %q", table)
 	}
-	if tx.priv == nil {
-		tx.priv = make(map[string]*txBlock)
+	tb, _ := t.txBlocks.Get().(*txBlock)
+	if tb == nil {
+		tb = &txBlock{t: t}
 	}
-	tx.priv[table] = tb
+	tb.keyAsc = len(t.pkCols) == 1 && t.schema.Columns[t.pkCols[0]].Type == KindInt
+	if err := tb.reset(t.schema, 0); err != nil {
+		return nil, err
+	}
+	tx.blocks = append(tx.blocks, tb)
 	return tb, nil
 }
 
-// Insert adds a row within the transaction.
+// finish ends the transaction and hands its blocks back to their tables'
+// pools.
+func (tx *Tx) finish() {
+	for _, tb := range tx.blocks {
+		tb.t.txBlocks.Put(tb)
+	}
+	tx.done, tx.blocks = true, nil
+}
+
+// Insert adds a row within the transaction and returns its row ID, which
+// equals the primary key when the table assigns it: a NULL in a
+// single-column integer key.
 func (tx *Tx) Insert(table string, row Row) (int64, error) {
 	if tx.done {
 		return 0, ErrTxDone
@@ -100,17 +110,7 @@ func (tx *Tx) Insert(table string, row Row) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if tb != nil {
-		return tb.add(row)
-	}
-	tx.db.mu.Lock()
-	id, err := tx.db.insertLocked(table, row, tx)
-	tx.db.mu.Unlock()
-	if err != nil {
-		return 0, err
-	}
-	tx.undo = append(tx.undo, undoEntry{op: opInsert, table: table, id: id})
-	return id, nil
+	return tb.add(row)
 }
 
 // add checks a row against the schema, reserves its row ID (and with it
@@ -129,7 +129,7 @@ func (tb *txBlock) add(row Row) (int64, error) {
 			return 0, err
 		}
 	}
-	id, _ := t.reserveID(row)
+	id := t.reserveID(row)
 	for ci, v := range row {
 		if auto && ci == t.pkCols[0] {
 			v = Int(id)
@@ -141,17 +141,13 @@ func (tb *txBlock) add(row Row) (int64, error) {
 	}
 	tb.rowIDs = append(tb.rowIDs, id)
 	tb.rows++
-	tb.recs = nil
 	return id, nil
 }
 
 // holds reports whether a row private to the transaction has v in the
-// named column of table t. A nil transaction holds nothing.
+// named column of table t.
 func (tx *Tx) holds(t *Table, column string, v Value) bool {
-	if tx == nil {
-		return false
-	}
-	tb := tx.priv[t.schema.Name]
+	tb := tx.find(t.schema.Name)
 	if tb == nil || tb.t != t || tb.rows == 0 {
 		return false
 	}
@@ -159,7 +155,7 @@ func (tx *Tx) holds(t *Table, column string, v Value) bool {
 	if ci < 0 {
 		return false
 	}
-	// Assigned keys ascend: the usual reference, a result's ID, is found
+	// Assigned keys ascend: the usual reference, a parent's ID, is found
 	// by bisection.
 	if tb.keyAsc && ci == t.pkCols[0] {
 		_, found := slices.BinarySearch(tb.cols[ci].ints, v.i)
@@ -173,182 +169,146 @@ func (tx *Tx) holds(t *Table, column string, v Value) bool {
 	return false
 }
 
-// installFor installs the private blocks, keeping them undoable, if one
-// of them holds row id of table: an update or delete can only name a row
-// that is in the table.
-func (tx *Tx) installFor(table string, id int64) error {
-	if tb := tx.priv[table]; tb == nil || !slices.Contains(tb.rowIDs, id) {
-		return nil
-	}
-	return tx.install(true)
-}
-
-// Update replaces a row within the transaction.
-func (tx *Tx) Update(table string, id int64, row Row) error {
-	if tx.done {
-		return ErrTxDone
-	}
-	if err := tx.installFor(table, id); err != nil {
-		return err
-	}
-	tx.db.mu.Lock()
-	old, err := tx.db.updateLocked(table, id, row, tx)
-	tx.db.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	tx.undo = append(tx.undo, undoEntry{op: opUpdate, table: table, id: id, old: old})
-	return nil
-}
-
-// Delete removes a row within the transaction.
-func (tx *Tx) Delete(table string, id int64) error {
-	if tx.done {
-		return ErrTxDone
-	}
-	if err := tx.installFor(table, id); err != nil {
-		return err
-	}
-	tx.db.mu.Lock()
-	old, err := tx.db.deleteLocked(table, id)
-	tx.db.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	tx.undo = append(tx.undo, undoEntry{op: opDelete, table: table, id: id, old: old})
-	return nil
-}
-
-// Commit finalizes the transaction: its private blocks are installed
-// under one hold of the engine write lock. If that fails, nothing of
-// them is visible or logged and the transaction is still open.
+// Commit publishes the transaction's rows under one hold of the engine
+// write lock. If that fails, nothing of them is visible or logged and the
+// transaction is still open.
 func (tx *Tx) Commit() error {
 	if tx.done {
 		return ErrTxDone
 	}
-	if err := tx.install(false); err != nil {
-		return err
+	if blocks := tx.ordered(); len(blocks) > 0 {
+		if err := tx.db.commit(tx, blocks); err != nil {
+			return err
+		}
 	}
-	tx.done = true
-	tx.undo = nil
+	tx.finish()
 	return nil
 }
 
-// install moves the transaction's private rows into their tables, table
-// by table in the order their logs are flushed. With undoable set each
-// row gets an undo entry, as if it had been inserted in place.
-func (tx *Tx) install(undoable bool) error {
-	var blocks []*txBlock
-	for _, name := range logFlushOrder {
-		if tb := tx.priv[name]; tb != nil && tb.rows > 0 {
-			if tb.recs == nil {
-				tb.finish()
-				tb.recs = encodeInsertRecords(name, &tb.ColumnBlock)
-			}
-			blocks = append(blocks, tb)
-		}
-	}
-	if len(blocks) == 0 {
-		return nil
-	}
-	tx.db.mu.Lock()
-	defer tx.db.mu.Unlock()
-	fe := tx.db.seg.fe
-	bulk, err := fe.admitBlocksLocked(tx, blocks)
-	if err == nil && bulk {
-		err = fe.appendBlocksLocked(blocks)
-	}
-	if err != nil {
-		return err
-	}
-	for _, tb := range blocks {
-		for i, id := range tb.rowIDs {
-			if !bulk {
-				// One by one, the way a row set takes them: the table rehydrates
-				// where it must. Each row is undoable as soon as it is in, so a
-				// failure further on leaves nothing Rollback cannot remove.
-				if err := tx.db.insertAtLoggedLocked(tb.t, id, tb.row(i), tx); err != nil {
-					return err
-				}
-			}
-			if undoable || !bulk {
-				tx.undo = append(tx.undo, undoEntry{op: opInsert, table: tb.t.schema.Name, id: id})
-			}
-		}
-	}
-	tx.priv = nil // how each table is written is decided again at its next insert
-	return nil
-}
-
-// insertAtLoggedLocked inserts a transaction's private row under the row
-// ID it reserved, checked and logged like any insert.
-func (db *DB) insertAtLoggedLocked(t *Table, id int64, row Row, priv *Tx) error {
-	if db.tables[t.schema.Name] != t {
-		return fmt.Errorf("reldb: table %q was dropped under a transaction", t.schema.Name)
-	}
-	if err := db.checkForeignKeys(t.schema, row, priv); err != nil {
-		return err
-	}
-	return db.reinsertLocked(t.schema.Name, id, row)
-}
-
-// Rollback drops the transaction's private blocks and undoes every
-// operation it applied in place, in reverse order.
+// Rollback drops the transaction's private blocks. The engine never saw
+// them, so nothing is undone and nothing is logged.
 func (tx *Tx) Rollback() error {
 	if tx.done {
 		return ErrTxDone
 	}
-	tx.done = true
-	tx.priv = nil
-	if len(tx.undo) == 0 {
-		return nil
-	}
-	tx.db.mu.Lock()
-	defer tx.db.mu.Unlock()
-	var firstErr error
-	for i := len(tx.undo) - 1; i >= 0; i-- {
-		u := tx.undo[i]
-		var err error
-		switch u.op {
-		case opInsert:
-			_, err = tx.db.deleteLocked(u.table, u.id)
-		case opUpdate:
-			_, err = tx.db.updateLocked(u.table, u.id, u.old, nil)
-		case opDelete:
-			err = tx.db.reinsertLocked(u.table, u.id, u.old)
-		default:
-			err = fmt.Errorf("reldb: cannot undo op %d", u.op)
-		}
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	tx.undo = nil
-	return firstErr
-}
-
-// reinsertLocked stores a row under a row ID it already owns: a deleted
-// row restored, a transaction's private row installed.
-func (db *DB) reinsertLocked(table string, id int64, row Row) error {
-	t, exists := db.tables[table]
-	if !exists {
-		return fmt.Errorf("reldb: no table %q", table)
-	}
-	stored, err := t.insertAtLocked(id, row)
-	if err != nil {
-		return err
-	}
-	if db.logger != nil {
-		return db.logger.logMutation(&mutation{op: opInsert, table: table, id: id, row: stored})
-	}
+	tx.finish()
 	return nil
 }
 
-// encodeInsertRecords returns the insert records of the block's rows,
-// each framed as recordWriter frames it: the bytes logMutation would
+// ordered returns the transaction's non-empty blocks in the order their
+// records are logged (rule 5): the tables perftrack.wal holds first, each
+// after the ones its foreign keys name, then the hot tables in
+// logFlushOrder.
+func (tx *Tx) ordered() []*txBlock {
+	out := make([]*txBlock, 0, len(tx.blocks))
+	for _, tb := range tx.blocks {
+		tb.placed = isHotTable(tb.t.schema.Name)
+	}
+	for _, tb := range tx.blocks {
+		out = tx.place(tb, out)
+	}
+	for _, name := range logFlushOrder {
+		if tb := tx.find(name); tb != nil && tb.rows > 0 {
+			out = append(out, tb)
+		}
+	}
+	return out
+}
+
+// place appends tb to out after the blocks of the tables it refers to.
+func (tx *Tx) place(tb *txBlock, out []*txBlock) []*txBlock {
+	if tb.placed {
+		return out
+	}
+	tb.placed = true
+	for _, fk := range tb.t.schema.ForeignKeys {
+		if ref := tx.find(fk.RefTable); ref != nil {
+			out = tx.place(ref, out)
+		}
+	}
+	if tb.rows > 0 {
+		out = append(out, tb)
+	}
+	return out
+}
+
+// commit finishes the blocks outside the lock — their zone maps and, on
+// the durable engine, their log records — then admits, logs and installs
+// them under it. A commit that leaves a tail full behind a sealed one
+// waits, outside the lock, for the compaction pass in flight
+// (segState.awaitPass).
+func (db *DB) commit(tx *Tx, blocks []*txBlock) error {
+	for _, tb := range blocks {
+		tb.finish()
+		if db.seg != nil {
+			tb.recs = appendInsertRecords(tb.recs[:0], tb.t.schema.Name, &tb.ColumnBlock)
+		}
+	}
+	full, err := db.commitLocked(tx, blocks)
+	if full {
+		// The commit is in the logs whatever becomes of the pass; one that
+		// fails is retried at the next commit.
+		_ = db.seg.awaitPass()
+	}
+	return err
+}
+
+func (db *DB) commitLocked(tx *Tx, blocks []*txBlock) (full bool, err error) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	for _, tb := range blocks {
+		if err := tb.admitLocked(tx); err != nil {
+			return false, err
+		}
+	}
+	// The one fallback: a row ID or key inside the frozen range breaks the
+	// ordered invariant, so the table goes back to its row set first —
+	// which changes where rows live, not which rows there are.
+	for _, tb := range blocks {
+		if tb.why != 0 {
+			tb.t.rehydrateLocked(tb.why)
+		}
+	}
+	if db.seg != nil {
+		if err := db.seg.fe.logBlocksLocked(blocks); err != nil {
+			return false, err
+		}
+	}
+	for _, tb := range blocks {
+		tb.installLocked()
+	}
+	if db.seg == nil {
+		return false, nil
+	}
+	return db.seg.sealReadyLocked(db.seg.flushRows.Load()), nil
+}
+
+// installLocked makes an admitted block's rows part of its table: appended
+// to the columnar tail where the table has one, inserted into the row set
+// otherwise.
+func (tb *txBlock) installLocked() {
+	t := tb.t
+	if t.tail != nil {
+		t.tail.tailAppendBlock(t.pkCols, &tb.ColumnBlock)
+		return
+	}
+	for i, id := range tb.rowIDs {
+		row := tb.row(i)
+		var pk []byte
+		if len(tb.keys) == tb.rows {
+			pk = tb.keys[i] // admission looked the row up
+		} else {
+			pk = t.pkKey(row)
+		}
+		_ = t.active.insert(id, row, pk) // admitted: no key is taken
+	}
+}
+
+// appendInsertRecords appends the insert records of the block's rows to
+// out, each framed as recordWriter frames it: the bytes logMutation would
 // append for them one by one.
-func encodeInsertRecords(table string, b *ColumnBlock) []byte {
-	out := make([]byte, 0, b.rows*(16+len(table)+9*len(b.cols)))
+func appendInsertRecords(out []byte, table string, b *ColumnBlock) []byte {
+	out = slices.Grow(out, b.rows*(16+len(table)+9*len(b.cols)))
 	for i := 0; i < b.rows; i++ {
 		start := len(out)
 		out = append(out, 0, 0, 0, 0, 0, 0, 0, 0, byte(opInsert))
@@ -365,43 +325,79 @@ func encodeInsertRecords(table string, b *ColumnBlock) []byte {
 	return out
 }
 
+// logBlocksLocked appends the blocks' records to their logs — a hot
+// table's to its tail log, every other table's to perftrack.wal — and
+// flushes each log once as soon as its last record is in, fsyncing it in
+// synchronous mode: in the blocks' order, which is the flush order (rule
+// 5). Every log is opened before anything is written, and what in-place
+// writes (deletes, DDL) left in any log's buffer reaches its file first.
+func (fe *FileEngine) logBlocksLocked(blocks []*txBlock) error {
+	logs := make([]*logFile, len(blocks))
+	for i, tb := range blocks {
+		logs[i] = fe.wal
+		if isHotTable(tb.t.schema.Name) {
+			var err error
+			if logs[i], err = fe.seg.tailLogLocked(tb.t); err != nil {
+				return err
+			}
+		}
+	}
+	for _, l := range fe.openLogsLocked() {
+		if err := l.flush(); err != nil {
+			return err
+		}
+	}
+	flush := (*logFile).flush
+	if fe.syncWAL {
+		flush = (*logFile).sync
+	}
+	for i, tb := range blocks {
+		if err := logs[i].appendFramed(tb.recs); err != nil {
+			return err
+		}
+		fe.logAppended += uint64(len(tb.recs))
+		if i+1 == len(blocks) || logs[i+1] != logs[i] {
+			if err := flush(logs[i]); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 // --- admission (engine write lock held) ---
 
-// admitBlocksLocked checks a transaction's private blocks against the
-// published tables — each primary key unused, each foreign key matched,
-// once per distinct value, by a published row or a private one — and
-// reports whether they can be appended to their tables' tails as they
-// are. They cannot when a table has lost its columnar tail since the
-// block was begun, or a row ID or key is not above the frozen range: the
-// rows then go in one by one, which checks them again.
-func (fe *FileEngine) admitBlocksLocked(tx *Tx, blocks []*txBlock) (bulk bool, err error) {
-	for _, tb := range blocks {
-		t := tb.t
-		if fe.tables[t.schema.Name] != t {
-			return false, fmt.Errorf("reldb: table %q was dropped under a transaction", t.schema.Name)
-		}
-		if t.tail == nil || slices.Min(tb.rowIDs) <= t.frozenMaxID {
-			return false, nil
-		}
+// admitLocked checks the block against the published table: it is still
+// the table the block was begun on, no primary key or unique-index key of
+// the block is taken there or twice in the block, and every foreign key
+// is matched. It notes in tb.why the fallback the table must take before
+// the block goes in.
+func (tb *txBlock) admitLocked(tx *Tx) error {
+	t := tb.t
+	if t.db.tables[t.schema.Name] != t {
+		return fmt.Errorf("reldb: table %q was dropped under a transaction", t.schema.Name)
 	}
-	for _, tb := range blocks {
-		if above, err := tb.admitKeysLocked(); err != nil || !above {
-			return false, err
-		}
-		if err := fe.checkBlockForeignKeys(tx, tb); err != nil {
-			return false, err
-		}
+	err := tb.admitKeysLocked()
+	if err == nil {
+		err = tb.admitUniqueLocked()
 	}
-	return true, nil
+	if err == nil {
+		err = t.db.checkBlockForeignKeys(tx, tb)
+	}
+	return err
 }
 
 // admitKeysLocked checks the block's primary keys against the table and
-// each other. A block that ascends past the tail's greatest key — a
-// document's — costs one comparison a row; only a row that does not is
-// looked up. It reports whether every key is above the frozen range.
-func (tb *txBlock) admitKeysLocked() (aboveFrozen bool, err error) {
+// each other. A block that ascends past the columnar tail's greatest key
+// — a document's — costs one comparison a row; any other row is looked
+// up, and its encoded key kept for the row set. It sets tb.why if a row ID
+// or key falls inside the frozen range: the first row that does, in
+// arrival order, decides, as it does when recovery replays the rows'
+// records.
+func (tb *txBlock) admitKeysLocked() error {
 	t, tail := tb.t, tb.t.tail
 	b := &tb.ColumnBlock
+	tb.keys, tb.why = tb.keys[:0], 0
 	low, disordered := 0, false // position of the least key; whether any row is at or below an earlier one
 	for i := 1; i < b.rows; i++ {
 		if cmpRows(b, i, b, i-1, t.pkCols) <= 0 {
@@ -411,111 +407,159 @@ func (tb *txBlock) admitKeysLocked() (aboveFrozen bool, err error) {
 			low = i
 		}
 	}
-	if t.frozenMaxKey != nil && bytes.Compare(t.pkKey(b.row(low)), t.frozenMaxKey) <= 0 {
-		return false, nil
-	}
-	vals := make([]Value, len(t.pkCols))
-	for i := 0; i < b.rows && tail.rows > 0; i++ {
-		if cmpRows(b, i, &tail.ColumnBlock, tail.top, t.pkCols) > 0 {
-			if !disordered {
-				break // and so is every later row
-			}
-			continue
-		}
-		for k, c := range t.pkCols {
-			vals[k] = b.cell(c, i)
-		}
-		if _, exists := tail.findPK(t.pkCols, vals); exists {
-			return false, fmt.Errorf("reldb: table %q: duplicate primary key %s", t.schema.Name, b.row(i))
-		}
+	dup := func(i int) error {
+		return fmt.Errorf("reldb: table %q: duplicate primary key %s", t.schema.Name, b.row(i))
 	}
 	if disordered {
 		perm := b.sortedRun(t.pkCols, 0, b.rows)
 		for k := 1; k < len(perm); k++ {
 			if cmpRows(b, int(perm[k]), b, int(perm[k-1]), t.pkCols) == 0 {
-				return false, fmt.Errorf("reldb: table %q: duplicate primary key %s", t.schema.Name, b.row(int(perm[k])))
+				return dup(int(perm[k]))
 			}
 		}
 	}
-	return true, nil
-}
-
-// checkBlockForeignKeys probes each foreign key of the block's table once
-// per distinct value the block holds.
-func (fe *FileEngine) checkBlockForeignKeys(tx *Tx, tb *txBlock) error {
-	schema := tb.t.schema
-	for _, fk := range schema.ForeignKeys {
-		ref, ok := fe.tables[fk.RefTable]
-		if !ok {
-			return fmt.Errorf("reldb: table %q: foreign key references missing table %q", schema.Name, fk.RefTable)
-		}
-		probe := func(v Value) error {
-			if !tx.holds(ref, fk.RefColumn, v) && !ref.containsValueLocked(fk.RefColumn, v) {
-				return fkError(schema, fk, v)
+	aboveFrozen := t.frozenMaxKey == nil || bytes.Compare(t.keyAt(b, low), t.frozenMaxKey) > 0
+	if aboveFrozen && tail != nil && len(t.active.rows) == 0 {
+		vals := make([]Value, len(t.pkCols))
+		for i := 0; i < b.rows && tail.rows > 0; i++ {
+			if cmpRows(b, i, &tail.ColumnBlock, tail.top, t.pkCols) > 0 {
+				if !disordered {
+					break // and so is every later row
+				}
+				continue
 			}
+			for k, c := range t.pkCols {
+				vals[k] = b.cell(c, i)
+			}
+			if _, exists := tail.findPK(t.pkCols, vals); exists {
+				return dup(i)
+			}
+		}
+	} else {
+		for i := 0; i < b.rows; i++ {
+			key := t.keyAt(b, i)
+			if _, exists := t.findPKLocked(key); exists {
+				return dup(i)
+			}
+			tb.keys = append(tb.keys, key)
+		}
+	}
+	if t.frozenMaxKey == nil || (aboveFrozen && slices.Min(b.rowIDs) > t.frozenMaxID) {
+		return nil
+	}
+	for i, id := range b.rowIDs {
+		if id <= t.frozenMaxID {
+			tb.why = residentMutated
 			return nil
 		}
-		ci := schema.ColumnIndex(fk.Column)
-		if c := &tb.cols[ci]; c.kind == KindInt && c.nulls == nil { // every reference the PerfTrack schema makes
-			seen := make(map[int64]struct{})
-			for i, v := range c.ints {
-				if i > 0 && v == c.ints[i-1] {
-					continue
-				}
-				if _, dup := seen[v]; !dup {
-					seen[v] = struct{}{}
-					if err := probe(Int(v)); err != nil {
-						return err
-					}
-				}
-			}
+		if bytes.Compare(t.keyAt(b, i), t.frozenMaxKey) < 0 {
+			tb.why = residentUnordered
+			return nil
+		}
+	}
+	return nil
+}
+
+// keyAt encodes the primary key of row i of b.
+func (t *Table) keyAt(b *ColumnBlock, i int) []byte {
+	key := make([]byte, 0, 16*len(t.pkCols))
+	for _, c := range t.pkCols {
+		key = encodeValue(key, b.cell(c, i))
+	}
+	return key
+}
+
+// admitUniqueLocked checks the block against the table's unique indexes,
+// which only a row set has.
+func (tb *txBlock) admitUniqueLocked() error {
+	for _, ix := range tb.t.active.indexes {
+		if !ix.spec.Unique {
 			continue
 		}
-		seen := make(map[Value]struct{})
+		var seen map[string]bool // a one-row block needs none
+		if tb.rows > 1 {
+			seen = make(map[string]bool, tb.rows)
+		}
 		for i := 0; i < tb.rows; i++ {
-			v := tb.cell(ci, i)
-			if _, dup := seen[v]; !dup && !v.IsNull() {
-				seen[v] = struct{}{}
-				if err := probe(v); err != nil {
-					return err
-				}
+			key := make([]byte, 0, 16*len(ix.cols))
+			for _, c := range ix.cols {
+				key = encodeValue(key, tb.cell(c, i))
+			}
+			if _, taken := ix.tree.Get(key); taken || seen[string(key)] {
+				return fmt.Errorf("reldb: unique index %q violated", ix.spec.Name)
+			}
+			if seen != nil {
+				seen[string(key)] = true
 			}
 		}
 	}
 	return nil
 }
 
-// appendBlocksLocked makes admitted blocks part of their tables: every
-// block's records go to its table's tail log first, in flush order, and
-// only then are the columns appended — a reader never sees a row whose
-// record is not at least in a log's buffer, and a failed append leaves
-// every tail as it was. Outside a write batch this is a batch boundary.
-func (fe *FileEngine) appendBlocksLocked(blocks []*txBlock) error {
-	logs := make([]*logFile, len(blocks))
-	for i, tb := range blocks {
-		var err error
-		if logs[i], err = fe.seg.tailLogLocked(tb.t); err != nil {
+// checkBlockForeignKeys probes each foreign key of the block's table once
+// per distinct value the block holds, against the published rows and the
+// transaction's own.
+func (db *DB) checkBlockForeignKeys(tx *Tx, tb *txBlock) error {
+	schema := tb.t.schema
+	for _, fk := range schema.ForeignKeys {
+		ref, ok := db.tables[fk.RefTable]
+		if !ok {
+			return fmt.Errorf("reldb: table %q: foreign key references missing table %q", schema.Name, fk.RefTable)
+		}
+		if err := tb.eachDistinct(schema.ColumnIndex(fk.Column), func(v Value) error {
+			if !tx.holds(ref, fk.RefColumn, v) && !ref.containsValueLocked(fk.RefColumn, v) {
+				return fkError(schema, fk, v)
+			}
+			return nil
+		}); err != nil {
 			return err
 		}
 	}
-	for i, tb := range blocks {
-		if err := logs[i].appendFramed(tb.recs); err != nil {
-			return err
+	return nil
+}
+
+// eachDistinct calls fn with each distinct non-NULL value of column ci,
+// until fn fails. A repeat of the row before costs one comparison; a small
+// block finds other repeats by a scan, a large one by a set.
+func (b *ColumnBlock) eachDistinct(ci int, fn func(Value) error) error {
+	const small = 8
+	if c := &b.cols[ci]; c.kind == KindInt && c.nulls == nil { // nearly every reference the PerfTrack schema makes
+		var seen map[int64]bool
+		if b.rows > small {
+			seen = make(map[int64]bool)
 		}
-		fe.logAppended += uint64(len(tb.recs))
-	}
-	if fe.syncWAL && fe.batchDepth == 0 {
-		for _, l := range logs {
-			if err := l.sync(); err != nil {
+		for i, v := range c.ints {
+			if i > 0 && v == c.ints[i-1] || seen[v] || seen == nil && slices.Contains(c.ints[:i], v) {
+				continue
+			}
+			if seen != nil {
+				seen[v] = true
+			}
+			if err := fn(Int(v)); err != nil {
 				return err
 			}
 		}
+		return nil
 	}
-	for _, tb := range blocks {
-		tb.t.tail.tailAppendBlock(tb.t.pkCols, &tb.ColumnBlock)
+	var seen map[Value]bool
+	if b.rows > small {
+		seen = make(map[Value]bool)
 	}
-	if fe.batchDepth == 0 {
-		fe.seg.sealReadyLocked(fe.seg.flushRows.Load())
+	for i := 0; i < b.rows; i++ {
+		v := b.cell(ci, i)
+		repeat := v.IsNull() || seen[v]
+		for j := 0; seen == nil && j < i && !repeat; j++ {
+			repeat = Equal(b.cell(ci, j), v)
+		}
+		if repeat {
+			continue
+		}
+		if seen != nil {
+			seen[v] = true
+		}
+		if err := fn(v); err != nil {
+			return err
+		}
 	}
 	return nil
 }
