@@ -12,11 +12,10 @@
 //
 // Only ratios whose baseline is at least -min-ratio (default 10x) are
 // gated: those are the order-of-magnitude claims the benchmarks exist
-// to protect (today, planned-vs-naive on the segment engine). Smaller
-// ratios (planned-vs-naive on mem, where one executor over
-// transposed blocks measures anywhere from 3x to 9x at CI scale, worker
-// scaling on single-core runners) are reported but not gated — at that
-// scale run-to-run scheduling noise exceeds any real signal.
+// to protect (today, planned-vs-naive over compacted segments, in memory
+// and in a directory). Smaller ratios (worker scaling on single-core
+// runners) are reported but not gated — at that scale run-to-run
+// scheduling noise exceeds any real signal.
 // Gated ratios are clipped to -cap-ratio (default 15x) before
 // comparison: past that point the fast side of the ratio is a handful
 // of microseconds and timer noise swings the raw quotient 2x between

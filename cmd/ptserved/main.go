@@ -43,7 +43,7 @@ func main() {
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); empty disables")
 	logLevel := flag.String("log-level", "info", "structured log level: debug, info, warn, or error")
 	slowThreshold := flag.Duration("slow-threshold", time.Second, "log requests at or over this duration and keep their traces in the slow ring (negative disables)")
-	storage := flag.String("storage", "", "storage engine: mem or segment (default segment; the legacy name wal means segment)")
+	storage := flag.String("storage", "", "where the store's files live: mem (in memory; nothing lands in -db) or segment (in -db; the default, also spelled wal)")
 	segmentFlush := flag.Int64("segment-flush", 0, "compact a hot table once this many rows are pending (0 = engine default)")
 	selfMonInterval := flag.Duration("selfmon-interval", 0, "continuous self-diagnosis sampling period (0 = default 15s, negative disables)")
 	flag.Parse()
@@ -62,19 +62,14 @@ func main() {
 	logger := log.New(os.Stderr, "ptserved: ", log.LstdFlags|log.Lmsgprefix)
 	slog := obs.NewLogger(os.Stderr, level)
 
-	eng, err := reldb.Open(*storage, *dbDir)
+	e, err := reldb.Open(*storage, *dbDir)
 	if err != nil {
 		fatal(err)
 	}
+	eng := e.DB()
 	defer eng.Close()
-	var checkpointer server.Checkpointer
-	if fe, ok := eng.(*reldb.FileEngine); ok {
-		fe.SetSync(*syncWAL)
-		if *segmentFlush > 0 {
-			fe.SetSegmentFlushRows(*segmentFlush)
-		}
-		checkpointer = fe
-	}
+	eng.SetSync(*syncWAL)
+	eng.SetSegmentFlushRows(*segmentFlush)
 	store, err := datastore.Open(eng)
 	if err != nil {
 		fatal(err)
@@ -85,7 +80,6 @@ func main() {
 
 	srv, err := server.New(server.Config{
 		Store:                store,
-		Checkpointer:         checkpointer,
 		ReadOnly:             *readOnly,
 		MaxInFlight:          *maxInFlight,
 		RequestTimeout:       *timeout,

@@ -8,7 +8,6 @@ import (
 
 	"perftrack/internal/obs"
 	"perftrack/internal/ptdf"
-	"perftrack/internal/reldb"
 )
 
 // ErrBatchDone is returned by operations on a committed or rolled-back
@@ -23,15 +22,14 @@ var ErrBatchDone = errors.New("datastore: batch already finished")
 // mutex.
 //
 // Commit is transactional per batch: every record applies inside one
-// engine transaction, whose rows — of every table, on either engine — are
-// private to it until the engine commits them all at once. A reader sees
-// none or all of a document's rows; a bad record rolls the whole batch
-// back, and the engine never saw a row of it, so nothing is undone or
-// logged. The store generation bumps exactly once, and on a durable
-// engine the commit flushes each log it touched exactly once. This is the
-// write API every multi-record path sits on: LoadPTdf stages one document
-// per batch, and BulkLoad pipelines many batches from parallel decoders
-// into a single committer.
+// engine transaction, whose rows — of every table — are private to it
+// until the engine commits them all at once. A reader sees none or all
+// of a document's rows; a bad record rolls the whole batch back, and the
+// engine never saw a row of it, so nothing is undone or logged. The store
+// generation bumps exactly once, and the commit flushes each log it
+// touched exactly once. This is the write API every multi-record path
+// sits on: LoadPTdf stages one document per batch, and BulkLoad pipelines
+// many batches from parallel decoders into a single committer.
 type Batch struct {
 	s     *Store
 	recs  []ptdf.Record
@@ -75,11 +73,10 @@ func (b *Batch) Len() int { return len(b.recs) }
 func (b *Batch) Stats() LoadStats { return b.stats }
 
 // Commit applies every staged record in order inside one writer critical
-// section: one engine transaction, one generation bump, and — on a
-// durable engine — one flush of each log the transaction touched. On
-// error nothing of the batch remains (the transaction rolls back and the
-// names directory is reloaded from the rows) and the error names the
-// failing record.
+// section: one engine transaction, one generation bump, and one flush of
+// each log the transaction touched. On error nothing of the batch remains
+// (the transaction rolls back and the names directory is reloaded from
+// the rows) and the error names the failing record.
 func (b *Batch) Commit() (LoadStats, error) {
 	return b.CommitCtx(context.Background())
 }
@@ -116,9 +113,6 @@ func (b *Batch) CommitCtx(ctx context.Context) (LoadStats, error) {
 		s.tel.batchRollbacks.Add(1)
 		span.Annotate("outcome", "rollback")
 		return LoadStats{}, err
-	}
-	if s.eng.Kind() == reldb.KindSegment {
-		s.tel.walFlushes.Add(1)
 	}
 	s.tel.batchCommits.Add(1)
 	s.tel.recordsLoaded.Add(uint64(len(b.recs)))

@@ -328,7 +328,7 @@ func openKind(t *testing.T, kind string) *Store {
 // resource_item, resource_attribute and performance_result only ever see
 // the base count plus whole committed documents, and never a rolled-back
 // document's rows. Every table's rows are private to the batch's
-// transaction until it commits, on both engines.
+// transaction until it commits, in memory and in a directory.
 func TestTxBatchAppearsWhole(t *testing.T) {
 	const procs, funcs, metrics, docs = 8, 4, 8, 24
 	per := map[string]int{ // rows a document adds
@@ -406,8 +406,8 @@ func TestTxBatchAppearsWhole(t *testing.T) {
 // TestAddPerfResultFailureLeavesNothing: each public write is a
 // transaction too. An AddPerfResult whose context names an unknown
 // resource is refused and leaves neither its result row nor the metric it
-// interned — in the rows or in the names directory — on both engines, and
-// bumps the generation once.
+// interned — in the rows or in the names directory — in memory and in a
+// directory, and bumps the generation once.
 func TestAddPerfResultFailureLeavesNothing(t *testing.T) {
 	for _, kind := range []string{reldb.KindMem, reldb.KindSegment} {
 		s := openKind(t, kind)

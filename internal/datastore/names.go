@@ -145,7 +145,7 @@ type nameState struct {
 //
 // A reader may therefore see the names of a batch that is still applying
 // or will roll back — a focus signature among them, whose focus row, like
-// every hot-table row of the batch, a durable engine shows only from the
+// every hot-table row of the batch, the engine shows only from the
 // commit on — exactly as it may see that batch's rows in the other tables.
 type names struct {
 	mu sync.RWMutex
@@ -297,7 +297,7 @@ func (n *names) statistics() (distinct map[string]int64, attrs []AttributeStat) 
 // constructor: Open, a rolled-back commit and DeleteExecution all call it
 // — with no lock held, the writer being exclusive under wmu — and swap
 // the result in.
-func loadNames(eng reldb.Engine) (*nameState, error) {
+func loadNames(eng *reldb.DB) (*nameState, error) {
 	st := &nameState{
 		types:     core.NewTypeSystem(),
 		attrStats: make(map[string]*attrStat),

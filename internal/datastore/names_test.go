@@ -200,7 +200,7 @@ func namesDoc(rng *rand.Rand, exec string, procs int, fail bool) string {
 // after every step compares each directory answer with the rows.
 func TestNamesMatchRows(t *testing.T) {
 	dir := t.TempDir()
-	open := func() (*Store, *reldb.FileEngine) {
+	open := func() (*Store, *reldb.DB) {
 		fe, err := reldb.OpenFile(dir)
 		if err != nil {
 			t.Fatal(err)

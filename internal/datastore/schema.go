@@ -294,7 +294,7 @@ var tableNames = func() []string {
 // before the names directory alone decided signature uniqueness, whose
 // focus table the engine can only then hold in columns. A fresh store and
 // an old one take the same path; an up-to-date one is not touched.
-func ensureSchema(eng reldb.Engine) error {
+func ensureSchema(eng *reldb.DB) error {
 	for _, want := range figure1 {
 		tab, exists := eng.Table(want.Name)
 		if !exists {
@@ -324,7 +324,7 @@ func ensureSchema(eng reldb.Engine) error {
 }
 
 // schemaExists reports whether the schema is already present.
-func schemaExists(eng reldb.Engine) bool {
+func schemaExists(eng *reldb.DB) bool {
 	_, ok := eng.Table("resource_item")
 	return ok
 }

@@ -46,7 +46,7 @@ func sameAsTwin(t *testing.T, label string, s, twin *Store) {
 	}
 }
 
-func hotStatus(t *testing.T, fe *reldb.FileEngine, table string) reldb.SegmentTableStatus {
+func hotStatus(t *testing.T, fe *reldb.DB, table string) reldb.SegmentTableStatus {
 	t.Helper()
 	for _, st := range fe.SegmentStats().Tables {
 		if st.Table == table {
@@ -62,7 +62,7 @@ func hotStatus(t *testing.T, fe *reldb.FileEngine, table string) reldb.SegmentTa
 // unique focus_signature index) opens, loses the index to one logged DROP
 // INDEX, and at the next seal its focus rows — the old ones with the new —
 // are in a segment and nowhere else. Every row and every signature equals
-// those of a mem store given the same records; a copy taken between the
+// those of a twin given the same records; a copy taken between the
 // drop and the seal recovers, as does one taken after it; and a reopened
 // store, up to date, logs nothing.
 func TestLegacyStoreUpgradesFocus(t *testing.T) {
@@ -73,7 +73,7 @@ func TestLegacyStoreUpgradesFocus(t *testing.T) {
 	}
 	doc := string(raw)
 	twin := newTwinOf(t, doc)
-	open := func(dir string) (*Store, *reldb.FileEngine) {
+	open := func(dir string) (*Store, *reldb.DB) {
 		t.Helper()
 		fe, err := reldb.OpenFile(dir)
 		if err != nil {
@@ -148,10 +148,21 @@ func TestLegacyStoreUpgradesFocus(t *testing.T) {
 	}
 }
 
-// newTwinOf returns a mem store loaded with one document.
-func newTwinOf(t *testing.T, doc string) *Store {
+// newTwin returns an empty store whose hot tables never seal — the flush
+// threshold is above any corpus here — so its rows stay in the tails: a
+// residency unlike the segments the store under test is read from, giving
+// the same answers.
+func newTwin(t *testing.T) *Store {
 	t.Helper()
 	s := newStore(t)
+	s.Engine().SetSegmentFlushRows(1 << 40)
+	return s
+}
+
+// newTwinOf returns a twin loaded with one document.
+func newTwinOf(t *testing.T, doc string) *Store {
+	t.Helper()
+	s := newTwin(t)
 	if _, err := s.LoadPTdf(strings.NewReader(doc)); err != nil {
 		t.Fatal(err)
 	}
@@ -188,8 +199,8 @@ func TestDuplicateFocusSignatureFailsOpen(t *testing.T) {
 
 // TestSegmentDeleteExecutionOverFlushedFoci: DeleteExecution on a durable store
 // whose foci and closure links are all in segments rehydrates those tables
-// as it does the result tables, and leaves what the mem twin is left with
-// — at once, after a reopen, and after the next load has re-segmented them.
+// as it does the result tables, and leaves what the twin is left with —
+// at once, after a reopen, and after the next load has re-segmented them.
 func TestSegmentDeleteExecutionOverFlushedFoci(t *testing.T) {
 	dir := t.TempDir()
 	fe, err := reldb.OpenFile(dir)
@@ -202,7 +213,7 @@ func TestSegmentDeleteExecutionOverFlushedFoci(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	twin := newStore(t)
+	twin := newTwin(t)
 	const procs, funcs, metrics = 4, 4, 2
 	load := func(exec string) {
 		t.Helper()
@@ -249,8 +260,9 @@ func TestSegmentDeleteExecutionOverFlushedFoci(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameAsTwin(t, "reopened", s, twin)
-	// Recovery restarts row IDs after the highest surviving row, mem after the
-	// highest ever assigned; the delete took neither table's last row.
+	// Recovery restarts row IDs after the highest surviving row, the twin
+	// after the highest ever assigned; the delete took neither table's last
+	// row.
 	load("e4")
 	if err := fe.CompactSegments(); err != nil {
 		t.Fatal(err)

@@ -13,7 +13,7 @@ import (
 // newSegmentStore opens a store on a fresh durable engine with an
 // aggressive flush threshold so the background compactor engages at
 // test scale.
-func newSegmentStore(t *testing.T) (*Store, *reldb.FileEngine) {
+func newSegmentStore(t *testing.T) (*Store, *reldb.DB) {
 	t.Helper()
 	fe, err := reldb.OpenFile(t.TempDir())
 	if err != nil {

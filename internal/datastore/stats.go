@@ -68,11 +68,9 @@ func (s *Store) TableStatistics() TableStatistics {
 	// Only scannable segments count: a dirty or unordered table serves
 	// every read from the B-tree until the next checkpoint rebuilds it.
 	segRows := map[string]int64{}
-	if sv, ok := s.eng.(interface{ SegmentStats() reldb.SegmentStats }); ok {
-		for _, t := range sv.SegmentStats().Tables {
-			if !t.Dirty && !t.Unordered {
-				segRows[t.Table] = t.Rows
-			}
+	for _, t := range s.eng.SegmentStats().Tables {
+		if !t.Dirty && !t.Unordered {
+			segRows[t.Table] = t.Rows
 		}
 	}
 	out := TableStatistics{Generation: s.gen.Load(), Attributes: attrs}

@@ -22,7 +22,7 @@ import (
 // directory, whose lock is a leaf. Lock ordering is wmu → engine; read
 // paths never re-enter the engine from inside an engine scan callback.
 type Store struct {
-	eng reldb.Engine
+	eng *reldb.DB
 
 	// UseClosureTables controls whether ancestor/descendant queries use the
 	// resource_has_ancestor / resource_has_descendant tables (the paper's
@@ -108,7 +108,8 @@ func (s *Store) writeID(apply func() (int64, error)) (int64, error) {
 // Open attaches a store to a storage engine, creating and bootstrapping
 // the schema if it is not present, and loading the names directory from
 // the rows if it is.
-func Open(eng reldb.Engine) (*Store, error) {
+func Open(e reldb.Engine) (*Store, error) {
+	eng := e.DB()
 	s := &Store{
 		eng:              eng,
 		cache:            NewCache[idSet](0),
@@ -147,7 +148,7 @@ func (s *Store) reloadNames() error {
 }
 
 // Engine returns the underlying storage engine.
-func (s *Store) Engine() reldb.Engine { return s.eng }
+func (s *Store) Engine() *reldb.DB { return s.eng }
 
 // bumpGen advances the store generation, invalidating all cached
 // pr-filter results. Every mutating entry point calls it (deferred, so

@@ -15,16 +15,18 @@ import (
 )
 
 // openEngine opens a file engine for persistence tests.
-func openEngine(dir string) (*reldb.FileEngine, error) {
+func openEngine(dir string) (*reldb.DB, error) {
 	return reldb.OpenFile(dir)
 }
 
+// newStore opens a store in memory that the test closes.
 func newStore(t *testing.T) *Store {
 	t.Helper()
 	s, err := Open(reldb.NewMem())
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
+	t.Cleanup(func() { s.Engine().Close() })
 	return s
 }
 

@@ -9,7 +9,6 @@ import "sync/atomic"
 type telemetry struct {
 	batchCommits     atomic.Uint64
 	batchRollbacks   atomic.Uint64
-	walFlushes       atomic.Uint64
 	recordsLoaded    atomic.Uint64
 	focusCacheHits   atomic.Uint64
 	focusCacheMisses atomic.Uint64
@@ -28,7 +27,7 @@ type telemetry struct {
 type Telemetry struct {
 	BatchCommits     uint64 // committed batches (LoadPTdf, bulk load, LoadRecord)
 	BatchRollbacks   uint64 // batches rolled back by a bad record
-	WALFlushes       uint64 // WAL group flushes on a durable engine
+	WALFlushes       uint64 // log group flushes: one per committed batch
 	RecordsLoaded    uint64 // PTdf records applied by committed batches
 	MatchCacheHits   uint64 // pr-filter query cache hits
 	MatchCacheMisses uint64 // pr-filter query cache misses
@@ -53,7 +52,7 @@ func (s *Store) Telemetry() Telemetry {
 	return Telemetry{
 		BatchCommits:     s.tel.batchCommits.Load(),
 		BatchRollbacks:   s.tel.batchRollbacks.Load(),
-		WALFlushes:       s.tel.walFlushes.Load(),
+		WALFlushes:       s.tel.batchCommits.Load(),
 		RecordsLoaded:    s.tel.recordsLoaded.Load(),
 		MatchCacheHits:   cs.Hits,
 		MatchCacheMisses: cs.Misses,

@@ -1,8 +1,8 @@
 package experiments
 
 // Segment-kernel scan benchmark behind `ptbench -benchjson`'s
-// BENCH_scan.json artifact. The grouped aggregate below runs on the
-// durable engine through the column kernels at 1, 4, and all available
+// BENCH_scan.json artifact. The grouped aggregate below runs on a store
+// in a directory through the column kernels at 1, 4, and all available
 // workers; the w1/w4 pair documents parallel scaling. (The executor-vs-
 // oracle comparison is BENCH_sql.json's sql-planned vs sql-naive.)
 
@@ -22,7 +22,7 @@ import (
 // commits, compacting after each, so the result table lands in that many
 // columnar segments instead of one (a single compaction pass flushes the
 // whole tail into one segment file).
-func seedSegmentedSynthStore(fe *reldb.FileEngine, rows, segments int) (*datastore.Store, error) {
+func seedSegmentedSynthStore(fe *reldb.DB, rows, segments int) (*datastore.Store, error) {
 	recs := SynthResultRecords(rows)
 	s, err := datastore.Open(fe)
 	if err != nil {
@@ -79,7 +79,7 @@ type scanBenchMode struct {
 	workers int // 0 = GOMAXPROCS
 }
 
-// ScanBenchmark seeds the synthetic corpus on the durable engine,
+// ScanBenchmark seeds the synthetic corpus on a store in a directory,
 // compacts it into columnar segments, and times ScanBenchQuery in each
 // mode, returning one BenchResult per mode. Every mode must actually read
 // segment blocks (Profile.BlocksScanned > 0); a scan served from the

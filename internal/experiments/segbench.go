@@ -58,7 +58,7 @@ func SynthResultRecords(n int) []ptdf.Record {
 
 // SeedSynthStore opens a store over eng and loads recs in one batch
 // commit, returning the store and the full matched result-ID set.
-func SeedSynthStore(eng reldb.Engine, recs []ptdf.Record) (*datastore.Store, []int64, error) {
+func SeedSynthStore(eng *reldb.DB, recs []ptdf.Record) (*datastore.Store, []int64, error) {
 	s, err := datastore.Open(eng)
 	if err != nil {
 		return nil, nil, err
@@ -96,19 +96,18 @@ func MaterializeBenchmark(kind, dir string, rows, iters int) (BenchResult, error
 	// Same collector pacing as BenchmarkMaterializeEngines, so the JSON
 	// artifact and the go-test numbers are comparable.
 	defer debug.SetGCPercent(debug.SetGCPercent(400))
-	eng, err := reldb.Open(kind, dir)
+	e, err := reldb.Open(kind, dir)
 	if err != nil {
 		return res, err
 	}
+	eng := e.DB()
 	defer eng.Close()
 	s, ids, err := SeedSynthStore(eng, SynthResultRecords(rows))
 	if err != nil {
 		return res, err
 	}
-	if fe, ok := eng.(*reldb.FileEngine); ok {
-		if err := fe.CompactSegments(); err != nil {
-			return res, err
-		}
+	if err := eng.CompactSegments(); err != nil {
+		return res, err
 	}
 	dataBytes := eng.Stats().PerTable["performance_result"].LogicalBytes()
 	// One warm-up run keeps dictionary maps and the page cache out of
@@ -142,10 +141,11 @@ func BulkLoadBenchmark(kind, dir string, rows int) (BenchResult, error) {
 	res := BenchResult{Op: "bulkload", Engine: kind, Rows: rows,
 		Date: time.Now().UTC().Format("2006-01-02")}
 	recs := SynthResultRecords(rows)
-	eng, err := reldb.Open(kind, dir)
+	e, err := reldb.Open(kind, dir)
 	if err != nil {
 		return res, err
 	}
+	eng := e.DB()
 	defer eng.Close()
 	start := time.Now()
 	if _, _, err := SeedSynthStore(eng, recs); err != nil {

@@ -29,19 +29,18 @@ const sqlBenchGroups = 16
 // per mode ("sql-planned", then "sql-naive").
 func SQLBenchmark(kind, dir string, rows, iters int) ([]BenchResult, error) {
 	date := time.Now().UTC().Format("2006-01-02")
-	eng, err := reldb.Open(kind, dir)
+	e, err := reldb.Open(kind, dir)
 	if err != nil {
 		return nil, err
 	}
+	eng := e.DB()
 	defer eng.Close()
 	s, _, err := SeedSynthStore(eng, SynthResultRecords(rows))
 	if err != nil {
 		return nil, err
 	}
-	if fe, ok := eng.(*reldb.FileEngine); ok {
-		if err := fe.CompactSegments(); err != nil {
-			return nil, err
-		}
+	if err := eng.CompactSegments(); err != nil {
+		return nil, err
 	}
 	if iters < 1 {
 		iters = 1

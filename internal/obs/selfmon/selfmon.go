@@ -209,8 +209,10 @@ func (s *Sampler) SampleNow() error {
 }
 
 // rebuildLocked replaces the side store with a fresh one holding only
-// the given window of retained docs. Readers holding the old store
-// pointer keep a consistent (just stale) view.
+// the given window of retained docs, and closes the one it replaces,
+// which stops that store's compactor. Readers holding the old store
+// pointer keep a consistent (just stale) view: a closed store stays
+// readable.
 func (s *Sampler) rebuildLocked(keep []sampleDoc) error {
 	fresh, err := datastore.Open(reldb.NewMem())
 	if err != nil {
@@ -218,9 +220,11 @@ func (s *Sampler) rebuildLocked(keep []sampleDoc) error {
 	}
 	for _, d := range keep {
 		if _, err := fresh.LoadPTdf(bytes.NewReader(d.text)); err != nil {
+			fresh.Engine().Close()
 			return fmt.Errorf("selfmon: rebuild: reload %s: %w", d.exec, err)
 		}
 	}
+	s.store.Engine().Close()
 	s.store = fresh
 	s.docs = append([]sampleDoc(nil), keep...)
 	s.rebuilds++
@@ -301,8 +305,9 @@ func (s *Sampler) Start() {
 	})
 }
 
-// Stop halts the background loop and waits for it to exit. Safe to call
-// whether or not Start ran.
+// Stop halts the background loop, waits for it to exit and closes the
+// side store, which stays readable. Safe to call whether or not Start
+// ran.
 func (s *Sampler) Stop() {
 	select {
 	case <-s.stop:
@@ -311,6 +316,9 @@ func (s *Sampler) Stop() {
 	}
 	s.startOnce.Do(func() { close(s.done) }) // never started: unblock done
 	<-s.done
+	s.mu.Lock()
+	s.store.Engine().Close()
+	s.mu.Unlock()
 }
 
 // Stats snapshots the sampler's counters.

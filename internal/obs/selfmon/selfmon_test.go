@@ -3,6 +3,7 @@ package selfmon
 import (
 	"bytes"
 	"context"
+	"runtime"
 	"strconv"
 	"testing"
 	"time"
@@ -125,6 +126,44 @@ func TestSamplerWindowSlide(t *testing.T) {
 	}
 	if rep.Samples != 4 {
 		t.Errorf("diagnose saw %d samples, want the retained 4", rep.Samples)
+	}
+}
+
+// TestSamplerRebuildClosesReplacedStores: every store runs a compactor
+// goroutine, so a rebuild closes the store it replaces — the goroutine
+// count after three windows of samples is the count after one — while a
+// reader that took the old store keeps its stale view; Stop closes the
+// last one.
+func TestSamplerRebuildClosesReplacedStores(t *testing.T) {
+	const window = 4
+	fc := &fakeCollect{latency: 0.01}
+	s, err := New(Config{Collect: fc.sample, Window: window})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sample := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if err := s.SampleNow(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	sample(window)
+	s.mu.Lock()
+	old := s.store
+	s.mu.Unlock()
+	before := runtime.NumGoroutine()
+	sample(2 * window)
+	if after := runtime.NumGoroutine(); after != before || s.Stats().Rebuilds == 0 {
+		t.Fatalf("%d goroutines after %d rebuilds, %d before them", after, s.Stats().Rebuilds, before)
+	}
+	if got := old.Stats().Executions; got != window+1 { // the sample that overflowed it landed first
+		t.Fatalf("the replaced store reads %d executions, want its %d", got, window+1)
+	}
+	s.Stop()
+	if err := s.SampleNow(); err == nil {
+		t.Fatal("the side store takes writes after Stop")
 	}
 }
 

@@ -7,10 +7,10 @@ import "testing"
 // runs at all, the cost-based execution returns exactly what the naive
 // (no pushdown, direct B-tree scan) execution returns. The check runs
 // over every storage shape holding the same corpus (differentialStores):
-// mem and wal, where every block is transposed from the B-tree, a
-// segment store with compacted segments plus a tail, and a segment store
-// whose dirty view must be ignored — so every fuzzed query
-// differential-tests the one executor over each block producer.
+// stores in memory and in a directory whose rows are all in the tail, a
+// store with compacted segments plus a tail, and a store whose dirty view
+// must be ignored — so every fuzzed query differential-tests the one
+// executor over each block producer.
 func FuzzSQLPlanner(f *testing.F) {
 	type pair struct {
 		label          string

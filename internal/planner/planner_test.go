@@ -53,8 +53,11 @@ func testRecords(n int) []ptdf.Record {
 	return recs
 }
 
-func seedStore(t testing.TB, eng reldb.Engine, n int) *datastore.Store {
+// seedStore loads n results into a store over eng, which the test
+// closes.
+func seedStore(t testing.TB, eng *reldb.DB, n int) *datastore.Store {
 	t.Helper()
+	t.Cleanup(func() { eng.Close() })
 	s, err := datastore.Open(eng)
 	if err != nil {
 		t.Fatalf("open store: %v", err)
@@ -105,11 +108,11 @@ var differentialQueries = []string{
 }
 
 // differentialStores seeds the same n-result corpus on every storage
-// shape the block source serves: the mem engine and a durable store that
-// has compacted nothing (all rows transposed from the B-tree), a durable
-// store with compacted segments plus an uncompacted tail, and one whose
-// view is refused because a flushed row was deleted (dirty: B-tree only,
-// stale segments must not be read).
+// shape the block source serves: a store in memory and one in a
+// directory that have compacted nothing (every row in the tail), a store
+// with compacted segments plus an uncompacted tail, and one whose view is
+// refused because a flushed row was deleted (dirty: B-tree only, stale
+// segments must not be read).
 func differentialStores(t testing.TB, n int) []struct {
 	label string
 	st    *datastore.Store

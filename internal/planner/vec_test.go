@@ -11,13 +11,14 @@ import (
 
 // seedSegmentStore seeds a durable store in batches, compacting
 // after each, so the view holds batches independent segments plus a
-// B-tree tail of extra uncompacted rows.
-func seedSegmentStore(t testing.TB, dir string, n, batches, tail int) (*datastore.Store, *reldb.FileEngine) {
+// tail of extra uncompacted rows.
+func seedSegmentStore(t testing.TB, dir string, n, batches, tail int) (*datastore.Store, *reldb.DB) {
 	t.Helper()
 	fe, err := reldb.OpenFile(dir)
 	if err != nil {
 		t.Fatalf("open engine: %v", err)
 	}
+	t.Cleanup(func() { fe.Close() })
 	st, err := datastore.Open(fe)
 	if err != nil {
 		t.Fatalf("open store: %v", err)

@@ -10,10 +10,10 @@ import (
 // sees, on every engine. Table.Blocks opens an inclusive range of
 // first-primary-key values and yields ColumnBlocks in ascending PK
 // order — first the immutable segment blocks whose zone maps intersect
-// the range (none on mem, before the first compaction, or while the
-// table is rehydrated), then the unflushed rows: a columnar tail as a
-// view pinned at the length it had when the scan opened, a row set
-// transposed into a reusable block of up to blockRows rows. Table.Gather
+// the range (none before the first compaction, or while the table is
+// rehydrated), then the unflushed rows: a columnar tail as a view pinned
+// at the length it had when the scan opened, a row set transposed into a
+// reusable block of up to blockRows rows. Table.Gather
 // transposes an ascending row-ID list the same way, copying a columnar
 // row's values straight out of its block. Consumers never learn which
 // storage shape a block came from.

@@ -35,17 +35,19 @@ func head(ids []int64) []int64 { return ids[:min(len(ids), 4)] }
 // by range and by gathered ID list, across a 4096-row boundary — carry
 // the columns, row IDs and zones a segment of those rows would.
 func TestBlockSourceTransposeMatchesSegment(t *testing.T) {
-	db := NewMem()
-	if err := db.CreateTable(resultSchema()); err != nil {
+	db := newTestMem(t)
+	rows := resultSchema()
+	rows.Name = "result_rows" // not hot: its rows are a row set
+	if err := db.CreateTable(rows); err != nil {
 		t.Fatal(err)
 	}
 	const n = blockRows + 1000
 	for i := 0; i < n; i++ {
-		if _, err := db.Insert("performance_result", resultRow(i)); err != nil {
+		if _, err := db.Insert("result_rows", resultRow(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	tab, _ := db.Table("performance_result")
+	tab, _ := db.Table("result_rows")
 	// want returns the segment buildSegment lays out for the given IDs.
 	want := func(ids []int64) *ColumnBlock {
 		rows := make([]Row, len(ids))
@@ -72,7 +74,7 @@ func TestBlockSourceTransposeMatchesSegment(t *testing.T) {
 		t.Fatal(err)
 	}
 	if scan.Segmented() || len(scan.Segments) != 0 {
-		t.Fatal("mem engine produced segment blocks")
+		t.Fatal("a row set produced segment blocks")
 	}
 	next, blocks := int64(10), 0
 	err = scan.Each(func(b *ColumnBlock) error {
@@ -88,7 +90,7 @@ func TestBlockSourceTransposeMatchesSegment(t *testing.T) {
 	// Gather form: an ascending list with holes, deleted rows and IDs that
 	// never existed, again spanning two blocks.
 	for _, id := range []int64{3, 4097, 4099} {
-		if err := db.Delete("performance_result", id); err != nil {
+		if err := db.Delete("result_rows", id); err != nil {
 			t.Fatal(err)
 		}
 	}

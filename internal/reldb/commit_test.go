@@ -72,19 +72,18 @@ func execDoc(exec string, s docShape) string {
 
 // TestSegmentCommitTakesEngineLockOnce: a transaction's inserts take the
 // engine write lock not at all and its Commit takes it once, however many
-// rows of however many tables it installs — on both engines, for a raw
-// transaction and for the commit of a whole datastore.Batch holding a
-// doc_full or a doc_small. On the durable engine the flush threshold is
-// above every batch, so no commit seals a tail and the compactor idles.
+// rows of however many tables it installs — in memory and in a directory,
+// for a raw transaction and for the commit of a whole datastore.Batch
+// holding a doc_full or a doc_small. The flush threshold is above every
+// batch, so no commit seals a tail and the compactor idles.
 func TestSegmentCommitTakesEngineLockOnce(t *testing.T) {
 	for _, kind := range []string{reldb.KindMem, reldb.KindSegment} {
-		eng, err := reldb.Open(kind, t.TempDir())
+		e, err := reldb.Open(kind, t.TempDir())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if fe, ok := eng.(*reldb.FileEngine); ok {
-			fe.SetSegmentFlushRows(1 << 40)
-		}
+		eng := e.DB()
+		eng.SetSegmentFlushRows(1 << 40)
 		s, err := datastore.Open(eng)
 		if err == nil {
 			_, err = s.LoadPTdf(strings.NewReader(sharedDoc()))

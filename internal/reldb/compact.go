@@ -5,7 +5,8 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
-	"os"
+	"io"
+	"io/fs"
 	"path/filepath"
 	"slices"
 	"strconv"
@@ -14,7 +15,7 @@ import (
 	"sync/atomic"
 )
 
-// The durable engine keeps one resident copy of every row of its hot,
+// The engine keeps one resident copy of every row of its hot,
 // bulk-scanned tables, and keeps it columnar from the moment the row is
 // committed (Table's doc comment has the read side): the unflushed rows
 // are a tail, a segment with no file yet. A commit that leaves a table's
@@ -63,10 +64,10 @@ const (
 	defaultSegFlush = 4096
 )
 
-// segState is a FileEngine's compaction state; what each hot table has
+// segState is the engine's compaction state; what each hot table has
 // sealed and flushed lives on the Table, under the engine lock.
 type segState struct {
-	fe  *FileEngine
+	db  *DB
 	dir string
 
 	compactMu sync.Mutex // serializes compaction passes and checkpoints
@@ -91,10 +92,10 @@ type segState struct {
 	stopOnce sync.Once
 }
 
-func newSegState(fe *FileEngine) *segState {
+func newSegState(db *DB) *segState {
 	st := &segState{
-		fe:     fe,
-		dir:    filepath.Join(fe.dir, segmentSubdir),
+		db:     db,
+		dir:    filepath.Join(db.dir, segmentSubdir),
 		logSeq: make(map[string]int64),
 		notify: make(chan struct{}, 1),
 		stop:   make(chan struct{}),
@@ -115,9 +116,9 @@ func (st *segState) stepped(name string) {
 
 // SetSegmentFlushRows sets how many unflushed tail rows a hot table
 // accumulates before a commit seals them for the compactor.
-func (fe *FileEngine) SetSegmentFlushRows(n int64) {
+func (db *DB) SetSegmentFlushRows(n int64) {
 	if n > 0 {
-		fe.seg.flushRows.Store(n)
+		db.seg.flushRows.Store(n)
 	}
 }
 
@@ -139,12 +140,12 @@ func (t *Table) sealable() bool {
 	return true
 }
 
-// columnarLocked gives a sealable hot table of a durable engine its
-// columnar tail, if it has none, transposing into it whatever the row set
-// holds — which a rehydration, or a snapshot at recovery, put there. The
-// row set's keys and row IDs all exceed the frozen ones, so the tail's do.
+// columnarLocked gives a sealable hot table its columnar tail, if it has
+// none, transposing into it whatever the row set holds — which a
+// rehydration, or a snapshot at recovery, put there. The row set's keys
+// and row IDs all exceed the frozen ones, so the tail's do.
 func (t *Table) columnarLocked() {
-	if t.tail != nil || t.db.seg == nil || !isHotTable(t.schema.Name) || !t.sealable() {
+	if t.tail != nil || !isHotTable(t.schema.Name) || !t.sealable() {
 		return
 	}
 	tail, err := t.newTail()
@@ -180,7 +181,7 @@ func (t *Table) columnarLocked() {
 func (st *segState) sealReadyLocked(atLeast int64) (full bool) {
 	work := false
 	for _, name := range segmentHotTables {
-		t := st.fe.tables[name]
+		t := st.db.tables[name]
 		if t == nil {
 			continue
 		}
@@ -227,18 +228,18 @@ func (st *segState) sealLocked(t *Table) {
 // a new one under the table's next sequence number.
 func (st *segState) tailLogLocked(t *Table) (*logFile, error) {
 	logs := t.activeLogsLocked()
-	if n := len(*logs); n > 0 && (*logs)[n-1].w != nil {
+	if n := len(*logs); n > 0 && !(*logs)[n-1].finished {
 		return (*logs)[n-1], nil
 	}
 	name := t.schema.Name
 	seq := st.logSeq[name]
-	l, err := openLog(st.tailLogPath(name, seq), seq, 0)
+	l, err := openLog(st.db.fsys, st.tailLogPath(name, seq), seq, 0)
 	if err != nil {
 		return nil, fmt.Errorf("reldb: open tail log: %w", err)
 	}
-	if st.fe.syncWAL {
-		if err := syncDir(st.dir); err != nil { // the commit's fsync must not outlive the file's name
-			l.discard()
+	if st.db.syncWAL {
+		if err := st.db.fsys.SyncDir(st.dir); err != nil { // the commit's fsync must not outlive the file's name
+			st.db.discardLogs([]*logFile{l})
 			return nil, err
 		}
 	}
@@ -267,7 +268,7 @@ func parseTailLogName(base string) (table string, seq int64, ok bool) {
 func (t *Table) discardLogsLocked() {
 	for _, owned := range t.logOwnersLocked() {
 		if len(*owned) > 0 {
-			t.db.seg.fe.logTrimmed += discardLogs(*owned)
+			t.db.logTrimmed += t.db.discardLogs(*owned)
 			*owned = nil
 		}
 	}
@@ -337,10 +338,16 @@ func (st *segState) shutdown() {
 
 // CompactSegments synchronously seals and drains every hot table's tail
 // into columnar segments, whatever the flush threshold.
-func (fe *FileEngine) CompactSegments() error {
-	fe.seg.compactMu.Lock()
-	defer fe.seg.compactMu.Unlock()
-	return fe.seg.drain(true)
+func (db *DB) CompactSegments() error {
+	db.seg.compactMu.Lock()
+	defer db.seg.compactMu.Unlock()
+	db.mu.RLock()
+	err := db.writableLocked()
+	db.mu.RUnlock()
+	if err != nil {
+		return err
+	}
+	return db.seg.drain(true)
 }
 
 // drain runs passes until no sealed tail is left; with force the first
@@ -354,45 +361,44 @@ func (st *segState) drain(force bool) error {
 }
 
 // pass encodes and publishes the tails that are sealed, and reports
-// whether any was. It starts with the barrier (rule 1): every log that
-// outlives it — perftrack.wal and the tail logs of every tail but the
-// ones it is about to publish — is flushed and fsynced, so that no segment
-// is named before what its rows refer to is durable; the sealed tails' own
-// logs are about to be deleted and need no fsync. It then writes a segment
-// file per sealed tail outside the engine lock, and under it moves the
-// tail to the table's segments and retires its logs — sealing the table's
-// next tail itself when that has meanwhile crossed the threshold. Then the
-// manifest is rewritten, the retired logs deleted, and only then is the
-// pass counted (rule 4): a reader of the counters never sees a finished
-// pass with its logs still on disk. Requires compactMu.
+// whether any was. It starts with the barrier (rule 1): every log — the
+// sealed tails' own, which the pass is about to delete, as well as every
+// one that outlives it — is flushed and fsynced, and so is the directory
+// holding the tail logs, so that no segment is named before what its rows
+// refer to is durable and nothing that refers to them is made durable
+// before they are. It then writes a segment file per sealed tail outside
+// the engine lock, and under it moves the tail to the table's segments
+// and retires its logs — sealing the table's next tail itself when that
+// has meanwhile crossed the threshold. Then the manifest is rewritten,
+// the retired logs deleted, and only then is the pass counted (rule 4): a
+// reader of the counters never sees a finished pass with its logs still
+// on disk. Requires compactMu.
 func (st *segState) pass(force bool) (worked bool, err error) {
-	fe := st.fe
+	db := st.db
 	type job struct {
 		t      *Table
 		sealed *segment
 	}
 	var jobs []job
-	var doomed []*logFile
-	fe.mu.Lock()
+	db.mu.Lock()
 	if force {
 		st.sealReadyLocked(1)
 	}
 	for _, name := range segmentHotTables {
-		if t := fe.tables[name]; t != nil && t.sealed != nil {
+		if t := db.tables[name]; t != nil && t.sealed != nil {
 			jobs = append(jobs, job{t, t.sealed})
-			doomed = append(doomed, t.sealed.logs...)
 		}
 	}
 	var unsynced []logMark
 	if len(jobs) > 0 {
-		unsynced, err = fe.flushLogsLocked(doomed)
+		unsynced, err = db.flushLogsLocked()
 	}
-	fe.mu.Unlock()
+	db.mu.Unlock()
 	if err != nil || len(jobs) == 0 {
 		return false, err
 	}
 	st.stepped("seal")
-	if err := fe.syncLogs(unsynced); err != nil {
+	if err := db.syncLogs(unsynced); err != nil {
 		return false, err
 	}
 	st.stepped("barrier")
@@ -402,8 +408,8 @@ func (st *segState) pass(force bool) (worked bool, err error) {
 		if err != nil {
 			return false, err
 		}
-		fe.mu.Lock()
-		if fe.tables[seg.table] == j.t && j.t.sealed == j.sealed {
+		db.mu.Lock()
+		if db.tables[seg.table] == j.t && j.t.sealed == j.sealed {
 			seg.file, seg.sizeOn = path, size
 			st.retired = append(st.retired, j.sealed.logs...)
 			j.sealed.logs = nil
@@ -414,23 +420,23 @@ func (st *segState) pass(force bool) (worked bool, err error) {
 			st.sealReadyLocked(st.flushRows.Load())
 		} else {
 			// Dropped or rehydrated while it was being encoded; if
-			// rehydrated, the logs the barrier skipped outlive the pass
-			// after all.
+			// rehydrated, its logs outlive the pass after all, and the
+			// mutation that rehydrated it is logged behind them.
 			st.garbage = append(st.garbage, path)
 			handedOn = true
 		}
-		fe.mu.Unlock()
+		db.mu.Unlock()
 		st.stepped("segment file")
 	}
-	fe.mu.Lock()
+	db.mu.Lock()
 	m, garbage := st.manifestLocked()
 	retired := st.retired
 	if unsynced = nil; handedOn {
-		unsynced, err = fe.flushLogsLocked(nil)
+		unsynced, err = db.flushLogsLocked()
 	}
-	fe.mu.Unlock()
-	if err == nil {
-		err = fe.syncLogs(unsynced)
+	db.mu.Unlock()
+	if err == nil && handedOn {
+		err = db.syncLogs(unsynced)
 	}
 	if err != nil {
 		return false, err
@@ -439,11 +445,11 @@ func (st *segState) pass(force bool) (worked bool, err error) {
 		return false, err
 	}
 	st.stepped("manifest")
-	trimmed := discardLogs(retired)
-	fe.mu.Lock()
+	trimmed := db.discardLogs(retired)
+	db.mu.Lock()
 	st.retired = nil // appended to under compactMu only
-	fe.logTrimmed += trimmed
-	fe.mu.Unlock()
+	db.logTrimmed += trimmed
+	db.mu.Unlock()
 	st.stepped("log removal")
 	st.compactions.Add(1)
 	return true, nil
@@ -462,42 +468,40 @@ func (st *segState) awaitPass() error {
 	return err
 }
 
-// logMark is a log and how many bytes it held when the mark was taken.
-type logMark struct {
-	l    *logFile
-	size int64
-}
-
 // flushLogsLocked flushes every log still taking records and marks the
-// logs a pass must fsync — perftrack.wal and the tail logs row sets own,
-// but for the doomed ones — where they hold bytes no fsync covers.
-func (fe *FileEngine) flushLogsLocked(doomed []*logFile) (unsynced []logMark, err error) {
-	for _, l := range fe.openLogsLocked() {
+// logs a pass must fsync — perftrack.wal and the tail logs the tables'
+// unflushed rows own — where they hold bytes no fsync covers.
+func (db *DB) flushLogsLocked() (unsynced []logMark, err error) {
+	for _, l := range db.openLogsLocked() {
 		if err := l.flush(); err != nil {
 			return nil, err
 		}
 	}
-	for _, l := range append(fe.tailLogsLocked(), fe.wal) {
-		if l.size > l.synced && !slices.Contains(doomed, l) {
+	for _, l := range append(db.tailLogsLocked(), db.wal) {
+		if l.size > l.synced {
 			unsynced = append(unsynced, logMark{l, l.size})
 		}
 	}
 	return unsynced, nil
 }
 
-// syncLogs fsyncs the marked logs, outside the engine lock, and records
-// how much of each is now durable.
-func (fe *FileEngine) syncLogs(marks []logMark) error {
+// syncLogs fsyncs the marked logs and the directory of the tail logs,
+// outside the engine lock, and records how much of each log is now
+// durable.
+func (db *DB) syncLogs(marks []logMark) error {
 	for _, m := range marks {
 		if err := m.l.f.Sync(); err != nil {
 			return fmt.Errorf("reldb: sync %s: %w", m.l.path, err)
 		}
 	}
-	fe.mu.Lock()
+	if err := db.fsys.SyncDir(db.seg.dir); err != nil {
+		return fmt.Errorf("reldb: sync %s: %w", db.seg.dir, err)
+	}
+	db.mu.Lock()
 	for _, m := range marks {
 		m.l.synced = max(m.l.synced, m.size)
 	}
-	fe.mu.Unlock()
+	db.mu.Unlock()
 	return nil
 }
 
@@ -511,7 +515,7 @@ func (st *segState) writeSegment(t *Table, sealed *segment) (seg *segment, path 
 	}
 	st.nextSeq++
 	path = filepath.Join(st.dir, fmt.Sprintf("seg-%s-%08d.seg", seg.table, st.nextSeq))
-	size, err = writeSegmentFile(path, seg)
+	size, err = writeSegmentFile(st.db.fsys, path, seg)
 	return seg, path, size, err
 }
 
@@ -532,7 +536,7 @@ func (st *segState) manifestLocked() (m manifest, garbage []string) {
 	for _, name := range segmentHotTables {
 		var list []string
 		low := st.logSeq[name]
-		if t := st.fe.tables[name]; t != nil {
+		if t := st.db.tables[name]; t != nil {
 			for _, path := range t.stale {
 				list = append(list, filepath.Base(path))
 			}
@@ -550,30 +554,20 @@ func (st *segState) manifestLocked() (m manifest, garbage []string) {
 // writeManifest atomically rewrites the manifest and then deletes the
 // garbage it no longer names. Requires compactMu.
 func (st *segState) writeManifest(m manifest, garbage []string) error {
-	err := replaceFile(filepath.Join(st.dir, manifestFile), func(rw *recordWriter) error {
-		hdr := putUvarint(nil, manifestVersion)
-		hdr = putVarint(hdr, st.nextSeq)
-		if err := rw.writeRecord(hdr); err != nil {
-			return err
+	buf := appendRecord(nil, putVarint(putUvarint(nil, manifestVersion), st.nextSeq))
+	for i, name := range segmentHotTables {
+		p := putUvarint(putString(nil, name), uint64(len(m.files[i])))
+		for _, file := range m.files[i] {
+			p = putString(p, file)
 		}
-		for i, name := range segmentHotTables {
-			p := putString(nil, name)
-			p = putUvarint(p, uint64(len(m.files[i])))
-			for _, file := range m.files[i] {
-				p = putString(p, file)
-			}
-			p = putVarint(p, m.lowWater[i])
-			if err := rw.writeRecord(p); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
+		buf = appendRecord(buf, putVarint(p, m.lowWater[i]))
+	}
+	err := replaceFile(st.db.fsys, filepath.Join(st.dir, manifestFile), buf)
 	if err != nil {
 		return fmt.Errorf("reldb: write manifest: %w", err)
 	}
 	for _, path := range garbage {
-		os.Remove(path) // best effort; open-time cleanup catches leftovers
+		st.db.fsys.Remove(path) // best effort; open-time cleanup catches leftovers
 	}
 	return nil
 }
@@ -583,11 +577,8 @@ func (st *segState) writeManifest(m manifest, garbage []string) error {
 // its segments, at once if the snapshot created the table, else when WAL
 // replay does.
 func (st *segState) load() error {
-	if err := os.MkdirAll(st.dir, 0o755); err != nil {
-		return fmt.Errorf("reldb: open %s: %w", st.dir, err)
-	}
-	f, err := os.Open(filepath.Join(st.dir, manifestFile))
-	if errors.Is(err, os.ErrNotExist) {
+	f, err := st.db.fsys.Open(filepath.Join(st.dir, manifestFile))
+	if errors.Is(err, fs.ErrNotExist) {
 		return nil
 	}
 	if err != nil {
@@ -600,40 +591,36 @@ func (st *segState) load() error {
 		return fmt.Errorf("reldb: manifest: %w", err)
 	}
 	hp := &payloadReader{buf: hdr}
-	version, err := hp.uvarint()
-	if err != nil {
-		return fmt.Errorf("reldb: manifest: %w", err)
+	version, nextSeq := hp.uvarint(), hp.varint()
+	if hp.err != nil {
+		return fmt.Errorf("reldb: manifest: %w", hp.err)
 	}
 	if version > manifestVersion {
 		return fmt.Errorf("reldb: manifest: version %d is newer than this program's %d", version, manifestVersion)
 	}
-	if st.nextSeq, err = hp.varint(); err != nil {
-		return fmt.Errorf("reldb: manifest: %w", err)
-	}
+	st.nextSeq = nextSeq
 	st.loaded, st.loadedLow = make(map[string][]*segment), make(map[string]int64)
 	for {
 		payload, err := rr.readRecord()
+		if err == io.EOF {
+			return nil
+		}
 		if err != nil {
-			if errors.Is(err, ErrCorruptLog) {
-				return fmt.Errorf("reldb: manifest: %w", err)
-			}
-			return nil // io.EOF
+			return fmt.Errorf("reldb: manifest: %w", err)
 		}
 		p := &payloadReader{buf: payload}
-		name, err := p.str()
-		if err != nil {
-			return fmt.Errorf("reldb: manifest: %w", err)
+		name, files := p.str(), make([]string, p.count())
+		for i := range files {
+			files[i] = p.str()
 		}
-		n, err := p.uvarint()
-		if err != nil {
-			return fmt.Errorf("reldb: manifest: %w", err)
+		if version >= 2 { // version 1 trimmed nothing: low-water 0
+			st.loadedLow[name] = p.varint()
 		}
-		for i := uint64(0); i < n; i++ {
-			file, err := p.str()
-			if err != nil {
-				return fmt.Errorf("reldb: manifest: %w", err)
-			}
-			seg, err := readSegmentFile(filepath.Join(st.dir, file))
+		if p.err != nil {
+			return fmt.Errorf("reldb: manifest: %w", p.err)
+		}
+		for _, file := range files {
+			seg, err := readSegmentFile(st.db.fsys, filepath.Join(st.dir, file))
 			if err != nil {
 				return err
 			}
@@ -643,11 +630,6 @@ func (st *segState) load() error {
 			}
 			if isHotTable(name) { // else no longer hot; orphan cleanup removes the file
 				st.loaded[name] = append(st.loaded[name], seg)
-			}
-		}
-		if version >= 2 { // version 1 trimmed nothing: low-water 0
-			if st.loadedLow[name], err = p.varint(); err != nil {
-				return fmt.Errorf("reldb: manifest: %w", err)
 			}
 		}
 	}
@@ -660,42 +642,42 @@ func (st *segState) load() error {
 // hands them to each table's active tail, which now holds their rows. The
 // next record opens a new log.
 func (st *segState) replayTailLogs() error {
-	entries, err := os.ReadDir(st.dir)
+	names, err := st.db.fsys.ReadDir(st.dir)
 	if err != nil {
 		return fmt.Errorf("reldb: open %s: %w", st.dir, err)
 	}
 	logs := make(map[string][]*logFile)
-	for _, e := range entries {
-		if !strings.HasPrefix(e.Name(), "tail-") {
+	for _, name := range names {
+		if !strings.HasPrefix(name, "tail-") {
 			continue
 		}
-		table, seq, ok := parseTailLogName(e.Name())
+		table, seq, ok := parseTailLogName(name)
 		if !ok || !isHotTable(table) {
-			return fmt.Errorf("reldb: %s is not the tail log of a hot table", filepath.Join(st.dir, e.Name()))
+			return fmt.Errorf("reldb: %s is not the tail log of a hot table", filepath.Join(st.dir, name))
 		}
-		logs[table] = append(logs[table], &logFile{path: filepath.Join(st.dir, e.Name()), seq: seq})
+		logs[table] = append(logs[table], &logFile{path: filepath.Join(st.dir, name), seq: seq})
 		st.logSeq[table] = max(st.logSeq[table], seq+1)
 	}
 	for _, name := range segmentHotTables {
-		t := st.fe.tables[name]
+		t := st.db.tables[name]
 		st.logSeq[name] = max(st.logSeq[name], st.loadedLow[name])
 		slices.SortFunc(logs[name], func(a, b *logFile) int { return cmp.Compare(a.seq, b.seq) })
 		for _, l := range logs[name] {
 			if t == nil || l.seq < st.loadedLow[name] {
-				os.Remove(l.path)
+				st.db.fsys.Remove(l.path)
 				continue
 			}
-			l.size, err = st.fe.replayLog(l.path, func(m *mutation) error {
+			l.size, err = st.db.replayLog(l.path, func(m *mutation) error {
 				if !m.isRowOp() || m.table != name {
 					return fmt.Errorf("%w: a tail log of %q holds op %d on %q", ErrCorruptLog, name, m.op, m.table)
 				}
-				st.fe.replayedHot++
-				return st.fe.apply(m)
+				st.db.replayedHot++
+				return st.db.apply(m)
 			})
 			if err != nil {
 				return err
 			}
-			if l.f, err = os.OpenFile(l.path, os.O_WRONLY|os.O_APPEND, 0o644); err != nil {
+			if l.f, err = st.db.fsys.Append(l.path); err != nil {
 				return fmt.Errorf("reldb: open tail log: %w", err)
 			}
 			logs := t.activeLogsLocked()
@@ -764,17 +746,16 @@ func (st *segState) cleanOrphans(files [][]string) {
 			live[file] = true
 		}
 	}
-	entries, err := os.ReadDir(st.dir)
+	names, err := st.db.fsys.ReadDir(st.dir)
 	if err != nil {
 		return
 	}
-	for _, e := range entries {
-		name := e.Name()
+	for _, name := range names {
 		if name == manifestFile || live[name] {
 			continue
 		}
 		if strings.HasSuffix(name, ".seg") || strings.HasSuffix(name, ".tmp") {
-			os.Remove(filepath.Join(st.dir, name))
+			st.db.fsys.Remove(filepath.Join(st.dir, name))
 		}
 	}
 }
@@ -801,7 +782,7 @@ type SegmentTableStatus struct {
 	LowWater    int64  `json:"low_water,omitempty"` // tail logs numbered below it are gone
 }
 
-// SegmentStats summarizes the durable engine's compaction state.
+// SegmentStats summarizes the engine's compaction state.
 type SegmentStats struct {
 	Enabled         bool   `json:"enabled"` // always true; kept on the wire for /v1/stats readers
 	FlushRows       int64  `json:"flush_rows"`
@@ -815,20 +796,20 @@ type SegmentStats struct {
 }
 
 // SegmentStats reports compaction status.
-func (fe *FileEngine) SegmentStats() SegmentStats {
-	st := fe.seg
+func (db *DB) SegmentStats() SegmentStats {
+	st := db.seg
 	out := SegmentStats{
 		Enabled:         true,
 		FlushRows:       st.flushRows.Load(),
 		Compactions:     st.compactions.Load(),
 		SegmentsWritten: st.segsWritten.Load(),
 	}
-	fe.mu.RLock()
-	defer fe.mu.RUnlock()
-	out.LogBytesAppended, out.LogBytesTrimmed = fe.logAppended, fe.logTrimmed
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	out.LogBytesAppended, out.LogBytesTrimmed = db.logAppended, db.logTrimmed
 	for _, name := range segmentHotTables {
 		status := SegmentTableStatus{Table: name}
-		if t := fe.tables[name]; t != nil {
+		if t := db.tables[name]; t != nil {
 			for _, l := range t.logsLocked() {
 				status.LogBytes, status.LogFiles = status.LogBytes+l.size, status.LogFiles+1
 			}

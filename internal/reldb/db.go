@@ -1,6 +1,7 @@
 package reldb
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -32,22 +33,44 @@ type mutation struct {
 	index  IndexSpec
 }
 
-// mutationLogger receives each mutation applied in place — DDL and
-// deletes; a transaction's inserts are logged by its commit. The file
-// engine appends them to its logs. It is invoked with the DB write lock
-// held.
-type mutationLogger interface {
-	logMutation(m *mutation) error
-}
+// ErrRefused wraps the error every write returns once a failed write
+// could not be undone: a log holds bytes of a write that did not happen,
+// so the engine takes no more writes, and no checkpoint that would make
+// them durable, until it is reopened.
+var ErrRefused = errors.New("reldb: the engine refuses writes")
 
-// DB is the shared in-memory core of both storage engines: a set of tables
-// guarded by one readers-writer lock. Mutations optionally stream to a
-// mutationLogger for durability.
+var errClosed = errors.New("reldb: engine closed")
+
+// DB is the storage engine: a set of tables guarded by one
+// readers-writer lock, whose mutations stream to write-ahead logs split
+// by record lifetime, whose hot tables' rows a background compactor
+// moves into columnar segments (compact.go), and whose snapshots
+// Checkpoint writes — all through one filesystem, fsys. Records of the hot
+// tables go to numbered per-table tail logs that are deleted as soon as a
+// manifest names the segment holding their rows; everything else goes to
+// perftrack.wal, which a checkpoint truncates. NewMem opens it over an
+// in-memory filesystem, OpenFile over a directory; the engine is the
+// same. It stands in for the DBMS backends (Oracle, PostgreSQL) of the
+// original PerfTrack prototype.
 type DB struct {
 	mu     engineLock
 	tables map[string]*Table
-	logger mutationLogger
-	seg    *segState // nil on mem, set by OpenFile: its hot tables seal and flush
+	seg    *segState
+
+	fsys    FS
+	kind    string
+	dir     string
+	wal     *logFile // perftrack.wal: DDL and the records of every table that is not hot
+	syncWAL bool     // fsync the logs a commit touched
+
+	// Guarded by the engine lock.
+	replaying   bool   // recovery: mutations apply without being logged
+	refused     error  // set by Close, or when a failed write could not be undone: every later write returns it
+	logBytes    int64  // bytes of all live logs at the last Stats call that could flush them
+	flushErrors uint64 // Stats calls that could not
+	logAppended uint64 // bytes ever appended to a log
+	logTrimmed  uint64 // bytes of log deleted or truncated away
+	replayedHot int    // hot-table records the open applied
 }
 
 // engineLock is the engine's readers-writer lock; it counts how often it
@@ -62,20 +85,14 @@ func (l *engineLock) Lock() {
 	l.RWMutex.Lock()
 }
 
-// NewMem creates an in-memory database engine. It corresponds to running
-// the PerfTrack store on a transient backend.
-func NewMem() *DB {
-	return &DB{tables: make(map[string]*Table)}
-}
-
 // CreateTable creates a table from the schema.
 func (db *DB) CreateTable(schema *Schema) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	return db.createTableLocked(schema, true)
+	return db.createTableLocked(schema)
 }
 
-func (db *DB) createTableLocked(schema *Schema, log bool) error {
+func (db *DB) createTableLocked(schema *Schema) error {
 	if _, exists := db.tables[schema.Name]; exists {
 		return fmt.Errorf("reldb: table %q already exists", schema.Name)
 	}
@@ -84,13 +101,11 @@ func (db *DB) createTableLocked(schema *Schema, log bool) error {
 	if err != nil {
 		return err
 	}
-	if log && db.logger != nil {
-		if err := db.logger.logMutation(&mutation{op: opCreateTable, schema: schema}); err != nil {
-			return err
-		}
+	if err := db.logLocked(&mutation{op: opCreateTable, schema: schema}); err != nil {
+		return err
 	}
 	db.tables[schema.Name] = t
-	if db.logger != nil { // running, not recovering: recovery decides once a table's rows are in
+	if !db.replaying { // recovery decides once a table's rows are in
 		t.columnarLocked()
 	}
 	return nil
@@ -113,20 +128,22 @@ func (db *DB) dropTableLocked(name string) {
 func (db *DB) CreateIndex(table string, spec IndexSpec) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	return db.createIndexLocked(table, spec, true)
+	return db.createIndexLocked(table, spec)
 }
 
-func (db *DB) createIndexLocked(table string, spec IndexSpec, log bool) error {
+func (db *DB) createIndexLocked(table string, spec IndexSpec) error {
 	t, exists := db.tables[table]
 	if !exists {
 		return fmt.Errorf("reldb: no table %q", table)
 	}
-	if log && db.logger != nil {
-		if err := db.logger.logMutation(&mutation{op: opCreateIndex, table: table, index: spec}); err != nil {
-			return err
-		}
+	if err := db.writableLocked(); err != nil {
+		return err
 	}
 	if err := t.addIndex(spec); err != nil {
+		return err
+	}
+	if err := db.logLocked(&mutation{op: opCreateIndex, table: table, index: spec}); err != nil {
+		t.dropIndex(spec.Name)
 		return err
 	}
 	t.schema.Indexes = append(t.schema.Indexes, spec)
@@ -137,10 +154,10 @@ func (db *DB) createIndexLocked(table string, spec IndexSpec, log bool) error {
 func (db *DB) DropIndex(table, index string) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	return db.dropIndexLocked(table, index, true)
+	return db.dropIndexLocked(table, index)
 }
 
-func (db *DB) dropIndexLocked(table, index string, log bool) error {
+func (db *DB) dropIndexLocked(table, index string) error {
 	t, exists := db.tables[table]
 	if !exists {
 		return fmt.Errorf("reldb: no table %q", table)
@@ -148,11 +165,8 @@ func (db *DB) dropIndexLocked(table, index string, log bool) error {
 	if _, exists := t.active.indexes[index]; !exists {
 		return fmt.Errorf("reldb: table %q has no index %q", table, index)
 	}
-	if log && db.logger != nil {
-		if err := db.logger.logMutation(&mutation{op: opDropIndex, table: table,
-			index: IndexSpec{Name: index}}); err != nil {
-			return err
-		}
+	if err := db.logLocked(&mutation{op: opDropIndex, table: table, index: IndexSpec{Name: index}}); err != nil {
+		return err
 	}
 	t.dropIndex(index)
 	for i, spec := range t.schema.Indexes {
@@ -209,17 +223,27 @@ func (db *DB) Delete(table string, id int64) error {
 	if !exists {
 		return fmt.Errorf("reldb: no table %q", table)
 	}
+	if err := db.writableLocked(); err != nil {
+		return err
+	}
 	old, err := t.deleteLocked(id)
 	if err != nil {
 		return err
 	}
-	if db.logger != nil {
-		if err := db.logger.logMutation(&mutation{op: opDelete, table: table, id: id}); err != nil {
-			_, _ = t.insertAtLocked(id, old)
-			return err
-		}
+	if err := db.logLocked(&mutation{op: opDelete, table: table, id: id}); err != nil {
+		_, _ = t.insertAtLocked(id, old)
+		return err
 	}
 	return nil
+}
+
+// writableLocked returns the error a write must fail with, if the engine
+// takes none.
+func (db *DB) writableLocked() error {
+	if db.replaying {
+		return nil
+	}
+	return db.refused
 }
 
 func fkError(schema *Schema, fk ForeignKey, v Value) error {
@@ -259,11 +283,11 @@ func (t *Table) containsValueLocked(column string, v Value) bool {
 // Stats summarizes the database contents and storage footprint. Rows
 // counts logical rows wherever they live. DataBytes and IndexBytes
 // measure the unflushed rows only — the row set's rows and B-tree keys,
-// a columnar tail's vectors and built permutations; a row the durable
-// engine has flushed leaves them and is counted under the Segment fields
-// instead. LogicalBytes is the data size that
-// does not depend on where rows live. The durable engine additionally
-// fills the on-disk fields.
+// a columnar tail's vectors and built permutations; a flushed row leaves
+// them and is counted under the Segment fields instead. LogicalBytes is
+// the data size that does not depend on where rows live. The file fields
+// measure what the engine keeps in its filesystem, a directory's or
+// memory's.
 type Stats struct {
 	Kind       string                `json:"kind"` // storage engine kind: mem or segment
 	Tables     int                   `json:"tables"`
@@ -272,7 +296,7 @@ type Stats struct {
 	IndexBytes int64                 `json:"index_bytes"` // B-tree key and tail permutation bytes over them
 	PerTable   map[string]TableStats `json:"per_table"`
 
-	WALBytes         int64  `json:"wal_bytes,omitempty"` // durable engine only, as are all below
+	WALBytes         int64  `json:"wal_bytes,omitempty"` // every live log
 	SnapshotBytes    int64  `json:"snapshot_bytes,omitempty"`
 	SegmentBytes     int64  `json:"segment_bytes,omitempty"`      // encoded segment files
 	SegmentDataBytes int64  `json:"segment_data_bytes,omitempty"` // decoded segment columns: about what their rows would take in row form
@@ -285,8 +309,8 @@ type Stats struct {
 func (s Stats) LogicalBytes() int64 { return s.DataBytes + s.SegmentDataBytes }
 
 // TableStats summarizes one table: Rows is logical; DataBytes and
-// IndexBytes cover the unflushed rows, the Segment fields the rest
-// (durable engine, hot tables).
+// IndexBytes cover the unflushed rows, the Segment fields the rest (hot
+// tables).
 type TableStats struct {
 	Rows       int64 `json:"rows"`
 	DataBytes  int64 `json:"data_bytes"`
@@ -302,11 +326,9 @@ type TableStats struct {
 // LogicalBytes is the payload size of the table's rows in row form.
 func (ts TableStats) LogicalBytes() int64 { return ts.DataBytes + ts.SegmentDataBytes }
 
-// Stats returns current row counts and approximate data volume.
-func (db *DB) Stats() Stats {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	s := Stats{Kind: KindMem, PerTable: make(map[string]TableStats, len(db.tables))}
+// tableStatsLocked counts the rows and bytes of every table.
+func (db *DB) tableStatsLocked() Stats {
+	s := Stats{Kind: db.kind, PerTable: make(map[string]TableStats, len(db.tables))}
 	for name, t := range db.tables {
 		ts := TableStats{
 			Rows:             t.lenLocked(),
@@ -331,6 +353,3 @@ func (db *DB) Stats() Stats {
 	}
 	return s
 }
-
-// Close releases the engine. The in-memory engine has nothing to release.
-func (db *DB) Close() error { return nil }

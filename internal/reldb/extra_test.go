@@ -20,7 +20,7 @@ func linkSchema() *Schema {
 }
 
 func TestPKScanPrefix(t *testing.T) {
-	db := NewMem()
+	db := newTestMem(t)
 	mustCreate(t, db, linkSchema())
 	for a := 0; a < 5; a++ {
 		for b := 0; b < 10; b++ {
@@ -69,7 +69,7 @@ func TestPKScanPrefix(t *testing.T) {
 }
 
 func TestPKScanEarlyStop(t *testing.T) {
-	db := NewMem()
+	db := newTestMem(t)
 	mustCreate(t, db, linkSchema())
 	for b := 0; b < 10; b++ {
 		db.Insert("link", Row{Int(1), Int(int64(b))})
@@ -126,7 +126,7 @@ func TestWALRowRoundTripSpecialFloats(t *testing.T) {
 // exactly the rows a full scan filter would.
 func TestIndexConsistencyUnderRandomOps(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	db := NewMem()
+	db := newTestMem(t)
 	schema := &Schema{
 		Name: "t",
 		Columns: []Column{
@@ -215,7 +215,7 @@ func TestIndexConsistencyUnderRandomOps(t *testing.T) {
 }
 
 func TestIndexScanUnknownIndex(t *testing.T) {
-	db := NewMem()
+	db := newTestMem(t)
 	mustCreate(t, db, personSchema())
 	tab, _ := db.Table("person")
 	if err := tab.IndexScan("nosuch", nil, nil); err == nil {
@@ -230,7 +230,7 @@ func TestIndexScanUnknownIndex(t *testing.T) {
 }
 
 func TestDropIndex(t *testing.T) {
-	db := NewMem()
+	db := newTestMem(t)
 	mustCreate(t, db, personSchema())
 	db.Insert("person", Row{Int(1), Str("a"), Null(), Null()})
 	if err := db.DropIndex("person", "person_by_name"); err != nil {

@@ -5,84 +5,75 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"math"
-	"os"
 	"path/filepath"
 	"slices"
 	"sort"
 )
 
-// FileEngine is the durable storage engine: an in-memory DB whose
-// mutations stream to write-ahead logs split by record lifetime, a
-// background compactor that moves the hot tables' rows into columnar
-// segments (compact.go), and snapshots written by Checkpoint. Records of
-// the hot tables go to numbered per-table tail logs that are deleted as
-// soon as a manifest names the segment holding their rows; everything
-// else goes to perftrack.wal, which a checkpoint truncates. Opening a
-// directory loads the latest snapshot, attaches the segments and replays
-// perftrack.wal and then each table's tail logs, discarding a torn
-// trailing record; a store that has compacted nothing yet is just
-// snapshot + logs. It stands in for the persistent DBMS backends (Oracle,
-// PostgreSQL) of the original PerfTrack prototype. Its DB.seg is never
-// nil.
-type FileEngine struct {
-	*DB
-	dir     string
-	wal     *logFile // perftrack.wal: DDL and the records of every table that is not hot
-	syncWAL bool     // fsync the logs a commit touched
-
-	// Guarded by the engine lock.
-	logBytes    int64  // bytes of all live logs at the last Stats call that could flush them
-	flushErrors uint64 // Stats calls that could not
-	logAppended uint64 // bytes ever appended to a log
-	logTrimmed  uint64 // bytes of log deleted or truncated away
-	replayedHot int    // hot-table records the open applied
-}
-
 const (
 	snapshotFile = "perftrack.snap"
 	walFile      = "perftrack.wal"
+	// logBufBytes is how many bytes of in-place records a log buffers
+	// before it writes them out without waiting for a commit.
+	logBufBytes = 64 << 10
 )
 
 // logFile is one append-only record log: perftrack.wal, or a numbered
 // tail log of one hot table (segments/tail-<table>-<seq>.log), owned by
-// the tail (or row set) whose rows it holds. Guarded by the engine lock, except
-// that f may be fsynced outside it.
+// the tail (or row set) whose rows it holds. Records wait in buf until a
+// flush writes them. Guarded by the engine lock, except that f may be
+// fsynced outside it.
 type logFile struct {
-	path   string
-	seq    int64 // tail logs: the file's place in its table's replay order
-	f      *os.File
-	w      *recordWriter // nil once the log takes no more records
-	size   int64         // bytes appended, buffered ones included
-	synced int64         // leading bytes known to be fsynced
+	path     string
+	seq      int64 // tail logs: the file's place in its table's replay order
+	f        File
+	buf      []byte // framed records not yet written to f
+	size     int64  // bytes appended: f's and buf's
+	synced   int64  // leading bytes known to be fsynced
+	finished bool   // takes no more records: it travels with a sealed tail and holds exactly what its file holds
 }
 
 // openLog opens path for appending, creating it if need be; size is what
 // the file already holds.
-func openLog(path string, seq, size int64) (*logFile, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+func openLog(fsys FS, path string, seq, size int64) (*logFile, error) {
+	f, err := fsys.Append(path)
 	if err != nil {
 		return nil, err
 	}
-	return &logFile{path: path, seq: seq, f: f, w: newRecordWriter(f), size: size}, nil
+	return &logFile{path: path, seq: seq, f: f, size: size}, nil
 }
 
-func (l *logFile) append(payload []byte) error {
+func (l *logFile) append(payload []byte) {
+	l.buf = appendRecord(l.buf, payload)
 	l.size += int64(len(payload)) + 8
-	return l.w.writeRecord(payload)
 }
 
 // appendFramed appends records that already carry their frames.
-func (l *logFile) appendFramed(records []byte) error {
+func (l *logFile) appendFramed(records []byte) {
+	l.buf = append(l.buf, records...)
 	l.size += int64(len(records))
-	return l.w.writeFramed(records)
 }
 
+// flush writes the buffered records to the file. Whatever a failed write
+// did not get into the file stays buffered, so file and buffer still hold
+// the log's records in order.
 func (l *logFile) flush() error {
-	if l.w == nil {
+	if len(l.buf) == 0 {
 		return nil
 	}
-	return l.w.flush()
+	n, err := l.f.Write(l.buf)
+	if err != nil {
+		l.buf = l.buf[:copy(l.buf, l.buf[n:])]
+		return err
+	}
+	if cap(l.buf) > logBufBytes {
+		l.buf = nil // a large commit's records: the log does not keep their room
+	} else {
+		l.buf = l.buf[:0]
+	}
+	return nil
 }
 
 // sync flushes the log and fsyncs it if it has bytes no fsync covers.
@@ -105,21 +96,44 @@ func (l *logFile) finish() error {
 	if err := l.flush(); err != nil {
 		return err
 	}
-	l.w = nil
+	l.finished = true
 	return nil
 }
 
-// discard closes and deletes a log whose records are durable elsewhere.
-func (l *logFile) discard() {
-	l.f.Close()
-	os.Remove(l.path) // best effort: open-time cleanup deletes what falls below the low-water mark
+// rewind takes the log back to its first mark bytes, dropping the records
+// a failed write appended past them — from the buffer, and from the file
+// where they reached it, which is then fsynced so that no disk keeps them.
+func (l *logFile) rewind(mark int64) error {
+	written := l.size - int64(len(l.buf))
+	if written <= mark {
+		l.buf = l.buf[:mark-written]
+	} else {
+		if err := l.f.Truncate(mark); err != nil {
+			return err
+		}
+		if err := l.f.Sync(); err != nil {
+			return err
+		}
+		l.buf, l.synced = l.buf[:0], mark
+	}
+	l.size = mark
+	return nil
 }
 
-// discardLogs discards every given log and returns how many bytes went.
-func discardLogs(logs []*logFile) (bytes uint64) {
+// logMark is a log and how many bytes it held when the mark was taken.
+type logMark struct {
+	l    *logFile
+	size int64
+}
+
+// discardLogs closes and deletes logs whose records are durable elsewhere
+// and returns how many bytes went. Deletion is best effort: the next open
+// deletes what lies below a low-water mark.
+func (db *DB) discardLogs(logs []*logFile) (bytes uint64) {
 	for _, l := range logs {
 		bytes += uint64(l.size)
-		l.discard()
+		l.f.Close()
+		db.fsys.Remove(l.path)
 	}
 	return bytes
 }
@@ -130,121 +144,148 @@ const (
 	snapTagRow    byte = 2
 )
 
-// OpenFile opens (or creates) the durable database rooted at dir.
-// Recovery order is snapshot (the rows no segment holds), then the
-// manifest's segments, attached without inserting a row, then
-// perftrack.wal, then each hot table's tail logs at or above its
-// low-water mark in sequence order (the ones below it are deleted
-// unread: a segment the manifest names holds their rows). An insert a
-// segment already serves is a no-op and an update or delete of a flushed
-// row rehydrates its table exactly as it would at run time (the log is
-// truth).
-func OpenFile(dir string) (_ *FileEngine, err error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+// open opens (or creates) the store rooted at dir of fsys. Recovery order
+// is snapshot (the rows no segment holds), then the manifest's segments,
+// attached without inserting a row, then perftrack.wal, then each hot
+// table's tail logs at or above its low-water mark in sequence order (the
+// ones below it are deleted unread: a segment the manifest names holds
+// their rows). An insert a segment already serves is a no-op and an
+// update or delete of a flushed row rehydrates its table exactly as it
+// would at run time (the log is truth).
+func open(fsys FS, kind, dir string) (_ *DB, err error) {
+	if err := fsys.MkdirAll(filepath.Join(dir, segmentSubdir)); err != nil {
 		return nil, fmt.Errorf("reldb: open %s: %w", dir, err)
 	}
-	fe := &FileEngine{DB: NewMem(), dir: dir}
-	fe.seg = newSegState(fe)
+	db := &DB{tables: make(map[string]*Table), fsys: fsys, kind: kind, dir: dir, replaying: true}
+	db.seg = newSegState(db)
 	defer func() {
 		if err != nil {
-			fe.closeLogs()
+			db.closeLogs()
 		}
 	}()
-	if err := fe.loadSnapshot(); err != nil {
+	if err := db.loadSnapshot(); err != nil {
 		return nil, err
 	}
-	if err := fe.seg.load(); err != nil {
+	if err := db.seg.load(); err != nil {
 		return nil, err
 	}
 	for _, name := range segmentHotTables {
-		if t := fe.tables[name]; t != nil {
+		if t := db.tables[name]; t != nil {
 			// Rule 3: the snapshot holds rows of this table, so a delete of
 			// one lives in the log alone until a checkpoint rewrites it.
 			t.pinLogs = len(t.active.rows) > 0
-			if err := fe.seg.attachLocked(t); err != nil {
+			if err := db.seg.attachLocked(t); err != nil {
 				return nil, err
 			}
 		}
 	}
-	walBytes, err := fe.replayLog(fe.walPath(), func(m *mutation) error {
+	walBytes, err := db.replayLog(db.walPath(), func(m *mutation) error {
 		if m.isRowOp() && isHotTable(m.table) {
 			// A perftrack.wal written before hot tables had tail logs: its
 			// rows pin the tail logs as the snapshot's do.
-			if t := fe.tables[m.table]; t != nil {
+			if t := db.tables[m.table]; t != nil {
 				t.pinLogs = true
 			}
-			fe.replayedHot++
+			db.replayedHot++
 		}
-		return fe.apply(m)
+		return db.apply(m)
 	})
 	if err != nil {
 		return nil, err
 	}
-	if err := fe.seg.replayTailLogs(); err != nil {
+	if err := db.seg.replayTailLogs(); err != nil {
 		return nil, err
 	}
-	fe.seg.loaded, fe.seg.loadedLow = nil, nil
+	db.seg.loaded, db.seg.loadedLow = nil, nil
 	for _, name := range segmentHotTables {
-		if t := fe.tables[name]; t != nil {
+		if t := db.tables[name]; t != nil {
 			t.columnarLocked() // a table replay rehydrated is row-resident again
 		}
 	}
-	if fe.wal, err = openLog(fe.walPath(), 0, walBytes); err != nil {
+	if db.wal, err = openLog(fsys, db.walPath(), 0, walBytes); err != nil {
 		return nil, fmt.Errorf("reldb: open WAL: %w", err)
 	}
-	fe.DB.logger = fe
+	// perftrack.wal and the segments directory may be new: their entries
+	// must be durable before a commit counts on them.
+	if err := fsys.SyncDir(dir); err != nil {
+		return nil, fmt.Errorf("reldb: open %s: %w", dir, err)
+	}
+	db.replaying = false
 	// Resync the manifest with post-replay state (a replayed DROP TABLE
 	// or rehydration may have retired segments) before orphan cleanup, so
 	// the manifest never references a deleted file.
-	m, garbage := fe.seg.manifestLocked()
-	if err := fe.seg.writeManifest(m, garbage); err != nil {
+	m, garbage := db.seg.manifestLocked()
+	if err := db.seg.writeManifest(m, garbage); err != nil {
 		return nil, err
 	}
-	fe.seg.cleanOrphans(m.files)
-	go fe.seg.run()
+	db.seg.cleanOrphans(m.files)
+	go db.seg.run()
 	// A tail that replay left at or above the threshold drains now, not
 	// at the next commit.
-	fe.mu.Lock()
-	fe.seg.sealReadyLocked(fe.seg.flushRows.Load())
-	fe.mu.Unlock()
-	return fe, nil
+	db.mu.Lock()
+	db.seg.sealReadyLocked(db.seg.flushRows.Load())
+	db.mu.Unlock()
+	return db, nil
 }
 
 // SetSync controls whether a commit fsyncs the logs it touched (and a
 // DDL statement or delete its log). Synchronous mode is durable against
 // power loss but much slower — a commit fsyncs each log it touched, up to
 // seven — and it is off by default, matching a DBMS with commit batching.
-func (fe *FileEngine) SetSync(sync bool) { fe.syncWAL = sync }
+func (db *DB) SetSync(sync bool) { db.syncWAL = sync }
 
-func (fe *FileEngine) snapPath() string { return filepath.Join(fe.dir, snapshotFile) }
-func (fe *FileEngine) walPath() string  { return filepath.Join(fe.dir, walFile) }
+func (db *DB) snapPath() string { return filepath.Join(db.dir, snapshotFile) }
+func (db *DB) walPath() string  { return filepath.Join(db.dir, walFile) }
 
 // isRowOp reports whether the mutation changes a row, not the schema.
 func (m *mutation) isRowOp() bool { return m.op == opInsert || m.op == opUpdate || m.op == opDelete }
 
-// logMutation appends one mutation applied in place — DDL or a delete —
-// to the log its lifetime picks: a row of a hot table to that table's
-// tail log, everything else to perftrack.wal. Called with the DB write
-// lock held. In the default asynchronous mode the record waits in the
-// log's buffer for the next commit, checkpoint, close or size query to
-// flush it; synchronous mode flushes and fsyncs it at once.
-func (fe *FileEngine) logMutation(m *mutation) error {
-	l := fe.wal
+// logLocked appends one mutation applied in place — DDL or a delete — to
+// the log its lifetime picks: a row of a hot table to that table's tail
+// log, everything else to perftrack.wal. In the default asynchronous mode
+// the record waits in the log's buffer for the next commit, checkpoint,
+// close or size query to write it (or for the buffer to fill);
+// synchronous mode writes and fsyncs it at once. A record that fails
+// leaves the log as it was. Recovery logs nothing. Called with the engine
+// write lock held.
+func (db *DB) logLocked(m *mutation) error {
+	if err := db.writableLocked(); err != nil || db.replaying {
+		return err
+	}
+	l := db.wal
 	if m.isRowOp() && isHotTable(m.table) {
 		var err error
-		if l, err = fe.seg.tailLogLocked(fe.tables[m.table]); err != nil {
+		if l, err = db.seg.tailLogLocked(db.tables[m.table]); err != nil {
 			return err
 		}
 	}
-	payload := encodeMutationPayload(m)
-	if err := l.append(payload); err != nil {
-		return err
+	mark := logMark{l, l.size}
+	l.append(encodeMutationPayload(m))
+	var err error
+	if db.syncWAL {
+		err = l.sync()
+	} else if len(l.buf) >= logBufBytes {
+		err = l.flush()
 	}
-	fe.logAppended += uint64(len(payload)) + 8
-	if fe.syncWAL {
-		return l.sync()
+	if err != nil {
+		return db.rewindLocked(err, []logMark{mark})
 	}
+	db.logAppended += uint64(l.size - mark.size)
 	return nil
+}
+
+// rewindLocked undoes what a failed write — err is its failure — appended
+// to the logs, by taking each back to its mark. If that fails too, a log
+// holds bytes of a write that did not happen, and the engine refuses
+// every later write.
+func (db *DB) rewindLocked(err error, marks []logMark) error {
+	for _, m := range marks {
+		if rerr := m.l.rewind(m.size); rerr != nil {
+			db.refused = fmt.Errorf("%w: %w (undoing it: %v)", ErrRefused, err, rerr)
+			return db.refused
+		}
+	}
+	return err
 }
 
 // openLogsLocked returns the logs still taking records in the order a
@@ -252,11 +293,11 @@ func (fe *FileEngine) logMutation(m *mutation) error {
 // tail logs, parents before children, so that a process killed between
 // two flushes leaves foci and results without their links rather than
 // links without what they name.
-func (fe *FileEngine) openLogsLocked() []*logFile {
-	logs := []*logFile{fe.wal}
+func (db *DB) openLogsLocked() []*logFile {
+	logs := []*logFile{db.wal}
 	for _, name := range logFlushOrder {
-		if t := fe.tables[name]; t != nil {
-			if owned := *t.activeLogsLocked(); len(owned) > 0 && owned[len(owned)-1].w != nil {
+		if t := db.tables[name]; t != nil {
+			if owned := *t.activeLogsLocked(); len(owned) > 0 && !owned[len(owned)-1].finished {
 				logs = append(logs, owned[len(owned)-1])
 			}
 		}
@@ -265,31 +306,31 @@ func (fe *FileEngine) openLogsLocked() []*logFile {
 }
 
 // tailLogsLocked returns the tail logs the hot tables' unflushed rows own.
-func (fe *FileEngine) tailLogsLocked() []*logFile {
+func (db *DB) tailLogsLocked() []*logFile {
 	var logs []*logFile
 	for _, name := range segmentHotTables {
-		if t := fe.tables[name]; t != nil {
+		if t := db.tables[name]; t != nil {
 			logs = append(logs, t.logsLocked()...)
 		}
 	}
 	return logs
 }
 
-// liveLogsLocked returns every log file the engine has on disk: the
-// tail logs unflushed rows own, the ones a compaction pass is about to delete,
-// and perftrack.wal (once the open got that far).
-func (fe *FileEngine) liveLogsLocked() []*logFile {
-	logs := append(fe.tailLogsLocked(), fe.seg.retired...)
-	if fe.wal != nil {
-		logs = append(logs, fe.wal)
+// liveLogsLocked returns every log file the engine has: the tail logs
+// unflushed rows own, the ones a compaction pass is about to delete, and
+// perftrack.wal (once the open got that far).
+func (db *DB) liveLogsLocked() []*logFile {
+	logs := append(db.tailLogsLocked(), db.seg.retired...)
+	if db.wal != nil {
+		logs = append(logs, db.wal)
 	}
 	return logs
 }
 
 // apply reproduces a logged mutation during recovery (no re-logging).
-func (fe *FileEngine) apply(m *mutation) error {
-	fe.mu.Lock()
-	defer fe.mu.Unlock()
+func (db *DB) apply(m *mutation) error {
+	db.mu.Lock()
+	defer db.mu.Unlock()
 	switch m.op {
 	case opCreateTable:
 		// A checkpoint that crashed between its snapshot and the truncation
@@ -297,35 +338,35 @@ func (fe *FileEngine) apply(m *mutation) error {
 		// exists as the record describes it is a no-op. Indexes are set
 		// aside when tables are compared — the log's later CREATE and DROP
 		// INDEX records are what made the snapshot's list.
-		if t := fe.tables[m.schema.Name]; t != nil {
+		if t := db.tables[m.schema.Name]; t != nil {
 			have := *t.schema
 			have.Indexes = m.schema.Indexes
 			if bytes.Equal(encodeSchemaPayload(nil, &have), encodeSchemaPayload(nil, m.schema)) {
 				return nil
 			}
 		}
-		if err := fe.createTableLocked(m.schema, false); err != nil {
+		if err := db.createTableLocked(m.schema); err != nil {
 			return err
 		}
-		return fe.seg.attachLocked(fe.tables[m.schema.Name])
+		return db.seg.attachLocked(db.tables[m.schema.Name])
 	case opDropTable:
-		fe.dropTableLocked(m.table)
-		delete(fe.seg.loaded, m.table) // the rows the manifest's segments held died with the table
+		db.dropTableLocked(m.table)
+		delete(db.seg.loaded, m.table) // the rows the manifest's segments held died with the table
 		return nil
 	case opCreateIndex:
-		if t := fe.tables[m.table]; t != nil {
+		if t := db.tables[m.table]; t != nil {
 			if ix := t.active.indexes[m.index.Name]; ix != nil && ix.spec.Unique == m.index.Unique && slices.Equal(ix.spec.Columns, m.index.Columns) {
 				return nil
 			}
 		}
-		return fe.createIndexLocked(m.table, m.index, false)
+		return db.createIndexLocked(m.table, m.index)
 	case opDropIndex:
-		if t := fe.tables[m.table]; t != nil && t.active.indexes[m.index.Name] == nil {
+		if t := db.tables[m.table]; t != nil && t.active.indexes[m.index.Name] == nil {
 			return nil // the snapshot is newer than this record and already lacks the index
 		}
-		return fe.dropIndexLocked(m.table, m.index.Name, false)
+		return db.dropIndexLocked(m.table, m.index.Name)
 	}
-	t, ok := fe.tables[m.table]
+	t, ok := db.tables[m.table]
 	if !ok {
 		return fmt.Errorf("reldb: recovery: no table %q", m.table)
 	}
@@ -394,65 +435,49 @@ func rowsEqual(a, b Row) bool {
 	return true
 }
 
-func (fe *FileEngine) loadSnapshot() error {
-	f, err := os.Open(fe.snapPath())
-	if errors.Is(err, os.ErrNotExist) {
+func (db *DB) loadSnapshot() error {
+	f, err := db.fsys.Open(db.snapPath())
+	if errors.Is(err, fs.ErrNotExist) {
 		return nil
 	}
 	if err != nil {
 		return fmt.Errorf("reldb: open snapshot: %w", err)
 	}
 	defer f.Close()
+	db.mu.Lock()
+	defer db.mu.Unlock()
 	rr := newRecordReader(f)
-	var current string
+	var t *Table // the table whose rows follow
 	for {
 		payload, err := rr.readRecord()
 		if err == io.EOF {
 			return nil
 		}
 		if err != nil {
-			return fmt.Errorf("reldb: snapshot %s: %w", fe.snapPath(), err)
+			return fmt.Errorf("reldb: snapshot %s: %w", db.snapPath(), err)
 		}
 		p := &payloadReader{buf: payload}
-		tag, err := p.byteVal()
-		if err != nil {
-			return err
-		}
-		switch tag {
-		case snapTagSchema:
+		switch tag := p.byteVal(); {
+		case tag == snapTagSchema:
 			schema, err := decodeSchemaPayload(p)
+			if err == nil {
+				err = db.createTableLocked(schema)
+			}
 			if err != nil {
 				return err
 			}
-			fe.mu.Lock()
-			err = fe.createTableLocked(schema, false)
-			fe.mu.Unlock()
-			if err != nil {
-				return err
-			}
-			current = schema.Name
-		case snapTagRow:
-			id, err := p.varint()
-			if err != nil {
-				return err
-			}
+			t = db.tables[schema.Name]
+		case tag == snapTagRow && t != nil:
+			id := p.varint()
 			row, err := decodeRowPayload(p)
-			if err != nil {
-				return err
+			if err == nil {
+				_, err = t.insertAtLocked(id, row)
 			}
-			fe.mu.Lock()
-			t, ok := fe.tables[current]
-			if !ok {
-				fe.mu.Unlock()
-				return fmt.Errorf("reldb: snapshot row before schema")
-			}
-			_, err = t.insertAtLocked(id, row)
-			fe.mu.Unlock()
 			if err != nil {
 				return err
 			}
 		default:
-			return fmt.Errorf("%w: snapshot tag %d", ErrCorruptLog, tag)
+			return fmt.Errorf("%w: snapshot record of kind %d", ErrCorruptLog, tag)
 		}
 	}
 }
@@ -461,9 +486,9 @@ func (fe *FileEngine) loadSnapshot() error {
 // how many bytes of it are good. A torn tail — a crash mid-append — ends
 // the log: the file is truncated to its last whole record. A missing
 // file is an empty log.
-func (fe *FileEngine) replayLog(path string, apply func(*mutation) error) (good int64, err error) {
-	f, err := os.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
+func (db *DB) replayLog(path string, apply func(*mutation) error) (good int64, err error) {
+	f, err := db.fsys.Open(path)
+	if errors.Is(err, fs.ErrNotExist) {
 		return 0, nil
 	}
 	if err != nil {
@@ -477,7 +502,7 @@ func (fe *FileEngine) replayLog(path string, apply func(*mutation) error) (good 
 			return good, nil
 		}
 		if errors.Is(err, ErrCorruptLog) {
-			if terr := os.Truncate(path, good); terr != nil {
+			if terr := db.fsys.Truncate(path, good); terr != nil {
 				return 0, fmt.Errorf("reldb: truncate torn log: %w", terr)
 			}
 			return good, nil
@@ -496,50 +521,14 @@ func (fe *FileEngine) replayLog(path string, apply func(*mutation) error) (good 
 	}
 }
 
-// replaceFile durably replaces path with the records write emits: temp
-// file, fsync, rename over path, fsync the directory (without which a
-// power loss can undo the rename while later writes survive). On error
-// the temp file is removed and path keeps its old bytes.
-func replaceFile(path string, write func(*recordWriter) error) (err error) {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
+// replaceFile durably replaces path with data (writeFile), then fsyncs
+// the directory, without which a power loss can undo the rename while
+// later writes survive.
+func replaceFile(fsys FS, path string, data []byte) error {
+	if err := writeFile(fsys, path, data); err != nil {
 		return err
 	}
-	defer func() {
-		if err != nil {
-			f.Close()
-			os.Remove(tmp)
-		}
-	}()
-	rw := newRecordWriter(f)
-	if err = write(rw); err != nil {
-		return err
-	}
-	if err = rw.flush(); err != nil {
-		return err
-	}
-	if err = f.Sync(); err != nil {
-		return err
-	}
-	if err = f.Close(); err != nil {
-		return err
-	}
-	if err = os.Rename(tmp, path); err != nil {
-		return err
-	}
-	return syncDir(filepath.Dir(path))
-}
-
-// syncDir fsyncs a directory, making the entries created, renamed or
-// removed in it durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
+	return fsys.SyncDir(filepath.Dir(path))
 }
 
 // Checkpoint writes a snapshot atomically, truncates perftrack.wal and
@@ -549,66 +538,59 @@ func syncDir(dir string) error {
 // the rows that fsynced, manifest-listed segments already make durable: the
 // checkpoint costs O(non-hot tables + whatever arrived during it), not a
 // rewrite of the hot tables.
-func (fe *FileEngine) Checkpoint() error {
-	st := fe.seg
+func (db *DB) Checkpoint() error {
+	st := db.seg
 	st.compactMu.Lock()
 	defer st.compactMu.Unlock()
-	fe.mu.Lock()
+	db.mu.Lock()
+	if err := db.writableLocked(); err != nil {
+		db.mu.Unlock()
+		return err
+	}
 	for _, name := range segmentHotTables {
-		if t := fe.tables[name]; t != nil && t.resident == residentUnordered {
+		if t := db.tables[name]; t != nil && t.resident == residentUnordered {
 			t.resident = 0
 		}
 	}
-	fe.mu.Unlock()
+	db.mu.Unlock()
 	for {
 		if err := st.drain(true); err != nil {
 			return err
 		}
-		fe.mu.Lock()
+		db.mu.Lock()
 		// A commit that sealed a set since the drain sends us round again:
 		// a sealed set in the snapshot would be published as a segment too.
 		if !slices.ContainsFunc(segmentHotTables, func(name string) bool {
-			t := fe.tables[name]
+			t := db.tables[name]
 			return t != nil && t.sealed != nil
 		}) {
 			break
 		}
-		fe.mu.Unlock()
+		db.mu.Unlock()
 	}
-	defer fe.mu.Unlock()
-	names := make([]string, 0, len(fe.tables))
-	for name := range fe.tables {
+	defer db.mu.Unlock()
+	names := make([]string, 0, len(db.tables))
+	for name := range db.tables {
 		names = append(names, name)
 	}
 	sort.Strings(names) // stable order for reproducible snapshots
-	err := replaceFile(fe.snapPath(), func(rw *recordWriter) error {
-		for _, name := range names {
-			t := fe.tables[name]
-			payload := append([]byte{snapTagSchema}, encodeSchemaPayload(nil, t.schema)...)
-			if err := rw.writeRecord(payload); err != nil {
-				return err
-			}
-			var werr error
-			write := func(id int64, row Row) bool {
-				p := []byte{snapTagRow}
-				p = putVarint(p, id)
-				p = encodeRowPayload(p, row)
-				werr = rw.writeRecord(p)
-				return werr == nil
-			}
-			// No tail is sealed, so what is not in a segment is the active
-			// tail (a commit landed after the drain) or the row set.
-			if s := t.tail; s != nil {
-				s.eachRow(s.pkPerm(t.pkCols), 0, s.rows, write)
-			}
-			t.active.walk("", nil, nil, write)
-			if werr != nil {
-				return werr
-			}
+	var snap, p []byte
+	for _, name := range names {
+		t := db.tables[name]
+		snap = appendRecord(snap, encodeSchemaPayload([]byte{snapTagSchema}, t.schema))
+		write := func(id int64, row Row) bool {
+			p = encodeRowPayload(putVarint(append(p[:0], snapTagRow), id), row)
+			snap = appendRecord(snap, p)
+			return true
 		}
-		return nil
-	})
-	if err != nil {
+		// No tail is sealed, so what is not in a segment is the active
+		// tail (a commit landed after the drain) or the row set.
+		if s := t.tail; s != nil {
+			s.eachRow(s.pkPerm(t.pkCols), 0, s.rows, write)
+		}
+		t.active.walk("", nil, nil, write)
+	}
+	if err := replaceFile(db.fsys, db.snapPath(), snap); err != nil {
 		return fmt.Errorf("reldb: checkpoint: %w", err)
 	}
 	st.stepped("snapshot")
@@ -620,7 +602,7 @@ func (fe *FileEngine) Checkpoint() error {
 	// drain, or it cannot be sealed) pins its tail logs from here on (rule
 	// 3).
 	for _, name := range segmentHotTables {
-		if t := fe.tables[name]; t != nil {
+		if t := db.tables[name]; t != nil {
 			t.releaseStaleLocked()
 			t.pinLogs = t.unsealedLocked() > 0
 		}
@@ -634,15 +616,19 @@ func (fe *FileEngine) Checkpoint() error {
 	}
 	st.stepped("checkpoint manifest")
 	// Snapshot and manifest-referenced segments now capture every log's
-	// effects.
-	if err := fe.wal.f.Truncate(0); err != nil { // opened O_APPEND: the next record lands at offset 0
+	// effects. The truncation is fsynced at once: a disk that kept the
+	// old records would replay them over the new snapshot.
+	if err := db.wal.f.Truncate(0); err != nil { // opened for appending: the next record lands at offset 0
 		return err
 	}
-	fe.logTrimmed += uint64(fe.wal.size) + discardLogs(st.retired)
-	fe.wal.w, fe.wal.size, fe.wal.synced = newRecordWriter(fe.wal.f), 0, 0
+	if err := db.wal.f.Sync(); err != nil {
+		return err
+	}
+	db.logTrimmed += uint64(db.wal.size) + db.discardLogs(st.retired)
+	db.wal.buf, db.wal.size, db.wal.synced = db.wal.buf[:0], 0, 0
 	st.retired = nil
 	for _, name := range segmentHotTables {
-		if t := fe.tables[name]; t != nil {
+		if t := db.tables[name]; t != nil {
 			t.discardLogsLocked()
 		}
 	}
@@ -650,52 +636,54 @@ func (fe *FileEngine) Checkpoint() error {
 	return nil
 }
 
-// DiskSize reports the total bytes on disk (logs + snapshot + segment
-// files), flushing buffered log records first so the figure is accurate.
-func (fe *FileEngine) DiskSize() (int64, error) {
-	s, err := fe.stats()
+// DiskSize reports the total bytes of the engine's files (logs +
+// snapshot + segment files), flushing buffered log records first so the
+// figure is accurate.
+func (db *DB) DiskSize() (int64, error) {
+	s, err := db.stats()
 	return s.DiskBytes, err
 }
 
-// Stats extends the in-memory statistics with on-disk footprint: logs
-// (perftrack.wal and every live tail log, as WALBytes), snapshot and
-// segment files. When a log cannot be flushed its size on disk is stale,
-// so WALBytes (and with it DiskBytes) stays at the last good value and
-// the failure is counted in FlushErrors.
-func (fe *FileEngine) Stats() Stats {
-	s, _ := fe.stats()
+// Stats returns row counts and data volume, and the footprint of the
+// engine's files: logs (perftrack.wal and every live tail log, as
+// WALBytes), snapshot and segment files. When a log cannot be flushed its
+// size in the file is stale, so WALBytes (and with it DiskBytes) stays at
+// the last good value and the failure is counted in FlushErrors.
+func (db *DB) Stats() Stats {
+	s, _ := db.stats()
 	return s
 }
 
-func (fe *FileEngine) stats() (Stats, error) {
-	s := fe.DB.Stats()
-	s.Kind = fe.Kind()
-	fe.mu.Lock()
+func (db *DB) stats() (Stats, error) {
+	db.mu.RLock()
+	s := db.tableStatsLocked()
+	db.mu.RUnlock()
+	db.mu.Lock()
 	var err error
-	for _, l := range fe.openLogsLocked() {
+	for _, l := range db.openLogsLocked() {
 		err = errors.Join(err, l.flush())
 	}
 	if err != nil {
-		fe.flushErrors++
+		db.flushErrors++
 	} else {
-		fe.logBytes = 0
-		for _, l := range fe.liveLogsLocked() {
-			fe.logBytes += l.size
+		db.logBytes = 0
+		for _, l := range db.liveLogsLocked() {
+			db.logBytes += l.size
 		}
 	}
-	s.WALBytes, s.FlushErrors = fe.logBytes, fe.flushErrors
-	fe.mu.Unlock()
-	if info, err := os.Stat(fe.snapPath()); err == nil {
-		s.SnapshotBytes = info.Size()
+	s.WALBytes, s.FlushErrors = db.logBytes, db.flushErrors
+	db.mu.Unlock()
+	if size, err := db.fsys.Size(db.snapPath()); err == nil {
+		s.SnapshotBytes = size
 	}
 	s.DiskBytes = s.WALBytes + s.SnapshotBytes + s.SegmentBytes
 	return s, err
 }
 
 // closeLogs releases every log's file handle without flushing.
-func (fe *FileEngine) closeLogs() error {
+func (db *DB) closeLogs() error {
 	var err error
-	for _, l := range fe.liveLogsLocked() {
+	for _, l := range db.liveLogsLocked() {
 		err = errors.Join(err, l.f.Close())
 	}
 	return err
@@ -703,14 +691,18 @@ func (fe *FileEngine) closeLogs() error {
 
 // Close stops the compactor, flushes and fsyncs the logs, and releases
 // their file handles — always, whatever failed before; it returns every
-// failure.
-func (fe *FileEngine) Close() error {
-	fe.seg.shutdown()
-	fe.mu.Lock()
-	defer fe.mu.Unlock()
+// failure. The tables stay readable; every later write fails.
+func (db *DB) Close() error {
+	db.seg.shutdown()
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if db.refused == errClosed {
+		return nil
+	}
 	var err error
-	for _, l := range fe.liveLogsLocked() {
+	for _, l := range db.liveLogsLocked() {
 		err = errors.Join(err, l.sync())
 	}
-	return errors.Join(err, fe.closeLogs())
+	db.refused = errClosed
+	return errors.Join(err, db.closeLogs())
 }

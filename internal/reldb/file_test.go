@@ -7,14 +7,7 @@ import (
 	"testing"
 )
 
-func openTestEngine(t *testing.T, dir string) *FileEngine {
-	t.Helper()
-	fe, err := OpenFile(dir)
-	if err != nil {
-		t.Fatalf("OpenFile: %v", err)
-	}
-	return fe
-}
+func openTestEngine(t *testing.T, dir string) *DB { return openTestEngineOn(t, osFS{}, dir) }
 
 // replayUpdate applies an update the way recovery replays one: nothing
 // running makes an update any more, but a log written before can hold it.
@@ -25,12 +18,12 @@ func replayUpdate(db *DB, table string, id int64, row Row) error {
 	return err
 }
 
-// logRecord appends a record through the durable engine's logger without
-// applying it: what an older program left in the log for replay.
-func logRecord(t *testing.T, fe *FileEngine, m *mutation) {
+// logRecord appends a record to the engine's logs without applying it:
+// what an older program left in the log for replay.
+func logRecord(t *testing.T, fe *DB, m *mutation) {
 	t.Helper()
 	fe.mu.Lock()
-	err := fe.logMutation(m)
+	err := fe.logLocked(m)
 	fe.mu.Unlock()
 	if err != nil {
 		t.Fatal(err)

@@ -55,48 +55,43 @@ func hotSchemas() []*Schema {
 		closure("resource_has_descendant", "descendant_id", "rhd_descendant")}
 }
 
-// hotPair is a durable engine and the mem engine it must agree with.
+// hotPair is an engine and the reference model it must agree with.
 type hotPair struct {
-	t   *testing.T
-	dir string
-	fe  *FileEngine
-	mem *DB
+	t    *testing.T
+	fsys FS
+	dir  string
+	fe   *DB
+	ref  *refModel
 }
 
-func newHotPair(t *testing.T) *hotPair {
-	p := &hotPair{t: t, dir: t.TempDir(), mem: NewMem()}
-	p.fe = openTestEngine(t, p.dir)
+// newHotPair makes the six hot tables in an engine over a directory and
+// in the model.
+func newHotPair(t *testing.T) *hotPair { return newHotPairOn(t, osFS{}, t.TempDir()) }
+
+func newHotPairOn(t *testing.T, fsys FS, dir string) *hotPair {
+	p := &hotPair{t: t, fsys: fsys, dir: dir, ref: newRefModel()}
+	p.fe = openTestEngineOn(t, fsys, dir)
 	for _, schema := range hotSchemas() {
-		for _, eng := range []Engine{p.fe, p.mem} {
-			if err := eng.CreateTable(schema); err != nil {
-				t.Fatal(err)
-			}
-		}
+		p.both("create "+schema.Name, func(w writer) error { return w.CreateTable(schema) })
 	}
 	return p
 }
 
-// both applies op to the durable engine and to mem and fails unless they
+// both applies op to the engine and to the model and fails unless they
 // agree on whether it is refused.
-func (p *hotPair) both(what string, op func(Engine) error) error {
+func (p *hotPair) both(what string, op func(writer) error) error {
 	p.t.Helper()
-	ferr, merr := op(p.fe), op(p.mem)
+	ferr, merr := op(p.fe), op(p.ref)
 	if (ferr == nil) != (merr == nil) {
-		p.t.Fatalf("%s: durable engine says %v, mem says %v", what, ferr, merr)
+		p.t.Fatalf("%s: the engine says %v, the model %v", what, ferr, merr)
 	}
 	return merr
 }
 
-// inserter is an engine, or a transaction on one.
-type inserter interface {
-	Insert(table string, row Row) (int64, error)
-}
-
 // commitResults appends n results as loadResults does, through one
-// transaction: on the durable engine the rows are private to it until it
-// commits.
-func commitResults(eng Engine, first, n int) error {
-	tx := eng.Begin()
+// transaction: the rows are private to it until it commits.
+func commitResults(w writer, first, n int) error {
+	tx := w.begin()
 	if err := loadResults(tx, first, n); err != nil {
 		return errors.Join(err, tx.Rollback())
 	}
@@ -140,15 +135,13 @@ func loadResults(eng inserter, first, n int) error {
 	return nil
 }
 
-// load appends n results to both engines: as one transaction on the
-// durable one, a row a commit on mem.
+// load appends n results to the engine and the model, each as one
+// transaction.
 func (p *hotPair) load(first, n int) {
 	p.t.Helper()
-	err := commitResults(p.fe, first, n)
-	if err == nil {
-		err = loadResults(p.mem, first, n)
-	}
-	if err != nil {
+	if err := p.both(fmt.Sprintf("load of results %d..%d", first, first+n-1), func(w writer) error {
+		return commitResults(w, first, n)
+	}); err != nil {
 		p.t.Fatal(err)
 	}
 }
@@ -157,8 +150,7 @@ func (p *hotPair) check(label string) {
 	p.t.Helper()
 	for _, schema := range hotSchemas() {
 		got, _ := p.fe.Table(schema.Name)
-		want, _ := p.mem.Table(schema.Name)
-		sameReads(p.t, label+": "+schema.Name, got, want)
+		sameReads(p.t, label+": "+schema.Name, got, p.ref.tables[schema.Name])
 	}
 }
 
@@ -167,31 +159,29 @@ func (p *hotPair) reopen() {
 	if err := p.fe.Close(); err != nil {
 		p.t.Fatal(err)
 	}
-	p.fe = openTestEngine(p.t, p.dir)
+	p.fe = openTestEngineOn(p.t, p.fsys, p.dir)
+}
+
+// randomID returns the row ID of a random row of the model's table.
+func (p *hotPair) randomID(rng *rand.Rand, table string) int64 {
+	rows := p.ref.tables[table].ordered()
+	return rows[rng.Intn(len(rows))].id
 }
 
 // TestSegmentReadsMatchMem applies one seeded random history — ordered
 // loads, replaced rows, deletes, a rolled-back transaction, an
 // out-of-order insert, with compactions, checkpoints and reopens in
-// between — to the
-// durable engine and to mem, and after every step requires every read a
-// Table offers to agree row for row and in order, and every refusal
-// (duplicate key, dangling foreign key into a flushed range) to be shared.
+// between — to the engine and to the reference model, and after every
+// step requires every read a Table offers to agree row for row and in
+// order, and every refusal (duplicate key, dangling foreign key into a
+// flushed range) to be shared.
 func TestSegmentReadsMatchMem(t *testing.T) {
 	p := newHotPair(t)
 	defer func() { p.fe.Close() }()
 	p.fe.SetSegmentFlushRows(64)
 	rng := rand.New(rand.NewSource(19))
 	next, segmented := 0, 0
-	randomID := func(table string) int64 {
-		tab, _ := p.mem.Table(table)
-		var ids []int64
-		tab.Scan(func(id int64, _ Row) bool {
-			ids = append(ids, id)
-			return true
-		})
-		return ids[rng.Intn(len(ids))]
-	}
+	randomID := func(table string) int64 { return p.randomID(rng, table) }
 	p.load(next, 90)
 	next += 90
 	for step := 0; step < 60; step++ {
@@ -205,25 +195,24 @@ func TestSegmentReadsMatchMem(t *testing.T) {
 		case 2:
 			label = "replace"
 			id, exec := randomID("performance_result"), int64(rng.Intn(7))
-			p.both(label, func(eng Engine) error {
-				tab, _ := eng.Table("performance_result")
-				row, _ := tab.Get(id)
-				row[1], row[5] = Int(exec), Float(-1)
-				if err := eng.Delete("performance_result", id); err != nil {
+			row := p.ref.get("performance_result", id)
+			row[1], row[5] = Int(exec), Float(-1)
+			p.both(label, func(w writer) error {
+				if err := w.Delete("performance_result", id); err != nil {
 					return err
 				}
-				_, err := eng.Insert("performance_result", row) // the same key, under a new row ID
+				_, err := w.Insert("performance_result", row) // the same key, under a new row ID
 				return err
 			})
 		case 3:
 			label = "delete"
 			table := []string{"performance_result", "result_has_focus", "focus_has_resource"}[rng.Intn(3)]
 			id := randomID(table)
-			p.both(label, func(eng Engine) error { return eng.Delete(table, id) })
+			p.both(label, func(w writer) error { return w.Delete(table, id) })
 		case 4:
 			label = "rolled-back transaction"
-			p.both(label, func(eng Engine) error {
-				tx := eng.Begin()
+			p.both(label, func(w writer) error {
+				tx := w.begin()
 				if err := loadResults(tx, next, 5); err != nil {
 					return err
 				}
@@ -231,30 +220,27 @@ func TestSegmentReadsMatchMem(t *testing.T) {
 			})
 		case 5:
 			label = "out-of-order insert"
-			id := randomID("focus_has_resource")
-			p.both(label, func(eng Engine) error {
-				tab, _ := eng.Table("focus_has_resource")
-				row, _ := tab.Get(id)
-				row[1] = Int(row[1].Int64() + 100) // same focus as an old row: below the flushed maximum
-				_, err := eng.Insert("focus_has_resource", row)
+			row := p.ref.get("focus_has_resource", randomID("focus_has_resource"))
+			row[1] = Int(row[1].Int64() + 100) // same focus as an old row: below the flushed maximum
+			p.both(label, func(w writer) error {
+				_, err := w.Insert("focus_has_resource", row)
 				return err
 			})
 		case 6:
 			label = "refused inserts"
-			results, _ := p.mem.Table("performance_result")
-			dup, _ := results.Get(randomID("performance_result")) // a replaced row's key is not its row ID
-			if err := p.both("duplicate key", func(eng Engine) error {
+			dup := p.ref.get("performance_result", randomID("performance_result")) // a replaced row's key is not its row ID
+			if err := p.both("duplicate key", func(w writer) error {
 				row := resultRow(0)
 				row[0] = dup[0]
-				_, err := eng.Insert("performance_result", row)
+				_, err := w.Insert("performance_result", row)
 				return err
 			}); err == nil {
 				t.Fatalf("step %d: duplicate primary key %v accepted", step, dup[0])
 			}
 			victim := randomID("performance_result")
-			p.both("delete", func(eng Engine) error { return eng.Delete("performance_result", victim) })
-			if err := p.both("dangling foreign key", func(eng Engine) error {
-				_, err := eng.Insert("result_has_focus", Row{Int(victim), Int(1 << 20)})
+			p.both("delete", func(w writer) error { return w.Delete("performance_result", victim) })
+			if err := p.both("dangling foreign key", func(w writer) error {
+				_, err := w.Insert("result_has_focus", Row{Int(victim), Int(1 << 20)})
 				return err
 			}); err == nil {
 				t.Fatalf("step %d: link to deleted result %d accepted", step, victim)
@@ -272,7 +258,8 @@ func TestSegmentReadsMatchMem(t *testing.T) {
 		case 9:
 			label = "reopen"
 			// Recovery restarts row IDs after the highest surviving row,
-			// mem after the highest ever assigned: make them the same row.
+			// the model after the highest ever assigned: make them the same
+			// row.
 			p.load(next, 3)
 			next += 3
 			if rng.Intn(2) == 0 {
@@ -359,7 +346,7 @@ func heapAfterGC() uint64 {
 
 // flushedRowsAreNotResident fails unless the hot tables' row-store bytes
 // cover their tails only (tailRows[i] rows of hotSchemas()[i]).
-func flushedRowsAreNotResident(t *testing.T, fe *FileEngine, tailRows []int64) {
+func flushedRowsAreNotResident(t *testing.T, fe *DB, tailRows []int64) {
 	t.Helper()
 	stats := fe.Stats()
 	for i, schema := range hotSchemas() {
@@ -378,16 +365,16 @@ func flushedRowsAreNotResident(t *testing.T, fe *FileEngine, tailRows []int64) {
 
 // TestSegmentFlushedRowsLeaveRowStore: once compacted, a row is resident
 // in its segment only — the row-store byte counters cover the tail, and
-// the live heap is under half of what mem pays for the same rows. (The
-// tail is columnar before the flush too, so mem's share is measured on
-// its own, not as half of both.)
+// the live heap is under half of what the same rows take as rows, in the
+// model's map. (The tail is columnar before the flush too, so the rows'
+// share is measured on its own, not as half of both.)
 func TestSegmentFlushedRowsLeaveRowStore(t *testing.T) {
 	const rows = 30000
 	base := heapAfterGC()
 	p := newHotPair(t)
 	defer func() { p.fe.Close() }()
 	p.fe.SetSegmentFlushRows(1 << 40) // hold everything in the tail first
-	if err := loadResults(p.mem, 0, rows); err != nil {
+	if err := commitResults(p.ref, 0, rows); err != nil {
 		t.Fatal(err)
 	}
 	memShare := heapAfterGC() - base
@@ -400,10 +387,10 @@ func TestSegmentFlushedRowsLeaveRowStore(t *testing.T) {
 	flushedRowsAreNotResident(t, p.fe, []int64{0, 0, 0, 0, 0, 0})
 	p.load(rows, 10)
 	flushedRowsAreNotResident(t, p.fe, []int64{10, 20, 8, 4, 4, 4})
-	// What remains after the flush is mem's share plus the segments.
+	// What remains after the flush is the rows' share plus the segments.
 	after := heapAfterGC() - base
 	if segShare := after - memShare; after < memShare || segShare > memShare/2 {
-		t.Fatalf("live heap: %d KB with mem alone, %d KB with the flushed durable engine beside it; that one holds %d KB, want under half of mem's",
+		t.Fatalf("live heap: %d KB with the rows alone, %d KB with the flushed engine beside them; that one holds %d KB, want under half of the rows'",
 			memShare>>10, after>>10, (after-memShare)>>10)
 	}
 	runtime.KeepAlive(p)
@@ -412,8 +399,7 @@ func TestSegmentFlushedRowsLeaveRowStore(t *testing.T) {
 // TestSegmentReopenAttachesWithoutReinserting: recovery attaches the
 // manifest's segments instead of re-inserting their rows — the row store
 // holds the tail only, row IDs continue past the watermark — and logs
-// that end with deletes of flushed rows replay to the mem engine's
-// answer.
+// that end with deletes of flushed rows replay to the model's answer.
 func TestSegmentReopenAttachesWithoutReinserting(t *testing.T) {
 	const rows = 3000
 	p := newHotPair(t)
@@ -427,22 +413,22 @@ func TestSegmentReopenAttachesWithoutReinserting(t *testing.T) {
 	flushedRowsAreNotResident(t, p.fe, []int64{10, 20, 8, 4, 4, 4})
 	p.check("reopened")
 	var ids [2]int64
-	p.both("insert after reopen", func(eng Engine) (err error) {
+	p.both("insert after reopen", func(w writer) (err error) {
 		i := 0
-		if eng == Engine(p.mem) {
+		if w == writer(p.ref) {
 			i = 1
 		}
-		ids[i], err = eng.Insert("performance_result", resultRow(7))
+		ids[i], err = w.Insert("performance_result", resultRow(7))
 		return err
 	})
 	if ids[0] != rows+11 || ids[0] != ids[1] {
-		t.Fatalf("first row ID after reopen = %d (mem %d), want %d", ids[0], ids[1], rows+11)
+		t.Fatalf("first row ID after reopen = %d (model %d), want %d", ids[0], ids[1], rows+11)
 	}
 
 	// Flushed rows change last; the crash leaves that in the WAL only.
 	p.fe.SetSync(true)
-	p.both("delete flushed result", func(eng Engine) error { return eng.Delete("performance_result", 17) })
-	p.both("delete flushed link", func(eng Engine) error { return eng.Delete("focus_has_resource", 5) })
+	p.both("delete flushed result", func(w writer) error { return w.Delete("performance_result", 17) })
+	p.both("delete flushed link", func(w writer) error { return w.Delete("focus_has_resource", 5) })
 	abandon(p.fe)
 	p.fe = openTestEngine(t, p.dir)
 	p.check("replayed deletes of flushed rows")
@@ -463,13 +449,12 @@ func TestSegmentIndexDDLCoversFlushedRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.load(300, 20)
-	p.both("create index", func(eng Engine) error {
-		return eng.CreateIndex("performance_result", IndexSpec{Name: "pr_tool_metric", Columns: []string{"tool_id", "metric_id"}})
+	p.both("create index", func(w writer) error {
+		return w.CreateIndex("performance_result", IndexSpec{Name: "pr_tool_metric", Columns: []string{"tool_id", "metric_id"}})
 	})
-	p.both("drop index", func(eng Engine) error { return eng.DropIndex("result_has_focus", "rhf_focus") })
+	p.both("drop index", func(w writer) error { return w.DropIndex("result_has_focus", "rhf_focus") })
 	got, _ := p.fe.Table("performance_result")
-	want, _ := p.mem.Table("performance_result")
-	sameReads(t, "after CREATE INDEX", got, want)
+	sameReads(t, "after CREATE INDEX", got, p.ref.tables["performance_result"])
 	var n int
 	if err := got.IndexScan("pr_tool_metric", []Value{Int(1), Int(3)}, func(int64, Row) bool { n++; return true }); err != nil || n == 0 {
 		t.Fatalf("two-column index scan over flushed rows: %d rows, err %v", n, err)
@@ -484,19 +469,19 @@ func TestSegmentIndexDDLCoversFlushedRows(t *testing.T) {
 		got.IndexScanInt("nope", []Value{Int(1)}, 0, ignore) == nil {
 		t.Fatal("IndexScanInt accepted a partial key, a float column or an unknown index")
 	}
-	got, want = nil, nil
+	got = nil
 	rhf, _ := p.fe.Table("result_has_focus")
 	if err := rhf.IndexScan("rhf_focus", nil, func(int64, Row) bool { return true }); err == nil {
 		t.Fatal("dropped index still scans")
 	}
 	p.reopen()
-	p.both("unique index", func(eng Engine) error {
+	p.both("unique index", func(eng writer) error {
 		return eng.CreateIndex("focus_has_resource", IndexSpec{Name: "fhr_pair", Columns: []string{"resource_id", "focus_id"}, Unique: true})
 	})
 	if st := hotStatus(t, p.fe, "focus_has_resource"); !st.Unordered || st.Segments != 0 {
 		t.Fatalf("status after a unique index = %+v, want row-resident", st)
 	}
-	if err := p.both("violate unique index", func(eng Engine) error {
+	if err := p.both("violate unique index", func(eng writer) error {
 		_, err := eng.Insert("focus_has_resource", Row{Int(1), Int(0)})
 		return err
 	}); err == nil {
@@ -504,15 +489,14 @@ func TestSegmentIndexDDLCoversFlushedRows(t *testing.T) {
 	}
 	for _, name := range []string{"performance_result", "result_has_focus", "focus_has_resource"} {
 		got, _ := p.fe.Table(name)
-		want, _ := p.mem.Table(name)
-		sameReads(t, "reopened: "+name, got, want)
+		sameReads(t, "reopened: "+name, got, p.ref.tables[name])
 	}
 }
 
 // TestSegmentRecoveryWhenSnapshotAndManifestOverlap covers the two ways a
 // snapshot can hold rows a manifest-listed segment also holds; in both
 // the WAL since the older of the two is intact and recovery must reach
-// the mem engine's answer.
+// the model's answer.
 func TestSegmentRecoveryWhenSnapshotAndManifestOverlap(t *testing.T) {
 	// A commit that landed between a checkpoint's drain and its snapshot
 	// had its rows snapshotted; a rehydration and re-seal later put them
@@ -530,7 +514,7 @@ func TestSegmentRecoveryWhenSnapshotAndManifestOverlap(t *testing.T) {
 		if st := hotStatus(t, p.fe, "performance_result"); st.Rows != 210 || st.PendingRows != 50 {
 			t.Fatalf("status after the checkpoint = %+v, want the late commit's 50 rows in the tail", st)
 		}
-		p.both("delete flushed row", func(eng Engine) error { return eng.Delete("performance_result", 5) })
+		p.both("delete flushed row", func(eng writer) error { return eng.Delete("performance_result", 5) })
 		if err := p.fe.CompactSegments(); err != nil {
 			t.Fatal(err)
 		}
@@ -560,11 +544,11 @@ func TestSegmentRecoveryWhenSnapshotAndManifestOverlap(t *testing.T) {
 		p.load(200, 10)
 		before := t.TempDir()
 		p.checkpointWith(func() {
-			p.both("delete flushed row", func(eng Engine) error { return eng.Delete("performance_result", 7) })
+			p.both("delete flushed row", func(eng writer) error { return eng.Delete("performance_result", 7) })
 			p.fe.Stats() // flushes the logs to their files
 			copyTree(t, p.dir, before)
 		})
-		if counts := countSnapshotRows(t, p.dir+"/"+snapshotFile); counts["performance_result"] != 209 {
+		if counts := countSnapshotRows(t, p.fsys, p.dir+"/"+snapshotFile); counts["performance_result"] != 209 {
 			t.Fatalf("snapshot holds %d performance_result rows, want all 209", counts["performance_result"])
 		}
 		abandon(p.fe)
@@ -606,6 +590,11 @@ func (p *hotPair) checkpointWith(late func()) {
 	}
 }
 
+// brokenFile is a file whose writes fail.
+type brokenFile struct{ File }
+
+func (brokenFile) Write([]byte) (int, error) { return 0, errFault }
+
 // TestFileEngineCloseAlwaysClosesWAL: Close releases the WAL handle and
 // reports every failure, instead of returning at the first.
 func TestFileEngineCloseAlwaysClosesWAL(t *testing.T) {
@@ -614,15 +603,7 @@ func TestFileEngineCloseAlwaysClosesWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	wal := fe.wal.f
-	closed, err := os.Open(os.DevNull)
-	if err != nil {
-		t.Fatal(err)
-	}
-	closed.Close()
-	fe.wal.w = newRecordWriter(closed) // the buffered CREATE TABLE record cannot be flushed
-	if err := fe.wal.w.writeRecord([]byte("x")); err != nil {
-		t.Fatal(err)
-	}
+	fe.wal.f = brokenFile{wal} // the buffered CREATE TABLE record cannot be written
 	if err := fe.Close(); err == nil {
 		t.Fatal("Close hid a flush failure")
 	}
@@ -671,17 +652,16 @@ func TestFileEngineStatsCountsFlushFailure(t *testing.T) {
 	if good.WALBytes == 0 || good.FlushErrors != 0 {
 		t.Fatalf("healthy stats = %+v", good)
 	}
-	closed, _ := os.Open(os.DevNull)
-	closed.Close()
-	healthy := fe.wal.w
-	fe.wal.w = newRecordWriter(closed)
-	if err := fe.wal.w.writeRecord([]byte("x")); err != nil {
-		t.Fatal(err)
-	}
+	healthy, mark := fe.wal.f, fe.wal.size
+	fe.wal.f = brokenFile{healthy}
+	fe.wal.append([]byte("x"))
 	bad := fe.Stats()
 	if bad.FlushErrors != 1 || bad.WALBytes != good.WALBytes || bad.DiskBytes != good.DiskBytes {
 		t.Fatalf("stats after a failed flush = wal %d disk %d errors %d, want the last good %d / %d and 1 error",
 			bad.WALBytes, bad.DiskBytes, bad.FlushErrors, good.WALBytes, good.DiskBytes)
 	}
-	fe.wal.w = healthy
+	fe.wal.f = healthy
+	if err := fe.wal.rewind(mark); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
-	"os"
 	"slices"
 	"sort"
 	"sync"
@@ -15,8 +14,8 @@ import (
 )
 
 // Columnar segment files. A segment is an immutable, PK-sorted,
-// column-major flush of one table's recent rows, written by the
-// background compactor of the "segment" storage engine. On-disk layout:
+// column-major flush of one table's recent rows, written by the engine's
+// background compactor. On-disk layout:
 //
 //	8 bytes   magic "PTSEG001"
 //	body      row-ID block, then one block per column
@@ -85,9 +84,8 @@ type zoneMap struct {
 // permutation built on first use.
 //
 // A segment with a file is immutable and sorted by primary key. One
-// without is a tail: the unflushed rows of a durable engine's hot table
-// in arrival order, which is row-ID order and, for a document load,
-// primary-key order. A tail only grows, by whole appends under the
+// without is a tail: the unflushed rows of a hot table in arrival order,
+// which is row-ID order and, for a document load, primary-key order. A tail only grows, by whole appends under the
 // engine write lock; nothing in it ever moves, so a view of its first n
 // rows stays valid without a lock, and its permutations are extended by
 // the appended run, not rebuilt. Sealing a tail and publishing it as a
@@ -671,28 +669,20 @@ func decodeColumn(kind Kind, data []byte, n int) (colVec, error) {
 		}
 	case KindString:
 		p := &payloadReader{buf: data}
-		nd, err := p.uvarint()
-		if err != nil || nd > uint64(n) {
-			return cv, ErrCorruptSegment
+		cv.words = make([]string, p.count())
+		for i := range cv.words {
+			cv.words[i] = p.str()
 		}
-		words := make([]string, nd)
-		for i := range words {
-			if words[i], err = p.str(); err != nil {
-				return cv, ErrCorruptSegment
+		cv.strs, cv.codes = make([]string, n), make([]uint32, n)
+		for i := range cv.strs {
+			code := p.uvarint()
+			if code >= uint64(len(cv.words)) {
+				p.fail()
+				break
 			}
+			cv.strs[i], cv.codes[i] = cv.words[code], uint32(code)
 		}
-		cv.strs = make([]string, n)
-		cv.codes = make([]uint32, n)
-		cv.words = words
-		for i := 0; i < n; i++ {
-			code, err := p.uvarint()
-			if err != nil || code >= uint64(len(words)) {
-				return cv, ErrCorruptSegment
-			}
-			cv.strs[i] = words[code]
-			cv.codes[i] = uint32(code)
-		}
-		if !p.empty() {
+		if p.err != nil || !p.empty() || len(cv.words) > n {
 			return cv, ErrCorruptSegment
 		}
 	case KindBool:
@@ -730,40 +720,14 @@ func decodeSegment(buf []byte) (*segment, error) {
 	body := buf[magicLen : footerEnd-footerLen]
 
 	p := &payloadReader{buf: footer}
-	s := &segment{sizeOn: int64(len(buf))}
-	var err error
-	if s.table, err = p.str(); err != nil {
-		return nil, ErrCorruptSegment
-	}
-	rows, err := p.uvarint()
-	if err != nil || rows == 0 || rows > 1<<30 {
+	s := &segment{sizeOn: int64(len(buf)), table: p.str()}
+	rows := p.uvarint()
+	s.minRowID, s.maxRowID, s.minPK, s.maxPK = p.varint(), p.varint(), p.varint(), p.varint()
+	rowIDOff, rowIDLen, ncols := p.uvarint(), p.uvarint(), p.count()
+	if p.err != nil || rows == 0 || rows > 1<<30 || ncols == 0 {
 		return nil, ErrCorruptSegment
 	}
 	s.rows = int(rows)
-	if s.minRowID, err = p.varint(); err != nil {
-		return nil, ErrCorruptSegment
-	}
-	if s.maxRowID, err = p.varint(); err != nil {
-		return nil, ErrCorruptSegment
-	}
-	if s.minPK, err = p.varint(); err != nil {
-		return nil, ErrCorruptSegment
-	}
-	if s.maxPK, err = p.varint(); err != nil {
-		return nil, ErrCorruptSegment
-	}
-	rowIDOff, err := p.uvarint()
-	if err != nil {
-		return nil, ErrCorruptSegment
-	}
-	rowIDLen, err := p.uvarint()
-	if err != nil {
-		return nil, ErrCorruptSegment
-	}
-	ncols, err := p.uvarint()
-	if err != nil || ncols == 0 || ncols > 1<<16 {
-		return nil, ErrCorruptSegment
-	}
 	type colMeta struct {
 		kind   Kind
 		off, n uint64
@@ -772,43 +736,22 @@ func decodeSegment(buf []byte) (*segment, error) {
 	s.cols = make([]colVec, ncols)
 	s.zones = make([]zoneMap, ncols)
 	for ci := range metas {
-		kb, err := p.byteVal()
-		if err != nil {
-			return nil, ErrCorruptSegment
-		}
-		metas[ci].kind = Kind(kb)
-		if metas[ci].off, err = p.uvarint(); err != nil {
-			return nil, ErrCorruptSegment
-		}
-		if metas[ci].n, err = p.uvarint(); err != nil {
-			return nil, ErrCorruptSegment
-		}
-		zb, err := p.byteVal()
-		if err != nil || zb > 1 {
-			return nil, ErrCorruptSegment
-		}
-		if zb == 1 {
-			z := &s.zones[ci]
-			z.valid = true
-			if z.minI, err = p.varint(); err != nil {
-				return nil, ErrCorruptSegment
+		metas[ci] = colMeta{Kind(p.byteVal()), p.uvarint(), p.uvarint()}
+		switch p.byteVal() {
+		case 0:
+		case 1:
+			minI, maxI, f := p.varint(), p.varint(), p.bytes(16)
+			if f != nil {
+				s.zones[ci] = zoneMap{valid: true, minI: minI, maxI: maxI,
+					minF: math.Float64frombits(binary.LittleEndian.Uint64(f[0:8])),
+					maxF: math.Float64frombits(binary.LittleEndian.Uint64(f[8:16]))}
 			}
-			if z.maxI, err = p.varint(); err != nil {
-				return nil, ErrCorruptSegment
-			}
-			if len(p.buf) < 16 {
-				return nil, ErrCorruptSegment
-			}
-			z.minF = math.Float64frombits(binary.LittleEndian.Uint64(p.buf[0:8]))
-			z.maxF = math.Float64frombits(binary.LittleEndian.Uint64(p.buf[8:16]))
-			p.buf = p.buf[16:]
+		default:
+			p.fail()
 		}
 	}
-	bodyCRC, err := p.uvarint()
-	if err != nil || !p.empty() {
-		return nil, ErrCorruptSegment
-	}
-	if crc32.ChecksumIEEE(body) != uint32(bodyCRC) {
+	bodyCRC := p.uvarint()
+	if p.err != nil || !p.empty() || crc32.ChecksumIEEE(body) != uint32(bodyCRC) {
 		return nil, ErrCorruptSegment
 	}
 
@@ -838,42 +781,49 @@ func decodeSegment(buf []byte) (*segment, error) {
 	return s, nil
 }
 
-// writeSegmentFile encodes the segment and writes it durably to path
-// (write temp, fsync, rename), returning the file's size. The segment
-// itself is only read: readers may be using it. The manifest gates
-// visibility, so a crash mid-write leaves only an orphan file that
-// open-time cleanup removes, and the rename needs no directory fsync of
-// its own: the manifest that first names the segment lives in the same
-// directory and replaceFile fsyncs it.
-func writeSegmentFile(path string, s *segment) (int64, error) {
+// writeSegmentFile encodes the segment and writes it to path
+// (writeFile), returning the file's size. The segment itself is only
+// read: readers may be using it. The manifest gates visibility, so a
+// crash mid-write leaves only an orphan file that open-time cleanup
+// removes, and the rename needs no directory fsync of its own: the
+// manifest that first names the segment lives in the same directory and
+// replaceFile fsyncs it.
+func writeSegmentFile(fsys FS, path string, s *segment) (int64, error) {
 	buf := encodeSegment(s)
-	tmp := path + ".tmp"
-	if err := writeSynced(tmp, buf); err != nil {
+	if err := writeFile(fsys, path, buf); err != nil {
 		return 0, fmt.Errorf("reldb: write segment: %w", err)
 	}
-	return int64(len(buf)), os.Rename(tmp, path)
+	return int64(len(buf)), nil
 }
 
-// writeSynced writes data to a fresh file at path and fsyncs it.
-func writeSynced(path string, data []byte) error {
-	f, err := os.Create(path)
+// writeFile makes data path's contents, durably but for the directory
+// entry: a temp file, written and fsynced, renamed over path. On error
+// the temp file is removed and path keeps its old bytes.
+func writeFile(fsys FS, path string, data []byte) error {
+	tmp := path + ".tmp"
+	f, err := fsys.Create(tmp)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	return f.Close()
+	if err == nil {
+		err = fsys.Rename(tmp, path)
+	}
+	if err != nil {
+		fsys.Remove(tmp)
+	}
+	return err
 }
 
 // readSegmentFile loads and validates one segment file.
-func readSegmentFile(path string) (*segment, error) {
-	buf, err := os.ReadFile(path)
+func readSegmentFile(fsys FS, path string) (*segment, error) {
+	buf, err := fsys.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("reldb: read segment %s: %w", path, err)
 	}

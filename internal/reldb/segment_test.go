@@ -3,12 +3,9 @@ package reldb
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"math"
 	"os"
 	"path/filepath"
-	"reflect"
-	"sort"
 	"testing"
 )
 
@@ -48,7 +45,7 @@ func resultRow(i int) Row {
 }
 
 // insertResults commits resultRow(0..n-1) as one transaction.
-func insertResults(t *testing.T, fe *FileEngine, n int) {
+func insertResults(t *testing.T, fe *DB, n int) {
 	t.Helper()
 	tx := fe.Begin()
 	for i := 0; i < n; i++ {
@@ -64,13 +61,13 @@ func insertResults(t *testing.T, fe *FileEngine, n int) {
 // abandon simulates a crash: stop the compactor and drop the file
 // handles without flushing, checkpointing, or closing cleanly. With
 // sync mode on, everything committed is already in the logs.
-func abandon(fe *FileEngine) {
+func abandon(fe *DB) {
 	fe.seg.shutdown()
 	fe.closeLogs()
 }
 
 // hotStatus returns the compaction status /v1/stats reports for a table.
-func hotStatus(t *testing.T, fe *FileEngine, table string) SegmentTableStatus {
+func hotStatus(t *testing.T, fe *DB, table string) SegmentTableStatus {
 	t.Helper()
 	for _, st := range fe.SegmentStats().Tables {
 		if st.Table == table {
@@ -82,7 +79,7 @@ func hotStatus(t *testing.T, fe *FileEngine, table string) SegmentTableStatus {
 }
 
 func TestSegmentRoundTrip(t *testing.T) {
-	db := NewMem()
+	db := newTestMem(t)
 	schema := &Schema{
 		Name: "mixed",
 		Columns: []Column{
@@ -267,9 +264,9 @@ func TestSegmentCrashRecoveryBetweenCompactionAndCheckpoint(t *testing.T) {
 }
 
 // countSnapshotRows parses the snapshot and counts row records per table.
-func countSnapshotRows(t *testing.T, path string) map[string]int {
+func countSnapshotRows(t *testing.T, fsys FS, path string) map[string]int {
 	t.Helper()
-	f, err := os.Open(path)
+	f, err := fsys.Open(path)
 	if err != nil {
 		t.Fatalf("open snapshot: %v", err)
 	}
@@ -283,7 +280,7 @@ func countSnapshotRows(t *testing.T, path string) map[string]int {
 			break
 		}
 		p := &payloadReader{buf: payload}
-		tag, _ := p.byteVal()
+		tag := p.byteVal()
 		switch tag {
 		case snapTagSchema:
 			s, err := decodeSchemaPayload(p)
@@ -314,7 +311,7 @@ func TestSegmentCheckpointIsIncremental(t *testing.T) {
 	}
 	// Checkpoint compacts first, so even the tail reaches a segment and
 	// the snapshot holds zero hot rows.
-	counts := countSnapshotRows(t, filepath.Join(dir, snapshotFile))
+	counts := countSnapshotRows(t, osFS{}, filepath.Join(dir, snapshotFile))
 	if counts["performance_result"] != 0 {
 		t.Fatalf("snapshot holds %d hot rows, want 0", counts["performance_result"])
 	}
@@ -337,145 +334,31 @@ func TestSegmentCheckpointIsIncremental(t *testing.T) {
 	}
 }
 
-// sameReads fails unless got and want hold the same rows, read every way
-// a Table can be read, in the same order.
-func sameReads(t *testing.T, label string, got, want *Table) {
+// modelResults returns a model holding resultRow(0..n-1), the reference
+// the engine's reads are compared with.
+func modelResults(t *testing.T, n int) *refModel {
 	t.Helper()
-	type visit struct {
-		id  int64
-		row string
-	}
-	collect := func(into *[]visit) func(int64, Row) bool {
-		return func(id int64, row Row) bool {
-			*into = append(*into, visit{id, row.String()})
-			return true
-		}
-	}
-	same := func(what string, read func(tab *Table, fn func(int64, Row) bool) error) {
-		t.Helper()
-		var g, w []visit
-		if err := read(got, collect(&g)); err != nil {
-			t.Fatalf("%s: %s: %v", label, what, err)
-		}
-		if err := read(want, collect(&w)); err != nil {
-			t.Fatalf("%s: %s on the reference: %v", label, what, err)
-		}
-		if !reflect.DeepEqual(g, w) {
-			t.Fatalf("%s: %s differs:\n got %d rows %v\nwant %d rows %v", label, what, len(g), g[:min(len(g), 6)], len(w), w[:min(len(w), 6)])
-		}
-	}
-	if got.Len() != want.Len() {
-		t.Fatalf("%s: Len = %d, want %d", label, got.Len(), want.Len())
-	}
-	var ids []int64
-	var firsts []Value
-	same("Scan", func(tab *Table, fn func(int64, Row) bool) error {
-		tab.Scan(fn)
-		return nil
-	})
-	want.Scan(func(id int64, row Row) bool {
-		ids = append(ids, id)
-		firsts = append(firsts, row[want.pkCols[0]])
-		return true
-	})
-	for i, id := range ids {
-		g, gok := got.Get(id)
-		w, _ := want.Get(id)
-		if !gok || !rowsEqual(g, w) {
-			t.Fatalf("%s: Get(%d) = %v, %v; want %v", label, id, g, gok, w)
-		}
-		g, gid, gok := got.GetByPK(w[:len(want.pkCols)]...)
-		if !gok || gid != id || !rowsEqual(g, w) {
-			t.Fatalf("%s: GetByPK(%v) = %v, %d, %v; want %v, %d", label, w[:len(want.pkCols)], g, gid, gok, w, id)
-		}
-		if i%7 == 0 {
-			same(fmt.Sprintf("PKScan(%v)", firsts[i]), func(tab *Table, fn func(int64, Row) bool) error {
-				return tab.PKScan(firsts[i:i+1], fn)
-			})
-		}
-	}
-	if _, ok := got.Get(1 << 40); ok {
-		t.Fatalf("%s: Get of a row ID never assigned succeeded", label)
-	}
-	for _, spec := range want.schema.Indexes {
-		col := want.schema.ColumnIndex(spec.Columns[0])
-		same("IndexScan("+spec.Name+")", func(tab *Table, fn func(int64, Row) bool) error {
-			return tab.IndexScan(spec.Name, nil, fn)
-		})
-		same("IndexRange("+spec.Name+", 2, 5)", func(tab *Table, fn func(int64, Row) bool) error {
-			return tab.IndexRange(spec.Name, Int(2), Int(5), fn)
-		})
-		same("IndexRange("+spec.Name+", -, 3)", func(tab *Table, fn func(int64, Row) bool) error {
-			return tab.IndexRange(spec.Name, Null(), Int(3), fn)
-		})
-		seen := map[int64]bool{}
-		want.Scan(func(_ int64, row Row) bool {
-			seen[row[col].Int64()] = true
-			return true
-		})
-		seen[-1] = true // a value no row holds
-		for v := range seen {
-			same(fmt.Sprintf("IndexScan(%s, %d)", spec.Name, v), func(tab *Table, fn func(int64, Row) bool) error {
-				return tab.IndexScan(spec.Name, []Value{Int(v)}, fn)
-			})
-			if len(spec.Columns) > 1 {
-				continue
-			}
-			// The projected scan reads the leading key column the same.
-			same(fmt.Sprintf("IndexScanInt(%s, %d)", spec.Name, v), func(tab *Table, fn func(int64, Row) bool) error {
-				return tab.IndexScanInt(spec.Name, []Value{Int(v)}, tab.pkCols[0], func(id, first int64) bool {
-					return fn(id, Row{Int(first)})
-				})
-			})
-		}
-	}
-	// Gather by ID list (with holes) and the block source by range carry
-	// the same rows in the same order as the reference's.
-	ask := append([]int64{0}, ids...)
-	sort.Slice(ask, func(a, b int) bool { return ask[a] < ask[b] })
-	blocks := func(read func(tab *Table, fn func(*ColumnBlock) error) error) func(*Table, func(int64, Row) bool) error {
-		return func(tab *Table, fn func(int64, Row) bool) error {
-			return read(tab, func(b *ColumnBlock) error {
-				for i, id := range b.RowIDs() {
-					fn(id, b.row(i))
-				}
-				return nil
-			})
-		}
-	}
-	same("Gather", blocks(func(tab *Table, fn func(*ColumnBlock) error) error { return tab.Gather(ask, fn) }))
-	if want.schema.Columns[want.pkCols[0]].Type == KindInt {
-		same("Blocks", blocks(func(tab *Table, fn func(*ColumnBlock) error) error {
-			scan, err := tab.Blocks(math.MinInt64, math.MaxInt64)
-			if err != nil {
-				return err
-			}
-			return scan.Each(fn)
-		}))
-	}
-}
-
-// memResults returns a mem engine holding resultRow(0..n-1), the
-// reference the durable engine's reads are compared with.
-func memResults(t *testing.T, n int) *DB {
-	t.Helper()
-	db := NewMem()
+	m := newRefModel()
 	schema := resultSchema()
 	schema.Indexes = []IndexSpec{{Name: "by_exec", Columns: []string{"execution_id"}}}
-	if err := db.CreateTable(schema); err != nil {
+	if err := m.CreateTable(schema); err != nil {
 		t.Fatal(err)
 	}
+	tx := m.begin()
 	for i := 0; i < n; i++ {
-		if _, err := db.Insert("performance_result", resultRow(i)); err != nil {
+		if _, err := tx.Insert("performance_result", resultRow(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return db
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	return m
 }
 
 // TestSegmentDirtyFallbackAndCheckpointReset: a delete of a flushed row
-// takes the one fallback — the table answers every read as the mem
-// engine does while it is row-resident — and the next seal makes it
+// takes the one fallback — the table answers every read as the model
+// does while it is row-resident — and the next seal makes it
 // segment-resident again, without the row.
 func TestSegmentDirtyFallbackAndCheckpointReset(t *testing.T) {
 	dir := t.TempDir()
@@ -490,12 +373,12 @@ func TestSegmentDirtyFallbackAndCheckpointReset(t *testing.T) {
 	if err := fe.CompactSegments(); err != nil {
 		t.Fatal(err)
 	}
-	mem := memResults(t, 1000)
-	ref, _ := mem.Table("performance_result")
+	mem := modelResults(t, 1000)
+	ref := mem.tables["performance_result"]
 	tab, _ := fe.Table("performance_result")
 	sameReads(t, "flushed", tab, ref)
 
-	for _, eng := range []Engine{fe, mem} {
+	for _, eng := range []writer{fe, mem} {
 		if err := eng.Delete("performance_result", 5); err != nil {
 			t.Fatal(err)
 		}
@@ -527,20 +410,20 @@ func TestSegmentDirtyFallbackAndCheckpointReset(t *testing.T) {
 // TestSegmentUnorderedInsertDisablesScan: an insert below the flushed
 // maximum rehydrates the table and keeps it row-resident — later seals
 // skip it — until a checkpoint, after which it is segment-resident again.
-// Reads equal the mem engine's throughout.
+// Reads equal the model's throughout.
 func TestSegmentUnorderedInsertDisablesScan(t *testing.T) {
 	fe := openTestEngine(t, t.TempDir())
 	defer fe.Close()
-	mem := NewMem()
+	mem := newRefModel()
 	insert := func(id int64) {
 		t.Helper()
-		for _, eng := range []Engine{fe, mem} {
+		for _, eng := range []writer{fe, mem} {
 			if _, err := eng.Insert("performance_result", Row{Int(id), Int(1), Int(1), Int(1), Null(), Float(1)}); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	for _, eng := range []Engine{fe, mem} {
+	for _, eng := range []writer{fe, mem} {
 		if err := eng.CreateTable(resultSchema()); err != nil {
 			t.Fatal(err)
 		}
@@ -552,7 +435,7 @@ func TestSegmentUnorderedInsertDisablesScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	tab, _ := fe.Table("performance_result")
-	ref, _ := mem.Table("performance_result")
+	ref := mem.tables["performance_result"]
 	if st := hotStatus(t, fe, "performance_result"); st.Rows != 3 || st.Unordered {
 		t.Fatalf("status after compaction = %+v", st)
 	}
@@ -633,24 +516,29 @@ func copyTree(t *testing.T, src, dst string) {
 // perftrack.engine marker (testdata/legacy_wal: 5 metric rows and 40
 // results in the snapshot, 20 more results only in the WAL;
 // testdata/legacy_segment: the same rows, the first 40 results in a
-// segment). Every spelling of the durable kind opens them as the one
-// durable engine with every row; the store then compacts, checkpoints
-// and reopens with every row, and the leftover marker is ignored.
+// segment). Every spelling of the directory kind opens them as the one
+// engine with every row; the store then compacts, checkpoints and reopens
+// with every row, and the leftover marker is ignored.
 func TestOpenLegacyStoreDirectories(t *testing.T) {
-	if eng, err := Open(KindMem, ""); err != nil || eng.Kind() != KindMem {
+	eng, err := Open(KindMem, "")
+	if err != nil {
 		t.Fatalf("mem open: %v", err)
 	}
+	if db, ok := eng.(*DB); !ok || db.Kind() != KindMem {
+		t.Fatalf("mem open: %T of kind %q, want *DB of kind %q", eng, eng.DB().Kind(), KindMem)
+	}
+	eng.Close()
 	if _, err := Open("bogus", t.TempDir()); err == nil {
 		t.Fatal("bogus kind accepted")
 	}
 	if _, err := Open(KindSegment, ""); err == nil {
-		t.Fatal("durable engine opened without a directory")
+		t.Fatal("a directory store opened without a directory")
 	}
 	check := func(t *testing.T, eng Engine, wantSegRows int64) {
 		t.Helper()
-		fe, ok := eng.(*FileEngine)
+		fe, ok := eng.(*DB)
 		if !ok || fe.Kind() != KindSegment {
-			t.Fatalf("engine = %T of kind %q, want *FileEngine of kind %q", eng, eng.Kind(), KindSegment)
+			t.Fatalf("engine = %T of kind %q, want *DB of kind %q", eng, eng.DB().Kind(), KindSegment)
 		}
 		if tab, _ := fe.Table("metric"); tab == nil || tab.Len() != 5 {
 			t.Fatalf("metric rows = %v, want 5", tab)
@@ -683,7 +571,7 @@ func TestOpenLegacyStoreDirectories(t *testing.T) {
 					t.Fatalf("Open(%q): %v", kind, err)
 				}
 				check(t, eng, fixture.segRows)
-				fe := eng.(*FileEngine)
+				fe := eng.DB()
 				if err := fe.CompactSegments(); err != nil {
 					t.Fatal(err)
 				}
@@ -738,34 +626,27 @@ func TestOpenLegacyStoreDirectories(t *testing.T) {
 	}
 }
 
-// TestReplaceFileFailureKeepsOldBytes: a write callback that fails
+// TestReplaceFileFailureKeepsOldBytes: a replacement whose write fails
 // part-way leaves the destination's previous bytes and no temp file.
 func TestReplaceFileFailureKeepsOldBytes(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "f")
-	good := func(rw *recordWriter) error { return rw.writeRecord([]byte("old")) }
-	if err := replaceFile(path, good); err != nil {
+	fsys := &faultFS{memFS: newMemFS()}
+	if err := fsys.MkdirAll("d"); err != nil {
 		t.Fatal(err)
 	}
-	old, err := os.ReadFile(path)
-	if err != nil || len(old) == 0 {
-		t.Fatalf("first replace wrote %d bytes, err %v", len(old), err)
+	old := []byte("old")
+	if err := replaceFile(fsys, "d/f", old); err != nil {
+		t.Fatal(err)
 	}
-	boom := errors.New("boom")
-	err = replaceFile(path, func(rw *recordWriter) error {
-		if err := rw.writeRecord(bytes.Repeat([]byte("new"), 1<<16)); err != nil {
-			return err
-		}
-		return boom
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want boom", err)
+	fsys.arm(1) // the temp file's write
+	err := replaceFile(fsys, "d/f", bytes.Repeat([]byte("new"), 1<<16))
+	if !fsys.disarm() || !errors.Is(err, errFault) {
+		t.Fatalf("err = %v, want the injected fault", err)
 	}
-	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, old) {
+	if got, err := fsys.ReadFile("d/f"); err != nil || !bytes.Equal(got, old) {
 		t.Fatalf("destination changed after failed replace: %q, %v", got, err)
 	}
-	if entries, _ := os.ReadDir(dir); len(entries) != 1 {
-		t.Fatalf("directory holds %d entries after failed replace, want only the file", len(entries))
+	if names, _ := fsys.ReadDir("d"); len(names) != 1 {
+		t.Fatalf("directory holds %v after failed replace, want only the file", names)
 	}
 }
 
@@ -773,7 +654,7 @@ func TestReplaceFileFailureKeepsOldBytes(t *testing.T) {
 // decoder, that valid images round-trip, and that truncated (torn-tail)
 // images are rejected.
 func FuzzSegment(f *testing.F) {
-	db := NewMem()
+	db := newTestMem(f)
 	schema := &Schema{
 		Name: "fz",
 		Columns: []Column{

@@ -17,10 +17,10 @@ import (
 // order: the columnar blocks — the immutable segments (flushed rows), the
 // sealed tail (a frozen former tail the compactor is encoding) and the
 // active tail, an unwritten segment that only grows — and then the row
-// set, a row store under B-trees. Only a durable engine's hot tables have
-// blocks (compact.go), and while such a table is sealable its unflushed
-// rows are in its tail and its row set is empty; everywhere else, and in
-// a hot table a mutation has rehydrated, the row set is the only place.
+// set, a row store under B-trees. Only the hot tables have blocks
+// (compact.go), and while such a table is sealable its unflushed rows are
+// in its tail and its row set is empty; everywhere else, and in a hot
+// table a mutation has rehydrated, the row set is the only place.
 // The ordered invariant makes the walk a concatenation, never a merge:
 // the blocks partition the primary-key space in the order listed, every
 // row-set key exceeds every block key, and row IDs ascend the same way. A
@@ -33,7 +33,7 @@ type Table struct {
 
 	active *rowSet // the row store; also the catalog of the table's indexes
 
-	// Set only on a durable engine's hot tables (compact.go).
+	// Set only on the hot tables (compact.go).
 	tail         *segment   // the active columnar tail; nil while the table is row-resident
 	sealed       *segment   // nil unless a compaction is in flight
 	segs         []*segment // ascending in primary key and in row ID
@@ -73,7 +73,7 @@ type rowSet struct {
 	indexes   map[string]*tableIndex // secondary indexes by name
 	dataBytes int64                  // approximate stored data volume
 	pkBytes   int64                  // approximate primary B-tree key volume
-	logs      []*logFile             // durable engine, hot tables: the tail logs holding this set's records, in replay order
+	logs      []*logFile             // hot tables: the tail logs holding this set's records, in replay order
 }
 
 type tableIndex struct {

@@ -23,7 +23,7 @@ func personSchema() *Schema {
 	}
 }
 
-func mustCreate(t *testing.T, db Engine, s *Schema) {
+func mustCreate(t *testing.T, db *DB, s *Schema) {
 	t.Helper()
 	if err := db.CreateTable(s); err != nil {
 		t.Fatalf("CreateTable(%s): %v", s.Name, err)
@@ -56,7 +56,7 @@ func TestSchemaValidate(t *testing.T) {
 }
 
 func TestInsertAndGetByPK(t *testing.T) {
-	db := NewMem()
+	db := newTestMem(t)
 	mustCreate(t, db, personSchema())
 	id, err := db.Insert("person", Row{Int(1), Str("ada"), Int(36), Float(9.5)})
 	if err != nil {
@@ -73,7 +73,7 @@ func TestInsertAndGetByPK(t *testing.T) {
 }
 
 func TestInsertAutoID(t *testing.T) {
-	db := NewMem()
+	db := newTestMem(t)
 	mustCreate(t, db, personSchema())
 	id1, err := db.Insert("person", Row{Null(), Str("a"), Null(), Null()})
 	if err != nil {
@@ -91,7 +91,7 @@ func TestInsertAutoID(t *testing.T) {
 }
 
 func TestInsertExplicitIDAdvancesSequence(t *testing.T) {
-	db := NewMem()
+	db := newTestMem(t)
 	mustCreate(t, db, personSchema())
 	if _, err := db.Insert("person", Row{Int(100), Str("x"), Null(), Null()}); err != nil {
 		t.Fatal(err)
@@ -106,7 +106,7 @@ func TestInsertExplicitIDAdvancesSequence(t *testing.T) {
 }
 
 func TestInsertDuplicatePK(t *testing.T) {
-	db := NewMem()
+	db := newTestMem(t)
 	mustCreate(t, db, personSchema())
 	if _, err := db.Insert("person", Row{Int(1), Str("a"), Null(), Null()}); err != nil {
 		t.Fatal(err)
@@ -117,7 +117,7 @@ func TestInsertDuplicatePK(t *testing.T) {
 }
 
 func TestInsertTypeErrors(t *testing.T) {
-	db := NewMem()
+	db := newTestMem(t)
 	mustCreate(t, db, personSchema())
 	cases := []Row{
 		{Int(1), Int(5), Null(), Null()},       // wrong kind for name
@@ -133,7 +133,7 @@ func TestInsertTypeErrors(t *testing.T) {
 }
 
 func TestIntLiteralAcceptedInFloatColumn(t *testing.T) {
-	db := NewMem()
+	db := newTestMem(t)
 	mustCreate(t, db, personSchema())
 	if _, err := db.Insert("person", Row{Int(1), Str("a"), Null(), Int(7)}); err != nil {
 		t.Fatalf("int into float column: %v", err)
@@ -146,7 +146,7 @@ func TestIntLiteralAcceptedInFloatColumn(t *testing.T) {
 }
 
 func TestUpdate(t *testing.T) {
-	db := NewMem()
+	db := newTestMem(t)
 	mustCreate(t, db, personSchema())
 	id, _ := db.Insert("person", Row{Int(1), Str("a"), Int(10), Null()})
 	if err := replayUpdate(db, "person", id, Row{Int(1), Str("b"), Int(11), Null()}); err != nil {
@@ -176,7 +176,7 @@ func TestUpdate(t *testing.T) {
 }
 
 func TestUpdatePKChange(t *testing.T) {
-	db := NewMem()
+	db := newTestMem(t)
 	mustCreate(t, db, personSchema())
 	id, _ := db.Insert("person", Row{Int(1), Str("a"), Null(), Null()})
 	db.Insert("person", Row{Int(2), Str("b"), Null(), Null()})
@@ -198,7 +198,7 @@ func TestUpdatePKChange(t *testing.T) {
 }
 
 func TestDelete(t *testing.T) {
-	db := NewMem()
+	db := newTestMem(t)
 	mustCreate(t, db, personSchema())
 	id, _ := db.Insert("person", Row{Int(1), Str("a"), Null(), Null()})
 	if err := db.Delete("person", id); err != nil {
@@ -223,7 +223,7 @@ func TestDelete(t *testing.T) {
 }
 
 func TestScanOrderedByPK(t *testing.T) {
-	db := NewMem()
+	db := newTestMem(t)
 	mustCreate(t, db, personSchema())
 	for _, id := range []int64{5, 3, 9, 1, 7} {
 		db.Insert("person", Row{Int(id), Str(fmt.Sprintf("p%d", id)), Null(), Null()})
@@ -243,7 +243,7 @@ func TestScanOrderedByPK(t *testing.T) {
 }
 
 func TestIndexScanNonUnique(t *testing.T) {
-	db := NewMem()
+	db := newTestMem(t)
 	mustCreate(t, db, personSchema())
 	for i := 0; i < 10; i++ {
 		name := "even"
@@ -266,7 +266,7 @@ func TestIndexScanNonUnique(t *testing.T) {
 }
 
 func TestIndexScanEmptyPrefixVisitsAll(t *testing.T) {
-	db := NewMem()
+	db := newTestMem(t)
 	mustCreate(t, db, personSchema())
 	for i := 0; i < 4; i++ {
 		db.Insert("person", Row{Int(int64(i)), Str(fmt.Sprintf("n%d", i)), Null(), Null()})
@@ -285,7 +285,7 @@ func TestIndexScanEmptyPrefixVisitsAll(t *testing.T) {
 }
 
 func TestIndexRange(t *testing.T) {
-	db := NewMem()
+	db := newTestMem(t)
 	schema := &Schema{
 		Name: "m",
 		Columns: []Column{
@@ -316,7 +316,7 @@ func TestIndexRange(t *testing.T) {
 }
 
 func TestUniqueIndexViolation(t *testing.T) {
-	db := NewMem()
+	db := newTestMem(t)
 	schema := &Schema{
 		Name: "u",
 		Columns: []Column{
@@ -341,7 +341,7 @@ func TestUniqueIndexViolation(t *testing.T) {
 }
 
 func TestForeignKeyEnforcement(t *testing.T) {
-	db := NewMem()
+	db := newTestMem(t)
 	mustCreate(t, db, personSchema())
 	pet := &Schema{
 		Name: "pet",
@@ -368,7 +368,7 @@ func TestForeignKeyEnforcement(t *testing.T) {
 }
 
 func TestCreateIndexBackfills(t *testing.T) {
-	db := NewMem()
+	db := newTestMem(t)
 	mustCreate(t, db, personSchema())
 	for i := 0; i < 20; i++ {
 		db.Insert("person", Row{Int(int64(i)), Str("x"), Int(int64(i % 3)), Null()})
@@ -390,7 +390,7 @@ func TestCreateIndexBackfills(t *testing.T) {
 }
 
 func TestIndexOnColumns(t *testing.T) {
-	db := NewMem()
+	db := newTestMem(t)
 	mustCreate(t, db, personSchema())
 	tab, _ := db.Table("person")
 	if got := tab.IndexOnColumns("name"); got != "person_by_name" {
@@ -404,7 +404,7 @@ func TestIndexOnColumns(t *testing.T) {
 // TestDropTable: replaying a DROP TABLE forgets the table and its rows;
 // a table of the name can be created again, empty.
 func TestDropTable(t *testing.T) {
-	db := NewMem()
+	db := newTestMem(t)
 	mustCreate(t, db, personSchema())
 	if _, err := db.Insert("person", Row{Int(1), Str("a"), Null(), Null()}); err != nil {
 		t.Fatal(err)
@@ -422,7 +422,7 @@ func TestDropTable(t *testing.T) {
 }
 
 func TestTableNamesSorted(t *testing.T) {
-	db := NewMem()
+	db := newTestMem(t)
 	for _, name := range []string{"zeta", "alpha", "mid"} {
 		mustCreate(t, db, &Schema{
 			Name:       name,
@@ -437,7 +437,7 @@ func TestTableNamesSorted(t *testing.T) {
 }
 
 func TestStats(t *testing.T) {
-	db := NewMem()
+	db := newTestMem(t)
 	mustCreate(t, db, personSchema())
 	db.Insert("person", Row{Int(1), Str("abc"), Int(3), Float(1)})
 	s := db.Stats()
@@ -454,7 +454,7 @@ func TestStats(t *testing.T) {
 }
 
 func TestConcurrentReadersWithWriter(t *testing.T) {
-	db := NewMem()
+	db := newTestMem(t)
 	mustCreate(t, db, personSchema())
 	for i := 0; i < 100; i++ {
 		db.Insert("person", Row{Int(int64(i)), Str("x"), Null(), Null()})
@@ -495,7 +495,7 @@ func TestConcurrentReadersWithWriter(t *testing.T) {
 }
 
 func TestTxCommit(t *testing.T) {
-	db := NewMem()
+	db := newTestMem(t)
 	mustCreate(t, db, personSchema())
 	tx := db.Begin()
 	id, err := tx.Insert("person", Row{Int(1), Str("a"), Null(), Null()})
@@ -515,7 +515,7 @@ func TestTxCommit(t *testing.T) {
 }
 
 func TestTxRollbackInsert(t *testing.T) {
-	db := NewMem()
+	db := newTestMem(t)
 	mustCreate(t, db, personSchema())
 	tx := db.Begin()
 	tx.Insert("person", Row{Int(1), Str("a"), Null(), Null()})
@@ -529,9 +529,9 @@ func TestTxRollbackInsert(t *testing.T) {
 	}
 }
 
-// TestTxRowsInvisibleUntilCommit: on either engine, and whether the
-// table is a row set, has a unique index or is a hot table with a
-// columnar tail, no read — Len, Get, GetByPK, Scan — sees a row of an
+// TestTxRowsInvisibleUntilCommit: in memory or in a directory, and
+// whether the table is a row set, has a unique index or is a hot table
+// with a columnar tail, no read — Len, Get, GetByPK, Scan — sees a row of an
 // open transaction, and every read sees all of them once it commits.
 func TestTxRowsInvisibleUntilCommit(t *testing.T) {
 	unique := personSchema()
@@ -545,14 +545,12 @@ func TestTxRowsInvisibleUntilCommit(t *testing.T) {
 		}
 		return Row{Int(i), Str(fmt.Sprintf("n%d", i)), Null(), Null()}
 	}
-	for _, eng := range []Engine{NewMem(), openTestEngine(t, t.TempDir())} {
+	for _, eng := range []*DB{NewMem(), openTestEngine(t, t.TempDir())} {
 		for _, schema := range []*Schema{personSchema(), unique, hot} {
 			mustCreate(t, eng, schema)
 		}
-		if fe, ok := eng.(*FileEngine); ok {
-			if tab, _ := fe.Table(hot.Name); tab.tail == nil {
-				t.Fatalf("%s: the hot table has no columnar tail", eng.Kind())
-			}
+		if tab, _ := eng.Table(hot.Name); tab.tail == nil {
+			t.Fatalf("%s: the hot table has no columnar tail", eng.Kind())
 		}
 		tx := eng.Begin()
 		ids := map[string][]int64{}
@@ -598,7 +596,7 @@ func TestTxRowsInvisibleUntilCommit(t *testing.T) {
 }
 
 func TestTxOperationsAfterDone(t *testing.T) {
-	db := NewMem()
+	db := newTestMem(t)
 	mustCreate(t, db, personSchema())
 	tx := db.Begin()
 	tx.Commit()

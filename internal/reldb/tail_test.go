@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 	"reflect"
 	"sync"
@@ -12,7 +11,7 @@ import (
 	"testing"
 )
 
-// Tests of the columnar tail: a durable engine's sealable hot table keeps
+// Tests of the columnar tail: the engine's sealable hot table keeps
 // its unflushed rows as an unwritten segment, and a transaction's rows for
 // it stay private to the transaction until Commit appends them under one
 // hold of the engine write lock.
@@ -25,8 +24,8 @@ const batchRows = 512
 // table once batch 0 is), and with each result a new focus of resource 0
 // and a new resource under ancestor 0 — and commits it; with fail set the
 // batch's last row is refused and the transaction is rolled back instead.
-func commitBatch(eng Engine, k int, fail bool) error {
-	tx := eng.Begin()
+func commitBatch(eng *DB, k int, fail bool) error {
+	tx := eng.begin()
 	for i := 0; i < batchRows; i++ {
 		rid, err := tx.Insert("performance_result", Row{Null(), Int(0), Int(int64(i % 13)), Int(1), Null(), Float(float64(i))})
 		if err != nil {
@@ -203,7 +202,7 @@ func TestSegmentBatchHotRowsAppearTogether(t *testing.T) {
 // storeFiles is the content of every file of the store — perftrack.wal,
 // the tail logs and segment files — and the log bytes the engine says each
 // hot table's unflushed rows own.
-func storeFiles(t *testing.T, fe *FileEngine, dir string) (map[string]string, map[string]int64) {
+func storeFiles(t *testing.T, fe *DB, dir string) (map[string]string, map[string]int64) {
 	t.Helper()
 	fe.Stats() // flushes the logs
 	logBytes := make(map[string]int64)
@@ -211,8 +210,8 @@ func storeFiles(t *testing.T, fe *FileEngine, dir string) (map[string]string, ma
 		logBytes[st.Table] = st.LogBytes
 	}
 	files := make(map[string]string)
-	for rel := range listing(t, dir) {
-		data, err := os.ReadFile(filepath.Join(dir, rel))
+	for rel := range listing(t, fe.fsys, dir) {
+		data, err := fe.fsys.ReadFile(filepath.Join(dir, rel))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -226,7 +225,7 @@ func storeFiles(t *testing.T, fe *FileEngine, dir string) (map[string]string, ma
 // the schema when it is added or by a foreign key when the batch commits,
 // leaves perftrack.wal, every tail log and every segment file byte for
 // byte as they were, installs nothing, and leaves the same gap in the row
-// IDs as it does on mem.
+// IDs as it does in the model.
 func TestSegmentRolledBackBatchWritesNothing(t *testing.T) {
 	p := newHotPair(t)
 	defer func() { p.fe.Close() }()
@@ -235,7 +234,7 @@ func TestSegmentRolledBackBatchWritesNothing(t *testing.T) {
 		Columns:    []Column{{Name: "id", Type: KindInt}, {Name: "name", Type: KindString}},
 		PrimaryKey: []string{"id"},
 	}
-	p.both("create metric", func(eng Engine) error { return eng.CreateTable(metric) })
+	p.both("create metric", func(eng writer) error { return eng.CreateTable(metric) })
 	p.fe.SetSegmentFlushRows(64)
 	p.load(0, 100) // a segment and a tail each
 	if err := p.fe.CompactSegments(); err != nil {
@@ -246,15 +245,15 @@ func TestSegmentRolledBackBatchWritesNothing(t *testing.T) {
 
 	for _, c := range []struct {
 		name string
-		last func(tx *Tx) error // the batch's last record, and the transaction's end
+		last func(tx txWriter) error // the batch's last record, and the transaction's end
 	}{
-		{"refused when added", func(tx *Tx) error {
+		{"refused when added", func(tx txWriter) error {
 			if _, err := tx.Insert("result_has_focus", Row{Int(1), Str("not a focus")}); err == nil {
 				t.Fatal("a string was accepted as a focus ID")
 			}
 			return tx.Rollback()
 		}},
-		{"refused at commit", func(tx *Tx) error {
+		{"refused at commit", func(tx txWriter) error {
 			if _, err := tx.Insert("result_has_focus", Row{Int(1 << 30), Int(1)}); err != nil {
 				t.Fatal(err)
 			}
@@ -264,8 +263,8 @@ func TestSegmentRolledBackBatchWritesNothing(t *testing.T) {
 			return tx.Rollback()
 		}},
 	} {
-		p.both(c.name, func(eng Engine) error {
-			tx := eng.Begin()
+		p.both(c.name, func(eng writer) error {
+			tx := eng.begin()
 			if _, err := tx.Insert("metric", Row{Null(), Str("m")}); err != nil {
 				return err
 			}
@@ -281,14 +280,14 @@ func TestSegmentRolledBackBatchWritesNothing(t *testing.T) {
 		p.check(c.name)
 	}
 	var ids [2]int64
-	for i, eng := range []Engine{p.fe, p.mem} {
+	for i, eng := range []writer{p.fe, p.ref} {
 		var err error
 		if ids[i], err = eng.Insert("performance_result", resultRow(7)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if ids[0] != ids[1] || ids[0] != 120+2*40+1 {
-		t.Fatalf("row ID after the rolled-back batches = %d, mem's %d, want both %d", ids[0], ids[1], 120+2*40+1)
+		t.Fatalf("row ID after the rolled-back batches = %d, the model's %d, want both %d", ids[0], ids[1], 120+2*40+1)
 	}
 	p.check("after the gap")
 }
@@ -335,7 +334,7 @@ func TestSegmentPublishKeepsTailObject(t *testing.T) {
 	if after := tail.perms["performance_result_exec"].covered(); len(after) != 300 || &after[0] != &built[0] {
 		t.Fatal("publication dropped the permutation the tail had built")
 	}
-	file, err := os.ReadFile(tail.file)
+	file, err := p.fsys.ReadFile(tail.file)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,10 +355,10 @@ func TestSegmentPublishKeepsTailObject(t *testing.T) {
 	if want, err = buildSegment(links, ids, rows); err != nil {
 		t.Fatal(err)
 	}
-	if file, err = os.ReadFile(links.segs[0].file); err != nil || !bytes.Equal(file, encodeSegment(want)) {
+	if file, err = p.fsys.ReadFile(links.segs[0].file); err != nil || !bytes.Equal(file, encodeSegment(want)) {
 		t.Fatalf("the segment of descending links is not buildSegment's image of them (err %v)", err)
 	}
-	if err := loadResults(p.mem, 0, 300); err != nil {
+	if err := commitResults(p.ref, 0, 300); err != nil {
 		t.Fatal(err)
 	}
 	p.check("published")
@@ -369,26 +368,26 @@ func TestSegmentPublishKeepsTailObject(t *testing.T) {
 // result — a row a commit, and as one transaction's block — are kept as they
 // arrive and read through a permutation: key-ordered scans, point reads,
 // the refusal of a duplicate (against the tail, and inside one block) and
-// the segment written from the tail all agree with mem.
+// the segment written from the tail all agree with the model.
 func TestSegmentTailOutOfOrderKeys(t *testing.T) {
 	p := newHotPair(t)
 	defer func() { p.fe.Close() }()
 	p.fe.SetSegmentFlushRows(1 << 40)
-	p.both("one-row transactions", func(eng Engine) error { return loadResults(eng, 0, 200) })
-	p.both("transaction", func(eng Engine) error { return commitResults(eng, 200, 400) })
+	p.both("one-row transactions", func(eng writer) error { return loadResults(eng, 0, 200) })
+	p.both("transaction", func(eng writer) error { return commitResults(eng, 200, 400) })
 	links, _ := p.fe.Table("result_has_focus")
 	if links.tail == nil || links.tail.rows != 1200 || links.tail.pkAsc || len(links.active.rows) != 0 {
 		t.Fatalf("the links are not a 1200-row tail out of key order: %+v", links.tail)
 	}
 	p.check("tail")
-	if err := p.both("duplicate of a tail row", func(eng Engine) error {
+	if err := p.both("duplicate of a tail row", func(eng writer) error {
 		_, err := eng.Insert("result_has_focus", Row{Int(150), Int(51)})
 		return err
 	}); err == nil {
 		t.Fatal("a duplicate link was accepted")
 	}
-	dup := func(eng Engine, a, b Row) error {
-		tx := eng.Begin()
+	dup := func(eng writer, a, b Row) error {
+		tx := eng.begin()
 		for _, row := range []Row{a, b} {
 			if _, err := tx.Insert("result_has_focus", row); err != nil {
 				return errors.Join(err, tx.Rollback())
@@ -399,12 +398,12 @@ func TestSegmentTailOutOfOrderKeys(t *testing.T) {
 		}
 		return nil
 	}
-	if err := p.both("block with a duplicate of a tail row", func(eng Engine) error {
+	if err := p.both("block with a duplicate of a tail row", func(eng writer) error {
 		return dup(eng, Row{Int(600), Int(900)}, Row{Int(400), Int(134)})
 	}); err == nil {
 		t.Fatal("a block holding a duplicate of a published link was committed")
 	}
-	if err := p.both("block with a duplicate in itself", func(eng Engine) error {
+	if err := p.both("block with a duplicate in itself", func(eng writer) error {
 		return dup(eng, Row{Int(600), Int(900)}, Row{Int(600), Int(900)})
 	}); err == nil {
 		t.Fatal("a block holding the same link twice was committed")
@@ -422,8 +421,8 @@ func TestSegmentTailOutOfOrderKeys(t *testing.T) {
 }
 
 // TestSegmentTxFallbacks drives a transaction's private blocks down every
-// path but the append to a columnar tail, on the durable engine and on
-// mem, which must agree afterwards: a table rehydrated between a block's
+// path but the append to a columnar tail, on the engine and in the
+// model, which must agree afterwards: a table rehydrated between a block's
 // first row and its commit (the block goes into the row set), a block
 // whose keys lie below the flushed maximum, and one whose row IDs were
 // reserved before rows that have since been flushed (the table is
@@ -432,7 +431,7 @@ func TestSegmentTxFallbacks(t *testing.T) {
 	for _, commit := range []bool{true, false} {
 		p := newHotPair(t)
 		p.fe.SetSegmentFlushRows(1 << 40)
-		end := func(tx *Tx) error {
+		end := func(tx txWriter) error {
 			if commit {
 				return tx.Commit()
 			}
@@ -445,8 +444,8 @@ func TestSegmentTxFallbacks(t *testing.T) {
 		}
 		p.load(90, 30)
 
-		p.both("table rehydrated under a block", func(eng Engine) error {
-			tx := eng.Begin()
+		p.both("table rehydrated under a block", func(eng writer) error {
+			tx := eng.begin()
 			if err := loadResults(tx, 150, 20); err != nil {
 				return err
 			}
@@ -460,8 +459,8 @@ func TestSegmentTxFallbacks(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		p.both("keys below the flushed maximum", func(eng Engine) error {
-			tx := eng.Begin()
+		p.both("keys below the flushed maximum", func(eng writer) error {
+			tx := eng.begin()
 			for _, focus := range []int64{3, 2} {
 				if _, err := tx.Insert("focus_has_resource", Row{Int(focus), Int(500)}); err != nil {
 					return err
@@ -474,10 +473,10 @@ func TestSegmentTxFallbacks(t *testing.T) {
 			t.Fatalf("focus_has_resource after keys below its flushed maximum = %+v, want it row-resident", st)
 		}
 
-		var early *Tx
-		p.both("row IDs reserved before rows since flushed", func(eng Engine) error {
-			tx := eng.Begin()
-			if eng == Engine(p.fe) {
+		var early txWriter
+		p.both("row IDs reserved before rows since flushed", func(eng writer) error {
+			tx := eng.begin()
+			if eng == writer(p.fe) {
 				early = tx
 			}
 			for i := 0; i < 5; i++ {
@@ -487,17 +486,17 @@ func TestSegmentTxFallbacks(t *testing.T) {
 					return err
 				}
 			}
-			if eng == Engine(p.fe) {
+			if eng == writer(p.fe) {
 				return nil // committed below, after later rows were flushed
 			}
 			return end(tx)
 		})
-		// Later rows take later row IDs, and lower keys; mem has them in the
-		// same order.
+		// Later rows take later row IDs, and lower keys; the model has them
+		// in the same order.
 		for i := 0; i < 10; i++ {
 			row := resultRow(i)
 			row[0] = Int(int64(4000 + i))
-			p.both("later rows", func(eng Engine) error { _, err := eng.Insert("performance_result", row); return err })
+			p.both("later rows", func(eng writer) error { _, err := eng.Insert("performance_result", row); return err })
 		}
 		if err := p.fe.CompactSegments(); err != nil {
 			t.Fatal(err)

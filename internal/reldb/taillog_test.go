@@ -2,108 +2,45 @@ package reldb
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 )
 
-// tailLogsOnDisk returns the sequence numbers of the tail logs in a
-// store directory, by table.
-func tailLogsOnDisk(t *testing.T, dir string) map[string][]int64 {
-	t.Helper()
-	paths, err := filepath.Glob(filepath.Join(dir, segmentSubdir, "tail-*.log"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	seqs := make(map[string][]int64)
-	for _, path := range paths {
-		table, seq, ok := parseTailLogName(filepath.Base(path))
-		if !ok {
-			t.Fatalf("tail log %s: unparseable name", path)
-		}
-		seqs[table] = append(seqs[table], seq)
-	}
-	return seqs
-}
-
-// logRecords decodes every record of a log file.
-func logRecords(t *testing.T, path string) []*mutation {
-	t.Helper()
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	var muts []*mutation
-	rr := newRecordReader(f)
-	for {
-		payload, err := rr.readRecord()
-		if err != nil {
-			return muts
-		}
-		m, err := decodeMutationPayload(payload)
-		if err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
-		muts = append(muts, m)
-	}
-}
-
-// listing is every file under dir with its size.
-func listing(t *testing.T, dir string) map[string]int64 {
-	t.Helper()
-	files := make(map[string]int64)
-	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
-		if err != nil || d.IsDir() {
-			return err
-		}
-		info, err := d.Info()
-		rel, _ := filepath.Rel(dir, path)
-		files[rel] = info.Size()
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return files
-}
-
-// crashCheck is the crash sweep's judge. It takes the directory as a
-// crash at this instant would leave it (a copy: everything the engine has
-// written, nothing it still buffers), reopens the copy and requires the
-// mem twin's rows — none lost, no deleted row back —, no tail log below
-// its table's low-water mark left on disk, and a second reopen that
-// changes nothing.
-func (p *hotPair) crashCheck(label string, tables []string) {
+// crashCheck is the crash sweep's judge. It takes the store as a power
+// loss at this instant would leave it — what was synced, nothing else —
+// reopens it, and requires one of the states the history may recover to
+// (states), no tail log below its table's low-water mark left in the
+// store, and a second reopen that changes nothing.
+func (p *hotPair) crashCheck(label string, tables []string, states []string) {
 	p.t.Helper()
-	crashed := p.t.TempDir()
-	copyTree(p.t, p.dir, crashed)
+	crashed := p.fsys.(*memFS).Crash()
 	var after map[string]int64
+	var first string
 	for _, pass := range []string{"reopen", "second reopen"} {
-		fe, err := OpenFile(crashed)
+		fe, err := open(crashed, KindMem, p.dir)
 		if err != nil {
 			p.t.Fatalf("%s: %s: %v", label, pass, err)
 		}
-		for _, name := range tables {
-			got, _ := fe.Table(name)
-			want, _ := p.mem.Table(name)
-			if got == nil {
-				p.t.Fatalf("%s: %s: table %s is gone", label, pass, name)
-			}
-			sameReads(p.t, label+": "+pass+": "+name, got, want)
+		got := dumpDB(fe, tables)
+		if first == "" && !slices.Contains(states, got) {
+			p.t.Fatalf("%s: %s holds no state the history may recover to:\n%s\nthe latest is\n%s", label, pass, got, states[len(states)-1])
+		} else if first != "" && got != first {
+			p.t.Fatalf("%s: %s holds\n%s\nwhere the first held\n%s", label, pass, got, first)
 		}
-		for table, seqs := range tailLogsOnDisk(p.t, crashed) {
+		first = got
+		for table, seqs := range tailLogsOnDisk(p.t, crashed, p.dir) {
 			for _, seq := range seqs {
 				if low := hotStatus(p.t, fe, table).LowWater; seq < low {
-					p.t.Fatalf("%s: %s left tail log %d of %s on disk, below the low-water mark %d", label, pass, seq, table, low)
+					p.t.Fatalf("%s: %s left tail log %d of %s in the store, below the low-water mark %d", label, pass, seq, table, low)
 				}
 			}
 		}
 		if err := fe.Close(); err != nil {
 			p.t.Fatalf("%s: close after %s: %v", label, pass, err)
 		}
-		if files := listing(p.t, crashed); after == nil {
+		if files := listing(p.t, crashed, p.dir); after == nil {
 			after = files
 		} else if !reflect.DeepEqual(files, after) {
 			p.t.Fatalf("%s: the second reopen is not a fixed point:\n first %v\nsecond %v", label, after, files)
@@ -111,23 +48,25 @@ func (p *hotPair) crashCheck(label string, tables []string) {
 	}
 }
 
-// TestSegmentTailLogCrashSweep crashes the durable engine after every
-// durable step of every compaction pass and checkpoint of a scripted
-// history — by copying its directory from the step hook — and judges
-// each copy with crashCheck. The history is built so that dropping any
-// of the rules that make deleting a log safe loses or resurrects a row
-// at some step: the barrier (rule 1, checked directly: once a manifest
-// has named a pass's segments, no log that outlives the pass holds bytes
-// no fsync covers — also when a sealed set the barrier skipped was
-// rehydrated mid-pass and handed its logs on), the hand-off at
-// rehydration (rule 2: a pass after a committed delete rehydrated
-// focus_has_resource) and the pin (rule 3: a commit that lands between a
-// checkpoint's drain and its snapshot, then a delete of a row the
-// snapshot holds, then a re-seal). The background compactor is stopped
-// and the passes are run by the script, so every step fires on this
-// goroutine, when everything committed so far has reached the files.
+// TestSegmentTailLogCrashSweep crashes the engine after every durable
+// step of every compaction pass and checkpoint of a scripted history — by
+// taking, from the step hook, what a power loss would leave of its
+// in-memory filesystem — and judges each crash with crashCheck: the store
+// must recover to a state the history went through, no older than the
+// last one every log was fsynced in (a pass's barrier, a checkpoint's
+// snapshot). The history is built so that dropping any of the rules that
+// make deleting a log safe loses or resurrects a row at some step: the
+// barrier (rule 1, checked directly too: once a manifest has named a
+// pass's segments, no log that outlives the pass holds bytes no fsync
+// covers — also when a sealed set was rehydrated mid-pass and handed its
+// logs on), the hand-off at rehydration (rule 2: a pass after a committed
+// delete rehydrated focus_has_resource) and the pin (rule 3: a commit that
+// lands between a checkpoint's drain and its snapshot, then a delete of a
+// row the snapshot holds, then a re-seal). The background compactor is
+// stopped and the passes are run by the script, so every step fires on
+// this goroutine.
 func TestSegmentTailLogCrashSweep(t *testing.T) {
-	p := newHotPair(t)
+	p := newHotPairOn(t, newMemFS(), "db")
 	defer func() { p.fe.Close() }()
 	st := p.fe.seg
 	st.shutdown()
@@ -137,15 +76,23 @@ func TestSegmentTailLogCrashSweep(t *testing.T) {
 		Columns:    []Column{{Name: "id", Type: KindInt}, {Name: "name", Type: KindString}},
 		PrimaryKey: []string{"id"},
 	}
-	p.both("create metric", func(eng Engine) error { return eng.CreateTable(metric) })
+	p.both("create metric", func(eng writer) error { return eng.CreateTable(metric) })
 	histogram := &Schema{
 		Name:        "result_histogram",
 		Columns:     []Column{{Name: "result_id", Type: KindInt}, {Name: "bins", Type: KindString}},
 		PrimaryKey:  []string{"result_id"},
 		ForeignKeys: []ForeignKey{{Column: "result_id", RefTable: "performance_result", RefColumn: "id"}},
 	}
-	p.both("create result_histogram", func(eng Engine) error { return eng.CreateTable(histogram) })
+	p.both("create result_histogram", func(eng writer) error { return eng.CreateTable(histogram) })
 	tables := append([]string{"metric", "result_histogram"}, segmentHotTables...)
+	if err := p.fe.Checkpoint(); err != nil { // the history starts durable
+		t.Fatal(err)
+	}
+	// history is every state the writes so far acknowledged; a crash may
+	// recover to history[floor:] — writes are not fsynced by themselves,
+	// and everything up to a barrier or a snapshot is.
+	history := []string{p.ref.dump(tables)}
+	floor, crashes := 0, 0
 
 	steps := map[string]int{}
 	var phase string
@@ -153,6 +100,9 @@ func TestSegmentTailLogCrashSweep(t *testing.T) {
 	var handAt string
 	st.step = func(step string) {
 		steps[step]++
+		if step == "barrier" || step == "snapshot" {
+			floor = len(history) - 1
+		}
 		if f := hand; step == handAt && f != nil {
 			hand = nil
 			f()
@@ -167,7 +117,8 @@ func TestSegmentTailLogCrashSweep(t *testing.T) {
 				}
 			}
 		}
-		p.crashCheck(phase+": after "+step, tables)
+		p.crashCheck(phase+": after "+step, tables, history[floor:])
+		crashes++
 	}
 	pass := func() {
 		t.Helper()
@@ -177,15 +128,13 @@ func TestSegmentTailLogCrashSweep(t *testing.T) {
 			t.Fatalf("%s: %v", phase, err)
 		}
 	}
-	// write applies op to both engines; on the durable one it is
-	// acknowledged — a delete waits in its log's buffer for the next
-	// commit, so Stats flushes it — and a crash at any later step must
-	// keep it.
-	write := func(what string, op func(Engine) error) {
+	// write applies op to the engine and the model and adds the state it
+	// acknowledged to the history.
+	write := func(what string, op func(writer) error) {
 		t.Helper()
 		phase = what
 		p.both(what, op)
-		p.fe.Stats()
+		history = append(history, p.ref.dump(tables))
 	}
 	// load is a document's commit: one transaction, a metric row in
 	// perftrack.wal and results, foci and closure links in the tail logs —
@@ -195,8 +144,8 @@ func TestSegmentTailLogCrashSweep(t *testing.T) {
 		t.Helper()
 		first := next
 		next += n
-		write(fmt.Sprintf("load of results %d..%d", first, next-1), func(eng Engine) error {
-			tx := eng.Begin()
+		write(fmt.Sprintf("load of results %d..%d", first, next-1), func(eng writer) error {
+			tx := eng.begin()
 			if _, err := tx.Insert("metric", Row{Int(int64(first)), Str("m")}); err != nil {
 				return err
 			}
@@ -214,8 +163,8 @@ func TestSegmentTailLogCrashSweep(t *testing.T) {
 	load(40)
 	pass()
 	next++
-	write("histogram of a private result", func(eng Engine) error {
-		tx := eng.Begin()
+	write("histogram of a private result", func(eng writer) error {
+		tx := eng.begin()
 		rid, err := tx.Insert("performance_result", resultRow(next-1))
 		if err != nil {
 			return err
@@ -229,17 +178,17 @@ func TestSegmentTailLogCrashSweep(t *testing.T) {
 		}
 		return tx.Commit()
 	})
-	if err := p.both("histogram of no result", func(eng Engine) error {
+	if err := p.both("histogram of no result", func(eng writer) error {
 		_, err := eng.Insert("result_histogram", Row{Int(1 << 30), Str("")})
 		return err
 	}); err == nil {
 		t.Fatal("a histogram of a result nobody has was accepted")
 	}
-	p.both("create index", func(eng Engine) error {
+	p.both("create index", func(eng writer) error {
 		return eng.CreateIndex("performance_result", IndexSpec{Name: "pr_tool", Columns: []string{"tool_id"}})
 	})
-	write("rolled-back transaction", func(eng Engine) error {
-		tx := eng.Begin()
+	write("rolled-back transaction", func(eng writer) error {
+		tx := eng.begin()
 		rid, err := tx.Insert("performance_result", resultRow(7))
 		if err != nil {
 			return err
@@ -260,31 +209,29 @@ func TestSegmentTailLogCrashSweep(t *testing.T) {
 		t.Fatalf("set-up: performance_result sealed = %v, focus_has_resource = %+v",
 			sealed("performance_result"), hotStatus(t, p.fe, "focus_has_resource"))
 	}
-	write("pass after a delete rehydrated focus_has_resource", func(eng Engine) error {
+	write("pass after a delete rehydrated focus_has_resource", func(eng writer) error {
 		return eng.Delete("focus_has_resource", 5)
 	})
 	if st := hotStatus(t, p.fe, "focus_has_resource"); !st.Dirty {
 		t.Fatalf("focus_has_resource after the delete = %+v, want rehydrated", st)
 	}
 	pass()
-	write("delete of a flushed row", func(eng Engine) error { return eng.Delete("performance_result", 17) })
+	write("delete of a flushed row", func(eng writer) error { return eng.Delete("performance_result", 17) })
 	pass()
 
 	// Rule 1, the late half. A delete of a sealed row while its set is being
 	// encoded rehydrates the table: the pass discards its segment, and the
 	// set's logs — which the barrier skipped as doomed — outlive it.
-	lastResult := func() (last int64) {
-		results, _ := p.mem.Table("performance_result")
-		results.Scan(func(id int64, _ Row) bool { last = id; return true })
-		return last
+	lastResult := func() int64 {
+		rows := p.ref.tables["performance_result"].ordered()
+		return rows[len(rows)-1].id
 	}
 	load(70)
 	if !sealed("performance_result") {
 		t.Fatal("set-up: performance_result is not sealed")
 	}
 	handAt, hand = "barrier", func() {
-		p.both("delete of a sealed row", func(eng Engine) error { return eng.Delete("performance_result", lastResult()) })
-		p.fe.Stats()
+		write("delete of a sealed row", func(eng writer) error { return eng.Delete("performance_result", lastResult()) })
 	}
 	phase = "pass whose sealed set is rehydrated under it"
 	pass()
@@ -300,19 +247,19 @@ func TestSegmentTailLogCrashSweep(t *testing.T) {
 	handAt, hand = "log removal", func() {
 		first := next
 		next += 20
-		p.both("late load", func(eng Engine) error { return commitResults(eng, first, 20) })
+		write("late load", func(eng writer) error { return commitResults(eng, first, 20) })
 	}
 	if err := p.fe.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if counts := countSnapshotRows(t, filepath.Join(p.dir, snapshotFile)); hand != nil || counts["performance_result"] != 20 {
+	if counts := countSnapshotRows(t, p.fsys, filepath.Join(p.dir, snapshotFile)); hand != nil || counts["performance_result"] != 20 {
 		t.Fatalf("the snapshot holds %d performance_result rows, want the late commit's 20", counts["performance_result"])
 	}
 	pass()
 	victim := lastResult() // the late commit's last result
 	// The delete rehydrates performance_result — the victim is in its tail —
 	// and the next commit re-seals it, without the victim.
-	write("delete of a snapshotted row", func(eng Engine) error { return eng.Delete("performance_result", victim) })
+	write("delete of a snapshotted row", func(eng writer) error { return eng.Delete("performance_result", victim) })
 	pass()
 	load(60)
 	pass()
@@ -324,7 +271,7 @@ func TestSegmentTailLogCrashSweep(t *testing.T) {
 	if err := p.fe.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if logs := tailLogsOnDisk(t, p.dir); len(logs) != 0 {
+	if logs := tailLogsOnDisk(t, p.fsys, p.dir); len(logs) != 0 {
 		t.Fatalf("tail logs left after a checkpoint: %v", logs)
 	}
 	load(70)
@@ -338,6 +285,7 @@ func TestSegmentTailLogCrashSweep(t *testing.T) {
 			t.Errorf("the history never crashed after step %q", step)
 		}
 	}
+	t.Logf("%d crash points covered", crashes)
 	p.check("survivor")
 }
 
@@ -362,7 +310,7 @@ func TestSegmentLogsHoldOnlyUnflushedRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := p.fe.Stats() // flushes the logs
-	for _, m := range logRecords(t, filepath.Join(p.dir, walFile)) {
+	for _, m := range logRecords(t, p.fsys, filepath.Join(p.dir, walFile)) {
 		if m.isRowOp() && isHotTable(m.table) {
 			t.Fatalf("perftrack.wal holds a record of hot table %s (op %d, row %d)", m.table, m.op, m.id)
 		}
@@ -377,11 +325,11 @@ func TestSegmentLogsHoldOnlyUnflushedRows(t *testing.T) {
 			t.Fatalf("%s has no flushed rows: the loads did not cross the threshold", status.Table)
 		}
 		logged := map[int64]bool{}
-		for _, seq := range tailLogsOnDisk(t, p.dir)[status.Table] {
+		for _, seq := range tailLogsOnDisk(t, p.fsys, p.dir)[status.Table] {
 			if seq < status.LowWater {
 				t.Fatalf("tail log %d of %s is below the low-water mark %d", seq, status.Table, status.LowWater)
 			}
-			for _, m := range logRecords(t, st.tailLogPath(status.Table, seq)) {
+			for _, m := range logRecords(t, p.fsys, st.tailLogPath(status.Table, seq)) {
 				if m.op != opInsert || m.table != status.Table || logged[m.id] {
 					t.Fatalf("tail log %d of %s holds op %d on row %d of %s", seq, status.Table, m.op, m.id, m.table)
 				}
@@ -404,8 +352,8 @@ func TestSegmentLogsHoldOnlyUnflushedRows(t *testing.T) {
 		pending += status.PendingRows
 		logBytes += status.LogBytes
 	}
-	if wal, _ := os.Stat(filepath.Join(p.dir, walFile)); before.WALBytes != wal.Size()+logBytes {
-		t.Fatalf("wal_bytes = %d, want perftrack.wal's %d + the tail logs' %d", before.WALBytes, wal.Size(), logBytes)
+	if wal, _ := p.fsys.Size(filepath.Join(p.dir, walFile)); before.WALBytes != wal+logBytes {
+		t.Fatalf("wal_bytes = %d, want perftrack.wal's %d + the tail logs' %d", before.WALBytes, wal, logBytes)
 	}
 	if size, err := p.fe.DiskSize(); err != nil || size != before.DiskBytes {
 		t.Fatalf("DiskSize = %d, %v; Stats says %d", size, err, before.DiskBytes)

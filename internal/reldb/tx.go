@@ -14,10 +14,10 @@ import (
 var ErrTxDone = errors.New("reldb: transaction already finished")
 
 // Tx is a database transaction, and the engine's only way in for a row.
-// An insert, into any table on either engine, is checked against the
-// schema, given its row ID and laid out in a column block private to the
-// transaction, under no lock: nobody — the transaction included — reads
-// a row of it before Commit.
+// An insert, into any table, is checked against the schema, given its row
+// ID and laid out in a column block private to the transaction, under no
+// lock: nobody — the transaction included — reads a row of it before
+// Commit.
 //
 // Commit is the only time a transaction touches the engine. It takes the
 // engine write lock once and admits every block against the published
@@ -25,10 +25,10 @@ var ErrTxDone = errors.New("reldb: transaction already finished")
 // block, each foreign key matched by a published row or one of the
 // transaction's own — then logs the records and installs the rows: onto
 // a table's columnar tail, or into its row set. Readers see all of a
-// transaction's rows or none. On the durable engine the commit is also
-// the batch boundary: each log it touched is flushed once (fsynced in
-// synchronous mode), and tails that reached the flush threshold are
-// sealed. A Commit that fails changes nothing visible and leaves the
+// transaction's rows or none. The commit is also the batch boundary: each
+// log it touched is flushed once (fsynced in synchronous mode), and tails
+// that reached the flush threshold are sealed. A Commit that fails
+// changes nothing visible, leaves no record in any log and leaves the
 // transaction open; Rollback drops the blocks and writes nothing.
 //
 // Committers serialize on the engine lock and a transaction reads nothing,
@@ -46,7 +46,7 @@ type txBlock struct {
 	t *Table
 	ColumnBlock
 	keyAsc bool     // the table has one integer key column and its values here ascend
-	recs   []byte   // durable engine: the rows' insert records, framed as a log holds them
+	recs   []byte   // the rows' insert records, framed as a log holds them
 	keys   [][]byte // the rows' encoded primary keys, where admission looked them up
 	why    residency
 	placed bool // ordered has placed the block
@@ -232,17 +232,14 @@ func (tx *Tx) place(tb *txBlock, out []*txBlock) []*txBlock {
 	return out
 }
 
-// commit finishes the blocks outside the lock — their zone maps and, on
-// the durable engine, their log records — then admits, logs and installs
-// them under it. A commit that leaves a tail full behind a sealed one
-// waits, outside the lock, for the compaction pass in flight
-// (segState.awaitPass).
+// commit finishes the blocks outside the lock — their zone maps and their
+// log records — then admits, logs and installs them under it. A commit
+// that leaves a tail full behind a sealed one waits, outside the lock,
+// for the compaction pass in flight (segState.awaitPass).
 func (db *DB) commit(tx *Tx, blocks []*txBlock) error {
 	for _, tb := range blocks {
 		tb.finish()
-		if db.seg != nil {
-			tb.recs = appendInsertRecords(tb.recs[:0], tb.t.schema.Name, &tb.ColumnBlock)
-		}
+		tb.recs = appendInsertRecords(tb.recs[:0], tb.t.schema.Name, &tb.ColumnBlock)
 	}
 	full, err := db.commitLocked(tx, blocks)
 	if full {
@@ -256,6 +253,9 @@ func (db *DB) commit(tx *Tx, blocks []*txBlock) error {
 func (db *DB) commitLocked(tx *Tx, blocks []*txBlock) (full bool, err error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	if err := db.writableLocked(); err != nil {
+		return false, err
+	}
 	for _, tb := range blocks {
 		if err := tb.admitLocked(tx); err != nil {
 			return false, err
@@ -269,16 +269,11 @@ func (db *DB) commitLocked(tx *Tx, blocks []*txBlock) (full bool, err error) {
 			tb.t.rehydrateLocked(tb.why)
 		}
 	}
-	if db.seg != nil {
-		if err := db.seg.fe.logBlocksLocked(blocks); err != nil {
-			return false, err
-		}
+	if err := db.logBlocksLocked(blocks); err != nil {
+		return false, err
 	}
 	for _, tb := range blocks {
 		tb.installLocked()
-	}
-	if db.seg == nil {
-		return false, nil
 	}
 	return db.seg.sealReadyLocked(db.seg.flushRows.Load()), nil
 }
@@ -305,7 +300,7 @@ func (tb *txBlock) installLocked() {
 }
 
 // appendInsertRecords appends the insert records of the block's rows to
-// out, each framed as recordWriter frames it: the bytes logMutation would
+// out, each framed as appendRecord frames it: the bytes logLocked would
 // append for them one by one.
 func appendInsertRecords(out []byte, table string, b *ColumnBlock) []byte {
 	out = slices.Grow(out, b.rows*(16+len(table)+9*len(b.cols)))
@@ -331,36 +326,42 @@ func appendInsertRecords(out []byte, table string, b *ColumnBlock) []byte {
 // synchronous mode: in the blocks' order, which is the flush order (rule
 // 5). Every log is opened before anything is written, and what in-place
 // writes (deletes, DDL) left in any log's buffer reaches its file first.
-func (fe *FileEngine) logBlocksLocked(blocks []*txBlock) error {
+// If a write or fsync fails, every log the commit wrote to is taken back
+// to where it stood (rewindLocked): a failed commit leaves no record.
+func (db *DB) logBlocksLocked(blocks []*txBlock) error {
 	logs := make([]*logFile, len(blocks))
 	for i, tb := range blocks {
-		logs[i] = fe.wal
+		logs[i] = db.wal
 		if isHotTable(tb.t.schema.Name) {
 			var err error
-			if logs[i], err = fe.seg.tailLogLocked(tb.t); err != nil {
+			if logs[i], err = db.seg.tailLogLocked(tb.t); err != nil {
 				return err
 			}
 		}
 	}
-	for _, l := range fe.openLogsLocked() {
+	for _, l := range db.openLogsLocked() {
 		if err := l.flush(); err != nil {
 			return err
 		}
 	}
 	flush := (*logFile).flush
-	if fe.syncWAL {
+	if db.syncWAL {
 		flush = (*logFile).sync
 	}
+	marks := make([]logMark, 0, 8) // perftrack.wal and the six tail logs at most
 	for i, tb := range blocks {
-		if err := logs[i].appendFramed(tb.recs); err != nil {
-			return err
+		if i == 0 || logs[i] != logs[i-1] {
+			marks = append(marks, logMark{logs[i], logs[i].size})
 		}
-		fe.logAppended += uint64(len(tb.recs))
+		logs[i].appendFramed(tb.recs)
 		if i+1 == len(blocks) || logs[i+1] != logs[i] {
 			if err := flush(logs[i]); err != nil {
-				return err
+				return db.rewindLocked(err, marks)
 			}
 		}
+	}
+	for _, m := range marks {
+		db.logAppended += uint64(m.l.size - m.size)
 	}
 	return nil
 }

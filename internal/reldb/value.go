@@ -1,10 +1,10 @@
 // Package reldb implements an embedded relational database engine used as
 // the data-store substrate for PerfTrack. It provides typed schemas, tables
 // with primary keys, secondary and unique indexes, foreign-key checking,
-// transactions with rollback, and two interchangeable storage engines: a
-// pure in-memory engine and a durable file engine with a write-ahead log
-// and snapshot checkpoints. The PerfTrack paper ran on Oracle or
-// PostgreSQL; reldb's two engines stand in for that two-backend
+// transactions with rollback, and one storage engine — write-ahead logs,
+// columnar segments, snapshot checkpoints — over either of two
+// filesystems: a directory, or memory. The PerfTrack paper ran on Oracle
+// or PostgreSQL; reldb's Open(kind, dir) stands in for that two-backend
 // portability in an offline, dependency-free build.
 package reldb
 

@@ -24,33 +24,16 @@ import (
 // or could not be decoded.
 var ErrCorruptLog = errors.New("reldb: corrupt log record")
 
-type recordWriter struct {
-	w   *bufio.Writer
-	buf []byte
+// appendFrame appends the frame header of payload to dst.
+func appendFrame(dst, payload []byte) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
+	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
 }
 
-func newRecordWriter(w io.Writer) *recordWriter {
-	return &recordWriter{w: bufio.NewWriterSize(w, 1<<16)}
+// appendRecord appends payload to dst as one framed record.
+func appendRecord(dst, payload []byte) []byte {
+	return append(appendFrame(dst, payload), payload...)
 }
-
-func (rw *recordWriter) writeRecord(payload []byte) error {
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	if _, err := rw.w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := rw.w.Write(payload)
-	return err
-}
-
-// writeFramed appends records that already carry their frames.
-func (rw *recordWriter) writeFramed(records []byte) error {
-	_, err := rw.w.Write(records)
-	return err
-}
-
-func (rw *recordWriter) flush() error { return rw.w.Flush() }
 
 type recordReader struct {
 	r *bufio.Reader
@@ -88,65 +71,74 @@ func (rr *recordReader) readRecord() ([]byte, error) {
 
 // --- payload encoding helpers ---
 
-func putUvarint(dst []byte, v uint64) []byte {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	return append(dst, buf[:n]...)
-}
-
-func putVarint(dst []byte, v int64) []byte {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutVarint(buf[:], v)
-	return append(dst, buf[:n]...)
-}
+func putUvarint(dst []byte, v uint64) []byte { return binary.AppendUvarint(dst, v) }
+func putVarint(dst []byte, v int64) []byte   { return binary.AppendVarint(dst, v) }
 
 func putString(dst []byte, s string) []byte {
 	dst = putUvarint(dst, uint64(len(s)))
 	return append(dst, s...)
 }
 
+// payloadReader decodes a payload. Its first failure sticks: every later
+// read returns a zero value, and err is ErrCorruptLog.
 type payloadReader struct {
 	buf []byte
+	err error
 }
 
-func (p *payloadReader) uvarint() (uint64, error) {
+func (p *payloadReader) fail() {
+	p.buf, p.err = nil, ErrCorruptLog
+}
+
+func (p *payloadReader) uvarint() uint64 {
 	v, n := binary.Uvarint(p.buf)
 	if n <= 0 {
-		return 0, ErrCorruptLog
+		p.fail()
+		return 0
 	}
 	p.buf = p.buf[n:]
-	return v, nil
+	return v
 }
 
-func (p *payloadReader) varint() (int64, error) {
+func (p *payloadReader) varint() int64 {
 	v, n := binary.Varint(p.buf)
 	if n <= 0 {
-		return 0, ErrCorruptLog
+		p.fail()
+		return 0
 	}
 	p.buf = p.buf[n:]
-	return v, nil
+	return v
 }
 
-func (p *payloadReader) str() (string, error) {
-	n, err := p.uvarint()
-	if err != nil {
-		return "", err
+// count reads the length of what follows: as many items, each taking at
+// least a byte of what is left.
+func (p *payloadReader) count() int {
+	n := p.uvarint()
+	if n > uint64(len(p.buf)) {
+		p.fail()
+		return 0
 	}
-	if uint64(len(p.buf)) < n {
-		return "", ErrCorruptLog
+	return int(n)
+}
+
+// bytes reads the next n bytes.
+func (p *payloadReader) bytes(n int) []byte {
+	if n > len(p.buf) {
+		p.fail()
+		return nil
 	}
-	s := string(p.buf[:n])
+	b := p.buf[:n]
 	p.buf = p.buf[n:]
-	return s, nil
+	return b
 }
 
-func (p *payloadReader) byteVal() (byte, error) {
-	if len(p.buf) == 0 {
-		return 0, ErrCorruptLog
+func (p *payloadReader) str() string { return string(p.bytes(p.count())) }
+
+func (p *payloadReader) byteVal() byte {
+	if b := p.bytes(1); b != nil {
+		return b[0]
 	}
-	b := p.buf[0]
-	p.buf = p.buf[1:]
-	return b, nil
+	return 0
 }
 
 func (p *payloadReader) empty() bool { return len(p.buf) == 0 }
@@ -181,52 +173,25 @@ func appendValuePayload(dst []byte, v Value) []byte {
 }
 
 func decodeRowPayload(p *payloadReader) (Row, error) {
-	n, err := p.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > 1<<20 {
-		return nil, ErrCorruptLog
-	}
-	row := make(Row, 0, n)
-	for i := uint64(0); i < n; i++ {
-		tag, err := p.byteVal()
-		if err != nil {
-			return nil, err
-		}
-		switch Kind(tag) {
+	row := make(Row, p.count())
+	for i := range row {
+		switch Kind(p.byteVal()) {
 		case KindNull:
-			row = append(row, Null())
 		case KindInt:
-			v, err := p.varint()
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, Int(v))
+			row[i] = Int(p.varint())
 		case KindFloat:
-			if len(p.buf) < 8 {
-				return nil, ErrCorruptLog
+			if b := p.bytes(8); b != nil {
+				row[i] = Float(math.Float64frombits(binary.LittleEndian.Uint64(b)))
 			}
-			bits := binary.LittleEndian.Uint64(p.buf[:8])
-			p.buf = p.buf[8:]
-			row = append(row, Float(math.Float64frombits(bits)))
 		case KindString:
-			s, err := p.str()
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, Str(s))
+			row[i] = Str(p.str())
 		case KindBool:
-			b, err := p.byteVal()
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, Bool(b != 0))
+			row[i] = Bool(p.byteVal() != 0)
 		default:
-			return nil, ErrCorruptLog
+			p.fail()
 		}
 	}
-	return row, nil
+	return row, p.err
 }
 
 // --- schema encoding ---
@@ -274,96 +239,30 @@ func encodeIndexSpec(dst []byte, ix IndexSpec) []byte {
 	return dst
 }
 
-func decodeIndexSpec(p *payloadReader) (IndexSpec, error) {
-	var ix IndexSpec
-	var err error
-	if ix.Name, err = p.str(); err != nil {
-		return ix, err
+func decodeIndexSpec(p *payloadReader) IndexSpec {
+	ix := IndexSpec{Name: p.str(), Unique: p.byteVal() != 0}
+	for n := p.count(); n > 0; n-- {
+		ix.Columns = append(ix.Columns, p.str())
 	}
-	u, err := p.byteVal()
-	if err != nil {
-		return ix, err
-	}
-	ix.Unique = u != 0
-	n, err := p.uvarint()
-	if err != nil {
-		return ix, err
-	}
-	for i := uint64(0); i < n; i++ {
-		c, err := p.str()
-		if err != nil {
-			return ix, err
-		}
-		ix.Columns = append(ix.Columns, c)
-	}
-	return ix, nil
+	return ix
 }
 
 func decodeSchemaPayload(p *payloadReader) (*Schema, error) {
-	s := &Schema{}
-	var err error
-	if s.Name, err = p.str(); err != nil {
-		return nil, err
+	s := &Schema{Name: p.str()}
+	for n := p.count(); n > 0; n-- {
+		s.Columns = append(s.Columns, Column{Name: p.str(), Type: Kind(p.byteVal()), Nullable: p.byteVal() != 0})
 	}
-	ncols, err := p.uvarint()
-	if err != nil {
-		return nil, err
+	for n := p.count(); n > 0; n-- {
+		s.PrimaryKey = append(s.PrimaryKey, p.str())
 	}
-	for i := uint64(0); i < ncols; i++ {
-		var c Column
-		if c.Name, err = p.str(); err != nil {
-			return nil, err
-		}
-		t, err := p.byteVal()
-		if err != nil {
-			return nil, err
-		}
-		c.Type = Kind(t)
-		nb, err := p.byteVal()
-		if err != nil {
-			return nil, err
-		}
-		c.Nullable = nb != 0
-		s.Columns = append(s.Columns, c)
+	for n := p.count(); n > 0; n-- {
+		s.ForeignKeys = append(s.ForeignKeys, ForeignKey{Column: p.str(), RefTable: p.str(), RefColumn: p.str()})
 	}
-	npk, err := p.uvarint()
-	if err != nil {
-		return nil, err
+	for n := p.count(); n > 0; n-- {
+		s.Indexes = append(s.Indexes, decodeIndexSpec(p))
 	}
-	for i := uint64(0); i < npk; i++ {
-		pk, err := p.str()
-		if err != nil {
-			return nil, err
-		}
-		s.PrimaryKey = append(s.PrimaryKey, pk)
-	}
-	nfk, err := p.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	for i := uint64(0); i < nfk; i++ {
-		var fk ForeignKey
-		if fk.Column, err = p.str(); err != nil {
-			return nil, err
-		}
-		if fk.RefTable, err = p.str(); err != nil {
-			return nil, err
-		}
-		if fk.RefColumn, err = p.str(); err != nil {
-			return nil, err
-		}
-		s.ForeignKeys = append(s.ForeignKeys, fk)
-	}
-	nix, err := p.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	for i := uint64(0); i < nix; i++ {
-		ix, err := decodeIndexSpec(p)
-		if err != nil {
-			return nil, err
-		}
-		s.Indexes = append(s.Indexes, ix)
+	if p.err != nil {
+		return nil, p.err
 	}
 	return s, nil
 }
@@ -393,46 +292,26 @@ func encodeMutationPayload(m *mutation) []byte {
 
 func decodeMutationPayload(payload []byte) (*mutation, error) {
 	p := &payloadReader{buf: payload}
-	tag, err := p.byteVal()
-	if err != nil {
-		return nil, err
-	}
-	m := &mutation{op: mutOp(tag)}
+	m := &mutation{op: mutOp(p.byteVal())}
 	switch m.op {
 	case opCreateTable:
-		if m.schema, err = decodeSchemaPayload(p); err != nil {
-			return nil, err
-		}
+		m.schema, _ = decodeSchemaPayload(p)
 	case opDropTable:
-		if m.table, err = p.str(); err != nil {
-			return nil, err
-		}
+		m.table = p.str()
 	case opCreateIndex, opDropIndex:
-		if m.table, err = p.str(); err != nil {
-			return nil, err
-		}
-		if m.index, err = decodeIndexSpec(p); err != nil {
-			return nil, err
-		}
+		m.table, m.index = p.str(), decodeIndexSpec(p)
 	case opInsert, opUpdate:
-		if m.table, err = p.str(); err != nil {
-			return nil, err
-		}
-		if m.id, err = p.varint(); err != nil {
-			return nil, err
-		}
-		if m.row, err = decodeRowPayload(p); err != nil {
-			return nil, err
-		}
+		m.table, m.id = p.str(), p.varint()
+		m.row, _ = decodeRowPayload(p)
 	case opDelete:
-		if m.table, err = p.str(); err != nil {
-			return nil, err
-		}
-		if m.id, err = p.varint(); err != nil {
-			return nil, err
-		}
+		m.table, m.id = p.str(), p.varint()
 	default:
-		return nil, fmt.Errorf("%w: unknown op %d", ErrCorruptLog, tag)
+		if p.err == nil {
+			return nil, fmt.Errorf("%w: unknown op %d", ErrCorruptLog, m.op)
+		}
+	}
+	if p.err != nil {
+		return nil, p.err
 	}
 	return m, nil
 }

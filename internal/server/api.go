@@ -213,17 +213,11 @@ type StatsResponse struct {
 }
 
 // StorageStats describes the storage engine behind the store: its kind,
-// per-table byte footprint, and — on the durable engine — compaction
-// status.
+// per-table byte footprint, and compaction status.
 type StorageStats struct {
 	Kind     string              `json:"kind"`
 	Engine   reldb.Stats         `json:"engine"`
 	Segments *reldb.SegmentStats `json:"segments,omitempty"`
-}
-
-// segmentStatser is implemented by the durable storage engine.
-type segmentStatser interface {
-	SegmentStats() reldb.SegmentStats
 }
 
 // ComparePair is one aligned pair of performance results from the two

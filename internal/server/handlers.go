@@ -442,17 +442,13 @@ func (s *Server) handleResultsStream(w http.ResponseWriter, r *http.Request, req
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	es := s.store.Engine().Stats()
+	es, seg := s.store.Engine().Stats(), s.store.Engine().SegmentStats()
 	resp := StatsResponse{
 		APIVersion: APIVersion,
 		Store:      s.store.Stats(),
 		Engine:     s.store.QueryEngineStats(),
-		Storage:    StorageStats{Kind: es.Kind, Engine: es},
+		Storage:    StorageStats{Kind: es.Kind, Engine: es, Segments: &seg},
 		Statistics: s.store.TableStatistics(),
-	}
-	if se, ok := s.store.Engine().(segmentStatser); ok {
-		st := se.SegmentStats()
-		resp.Storage.Segments = &st
 	}
 	pc := s.planCache.Stats()
 	resp.PlanCache = &pc

@@ -123,45 +123,44 @@ func (m *serverMetrics) registerStore(store *datastore.Store) {
 		store.SegmentScanBytes())
 
 	// Compactor counters live on the storage engine rather than the
-	// store; bridge them only on the durable engine.
-	if se, ok := store.Engine().(segmentStatser); ok {
-		m.reg.CounterFunc("ptserved_store_segments_compacted_total",
-			"Background compaction passes that wrote segments.",
-			func() uint64 { return uint64(se.SegmentStats().Compactions) })
-		m.reg.CounterFunc("ptserved_store_segments_written_total",
-			"Immutable columnar segment files written.",
-			func() uint64 { return uint64(se.SegmentStats().SegmentsWritten) })
-		m.reg.GaugeFunc("ptserved_store_compactor_lag_rows",
-			"Hot-table rows not yet in a segment (sealed and active row sets).",
-			func() float64 {
-				var lag int64
-				for _, t := range se.SegmentStats().Tables {
-					lag += t.PendingRows
-				}
-				return float64(lag)
-			})
-		m.reg.GaugeFunc("ptserved_store_row_resident_bytes",
-			"Row payload and B-tree key bytes resident in row form (flushed rows have left).",
-			func() float64 {
-				st := store.Engine().Stats()
-				return float64(st.DataBytes + st.IndexBytes)
-			})
-		m.reg.CounterFunc("ptserved_store_stats_flush_errors_total",
-			"Storage statistics reads whose log flush failed (wal_bytes then reports the last good value).",
-			func() uint64 { return store.Engine().Stats().FlushErrors })
-		// wal_bytes is what is live, not what was ever written: hot-table
-		// tail logs are deleted as their rows reach segments. These two keep
-		// write amplification visible.
-		m.reg.CounterFunc("ptserved_store_log_bytes_appended_total",
-			"Bytes appended to perftrack.wal and the hot tables' tail logs.",
-			func() uint64 { return se.SegmentStats().LogBytesAppended })
-		m.reg.CounterFunc("ptserved_store_log_bytes_trimmed_total",
-			"Log bytes deleted once segments or a snapshot superseded them.",
-			func() uint64 { return se.SegmentStats().LogBytesTrimmed })
-		m.reg.GaugeFunc("ptserved_store_log_bytes",
-			"Bytes of live logs on disk: perftrack.wal and every tail log (wal_bytes on /v1/stats).",
-			func() float64 { return float64(store.Engine().Stats().WALBytes) })
-	}
+	// store.
+	eng := store.Engine()
+	m.reg.CounterFunc("ptserved_store_segments_compacted_total",
+		"Background compaction passes that wrote segments.",
+		func() uint64 { return eng.SegmentStats().Compactions })
+	m.reg.CounterFunc("ptserved_store_segments_written_total",
+		"Immutable columnar segment files written.",
+		func() uint64 { return eng.SegmentStats().SegmentsWritten })
+	m.reg.GaugeFunc("ptserved_store_compactor_lag_rows",
+		"Hot-table rows not yet in a segment (sealed and active row sets).",
+		func() float64 {
+			var lag int64
+			for _, t := range eng.SegmentStats().Tables {
+				lag += t.PendingRows
+			}
+			return float64(lag)
+		})
+	m.reg.GaugeFunc("ptserved_store_row_resident_bytes",
+		"Row payload and B-tree key bytes resident in row form (flushed rows have left).",
+		func() float64 {
+			st := eng.Stats()
+			return float64(st.DataBytes + st.IndexBytes)
+		})
+	m.reg.CounterFunc("ptserved_store_stats_flush_errors_total",
+		"Storage statistics reads whose log flush failed (wal_bytes then reports the last good value).",
+		func() uint64 { return eng.Stats().FlushErrors })
+	// wal_bytes is what is live, not what was ever written: hot-table
+	// tail logs are deleted as their rows reach segments. These two keep
+	// write amplification visible.
+	m.reg.CounterFunc("ptserved_store_log_bytes_appended_total",
+		"Bytes appended to perftrack.wal and the hot tables' tail logs.",
+		func() uint64 { return eng.SegmentStats().LogBytesAppended })
+	m.reg.CounterFunc("ptserved_store_log_bytes_trimmed_total",
+		"Log bytes deleted once segments or a snapshot superseded them.",
+		func() uint64 { return eng.SegmentStats().LogBytesTrimmed })
+	m.reg.GaugeFunc("ptserved_store_log_bytes",
+		"Bytes of live logs on disk: perftrack.wal and every tail log (wal_bytes on /v1/stats).",
+		func() float64 { return float64(eng.Stats().WALBytes) })
 }
 
 // registerPlanCache bridges the /v1/sql result cache counters into the

@@ -25,17 +25,9 @@ import (
 	"perftrack/internal/planner"
 )
 
-// Checkpointer is the subset of reldb.FileEngine the server needs at
-// shutdown; a nil Checkpointer (e.g. a pure in-memory store under test)
-// skips the checkpoint step.
-type Checkpointer interface {
-	Checkpoint() error
-}
-
 // Config carries the server's dependencies and operational limits.
 type Config struct {
-	Store        *datastore.Store
-	Checkpointer Checkpointer // optional; invoked after drain on Shutdown
+	Store *datastore.Store
 
 	// ReadOnly rejects POST /v1/load with 403.
 	ReadOnly bool
@@ -238,7 +230,7 @@ func (s *Server) ListenAndServe(addr string) error {
 }
 
 // Shutdown drains in-flight requests (bounded by ctx), then checkpoints
-// the store so the on-disk snapshot reflects everything ingested over
+// the store's engine so its snapshot reflects everything ingested over
 // the network and the write-ahead log is truncated.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.log.Info("shutting down, draining in-flight requests")
@@ -248,11 +240,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	if err := s.httpSrv.Shutdown(ctx); err != nil {
 		return fmt.Errorf("server: drain: %w", err)
 	}
-	if s.cfg.Checkpointer != nil {
-		if err := s.cfg.Checkpointer.Checkpoint(); err != nil {
-			return fmt.Errorf("server: checkpoint: %w", err)
-		}
-		s.log.Info("checkpoint complete")
+	if err := s.store.Engine().Checkpoint(); err != nil {
+		return fmt.Errorf("server: checkpoint: %w", err)
 	}
+	s.log.Info("checkpoint complete")
 	return nil
 }

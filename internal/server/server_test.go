@@ -488,7 +488,7 @@ func TestShutdownDrainsAndCheckpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(Config{Store: store, Checkpointer: fe})
+	srv, err := New(Config{Store: store})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -502,7 +502,7 @@ func TestShutdownDrainsAndCheckpoints(t *testing.T) {
 
 	loadDoc(t, base, ptdfDoc("shut", 3))
 
-	// The durable engine's residency gauges: three results (and their
+	// The engine's residency gauges: three results (and their
 	// links) sit in the tail, resident in row form.
 	mr, err := http.Get(base + "/metrics")
 	if err != nil {

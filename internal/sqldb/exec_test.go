@@ -10,7 +10,7 @@ import (
 // testDB is the door these tests query through: Parse, then Execute over
 // a source that reads an engine's tables whole, as the planner's raw-sql
 // path does.
-type testDB struct{ eng reldb.Engine }
+type testDB struct{ eng *reldb.DB }
 
 func (db testDB) Query(q string) (*Result, error) {
 	sel, err := Parse(q)
@@ -38,7 +38,7 @@ func (db testDB) Query(q string) (*Result, error) {
 // mkTable builds one fixture table through the engine: columns are
 // "name TYPE" (nullable) or "name TYPE!" (NOT NULL), the first column is
 // the primary key, and each index covers one column.
-func mkTable(t testing.TB, eng reldb.Engine, name string, columns, indexes []string, rows ...reldb.Row) {
+func mkTable(t testing.TB, eng *reldb.DB, name string, columns, indexes []string, rows ...reldb.Row) {
 	t.Helper()
 	kinds := map[string]reldb.Kind{"INTEGER": reldb.KindInt, "REAL": reldb.KindFloat, "TEXT": reldb.KindString}
 	schema := &reldb.Schema{Name: name}
@@ -72,7 +72,8 @@ var (
 
 var empColumns = []string{"id INTEGER", "name TEXT!", "dept TEXT", "salary REAL", "boss INTEGER"}
 
-func testDBOn(t testing.TB, eng reldb.Engine) testDB {
+func testDBOn(t testing.TB, eng *reldb.DB) testDB {
+	t.Cleanup(func() { eng.Close() })
 	mkTable(t, eng, "emp", empColumns, []string{"dept"},
 		reldb.Row{num(1), str("ada"), str("eng"), flt(120), null},
 		reldb.Row{num(2), str("bob"), str("eng"), flt(100), num(1)},
