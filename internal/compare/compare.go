@@ -14,8 +14,11 @@
 package compare
 
 import (
+	"context"
+	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -29,29 +32,6 @@ var nonPortableRoots = map[string]bool{
 	"grid":       true,
 	"execution":  true,
 	"submission": true,
-}
-
-// alignmentKey builds the canonical key for one result.
-func alignmentKey(s *datastore.Store, pr *core.PerformanceResult) (string, error) {
-	var tokens []string
-	for _, r := range pr.AllResources() {
-		tp, err := s.TypeOfResource(r)
-		if err != nil {
-			return "", err
-		}
-		root := tp.Root()
-		if nonPortableRoots[root] {
-			continue
-		}
-		if root == "time" {
-			// Align time phases by base name (e.g. "initialization").
-			tokens = append(tokens, "time:"+r.BaseName())
-			continue
-		}
-		tokens = append(tokens, string(tp)+":"+string(r))
-	}
-	sort.Strings(tokens)
-	return pr.Metric + "\x00" + strings.Join(tokens, "\x00"), nil
 }
 
 // Pair is one aligned pair of values from two executions.
@@ -94,96 +74,283 @@ func (p Pair) PercentChange() float64 {
 type Comparison struct {
 	ExecA, ExecB string
 	Pairs        []Pair
-	OnlyA        []*core.PerformanceResult // results with no counterpart in B
-	OnlyB        []*core.PerformanceResult
+	OnlyA        []int64 // IDs of A's results with no counterpart in B, ascending
+	OnlyB        []int64 // and of B's with none in A
 }
 
-// Executions aligns every performance result of two executions in a
+// Executions is ExecutionsCtx with no caller to give up.
+func Executions(s *datastore.Store, execA, execB string) (*Comparison, error) {
+	return ExecutionsCtx(context.Background(), s, execA, execB)
+}
+
+// ExecutionsCtx aligns every performance result of two executions in a
 // store. Results that align to the same key within one execution are
 // averaged before pairing (several values measured at the same place).
-func Executions(s *datastore.Store, execA, execB string) (*Comparison, error) {
-	load := func(exec string) (map[string][]*core.PerformanceResult, error) {
-		resA, err := resultsOfExecution(s, exec)
-		if err != nil {
-			return nil, err
-		}
-		keyed := make(map[string][]*core.PerformanceResult)
-		for _, pr := range resA {
-			k, err := alignmentKey(s, pr)
-			if err != nil {
-				return nil, err
-			}
-			keyed[k] = append(keyed[k], pr)
-		}
-		return keyed, nil
-	}
-	keyedA, err := load(execA)
+// It reads columns, not results: each execution's result → focus links
+// and its metric, units and value columns from the block source, and the
+// resources of each distinct focus once. ctx is checked once per block.
+func ExecutionsCtx(ctx context.Context, s *datastore.Store, execA, execB string) (*Comparison, error) {
+	al := newAligner(s)
+	sideA, err := al.side(ctx, execA)
 	if err != nil {
 		return nil, err
 	}
-	keyedB, err := load(execB)
+	sideB, err := al.side(ctx, execB)
+	if err != nil {
+		return nil, err
+	}
+	if err := al.resolve(ctx); err != nil {
+		return nil, err
+	}
+	ga, err := al.fold(ctx, sideA)
+	if err != nil {
+		return nil, err
+	}
+	gb, err := al.fold(ctx, sideB)
 	if err != nil {
 		return nil, err
 	}
 	cmp := &Comparison{ExecA: execA, ExecB: execB}
-	var keys []string
-	for k := range keyedA {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		as := keyedA[k]
-		bs, ok := keyedB[k]
+	for _, gi := range ga.order() {
+		a := &ga.list[gi]
+		bi, ok := gb.index[a.key]
 		if !ok {
-			cmp.OnlyA = append(cmp.OnlyA, as...)
 			continue
 		}
-		pair := Pair{
-			Metric: as[0].Metric,
-			Units:  as[0].Units,
-			A:      mean(as),
-			B:      mean(bs),
-		}
-		for _, r := range as[0].AllResources() {
-			tp, err := s.TypeOfResource(r)
-			if err != nil {
-				return nil, err
-			}
-			if !nonPortableRoots[tp.Root()] {
-				pair.Context = append(pair.Context, r)
-			}
-		}
-		cmp.Pairs = append(cmp.Pairs, pair)
+		b := &gb.list[bi]
+		cmp.Pairs = append(cmp.Pairs, Pair{
+			Metric:  a.metric,
+			Units:   a.units,
+			A:       a.sum / float64(a.n),
+			B:       b.sum / float64(b.n),
+			Context: al.sets[a.set].context,
+		})
 	}
-	var bKeys []string
-	for k := range keyedB {
-		if _, ok := keyedA[k]; !ok {
-			bKeys = append(bKeys, k)
-		}
-	}
-	sort.Strings(bKeys)
-	for _, k := range bKeys {
-		cmp.OnlyB = append(cmp.OnlyB, keyedB[k]...)
-	}
+	cmp.OnlyA = ga.unpaired(sideA, gb)
+	cmp.OnlyB = gb.unpaired(sideB, ga)
 	return cmp, nil
 }
 
-func mean(prs []*core.PerformanceResult) float64 {
-	sum := 0.0
-	for _, pr := range prs {
-		sum += pr.Value
-	}
-	return sum / float64(len(prs))
+// aligner computes an alignment once per distinct set of foci, however
+// many results hold that set: an execution's results share few foci, so
+// what a result costs is a lookup. A set's alignment is the sorted tokens
+// of its portable resources — the union over its foci, as
+// PerformanceResult.AllResources takes it — where a resource's token is
+// its type and name, and a time resource's its base name.
+type aligner struct {
+	s     *datastore.Store
+	sets  []focusSet
+	setOf map[string]int32 // focus IDs, as bytes → index in sets
+	buf   []byte
 }
 
-// resultsOfExecution materializes every result of one execution through
-// the store's execution index.
-func resultsOfExecution(s *datastore.Store, exec string) ([]*core.PerformanceResult, error) {
-	out, err := s.ResultsOfExecution(exec)
+// focusSet is the foci a result holds, ascending, and once resolved its
+// portable context and alignment.
+type focusSet struct {
+	foci    []int64
+	context []core.ResourceName // portable resources, sorted by name
+	tokens  string              // their tokens, sorted and NUL-separated
+}
+
+func newAligner(s *datastore.Store) *aligner {
+	al := &aligner{s: s, setOf: make(map[string]int32)}
+	al.intern(nil) // set 0: a result with no focus
+	return al
+}
+
+// intern returns the index of the set of foci, adding it when new.
+func (al *aligner) intern(foci []int64) int32 {
+	al.buf = al.buf[:0]
+	for _, f := range foci {
+		al.buf = binary.LittleEndian.AppendUint64(al.buf, uint64(f))
+	}
+	if i, ok := al.setOf[string(al.buf)]; ok {
+		return i
+	}
+	i := int32(len(al.sets))
+	al.setOf[string(al.buf)] = i
+	al.sets = append(al.sets, focusSet{foci: slices.Clone(foci)})
+	return i
+}
+
+// side is one execution's results: their IDs, ascending, and the focus
+// set each holds.
+type side struct {
+	ids []int64
+	set []int32
+}
+
+// side reads which foci each result of exec holds, in one pass over
+// result_has_focus.
+func (al *aligner) side(ctx context.Context, exec string) (*side, error) {
+	ids, err := al.s.ExecutionResultIDs(exec)
 	if err != nil {
 		return nil, fmt.Errorf("compare: %w", err)
 	}
-	return out, nil
+	sd := &side{ids: ids, set: make([]int32, len(ids))}
+	// A result's links arrive together, ascending by focus ID.
+	cur, foci := -1, []int64(nil)
+	flush := func() {
+		if cur >= 0 {
+			sd.set[cur] = al.intern(foci)
+		}
+	}
+	if err := al.s.ResultFoci(ctx, ids, func(i int, focus int64) {
+		if i != cur {
+			flush()
+			cur, foci = i, foci[:0]
+		}
+		foci = append(foci, focus)
+	}); err != nil {
+		return nil, fmt.Errorf("compare: %w", err)
+	}
+	flush()
+	return sd, nil
+}
+
+// resolve computes every focus set's portable context and alignment
+// tokens, reading each distinct focus's resources once.
+func (al *aligner) resolve(ctx context.Context) error {
+	var fids []int64
+	for _, fs := range al.sets {
+		fids = append(fids, fs.foci...)
+	}
+	slices.Sort(fids)
+	fids = slices.Compact(fids)
+	names, err := al.s.FocusResources(ctx, fids)
+	if err != nil {
+		return fmt.Errorf("compare: %w", err)
+	}
+	tokenOf := make(map[core.ResourceName]string)
+	var res []core.ResourceName
+	var tokens []string
+	for i := range al.sets {
+		fs := &al.sets[i]
+		res = res[:0]
+		for _, f := range fs.foci {
+			j, _ := slices.BinarySearch(fids, f)
+			res = append(res, names[j]...)
+		}
+		slices.Sort(res)
+		res = slices.Compact(res)
+		tokens = tokens[:0]
+		for _, r := range res {
+			tok, ok := tokenOf[r]
+			if !ok {
+				if tok, err = al.token(r); err != nil {
+					return err
+				}
+				tokenOf[r] = tok
+			}
+			if tok != "" {
+				fs.context = append(fs.context, r)
+				tokens = append(tokens, tok)
+			}
+		}
+		// Pairs share a set's context: clip it so an append copies.
+		fs.context = slices.Clip(fs.context)
+		sort.Strings(tokens)
+		fs.tokens = strings.Join(tokens, "\x00")
+	}
+	return nil
+}
+
+// token is a resource's part of an alignment: "" for a resource of a
+// non-portable hierarchy.
+func (al *aligner) token(r core.ResourceName) (string, error) {
+	tp, err := al.s.TypeOfResource(r)
+	if err != nil {
+		return "", fmt.Errorf("compare: %w", err)
+	}
+	switch root := tp.Root(); {
+	case nonPortableRoots[root]:
+		return "", nil
+	case root == "time":
+		// Align time phases by base name (e.g. "initialization").
+		return "time:" + r.BaseName(), nil
+	}
+	return string(tp) + ":" + string(r), nil
+}
+
+// groupKey identifies the results of one execution that pair as one: a
+// metric and an alignment.
+type groupKey struct {
+	metric int64
+	tokens string
+}
+
+// group is one key's results, folded.
+type group struct {
+	key     groupKey
+	sortKey string // metric name, NUL, alignment tokens: the order of Pairs
+	metric  string
+	units   string // of the group's first result
+	set     int32  // focus set of the group's first result: the pair's context
+	sum     float64
+	n       int
+}
+
+// groups is one side folded by key.
+type groups struct {
+	list  []group
+	index map[groupKey]int
+	of    []int32 // group of each result
+}
+
+// fold sums one side's values per key. Values arrive in ascending result
+// ID, the order a mean over the execution's materialized results adds
+// them in, so every mean is the same float.
+func (al *aligner) fold(ctx context.Context, sd *side) (*groups, error) {
+	metrics, units := al.s.Dict("metric"), al.s.Dict("units")
+	g := &groups{index: make(map[groupKey]int), of: make([]int32, len(sd.ids))}
+	if err := al.s.ResultColumns(ctx, sd.ids, func(i int, metric, unit int64, value float64) error {
+		unitName := units.Name(unit)
+		if unitName == "" {
+			return fmt.Errorf("no units id %d", unit)
+		}
+		fs := &al.sets[sd.set[i]]
+		k := groupKey{metric, fs.tokens}
+		gi, ok := g.index[k]
+		if !ok {
+			name := metrics.Name(metric)
+			if name == "" {
+				return fmt.Errorf("no metric id %d", metric)
+			}
+			gi = len(g.list)
+			g.index[k] = gi
+			g.list = append(g.list, group{key: k, sortKey: name + "\x00" + fs.tokens, metric: name, units: unitName, set: sd.set[i]})
+		}
+		gr := &g.list[gi]
+		gr.sum += value
+		gr.n++
+		g.of[i] = int32(gi)
+		return nil
+	}); err != nil {
+		return nil, fmt.Errorf("compare: %w", err)
+	}
+	return g, nil
+}
+
+// order returns the group indexes by sortKey.
+func (g *groups) order() []int {
+	idx := make([]int, len(g.list))
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.Slice(idx, func(a, b int) bool { return g.list[idx[a]].sortKey < g.list[idx[b]].sortKey })
+	return idx
+}
+
+// unpaired lists, ascending, the IDs of the results whose key other
+// lacks.
+func (g *groups) unpaired(sd *side, other *groups) []int64 {
+	var out []int64
+	for i, gi := range g.of {
+		if _, ok := other.index[g.list[gi].key]; !ok {
+			out = append(out, sd.ids[i])
+		}
+	}
+	return out
 }
 
 // Regression flags a pair whose B value exceeds A by more than the given

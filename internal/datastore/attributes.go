@@ -1,6 +1,7 @@
 package datastore
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strconv"
@@ -140,7 +141,8 @@ func (s *Store) AttributeValues(attr string) (map[int64]string, error) {
 // constraint partners of those (resource-valued attributes like the node
 // a process ran on), and all of their ancestors. This is the resource set
 // over which attribute predicates about the execution are evaluated.
-func (s *Store) ExecutionResourceIDs(exec string) ([]int64, error) {
+// ctx is checked once per block of the result_has_focus pass.
+func (s *Store) ExecutionResourceIDs(ctx context.Context, exec string) ([]int64, error) {
 	// Results of the execution → foci → context resources. Each scan only
 	// collects IDs; nesting engine calls inside a scan callback would
 	// recursively lock the engine.
@@ -149,16 +151,13 @@ func (s *Store) ExecutionResourceIDs(exec string) ([]int64, error) {
 		return nil, err // an unknown execution among them
 	}
 	execID, _ := s.names.id(dictExecution, exec)
-	rhfTab, _ := s.eng.Table("result_has_focus")
 	var foci []int64
-	for _, rid := range resultIDs {
-		if err := rhfTab.PKScan([]reldb.Value{reldb.Int(rid)},
-			func(_ int64, row reldb.Row) bool {
-				foci = append(foci, row[1].Int64())
-				return true
-			}); err != nil {
-			return nil, err
+	if err := s.ResultFoci(ctx, resultIDs, func(_ int, focus int64) {
+		if n := len(foci); n == 0 || foci[n-1] != focus { // neighbouring results often share a focus
+			foci = append(foci, focus)
 		}
+	}); err != nil {
+		return nil, err
 	}
 	fhrTab, _ := s.eng.Table("focus_has_resource")
 	var ids []int64
@@ -212,19 +211,21 @@ func (s *Store) ExecutionResourceIDs(exec string) ([]int64, error) {
 }
 
 // ExecutionsOfResults maps performance-result IDs back to the sorted set
-// of execution names that own them. Unknown result IDs are skipped.
+// of execution names that own them, reading the owner column of the rows
+// with those (ascending) IDs. Unknown result IDs are skipped.
 func (s *Store) ExecutionsOfResults(ids []int64) ([]string, error) {
 	prTab, ok := s.eng.Table("performance_result")
 	if !ok {
 		return nil, fmt.Errorf("datastore: no performance_result table")
 	}
 	owners := make(map[int64]bool)
-	for _, id := range ids {
-		row, ok := prTab.Get(id)
-		if !ok {
-			continue
+	if err := prTab.Gather(ids, func(b *reldb.ColumnBlock) error {
+		for _, exec := range b.Int64s(1) {
+			owners[exec] = true
 		}
-		owners[row[1].Int64()] = true
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 	return s.resolveSet(dictExecution, owners)
 }

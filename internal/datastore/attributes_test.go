@@ -1,6 +1,7 @@
 package datastore
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"testing"
@@ -171,7 +172,7 @@ func TestExecutionResourceIDs(t *testing.T) {
 	}
 	addResult(t, s, "e1", "wall time", 42, "/irs", "/e1")
 
-	ids, err := s.ExecutionResourceIDs("e1")
+	ids, err := s.ExecutionResourceIDs(context.Background(), "e1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +210,7 @@ func TestExecutionResourceIDs(t *testing.T) {
 		}
 	}
 
-	if _, err := s.ExecutionResourceIDs("ghost"); !errors.Is(err, ErrNotFound) {
+	if _, err := s.ExecutionResourceIDs(context.Background(), "ghost"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("unknown execution: %v, want ErrNotFound", err)
 	}
 }

@@ -1,8 +1,7 @@
 package datastore
 
 // Batched, parallel result materialization — the read hot path behind
-// QueryResults, ResultsOfExecution, query.Retrieve, the compare engine,
-// and /v1/results.
+// QueryResults, query.Retrieve and /v1/results.
 //
 // The per-ID path (ResultByID) pays two or more PK-prefix scans per
 // result, each taking the engine read lock once. At SMG-UV scale (~10k
@@ -300,27 +299,28 @@ func minMax(ids []int64) (lo, hi int64) {
 	return lo, hi
 }
 
-// scanResults fills recs from performance_result's block source over
-// the wanted ID range (PK == row ID). IDs no block carried are left
-// !found for the caller's not-found report.
-func (m *materializer) scanResults(pos *posIndex, recs []resultRec) error {
+// scanResults streams performance_result's block source over the wanted
+// ID range (PK == row ID), calling fn with the wanted index of every row
+// whose ID is in pos and its dictionary IDs and value, in block order:
+// ascending ID. A segment is pruned, not trimmed, so the pos test is
+// what keeps rows outside the range out. ctx is checked once per block;
+// an error from fn stops the scan.
+func (s *Store) scanResults(ctx context.Context, pos *posIndex, fn func(i int, exec, metric, tool, units int64, value float64) error) error {
 	lo, hi := minMax(pos.uniq)
-	scan, err := m.s.Blocks("performance_result", lo, hi)
+	scan, err := s.Blocks("performance_result", lo, hi)
 	if err != nil {
 		return err
 	}
 	return scan.Each(func(b *reldb.ColumnBlock) error {
+		if err := ctx.Err(); err != nil {
+			return fmt.Errorf("datastore: performance_result scan: %w", err)
+		}
 		execs, metrics, tools, units := b.Int64s(1), b.Int64s(2), b.Int64s(3), b.Int64s(4)
 		vals := b.Float64s(5)
 		for i, id := range b.RowIDs() {
 			if j, ok := pos.get(id); ok {
-				recs[j] = resultRec{
-					found:  true,
-					exec:   execs[i],
-					metric: metrics[i],
-					tool:   tools[i],
-					units:  units[i],
-					value:  vals[i],
+				if err := fn(j, execs[i], metrics[i], tools[i], units[i], vals[i]); err != nil {
+					return err
 				}
 			}
 		}
@@ -334,13 +334,17 @@ func (m *materializer) scanResults(pos *posIndex, recs []resultRec) error {
 // >= the flushed maximum (anything else would have invalidated the
 // segment view), so each owner's members arrive contiguously and
 // ascending whatever mix of segment and B-tree blocks carries them.
-func (m *materializer) scanLinks(table string, want *posIndex, add func(i int, member int64)) error {
+// ctx is checked once per block.
+func (s *Store) scanLinks(ctx context.Context, table string, want *posIndex, add func(i int, member int64)) error {
 	lo, hi := minMax(want.uniq)
-	scan, err := m.s.Blocks(table, lo, hi)
+	scan, err := s.Blocks(table, lo, hi)
 	if err != nil {
 		return err
 	}
 	return scan.Each(func(b *reldb.ColumnBlock) error {
+		if err := ctx.Err(); err != nil {
+			return fmt.Errorf("datastore: %s scan: %w", table, err)
+		}
 		owners, members := b.Int64s(0), b.Int64s(1)
 		for i, owner := range owners {
 			if j, ok := want.get(owner); ok {
@@ -349,6 +353,61 @@ func (m *materializer) scanLinks(table string, want *posIndex, add func(i int, m
 		}
 		return nil
 	})
+}
+
+// ResultColumns reads the performance_result rows with the given IDs
+// (ascending, without duplicates) from the table's block source and
+// calls fn with each one's index in ids, its metric and units dictionary
+// IDs and its value, in block order: ascending ID. No row, result or name
+// is built, so a caller folding values over an execution costs O(rows
+// scanned) and no per-result object. ctx is checked once per block; an ID
+// no block carried is ErrNotFound.
+func (s *Store) ResultColumns(ctx context.Context, ids []int64, fn func(i int, metric, units int64, value float64) error) error {
+	if len(ids) == 0 {
+		return nil
+	}
+	pos := newPosIndex(ids)
+	found := 0
+	if err := s.scanResults(ctx, pos, func(i int, _, metric, _, units int64, value float64) error {
+		found++
+		return fn(i, metric, units, value)
+	}); err != nil {
+		return err
+	}
+	if found != len(pos.uniq) {
+		return fmt.Errorf("datastore: %d of %d performance results not found: %w", len(pos.uniq)-found, len(pos.uniq), ErrNotFound)
+	}
+	return nil
+}
+
+// ResultFoci calls fn(i, focus) for every result_has_focus link of the
+// result ids[i] (ids ascending, without duplicates), read from the
+// table's block source in one pass over the IDs' range: grouped per
+// result, ascending focus ID within each. ctx is checked once per block.
+func (s *Store) ResultFoci(ctx context.Context, ids []int64, fn func(i int, focus int64)) error {
+	if len(ids) == 0 {
+		return nil
+	}
+	return s.scanLinks(ctx, "result_has_focus", newPosIndex(ids), fn)
+}
+
+// FocusResources returns the resource names of each focus in fids
+// (sorted, without duplicates), ascending by resource ID: the context the
+// materializer gives a result holding that focus. ctx is checked once
+// per block when the foci are read by block passes.
+func (s *Store) FocusResources(ctx context.Context, fids []int64) ([][]core.ResourceName, error) {
+	if len(fids) == 0 {
+		return nil, nil
+	}
+	m := &materializer{s: s, workers: runtime.GOMAXPROCS(0), foci: make(map[int64]*matFocus, len(fids))}
+	if err := m.decodeFoci(ctx, fids); err != nil {
+		return nil, err
+	}
+	out := make([][]core.ResourceName, len(fids))
+	for i, fid := range fids {
+		out[i] = m.foci[fid].res
+	}
+	return out, nil
 }
 
 // run materializes one chunk of IDs, preserving input order (duplicate
@@ -391,7 +450,10 @@ func (m *materializer) run(ctx context.Context, ids []int64) ([]*core.Performanc
 	}
 	dense := len(uniq)*denseScanDivisor >= prTab.Len()
 	if dense {
-		if err := m.scanResults(pos, recs); err != nil {
+		if err := m.s.scanResults(ctx, pos, func(j int, exec, metric, tool, units int64, value float64) error {
+			recs[j] = resultRec{found: true, exec: exec, metric: metric, tool: tool, units: units, value: value}
+			return nil
+		}); err != nil {
 			fetchSpan.End()
 			return nil, err
 		}
@@ -454,7 +516,7 @@ func (m *materializer) run(ctx context.Context, ids []int64) ([]*core.Performanc
 			arena = append(arena, fid)
 			counts[i]++
 		}
-		if err := m.scanLinks("result_has_focus", pos, stage); err != nil {
+		if err := m.s.scanLinks(ctx, "result_has_focus", pos, stage); err != nil {
 			fetchSpan.End()
 			return nil, err
 		}
@@ -529,7 +591,7 @@ func (m *materializer) run(ctx context.Context, ids []int64) ([]*core.Performanc
 		decode := sortDedup(needed)
 		m.s.tel.focusCacheMisses.Add(uint64(len(decode)))
 		focusSpan.Annotate("decoded", strconv.Itoa(len(decode)))
-		if err := m.decodeFoci(decode); err != nil {
+		if err := m.decodeFoci(ctx, decode); err != nil {
 			focusSpan.End()
 			return nil, err
 		}
@@ -593,7 +655,7 @@ func (m *materializer) run(ctx context.Context, ids []int64) ([]*core.Performanc
 // cache: type plus resource names in ascending resource-ID order. All
 // engine reads happen first (sharded over workers), then one view of the
 // resource dictionary maps every resource ID to its name.
-func (m *materializer) decodeFoci(fids []int64) error {
+func (m *materializer) decodeFoci(ctx context.Context, fids []int64) error {
 	fTab, ok := m.s.eng.Table("focus")
 	if !ok {
 		return fmt.Errorf("datastore: no focus table: %w", ErrNotFound)
@@ -612,6 +674,9 @@ func (m *materializer) decodeFoci(fids []int64) error {
 			return err
 		}
 		if err := scan.Each(func(b *reldb.ColumnBlock) error {
+			if err := ctx.Err(); err != nil {
+				return fmt.Errorf("datastore: focus scan: %w", err)
+			}
 			kinds := b.Strings(1)
 			for k, id := range b.RowIDs() {
 				i, ok := fpos.get(id)
@@ -646,7 +711,7 @@ func (m *materializer) decodeFoci(fids []int64) error {
 			arena = append(arena, rid)
 			counts[i]++
 		}
-		if err := m.scanLinks("focus_has_resource", fpos, stage); err != nil {
+		if err := m.s.scanLinks(ctx, "focus_has_resource", fpos, stage); err != nil {
 			return err
 		}
 		for i := range members {

@@ -176,17 +176,29 @@ func TestQueryResultsUsesBatchPath(t *testing.T) {
 		t.Error("QueryResults differs from per-ID materialization")
 	}
 
-	byExec, err := s.ResultsOfExecution("m-mcr")
+	// One execution's rows read as columns agree with the per-ID path.
+	own, err := s.ExecutionResultIDs("m-mcr")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(byExec) != 4 {
-		t.Fatalf("m-mcr results = %d, want 4", len(byExec))
-	}
-	for _, pr := range byExec {
-		if pr.Execution != "m-mcr" {
-			t.Errorf("stray execution %q", pr.Execution)
+	byID := perIDResults(t, s, own)
+	metrics, units := s.Dict("metric"), s.Dict("units")
+	seen := 0
+	if err := s.ResultColumns(context.Background(), own, func(i int, metric, unit int64, value float64) error {
+		pr := byID[i]
+		if pr.Execution != "m-mcr" || metrics.Name(metric) != pr.Metric || units.Name(unit) != pr.Units || value != pr.Value {
+			t.Errorf("row %d = (%s, %s, %v), per-ID %+v", i, metrics.Name(metric), units.Name(unit), value, pr)
 		}
+		seen++
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if seen != 4 {
+		t.Fatalf("m-mcr rows = %d, want 4", seen)
+	}
+	if err := s.ResultColumns(context.Background(), append(own, own[len(own)-1]+999), func(int, int64, int64, float64) error { return nil }); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("ResultColumns with a missing ID = %v, want ErrNotFound", err)
 	}
 }
 

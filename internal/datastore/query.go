@@ -559,21 +559,6 @@ func (s *Store) ResultByID(id int64) (*core.PerformanceResult, error) {
 	return pr, nil
 }
 
-// ResultsOfExecution materializes every performance result of one
-// execution via the execution index.
-func (s *Store) ResultsOfExecution(exec string) ([]*core.PerformanceResult, error) {
-	return s.ResultsOfExecutionCtx(context.Background(), exec)
-}
-
-// ResultsOfExecutionCtx is ResultsOfExecution under a context.
-func (s *Store) ResultsOfExecutionCtx(ctx context.Context, exec string) ([]*core.PerformanceResult, error) {
-	ids, err := s.ExecutionResultIDs(exec)
-	if err != nil {
-		return nil, err
-	}
-	return s.MaterializeResultsCtx(ctx, ids)
-}
-
 // QueryResults evaluates a pr-filter and materializes the matching
 // results through the batch path.
 func (s *Store) QueryResults(prf core.PRFilter) ([]*core.PerformanceResult, error) {

@@ -61,8 +61,8 @@ type Spec struct {
 	MinCoverage float64
 	// Explain records the predicate search trace in Result.Trace.
 	Explain bool
-	// Workers bounds the fan-out of feature extraction and predicate
-	// scoring; <= 0 means GOMAXPROCS, 1 forces the serial path.
+	// Workers bounds the fan-out of the execution footprint reads and of
+	// predicate scoring; <= 0 means GOMAXPROCS, 1 forces the serial path.
 	Workers int
 }
 
@@ -210,7 +210,7 @@ func Run(ctx context.Context, s *datastore.Store, spec Spec) (*Result, error) {
 	}
 
 	if len(res.SideA) == 1 && len(res.SideB) == 1 {
-		cmp, err := compare.Executions(s, res.SideA[0], res.SideB[0])
+		cmp, err := compare.ExecutionsCtx(ctx, s, res.SideA[0], res.SideB[0])
 		if err != nil {
 			return nil, err
 		}

@@ -6,8 +6,8 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
-	"perftrack/internal/core"
 	"perftrack/internal/datastore"
 	"perftrack/internal/query"
 )
@@ -24,9 +24,9 @@ type profile struct {
 // metricAgg accumulates one metric's values per side, feeding the
 // bottleneck ranking.
 type metricAgg struct {
-	units      string
-	sumA, sumB float64
-	nA, nB     int
+	name, units string
+	sumA, sumB  float64
+	nA, nB      int
 }
 
 // features is everything the scorer needs, extracted from the store in
@@ -67,20 +67,12 @@ func resolveSide(ctx context.Context, s *datastore.Store, exec string, execs, fa
 	return matched, nil
 }
 
-// metricMatches reports whether a result participates in the perf
-// measurement: the named metric, or — with no metric filter — any
-// time-like result (units containing "second"), matching the compare
-// package's bottleneck convention.
-func metricMatches(metric string, pr *core.PerformanceResult) bool {
-	if metric != "" {
-		return pr.Metric == metric
-	}
-	return strings.Contains(pr.Units, "second")
-}
-
 // extractFeatures builds the per-execution profiles, footprint inversion,
-// and per-metric aggregates for both sides, fanning the per-execution
-// store reads out over workers (the store's reader paths are concurrent).
+// and per-metric aggregates for both sides. The footprints fan out over
+// workers (the store's reader paths are concurrent) while this goroutine
+// folds each execution's metric, units and value columns, in side order
+// and ascending result ID within each: the per-metric sums are then the
+// same floats whatever the worker count. No result is materialized.
 func extractFeatures(ctx context.Context, s *datastore.Store, execsA, execsB []string, metric string, workers int) (*features, error) {
 	n := len(execsA) + len(execsB)
 	f := &features{
@@ -88,88 +80,108 @@ func extractFeatures(ctx context.Context, s *datastore.Store, execsA, execsB []s
 		resExecs: make(map[int64][]int),
 		metrics:  make(map[string]*metricAgg),
 	}
-	type perExec struct {
-		footprint []int64
-		results   []*core.PerformanceResult
-	}
-	name := func(i int) string {
-		if i < len(execsA) {
-			return execsA[i]
-		}
-		return execsB[i-len(execsA)]
-	}
-	got := make([]perExec, n)
+	execs := append(append(make([]string, 0, n), execsA...), execsB...)
+	footprints := make([][]int64, n)
 	errs := make([]error, n)
-	if workers > n {
-		workers = n
+	var failed atomic.Bool
+	workers = max(min(workers, n), 1)
+	work := make(chan int, n) // every index is queued up front
+	for i := 0; i < n; i++ {
+		work <- i
 	}
-	if workers < 1 {
-		workers = 1
-	}
+	close(work)
 	var wg sync.WaitGroup
-	work := make(chan int)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range work {
-				exec := name(i)
-				fp, err := s.ExecutionResourceIDs(exec)
-				if err != nil {
-					errs[i] = err
+				if failed.Load() {
 					continue
 				}
-				res, err := s.ResultsOfExecutionCtx(ctx, exec)
-				if err != nil {
-					errs[i] = err
-					continue
+				if footprints[i], errs[i] = s.ExecutionResourceIDs(ctx, execs[i]); errs[i] != nil {
+					failed.Store(true)
 				}
-				got[i] = perExec{footprint: fp, results: res}
 			}
 		}()
 	}
-	for i := 0; i < n; i++ {
-		work <- i
+	foldErr := f.fold(ctx, s, execs, len(execsA), metric)
+	if foldErr != nil {
+		failed.Store(true)
 	}
-	close(work)
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
 	}
-	for i := 0; i < n; i++ {
-		slow := i >= len(execsA)
-		p := profile{name: name(i), slow: slow}
+	if foldErr != nil {
+		return nil, foldErr
+	}
+	for i, fp := range footprints {
+		for _, rid := range fp {
+			f.resExecs[rid] = append(f.resExecs[rid], i)
+		}
+	}
+	return f, nil
+}
+
+// fold reads the result columns of every selected execution into its
+// profile and the per-metric aggregates. A result counts toward the perf
+// measure when it has the named metric or, with no metric named, is
+// time-like (units containing "second"), matching the compare package's
+// bottleneck convention. Executions from index sideA on are side B.
+func (f *features) fold(ctx context.Context, s *datastore.Store, execs []string, sideA int, metric string) error {
+	metrics, units := s.Dict("metric"), s.Dict("units")
+	byID := make(map[int64]*metricAgg)
+	for i, exec := range execs {
+		ids, err := s.ExecutionResultIDs(exec)
+		if err != nil {
+			return err
+		}
+		slow := i >= sideA
 		sum, cnt := 0.0, 0
-		for _, pr := range got[i].results {
-			agg := f.metrics[pr.Metric]
+		if err := s.ResultColumns(ctx, ids, func(_ int, m, u int64, value float64) error {
+			unitName := units.Name(u)
+			if unitName == "" {
+				return fmt.Errorf("diagnose: no units id %d", u)
+			}
+			agg := byID[m]
 			if agg == nil {
-				agg = &metricAgg{units: pr.Units}
-				f.metrics[pr.Metric] = agg
+				metricName := metrics.Name(m)
+				if metricName == "" {
+					return fmt.Errorf("diagnose: no metric id %d", m)
+				}
+				agg = &metricAgg{name: metricName, units: unitName}
+				byID[m], f.metrics[metricName] = agg, agg
 			}
 			if slow {
-				agg.sumB += pr.Value
+				agg.sumB += value
 				agg.nB++
 			} else {
-				agg.sumA += pr.Value
+				agg.sumA += value
 				agg.nA++
 			}
-			if metricMatches(metric, pr) {
-				sum += pr.Value
+			inPerf := agg.name == metric
+			if metric == "" {
+				inPerf = strings.Contains(unitName, "second")
+			}
+			if inPerf {
+				sum += value
 				cnt++
 			}
+			return nil
+		}); err != nil {
+			return err
 		}
+		p := profile{name: exec, slow: slow}
 		if cnt > 0 {
 			p.perf = sum / float64(cnt)
 			p.perfOK = true
 		}
 		f.profiles[i] = p
-		for _, rid := range got[i].footprint {
-			f.resExecs[rid] = append(f.resExecs[rid], i)
-		}
 	}
-	return f, nil
+	return nil
 }
 
 // matrixFor projects one attribute's effective values onto the selected

@@ -2,12 +2,17 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"perftrack/internal/datastore"
 	"perftrack/internal/diagnose"
@@ -214,5 +219,78 @@ func TestAttributesEndpoint(t *testing.T) {
 	code, _ = get(ts.URL+"/v1/attributes?bogus=1", nil)
 	if code != http.StatusBadRequest {
 		t.Errorf("unknown param status = %d, want 400", code)
+	}
+}
+
+// abandonedCtx is the context of a request whose client goes away at the
+// handler's at-th cancellation check: that check and every later one see
+// context.Canceled. checks counts them all.
+type abandonedCtx struct {
+	context.Context
+	at     int64
+	checks atomic.Int64
+	once   sync.Once
+	done   chan struct{}
+}
+
+func (c *abandonedCtx) Done() <-chan struct{} { return c.done }
+
+func (c *abandonedCtx) Err() error {
+	if c.checks.Add(1) < c.at {
+		return nil
+	}
+	c.once.Do(func() { close(c.done) })
+	return context.Canceled
+}
+
+// TestDiagnoseCancelledMidExtractionStops: a /v1/diagnose whose client
+// goes away while the executions' features are being read answers with
+// the wrapped context.Canceled, and stops where it was. Each extraction
+// worker and the column fold see the cancellation at their next block,
+// so at most one check per goroutine follows the cancelling one and no
+// execution not yet started is read; the handler and every worker exit.
+func TestDiagnoseCancelledMidExtractionStops(t *testing.T) {
+	workers := runtime.GOMAXPROCS(0)
+	fleet, err := gen.FleetRecords(gen.FleetSpec{Execs: 8*workers + 8, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := datastore.Open(reldb.NewMem())
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := store.NewBatch()
+	for _, rec := range fleet.Records {
+		batch.Stage(rec)
+	}
+	if _, err := batch.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(Config{Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(DiagnoseRequest{ExecsA: fleet.Fast, ExecsB: fleet.Slow})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	ctx := &abandonedCtx{Context: context.Background(), at: 3, done: make(chan struct{})}
+	rec := httptest.NewRecorder()
+	srv.handleDiagnose(rec, httptest.NewRequest(http.MethodPost, "/v1/diagnose", bytes.NewReader(body)).WithContext(ctx))
+
+	var er ErrorResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil || !strings.HasSuffix(er.Error, ": "+context.Canceled.Error()) {
+		t.Fatalf("status %d, body %s: want a wrapped %v", rec.Code, rec.Body, context.Canceled)
+	}
+	if after := ctx.checks.Load() - ctx.at; after > int64(workers) {
+		t.Fatalf("%d cancellation checks after the cancelling one, want at most one per other goroutine (%d): the diagnosis went on reading executions", after, workers)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the cancelled diagnosis returned, %d before", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

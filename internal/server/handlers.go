@@ -479,9 +479,9 @@ func wirePair(p compare.Pair) ComparePair {
 	return wp
 }
 
-// handleCompare wraps compare.Executions: GET /v1/compare?a=&b= with
-// optional metric, threshold (default 0.10), and top (default 10)
-// parameters. An unknown execution is a 404.
+// handleCompare wraps compare.ExecutionsCtx under the request context:
+// GET /v1/compare?a=&b= with optional metric, threshold (default 0.10),
+// and top (default 10) parameters. An unknown execution is a 404.
 func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	for key := range q {
@@ -516,7 +516,7 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 		top = v
 	}
 
-	cmp, err := compare.Executions(s.store, a, b)
+	cmp, err := compare.ExecutionsCtx(r.Context(), s.store, a, b)
 	if err != nil {
 		writeError(w, r, http.StatusInternalServerError, err)
 		return
