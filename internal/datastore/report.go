@@ -90,7 +90,9 @@ func (s *Store) resolveSet(k int, ids map[int64]bool) ([]string, error) {
 // its performance results (with their focus links and histograms), its
 // execution-scoped resources (with attributes, constraints, closure rows,
 // and focus links), and any foci left unreferenced. Shared resources
-// (machines, code, applications) are untouched.
+// (machines, code, applications) are untouched. The whole delete set is
+// read under the writer lock and removed by one engine transaction: a
+// reader sees all of the execution or none of it.
 func (s *Store) DeleteExecution(name string) (err error) {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
@@ -99,215 +101,143 @@ func (s *Store) DeleteExecution(name string) (err error) {
 	if !ok {
 		return fmt.Errorf("datastore: unknown execution %q: %w", name, ErrNotFound)
 	}
-	// Whatever the deletes below remove — or leave behind on an error —
-	// the directory is reloaded from the rows that remain.
+	// Whatever the transaction removes — nothing, if it fails — the
+	// directory is reloaded from the rows that remain.
 	defer func() {
 		if rerr := s.reloadNames(); rerr != nil {
 			err = errors.Join(err, fmt.Errorf("datastore: names reload after delete: %w", rerr))
 		}
 	}()
-
-	// 1. Results of the execution, plus their focus links and histograms.
-	resultIDs, err := s.ExecutionResultIDs(name)
-	if err != nil {
-		return err
+	d := &deletion{s: s, tx: s.eng.Begin(), gone: make(map[string]map[int64]bool)}
+	if err := d.execution(name, execID); err != nil {
+		return errors.Join(err, d.tx.Rollback())
 	}
-	rhfTab, _ := s.eng.Table("result_has_focus")
-	rhTab, _ := s.eng.Table("result_histogram")
-	touchedFoci := map[int64]bool{}
-	for _, rid := range resultIDs {
-		var linkIDs []int64
-		if err := rhfTab.PKScan([]reldb.Value{reldb.Int(rid)}, func(lid int64, lrow reldb.Row) bool {
-			linkIDs = append(linkIDs, lid)
-			touchedFoci[lrow[1].Int64()] = true
-			return true
-		}); err != nil {
-			return err
-		}
-		for _, lid := range linkIDs {
-			if err := s.deleteRow("result_has_focus", lid); err != nil {
-				return err
-			}
-		}
-		if _, hid, found := rhTab.GetByPK(reldb.Int(rid)); found {
-			if err := s.deleteRow("result_histogram", hid); err != nil {
-				return err
-			}
-		}
-		if err := s.deleteRow("performance_result", rid); err != nil {
-			return err
-		}
-	}
-
-	// 2. Execution-scoped resources, deepest first so children go before
-	// parents (foreign keys and closure rows reference upward).
-	riTab, _ := s.eng.Table("resource_item")
-	type resEntry struct {
-		id   int64
-		name core.ResourceName
-	}
-	var resources []resEntry
-	if err := riTab.IndexScan("resource_item_exec", []reldb.Value{reldb.Int(execID)},
-		func(id int64, row reldb.Row) bool {
-			resources = append(resources, resEntry{id: id, name: core.ResourceName(row[1].Text())})
-			return true
-		}); err != nil {
-		return err
-	}
-	sort.Slice(resources, func(i, j int) bool {
-		return resources[i].name.Depth() > resources[j].name.Depth()
-	})
-	raTab, _ := s.eng.Table("resource_attribute")
-	rcTab, _ := s.eng.Table("resource_constraint")
-	rhaTab, _ := s.eng.Table("resource_has_ancestor")
-	rhdTab, _ := s.eng.Table("resource_has_descendant")
-	fhrTab, _ := s.eng.Table("focus_has_resource")
-	for _, re := range resources {
-		// Attributes.
-		if err := s.deleteMatching(raTab, "resource_attribute", "resource_attribute_res",
-			[]reldb.Value{reldb.Int(re.id)}); err != nil {
-			return err
-		}
-		// Constraints in either direction.
-		if err := s.deleteMatching(rcTab, "resource_constraint", "resource_constraint_r1",
-			[]reldb.Value{reldb.Int(re.id)}); err != nil {
-			return err
-		}
-		if err := s.deleteMatching(rcTab, "resource_constraint", "resource_constraint_r2",
-			[]reldb.Value{reldb.Int(re.id)}); err != nil {
-			return err
-		}
-		// Closure rows, both roles.
-		var closureIDs []int64
-		if err := rhaTab.PKScan([]reldb.Value{reldb.Int(re.id)}, func(id int64, _ reldb.Row) bool {
-			closureIDs = append(closureIDs, id)
-			return true
-		}); err != nil {
-			return err
-		}
-		for _, id := range closureIDs {
-			if err := s.deleteRow("resource_has_ancestor", id); err != nil {
-				return err
-			}
-		}
-		if err := s.deleteMatching(rhaTab, "resource_has_ancestor", "rha_ancestor",
-			[]reldb.Value{reldb.Int(re.id)}); err != nil {
-			return err
-		}
-		closureIDs = closureIDs[:0]
-		if err := rhdTab.PKScan([]reldb.Value{reldb.Int(re.id)}, func(id int64, _ reldb.Row) bool {
-			closureIDs = append(closureIDs, id)
-			return true
-		}); err != nil {
-			return err
-		}
-		for _, id := range closureIDs {
-			if err := s.deleteRow("resource_has_descendant", id); err != nil {
-				return err
-			}
-		}
-		if err := s.deleteMatching(rhdTab, "resource_has_descendant", "rhd_descendant",
-			[]reldb.Value{reldb.Int(re.id)}); err != nil {
-			return err
-		}
-		// Focus membership: remove the focus rows wholesale (any focus
-		// containing a per-execution resource exists only for this
-		// execution's results, all deleted above).
-		var foci []int64
-		if err := fhrTab.IndexScan("fhr_resource", []reldb.Value{reldb.Int(re.id)},
-			func(_ int64, frow reldb.Row) bool {
-				foci = append(foci, frow[0].Int64())
-				return true
-			}); err != nil {
-			return err
-		}
-		for _, fid := range foci {
-			if err := s.deleteFocusLocked(fid); err != nil {
-				return err
-			}
-		}
-		if err := s.deleteRow("resource_item", re.id); err != nil {
-			return err
-		}
-	}
-
-	// 3. Foci touched by the execution's results that are now orphaned.
-	for fid := range touchedFoci {
-		orphaned := true
-		if err := rhfTab.IndexScan("rhf_focus", []reldb.Value{reldb.Int(fid)},
-			func(int64, reldb.Row) bool {
-				orphaned = false
-				return false
-			}); err != nil {
-			return err
-		}
-		if orphaned {
-			if err := s.deleteFocusLocked(fid); err != nil {
-				return err
-			}
-		}
-	}
-
-	// 4. The execution row itself.
-	return s.deleteRow("execution", execID)
-}
-
-// deleteMatching removes every row of a table whose index prefix matches.
-func (s *Store) deleteMatching(tab *reldb.Table, table, index string, prefix []reldb.Value) error {
-	var ids []int64
-	if err := tab.IndexScan(index, prefix, func(id int64, _ reldb.Row) bool {
-		ids = append(ids, id)
-		return true
-	}); err != nil {
-		return err
-	}
-	for _, id := range ids {
-		if err := s.deleteRow(table, id); err != nil {
-			return err
-		}
+	if err := d.tx.Commit(); err != nil {
+		return errors.Join(err, d.tx.Rollback())
 	}
 	return nil
 }
 
-// deleteFocusLocked removes a focus, its resource links, and any result
-// links referencing it.
-func (s *Store) deleteFocusLocked(fid int64) error {
-	fTab, _ := s.eng.Table("focus")
-	if _, ok := fTab.Get(fid); !ok {
-		return nil // already removed via another resource
+// deletion gathers the rows an execution's delete removes into one
+// transaction. Nothing is removed until it commits, so every read here
+// sees the store as it was; gone is what the transaction already removes.
+type deletion struct {
+	s    *Store
+	tx   *reldb.Tx
+	gone map[string]map[int64]bool // by table, row IDs
+	err  error
+}
+
+// row adds one row to the delete set.
+func (d *deletion) row(table string, id int64) {
+	if d.gone[table] == nil {
+		d.gone[table] = make(map[int64]bool)
 	}
-	fhrTab, _ := s.eng.Table("focus_has_resource")
-	var linkIDs []int64
-	if err := fhrTab.PKScan([]reldb.Value{reldb.Int(fid)}, func(id int64, _ reldb.Row) bool {
-		linkIDs = append(linkIDs, id)
+	if !d.gone[table][id] && d.err == nil {
+		d.gone[table][id] = true
+		d.err = d.tx.Delete(table, id)
+	}
+}
+
+// matching adds every row of a table whose index — the primary key when
+// index is "" — starts with id, and returns the rows.
+func (d *deletion) matching(table, index string, id int64) []reldb.Row {
+	tab, _ := d.s.eng.Table(table)
+	var ids []int64
+	var rows []reldb.Row
+	visit := func(rid int64, row reldb.Row) bool {
+		ids, rows = append(ids, rid), append(rows, row)
 		return true
-	}); err != nil {
+	}
+	key := []reldb.Value{reldb.Int(id)}
+	var err error
+	if index == "" {
+		err = tab.PKScan(key, visit)
+	} else {
+		err = tab.IndexScan(index, key, visit)
+	}
+	if d.err == nil {
+		d.err = err
+	}
+	for _, rid := range ids { // not inside the scan: a visitor must not take the engine lock again
+		d.row(table, rid)
+	}
+	return rows
+}
+
+func (d *deletion) execution(name string, execID int64) error {
+	// 1. Results of the execution, plus their focus links and histograms.
+	resultIDs, err := d.s.ExecutionResultIDs(name)
+	if err != nil {
 		return err
 	}
-	for _, id := range linkIDs {
-		if err := s.deleteRow("focus_has_resource", id); err != nil {
-			return err
+	rhTab, _ := d.s.eng.Table("result_histogram")
+	touchedFoci := map[int64]bool{}
+	for _, rid := range resultIDs {
+		for _, link := range d.matching("result_has_focus", "", rid) {
+			touchedFoci[link[1].Int64()] = true
 		}
+		if _, hid, found := rhTab.GetByPK(reldb.Int(rid)); found {
+			d.row("result_histogram", hid)
+		}
+		d.row("performance_result", rid)
 	}
-	rhfTab, _ := s.eng.Table("result_has_focus")
-	linkIDs = linkIDs[:0]
-	if err := rhfTab.IndexScan("rhf_focus", []reldb.Value{reldb.Int(fid)},
+
+	// 2. Execution-scoped resources, with their attributes, constraints,
+	// closure rows in both roles and every focus holding one (such a focus
+	// exists only for this execution's results).
+	riTab, _ := d.s.eng.Table("resource_item")
+	var resources []int64
+	if err := riTab.IndexScan("resource_item_exec", []reldb.Value{reldb.Int(execID)},
 		func(id int64, _ reldb.Row) bool {
-			linkIDs = append(linkIDs, id)
+			resources = append(resources, id)
 			return true
 		}); err != nil {
 		return err
 	}
-	for _, id := range linkIDs {
-		if err := s.deleteRow("result_has_focus", id); err != nil {
+	for _, id := range resources {
+		d.matching("resource_attribute", "resource_attribute_res", id)
+		d.matching("resource_constraint", "resource_constraint_r1", id)
+		d.matching("resource_constraint", "resource_constraint_r2", id)
+		d.matching("resource_has_ancestor", "", id)
+		d.matching("resource_has_ancestor", "rha_ancestor", id)
+		d.matching("resource_has_descendant", "", id)
+		d.matching("resource_has_descendant", "rhd_descendant", id)
+		for _, link := range d.matching("focus_has_resource", "fhr_resource", id) {
+			d.focus(link[0].Int64())
+		}
+		d.row("resource_item", id)
+	}
+
+	// 3. Foci touched by the execution's results that are now orphaned:
+	// every result link to them is in the delete set.
+	rhfTab, _ := d.s.eng.Table("result_has_focus")
+	for fid := range touchedFoci {
+		orphaned := true
+		if err := rhfTab.IndexScan("rhf_focus", []reldb.Value{reldb.Int(fid)},
+			func(id int64, _ reldb.Row) bool {
+				orphaned = d.gone["result_has_focus"][id]
+				return orphaned
+			}); err != nil {
 			return err
 		}
+		if orphaned {
+			d.focus(fid)
+		}
 	}
-	return s.deleteRow("focus", fid)
+
+	// 4. The execution row itself.
+	d.row("execution", execID)
+	return d.err
 }
 
-// deleteRow deletes one engine row. The engine takes its own lock; lock
-// ordering is always wmu → engine.
-func (s *Store) deleteRow(table string, id int64) error {
-	return s.eng.Delete(table, id)
+// focus adds a focus, its resource links and any result links
+// referencing it.
+func (d *deletion) focus(fid int64) {
+	if d.gone["focus"][fid] {
+		return
+	}
+	d.matching("focus_has_resource", "", fid)
+	d.matching("result_has_focus", "rhf_focus", fid)
+	d.row("focus", fid)
 }

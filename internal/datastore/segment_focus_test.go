@@ -13,7 +13,7 @@ import (
 
 // Tests of the focus table as a hot table: the directory alone owns
 // signature uniqueness, an old store gives up its focus_signature index
-// and its focus rows move to columns, and a delete brings them back.
+// and its focus rows move to columns, and a delete keeps them there.
 
 // tableRows is every row of every schema table, by table and row ID.
 func tableRows(s *Store) map[string]map[int64]string {
@@ -92,8 +92,8 @@ func TestLegacyStoreUpgradesFocus(t *testing.T) {
 	}
 	s, fe := open(dir)
 	sameAsTwin(t, "opened", s, twin)
-	if st := hotStatus(t, fe, "focus"); st.Unordered || st.Segments != 0 || st.PendingRows == 0 {
-		t.Fatalf("focus after the drop = %+v, want it sealable, its rows still unflushed", st)
+	if st := hotStatus(t, fe, "focus"); st.Segments != 0 || st.PendingRows == 0 {
+		t.Fatalf("focus after the drop = %+v, want its rows still unflushed", st)
 	}
 	fe.Stats() // the DROP INDEX reaches perftrack.wal
 	dropped := copyDir(t, dir)
@@ -107,7 +107,7 @@ func TestLegacyStoreUpgradesFocus(t *testing.T) {
 	if err := fe.CompactSegments(); err != nil {
 		t.Fatal(err)
 	}
-	if st := hotStatus(t, fe, "focus"); st.Segments == 0 || st.PendingRows != 0 || st.Dirty || st.Unordered || st.Rows != int64(len(twin.names.focusIDs)) {
+	if st := hotStatus(t, fe, "focus"); st.Segments == 0 || st.PendingRows != 0 || st.Rows != int64(len(twin.names.focusIDs)) {
 		t.Fatalf("focus after a load and a seal = %+v, want all %d rows in segments", st, len(twin.names.focusIDs))
 	}
 	sameAsTwin(t, "loaded and sealed", s, twin)
@@ -123,7 +123,7 @@ func TestLegacyStoreUpgradesFocus(t *testing.T) {
 	if err := lateFE.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if st := hotStatus(t, lateFE, "focus"); st.Segments == 0 || st.PendingRows != 0 || st.Unordered {
+	if st := hotStatus(t, lateFE, "focus"); st.Segments == 0 || st.PendingRows != 0 {
 		t.Fatalf("focus after the copy's checkpoint = %+v, want it in segments", st)
 	}
 	if err := lateFE.Close(); err != nil {
@@ -197,10 +197,10 @@ func TestDuplicateFocusSignatureFailsOpen(t *testing.T) {
 	}
 }
 
-// TestSegmentDeleteExecutionOverFlushedFoci: DeleteExecution on a durable store
-// whose foci and closure links are all in segments rehydrates those tables
-// as it does the result tables, and leaves what the twin is left with —
-// at once, after a reopen, and after the next load has re-segmented them.
+// TestSegmentDeleteExecutionOverFlushedFoci: DeleteExecution on a durable
+// store whose foci and closure links are all in segments replaces the
+// segments it deletes from, as it does the result tables', and leaves what
+// the twin is left with — at once, after a reopen, and after the next load.
 func TestSegmentDeleteExecutionOverFlushedFoci(t *testing.T) {
 	dir := t.TempDir()
 	fe, err := reldb.OpenFile(dir)
@@ -244,8 +244,10 @@ func TestSegmentDeleteExecutionOverFlushedFoci(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if st := hotStatus(t, fe, "focus"); !st.Dirty || st.Segments != 0 {
-		t.Fatalf("focus after the delete = %+v, want it rehydrated", st)
+	for _, name := range []string{"focus", "resource_has_ancestor", "resource_has_descendant"} {
+		if st := hotStatus(t, fe, name); st.Segments == 0 || st.PendingRows != 0 {
+			t.Fatalf("%s after the delete = %+v, want its rows still in segments", name, st)
+		}
 	}
 	sameAsTwin(t, "deleted", s, twin)
 
@@ -267,8 +269,8 @@ func TestSegmentDeleteExecutionOverFlushedFoci(t *testing.T) {
 	if err := fe.CompactSegments(); err != nil {
 		t.Fatal(err)
 	}
-	if st := hotStatus(t, fe, "focus"); st.Dirty || st.Segments == 0 || st.PendingRows != 0 {
-		t.Fatalf("focus after the next load = %+v, want it re-segmented", st)
+	if st := hotStatus(t, fe, "focus"); st.Segments == 0 || st.PendingRows != 0 {
+		t.Fatalf("focus after the next load = %+v, want it in segments", st)
 	}
 	sameAsTwin(t, "loaded again", s, twin)
 }

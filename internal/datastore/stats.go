@@ -65,13 +65,9 @@ func (ts TableStatistics) AttributeStat(name string) (AttributeStat, bool) {
 func (s *Store) TableStatistics() TableStatistics {
 	distinct, attrs := s.names.statistics()
 
-	// Only scannable segments count: a dirty or unordered table serves
-	// every read from the B-tree until the next checkpoint rebuilds it.
 	segRows := map[string]int64{}
 	for _, t := range s.eng.SegmentStats().Tables {
-		if !t.Dirty && !t.Unordered {
-			segRows[t.Table] = t.Rows
-		}
+		segRows[t.Table] = t.Rows
 	}
 	out := TableStatistics{Generation: s.gen.Load(), Attributes: attrs}
 	for _, name := range tableNames {

@@ -330,8 +330,8 @@ func hotTable(t *testing.T, s *datastore.Store, table string) reldb.SegmentTable
 // TestColumnFoldsMatchMaterializedFolds checks feature extraction and
 // execution comparison against folds over materialized results with bit
 // equality on every float: first on rows that are all in columnar tails,
-// then with segments plus a tail, then with the hot tables rehydrated into
-// row sets by a delete and a load landing there. The data mixes IRS and
+// then with segments plus a tail, then with segments a delete replaced and
+// a load landing after it. The data mixes IRS and
 // SMG/mpiP runs (caller/callee contexts) with multi-context results whose
 // foci overlap by name and whose time phases align by base name.
 func TestColumnFoldsMatchMaterializedFolds(t *testing.T) {
@@ -388,8 +388,8 @@ func TestColumnFoldsMatchMaterializedFolds(t *testing.T) {
 	}
 	load(3, "Frost")
 	for _, table := range []string{"performance_result", "result_has_focus"} {
-		if st := hotTable(t, s, table); !st.Dirty || st.Segments != 0 {
-			t.Fatalf("after a delete: %s = %+v, want its rows in the row set", table, st)
+		if st := hotTable(t, s, table); st.Segments == 0 || st.PendingRows == 0 {
+			t.Fatalf("after a delete: %s = %+v, want replaced segments and a tail", table, st)
 		}
 	}
 	check("irs-0", "uv-2", "msg-0", "irs-3", "uv-3", "msg-3")

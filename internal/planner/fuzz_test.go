@@ -8,9 +8,9 @@ import "testing"
 // (no pushdown, direct B-tree scan) execution returns. The check runs
 // over every storage shape holding the same corpus (differentialStores):
 // stores in memory and in a directory whose rows are all in the tail, a
-// store with compacted segments plus a tail, and a store whose dirty view
-// must be ignored — so every fuzzed query differential-tests the one
-// executor over each block producer.
+// store with compacted segments plus a tail, and a store with a replaced
+// segment and overlapping runs — so every fuzzed query differential-tests
+// the one executor over each block producer.
 func FuzzSQLPlanner(f *testing.F) {
 	type pair struct {
 		label          string

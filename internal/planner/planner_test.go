@@ -110,9 +110,10 @@ var differentialQueries = []string{
 // differentialStores seeds the same n-result corpus on every storage
 // shape the block source serves: a store in memory and one in a
 // directory that have compacted nothing (every row in the tail), a store
-// with compacted segments plus an uncompacted tail, and one whose view is
-// refused because a flushed row was deleted (dirty: B-tree only, stale
-// segments must not be read).
+// with compacted segments plus an uncompacted tail, and one whose flushed
+// performance_result row was deleted (a replacement segment) and whose
+// closure and focus links hold keys below the flushed ones (overlapping
+// runs, read by merging).
 func differentialStores(t testing.TB, n int) []struct {
 	label string
 	st    *datastore.Store
@@ -125,13 +126,6 @@ func differentialStores(t testing.TB, n int) []struct {
 	t.Cleanup(func() { uncompacted.Close() })
 	uncompacted.SetSegmentFlushRows(1 << 40)
 	seg, _ := seedSegmentStore(t, t.TempDir(), n-n/4, 2, n/4)
-	dirty, fe := seedSegmentStore(t, t.TempDir(), n-n/4, 2, n/4)
-	if err := fe.Delete("performance_result", 3); err != nil {
-		t.Fatalf("delete flushed row: %v", err)
-	}
-	if scan, err := dirty.Blocks("performance_result", 0, math.MaxInt64); err != nil || scan.Segmented() {
-		t.Fatalf("dirty store still serves segment blocks (err %v)", err)
-	}
 	return []struct {
 		label string
 		st    *datastore.Store
@@ -139,8 +133,51 @@ func differentialStores(t testing.TB, n int) []struct {
 		{"mem", seedStore(t, reldb.NewMem(), n)},
 		{"durable-uncompacted", seedStore(t, uncompacted, n)},
 		{"segment+tail", seg},
-		{"segment-dirty", dirty},
+		{"segment-overlap-delete", overlapStore(t, n)},
 	}
+}
+
+// overlapStore is seedSegmentStore's store after three writes below its
+// flushed keys: a delete of a flushed result, a processor (with a result)
+// under a flushed node, whose closure links overlap the flushed ones, and
+// a second focus for a flushed result.
+func overlapStore(t testing.TB, n int) *datastore.Store {
+	t.Helper()
+	st, fe := seedSegmentStore(t, t.TempDir(), n-n/4, 2, n/4)
+	if err := fe.Delete("performance_result", 3); err != nil {
+		t.Fatalf("delete flushed row: %v", err)
+	}
+	b := st.NewBatch()
+	b.Stage(ptdf.ResourceRec{Name: "/SG/SM/batch/n0/p9", Type: "grid/machine/partition/node/processor"})
+	b.Stage(ptdf.PerfResultRec{Exec: "exec-a", Sets: []ptdf.ResourceSet{{
+		Names: []core.ResourceName{"/app", "/SG/SM/batch/n0/p9"}, Type: core.FocusPrimary,
+	}}, Tool: "tool", Metric: "metric-1", Value: 99, Units: "seconds"})
+	if _, err := b.Commit(); err != nil {
+		t.Fatalf("commit a processor under a flushed node: %v", err)
+	}
+	links, _ := st.Table("result_has_focus")
+	focusOf := func(result int64) (f int64) {
+		links.PKScan([]reldb.Value{reldb.Int(result)}, func(_ int64, row reldb.Row) bool { f = row[1].Int64(); return false })
+		return f
+	}
+	if _, err := fe.Insert("result_has_focus", reldb.Row{reldb.Int(5), reldb.Int(focusOf(6))}); err != nil {
+		t.Fatalf("link a flushed result to a second focus: %v", err)
+	}
+	overlapping := map[string]bool{"performance_result": false, "resource_has_descendant": true, "result_has_focus": true}
+	for _, status := range fe.SegmentStats().Tables {
+		want, checked := overlapping[status.Table]
+		if !checked {
+			continue
+		}
+		scan, err := st.Blocks(status.Table, math.MinInt64, math.MaxInt64)
+		if err != nil || status.Segments == 0 {
+			t.Fatalf("%s = %+v is not in segments (err %v)", status.Table, status, err)
+		}
+		if got := len(scan.Segments) < status.Segments; got != want {
+			t.Fatalf("%s: %d of %d segments handed out whole: runs overlap = %v, want %v", status.Table, len(scan.Segments), status.Segments, got, want)
+		}
+	}
+	return st
 }
 
 // checkPlannedMatchesNaive runs one query both ways on one store: the

@@ -10,13 +10,13 @@ import (
 // sees, on every engine. Table.Blocks opens an inclusive range of
 // first-primary-key values and yields ColumnBlocks in ascending PK
 // order — first the immutable segment blocks whose zone maps intersect
-// the range (none before the first compaction, or while the table is
-// rehydrated), then the unflushed rows: a columnar tail as a view pinned
-// at the length it had when the scan opened, a row set transposed into a
-// reusable block of up to blockRows rows. Table.Gather
-// transposes an ascending row-ID list the same way, copying a columnar
-// row's values straight out of its block. Consumers never learn which
-// storage shape a block came from.
+// the range (none before the first compaction), then the rest: a columnar
+// tail as a view pinned at the length it had when the scan opened, runs
+// whose keys overlap merged, and a row set, each transposed into a
+// reusable block of up to blockRows rows. Table.Gather transposes an
+// ascending row-ID list the same way, copying a columnar row's values
+// straight out of its block. Consumers never learn which storage shape a
+// block came from.
 
 // blockRows is the transposer's window: B-tree rows are handed out in
 // column-major blocks of at most this many rows.
@@ -396,14 +396,78 @@ func (tr *transposer) flush() error {
 	return tr.err
 }
 
+// span is the stretch [from, to) of a block's primary-key order that a
+// read wants: positions perm[from:to], or from..to-1 when perm is nil.
+type span struct {
+	s        *segment
+	b        *ColumnBlock // s's rows, or a view pinning those of a tail
+	perm     []int32
+	from, to int
+}
+
+func (sp span) first() int { return at(sp.perm, sp.from) }
+func (sp span) last() int  { return at(sp.perm, sp.to-1) }
+
+// keyOrdered drops the empty spans and groups the rest into runs in
+// ascending key order: spans whose key ranges overlap share a run, which
+// a reader merges (mergeRun), and a span that overlaps none — every span,
+// on a table loaded a document at a time — is a run of its own, read as
+// it lies.
+func keyOrdered(spans []span, pkCols []int) [][]span {
+	spans = slices.DeleteFunc(spans, func(sp span) bool { return sp.from >= sp.to })
+	slices.SortFunc(spans, func(x, y span) int { return cmpRows(x.b, x.first(), y.b, y.first(), pkCols) })
+	var runs [][]span
+	var top span // the span holding the greatest key of the current run
+	for i, sp := range spans {
+		if i > 0 && cmpRows(sp.b, sp.first(), top.b, top.last(), pkCols) <= 0 {
+			runs[len(runs)-1] = append(runs[len(runs)-1], sp)
+		} else {
+			runs = append(runs, []span{sp})
+		}
+		if i == 0 || cmpRows(sp.b, sp.last(), top.b, top.last(), pkCols) > 0 {
+			top = sp
+		}
+	}
+	return runs
+}
+
+// mergeRun hands fn the rows of a run's spans in ascending key order, as
+// a block and a position, until fn returns false, which mergeRun then
+// returns too. No key is in two spans.
+func mergeRun(run []span, pkCols []int, fn func(b *ColumnBlock, i int) bool) bool {
+	next := make([]int, len(run))
+	for k := range run {
+		next[k] = run[k].from
+	}
+	for {
+		best, bi := -1, 0
+		for k, sp := range run {
+			if next[k] == sp.to {
+				continue
+			}
+			if i := at(sp.perm, next[k]); best < 0 || cmpRows(sp.b, i, run[best].b, bi, pkCols) < 0 {
+				best, bi = k, i
+			}
+		}
+		if best < 0 {
+			return true
+		}
+		next[best]++
+		if !fn(run[best].b, bi) {
+			return false
+		}
+	}
+}
+
 // BlockScan is an opened block source: one table, one inclusive range
 // of first-primary-key values.
 type BlockScan struct {
-	// Segments are the immutable segment blocks whose zone maps
-	// intersect the range, in ascending PK order. Each is a whole
-	// segment — pruned, not trimmed, so it may hold rows outside the
-	// range — stays valid for the life of the scan, and may be read
-	// from several goroutines.
+	// Segments are immutable segment blocks whose zone maps intersect the
+	// range, in ascending PK order: the leading ones, up to the first
+	// block that is not a key-ordered segment overlapping no other. Each
+	// is a whole segment — pruned, not trimmed, so it may hold rows
+	// outside the range — stays valid for the life of the scan, and may
+	// be read from several goroutines.
 	Segments []*ColumnBlock
 	// Pruned counts segments skipped by their zone maps, and Bytes the
 	// decoded bytes the surviving ones hold.
@@ -411,16 +475,9 @@ type BlockScan struct {
 	Bytes  int64
 
 	t      *Table
-	lo, hi int64      // first-PK range
-	tails  []tailView // the sealed and active columnar tails when the scan opened
-	set    *rowSet    // the row set then: with Segments and tails, every row the table held
-}
-
-// tailView pins the rows a tail held when a scan opened, which never
-// move; perm is their primary-key order where that is not their position.
-type tailView struct {
-	b    ColumnBlock
-	perm []int32
+	lo, hi int64    // first-PK range
+	rest   [][]span // the runs after Segments when the scan opened, trimmed to the range
+	set    *rowSet  // the row set of a table without blocks
 }
 
 // Blocks opens the block source for first-primary-key values in
@@ -431,25 +488,42 @@ func (t *Table) Blocks(lo, hi int64) (*BlockScan, error) {
 	}
 	t.db.mu.RLock()
 	defer t.db.mu.RUnlock()
-	bs := &BlockScan{t: t, lo: lo, hi: hi, set: t.active}
-	for _, s := range t.segs {
-		if s.maxPK < lo || s.minPK > hi {
-			bs.Pruned++
+	bs := &BlockScan{t: t, lo: lo, hi: hi}
+	if t.tail == nil {
+		bs.set = t.active
+		return bs, nil
+	}
+	first, bounds := t.pkCols[:1], [2][]Value{{Int(lo)}, {Int(hi)}}
+	var spans []span
+	for k, s := range t.blocks {
+		if z := s.zones[t.pkCols[0]]; s.rows == 0 || z.maxI < lo || z.minI > hi {
+			if k < len(t.segs) {
+				bs.Pruned++
+			}
 			continue
 		}
-		bs.Bytes += s.decodedBytes()
-		bs.Segments = append(bs.Segments, &s.ColumnBlock)
-	}
-	for _, s := range t.tailsLocked() {
-		if s.rows > 0 {
-			bs.tails = append(bs.tails, tailView{s.view(0, s.rows), s.pkPerm(t.pkCols)})
+		b := &s.ColumnBlock
+		if s == t.tail {
+			v := s.view(0, s.rows)
+			b = &v
 		}
+		perm := s.pkPerm(t.pkCols)
+		spans = append(spans, span{s, b, perm, b.bound(perm, first, bounds[0], false), b.bound(perm, first, bounds[1], true)})
+	}
+	bs.rest = keyOrdered(spans, t.pkCols)
+	for ; len(bs.rest) > 0; bs.rest = bs.rest[1:] {
+		sp := bs.rest[0][0]
+		if len(bs.rest[0]) > 1 || sp.perm != nil || !slices.Contains(t.segs, sp.s) {
+			break
+		}
+		bs.Bytes += sp.s.decodedBytes()
+		bs.Segments = append(bs.Segments, sp.b)
 	}
 	return bs, nil
 }
 
 // Segmented reports whether the table had segments when the scan
-// opened, i.e. whether Tail covers only the unflushed rows.
+// opened, i.e. whether Tail leaves some of them out.
 func (bs *BlockScan) Segmented() bool { return len(bs.Segments)+bs.Pruned > 0 }
 
 // Each calls fn with every block of the scan in ascending PK order: the
@@ -463,49 +537,43 @@ func (bs *BlockScan) Each(fn func(*ColumnBlock) error) error {
 	return bs.Tail(fn)
 }
 
-// Tail calls fn with the rows of the range that no segment held when the
-// scan opened — the whole range when the scan is not Segmented — block by
-// block in ascending PK order: a columnar tail whose rows lie in key
-// order as a view of them, trimmed to the range, with no copy and no
-// lock; one whose rows do not, and the row set, transposed into a
-// reusable block. A tail sealed, flushed or rehydrated away since the
-// scan opened is still read as it was then, so Segments plus Tail see
-// each row exactly once. A block is valid only until fn returns. While
-// the row set is walked fn runs under the engine read lock, so it must
-// not write to the engine; a non-nil error stops the walk and is
-// returned.
+// Tail calls fn with the rows of the range that Segments do not hold —
+// the whole range when the scan is not Segmented — block by block in
+// ascending PK order: a block whose rows lie in key order and overlap no
+// other's as a view of them, trimmed to the range, with no copy and no
+// lock; a block whose rows do not, a run of blocks whose keys overlap,
+// and the row set, transposed into a reusable block. A block sealed,
+// flushed or replaced since the scan opened is still read as it was
+// then, so Segments plus Tail see each row exactly once. A block is valid
+// only until fn returns. While the row set is walked fn runs under the
+// engine read lock, so it must not write to the engine; a non-nil error
+// stops the walk and is returned.
 func (bs *BlockScan) Tail(fn func(*ColumnBlock) error) error {
 	if bs.lo > bs.hi {
 		return nil
 	}
 	t := bs.t
-	first := t.pkCols[:1]
-	for i := range bs.tails {
-		tv := &bs.tails[i]
-		from := tv.b.bound(tv.perm, first, []Value{Int(bs.lo)}, false)
-		to := tv.b.bound(tv.perm, first, []Value{Int(bs.hi)}, true)
-		if from >= to {
-			continue
-		}
-		if tv.perm == nil {
-			v := tv.b.view(from, to)
+	for _, run := range bs.rest {
+		if sp := run[0]; len(run) == 1 && sp.perm == nil {
+			v := sp.b.view(sp.from, sp.to)
 			if err := fn(&v); err != nil {
 				return err
 			}
 			continue
 		}
 		tr := t.transposer(fn)
-		for _, p := range tv.perm[from:to] {
+		mergeRun(run, t.pkCols, func(b *ColumnBlock, i int) bool {
 			if tr.err == nil {
-				tr.b.appendFrom(&tv.b, int(p))
+				tr.b.appendFrom(b, i)
 			}
-			if !tr.added() {
-				break
-			}
-		}
+			return tr.added()
+		})
 		if err := tr.finish(); err != nil {
 			return err
 		}
+	}
+	if bs.set == nil {
+		return nil
 	}
 	loKey := EncodeKey(nil, Int(bs.lo))
 	var hiKey []byte

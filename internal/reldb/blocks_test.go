@@ -141,8 +141,8 @@ func linkPairs(t *testing.T, tab *Table, lo, hi int64) [][2]int64 {
 // TestBlockSourceSegmentsThenTail checks the composite-key case on the
 // segment engine: a range scan yields the segment blocks, then only the
 // unflushed rows — including links of the owner at the flushed boundary
-// — each exactly once and in PK order, and serves no segments once a
-// delete has rehydrated the table.
+// — each exactly once and in PK order, also once a delete has replaced
+// the segment.
 func TestBlockSourceSegmentsThenTail(t *testing.T) {
 	fe := openTestEngine(t, t.TempDir())
 	defer fe.Close()
@@ -182,8 +182,8 @@ func TestBlockSourceSegmentsThenTail(t *testing.T) {
 		t.Fatalf("segments+tail links = %v, want %v", got, want)
 	}
 
-	// Deleting a flushed row rehydrates the table: the same range now
-	// comes entirely from the row store, without the deleted link.
+	// Deleting a flushed row replaces the segment: the same range comes
+	// from a segment block without the deleted link, then the tail.
 	_, id, ok := tab.GetByPK(Int(46), Int(1))
 	if !ok {
 		t.Fatal("link (46,1) missing")
@@ -192,12 +192,12 @@ func TestBlockSourceSegmentsThenTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	scan, _ = tab.Blocks(45, 55)
-	if scan.Segmented() {
-		t.Fatal("rehydrated table still serves segment blocks")
+	if len(scan.Segments) != 1 || scan.Segments[0].Len() != 99 {
+		t.Fatalf("after the delete the scan has %d segment blocks, want the 99-row replacement", len(scan.Segments))
 	}
 	want = append(want[:2], want[3:]...) // (45,1) (45,2) | (46,1)
 	if got := linkPairs(t, tab, 45, 55); !reflect.DeepEqual(got, want) {
-		t.Fatalf("rehydrated links = %v, want %v", got, want)
+		t.Fatalf("links after the delete = %v, want %v", got, want)
 	}
 }
 

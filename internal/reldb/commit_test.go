@@ -2,11 +2,14 @@ package reldb_test
 
 import (
 	"fmt"
+	"math"
 	"strings"
+	"sync"
 	"testing"
 
 	"perftrack/internal/core"
 	"perftrack/internal/datastore"
+	"perftrack/internal/gen"
 	"perftrack/internal/ptdf"
 	"perftrack/internal/reldb"
 )
@@ -134,6 +137,211 @@ func TestSegmentCommitTakesEngineLockOnce(t *testing.T) {
 		}
 		if err := eng.Close(); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestDeleteExecutionIsOneCommit: on a checkpointed directory store, with
+// every hot row in a segment, DeleteExecution takes the engine write lock
+// once, leaves every hot table in its segments — replaced, none emptied
+// into a row store or a tail — and a reader counting the execution's
+// results, by index and by block scan, while it runs sees all of them or
+// none. A reopen holds what the delete left.
+func TestDeleteExecutionIsOneCommit(t *testing.T) {
+	dir := t.TempDir()
+	eng, err := reldb.OpenFile(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { eng.Close() }()
+	s, err := datastore.Open(eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, doc := range []string{sharedDoc(), execDoc("e0", docFull), execDoc("e1", docFull), execDoc("e2", docSmall)} {
+		if _, err := s.LoadPTdf(strings.NewReader(doc)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := eng.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	reldb.StopCompactor(eng) // its passes take the write lock too
+	exec, ok := s.LookupDict("execution", "e1")
+	if !ok {
+		t.Fatal("no execution e1")
+	}
+	results, _ := eng.Table("performance_result")
+	const all = 4096
+	count := func() (byIndex, byBlocks int) {
+		if err := results.IndexScanInt("performance_result_exec", []reldb.Value{reldb.Int(exec)}, 0, func(int64, int64) bool {
+			byIndex++
+			return true
+		}); err != nil {
+			t.Error(err)
+		}
+		scan, err := results.Blocks(math.MinInt64, math.MaxInt64)
+		if err == nil {
+			err = scan.Each(func(b *reldb.ColumnBlock) error {
+				for _, e := range b.Int64s(1) {
+					if e == exec {
+						byBlocks++
+					}
+				}
+				return nil
+			})
+		}
+		if err != nil {
+			t.Error(err)
+		}
+		return byIndex, byBlocks
+	}
+	if i, b := count(); i != all || b != all {
+		t.Fatalf("before the delete: %d results by index, %d by block scan, want %d", i, b, all)
+	}
+	done := make(chan struct{})
+	var reader sync.WaitGroup
+	reader.Add(1)
+	go func() {
+		defer reader.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if i, b := count(); (i != 0 && i != all) || (b != 0 && b != all) {
+				t.Errorf("a reader saw %d of e1's %d results by index, %d by block scan", i, all, b)
+				return
+			}
+		}
+	}()
+	before := reldb.WriteLocks(eng)
+	err = s.DeleteExecution("e1")
+	locks := reldb.WriteLocks(eng) - before
+	close(done)
+	reader.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if locks != 1 {
+		t.Fatalf("DeleteExecution took the engine write lock %d times, want once", locks)
+	}
+	if i, b := count(); i != 0 || b != 0 {
+		t.Fatalf("after the delete: %d results by index, %d by block scan", i, b)
+	}
+	for _, st := range eng.SegmentStats().Tables {
+		if st.Segments == 0 || st.PendingRows != 0 {
+			t.Errorf("%s after the delete = %+v, want every row in segments", st.Table, st)
+		}
+	}
+	want := s.Stats()
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if eng, err = reldb.OpenFile(dir); err != nil {
+		t.Fatal(err)
+	}
+	if s, err = datastore.Open(eng); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Stats(); got.Results != want.Results || got.Results != int64(all+docSmall.procs*docSmall.funcs*docSmall.metrics) {
+		t.Fatalf("reopened: %d results, want %d", got.Results, want.Results)
+	}
+}
+
+// TestIRSUnderMachinesStaysColumnar loads the machine catalog and then
+// IRS executions, whose resources land under catalog resources already
+// flushed: resource_has_descendant gets keys below its flushed ones. The
+// table stays blocks — no row-set row, segments written as its tail
+// fills — its runs overlap, and its point and prefix reads answer as those
+// of a twin store whose rows never leave the tail.
+func TestIRSUnderMachinesStaysColumnar(t *testing.T) {
+	open := func(flush int64) *datastore.Store {
+		eng, err := reldb.OpenFile(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { eng.Close() })
+		eng.SetSegmentFlushRows(flush)
+		s, err := datastore.Open(eng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	s, twin := open(64), open(1<<40)
+	var docs [][]ptdf.Record
+	for _, m := range gen.Catalog() {
+		docs = append(docs, m.ToPTdf(4))
+	}
+	for k := 0; k < 3; k++ {
+		spec := gen.ExecSpec{Kind: gen.KindIRS, Execution: fmt.Sprintf("irs-%d", k), App: "irs", Machine: "MCR", NProcs: 16, Seed: int64(k + 1)}
+		dir := t.TempDir()
+		if _, err := gen.WriteExecution(dir, spec); err != nil {
+			t.Fatal(err)
+		}
+		recs, err := gen.ConvertExecution(dir, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		docs = append(docs, recs)
+	}
+	for _, st := range []*datastore.Store{s, twin} {
+		for _, doc := range docs {
+			b := st.NewBatch()
+			for _, rec := range doc {
+				b.Stage(rec)
+			}
+			if _, err := b.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	eng := s.Engine()
+	if err := eng.CompactSegments(); err != nil {
+		t.Fatal(err)
+	}
+	var status reldb.SegmentTableStatus
+	for _, st := range eng.SegmentStats().Tables {
+		if st.Table == "resource_has_descendant" {
+			status = st
+		}
+	}
+	got, _ := eng.Table("resource_has_descendant")
+	want, _ := twin.Engine().Table("resource_has_descendant")
+	scan, err := got.Blocks(math.MinInt64, math.MaxInt64)
+	if err != nil || status.Segments < 2 || len(scan.Segments) == status.Segments || reldb.RowSetRows(got) != 0 {
+		t.Fatalf("resource_has_descendant = %+v, %d of its segments handed out whole (err %v), %d row-set rows; want overlapping segments and no row set",
+			status, len(scan.Segments), err, reldb.RowSetRows(got))
+	}
+	if got.Len() != want.Len() {
+		t.Fatalf("%d links, the twin %d", got.Len(), want.Len())
+	}
+	visits := func(tab *reldb.Table, prefix []reldb.Value) string {
+		var b strings.Builder
+		if err := tab.PKScan(prefix, func(id int64, row reldb.Row) bool {
+			fmt.Fprintf(&b, "%d %s;", id, row)
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	if visits(got, nil) != visits(want, nil) {
+		t.Fatal("the full key-ordered scans differ")
+	}
+	want.Scan(func(id int64, row reldb.Row) bool {
+		if g, gid, ok := got.GetByPK(row...); !ok || gid != id || g.String() != row.String() {
+			t.Errorf("GetByPK(%s) = %v, %d, %v; want row %d", row, g, gid, ok, id)
+			return false
+		}
+		return true
+	})
+	for anc := int64(0); anc < 200; anc++ {
+		prefix := []reldb.Value{reldb.Int(anc)}
+		if g, w := visits(got, prefix), visits(want, prefix); g != w {
+			t.Fatalf("PKScan(%d) = %s, the twin's %s", anc, g, w)
 		}
 	}
 }

@@ -1,12 +1,12 @@
 package reldb
 
 import (
-	"bytes"
 	"cmp"
 	"errors"
 	"fmt"
 	"io"
 	"io/fs"
+	"math"
 	"path/filepath"
 	"slices"
 	"strconv"
@@ -24,16 +24,16 @@ import (
 // stands into an immutable segment file and publishes the same object as
 // a segment, permutations and all, again O(1). Nothing is transposed,
 // deleted row by row or re-inserted, at run time or at recovery. A
-// mutation columns cannot absorb rehydrates the table into a row set
-// (Table.rehydrateLocked), the only fallback; the next seal transposes
-// the row set back.
+// change to a block is a replacement block (Table.replaceLocked), which
+// the next pass writes like a sealed tail.
 //
 // A hot row is durable in exactly one place: the tail log of the tail
 // that holds it, then — once the segment file is fsynced and a durable
 // manifest names it — that segment, at which point the pass deletes the
-// tail's logs. Five rules make the deletion safe (DESIGN §9): the
-// barrier before a manifest, the hand-off at rehydration, snapshot-held
-// rows pinning the log, the pass counted last, and the flush order.
+// tail's logs; a delete, in its tail log, then in the replacement's file.
+// Four rules make the deletion safe (DESIGN §9): the barrier before a
+// manifest, snapshot-held rows pinning the log, the pass counted last,
+// and the flush order.
 
 // segmentHotTables lists the relations the compactor drains into columnar
 // files: the tables a document load appends to and nothing ever updates —
@@ -46,7 +46,7 @@ var segmentHotTables = []string{"performance_result", "result_has_focus", "focus
 func isHotTable(name string) bool { return slices.Contains(segmentHotTables, name) }
 
 // logFlushOrder is segmentHotTables in the order a commit flushes their
-// tail logs (rule 5), parents before children: the closure links (their
+// tail logs (rule 4), parents before children: the closure links (their
 // parent, resource_item, is in perftrack.wal, flushed first of all) and
 // the foci, then results before the foci's resources before the links from
 // results to foci.
@@ -74,15 +74,15 @@ type segState struct {
 	nextSeq   int64      // under compactMu
 
 	flushRows   atomic.Int64
-	compactions atomic.Uint64 // compaction passes that wrote segments and have deleted the logs those supersede (rule 4)
+	compactions atomic.Uint64 // compaction passes that wrote segments and have deleted the logs those supersede (rule 3)
 	segsWritten atomic.Uint64 // segment files written
 
 	// Guarded by the engine lock.
 	loaded    map[string][]*segment // recovery: manifest-listed segments, by table, until replay ends
 	loadedLow map[string]int64      // recovery: the manifest's low-water marks
-	garbage   []string              // files of released segments, removed after the next manifest write
+	garbage   []string              // files of replaced segments, removed after the next manifest write
 	logSeq    map[string]int64      // sequence number of each hot table's next tail log
-	retired   []*logFile            // tail logs of published sets, deleted after the next manifest write
+	retired   []*logFile            // tail logs of published or emptied tails, deleted after the next manifest write
 
 	step func(string) // tests: called after each durable step of a pass or checkpoint
 
@@ -124,75 +124,41 @@ func (db *DB) SetSegmentFlushRows(n int64) {
 
 // --- sealing (engine write lock held) ---
 
-// sealable reports whether a hot table's tail may be sealed, which is
-// also whether it may be columnar: it has an integer leading key, no
-// unique index (blocks cannot enforce one) and no disorder since the last
-// checkpoint.
-func (t *Table) sealable() bool {
-	if t.resident == residentUnordered || len(t.pkCols) == 0 || t.schema.Columns[t.pkCols[0]].Type != KindInt {
-		return false
-	}
-	for _, ix := range t.active.indexes {
-		if ix.spec.Unique {
-			return false
-		}
-	}
-	return true
-}
-
-// columnarLocked gives a sealable hot table its columnar tail, if it has
-// none, transposing into it whatever the row set holds — which a
-// rehydration, or a snapshot at recovery, put there. The row set's keys
-// and row IDs all exceed the frozen ones, so the tail's do.
+// columnarLocked gives a new hot table its columnar tail: every hot
+// table with an integer leading key keeps its rows in blocks, any other
+// table in a row set, logged to perftrack.wal. Blocks enforce no unique
+// index — creating one on a hot table is refused — so a unique index an
+// older snapshot's schema names on one is kept in name only, until the
+// datastore drops it.
 func (t *Table) columnarLocked() {
-	if t.tail != nil || !isHotTable(t.schema.Name) || !t.sealable() {
-		return
+	if isHotTable(t.schema.Name) && len(t.pkCols) > 0 && t.schema.Columns[t.pkCols[0]].Type == KindInt {
+		t.installLocked(nil, t.newBlock(0, 0))
 	}
-	tail, err := t.newTail()
-	if err != nil {
-		return // a column kind blocks cannot hold: the table stays row-resident
-	}
-	if n := len(t.active.rows); n > 0 {
-		ids, rows := make([]int64, 0, n), make([]Row, 0, n)
-		t.active.primary.Ascend(nil, nil, func(_ []byte, id int64) bool {
-			ids, rows = append(ids, id), append(rows, t.active.rows[id])
-			return true
-		})
-		built, err := buildSegment(t, ids, rows)
-		if err != nil {
-			return
-		}
-		built.perms, built.logs = tail.perms, t.active.logs
-		tail, t.active = built, t.newRowSet()
-	}
-	t.installLocked(t.sealed, tail)
 }
 
-// sealReadyLocked seals every hot table whose tail holds at least atLeast
-// rows and has no sealed tail in flight — a pointer moves; a row-resident
-// table is transposed first — then wakes the compactor if any table has
-// work for it. Every row a tail holds is committed, so every row sealed
-// is final. The sealed tail keeps its
-// logs and the next record opens a new one — unless the table's logs are
-// pinned (rule 3), when they stay with the active tail, where no pass
-// trims them. It reports whether some table is full behind a sealed tail:
-// its tail is at the threshold too and cannot be sealed until the pass in
-// flight publishes.
+// sealReadyLocked seals — moves a pointer — every hot table's tail that
+// holds at least atLeast rows, has no sealed tail waiting and no open
+// transaction holding row IDs of the table, then wakes the compactor if
+// any table has a block to write. The sealed tail keeps its logs and the
+// next record opens a new one, unless the table's logs are pinned (rule
+// 2): they stay with the active tail, where no pass trims them. It
+// reports whether some table is full behind a sealed tail: at the
+// threshold too, and not sealable until the pass in flight publishes.
 func (st *segState) sealReadyLocked(atLeast int64) (full bool) {
 	work := false
 	for _, name := range segmentHotTables {
 		t := st.db.tables[name]
-		if t == nil {
+		if t == nil || t.tail == nil {
 			continue
 		}
-		if n := t.unsealedLocked(); n > 0 && n >= atLeast && t.sealable() {
+		if n := int64(t.tail.rows); n > 0 && n >= atLeast && t.reserving.Load() == 0 {
 			if t.sealed != nil {
 				full = true
-			} else if t.columnarLocked(); t.tail != nil {
+			} else {
 				st.sealLocked(t)
 			}
 		}
-		work = work || t.sealed != nil
+		work = work || t.sealed != nil || slices.ContainsFunc(t.segs, unwritten)
 	}
 	if work {
 		select {
@@ -213,23 +179,19 @@ func (st *segState) sealLocked(t *Table) {
 		return // the log cannot take its buffered records: the tail stays active, the committer's next flush reports it
 	}
 	sealed.freeze(t.pkCols)
-	t.frozenMaxID = max(t.frozenMaxID, sealed.maxRowID)
-	t.frozenMaxKey = t.pkKey(sealed.row(sealed.top))
-	if t.resident == residentMutated {
-		t.resident = 0
-	}
-	tail, _ := t.newTail() // the table has one: its column kinds are fine
+	tail := t.newBlock(sealed.maxRowID, 0)
 	tail.logs = logs
 	t.installLocked(sealed, tail)
 }
+
+func unwritten(s *segment) bool { return s.file == "" }
 
 // tailLogLocked returns the tail log the table's next record goes to:
 // the last one its active tail owns while that still takes records, else
 // a new one under the table's next sequence number.
 func (st *segState) tailLogLocked(t *Table) (*logFile, error) {
-	logs := t.activeLogsLocked()
-	if n := len(*logs); n > 0 && !(*logs)[n-1].finished {
-		return (*logs)[n-1], nil
+	if n := len(t.tail.logs); n > 0 && !t.tail.logs[n-1].finished {
+		return t.tail.logs[n-1], nil
 	}
 	name := t.schema.Name
 	seq := st.logSeq[name]
@@ -238,13 +200,13 @@ func (st *segState) tailLogLocked(t *Table) (*logFile, error) {
 		return nil, fmt.Errorf("reldb: open tail log: %w", err)
 	}
 	if st.db.syncWAL {
-		if err := st.db.fsys.SyncDir(st.dir); err != nil { // the commit's fsync must not outlive the file's name
+		if err := synced(st.db.fsys.SyncDir(st.dir)); err != nil { // the commit's fsync must not outlive the file's name
 			st.db.discardLogs([]*logFile{l})
 			return nil, err
 		}
 	}
 	st.logSeq[name] = seq + 1
-	*logs = append(*logs, l)
+	t.tail.logs = append(t.tail.logs, l)
 	return l, nil
 }
 
@@ -266,10 +228,10 @@ func parseTailLogName(base string) (table string, seq int64, ok bool) {
 // discardLogsLocked deletes the table's tail logs: it is being dropped,
 // or a checkpoint has captured its rows.
 func (t *Table) discardLogsLocked() {
-	for _, owned := range t.logOwnersLocked() {
-		if len(*owned) > 0 {
-			t.db.logTrimmed += t.db.discardLogs(*owned)
-			*owned = nil
+	for _, s := range t.tailsLocked() {
+		if len(s.logs) > 0 {
+			t.db.logTrimmed += t.db.discardLogs(s.logs)
+			s.logs = nil
 		}
 	}
 }
@@ -284,31 +246,42 @@ func (t *Table) lowWaterLocked() int64 {
 	return t.db.seg.logSeq[t.schema.Name]
 }
 
-// adoptLocked makes a segment part of the table. A published tail keeps
+// adoptLocked makes a segment the table's newest. A published tail keeps
 // the permutations it has built; a decoded file starts with none.
 func (t *Table) adoptLocked(s *segment) {
-	if s.perms == nil {
-		s.perms = make(map[string]*lazyPerm, len(t.active.indexes))
-		for name := range t.active.indexes {
-			s.perms[name] = new(lazyPerm)
-		}
-	}
-	t.segs = append(t.segs, s)
-	t.segRows += int64(s.rows)
-	t.segBytes += s.sizeOn
-	t.segDataBytes += s.decodedBytes()
+	t.segs = append(t.segs, t.withPerms(s))
+	t.segDelta(s, 1)
+	t.advanceID(s.maxRowID + 1)
 }
 
-// releaseStaleLocked gives up the files of rehydrated-away segments, once
-// their rows are durable elsewhere: in the table's first new segment,
-// which a seal after rehydration fills with every row, or in a snapshot.
-// The files are deleted when a manifest that no longer lists them is
-// durable.
-func (t *Table) releaseStaleLocked() {
-	if len(t.stale) > 0 {
-		t.db.seg.garbage = append(t.db.seg.garbage, t.stale...)
-		t.stale, t.staleBytes = nil, 0
+// segDelta adds a segment's rows and bytes to the table's totals (sign 1)
+// or takes them off (-1).
+func (t *Table) segDelta(s *segment, sign int64) {
+	t.segRows += sign * int64(s.rows)
+	t.segBytes += sign * s.sizeOn
+	t.segDataBytes += sign * s.decodedBytes()
+}
+
+// publishLocked puts seg, the block a pass has just written to path from
+// block b, in b's place: a sealed tail becomes the table's newest segment,
+// a replacement keeps its position. b's logs and the files it replaced
+// go once a manifest that names seg instead is durable.
+func (t *Table) publishLocked(b, seg *segment, path string, size int64) {
+	st := t.db.seg
+	st.garbage, st.retired = append(st.garbage, b.replaces...), append(st.retired, b.logs...)
+	if b != t.sealed {
+		t.segDelta(b, -1)
 	}
+	b.logs, b.replaces = nil, nil
+	seg.file, seg.sizeOn = path, size
+	if b == t.sealed {
+		t.adoptLocked(seg)
+		t.installLocked(nil, t.tail)
+		return
+	}
+	t.segs[slices.Index(t.segs, b)] = t.withPerms(seg)
+	t.segDelta(seg, 1)
+	t.installLocked(t.sealed, t.tail)
 }
 
 // --- background compactor ---
@@ -350,8 +323,9 @@ func (db *DB) CompactSegments() error {
 	return db.seg.drain(true)
 }
 
-// drain runs passes until no sealed tail is left; with force the first
-// one seals every non-empty tail. Requires compactMu.
+// drain runs passes until no block is left to write; with force the
+// first one seals every non-empty tail, also one that waits behind a
+// sealed tail. Requires compactMu.
 func (st *segState) drain(force bool) error {
 	for ; ; force = false {
 		if worked, err := st.pass(force); err != nil || !worked {
@@ -360,32 +334,46 @@ func (st *segState) drain(force bool) error {
 	}
 }
 
-// pass encodes and publishes the tails that are sealed, and reports
-// whether any was. It starts with the barrier (rule 1): every log — the
-// sealed tails' own, which the pass is about to delete, as well as every
-// one that outlives it — is flushed and fsynced, and so is the directory
-// holding the tail logs, so that no segment is named before what its rows
-// refer to is durable and nothing that refers to them is made durable
-// before they are. It then writes a segment file per sealed tail outside
-// the engine lock, and under it moves the tail to the table's segments
-// and retires its logs — sealing the table's next tail itself when that
-// has meanwhile crossed the threshold. Then the manifest is rewritten,
-// the retired logs deleted, and only then is the pass counted (rule 4): a
-// reader of the counters never sees a finished pass with its logs still
-// on disk. Requires compactMu.
+// pass writes and publishes the blocks that wait for it — sealed tails
+// and the replacements deletes made — and reports whether there were
+// any. It starts with the barrier (rule 1): every log, the sealed tails'
+// own included, and the tail-log directory are fsynced, so that no
+// segment is named before what its rows refer to is durable. It then
+// writes a segment file per block outside the engine lock and publishes
+// it under the lock (publishLocked), sealing the table's next tail if
+// that has meanwhile crossed the threshold (when forced, holds a row).
+// Then the manifest is rewritten, the retired logs deleted, and only then
+// is the pass counted (rule 3). Requires compactMu, which a commit that
+// deletes holds too: no block is replaced under a pass, and every
+// replacement older than a retired log's delete records is written.
 func (st *segState) pass(force bool) (worked bool, err error) {
 	db := st.db
 	type job struct {
-		t      *Table
-		sealed *segment
+		t *Table
+		b *segment
 	}
 	var jobs []job
 	db.mu.Lock()
+	if err := db.refused; err != nil {
+		db.mu.Unlock()
+		return false, err
+	}
+	atLeast := st.flushRows.Load()
 	if force {
-		st.sealReadyLocked(1)
+		atLeast = 1
+		st.sealReadyLocked(atLeast)
 	}
 	for _, name := range segmentHotTables {
-		if t := db.tables[name]; t != nil && t.sealed != nil {
+		t := db.tables[name]
+		if t == nil {
+			continue
+		}
+		for _, s := range t.segs {
+			if unwritten(s) {
+				jobs = append(jobs, job{t, s})
+			}
+		}
+		if t.sealed != nil {
 			jobs = append(jobs, job{t, t.sealed})
 		}
 	}
@@ -399,50 +387,27 @@ func (st *segState) pass(force bool) (worked bool, err error) {
 	}
 	st.stepped("seal")
 	if err := db.syncLogs(unsynced); err != nil {
-		return false, err
+		return false, db.refuse(err)
 	}
 	st.stepped("barrier")
-	handedOn := false
 	for _, j := range jobs {
-		seg, path, size, err := st.writeSegment(j.t, j.sealed)
+		seg, path, size, err := st.writeSegment(j.t, j.b)
 		if err != nil {
-			return false, err
+			return false, db.refuse(err)
 		}
 		db.mu.Lock()
-		if db.tables[seg.table] == j.t && j.t.sealed == j.sealed {
-			seg.file, seg.sizeOn = path, size
-			st.retired = append(st.retired, j.sealed.logs...)
-			j.sealed.logs = nil
-			j.t.adoptLocked(seg)
-			j.t.releaseStaleLocked()
-			j.t.installLocked(nil, j.t.tail)
-			st.segsWritten.Add(1)
-			st.sealReadyLocked(st.flushRows.Load())
-		} else {
-			// Dropped or rehydrated while it was being encoded; if
-			// rehydrated, its logs outlive the pass after all, and the
-			// mutation that rehydrated it is logged behind them.
-			st.garbage = append(st.garbage, path)
-			handedOn = true
-		}
+		j.t.publishLocked(j.b, seg, path, size)
+		st.segsWritten.Add(1)
+		st.sealReadyLocked(atLeast)
 		db.mu.Unlock()
 		st.stepped("segment file")
 	}
 	db.mu.Lock()
 	m, garbage := st.manifestLocked()
 	retired := st.retired
-	if unsynced = nil; handedOn {
-		unsynced, err = db.flushLogsLocked()
-	}
 	db.mu.Unlock()
-	if err == nil && handedOn {
-		err = db.syncLogs(unsynced)
-	}
-	if err != nil {
-		return false, err
-	}
 	if err := st.writeManifest(m, garbage); err != nil {
-		return false, err
+		return false, db.refuse(err)
 	}
 	st.stepped("manifest")
 	trimmed := db.discardLogs(retired)
@@ -490,11 +455,11 @@ func (db *DB) flushLogsLocked() (unsynced []logMark, err error) {
 // durable.
 func (db *DB) syncLogs(marks []logMark) error {
 	for _, m := range marks {
-		if err := m.l.f.Sync(); err != nil {
+		if err := synced(m.l.f.Sync()); err != nil {
 			return fmt.Errorf("reldb: sync %s: %w", m.l.path, err)
 		}
 	}
-	if err := db.fsys.SyncDir(db.seg.dir); err != nil {
+	if err := synced(db.fsys.SyncDir(db.seg.dir)); err != nil {
 		return fmt.Errorf("reldb: sync %s: %w", db.seg.dir, err)
 	}
 	db.mu.Lock()
@@ -505,12 +470,12 @@ func (db *DB) syncLogs(marks []logMark) error {
 	return nil
 }
 
-// writeSegment encodes a sealed tail as it stands — through its key
-// order, if its rows do not lie that way — into a new fsynced segment
-// file, and returns the block the file holds: the tail itself, or the
-// sorted copy.
-func (st *segState) writeSegment(t *Table, sealed *segment) (seg *segment, path string, size int64, err error) {
-	if seg, err = sealed.inKeyOrder(t); err != nil {
+// writeSegment encodes a sealed tail or a replacement as it stands —
+// through its key order, if its rows do not lie that way — into a new
+// fsynced segment file, and returns the block the file holds: the block
+// itself, or the sorted copy.
+func (st *segState) writeSegment(t *Table, b *segment) (seg *segment, path string, size int64, err error) {
+	if seg, err = b.inKeyOrder(t); err != nil {
 		return nil, "", 0, err
 	}
 	st.nextSeq++
@@ -524,24 +489,24 @@ func (st *segState) writeSegment(t *Table, sealed *segment) (seg *segment, path 
 // manifest is what the MANIFEST file says of each hot table: files[i]
 // and lowWater[i] belong to segmentHotTables[i].
 type manifest struct {
-	files    [][]string // live and stale segment files
+	files    [][]string // segment files, in row-ID order
 	lowWater []int64    // tail logs numbered below it are dead: the files hold their rows
 }
 
-// manifestLocked returns what the next manifest says — the live and the
-// stale segment files of each hot table, and the lowest tail log a row
-// set of it still owns — and takes the released segment files it
-// thereby stops referencing.
+// manifestLocked returns what the next manifest says — each hot table's
+// segment files: a written block's own, in its place the files an
+// unwritten replacement replaces; and the lowest tail log the table's
+// unflushed rows own — and takes the released segment files it thereby
+// stops referencing.
 func (st *segState) manifestLocked() (m manifest, garbage []string) {
 	for _, name := range segmentHotTables {
 		var list []string
 		low := st.logSeq[name]
 		if t := st.db.tables[name]; t != nil {
-			for _, path := range t.stale {
-				list = append(list, filepath.Base(path))
-			}
-			for _, s := range t.segs {
-				list = append(list, filepath.Base(s.file))
+			for _, s := range t.blocks {
+				for _, path := range s.files() {
+					list = append(list, filepath.Base(path))
+				}
 			}
 			low = t.lowWaterLocked()
 		}
@@ -562,8 +527,7 @@ func (st *segState) writeManifest(m manifest, garbage []string) error {
 		}
 		buf = appendRecord(buf, putVarint(p, m.lowWater[i]))
 	}
-	err := replaceFile(st.db.fsys, filepath.Join(st.dir, manifestFile), buf)
-	if err != nil {
+	if err := replaceFile(st.db.fsys, filepath.Join(st.dir, manifestFile), buf); err != nil {
 		return fmt.Errorf("reldb: write manifest: %w", err)
 	}
 	for _, path := range garbage {
@@ -680,60 +644,75 @@ func (st *segState) replayTailLogs() error {
 			if l.f, err = st.db.fsys.Append(l.path); err != nil {
 				return fmt.Errorf("reldb: open tail log: %w", err)
 			}
-			logs := t.activeLogsLocked()
-			*logs = append(*logs, l)
+			t.tail.logs = append(t.tail.logs, l)
 		}
 	}
 	return nil
 }
 
 // attachLocked hands a table created during recovery the segments the
-// manifest lists for it, without inserting a row: the table's next row
-// ID and frozen range move past them, and WAL replay finds their rows
-// already served. The snapshot normally holds none of those rows. It
-// does when it and the manifest are of different ages — a checkpoint
-// crashed between writing the two, or it snapshotted a tail (a commit
-// landed between its drain and its snapshot) that a later
-// re-segmentation then flushed — and in both cases
-// the WAL since the older of them is intact, so either image replays to
-// the truth: the segment's is kept and the snapshot's copy dropped. If
-// what remains is not in ascending key and row-ID order (a store
-// written before rows left the row store could hold such), the table is
-// rehydrated at once. Whatever rows the snapshot leaves in the row set
-// then move to the table's columnar tail, if it may have one, where
-// replay appends to them.
+// manifest lists for it, before its tail, without inserting a row: its
+// next row ID moves past them, and log replay finds their rows served.
+// The snapshot, whose rows are in the tail, normally holds none of them.
+// It does when it and the manifest are of different ages — a checkpoint
+// crashed between writing the two, or snapshotted a tail a pass then
+// flushed — and then the logs since the older of them are intact, so
+// either image replays to the truth: the segment's is kept, the
+// snapshot's copy dropped.
 func (st *segState) attachLocked(t *Table) error {
 	segs := st.loaded[t.schema.Name]
-	ordered := t.sealable()
-	for i, s := range segs {
+	if len(segs) == 0 {
+		return nil
+	}
+	if t.tail == nil {
+		return fmt.Errorf("%w: table %q has segments but no blocks", ErrCorruptSegment, t.schema.Name)
+	}
+	for _, s := range segs {
 		if !s.matches(t.schema) {
 			return fmt.Errorf("%w: segment %s does not match the schema of table %q",
 				ErrCorruptSegment, s.file, s.table)
 		}
-		key := t.pkKey(s.row(0))
-		if i > 0 && (s.minRowID <= t.frozenMaxID || bytes.Compare(key, t.frozenMaxKey) <= 0) {
-			ordered = false
-		}
-		t.frozenMaxID, t.frozenMaxKey = max(t.frozenMaxID, s.maxRowID), t.pkKey(s.row(s.rows-1))
 		t.adoptLocked(s)
+		t.tail.maxRowID = max(t.tail.maxRowID, s.maxRowID)
 	}
-	if len(segs) > 0 {
-		t.installLocked(nil, nil)
-		for id, row := range t.active.rows {
-			if ref, ok := t.findIDLocked(id); ok && ref.seg != nil {
-				t.active.remove(id, row, t.pkKey(row))
-			}
-		}
-		if t.active.primary.Len() > 0 && bytes.Compare(t.active.primary.root.min().key, t.frozenMaxKey) <= 0 {
-			ordered = false
-		}
-		t.advanceID(t.frozenMaxID + 1)
-		if !ordered {
-			t.rehydrateLocked(residentUnordered)
+	t.installLocked(nil, t.tail)
+	dup := make(map[int]Row)
+	for i, id := range t.tail.rowIDs {
+		if ref, _ := t.findIDLocked(id); ref.seg != t.tail {
+			dup[i] = nil
 		}
 	}
-	t.columnarLocked()
+	if len(dup) > 0 {
+		t.replaceLocked(t.tail, dup)
+	}
 	return nil
+}
+
+// orderLocked ends a table's recovery: it merges all of the table's rows
+// into one sealed block, replacing every segment file, if its blocks' row
+// IDs do not ascend from block to block — which only a directory an
+// older program wrote can make them do. The next pass writes the block.
+func (t *Table) orderLocked() {
+	last, ordered := int64(math.MinInt64), true
+	for _, s := range t.blocks {
+		if s.rows > 0 {
+			ordered = ordered && s.minRowID > last
+			last = s.maxRowID
+		}
+	}
+	if ordered {
+		return
+	}
+	merged := t.newBlock(0, int(t.lenLocked()))
+	t.ascendLocked(nil, func(id int64, row Row) bool { merged.appendRow(id, row); return true })
+	for _, s := range t.blocks {
+		merged.replaces, merged.sizeOn = append(merged.replaces, s.files()...), merged.sizeOn+s.sizeOn
+	}
+	merged.appended(t.pkCols, 0)
+	merged.logs = t.tail.logs
+	t.segs, t.segRows, t.segBytes, t.segDataBytes = nil, 0, 0, 0
+	t.installLocked(nil, merged)
+	t.db.seg.sealLocked(t)
 }
 
 // cleanOrphans removes segment files the manifest (files, as
@@ -762,12 +741,9 @@ func (st *segState) cleanOrphans(files [][]string) {
 
 // --- stats ---
 
-// SegmentTableStatus describes one hot table's segment state.
-// PendingRows counts the rows not yet in a segment (the sealed and active
-// tails, the row set).
-// Dirty and Unordered report the two row-resident fallbacks: rehydrated
-// for a changed row until the next seal, or kept out of segments (key
-// disorder until the next checkpoint, or a shape segments cannot hold).
+// SegmentTableStatus describes one hot table's segment state. Segments
+// counts replacements not yet written, PendingRows the rows in no segment
+// (the sealed and active tails).
 type SegmentTableStatus struct {
 	Table       string `json:"table"`
 	Segments    int    `json:"segments"`
@@ -775,8 +751,6 @@ type SegmentTableStatus struct {
 	Bytes       int64  `json:"bytes"`
 	PendingRows int64  `json:"pending_rows"`
 	Watermark   int64  `json:"watermark"`
-	Dirty       bool   `json:"dirty"`
-	Unordered   bool   `json:"unordered"`
 	LogBytes    int64  `json:"log_bytes,omitempty"` // the tail logs the table's unflushed rows own, buffered records included
 	LogFiles    int    `json:"log_files,omitempty"`
 	LowWater    int64  `json:"low_water,omitempty"` // tail logs numbered below it are gone
@@ -819,8 +793,6 @@ func (db *DB) SegmentStats() SegmentStats {
 			if len(t.segs) > 0 {
 				status.Watermark = t.segs[len(t.segs)-1].maxRowID
 			}
-			status.Dirty = t.resident == residentMutated
-			status.Unordered = !t.sealable()
 		}
 		out.Tables = append(out.Tables, status)
 	}

@@ -33,10 +33,11 @@ type mutation struct {
 	index  IndexSpec
 }
 
-// ErrRefused wraps the error every write returns once a failed write
-// could not be undone: a log holds bytes of a write that did not happen,
-// so the engine takes no more writes, and no checkpoint that would make
-// them durable, until it is reopened.
+// ErrRefused wraps the error every write returns once an fsync failed or
+// a failed write could not be undone: what a file holds on disk is then
+// unknown, or a log holds bytes of a write that did not happen, so the
+// engine takes no more writes, and no checkpoint that would make them
+// durable, until it is reopened.
 var ErrRefused = errors.New("reldb: the engine refuses writes")
 
 var errClosed = errors.New("reldb: engine closed")
@@ -64,8 +65,12 @@ type DB struct {
 	syncWAL bool     // fsync the logs a commit touched
 
 	// Guarded by the engine lock.
-	replaying   bool   // recovery: mutations apply without being logged
-	refused     error  // set by Close, or when a failed write could not be undone: every later write returns it
+	replaying bool // recovery: mutations apply without being logged
+	replayDel struct {
+		table string
+		ids   []int64
+	} // recovery: the run of deletes apply holds back
+	refused     error  // set by Close, a failed fsync, or a failed write that could not be undone: every later write returns it
 	logBytes    int64  // bytes of all live logs at the last Stats call that could flush them
 	flushErrors uint64 // Stats calls that could not
 	logAppended uint64 // bytes ever appended to a log
@@ -105,9 +110,7 @@ func (db *DB) createTableLocked(schema *Schema) error {
 		return err
 	}
 	db.tables[schema.Name] = t
-	if !db.replaying { // recovery decides once a table's rows are in
-		t.columnarLocked()
-	}
+	t.columnarLocked()
 	return nil
 }
 
@@ -115,10 +118,9 @@ func (db *DB) createTableLocked(schema *Schema) error {
 // record; its segment files and tail logs die with it.
 func (db *DB) dropTableLocked(name string) {
 	if t := db.tables[name]; t != nil {
-		for _, s := range t.segs {
-			t.stale = append(t.stale, s.file)
+		for _, s := range t.blocks {
+			db.seg.garbage = append(db.seg.garbage, s.files()...)
 		}
-		t.releaseStaleLocked()
 		t.discardLogsLocked()
 	}
 	delete(db.tables, name)
@@ -202,39 +204,33 @@ func (db *DB) TableNames() []string {
 // one-row transaction. A NULL value in a single-column integer primary key
 // receives an auto-assigned ID.
 func (db *DB) Insert(table string, row Row) (int64, error) {
-	tx := db.Begin()
-	id, err := tx.Insert(table, row)
-	if err == nil {
-		err = tx.Commit()
-	}
+	var id int64
+	err := db.one(func(tx *Tx) (err error) {
+		id, err = tx.Insert(table, row)
+		return err
+	})
 	if err != nil {
-		_ = tx.Rollback() // the transaction is open: it hands its block back
 		return 0, err
 	}
 	return id, nil
 }
 
-// Delete removes the row with the given ID, in place: the one row write
-// that is not a transaction's.
+// Delete removes the row with the given ID: a one-row transaction.
 func (db *DB) Delete(table string, id int64) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	t, exists := db.tables[table]
-	if !exists {
-		return fmt.Errorf("reldb: no table %q", table)
+	return db.one(func(tx *Tx) error { return tx.Delete(table, id) })
+}
+
+// one runs op in a transaction of its own and commits it.
+func (db *DB) one(op func(*Tx) error) error {
+	tx := db.Begin()
+	err := op(tx)
+	if err == nil {
+		err = tx.Commit()
 	}
-	if err := db.writableLocked(); err != nil {
-		return err
-	}
-	old, err := t.deleteLocked(id)
 	if err != nil {
-		return err
+		_ = tx.Rollback() // the transaction is open: it hands its blocks back
 	}
-	if err := db.logLocked(&mutation{op: opDelete, table: table, id: id}); err != nil {
-		_, _ = t.insertAtLocked(id, old)
-		return err
-	}
-	return nil
+	return err
 }
 
 // writableLocked returns the error a write must fail with, if the engine
@@ -335,7 +331,7 @@ func (db *DB) tableStatsLocked() Stats {
 			Indexes:          len(t.active.indexes),
 			Segments:         len(t.segs),
 			SegmentRows:      t.segRows,
-			SegmentBytes:     t.segBytes + t.staleBytes,
+			SegmentBytes:     t.segBytes,
 			SegmentDataBytes: t.segDataBytes,
 		}
 		ts.DataBytes, ts.IndexBytes = t.active.dataBytes, t.active.indexBytes()

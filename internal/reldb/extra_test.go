@@ -221,9 +221,6 @@ func TestIndexScanUnknownIndex(t *testing.T) {
 	if err := tab.IndexScan("nosuch", nil, nil); err == nil {
 		t.Error("unknown index accepted")
 	}
-	if err := tab.IndexRange("nosuch", Null(), Null(), nil); err == nil {
-		t.Error("unknown index accepted by IndexRange")
-	}
 	if err := tab.IndexScan("person_by_name", []Value{Str("a"), Str("b")}, nil); err == nil {
 		t.Error("over-long index prefix accepted")
 	}

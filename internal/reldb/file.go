@@ -15,14 +15,14 @@ import (
 const (
 	snapshotFile = "perftrack.snap"
 	walFile      = "perftrack.wal"
-	// logBufBytes is how many bytes of in-place records a log buffers
+	// logBufBytes is how many bytes of DDL records a log buffers
 	// before it writes them out without waiting for a commit.
 	logBufBytes = 64 << 10
 )
 
 // logFile is one append-only record log: perftrack.wal, or a numbered
 // tail log of one hot table (segments/tail-<table>-<seq>.log), owned by
-// the tail (or row set) whose rows it holds. Records wait in buf until a
+// the tail whose rows it holds. Records wait in buf until a
 // flush writes them. Guarded by the engine lock, except that f may be
 // fsynced outside it.
 type logFile struct {
@@ -82,7 +82,7 @@ func (l *logFile) sync() error {
 		return err
 	}
 	if l.size > l.synced {
-		if err := l.f.Sync(); err != nil {
+		if err := synced(l.f.Sync()); err != nil {
 			return err
 		}
 		l.synced = l.size
@@ -149,9 +149,9 @@ const (
 // attached without inserting a row, then perftrack.wal, then each hot
 // table's tail logs at or above its low-water mark in sequence order (the
 // ones below it are deleted unread: a segment the manifest names holds
-// their rows). An insert a segment already serves is a no-op and an
-// update or delete of a flushed row rehydrates its table exactly as it
-// would at run time (the log is truth).
+// their rows). An insert a segment already serves is a no-op, and a run
+// of deletes — a commit's, of one table — replaces each block it touches
+// once, exactly as the commit did (the log is truth).
 func open(fsys FS, kind, dir string) (_ *DB, err error) {
 	if err := fsys.MkdirAll(filepath.Join(dir, segmentSubdir)); err != nil {
 		return nil, fmt.Errorf("reldb: open %s: %w", dir, err)
@@ -171,9 +171,9 @@ func open(fsys FS, kind, dir string) (_ *DB, err error) {
 	}
 	for _, name := range segmentHotTables {
 		if t := db.tables[name]; t != nil {
-			// Rule 3: the snapshot holds rows of this table, so a delete of
+			// Rule 2: the snapshot holds rows of this table, so a delete of
 			// one lives in the log alone until a checkpoint rewrites it.
-			t.pinLogs = len(t.active.rows) > 0
+			t.pinLogs = t.lenLocked() > t.segRows
 			if err := db.seg.attachLocked(t); err != nil {
 				return nil, err
 			}
@@ -198,8 +198,8 @@ func open(fsys FS, kind, dir string) (_ *DB, err error) {
 	}
 	db.seg.loaded, db.seg.loadedLow = nil, nil
 	for _, name := range segmentHotTables {
-		if t := db.tables[name]; t != nil {
-			t.columnarLocked() // a table replay rehydrated is row-resident again
+		if t := db.tables[name]; t != nil && t.tail != nil {
+			t.orderLocked()
 		}
 	}
 	if db.wal, err = openLog(fsys, db.walPath(), 0, walBytes); err != nil {
@@ -211,9 +211,9 @@ func open(fsys FS, kind, dir string) (_ *DB, err error) {
 		return nil, fmt.Errorf("reldb: open %s: %w", dir, err)
 	}
 	db.replaying = false
-	// Resync the manifest with post-replay state (a replayed DROP TABLE
-	// or rehydration may have retired segments) before orphan cleanup, so
-	// the manifest never references a deleted file.
+	// Resync the manifest with post-replay state (a replayed DROP TABLE or
+	// delete may have retired segments) before orphan cleanup, so the
+	// manifest never references a deleted file.
 	m, garbage := db.seg.manifestLocked()
 	if err := db.seg.writeManifest(m, garbage); err != nil {
 		return nil, err
@@ -229,7 +229,7 @@ func open(fsys FS, kind, dir string) (_ *DB, err error) {
 }
 
 // SetSync controls whether a commit fsyncs the logs it touched (and a
-// DDL statement or delete its log). Synchronous mode is durable against
+// DDL statement its log). Synchronous mode is durable against
 // power loss but much slower — a commit fsyncs each log it touched, up to
 // seven — and it is off by default, matching a DBMS with commit batching.
 func (db *DB) SetSync(sync bool) { db.syncWAL = sync }
@@ -240,25 +240,17 @@ func (db *DB) walPath() string  { return filepath.Join(db.dir, walFile) }
 // isRowOp reports whether the mutation changes a row, not the schema.
 func (m *mutation) isRowOp() bool { return m.op == opInsert || m.op == opUpdate || m.op == opDelete }
 
-// logLocked appends one mutation applied in place — DDL or a delete — to
-// the log its lifetime picks: a row of a hot table to that table's tail
-// log, everything else to perftrack.wal. In the default asynchronous mode
-// the record waits in the log's buffer for the next commit, checkpoint,
-// close or size query to write it (or for the buffer to fill);
-// synchronous mode writes and fsyncs it at once. A record that fails
-// leaves the log as it was. Recovery logs nothing. Called with the engine
-// write lock held.
+// logLocked appends one DDL statement, applied in place, to
+// perftrack.wal. In the default asynchronous mode the record waits in the
+// log's buffer for the next commit, checkpoint, close or size query to
+// write it (or for the buffer to fill); synchronous mode writes and
+// fsyncs it at once. A record that fails leaves the log as it was.
+// Recovery logs nothing. Called with the engine write lock held.
 func (db *DB) logLocked(m *mutation) error {
 	if err := db.writableLocked(); err != nil || db.replaying {
 		return err
 	}
 	l := db.wal
-	if m.isRowOp() && isHotTable(m.table) {
-		var err error
-		if l, err = db.seg.tailLogLocked(db.tables[m.table]); err != nil {
-			return err
-		}
-	}
 	mark := logMark{l, l.size}
 	l.append(encodeMutationPayload(m))
 	var err error
@@ -275,30 +267,64 @@ func (db *DB) logLocked(m *mutation) error {
 }
 
 // rewindLocked undoes what a failed write — err is its failure — appended
-// to the logs, by taking each back to its mark. If that fails too, a log
-// holds bytes of a write that did not happen, and the engine refuses
-// every later write.
+// to the logs, by taking each back to its mark, latest first. If that
+// fails too, a log holds bytes of a write that did not happen, and the
+// engine refuses every later write; so it does after a failed fsync
+// (refuseLocked).
 func (db *DB) rewindLocked(err error, marks []logMark) error {
-	for _, m := range marks {
-		if rerr := m.l.rewind(m.size); rerr != nil {
+	for i := len(marks) - 1; i >= 0; i-- {
+		if rerr := marks[i].l.rewind(marks[i].size); rerr != nil {
 			db.refused = fmt.Errorf("%w: %w (undoing it: %v)", ErrRefused, err, rerr)
 			return db.refused
 		}
 	}
-	return err
+	return db.refuseLocked(err)
+}
+
+// errSync marks a failed fsync. After one, what the file holds on disk is
+// unknown — the kernel may have dropped the pages it could not write, and
+// a retry can report success over them — so the engine takes no more
+// writes until it is reopened and recovery reads what is really there.
+var errSync = errors.New("fsync failed")
+
+// synced marks the error of an fsync with errSync.
+func synced(err error) error {
+	if err != nil {
+		return fmt.Errorf("%w: %w", errSync, err)
+	}
+	return nil
+}
+
+// refuseLocked returns err, after making the engine refuse every later
+// write if err is a failed fsync.
+func (db *DB) refuseLocked(err error) error {
+	if !errors.Is(err, errSync) {
+		return err
+	}
+	if db.refused == nil {
+		db.refused = fmt.Errorf("%w: %w", ErrRefused, err)
+	}
+	return db.refused
+}
+
+// refuse is refuseLocked for a caller without the engine lock.
+func (db *DB) refuse(err error) error {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	return db.refuseLocked(err)
 }
 
 // openLogsLocked returns the logs still taking records in the order a
-// commit flushes them (rule 5): perftrack.wal, then the hot tables'
+// commit flushes them (rule 4): perftrack.wal, then the hot tables'
 // tail logs, parents before children, so that a process killed between
 // two flushes leaves foci and results without their links rather than
 // links without what they name.
 func (db *DB) openLogsLocked() []*logFile {
 	logs := []*logFile{db.wal}
 	for _, name := range logFlushOrder {
-		if t := db.tables[name]; t != nil {
-			if owned := *t.activeLogsLocked(); len(owned) > 0 && !owned[len(owned)-1].finished {
-				logs = append(logs, owned[len(owned)-1])
+		if t := db.tables[name]; t != nil && t.tail != nil {
+			if n := len(t.tail.logs); n > 0 && !t.tail.logs[n-1].finished {
+				logs = append(logs, t.tail.logs[n-1])
 			}
 		}
 	}
@@ -327,11 +353,21 @@ func (db *DB) liveLogsLocked() []*logFile {
 	return logs
 }
 
-// apply reproduces a logged mutation during recovery (no re-logging).
+// apply reproduces a logged mutation during recovery (no re-logging). A
+// delete is held back with the ones after it that delete from the same
+// table — a commit's — and applied with them (applyDeletesLocked).
 func (db *DB) apply(m *mutation) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	if m.op != opDelete || m.table != db.replayDel.table {
+		if err := db.applyDeletesLocked(); err != nil {
+			return err
+		}
+	}
 	switch m.op {
+	case opDelete:
+		db.replayDel.table, db.replayDel.ids = m.table, append(db.replayDel.ids, m.id)
+		return nil
 	case opCreateTable:
 		// A checkpoint that crashed between its snapshot and the truncation
 		// leaves DDL the snapshot already reflects: a table or index that
@@ -370,35 +406,43 @@ func (db *DB) apply(m *mutation) error {
 	if !ok {
 		return fmt.Errorf("reldb: recovery: no table %q", m.table)
 	}
-	ref, exists := t.findIDLocked(m.id)
-	switch m.op {
-	case opInsert, opUpdate:
-		if !exists {
-			// For an update: the snapshot is newer than this record and
-			// the row was later deleted-and-recreated; restoring the image
-			// lets the remaining log replay onto the right state.
-			_, err := t.insertAtLocked(m.id, m.row)
-			return err
-		}
-		// The row was loaded from the snapshot or is served by a segment
-		// (a log outlives a checkpoint's crash window, and one written
-		// before hot tables had tail logs outlives compactions).
-		// Equal images are an idempotent no-op, which keeps a flushed row
-		// flushed; on divergence the log wins.
-		if rowsEqual(ref.clone(), m.row) {
-			return nil
-		}
-		_, err := t.updateLocked(m.id, m.row)
-		return err
-	case opDelete:
-		if !exists {
-			return nil // snapshot already reflects the delete
-		}
-		_, err := t.deleteLocked(m.id)
-		return err
-	default:
+	if m.op != opInsert && m.op != opUpdate {
 		return fmt.Errorf("%w: op %d", ErrCorruptLog, m.op)
 	}
+	ref, exists := t.findIDLocked(m.id)
+	if !exists {
+		// For an update: the snapshot is newer than this record and the row
+		// was later deleted-and-recreated; restoring the image lets the
+		// remaining log replay onto the right state.
+		return t.insertAtLocked(m.id, m.row)
+	}
+	// The row was loaded from the snapshot or is served by a segment (a log
+	// outlives a checkpoint's crash window, and one written before hot
+	// tables had tail logs outlives compactions). Equal images are an
+	// idempotent no-op, which keeps a flushed row flushed; on divergence
+	// the log wins.
+	if rowsEqual(ref.clone(), m.row) {
+		return nil
+	}
+	return t.updateLocked(m.id, m.row)
+}
+
+// applyDeletesLocked applies the run of replayed deletes apply held back,
+// all of one table. A row that is not there was deleted before the
+// snapshot was written.
+func (db *DB) applyDeletesLocked() error {
+	d := &db.replayDel
+	if len(d.ids) == 0 {
+		return nil
+	}
+	t, ok := db.tables[d.table]
+	if !ok {
+		return fmt.Errorf("reldb: recovery: no table %q", d.table)
+	}
+	slices.Sort(d.ids)
+	t.deleteLocked(slices.Compact(d.ids))
+	d.table, d.ids = "", d.ids[:0]
+	return nil
 }
 
 // rowsEqual reports bit-exact row equality (NaN-aware for floats). The
@@ -471,7 +515,7 @@ func (db *DB) loadSnapshot() error {
 			id := p.varint()
 			row, err := decodeRowPayload(p)
 			if err == nil {
-				_, err = t.insertAtLocked(id, row)
+				err = t.insertAtLocked(id, row)
 			}
 			if err != nil {
 				return err
@@ -495,17 +539,22 @@ func (db *DB) replayLog(path string, apply func(*mutation) error) (good int64, e
 		return 0, fmt.Errorf("reldb: open log: %w", err)
 	}
 	defer f.Close()
+	end := func() (int64, error) {
+		db.mu.Lock()
+		defer db.mu.Unlock()
+		return good, db.applyDeletesLocked()
+	}
 	rr := newRecordReader(f)
 	for {
 		payload, err := rr.readRecord()
 		if err == io.EOF {
-			return good, nil
+			return end()
 		}
 		if errors.Is(err, ErrCorruptLog) {
 			if terr := db.fsys.Truncate(path, good); terr != nil {
 				return 0, fmt.Errorf("reldb: truncate torn log: %w", terr)
 			}
-			return good, nil
+			return end()
 		}
 		if err != nil {
 			return 0, err
@@ -528,31 +577,25 @@ func replaceFile(fsys FS, path string, data []byte) error {
 	if err := writeFile(fsys, path, data); err != nil {
 		return err
 	}
-	return fsys.SyncDir(filepath.Dir(path))
+	return synced(fsys.SyncDir(filepath.Dir(path)))
 }
 
 // Checkpoint writes a snapshot atomically, truncates perftrack.wal and
 // deletes every tail log. It first seals and drains every hot table's
-// tail — lifting the row-resident hold on tables rehydrated for disorder
-// — so the snapshot, which is simply every unflushed row, holds none of
-// the rows that fsynced, manifest-listed segments already make durable: the
-// checkpoint costs O(non-hot tables + whatever arrived during it), not a
-// rewrite of the hot tables.
+// tail, so the snapshot, which is simply every unflushed row, holds none
+// of the rows that fsynced, manifest-listed segments already make
+// durable: the checkpoint costs O(non-hot tables + whatever arrived
+// during it), not a rewrite of the hot tables.
 func (db *DB) Checkpoint() error {
 	st := db.seg
 	st.compactMu.Lock()
 	defer st.compactMu.Unlock()
-	db.mu.Lock()
-	if err := db.writableLocked(); err != nil {
-		db.mu.Unlock()
+	db.mu.RLock()
+	err := db.writableLocked()
+	db.mu.RUnlock()
+	if err != nil {
 		return err
 	}
-	for _, name := range segmentHotTables {
-		if t := db.tables[name]; t != nil && t.resident == residentUnordered {
-			t.resident = 0
-		}
-	}
-	db.mu.Unlock()
 	for {
 		if err := st.drain(true); err != nil {
 			return err
@@ -591,20 +634,17 @@ func (db *DB) Checkpoint() error {
 		t.active.walk("", nil, nil, write)
 	}
 	if err := replaceFile(db.fsys, db.snapPath(), snap); err != nil {
-		return fmt.Errorf("reldb: checkpoint: %w", err)
+		return db.refuseLocked(fmt.Errorf("reldb: checkpoint: %w", err))
 	}
 	st.stepped("snapshot")
 	// The manifest must reflect the surviving segments, and put every tail
 	// log below its table's low-water mark, before the logs — their other
-	// source of truth — are discarded. Stale segments go: a table that
-	// still has any was not re-segmented, so the snapshot holds it in
-	// full. A table the snapshot holds rows of (a commit landed after the
-	// drain, or it cannot be sealed) pins its tail logs from here on (rule
-	// 3).
+	// source of truth — are discarded. A table the snapshot holds rows of
+	// (a commit landed after the drain, or it has no blocks) pins its tail
+	// logs from here on (rule 2).
 	for _, name := range segmentHotTables {
 		if t := db.tables[name]; t != nil {
-			t.releaseStaleLocked()
-			t.pinLogs = t.unsealedLocked() > 0
+			t.pinLogs = t.lenLocked() > t.segRows
 		}
 	}
 	m, garbage := st.manifestLocked()
@@ -612,7 +652,7 @@ func (db *DB) Checkpoint() error {
 		m.lowWater[i] = st.logSeq[name]
 	}
 	if err := st.writeManifest(m, garbage); err != nil {
-		return err
+		return db.refuseLocked(err)
 	}
 	st.stepped("checkpoint manifest")
 	// Snapshot and manifest-referenced segments now capture every log's
@@ -621,8 +661,8 @@ func (db *DB) Checkpoint() error {
 	if err := db.wal.f.Truncate(0); err != nil { // opened for appending: the next record lands at offset 0
 		return err
 	}
-	if err := db.wal.f.Sync(); err != nil {
-		return err
+	if err := synced(db.wal.f.Sync()); err != nil {
+		return db.refuseLocked(err)
 	}
 	db.logTrimmed += uint64(db.wal.size) + db.discardLogs(st.retired)
 	db.wal.buf, db.wal.size, db.wal.synced = db.wal.buf[:0], 0, 0

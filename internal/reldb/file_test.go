@@ -14,8 +14,7 @@ func openTestEngine(t *testing.T, dir string) *DB { return openTestEngineOn(t, o
 func replayUpdate(db *DB, table string, id int64, row Row) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	_, err := db.tables[table].updateLocked(id, row)
-	return err
+	return db.tables[table].updateLocked(id, row)
 }
 
 // logRecord appends a record to the engine's logs without applying it:

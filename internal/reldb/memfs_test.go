@@ -179,15 +179,16 @@ var errFault = errors.New("injected fault")
 // write that fails gets half its bytes into the file first.
 type faultFS struct {
 	*memFS
-	mu      sync.Mutex
-	ops     int // counted since armed
-	failAt  int // 0: disarmed
-	tripped bool
+	mu         sync.Mutex
+	ops        int // counted since armed
+	failAt     int // 0: disarmed
+	tripped    bool
+	syncFailed bool // the fault was a file or directory sync's
 }
 
 func (f *faultFS) arm(k int) {
 	f.mu.Lock()
-	f.ops, f.failAt, f.tripped = 0, k, false
+	f.ops, f.failAt, f.tripped, f.syncFailed = 0, k, false, false
 	f.mu.Unlock()
 }
 
@@ -199,7 +200,7 @@ func (f *faultFS) disarm() bool {
 	return f.tripped
 }
 
-func (f *faultFS) trip() bool {
+func (f *faultFS) trip(sync bool) bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.failAt == 0 {
@@ -207,7 +208,7 @@ func (f *faultFS) trip() bool {
 	}
 	f.ops++
 	if f.ops == f.failAt {
-		f.tripped = true
+		f.tripped, f.syncFailed = true, sync
 		return true
 	}
 	return false
@@ -224,7 +225,7 @@ func (f *faultFS) wrap(file File, err error) (File, error) {
 }
 
 func (f *faultFS) SyncDir(dir string) error {
-	if f.trip() {
+	if f.trip(true) {
 		return errFault
 	}
 	return f.memFS.SyncDir(dir)
@@ -236,7 +237,7 @@ type faultFile struct {
 }
 
 func (f *faultFile) Write(p []byte) (int, error) {
-	if f.fs.trip() {
+	if f.fs.trip(false) {
 		n, _ := f.File.Write(p[:len(p)/2])
 		return n, errFault
 	}
@@ -244,7 +245,7 @@ func (f *faultFile) Write(p []byte) (int, error) {
 }
 
 func (f *faultFile) Sync() error {
-	if f.fs.trip() {
+	if f.fs.trip(true) {
 		return errFault
 	}
 	return f.File.Sync()
@@ -254,10 +255,12 @@ func (f *faultFile) Sync() error {
 // metric row in perftrack.wal; results, foci, their links and closure
 // links in six tail logs — with its k-th write or sync failing, for
 // every k up to the first the commit gets through. A failed commit
-// installs nothing and must leave no record in any log; the next commit,
-// on every table, goes through; and both the live engine and a reopen of
-// what a power loss then leaves hold exactly the committed transactions.
-// Synchronous mode: every acknowledged commit is durable.
+// installs nothing and must leave no record in any log. After a failed
+// write the next commit, on every table, goes through; after a failed
+// fsync the engine refuses it, and every write, with ErrRefused. Both the
+// live engine and a reopen of what a power loss then leaves hold exactly
+// the committed transactions. Synchronous mode: every acknowledged commit
+// is durable.
 func TestFaultFSFailedCommitLeavesNoRecord(t *testing.T) {
 	metric := &Schema{
 		Name:       "metric",
@@ -316,7 +319,19 @@ func TestFaultFSFailedCommitLeavesNoRecord(t *testing.T) {
 			txs[0].Rollback()
 			txs[1].Rollback()
 		}
-		commit("the document after", doc(200))
+		if fsys.syncFailed {
+			after := doc(200)
+			if !errors.Is(err, ErrRefused) {
+				t.Fatalf("k=%d: the commit whose fsync failed returned %v, want ErrRefused", k, err)
+			}
+			if err := after[0].Commit(); !errors.Is(err, ErrRefused) {
+				t.Fatalf("k=%d: the commit after a failed fsync returned %v, want ErrRefused", k, err)
+			}
+			after[0].Rollback()
+			after[1].Rollback()
+		} else {
+			commit("the document after", doc(200))
+		}
 		want := ref.dump(tables)
 		if got := dumpDB(db, tables); got != want {
 			t.Fatalf("k=%d (commit error %v): the engine holds\n%s\nwant\n%s", k, err, got, want)

@@ -283,6 +283,156 @@ func TestSegmentReadsMatchMem(t *testing.T) {
 	}
 }
 
+// victims picks rows for one transaction to delete: of some of the hot
+// tables, a row of a segment, of the sealed tail and of the active tail,
+// where the table has them; placed notes which of those it found.
+func (p *hotPair) victims(rng *rand.Rand, placed map[string]bool) map[string][]int64 {
+	p.fe.mu.RLock()
+	defer p.fe.mu.RUnlock()
+	out := make(map[string][]int64)
+	for _, name := range []string{"performance_result", "result_has_focus", "focus_has_resource", "focus", "resource_has_descendant"} {
+		t := p.fe.tables[name]
+		if rng.Intn(2) == 0 {
+			continue
+		}
+		var seg *segment
+		if len(t.segs) > 0 {
+			seg = t.segs[rng.Intn(len(t.segs))]
+		}
+		for _, at := range []struct {
+			where string
+			s     *segment
+		}{{"segment", seg}, {"sealed", t.sealed}, {"tail", t.tail}} {
+			if at.s != nil && at.s.rows > 0 {
+				out[name] = append(out[name], at.s.rowIDs[rng.Intn(at.s.rows)])
+				placed[at.where] = true
+			}
+		}
+	}
+	return out
+}
+
+// crashCheckReads reopens what a power loss would leave of the pair's
+// in-memory filesystem and requires it to read as the model does.
+func (p *hotPair) crashCheckReads(label string) {
+	p.t.Helper()
+	fe, err := open(p.fsys.(*memFS).Crash(), KindMem, p.dir)
+	if err != nil {
+		p.t.Fatalf("%s: reopen after a crash: %v", label, err)
+	}
+	defer fe.Close()
+	for _, schema := range hotSchemas() {
+		got, _ := fe.Table(schema.Name)
+		sameReads(p.t, label+", reopened after a crash: "+schema.Name, got, p.ref.tables[schema.Name])
+	}
+}
+
+// TestTxDeletesMatchModel applies one seeded random history to the engine
+// over an in-memory filesystem, in synchronous mode, and to the model:
+// loads; transactions that delete rows of several tables at once, from
+// segments, sealed tails and active tails; deletes refused or rolled back;
+// inserts below a sealed key, which overlap the runs before them; and
+// compaction passes, which write sealed tails and the replacements
+// deletes made. After every step every read must agree with the model's,
+// and every few steps so must a reopen of what a power loss would leave.
+func TestTxDeletesMatchModel(t *testing.T) {
+	p := newHotPairOn(t, newMemFS(), "db")
+	defer func() { p.fe.Close() }()
+	p.fe.seg.shutdown() // passes run when the history says: sealed tails wait for them
+	p.fe.SetSync(true)
+	p.fe.SetSegmentFlushRows(64)
+	rng := rand.New(rand.NewSource(28))
+	next, placed := 150, map[string]bool{}
+	p.load(0, next)
+	for step := 0; step < 80; step++ {
+		var label string
+		switch rng.Intn(6) {
+		case 0:
+			label = "load"
+			n := 10 + rng.Intn(50)
+			p.load(next, n)
+			next += n
+		case 1, 2:
+			label = "transaction of deletes"
+			victims := p.victims(rng, placed)
+			p.both(label, func(w writer) error {
+				tx := w.begin()
+				for table, ids := range victims {
+					for _, id := range ids {
+						if err := tx.Delete(table, id); err != nil {
+							return err
+						}
+					}
+				}
+				return tx.Commit()
+			})
+		case 3:
+			label = "inserts below a sealed key"
+			link := p.ref.get("focus_has_resource", p.randomID(rng, "focus_has_resource"))
+			link[1] = Int(1000 + int64(step))
+			closure := p.ref.get("resource_has_descendant", p.randomID(rng, "resource_has_descendant"))
+			closure[1] = Int(1<<20 + int64(step))
+			p.both(label, func(w writer) error {
+				tx := w.begin()
+				if _, err := tx.Insert("focus_has_resource", link); err != nil {
+					return err
+				}
+				if _, err := tx.Insert("resource_has_descendant", closure); err != nil {
+					return err
+				}
+				return tx.Commit()
+			})
+		case 4:
+			label = "pass"
+			p.fe.seg.compactMu.Lock()
+			err := p.fe.seg.drain(false)
+			p.fe.seg.compactMu.Unlock()
+			if err != nil {
+				t.Fatal(err)
+			}
+		case 5:
+			label = "refused and rolled-back deletes"
+			gone := p.randomID(rng, "performance_result")
+			if err := p.both("delete of a row twice over", func(w writer) error {
+				tx := w.begin()
+				if err := tx.Delete("performance_result", gone); err != nil {
+					return err
+				}
+				if err := tx.Delete("performance_result", gone); err != nil {
+					return err
+				}
+				return tx.Commit()
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if err := p.both("delete of a deleted row", func(w writer) error { return w.Delete("performance_result", gone) }); err == nil {
+				t.Fatalf("step %d: a second delete of row %d was accepted", step, gone)
+			}
+			kept := p.randomID(rng, "result_has_focus")
+			p.both("rolled-back delete", func(w writer) error {
+				tx := w.begin()
+				if err := tx.Delete("result_has_focus", kept); err != nil {
+					return err
+				}
+				return tx.Rollback()
+			})
+		}
+		p.check(label)
+		if step%8 == 7 {
+			p.crashCheckReads(fmt.Sprintf("step %d (%s)", step, label))
+		}
+	}
+	for _, where := range []string{"segment", "sealed", "tail"} {
+		if !placed[where] {
+			t.Errorf("no transaction deleted a row of a %s", where)
+		}
+	}
+	fhr, _ := p.fe.Table("focus_has_resource")
+	if fhr.tail == nil || len(fhr.active.rows) != 0 {
+		t.Error("focus_has_resource left its blocks")
+	}
+}
+
 // TestCompactorKeepsUpUnderBackToBackCommits: with two writers committing
 // threshold-sized batches back to back (serialized, as the datastore's
 // write lock serializes commits, so a batch is nearly always open) the
@@ -440,7 +590,7 @@ func TestSegmentReopenAttachesWithoutReinserting(t *testing.T) {
 // TestSegmentIndexDDLCoversFlushedRows: an index created on a hot table
 // after its rows were flushed (ensureSchema does this to an old store)
 // serves them, a dropped one is gone everywhere, and a unique index —
-// which segments cannot enforce — moves the table back to the row store.
+// which blocks cannot enforce — is refused.
 func TestSegmentIndexDDLCoversFlushedRows(t *testing.T) {
 	p := newHotPair(t)
 	defer func() { p.fe.Close() }()
@@ -475,17 +625,11 @@ func TestSegmentIndexDDLCoversFlushedRows(t *testing.T) {
 		t.Fatal("dropped index still scans")
 	}
 	p.reopen()
-	p.both("unique index", func(eng writer) error {
-		return eng.CreateIndex("focus_has_resource", IndexSpec{Name: "fhr_pair", Columns: []string{"resource_id", "focus_id"}, Unique: true})
-	})
-	if st := hotStatus(t, p.fe, "focus_has_resource"); !st.Unordered || st.Segments != 0 {
-		t.Fatalf("status after a unique index = %+v, want row-resident", st)
+	if err := p.fe.CreateIndex("focus_has_resource", IndexSpec{Name: "fhr_pair", Columns: []string{"resource_id", "focus_id"}, Unique: true}); err == nil {
+		t.Fatal("a unique index over columnar rows was accepted")
 	}
-	if err := p.both("violate unique index", func(eng writer) error {
-		_, err := eng.Insert("focus_has_resource", Row{Int(1), Int(0)})
-		return err
-	}); err == nil {
-		t.Fatal("duplicate (focus, resource) pair accepted")
+	if st := hotStatus(t, p.fe, "focus_has_resource"); st.Segments == 0 || st.PendingRows != 14 {
+		t.Fatalf("status after a refused unique index = %+v, want the rows where they were", st)
 	}
 	for _, name := range []string{"performance_result", "result_has_focus", "focus_has_resource"} {
 		got, _ := p.fe.Table(name)
@@ -499,8 +643,7 @@ func TestSegmentIndexDDLCoversFlushedRows(t *testing.T) {
 // the model's answer.
 func TestSegmentRecoveryWhenSnapshotAndManifestOverlap(t *testing.T) {
 	// A commit that landed between a checkpoint's drain and its snapshot
-	// had its rows snapshotted; a rehydration and re-seal later put them
-	// in a segment as well, the only segment the manifest then lists.
+	// had its rows snapshotted; a pass later put them in a segment as well.
 	t.Run("tail-snapshotted-then-resegmented", func(t *testing.T) {
 		p := newHotPair(t)
 		defer func() { p.fe.Close() }()
@@ -518,21 +661,20 @@ func TestSegmentRecoveryWhenSnapshotAndManifestOverlap(t *testing.T) {
 		if err := p.fe.CompactSegments(); err != nil {
 			t.Fatal(err)
 		}
-		if st := hotStatus(t, p.fe, "performance_result"); st.Segments != 1 || st.Rows != 259 {
-			t.Fatalf("status after re-segmentation = %+v, want one 259-row segment", st)
+		if st := hotStatus(t, p.fe, "performance_result"); st.Segments != 3 || st.Rows != 259 {
+			t.Fatalf("status after the pass = %+v, want 259 rows in 3 segments", st)
 		}
 		p.fe.Stats() // flushes the logs to their files
 		abandon(p.fe)
 		p.fe = openTestEngine(t, p.dir)
 		p.check("reopened")
 		if st := hotStatus(t, p.fe, "performance_result"); st.Rows != 259 || st.PendingRows != 0 {
-			t.Fatalf("status after recovery = %+v, want the segment to serve all 259 rows", st)
+			t.Fatalf("status after recovery = %+v, want the segments to serve all 259 rows", st)
 		}
 	})
-	// A checkpoint wrote a snapshot holding a rehydrated table in full (a
-	// delete landed between its drain and its snapshot, so it could not
-	// re-segment the table) and crashed before rewriting the manifest,
-	// which still lists the table's pre-rehydration segments.
+	// A checkpoint wrote a snapshot holding a late commit's rows and
+	// crashed before rewriting the manifest, which its drain's pass wrote
+	// (with a replacement a delete made), and before trimming any log.
 	t.Run("checkpoint-crashed-before-manifest", func(t *testing.T) {
 		p := newHotPair(t)
 		defer func() { p.fe.Close() }()
@@ -542,27 +684,30 @@ func TestSegmentRecoveryWhenSnapshotAndManifestOverlap(t *testing.T) {
 			t.Fatal(err)
 		}
 		p.load(200, 10)
+		p.both("delete flushed row", func(eng writer) error { return eng.Delete("performance_result", 7) })
 		before := t.TempDir()
-		p.checkpointWith(func() {
-			p.both("delete flushed row", func(eng writer) error { return eng.Delete("performance_result", 7) })
-			p.fe.Stats() // flushes the logs to their files
-			copyTree(t, p.dir, before)
-		})
-		if counts := countSnapshotRows(t, p.fsys, p.dir+"/"+snapshotFile); counts["performance_result"] != 209 {
-			t.Fatalf("snapshot holds %d performance_result rows, want all 209", counts["performance_result"])
+		late := func() { p.load(210, 30) }
+		p.fe.seg.step = func(step string) {
+			switch {
+			case step == "log removal" && late != nil:
+				late()
+				late = nil
+			case step == "snapshot":
+				copyTree(t, p.dir, before)
+			}
 		}
-		abandon(p.fe)
-		snap, err := os.ReadFile(p.dir + "/" + snapshotFile)
-		if err != nil {
+		if err := p.fe.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
+		p.fe.seg.step = nil
+		if counts := countSnapshotRows(t, p.fsys, before+"/"+snapshotFile); counts["performance_result"] != 30 {
+			t.Fatalf("snapshot holds %d performance_result rows, want the late commit's 30", counts["performance_result"])
+		}
+		abandon(p.fe)
 		if err := os.RemoveAll(p.dir); err != nil {
 			t.Fatal(err)
 		}
-		copyTree(t, before, p.dir) // the old manifest, its segments, every log
-		if err := os.WriteFile(p.dir+"/"+snapshotFile, snap, 0o644); err != nil {
-			t.Fatal(err)
-		}
+		copyTree(t, before, p.dir)
 		p.fe = openTestEngine(t, p.dir)
 		p.check("reopened")
 	})

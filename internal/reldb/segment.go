@@ -84,8 +84,10 @@ type zoneMap struct {
 // permutation built on first use.
 //
 // A segment with a file is immutable and sorted by primary key. One
-// without is a tail: the unflushed rows of a hot table in arrival order,
-// which is row-ID order and, for a document load, primary-key order. A tail only grows, by whole appends under the
+// without is a tail — the unflushed rows of a hot table in arrival order,
+// which is row-ID order and, for a document load, primary-key order — or
+// a replacement: the copy a change to a block leaves in its place, which
+// the next pass writes. A tail only grows, by whole appends under the
 // engine write lock; nothing in it ever moves, so a view of its first n
 // rows stays valid without a lock, and its permutations are extended by
 // the appended run, not rebuilt. Sealing a tail and publishing it as a
@@ -93,8 +95,9 @@ type zoneMap struct {
 type segment struct {
 	ColumnBlock
 	table    string
-	file     string // on-disk path ("" for not-yet-written)
-	sizeOn   int64  // encoded (on-disk) size in bytes
+	file     string   // on-disk path ("" for not-yet-written)
+	replaces []string // unwritten: the files that hold its rows' older image until its own is named
+	sizeOn   int64    // encoded (on-disk) size in bytes: its file's, or those it replaces
 	minRowID int64
 	maxRowID int64
 	minPK    int64 // first primary-key column zone (int PKs only)
@@ -104,10 +107,20 @@ type segment struct {
 	pkAsc bool                 // positions ascend in primary key: always, once written
 	idAsc bool                 // positions ascend in row ID
 	top   int                  // position of the greatest primary key; -1 when empty
+	low   int                  // position of the least primary key; -1 when empty
 	byPK  lazyPerm             // positions by primary key, unless pkAsc
 	byID  lazyPerm             // positions by row ID, unless idAsc
 	perms map[string]*lazyPerm // per secondary index: positions by (index columns, row ID)
 	logs  []*logFile           // tails: the tail logs holding these rows' records, in replay order
+}
+
+// files returns the files that hold the block's rows: its own, or the
+// ones an unwritten replacement replaces.
+func (s *segment) files() []string {
+	if s.file != "" {
+		return []string{s.file}
+	}
+	return s.replaces
 }
 
 // lazyPerm is a permutation of a segment's leading positions, sorted on
@@ -144,31 +157,13 @@ func (s *segment) decodedBytes() int64 {
 	return n
 }
 
-// buildSegment lays (ids, rows) out column-major. The rows must match
-// the table's schema and arrive in primary-key order; ids[i] is the row
-// ID of rows[i]. It reads only what never changes about t.
-func buildSegment(t *Table, ids []int64, rows []Row) (*segment, error) {
-	if len(ids) == 0 || len(ids) != len(rows) {
-		return nil, fmt.Errorf("reldb: buildSegment: bad batch (%d ids, %d rows)", len(ids), len(rows))
-	}
-	seg := &segment{table: t.schema.Name}
-	if err := seg.reset(t.schema, len(ids)); err != nil {
-		return nil, err
-	}
-	for i, row := range rows {
-		seg.appendRow(ids[i], row)
-	}
-	seg.complete(t.pkCols)
-	return seg, nil
-}
-
 // complete fills in what a segment says of rows that are all appended
 // and lie in primary-key order: the zone maps, the row-ID and key ranges,
 // the dictionary form of its string columns.
 func (s *segment) complete(pkCols []int) {
 	s.freeze(pkCols)
 	s.minRowID, s.maxRowID = slices.Min(s.rowIDs), slices.Max(s.rowIDs)
-	s.pkAsc, s.idAsc, s.top = true, slices.IsSorted(s.rowIDs), s.rows-1
+	s.pkAsc, s.idAsc, s.top, s.low = true, slices.IsSorted(s.rowIDs), s.rows-1, 0
 	for ci := range s.cols {
 		if cv := &s.cols[ci]; cv.kind == KindString {
 			cv.buildDict()
@@ -186,20 +181,31 @@ func (s *segment) freeze(pkCols []int) {
 	}
 }
 
-// newTail returns an empty tail for the table's rows. Its row IDs will
-// all exceed the frozen ones, which is where its range starts.
-func (t *Table) newTail() (*segment, error) {
-	s := &segment{table: t.schema.Name, minRowID: math.MaxInt64, maxRowID: t.frozenMaxID,
-		pkAsc: true, idAsc: true, top: -1, perms: make(map[string]*lazyPerm, len(t.active.indexes))}
-	for name := range t.active.indexes {
-		s.perms[name] = new(lazyPerm)
+// newBlock returns an empty block for n rows of the table, whose row IDs
+// will all exceed after: a tail, or a replacement being filled.
+func (t *Table) newBlock(after int64, n int) *segment {
+	s := &segment{table: t.schema.Name, minRowID: math.MaxInt64, maxRowID: after,
+		pkAsc: true, idAsc: true, top: -1, low: -1}
+	_ = s.reset(t.schema, n) // a hot table's column kinds all fit a block
+	return t.withPerms(s)
+}
+
+// withPerms gives a block an unbuilt permutation per secondary index of
+// the table, unless it has them.
+func (t *Table) withPerms(s *segment) *segment {
+	if s.perms == nil {
+		s.perms = make(map[string]*lazyPerm, len(t.active.indexes))
+		for name := range t.active.indexes {
+			s.perms[name] = new(lazyPerm)
+		}
 	}
-	return s, s.reset(t.schema, 0)
+	return s
 }
 
 // appended takes note of the rows just added at positions from and up:
-// their row-ID range, and whether positions still ascend in row ID and in
-// primary key — where they do not, reads go through a permutation.
+// their row-ID range, their least and greatest key, and whether positions
+// still ascend in row ID and in primary key — where they do not, reads go
+// through a permutation.
 func (s *segment) appended(pkCols []int, from int) {
 	for i := from; i < s.rows; i++ {
 		id := s.rowIDs[i]
@@ -211,6 +217,9 @@ func (s *segment) appended(pkCols []int, from int) {
 			s.top = i
 		} else {
 			s.pkAsc = false
+		}
+		if s.low < 0 || cmpRows(&s.ColumnBlock, i, &s.ColumnBlock, s.low, pkCols) < 0 {
+			s.low = i
 		}
 	}
 }
@@ -777,7 +786,7 @@ func decodeSegment(buf []byte) (*segment, error) {
 			return nil, err
 		}
 	}
-	s.pkAsc, s.idAsc, s.top = true, slices.IsSorted(s.rowIDs), s.rows-1
+	s.pkAsc, s.idAsc, s.top, s.low = true, slices.IsSorted(s.rowIDs), s.rows-1, 0
 	return s, nil
 }
 
@@ -807,7 +816,7 @@ func writeFile(fsys FS, path string, data []byte) error {
 	}
 	_, err = f.Write(data)
 	if err == nil {
-		err = f.Sync()
+		err = synced(f.Sync())
 	}
 	if cerr := f.Close(); err == nil {
 		err = cerr

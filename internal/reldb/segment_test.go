@@ -3,9 +3,11 @@ package reldb
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -42,6 +44,24 @@ func resultRow(i int) Row {
 		units = Int(int64(i % 5))
 	}
 	return Row{Null(), Int(int64(i % 7)), Int(int64(i % 13)), Int(1), units, Float(float64(i) * 1.5)}
+}
+
+// buildSegment lays (ids, rows) out column-major. The rows must match
+// the table's schema and arrive in primary-key order; ids[i] is the row
+// ID of rows[i]. It reads only what never changes about t.
+func buildSegment(t *Table, ids []int64, rows []Row) (*segment, error) {
+	if len(ids) == 0 || len(ids) != len(rows) {
+		return nil, fmt.Errorf("reldb: buildSegment: bad batch (%d ids, %d rows)", len(ids), len(rows))
+	}
+	seg := &segment{table: t.schema.Name}
+	if err := seg.reset(t.schema, len(ids)); err != nil {
+		return nil, err
+	}
+	for i, row := range rows {
+		seg.appendRow(ids[i], row)
+	}
+	seg.complete(t.pkCols)
+	return seg, nil
 }
 
 // insertResults commits resultRow(0..n-1) as one transaction.
@@ -356,14 +376,16 @@ func modelResults(t *testing.T, n int) *refModel {
 	return m
 }
 
-// TestSegmentDirtyFallbackAndCheckpointReset: a delete of a flushed row
-// takes the one fallback — the table answers every read as the model
-// does while it is row-resident — and the next seal makes it
-// segment-resident again, without the row.
-func TestSegmentDirtyFallbackAndCheckpointReset(t *testing.T) {
+// TestSegmentDeleteReplacesSegment: a delete of a flushed row replaces
+// the segment holding it — at once, under one commit, with a copy the
+// table reads from while the old file stays named — and the next pass
+// writes the copy and deletes the old file; the table never leaves its
+// segments, and a reopen reads the same.
+func TestSegmentDeleteReplacesSegment(t *testing.T) {
 	dir := t.TempDir()
 	fe := openTestEngine(t, dir)
-	defer fe.Close()
+	defer func() { fe.Close() }()
+	fe.seg.shutdown() // the pass below runs on this goroutine
 	schema := resultSchema()
 	schema.Indexes = []IndexSpec{{Name: "by_exec", Columns: []string{"execution_id"}}}
 	if err := fe.CreateTable(schema); err != nil {
@@ -377,43 +399,45 @@ func TestSegmentDirtyFallbackAndCheckpointReset(t *testing.T) {
 	ref := mem.tables["performance_result"]
 	tab, _ := fe.Table("performance_result")
 	sameReads(t, "flushed", tab, ref)
+	old := tab.segs[0].file
 
 	for _, eng := range []writer{fe, mem} {
 		if err := eng.Delete("performance_result", 5); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if st := hotStatus(t, fe, "performance_result"); !st.Dirty || st.Segments != 0 || st.PendingRows != 999 {
-		t.Fatalf("status after deleting a flushed row = %+v, want dirty and row-resident", st)
+	if st := hotStatus(t, fe, "performance_result"); st.Segments != 1 || st.Rows != 999 || st.PendingRows != 0 {
+		t.Fatalf("status after deleting a flushed row = %+v, want one 999-row segment", st)
 	}
-	sameReads(t, "row-resident after delete", tab, ref)
-
-	// The next commit at or above the threshold re-segments the
-	// whole table from a sorted slate.
-	fe.SetSegmentFlushRows(100)
-	insertResults(t, fe, 1)
-	if _, err := mem.Insert("performance_result", resultRow(0)); err != nil {
+	if s := tab.segs[0]; s.file != "" || !slices.Equal(s.replaces, []string{old}) {
+		t.Fatalf("the segment after the delete is written to %q and replaces %v, want unwritten in place of %s", s.file, s.replaces, old)
+	}
+	sameReads(t, "replaced", tab, ref)
+	if err := fe.CompactSegments(); err != nil {
 		t.Fatal(err)
 	}
-	if err := fe.CompactSegments(); err != nil { // waits for the in-flight pass
-		t.Fatal(err)
+	if s := tab.segs[0]; s.file == "" || s.file == old || len(s.replaces) != 0 || s.rows != 999 {
+		t.Fatalf("the pass left the segment at %q (replacing %v, %d rows)", s.file, s.replaces, s.rows)
 	}
-	if st := hotStatus(t, fe, "performance_result"); st.Dirty || st.Rows != 1000 || st.PendingRows != 0 {
-		t.Fatalf("status after the next seal = %+v, want 1000 segment rows", st)
+	if _, err := os.Stat(old); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("the replaced file is still there: %v", err)
 	}
-	sameReads(t, "re-segmented", tab, ref)
-	if got, ok := tab.Get(5); ok {
-		t.Fatalf("rebuilt segment holds the deleted row: %v", got)
-	}
+	sameReads(t, "written", tab, ref)
+	fe.Close()
+	fe = openTestEngine(t, dir)
+	tab, _ = fe.Table("performance_result")
+	sameReads(t, "reopened", tab, ref)
 }
 
-// TestSegmentUnorderedInsertDisablesScan: an insert below the flushed
-// maximum rehydrates the table and keeps it row-resident — later seals
-// skip it — until a checkpoint, after which it is segment-resident again.
-// Reads equal the model's throughout.
-func TestSegmentUnorderedInsertDisablesScan(t *testing.T) {
-	fe := openTestEngine(t, t.TempDir())
-	defer fe.Close()
+// TestSegmentOverlappingRunsStayColumnar: an insert below the flushed
+// maximum lands in the tail as it does above it, the tail seals into a
+// segment whose keys overlap the one before, and every read — in key
+// order, by index, by block — merges the two runs to the model's answer,
+// before and after a checkpoint and a reopen.
+func TestSegmentOverlappingRunsStayColumnar(t *testing.T) {
+	dir := t.TempDir()
+	fe := openTestEngine(t, dir)
+	defer func() { fe.Close() }()
 	mem := newRefModel()
 	insert := func(id int64) {
 		t.Helper()
@@ -436,28 +460,31 @@ func TestSegmentUnorderedInsertDisablesScan(t *testing.T) {
 	}
 	tab, _ := fe.Table("performance_result")
 	ref := mem.tables["performance_result"]
-	if st := hotStatus(t, fe, "performance_result"); st.Rows != 3 || st.Unordered {
-		t.Fatalf("status after compaction = %+v", st)
-	}
-	// Out-of-order explicit PK breaks the ordered invariant.
-	insert(15)
-	sameReads(t, "after out-of-order insert", tab, ref)
+	insert(15) // below the flushed maximum
+	sameReads(t, "out-of-order key in the tail", tab, ref)
 	insert(40)
 	if err := fe.CompactSegments(); err != nil {
 		t.Fatal(err)
 	}
-	if st := hotStatus(t, fe, "performance_result"); !st.Unordered || st.Segments != 0 || st.PendingRows != 5 {
-		t.Fatalf("status = %+v, want unordered and row-resident across a compaction", st)
+	if st := hotStatus(t, fe, "performance_result"); st.Segments != 2 || st.Rows != 5 || st.PendingRows != 0 {
+		t.Fatalf("status = %+v, want 5 rows in 2 segments", st)
 	}
-	sameReads(t, "row-resident", tab, ref)
-	// Checkpoint heals by re-segmenting from a sorted slate.
+	scan, err := tab.Blocks(0, 100)
+	if err != nil || len(scan.Segments) != 0 {
+		t.Fatalf("block scan over overlapping runs: err %v, %d segment blocks handed out whole, want none", err, len(scan.Segments))
+	}
+	sameReads(t, "overlapping segments", tab, ref)
+	insert(35) // between the runs' maxima: overlaps both
+	insert(50)
+	sameReads(t, "a tail overlapping both", tab, ref)
 	if err := fe.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if st := hotStatus(t, fe, "performance_result"); st.Unordered || st.Rows != 5 || st.PendingRows != 0 {
-		t.Fatalf("status after checkpoint = %+v, want 5 segment rows", st)
-	}
 	sameReads(t, "after checkpoint", tab, ref)
+	fe.Close()
+	fe = openTestEngine(t, dir)
+	tab, _ = fe.Table("performance_result")
+	sameReads(t, "reopened", tab, ref)
 }
 
 func TestTornSegmentRejected(t *testing.T) {
@@ -618,9 +645,9 @@ func TestOpenLegacyStoreDirectories(t *testing.T) {
 					t.Fatalf("row %d = %v, want %v", 61+i, got, want)
 				}
 			}
-			// Replaying the delete over the segment that holds row 50 rehydrated the table.
-			if st := hotStatus(t, fe, "performance_result"); !st.Dirty || st.LogFiles == 0 {
-				t.Fatalf("status after the crash = %+v, want the pinned tail log replayed", st)
+			// Replaying the delete replaced the segment that holds row 50.
+			if st := hotStatus(t, fe, "performance_result"); st.Segments == 0 || st.LogFiles == 0 {
+				t.Fatalf("status after the crash = %+v, want segments and the pinned tail log replayed", st)
 			}
 		})
 	}
@@ -716,4 +743,56 @@ func FuzzSegment(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestSegmentLegacyRowIDsOutOfOrderMerge: a perftrack.wal an older
+// program wrote can hold the insert of a hot row under a row ID below
+// the ones a segment holds. Recovery replays it into the tail, then
+// merges the table's rows into one block that replaces the segment file,
+// so row IDs ascend from block to block again; the next pass writes the
+// block, and every read agrees with the model throughout.
+func TestSegmentLegacyRowIDsOutOfOrderMerge(t *testing.T) {
+	dir := t.TempDir()
+	fe := openTestEngine(t, dir)
+	schema := resultSchema()
+	schema.Indexes = []IndexSpec{{Name: "by_exec", Columns: []string{"execution_id"}}}
+	if err := fe.CreateTable(schema); err != nil {
+		t.Fatal(err)
+	}
+	insertResults(t, fe, 100)
+	mem := modelResults(t, 100)
+	for _, eng := range []writer{fe, mem} {
+		if err := eng.Delete("performance_result", 50); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fe.CompactSegments(); err != nil {
+		t.Fatal(err)
+	}
+	old := resultRow(49)
+	old[0] = Int(50)
+	logRecord(t, fe, &mutation{op: opInsert, table: "performance_result", id: 50, row: old})
+	if err := fe.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ref := mem.tables["performance_result"]
+	ref.rows[50] = old
+	fe = openTestEngine(t, dir)
+	defer func() { fe.Close() }()
+	tab, _ := fe.Table("performance_result")
+	if tab.sealed == nil || len(tab.segs) != 0 || tab.sealed.rows != 100 || len(tab.sealed.replaces) != 1 {
+		t.Fatalf("recovery left %d segments and a sealed block %+v, want one 100-row block replacing the segment", len(tab.segs), tab.sealed)
+	}
+	sameReads(t, "merged", tab, ref)
+	if err := fe.CompactSegments(); err != nil {
+		t.Fatal(err)
+	}
+	if st := hotStatus(t, fe, "performance_result"); st.Segments != 1 || st.Rows != 100 {
+		t.Fatalf("after the pass: %+v, want one 100-row segment", st)
+	}
+	sameReads(t, "written", tab, ref)
+	fe.Close()
+	fe = openTestEngine(t, dir)
+	tab, _ = fe.Table("performance_result")
+	sameReads(t, "reopened", tab, ref)
 }

@@ -13,57 +13,45 @@ import (
 // mediated by the owning DB, which provides locking; Table methods assume
 // the caller holds the appropriate DB lock.
 //
-// Rows live in exactly one place, and every read walks the places in this
-// order: the columnar blocks — the immutable segments (flushed rows), the
-// sealed tail (a frozen former tail the compactor is encoding) and the
-// active tail, an unwritten segment that only grows — and then the row
-// set, a row store under B-trees. Only the hot tables have blocks
-// (compact.go), and while such a table is sealable its unflushed rows are
-// in its tail and its row set is empty; everywhere else, and in a hot
-// table a mutation has rehydrated, the row set is the only place.
-// The ordered invariant makes the walk a concatenation, never a merge:
-// the blocks partition the primary-key space in the order listed, every
-// row-set key exceeds every block key, and row IDs ascend the same way. A
-// mutation that would break it rehydrates the table first.
+// A hot table (compact.go) keeps its rows in columnar blocks: segments
+// (flushed rows, and replacements a pass has yet to write), the sealed
+// tail (waiting for the compactor) and the active tail, an unwritten
+// segment that only grows. Every other table is a row set, a row store
+// under B-trees. A block never changes in place: a delete swaps each
+// block it touches for a copy (replaceLocked), so a reader holding one
+// reads it unchanged. Row IDs ascend from block to block, in the order
+// listed; primary keys need not: blocks whose key ranges overlap — a key
+// that arrived below a flushed one — are merged by reads (keyOrdered),
+// disjoint ones concatenated.
 type Table struct {
 	db     *DB
 	schema *Schema
 	nextID atomic.Int64 // next row ID / auto primary key; a transaction reserves from it under no lock
 	pkCols []int        // column positions of the primary key
 
-	active *rowSet // the row store; also the catalog of the table's indexes
+	active *rowSet // the row store of a table without blocks; every table's catalog of indexes
 
 	// Set only on the hot tables (compact.go).
-	tail         *segment   // the active columnar tail; nil while the table is row-resident
-	sealed       *segment   // nil unless a compaction is in flight
-	segs         []*segment // ascending in primary key and in row ID
-	blocks       []*segment // segs, sealed, tail: the columnar sources in key order
+	tail         *segment   // the active columnar tail; nil for a row set
+	sealed       *segment   // nil unless a tail waits for the compactor
+	segs         []*segment // ascending in row ID
+	blocks       []*segment // segs, sealed, tail: the columnar sources in row-ID order
 	segRows      int64      // rows, encoded bytes and decoded bytes in segs
 	segBytes     int64
 	segDataBytes int64
-	stale        []string  // files of rehydrated-away segments the manifest must keep listing
-	staleBytes   int64     // until the table is re-segmented or snapshotted: they may be the rows' only durable copy
-	frozenMaxID  int64     // highest row ID in segs and sealed
-	frozenMaxKey []byte    // highest encoded primary key there; nil when both are empty
-	resident     residency // why a hot table is row-resident, if it is
 	// pinLogs: the snapshot (or a perftrack.wal from before hot tables had
 	// tail logs) holds rows of this table, so a delete of one is durable in
 	// a tail log alone and no log of the table may be trimmed until a
-	// checkpoint writes a snapshot without them (rule 3).
+	// checkpoint writes a snapshot without them (rule 2).
 	pinLogs bool
+	// reserving counts the open transactions holding row IDs of the table,
+	// which hold back a seal: their rows must not land in a tail after
+	// one with higher IDs.
+	reserving atomic.Int64
 
 	transposers sync.Pool // *transposer: reusable blocks for Blocks/Gather
 	txBlocks    sync.Pool // *txBlock: reusable private blocks for transactions
 }
-
-// residency records the fallback a hot table is in: all of its rows are
-// back in the row set.
-type residency uint8
-
-const (
-	residentMutated   residency = iota + 1 // a columnar row changed; the next seal re-segments
-	residentUnordered                      // an insert arrived below the flushed maximum; row-resident until the next checkpoint
-)
 
 // rowSet is a row store: rows by ID, the primary B-tree and the
 // secondary indexes over them.
@@ -73,7 +61,6 @@ type rowSet struct {
 	indexes   map[string]*tableIndex // secondary indexes by name
 	dataBytes int64                  // approximate stored data volume
 	pkBytes   int64                  // approximate primary B-tree key volume
-	logs      []*logFile             // hot tables: the tail logs holding this set's records, in replay order
 }
 
 type tableIndex struct {
@@ -129,13 +116,13 @@ func (t *Table) installLocked(sealed, tail *segment) {
 
 // addIndex builds a secondary index over every row: a B-tree over the
 // row set, a lazily sorted permutation per block. Blocks cannot enforce
-// uniqueness, so a unique index first makes the table row-resident.
+// uniqueness, so a unique index on a columnar table is refused.
 func (t *Table) addIndex(spec IndexSpec) error {
 	if _, dup := t.active.indexes[spec.Name]; dup {
 		return fmt.Errorf("reldb: table %q: index %q already exists", t.schema.Name, spec.Name)
 	}
-	if spec.Unique && len(t.blocks) > 0 {
-		t.rehydrateLocked(residentUnordered)
+	if spec.Unique && t.tail != nil {
+		return fmt.Errorf("reldb: table %q: unique index %q over columnar rows", t.schema.Name, spec.Name)
 	}
 	var cols []int
 	for _, col := range spec.Columns {
@@ -276,12 +263,20 @@ func (r rowRef) clone() Row {
 	return r.set.rows[r.id].Clone()
 }
 
-// findIDLocked locates the row with the given row ID.
+// findIDLocked locates the row with the given row ID: in the one block
+// whose row-ID range can hold it — or, while recovery has yet to put an
+// older directory's blocks in row-ID order (orderLocked), in any.
 func (t *Table) findIDLocked(id int64) (rowRef, bool) {
 	if n := len(t.blocks); n > 0 && id <= t.blocks[n-1].maxRowID {
 		k := sort.Search(n, func(k int) bool { return t.blocks[k].maxRowID >= id })
-		pos, ok := t.blocks[k].findID(id)
-		return rowRef{id: id, seg: t.blocks[k], pos: pos}, ok
+		if pos, ok := t.blocks[k].findID(id); ok {
+			return rowRef{id: id, seg: t.blocks[k], pos: pos}, true
+		}
+	}
+	for k := 0; t.db.replaying && k < len(t.blocks); k++ {
+		if pos, ok := t.blocks[k].findID(id); ok {
+			return rowRef{id: id, seg: t.blocks[k], pos: pos}, true
+		}
 	}
 	if _, ok := t.active.rows[id]; ok {
 		return rowRef{id: id, set: t.active}, true
@@ -289,56 +284,29 @@ func (t *Table) findIDLocked(id int64) (rowRef, bool) {
 	return rowRef{}, false
 }
 
-// findPKLocked locates the row with the given encoded primary key: the
-// row set first, then the one block that can hold it — the tail for a
-// key above the frozen maximum, else a segment or the sealed tail.
+// findPKLocked locates the row with the given encoded primary key: in the
+// row set, or in whichever block holds it — each block whose key zone
+// covers the key is probed, which is one block unless runs overlap there.
 func (t *Table) findPKLocked(key []byte) (rowRef, bool) {
 	if id, ok := t.active.primary.Get(key); ok {
 		return rowRef{id: id, set: t.active}, true
 	}
-	frozen := t.blocks
-	if t.tail != nil {
-		frozen = frozen[:len(frozen)-1]
-	}
-	aboveFrozen := len(frozen) == 0 || bytes.Compare(key, t.frozenMaxKey) > 0
-	if aboveFrozen && (t.tail == nil || t.tail.rows == 0) {
+	if len(t.blocks) == 0 {
 		return rowRef{}, false
 	}
 	vals, err := DecodeKey(key)
 	if err != nil || len(vals) != len(t.pkCols) {
 		return rowRef{}, false
 	}
-	s := t.tail
-	if !aboveFrozen {
-		k := sort.Search(len(frozen), func(k int) bool { return frozen[k].cmpTuple(t.pkCols, frozen[k].top, vals) >= 0 })
-		if k == len(frozen) {
-			return rowRef{}, false
+	for _, s := range t.blocks {
+		if s.zoneExcludes(t.pkCols[0], vals[0]) {
+			continue
 		}
-		s = frozen[k]
-	}
-	pos, ok := s.findPK(t.pkCols, vals)
-	if !ok {
-		return rowRef{}, false
-	}
-	return rowRef{id: s.rowIDs[pos], seg: s, pos: pos}, true
-}
-
-// admitLocked runs the two checks on a new row that span the whole
-// table: its primary key pk is unused, and neither its row ID nor its key
-// falls inside the frozen range — which would break the ordered
-// invariant, so the table rehydrates first.
-func (t *Table) admitLocked(id int64, pk []byte, row Row) error {
-	if _, exists := t.findPKLocked(pk); exists {
-		return fmt.Errorf("reldb: table %q: duplicate primary key %s", t.schema.Name, row)
-	}
-	if t.frozenMaxKey != nil {
-		if id <= t.frozenMaxID {
-			t.rehydrateLocked(residentMutated)
-		} else if bytes.Compare(pk, t.frozenMaxKey) < 0 {
-			t.rehydrateLocked(residentUnordered)
+		if pos, ok := s.findPK(t.pkCols, vals); ok {
+			return rowRef{id: s.rowIDs[pos], seg: s, pos: pos}, true
 		}
 	}
-	return nil
+	return rowRef{}, false
 }
 
 // autoKey reports whether the table assigns row's primary key: a single
@@ -364,26 +332,26 @@ func (t *Table) reserveID(row Row) int64 {
 }
 
 // insertAtLocked stores a row under a specific row ID: recovery loading
-// a snapshot or replaying a log, and a failed delete put back.
-func (t *Table) insertAtLocked(id int64, row Row) (Row, error) {
+// a snapshot or replaying a log.
+func (t *Table) insertAtLocked(id int64, row Row) error {
 	if _, exists := t.findIDLocked(id); exists {
-		return nil, fmt.Errorf("reldb: table %q: row %d already present", t.schema.Name, id)
+		return fmt.Errorf("reldb: table %q: row %d already present", t.schema.Name, id)
 	}
 	row = row.Clone()
 	if err := t.schema.CheckRow(row); err != nil {
-		return nil, err
+		return err
 	}
 	pk := t.pkKey(row)
-	if err := t.admitLocked(id, pk, row); err != nil {
-		return nil, err
+	if _, exists := t.findPKLocked(pk); exists {
+		return fmt.Errorf("reldb: table %q: duplicate primary key %s", t.schema.Name, row)
 	}
 	if t.tail != nil {
 		t.tail.tailAppendRow(t.pkCols, id, row)
 	} else if err := t.active.insert(id, row, pk); err != nil {
-		return nil, err
+		return err
 	}
 	t.advanceID(id + 1)
-	return row, nil
+	return nil
 }
 
 // advanceID moves the row-ID counter up to next, if it is below.
@@ -392,128 +360,116 @@ func (t *Table) advanceID(next int64) {
 	}
 }
 
-// mutableLocked returns the stored row with the given ID, rehydrating
-// the table first when the row is in a block: columns take no update and
-// no delete.
-func (t *Table) mutableLocked(id int64) (Row, error) {
-	ref, ok := t.findIDLocked(id)
-	if !ok {
-		return nil, fmt.Errorf("reldb: table %q: no row %d", t.schema.Name, id)
+// deleteLocked removes the rows with the given IDs, skipping any the
+// table does not hold: from the row set in place, from the blocks by
+// replacing each block they touch once.
+func (t *Table) deleteLocked(ids []int64) {
+	if t.tail == nil {
+		for _, id := range ids {
+			if row, ok := t.active.rows[id]; ok {
+				t.active.remove(id, row, t.pkKey(row))
+			}
+		}
+		return
 	}
-	if ref.seg != nil {
-		t.rehydrateLocked(residentMutated)
+	edits := make(map[*segment]map[int]Row)
+	for _, id := range ids {
+		if ref, ok := t.findIDLocked(id); ok {
+			if edits[ref.seg] == nil {
+				edits[ref.seg] = make(map[int]Row)
+			}
+			edits[ref.seg][ref.pos] = nil
+		}
 	}
-	return t.active.rows[id], nil
-}
-
-func (t *Table) deleteLocked(id int64) (Row, error) {
-	row, err := t.mutableLocked(id)
-	if err != nil {
-		return nil, err
+	for s, e := range edits {
+		t.replaceLocked(s, e)
 	}
-	t.active.remove(id, row, t.pkKey(row))
-	return row, nil
 }
 
 // updateLocked replaces a row: recovery replaying an update record,
 // which a directory written before the engine stopped taking updates can
 // hold. Like every replayed record it is truth: no foreign key is
 // probed.
-func (t *Table) updateLocked(id int64, row Row) (Row, error) {
-	old, err := t.mutableLocked(id)
-	if err != nil {
-		return nil, err
+func (t *Table) updateLocked(id int64, row Row) error {
+	ref, ok := t.findIDLocked(id)
+	if !ok {
+		return fmt.Errorf("reldb: table %q: no row %d", t.schema.Name, id)
 	}
 	row = row.Clone()
 	if err := t.schema.CheckRow(row); err != nil {
-		return nil, err
+		return err
 	}
-	newPK, oldPK := t.pkKey(row), t.pkKey(old)
-	if !bytes.Equal(newPK, oldPK) {
-		if _, exists := t.findPKLocked(newPK); exists {
-			return nil, fmt.Errorf("reldb: table %q: duplicate primary key %s", t.schema.Name, row)
-		}
-		if t.frozenMaxKey != nil && bytes.Compare(newPK, t.frozenMaxKey) < 0 {
-			t.rehydrateLocked(residentUnordered)
-		}
+	pk := t.pkKey(row)
+	if other, exists := t.findPKLocked(pk); exists && other.id != id {
+		return fmt.Errorf("reldb: table %q: duplicate primary key %s", t.schema.Name, row)
 	}
+	if ref.seg != nil {
+		t.replaceLocked(ref.seg, map[int]Row{ref.pos: row})
+		return nil
+	}
+	old := t.active.rows[id]
+	oldPK := t.pkKey(old)
 	t.active.remove(id, old, oldPK)
-	if err := t.active.insert(id, row, newPK); err != nil {
+	if err := t.active.insert(id, row, pk); err != nil {
 		_ = t.active.insert(id, old, oldPK) // puts back exactly what was just removed
-		return nil, err
+		return err
 	}
-	return old, nil
+	return nil
 }
 
-// rehydrateLocked folds the blocks back into one row set — the single
-// fallback for a mutation columns cannot absorb (an update or delete of a
-// row in a block, a row ID or key inside the frozen range, a unique
-// index). It builds a fresh set and leaves the blocks untouched, so an
-// in-flight compaction (which will find its sealed tail gone and discard
-// its work) and an open BlockScan keep reading a consistent image. The
-// segment files stay in the manifest as stale: since the last checkpoint
-// truncated the WAL they may be the only durable copy of their rows, and
-// recovery, replaying the same mutation over them, rehydrates the same
-// way.
-func (t *Table) rehydrateLocked(why residency) {
-	fresh := t.newRowSet()
-	t.ascendLocked(nil, func(id int64, row Row) bool {
-		// Keys arrive ascending and unique, and a table with blocks has no
-		// unique index, so the insert cannot fail.
-		_ = fresh.insert(id, row, t.pkKey(row))
-		return true
-	})
-	for _, s := range t.segs {
-		t.stale, t.staleBytes = append(t.stale, s.file), t.staleBytes+s.sizeOn
+// replaceLocked swaps block s for a copy without the row at each position
+// edits maps to nil and with the mapped image at each other one it names.
+// A tail's copy is that tail, logs and all; a segment's is an unwritten
+// segment in its place, which the next pass writes and its manifest names
+// instead of the files it replaces. An emptied copy leaves the table: its
+// files and logs go once the next manifest is durable.
+func (t *Table) replaceLocked(s *segment, edits map[int]Row) {
+	c := t.newBlock(0, s.rows)
+	c.logs, c.replaces, c.sizeOn = s.logs, s.files(), s.sizeOn
+	for i := 0; i < s.rows; i++ {
+		if img, edited := edits[i]; !edited {
+			c.appendFrom(&s.ColumnBlock, i)
+		} else if img != nil {
+			c.appendRow(s.rowIDs[i], img)
+		}
 	}
-	// Rule 2: the fresh set inherits the logs of the tails it folds — their
-	// rows are in no segment yet, and the mutation that caused this is about
-	// to be logged behind them.
-	fresh.logs = t.logsLocked()
-	t.segs, t.segRows, t.segBytes, t.segDataBytes = nil, 0, 0, 0
-	t.active = fresh
-	t.installLocked(nil, nil)
-	t.frozenMaxID, t.frozenMaxKey = 0, nil
-	t.resident = why
-}
-
-// logOwnersLocked returns the tail-log lists of everything that owns
-// tail logs, in replay order: the sealed tail, the active one, the row
-// set.
-func (t *Table) logOwnersLocked() []*[]*logFile {
-	owners := make([]*[]*logFile, 0, 3)
-	for _, s := range t.tailsLocked() {
-		owners = append(owners, &s.logs)
+	c.appended(t.pkCols, 0)
+	if c.rows == 0 {
+		c.maxRowID = s.maxRowID // an empty tail still bounds the row IDs before it
 	}
-	return append(owners, &t.active.logs)
+	if s == t.tail {
+		c.finish()
+		t.installLocked(t.sealed, c)
+		return
+	}
+	c.freeze(t.pkCols)
+	if st := t.db.seg; c.rows == 0 {
+		st.garbage, st.retired = append(st.garbage, c.replaces...), append(st.retired, c.logs...)
+		c = nil
+	}
+	if s == t.sealed {
+		t.installLocked(c, t.tail)
+		return
+	}
+	k := slices.Index(t.segs, s)
+	t.segDelta(s, -1)
+	if c == nil {
+		t.segs = slices.Delete(t.segs, k, k+1)
+	} else {
+		t.segs[k] = c
+		t.segDelta(c, 1)
+	}
+	t.installLocked(t.sealed, t.tail)
 }
 
 // logsLocked returns the tail logs the table's unflushed rows own, in
-// replay order.
+// replay order: the sealed tail's, then the active one's.
 func (t *Table) logsLocked() []*logFile {
 	var logs []*logFile
-	for _, owned := range t.logOwnersLocked() {
-		logs = append(logs, *owned...)
+	for _, s := range t.tailsLocked() {
+		logs = append(logs, s.logs...)
 	}
 	return logs
-}
-
-// activeLogsLocked returns the tail-log list of whichever holds the
-// table's next row.
-func (t *Table) activeLogsLocked() *[]*logFile {
-	if t.tail != nil {
-		return &t.tail.logs
-	}
-	return &t.active.logs
-}
-
-// unsealedLocked counts the rows of the active tail, whichever form it
-// has.
-func (t *Table) unsealedLocked() int64 {
-	if t.tail != nil {
-		return int64(t.tail.rows)
-	}
-	return int64(len(t.active.rows))
 }
 
 // lenLocked counts the table's rows wherever they live.
@@ -565,23 +521,33 @@ func prefixRange(prefix []Value) (lo, hi []byte) {
 }
 
 // ascendLocked visits the rows whose leading primary-key columns equal
-// prefix (every row when it is empty) in primary-key order: the blocks,
-// binary-searched, then the row set. A row built from a block is the
+// prefix (every row when it is empty) in primary-key order: the stretch
+// of each block whose key zone admits the prefix, binary-searched and
+// taken run by run — or the row set. A row built from a block is the
 // visitor's to keep; a stored row must not be mutated.
 func (t *Table) ascendLocked(prefix []Value, fn func(id int64, row Row) bool) {
-	k := 0
-	if len(prefix) > 0 {
-		k = sort.Search(len(t.blocks), func(k int) bool {
-			s := t.blocks[k]
-			return s.rows == 0 || s.cmpTuple(t.pkCols, s.top, prefix) >= 0
-		})
-	}
-	for ; k < len(t.blocks); k++ {
-		s := t.blocks[k]
+	var spans []span
+	for _, s := range t.blocks {
+		if s.rows == 0 || len(prefix) > 0 && s.zoneExcludes(t.pkCols[0], prefix[0]) {
+			continue
+		}
 		perm := s.pkPerm(t.pkCols)
-		to := s.bound(perm, t.pkCols, prefix, true)
-		if !s.eachRow(perm, s.bound(perm, t.pkCols, prefix, false), to, fn) || to < s.rows {
-			return // stopped, or past the prefix: every later key is larger still
+		spans = append(spans, span{s, &s.ColumnBlock, perm,
+			s.bound(perm, t.pkCols, prefix, false), s.bound(perm, t.pkCols, prefix, true)})
+	}
+	if len(spans) == 1 { // a point prefix, nearly always
+		spans[0].b.eachRow(spans[0].perm, spans[0].from, spans[0].to, fn)
+		return
+	}
+	for _, run := range keyOrdered(spans, t.pkCols) {
+		more := false
+		if sp := run[0]; len(run) == 1 {
+			more = sp.b.eachRow(sp.perm, sp.from, sp.to, fn)
+		} else {
+			more = mergeRun(run, t.pkCols, func(b *ColumnBlock, i int) bool { return fn(b.rowIDs[i], b.row(i)) })
+		}
+		if !more {
+			return
 		}
 	}
 	lo, hi := prefixRange(prefix)
@@ -626,43 +592,6 @@ func (t *Table) PKScan(prefix []Value, fn func(id int64, row Row) bool) error {
 	return nil
 }
 
-// indexVisitLocked visits the entries of one secondary index with
-// encoded key in [lo, hi): span gives each block's matching stretch of
-// its sorted permutation, the row set walks its B-tree. Row IDs ascend
-// from source to source, so when every match shares one index value
-// (concat) the sources' runs concatenate into global (value, row ID)
-// order; otherwise the matches are gathered and sorted by key.
-func (t *Table) indexVisitLocked(ix *tableIndex, lo, hi []byte, concat bool,
-	span func(*segment) (perm []int32, from, to int), fn func(id int64, row Row) bool) {
-	type hit struct {
-		key []byte
-		id  int64
-		row Row
-	}
-	var hits []hit
-	visit := fn
-	if !concat && len(t.blocks)+min(len(t.active.rows), 1) > 1 {
-		visit = func(id int64, row Row) bool {
-			hits = append(hits, hit{ix.key(row, id), id, row})
-			return true
-		}
-	}
-	for _, s := range t.blocks {
-		if perm, from, to := span(s); !s.eachRow(perm, from, to, visit) {
-			return
-		}
-	}
-	if !t.active.walk(ix.spec.Name, lo, hi, visit) {
-		return
-	}
-	sort.Slice(hits, func(a, b int) bool { return bytes.Compare(hits[a].key, hits[b].key) < 0 })
-	for _, h := range hits {
-		if !fn(h.id, h.row) {
-			return
-		}
-	}
-}
-
 // equalSpan returns the stretch of a block's permutation for index ix
 // whose entries start with prefix. A block whose zone map excludes the
 // leading value is skipped before its permutation is ever built.
@@ -675,12 +604,39 @@ func (s *segment) equalSpan(ix *tableIndex, prefix []Value) (perm []int32, from,
 }
 
 // indexScanLocked visits rows whose index-key prefix equals the given
-// values, in index order.
+// values, in index order: each block's stretch of its sorted permutation,
+// or the row set's B-tree. Row IDs ascend from block to block, so for a
+// whole key the stretches concatenate into (key, row ID) order; for a
+// shorter prefix the matches are gathered and sorted by key.
 func (t *Table) indexScanLocked(ix *tableIndex, prefix []Value, fn func(id int64, row Row) bool) {
+	type hit struct {
+		key []byte
+		id  int64
+		row Row
+	}
+	var hits []hit
+	visit := fn
+	if len(prefix) < len(ix.cols) && len(t.blocks) > 1 {
+		visit = func(id int64, row Row) bool {
+			hits = append(hits, hit{ix.key(row, id), id, row})
+			return true
+		}
+	}
+	for _, s := range t.blocks {
+		if perm, from, to := s.equalSpan(ix, prefix); !s.eachRow(perm, from, to, visit) {
+			return
+		}
+	}
 	lo, hi := prefixRange(prefix)
-	t.indexVisitLocked(ix, lo, hi, len(prefix) == len(ix.cols), func(s *segment) ([]int32, int, int) {
-		return s.equalSpan(ix, prefix)
-	}, fn)
+	if !t.active.walk(ix.spec.Name, lo, hi, visit) {
+		return
+	}
+	sort.Slice(hits, func(a, b int) bool { return bytes.Compare(hits[a].key, hits[b].key) < 0 })
+	for _, h := range hits {
+		if !fn(h.id, h.row) {
+			return
+		}
+	}
 }
 
 // indexLocked checks an index scan's arguments.
@@ -737,69 +693,10 @@ func (t *Table) IndexScan(index string, prefix []Value, fn func(id int64, row Ro
 	return nil
 }
 
-// IndexRange visits rows whose single-column index value v satisfies
-// lo <= v < hi (NULL bounds mean unbounded).
-func (t *Table) IndexRange(index string, lo, hi Value, fn func(id int64, row Row) bool) error {
-	t.db.mu.RLock()
-	defer t.db.mu.RUnlock()
-	ix, err := t.indexLocked(index, nil)
-	if err != nil {
-		return err
-	}
-	var loKey, hiKey []byte
-	if !lo.IsNull() {
-		loKey = EncodeKey(nil, lo)
-	}
-	if !hi.IsNull() {
-		hiKey = EncodeKey(nil, hi)
-	}
-	t.indexVisitLocked(ix, loKey, hiKey, false, func(s *segment) ([]int32, int, int) {
-		perm := s.indexPerm(ix)
-		from, to := 0, s.rows
-		if !lo.IsNull() {
-			from = s.bound(perm, ix.cols[:1], []Value{lo}, false)
-		}
-		if !hi.IsNull() {
-			to = s.bound(perm, ix.cols[:1], []Value{hi}, false)
-		}
-		return perm, from, max(from, to)
-	}, fn)
-	return nil
-}
-
 // HasIndex reports whether the table has an index with the given name.
 func (t *Table) HasIndex(name string) bool {
 	t.db.mu.RLock()
 	defer t.db.mu.RUnlock()
 	_, ok := t.active.indexes[name]
 	return ok
-}
-
-// IndexOnColumns returns the name of an index whose leading columns equal
-// cols, preferring unique indexes, or "" if none exists.
-func (t *Table) IndexOnColumns(cols ...string) string {
-	t.db.mu.RLock()
-	defer t.db.mu.RUnlock()
-	indexes := t.active.indexes
-	best := ""
-	for name, ix := range indexes {
-		if len(ix.spec.Columns) < len(cols) {
-			continue
-		}
-		match := true
-		for i, c := range cols {
-			if ix.spec.Columns[i] != c {
-				match = false
-				break
-			}
-		}
-		if !match {
-			continue
-		}
-		if best == "" || (ix.spec.Unique && !indexes[best].spec.Unique) ||
-			(ix.spec.Unique == indexes[best].spec.Unique && name < best) {
-			best = name
-		}
-	}
-	return best
 }

@@ -284,37 +284,6 @@ func TestIndexScanEmptyPrefixVisitsAll(t *testing.T) {
 	}
 }
 
-func TestIndexRange(t *testing.T) {
-	db := newTestMem(t)
-	schema := &Schema{
-		Name: "m",
-		Columns: []Column{
-			{Name: "id", Type: KindInt},
-			{Name: "v", Type: KindFloat},
-		},
-		PrimaryKey: []string{"id"},
-		Indexes:    []IndexSpec{{Name: "m_by_v", Columns: []string{"v"}}},
-	}
-	mustCreate(t, db, schema)
-	for i := 0; i < 100; i++ {
-		db.Insert("m", Row{Int(int64(i)), Float(float64(i) / 10)})
-	}
-	tab, _ := db.Table("m")
-	count := 0
-	if err := tab.IndexRange("m_by_v", Float(2.0), Float(5.0), func(_ int64, r Row) bool {
-		if v := r[1].Float64(); v < 2.0 || v >= 5.0 {
-			t.Errorf("value %v outside range", v)
-		}
-		count++
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if count != 30 {
-		t.Errorf("range visited %d, want 30", count)
-	}
-}
-
 func TestUniqueIndexViolation(t *testing.T) {
 	db := newTestMem(t)
 	schema := &Schema{
@@ -386,18 +355,6 @@ func TestCreateIndexBackfills(t *testing.T) {
 	}
 	if count != 7 {
 		t.Errorf("backfilled index found %d, want 7", count)
-	}
-}
-
-func TestIndexOnColumns(t *testing.T) {
-	db := newTestMem(t)
-	mustCreate(t, db, personSchema())
-	tab, _ := db.Table("person")
-	if got := tab.IndexOnColumns("name"); got != "person_by_name" {
-		t.Errorf("IndexOnColumns(name) = %q", got)
-	}
-	if got := tab.IndexOnColumns("age"); got != "" {
-		t.Errorf("IndexOnColumns(age) = %q, want none", got)
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 	"testing"
 )
 
-// Tests of the columnar tail: the engine's sealable hot table keeps
+// Tests of the columnar tail: a hot table keeps
 // its unflushed rows as an unwritten segment, and a transaction's rows for
 // it stay private to the transaction until Commit appends them under one
 // hold of the engine write lock.
@@ -412,7 +412,7 @@ func TestSegmentTailOutOfOrderKeys(t *testing.T) {
 	if err := p.fe.CompactSegments(); err != nil {
 		t.Fatal(err)
 	}
-	if st := hotStatus(t, p.fe, "result_has_focus"); st.Segments != 1 || st.Rows != 1200 || st.Unordered || st.Dirty {
+	if st := hotStatus(t, p.fe, "result_has_focus"); st.Segments != 1 || st.Rows != 1200 {
 		t.Fatalf("result_has_focus after compaction = %+v, want one 1200-row segment", st)
 	}
 	p.check("compacted")
@@ -421,12 +421,12 @@ func TestSegmentTailOutOfOrderKeys(t *testing.T) {
 }
 
 // TestSegmentTxFallbacks drives a transaction's private blocks down every
-// path but the append to a columnar tail, on the engine and in the
-// model, which must agree afterwards: a table rehydrated between a block's
-// first row and its commit (the block goes into the row set), a block
-// whose keys lie below the flushed maximum, and one whose row IDs were
-// reserved before rows that have since been flushed (the table is
-// rehydrated first).
+// path but the append to a columnar tail past every key, on the engine
+// and in the model, which must agree afterwards: a block committed after
+// a delete replaced blocks of its table, a block whose keys lie below the
+// flushed maximum (a run that overlaps the segments), and one whose row
+// IDs were reserved before later rows were committed (the tail holding
+// those is not sealed while the transaction is open).
 func TestSegmentTxFallbacks(t *testing.T) {
 	for _, commit := range []bool{true, false} {
 		p := newHotPair(t)
@@ -444,7 +444,7 @@ func TestSegmentTxFallbacks(t *testing.T) {
 		}
 		p.load(90, 30)
 
-		p.both("table rehydrated under a block", func(eng writer) error {
+		p.both("blocks replaced under a block", func(eng writer) error {
 			tx := eng.begin()
 			if err := loadResults(tx, 150, 20); err != nil {
 				return err
@@ -452,9 +452,12 @@ func TestSegmentTxFallbacks(t *testing.T) {
 			if err := eng.Delete("focus_has_resource", 5); err != nil { // a flushed row
 				return err
 			}
+			if err := eng.Delete("focus_has_resource", 70); err != nil { // a tail row
+				return err
+			}
 			return end(tx)
 		})
-		p.check(label("table rehydrated under a block"))
+		p.check(label("blocks replaced under a block"))
 		if err := p.fe.CompactSegments(); err != nil {
 			t.Fatal(err)
 		}
@@ -469,12 +472,12 @@ func TestSegmentTxFallbacks(t *testing.T) {
 			return end(tx)
 		})
 		p.check(label("keys below the flushed maximum"))
-		if st := hotStatus(t, p.fe, "focus_has_resource"); commit && !st.Unordered {
-			t.Fatalf("focus_has_resource after keys below its flushed maximum = %+v, want it row-resident", st)
+		if fhr, _ := p.fe.Table("focus_has_resource"); fhr.tail == nil || len(fhr.active.rows) != 0 {
+			t.Fatal("focus_has_resource left its blocks for keys below its flushed maximum")
 		}
 
 		var early txWriter
-		p.both("row IDs reserved before rows since flushed", func(eng writer) error {
+		p.both("row IDs reserved before later rows", func(eng writer) error {
 			tx := eng.begin()
 			if eng == writer(p.fe) {
 				early = tx
@@ -487,7 +490,7 @@ func TestSegmentTxFallbacks(t *testing.T) {
 				}
 			}
 			if eng == writer(p.fe) {
-				return nil // committed below, after later rows were flushed
+				return nil // committed below, after later rows and a compaction
 			}
 			return end(tx)
 		})
@@ -501,10 +504,13 @@ func TestSegmentTxFallbacks(t *testing.T) {
 		if err := p.fe.CompactSegments(); err != nil {
 			t.Fatal(err)
 		}
+		if st := hotStatus(t, p.fe, "performance_result"); st.PendingRows < 10 {
+			t.Fatalf("performance_result = %+v: its tail was sealed under an open transaction's row IDs", st)
+		}
 		if err := end(early); err != nil {
 			t.Fatal(err)
 		}
-		p.check(label("row IDs reserved before rows since flushed"))
+		p.check(label("row IDs reserved before later rows"))
 		p.reopen()
 		p.check(label("reopened"))
 		p.fe.Close()

@@ -58,13 +58,13 @@ func (p *hotPair) crashCheck(label string, tables []string, states []string) {
 // make deleting a log safe loses or resurrects a row at some step: the
 // barrier (rule 1, checked directly too: once a manifest has named a
 // pass's segments, no log that outlives the pass holds bytes no fsync
-// covers — also when a sealed set was rehydrated mid-pass and handed its
-// logs on), the hand-off at rehydration (rule 2: a pass after a committed
-// delete rehydrated focus_has_resource) and the pin (rule 3: a commit that
-// lands between a checkpoint's drain and its snapshot, then a delete of a
-// row the snapshot holds, then a re-seal). The background compactor is
-// stopped and the passes are run by the script, so every step fires on
-// this goroutine.
+// covers), the pin (rule 2: a commit that lands between a checkpoint's
+// drain and its snapshot, then a delete of a row the snapshot holds, then
+// a re-seal), and a pass writing the replacement a delete made before it
+// retires the log holding the delete. Deletes of flushed, sealed and tail
+// rows and an insert below the flushed maximum are part of it. The
+// background compactor is stopped and the passes are run by the script,
+// so every step fires on this goroutine.
 func TestSegmentTailLogCrashSweep(t *testing.T) {
 	p := newHotPairOn(t, newMemFS(), "db")
 	defer func() { p.fe.Close() }()
@@ -200,28 +200,22 @@ func TestSegmentTailLogCrashSweep(t *testing.T) {
 	})
 	pass()
 
-	// Rule 2. performance_result is sealed and waits for a pass;
-	// focus_has_resource has flushed rows and an unflushed tail, which a
-	// committed delete of a flushed row folds into a row set: no commit
-	// re-seals it before the pass writes its manifest.
-	load(30)
-	if !sealed("performance_result") || hotStatus(t, p.fe, "focus_has_resource").LogFiles == 0 {
-		t.Fatalf("set-up: performance_result sealed = %v, focus_has_resource = %+v",
-			sealed("performance_result"), hotStatus(t, p.fe, "focus_has_resource"))
+	// Deletes. A delete of a flushed row of focus_has_resource replaces its
+	// segment, and its record goes to the tail log of the tail the next
+	// load seals: the pass that retires that log must write the
+	// replacement, and a manifest name it, first.
+	write("delete of a flushed row", func(eng writer) error { return eng.Delete("focus_has_resource", 5) })
+	if st := hotStatus(t, p.fe, "focus_has_resource"); st.Segments == 0 || st.PendingRows == 0 {
+		t.Fatalf("focus_has_resource after the delete = %+v, want its segments and a tail", st)
 	}
-	write("pass after a delete rehydrated focus_has_resource", func(eng writer) error {
-		return eng.Delete("focus_has_resource", 5)
-	})
-	if st := hotStatus(t, p.fe, "focus_has_resource"); !st.Dirty {
-		t.Fatalf("focus_has_resource after the delete = %+v, want rehydrated", st)
+	load(100)
+	if !sealed("focus_has_resource") {
+		t.Fatal("set-up: focus_has_resource is not sealed")
 	}
+	phase = "pass writing a replacement and the tail holding its delete"
 	pass()
-	write("delete of a flushed row", func(eng writer) error { return eng.Delete("performance_result", 17) })
-	pass()
-
-	// Rule 1, the late half. A delete of a sealed row while its set is being
-	// encoded rehydrates the table: the pass discards its segment, and the
-	// set's logs — which the barrier skipped as doomed — outlive it.
+	// A delete of a sealed row replaces the sealed tail, which keeps its
+	// logs; one transaction deletes it and a flushed row of another table.
 	lastResult := func() int64 {
 		rows := p.ref.tables["performance_result"].ordered()
 		return rows[len(rows)-1].id
@@ -230,16 +224,29 @@ func TestSegmentTailLogCrashSweep(t *testing.T) {
 	if !sealed("performance_result") {
 		t.Fatal("set-up: performance_result is not sealed")
 	}
-	handAt, hand = "barrier", func() {
-		write("delete of a sealed row", func(eng writer) error { return eng.Delete("performance_result", lastResult()) })
-	}
-	phase = "pass whose sealed set is rehydrated under it"
+	write("delete of a sealed row and a flushed one", func(eng writer) error {
+		tx := eng.begin()
+		if err := tx.Delete("performance_result", lastResult()); err != nil {
+			return err
+		}
+		if err := tx.Delete("result_has_focus", 17); err != nil {
+			return err
+		}
+		return tx.Commit()
+	})
 	pass()
-	if hand != nil || hotStatus(t, p.fe, "performance_result").PendingRows != 0 {
-		t.Fatalf("the pass did not run the delete, or left %+v", hotStatus(t, p.fe, "performance_result"))
+	// A key below the flushed maximum: a run that overlaps the segments.
+	write("insert below the flushed maximum", func(eng writer) error {
+		_, err := eng.Insert("focus_has_resource", Row{Int(2), Int(900)})
+		return err
+	})
+	load(70)
+	pass()
+	if hotStatus(t, p.fe, "performance_result").PendingRows != 0 {
+		t.Fatalf("performance_result after the passes = %+v", hotStatus(t, p.fe, "performance_result"))
 	}
 
-	// Rule 3. A commit that lands between a checkpoint's drain and its
+	// Rule 2. A commit that lands between a checkpoint's drain and its
 	// snapshot — here, once the drain's one pass is done — has its rows
 	// snapshotted.
 	load(10)
@@ -257,8 +264,8 @@ func TestSegmentTailLogCrashSweep(t *testing.T) {
 	}
 	pass()
 	victim := lastResult() // the late commit's last result
-	// The delete rehydrates performance_result — the victim is in its tail —
-	// and the next commit re-seals it, without the victim.
+	// The delete replaces performance_result's tail — the victim is in it —
+	// and a later commit seals it, without the victim.
 	write("delete of a snapshotted row", func(eng writer) error { return eng.Delete("performance_result", victim) })
 	pass()
 	load(60)

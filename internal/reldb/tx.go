@@ -1,7 +1,6 @@
 package reldb
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -13,23 +12,26 @@ import (
 // transaction.
 var ErrTxDone = errors.New("reldb: transaction already finished")
 
-// Tx is a database transaction, and the engine's only way in for a row.
-// An insert, into any table, is checked against the schema, given its row
-// ID and laid out in a column block private to the transaction, under no
-// lock: nobody — the transaction included — reads a row of it before
-// Commit.
+// Tx is a database transaction, and the engine's only way in for a row
+// and out for one. An insert, into any table, is checked against the
+// schema, given its row ID and laid out in a column block private to the
+// transaction, under no lock; a delete is noted there. Nobody — the
+// transaction included — reads a change of it before Commit.
 //
 // Commit is the only time a transaction touches the engine. It takes the
-// engine write lock once and admits every block against the published
-// tables — primary keys and unique-index keys unused there and within the
-// block, each foreign key matched by a published row or one of the
-// transaction's own — then logs the records and installs the rows: onto
-// a table's columnar tail, or into its row set. Readers see all of a
-// transaction's rows or none. The commit is also the batch boundary: each
-// log it touched is flushed once (fsynced in synchronous mode), and tails
-// that reached the flush threshold are sealed. A Commit that fails
-// changes nothing visible, leaves no record in any log and leaves the
-// transaction open; Rollback drops the blocks and writes nothing.
+// engine write lock once (after the compaction lock, if it deletes: no
+// pass then writes a block it replaces) and admits every block against
+// the published tables: each row to delete is there, the inserts' primary
+// and unique-index keys are unused there (deletes aside) and in the
+// block, each foreign key is matched by a published row or one of the
+// transaction's own. It then logs the records, applies the deletes — in
+// place in a row set, by replacing blocks (Table.replaceLocked) — and
+// installs the rows onto the table's columnar tail or into its row set.
+// Readers see all of a transaction's changes or none. The commit is also
+// the batch boundary: each log it touched is flushed once (fsynced in
+// synchronous mode), and tails that reached the flush threshold are
+// sealed. A Commit that fails changes nothing visible, leaves no record
+// in any log and leaves the transaction open; Rollback writes nothing.
 //
 // Committers serialize on the engine lock and a transaction reads nothing,
 // so transactions are serializable in commit order.
@@ -40,16 +42,25 @@ type Tx struct {
 }
 
 // txBlock holds the rows a transaction has inserted into one table, in
-// arrival order, until Commit. Blocks are pooled per table: a commit
-// copies what it keeps, so a finished transaction's blocks are reused.
+// arrival order, and the row IDs it deletes there, until Commit. Blocks
+// are pooled per table: a commit copies what it keeps, so a finished
+// transaction's blocks are reused.
 type txBlock struct {
 	t *Table
 	ColumnBlock
-	keyAsc bool     // the table has one integer key column and its values here ascend
-	recs   []byte   // the rows' insert records, framed as a log holds them
-	keys   [][]byte // the rows' encoded primary keys, where admission looked them up
-	why    residency
-	placed bool // ordered has placed the block
+	keyAsc   bool    // the table has one integer key column and its values here ascend
+	dels     []int64 // row IDs to delete; ascending and distinct once the commit has begun
+	recs     []byte  // the delete and insert records, framed as a log holds them
+	placed   bool    // ordered has placed the block
+	reserved bool    // counted in the table's reserving
+}
+
+// release stops counting the block's reserved row IDs against a seal.
+func (tb *txBlock) release() {
+	if tb.reserved {
+		tb.reserved = false
+		tb.t.reserving.Add(-1)
+	}
 }
 
 // Begin starts a transaction.
@@ -83,6 +94,7 @@ func (tx *Tx) block(table string) (*txBlock, error) {
 		tb = &txBlock{t: t}
 	}
 	tb.keyAsc = len(t.pkCols) == 1 && t.schema.Columns[t.pkCols[0]].Type == KindInt
+	tb.dels = tb.dels[:0]
 	if err := tb.reset(t.schema, 0); err != nil {
 		return nil, err
 	}
@@ -94,6 +106,7 @@ func (tx *Tx) block(table string) (*txBlock, error) {
 // pools.
 func (tx *Tx) finish() {
 	for _, tb := range tx.blocks {
+		tb.release()
 		tb.t.txBlocks.Put(tb)
 	}
 	tx.done, tx.blocks = true, nil
@@ -113,6 +126,21 @@ func (tx *Tx) Insert(table string, row Row) (int64, error) {
 	return tb.add(row)
 }
 
+// Delete removes the row with the given ID within the transaction; Commit
+// fails if the table does not hold it then. Deleting a row twice deletes
+// it once.
+func (tx *Tx) Delete(table string, id int64) error {
+	if tx.done {
+		return ErrTxDone
+	}
+	tb, err := tx.block(table)
+	if err != nil {
+		return err
+	}
+	tb.dels = append(tb.dels, id)
+	return nil
+}
+
 // add checks a row against the schema, reserves its row ID (and with it
 // an assigned primary key) and appends it to the block. It takes no lock.
 func (tb *txBlock) add(row Row) (int64, error) {
@@ -128,6 +156,10 @@ func (tb *txBlock) add(row Row) (int64, error) {
 		if _, err := t.schema.checkValue(ci, v); err != nil {
 			return 0, err
 		}
+	}
+	if !tb.reserved { // before the reservation: a seal that misses it precedes it
+		tb.reserved = true
+		t.reserving.Add(1)
 	}
 	id := t.reserveID(row)
 	for ci, v := range row {
@@ -196,24 +228,32 @@ func (tx *Tx) Rollback() error {
 }
 
 // ordered returns the transaction's non-empty blocks in the order their
-// records are logged (rule 5): the tables perftrack.wal holds first, each
+// records are logged (rule 4): the tables perftrack.wal holds first, each
 // after the ones its foreign keys name, then the hot tables in
-// logFlushOrder.
+// logFlushOrder — and a transaction that only deletes the other way
+// round, children before parents.
 func (tx *Tx) ordered() []*txBlock {
 	out := make([]*txBlock, 0, len(tx.blocks))
+	inserts := false
 	for _, tb := range tx.blocks {
 		tb.placed = isHotTable(tb.t.schema.Name)
+		inserts = inserts || tb.rows > 0
 	}
 	for _, tb := range tx.blocks {
 		out = tx.place(tb, out)
 	}
 	for _, name := range logFlushOrder {
-		if tb := tx.find(name); tb != nil && tb.rows > 0 {
+		if tb := tx.find(name); tb != nil && !tb.empty() {
 			out = append(out, tb)
 		}
 	}
+	if !inserts {
+		slices.Reverse(out)
+	}
 	return out
 }
+
+func (tb *txBlock) empty() bool { return tb.rows == 0 && len(tb.dels) == 0 }
 
 // place appends tb to out after the blocks of the tables it refers to.
 func (tx *Tx) place(tb *txBlock, out []*txBlock) []*txBlock {
@@ -226,22 +266,36 @@ func (tx *Tx) place(tb *txBlock, out []*txBlock) []*txBlock {
 			out = tx.place(ref, out)
 		}
 	}
-	if tb.rows > 0 {
+	if !tb.empty() {
 		out = append(out, tb)
 	}
 	return out
 }
 
 // commit finishes the blocks outside the lock — their zone maps and their
-// log records — then admits, logs and installs them under it. A commit
+// log records — then admits, logs and applies them under it. A commit
 // that leaves a tail full behind a sealed one waits, outside the lock,
 // for the compaction pass in flight (segState.awaitPass).
 func (db *DB) commit(tx *Tx, blocks []*txBlock) error {
+	deletes := false
 	for _, tb := range blocks {
 		tb.finish()
-		tb.recs = appendInsertRecords(tb.recs[:0], tb.t.schema.Name, &tb.ColumnBlock)
+		slices.Sort(tb.dels)
+		tb.dels = slices.Compact(tb.dels)
+		tb.recs = tb.recs[:0]
+		for _, id := range tb.dels {
+			tb.recs = appendRecord(tb.recs, encodeMutationPayload(&mutation{op: opDelete, table: tb.t.schema.Name, id: id}))
+		}
+		tb.recs = appendInsertRecords(tb.recs, tb.t.schema.Name, &tb.ColumnBlock)
+		deletes = deletes || len(tb.dels) > 0
+	}
+	if deletes {
+		db.seg.compactMu.Lock()
 	}
 	full, err := db.commitLocked(tx, blocks)
+	if deletes {
+		db.seg.compactMu.Unlock()
+	}
 	if full {
 		// The commit is in the logs whatever becomes of the pass; one that
 		// fails is retried at the next commit.
@@ -261,19 +315,15 @@ func (db *DB) commitLocked(tx *Tx, blocks []*txBlock) (full bool, err error) {
 			return false, err
 		}
 	}
-	// The one fallback: a row ID or key inside the frozen range breaks the
-	// ordered invariant, so the table goes back to its row set first —
-	// which changes where rows live, not which rows there are.
-	for _, tb := range blocks {
-		if tb.why != 0 {
-			tb.t.rehydrateLocked(tb.why)
-		}
-	}
 	if err := db.logBlocksLocked(blocks); err != nil {
 		return false, err
 	}
 	for _, tb := range blocks {
+		if len(tb.dels) > 0 {
+			tb.t.deleteLocked(tb.dels)
+		}
 		tb.installLocked()
+		tb.release() // its rows are in: they no longer hold back a seal
 	}
 	return db.seg.sealReadyLocked(db.seg.flushRows.Load()), nil
 }
@@ -289,13 +339,7 @@ func (tb *txBlock) installLocked() {
 	}
 	for i, id := range tb.rowIDs {
 		row := tb.row(i)
-		var pk []byte
-		if len(tb.keys) == tb.rows {
-			pk = tb.keys[i] // admission looked the row up
-		} else {
-			pk = t.pkKey(row)
-		}
-		_ = t.active.insert(id, row, pk) // admitted: no key is taken
+		_ = t.active.insert(id, row, t.pkKey(row)) // admitted: no key is taken
 	}
 }
 
@@ -324,18 +368,18 @@ func appendInsertRecords(out []byte, table string, b *ColumnBlock) []byte {
 // table's to its tail log, every other table's to perftrack.wal — and
 // flushes each log once as soon as its last record is in, fsyncing it in
 // synchronous mode: in the blocks' order, which is the flush order (rule
-// 5). Every log is opened before anything is written, and what in-place
-// writes (deletes, DDL) left in any log's buffer reaches its file first.
-// If a write or fsync fails, every log the commit wrote to is taken back
-// to where it stood (rewindLocked): a failed commit leaves no record.
+// 4). Every log is opened before anything is written, and the DDL records
+// left in perftrack.wal's buffer reach its file first. If a write or
+// fsync fails, every log the commit wrote to is taken back to where it
+// stood (rewindLocked): a failed commit leaves no record.
 func (db *DB) logBlocksLocked(blocks []*txBlock) error {
 	logs := make([]*logFile, len(blocks))
 	for i, tb := range blocks {
 		logs[i] = db.wal
-		if isHotTable(tb.t.schema.Name) {
+		if tb.t.tail != nil {
 			var err error
 			if logs[i], err = db.seg.tailLogLocked(tb.t); err != nil {
-				return err
+				return db.refuseLocked(err)
 			}
 		}
 	}
@@ -369,14 +413,18 @@ func (db *DB) logBlocksLocked(blocks []*txBlock) error {
 // --- admission (engine write lock held) ---
 
 // admitLocked checks the block against the published table: it is still
-// the table the block was begun on, no primary key or unique-index key of
-// the block is taken there or twice in the block, and every foreign key
-// is matched. It notes in tb.why the fallback the table must take before
-// the block goes in.
+// the table the block was begun on, every row it deletes is there, no
+// primary key or unique-index key of its inserts is taken there or twice
+// in the block, and every foreign key is matched.
 func (tb *txBlock) admitLocked(tx *Tx) error {
 	t := tb.t
 	if t.db.tables[t.schema.Name] != t {
 		return fmt.Errorf("reldb: table %q was dropped under a transaction", t.schema.Name)
+	}
+	for _, id := range tb.dels {
+		if _, ok := t.findIDLocked(id); !ok {
+			return fmt.Errorf("reldb: table %q: no row %d", t.schema.Name, id)
+		}
 	}
 	err := tb.admitKeysLocked()
 	if err == nil {
@@ -389,73 +437,36 @@ func (tb *txBlock) admitLocked(tx *Tx) error {
 }
 
 // admitKeysLocked checks the block's primary keys against the table and
-// each other. A block that ascends past the columnar tail's greatest key
-// — a document's — costs one comparison a row; any other row is looked
-// up, and its encoded key kept for the row set. It sets tb.why if a row ID
-// or key falls inside the frozen range: the first row that does, in
-// arrival order, decides, as it does when recovery replays the rows'
-// records.
+// each other. A row above every key the blocks hold — each row of a
+// document — costs one comparison; any other is looked up.
 func (tb *txBlock) admitKeysLocked() error {
-	t, tail := tb.t, tb.t.tail
-	b := &tb.ColumnBlock
-	tb.keys, tb.why = tb.keys[:0], 0
-	low, disordered := 0, false // position of the least key; whether any row is at or below an earlier one
-	for i := 1; i < b.rows; i++ {
-		if cmpRows(b, i, b, i-1, t.pkCols) <= 0 {
-			disordered = true
-		}
-		if cmpRows(b, i, b, low, t.pkCols) < 0 {
-			low = i
-		}
-	}
+	t, b := tb.t, &tb.ColumnBlock
 	dup := func(i int) error {
 		return fmt.Errorf("reldb: table %q: duplicate primary key %s", t.schema.Name, b.row(i))
 	}
-	if disordered {
-		perm := b.sortedRun(t.pkCols, 0, b.rows)
-		for k := 1; k < len(perm); k++ {
-			if cmpRows(b, int(perm[k]), b, int(perm[k-1]), t.pkCols) == 0 {
-				return dup(int(perm[k]))
-			}
-		}
-	}
-	aboveFrozen := t.frozenMaxKey == nil || bytes.Compare(t.keyAt(b, low), t.frozenMaxKey) > 0
-	if aboveFrozen && tail != nil && len(t.active.rows) == 0 {
-		vals := make([]Value, len(t.pkCols))
-		for i := 0; i < b.rows && tail.rows > 0; i++ {
-			if cmpRows(b, i, &tail.ColumnBlock, tail.top, t.pkCols) > 0 {
-				if !disordered {
-					break // and so is every later row
+	for i := 1; i < b.rows; i++ {
+		if cmpRows(b, i, b, i-1, t.pkCols) <= 0 { // disordered: sort to find a repeat
+			perm := b.sortedRun(t.pkCols, 0, b.rows)
+			for k := 1; k < len(perm); k++ {
+				if cmpRows(b, int(perm[k]), b, int(perm[k-1]), t.pkCols) == 0 {
+					return dup(int(perm[k]))
 				}
-				continue
 			}
-			for k, c := range t.pkCols {
-				vals[k] = b.cell(c, i)
-			}
-			if _, exists := tail.findPK(t.pkCols, vals); exists {
-				return dup(i)
-			}
-		}
-	} else {
-		for i := 0; i < b.rows; i++ {
-			key := t.keyAt(b, i)
-			if _, exists := t.findPKLocked(key); exists {
-				return dup(i)
-			}
-			tb.keys = append(tb.keys, key)
+			break
 		}
 	}
-	if t.frozenMaxKey == nil || (aboveFrozen && slices.Min(b.rowIDs) > t.frozenMaxID) {
-		return nil
-	}
-	for i, id := range b.rowIDs {
-		if id <= t.frozenMaxID {
-			tb.why = residentMutated
-			return nil
+	var top *segment // the block holding the table's greatest key
+	for _, s := range t.blocks {
+		if s.rows > 0 && (top == nil || cmpRows(&s.ColumnBlock, s.top, &top.ColumnBlock, top.top, t.pkCols) > 0) {
+			top = s
 		}
-		if bytes.Compare(t.keyAt(b, i), t.frozenMaxKey) < 0 {
-			tb.why = residentUnordered
-			return nil
+	}
+	for i := 0; i < b.rows; i++ {
+		if t.tail != nil && (top == nil || cmpRows(b, i, &top.ColumnBlock, top.top, t.pkCols) > 0) {
+			continue
+		}
+		if _, exists := t.findPKLocked(t.keyAt(b, i)); exists {
+			return dup(i)
 		}
 	}
 	return nil

@@ -10,7 +10,9 @@
 # compact and then a little more, kills the server without a checkpoint,
 # and verifies that the logs held only what no segment did, that recovery
 # loses nothing and re-attaches the segments without re-counting their
-# rows, and that a graceful shutdown leaves no tail log behind.
+# rows, and that a graceful shutdown leaves no tail log behind. It ends by
+# deleting one IRS execution from that store, whose results the count then
+# lacks exactly, and reopening it.
 set -eu
 
 workdir=$(mktemp -d)
@@ -256,4 +258,15 @@ if ls segstore/segments/tail-*.log >/dev/null 2>&1; then
     exit 1
 fi
 
-echo "smoke test passed ($count results served, $recovered recovered on segment engine)"
+echo "== delete one execution: one commit, and the store reopens without it"
+countsql() { bin/ptsql -db segstore "SELECT count(*) FROM performance_result$1" | sed -n 3p | tr -d ' '; }
+total=$(countsql "")
+gone=$(countsql " WHERE execution = 'irs-000'")
+[ "$gone" -gt 0 ] || { echo "irs-000 has no results to delete" >&2; exit 1; }
+bin/ptquery -db segstore -delete-exec irs-000 >/dev/null
+left=$(countsql "")
+[ "$left" = "$((total - gone))" ] || { echo "$left results after deleting irs-000's $gone of $total" >&2; exit 1; }
+[ "$(countsql " WHERE execution = 'irs-000'")" = 0 ] || { echo "irs-000 still has results" >&2; exit 1; }
+[ "$(countsql "")" = "$left" ] || { echo "the store reopened with a different count" >&2; exit 1; }
+
+echo "smoke test passed ($count results served, $recovered recovered on segment engine, $gone deleted)"
