@@ -60,7 +60,9 @@ const (
 	// tables only. A program that knows fewer hot tables than a manifest
 	// names would take the others' segment files for orphans and delete
 	// them, so the version moved with the set: such a program refuses 3.
-	manifestVersion = 3
+	// 4 may name format-2 segment files, which a program that reads only
+	// format 1 refuses as a version, not as corrupt segments.
+	manifestVersion = 4
 	defaultSegFlush = 4096
 )
 

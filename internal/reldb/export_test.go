@@ -9,6 +9,23 @@ func WriteLocks(db *DB) uint64 { return db.mu.writes.Load() }
 // write lock too.
 func StopCompactor(db *DB) { db.seg.shutdown() }
 
+// HotTables are the tables whose rows live in column blocks.
+var HotTables = segmentHotTables
+
+// BlockRow builds row i of a block.
+func BlockRow(b *ColumnBlock, i int) Row { return b.row(i) }
+
+// StringCodes returns a string column's dictionary codes: those a decoded
+// segment read from its file or, for a block without them, those the
+// encoder writes for it.
+func StringCodes(b *ColumnBlock, col int) []uint32 {
+	if c := &b.cols[col]; c.codes != nil {
+		return c.codes
+	}
+	codes, _ := dictOf(b.cols[col].strs)
+	return codes
+}
+
 // RowSetRows counts the rows a table holds in a row set, not in blocks.
 func RowSetRows(t *Table) int {
 	t.db.mu.RLock()

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 	"sync"
@@ -15,45 +16,43 @@ import (
 
 // Columnar segment files. A segment is an immutable, PK-sorted,
 // column-major flush of one table's recent rows, written by the engine's
-// background compactor. On-disk layout:
+// background compactor. On-disk layout (format 2):
 //
-//	8 bytes   magic "PTSEG001"
-//	body      row-ID block, then one block per column
+//	8 bytes   magic "PTSEG002"
+//	body      row-ID stream, then one block per column
 //	footer    payload (below)
 //	uint32    footer length (little endian)
 //	uint32    CRC-32 (IEEE) of the footer payload
 //	8 bytes   magic again (torn-tail sentinel)
 //
-// The footer carries the table name, row count, and a per-column
-// directory: kind, encoding, body offset/length, null bitmap flag, and a
-// zone map (min/max) for numeric columns. A CRC over the whole body is
-// stored in the footer, so a segment is either verifiably intact or
-// rejected as a unit — there is no partial recovery, because the WAL
-// remains the source of truth for everything a segment holds until the
-// next checkpoint truncates it.
+// The footer carries the table name, row count, row-ID and first-key
+// ranges, the row-ID block's extent, and per column its kind, body
+// extent and zone map (min/max); last, a CRC over the whole body. So a
+// segment is either verifiably intact or rejected as a unit.
 //
-// Column encodings:
+// A column block is a NULL flag byte (then a bitmap, 1 bit per row, when
+// the column holds NULLs; a NULL keeps a zero placeholder) and its values:
 //
-//	int64   delta-encoded from the previous value, zig-zag varints
-//	float64 raw little-endian bits, 8 bytes per row
-//	string  dictionary: unique values once, then a varint code per row
+//	int64   one integer stream (appendInts)
+//	float64 a byte e ≤ 22, then the mantissas d with d/10^e bit-equal to
+//	        each value as an integer stream; or 0xff, then raw 8-byte values
+//	string  the dictionary (count, then each word once), then the codes as
+//	        an integer stream
 //	bool    bitmap, 1 bit per row
 //
-// NULLs are a presence bitmap per column (only written when a column
-// actually contains NULLs) with zero placeholders in the value stream.
+// An integer stream is the first value and the least delta as varints, a
+// bit width, and each delta less the least one bit-packed at that width.
+// Format 1 ("PTSEG001": zig-zag varint deltas, uvarint codes, raw floats)
+// is read, never written.
 
-const segMagic = "PTSEG001"
+const (
+	segMagic   = "PTSEG002"
+	segMagicV1 = "PTSEG001"
+)
 
 // ErrCorruptSegment reports a segment file that failed structural or
 // checksum validation (including a torn tail from a crashed write).
 var ErrCorruptSegment = errors.New("reldb: corrupt segment file")
-
-const (
-	segEncInt    byte = 1
-	segEncFloat  byte = 2
-	segEncString byte = 3
-	segEncBool   byte = 4
-)
 
 // colVec is one decoded, memory-resident column. String columns of a
 // segment keep both representations: the expanded strs slice for reads
@@ -495,18 +494,110 @@ func dictOf(strs []string) (codes []uint32, words []string) {
 
 // --- encoding ---
 
-func encodeInt64Block(dst []byte, vals []int64) []byte {
-	prev := int64(0)
-	for _, v := range vals {
-		dst = putVarint(dst, v-prev)
-		prev = v
+// appendInts writes vals as one integer stream: the first value and the
+// least delta between neighbours as varints, a bit width, then each delta
+// less the least one, bit-packed at that width, low bits first.
+// Arithmetic wraps, so every int64 sequence round-trips, and a constant
+// stride — consecutive row IDs, one document's execution — packs to no
+// bytes at all.
+func appendInts[T int64 | uint32](dst []byte, vals []T) []byte {
+	var first, least int64
+	if len(vals) > 0 {
+		first = int64(vals[0])
+	}
+	for i := 1; i < len(vals); i++ {
+		if d := int64(vals[i]) - int64(vals[i-1]); i == 1 || d < least {
+			least = d
+		}
+	}
+	var spread uint64
+	for i := 1; i < len(vals); i++ {
+		spread |= uint64(int64(vals[i]) - int64(vals[i-1]) - least)
+	}
+	w := uint(bits.Len64(spread))
+	dst = append(putVarint(putVarint(dst, first), least), byte(w))
+	var acc uint64
+	var n uint // bits of acc not yet written
+	for i := 1; i < len(vals) && w > 0; i++ {
+		v := uint64(int64(vals[i]) - int64(vals[i-1]) - least)
+		acc |= v << n
+		if n += w; n >= 64 {
+			dst = binary.LittleEndian.AppendUint64(dst, acc)
+			n -= 64
+			acc = v >> (w - n)
+		}
+	}
+	for ; n > 0; n -= min(n, 8) {
+		dst = append(dst, byte(acc))
+		acc >>= 8
 	}
 	return dst
 }
 
-func encodeBitmap(dst []byte, bits []bool) []byte {
+// pow10 holds the powers of ten a float64 represents exactly.
+var pow10 = func() (p [23]float64) {
+	p[0] = 1
+	for e := 1; e < len(p); e++ {
+		p[e] = p[e-1] * 10
+	}
+	return p
+}()
+
+// rawFloats is the exponent byte of a float column written as raw values.
+const rawFloats = 0xff
+
+// mantissa returns the d, |d| ≤ 2^53, for which float64(d)/10^e is
+// bit-equal to v, if there is one. The division is correctly rounded, so
+// any v parsed from decimal text with at most e fraction digits has one.
+func mantissa(v float64, e int) (int64, bool) {
+	d := math.Round(v * pow10[e])
+	if !(math.Abs(d) <= 1<<53) { // NaN and ±Inf too
+		return 0, false
+	}
+	return int64(d), math.Float64bits(float64(int64(d))/pow10[e]) == math.Float64bits(v)
+}
+
+// appendFloats writes a float column as the mantissas of its values at
+// the least exponent every value that is not NULL has one at — a NULL's
+// is 0 — or, when there is none, as raw 8-byte values.
+func appendFloats(dst []byte, vals []float64, nulls []bool) []byte {
+	e := 0
+	for i, v := range vals {
+		if nulls != nil && nulls[i] {
+			continue
+		}
+		for _, ok := mantissa(v, e); !ok; _, ok = mantissa(v, e) {
+			if e++; e == len(pow10) {
+				return appendRawFloats(dst, vals)
+			}
+		}
+	}
+	// A value that had a mantissa at a lower exponent is checked again.
+	ds := make([]int64, len(vals))
+	for i, v := range vals {
+		if nulls != nil && nulls[i] {
+			continue
+		}
+		d, ok := mantissa(v, e)
+		if !ok {
+			return appendRawFloats(dst, vals)
+		}
+		ds[i] = d
+	}
+	return appendInts(append(dst, byte(e)), ds)
+}
+
+func appendRawFloats(dst []byte, vals []float64) []byte {
+	dst = append(dst, rawFloats)
+	for _, f := range vals {
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(f))
+	}
+	return dst
+}
+
+func encodeBitmap(dst []byte, set []bool) []byte {
 	cur := byte(0)
-	for i, b := range bits {
+	for i, b := range set {
 		if b {
 			cur |= 1 << (uint(i) & 7)
 		}
@@ -515,7 +606,7 @@ func encodeBitmap(dst []byte, bits []bool) []byte {
 			cur = 0
 		}
 	}
-	if len(bits)&7 != 0 {
+	if len(set)&7 != 0 {
 		dst = append(dst, cur)
 	}
 	return dst
@@ -524,13 +615,9 @@ func encodeBitmap(dst []byte, bits []bool) []byte {
 func encodeColumn(dst []byte, c *colVec) []byte {
 	switch c.kind {
 	case KindInt:
-		dst = encodeInt64Block(dst, c.ints)
+		dst = appendInts(dst, c.ints)
 	case KindFloat:
-		var buf [8]byte
-		for _, f := range c.floats {
-			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(f))
-			dst = append(dst, buf[:]...)
-		}
+		dst = appendFloats(dst, c.floats, c.nulls)
 	case KindString:
 		codes, words := c.codes, c.words
 		if codes == nil { // a tail: it is being read, so it is not given one here
@@ -540,9 +627,7 @@ func encodeColumn(dst []byte, c *colVec) []byte {
 		for _, w := range words {
 			dst = putString(dst, w)
 		}
-		for _, code := range codes {
-			dst = putUvarint(dst, uint64(code))
-		}
+		dst = appendInts(dst, codes)
 	case KindBool:
 		dst = encodeBitmap(dst, c.bools)
 	}
@@ -556,7 +641,7 @@ func encodeSegment(s *segment) []byte {
 	bodyStart := len(buf)
 
 	rowIDExt := extent{off: uint64(len(buf) - bodyStart)}
-	buf = encodeInt64Block(buf, s.rowIDs)
+	buf = appendInts(buf, s.rowIDs)
 	rowIDExt.n = uint64(len(buf)-bodyStart) - rowIDExt.off
 
 	colExt := make([]extent, len(s.cols))
@@ -614,22 +699,120 @@ func encodeSegment(s *segment) []byte {
 
 // --- decoding ---
 
-func decodeInt64Block(data []byte, n int) ([]int64, error) {
+// segFormat is how one segment format writes integers and floats. Each
+// reader decodes n values from the front of data and returns what
+// follows them; it checks that the bytes they take are there before it
+// allocates. A zero-width integer stream takes none for any n, so there
+// only the footer's bound on rows limits what is allocated.
+type segFormat struct {
+	ints, codes func(data []byte, n int) ([]int64, []byte, error)
+	floats      func(data []byte, n int) ([]float64, []byte, error)
+}
+
+// segFormats maps a segment's magic to its format.
+var segFormats = map[string]segFormat{
+	segMagic: {readInts, readInts, readFloats},
+	// Format 1: zig-zag varint deltas off a running base, uvarint
+	// dictionary codes, raw floats.
+	segMagicV1: {
+		ints:   func(data []byte, n int) ([]int64, []byte, error) { return readVarints(data, n, true) },
+		codes:  func(data []byte, n int) ([]int64, []byte, error) { return readVarints(data, n, false) },
+		floats: readRawFloats,
+	},
+}
+
+// readInts reads an integer stream of n values (appendInts).
+func readInts(data []byte, n int) ([]int64, []byte, error) {
+	p := &payloadReader{buf: data}
+	first, least, w := p.varint(), p.varint(), uint(p.byteVal())
+	size := (uint64(max(n-1, 0))*uint64(w) + 7) / 8
+	if p.err != nil || w > 64 || size > uint64(len(p.buf)) {
+		return nil, nil, ErrCorruptSegment
+	}
+	packed, rest := p.buf[:size], p.buf[size:]
 	out := make([]int64, n)
-	prev := int64(0)
-	for i := 0; i < n; i++ {
-		d, k := binary.Varint(data)
-		if k <= 0 {
-			return nil, ErrCorruptSegment
+	if n == 0 {
+		return out, rest, nil
+	}
+	out[0] = first
+	mask := uint64(1)<<w - 1
+	var acc uint64
+	var have uint // bits of acc not yet read
+	for i := 1; i < n; i++ {
+		v := acc
+		if have >= w {
+			acc, have = acc>>w, have-w
+		} else {
+			var next uint64
+			if len(packed) >= 8 {
+				next, packed = binary.LittleEndian.Uint64(packed), packed[8:]
+			} else {
+				for k, b := range packed {
+					next |= uint64(b) << (8 * k)
+				}
+				packed = nil
+			}
+			v |= next << have
+			acc, have = next>>(w-have), have+64-w
 		}
-		data = data[k:]
-		prev += d
-		out[i] = prev
+		out[i] = out[i-1] + least + int64(v&mask)
 	}
-	if len(data) != 0 {
-		return nil, ErrCorruptSegment
+	return out, rest, nil
+}
+
+// readVarints reads format 1's n varints: zig-zag deltas off a running
+// base or, without deltas, uvarint dictionary codes.
+func readVarints(data []byte, n int, deltas bool) ([]int64, []byte, error) {
+	if n > len(data) { // each takes a byte at least
+		return nil, nil, ErrCorruptSegment
 	}
-	return out, nil
+	p, out, prev := &payloadReader{buf: data}, make([]int64, n), int64(0)
+	for i := range out {
+		if deltas {
+			prev += p.varint()
+			out[i] = prev
+		} else {
+			out[i] = int64(p.uvarint())
+		}
+	}
+	if p.err != nil {
+		return nil, nil, ErrCorruptSegment
+	}
+	return out, p.buf, nil
+}
+
+// readFloats reads a float column of n values (appendFloats).
+func readFloats(data []byte, n int) ([]float64, []byte, error) {
+	if len(data) == 0 {
+		return nil, nil, ErrCorruptSegment
+	}
+	e, data := int(data[0]), data[1:]
+	if e == rawFloats {
+		return readRawFloats(data, n)
+	}
+	if e >= len(pow10) {
+		return nil, nil, ErrCorruptSegment
+	}
+	ds, rest, err := readInts(data, n)
+	if err != nil {
+		return nil, nil, err
+	}
+	out := make([]float64, n)
+	for i, d := range ds {
+		out[i] = float64(d) / pow10[e]
+	}
+	return out, rest, nil
+}
+
+func readRawFloats(data []byte, n int) ([]float64, []byte, error) {
+	if uint64(n)*8 > uint64(len(data)) {
+		return nil, nil, ErrCorruptSegment
+	}
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
+	}
+	return out, data[8*n:], nil
 }
 
 func decodeBitmap(data []byte, n int) ([]bool, []byte, error) {
@@ -644,63 +827,50 @@ func decodeBitmap(data []byte, n int) ([]bool, []byte, error) {
 	return out, data[nb:], nil
 }
 
-func decodeColumn(kind Kind, data []byte, n int) (colVec, error) {
+func decodeColumn(kind Kind, data []byte, n int, f segFormat) (colVec, error) {
 	cv := colVec{kind: kind}
-	if len(data) == 0 {
+	if len(data) == 0 || data[0] > 1 {
 		return cv, ErrCorruptSegment
 	}
-	hasNulls := data[0]
+	hasNulls := data[0] == 1
 	data = data[1:]
-	if hasNulls > 1 {
-		return cv, ErrCorruptSegment
-	}
-	if hasNulls == 1 {
-		var err error
-		cv.nulls, data, err = decodeBitmap(data, n)
-		if err != nil {
+	var err error
+	if hasNulls {
+		if cv.nulls, data, err = decodeBitmap(data, n); err != nil {
 			return cv, err
 		}
 	}
 	switch kind {
 	case KindInt:
-		ints, err := decodeInt64Block(data, n)
-		if err != nil {
-			return cv, err
-		}
-		cv.ints = ints
+		cv.ints, data, err = f.ints(data, n)
 	case KindFloat:
-		if len(data) != n*8 {
-			return cv, ErrCorruptSegment
-		}
-		cv.floats = make([]float64, n)
-		for i := 0; i < n; i++ {
-			cv.floats[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[i*8:]))
-		}
+		cv.floats, data, err = f.floats(data, n)
 	case KindString:
 		p := &payloadReader{buf: data}
 		cv.words = make([]string, p.count())
 		for i := range cv.words {
 			cv.words[i] = p.str()
 		}
+		if p.err != nil || len(cv.words) > n {
+			return cv, ErrCorruptSegment
+		}
+		var codes []int64
+		if codes, data, err = f.codes(p.buf, n); err != nil {
+			return cv, err
+		}
 		cv.strs, cv.codes = make([]string, n), make([]uint32, n)
-		for i := range cv.strs {
-			code := p.uvarint()
-			if code >= uint64(len(cv.words)) {
-				p.fail()
-				break
+		for i, code := range codes {
+			if uint64(code) >= uint64(len(cv.words)) {
+				return cv, ErrCorruptSegment
 			}
 			cv.strs[i], cv.codes[i] = cv.words[code], uint32(code)
 		}
-		if p.err != nil || !p.empty() || len(cv.words) > n {
-			return cv, ErrCorruptSegment
-		}
 	case KindBool:
-		bools, rest, err := decodeBitmap(data, n)
-		if err != nil || len(rest) != 0 {
-			return cv, ErrCorruptSegment
-		}
-		cv.bools = bools
+		cv.bools, data, err = decodeBitmap(data, n)
 	default:
+		return cv, ErrCorruptSegment
+	}
+	if err != nil || len(data) != 0 {
 		return cv, ErrCorruptSegment
 	}
 	return cv, nil
@@ -709,10 +879,11 @@ func decodeColumn(kind Kind, data []byte, n int) (colVec, error) {
 // decodeSegment parses and validates a full segment image.
 func decodeSegment(buf []byte) (*segment, error) {
 	const magicLen = 8
-	minLen := 2*magicLen + 8
-	if len(buf) < minLen ||
-		string(buf[:magicLen]) != segMagic ||
-		string(buf[len(buf)-magicLen:]) != segMagic {
+	if len(buf) < 2*magicLen+8 {
+		return nil, ErrCorruptSegment
+	}
+	f, ok := segFormats[string(buf[:magicLen])]
+	if !ok || string(buf[len(buf)-magicLen:]) != string(buf[:magicLen]) {
 		return nil, ErrCorruptSegment
 	}
 	tail := buf[len(buf)-magicLen-8 : len(buf)-magicLen]
@@ -774,15 +945,15 @@ func decodeSegment(buf []byte) (*segment, error) {
 	if err != nil {
 		return nil, err
 	}
-	if s.rowIDs, err = decodeInt64Block(rb, s.rows); err != nil {
-		return nil, err
+	if s.rowIDs, rb, err = f.ints(rb, s.rows); err != nil || len(rb) != 0 {
+		return nil, ErrCorruptSegment
 	}
 	for ci, m := range metas {
 		cb, err := slice(m.off, m.n)
 		if err != nil {
 			return nil, err
 		}
-		if s.cols[ci], err = decodeColumn(m.kind, cb, s.rows); err != nil {
+		if s.cols[ci], err = decodeColumn(m.kind, cb, s.rows, f); err != nil {
 			return nil, err
 		}
 	}

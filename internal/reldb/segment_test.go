@@ -2,11 +2,14 @@ package reldb
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"testing"
 )
@@ -606,6 +609,13 @@ func TestOpenLegacyStoreDirectories(t *testing.T) {
 					t.Fatal(err)
 				}
 				check(t, fe, 60)
+				if fixture.segRows > 0 { // a format-1 file is read as it is, never rewritten for its format
+					want, _ := os.ReadFile(legacySegmentFile)
+					got, err := os.ReadFile(filepath.Join(dir, segmentSubdir, filepath.Base(legacySegmentFile)))
+					if err != nil || !bytes.Equal(got, want) {
+						t.Fatalf("the format-1 segment after compaction and checkpoint: %v, equal %v", err, bytes.Equal(got, want))
+					}
+				}
 				fe.Close()
 				fe2, err := OpenFile(dir)
 				if err != nil {
@@ -677,6 +687,158 @@ func TestReplaceFileFailureKeepsOldBytes(t *testing.T) {
 	}
 }
 
+// legacySegmentFile is a format-1 segment: results 1..40 of
+// testdata/legacy_segment.
+var legacySegmentFile = filepath.Join("testdata", "legacy_segment", "segments", "seg-performance_result-00000001.seg")
+
+// withRows returns a segment image whose footer claims the given row
+// count, its footer CRC made to match.
+func withRows(img []byte, rows uint64) []byte {
+	end := len(img) - 16
+	footerLen := int(binary.LittleEndian.Uint32(img[end:]))
+	p := &payloadReader{buf: img[end-footerLen : end]}
+	table := p.str()
+	p.uvarint()
+	footer := append(putUvarint(putString(nil, table), rows), p.buf...)
+	out := append(slices.Clip(img[:end-footerLen]), footer...)
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(footer)))
+	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(footer))
+	return append(out, img[len(img)-8:]...)
+}
+
+// TestSegmentRowCountCheckedBeforeAllocation: a CRC-valid image under
+// 1 KB whose footer claims 2^30−1 rows is rejected as corrupt without
+// allocating for them — format 1, whose varints take a byte a row at
+// least, and format 2, whose packed stream is checked against the rows
+// and its width. (A zero-width stream is valid for any row count, so the
+// format-2 image's row IDs are given a stride that varies.)
+func TestSegmentRowCountCheckedBeforeAllocation(t *testing.T) {
+	legacy, err := os.ReadFile(legacySegmentFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := newTestMem(t)
+	if err := db.CreateTable(fhrSchema()); err != nil {
+		t.Fatal(err)
+	}
+	tab, _ := db.Table("focus_has_resource")
+	seg, err := buildSegment(tab, []int64{1, 3, 4}, []Row{{Int(1), Int(1)}, {Int(1), Int(2)}, {Int(2), Int(1)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, img := range map[string][]byte{"format 1": legacy, "format 2": encodeSegment(seg)} {
+		if _, err := decodeSegment(img); err != nil {
+			t.Fatalf("%s: the image as written: %v", name, err)
+		}
+		img = withRows(img, 1<<30-1)
+		if len(img) >= 1024 {
+			t.Fatalf("%s: %d-byte image", name, len(img))
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := decodeSegment(img)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrCorruptSegment) {
+			t.Errorf("%s: err = %v, want ErrCorruptSegment", name, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("%s: decoding allocated %d bytes", name, grew)
+		}
+	}
+}
+
+// TestFloatColumnEncoding: a float column whose values all come from
+// short decimal text is written as mantissas at the least exponent that
+// reproduces each bit for bit; one value no mantissa reproduces — NaN,
+// −0, a subnormal, or one needing an exponent whose mantissas pass 2^53
+// for another value — sends the column to raw values. A NULL's value does
+// not count.
+func TestFloatColumnEncoding(t *testing.T) {
+	for _, c := range []struct {
+		vals  []float64
+		nulls []bool
+		e     byte
+	}{
+		{[]float64{1, 2, 3}, nil, 0},
+		{[]float64{12.345678, 0.5, 99}, nil, 6},
+		{[]float64{0.1, 0.2, 0.3}, nil, 1},
+		{[]float64{1.5, math.NaN()}, nil, rawFloats},
+		{[]float64{1.5, math.NaN()}, []bool{false, true}, 1},
+		{[]float64{1.5, math.Copysign(0, -1)}, nil, rawFloats},
+		{[]float64{5e-324}, nil, rawFloats},
+		{[]float64{1e15, 0.001}, nil, rawFloats},
+	} {
+		img := appendFloats(nil, c.vals, c.nulls)
+		if img[0] != c.e {
+			t.Errorf("%v (NULLs %v): exponent byte %#x, want %#x", c.vals, c.nulls, img[0], c.e)
+		}
+		got, rest, err := readFloats(img, len(c.vals))
+		if err != nil || len(rest) != 0 {
+			t.Fatalf("%v: read back: %v, %d bytes left", c.vals, err, len(rest))
+		}
+		for i, v := range c.vals {
+			if (c.nulls == nil || !c.nulls[i]) && math.Float64bits(got[i]) != math.Float64bits(v) {
+				t.Errorf("%v: value %d read back as %v", c.vals, i, got[i])
+			}
+		}
+	}
+}
+
+// FuzzColumnCodec checks that any int64 stream round-trips through the
+// integer codec, and any float64 column through the float path, bit for
+// bit. The input is read as little-endian 8-byte words; when its first
+// byte is odd, each word with bit 8 set is a NULL, whose value is not
+// kept.
+func FuzzColumnCodec(f *testing.F) {
+	words := func(ws ...uint64) []byte {
+		var b []byte
+		for _, w := range ws {
+			b = binary.LittleEndian.AppendUint64(b, w)
+		}
+		return b
+	}
+	fb := math.Float64bits
+	f.Add(words(0x7ff8000000000001, 0xfff4000000000abc, fb(1.5))) // NaN payloads
+	f.Add(words(fb(math.Copysign(0, -1)), fb(0), fb(2.25)))
+	f.Add(words(fb(math.Inf(1)), fb(math.Inf(-1)), fb(3)))
+	f.Add(words(fb(5e-324), fb(2.2250738585072009e-308), fb(1e-310))) // subnormals
+	f.Add(words(1<<53-1, 1<<53, 1<<53+1, fb(1<<53-1), fb(1<<53), fb(1<<53+2)))
+	f.Add(words(1<<63, 1<<63-1, 1<<63, 1<<63-1, 1<<63)) // MinInt64, MaxInt64: the deltas overflow
+	f.Add(words(7, 7, 7, 7, 7))                         // constant
+	f.Add(words(42))                                    // one row
+	f.Add(words(fb(12.345678), fb(0.1), fb(-3.5), fb(1e-7), fb(88.000001)))
+	f.Add(words(1|fb(1.5), 0x100|fb(math.NaN()), fb(2))) // odd first byte: the NaN is a NULL
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		n := len(data) / 8
+		ints, floats := make([]int64, n), make([]float64, n)
+		var nulls []bool
+		if len(data) > 0 && data[0]&1 == 1 {
+			nulls = make([]bool, n)
+		}
+		for i := range ints {
+			w := binary.LittleEndian.Uint64(data[8*i:])
+			ints[i], floats[i] = int64(w), math.Float64frombits(w)
+			if nulls != nil {
+				nulls[i] = w&0x100 != 0
+			}
+		}
+		gotI, rest, err := readInts(appendInts(nil, ints), n)
+		if err != nil || len(rest) != 0 || !slices.Equal(gotI, ints) {
+			t.Fatalf("ints %v read back as %v (err %v, %d bytes left)", ints, gotI, err, len(rest))
+		}
+		gotF, rest, err := readFloats(appendFloats(nil, floats, nulls), n)
+		if err != nil || len(rest) != 0 || len(gotF) != n {
+			t.Fatalf("floats %v: err %v, %d values, %d bytes left", floats, err, len(gotF), len(rest))
+		}
+		for i, v := range floats {
+			if (nulls == nil || !nulls[i]) && math.Float64bits(gotF[i]) != math.Float64bits(v) {
+				t.Fatalf("float %d = %v (%#x) read back as %v (%#x)", i, v, math.Float64bits(v), gotF[i], math.Float64bits(gotF[i]))
+			}
+		}
+	})
+}
+
 // FuzzSegment checks that arbitrary bytes never panic the segment
 // decoder, that valid images round-trip, and that truncated (torn-tail)
 // images are rejected.
@@ -717,6 +879,11 @@ func FuzzSegment(f *testing.F) {
 	f.Add(valid[:len(valid)-3]) // torn tail
 	f.Add([]byte(segMagic))
 	f.Add([]byte{})
+	legacy, err := os.ReadFile(legacySegmentFile)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(legacy) // format 1
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := decodeSegment(data)
 		if err != nil {
