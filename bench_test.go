@@ -877,7 +877,7 @@ func BenchmarkBulkLoad(b *testing.B) {
 	}
 	run := func(load func(b *testing.B, s *datastore.Store)) func(*testing.B) {
 		return func(b *testing.B) {
-			var live, disk, results float64
+			var live, sealed, disk, results float64
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				before := liveHeap()
@@ -888,10 +888,12 @@ func BenchmarkBulkLoad(b *testing.B) {
 				// Residency: what the loaded store keeps on the heap, per result.
 				live += liveHeap() - before
 				results += float64(s.Stats().Results)
-				// Disk: the store's files once every tail is in a segment.
+				// Disk, and residency once every tail is a segment at its
+				// widths: the published form's cost.
 				if err := s.Engine().CompactSegments(); err != nil {
 					b.Fatal(err)
 				}
+				sealed += liveHeap() - before
 				size, err := s.Engine().DiskSize()
 				if err != nil {
 					b.Fatal(err)
@@ -902,6 +904,7 @@ func BenchmarkBulkLoad(b *testing.B) {
 			}
 			b.ReportMetric(float64(nFiles)*float64(b.N)/b.Elapsed().Seconds(), "files/s")
 			b.ReportMetric(live/results, "live-B/result")
+			b.ReportMetric(sealed/results, "sealed-B/result")
 			b.ReportMetric(disk/results, "disk-B/result")
 		}
 	}

@@ -220,8 +220,9 @@ func (s *Store) ExecutionsOfResults(ids []int64) ([]string, error) {
 	}
 	owners := make(map[int64]bool)
 	if err := prTab.Gather(ids, func(b *reldb.ColumnBlock) error {
-		for _, exec := range b.Int64s(1) {
-			owners[exec] = true
+		execs := b.Ints(1)
+		for i := range b.Len() {
+			owners[execs.At(i)] = true
 		}
 		return nil
 	}); err != nil {

@@ -315,11 +315,11 @@ func (s *Store) scanResults(ctx context.Context, pos *posIndex, fn func(i int, e
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("datastore: performance_result scan: %w", err)
 		}
-		execs, metrics, tools, units := b.Int64s(1), b.Int64s(2), b.Int64s(3), b.Int64s(4)
+		ids, execs, metrics, tools, units := b.IDs(), b.Ints(1), b.Ints(2), b.Ints(3), b.Ints(4)
 		vals := b.Float64s(5)
-		for i, id := range b.RowIDs() {
-			if j, ok := pos.get(id); ok {
-				if err := fn(j, execs[i], metrics[i], tools[i], units[i], vals[i]); err != nil {
+		for i := range b.Len() {
+			if j, ok := pos.get(ids.At(i)); ok {
+				if err := fn(j, execs.At(i), metrics.At(i), tools.At(i), units.At(i), vals[i]); err != nil {
 					return err
 				}
 			}
@@ -345,10 +345,10 @@ func (s *Store) scanLinks(ctx context.Context, table string, want *posIndex, add
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("datastore: %s scan: %w", table, err)
 		}
-		owners, members := b.Int64s(0), b.Int64s(1)
-		for i, owner := range owners {
-			if j, ok := want.get(owner); ok {
-				add(j, members[i])
+		owners, members := b.Ints(0), b.Ints(1)
+		for i := range b.Len() {
+			if j, ok := want.get(owners.At(i)); ok {
+				add(j, members.At(i))
 			}
 		}
 		return nil
@@ -677,9 +677,9 @@ func (m *materializer) decodeFoci(ctx context.Context, fids []int64) error {
 			if err := ctx.Err(); err != nil {
 				return fmt.Errorf("datastore: focus scan: %w", err)
 			}
-			kinds := b.Strings(1)
-			for k, id := range b.RowIDs() {
-				i, ok := fpos.get(id)
+			ids, kinds := b.IDs(), b.Strings(1)
+			for k := range b.Len() {
+				i, ok := fpos.get(ids.At(k))
 				if !ok {
 					continue
 				}

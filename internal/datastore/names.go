@@ -355,8 +355,9 @@ func loadNames(eng *reldb.DB) (*nameState, error) {
 		return nil, err
 	}
 	if err := foci.Each(func(b *reldb.ColumnBlock) error {
-		sigs := b.Strings(2)
-		for i, id := range b.RowIDs() {
+		ids, sigs := b.IDs(), b.Strings(2)
+		for i := range b.Len() {
+			id := ids.At(i)
 			if first, dup := st.focusIDs[sigs[i]]; dup {
 				return fmt.Errorf("datastore: foci %d and %d share the signature %q", first, id, sigs[i])
 			}

@@ -3,6 +3,7 @@ package datastore
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"strconv"
@@ -431,13 +432,7 @@ func (s *Store) familySets(ctx context.Context, fams []core.Family) ([]idSet, er
 // with the match-cache outcome.
 func (s *Store) matchingIDs(ctx context.Context, prf core.PRFilter) (idSet, error) {
 	if len(prf.Families) == 0 {
-		prTab, _ := s.eng.Table("performance_result")
-		var all []int64
-		prTab.Scan(func(id int64, _ reldb.Row) bool {
-			all = append(all, id)
-			return true
-		})
-		return sortDedup(all), nil
+		return s.allResultIDs(ctx)
 	}
 	gen := s.gen.Load()
 	key := "prf:" + prf.Signature()
@@ -455,6 +450,32 @@ func (s *Store) matchingIDs(ctx context.Context, prf core.PRFilter) (idSet, erro
 	ids := intersectAll(sets)
 	s.cache.Put(gen, key, ids, 8*int64(len(ids)))
 	return ids, nil
+}
+
+// allResultIDs is the empty pr-filter's set, every result ID: read off the
+// row-ID column of performance_result's block source, whose blocks ascend
+// by ID, checking ctx once per block. No row is built.
+func (s *Store) allResultIDs(ctx context.Context) (idSet, error) {
+	prTab, ok := s.eng.Table("performance_result")
+	if !ok {
+		return nil, fmt.Errorf("datastore: no performance_result table: %w", ErrNotFound)
+	}
+	scan, err := prTab.Blocks(math.MinInt64, math.MaxInt64)
+	if err != nil {
+		return nil, err
+	}
+	all := make([]int64, 0, prTab.Len())
+	err = scan.Each(func(b *reldb.ColumnBlock) error {
+		if err := ctx.Err(); err != nil {
+			return fmt.Errorf("datastore: performance_result scan: %w", err)
+		}
+		ids := b.IDs()
+		for i := range b.Len() {
+			all = append(all, ids.At(i))
+		}
+		return nil
+	})
+	return all, err
 }
 
 // MatchingResultIDs evaluates a pr-filter: the IDs of performance results

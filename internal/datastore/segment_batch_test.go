@@ -2,8 +2,10 @@ package datastore
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -92,6 +94,82 @@ func TestSegmentCommitAllocsPerResult(t *testing.T) {
 	}
 }
 
+// TestSegmentResidentBytesPerRow: once documents shaped like doc_full are
+// loaded and compacted, the segments of performance_result hold a row in
+// at most 16 bytes of memory and those of result_has_focus in at most 8 —
+// integers at the widths their blocks' ranges need — where holding each
+// integer and row ID as an int64 took 56 and 24.
+func TestSegmentResidentBytesPerRow(t *testing.T) {
+	s, fe := newSegmentStore(t)
+	fe.SetSegmentFlushRows(4096)
+	const procs, funcs, metrics = 16, 8, 32
+	if _, err := stage(s, shapedShared(procs, funcs)).Commit(); err != nil {
+		t.Fatal(err)
+	}
+	for d := 0; d < 6; d++ {
+		if _, err := stage(s, fullShapedDoc(fmt.Sprintf("e%d", d), procs, funcs, metrics)).Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fe.CompactSegments(); err != nil {
+		t.Fatal(err)
+	}
+	st := fe.Stats()
+	for _, name := range []string{"performance_result", "result_has_focus", "focus_has_resource", "focus", "resource_has_ancestor", "resource_has_descendant"} {
+		if ts := st.PerTable[name]; ts.SegmentRows > 0 {
+			t.Logf("%s: %.2f resident bytes a segment row", name, float64(ts.SegmentResidentBytes)/float64(ts.SegmentRows))
+		}
+	}
+	for _, c := range []struct {
+		table  string
+		perRow float64
+	}{{"performance_result", 16}, {"result_has_focus", 8}} {
+		ts := st.PerTable[c.table]
+		if ts.SegmentRows == 0 || float64(ts.SegmentResidentBytes)/float64(ts.SegmentRows) > c.perRow {
+			t.Errorf("%s: %d segment rows resident in %d bytes, want at most %v a row", c.table, ts.SegmentRows, ts.SegmentResidentBytes, c.perRow)
+		}
+	}
+	if st.SegmentResidentBytes == 0 || st.SegmentResidentBytes >= st.SegmentDataBytes {
+		t.Errorf("segments resident in %d bytes, against %d in row form", st.SegmentResidentBytes, st.SegmentDataBytes)
+	}
+}
+
+// TestEmptyFilterReadsRowIDsByBlock: the empty pr-filter — every result,
+// which resolving an empty selection asks for — costs allocations that do
+// not grow with the results it returns, and a cancelled context stops it.
+func TestEmptyFilterReadsRowIDsByBlock(t *testing.T) {
+	s, fe := newSegmentStore(t)
+	fe.SetSegmentFlushRows(1 << 40) // one block, however many results
+	const procs, funcs, metrics = 8, 8, 16
+	if _, err := stage(s, shapedShared(procs, funcs)).Commit(); err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(docs int) float64 {
+		for d := 0; d < docs; d++ {
+			if _, err := stage(s, fullShapedDoc(fmt.Sprintf("e%d-%d", docs, d), procs, funcs, metrics)).Commit(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ids, err := s.MatchingResultIDsCtx(context.Background(), core.PRFilter{})
+		if n := s.Stats().Results; err != nil || int64(len(ids)) != n || !slices.IsSorted(ids) {
+			t.Fatalf("the empty filter: %d IDs (%v), want the store's %d ascending", len(ids), err, n)
+		}
+		return testing.AllocsPerRun(5, func() {
+			if _, err := s.MatchingResultIDsCtx(context.Background(), core.PRFilter{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if few, many := allocs(1), allocs(7); many != few {
+		t.Errorf("the empty filter allocates %v times over %d results and %v over %d", few, procs*funcs*metrics, many, 8*procs*funcs*metrics)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if ids, err := s.MatchingResultIDsCtx(ctx, core.PRFilter{}); !errors.Is(err, context.Canceled) {
+		t.Errorf("the empty filter under a cancelled context: %d IDs, err %v", len(ids), err)
+	}
+}
+
 // TestSegmentBatchHotRowsAppearTogether is the store-level leg of the
 // engine's test of that name: while documents load — every third one
 // refused at its last record and rolled back — the counts a reader sees of
@@ -173,8 +251,8 @@ func TestSegmentBatchHotRowsAppearTogether(t *testing.T) {
 				var last int64
 				if scan, err := tables["performance_result"].Blocks(0, math.MaxInt64); err == nil {
 					scan.Each(func(b *reldb.ColumnBlock) error {
-						if ids := b.RowIDs(); len(ids) > 0 {
-							last = ids[len(ids)-1]
+						if ids := b.IDs(); ids.Len() > 0 {
+							last = ids.At(ids.Len() - 1)
 						}
 						return nil
 					})

@@ -108,10 +108,11 @@ func (p *Planner) buildResultFilter(ctx context.Context, pushed []conjunct) (res
 
 // --- column vectors and selection kernels ---
 
-// blockVecs holds one performance_result block's decoded column slices.
+// blockVecs holds one performance_result block's column vectors. The
+// integer ones are at whatever width the block holds them (reldb.IntVec).
 type blockVecs struct {
-	ids            []int64
-	es, ms, ts, us []int64
+	ids            *reldb.IntVec
+	es, ms, ts, us *reldb.IntVec
 	vs             []float64
 }
 
@@ -121,13 +122,13 @@ type blockVecs struct {
 // block is corrupt: the scan fails rather than guess.
 func resultBlockVecs(b *reldb.ColumnBlock) (blockVecs, error) {
 	v := blockVecs{
-		ids: b.RowIDs(),
-		es:  b.Int64s(1), ms: b.Int64s(2), ts: b.Int64s(3), us: b.Int64s(4),
+		ids: b.IDs(),
+		es:  b.Ints(1), ms: b.Ints(2), ts: b.Ints(3), us: b.Ints(4),
 		vs: b.Float64s(5),
 	}
 	n := b.Len()
-	if len(v.ids) != n || len(v.es) != n || len(v.ms) != n ||
-		len(v.ts) != n || len(v.us) != n || len(v.vs) != n {
+	if v.es == nil || v.ms == nil || v.ts == nil || v.us == nil || v.ids.Len() != n || v.es.Len() != n ||
+		v.ms.Len() != n || v.ts.Len() != n || v.us.Len() != n || len(v.vs) != n {
 		return v, fmt.Errorf("planner: performance_result block does not match the schema (%d rows)", n)
 	}
 	for col := 1; col <= 5; col++ {
@@ -139,7 +140,7 @@ func resultBlockVecs(b *reldb.ColumnBlock) (blockVecs, error) {
 }
 
 // dim returns the vector of one physical dimension column.
-func (v *blockVecs) dim(phys int) []int64 {
+func (v *blockVecs) dim(phys int) *reldb.IntVec {
 	switch phys {
 	case 1:
 		return v.es
@@ -161,8 +162,22 @@ type selFn struct {
 	refine func(sel []int32) []int32
 }
 
-// eqI64Kernel selects rows whose int64 column equals want.
-func eqI64Kernel(vals []int64, want int64) selFn {
+// eqKernel selects the rows of an integer column whose offset from the
+// column's base is off: a narrow column is compared in its own width.
+func eqKernel(v *reldb.IntVec, off uint64) selFn {
+	switch v.Width() {
+	case 1:
+		return eqKernelOf(v.U8(), uint8(off))
+	case 2:
+		return eqKernelOf(v.U16(), uint16(off))
+	case 4:
+		return eqKernelOf(v.U32(), uint32(off))
+	}
+	return eqKernelOf(v.I64(), int64(off))
+}
+
+// eqKernelOf selects rows whose element equals want.
+func eqKernelOf[T reldb.Offsets](vals []T, want T) selFn {
 	return selFn{
 		fill: func(sel []int32, start, end int) []int32 {
 			for i := start; i < end; i++ {
@@ -210,22 +225,30 @@ func cmpKernel(np numPred, x func(i int32) float64) selFn {
 }
 
 // kernels compiles the filter into per-column selection kernels over
-// this block's vectors.
-func (v *blockVecs) kernels(f *resultFilter) []selFn {
-	var ks []selFn
+// this block's vectors. An equality no row of the block can meet — the
+// value lies outside what the column's width holds above its base — makes
+// none true, and one every row meets — a constant column holding the
+// value — needs no kernel.
+func (v *blockVecs) kernels(f *resultFilter) (ks []selFn, none bool) {
 	for _, d := range f.dims {
-		ks = append(ks, eqI64Kernel(v.dim(d.col), d.id))
+		col := v.dim(d.col)
+		switch off, ok := col.Offset(d.id); {
+		case !ok:
+			return nil, true
+		case col.Width() > 0:
+			ks = append(ks, eqKernel(col, off))
+		}
 	}
 	for _, np := range f.nums {
 		if np.col == "id" {
 			ids := v.ids
-			ks = append(ks, cmpKernel(np, func(i int32) float64 { return float64(ids[i]) }))
+			ks = append(ks, cmpKernel(np, func(i int32) float64 { return float64(ids.At(int(i))) }))
 		} else {
 			vs := v.vs
 			ks = append(ks, cmpKernel(np, func(i int32) float64 { return vs[i] }))
 		}
 	}
-	return ks
+	return ks, false
 }
 
 // --- worker pool ---
@@ -479,7 +502,7 @@ type aggSink struct {
 
 	// The open block.
 	bv     *blockVecs
-	keys   [][]int64
+	keys   []*reldb.IntVec
 	packed bool // every key of the block lies inside the packed space
 }
 
@@ -499,7 +522,7 @@ func (s *aggSink) ordinal(i int32) int32 {
 	var key [4]int64
 	g, packed := int64(0), s.dense > 0
 	for ki, col := range s.keys {
-		k := col[i]
+		k := col.At(int(i))
 		key[ki] = k
 		packed = packed && k >= 0 && k < s.caps[ki]
 		g += k * s.mult[ki]
@@ -552,6 +575,39 @@ func (s *aggSink) merge(later blockSink) {
 	}
 }
 
+// addKeys adds key column kv's packed contribution, its value times mu, to
+// the group ordinal of each row of the window — in the column's own width:
+// a constant column adds one term to every row.
+func addKeys(g []int32, kv *reldb.IntVec, mu int32, start, end int, sel []int32) {
+	base := int32(kv.Base()) * mu
+	switch kv.Width() {
+	case 0:
+		for j := range g {
+			g[j] += base
+		}
+	case 1:
+		addKeysOf(g, kv.U8(), base, mu, start, end, sel)
+	case 2:
+		addKeysOf(g, kv.U16(), base, mu, start, end, sel)
+	case 4:
+		addKeysOf(g, kv.U32(), base, mu, start, end, sel)
+	default:
+		addKeysOf(g, kv.I64(), base, mu, start, end, sel)
+	}
+}
+
+func addKeysOf[T reldb.Offsets](g []int32, offs []T, base, mu int32, start, end int, sel []int32) {
+	if sel != nil {
+		for j, i := range sel {
+			g[j] += base + int32(offs[i])*mu
+		}
+		return
+	}
+	for j, i := 0, start; i < end; j, i = j+1, i+1 {
+		g[j] += base + int32(offs[i])*mu
+	}
+}
+
 // fold runs the aggregation kernels over one selected window.
 func (s *aggSink) fold(base int64, start, end int, sel []int32) {
 	acc, bv, keys, specs := s.acc, s.bv, s.keys, s.specs
@@ -573,32 +629,12 @@ func (s *aggSink) fold(base int64, start, end int, sel []int32) {
 				g = append(g, s.ordinal(int32(i)))
 			}
 		}
-	case len(keys) == 0:
+	default:
 		for j := 0; j < m; j++ {
 			g = append(g, 0)
 		}
-	default:
-		k0 := keys[0]
-		if sel != nil {
-			for _, i := range sel {
-				g = append(g, int32(k0[i]))
-			}
-		} else {
-			for i := start; i < end; i++ {
-				g = append(g, int32(k0[i]))
-			}
-		}
-		for ki := 1; ki < len(keys); ki++ {
-			kk, mu := keys[ki], int32(s.mult[ki])
-			if sel != nil {
-				for j, i := range sel {
-					g[j] += int32(kk[i]) * mu
-				}
-			} else {
-				for j, i := 0, start; i < end; j, i = j+1, i+1 {
-					g[j] += int32(kk[i]) * mu
-				}
-			}
+		for ki, kv := range keys {
+			addKeys(g, kv, int32(s.mult[ki]), start, end, sel)
 		}
 	}
 	s.gbuf = g
@@ -630,11 +666,11 @@ func (s *aggSink) fold(base int64, start, end int, sel []int32) {
 				ids := bv.ids
 				if sel != nil {
 					for j, i := range sel {
-						a.sumF[g[j]] += float64(ids[i])
+						a.sumF[g[j]] += float64(ids.At(int(i)))
 					}
 				} else {
 					for j, i := 0, start; i < end; j, i = j+1, i+1 {
-						a.sumF[g[j]] += float64(ids[i])
+						a.sumF[g[j]] += float64(ids.At(i))
 					}
 				}
 			} else {
@@ -654,11 +690,11 @@ func (s *aggSink) fold(base int64, start, end int, sel []int32) {
 			ids := bv.ids
 			if sel != nil {
 				for j, i := range sel {
-					a.sumI[g[j]] += ids[i]
+					a.sumI[g[j]] += ids.At(int(i))
 				}
 			} else {
 				for j, i := 0, start; i < end; j, i = j+1, i+1 {
-					a.sumI[g[j]] += ids[i]
+					a.sumI[g[j]] += ids.At(i)
 				}
 			}
 		}
@@ -690,7 +726,7 @@ func (s *aggSink) fold(base int64, start, end int, sel []int32) {
 			ids := bv.ids
 			if sel != nil {
 				for j, i := range sel {
-					gg, id := g[j], ids[i]
+					gg, id := g[j], ids.At(int(i))
 					if id < a.minI[gg] {
 						a.minI[gg] = id
 					}
@@ -700,7 +736,7 @@ func (s *aggSink) fold(base int64, start, end int, sel []int32) {
 				}
 			} else {
 				for j, i := 0, start; i < end; j, i = j+1, i+1 {
-					gg, id := g[j], ids[i]
+					gg, id := g[j], ids.At(i)
 					if id < a.minI[gg] {
 						a.minI[gg] = id
 					}
@@ -732,16 +768,20 @@ type tupleSink struct {
 func (s *tupleSink) open(_ *reldb.ColumnBlock, bv *blockVecs) { s.bv = bv }
 
 func (s *tupleSink) fold(_ int64, start, end int, sel []int32) {
-	bv := s.bv
 	if sel != nil {
 		for _, i := range sel {
-			s.out = append(s.out, resultTuple{bv.ids[i], bv.es[i], bv.ms[i], bv.ts[i], bv.us[i], bv.vs[i]})
+			s.out = append(s.out, s.bv.tuple(int(i)))
 		}
 		return
 	}
 	for i := start; i < end; i++ {
-		s.out = append(s.out, resultTuple{bv.ids[i], bv.es[i], bv.ms[i], bv.ts[i], bv.us[i], bv.vs[i]})
+		s.out = append(s.out, s.bv.tuple(i))
 	}
+}
+
+// tuple returns row i of the block.
+func (v *blockVecs) tuple(i int) resultTuple {
+	return resultTuple{v.ids.At(i), v.es.At(i), v.ms.At(i), v.ts.At(i), v.us.At(i), v.vs[i]}
 }
 
 func (s *tupleSink) merge(later blockSink) { s.out = append(s.out, later.(*tupleSink).out...) }
@@ -767,8 +807,11 @@ func (w *scanWorker) scanBlock(ctx context.Context, b *reldb.ColumnBlock, base i
 	if err != nil {
 		return err
 	}
+	ks, none := bv.kernels(w.f)
+	if none {
+		return nil
+	}
 	w.sink.open(b, &bv)
-	ks := bv.kernels(w.f)
 	n := b.Len()
 	for start := 0; start < n; start += vecBatch {
 		end := min(start+vecBatch, n)

@@ -3,6 +3,8 @@ package planner
 import (
 	"context"
 	"fmt"
+	"math"
+	"slices"
 	"testing"
 
 	"perftrack/internal/datastore"
@@ -199,8 +201,11 @@ func TestKeyOutsidePackedSpace(t *testing.T) {
 		return s
 	}
 	fold := func(s *aggSink, ms []int64) {
-		bv := blockVecs{ms: ms}
-		s.bv, s.keys, s.packed = &bv, [][]int64{ms}, false
+		bv, err := resultBlockVecs(resultBlock(t, ms))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.bv, s.keys, s.packed = &bv, []*reldb.IntVec{bv.ms}, false
 		s.fold(0, 0, len(ms), nil)
 	}
 	a, b := newSink(), newSink()
@@ -216,6 +221,138 @@ func TestKeyOutsidePackedSpace(t *testing.T) {
 	want := map[int64]int64{1: 2, 7: 2, -2: 1, 2: 1, 9: 1}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("groups = %v, want %v", got, want)
+	}
+}
+
+// resultBlock returns the segment a memory engine compacts rows of
+// performance_result into, one per metric ID given, as the block source
+// hands it out: its integer vectors at the widths their ranges need.
+func resultBlock(t *testing.T, metrics []int64) *reldb.ColumnBlock {
+	t.Helper()
+	db := reldb.NewMem()
+	t.Cleanup(func() { db.Close() })
+	schema := &reldb.Schema{Name: "performance_result", PrimaryKey: []string{"id"}, Columns: []reldb.Column{
+		{Name: "id", Type: reldb.KindInt}, {Name: "execution_id", Type: reldb.KindInt},
+		{Name: "metric_id", Type: reldb.KindInt}, {Name: "performance_tool_id", Type: reldb.KindInt},
+		{Name: "units_id", Type: reldb.KindInt}, {Name: "value", Type: reldb.KindFloat},
+	}}
+	if err := db.CreateTable(schema); err != nil {
+		t.Fatal(err)
+	}
+	tx := db.Begin()
+	for _, m := range metrics {
+		row := reldb.Row{reldb.Null(), reldb.Int(1), reldb.Int(m), reldb.Int(1), reldb.Int(1), reldb.Float(1)}
+		if _, err := tx.Insert("performance_result", row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CompactSegments(); err != nil {
+		t.Fatal(err)
+	}
+	tab, _ := db.Table("performance_result")
+	scan, err := tab.Blocks(math.MinInt64, math.MaxInt64)
+	if err != nil || len(scan.Segments) != 1 {
+		t.Fatalf("block source: %v, %d segments, want 1", err, len(scan.Segments))
+	}
+	return scan.Segments[0]
+}
+
+// widthCases are metric columns whose ranges need each width.
+var widthCases = []struct {
+	width   int
+	metrics []int64
+}{
+	{0, []int64{5, 5, 5, 5}},
+	{1, []int64{100, 355, 100, 200, 355}}, // 255 above a base of 100
+	{2, []int64{7, 65542, 300, 7}},
+	{4, []int64{0, 1<<32 - 1, 5, 5}},
+	{8, []int64{-1 << 40, 1 << 40, 0, -1 << 40}},
+}
+
+// TestEqKernelEveryWidth: an equality on a dimension column selects the
+// rows a brute-force comparison does, at every width the column can be
+// held at — for each value present, one in the range but absent, one
+// below the base, one above the maximum, and the extremes of int64.
+func TestEqKernelEveryWidth(t *testing.T) {
+	for _, c := range widthCases {
+		b := resultBlock(t, c.metrics)
+		bv, err := resultBlockVecs(b)
+		if err != nil || bv.ms.Width() != c.width {
+			t.Fatalf("%v: metric column at width %d (%v), want %d", c.metrics, bv.ms.Width(), err, c.width)
+		}
+		all := make([]int32, b.Len())
+		for i := range all {
+			all[i] = int32(i)
+		}
+		wants := append(slices.Clone(c.metrics), c.metrics[0]+1, slices.Min(c.metrics)-1, slices.Max(c.metrics)+1, math.MinInt64, math.MaxInt64)
+		for _, want := range wants {
+			var brute []int32
+			for i, m := range c.metrics {
+				if m == want {
+					brute = append(brute, int32(i))
+				}
+			}
+			ks, none := bv.kernels(&resultFilter{dims: []vecDim{{col: 2, id: want}}})
+			var filled, refined []int32
+			switch {
+			case none:
+			case len(ks) == 0: // a constant column holding want
+				filled, refined = all, all
+			default:
+				filled = ks[0].fill(nil, 0, b.Len())
+				refined = ks[0].refine(slices.Clone(all))
+			}
+			if !slices.Equal(filled, brute) || !slices.Equal(refined, brute) {
+				t.Errorf("width %d, metric = %d: fill %v, refine %v, want %v", c.width, want, filled, refined, brute)
+			}
+		}
+	}
+}
+
+// TestGroupKeysEveryWidth: grouping by a dimension column counts the rows
+// of each key a brute-force count does, over a whole block and over a
+// selection, at every width the column can be held at — through the
+// packed key space where the keys fit it (widths 0 to 2, one with a base
+// above 0) and through the key map where they do not (4 and 8).
+func TestGroupKeysEveryWidth(t *testing.T) {
+	for _, c := range widthCases {
+		b := resultBlock(t, c.metrics)
+		bv, err := resultBlockVecs(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := &aggSink{specs: []vecAggSpec{{fn: "COUNT", star: true}}, keyCols: []int{2}, caps: []int64{1}, mult: []int64{1}}
+		if hi := slices.Max(c.metrics); slices.Min(c.metrics) >= 0 && hi < 1<<20 {
+			s.caps, s.dense = []int64{hi + 1}, int(hi+1)
+		}
+		s.acc = newVecAccum(s.dense, s.specs)
+		s.open(b, &bv)
+		if s.packed != (s.dense > 0) {
+			t.Fatalf("width %d: packed %v with a dense space of %d", c.width, s.packed, s.dense)
+		}
+		var odd []int32
+		brute := map[int64]int64{}
+		for i, m := range c.metrics {
+			brute[m]++
+			if i%2 == 1 {
+				odd = append(odd, int32(i))
+				brute[m]++
+			}
+		}
+		s.fold(0, 0, b.Len(), nil)
+		s.fold(0, 0, b.Len(), odd)
+		got := map[int64]int64{}
+		for g, rc := range s.acc.rowCount {
+			if rc > 0 {
+				got[s.key(int32(g))[0]] += rc
+			}
+		}
+		if fmt.Sprint(got) != fmt.Sprint(brute) {
+			t.Errorf("width %d: groups %v, want %v", c.width, got, brute)
+		}
 	}
 }
 

@@ -27,7 +27,7 @@ const blockRows = 4096
 // Callers must not mutate the slices it hands out.
 type ColumnBlock struct {
 	rows   int
-	rowIDs []int64
+	rowIDs IntVec
 	cols   []colVec
 	zones  []zoneMap
 }
@@ -35,15 +35,15 @@ type ColumnBlock struct {
 // Len reports the number of rows in the block.
 func (b *ColumnBlock) Len() int { return b.rows }
 
-// RowIDs returns the block's row-ID column.
-func (b *ColumnBlock) RowIDs() []int64 { return b.rowIDs }
+// IDs returns the block's row-ID column.
+func (b *ColumnBlock) IDs() *IntVec { return &b.rowIDs }
 
-// Int64s returns an integer column, or nil for other kinds.
-func (b *ColumnBlock) Int64s(col int) []int64 {
-	if col < 0 || col >= len(b.cols) {
+// Ints returns an integer column, or nil for other kinds.
+func (b *ColumnBlock) Ints(col int) *IntVec {
+	if col < 0 || col >= len(b.cols) || b.cols[col].kind != KindInt {
 		return nil
 	}
-	return b.cols[col].ints
+	return &b.cols[col].ints
 }
 
 // Float64s returns a float column, or nil for other kinds.
@@ -86,7 +86,7 @@ func (b *ColumnBlock) ZoneInt64(col int) (min, max int64, ok bool) {
 // storage, so a resident segment carries no slack).
 func (b *ColumnBlock) reset(schema *Schema, n int) error {
 	b.rows = 0
-	b.rowIDs = slices.Grow(b.rowIDs[:0], n)
+	b.rowIDs.reset(n)
 	if len(b.cols) != len(schema.Columns) {
 		b.cols = make([]colVec, len(schema.Columns))
 		b.zones = make([]zoneMap, len(schema.Columns))
@@ -96,7 +96,7 @@ func (b *ColumnBlock) reset(schema *Schema, n int) error {
 		cv.kind, cv.nulls = col.Type, nil
 		switch col.Type {
 		case KindInt:
-			cv.ints = slices.Grow(cv.ints[:0], n)
+			cv.ints.reset(n)
 		case KindFloat:
 			cv.floats = slices.Grow(cv.floats[:0], n)
 		case KindString:
@@ -118,8 +118,8 @@ func (c *colVec) push(v Value, n int) {
 	var capacity int
 	switch c.kind {
 	case KindInt:
-		c.ints = append(c.ints, v.i)
-		capacity = cap(c.ints)
+		c.ints.push(v.i)
+		capacity = cap(c.ints.i64)
 	case KindFloat:
 		c.floats = append(c.floats, v.Float64())
 		capacity = cap(c.floats)
@@ -145,7 +145,7 @@ func (b *ColumnBlock) appendRow(id int64, row Row) {
 	for ci := range b.cols {
 		b.cols[ci].push(row[ci], b.rows)
 	}
-	b.rowIDs = append(b.rowIDs, id)
+	b.rowIDs.push(id)
 	b.rows++
 }
 
@@ -154,7 +154,7 @@ func (b *ColumnBlock) appendFrom(src *ColumnBlock, i int) {
 	for ci := range b.cols {
 		b.cols[ci].push(src.cell(ci, i), b.rows)
 	}
-	b.rowIDs = append(b.rowIDs, src.rowIDs[i])
+	b.rowIDs.push(src.rowIDs.At(i))
 	b.rows++
 }
 
@@ -173,13 +173,13 @@ func (b *ColumnBlock) appendBlock(src *ColumnBlock) {
 		b.cols[ci].appendVec(&src.cols[ci], b.rows, src.rows)
 		b.zones[ci].widen(src.zones[ci])
 	}
-	b.rowIDs = append(b.rowIDs, src.rowIDs...)
+	b.rowIDs.appendVec(&src.rowIDs)
 	b.rows += src.rows
 }
 
 // appendVec appends the m values of src to a column that holds n.
 func (c *colVec) appendVec(src *colVec, n, m int) {
-	c.ints = append(c.ints, src.ints...)
+	c.ints.appendVec(&src.ints)
 	c.floats = append(c.floats, src.floats...)
 	c.strs = append(c.strs, src.strs...)
 	c.bools = append(c.bools, src.bools...)
@@ -224,13 +224,13 @@ func cellZone(kind Kind, v Value) zoneMap {
 // the view's values, not tight ones. Rows appended to b later are not
 // part of the view and do not disturb it.
 func (b *ColumnBlock) view(from, to int) ColumnBlock {
-	v := ColumnBlock{rows: to - from, rowIDs: b.rowIDs[from:to:to], cols: make([]colVec, len(b.cols)), zones: slices.Clone(b.zones)}
+	v := ColumnBlock{rows: to - from, rowIDs: b.rowIDs.slice(from, to), cols: make([]colVec, len(b.cols)), zones: slices.Clone(b.zones)}
 	for ci := range b.cols {
 		c, vc := &b.cols[ci], &v.cols[ci]
 		vc.kind = c.kind
 		switch c.kind {
 		case KindInt:
-			vc.ints = c.ints[from:to:to]
+			vc.ints = c.ints.slice(from, to)
 		case KindFloat:
 			vc.floats = c.floats[from:to:to]
 		case KindString:
@@ -245,6 +245,20 @@ func (b *ColumnBlock) view(from, to int) ColumnBlock {
 	return v
 }
 
+// narrowed returns a copy of a block no row will be added to, its integer
+// vectors at their least widths and no vector keeping an append's slack.
+// A vector already narrow is shared, not copied.
+func (b *ColumnBlock) narrowed() ColumnBlock {
+	out := ColumnBlock{rows: b.rows, rowIDs: b.rowIDs.narrowed(), cols: make([]colVec, len(b.cols)), zones: slices.Clone(b.zones)}
+	for ci := range b.cols {
+		c := &b.cols[ci]
+		out.cols[ci] = colVec{kind: c.kind, ints: c.ints.narrowed(), floats: slices.Clone(c.floats),
+			strs: slices.Clone(c.strs), codes: slices.Clone(c.codes), words: c.words,
+			bools: slices.Clone(c.bools), nulls: slices.Clone(c.nulls)}
+	}
+	return out
+}
+
 // cell returns the value at row i of column ci.
 func (b *ColumnBlock) cell(ci, i int) Value {
 	c := &b.cols[ci]
@@ -253,7 +267,7 @@ func (b *ColumnBlock) cell(ci, i int) Value {
 	}
 	switch c.kind {
 	case KindInt:
-		return Int(c.ints[i])
+		return Int(c.ints.At(i))
 	case KindFloat:
 		return Float(c.floats[i])
 	case KindString:
@@ -291,7 +305,7 @@ func (b *ColumnBlock) eachRow(perm []int32, from, to int, fn func(id int64, row 
 		for ci := range row {
 			row[ci] = b.cell(ci, i)
 		}
-		if !fn(b.rowIDs[i], row) {
+		if !fn(b.rowIDs.At(i), row) {
 			return false
 		}
 	}
@@ -300,10 +314,11 @@ func (b *ColumnBlock) eachRow(perm []int32, from, to int, fn func(id int64, row 
 
 // zone computes the min/max summary over the column's non-null values.
 func (c *colVec) zone() (z zoneMap) {
-	for i, n := range c.ints {
+	for i := 0; i < c.ints.Len(); i++ {
 		if c.nulls != nil && c.nulls[i] {
 			continue
 		}
+		n := c.ints.At(i)
 		if !z.valid || n < z.minI {
 			z.minI = n
 		}

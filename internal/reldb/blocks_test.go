@@ -4,6 +4,7 @@ import (
 	"math"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -12,13 +13,13 @@ import (
 // which only segments build).
 func sameColumns(t *testing.T, label string, b, want *ColumnBlock) {
 	t.Helper()
-	if b.Len() != want.Len() || !reflect.DeepEqual(b.rowIDs, want.rowIDs) {
+	if got, wantIDs := Values(&b.rowIDs), Values(&want.rowIDs); b.Len() != want.Len() || !reflect.DeepEqual(got, wantIDs) {
 		t.Fatalf("%s: row IDs differ: %d rows %v..., want %d rows %v...",
-			label, b.Len(), head(b.rowIDs), want.Len(), head(want.rowIDs))
+			label, b.Len(), head(got), want.Len(), head(wantIDs))
 	}
 	for ci := range want.cols {
 		g, w := &b.cols[ci], &want.cols[ci]
-		if !reflect.DeepEqual(g.ints, w.ints) || !reflect.DeepEqual(g.floats, w.floats) ||
+		if !reflect.DeepEqual(Values(&g.ints), Values(&w.ints)) || !reflect.DeepEqual(g.floats, w.floats) ||
 			!reflect.DeepEqual(g.nulls, w.nulls) {
 			t.Fatalf("%s: column %d differs", label, ci)
 		}
@@ -125,10 +126,10 @@ func linkPairs(t *testing.T, tab *Table, lo, hi int64) [][2]int64 {
 	}
 	var out [][2]int64
 	if err := scan.Each(func(b *ColumnBlock) error {
-		owners, members := b.Int64s(0), b.Int64s(1)
-		for i, o := range owners {
-			if o >= lo && o <= hi {
-				out = append(out, [2]int64{o, members[i]})
+		owners, members := b.Ints(0), b.Ints(1)
+		for i := range b.Len() {
+			if o := owners.At(i); o >= lo && o <= hi {
+				out = append(out, [2]int64{o, members.At(i)})
 			}
 		}
 		return nil
@@ -255,7 +256,7 @@ func TestBlockSourceDuringCompaction(t *testing.T) {
 				next := int64(1)
 				err = scan.Each(func(b *ColumnBlock) error {
 					vals := b.Float64s(5)
-					for i, id := range b.RowIDs() {
+					for i, id := range Values(b.IDs()) {
 						if id > prefix {
 							break
 						}
@@ -278,5 +279,142 @@ func TestBlockSourceDuringCompaction(t *testing.T) {
 	writer.Wait()
 	if scan, _ := tab.Blocks(1, math.MaxInt64); !scan.Segmented() {
 		t.Error("no segment was ever published during the test")
+	}
+}
+
+// TestNarrowSealUnderReaders: while a writer commits results and tails are
+// sealed — installed as their narrowed copies — and published, readers of
+// block-scan views (segments, then the tail), of Gather and of
+// IndexScanInt each see every result committed before they began exactly
+// once, with its values; and a view of a tail opened before its seal
+// still reads it, wide, afterwards. Under -race this is the check that a
+// seal never writes what a reader pinned.
+func TestNarrowSealUnderReaders(t *testing.T) {
+	fe := openTestEngine(t, t.TempDir())
+	defer fe.Close()
+	schema := resultSchema()
+	schema.Indexes = []IndexSpec{{Name: "by_exec", Columns: []string{"execution_id"}}}
+	if err := fe.CreateTable(schema); err != nil {
+		t.Fatal(err)
+	}
+	fe.SetSegmentFlushRows(300)
+	tab, _ := fe.Table("performance_result")
+	// Result k (row ID k+1) is resultRow(k).
+	check := func(label string, id int64, row Row) {
+		if want := resultRow(int(id - 1)); !rowsEqual(row[1:], want[1:]) || row[0].Int64() != id {
+			t.Errorf("%s: row %d = %v, want %v", label, id, row, want)
+		}
+	}
+	commit := func(from, n int) {
+		tx := fe.Begin()
+		for k := from; k < from+n; k++ {
+			if _, err := tx.Insert("performance_result", resultRow(k)); err != nil {
+				t.Error(err)
+			}
+		}
+		if err := tx.Commit(); err != nil {
+			t.Error(err)
+		}
+	}
+
+	// A view opened over a tail, read after the seal and publication.
+	commit(0, 250)
+	scan, err := tab.Blocks(1, math.MaxInt64)
+	if err != nil || scan.Segmented() {
+		t.Fatalf("scan of the tail: %v, segmented %v", err, scan.Segmented())
+	}
+	if err := fe.CompactSegments(); err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	scan.Tail(func(b *ColumnBlock) error {
+		if b.IDs().Width() != 8 {
+			t.Errorf("the view pinned before the seal is at width %d", b.IDs().Width())
+		}
+		for i := range b.Len() {
+			check("pinned view", b.IDs().At(i), b.row(i))
+			n++
+		}
+		return nil
+	})
+	if n != 250 || len(tab.segs) != 1 || tab.segs[0].rowIDs.Width() == 8 {
+		t.Fatalf("the pinned view read %d rows; the table has %d segments", n, len(tab.segs))
+	}
+
+	const total = 6000
+	var committed atomic.Int64
+	committed.Store(250)
+	var writer sync.WaitGroup
+	writer.Add(1)
+	go func() {
+		defer writer.Done()
+		for k := 250; k < total; k += 50 {
+			commit(k, 50)
+			committed.Store(int64(k + 50))
+		}
+	}()
+	var readers sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for iter := 0; committed.Load() < total || iter < 3; iter++ {
+				c := committed.Load()
+				scan, err := tab.Blocks(1, math.MaxInt64)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				next := int64(1)
+				scan.Each(func(b *ColumnBlock) error {
+					for i := range b.Len() {
+						if id := b.IDs().At(i); id != next {
+							t.Errorf("block scan: row %d after %d", id, next-1)
+						}
+						check("block scan", next, b.row(i))
+						next++
+					}
+					return nil
+				})
+				if next <= c {
+					t.Errorf("block scan saw %d rows, %d were committed before it", next-1, c)
+				}
+				var ids []int64
+				for id := int64(1); id <= c; id += 7 {
+					ids = append(ids, id)
+				}
+				got := 0
+				tab.Gather(ids, func(b *ColumnBlock) error {
+					for i := range b.Len() {
+						if b.IDs().At(i) != ids[got] {
+							t.Errorf("gather: row %d, want %d", b.IDs().At(i), ids[got])
+						}
+						check("gather", ids[got], b.row(i))
+						got++
+					}
+					return nil
+				})
+				if got != len(ids) {
+					t.Errorf("gather found %d of %d rows", got, len(ids))
+				}
+				exec := int64(iter % 7)
+				want := exec + 1 // the first result whose execution_id is exec
+				tab.IndexScanInt("by_exec", []Value{Int(exec)}, 0, func(id, key int64) bool {
+					if id != want || key != id {
+						t.Errorf("index scan of execution %d: row %d (key %d), want %d", exec, id, key, want)
+					}
+					want += 7
+					return true
+				})
+				if want <= c {
+					t.Errorf("index scan of execution %d stopped at %d, %d were committed before it", exec, want-7, c)
+				}
+			}
+		}()
+	}
+	writer.Wait()
+	readers.Wait()
+	if st := hotStatus(t, fe, "performance_result"); st.Segments < 10 {
+		t.Errorf("only %d segments were published under the readers", st.Segments)
 	}
 }

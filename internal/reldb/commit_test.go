@@ -183,7 +183,7 @@ func TestDeleteExecutionIsOneCommit(t *testing.T) {
 		scan, err := results.Blocks(math.MinInt64, math.MaxInt64)
 		if err == nil {
 			err = scan.Each(func(b *reldb.ColumnBlock) error {
-				for _, e := range b.Int64s(1) {
+				for _, e := range reldb.Values(b.Ints(1)) {
 					if e == exec {
 						byBlocks++
 					}

@@ -19,13 +19,13 @@ import (
 // bulk-scanned tables, and keeps it columnar from the moment the row is
 // committed (Table's doc comment has the read side): the unflushed rows
 // are a tail, a segment with no file yet. A commit that leaves a table's
-// tail at or above the flush threshold seals it — swaps in an
-// empty one, O(1); the background compactor encodes the sealed tail as it
-// stands into an immutable segment file and publishes the same object as
-// a segment, permutations and all, again O(1). Nothing is transposed,
-// deleted row by row or re-inserted, at run time or at recovery. A
-// change to a block is a replacement block (Table.replaceLocked), which
-// the next pass writes like a sealed tail.
+// tail at or above the flush threshold seals it — installs its narrowed
+// copy (integers at their least widths, permutations shared) and an empty
+// tail; the background compactor encodes the sealed block as it stands
+// into an immutable segment file and publishes that same object as a
+// segment, O(1). Nothing is transposed, deleted row by row or re-inserted,
+// at run time or at recovery. A change to a block is a replacement block
+// (Table.replaceLocked), which the next pass writes like a sealed tail.
 //
 // A hot row is durable in exactly one place: the tail log of the tail
 // that holds it, then — once the segment file is fsynced and a durable
@@ -171,18 +171,20 @@ func (st *segState) sealReadyLocked(atLeast int64) (full bool) {
 	return full
 }
 
-// sealLocked freezes the table's tail and starts a new one.
+// sealLocked freezes the table's tail, installs its narrowed copy as the
+// sealed block and starts a new tail. A reader holding a view of the old
+// tail keeps reading the wide vectors it pinned.
 func (st *segState) sealLocked(t *Table) {
-	sealed := t.tail
-	var logs []*logFile
-	if t.pinLogs {
-		logs, sealed.logs = sealed.logs, nil
-	} else if k := len(sealed.logs); k > 0 && sealed.logs[k-1].finish() != nil {
+	old := t.tail
+	if k := len(old.logs); !t.pinLogs && k > 0 && old.logs[k-1].finish() != nil {
 		return // the log cannot take its buffered records: the tail stays active, the committer's next flush reports it
 	}
-	sealed.freeze(t.pkCols)
+	old.freeze(t.pkCols)
+	sealed := old.narrowed()
 	tail := t.newBlock(sealed.maxRowID, 0)
-	tail.logs = logs
+	if t.pinLogs {
+		tail.logs, sealed.logs = sealed.logs, nil
+	}
 	t.installLocked(sealed, tail)
 }
 
@@ -291,10 +293,16 @@ func (t *Table) publishLocked(b, seg *segment, path string, size int64) {
 func (st *segState) run() {
 	defer close(st.done)
 	for {
+		// A pass the compactor was woken for runs before a stop is seen, so
+		// what Close leaves does not depend on which channel a select picks.
 		select {
-		case <-st.stop:
-			return
 		case <-st.notify:
+		default:
+			select {
+			case <-st.stop:
+				return
+			case <-st.notify:
+			}
 		}
 		st.compactMu.Lock()
 		// A failed pass leaves its sealed tails in place, still serving
@@ -679,8 +687,8 @@ func (st *segState) attachLocked(t *Table) error {
 	}
 	t.installLocked(nil, t.tail)
 	dup := make(map[int]Row)
-	for i, id := range t.tail.rowIDs {
-		if ref, _ := t.findIDLocked(id); ref.seg != t.tail {
+	for i := 0; i < t.tail.rows; i++ {
+		if ref, _ := t.findIDLocked(t.tail.rowIDs.At(i)); ref.seg != t.tail {
 			dup[i] = nil
 		}
 	}

@@ -292,12 +292,13 @@ type Stats struct {
 	IndexBytes int64                 `json:"index_bytes"` // B-tree key and tail permutation bytes over them
 	PerTable   map[string]TableStats `json:"per_table"`
 
-	WALBytes         int64  `json:"wal_bytes,omitempty"` // every live log
-	SnapshotBytes    int64  `json:"snapshot_bytes,omitempty"`
-	SegmentBytes     int64  `json:"segment_bytes,omitempty"`      // encoded segment files
-	SegmentDataBytes int64  `json:"segment_data_bytes,omitempty"` // decoded segment columns: about what their rows would take in row form
-	DiskBytes        int64  `json:"disk_bytes,omitempty"`         // WAL + snapshot + segments
-	FlushErrors      uint64 `json:"flush_errors,omitempty"`       // Stats calls whose WAL flush failed (WALBytes is then the last good value)
+	WALBytes             int64  `json:"wal_bytes,omitempty"` // every live log
+	SnapshotBytes        int64  `json:"snapshot_bytes,omitempty"`
+	SegmentBytes         int64  `json:"segment_bytes,omitempty"`          // encoded segment files
+	SegmentDataBytes     int64  `json:"segment_data_bytes,omitempty"`     // decoded segment columns: about what their rows would take in row form
+	SegmentResidentBytes int64  `json:"segment_resident_bytes,omitempty"` // what decoded segments take in memory: their vectors at their widths, and built permutations
+	DiskBytes            int64  `json:"disk_bytes,omitempty"`             // WAL + snapshot + segments
+	FlushErrors          uint64 `json:"flush_errors,omitempty"`           // Stats calls whose WAL flush failed (WALBytes is then the last good value)
 }
 
 // LogicalBytes is the payload size of every row in row form, resident
@@ -313,10 +314,11 @@ type TableStats struct {
 	IndexBytes int64 `json:"index_bytes"`
 	Indexes    int   `json:"indexes"`
 
-	Segments         int   `json:"segments,omitempty"`
-	SegmentRows      int64 `json:"segment_rows,omitempty"`
-	SegmentBytes     int64 `json:"segment_bytes,omitempty"`
-	SegmentDataBytes int64 `json:"segment_data_bytes,omitempty"`
+	Segments             int   `json:"segments,omitempty"`
+	SegmentRows          int64 `json:"segment_rows,omitempty"`
+	SegmentBytes         int64 `json:"segment_bytes,omitempty"`
+	SegmentDataBytes     int64 `json:"segment_data_bytes,omitempty"`
+	SegmentResidentBytes int64 `json:"segment_resident_bytes,omitempty"`
 }
 
 // LogicalBytes is the payload size of the table's rows in row form.
@@ -335,6 +337,9 @@ func (db *DB) tableStatsLocked() Stats {
 			SegmentDataBytes: t.segDataBytes,
 		}
 		ts.DataBytes, ts.IndexBytes = t.active.dataBytes, t.active.indexBytes()
+		for _, s := range t.segs {
+			ts.SegmentResidentBytes += s.residentBytes()
+		}
 		for _, s := range t.tailsLocked() {
 			ts.DataBytes += s.decodedBytes()
 			ts.IndexBytes += s.permBytes()
@@ -345,6 +350,7 @@ func (db *DB) tableStatsLocked() Stats {
 		s.IndexBytes += ts.IndexBytes
 		s.SegmentBytes += ts.SegmentBytes
 		s.SegmentDataBytes += ts.SegmentDataBytes
+		s.SegmentResidentBytes += ts.SegmentResidentBytes
 		s.PerTable[name] = ts
 	}
 	return s

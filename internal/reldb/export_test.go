@@ -15,6 +15,16 @@ var HotTables = segmentHotTables
 // BlockRow builds row i of a block.
 func BlockRow(b *ColumnBlock, i int) Row { return b.row(i) }
 
+// Values returns a vector's values, whatever its width: tests compare
+// columns by value.
+func Values(v *IntVec) []int64 {
+	out := make([]int64, v.Len())
+	for i := range out {
+		out[i] = v.At(i)
+	}
+	return out
+}
+
 // StringCodes returns a string column's dictionary codes: those a decoded
 // segment read from its file or, for a block without them, those the
 // encoder writes for it.

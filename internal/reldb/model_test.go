@@ -499,7 +499,7 @@ func sameReads(t *testing.T, label string, got *Table, want *refTable) {
 	blocks := func(read func(fn func(*ColumnBlock) error) error) func(func(int64, Row) bool) error {
 		return func(fn func(int64, Row) bool) error {
 			return read(func(b *ColumnBlock) error {
-				for i, id := range b.RowIDs() {
+				for i, id := range Values(b.IDs()) {
 					fn(id, b.row(i))
 				}
 				return nil

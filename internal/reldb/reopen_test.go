@@ -34,7 +34,7 @@ func renderRow(row reldb.Row) string {
 func renderBlock(tab *reldb.Table, what string, b *reldb.ColumnBlock, segment bool) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%s %s of %d:", tab.Schema().Name, what, b.Len())
-	for i, id := range b.RowIDs() {
+	for i, id := range reldb.Values(b.IDs()) {
 		fmt.Fprintf(&sb, "\n%d: %s", id, renderRow(reldb.BlockRow(b, i)))
 	}
 	for ci, col := range tab.Schema().Columns {
@@ -66,7 +66,7 @@ func hotReads(t *testing.T, eng *reldb.DB) []string {
 		err = scan.Each(func(b *reldb.ColumnBlock) error {
 			out = append(out, renderBlock(tab, "block", b, k < len(scan.Segments)))
 			k++
-			ids = append(ids, b.RowIDs()...)
+			ids = append(ids, reldb.Values(b.IDs())...)
 			for i := 0; i < b.Len(); i++ {
 				rows = append(rows, reldb.BlockRow(b, i))
 			}

@@ -304,7 +304,7 @@ func (p *hotPair) victims(rng *rand.Rand, placed map[string]bool) map[string][]i
 			s     *segment
 		}{{"segment", seg}, {"sealed", t.sealed}, {"tail", t.tail}} {
 			if at.s != nil && at.s.rows > 0 {
-				out[name] = append(out[name], at.s.rowIDs[rng.Intn(at.s.rows)])
+				out[name] = append(out[name], at.s.rowIDs.At(rng.Intn(at.s.rows)))
 				placed[at.where] = true
 			}
 		}

@@ -59,7 +59,7 @@ var ErrCorruptSegment = errors.New("reldb: corrupt segment file")
 // and the dictionary form (codes + words) the file encoding stores.
 type colVec struct {
 	kind   Kind
-	ints   []int64
+	ints   IntVec
 	floats []float64
 	strs   []string
 	codes  []uint32 // per-row dictionary code (string columns)
@@ -89,8 +89,11 @@ type zoneMap struct {
 // the next pass writes. A tail only grows, by whole appends under the
 // engine write lock; nothing in it ever moves, so a view of its first n
 // rows stays valid without a lock, and its permutations are extended by
-// the appended run, not rebuilt. Sealing a tail and publishing it as a
-// segment move the same object (compact.go).
+// the appended run, not rebuilt. A tail holds its integers at width 8; a
+// block that will not grow again — a sealed tail, a filled replacement,
+// a decoded file — holds them at their least widths (IntVec), and
+// sealing installs the narrowed copy, which publication then moves as it
+// is (compact.go).
 type segment struct {
 	ColumnBlock
 	table    string
@@ -107,8 +110,8 @@ type segment struct {
 	idAsc bool                 // positions ascend in row ID
 	top   int                  // position of the greatest primary key; -1 when empty
 	low   int                  // position of the least primary key; -1 when empty
-	byPK  lazyPerm             // positions by primary key, unless pkAsc
-	byID  lazyPerm             // positions by row ID, unless idAsc
+	byPK  *lazyPerm            // positions by primary key, unless pkAsc
+	byID  *lazyPerm            // positions by row ID, unless idAsc
 	perms map[string]*lazyPerm // per secondary index: positions by (index columns, row ID)
 	logs  []*logFile           // tails: the tail logs holding these rows' records, in replay order
 }
@@ -144,14 +147,35 @@ func (lp *lazyPerm) covered() []int32 {
 // rowBytes charges the same rows where no cell is NULL or a bool, for the
 // logical size of rows that have left the row store.
 func (s *segment) decodedBytes() int64 {
-	n := int64(len(s.rowIDs) * 8)
+	n := int64(s.rowIDs.Len() * 8)
 	for i := range s.cols {
 		c := &s.cols[i]
-		n += int64(len(c.ints)*8 + len(c.floats)*8 + len(c.bools))
+		n += int64(c.ints.Len()*8 + len(c.floats)*8 + len(c.bools))
 		for _, v := range c.strs {
 			n += int64(len(v)) + 4
 		}
 		n += int64(len(c.nulls))
+	}
+	return n
+}
+
+// residentBytes is what the block's vectors and built permutations take
+// in memory, slack included. A string column counts its headers, its
+// codes and each dictionary word once — or, without a dictionary (a
+// published tail's), each string's bytes.
+func (s *segment) residentBytes() int64 {
+	n := s.rowIDs.bytes() + s.permBytes()
+	for i := range s.cols {
+		c := &s.cols[i]
+		n += c.ints.bytes() + int64(8*cap(c.floats)+16*cap(c.strs)+4*cap(c.codes)+cap(c.bools)+cap(c.nulls))
+		if c.codes == nil {
+			for _, v := range c.strs {
+				n += int64(len(v))
+			}
+		}
+		for _, w := range c.words {
+			n += int64(16 + len(w))
+		}
 	}
 	return n
 }
@@ -161,8 +185,8 @@ func (s *segment) decodedBytes() int64 {
 // the dictionary form of its string columns.
 func (s *segment) complete(pkCols []int) {
 	s.freeze(pkCols)
-	s.minRowID, s.maxRowID = slices.Min(s.rowIDs), slices.Max(s.rowIDs)
-	s.pkAsc, s.idAsc, s.top, s.low = true, slices.IsSorted(s.rowIDs), s.rows-1, 0
+	s.minRowID, s.maxRowID = s.rowIDs.minMax()
+	s.pkAsc, s.idAsc, s.top, s.low = true, s.rowIDs.sorted(), s.rows-1, 0
 	for ci := range s.cols {
 		if cv := &s.cols[ci]; cv.kind == KindString {
 			cv.buildDict()
@@ -189,9 +213,12 @@ func (t *Table) newBlock(after int64, n int) *segment {
 	return t.withPerms(s)
 }
 
-// withPerms gives a block an unbuilt permutation per secondary index of
-// the table, unless it has them.
+// withPerms gives a block an unbuilt permutation by primary key, by row
+// ID and per secondary index of the table, unless it has them.
 func (t *Table) withPerms(s *segment) *segment {
+	if s.byPK == nil {
+		s.byPK, s.byID = new(lazyPerm), new(lazyPerm)
+	}
 	if s.perms == nil {
 		s.perms = make(map[string]*lazyPerm, len(t.active.indexes))
 		for name := range t.active.indexes {
@@ -207,8 +234,8 @@ func (t *Table) withPerms(s *segment) *segment {
 // through a permutation.
 func (s *segment) appended(pkCols []int, from int) {
 	for i := from; i < s.rows; i++ {
-		id := s.rowIDs[i]
-		if i > 0 && id <= s.rowIDs[i-1] {
+		id := s.rowIDs.At(i)
+		if i > 0 && id <= s.rowIDs.At(i-1) {
 			s.idAsc = false
 		}
 		s.minRowID, s.maxRowID = min(s.minRowID, id), max(s.maxRowID, id)
@@ -239,8 +266,9 @@ func (s *segment) tailAppendBlock(pkCols []int, b *ColumnBlock) {
 	s.appended(pkCols, from)
 }
 
-// inKeyOrder returns the tail itself when its rows lie in primary-key
-// order, else a copy of them that does: the block a segment file holds.
+// inKeyOrder returns the block itself when its rows lie in primary-key
+// order, else a narrowed copy of them that does: the block a segment file
+// holds.
 func (s *segment) inKeyOrder(t *Table) (*segment, error) {
 	if s.pkAsc {
 		return s, nil
@@ -253,7 +281,17 @@ func (s *segment) inKeyOrder(t *Table) (*segment, error) {
 		sorted.appendFrom(&s.ColumnBlock, int(p))
 	}
 	sorted.complete(t.pkCols)
-	return sorted, nil
+	return sorted.narrowed(), nil
+}
+
+// narrowed returns a copy of a block no row will be added to — a sealed
+// tail, a filled replacement, a sorted copy — that holds its rows at their
+// least widths (ColumnBlock.narrowed). It shares the block's
+// permutations: the rows are the same, at the same positions.
+func (s *segment) narrowed() *segment {
+	n := *s
+	n.ColumnBlock = s.ColumnBlock.narrowed()
+	return &n
 }
 
 // permBytes is the memory the segment's built permutations take.
@@ -300,7 +338,7 @@ func (b *ColumnBlock) boundN(perm []int32, n int, cols []int, vals []Value, afte
 		if c := &b.cols[cols[0]]; c.kind == KindInt && c.nulls == nil {
 			v := vals[0].i
 			return sort.Search(n, func(p int) bool {
-				x := c.ints[at(perm, p)]
+				x := c.ints.At(at(perm, p))
 				return x > v || (x == v && !after)
 			})
 		}
@@ -317,7 +355,7 @@ func cmpRows(a *ColumnBlock, i int, b *ColumnBlock, j int, cols []int) int {
 	for _, c := range cols {
 		ca, cb := &a.cols[c], &b.cols[c]
 		if ca.kind == KindInt && ca.nulls == nil && cb.nulls == nil {
-			if o := cmp.Compare(ca.ints[i], cb.ints[j]); o != 0 {
+			if o := cmp.Compare(ca.ints.At(i), cb.ints.At(j)); o != 0 {
 				return o
 			}
 		} else if o := keyOrder(a.cell(c, i), b.cell(c, j)); o != 0 {
@@ -329,24 +367,40 @@ func cmpRows(a *ColumnBlock, i int, b *ColumnBlock, j int, cols []int) int {
 
 // sortedRun returns positions [from, to) ordered by (cols, row ID). One
 // integer column without NULLs — every index of the PerfTrack schema on
-// a hot table — is compared directly.
+// a hot table — is compared directly, in its own width.
 func (b *ColumnBlock) sortedRun(cols []int, from, to int) []int32 {
 	run := make([]int32, to-from)
 	for i := range run {
 		run[i] = int32(from + i)
 	}
-	ids := b.rowIDs
+	ids := &b.rowIDs
 	if len(cols) == 1 && b.cols[cols[0]].kind == KindInt && b.cols[cols[0]].nulls == nil {
-		ints := b.cols[cols[0]].ints
-		slices.SortFunc(run, func(x, y int32) int {
-			return cmp.Or(cmp.Compare(ints[x], ints[y]), cmp.Compare(ids[x], ids[y]))
-		})
+		switch v := &b.cols[cols[0]].ints; v.w {
+		case 0: // one value: row-ID order
+			slices.SortFunc(run, func(x, y int32) int { return cmp.Compare(ids.At(int(x)), ids.At(int(y))) })
+		case 1:
+			sortRun(run, v.u8, ids)
+		case 2:
+			sortRun(run, v.u16, ids)
+		case 4:
+			sortRun(run, v.u32, ids)
+		default:
+			sortRun(run, v.i64, ids)
+		}
 		return run
 	}
 	slices.SortFunc(run, func(x, y int32) int {
-		return cmp.Or(cmpRows(b, int(x), b, int(y), cols), cmp.Compare(ids[x], ids[y]))
+		return cmp.Or(cmpRows(b, int(x), b, int(y), cols), cmp.Compare(ids.At(int(x)), ids.At(int(y))))
 	})
 	return run
+}
+
+// sortRun orders positions by (key, row ID), keys[p] being position p's
+// value or its offset from the column's base.
+func sortRun[T Offsets](run []int32, keys []T, ids *IntVec) {
+	slices.SortFunc(run, func(x, y int32) int {
+		return cmp.Or(cmp.Compare(keys[x], keys[y]), cmp.Compare(ids.At(int(x)), ids.At(int(y))))
+	})
 }
 
 // order returns the segment's positions ordered by (cols, row ID),
@@ -369,7 +423,7 @@ func (s *segment) order(lp *lazyPerm, cols []int) []int32 {
 		i, j := 0, 0
 		for i < len(perm) && j < len(run) {
 			x, y := int(perm[i]), int(run[j])
-			if c := cmpRows(&s.ColumnBlock, x, &s.ColumnBlock, y, cols); c < 0 || (c == 0 && s.rowIDs[x] < s.rowIDs[y]) {
+			if c := cmpRows(&s.ColumnBlock, x, &s.ColumnBlock, y, cols); c < 0 || (c == 0 && s.rowIDs.At(x) < s.rowIDs.At(y)) {
 				merged, i = append(merged, perm[i]), i+1
 			} else {
 				merged, j = append(merged, run[j]), j+1
@@ -392,7 +446,7 @@ func (s *segment) pkPerm(pkCols []int) []int32 {
 	if s.pkAsc {
 		return nil
 	}
-	return s.order(&s.byPK, pkCols)
+	return s.order(s.byPK, pkCols)
 }
 
 // permSlack is how many appended rows a point lookup scans one by one
@@ -410,7 +464,7 @@ func (s *segment) findPK(pkCols []int, vals []Value) (int, bool) {
 	n, perm := s.rows, []int32(nil)
 	if !s.pkAsc {
 		if perm = s.byPK.covered(); s.rows-len(perm) > permSlack {
-			perm = s.order(&s.byPK, pkCols)
+			perm = s.order(s.byPK, pkCols)
 		}
 		n = len(perm)
 	}
@@ -429,15 +483,15 @@ func (s *segment) findPK(pkCols []int, vals []Value) (int, bool) {
 func (s *segment) findID(id int64) (int, bool) {
 	// Appended rows get consecutive IDs, so the offset from the first is
 	// usually the position.
-	if g := id - s.minRowID; g >= 0 && g < int64(s.rows) && s.rowIDs[g] == id {
+	if g := id - s.minRowID; g >= 0 && g < int64(s.rows) && s.rowIDs.At(int(g)) == id {
 		return int(g), true
 	}
 	var perm []int32
 	if !s.idAsc {
-		perm = s.order(&s.byID, nil)
+		perm = s.order(s.byID, nil)
 	}
-	p := sort.Search(s.rows, func(p int) bool { return s.rowIDs[at(perm, p)] >= id })
-	if p == s.rows || s.rowIDs[at(perm, p)] != id {
+	p := sort.Search(s.rows, func(p int) bool { return s.rowIDs.At(at(perm, p)) >= id })
+	if p == s.rows || s.rowIDs.At(at(perm, p)) != id {
 		return 0, false
 	}
 	return at(perm, p), true
@@ -494,16 +548,17 @@ func dictOf(strs []string) (codes []uint32, words []string) {
 
 // --- encoding ---
 
-// appendInts writes vals as one integer stream: the first value and the
-// least delta between neighbours as varints, a bit width, then each delta
-// less the least one, bit-packed at that width, low bits first.
-// Arithmetic wraps, so every int64 sequence round-trips, and a constant
-// stride — consecutive row IDs, one document's execution — packs to no
-// bytes at all.
-func appendInts[T int64 | uint32](dst []byte, vals []T) []byte {
+// appendInts writes the values base+vals[i] as one integer stream: the
+// first value and the least delta between neighbours as varints, a bit
+// width, then each delta less the least one, bit-packed at that width, low
+// bits first. Arithmetic wraps, so every int64 sequence round-trips, and a
+// constant stride — consecutive row IDs, one document's execution — packs
+// to no bytes at all. The deltas do not depend on the base, so a narrow
+// vector is written from its offsets.
+func appendInts[T Offsets](dst []byte, base int64, vals []T) []byte {
 	var first, least int64
 	if len(vals) > 0 {
-		first = int64(vals[0])
+		first = base + int64(vals[0])
 	}
 	for i := 1; i < len(vals); i++ {
 		if d := int64(vals[i]) - int64(vals[i-1]); i == 1 || d < least {
@@ -532,6 +587,25 @@ func appendInts[T int64 | uint32](dst []byte, vals []T) []byte {
 		acc >>= 8
 	}
 	return dst
+}
+
+// appendIntVec writes a vector as one integer stream (appendInts).
+func appendIntVec(dst []byte, v *IntVec) []byte {
+	switch v.w {
+	case 1:
+		return appendInts(dst, v.base, v.u8)
+	case 2:
+		return appendInts(dst, v.base, v.u16)
+	case 4:
+		return appendInts(dst, v.base, v.u32)
+	case 8:
+		return appendInts(dst, 0, v.i64)
+	}
+	first := v.base // width 0: the base n times, a stride of 0
+	if v.n == 0 {
+		first = 0
+	}
+	return append(putVarint(putVarint(dst, first), 0), 0)
 }
 
 // pow10 holds the powers of ten a float64 represents exactly.
@@ -584,7 +658,7 @@ func appendFloats(dst []byte, vals []float64, nulls []bool) []byte {
 		}
 		ds[i] = d
 	}
-	return appendInts(append(dst, byte(e)), ds)
+	return appendInts(append(dst, byte(e)), 0, ds)
 }
 
 func appendRawFloats(dst []byte, vals []float64) []byte {
@@ -615,7 +689,7 @@ func encodeBitmap(dst []byte, set []bool) []byte {
 func encodeColumn(dst []byte, c *colVec) []byte {
 	switch c.kind {
 	case KindInt:
-		dst = appendInts(dst, c.ints)
+		dst = appendIntVec(dst, &c.ints)
 	case KindFloat:
 		dst = appendFloats(dst, c.floats, c.nulls)
 	case KindString:
@@ -627,7 +701,7 @@ func encodeColumn(dst []byte, c *colVec) []byte {
 		for _, w := range words {
 			dst = putString(dst, w)
 		}
-		dst = appendInts(dst, codes)
+		dst = appendInts(dst, 0, codes)
 	case KindBool:
 		dst = encodeBitmap(dst, c.bools)
 	}
@@ -641,7 +715,7 @@ func encodeSegment(s *segment) []byte {
 	bodyStart := len(buf)
 
 	rowIDExt := extent{off: uint64(len(buf) - bodyStart)}
-	buf = appendInts(buf, s.rowIDs)
+	buf = appendIntVec(buf, &s.rowIDs)
 	rowIDExt.n = uint64(len(buf)-bodyStart) - rowIDExt.off
 
 	colExt := make([]extent, len(s.cols))
@@ -703,19 +777,26 @@ func encodeSegment(s *segment) []byte {
 // reader decodes n values from the front of data and returns what
 // follows them; it checks that the bytes they take are there before it
 // allocates. A zero-width integer stream takes none for any n, so there
-// only the footer's bound on rows limits what is allocated.
+// only the footer's bound on rows limits what is allocated. An integer
+// column or the row IDs are read into a vector whose values the footer
+// says lie in [lo, hi].
 type segFormat struct {
-	ints, codes func(data []byte, n int) ([]int64, []byte, error)
-	floats      func(data []byte, n int) ([]float64, []byte, error)
+	ints   func(data []byte, n int, lo, hi int64) (IntVec, []byte, error)
+	codes  func(data []byte, n int) ([]int64, []byte, error)
+	floats func(data []byte, n int) ([]float64, []byte, error)
 }
 
 // segFormats maps a segment's magic to its format.
 var segFormats = map[string]segFormat{
-	segMagic: {readInts, readInts, readFloats},
+	segMagic: {readIntVec, readInts, readFloats},
 	// Format 1: zig-zag varint deltas off a running base, uvarint
 	// dictionary codes, raw floats.
 	segMagicV1: {
-		ints:   func(data []byte, n int) ([]int64, []byte, error) { return readVarints(data, n, true) },
+		ints: func(data []byte, n int, _, _ int64) (IntVec, []byte, error) {
+			vals, rest, err := readVarints(data, n, true)
+			v := IntVec{n: len(vals), w: 8, i64: vals}
+			return v.narrowed(), rest, err
+		},
 		codes:  func(data []byte, n int) ([]int64, []byte, error) { return readVarints(data, n, false) },
 		floats: readRawFloats,
 	},
@@ -723,6 +804,37 @@ var segFormats = map[string]segFormat{
 
 // readInts reads an integer stream of n values (appendInts).
 func readInts(data []byte, n int) ([]int64, []byte, error) {
+	return unpackInts[int64](data, n, 0, math.MaxUint64, 0)
+}
+
+// readIntVec reads an integer stream of n values that lie in [lo, hi]
+// straight into a vector at the width that range needs: the footer's
+// ranges size a decoded segment before any value is read. A value outside
+// the range makes the segment corrupt.
+func readIntVec(data []byte, n int, lo, hi int64) (IntVec, []byte, error) {
+	v := IntVec{base: lo, n: n, w: widthFor(lo, hi)}
+	span := uint64(hi) - uint64(lo)
+	var err error
+	switch v.w {
+	case 0:
+		_, data, err = unpackInts[uint8](data, n, lo, span, lo)
+	case 1:
+		v.u8, data, err = unpackInts[uint8](data, n, lo, span, lo)
+	case 2:
+		v.u16, data, err = unpackInts[uint16](data, n, lo, span, lo)
+	case 4:
+		v.u32, data, err = unpackInts[uint32](data, n, lo, span, lo)
+	default:
+		v.base = 0
+		v.i64, data, err = unpackInts[int64](data, n, lo, span, 0)
+	}
+	return v, data, err
+}
+
+// unpackInts reads an integer stream of n values (appendInts), each of
+// which must lie within span above lo, and returns each value less base
+// as T — nothing, when span is 0 — and what follows the stream.
+func unpackInts[T Offsets](data []byte, n int, lo int64, span uint64, base int64) ([]T, []byte, error) {
 	p := &payloadReader{buf: data}
 	first, least, w := p.varint(), p.varint(), uint(p.byteVal())
 	size := (uint64(max(n-1, 0))*uint64(w) + 7) / 8
@@ -730,32 +842,40 @@ func readInts(data []byte, n int) ([]int64, []byte, error) {
 		return nil, nil, ErrCorruptSegment
 	}
 	packed, rest := p.buf[:size], p.buf[size:]
-	out := make([]int64, n)
-	if n == 0 {
-		return out, rest, nil
+	var out []T
+	if span > 0 {
+		out = make([]T, n)
 	}
-	out[0] = first
 	mask := uint64(1)<<w - 1
 	var acc uint64
 	var have uint // bits of acc not yet read
-	for i := 1; i < n; i++ {
-		v := acc
-		if have >= w {
-			acc, have = acc>>w, have-w
-		} else {
-			var next uint64
-			if len(packed) >= 8 {
-				next, packed = binary.LittleEndian.Uint64(packed), packed[8:]
+	x := first
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			v := acc
+			if have >= w {
+				acc, have = acc>>w, have-w
 			} else {
-				for k, b := range packed {
-					next |= uint64(b) << (8 * k)
+				var next uint64
+				if len(packed) >= 8 {
+					next, packed = binary.LittleEndian.Uint64(packed), packed[8:]
+				} else {
+					for k, b := range packed {
+						next |= uint64(b) << (8 * k)
+					}
+					packed = nil
 				}
-				packed = nil
+				v |= next << have
+				acc, have = next>>(w-have), have+64-w
 			}
-			v |= next << have
-			acc, have = next>>(w-have), have+64-w
+			x += least + int64(v&mask)
 		}
-		out[i] = out[i-1] + least + int64(v&mask)
+		if uint64(x)-uint64(lo) > span {
+			return nil, nil, ErrCorruptSegment
+		}
+		if out != nil {
+			out[i] = T(uint64(x) - uint64(base))
+		}
 	}
 	return out, rest, nil
 }
@@ -827,7 +947,8 @@ func decodeBitmap(data []byte, n int) ([]bool, []byte, error) {
 	return out, data[nb:], nil
 }
 
-func decodeColumn(kind Kind, data []byte, n int, f segFormat) (colVec, error) {
+// decodeColumn reads a column block of n rows; z is the column's zone map.
+func decodeColumn(kind Kind, data []byte, n int, f segFormat, z zoneMap) (colVec, error) {
 	cv := colVec{kind: kind}
 	if len(data) == 0 || data[0] > 1 {
 		return cv, ErrCorruptSegment
@@ -842,7 +963,14 @@ func decodeColumn(kind Kind, data []byte, n int, f segFormat) (colVec, error) {
 	}
 	switch kind {
 	case KindInt:
-		cv.ints, data, err = f.ints(data, n)
+		lo, hi := z.minI, z.maxI // over the values that are not NULL
+		if !z.valid {
+			lo, hi = 0, 0
+		}
+		if cv.nulls != nil { // a NULL keeps a zero
+			lo, hi = min(lo, 0), max(hi, 0)
+		}
+		cv.ints, data, err = f.ints(data, n, lo, hi)
 	case KindFloat:
 		cv.floats, data, err = f.floats(data, n)
 	case KindString:
@@ -945,7 +1073,7 @@ func decodeSegment(buf []byte) (*segment, error) {
 	if err != nil {
 		return nil, err
 	}
-	if s.rowIDs, rb, err = f.ints(rb, s.rows); err != nil || len(rb) != 0 {
+	if s.rowIDs, rb, err = f.ints(rb, s.rows, s.minRowID, s.maxRowID); err != nil || len(rb) != 0 {
 		return nil, ErrCorruptSegment
 	}
 	for ci, m := range metas {
@@ -953,11 +1081,11 @@ func decodeSegment(buf []byte) (*segment, error) {
 		if err != nil {
 			return nil, err
 		}
-		if s.cols[ci], err = decodeColumn(m.kind, cb, s.rows, f); err != nil {
+		if s.cols[ci], err = decodeColumn(m.kind, cb, s.rows, f, s.zones[ci]); err != nil {
 			return nil, err
 		}
 	}
-	s.pkAsc, s.idAsc, s.top, s.low = true, slices.IsSorted(s.rowIDs), s.rows-1, 0
+	s.pkAsc, s.idAsc, s.top, s.low = true, s.rowIDs.sorted(), s.rows-1, 0
 	return s, nil
 }
 

@@ -150,8 +150,8 @@ func TestSegmentRoundTrip(t *testing.T) {
 		t.Fatalf("decoded rows=%d table=%q", got.rows, got.table)
 	}
 	for i := 0; i < got.rows; i++ {
-		if got.rowIDs[i] != seg.rowIDs[i] {
-			t.Fatalf("rowID[%d] = %d, want %d", i, got.rowIDs[i], seg.rowIDs[i])
+		if got.rowIDs.At(i) != seg.rowIDs.At(i) {
+			t.Fatalf("rowID[%d] = %d, want %d", i, got.rowIDs.At(i), seg.rowIDs.At(i))
 		}
 		if !rowsEqual(got.row(i), seg.row(i)) {
 			t.Fatalf("row %d mismatch: %v vs %v", i, got.row(i), seg.row(i))
@@ -184,13 +184,13 @@ func TestSegmentCompactScanAndPrune(t *testing.T) {
 	}
 	seen := 0
 	for _, b := range scan.Segments {
-		ids := b.Int64s(0)
-		execs := b.Int64s(1)
+		ids := Values(b.Ints(0))
+		execs := Values(b.Ints(1))
 		vals := b.Float64s(5)
 		nulls := b.Nulls(4)
-		units := b.Int64s(4)
+		units := Values(b.Ints(4))
 		for i := range ids {
-			row, found := tab.Get(b.RowIDs()[i])
+			row, found := tab.Get(b.IDs().At(i))
 			if !found {
 				t.Fatalf("segment row %d missing from table", ids[i])
 			}
@@ -786,9 +786,12 @@ func TestFloatColumnEncoding(t *testing.T) {
 
 // FuzzColumnCodec checks that any int64 stream round-trips through the
 // integer codec, and any float64 column through the float path, bit for
-// bit. The input is read as little-endian 8-byte words; when its first
-// byte is odd, each word with bit 8 set is a NULL, whose value is not
-// kept.
+// bit; and that the stream's in-memory vector is at the least width that
+// holds its max − min, reads the same values, writes the same stream, and
+// is what the stream decodes to straight from its range — a range that
+// leaves a value out makes it corrupt. The input is read as
+// little-endian 8-byte words; when its first byte is odd, each word with
+// bit 8 set is a NULL, whose value is not kept.
 func FuzzColumnCodec(f *testing.F) {
 	words := func(ws ...uint64) []byte {
 		var b []byte
@@ -809,6 +812,16 @@ func FuzzColumnCodec(f *testing.F) {
 	f.Add(words(fb(12.345678), fb(0.1), fb(-3.5), fb(1e-7), fb(88.000001)))
 	f.Add(words(1|fb(1.5), 0x100|fb(math.NaN()), fb(2))) // odd first byte: the NaN is a NULL
 	f.Add([]byte{})
+	// Ranges either side of each width's last offset, and the widest.
+	f.Add(words(1<<64-5, 250, 0, 100))      // −5…250: 255
+	f.Add(words(1<<64-5, 251, 0, 100))      // 256
+	f.Add(words(10, 65545, 10))             // 65 535
+	f.Add(words(10, 65546, 10))             // 65 536
+	f.Add(words(0, 1<<32-1, 7))             // 2^32 − 1
+	f.Add(words(0, 1<<32, 7))               // 2^32
+	f.Add(words(1<<63, 1<<63-1))            // MinInt64…MaxInt64
+	f.Add(words(1<<64-3, 1<<64-3, 1<<64-3)) // constant, negative
+	f.Add(words(1 << 62))                   // one row
 	f.Fuzz(func(t *testing.T, data []byte) {
 		n := len(data) / 8
 		ints, floats := make([]int64, n), make([]float64, n)
@@ -823,9 +836,37 @@ func FuzzColumnCodec(f *testing.F) {
 				nulls[i] = w&0x100 != 0
 			}
 		}
-		gotI, rest, err := readInts(appendInts(nil, ints), n)
+		stream := appendInts(nil, 0, ints)
+		gotI, rest, err := readInts(stream, n)
 		if err != nil || len(rest) != 0 || !slices.Equal(gotI, ints) {
 			t.Fatalf("ints %v read back as %v (err %v, %d bytes left)", ints, gotI, err, len(rest))
+		}
+		wide := IntVec{n: n, w: 8, i64: ints}
+		v := wide.narrowed()
+		var lo, hi int64
+		if n > 0 {
+			lo, hi = slices.Min(ints), slices.Max(ints)
+		}
+		least := 8
+		for _, w := range []int{4, 2, 1, 0} {
+			if uint64(hi)-uint64(lo) < 1<<(8*w) {
+				least = w
+			}
+		}
+		if v.Width() != least || v.Len() != n || !slices.Equal(Values(&v), ints) {
+			t.Fatalf("ints %v: vector at width %d reads %v, want width %d", ints, v.Width(), Values(&v), least)
+		}
+		if got := appendIntVec(nil, &v); !bytes.Equal(got, stream) {
+			t.Fatalf("ints %v: the width-%d vector writes %x, want %x", ints, v.Width(), got, stream)
+		}
+		rv, rest, err := readIntVec(stream, n, lo, hi)
+		if err != nil || len(rest) != 0 || rv.Width() != least || !slices.Equal(Values(&rv), ints) {
+			t.Fatalf("ints %v decoded from [%d, %d] at width %d as %v (err %v)", ints, lo, hi, rv.Width(), Values(&rv), err)
+		}
+		if lo < hi {
+			if _, _, err := readIntVec(stream, n, lo, hi-1); !errors.Is(err, ErrCorruptSegment) {
+				t.Fatalf("ints %v decoded from [%d, %d], which leaves %d out: err %v", ints, lo, hi-1, hi, err)
+			}
 		}
 		gotF, rest, err := readFloats(appendFloats(nil, floats, nulls), n)
 		if err != nil || len(rest) != 0 || len(gotF) != n {
@@ -899,7 +940,7 @@ func FuzzSegment(f *testing.F) {
 			t.Fatalf("round trip changed shape: %d/%q vs %d/%q", re.rows, re.table, s.rows, s.table)
 		}
 		for i := 0; i < s.rows; i++ {
-			if re.rowIDs[i] != s.rowIDs[i] || !rowsEqual(re.row(i), s.row(i)) {
+			if re.rowIDs.At(i) != s.rowIDs.At(i) || !rowsEqual(re.row(i), s.row(i)) {
 				t.Fatalf("row %d changed in round trip", i)
 			}
 		}

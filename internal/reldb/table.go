@@ -303,7 +303,7 @@ func (t *Table) findPKLocked(key []byte) (rowRef, bool) {
 			continue
 		}
 		if pos, ok := s.findPK(t.pkCols, vals); ok {
-			return rowRef{id: s.rowIDs[pos], seg: s, pos: pos}, true
+			return rowRef{id: s.rowIDs.At(pos), seg: s, pos: pos}, true
 		}
 	}
 	return rowRef{}, false
@@ -420,8 +420,9 @@ func (t *Table) updateLocked(id int64, row Row) error {
 // replaceLocked swaps block s for a copy without the row at each position
 // edits maps to nil and with the mapped image at each other one it names.
 // A tail's copy is that tail, logs and all; a segment's is an unwritten
-// segment in its place, which the next pass writes and its manifest names
-// instead of the files it replaces. An emptied copy leaves the table: its
+// segment in its place, narrowed once filled, which the next pass writes
+// and its manifest names instead of the files it replaces. An emptied
+// copy leaves the table: its
 // files and logs go once the next manifest is durable.
 func (t *Table) replaceLocked(s *segment, edits map[int]Row) {
 	c := t.newBlock(0, s.rows)
@@ -430,7 +431,7 @@ func (t *Table) replaceLocked(s *segment, edits map[int]Row) {
 		if img, edited := edits[i]; !edited {
 			c.appendFrom(&s.ColumnBlock, i)
 		} else if img != nil {
-			c.appendRow(s.rowIDs[i], img)
+			c.appendRow(s.rowIDs.At(i), img)
 		}
 	}
 	c.appended(t.pkCols, 0)
@@ -443,6 +444,7 @@ func (t *Table) replaceLocked(s *segment, edits map[int]Row) {
 		return
 	}
 	c.freeze(t.pkCols)
+	c = c.narrowed()
 	if st := t.db.seg; c.rows == 0 {
 		st.garbage, st.retired = append(st.garbage, c.replaces...), append(st.retired, c.logs...)
 		c = nil
@@ -544,7 +546,7 @@ func (t *Table) ascendLocked(prefix []Value, fn func(id int64, row Row) bool) {
 		if sp := run[0]; len(run) == 1 {
 			more = sp.b.eachRow(sp.perm, sp.from, sp.to, fn)
 		} else {
-			more = mergeRun(run, t.pkCols, func(b *ColumnBlock, i int) bool { return fn(b.rowIDs[i], b.row(i)) })
+			more = mergeRun(run, t.pkCols, func(b *ColumnBlock, i int) bool { return fn(b.rowIDs.At(i), b.row(i)) })
 		}
 		if !more {
 			return
@@ -669,8 +671,9 @@ func (t *Table) IndexScanInt(index string, key []Value, col int, fn func(id, v i
 	}
 	for _, s := range t.blocks {
 		perm, from, to := s.equalSpan(ix, key)
+		ids, vals := &s.rowIDs, &s.cols[col].ints
 		for _, i := range perm[from:to] {
-			if !fn(s.rowIDs[i], s.cols[col].ints[i]) {
+			if !fn(ids.At(int(i)), vals.At(int(i))) {
 				return nil
 			}
 		}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -141,8 +142,8 @@ func TestSegmentBatchHotRowsAppearTogether(t *testing.T) {
 					n := 0
 					scan.Each(func(b *ColumnBlock) error {
 						n += b.Len()
-						if ids := b.RowIDs(); table == "performance_result" && len(ids) > 0 {
-							lastResult = ids[len(ids)-1]
+						if ids := b.IDs(); table == "performance_result" && ids.Len() > 0 {
+							lastResult = ids.At(ids.Len() - 1)
 						}
 						return nil
 					})
@@ -292,10 +293,12 @@ func TestSegmentRolledBackBatchWritesNothing(t *testing.T) {
 	p.check("after the gap")
 }
 
-// TestSegmentPublishKeepsTailObject: sealing a tail and publishing it as a
-// segment move the same object — the permutations a reader built over the
-// tail still serve the segment — and the file the compactor writes from it
-// is byte for byte the one buildSegment lays out for the same rows.
+// TestSegmentPublishKeepsTailObject: sealing a tail installs its narrowed
+// copy — integers at their least widths, the permutations a reader built
+// over the tail shared, the tail itself untouched — and publishing moves
+// that same object into the segment list; the file the compactor writes
+// from it is byte for byte the one buildSegment lays out for the same
+// rows.
 func TestSegmentPublishKeepsTailObject(t *testing.T) {
 	p := newHotPair(t)
 	defer func() { p.fe.Close() }()
@@ -325,21 +328,34 @@ func TestSegmentPublishKeepsTailObject(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	p.fe.mu.Lock()
+	p.fe.seg.sealReadyLocked(1)
+	sealed := tab.sealed
+	p.fe.mu.Unlock()
+	if sealed == nil || sealed == tail || sealed.rows != 300 || sealed.rowIDs.Width() != 2 || sealed.cols[1].ints.Width() != 1 {
+		t.Fatalf("the seal did not install a narrowed copy of the tail: %+v", sealed)
+	}
+	if tail.rowIDs.Width() != 8 || !slices.Equal(Values(&tail.rowIDs), Values(&sealed.rowIDs)) {
+		t.Fatal("the seal changed the tail it copied")
+	}
+	if after := sealed.perms["performance_result_exec"].covered(); len(after) != 300 || &after[0] != &built[0] {
+		t.Fatal("the sealed copy dropped the permutation the tail had built")
+	}
 	if err := p.fe.CompactSegments(); err != nil {
 		t.Fatal(err)
 	}
-	if len(tab.segs) != 1 || tab.segs[0] != tail || tab.sealed != nil || tab.tail == tail {
-		t.Fatalf("the published segment is not the sealed tail: segs %v, tail %p, sealed %p", tab.segs, tail, tab.sealed)
+	if len(tab.segs) != 1 || tab.segs[0] != sealed || tab.sealed != nil || tab.tail == tail {
+		t.Fatalf("the published segment is not the sealed block: segs %v, sealed %p then, %p now", tab.segs, sealed, tab.sealed)
 	}
-	if after := tail.perms["performance_result_exec"].covered(); len(after) != 300 || &after[0] != &built[0] {
+	if after := sealed.perms["performance_result_exec"].covered(); len(after) != 300 || &after[0] != &built[0] {
 		t.Fatal("publication dropped the permutation the tail had built")
 	}
-	file, err := p.fsys.ReadFile(tail.file)
+	file, err := p.fsys.ReadFile(sealed.file)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(file, encodeSegment(want)) || int64(len(file)) != tail.sizeOn {
-		t.Fatalf("the segment file (%d bytes, sizeOn %d) is not buildSegment's image of the same rows (%d bytes)", len(file), tail.sizeOn, len(encodeSegment(want)))
+	if !bytes.Equal(file, encodeSegment(want)) || int64(len(file)) != sealed.sizeOn {
+		t.Fatalf("the segment file (%d bytes, sizeOn %d) is not buildSegment's image of the same rows (%d bytes)", len(file), sealed.sizeOn, len(encodeSegment(want)))
 	}
 	// A tail whose rows do not lie in key order is written through its key
 	// order: the file is again buildSegment's.

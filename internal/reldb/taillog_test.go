@@ -346,7 +346,7 @@ func TestSegmentLogsHoldOnlyUnflushedRows(t *testing.T) {
 		tab, _ := p.fe.Table(status.Table)
 		held := map[int64]bool{}
 		for _, tail := range tab.tailsLocked() {
-			for _, id := range tail.rowIDs {
+			for _, id := range Values(&tail.rowIDs) {
 				held[id] = true
 			}
 		}

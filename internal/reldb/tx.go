@@ -168,10 +168,10 @@ func (tb *txBlock) add(row Row) (int64, error) {
 		}
 		tb.cols[ci].push(v, tb.rows)
 	}
-	if keys := tb.cols[t.pkCols[0]].ints; tb.keyAsc && tb.rows > 0 {
+	if keys := tb.cols[t.pkCols[0]].ints.i64; tb.keyAsc && tb.rows > 0 { // a transaction's block is at width 8
 		tb.keyAsc = keys[tb.rows] > keys[tb.rows-1]
 	}
-	tb.rowIDs = append(tb.rowIDs, id)
+	tb.rowIDs.push(id)
 	tb.rows++
 	return id, nil
 }
@@ -190,7 +190,7 @@ func (tx *Tx) holds(t *Table, column string, v Value) bool {
 	// Assigned keys ascend: the usual reference, a parent's ID, is found
 	// by bisection.
 	if tb.keyAsc && ci == t.pkCols[0] {
-		_, found := slices.BinarySearch(tb.cols[ci].ints, v.i)
+		_, found := slices.BinarySearch(tb.cols[ci].ints.i64, v.i)
 		return found && v.kind == KindInt
 	}
 	for i := 0; i < tb.rows; i++ {
@@ -337,9 +337,9 @@ func (tb *txBlock) installLocked() {
 		t.tail.tailAppendBlock(t.pkCols, &tb.ColumnBlock)
 		return
 	}
-	for i, id := range tb.rowIDs {
+	for i := 0; i < tb.rows; i++ {
 		row := tb.row(i)
-		_ = t.active.insert(id, row, t.pkKey(row)) // admitted: no key is taken
+		_ = t.active.insert(tb.rowIDs.At(i), row, t.pkKey(row)) // admitted: no key is taken
 	}
 }
 
@@ -352,7 +352,7 @@ func appendInsertRecords(out []byte, table string, b *ColumnBlock) []byte {
 		start := len(out)
 		out = append(out, 0, 0, 0, 0, 0, 0, 0, 0, byte(opInsert))
 		out = putString(out, table)
-		out = putVarint(out, b.rowIDs[i])
+		out = putVarint(out, b.rowIDs.At(i))
 		out = putUvarint(out, uint64(len(b.cols)))
 		for ci := range b.cols {
 			out = appendValuePayload(out, b.cell(ci, i))
@@ -540,8 +540,9 @@ func (b *ColumnBlock) eachDistinct(ci int, fn func(Value) error) error {
 		if b.rows > small {
 			seen = make(map[int64]bool)
 		}
-		for i, v := range c.ints {
-			if i > 0 && v == c.ints[i-1] || seen[v] || seen == nil && slices.Contains(c.ints[:i], v) {
+		ints := c.ints.i64 // a transaction's block is at width 8
+		for i, v := range ints {
+			if i > 0 && v == ints[i-1] || seen[v] || seen == nil && slices.Contains(ints[:i], v) {
 				continue
 			}
 			if seen != nil {

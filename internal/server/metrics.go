@@ -146,6 +146,9 @@ func (m *serverMetrics) registerStore(store *datastore.Store) {
 			st := eng.Stats()
 			return float64(st.DataBytes + st.IndexBytes)
 		})
+	m.reg.GaugeFunc("ptserved_store_segment_resident_bytes",
+		"Bytes decoded segments take in memory: column vectors at their widths and built permutations.",
+		func() float64 { return float64(eng.Stats().SegmentResidentBytes) })
 	m.reg.CounterFunc("ptserved_store_stats_flush_errors_total",
 		"Storage statistics reads whose log flush failed (wal_bytes then reports the last good value).",
 		func() uint64 { return eng.Stats().FlushErrors })

@@ -519,6 +519,10 @@ func TestShutdownDrainsAndCheckpoints(t *testing.T) {
 			t.Errorf("%s = %v after loading three results, want at least 3", family, v)
 		}
 	}
+	// No segment yet: the gauge of their residency is exported, at 0.
+	if !strings.Contains(string(metrics), "\nptserved_store_segment_resident_bytes 0\n") {
+		t.Error("/metrics has no ptserved_store_segment_resident_bytes gauge at 0")
+	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
