@@ -11,7 +11,8 @@
 //	         [-storage mem|segment] [-segment-flush N]
 //
 // On SIGINT/SIGTERM the server drains in-flight requests, checkpoints
-// the store (snapshot + truncated WAL), and exits.
+// the store (every table's tail into segments, perftrack.wal back to the
+// schema), and exits.
 package main
 
 import (
@@ -38,13 +39,13 @@ func main() {
 	readOnly := flag.Bool("readonly", false, "reject PTdf ingest (/v1/load returns 403)")
 	maxInFlight := flag.Int("max-inflight", 64, "maximum concurrently served API requests; excess is shed with 429")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request timeout for API endpoints")
-	syncWAL := flag.Bool("sync", false, "fsync the logs a mutation or load wrote to (perftrack.wal, the hot tables' tail logs)")
+	syncWAL := flag.Bool("sync", false, "fsync the logs a mutation or load wrote to (the tables' tail logs, perftrack.wal)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight requests")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); empty disables")
 	logLevel := flag.String("log-level", "info", "structured log level: debug, info, warn, or error")
 	slowThreshold := flag.Duration("slow-threshold", time.Second, "log requests at or over this duration and keep their traces in the slow ring (negative disables)")
 	storage := flag.String("storage", "", "where the store's files live: mem (in memory; nothing lands in -db) or segment (in -db; the default, also spelled wal)")
-	segmentFlush := flag.Int64("segment-flush", 0, "compact a hot table once this many rows are pending (0 = engine default)")
+	segmentFlush := flag.Int64("segment-flush", 0, "compact a table once this many rows are pending (0 = engine default)")
 	selfMonInterval := flag.Duration("selfmon-interval", 0, "continuous self-diagnosis sampling period (0 = default 15s, negative disables)")
 	flag.Parse()
 

@@ -18,7 +18,7 @@
 // the chosen plan (with estimated vs. actual cardinalities) to stderr,
 // through the same formatter ptquery uses. -analyze is the EXPLAIN
 // ANALYZE form: the plan plus the execution profile — per-operator row
-// counts, segment blocks scanned vs. zone-map-pruned, B-tree tail rows,
+// counts, segment blocks scanned vs. zone-map-pruned, tail rows,
 // kernel vs. merge wall time, per-worker row loads, and the planner's
 // cardinality error. -naive disables the cost-based machinery locally,
 // for A/B-ing plans.

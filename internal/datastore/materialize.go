@@ -13,7 +13,7 @@ package datastore
 //      metric, performance_tool, units) from the names directory.
 //   2. Fetch the matched performance_result rows either with per-ID
 //      Gets sharded over workers (sparse) or one pass over the table's
-//      block source — segment blocks, then transposed B-tree rows —
+//      block source — segment blocks, then the tail's —
 //      bounded by the chunk's ID range and filtered by the ID set
 //      (dense).
 //   3. Resolve result_has_focus the same way, grouping focus IDs per
@@ -333,7 +333,7 @@ func (s *Store) scanResults(ctx context.Context, pos *posIndex, fn func(i int, e
 // in the wanted set. Blocks arrive in PK order and unflushed owners are
 // >= the flushed maximum (anything else would have invalidated the
 // segment view), so each owner's members arrive contiguously and
-// ascending whatever mix of segment and B-tree blocks carries them.
+// ascending whatever mix of segment and tail blocks carries them.
 // ctx is checked once per block.
 func (s *Store) scanLinks(ctx context.Context, table string, want *posIndex, add func(i int, member int64)) error {
 	lo, hi := minMax(want.uniq)

@@ -302,29 +302,40 @@ func loadNames(eng *reldb.DB) (*nameState, error) {
 		types:     core.NewTypeSystem(),
 		attrStats: make(map[string]*attrStat),
 	}
-	scan := func(table string, fn func(id int64, row reldb.Row)) {
+	scan := func(table string, fn func(id int64, row reldb.Row) error) (err error) {
 		t, _ := eng.Table(table) // Open created or migrated every schema table
 		t.Scan(func(id int64, row reldb.Row) bool {
-			fn(id, row)
-			return true
+			err = fn(id, row)
+			return err == nil
 		})
+		return err
 	}
 	for k, spec := range dictSpecs {
 		// Collected as a sorted (ID, name) list — a primary-key scan
 		// ascends — then indexed by ID unless that would be mostly holes.
+		// The directory is the one owner of name uniqueness — no table has
+		// an index to enforce it — so this is where a second row under one
+		// name is found.
 		d := &st.dicts[k]
 		d.ids = make(map[string]int64)
 		d.view.ids = []int64{}
 		if spec.refCol > 0 {
 			d.ref = make(map[int64]int64)
 		}
-		scan(spec.table, func(id int64, row reldb.Row) {
+		if err := scan(spec.table, func(id int64, row reldb.Row) error {
+			name := row[1].Text()
+			if first, dup := d.ids[name]; dup {
+				return fmt.Errorf("datastore: %s rows %d and %d share the name %q", spec.table, first, id, name)
+			}
 			var ref int64
 			if spec.refCol > 0 {
 				ref = row[spec.refCol].Int64()
 			}
-			d.add(id, row[1].Text(), ref)
-		})
+			d.add(id, name, ref)
+			return nil
+		}); err != nil {
+			return nil, err
+		}
 		if sparse := d.view; sparse.MaxID() <= int64(4*len(sparse.ids))+1024 {
 			byID := make([]string, sparse.MaxID()+1)
 			for i, id := range sparse.ids {
@@ -344,10 +355,8 @@ func loadNames(eng *reldb.DB) (*nameState, error) {
 			return nil, err
 		}
 	}
-	// The directory is the one owner of signature uniqueness — the focus
-	// table has no index to enforce it — so this is where a second row under
-	// one signature is found. The signatures are read as a column: no Row is
-	// built for a focus.
+	// It owns signature uniqueness the same way; the signatures are read
+	// as a column: no Row is built for a focus.
 	focus, _ := eng.Table("focus")
 	st.focusIDs = make(map[string]int64, focus.Len())
 	foci, err := focus.Blocks(math.MinInt64, math.MaxInt64)
@@ -367,7 +376,10 @@ func loadNames(eng *reldb.DB) (*nameState, error) {
 	}); err != nil {
 		return nil, err
 	}
-	scan("resource_attribute", func(_ int64, row reldb.Row) { st.noteAttr(row[2].Text(), row[3].Text()) })
+	_ = scan("resource_attribute", func(_ int64, row reldb.Row) error { // noteAttr cannot fail
+		st.noteAttr(row[2].Text(), row[3].Text())
+		return nil
+	})
 	return st, nil
 }
 

@@ -505,3 +505,98 @@ func TestNamesConcurrent(t *testing.T) {
 	readers.Wait()
 	checkNamesMatchRows(t, s, "after the writers stopped")
 }
+
+// TestNamesStayUniqueUnderConcurrentBatches: no table keeps a name unique
+// but the names directory, under the writer lock. Batches committed at
+// once, each introducing the same new application, execution, resource
+// type, resource, metric, tool and units, end with one row per name.
+func TestNamesStayUniqueUnderConcurrentBatches(t *testing.T) {
+	s := newStore(t)
+	const writers = 8
+	var wg sync.WaitGroup
+	errs := make(chan error, writers)
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			b := s.NewBatch()
+			b.Stage(ptdf.ApplicationRec{Name: "shared-app"})
+			b.Stage(ptdf.ExecutionRec{Name: "shared-exec", App: "shared-app"})
+			b.Stage(ptdf.ResourceTypeRec{Type: "widget"})
+			b.Stage(ptdf.ResourceRec{Name: "/shared-widget", Type: "widget"})
+			b.Stage(ptdf.PerfResultRec{Exec: "shared-exec", Metric: "shared-metric", Tool: "shared-tool", Units: "shared-units",
+				Value: 1, Sets: []ptdf.ResourceSet{{Names: []core.ResourceName{"/shared-widget"}, Type: core.FocusPrimary}}})
+			_, err := b.Commit()
+			errs <- err
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for k, name := range [numDicts]string{dictApplication: "shared-app", dictExecution: "shared-exec", dictMetric: "shared-metric",
+		dictTool: "shared-tool", dictUnits: "shared-units", dictType: "widget", dictResource: "/shared-widget"} {
+		n := 0
+		for _, have := range scanDict(t, s, dictSpecs[k].table) {
+			if have == name {
+				n++
+			}
+		}
+		if n != 1 {
+			t.Errorf("%s holds %d rows named %q, want 1", dictSpecs[k].table, n, name)
+		}
+	}
+	if got := s.Stats().Results; got != writers {
+		t.Errorf("%d results, want one a batch: %d", got, writers)
+	}
+	if _, err := Open(s.Engine()); err != nil {
+		t.Fatalf("reopening the names directory: %v", err)
+	}
+}
+
+// TestDuplicateNameFailsOpen: name uniqueness has one owner, the names
+// directory, and no index behind it — so a second row under a name in any
+// of its seven tables, which only a writer that went round the store can
+// make, fails the next open of the directory, naming both rows.
+func TestDuplicateNameFailsOpen(t *testing.T) {
+	for k := range dictSpecs {
+		table := dictSpecs[k].table
+		t.Run(table, func(t *testing.T) {
+			dir := t.TempDir()
+			fe, err := reldb.OpenFile(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := Open(fe)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seedSegmentStudy(t, s)
+			addSegResult(t, s, 1)
+			tab, _ := fe.Table(table)
+			var first int64
+			var row reldb.Row
+			tab.Scan(func(id int64, r reldb.Row) bool { first, row = id, r; return false })
+			row[0] = reldb.Null()
+			second, err := fe.Insert(table, row)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := fe.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if fe, err = reldb.OpenFile(dir); err != nil {
+				t.Fatal(err)
+			}
+			defer fe.Close()
+			_, err = Open(fe)
+			want := fmt.Sprintf("%s rows %d and %d share the name %q", table, first, second, row[1].Text())
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("Open over a duplicated name = %v, want an error saying %q", err, want)
+			}
+		})
+	}
+}

@@ -38,7 +38,7 @@ var figure1 = []*reldb.Schema{
 		},
 		PrimaryKey: []string{"id"},
 		Indexes: []reldb.IndexSpec{
-			{Name: "application_name", Columns: []string{"name"}, Unique: true},
+			{Name: "application_name", Columns: []string{"name"}},
 		},
 	},
 	{
@@ -53,7 +53,7 @@ var figure1 = []*reldb.Schema{
 			{Column: "application_id", RefTable: "application", RefColumn: "id"},
 		},
 		Indexes: []reldb.IndexSpec{
-			{Name: "execution_name", Columns: []string{"name"}, Unique: true},
+			{Name: "execution_name", Columns: []string{"name"}},
 			{Name: "execution_app", Columns: []string{"application_id"}},
 		},
 	},
@@ -69,7 +69,7 @@ var figure1 = []*reldb.Schema{
 			{Column: "parent_id", RefTable: "focus_framework", RefColumn: "id"},
 		},
 		Indexes: []reldb.IndexSpec{
-			{Name: "focus_framework_name", Columns: []string{"type_name"}, Unique: true},
+			{Name: "focus_framework_name", Columns: []string{"type_name"}},
 			{Name: "focus_framework_parent", Columns: []string{"parent_id"}},
 		},
 	},
@@ -90,7 +90,7 @@ var figure1 = []*reldb.Schema{
 			{Column: "execution_id", RefTable: "execution", RefColumn: "id"},
 		},
 		Indexes: []reldb.IndexSpec{
-			{Name: "resource_item_name", Columns: []string{"name"}, Unique: true},
+			{Name: "resource_item_name", Columns: []string{"name"}},
 			{Name: "resource_item_parent", Columns: []string{"parent_id"}},
 			{Name: "resource_item_type", Columns: []string{"focus_framework_id"}},
 			{Name: "resource_item_base", Columns: []string{"base_name"}},
@@ -170,7 +170,7 @@ var figure1 = []*reldb.Schema{
 		},
 		PrimaryKey: []string{"id"},
 		Indexes: []reldb.IndexSpec{
-			{Name: "metric_name", Columns: []string{"name"}, Unique: true},
+			{Name: "metric_name", Columns: []string{"name"}},
 		},
 	},
 	{
@@ -181,7 +181,7 @@ var figure1 = []*reldb.Schema{
 		},
 		PrimaryKey: []string{"id"},
 		Indexes: []reldb.IndexSpec{
-			{Name: "performance_tool_name", Columns: []string{"name"}, Unique: true},
+			{Name: "performance_tool_name", Columns: []string{"name"}},
 		},
 	},
 	{
@@ -192,7 +192,7 @@ var figure1 = []*reldb.Schema{
 		},
 		PrimaryKey: []string{"id"},
 		Indexes: []reldb.IndexSpec{
-			{Name: "units_name", Columns: []string{"name"}, Unique: true},
+			{Name: "units_name", Columns: []string{"name"}},
 		},
 	},
 	{
@@ -289,11 +289,13 @@ var tableNames = func() []string {
 // ensureSchema brings the engine to the schema: a missing table is
 // created with its indexes; an index missing from an existing table (one
 // added to the schema after the store was initialized) is created through
-// the engine, which backfills it from the table's rows; and an index the
-// schema no longer has is dropped — focus_signature, in a store from
-// before the names directory alone decided signature uniqueness, whose
-// focus table the engine can only then hold in columns. A fresh store and
-// an old one take the same path; an up-to-date one is not touched.
+// the engine, which sorts each block's permutation for it on first use;
+// an index whose spec differs from the schema's — a unique name index of
+// a store from before the names directory alone kept names unique — is
+// dropped and created again, one logged DROP INDEX and one CREATE INDEX;
+// and an index the schema no longer has is dropped — focus_signature, in
+// such a store too. A fresh store and an old one take the same path; an
+// up-to-date one is not touched.
 func ensureSchema(eng *reldb.DB) error {
 	for _, want := range figure1 {
 		tab, exists := eng.Table(want.Name)
@@ -303,20 +305,27 @@ func ensureSchema(eng *reldb.DB) error {
 			}
 			continue
 		}
+		have := slices.Clone(tab.Schema().Indexes)
 		for _, ix := range want.Indexes {
-			if tab.HasIndex(ix.Name) {
+			i := slices.IndexFunc(have, func(h reldb.IndexSpec) bool { return h.Name == ix.Name })
+			if i >= 0 && have[i].Unique == ix.Unique && slices.Equal(have[i].Columns, ix.Columns) {
 				continue
+			}
+			if i >= 0 {
+				if err := eng.DropIndex(want.Name, ix.Name); err != nil {
+					return fmt.Errorf("datastore: schema: index %s: %w", ix.Name, err)
+				}
 			}
 			if err := eng.CreateIndex(want.Name, ix); err != nil {
 				return fmt.Errorf("datastore: schema: index %s: %w", ix.Name, err)
 			}
 		}
-		for _, have := range slices.Clone(tab.Schema().Indexes) {
-			if slices.ContainsFunc(want.Indexes, func(ix reldb.IndexSpec) bool { return ix.Name == have.Name }) {
+		for _, h := range have {
+			if slices.ContainsFunc(want.Indexes, func(ix reldb.IndexSpec) bool { return ix.Name == h.Name }) {
 				continue
 			}
-			if err := eng.DropIndex(want.Name, have.Name); err != nil {
-				return fmt.Errorf("datastore: schema: index %s: %w", have.Name, err)
+			if err := eng.DropIndex(want.Name, h.Name); err != nil {
+				return fmt.Errorf("datastore: schema: index %s: %w", h.Name, err)
 			}
 		}
 	}
@@ -330,13 +339,24 @@ func schemaExists(eng *reldb.DB) bool {
 }
 
 // SchemaDDL renders the live schema of every table as CREATE statements —
-// the reproduction of Figure 1.
+// the reproduction of Figure 1, in its order: an index ensureSchema
+// replaced is the engine's newest, not the figure's last.
 func (s *Store) SchemaDDL() string {
 	out := ""
-	for _, name := range tableNames {
-		if t, ok := s.eng.Table(name); ok {
-			out += t.Schema().DDL() + "\n"
+	for _, want := range figure1 {
+		t, ok := s.eng.Table(want.Name)
+		if !ok {
+			continue
 		}
+		rank := func(ix reldb.IndexSpec) int {
+			if i := slices.IndexFunc(want.Indexes, func(w reldb.IndexSpec) bool { return w.Name == ix.Name }); i >= 0 {
+				return i
+			}
+			return len(want.Indexes)
+		}
+		live := t.Schema().Clone()
+		slices.SortStableFunc(live.Indexes, func(a, b reldb.IndexSpec) int { return rank(a) - rank(b) })
+		out += live.DDL() + "\n"
 	}
 	return out
 }

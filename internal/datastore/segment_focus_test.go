@@ -59,9 +59,10 @@ func hotStatus(t *testing.T, fe *reldb.DB, table string) reldb.SegmentTableStatu
 
 // TestLegacyStoreUpgradesFocus: the directory the parent of the schema
 // change wrote (testdata/parent_store: focus rows in the snapshot, under a
-// unique focus_signature index) opens, loses the index to one logged DROP
-// INDEX, and at the next seal its focus rows — the old ones with the new —
-// are in a segment and nowhere else. Every row and every signature equals
+// unique focus_signature index) opens, its focus rows written to a
+// segment by the open, loses the index to one logged DROP INDEX, and at
+// the next seal the new focus rows join the old in segments and are
+// nowhere else. Every row and every signature equals
 // those of a twin given the same records; a copy taken between the
 // drop and the seal recovers, as does one taken after it; and a reopened
 // store, up to date, logs nothing.
@@ -92,8 +93,8 @@ func TestLegacyStoreUpgradesFocus(t *testing.T) {
 	}
 	s, fe := open(dir)
 	sameAsTwin(t, "opened", s, twin)
-	if st := hotStatus(t, fe, "focus"); st.Segments != 0 || st.PendingRows == 0 {
-		t.Fatalf("focus after the drop = %+v, want its rows still unflushed", st)
+	if st := hotStatus(t, fe, "focus"); st.Segments == 0 || st.PendingRows != 0 {
+		t.Fatalf("focus after the open = %+v, want the snapshot's rows in a segment", st)
 	}
 	fe.Stats() // the DROP INDEX reaches perftrack.wal
 	dropped := copyDir(t, dir)
@@ -114,8 +115,8 @@ func TestLegacyStoreUpgradesFocus(t *testing.T) {
 	fe.Stats()
 	sealed := copyDir(t, dir)
 
-	// Neither copy was checkpointed: the snapshot still has the index, the
-	// log the DROP INDEX.
+	// Neither copy was checkpointed: perftrack.wal, rewritten by the open,
+	// has the index, then the DROP INDEX.
 	early, _ := open(dropped)
 	sameAsTwin(t, "copy taken between the drop and the seal", early, newTwinOf(t, doc))
 	late, lateFE := open(sealed)

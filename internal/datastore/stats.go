@@ -139,8 +139,8 @@ func (s *Store) ExecutionResultIDs(exec string) ([]int64, error) {
 	return ids, nil
 }
 
-// Blocks opens the block source of one hot table (performance_result,
-// result_has_focus, focus_has_resource) for first-primary-key values in
+// Blocks opens the block source of one table (performance_result,
+// result_has_focus, focus_has_resource, ...) for first-primary-key values in
 // [lo, hi] — the one bulk read path the planner and the materializer
 // share on every engine — and records the segment scan it implies, if
 // any, in the store telemetry.

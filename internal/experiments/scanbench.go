@@ -83,7 +83,7 @@ type scanBenchMode struct {
 // compacts it into columnar segments, and times ScanBenchQuery in each
 // mode, returning one BenchResult per mode. Every mode must actually read
 // segment blocks (Profile.BlocksScanned > 0); a scan served from the
-// B-tree instead is reported as an error rather than a bogus number.
+// tail instead is reported as an error rather than a bogus number.
 func ScanBenchmark(dir string, rows, iters int) ([]BenchResult, error) {
 	date := time.Now().UTC().Format("2006-01-02")
 	fe, err := reldb.OpenFile(dir)

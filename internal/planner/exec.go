@@ -291,7 +291,7 @@ func (p *Planner) execRows(ctx context.Context, sel *sqldb.SelectStmt, access re
 	return sqldb.Execute(sel, virtualSource(virtualColumns["performance_result"], rows))
 }
 
-// naiveScan is the reference scan behind Planner.Naive: a direct B-tree
+// naiveScan is the reference scan behind Planner.Naive: a key-order
 // walk of every row, with family specs (the only conjuncts naive mode
 // pushes) checked per row against the resolved ID set. It deliberately
 // shares nothing with the block source or the kernels it is the oracle
@@ -323,7 +323,7 @@ func (p *Planner) naiveScan(f *resultFilter, prof *ExecProfile) ([]resultTuple, 
 }
 
 // idBounds derives an inclusive primary-key range from pushed id
-// predicates; it bounds both zone-map pruning and the B-tree walk.
+// predicates; it bounds both zone-map pruning and the key-order walk.
 func idBounds(nums []numPred) (lo, hi int64) {
 	lo, hi = 0, math.MaxInt64
 	for _, np := range nums {

@@ -28,7 +28,7 @@ import (
 
 // Access-path strategies a plan can choose.
 const (
-	StrategyFullScan  = "full-scan"   // B-tree scan of every row
+	StrategyFullScan  = "full-scan"   // scan of every row in key order
 	StrategyZoneMap   = "zone-map"    // columnar segment scan with zone-map pruning
 	StrategyIndex     = "index"       // secondary-index prefix scan
 	StrategyIDSet     = "idset-cache" // cached pr-filter ID-set intersection
@@ -37,9 +37,9 @@ const (
 )
 
 // Cost-model weights: relative cost of visiting one row on each access
-// path (DESIGN.md §11). Point lookups pay random B-tree descents, index
-// scans a key walk plus row fetch, full scans a sequential B-tree walk,
-// and segment scans stream decoded columns.
+// path (DESIGN.md §11). Point lookups pay a binary search per block,
+// index scans a permutation walk plus row build, full scans a key-order
+// walk building rows, and segment scans stream decoded columns.
 const (
 	costPointLookup = 4.0
 	costIndexRow    = 2.0

@@ -3,7 +3,7 @@ package planner
 // EXPLAIN ANALYZE-grade execution profiles. Every planner execution
 // carries an ExecProfile recording what the chosen access path actually
 // did — rows visited, segment blocks scanned vs. zone-map-pruned,
-// B-tree tail rows, kernel vs. merge wall time, per-worker row loads —
+// tail rows, kernel vs. merge wall time, per-worker row loads —
 // alongside the coarse plan/exec timing split. Collection is a handful
 // of counter increments and ~6 time.Now calls per query, so it is
 // always on (the A/B overhead bound in EXPERIMENTS.md holds it under
@@ -32,7 +32,7 @@ type ExecProfile struct {
 	RowsReturned int64 // rows in the finished result set
 
 	SegmentRows   int64 // rows decoded from columnar segment blocks
-	TailRows      int64 // rows visited in the B-tree tail above the watermark
+	TailRows      int64 // rows visited in the tail above the watermark
 	BlocksScanned int   // segment blocks visited
 	BlocksPruned  int   // segment blocks skipped by zone maps
 

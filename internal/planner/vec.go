@@ -8,7 +8,7 @@ package planner
 // index buffer, and a sink folds the survivors, either into per-group
 // accumulator arrays (pushed aggregates) or into result tuples (row
 // queries). Immutable segment blocks fan out across a bounded worker
-// pool; transposed B-tree blocks reuse one buffer and fold sequentially.
+// pool; tail and transposed blocks fold sequentially.
 // Dictionary-ID → name resolution is deferred to final output.
 //
 // Kernel contract (DESIGN.md §12): every kernel must be byte-identical
@@ -21,7 +21,7 @@ package planner
 // data whose sums are inexact. The differential and fuzz corpora use
 // dyadic values, whose sums are exact, so planned==naive stays
 // byte-for-byte. Compaction safety comes for free: a block scan pins an
-// immutable segment list, and the B-tree rows above its watermark are
+// immutable segment list, and the tail rows above its watermark are
 // folded in sequentially afterwards.
 
 import (

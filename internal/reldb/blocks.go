@@ -2,7 +2,6 @@ package reldb
 
 import (
 	"fmt"
-	"math"
 	"slices"
 )
 
@@ -11,15 +10,14 @@ import (
 // first-primary-key values and yields ColumnBlocks in ascending PK
 // order — first the immutable segment blocks whose zone maps intersect
 // the range (none before the first compaction), then the rest: a columnar
-// tail as a view pinned at the length it had when the scan opened, runs
-// whose keys overlap merged, and a row set, each transposed into a
-// reusable block of up to blockRows rows. Table.Gather transposes an
-// ascending row-ID list the same way, copying a columnar row's values
-// straight out of its block. Consumers never learn which storage shape a
-// block came from.
+// tail as a view pinned at the length it had when the scan opened, and
+// runs whose keys overlap merged, transposed into a reusable block of up
+// to blockRows rows. Table.Gather transposes an ascending row-ID list the
+// same way, copying each row's values straight out of its block.
+// Consumers never learn which block a row came from.
 
-// blockRows is the transposer's window: B-tree rows are handed out in
-// column-major blocks of at most this many rows.
+// blockRows is the transposer's window: merged and gathered rows are
+// handed out in column-major blocks of at most this many rows.
 const blockRows = 4096
 
 // ColumnBlock is a run of rows laid out column-major: a whole decoded
@@ -373,26 +371,12 @@ func (tr *transposer) finish() error {
 	return err
 }
 
-// add takes one stored row, flushing a full block; false stops the walk.
-func (tr *transposer) add(id int64, row Row) bool {
+// add takes row i of block b, column to column, flushing a full block;
+// false stops the walk.
+func (tr *transposer) add(b *ColumnBlock, i int) bool {
 	if tr.err == nil {
-		tr.b.appendRow(id, row)
+		tr.b.appendFrom(b, i)
 	}
-	return tr.added()
-}
-
-// addRef takes one located row, reading a segment's columns directly.
-func (tr *transposer) addRef(ref rowRef) bool {
-	if ref.seg == nil {
-		return tr.add(ref.id, ref.set.rows[ref.id])
-	}
-	if tr.err == nil {
-		tr.b.appendFrom(&ref.seg.ColumnBlock, ref.pos)
-	}
-	return tr.added()
-}
-
-func (tr *transposer) added() bool {
 	if tr.b.rows == blockRows {
 		tr.flush()
 	}
@@ -492,7 +476,6 @@ type BlockScan struct {
 	t      *Table
 	lo, hi int64    // first-PK range
 	rest   [][]span // the runs after Segments when the scan opened, trimmed to the range
-	set    *rowSet  // the row set of a table without blocks
 }
 
 // Blocks opens the block source for first-primary-key values in
@@ -504,10 +487,6 @@ func (t *Table) Blocks(lo, hi int64) (*BlockScan, error) {
 	t.db.mu.RLock()
 	defer t.db.mu.RUnlock()
 	bs := &BlockScan{t: t, lo: lo, hi: hi}
-	if t.tail == nil {
-		bs.set = t.active
-		return bs, nil
-	}
 	first, bounds := t.pkCols[:1], [2][]Value{{Int(lo)}, {Int(hi)}}
 	var spans []span
 	for k, s := range t.blocks {
@@ -556,13 +535,11 @@ func (bs *BlockScan) Each(fn func(*ColumnBlock) error) error {
 // the whole range when the scan is not Segmented — block by block in
 // ascending PK order: a block whose rows lie in key order and overlap no
 // other's as a view of them, trimmed to the range, with no copy and no
-// lock; a block whose rows do not, a run of blocks whose keys overlap,
-// and the row set, transposed into a reusable block. A block sealed,
-// flushed or replaced since the scan opened is still read as it was
-// then, so Segments plus Tail see each row exactly once. A block is valid
-// only until fn returns. While the row set is walked fn runs under the
-// engine read lock, so it must not write to the engine; a non-nil error
-// stops the walk and is returned.
+// lock; a block whose rows do not, and a run of blocks whose keys
+// overlap, transposed into a reusable block. A block sealed, flushed or
+// replaced since the scan opened is still read as it was then, so
+// Segments plus Tail see each row exactly once. A block is valid only
+// until fn returns; a non-nil error stops the walk and is returned.
 func (bs *BlockScan) Tail(fn func(*ColumnBlock) error) error {
 	if bs.lo > bs.hi {
 		return nil
@@ -577,29 +554,12 @@ func (bs *BlockScan) Tail(fn func(*ColumnBlock) error) error {
 			continue
 		}
 		tr := t.transposer(fn)
-		mergeRun(run, t.pkCols, func(b *ColumnBlock, i int) bool {
-			if tr.err == nil {
-				tr.b.appendFrom(b, i)
-			}
-			return tr.added()
-		})
+		mergeRun(run, t.pkCols, tr.add)
 		if err := tr.finish(); err != nil {
 			return err
 		}
 	}
-	if bs.set == nil {
-		return nil
-	}
-	loKey := EncodeKey(nil, Int(bs.lo))
-	var hiKey []byte
-	if bs.hi < math.MaxInt64 {
-		hiKey = EncodeKey(nil, Int(bs.hi+1))
-	}
-	t.db.mu.RLock()
-	defer t.db.mu.RUnlock()
-	tr := t.transposer(fn)
-	bs.set.walk("", loKey, hiKey, tr.add)
-	return tr.finish()
+	return nil
 }
 
 // Gather transposes the rows with the given IDs, in the order given
@@ -611,7 +571,7 @@ func (t *Table) Gather(ids []int64, fn func(*ColumnBlock) error) error {
 	defer t.db.mu.RUnlock()
 	tr := t.transposer(fn)
 	for _, id := range ids {
-		if ref, ok := t.findIDLocked(id); ok && !tr.addRef(ref) {
+		if ref, ok := t.findIDLocked(id); ok && !tr.add(&ref.seg.ColumnBlock, ref.pos) {
 			break
 		}
 	}

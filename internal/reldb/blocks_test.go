@@ -3,6 +3,7 @@ package reldb
 import (
 	"math"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -32,77 +33,103 @@ func sameColumns(t *testing.T, label string, b, want *ColumnBlock) {
 func head(ids []int64) []int64 { return ids[:min(len(ids), 4)] }
 
 // TestBlockSourceTransposeMatchesSegment checks the transposer against
-// buildSegment: for the same rows, blocks transposed from the row store —
-// by range and by gathered ID list, across a 4096-row boundary — carry
-// the columns, row IDs and zones a segment of those rows would.
+// buildSegment: for the same rows, blocks transposed from two runs whose
+// keys interleave — a segment of the even keys and a tail of the odd ones,
+// merged by range and gathered by ID list, across a 4096-row boundary —
+// carry the columns, row IDs and zones a segment of those rows would.
 func TestBlockSourceTransposeMatchesSegment(t *testing.T) {
 	db := newTestMem(t)
-	rows := resultSchema()
-	rows.Name = "result_rows" // not hot: its rows are a row set
-	if err := db.CreateTable(rows); err != nil {
+	db.seg.shutdown() // the one pass below runs here
+	if err := db.CreateTable(resultSchema()); err != nil {
 		t.Fatal(err)
 	}
 	const n = blockRows + 1000
-	for i := 0; i < n; i++ {
-		if _, err := db.Insert("result_rows", resultRow(i)); err != nil {
+	ids, rows := make([]int64, n), make([]Row, n) // by key less 1
+	insert := func(parity int) {
+		tx := db.Begin()
+		for k := parity; k < n; k += 2 {
+			rows[k] = resultRow(k)
+			rows[k][0] = Int(int64(k + 1))
+			id, err := tx.Insert("performance_result", rows[k])
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids[k] = id
+		}
+		if err := tx.Commit(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	tab, _ := db.Table("result_rows")
-	// want returns the segment buildSegment lays out for the given IDs.
-	want := func(ids []int64) *ColumnBlock {
-		rows := make([]Row, len(ids))
-		for i, id := range ids {
-			rows[i] = tab.active.rows[id]
+	insert(0)
+	if err := db.CompactSegments(); err != nil {
+		t.Fatal(err)
+	}
+	insert(1)
+	tab, _ := db.Table("performance_result")
+	// want returns the segment buildSegment lays out for the rows whose
+	// keys less 1 are keys.
+	want := func(keys []int) *ColumnBlock {
+		var wantIDs []int64
+		var wantRows []Row
+		for _, k := range keys {
+			wantIDs, wantRows = append(wantIDs, ids[k]), append(wantRows, rows[k])
 		}
-		seg, err := buildSegment(tab, ids, rows)
+		seg, err := buildSegment(tab, wantIDs, wantRows)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return &seg.ColumnBlock
 	}
-	seq := func(lo, hi int64) []int64 {
-		var ids []int64
-		for id := lo; id <= hi; id++ {
-			ids = append(ids, id)
+	seq := func(lo, hi int) []int {
+		var keys []int
+		for k := lo; k <= hi; k++ {
+			keys = append(keys, k)
 		}
-		return ids
+		return keys
 	}
 
-	// Range form: [10, n-5] splits into one full block and a remainder.
-	scan, err := tab.Blocks(10, n-5)
+	// Range form: keys [11, n-4] merge into one full block and a remainder.
+	scan, err := tab.Blocks(11, n-4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if scan.Segmented() || len(scan.Segments) != 0 {
-		t.Fatal("a row set produced segment blocks")
+	if len(scan.Segments) != 0 {
+		t.Fatal("a segment overlapping the tail was handed out whole")
 	}
-	next, blocks := int64(10), 0
+	next, blocks := 10, 0
 	err = scan.Each(func(b *ColumnBlock) error {
-		last := next + int64(b.Len()) - 1
+		last := next + b.Len() - 1
 		sameColumns(t, "range", b, want(seq(next, last)))
 		next, blocks = last+1, blocks+1
 		return nil
 	})
 	if err != nil || next != n-4 || blocks != 2 {
-		t.Fatalf("range scan: err=%v, next id %d (want %d), %d blocks (want 2)", err, next, n-4, blocks)
+		t.Fatalf("range scan: err=%v, next key %d (want %d), %d blocks (want 2)", err, next+1, n-3, blocks)
 	}
 
-	// Gather form: an ascending list with holes, deleted rows and IDs that
-	// never existed, again spanning two blocks.
-	for _, id := range []int64{3, 4097, 4099} {
-		if err := db.Delete("result_rows", id); err != nil {
+	// Gather form: an ascending ID list with holes, deleted rows and IDs
+	// that never existed, again spanning two blocks.
+	for _, k := range []int{2, 4097, 4099} {
+		if err := db.Delete("performance_result", ids[k]); err != nil {
 			t.Fatal(err)
 		}
+		ids[k] = 0
 	}
-	var ask, present []int64
-	for id := int64(1); id <= n+20; id++ {
+	byID := make(map[int64]int, n)
+	for k, id := range ids {
+		if id != 0 {
+			byID[id] = k
+		}
+	}
+	var ask []int64
+	var present []int
+	for id := int64(1); id <= slices.Max(ids)+20; id++ {
 		if id%10 == 0 {
 			continue
 		}
 		ask = append(ask, id)
-		if _, ok := tab.active.rows[id]; ok {
-			present = append(present, id)
+		if k, ok := byID[id]; ok {
+			present = append(present, k)
 		}
 	}
 	off := 0

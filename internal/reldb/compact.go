@@ -9,65 +9,50 @@ import (
 	"math"
 	"path/filepath"
 	"slices"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 )
 
-// The engine keeps one resident copy of every row of its hot,
-// bulk-scanned tables, and keeps it columnar from the moment the row is
-// committed (Table's doc comment has the read side): the unflushed rows
-// are a tail, a segment with no file yet. A commit that leaves a table's
-// tail at or above the flush threshold seals it — installs its narrowed
-// copy (integers at their least widths, permutations shared) and an empty
-// tail; the background compactor encodes the sealed block as it stands
-// into an immutable segment file and publishes that same object as a
-// segment, O(1). Nothing is transposed, deleted row by row or re-inserted,
-// at run time or at recovery. A change to a block is a replacement block
+// The engine keeps one resident copy of every row, and keeps it columnar
+// from the moment the row is committed (Table's doc comment has the read
+// side): the unflushed rows are a tail, a segment with no file yet. A
+// commit that leaves a table's tail at or above the flush threshold seals
+// it — installs its narrowed copy (integers at their least widths,
+// permutations shared) and an empty tail; the background compactor
+// encodes the sealed block as it stands into an immutable segment file
+// and publishes that same object as a segment, O(1). Nothing is
+// transposed, deleted row by row or re-inserted, at run time or at
+// recovery. A change to a block is a replacement block
 // (Table.replaceLocked), which the next pass writes like a sealed tail.
 //
-// A hot row is durable in exactly one place: the tail log of the tail
-// that holds it, then — once the segment file is fsynced and a durable
+// A row is durable in exactly one place: the tail log of the tail that
+// holds it, then — once the segment file is fsynced and a durable
 // manifest names it — that segment, at which point the pass deletes the
 // tail's logs; a delete, in its tail log, then in the replacement's file.
-// Four rules make the deletion safe (DESIGN §9): the barrier before a
-// manifest, snapshot-held rows pinning the log, the pass counted last,
-// and the flush order.
-
-// segmentHotTables lists the relations the compactor drains into columnar
-// files: the tables a document load appends to and nothing ever updates —
-// its results and their links, and the per-document half of the names,
-// its foci and its resources' closure links. Everything else lives purely
-// in its row set and the snapshot. The manifest names them in this order.
-var segmentHotTables = []string{"performance_result", "result_has_focus", "focus_has_resource",
-	"focus", "resource_has_ancestor", "resource_has_descendant"}
-
-func isHotTable(name string) bool { return slices.Contains(segmentHotTables, name) }
-
-// logFlushOrder is segmentHotTables in the order a commit flushes their
-// tail logs (rule 4), parents before children: the closure links (their
-// parent, resource_item, is in perftrack.wal, flushed first of all) and
-// the foci, then results before the foci's resources before the links from
-// results to foci.
-var logFlushOrder = []string{"resource_has_ancestor", "resource_has_descendant", "focus",
-	"performance_result", "focus_has_resource", "result_has_focus"}
+// Three rules make the deletion safe (DESIGN §9): the barrier before a
+// manifest, the pass counted last, and the flush order.
 
 const (
 	segmentSubdir = "segments"
 	manifestFile  = "MANIFEST"
 	// manifestVersion: 1 had no low-water marks; 2 named the three result
-	// tables only. A program that knows fewer hot tables than a manifest
-	// names would take the others' segment files for orphans and delete
-	// them, so the version moved with the set: such a program refuses 3.
-	// 4 may name format-2 segment files, which a program that reads only
-	// format 1 refuses as a version, not as corrupt segments.
-	manifestVersion = 4
+	// tables only, 3 six. A program that keeps fewer tables in segments
+	// than a manifest names would take the others' segment files for
+	// orphans and delete them, so the version moved with the set: such a
+	// program refuses the next. 4 may name format-2 segment files, which a
+	// program that reads only format 1 refuses as a version, not as corrupt
+	// segments. 5 names every table, and says that no row lives in
+	// perftrack.snap or perftrack.wal any more: whatever rows they still
+	// hold, segments hold too.
+	manifestVersion = 5
 	defaultSegFlush = 4096
 )
 
-// segState is the engine's compaction state; what each hot table has
-// sealed and flushed lives on the Table, under the engine lock.
+// segState is the engine's compaction state; what each table has sealed
+// and flushed lives on the Table, under the engine lock.
 type segState struct {
 	db  *DB
 	dir string
@@ -76,14 +61,14 @@ type segState struct {
 	nextSeq   int64      // under compactMu
 
 	flushRows   atomic.Int64
-	compactions atomic.Uint64 // compaction passes that wrote segments and have deleted the logs those supersede (rule 3)
+	compactions atomic.Uint64 // compaction passes that wrote segments and have deleted the logs those supersede (rule 2)
 	segsWritten atomic.Uint64 // segment files written
 
 	// Guarded by the engine lock.
 	loaded    map[string][]*segment // recovery: manifest-listed segments, by table, until replay ends
 	loadedLow map[string]int64      // recovery: the manifest's low-water marks
 	garbage   []string              // files of replaced segments, removed after the next manifest write
-	logSeq    map[string]int64      // sequence number of each hot table's next tail log
+	logSeq    map[string]int64      // sequence number of each table's next tail log
 	retired   []*logFile            // tail logs of published or emptied tails, deleted after the next manifest write
 
 	step func(string) // tests: called after each durable step of a pass or checkpoint
@@ -96,15 +81,14 @@ type segState struct {
 
 func newSegState(db *DB) *segState {
 	st := &segState{
-		db:     db,
-		dir:    filepath.Join(db.dir, segmentSubdir),
-		logSeq: make(map[string]int64),
-		notify: make(chan struct{}, 1),
-		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
-	}
-	for _, name := range segmentHotTables {
-		st.logSeq[name] = 1
+		db:        db,
+		dir:       filepath.Join(db.dir, segmentSubdir),
+		loaded:    make(map[string][]*segment),
+		loadedLow: make(map[string]int64),
+		logSeq:    make(map[string]int64),
+		notify:    make(chan struct{}, 1),
+		stop:      make(chan struct{}),
+		done:      make(chan struct{}),
 	}
 	st.flushRows.Store(defaultSegFlush)
 	return st
@@ -116,7 +100,7 @@ func (st *segState) stepped(name string) {
 	}
 }
 
-// SetSegmentFlushRows sets how many unflushed tail rows a hot table
+// SetSegmentFlushRows sets how many unflushed tail rows a table
 // accumulates before a commit seals them for the compactor.
 func (db *DB) SetSegmentFlushRows(n int64) {
 	if n > 0 {
@@ -126,33 +110,16 @@ func (db *DB) SetSegmentFlushRows(n int64) {
 
 // --- sealing (engine write lock held) ---
 
-// columnarLocked gives a new hot table its columnar tail: every hot
-// table with an integer leading key keeps its rows in blocks, any other
-// table in a row set, logged to perftrack.wal. Blocks enforce no unique
-// index — creating one on a hot table is refused — so a unique index an
-// older snapshot's schema names on one is kept in name only, until the
-// datastore drops it.
-func (t *Table) columnarLocked() {
-	if isHotTable(t.schema.Name) && len(t.pkCols) > 0 && t.schema.Columns[t.pkCols[0]].Type == KindInt {
-		t.installLocked(nil, t.newBlock(0, 0))
-	}
-}
-
-// sealReadyLocked seals — moves a pointer — every hot table's tail that
+// sealReadyLocked seals — moves a pointer — every table's tail that
 // holds at least atLeast rows, has no sealed tail waiting and no open
 // transaction holding row IDs of the table, then wakes the compactor if
 // any table has a block to write. The sealed tail keeps its logs and the
-// next record opens a new one, unless the table's logs are pinned (rule
-// 2): they stay with the active tail, where no pass trims them. It
-// reports whether some table is full behind a sealed tail: at the
-// threshold too, and not sealable until the pass in flight publishes.
+// next record opens a new one. It reports whether some table is full
+// behind a sealed tail: at the threshold too, and not sealable until the
+// pass in flight publishes.
 func (st *segState) sealReadyLocked(atLeast int64) (full bool) {
 	work := false
-	for _, name := range segmentHotTables {
-		t := st.db.tables[name]
-		if t == nil || t.tail == nil {
-			continue
-		}
+	for _, t := range st.db.order {
 		if n := int64(t.tail.rows); n > 0 && n >= atLeast && t.reserving.Load() == 0 {
 			if t.sealed != nil {
 				full = true
@@ -176,16 +143,12 @@ func (st *segState) sealReadyLocked(atLeast int64) (full bool) {
 // tail keeps reading the wide vectors it pinned.
 func (st *segState) sealLocked(t *Table) {
 	old := t.tail
-	if k := len(old.logs); !t.pinLogs && k > 0 && old.logs[k-1].finish() != nil {
+	if k := len(old.logs); k > 0 && old.logs[k-1].finish() != nil {
 		return // the log cannot take its buffered records: the tail stays active, the committer's next flush reports it
 	}
 	old.freeze(t.pkCols)
 	sealed := old.narrowed()
-	tail := t.newBlock(sealed.maxRowID, 0)
-	if t.pinLogs {
-		tail.logs, sealed.logs = sealed.logs, nil
-	}
-	t.installLocked(sealed, tail)
+	t.installLocked(sealed, t.newBlock(sealed.maxRowID, 0))
 }
 
 func unwritten(s *segment) bool { return s.file == "" }
@@ -229,8 +192,7 @@ func parseTailLogName(base string) (table string, seq int64, ok bool) {
 	return base[len("tail-"):cut], seq, err == nil
 }
 
-// discardLogsLocked deletes the table's tail logs: it is being dropped,
-// or a checkpoint has captured its rows.
+// discardLogsLocked deletes the table's tail logs: it is being dropped.
 func (t *Table) discardLogsLocked() {
 	for _, s := range t.tailsLocked() {
 		if len(s.logs) > 0 {
@@ -319,8 +281,8 @@ func (st *segState) shutdown() {
 	})
 }
 
-// CompactSegments synchronously seals and drains every hot table's tail
-// into columnar segments, whatever the flush threshold.
+// CompactSegments synchronously seals and drains every table's tail into
+// columnar segments, whatever the flush threshold.
 func (db *DB) CompactSegments() error {
 	db.seg.compactMu.Lock()
 	defer db.seg.compactMu.Unlock()
@@ -352,9 +314,9 @@ func (st *segState) drain(force bool) error {
 // writes a segment file per block outside the engine lock and publishes
 // it under the lock (publishLocked), sealing the table's next tail if
 // that has meanwhile crossed the threshold (when forced, holds a row).
-// Then the manifest is rewritten, the retired logs deleted, and only then
-// is the pass counted (rule 3). Requires compactMu, which a commit that
-// deletes holds too: no block is replaced under a pass, and every
+// Then the manifest is rewritten, the retired logs are deleted, and only
+// then is the pass counted (rule 2). Requires compactMu, which a commit
+// that deletes holds too: no block is replaced under a pass, and every
 // replacement older than a retired log's delete records is written.
 func (st *segState) pass(force bool) (worked bool, err error) {
 	db := st.db
@@ -373,11 +335,7 @@ func (st *segState) pass(force bool) (worked bool, err error) {
 		atLeast = 1
 		st.sealReadyLocked(atLeast)
 	}
-	for _, name := range segmentHotTables {
-		t := db.tables[name]
-		if t == nil {
-			continue
-		}
+	for _, t := range db.order {
 		for _, s := range t.segs {
 			if unwritten(s) {
 				jobs = append(jobs, job{t, s})
@@ -496,31 +454,30 @@ func (st *segState) writeSegment(t *Table, b *segment) (seg *segment, path strin
 
 // --- manifest ---
 
-// manifest is what the MANIFEST file says of each hot table: files[i]
-// and lowWater[i] belong to segmentHotTables[i].
+// manifest is what the MANIFEST file says, after its version: per table,
+// the segment files that hold its rows, in row-ID order, and the
+// low-water mark below which its tail logs are dead — the files hold
+// their rows.
 type manifest struct {
-	files    [][]string // segment files, in row-ID order
-	lowWater []int64    // tail logs numbered below it are dead: the files hold their rows
+	tables   []string
+	files    [][]string
+	lowWater []int64
 }
 
-// manifestLocked returns what the next manifest says — each hot table's
+// manifestLocked returns what the next manifest says — each table's
 // segment files: a written block's own, in its place the files an
 // unwritten replacement replaces; and the lowest tail log the table's
 // unflushed rows own — and takes the released segment files it thereby
 // stops referencing.
 func (st *segState) manifestLocked() (m manifest, garbage []string) {
-	for _, name := range segmentHotTables {
+	for _, t := range st.db.order {
 		var list []string
-		low := st.logSeq[name]
-		if t := st.db.tables[name]; t != nil {
-			for _, s := range t.blocks {
-				for _, path := range s.files() {
-					list = append(list, filepath.Base(path))
-				}
+		for _, s := range t.blocks {
+			for _, path := range s.files() {
+				list = append(list, filepath.Base(path))
 			}
-			low = t.lowWaterLocked()
 		}
-		m.files, m.lowWater = append(m.files, list), append(m.lowWater, low)
+		m.tables, m.files, m.lowWater = append(m.tables, t.schema.Name), append(m.files, list), append(m.lowWater, t.lowWaterLocked())
 	}
 	garbage, st.garbage = st.garbage, nil
 	return m, garbage
@@ -530,7 +487,7 @@ func (st *segState) manifestLocked() (m manifest, garbage []string) {
 // garbage it no longer names. Requires compactMu.
 func (st *segState) writeManifest(m manifest, garbage []string) error {
 	buf := appendRecord(nil, putVarint(putUvarint(nil, manifestVersion), st.nextSeq))
-	for i, name := range segmentHotTables {
+	for i, name := range m.tables {
 		p := putUvarint(putString(nil, name), uint64(len(m.files[i])))
 		for _, file := range m.files[i] {
 			p = putString(p, file)
@@ -546,41 +503,39 @@ func (st *segState) writeManifest(m manifest, garbage []string) error {
 	return nil
 }
 
-// load reads the manifest and decodes the segment files it lists into
-// st.loaded. Runs after loadSnapshot; attachLocked then hands each table
-// its segments, at once if the snapshot created the table, else when WAL
-// replay does.
-func (st *segState) load() error {
+// load reads the manifest, if there is one, and decodes the segment files
+// it lists into st.loaded, which attachLocked hands each table as
+// recovery creates it. It returns the manifest's version, 0 without one.
+func (st *segState) load() (version uint64, err error) {
 	f, err := st.db.fsys.Open(filepath.Join(st.dir, manifestFile))
 	if errors.Is(err, fs.ErrNotExist) {
-		return nil
+		return 0, nil
 	}
 	if err != nil {
-		return fmt.Errorf("reldb: open manifest: %w", err)
+		return 0, fmt.Errorf("reldb: open manifest: %w", err)
 	}
 	defer f.Close()
 	rr := newRecordReader(f)
 	hdr, err := rr.readRecord()
 	if err != nil {
-		return fmt.Errorf("reldb: manifest: %w", err)
+		return 0, fmt.Errorf("reldb: manifest: %w", err)
 	}
 	hp := &payloadReader{buf: hdr}
 	version, nextSeq := hp.uvarint(), hp.varint()
 	if hp.err != nil {
-		return fmt.Errorf("reldb: manifest: %w", hp.err)
+		return 0, fmt.Errorf("reldb: manifest: %w", hp.err)
 	}
 	if version > manifestVersion {
-		return fmt.Errorf("reldb: manifest: version %d is newer than this program's %d", version, manifestVersion)
+		return 0, fmt.Errorf("reldb: manifest: version %d is newer than this program's %d", version, manifestVersion)
 	}
 	st.nextSeq = nextSeq
-	st.loaded, st.loadedLow = make(map[string][]*segment), make(map[string]int64)
 	for {
 		payload, err := rr.readRecord()
 		if err == io.EOF {
-			return nil
+			return version, nil
 		}
 		if err != nil {
-			return fmt.Errorf("reldb: manifest: %w", err)
+			return 0, fmt.Errorf("reldb: manifest: %w", err)
 		}
 		p := &payloadReader{buf: payload}
 		name, files := p.str(), make([]string, p.count())
@@ -591,20 +546,18 @@ func (st *segState) load() error {
 			st.loadedLow[name] = p.varint()
 		}
 		if p.err != nil {
-			return fmt.Errorf("reldb: manifest: %w", p.err)
+			return 0, fmt.Errorf("reldb: manifest: %w", p.err)
 		}
 		for _, file := range files {
 			seg, err := readSegmentFile(st.db.fsys, filepath.Join(st.dir, file))
 			if err != nil {
-				return err
+				return 0, err
 			}
 			if seg.table != name {
-				return fmt.Errorf("%w: segment %s holds table %q, manifest says %q",
+				return 0, fmt.Errorf("%w: segment %s holds table %q, manifest says %q",
 					ErrCorruptSegment, file, seg.table, name)
 			}
-			if isHotTable(name) { // else no longer hot; orphan cleanup removes the file
-				st.loaded[name] = append(st.loaded[name], seg)
-			}
+			st.loaded[name] = append(st.loaded[name], seg)
 		}
 	}
 }
@@ -626,15 +579,22 @@ func (st *segState) replayTailLogs() error {
 			continue
 		}
 		table, seq, ok := parseTailLogName(name)
-		if !ok || !isHotTable(table) {
-			return fmt.Errorf("reldb: %s is not the tail log of a hot table", filepath.Join(st.dir, name))
+		if !ok {
+			return fmt.Errorf("reldb: %s is not a tail log", filepath.Join(st.dir, name))
 		}
 		logs[table] = append(logs[table], &logFile{path: filepath.Join(st.dir, name), seq: seq})
 		st.logSeq[table] = max(st.logSeq[table], seq+1)
 	}
-	for _, name := range segmentHotTables {
+	for name, low := range st.loadedLow {
+		st.logSeq[name] = max(st.logSeq[name], low)
+	}
+	tables := make([]string, 0, len(logs))
+	for name := range logs {
+		tables = append(tables, name)
+	}
+	sort.Strings(tables)
+	for _, name := range tables {
 		t := st.db.tables[name]
-		st.logSeq[name] = max(st.logSeq[name], st.loadedLow[name])
 		slices.SortFunc(logs[name], func(a, b *logFile) int { return cmp.Compare(a.seq, b.seq) })
 		for _, l := range logs[name] {
 			if t == nil || l.seq < st.loadedLow[name] {
@@ -645,7 +605,7 @@ func (st *segState) replayTailLogs() error {
 				if !m.isRowOp() || m.table != name {
 					return fmt.Errorf("%w: a tail log of %q holds op %d on %q", ErrCorruptLog, name, m.op, m.table)
 				}
-				st.db.replayedHot++
+				st.db.replayedRows++
 				return st.db.apply(m)
 			})
 			if err != nil {
@@ -660,23 +620,12 @@ func (st *segState) replayTailLogs() error {
 	return nil
 }
 
-// attachLocked hands a table created during recovery the segments the
-// manifest lists for it, before its tail, without inserting a row: its
-// next row ID moves past them, and log replay finds their rows served.
-// The snapshot, whose rows are in the tail, normally holds none of them.
-// It does when it and the manifest are of different ages — a checkpoint
-// crashed between writing the two, or snapshotted a tail a pass then
-// flushed — and then the logs since the older of them are intact, so
-// either image replays to the truth: the segment's is kept, the
-// snapshot's copy dropped.
+// attachLocked hands a table recovery has just created the segments the
+// manifest lists for it, before its empty tail, without inserting a row:
+// its next row ID moves past them, and log replay finds their rows served.
 func (st *segState) attachLocked(t *Table) error {
 	segs := st.loaded[t.schema.Name]
-	if len(segs) == 0 {
-		return nil
-	}
-	if t.tail == nil {
-		return fmt.Errorf("%w: table %q has segments but no blocks", ErrCorruptSegment, t.schema.Name)
-	}
+	delete(st.loaded, t.schema.Name)
 	for _, s := range segs {
 		if !s.matches(t.schema) {
 			return fmt.Errorf("%w: segment %s does not match the schema of table %q",
@@ -686,15 +635,6 @@ func (st *segState) attachLocked(t *Table) error {
 		t.tail.maxRowID = max(t.tail.maxRowID, s.maxRowID)
 	}
 	t.installLocked(nil, t.tail)
-	dup := make(map[int]Row)
-	for i := 0; i < t.tail.rows; i++ {
-		if ref, _ := t.findIDLocked(t.tail.rowIDs.At(i)); ref.seg != t.tail {
-			dup[i] = nil
-		}
-	}
-	if len(dup) > 0 {
-		t.replaceLocked(t.tail, dup)
-	}
 	return nil
 }
 
@@ -725,12 +665,11 @@ func (t *Table) orderLocked() {
 	t.db.seg.sealLocked(t)
 }
 
-// cleanOrphans removes segment files the manifest (files, as
-// manifestLocked returns them) does not list — leftovers of crashed
-// compactions or released segments.
-func (st *segState) cleanOrphans(files [][]string) {
+// cleanOrphans removes segment files the manifest does not list —
+// leftovers of crashed compactions or released segments.
+func (st *segState) cleanOrphans(m manifest) {
 	live := make(map[string]bool)
-	for _, list := range files {
+	for _, list := range m.files {
 		for _, file := range list {
 			live[file] = true
 		}
@@ -751,7 +690,7 @@ func (st *segState) cleanOrphans(files [][]string) {
 
 // --- stats ---
 
-// SegmentTableStatus describes one hot table's segment state. Segments
+// SegmentTableStatus describes one table's segment state. Segments
 // counts replacements not yet written, PendingRows the rows in no segment
 // (the sealed and active tails).
 type SegmentTableStatus struct {
@@ -779,7 +718,8 @@ type SegmentStats struct {
 	Tables           []SegmentTableStatus `json:"tables,omitempty"`
 }
 
-// SegmentStats reports compaction status.
+// SegmentStats reports compaction status, of each table that holds rows
+// or logs.
 func (db *DB) SegmentStats() SegmentStats {
 	st := db.seg
 	out := SegmentStats{
@@ -791,20 +731,18 @@ func (db *DB) SegmentStats() SegmentStats {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	out.LogBytesAppended, out.LogBytesTrimmed = db.logAppended, db.logTrimmed
-	for _, name := range segmentHotTables {
-		status := SegmentTableStatus{Table: name}
-		if t := db.tables[name]; t != nil {
-			for _, l := range t.logsLocked() {
-				status.LogBytes, status.LogFiles = status.LogBytes+l.size, status.LogFiles+1
-			}
-			status.LowWater = t.lowWaterLocked()
-			status.Segments, status.Rows, status.Bytes = len(t.segs), t.segRows, t.segBytes
-			status.PendingRows = t.lenLocked() - t.segRows
-			if len(t.segs) > 0 {
-				status.Watermark = t.segs[len(t.segs)-1].maxRowID
-			}
+	for _, t := range db.order {
+		status := SegmentTableStatus{Table: t.schema.Name, LowWater: t.lowWaterLocked(),
+			Segments: len(t.segs), Rows: t.segRows, Bytes: t.segBytes, PendingRows: t.lenLocked() - t.segRows}
+		for _, l := range t.logsLocked() {
+			status.LogBytes, status.LogFiles = status.LogBytes+l.size, status.LogFiles+1
 		}
-		out.Tables = append(out.Tables, status)
+		if len(t.segs) > 0 {
+			status.Watermark = t.segs[len(t.segs)-1].maxRowID
+		}
+		if status.Rows+status.PendingRows > 0 || status.LogFiles > 0 {
+			out.Tables = append(out.Tables, status)
+		}
 	}
 	return out
 }

@@ -43,25 +43,24 @@ var ErrRefused = errors.New("reldb: the engine refuses writes")
 var errClosed = errors.New("reldb: engine closed")
 
 // DB is the storage engine: a set of tables guarded by one
-// readers-writer lock, whose mutations stream to write-ahead logs split
-// by record lifetime, whose hot tables' rows a background compactor
-// moves into columnar segments (compact.go), and whose snapshots
-// Checkpoint writes — all through one filesystem, fsys. Records of the hot
-// tables go to numbered per-table tail logs that are deleted as soon as a
-// manifest names the segment holding their rows; everything else goes to
-// perftrack.wal, which a checkpoint truncates. NewMem opens it over an
-// in-memory filesystem, OpenFile over a directory; the engine is the
-// same. It stands in for the DBMS backends (Oracle, PostgreSQL) of the
-// original PerfTrack prototype.
+// readers-writer lock, whose rows a background compactor moves from
+// columnar tails into columnar segments (compact.go) — all through one
+// filesystem, fsys. A table's row records go to its numbered tail logs,
+// deleted as soon as a manifest names the segment holding their rows; DDL
+// goes to perftrack.wal, which a checkpoint rewrites as the schema alone.
+// NewMem opens it over an in-memory filesystem, OpenFile over a
+// directory; the engine is the same. It stands in for the DBMS backends
+// (Oracle, PostgreSQL) of the original PerfTrack prototype.
 type DB struct {
 	mu     engineLock
 	tables map[string]*Table
+	order  []*Table // every table, each after the ones its foreign keys name: the flush order (rule 3)
 	seg    *segState
 
 	fsys    FS
 	kind    string
 	dir     string
-	wal     *logFile // perftrack.wal: DDL and the records of every table that is not hot
+	wal     *logFile // perftrack.wal: DDL
 	syncWAL bool     // fsync the logs a commit touched
 
 	// Guarded by the engine lock.
@@ -70,12 +69,12 @@ type DB struct {
 		table string
 		ids   []int64
 	} // recovery: the run of deletes apply holds back
-	refused     error  // set by Close, a failed fsync, or a failed write that could not be undone: every later write returns it
-	logBytes    int64  // bytes of all live logs at the last Stats call that could flush them
-	flushErrors uint64 // Stats calls that could not
-	logAppended uint64 // bytes ever appended to a log
-	logTrimmed  uint64 // bytes of log deleted or truncated away
-	replayedHot int    // hot-table records the open applied
+	refused      error  // set by Close, a failed fsync, or a failed write that could not be undone: every later write returns it
+	logBytes     int64  // bytes of all live logs at the last Stats call that could flush them
+	flushErrors  uint64 // Stats calls that could not
+	logAppended  uint64 // bytes ever appended to a log
+	logTrimmed   uint64 // bytes of log deleted or truncated away
+	replayedRows int    // tail-log records the open applied
 }
 
 // engineLock is the engine's readers-writer lock; it counts how often it
@@ -110,7 +109,13 @@ func (db *DB) createTableLocked(schema *Schema) error {
 		return err
 	}
 	db.tables[schema.Name] = t
-	t.columnarLocked()
+	db.orderLocked()
+	if db.seg.logSeq[schema.Name] == 0 {
+		db.seg.logSeq[schema.Name] = 1
+	}
+	if db.replaying {
+		return db.seg.attachLocked(t)
+	}
 	return nil
 }
 
@@ -124,6 +129,34 @@ func (db *DB) dropTableLocked(name string) {
 		t.discardLogsLocked()
 	}
 	delete(db.tables, name)
+	db.orderLocked()
+}
+
+// orderLocked lists the tables in db.order: by name, each after the
+// tables its foreign keys name.
+func (db *DB) orderLocked() {
+	db.order = db.order[:0]
+	placed := make(map[string]bool, len(db.tables))
+	var place func(name string)
+	place = func(name string) {
+		t := db.tables[name]
+		if t == nil || placed[name] {
+			return
+		}
+		placed[name] = true
+		for _, fk := range t.schema.ForeignKeys {
+			place(fk.RefTable)
+		}
+		db.order = append(db.order, t)
+	}
+	names := make([]string, 0, len(db.tables))
+	for name := range db.tables {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		place(name)
+	}
 }
 
 // CreateIndex adds a secondary index to an existing table and backfills it.
@@ -164,7 +197,7 @@ func (db *DB) dropIndexLocked(table, index string) error {
 	if !exists {
 		return fmt.Errorf("reldb: no table %q", table)
 	}
-	if _, exists := t.active.indexes[index]; !exists {
+	if _, exists := t.indexes[index]; !exists {
 		return fmt.Errorf("reldb: table %q has no index %q", table, index)
 	}
 	if err := db.logLocked(&mutation{op: opDropIndex, table: table, index: IndexSpec{Name: index}}); err != nil {
@@ -252,12 +285,12 @@ func fkError(schema *Schema, fk ForeignKey, v Value) error {
 func (t *Table) containsValueLocked(column string, v Value) bool {
 	// Fast path: column is the whole primary key.
 	if len(t.pkCols) == 1 && t.schema.Columns[t.pkCols[0]].Name == column {
-		_, ok := t.findPKLocked(EncodeKey(nil, v))
+		_, ok := t.findPKLocked([]Value{v})
 		return ok
 	}
 	found := false
 	// Indexed path.
-	for _, ix := range t.active.indexes {
+	for _, ix := range t.indexes {
 		if t.schema.Columns[ix.cols[0]].Name == column {
 			t.indexScanLocked(ix, []Value{v}, func(int64, Row) bool {
 				found = true
@@ -278,26 +311,24 @@ func (t *Table) containsValueLocked(column string, v Value) bool {
 
 // Stats summarizes the database contents and storage footprint. Rows
 // counts logical rows wherever they live. DataBytes and IndexBytes
-// measure the unflushed rows only — the row set's rows and B-tree keys,
-// a columnar tail's vectors and built permutations; a flushed row leaves
-// them and is counted under the Segment fields instead. LogicalBytes is
-// the data size that does not depend on where rows live. The file fields
-// measure what the engine keeps in its filesystem, a directory's or
-// memory's.
+// measure the unflushed rows only — the tails' rows in row form and the
+// permutations built over them; a flushed row leaves them and is counted
+// under the Segment fields instead. LogicalBytes is the data size that
+// does not depend on where rows live. The file fields measure what the
+// engine keeps in its filesystem, a directory's or memory's.
 type Stats struct {
 	Kind       string                `json:"kind"` // storage engine kind: mem or segment
 	Tables     int                   `json:"tables"`
-	Rows       int64                 `json:"rows"`        // logical rows: row store + segments
+	Rows       int64                 `json:"rows"`        // logical rows: tails + segments
 	DataBytes  int64                 `json:"data_bytes"`  // payload bytes of the unflushed rows
-	IndexBytes int64                 `json:"index_bytes"` // B-tree key and tail permutation bytes over them
+	IndexBytes int64                 `json:"index_bytes"` // tail permutation bytes over them
 	PerTable   map[string]TableStats `json:"per_table"`
 
-	WALBytes             int64  `json:"wal_bytes,omitempty"` // every live log
-	SnapshotBytes        int64  `json:"snapshot_bytes,omitempty"`
+	WALBytes             int64  `json:"wal_bytes,omitempty"`              // every live log
 	SegmentBytes         int64  `json:"segment_bytes,omitempty"`          // encoded segment files
-	SegmentDataBytes     int64  `json:"segment_data_bytes,omitempty"`     // decoded segment columns: about what their rows would take in row form
+	SegmentDataBytes     int64  `json:"segment_data_bytes,omitempty"`     // decoded segment columns: what their rows take in row form
 	SegmentResidentBytes int64  `json:"segment_resident_bytes,omitempty"` // what decoded segments take in memory: their vectors at their widths, and built permutations
-	DiskBytes            int64  `json:"disk_bytes,omitempty"`             // WAL + snapshot + segments
+	DiskBytes            int64  `json:"disk_bytes,omitempty"`             // logs + segments
 	FlushErrors          uint64 `json:"flush_errors,omitempty"`           // Stats calls whose WAL flush failed (WALBytes is then the last good value)
 }
 
@@ -306,8 +337,7 @@ type Stats struct {
 func (s Stats) LogicalBytes() int64 { return s.DataBytes + s.SegmentDataBytes }
 
 // TableStats summarizes one table: Rows is logical; DataBytes and
-// IndexBytes cover the unflushed rows, the Segment fields the rest (hot
-// tables).
+// IndexBytes cover the unflushed rows, the Segment fields the rest.
 type TableStats struct {
 	Rows       int64 `json:"rows"`
 	DataBytes  int64 `json:"data_bytes"`
@@ -330,13 +360,12 @@ func (db *DB) tableStatsLocked() Stats {
 	for name, t := range db.tables {
 		ts := TableStats{
 			Rows:             t.lenLocked(),
-			Indexes:          len(t.active.indexes),
+			Indexes:          len(t.indexes),
 			Segments:         len(t.segs),
 			SegmentRows:      t.segRows,
 			SegmentBytes:     t.segBytes,
 			SegmentDataBytes: t.segDataBytes,
 		}
-		ts.DataBytes, ts.IndexBytes = t.active.dataBytes, t.active.indexBytes()
 		for _, s := range t.segs {
 			ts.SegmentResidentBytes += s.residentBytes()
 		}

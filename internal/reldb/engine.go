@@ -42,7 +42,7 @@ func Open(kind, dir string) (Engine, error) {
 }
 
 // NewMem opens an empty engine over an in-memory filesystem whose syncs
-// cost nothing. It writes the same logs, segments and snapshots as a
+// cost nothing. It writes the same logs and segments as a
 // directory-backed engine; they vanish with it.
 func NewMem() *DB {
 	db, err := open(newMemFS(), KindMem, "")

@@ -1,5 +1,10 @@
 package reldb
 
+import (
+	"fmt"
+	"io"
+)
+
 // WriteLocks reports how often the engine's write lock has been taken —
 // what a commit is meant to do once — for the tests of package reldb_test,
 // which drive the engine through the datastore.
@@ -9,8 +14,10 @@ func WriteLocks(db *DB) uint64 { return db.mu.writes.Load() }
 // write lock too.
 func StopCompactor(db *DB) { db.seg.shutdown() }
 
-// HotTables are the tables whose rows live in column blocks.
-var HotTables = segmentHotTables
+// HotTables are the tables a document load appends to most, whose
+// blocks the reopen tests compare.
+var HotTables = []string{"performance_result", "result_has_focus", "focus_has_resource",
+	"focus", "resource_has_ancestor", "resource_has_descendant"}
 
 // BlockRow builds row i of a block.
 func BlockRow(b *ColumnBlock, i int) Row { return b.row(i) }
@@ -36,9 +43,39 @@ func StringCodes(b *ColumnBlock, col int) []uint32 {
 	return codes
 }
 
-// RowSetRows counts the rows a table holds in a row set, not in blocks.
-func RowSetRows(t *Table) int {
-	t.db.mu.RLock()
-	defer t.db.mu.RUnlock()
-	return len(t.active.rows)
+// CopyTree copies the files under src into dst.
+var CopyTree = copyTree
+
+// LogOps renders each record of the log at path as its kind and what it
+// names — "drop index t.i", "create index t.i", "create table t", "row t"
+// — for the tests of package reldb_test, which count DDL by it.
+func LogOps(path string) ([]string, error) {
+	f, err := osFS{}.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	var ops []string
+	rr := newRecordReader(f)
+	for {
+		payload, err := rr.readRecord()
+		if err == io.EOF {
+			return ops, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		m, err := decodeMutationPayload(payload)
+		if err != nil {
+			return nil, err
+		}
+		switch {
+		case m.op == opCreateTable:
+			ops = append(ops, "create table "+m.schema.Name)
+		case m.op == opCreateIndex || m.op == opDropIndex:
+			ops = append(ops, fmt.Sprintf("%s index %s.%s", map[mutOp]string{opCreateIndex: "create", opDropIndex: "drop"}[m.op], m.table, m.index.Name))
+		default:
+			ops = append(ops, "row "+m.table)
+		}
+	}
 }

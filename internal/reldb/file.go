@@ -9,11 +9,10 @@ import (
 	"math"
 	"path/filepath"
 	"slices"
-	"sort"
 )
 
 const (
-	snapshotFile = "perftrack.snap"
+	snapshotFile = "perftrack.snap" // a legacy directory's, read once
 	walFile      = "perftrack.wal"
 	// logBufBytes is how many bytes of DDL records a log buffers
 	// before it writes them out without waiting for a commit.
@@ -21,7 +20,7 @@ const (
 )
 
 // logFile is one append-only record log: perftrack.wal, or a numbered
-// tail log of one hot table (segments/tail-<table>-<seq>.log), owned by
+// tail log of one table (segments/tail-<table>-<seq>.log), owned by
 // the tail whose rows it holds. Records wait in buf until a
 // flush writes them. Guarded by the engine lock, except that f may be
 // fsynced outside it.
@@ -138,20 +137,28 @@ func (db *DB) discardLogs(logs []*logFile) (bytes uint64) {
 	return bytes
 }
 
-// snapshot record tags
+// Record tags of perftrack.snap, a legacy directory's snapshot.
 const (
 	snapTagSchema byte = 1
 	snapTagRow    byte = 2
 )
 
-// open opens (or creates) the store rooted at dir of fsys. Recovery order
-// is snapshot (the rows no segment holds), then the manifest's segments,
-// attached without inserting a row, then perftrack.wal, then each hot
+// open opens (or creates) the store rooted at dir of fsys. Recovery reads
+// the manifest's segments, then perftrack.wal, attaching each table's
+// segments as the table is created, without inserting a row, then each
 // table's tail logs at or above its low-water mark in sequence order (the
 // ones below it are deleted unread: a segment the manifest names holds
 // their rows). An insert a segment already serves is a no-op, and a run
 // of deletes — a commit's, of one table — replaces each block it touches
 // once, exactly as the commit did (the log is truth).
+//
+// A directory whose manifest predates version 5 may keep rows in
+// perftrack.snap and in perftrack.wal: those are read once, first the
+// snapshot, into the tails, and the open drains every tail into segments
+// — the pass writes the first version-5 manifest — before it removes the
+// files (dropLegacyLocked). Under a version-5 manifest such rows were
+// written already, by an open that a crash kept from removing the files:
+// only the schema is read of them, and they are removed.
 func open(fsys FS, kind, dir string) (_ *DB, err error) {
 	if err := fsys.MkdirAll(filepath.Join(dir, segmentSubdir)); err != nil {
 		return nil, fmt.Errorf("reldb: open %s: %w", dir, err)
@@ -163,30 +170,24 @@ func open(fsys FS, kind, dir string) (_ *DB, err error) {
 			db.closeLogs()
 		}
 	}()
-	if err := db.loadSnapshot(); err != nil {
+	version, err := db.seg.load()
+	if err != nil {
 		return nil, err
 	}
-	if err := db.seg.load(); err != nil {
-		return nil, err
-	}
-	for _, name := range segmentHotTables {
-		if t := db.tables[name]; t != nil {
-			// Rule 2: the snapshot holds rows of this table, so a delete of
-			// one lives in the log alone until a checkpoint rewrites it.
-			t.pinLogs = t.lenLocked() > t.segRows
-			if err := db.seg.attachLocked(t); err != nil {
-				return nil, err
-			}
+	legacy := version < manifestVersion
+	_, statErr := fsys.Size(db.snapPath())
+	snap := statErr == nil
+	if snap {
+		if err := db.loadSnapshot(legacy); err != nil {
+			return nil, err
 		}
 	}
+	walRows := false
 	walBytes, err := db.replayLog(db.walPath(), func(m *mutation) error {
-		if m.isRowOp() && isHotTable(m.table) {
-			// A perftrack.wal written before hot tables had tail logs: its
-			// rows pin the tail logs as the snapshot's do.
-			if t := db.tables[m.table]; t != nil {
-				t.pinLogs = true
+		if m.isRowOp() {
+			if walRows = true; !legacy {
+				return nil
 			}
-			db.replayedHot++
 		}
 		return db.apply(m)
 	})
@@ -197,10 +198,8 @@ func open(fsys FS, kind, dir string) (_ *DB, err error) {
 		return nil, err
 	}
 	db.seg.loaded, db.seg.loadedLow = nil, nil
-	for _, name := range segmentHotTables {
-		if t := db.tables[name]; t != nil && t.tail != nil {
-			t.orderLocked()
-		}
+	for _, t := range db.order {
+		t.orderLocked()
 	}
 	if db.wal, err = openLog(fsys, db.walPath(), 0, walBytes); err != nil {
 		return nil, fmt.Errorf("reldb: open WAL: %w", err)
@@ -211,6 +210,11 @@ func open(fsys FS, kind, dir string) (_ *DB, err error) {
 		return nil, fmt.Errorf("reldb: open %s: %w", dir, err)
 	}
 	db.replaying = false
+	if legacy && (snap || walRows) {
+		if err := db.seg.drain(true); err != nil {
+			return nil, err
+		}
+	}
 	// Resync the manifest with post-replay state (a replayed DROP TABLE or
 	// delete may have retired segments) before orphan cleanup, so the
 	// manifest never references a deleted file.
@@ -218,7 +222,12 @@ func open(fsys FS, kind, dir string) (_ *DB, err error) {
 	if err := db.seg.writeManifest(m, garbage); err != nil {
 		return nil, err
 	}
-	db.seg.cleanOrphans(m.files)
+	db.seg.cleanOrphans(m)
+	if snap || walRows {
+		if err := db.dropLegacyLocked(); err != nil {
+			return nil, err
+		}
+	}
 	go db.seg.run()
 	// A tail that replay left at or above the threshold drains now, not
 	// at the next commit.
@@ -229,9 +238,10 @@ func open(fsys FS, kind, dir string) (_ *DB, err error) {
 }
 
 // SetSync controls whether a commit fsyncs the logs it touched (and a
-// DDL statement its log). Synchronous mode is durable against
-// power loss but much slower — a commit fsyncs each log it touched, up to
-// seven — and it is off by default, matching a DBMS with commit batching.
+// DDL statement its log). Synchronous mode is durable against power loss
+// but much slower — a commit fsyncs the tail log of each table it writes,
+// one after another in the flush order: ten for a typical document — and
+// it is off by default, matching a DBMS with commit batching.
 func (db *DB) SetSync(sync bool) { db.syncWAL = sync }
 
 func (db *DB) snapPath() string { return filepath.Join(db.dir, snapshotFile) }
@@ -315,29 +325,25 @@ func (db *DB) refuse(err error) error {
 }
 
 // openLogsLocked returns the logs still taking records in the order a
-// commit flushes them (rule 4): perftrack.wal, then the hot tables'
-// tail logs, parents before children, so that a process killed between
-// two flushes leaves foci and results without their links rather than
-// links without what they name.
+// commit flushes them (rule 3): perftrack.wal, then the tables' tail
+// logs, parents before children, so that a process killed between two
+// flushes leaves foci and results without their links rather than links
+// without what they name.
 func (db *DB) openLogsLocked() []*logFile {
 	logs := []*logFile{db.wal}
-	for _, name := range logFlushOrder {
-		if t := db.tables[name]; t != nil && t.tail != nil {
-			if n := len(t.tail.logs); n > 0 && !t.tail.logs[n-1].finished {
-				logs = append(logs, t.tail.logs[n-1])
-			}
+	for _, t := range db.order {
+		if n := len(t.tail.logs); n > 0 && !t.tail.logs[n-1].finished {
+			logs = append(logs, t.tail.logs[n-1])
 		}
 	}
 	return logs
 }
 
-// tailLogsLocked returns the tail logs the hot tables' unflushed rows own.
+// tailLogsLocked returns the tail logs the tables' unflushed rows own.
 func (db *DB) tailLogsLocked() []*logFile {
 	var logs []*logFile
-	for _, name := range segmentHotTables {
-		if t := db.tables[name]; t != nil {
-			logs = append(logs, t.logsLocked()...)
-		}
+	for _, t := range db.order {
+		logs = append(logs, t.logsLocked()...)
 	}
 	return logs
 }
@@ -369,35 +375,42 @@ func (db *DB) apply(m *mutation) error {
 		db.replayDel.table, db.replayDel.ids = m.table, append(db.replayDel.ids, m.id)
 		return nil
 	case opCreateTable:
-		// A checkpoint that crashed between its snapshot and the truncation
-		// leaves DDL the snapshot already reflects: a table or index that
-		// exists as the record describes it is a no-op. Indexes are set
-		// aside when tables are compared — the log's later CREATE and DROP
-		// INDEX records are what made the snapshot's list.
+		// The snapshot may have made the table already: a legacy checkpoint
+		// that crashed between its snapshot and the truncation leaves DDL
+		// the snapshot reflects, and an open that crashed between rewriting
+		// perftrack.wal and removing the snapshot leaves the schema in both.
+		// A table that exists as the record describes it, indexes set aside,
+		// takes the record's indexes: the log's later CREATE and DROP INDEX
+		// records, if any, replay from there to the truth.
 		if t := db.tables[m.schema.Name]; t != nil {
 			have := *t.schema
 			have.Indexes = m.schema.Indexes
 			if bytes.Equal(encodeSchemaPayload(nil, &have), encodeSchemaPayload(nil, m.schema)) {
+				for _, ix := range slices.Clone(t.schema.Indexes) {
+					db.dropIndexLocked(t.schema.Name, ix.Name)
+				}
+				for _, ix := range m.schema.Indexes {
+					if err := db.createIndexLocked(t.schema.Name, ix); err != nil {
+						return err
+					}
+				}
 				return nil
 			}
 		}
-		if err := db.createTableLocked(m.schema); err != nil {
-			return err
-		}
-		return db.seg.attachLocked(db.tables[m.schema.Name])
+		return db.createTableLocked(m.schema)
 	case opDropTable:
 		db.dropTableLocked(m.table)
 		delete(db.seg.loaded, m.table) // the rows the manifest's segments held died with the table
 		return nil
 	case opCreateIndex:
 		if t := db.tables[m.table]; t != nil {
-			if ix := t.active.indexes[m.index.Name]; ix != nil && ix.spec.Unique == m.index.Unique && slices.Equal(ix.spec.Columns, m.index.Columns) {
+			if ix := t.indexes[m.index.Name]; ix != nil && ix.spec.Unique == m.index.Unique && slices.Equal(ix.spec.Columns, m.index.Columns) {
 				return nil
 			}
 		}
 		return db.createIndexLocked(m.table, m.index)
 	case opDropIndex:
-		if t := db.tables[m.table]; t != nil && t.active.indexes[m.index.Name] == nil {
+		if t := db.tables[m.table]; t != nil && t.indexes[m.index.Name] == nil {
 			return nil // the snapshot is newer than this record and already lacks the index
 		}
 		return db.dropIndexLocked(m.table, m.index.Name)
@@ -411,16 +424,15 @@ func (db *DB) apply(m *mutation) error {
 	}
 	ref, exists := t.findIDLocked(m.id)
 	if !exists {
-		// For an update: the snapshot is newer than this record and the row
-		// was later deleted-and-recreated; restoring the image lets the
+		// For an update: a legacy snapshot is newer than this record and the
+		// row was later deleted-and-recreated; restoring the image lets the
 		// remaining log replay onto the right state.
 		return t.insertAtLocked(m.id, m.row)
 	}
-	// The row was loaded from the snapshot or is served by a segment (a log
-	// outlives a checkpoint's crash window, and one written before hot
-	// tables had tail logs outlives compactions). Equal images are an
-	// idempotent no-op, which keeps a flushed row flushed; on divergence
-	// the log wins.
+	// The row was loaded from a legacy snapshot or is served by a segment
+	// (a log outlives the crash window between a pass's manifest and the
+	// removal of the logs it superseded). Equal images are an idempotent
+	// no-op, which keeps a flushed row flushed; on divergence the log wins.
 	if rowsEqual(ref.clone(), m.row) {
 		return nil
 	}
@@ -428,7 +440,7 @@ func (db *DB) apply(m *mutation) error {
 }
 
 // applyDeletesLocked applies the run of replayed deletes apply held back,
-// all of one table. A row that is not there was deleted before the
+// all of one table. A row that is not there was deleted before a legacy
 // snapshot was written.
 func (db *DB) applyDeletesLocked() error {
 	d := &db.replayDel
@@ -447,7 +459,7 @@ func (db *DB) applyDeletesLocked() error {
 
 // rowsEqual reports bit-exact row equality (NaN-aware for floats). The
 // replay path uses it to recognize an idempotent re-insert of a row that
-// was preloaded from the snapshot or a segment.
+// was preloaded from a legacy snapshot or a segment.
 func rowsEqual(a, b Row) bool {
 	if len(a) != len(b) {
 		return false
@@ -479,11 +491,14 @@ func rowsEqual(a, b Row) bool {
 	return true
 }
 
-func (db *DB) loadSnapshot() error {
+// loadSnapshot reads a legacy directory's perftrack.snap: its tables, and
+// with rows set their rows into the tails. A row a manifest-listed
+// segment already holds is skipped: the snapshot and the manifest can be
+// of different ages — a checkpoint crashed between writing the two, or
+// snapshotted a tail a pass then flushed — and then the logs since the
+// older of them are intact, so either image replays to the truth.
+func (db *DB) loadSnapshot(rows bool) error {
 	f, err := db.fsys.Open(db.snapPath())
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil
-	}
 	if err != nil {
 		return fmt.Errorf("reldb: open snapshot: %w", err)
 	}
@@ -512,9 +527,12 @@ func (db *DB) loadSnapshot() error {
 			}
 			t = db.tables[schema.Name]
 		case tag == snapTagRow && t != nil:
+			if !rows {
+				continue
+			}
 			id := p.varint()
 			row, err := decodeRowPayload(p)
-			if err == nil {
+			if _, held := t.findIDLocked(id); err == nil && !held {
 				err = t.insertAtLocked(id, row)
 			}
 			if err != nil {
@@ -580,12 +598,10 @@ func replaceFile(fsys FS, path string, data []byte) error {
 	return synced(fsys.SyncDir(filepath.Dir(path)))
 }
 
-// Checkpoint writes a snapshot atomically, truncates perftrack.wal and
-// deletes every tail log. It first seals and drains every hot table's
-// tail, so the snapshot, which is simply every unflushed row, holds none
-// of the rows that fsynced, manifest-listed segments already make
-// durable: the checkpoint costs O(non-hot tables + whatever arrived
-// during it), not a rewrite of the hot tables.
+// Checkpoint seals every non-empty tail and drains them into segments,
+// whose manifest the drain writes, then replaces perftrack.wal with the
+// schema's DDL alone (rewriteWALLocked). Rows committed after the seal
+// keep their tail logs.
 func (db *DB) Checkpoint() error {
 	st := db.seg
 	st.compactMu.Lock()
@@ -596,89 +612,59 @@ func (db *DB) Checkpoint() error {
 	if err != nil {
 		return err
 	}
-	for {
-		if err := st.drain(true); err != nil {
-			return err
-		}
-		db.mu.Lock()
-		// A commit that sealed a set since the drain sends us round again:
-		// a sealed set in the snapshot would be published as a segment too.
-		if !slices.ContainsFunc(segmentHotTables, func(name string) bool {
-			t := db.tables[name]
-			return t != nil && t.sealed != nil
-		}) {
-			break
-		}
-		db.mu.Unlock()
-	}
-	defer db.mu.Unlock()
-	names := make([]string, 0, len(db.tables))
-	for name := range db.tables {
-		names = append(names, name)
-	}
-	sort.Strings(names) // stable order for reproducible snapshots
-	var snap, p []byte
-	for _, name := range names {
-		t := db.tables[name]
-		snap = appendRecord(snap, encodeSchemaPayload([]byte{snapTagSchema}, t.schema))
-		write := func(id int64, row Row) bool {
-			p = encodeRowPayload(putVarint(append(p[:0], snapTagRow), id), row)
-			snap = appendRecord(snap, p)
-			return true
-		}
-		// No tail is sealed, so what is not in a segment is the active
-		// tail (a commit landed after the drain) or the row set.
-		if s := t.tail; s != nil {
-			s.eachRow(s.pkPerm(t.pkCols), 0, s.rows, write)
-		}
-		t.active.walk("", nil, nil, write)
-	}
-	if err := replaceFile(db.fsys, db.snapPath(), snap); err != nil {
-		return db.refuseLocked(fmt.Errorf("reldb: checkpoint: %w", err))
-	}
-	st.stepped("snapshot")
-	// The manifest must reflect the surviving segments, and put every tail
-	// log below its table's low-water mark, before the logs — their other
-	// source of truth — are discarded. A table the snapshot holds rows of
-	// (a commit landed after the drain, or it has no blocks) pins its tail
-	// logs from here on (rule 2).
-	for _, name := range segmentHotTables {
-		if t := db.tables[name]; t != nil {
-			t.pinLogs = t.lenLocked() > t.segRows
-		}
-	}
-	m, garbage := st.manifestLocked()
-	for i, name := range segmentHotTables {
-		m.lowWater[i] = st.logSeq[name]
-	}
-	if err := st.writeManifest(m, garbage); err != nil {
-		return db.refuseLocked(err)
-	}
-	st.stepped("checkpoint manifest")
-	// Snapshot and manifest-referenced segments now capture every log's
-	// effects. The truncation is fsynced at once: a disk that kept the
-	// old records would replay them over the new snapshot.
-	if err := db.wal.f.Truncate(0); err != nil { // opened for appending: the next record lands at offset 0
+	if err := st.drain(true); err != nil {
 		return err
 	}
-	if err := synced(db.wal.f.Sync()); err != nil {
-		return db.refuseLocked(err)
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if err := db.rewriteWALLocked(); err != nil {
+		return err
 	}
-	db.logTrimmed += uint64(db.wal.size) + db.discardLogs(st.retired)
-	db.wal.buf, db.wal.size, db.wal.synced = db.wal.buf[:0], 0, 0
-	st.retired = nil
-	for _, name := range segmentHotTables {
-		if t := db.tables[name]; t != nil {
-			t.discardLogsLocked()
-		}
-	}
-	st.stepped("checkpoint truncate")
+	st.stepped("wal rewrite")
 	return nil
 }
 
-// DiskSize reports the total bytes of the engine's files (logs +
-// snapshot + segment files), flushing buffered log records first so the
-// figure is accurate.
+// rewriteWALLocked replaces perftrack.wal — the DDL records since it was
+// last rewritten, or a legacy directory's rows — with one CREATE TABLE
+// record per table, parents first, through replaceFile: temp file, fsync,
+// rename, fsync the directory. Either file replays to the same schema.
+func (db *DB) rewriteWALLocked() error {
+	var buf []byte
+	for _, t := range db.order {
+		buf = appendRecord(buf, encodeMutationPayload(&mutation{op: opCreateTable, schema: t.schema}))
+	}
+	if err := replaceFile(db.fsys, db.walPath(), buf); err != nil {
+		return db.refuseLocked(fmt.Errorf("reldb: rewrite %s: %w", db.walPath(), err))
+	}
+	l, err := openLog(db.fsys, db.walPath(), 0, int64(len(buf)))
+	if err != nil {
+		return db.refuseLocked(fmt.Errorf("reldb: open WAL: %w", err))
+	}
+	db.wal.f.Close()
+	db.logTrimmed += uint64(db.wal.size)
+	db.logAppended += uint64(len(buf))
+	l.synced, db.wal = l.size, l
+	return nil
+}
+
+// dropLegacyLocked removes what a directory from before manifest version 5
+// kept rows in, once a manifest of that version names segments holding
+// them: perftrack.wal is rewritten to the schema alone, and only then
+// does perftrack.snap go — in a directory a legacy checkpoint left, the
+// snapshot is where the schema lives until the new WAL holds it.
+func (db *DB) dropLegacyLocked() error {
+	if err := db.rewriteWALLocked(); err != nil {
+		return err
+	}
+	if err := db.fsys.Remove(db.snapPath()); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return fmt.Errorf("reldb: remove %s: %w", db.snapPath(), err)
+	}
+	return nil
+}
+
+// DiskSize reports the total bytes of the engine's files (logs and
+// segment files), flushing buffered log records first so the figure is
+// accurate.
 func (db *DB) DiskSize() (int64, error) {
 	s, err := db.stats()
 	return s.DiskBytes, err
@@ -686,7 +672,7 @@ func (db *DB) DiskSize() (int64, error) {
 
 // Stats returns row counts and data volume, and the footprint of the
 // engine's files: logs (perftrack.wal and every live tail log, as
-// WALBytes), snapshot and segment files. When a log cannot be flushed its
+// WALBytes) and segment files. When a log cannot be flushed its
 // size in the file is stale, so WALBytes (and with it DiskBytes) stays at
 // the last good value and the failure is counted in FlushErrors.
 func (db *DB) Stats() Stats {
@@ -713,10 +699,7 @@ func (db *DB) stats() (Stats, error) {
 	}
 	s.WALBytes, s.FlushErrors = db.logBytes, db.flushErrors
 	db.mu.Unlock()
-	if size, err := db.fsys.Size(db.snapPath()); err == nil {
-		s.SnapshotBytes = size
-	}
-	s.DiskBytes = s.WALBytes + s.SnapshotBytes + s.SegmentBytes
+	s.DiskBytes = s.WALBytes + s.SegmentBytes
 	return s, err
 }
 

@@ -11,8 +11,8 @@ import (
 
 // Order-preserving key encoding. EncodeKey maps a tuple of values to a byte
 // string such that bytes.Compare on the encodings matches lexicographic
-// Compare on the tuples. Index keys are built with this codec so that the
-// B-tree can operate on flat byte strings.
+// Compare on the tuples. Keys whose order must be kept in a flat byte
+// string — a partial index scan's matches, which it sorts — use it.
 //
 // Layout per value: one tag byte, then a kind-specific payload.
 //
@@ -93,8 +93,8 @@ func floatKeyBits(f float64) uint64 {
 
 // keyOrder compares two values exactly as bytes.Compare orders their
 // encodings, without encoding them: kind tag first (tags ascend with
-// Kind), then payload. Segments search their columns with it, so a
-// segment and a B-tree agree on every key's place.
+// Kind), then payload. Blocks search their columns with it, so a block
+// and an encoded key agree on every key's place.
 func keyOrder(a, b Value) int {
 	if a.kind != b.kind {
 		return cmp.Compare(a.kind, b.kind)

@@ -138,24 +138,6 @@ func TestDecodeKeyMalformed(t *testing.T) {
 	}
 }
 
-func TestPrefixUpperBound(t *testing.T) {
-	cases := []struct {
-		in   []byte
-		want []byte
-	}{
-		{[]byte{0x01}, []byte{0x02}},
-		{[]byte{0x01, 0xFF}, []byte{0x02}},
-		{[]byte{0xFF, 0xFF}, nil},
-		{[]byte{0x00, 0x10}, []byte{0x00, 0x11}},
-	}
-	for _, c := range cases {
-		got := prefixUpperBound(c.in)
-		if !bytes.Equal(got, c.want) {
-			t.Errorf("prefixUpperBound(%x) = %x, want %x", c.in, got, c.want)
-		}
-	}
-}
-
 func sign(x int) int {
 	switch {
 	case x < 0:

@@ -267,7 +267,7 @@ func TestFaultFSFailedCommitLeavesNoRecord(t *testing.T) {
 		Columns:    []Column{{Name: "id", Type: KindInt}, {Name: "name", Type: KindString}},
 		PrimaryKey: []string{"id"},
 	}
-	tables := append([]string{"metric"}, segmentHotTables...)
+	tables := append([]string{"metric"}, HotTables...)
 	for k := 1; ; k++ {
 		fsys := &faultFS{memFS: newMemFS()}
 		db := openTestEngineOn(t, fsys, "db")

@@ -427,10 +427,6 @@ func TestTxDeletesMatchModel(t *testing.T) {
 			t.Errorf("no transaction deleted a row of a %s", where)
 		}
 	}
-	fhr, _ := p.fe.Table("focus_has_resource")
-	if fhr.tail == nil || len(fhr.active.rows) != 0 {
-		t.Error("focus_has_resource left its blocks")
-	}
 }
 
 // TestCompactorKeepsUpUnderBackToBackCommits: with two writers committing
@@ -637,10 +633,11 @@ func TestSegmentIndexDDLCoversFlushedRows(t *testing.T) {
 	}
 }
 
-// TestSegmentRecoveryWhenSnapshotAndManifestOverlap covers the two ways a
-// snapshot can hold rows a manifest-listed segment also holds; in both
-// the WAL since the older of the two is intact and recovery must reach
-// the model's answer.
+// TestSegmentRecoveryWhenSnapshotAndManifestOverlap covers the two ways
+// a snapshot written before manifest version 5 can hold rows that a
+// manifest-listed segment or a tail log holds too; in both the logs since
+// the older of the two are intact and recovery must reach the model's
+// answer.
 func TestSegmentRecoveryWhenSnapshotAndManifestOverlap(t *testing.T) {
 	// A commit that landed between a checkpoint's drain and its snapshot
 	// had its rows snapshotted; a pass later put them in a segment as well.
@@ -657,6 +654,7 @@ func TestSegmentRecoveryWhenSnapshotAndManifestOverlap(t *testing.T) {
 		if st := hotStatus(t, p.fe, "performance_result"); st.Rows != 210 || st.PendingRows != 50 {
 			t.Fatalf("status after the checkpoint = %+v, want the late commit's 50 rows in the tail", st)
 		}
+		snap := legacySnapshot(p.fe)
 		p.both("delete flushed row", func(eng writer) error { return eng.Delete("performance_result", 5) })
 		if err := p.fe.CompactSegments(); err != nil {
 			t.Fatal(err)
@@ -666,6 +664,7 @@ func TestSegmentRecoveryWhenSnapshotAndManifestOverlap(t *testing.T) {
 		}
 		p.fe.Stats() // flushes the logs to their files
 		abandon(p.fe)
+		asLegacy(t, p.fsys, p.dir, snap)
 		p.fe = openTestEngine(t, p.dir)
 		p.check("reopened")
 		if st := hotStatus(t, p.fe, "performance_result"); st.Rows != 259 || st.PendingRows != 0 {
@@ -674,7 +673,8 @@ func TestSegmentRecoveryWhenSnapshotAndManifestOverlap(t *testing.T) {
 	})
 	// A checkpoint wrote a snapshot holding a late commit's rows and
 	// crashed before rewriting the manifest, which its drain's pass wrote
-	// (with a replacement a delete made), and before trimming any log.
+	// (with a replacement a delete made), and before trimming the late
+	// commit's tail log.
 	t.Run("checkpoint-crashed-before-manifest", func(t *testing.T) {
 		p := newHotPair(t)
 		defer func() { p.fe.Close() }()
@@ -685,29 +685,14 @@ func TestSegmentRecoveryWhenSnapshotAndManifestOverlap(t *testing.T) {
 		}
 		p.load(200, 10)
 		p.both("delete flushed row", func(eng writer) error { return eng.Delete("performance_result", 7) })
-		before := t.TempDir()
-		late := func() { p.load(210, 30) }
-		p.fe.seg.step = func(step string) {
-			switch {
-			case step == "log removal" && late != nil:
-				late()
-				late = nil
-			case step == "snapshot":
-				copyTree(t, p.dir, before)
-			}
+		p.checkpointWith(func() { p.load(210, 30) })
+		snap := legacySnapshot(p.fe)
+		if n := hotStatus(t, p.fe, "performance_result").PendingRows; n != 30 {
+			t.Fatalf("the snapshot holds %d performance_result rows, want the late commit's 30", n)
 		}
-		if err := p.fe.Checkpoint(); err != nil {
-			t.Fatal(err)
-		}
-		p.fe.seg.step = nil
-		if counts := countSnapshotRows(t, p.fsys, before+"/"+snapshotFile); counts["performance_result"] != 30 {
-			t.Fatalf("snapshot holds %d performance_result rows, want the late commit's 30", counts["performance_result"])
-		}
+		p.fe.Stats()
 		abandon(p.fe)
-		if err := os.RemoveAll(p.dir); err != nil {
-			t.Fatal(err)
-		}
-		copyTree(t, before, p.dir)
+		asLegacy(t, p.fsys, p.dir, snap)
 		p.fe = openTestEngine(t, p.dir)
 		p.check("reopened")
 	})

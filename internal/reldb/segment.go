@@ -83,7 +83,7 @@ type zoneMap struct {
 // permutation built on first use.
 //
 // A segment with a file is immutable and sorted by primary key. One
-// without is a tail — the unflushed rows of a hot table in arrival order,
+// without is a tail — the unflushed rows of a table in arrival order,
 // which is row-ID order and, for a document load, primary-key order — or
 // a replacement: the copy a change to a block leaves in its place, which
 // the next pass writes. A tail only grows, by whole appends under the
@@ -142,19 +142,29 @@ func (lp *lazyPerm) covered() []int32 {
 	return nil
 }
 
-// decodedBytes approximates the resident bytes a full scan of the
-// segment touches, for the scan-bytes histogram — and, being what
-// rowBytes charges the same rows where no cell is NULL or a bool, for the
-// logical size of rows that have left the row store.
+// decodedBytes is the block's rows in row form — 8 bytes a row header and
+// a value, a string's bytes and 4, 1 a NULL — the logical size of its
+// data, and what the scan-bytes histogram counts a full scan of it as.
 func (s *segment) decodedBytes() int64 {
-	n := int64(s.rowIDs.Len() * 8)
+	n := int64(s.rows) * 8
 	for i := range s.cols {
 		c := &s.cols[i]
-		n += int64(c.ints.Len()*8 + len(c.floats)*8 + len(c.bools))
-		for _, v := range c.strs {
-			n += int64(len(v)) + 4
+		nulls := 0
+		for _, null := range c.nulls {
+			if null {
+				nulls++
+			}
 		}
-		n += int64(len(c.nulls))
+		n += int64(nulls)
+		if c.kind != KindString {
+			n += int64(s.rows-nulls) * 8
+			continue
+		}
+		for r, v := range c.strs {
+			if c.nulls == nil || !c.nulls[r] {
+				n += int64(len(v)) + 4
+			}
+		}
 	}
 	return n
 }
@@ -209,7 +219,7 @@ func (s *segment) freeze(pkCols []int) {
 func (t *Table) newBlock(after int64, n int) *segment {
 	s := &segment{table: t.schema.Name, minRowID: math.MaxInt64, maxRowID: after,
 		pkAsc: true, idAsc: true, top: -1, low: -1}
-	_ = s.reset(t.schema, n) // a hot table's column kinds all fit a block
+	_ = s.reset(t.schema, n) // a validated schema's column kinds all fit a block
 	return t.withPerms(s)
 }
 
@@ -220,8 +230,8 @@ func (t *Table) withPerms(s *segment) *segment {
 		s.byPK, s.byID = new(lazyPerm), new(lazyPerm)
 	}
 	if s.perms == nil {
-		s.perms = make(map[string]*lazyPerm, len(t.active.indexes))
-		for name := range t.active.indexes {
+		s.perms = make(map[string]*lazyPerm, len(t.indexes))
+		for name := range t.indexes {
 			s.perms[name] = new(lazyPerm)
 		}
 	}
@@ -326,8 +336,8 @@ func (b *ColumnBlock) cmpTuple(cols []int, i int, vals []Value) int {
 // bound returns the first position in perm order whose cols tuple is at
 // least vals — or, with after set, greater than vals. The rows must be
 // sorted by cols in that order. One integer against a column without
-// NULLs — every lookup the PerfTrack schema makes on a hot table —
-// compares the column directly.
+// NULLs — every lookup the PerfTrack schema makes by an integer — compares
+// the column directly.
 func (b *ColumnBlock) bound(perm []int32, cols []int, vals []Value, after bool) int {
 	return b.boundN(perm, b.rows, cols, vals, after)
 }
@@ -367,7 +377,7 @@ func cmpRows(a *ColumnBlock, i int, b *ColumnBlock, j int, cols []int) int {
 
 // sortedRun returns positions [from, to) ordered by (cols, row ID). One
 // integer column without NULLs — every index of the PerfTrack schema on
-// a hot table — is compared directly, in its own width.
+// an integer — is compared directly, in its own width.
 func (b *ColumnBlock) sortedRun(cols []int, from, to int) []int32 {
 	run := make([]int32, to-from)
 	for i := range run {

@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -286,38 +287,56 @@ func TestSegmentCrashRecoveryBetweenCompactionAndCheckpoint(t *testing.T) {
 	}
 }
 
-// countSnapshotRows parses the snapshot and counts row records per table.
-func countSnapshotRows(t *testing.T, fsys FS, path string) map[string]int {
-	t.Helper()
-	f, err := fsys.Open(path)
-	if err != nil {
-		t.Fatalf("open snapshot: %v", err)
-	}
-	defer f.Close()
-	rr := newRecordReader(f)
-	counts := make(map[string]int)
-	current := ""
-	for {
-		payload, err := rr.readRecord()
-		if err != nil {
-			break
-		}
-		p := &payloadReader{buf: payload}
-		tag := p.byteVal()
-		switch tag {
-		case snapTagSchema:
-			s, err := decodeSchemaPayload(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			current = s.Name
-		case snapTagRow:
-			counts[current]++
+// legacySnapshot renders what a checkpoint wrote to perftrack.snap before
+// manifest version 5: every table's schema, each followed by the rows no
+// segment holds — its tails'.
+func legacySnapshot(db *DB) []byte {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	var snap []byte
+	for _, t := range db.order {
+		snap = appendRecord(snap, encodeSchemaPayload([]byte{snapTagSchema}, t.schema))
+		for _, s := range t.tailsLocked() {
+			s.eachRow(s.pkPerm(t.pkCols), 0, s.rows, func(id int64, row Row) bool {
+				snap = appendRecord(snap, encodeRowPayload(putVarint([]byte{snapTagRow}, id), row))
+				return true
+			})
 		}
 	}
-	return counts
+	return snap
 }
 
+// asLegacy makes the store at dir of fsys one that a program before
+// manifest version 5 left: snap is its perftrack.snap, and its manifest
+// says version 4.
+func asLegacy(t *testing.T, fsys FS, dir string, snap []byte) {
+	t.Helper()
+	if err := replaceFile(fsys, filepath.Join(dir, snapshotFile), snap); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, segmentSubdir, manifestFile)
+	buf, err := fsys.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr, err := newRecordReader(bytes.NewReader(buf)).readRecord()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &payloadReader{buf: hdr}
+	if version := p.uvarint(); version != manifestVersion {
+		t.Fatalf("the manifest says version %d, want %d", version, manifestVersion)
+	}
+	legacy := appendRecord(nil, putVarint(putUvarint(nil, manifestVersion-1), p.varint()))
+	if err := replaceFile(fsys, path, append(legacy, buf[8+len(hdr):]...)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSegmentCheckpointIsIncremental: a checkpoint writes the tail to a
+// segment and leaves the flushed ones as they are, writes no snapshot,
+// and leaves perftrack.wal holding the schema alone; the rows committed
+// after it are durable in their tail log.
 func TestSegmentCheckpointIsIncremental(t *testing.T) {
 	dir := t.TempDir()
 	fe := openTestEngine(t, dir)
@@ -328,19 +347,22 @@ func TestSegmentCheckpointIsIncremental(t *testing.T) {
 	if err := fe.CompactSegments(); err != nil {
 		t.Fatal(err)
 	}
+	flushed, _ := filepath.Glob(filepath.Join(dir, segmentSubdir, "*.seg"))
+	written := fe.SegmentStats().SegmentsWritten
 	insertResults(t, fe, 100) // unflushed tail
 	if err := fe.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	// Checkpoint compacts first, so even the tail reaches a segment and
-	// the snapshot holds zero hot rows.
-	counts := countSnapshotRows(t, osFS{}, filepath.Join(dir, snapshotFile))
-	if counts["performance_result"] != 0 {
-		t.Fatalf("snapshot holds %d hot rows, want 0", counts["performance_result"])
+	// Checkpoint compacts the tail into one more segment and rewrites
+	// nothing else.
+	segs, _ := filepath.Glob(filepath.Join(dir, segmentSubdir, "*.seg"))
+	if got := fe.SegmentStats().SegmentsWritten - written; got != 1 || len(segs) != len(flushed)+1 || !slices.Equal(segs[:len(flushed)], flushed) {
+		t.Fatalf("the checkpoint wrote %d segments, leaving %v where %v were", got, segs, flushed)
 	}
-	if info, err := os.Stat(filepath.Join(dir, walFile)); err != nil || info.Size() != 0 {
-		t.Fatalf("WAL not truncated after checkpoint (err=%v)", err)
+	if _, err := os.Stat(filepath.Join(dir, snapshotFile)); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("a checkpoint wrote %s (%v)", snapshotFile, err)
 	}
+	walHoldsSchemaOnly(t, osFS{}, dir)
 	insertResults(t, fe, 50)
 	fe.SetSync(true)
 	insertResults(t, fe, 1) // force a synced flush of the tail
@@ -600,7 +622,7 @@ func TestOpenLegacyStoreDirectories(t *testing.T) {
 				if err != nil {
 					t.Fatalf("Open(%q): %v", kind, err)
 				}
-				check(t, eng, fixture.segRows)
+				check(t, eng, 60) // the open wrote the legacy rows to segments
 				fe := eng.DB()
 				if err := fe.CompactSegments(); err != nil {
 					t.Fatal(err)
@@ -626,9 +648,9 @@ func TestOpenLegacyStoreDirectories(t *testing.T) {
 			})
 		}
 		// The old directory under the tail logs, never checkpointed: it loads,
-		// compacts, crashes and reopens with every row. Results 41..60 are
-		// durable in the old perftrack.wal alone, so the delete of one must
-		// outlive the compaction that would otherwise trim its tail log.
+		// compacts, crashes and reopens with every row. The open wrote
+		// results 41..60, durable in the old perftrack.wal alone, to
+		// segments; the delete of one is in a tail log until the compaction.
 		t.Run(fixture.name+"/tail-logs", func(t *testing.T) {
 			dir := t.TempDir()
 			copyTree(t, filepath.Join("testdata", fixture.name), dir)
@@ -655,12 +677,126 @@ func TestOpenLegacyStoreDirectories(t *testing.T) {
 					t.Fatalf("row %d = %v, want %v", 61+i, got, want)
 				}
 			}
-			// Replaying the delete replaced the segment that holds row 50.
-			if st := hotStatus(t, fe, "performance_result"); st.Segments == 0 || st.LogFiles == 0 {
-				t.Fatalf("status after the crash = %+v, want segments and the pinned tail log replayed", st)
+			// The compaction wrote the replacement of the block that held the
+			// deleted row: no tail log outlives it.
+			if st := hotStatus(t, fe, "performance_result"); st.Segments == 0 || st.LogFiles != 0 {
+				t.Fatalf("status after the crash = %+v, want segments and no tail log", st)
 			}
 		})
 	}
+}
+
+// memCopy returns a memFS holding, durably, the files under src.
+func memCopy(t *testing.T, src string) *memFS {
+	t.Helper()
+	m := newMemFS()
+	err := filepath.WalkDir(src, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(src, path)
+		if d.IsDir() {
+			return m.MkdirAll(rel)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return replaceFile(m, rel, data)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// TestLegacyFilesLeaveAtOpen opens the legacy fixtures — a checkpointed
+// directory whose schema and first rows live in perftrack.snap, with more
+// rows and, appended here, a CREATE INDEX in perftrack.wal — over an
+// in-memory filesystem, with the open's k-th write or sync failing, for
+// every k up to the first the open gets through. After each failure the
+// directory reopens with every row and index, both as the failed process
+// left it and as a power loss leaves it. The open that gets through
+// leaves no perftrack.snap, a perftrack.wal holding the schema alone and
+// a version-5 manifest, and so does a checkpoint after it; the store
+// reads as before.
+func TestLegacyFilesLeaveAtOpen(t *testing.T) {
+	for _, fixture := range []string{"legacy_wal", "legacy_segment"} {
+		t.Run(fixture, func(t *testing.T) {
+			src := memCopy(t, filepath.Join("testdata", fixture))
+			wal := appendRecord(mustRead(t, src, walFile), encodeMutationPayload(&mutation{op: opCreateIndex,
+				table: "performance_result", index: IndexSpec{Name: "by_value", Columns: []string{"value"}}}))
+			if err := replaceFile(src, walFile, wal); err != nil {
+				t.Fatal(err)
+			}
+			ref := openTestEngineOn(t, src.Crash(), ".")
+			tables := ref.TableNames()
+			dump := func(db *DB) string {
+				out := dumpDB(db, tables)
+				for _, name := range tables {
+					tab, _ := db.Table(name)
+					out += fmt.Sprintf("%s indexes %v\n", name, tab.Schema().Indexes)
+				}
+				return out
+			}
+			want := dump(ref)
+			ref.Close()
+			if !strings.Contains(want, "by_value") {
+				t.Fatalf("the appended index did not replay:\n%s", want)
+			}
+			for k := 1; ; k++ {
+				fsys := &faultFS{memFS: src.Crash()}
+				fsys.arm(k)
+				db, err := open(fsys, KindMem, ".")
+				if tripped := fsys.disarm(); tripped == (err == nil) {
+					t.Fatalf("k=%d: the fault fired = %v, the open returned %v", k, tripped, err)
+				}
+				if err != nil {
+					for label, m := range map[string]*memFS{"as left": fsys.memFS, "after a power loss": fsys.memFS.Crash()} {
+						re, err := open(m, KindMem, ".")
+						if err != nil {
+							t.Fatalf("k=%d, %s: %v", k, label, err)
+						}
+						if got := dump(re); got != want {
+							t.Fatalf("k=%d, %s, the store holds\n%s\nwant\n%s", k, label, got, want)
+						}
+						re.Close()
+					}
+					continue
+				}
+				for _, step := range []string{"open", "checkpoint"} {
+					if step == "checkpoint" {
+						if err := db.Checkpoint(); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if _, err := fsys.Size(snapshotFile); err == nil {
+						t.Fatalf("after the %s, %s is still there", step, snapshotFile)
+					}
+					walHoldsSchemaOnly(t, fsys, ".")
+					if hdr, err := newRecordReader(bytes.NewReader(mustRead(t, fsys, filepath.Join(segmentSubdir, manifestFile)))).readRecord(); err != nil || hdr[0] != manifestVersion {
+						t.Fatalf("after the %s, the manifest's header is %v (%v), want version %d", step, hdr, err, manifestVersion)
+					}
+				}
+				db.Close()
+				db = openTestEngineOn(t, fsys.memFS.Crash(), ".")
+				if got := dump(db); got != want {
+					t.Fatalf("converted and reopened, the store holds\n%s\nwant\n%s", got, want)
+				}
+				db.Close()
+				return
+			}
+		})
+	}
+}
+
+func mustRead(t *testing.T, fsys FS, path string) []byte {
+	t.Helper()
+	data, err := fsys.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
 }
 
 // TestReplaceFileFailureKeepsOldBytes: a replacement whose write fails

@@ -13,37 +13,29 @@ import (
 // mediated by the owning DB, which provides locking; Table methods assume
 // the caller holds the appropriate DB lock.
 //
-// A hot table (compact.go) keeps its rows in columnar blocks: segments
+// Every table keeps its rows in columnar blocks (compact.go): segments
 // (flushed rows, and replacements a pass has yet to write), the sealed
 // tail (waiting for the compactor) and the active tail, an unwritten
-// segment that only grows. Every other table is a row set, a row store
-// under B-trees. A block never changes in place: a delete swaps each
-// block it touches for a copy (replaceLocked), so a reader holding one
-// reads it unchanged. Row IDs ascend from block to block, in the order
-// listed; primary keys need not: blocks whose key ranges overlap — a key
-// that arrived below a flushed one — are merged by reads (keyOrdered),
-// disjoint ones concatenated.
+// segment that only grows. A block never changes in place: a delete swaps
+// each block it touches for a copy (replaceLocked), so a reader holding
+// one reads it unchanged. Row IDs ascend from block to block, in the
+// order listed; primary keys need not: blocks whose key ranges overlap — a
+// key that arrived below a flushed one — are merged by reads
+// (keyOrdered), disjoint ones concatenated.
 type Table struct {
-	db     *DB
-	schema *Schema
-	nextID atomic.Int64 // next row ID / auto primary key; a transaction reserves from it under no lock
-	pkCols []int        // column positions of the primary key
+	db      *DB
+	schema  *Schema
+	nextID  atomic.Int64 // next row ID / auto primary key; a transaction reserves from it under no lock
+	pkCols  []int        // column positions of the primary key
+	indexes map[string]*tableIndex
 
-	active *rowSet // the row store of a table without blocks; every table's catalog of indexes
-
-	// Set only on the hot tables (compact.go).
-	tail         *segment   // the active columnar tail; nil for a row set
+	tail         *segment   // the active columnar tail
 	sealed       *segment   // nil unless a tail waits for the compactor
 	segs         []*segment // ascending in row ID
 	blocks       []*segment // segs, sealed, tail: the columnar sources in row-ID order
 	segRows      int64      // rows, encoded bytes and decoded bytes in segs
 	segBytes     int64
 	segDataBytes int64
-	// pinLogs: the snapshot (or a perftrack.wal from before hot tables had
-	// tail logs) holds rows of this table, so a delete of one is durable in
-	// a tail log alone and no log of the table may be trimmed until a
-	// checkpoint writes a snapshot without them (rule 2).
-	pinLogs bool
 	// reserving counts the open transactions holding row IDs of the table,
 	// which hold back a seal: their rows must not land in a tail after
 	// one with higher IDs.
@@ -53,30 +45,19 @@ type Table struct {
 	txBlocks    sync.Pool // *txBlock: reusable private blocks for transactions
 }
 
-// rowSet is a row store: rows by ID, the primary B-tree and the
-// secondary indexes over them.
-type rowSet struct {
-	rows      map[int64]Row
-	primary   *btree                 // encoded PK -> row ID
-	indexes   map[string]*tableIndex // secondary indexes by name
-	dataBytes int64                  // approximate stored data volume
-	pkBytes   int64                  // approximate primary B-tree key volume
-}
-
+// tableIndex is a secondary index: each block sorts a permutation of its
+// rows by the index columns, then row ID, on first use.
 type tableIndex struct {
-	spec  IndexSpec
-	cols  []int
-	tree  *btree
-	bytes int64 // approximate key volume held by this index
+	spec IndexSpec
+	cols []int
 }
 
 func newTable(db *DB, schema *Schema) (*Table, error) {
 	if err := schema.Validate(); err != nil {
 		return nil, err
 	}
-	t := &Table{db: db, schema: schema}
+	t := &Table{db: db, schema: schema, indexes: make(map[string]*tableIndex)}
 	t.nextID.Store(1)
-	t.active = t.newRowSet()
 	for _, pk := range schema.PrimaryKey {
 		t.pkCols = append(t.pkCols, schema.ColumnIndex(pk))
 	}
@@ -85,25 +66,15 @@ func newTable(db *DB, schema *Schema) (*Table, error) {
 			return nil, err
 		}
 	}
+	t.installLocked(nil, t.newBlock(0, 0))
 	return t, nil
-}
-
-// newRowSet returns an empty row set carrying the table's indexes.
-func (t *Table) newRowSet() *rowSet {
-	rs := &rowSet{rows: make(map[int64]Row), primary: newBTree(), indexes: make(map[string]*tableIndex)}
-	if t.active != nil {
-		for name, ix := range t.active.indexes {
-			rs.indexes[name] = &tableIndex{spec: ix.spec, cols: ix.cols, tree: newBTree()}
-		}
-	}
-	return rs
 }
 
 // tailsLocked returns the sealed and active columnar tails, whichever
 // the table has.
 func (t *Table) tailsLocked() []*segment { return t.blocks[len(t.segs):] }
 
-// installLocked makes sealed and tail (nil for none) the table's tails.
+// installLocked makes sealed (nil for none) and tail the table's tails.
 func (t *Table) installLocked(sealed, tail *segment) {
 	t.sealed, t.tail = sealed, tail
 	t.blocks = slices.Clone(t.segs)
@@ -114,27 +85,23 @@ func (t *Table) installLocked(sealed, tail *segment) {
 	}
 }
 
-// addIndex builds a secondary index over every row: a B-tree over the
-// row set, a lazily sorted permutation per block. Blocks cannot enforce
-// uniqueness, so a unique index on a columnar table is refused.
+// addIndex catalogs a secondary index; each block builds its permutation
+// lazily. Blocks cannot enforce uniqueness — the names directory is what
+// keeps names unique — so a unique index is refused, except in recovery:
+// one that a directory from before that declares is kept in name only
+// until the datastore replaces it.
 func (t *Table) addIndex(spec IndexSpec) error {
-	if _, dup := t.active.indexes[spec.Name]; dup {
+	if _, dup := t.indexes[spec.Name]; dup {
 		return fmt.Errorf("reldb: table %q: index %q already exists", t.schema.Name, spec.Name)
 	}
-	if spec.Unique && t.tail != nil {
+	if spec.Unique && !t.db.replaying {
 		return fmt.Errorf("reldb: table %q: unique index %q over columnar rows", t.schema.Name, spec.Name)
 	}
 	var cols []int
 	for _, col := range spec.Columns {
 		cols = append(cols, t.schema.ColumnIndex(col))
 	}
-	built := &tableIndex{spec: spec, cols: cols, tree: newBTree()}
-	for id, row := range t.active.rows {
-		if err := built.insert(row, id); err != nil {
-			return err
-		}
-	}
-	t.active.indexes[spec.Name] = built
+	t.indexes[spec.Name] = &tableIndex{spec: spec, cols: cols}
 	for _, s := range t.blocks {
 		s.perms[spec.Name] = new(lazyPerm)
 	}
@@ -143,125 +110,43 @@ func (t *Table) addIndex(spec IndexSpec) error {
 
 // dropIndex forgets a secondary index everywhere it is kept.
 func (t *Table) dropIndex(name string) {
-	delete(t.active.indexes, name)
+	delete(t.indexes, name)
 	for _, s := range t.blocks {
 		delete(s.perms, name)
 	}
 }
 
-// key builds the index key for a row; non-unique indexes append the row ID
-// to disambiguate duplicates.
+// key builds the index key for a row, the row ID last: what orders the
+// matches of a partial-key scan.
 func (ix *tableIndex) key(row Row, id int64) []byte {
 	key := make([]byte, 0, 16*len(ix.cols))
 	for _, c := range ix.cols {
 		key = encodeValue(key, row[c])
 	}
-	if !ix.spec.Unique {
-		key = encodeValue(key, Int(id))
-	}
-	return key
-}
-
-func (ix *tableIndex) insert(row Row, id int64) error {
-	key := ix.key(row, id)
-	if ix.spec.Unique {
-		if _, exists := ix.tree.Get(key); exists {
-			return fmt.Errorf("reldb: unique index %q violated", ix.spec.Name)
-		}
-	}
-	ix.tree.Set(key, id)
-	ix.bytes += int64(len(key)) + 8
-	return nil
-}
-
-func (ix *tableIndex) remove(row Row, id int64) {
-	key := ix.key(row, id)
-	ix.tree.Delete(key)
-	ix.bytes -= int64(len(key)) + 8
-}
-
-// insert stores a row whose primary key pk the caller found unused. A
-// unique-index violation leaves the set as it was.
-func (rs *rowSet) insert(id int64, row Row, pk []byte) error {
-	for _, ix := range rs.indexes {
-		if ix.spec.Unique {
-			if _, exists := ix.tree.Get(ix.key(row, id)); exists {
-				return fmt.Errorf("reldb: unique index %q violated", ix.spec.Name)
-			}
-		}
-	}
-	for _, ix := range rs.indexes {
-		_ = ix.insert(row, id) // uniqueness was just checked; nothing else fails
-	}
-	rs.rows[id] = row
-	rs.primary.Set(pk, id)
-	rs.dataBytes += rowBytes(row)
-	rs.pkBytes += int64(len(pk)) + 8
-	return nil
-}
-
-func (rs *rowSet) remove(id int64, row Row, pk []byte) {
-	rs.primary.Delete(pk)
-	rs.pkBytes -= int64(len(pk)) + 8
-	for _, ix := range rs.indexes {
-		ix.remove(row, id)
-	}
-	delete(rs.rows, id)
-	rs.dataBytes -= rowBytes(row)
-}
-
-// indexBytes approximates the key bytes held by the set's primary B-tree
-// and secondary indexes.
-func (rs *rowSet) indexBytes() int64 {
-	n := rs.pkBytes
-	for _, ix := range rs.indexes {
-		n += ix.bytes
-	}
-	return n
+	return encodeValue(key, Int(id))
 }
 
 // Schema returns the table's schema. Callers must not mutate it.
 func (t *Table) Schema() *Schema { return t.schema }
 
-// pkKey encodes the primary key of a row.
-func (t *Table) pkKey(row Row) []byte {
-	key := make([]byte, 0, 16*len(t.pkCols))
-	for _, c := range t.pkCols {
-		key = encodeValue(key, row[c])
+// pkOf returns the primary key of a row.
+func (t *Table) pkOf(row Row) []Value {
+	key := make([]Value, len(t.pkCols))
+	for i, c := range t.pkCols {
+		key[i] = row[c]
 	}
 	return key
 }
 
-func rowBytes(row Row) int64 {
-	var n int64
-	for _, v := range row {
-		switch v.Kind() {
-		case KindString:
-			n += int64(len(v.Text())) + 4
-		case KindNull:
-			n++
-		default:
-			n += 8
-		}
-	}
-	return n + 8 // row header
-}
-
-// rowRef locates a stored row: in the row set, or at a block position.
+// rowRef locates a stored row: a block and a position in it.
 type rowRef struct {
 	id  int64
-	set *rowSet
 	seg *segment
 	pos int
 }
 
 // clone returns a copy of the located row that is the caller's to keep.
-func (r rowRef) clone() Row {
-	if r.seg != nil {
-		return r.seg.row(r.pos)
-	}
-	return r.set.rows[r.id].Clone()
-}
+func (r rowRef) clone() Row { return r.seg.row(r.pos) }
 
 // findIDLocked locates the row with the given row ID: in the one block
 // whose row-ID range can hold it — or, while recovery has yet to put an
@@ -278,31 +163,21 @@ func (t *Table) findIDLocked(id int64) (rowRef, bool) {
 			return rowRef{id: id, seg: t.blocks[k], pos: pos}, true
 		}
 	}
-	if _, ok := t.active.rows[id]; ok {
-		return rowRef{id: id, set: t.active}, true
-	}
 	return rowRef{}, false
 }
 
-// findPKLocked locates the row with the given encoded primary key: in the
-// row set, or in whichever block holds it — each block whose key zone
-// covers the key is probed, which is one block unless runs overlap there.
-func (t *Table) findPKLocked(key []byte) (rowRef, bool) {
-	if id, ok := t.active.primary.Get(key); ok {
-		return rowRef{id: id, set: t.active}, true
-	}
-	if len(t.blocks) == 0 {
-		return rowRef{}, false
-	}
-	vals, err := DecodeKey(key)
-	if err != nil || len(vals) != len(t.pkCols) {
+// findPKLocked locates the row whose primary key is key, a value for
+// every key column: each block whose key zone covers the key is probed,
+// which is one block unless runs overlap there.
+func (t *Table) findPKLocked(key []Value) (rowRef, bool) {
+	if len(key) != len(t.pkCols) {
 		return rowRef{}, false
 	}
 	for _, s := range t.blocks {
-		if s.zoneExcludes(t.pkCols[0], vals[0]) {
+		if s.zoneExcludes(t.pkCols[0], key[0]) {
 			continue
 		}
-		if pos, ok := s.findPK(t.pkCols, vals); ok {
+		if pos, ok := s.findPK(t.pkCols, key); ok {
 			return rowRef{id: s.rowIDs.At(pos), seg: s, pos: pos}, true
 		}
 	}
@@ -331,8 +206,8 @@ func (t *Table) reserveID(row Row) int64 {
 	}
 }
 
-// insertAtLocked stores a row under a specific row ID: recovery loading
-// a snapshot or replaying a log.
+// insertAtLocked appends a row under a specific row ID to the tail:
+// recovery loading a legacy snapshot or replaying a log.
 func (t *Table) insertAtLocked(id int64, row Row) error {
 	if _, exists := t.findIDLocked(id); exists {
 		return fmt.Errorf("reldb: table %q: row %d already present", t.schema.Name, id)
@@ -341,15 +216,10 @@ func (t *Table) insertAtLocked(id int64, row Row) error {
 	if err := t.schema.CheckRow(row); err != nil {
 		return err
 	}
-	pk := t.pkKey(row)
-	if _, exists := t.findPKLocked(pk); exists {
+	if _, exists := t.findPKLocked(t.pkOf(row)); exists {
 		return fmt.Errorf("reldb: table %q: duplicate primary key %s", t.schema.Name, row)
 	}
-	if t.tail != nil {
-		t.tail.tailAppendRow(t.pkCols, id, row)
-	} else if err := t.active.insert(id, row, pk); err != nil {
-		return err
-	}
+	t.tail.tailAppendRow(t.pkCols, id, row)
 	t.advanceID(id + 1)
 	return nil
 }
@@ -361,17 +231,8 @@ func (t *Table) advanceID(next int64) {
 }
 
 // deleteLocked removes the rows with the given IDs, skipping any the
-// table does not hold: from the row set in place, from the blocks by
-// replacing each block they touch once.
+// table does not hold, by replacing each block they touch once.
 func (t *Table) deleteLocked(ids []int64) {
-	if t.tail == nil {
-		for _, id := range ids {
-			if row, ok := t.active.rows[id]; ok {
-				t.active.remove(id, row, t.pkKey(row))
-			}
-		}
-		return
-	}
 	edits := make(map[*segment]map[int]Row)
 	for _, id := range ids {
 		if ref, ok := t.findIDLocked(id); ok {
@@ -399,21 +260,10 @@ func (t *Table) updateLocked(id int64, row Row) error {
 	if err := t.schema.CheckRow(row); err != nil {
 		return err
 	}
-	pk := t.pkKey(row)
-	if other, exists := t.findPKLocked(pk); exists && other.id != id {
+	if other, exists := t.findPKLocked(t.pkOf(row)); exists && other.id != id {
 		return fmt.Errorf("reldb: table %q: duplicate primary key %s", t.schema.Name, row)
 	}
-	if ref.seg != nil {
-		t.replaceLocked(ref.seg, map[int]Row{ref.pos: row})
-		return nil
-	}
-	old := t.active.rows[id]
-	oldPK := t.pkKey(old)
-	t.active.remove(id, old, oldPK)
-	if err := t.active.insert(id, row, pk); err != nil {
-		_ = t.active.insert(id, old, oldPK) // puts back exactly what was just removed
-		return err
-	}
+	t.replaceLocked(ref.seg, map[int]Row{ref.pos: row})
 	return nil
 }
 
@@ -476,7 +326,7 @@ func (t *Table) logsLocked() []*logFile {
 
 // lenLocked counts the table's rows wherever they live.
 func (t *Table) lenLocked() int64 {
-	n := t.segRows + int64(len(t.active.rows))
+	n := t.segRows
 	for _, s := range t.tailsLocked() {
 		n += int64(s.rows)
 	}
@@ -505,28 +355,17 @@ func (t *Table) Get(id int64) (Row, bool) {
 func (t *Table) GetByPK(key ...Value) (Row, int64, bool) {
 	t.db.mu.RLock()
 	defer t.db.mu.RUnlock()
-	ref, ok := t.findPKLocked(EncodeKey(nil, key...))
+	ref, ok := t.findPKLocked(key)
 	if !ok {
 		return nil, 0, false
 	}
 	return ref.clone(), ref.id, true
 }
 
-// prefixRange turns a key prefix into the half-open encoded range that
-// holds exactly the keys starting with it (nil, nil for an empty prefix).
-func prefixRange(prefix []Value) (lo, hi []byte) {
-	if len(prefix) == 0 {
-		return nil, nil
-	}
-	lo = EncodeKey(nil, prefix...)
-	return lo, prefixUpperBound(lo)
-}
-
 // ascendLocked visits the rows whose leading primary-key columns equal
 // prefix (every row when it is empty) in primary-key order: the stretch
 // of each block whose key zone admits the prefix, binary-searched and
-// taken run by run — or the row set. A row built from a block is the
-// visitor's to keep; a stored row must not be mutated.
+// taken run by run. A row is the visitor's to keep.
 func (t *Table) ascendLocked(prefix []Value, fn func(id int64, row Row) bool) {
 	var spans []span
 	for _, s := range t.blocks {
@@ -552,24 +391,6 @@ func (t *Table) ascendLocked(prefix []Value, fn func(id int64, row Row) bool) {
 			return
 		}
 	}
-	lo, hi := prefixRange(prefix)
-	t.active.walk("", lo, hi, fn)
-}
-
-// walk ascends [lo, hi) of the set's primary B-tree — of its named
-// secondary index when index is not "" — handing fn every entry's stored
-// row until fn returns false, which walk then returns too.
-func (rs *rowSet) walk(index string, lo, hi []byte, fn func(id int64, row Row) bool) bool {
-	more := true
-	tree := rs.primary
-	if index != "" {
-		tree = rs.indexes[index].tree
-	}
-	tree.Ascend(lo, hi, func(_ []byte, id int64) bool {
-		more = fn(id, rs.rows[id])
-		return more
-	})
-	return more
 }
 
 // Scan visits every row in primary-key order. The visitor must not mutate
@@ -606,10 +427,10 @@ func (s *segment) equalSpan(ix *tableIndex, prefix []Value) (perm []int32, from,
 }
 
 // indexScanLocked visits rows whose index-key prefix equals the given
-// values, in index order: each block's stretch of its sorted permutation,
-// or the row set's B-tree. Row IDs ascend from block to block, so for a
-// whole key the stretches concatenate into (key, row ID) order; for a
-// shorter prefix the matches are gathered and sorted by key.
+// values, in index order: each block's stretch of its sorted permutation.
+// Row IDs ascend from block to block, so for a whole key the stretches
+// concatenate into (key, row ID) order; for a shorter prefix the matches
+// are gathered and sorted by key.
 func (t *Table) indexScanLocked(ix *tableIndex, prefix []Value, fn func(id int64, row Row) bool) {
 	type hit struct {
 		key []byte
@@ -629,10 +450,6 @@ func (t *Table) indexScanLocked(ix *tableIndex, prefix []Value, fn func(id int64
 			return
 		}
 	}
-	lo, hi := prefixRange(prefix)
-	if !t.active.walk(ix.spec.Name, lo, hi, visit) {
-		return
-	}
 	sort.Slice(hits, func(a, b int) bool { return bytes.Compare(hits[a].key, hits[b].key) < 0 })
 	for _, h := range hits {
 		if !fn(h.id, h.row) {
@@ -643,7 +460,7 @@ func (t *Table) indexScanLocked(ix *tableIndex, prefix []Value, fn func(id int64
 
 // indexLocked checks an index scan's arguments.
 func (t *Table) indexLocked(index string, prefix []Value) (*tableIndex, error) {
-	ix, ok := t.active.indexes[index]
+	ix, ok := t.indexes[index]
 	if !ok {
 		return nil, fmt.Errorf("reldb: table %q: no index %q", t.schema.Name, index)
 	}
@@ -657,8 +474,8 @@ func (t *Table) indexLocked(index string, prefix []Value) (*tableIndex, error) {
 // IndexScanInt is IndexScan for a caller that reads one NOT NULL integer
 // column of each row whose index key equals key, a value for every index
 // column: fn gets the row ID and that column's value, in (key, row ID)
-// order, and no Row is built for a columnar row. The pr-filter's two
-// link-table scans, half of what a cold query costs, read this way.
+// order, and no Row is built. The pr-filter's two link-table scans, half
+// of what a cold query costs, read this way.
 func (t *Table) IndexScanInt(index string, key []Value, col int, fn func(id, v int64) bool) error {
 	t.db.mu.RLock()
 	defer t.db.mu.RUnlock()
@@ -678,8 +495,6 @@ func (t *Table) IndexScanInt(index string, key []Value, col int, fn func(id, v i
 			}
 		}
 	}
-	lo, hi := prefixRange(key)
-	t.active.walk(index, lo, hi, func(id int64, row Row) bool { return fn(id, row[col].i) })
 	return nil
 }
 
@@ -700,6 +515,6 @@ func (t *Table) IndexScan(index string, prefix []Value, fn func(id int64, row Ro
 func (t *Table) HasIndex(name string) bool {
 	t.db.mu.RLock()
 	defer t.db.mu.RUnlock()
-	_, ok := t.active.indexes[name]
+	_, ok := t.indexes[name]
 	return ok
 }

@@ -22,11 +22,11 @@ var ErrTxDone = errors.New("reldb: transaction already finished")
 // engine write lock once (after the compaction lock, if it deletes: no
 // pass then writes a block it replaces) and admits every block against
 // the published tables: each row to delete is there, the inserts' primary
-// and unique-index keys are unused there (deletes aside) and in the
-// block, each foreign key is matched by a published row or one of the
-// transaction's own. It then logs the records, applies the deletes — in
-// place in a row set, by replacing blocks (Table.replaceLocked) — and
-// installs the rows onto the table's columnar tail or into its row set.
+// keys are unused there (deletes aside) and in the block, each foreign
+// key is matched by a published row or one of the transaction's own. It
+// then logs the records, applies the deletes by replacing blocks
+// (Table.replaceLocked) and appends the rows to the table's columnar
+// tail.
 // Readers see all of a transaction's changes or none. The commit is also
 // the batch boundary: each log it touched is flushed once (fsynced in
 // synchronous mode), and tails that reached the flush threshold are
@@ -228,24 +228,18 @@ func (tx *Tx) Rollback() error {
 }
 
 // ordered returns the transaction's non-empty blocks in the order their
-// records are logged (rule 4): the tables perftrack.wal holds first, each
-// after the ones its foreign keys name, then the hot tables in
-// logFlushOrder — and a transaction that only deletes the other way
-// round, children before parents.
+// records are logged (rule 3): each after the ones its foreign keys name —
+// and a transaction that only deletes the other way round, children
+// before parents.
 func (tx *Tx) ordered() []*txBlock {
 	out := make([]*txBlock, 0, len(tx.blocks))
 	inserts := false
 	for _, tb := range tx.blocks {
-		tb.placed = isHotTable(tb.t.schema.Name)
+		tb.placed = false
 		inserts = inserts || tb.rows > 0
 	}
 	for _, tb := range tx.blocks {
 		out = tx.place(tb, out)
-	}
-	for _, name := range logFlushOrder {
-		if tb := tx.find(name); tb != nil && !tb.empty() {
-			out = append(out, tb)
-		}
 	}
 	if !inserts {
 		slices.Reverse(out)
@@ -322,25 +316,10 @@ func (db *DB) commitLocked(tx *Tx, blocks []*txBlock) (full bool, err error) {
 		if len(tb.dels) > 0 {
 			tb.t.deleteLocked(tb.dels)
 		}
-		tb.installLocked()
+		tb.t.tail.tailAppendBlock(tb.t.pkCols, &tb.ColumnBlock)
 		tb.release() // its rows are in: they no longer hold back a seal
 	}
 	return db.seg.sealReadyLocked(db.seg.flushRows.Load()), nil
-}
-
-// installLocked makes an admitted block's rows part of its table: appended
-// to the columnar tail where the table has one, inserted into the row set
-// otherwise.
-func (tb *txBlock) installLocked() {
-	t := tb.t
-	if t.tail != nil {
-		t.tail.tailAppendBlock(t.pkCols, &tb.ColumnBlock)
-		return
-	}
-	for i := 0; i < tb.rows; i++ {
-		row := tb.row(i)
-		_ = t.active.insert(tb.rowIDs.At(i), row, t.pkKey(row)) // admitted: no key is taken
-	}
 }
 
 // appendInsertRecords appends the insert records of the block's rows to
@@ -364,23 +343,19 @@ func appendInsertRecords(out []byte, table string, b *ColumnBlock) []byte {
 	return out
 }
 
-// logBlocksLocked appends the blocks' records to their logs — a hot
-// table's to its tail log, every other table's to perftrack.wal — and
-// flushes each log once as soon as its last record is in, fsyncing it in
+// logBlocksLocked appends the blocks' records to their tables' tail logs
+// and flushes each log once its records are in, fsyncing it in
 // synchronous mode: in the blocks' order, which is the flush order (rule
-// 4). Every log is opened before anything is written, and the DDL records
+// 3). Every log is opened before anything is written, and the DDL records
 // left in perftrack.wal's buffer reach its file first. If a write or
 // fsync fails, every log the commit wrote to is taken back to where it
 // stood (rewindLocked): a failed commit leaves no record.
 func (db *DB) logBlocksLocked(blocks []*txBlock) error {
 	logs := make([]*logFile, len(blocks))
 	for i, tb := range blocks {
-		logs[i] = db.wal
-		if tb.t.tail != nil {
-			var err error
-			if logs[i], err = db.seg.tailLogLocked(tb.t); err != nil {
-				return db.refuseLocked(err)
-			}
+		var err error
+		if logs[i], err = db.seg.tailLogLocked(tb.t); err != nil {
+			return db.refuseLocked(err)
 		}
 	}
 	for _, l := range db.openLogsLocked() {
@@ -392,17 +367,14 @@ func (db *DB) logBlocksLocked(blocks []*txBlock) error {
 	if db.syncWAL {
 		flush = (*logFile).sync
 	}
-	marks := make([]logMark, 0, 8) // perftrack.wal and the six tail logs at most
+	marks := make([]logMark, 0, len(blocks))
 	for i, tb := range blocks {
-		if i == 0 || logs[i] != logs[i-1] {
-			marks = append(marks, logMark{logs[i], logs[i].size})
-		}
+		marks = append(marks, logMark{logs[i], logs[i].size})
 		logs[i].appendFramed(tb.recs)
-		if i+1 == len(blocks) || logs[i+1] != logs[i] {
-			if err := flush(logs[i]); err != nil {
-				return db.rewindLocked(err, marks)
-			}
+		if err := flush(logs[i]); err != nil {
+			return db.rewindLocked(err, marks)
 		}
+		db.seg.stepped("commit flush")
 	}
 	for _, m := range marks {
 		db.logAppended += uint64(m.l.size - m.size)
@@ -414,8 +386,8 @@ func (db *DB) logBlocksLocked(blocks []*txBlock) error {
 
 // admitLocked checks the block against the published table: it is still
 // the table the block was begun on, every row it deletes is there, no
-// primary key or unique-index key of its inserts is taken there or twice
-// in the block, and every foreign key is matched.
+// primary key of its inserts is taken there or twice in the block, and
+// every foreign key is matched.
 func (tb *txBlock) admitLocked(tx *Tx) error {
 	t := tb.t
 	if t.db.tables[t.schema.Name] != t {
@@ -426,14 +398,10 @@ func (tb *txBlock) admitLocked(tx *Tx) error {
 			return fmt.Errorf("reldb: table %q: no row %d", t.schema.Name, id)
 		}
 	}
-	err := tb.admitKeysLocked()
-	if err == nil {
-		err = tb.admitUniqueLocked()
+	if err := tb.admitKeysLocked(); err != nil {
+		return err
 	}
-	if err == nil {
-		err = t.db.checkBlockForeignKeys(tx, tb)
-	}
-	return err
+	return t.db.checkBlockForeignKeys(tx, tb)
 }
 
 // admitKeysLocked checks the block's primary keys against the table and
@@ -461,48 +429,16 @@ func (tb *txBlock) admitKeysLocked() error {
 			top = s
 		}
 	}
+	key := make([]Value, len(t.pkCols))
 	for i := 0; i < b.rows; i++ {
-		if t.tail != nil && (top == nil || cmpRows(b, i, &top.ColumnBlock, top.top, t.pkCols) > 0) {
+		if top == nil || cmpRows(b, i, &top.ColumnBlock, top.top, t.pkCols) > 0 {
 			continue
 		}
-		if _, exists := t.findPKLocked(t.keyAt(b, i)); exists {
+		for k, c := range t.pkCols {
+			key[k] = b.cell(c, i)
+		}
+		if _, exists := t.findPKLocked(key); exists {
 			return dup(i)
-		}
-	}
-	return nil
-}
-
-// keyAt encodes the primary key of row i of b.
-func (t *Table) keyAt(b *ColumnBlock, i int) []byte {
-	key := make([]byte, 0, 16*len(t.pkCols))
-	for _, c := range t.pkCols {
-		key = encodeValue(key, b.cell(c, i))
-	}
-	return key
-}
-
-// admitUniqueLocked checks the block against the table's unique indexes,
-// which only a row set has.
-func (tb *txBlock) admitUniqueLocked() error {
-	for _, ix := range tb.t.active.indexes {
-		if !ix.spec.Unique {
-			continue
-		}
-		var seen map[string]bool // a one-row block needs none
-		if tb.rows > 1 {
-			seen = make(map[string]bool, tb.rows)
-		}
-		for i := 0; i < tb.rows; i++ {
-			key := make([]byte, 0, 16*len(ix.cols))
-			for _, c := range ix.cols {
-				key = encodeValue(key, tb.cell(c, i))
-			}
-			if _, taken := ix.tree.Get(key); taken || seen[string(key)] {
-				return fmt.Errorf("reldb: unique index %q violated", ix.spec.Name)
-			}
-			if seen != nil {
-				seen[string(key)] = true
-			}
 		}
 	}
 	return nil

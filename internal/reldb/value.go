@@ -1,9 +1,9 @@
 // Package reldb implements an embedded relational database engine used as
 // the data-store substrate for PerfTrack. It provides typed schemas, tables
-// with primary keys, secondary and unique indexes, foreign-key checking,
-// transactions with rollback, and one storage engine — write-ahead logs,
-// columnar segments, snapshot checkpoints — over either of two
-// filesystems: a directory, or memory. The PerfTrack paper ran on Oracle
+// with primary keys, secondary indexes, foreign-key checking, transactions
+// with rollback, and one storage engine — every table columnar blocks,
+// write-ahead logs, segments a background compactor writes — over either
+// of two filesystems: a directory, or memory. The PerfTrack paper ran on Oracle
 // or PostgreSQL; reldb's Open(kind, dir) stands in for that two-backend
 // portability in an offline, dependency-free build.
 package reldb

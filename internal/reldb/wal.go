@@ -10,7 +10,7 @@ import (
 	"math"
 )
 
-// Write-ahead log and snapshot record codec. Every record is framed as
+// Log, manifest and legacy snapshot record codec. Every record is framed as
 //
 //	uint32 payload length (little endian)
 //	uint32 CRC-32 (IEEE) of the payload
@@ -20,7 +20,7 @@ import (
 // use a compact binary encoding: varints for integers and lengths,
 // length-prefixed strings, one tag byte per value kind.
 
-// ErrCorruptLog reports a WAL or snapshot record that failed its checksum
+// ErrCorruptLog reports a log or snapshot record that failed its checksum
 // or could not be decoded.
 var ErrCorruptLog = errors.New("reldb: corrupt log record")
 

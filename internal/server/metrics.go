@@ -132,7 +132,7 @@ func (m *serverMetrics) registerStore(store *datastore.Store) {
 		"Immutable columnar segment files written.",
 		func() uint64 { return eng.SegmentStats().SegmentsWritten })
 	m.reg.GaugeFunc("ptserved_store_compactor_lag_rows",
-		"Hot-table rows not yet in a segment (sealed and active row sets).",
+		"Rows not yet in a segment (sealed and active tails).",
 		func() float64 {
 			var lag int64
 			for _, t := range eng.SegmentStats().Tables {
@@ -141,7 +141,7 @@ func (m *serverMetrics) registerStore(store *datastore.Store) {
 			return float64(lag)
 		})
 	m.reg.GaugeFunc("ptserved_store_row_resident_bytes",
-		"Row payload and B-tree key bytes resident in row form (flushed rows have left).",
+		"Unflushed rows in row form, and the permutations built over them (flushed rows have left).",
 		func() float64 {
 			st := eng.Stats()
 			return float64(st.DataBytes + st.IndexBytes)
@@ -156,10 +156,10 @@ func (m *serverMetrics) registerStore(store *datastore.Store) {
 	// tail logs are deleted as their rows reach segments. These two keep
 	// write amplification visible.
 	m.reg.CounterFunc("ptserved_store_log_bytes_appended_total",
-		"Bytes appended to perftrack.wal and the hot tables' tail logs.",
+		"Bytes appended to perftrack.wal and the tables' tail logs.",
 		func() uint64 { return eng.SegmentStats().LogBytesAppended })
 	m.reg.CounterFunc("ptserved_store_log_bytes_trimmed_total",
-		"Log bytes deleted once segments or a snapshot superseded them.",
+		"Log bytes deleted or rewritten away once segments superseded them.",
 		func() uint64 { return eng.SegmentStats().LogBytesTrimmed })
 	m.reg.GaugeFunc("ptserved_store_log_bytes",
 		"Bytes of live logs on disk: perftrack.wal and every tail log (wal_bytes on /v1/stats).",

@@ -230,8 +230,8 @@ func (s *Server) ListenAndServe(addr string) error {
 }
 
 // Shutdown drains in-flight requests (bounded by ctx), then checkpoints
-// the store's engine so its snapshot reflects everything ingested over
-// the network and the write-ahead log is truncated.
+// the store's engine: everything ingested over the network goes into
+// segments, and perftrack.wal back to the schema.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.log.Info("shutting down, draining in-flight requests")
 	if s.selfmon != nil {

@@ -476,8 +476,9 @@ func TestRequestIDPropagation(t *testing.T) {
 }
 
 // TestShutdownDrainsAndCheckpoints runs a real listener over a file-backed
-// store, ingests over the network, then shuts down: the WAL must be
-// truncated into a snapshot and a reopened store must serve the data.
+// store, ingests over the network, then shuts down: every row must be in a
+// segment the manifest names, perftrack.wal must hold the schema alone,
+// and a reopened store must serve the data.
 func TestShutdownDrainsAndCheckpoints(t *testing.T) {
 	dir := t.TempDir()
 	fe, err := reldb.OpenFile(dir)
@@ -533,15 +534,31 @@ func TestShutdownDrainsAndCheckpoints(t *testing.T) {
 		t.Errorf("Serve returned %v", err)
 	}
 
-	// Checkpoint happened: snapshot exists, WAL truncated.
-	if fi, err := os.Stat(filepath.Join(dir, "perftrack.snap")); err != nil || fi.Size() == 0 {
-		t.Errorf("snapshot after shutdown: %v", err)
-	}
-	if fi, err := os.Stat(filepath.Join(dir, "perftrack.wal")); err != nil || fi.Size() != 0 {
-		t.Errorf("WAL not truncated after shutdown: %v size=%d", err, fi.Size())
-	}
 	if err := fe.Close(); err != nil {
 		t.Fatal(err)
+	}
+	// Checkpoint happened: no snapshot, no tail log, a manifest naming every
+	// table, and a perftrack.wal byte for byte what a fresh store's
+	// checkpoint leaves: the schema.
+	if _, err := os.Stat(filepath.Join(dir, "perftrack.snap")); !os.IsNotExist(err) {
+		t.Errorf("perftrack.snap after shutdown: %v", err)
+	}
+	if logs, _ := filepath.Glob(filepath.Join(dir, "segments", "tail-*.log")); len(logs) != 0 {
+		t.Errorf("tail logs after shutdown: %v", logs)
+	}
+	manifest, err := os.ReadFile(filepath.Join(dir, "segments", "MANIFEST"))
+	if names := fe.TableNames(); err != nil || len(names) != 16 {
+		t.Errorf("manifest: %v; %d tables, want 16", err, len(names))
+	} else {
+		for _, name := range names {
+			if !bytes.Contains(manifest, append([]byte{byte(len(name))}, name...)) {
+				t.Errorf("the manifest does not name %s", name)
+			}
+		}
+	}
+	wal, err := os.ReadFile(filepath.Join(dir, "perftrack.wal"))
+	if err != nil || !bytes.Equal(wal, checkpointedSchema(t)) {
+		t.Errorf("perftrack.wal after shutdown holds more than the schema: %d bytes, %v", len(wal), err)
 	}
 
 	fe2, err := reldb.OpenFile(dir)
@@ -556,4 +573,27 @@ func TestShutdownDrainsAndCheckpoints(t *testing.T) {
 	if st := s2.Stats(); st.Results != 3 || st.Applications != 1 {
 		t.Errorf("reopened store stats = %+v", st)
 	}
+}
+
+// checkpointedSchema returns the perftrack.wal a fresh store's checkpoint
+// leaves: the schema's DDL records and nothing else.
+func checkpointedSchema(t *testing.T) []byte {
+	t.Helper()
+	dir := t.TempDir()
+	fe, err := reldb.OpenFile(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fe.Close()
+	if _, err := datastore.Open(fe); err != nil {
+		t.Fatal(err)
+	}
+	if err := fe.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	wal, err := os.ReadFile(filepath.Join(dir, "perftrack.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return wal
 }

@@ -55,7 +55,26 @@ cd "$workdir"
 addr=127.0.0.1:7075
 base="http://$addr"
 
+# checkpointed DIR fails unless DIR holds what a checkpoint leaves: no
+# perftrack.snap and no tail log, a manifest naming all sixteen tables, and
+# a perftrack.wal holding the schema alone — byte for byte what a fresh
+# store's checkpoint (ddlref) leaves there.
+checkpointed() {
+    [ ! -e "$1/perftrack.snap" ] || { echo "$1: perftrack.snap after a checkpoint" >&2; exit 1; }
+    if ls "$1"/segments/tail-*.log >/dev/null 2>&1; then
+        echo "$1: tail logs left after a checkpoint" >&2
+        exit 1
+    fi
+    cmp -s "$1/perftrack.wal" ddlref/perftrack.wal || { echo "$1: perftrack.wal holds more than the schema" >&2; exit 1; }
+    named=$(tr -c 'a-z_' '\n' <"$1/segments/MANIFEST" | sort -u | grep -cxE "$tables")
+    [ "$named" = 16 ] || { echo "$1: the manifest names $named of the 16 tables" >&2; exit 1; }
+}
+tables='application|execution|focus|focus_framework|focus_has_resource|metric|performance_result|performance_tool'
+tables="$tables|resource_attribute|resource_constraint|resource_has_ancestor|resource_has_descendant|resource_item"
+tables="$tables|result_has_focus|result_histogram|units"
+
 echo "== generate a small dataset"
+bin/ptinit -db ddlref >/dev/null
 bin/ptinit -db store -machines
 bin/ptgen -kind smg-bgl -out raw -execs 2 -np 64
 bin/ptdfgen -index raw/index.txt -out ptdf
@@ -154,12 +173,7 @@ echo "== graceful shutdown checkpoints the store"
 kill -TERM "$pid"
 wait "$pid"
 pid=""
-[ -s store/perftrack.snap ] || { echo "no snapshot after shutdown" >&2; exit 1; }
-[ ! -s store/perftrack.wal ] || { echo "WAL not truncated after shutdown" >&2; exit 1; }
-if ls store/segments/tail-*.log >/dev/null 2>&1; then
-    echo "tail logs left after the shutdown checkpoint" >&2
-    exit 1
-fi
+checkpointed store
 
 echo "== local ptquery sees the served store"
 final=$(bin/ptquery -db store -family 'type=application' -count 2>&1 |
@@ -190,7 +204,7 @@ diff compare_remote.txt compare_local.txt || { echo "ptcompare -db and -remote d
 echo "== durable engine: load, compact, crash, recover"
 # A result-heavy dataset first (two IRS runs: thousands of results, which
 # cross the flush threshold and reach segments), then the small one, whose
-# 16 results stay in the hot tables' tail logs.
+# 16 results stay in the tables' tail logs.
 bin/ptgen -kind irs -out rawirs -execs 2 -np 16 >/dev/null
 bin/ptdfgen -index rawirs/index.txt -out ptdfirs >/dev/null 2>&1
 ptdfbytes=$(cat ptdfirs/*.ptdf ptdf/*.ptdf | wc -c)
@@ -203,7 +217,7 @@ segcount=$(bin/ptquery -remote "$base" -family 'type=application' -count 2>&1 |
 [ "$segcount" -gt "$count" ] || { echo "segment store served $segcount results, want more than the small dataset's $count" >&2; exit 1; }
 
 # Wait for the background compactor (flush threshold 64 rows) to flush
-# the hot tables into columnar segments and delete the tail logs those
+# the tables into columnar segments and delete the tail logs those
 # supersede: a finished pass is counted only after its logs are gone.
 for i in $(seq 1 50); do
     if ls segstore/segments/seg-performance_result-*.seg >/dev/null 2>&1 &&
@@ -229,7 +243,7 @@ echo "== kill -9 between compaction and checkpoint"
 kill -9 "$pid"
 wait "$pid" 2>/dev/null || true
 pid=""
-[ -s segstore/perftrack.wal ] || { echo "expected a live WAL after hard kill" >&2; exit 1; }
+cmp -s segstore/perftrack.wal ddlref/perftrack.wal || { echo "perftrack.wal holds more than the schema after hard kill" >&2; exit 1; }
 ls segstore/segments/tail-*.log >/dev/null 2>&1 || { echo "expected the uncompacted tail in tail logs after hard kill" >&2; exit 1; }
 
 echo "== recovery serves every committed batch"
@@ -252,11 +266,7 @@ fi
 kill -TERM "$pid"
 wait "$pid"
 pid=""
-[ ! -s segstore/perftrack.wal ] || { echo "WAL not truncated after shutdown" >&2; exit 1; }
-if ls segstore/segments/tail-*.log >/dev/null 2>&1; then
-    echo "tail logs left after the shutdown checkpoint" >&2
-    exit 1
-fi
+checkpointed segstore
 
 echo "== delete one execution: one commit, and the store reopens without it"
 countsql() { bin/ptsql -db segstore "SELECT count(*) FROM performance_result$1" | sed -n 3p | tr -d ' '; }
