@@ -141,18 +141,18 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	printCounts(res.Counts, len(res.IDs))
+	printCounts(res.Counts, res.Len())
 	if *explain {
 		st := store.QueryEngineStats()
-		fmt.Fprintf(os.Stderr, "query engine: generation %d, cache %d hits / %d misses, %d entries\n",
-			st.Generation, st.CacheHits, st.CacheMisses, st.CacheEntries)
+		fmt.Fprintf(os.Stderr, "query engine: generation %d, cache %d hits / %d misses, %d entries, %d bytes\n",
+			st.Generation, st.CacheHits, st.CacheMisses, st.CacheEntries, st.CacheBytes)
 		fmt.Fprint(os.Stderr, planner.Format(planner.PRFilterPlan(store, sel, res)))
 	}
 	if *countOnly {
 		return
 	}
 
-	tbl, err := query.NewTable(context.Background(), store, res.IDs)
+	tbl, err := query.NewTable(context.Background(), store, res.IDs())
 	if err != nil {
 		fatal(err)
 	}

@@ -143,10 +143,6 @@ func TestMatchCacheByteBounded(t *testing.T) {
 	if _, err := s.LoadPTdf(strings.NewReader(b.String())); err != nil {
 		t.Fatal(err)
 	}
-	// Room for the hot family (every result) and three of the per-/pN
-	// families, so the 24 cold ones cannot all stay resident.
-	bound := int64(8*procs*perProc+cacheEntryOverhead) + 3*int64(8*perProc+cacheEntryOverhead)
-	s.cache = NewCache[idSet](bound)
 
 	count := func(name string) int {
 		t.Helper()
@@ -160,6 +156,16 @@ func TestMatchCacheByteBounded(t *testing.T) {
 		}
 		return n
 	}
+	// Each set is charged what its packed form allocates: read the hot
+	// family's charge (every result) and a per-/pN family's off the cache.
+	count("/hot")
+	hot := s.cache.Stats().Bytes
+	count("/p0")
+	cold := s.cache.Stats().Bytes - hot
+	// Room for the hot family and three of the per-/pN families, so the 24
+	// cold ones cannot all stay resident.
+	s.cache = NewCache[IDSet](hot + 3*cold)
+
 	if n := count("/hot"); n != procs*perProc {
 		t.Fatalf("/hot matches = %d, want %d", n, procs*perProc)
 	}
@@ -178,5 +184,38 @@ func TestMatchCacheByteBounded(t *testing.T) {
 	}
 	if cs := s.cache.Stats(); cs.Evictions == 0 || cs.Entries != 4 {
 		t.Errorf("stats = %+v, want evictions > 0 and 4 resident entries", cs)
+	}
+}
+
+// TestMatchCacheChargesAllocation pins that the match cache charges each
+// resident set exactly what it allocates, plus the per-entry overhead, so
+// the byte bound and ptserved_query_cache_bytes count what is held.
+func TestMatchCacheChargesAllocation(t *testing.T) {
+	s := seedStudy(t)
+	var fams []core.Family
+	for _, rf := range []core.ResourceFilter{
+		{Name: "/GF/Frost", Include: core.IncludeDescendants},
+		{Type: "application"},
+		{Name: "/GM/MCR", Include: core.IncludeDescendants},
+	} {
+		fam, err := s.ApplyFilter(rf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fams = append(fams, fam)
+	}
+	for i := range fams {
+		if _, err := s.CountMatches(core.PRFilter{Families: fams[:i+1]}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var held int64
+	for el := s.cache.lru.Front(); el != nil; el = el.Next() {
+		held += 8*int64(cap(el.Value.(*cacheEntry[IDSet]).val.words)) + cacheEntryOverhead
+	}
+	cs := s.cache.Stats()
+	if cs.Entries < 5 || held != cs.Bytes || s.QueryEngineStats().CacheBytes != cs.Bytes {
+		t.Errorf("%d entries hold %d bytes; the cache charges %d, QueryEngineStats reports %d",
+			cs.Entries, held, cs.Bytes, s.QueryEngineStats().CacheBytes)
 	}
 }

@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
+	"slices"
 	"strconv"
 
 	"perftrack/internal/core"
@@ -195,9 +195,7 @@ func (s *Store) Descendants(name core.ResourceName) ([]core.ResourceName, error)
 	return out, nil
 }
 
-func sortNames(ns []core.ResourceName) {
-	sort.Slice(ns, func(i, j int) bool { return ns[i] < ns[j] })
-}
+func sortNames(ns []core.ResourceName) { slices.Sort(ns) }
 
 // namesOfIDs maps resource IDs to names.
 func (s *Store) namesOfIDs(ids []int64) []core.ResourceName {
@@ -230,8 +228,8 @@ func (s *Store) ApplyFilter(rf core.ResourceFilter) (core.Family, error) {
 // ctx, evaluation records a datastore.filter span annotated with the
 // resulting family size.
 func (s *Store) ApplyFilterCtx(ctx context.Context, rf core.ResourceFilter) (core.Family, error) {
-	_, span := obs.StartSpan(ctx, "datastore.filter")
-	fam, err := s.applyFilter(rf)
+	ctx, span := obs.StartSpan(ctx, "datastore.filter")
+	fam, err := s.applyFilter(ctx, rf)
 	if err == nil {
 		span.Annotate("members", strconv.Itoa(fam.Size()))
 	}
@@ -239,7 +237,7 @@ func (s *Store) ApplyFilterCtx(ctx context.Context, rf core.ResourceFilter) (cor
 	return fam, err
 }
 
-func (s *Store) applyFilter(rf core.ResourceFilter) (core.Family, error) {
+func (s *Store) applyFilter(ctx context.Context, rf core.ResourceFilter) (core.Family, error) {
 	fam := core.NewFamily()
 	var matched []core.ResourceName
 	selected := true // a name/base/type selection mode is set
@@ -272,15 +270,15 @@ func (s *Store) applyFilter(rf core.ResourceFilter) (core.Family, error) {
 		if selected {
 			// Narrow the selected names by the attribute ID-set.
 			sel, _ := s.names.resourceIDs(matched)
-			ids = sortDedup(sel).intersect(ids)
+			ids = NewIDSet(sortDedup(sel)).Intersect(ids)
 		}
 		matched = matched[:0]
 		res := s.names.dict(dictResource)
-		for _, id := range ids {
+		ids.each(func(id int64) {
 			if n := res.Name(id); n != "" {
 				matched = append(matched, core.ResourceName(n))
 			}
-		}
+		})
 		sortNames(matched)
 	case !selected:
 		// No selection criteria at all: every resource matches.
@@ -294,6 +292,9 @@ func (s *Store) applyFilter(rf core.ResourceFilter) (core.Family, error) {
 	wantAnc := rf.Include == core.IncludeAncestors || rf.Include == core.IncludeBoth
 	wantDesc := rf.Include == core.IncludeDescendants || rf.Include == core.IncludeBoth
 	for _, m := range matched {
+		if err := ctx.Err(); err != nil {
+			return fam, fmt.Errorf("datastore: filter: %w", err)
+		}
 		if wantAnc {
 			anc, err := s.Ancestors(m)
 			if err != nil {
@@ -321,10 +322,10 @@ func (s *Store) applyFilter(rf core.ResourceFilter) (core.Family, error) {
 // resource_attribute (name, value) index. When an attribute was set more
 // than once, the highest-rowid row wins — the same last-write-wins rule
 // resource materialization applies.
-func (s *Store) attrMatchIDs(p core.AttrPredicate) (idSet, error) {
+func (s *Store) attrMatchIDs(p core.AttrPredicate) (IDSet, error) {
 	raTab, ok := s.eng.Table("resource_attribute")
 	if !ok {
-		return nil, fmt.Errorf("datastore: no resource_attribute table")
+		return IDSet{}, fmt.Errorf("datastore: no resource_attribute table")
 	}
 	type cur struct {
 		rowID int64
@@ -339,7 +340,7 @@ func (s *Store) attrMatchIDs(p core.AttrPredicate) (idSet, error) {
 			}
 			return true
 		}); err != nil {
-		return nil, err
+		return IDSet{}, err
 	}
 	ids := make([]int64, 0, len(latest))
 	for rid, c := range latest {
@@ -347,29 +348,31 @@ func (s *Store) attrMatchIDs(p core.AttrPredicate) (idSet, error) {
 			ids = append(ids, rid)
 		}
 	}
-	return sortDedup(ids), nil
+	return NewIDSet(sortDedup(ids)), nil
 }
 
 // attrFilterIDs evaluates a conjunction of attribute predicates through
 // the attribute index, intersecting the per-predicate candidate sets
 // smallest-first.
-func (s *Store) attrFilterIDs(preds []core.AttrPredicate) (idSet, error) {
-	sets := make([]idSet, len(preds))
+func (s *Store) attrFilterIDs(preds []core.AttrPredicate) (IDSet, error) {
+	sets := make([]IDSet, len(preds))
 	for i, p := range preds {
 		ids, err := s.attrMatchIDs(p)
 		if err != nil {
-			return nil, err
+			return IDSet{}, err
 		}
 		sets[i] = ids
 	}
 	return intersectAll(sets), nil
 }
 
-// familyResultIDs returns the sorted set of performance-result IDs whose
+// familyResultIDs returns the set of performance-result IDs whose
 // contexts touch any member of the family. Results are cached per store
 // generation under the family's canonical signature, so the GUI's
-// per-family live counts cost one map lookup between writes.
-func (s *Store) familyResultIDs(ctx context.Context, fam core.Family) (idSet, error) {
+// per-family live counts cost one map lookup between writes. ctx is
+// checked before each member's and each focus's index scan; a cancelled
+// evaluation caches nothing.
+func (s *Store) familyResultIDs(ctx context.Context, fam core.Family) (IDSet, error) {
 	gen := s.gen.Load()
 	key := "fam:" + fam.Signature()
 	_, span := obs.StartSpan(ctx, "datastore.family")
@@ -384,35 +387,41 @@ func (s *Store) familyResultIDs(ctx context.Context, fam core.Family) (idSet, er
 	memberIDs, _ := s.names.resourceIDs(fam.Members())
 	var foci []int64
 	for _, rid := range memberIDs {
+		if err := ctx.Err(); err != nil {
+			return IDSet{}, fmt.Errorf("datastore: family: %w", err)
+		}
 		// Column 0 of both link tables is the owner: the focus, the result.
 		if err := fhrTab.IndexScanInt("fhr_resource", []reldb.Value{reldb.Int(rid)}, 0,
 			func(_, focus int64) bool {
 				foci = append(foci, focus)
 				return true
 			}); err != nil {
-			return nil, err
+			return IDSet{}, err
 		}
 	}
 	var results []int64
 	for _, fid := range sortDedup(foci) {
+		if err := ctx.Err(); err != nil {
+			return IDSet{}, fmt.Errorf("datastore: family: %w", err)
+		}
 		if err := rhfTab.IndexScanInt("rhf_focus", []reldb.Value{reldb.Int(fid)}, 0,
 			func(_, result int64) bool {
 				results = append(results, result)
 				return true
 			}); err != nil {
-			return nil, err
+			return IDSet{}, err
 		}
 	}
-	ids := sortDedup(results)
-	s.cache.Put(gen, key, ids, 8*int64(len(ids)))
+	ids := NewIDSet(sortDedup(results))
+	s.cache.Put(gen, key, ids, ids.bytes())
 	return ids, nil
 }
 
 // familySets evaluates every family's result-ID set, fanned out over
 // the available CPUs. The engine takes a reader lock per scan, so
 // independent families read concurrently without blocking each other.
-func (s *Store) familySets(ctx context.Context, fams []core.Family) ([]idSet, error) {
-	sets := make([]idSet, len(fams))
+func (s *Store) familySets(ctx context.Context, fams []core.Family) ([]IDSet, error) {
+	sets := make([]IDSet, len(fams))
 	err := shardRange(len(fams), runtime.GOMAXPROCS(0), func(lo, hi int) error {
 		for i := lo; i < hi; i++ {
 			ids, err := s.familyResultIDs(ctx, fams[i])
@@ -426,14 +435,10 @@ func (s *Store) familySets(ctx context.Context, fams []core.Family) ([]idSet, er
 	return sets, err
 }
 
-// matchingIDs evaluates a pr-filter to its sorted result ID-set. The
-// returned set may be shared with the cache; callers must not modify it.
-// When a trace rides ctx it records a datastore.prfilter span annotated
-// with the match-cache outcome.
-func (s *Store) matchingIDs(ctx context.Context, prf core.PRFilter) (idSet, error) {
-	if len(prf.Families) == 0 {
-		return s.allResultIDs(ctx)
-	}
+// matchingIDs evaluates a pr-filter of one or more families to its result
+// set, which the match cache shares. When a trace rides ctx it records a
+// datastore.prfilter span annotated with the match-cache outcome.
+func (s *Store) matchingIDs(ctx context.Context, prf core.PRFilter) (IDSet, error) {
 	gen := s.gen.Load()
 	key := "prf:" + prf.Signature()
 	ctx, span := obs.StartSpan(ctx, "datastore.prfilter")
@@ -445,17 +450,17 @@ func (s *Store) matchingIDs(ctx context.Context, prf core.PRFilter) (idSet, erro
 	span.Annotate("cache", "miss")
 	sets, err := s.familySets(ctx, prf.Families)
 	if err != nil {
-		return nil, err
+		return IDSet{}, err
 	}
 	ids := intersectAll(sets)
-	s.cache.Put(gen, key, ids, 8*int64(len(ids)))
+	s.cache.Put(gen, key, ids, ids.bytes())
 	return ids, nil
 }
 
 // allResultIDs is the empty pr-filter's set, every result ID: read off the
 // row-ID column of performance_result's block source, whose blocks ascend
 // by ID, checking ctx once per block. No row is built.
-func (s *Store) allResultIDs(ctx context.Context) (idSet, error) {
+func (s *Store) allResultIDs(ctx context.Context) ([]int64, error) {
 	prTab, ok := s.eng.Table("performance_result")
 	if !ok {
 		return nil, fmt.Errorf("datastore: no performance_result table: %w", ErrNotFound)
@@ -478,28 +483,42 @@ func (s *Store) allResultIDs(ctx context.Context) (idSet, error) {
 	return all, err
 }
 
-// MatchingResultIDs evaluates a pr-filter: the IDs of performance results
-// whose contexts contain at least one resource from every family, sorted
-// ascending. The returned slice is the caller's to modify.
+// MatchingSetCtx evaluates a pr-filter: the performance results whose
+// contexts contain at least one resource from every family, as a set the
+// match cache may share. Its Len is the match count; IDs builds the list.
+func (s *Store) MatchingSetCtx(ctx context.Context, prf core.PRFilter) (IDSet, error) {
+	if len(prf.Families) > 0 {
+		return s.matchingIDs(ctx, prf)
+	}
+	all, err := s.allResultIDs(ctx)
+	if err != nil {
+		return IDSet{}, err
+	}
+	return NewIDSet(all), nil
+}
+
+// MatchingResultIDs evaluates a pr-filter to the IDs of the results
+// MatchingSetCtx selects, ascending. The returned slice is the caller's to
+// modify.
 func (s *Store) MatchingResultIDs(prf core.PRFilter) ([]int64, error) {
 	return s.MatchingResultIDsCtx(context.Background(), prf)
 }
 
 // MatchingResultIDsCtx is MatchingResultIDs under a context.
 func (s *Store) MatchingResultIDsCtx(ctx context.Context, prf core.PRFilter) ([]int64, error) {
+	if len(prf.Families) == 0 {
+		return s.allResultIDs(ctx)
+	}
 	ids, err := s.matchingIDs(ctx, prf)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]int64, len(ids))
-	copy(out, ids)
-	return out, nil
+	return ids.IDs(), nil
 }
 
 // CountMatches reports how many performance results a pr-filter selects —
-// the GUI's live match count. It counts through the set layer without
-// materializing or copying the ID slice; with a warm cache it is one map
-// lookup.
+// the GUI's live match count. It reads the set's stored length, building
+// no ID list; with a warm cache it is one map lookup.
 func (s *Store) CountMatches(prf core.PRFilter) (int, error) {
 	return s.CountMatchesCtx(context.Background(), prf)
 }
@@ -514,7 +533,7 @@ func (s *Store) CountMatchesCtx(ctx context.Context, prf core.PRFilter) (int, er
 	if err != nil {
 		return 0, err
 	}
-	return len(ids), nil
+	return ids.Len(), nil
 }
 
 // CountFamilyMatches reports how many results one family alone selects —
@@ -529,7 +548,7 @@ func (s *Store) CountFamilyMatchesCtx(ctx context.Context, fam core.Family) (int
 	if err != nil {
 		return 0, err
 	}
-	return len(ids), nil
+	return ids.Len(), nil
 }
 
 // ResultByID materializes a performance result with its contexts: the

@@ -1,7 +1,11 @@
 package datastore
 
 import (
+	"context"
+	"errors"
 	"fmt"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -311,5 +315,93 @@ func TestCountMatchesNoFamiliesCountsAll(t *testing.T) {
 	}
 	if n != len(ids) || n != 4 {
 		t.Errorf("all-results count = %d, ids = %d, want 4", n, len(ids))
+	}
+}
+
+// TestCancelledCountStops pins that family evaluation under a cancelled
+// context stops at its first check: the filter, the family count and the
+// pr-filter count return the context's error, and nothing is cached.
+func TestCancelledCountStops(t *testing.T) {
+	s := seedStudy(t)
+	rf := core.ResourceFilter{Name: "/GF/Frost", Include: core.IncludeDescendants}
+	frost, err := s.ApplyFilter(rf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := s.ApplyFilterCtx(ctx, rf); !errors.Is(err, context.Canceled) {
+		t.Errorf("ApplyFilterCtx: err = %v, want context.Canceled", err)
+	}
+	if _, err := s.CountFamilyMatchesCtx(ctx, frost); !errors.Is(err, context.Canceled) {
+		t.Errorf("CountFamilyMatchesCtx: err = %v, want context.Canceled", err)
+	}
+	if _, err := s.CountMatchesCtx(ctx, core.PRFilter{Families: []core.Family{frost}}); !errors.Is(err, context.Canceled) {
+		t.Errorf("CountMatchesCtx: err = %v, want context.Canceled", err)
+	}
+	if cs := s.QueryEngineStats(); cs.CacheEntries != 0 || cs.CacheBytes != 0 {
+		t.Errorf("a cancelled evaluation cached %d entries (%d bytes)", cs.CacheEntries, cs.CacheBytes)
+	}
+}
+
+// bytesPerCall is the heap f allocates per call: the least of a few
+// batches, so a background allocation during one batch does not count.
+func bytesPerCall(f func()) int64 {
+	const batches, runs = 5, 10
+	best := int64(-1)
+	for range batches {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			f()
+		}
+		runtime.ReadMemStats(&after)
+		if b := int64(after.TotalAlloc-before.TotalAlloc) / runs; best < 0 || b < best {
+			best = b
+		}
+	}
+	return best
+}
+
+// TestMatchPathsCopyNothing pins that neither the empty pr-filter's ID
+// list nor a cached count allocates in proportion to the match count
+// beyond the list it returns: no second copy of a fresh list, and a count
+// reads the cached set's length.
+func TestMatchPathsCopyNothing(t *testing.T) {
+	ctx := context.Background()
+	extra := func(n int) (list, count int64) {
+		s := newStore(t)
+		var b strings.Builder
+		b.WriteString("Application app\nExecution exec app\nResource /app application\nResource /hot grid\n")
+		for i := range n {
+			fmt.Fprintf(&b, "PerfResult exec /app,/hot(primary) tool \"wall time\" %d.5 seconds\n", i)
+		}
+		if _, err := s.LoadPTdf(strings.NewReader(b.String())); err != nil {
+			t.Fatal(err)
+		}
+		hot, err := s.ApplyFilter(core.ResourceFilter{Name: "/hot"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		prf := core.PRFilter{Families: []core.Family{hot}}
+		list = bytesPerCall(func() {
+			if ids, err := s.MatchingResultIDsCtx(ctx, core.PRFilter{}); err != nil || len(ids) != n {
+				t.Fatalf("every result: %d IDs, err %v; want %d", len(ids), err, n)
+			}
+		}) - 8*int64(n)
+		count = bytesPerCall(func() {
+			if got, err := s.CountMatchesCtx(ctx, prf); err != nil || got != n {
+				t.Fatalf("cached count = %d, err %v; want %d", got, err, n)
+			}
+		})
+		return list, count
+	}
+	const small, large = 500, 4000
+	l1, c1 := extra(small)
+	l2, c2 := extra(large)
+	// A copy of the list would grow by 8 B per result between the sizes.
+	if limit := int64(8 * (large - small) / 4); l2-l1 > limit || c2-c1 > limit {
+		t.Errorf("bytes per call beyond the returned list: %d at %d results, %d at %d; "+
+			"per cached count: %d, then %d (limit on growth %d)", l1, small, l2, large, c1, c2, limit)
 	}
 }

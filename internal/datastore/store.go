@@ -37,7 +37,7 @@ type Store struct {
 	// reader that overlaps a mutation caches under the pre-mutation
 	// generation, which the post-mutation bump discards.
 	gen   atomic.Uint64
-	cache *Cache[idSet]
+	cache *Cache[IDSet]
 
 	// wmu serializes mutating entry points against each other and against
 	// whole-file transactional loads, without blocking readers. It guards
@@ -112,7 +112,7 @@ func Open(e reldb.Engine) (*Store, error) {
 	eng := e.DB()
 	s := &Store{
 		eng:              eng,
-		cache:            NewCache[idSet](0),
+		cache:            NewCache[IDSet](0),
 		scanBytes:        obs.NewHistogram(segScanBytesBuckets),
 		UseClosureTables: true,
 	}
@@ -173,6 +173,7 @@ type QueryEngineStats struct {
 	CacheHits    uint64
 	CacheMisses  uint64
 	CacheEntries int
+	CacheBytes   int64 // the resident ID sets' allocations plus per-entry overhead
 }
 
 // QueryEngineStats snapshots the query engine counters.
@@ -183,6 +184,7 @@ func (s *Store) QueryEngineStats() QueryEngineStats {
 		CacheHits:    cs.Hits,
 		CacheMisses:  cs.Misses,
 		CacheEntries: cs.Entries,
+		CacheBytes:   cs.Bytes,
 	}
 }
 

@@ -57,7 +57,7 @@ func resolveSide(ctx context.Context, s *datastore.Store, exec string, execs, fa
 	if err != nil {
 		return nil, fmt.Errorf("diagnose: side %s %w", side, err)
 	}
-	matched, err := s.ExecutionsOfResults(res.IDs)
+	matched, err := s.ExecutionsOfResults(res.IDs())
 	if err != nil {
 		return nil, err
 	}

@@ -97,7 +97,7 @@ func PRFilterPlan(st *datastore.Store, sel *query.Selection, res *query.Resoluti
 		Table:      "performance_result",
 		Strategy:   StrategyFullScan,
 		EstRows:    total,
-		ActualRows: int64(len(res.IDs)),
+		ActualRows: int64(res.Len()),
 	}
 	if len(res.Filters) > 0 {
 		p.Strategy = familiesStrategy(res.Filters)

@@ -101,7 +101,7 @@ func (p *Planner) buildResultFilter(ctx context.Context, pushed []conjunct) (res
 		if err != nil {
 			return f, fmt.Errorf("planner: %w", err)
 		}
-		f.fams, f.famIDs = res.Filters, res.IDs
+		f.fams, f.famIDs = res.Filters, res.IDs()
 	}
 	return f, nil
 }

@@ -73,21 +73,29 @@ type Resolution struct {
 	PRFilter core.PRFilter
 	// Counts holds the per-family live counts, never nil.
 	Counts []FamilyCount
-	// IDs are the selected performance results, ascending. The slice is
-	// the caller's to modify.
-	IDs []int64
+	// set holds the selected performance results, possibly shared with
+	// the store's match cache.
+	set datastore.IDSet
 }
+
+// Len reports how many performance results are selected.
+func (r *Resolution) Len() int { return r.set.Len() }
+
+// IDs returns the selected performance results as a new ascending list,
+// the caller's to modify.
+func (r *Resolution) IDs() []int64 { return r.set.IDs() }
 
 // Resolve is the one place a Selection becomes result IDs; every route,
 // CLI, and the planner's family pseudo-column go through it. Each family
 // spec is parsed and applied (datastore.ApplyFilterCtx), the families are
 // intersected through the store's generation-keyed match cache
-// (MatchingResultIDsCtx), and the execution restriction — the union of
-// the named executions' result lists off the execution index — is
+// (MatchingSetCtx), and the execution restriction — the union of the
+// named executions' result lists off the execution index — is
 // intersected last; with no families the selection is that union, and
 // the pr-filter is not evaluated at all. A malformed spec is ErrBadSpec,
 // an unknown execution ErrNotFound. Each family's own match count is one
 // more lookup in the same cache, whose entry the intersection then reuses.
+// No ID list is built: a caller that needs one asks IDs.
 func Resolve(ctx context.Context, st *datastore.Store, sel *Selection) (*Resolution, error) {
 	var specs []string
 	if sel != nil {
@@ -112,24 +120,24 @@ func Resolve(ctx context.Context, st *datastore.Store, sel *Selection) (*Resolut
 		res.PRFilter.Families = append(res.PRFilter.Families, fam)
 	}
 	execs := sel.ExecutionList()
-	var restrict []int64
+	var restrict datastore.IDSet
 	for _, e := range execs {
 		ids, err := st.ExecutionResultIDs(e)
 		if err != nil {
 			return nil, err
 		}
-		restrict = datastore.UnionIDs(restrict, ids)
+		restrict = restrict.Union(datastore.NewIDSet(ids))
 	}
 	if len(specs) == 0 && len(execs) > 0 {
-		res.IDs = restrict // the empty pr-filter is every result: nothing to intersect
+		res.set = restrict // the empty pr-filter is every result: nothing to intersect
 		return res, nil
 	}
 	var err error
-	if res.IDs, err = st.MatchingResultIDsCtx(ctx, res.PRFilter); err != nil {
+	if res.set, err = st.MatchingSetCtx(ctx, res.PRFilter); err != nil {
 		return nil, err
 	}
 	if len(execs) > 0 {
-		res.IDs = datastore.IntersectIDs(res.IDs, restrict)
+		res.set = res.set.Intersect(restrict)
 	}
 	return res, nil
 }

@@ -4,11 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
 	"perftrack/internal/core"
 	"perftrack/internal/datastore"
+	"perftrack/internal/reldb"
 )
 
 func TestResolve(t *testing.T) {
@@ -23,13 +26,13 @@ func TestResolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.IDs) != 2 || len(res.Filters) != 2 || len(res.PRFilter.Families) != 2 {
-		t.Fatalf("ids %v, %d filters, %d families", res.IDs, len(res.Filters), len(res.PRFilter.Families))
+	if res.Len() != 2 || len(res.Filters) != 2 || len(res.PRFilter.Families) != 2 {
+		t.Fatalf("ids %v, %d filters, %d families", res.IDs(), len(res.Filters), len(res.PRFilter.Families))
 	}
 	if want := (FamilyCount{Spec: "name=/GF/Frost", Resources: 1, Matches: 4}); res.Counts[0] != want {
 		t.Errorf("counts[0] = %+v, want %+v", res.Counts[0], want)
 	}
-	results, err := s.MaterializeResultsCtx(ctx, res.IDs)
+	results, err := s.MaterializeResultsCtx(ctx, res.IDs())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,8 +49,8 @@ func TestResolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want, _ := s.ExecutionResultIDs("irs-mcr-16"); fmt.Sprint(res.IDs) != fmt.Sprint(want) || len(want) != 2 {
-		t.Errorf("ids = %v, want %v", res.IDs, want)
+	if want, _ := s.ExecutionResultIDs("irs-mcr-16"); fmt.Sprint(res.IDs()) != fmt.Sprint(want) || len(want) != 2 {
+		t.Errorf("ids = %v, want %v", res.IDs(), want)
 	}
 	if after := s.QueryEngineStats(); after != before {
 		t.Errorf("execution-only selection touched the match cache: %+v -> %+v", before, after)
@@ -55,12 +58,12 @@ func TestResolve(t *testing.T) {
 
 	// Nothing selected is everything, ascending.
 	all, err := Resolve(ctx, s, nil)
-	if err != nil || len(all.IDs) != 8 || all.Counts == nil {
-		t.Fatalf("nil selection: %d ids, counts %v, err %v", len(all.IDs), all.Counts, err)
+	if err != nil || all.Len() != 8 || all.Counts == nil {
+		t.Fatalf("nil selection: %d ids, counts %v, err %v", all.Len(), all.Counts, err)
 	}
-	for i := 1; i < len(all.IDs); i++ {
-		if all.IDs[i-1] >= all.IDs[i] {
-			t.Fatalf("ids not ascending: %v", all.IDs)
+	for ids, i := all.IDs(), 1; i < len(ids); i++ {
+		if ids[i-1] >= ids[i] {
+			t.Fatalf("ids not ascending: %v", ids)
 		}
 	}
 
@@ -124,8 +127,8 @@ func TestResolveConcurrentWithWrites(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if len(res.IDs) < 4 {
-					t.Errorf("selection lost committed results: %d ids", len(res.IDs))
+				if res.Len() < 4 {
+					t.Errorf("selection lost committed results: %d ids", res.Len())
 					return
 				}
 			}
@@ -134,4 +137,45 @@ func TestResolveConcurrentWithWrites(t *testing.T) {
 	readers.Wait()
 	close(stop)
 	writer.Wait()
+}
+
+// TestResolveCountCopiesNothing pins that resolving a cached selection for
+// its count — what /v1/query answers — builds no ID list: the bytes
+// allocated per call do not grow with the match count.
+func TestResolveCountCopiesNothing(t *testing.T) {
+	perCall := func(n int) int64 {
+		s, err := datastore.Open(reldb.NewMem())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { s.Engine().Close() })
+		var b strings.Builder
+		b.WriteString("Application app\nExecution exec app\nResource /app application\nResource /hot grid\n")
+		for i := range n {
+			fmt.Fprintf(&b, "PerfResult exec /app,/hot(primary) tool \"wall time\" %d.5 seconds\n", i)
+		}
+		if _, err := s.LoadPTdf(strings.NewReader(b.String())); err != nil {
+			t.Fatal(err)
+		}
+		sel := &Selection{Families: []string{"name=/hot;rel=N", "type=application"}}
+		best := int64(-1)
+		for range 5 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for range 10 {
+				if res, err := Resolve(context.Background(), s, sel); err != nil || res.Len() != n {
+					t.Fatalf("Resolve: %v, err %v; want %d matches", res, err, n)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			if got := int64(after.TotalAlloc-before.TotalAlloc) / 10; best < 0 || got < best {
+				best = got
+			}
+		}
+		return best
+	}
+	const small, large = 500, 4000
+	if a, b := perCall(small), perCall(large); b-a > 8*(large-small)/4 {
+		t.Errorf("Resolve allocates %d B per call at %d matches, %d B at %d: it grows with the match count", a, small, b, large)
+	}
 }

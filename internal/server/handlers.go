@@ -254,7 +254,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	resp := QueryResponse{
 		APIVersion:  APIVersion,
 		Families:    res.Counts,
-		Matches:     len(res.IDs),
+		Matches:     res.Len(),
 		Generation:  es.Generation,
 		CacheHits:   es.CacheHits,
 		CacheMisses: es.CacheMisses,
@@ -289,7 +289,7 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusInternalServerError, err)
 		return
 	}
-	tbl, err := query.NewTable(r.Context(), s.store, res.IDs)
+	tbl, err := query.NewTable(r.Context(), s.store, res.IDs())
 	if err != nil {
 		writeError(w, r, http.StatusInternalServerError, err)
 		return
@@ -379,7 +379,7 @@ func (s *Server) handleResultsStream(w http.ResponseWriter, r *http.Request, req
 		writeError(w, r, http.StatusInternalServerError, err)
 		return
 	}
-	ids := res.IDs
+	ids := res.IDs()
 	total := len(ids)
 	if req.Metric == "" && req.Limit > 0 && len(ids) > req.Limit {
 		ids = ids[:req.Limit]

@@ -83,6 +83,9 @@ func (m *serverMetrics) registerStore(store *datastore.Store) {
 	m.reg.GaugeFunc("ptserved_query_cache_entries",
 		"pr-filter match-cache resident entries.",
 		func() float64 { return float64(store.QueryEngineStats().CacheEntries) })
+	m.reg.GaugeFunc("ptserved_query_cache_bytes",
+		"pr-filter match-cache resident bytes: each ID set's allocation plus per-entry overhead.",
+		func() float64 { return float64(store.QueryEngineStats().CacheBytes) })
 
 	m.reg.CounterFunc("ptserved_store_batch_commits_total",
 		"Committed write batches.",

@@ -445,6 +445,7 @@ func TestMetricsExposition(t *testing.T) {
 		"ptserved_requests_shed_total 0",
 		"ptserved_store_generation",
 		"ptserved_query_cache_misses",
+		"ptserved_query_cache_bytes",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q\n%s", want, body)

@@ -251,7 +251,7 @@ func TestSelectionSameOnEveryRoute(t *testing.T) {
 				"/v1/results rows":           len(rr.Rows),
 				"/v1/results?stream=1 total": lines[0].Total,
 				"/v1/results?stream=1 rows":  lines[len(lines)-1].Rows,
-				"query.Resolve IDs":          len(res.IDs),
+				"query.Resolve IDs":          res.Len(),
 				sqlText:                      int(sr.Rows[0][0].(float64)),
 			} {
 				if got != tc.want {

@@ -136,7 +136,7 @@ func (s *Session) Dispatch(line string) error {
 			fmt.Fprintf(s.out, "%d: %q (%d resources, %d results alone)\n",
 				i, c.Spec, c.Resources, c.Matches)
 		}
-		fmt.Fprintf(s.out, "whole pr-filter: %d results\n", len(res.IDs))
+		fmt.Fprintf(s.out, "whole pr-filter: %d results\n", res.Len())
 	case "clear":
 		s.specs, s.tbl = nil, nil
 		fmt.Fprintln(s.out, "cleared")
@@ -145,7 +145,7 @@ func (s *Session) Dispatch(line string) error {
 		if err != nil {
 			return err
 		}
-		tbl, err := query.NewTable(context.Background(), s.store, res.IDs)
+		tbl, err := query.NewTable(context.Background(), s.store, res.IDs())
 		if err != nil {
 			return err
 		}
@@ -329,7 +329,7 @@ func (s *Session) addFamily(spec string) error {
 	s.specs = specs
 	added := res.Counts[len(res.Counts)-1]
 	fmt.Fprintf(s.out, "family added: %d resources, %d results alone; whole filter now matches %d\n",
-		added.Resources, added.Matches, len(res.IDs))
+		added.Resources, added.Matches, res.Len())
 	return nil
 }
 
