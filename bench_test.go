@@ -20,6 +20,7 @@ package perftrack
 //	BenchmarkAncestryClosureVsWalk/*   closure tables vs parent-link walks
 //	BenchmarkEngine/*                  memory vs file (WAL) engine loads
 //	BenchmarkQuerySQLVsDirect/*        SQL layer vs direct relational API
+//	BenchmarkSQLAggregate/*            planned vs naive SQL, scan worker fan-out
 
 import (
 	"bytes"
@@ -1031,4 +1032,112 @@ func BenchmarkMaterializeEngines(b *testing.B) {
 			}
 		})
 	}
+}
+
+// sqlAggregateQuery is the planner's acceptance aggregation, and
+// scanAggregateQuery runs every aggregate kernel (count, sum, min, max,
+// avg) over the same dictionary group-by column. SynthResultRecords
+// spreads results over sqlAggregateGroups metrics.
+const (
+	sqlAggregateQuery  = "SELECT metric, avg(value) FROM performance_result GROUP BY metric ORDER BY metric"
+	scanAggregateQuery = "SELECT metric, count(*), sum(value), min(value), max(value), avg(value) " +
+		"FROM performance_result GROUP BY metric ORDER BY metric"
+	sqlAggregateGroups = 16
+)
+
+// BenchmarkSQLAggregate times grouped aggregates over the synthetic corpus
+// (benchResultRows result rows), compacted before timing:
+//
+//	{mem,segment}/planned  the acceptance aggregation through the cost-based
+//	                       planner: accumulators pushed into the column
+//	                       kernels, no result row built
+//	{mem,segment}/naive    the same query with Planner.Naive, the oracle:
+//	                       every row materialized, then aggregated
+//	scan/w{1,4,all}        the five-aggregate query over 16 segments in a
+//	                       directory, fanned over 1, 4 and GOMAXPROCS workers
+//
+// Every planned and scan run must read segment blocks; a run served from
+// the tail fails instead of timing the wrong path.
+func BenchmarkSQLAggregate(b *testing.B) {
+	rows := benchResultRows(b)
+	// Same collector pacing as BenchmarkMaterializeEngines: the naive runs
+	// allocate every row, and the seeded store's mark cost would bury the
+	// difference being measured.
+	defer debug.SetGCPercent(debug.SetGCPercent(400))
+	run := func(b *testing.B, p *planner.Planner, q string) {
+		b.Helper()
+		// Warm-up keeps segment reads and dictionary maps out of the timed
+		// loop and checks the run takes the intended path.
+		_, plan, err := p.Query(context.Background(), q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !p.Naive && plan.Profile.BlocksScanned == 0 {
+			b.Fatalf("query read no segment blocks (plan: %s)", plan.Text())
+		}
+		runtime.GC()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			res, _, err := p.Query(context.Background(), q)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if len(res.Rows) != sqlAggregateGroups {
+				b.Fatalf("%d groups, want %d", len(res.Rows), sqlAggregateGroups)
+			}
+		}
+		b.ReportMetric(float64(rows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
+	}
+	for _, kind := range []string{reldb.KindMem, reldb.KindSegment} {
+		b.Run(kind, func(b *testing.B) {
+			e, err := reldb.Open(kind, b.TempDir())
+			if err != nil {
+				b.Fatal(err)
+			}
+			eng := e.DB()
+			defer eng.Close()
+			s, _, err := experiments.SeedSynthStore(eng, experiments.SynthResultRecords(rows))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := eng.CompactSegments(); err != nil {
+				b.Fatal(err)
+			}
+			for _, naive := range []bool{false, true} {
+				name := "planned"
+				if naive {
+					name = "naive"
+				}
+				b.Run(name, func(b *testing.B) {
+					p := planner.New(s)
+					p.Naive = naive
+					run(b, p, sqlAggregateQuery)
+				})
+			}
+		})
+	}
+	b.Run("scan", func(b *testing.B) {
+		eng, err := reldb.OpenFile(b.TempDir())
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer eng.Close()
+		// Parallel fan-out partitions work at segment granularity, so one
+		// segment would leave extra workers idle; 16 give 4 workers four
+		// balanced parts.
+		s, err := experiments.SeedSegmentedSynthStore(eng, rows, 16)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, w := range []struct {
+			name    string
+			workers int
+		}{{"w1", 1}, {"w4", 4}, {"wall", 0}} {
+			b.Run(w.name, func(b *testing.B) {
+				p := planner.New(s)
+				p.Workers = w.workers
+				run(b, p, scanAggregateQuery)
+			})
+		}
+	})
 }

@@ -77,8 +77,8 @@ type Planner struct {
 	// Naive disables the cost-based machinery — no predicate or aggregate
 	// pushdown, full-scan access, every WHERE conjunct re-evaluated per
 	// materialized row. Family specs are still honored (they are
-	// semantics, not optimization). It is the ablation baseline for
-	// BENCH_sql.json and the oracle for FuzzSQLPlanner.
+	// semantics, not optimization). It is the oracle for FuzzSQLPlanner
+	// and `ptsql -naive`.
 	Naive bool
 
 	// Workers caps the scan fan-out over segment blocks; 0 means

@@ -324,38 +324,58 @@ func TestPlannerErrors(t *testing.T) {
 
 // TestLargeAggregateNeverMaterializes is the 100k-row acceptance check:
 // SELECT avg(value) ... GROUP BY metric over a 100k-row store builds no
-// result rows and reads none through the materializer.
+// result rows and reads none through the materializer, on a store in
+// memory and on a compacted one in a directory, whose 100k rows all come
+// from segment blocks.
 func TestLargeAggregateNeverMaterializes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("100k-row corpus; skipped in -short")
 	}
-	st := seedStore(t, reldb.NewMem(), 100_000)
-	before := st.Telemetry().ResultsRead
-	p := New(st)
-	res, plan, err := p.Query(context.Background(),
-		"SELECT metric, avg(value) FROM performance_result GROUP BY metric ORDER BY metric")
-	if err != nil {
-		t.Fatalf("query: %v", err)
-	}
-	if !plan.Aggregate || plan.Materialized != 0 {
-		t.Fatalf("materialized %d rows (aggregate=%v), want 0 (plan: %s)",
-			plan.Materialized, plan.Aggregate, plan.Text())
-	}
-	if plan.ActualRows != 100_000 {
-		t.Fatalf("actual_rows = %d, want 100000", plan.ActualRows)
-	}
-	if len(res.Rows) != 4 {
-		t.Fatalf("groups = %d, want 4", len(res.Rows))
-	}
-	if after := st.Telemetry().ResultsRead; after != before {
-		t.Fatalf("materializer read %d results during pushed aggregation", after-before)
+	const agg = "SELECT metric, avg(value) FROM performance_result GROUP BY metric ORDER BY metric"
+	aggregateNeverMaterializes := func(t *testing.T, st *datastore.Store) (*Planner, *Plan) {
+		t.Helper()
+		before := st.Telemetry().ResultsRead
+		p := New(st)
+		res, plan, err := p.Query(context.Background(), agg)
+		if err != nil {
+			t.Fatalf("query: %v", err)
+		}
+		if !plan.Aggregate || plan.Materialized != 0 {
+			t.Fatalf("materialized %d rows (aggregate=%v), want 0 (plan: %s)",
+				plan.Materialized, plan.Aggregate, plan.Text())
+		}
+		if plan.ActualRows != 100_000 {
+			t.Fatalf("actual_rows = %d, want 100000", plan.ActualRows)
+		}
+		if len(res.Rows) != 4 {
+			t.Fatalf("groups = %d, want 4", len(res.Rows))
+		}
+		if after := st.Telemetry().ResultsRead; after != before {
+			t.Fatalf("materializer read %d results during pushed aggregation", after-before)
+		}
+		return p, plan
 	}
 
+	// The compacted directory store answers from segment blocks alone.
+	eng, err := reldb.OpenFile(t.TempDir())
+	if err != nil {
+		t.Fatalf("open engine: %v", err)
+	}
+	seg := seedStore(t, eng, 100_000)
+	if err := eng.CompactSegments(); err != nil {
+		t.Fatalf("compact: %v", err)
+	}
+	if _, plan := aggregateNeverMaterializes(t, seg); plan.Profile.SegmentRows != 100_000 {
+		t.Fatalf("segment rows = %d, want 100000 (plan: %s)", plan.Profile.SegmentRows, plan.Text())
+	}
+
+	st := seedStore(t, reldb.NewMem(), 100_000)
+	p, _ := aggregateNeverMaterializes(t, st)
 	assertCancelledBeforeScan(t, p, "SELECT metric, avg(value) FROM performance_result GROUP BY metric")
 
 	// The selective attribute predicate on the same store picks the
 	// attribute-index path.
-	_, plan, err = p.Query(context.Background(),
+	_, plan, err := p.Query(context.Background(),
 		"SELECT avg(value) FROM performance_result WHERE family = '"+fastAttrFamily+"'")
 	if err != nil {
 		t.Fatalf("attr query: %v", err)
