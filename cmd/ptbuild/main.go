@@ -12,15 +12,16 @@
 package main
 
 import (
+	"bytes"
+	"context"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 
+	"perftrack/internal/cli"
 	"perftrack/internal/collect"
-	"perftrack/internal/datastore"
 	"perftrack/internal/ptdf"
-	"perftrack/internal/reldb"
 )
 
 func main() {
@@ -31,22 +32,20 @@ func main() {
 	dbDir := flag.String("db", "", "load directly into this data store")
 	flag.Parse()
 	if *name == "" || *app == "" || *logPath == "" {
-		fmt.Fprintln(os.Stderr, "ptbuild: -name, -app, and -log are required")
-		flag.Usage()
-		os.Exit(2)
+		cli.Usage("-name, -app, and -log are required")
 	}
 	var logReader io.Reader = os.Stdin
 	if *logPath != "-" {
 		f, err := os.Open(*logPath)
 		if err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 		defer f.Close()
 		logReader = f
 	}
 	info, err := collect.CaptureBuild(*name, *app, logReader)
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	recs := info.ToPTdf()
 	fmt.Printf("captured build %s: %d compiler invocations, %d libraries, %d PTdf records\n",
@@ -54,37 +53,28 @@ func main() {
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 		err = ptdf.WriteAll(f, recs)
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
 		if err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 		fmt.Printf("wrote %s\n", *out)
 	}
 	if *dbDir != "" {
-		fe, err := reldb.OpenFile(*dbDir)
-		if err != nil {
-			fatal(err)
+		// One document, so the capture commits whole or not at all.
+		var doc bytes.Buffer
+		if err := ptdf.WriteAll(&doc, recs); err != nil {
+			cli.Fatal(err)
 		}
-		defer fe.Close()
-		store, err := datastore.Open(fe)
-		if err != nil {
-			fatal(err)
-		}
-		for _, rec := range recs {
-			if err := store.LoadRecord(rec); err != nil {
-				fatal(err)
-			}
+		t := cli.MustOpen(*dbDir, "")
+		defer t.Close()
+		if _, err := t.Load(context.Background(), &doc); err != nil {
+			cli.Fatal(err)
 		}
 		fmt.Printf("loaded into %s\n", *dbDir)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "ptbuild:", err)
-	os.Exit(1)
 }

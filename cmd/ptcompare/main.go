@@ -9,24 +9,19 @@
 //	          [-diagnose] [-top N]
 //	ptcompare -remote http://host:7075 -a execA -b execB [...]
 //
-// With -remote the comparison runs server-side (GET /v1/compare on a
-// ptserved instance); both print the same wire form through one printer.
+// Both modes run the comparison through GET /v1/compare: with -remote on
+// a ptserved instance, with -db on the store served in process.
 package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"os"
-	"strconv"
 	"strings"
 
+	"perftrack/internal/cli"
 	"perftrack/internal/client"
-	"perftrack/internal/compare"
 	"perftrack/internal/core"
-	"perftrack/internal/datastore"
-	"perftrack/internal/reldb"
 	"perftrack/internal/server"
 )
 
@@ -41,40 +36,21 @@ func main() {
 	top := flag.Int("top", 10, "rows to print per section")
 	flag.Parse()
 	if (*dbDir == "") == (*remote == "") || *execA == "" || *execB == "" {
-		fmt.Fprintln(os.Stderr, "ptcompare: exactly one of -db or -remote, plus -a and -b, are required")
-		flag.Usage()
-		os.Exit(2)
+		cli.Usage("exactly one of -db or -remote, plus -a and -b, are required")
 	}
-	var resp server.CompareResponse
-	if *remote != "" {
-		var err error
-		resp, err = client.New(*remote).Compare(context.Background(), *execA, *execB, client.CompareOptions{
-			Metric: *metric, Threshold: *threshold, Top: *top,
-		})
-		if err != nil {
-			fatalExec(err, *execA, *execB)
-		}
-	} else {
-		fe, err := reldb.OpenFile(*dbDir)
-		if err != nil {
-			fatal(err)
-		}
-		defer fe.Close()
-		store, err := datastore.Open(fe)
-		if err != nil {
-			fatal(err)
-		}
-		cmp, err := compare.Executions(store, *execA, *execB)
-		if err != nil {
-			fatalExec(err, *execA, *execB)
-		}
-		resp = server.NewCompareResponse(cmp, *metric, *threshold, *top)
+	t := cli.MustOpen(*dbDir, *remote)
+	defer t.Close()
+	resp, err := t.Compare(context.Background(), *execA, *execB, client.CompareOptions{
+		Metric: *metric, Threshold: *threshold, Top: *top,
+	})
+	if err != nil {
+		cli.FatalExec(err, *execA, *execB)
 	}
 	printComparison(resp, *threshold, *diagnose, *top)
 }
 
-// printComparison renders a comparison, computed here or by the server:
-// the metric filter, threshold and top are already applied to it.
+// printComparison renders a comparison the server computed: the metric
+// filter, threshold and top are already applied to it.
 func printComparison(resp server.CompareResponse, threshold float64, diagnose bool, top int) {
 	sum := resp.Summary
 	fmt.Printf("comparing %s (A) vs %s (B)\n", resp.ExecA, resp.ExecB)
@@ -132,24 +108,4 @@ func contextLabel(p server.ComparePair) string {
 		}
 	}
 	return strings.Join(parts, ",")
-}
-
-// fatalExec maps a missing execution onto a one-line hint naming the
-// execution; anything else falls through to fatal.
-func fatalExec(err error, execs ...string) {
-	if errors.Is(err, datastore.ErrNotFound) {
-		for _, e := range execs {
-			if strings.Contains(err.Error(), strconv.Quote(e)) {
-				fmt.Fprintf(os.Stderr,
-					"ptcompare: execution %q not found (try 'ptquery -report executions' to list executions)\n", e)
-				os.Exit(1)
-			}
-		}
-	}
-	fatal(err)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "ptcompare:", err)
-	os.Exit(1)
 }

@@ -14,59 +14,46 @@
 //
 // Each side is exactly one of: a single -a/-b execution, repeated -a/-b
 // executions, or repeated -afamily/-bfamily pr-filter specs (ptquery
-// syntax). With -remote the diagnosis runs on a ptserved instance via
-// POST /v1/diagnose; both modes print the same report.
+// syntax). Both modes run the diagnosis through POST /v1/diagnose: with
+// -remote on a ptserved instance, with -db on the store served in process.
+// The server scores candidates on GOMAXPROCS workers; set that variable
+// to cap a local run.
 package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"os"
-	"strconv"
 	"strings"
 
-	"perftrack/internal/client"
-	"perftrack/internal/datastore"
-	"perftrack/internal/diagnose"
-	"perftrack/internal/reldb"
+	"perftrack/internal/cli"
 	"perftrack/internal/server"
 )
-
-type stringList []string
-
-func (s *stringList) String() string { return strings.Join(*s, ",") }
-func (s *stringList) Set(v string) error {
-	*s = append(*s, v)
-	return nil
-}
 
 func main() {
 	dbDir := flag.String("db", "", "data store directory")
 	remote := flag.String("remote", "", "ptserved base URL (e.g. http://localhost:7075) instead of -db")
-	var execsA, execsB, famsA, famsB stringList
+	var execsA, execsB, famsA, famsB cli.StringList
 	flag.Var(&execsA, "a", "fast-side execution (repeatable)")
 	flag.Var(&execsB, "b", "slow-side execution (repeatable)")
 	flag.Var(&famsA, "afamily", "fast-side resource-filter spec (repeatable)")
 	flag.Var(&famsB, "bfamily", "slow-side resource-filter spec (repeatable)")
 	metric := flag.String("metric", "", "restrict the perf measure to one metric (default: time-like results)")
-	top := flag.Int("top", diagnose.DefaultTop, "explanations/bottlenecks/contexts to print")
-	minCoverage := flag.Float64("min-coverage", diagnose.DefaultMinCoverage,
+	top := flag.Int("top", 10, "explanations/bottlenecks/contexts to print")
+	minCoverage := flag.Float64("min-coverage", 0.25,
 		"skip attributes defined on less than this fraction of the selected executions")
 	explain := flag.Bool("explain", false, "print the predicate search trace")
-	workers := flag.Int("j", 0, "local diagnosis parallelism (0 = GOMAXPROCS)")
 	attrs := flag.Bool("attrs", false, "list attribute keys and their value domains instead of diagnosing")
 	attrPrefix := flag.String("attr-prefix", "", "with -attrs: only keys with this name prefix")
 	flag.Parse()
 
 	if (*dbDir == "") == (*remote == "") {
-		fmt.Fprintln(os.Stderr, "ptdiagnose: exactly one of -db or -remote is required")
-		flag.Usage()
-		os.Exit(2)
+		cli.Usage("exactly one of -db or -remote is required")
 	}
+	t := cli.MustOpen(*dbDir, *remote)
+	defer t.Close()
 	if *attrs {
-		runAttrs(*dbDir, *remote, *attrPrefix)
+		printAttrs(t, *attrPrefix)
 		return
 	}
 
@@ -92,75 +79,21 @@ func main() {
 	req.FamiliesA = famsA
 	req.FamiliesB = famsB
 
-	var resp server.DiagnoseResponse
-	if *remote != "" {
-		c := client.New(*remote)
-		var err error
-		resp, err = c.Diagnose(context.Background(), req)
-		if err != nil {
-			fatalExec(err, append(execsA, execsB...))
-		}
-	} else {
-		spec, err := req.Spec()
-		if err != nil {
-			fatal(err)
-		}
-		spec.Workers = *workers
-		fe, err := reldb.OpenFile(*dbDir)
-		if err != nil {
-			fatal(err)
-		}
-		defer fe.Close()
-		store, err := datastore.Open(fe)
-		if err != nil {
-			fatal(err)
-		}
-		res, err := diagnose.Run(context.Background(), store, spec)
-		if err != nil {
-			fatalExec(err, append(execsA, execsB...))
-		}
-		resp = server.NewDiagnoseResponse(res)
+	resp, err := t.Diagnose(context.Background(), req)
+	if err != nil {
+		cli.FatalExec(err, append(execsA, execsB...)...)
 	}
 	printDiagnosis(resp, *top)
 }
 
-// runAttrs lists attribute keys with their value domains.
-func runAttrs(dbDir, remote, prefix string) {
-	var keys []server.AttributeKey
-	if remote != "" {
-		resp, err := client.New(remote).Attributes(context.Background(), prefix)
-		if err != nil {
-			fatal(err)
-		}
-		keys = resp.Keys
-	} else {
-		fe, err := reldb.OpenFile(dbDir)
-		if err != nil {
-			fatal(err)
-		}
-		defer fe.Close()
-		store, err := datastore.Open(fe)
-		if err != nil {
-			fatal(err)
-		}
-		infos, err := store.AttributeKeys(prefix)
-		if err != nil {
-			fatal(err)
-		}
-		for _, k := range infos {
-			ak := server.AttributeKey{
-				Name: k.Name, Resources: k.Resources, Distinct: k.Distinct,
-				Numeric: k.Numeric, Values: k.Values,
-			}
-			if k.Numeric {
-				min, max := k.Min, k.Max
-				ak.Min, ak.Max = &min, &max
-			}
-			keys = append(keys, ak)
-		}
+// printAttrs lists attribute keys with their value domains.
+func printAttrs(t *cli.Target, prefix string) {
+	resp, err := t.Attributes(context.Background(), prefix)
+	if err != nil {
+		cli.Fatal(err)
 	}
 	fmt.Printf("%-28s %10s %9s  %s\n", "attribute", "resources", "distinct", "domain")
-	for _, k := range keys {
+	for _, k := range resp.Keys {
 		domain := strings.Join(k.Values, ", ")
 		if k.Numeric && k.Min != nil && k.Max != nil {
 			domain = fmt.Sprintf("numeric [%g .. %g]", *k.Min, *k.Max)
@@ -241,24 +174,4 @@ func sideLabel(execs []string) string {
 		return execs[0]
 	}
 	return fmt.Sprintf("%d executions", len(execs))
-}
-
-// fatalExec maps a missing execution to the one-line hint; anything else
-// falls through to fatal.
-func fatalExec(err error, execs []string) {
-	if errors.Is(err, datastore.ErrNotFound) {
-		for _, e := range execs {
-			if strings.Contains(err.Error(), strconv.Quote(e)) {
-				fmt.Fprintf(os.Stderr,
-					"ptdiagnose: execution %q not found (try 'ptquery -report executions' to list executions)\n", e)
-				os.Exit(1)
-			}
-		}
-	}
-	fatal(err)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "ptdiagnose:", err)
-	os.Exit(1)
 }

@@ -10,11 +10,9 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
 
-	"perftrack/internal/datastore"
+	"perftrack/internal/cli"
 	"perftrack/internal/gen"
-	"perftrack/internal/reldb"
 )
 
 func main() {
@@ -23,40 +21,29 @@ func main() {
 	maxNodes := flag.Int("maxnodes", 8, "cap on nodes emitted per partition when preloading machines (0 = all)")
 	flag.Parse()
 	if *dbDir == "" {
-		fmt.Fprintln(os.Stderr, "ptinit: -db is required")
-		flag.Usage()
-		os.Exit(2)
+		cli.Usage("-db is required")
 	}
-	fe, err := reldb.OpenFile(*dbDir)
-	if err != nil {
-		fatal(err)
-	}
-	defer fe.Close()
-	store, err := datastore.Open(fe)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("initialized PerfTrack store in %s (%s engine)\n", *dbDir, fe.Kind())
+	t := cli.MustOpen(*dbDir, "")
+	defer t.Close()
+	fmt.Printf("initialized PerfTrack store in %s (%s engine)\n", *dbDir, t.DB.Kind())
 	fmt.Printf("tables: %d, base types: %d\n",
-		len(fe.TableNames()), len(store.Types().All()))
+		len(t.DB.TableNames()), len(t.Store.Types().All()))
 	if *machines {
 		for _, m := range gen.Catalog() {
+			// One batch per machine: it loads whole or not at all.
+			b := t.Store.NewBatch()
 			for _, rec := range m.ToPTdf(*maxNodes) {
-				if err := store.LoadRecord(rec); err != nil {
-					fatal(err)
-				}
+				b.Stage(rec)
+			}
+			if _, err := b.Commit(); err != nil {
+				cli.Fatal(err)
 			}
 			fmt.Printf("loaded machine %s (%s)\n", m.Name, m.GridName)
 		}
 	}
-	if err := fe.Checkpoint(); err != nil {
-		fatal(err)
+	if err := t.DB.Checkpoint(); err != nil {
+		cli.Fatal(err)
 	}
-	st := store.Stats()
+	st := t.Store.Stats()
 	fmt.Printf("resources: %d, attributes: %d\n", st.Resources, st.Attributes)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "ptinit:", err)
-	os.Exit(1)
 }

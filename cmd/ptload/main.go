@@ -1,6 +1,7 @@
 // Command ptload loads PTdf files into a PerfTrack data store through the
-// PTdataStore interface (§3.3), either directly against a store directory
-// or over the network against a running ptserved instance.
+// PTdataStore interface (§3.3), either a store directory or a running
+// ptserved instance; both go through POST /v1/load, the directory's
+// served in process.
 //
 // Usage:
 //
@@ -19,9 +20,9 @@ import (
 	"fmt"
 	"os"
 
+	"perftrack/internal/cli"
 	"perftrack/internal/client"
 	"perftrack/internal/datastore"
-	"perftrack/internal/reldb"
 	"perftrack/internal/server"
 )
 
@@ -30,155 +31,78 @@ func main() {
 	remote := flag.String("remote", "", "ptserved base URL (e.g. http://localhost:7075) instead of -db")
 	checkpoint := flag.Bool("checkpoint", true, "checkpoint the store after loading (direct -db mode only)")
 	workers := flag.Int("j", 1, "parallel decode workers (bulk mode when > 1)")
-	verbose := flag.Bool("verbose", false, "print client instrumentation (requests, retries, backoff) after a -remote load")
+	verbose := flag.Bool("verbose", false, "print client instrumentation (requests, retries, backoff) after the load")
 	flag.Parse()
 	if (*dbDir == "") == (*remote == "") || flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "ptload: exactly one of -db or -remote, and at least one PTdf file, are required")
-		flag.Usage()
-		os.Exit(2)
+		cli.Usage("exactly one of -db or -remote, and at least one PTdf file, are required")
 	}
 	if *workers < 1 {
-		fmt.Fprintln(os.Stderr, "ptload: -j must be at least 1")
-		os.Exit(2)
+		cli.Usage("-j must be at least 1")
 	}
-	if *remote != "" {
-		loadRemote(*remote, flag.Args(), *workers, *verbose)
-		return
+	t := cli.MustOpen(*dbDir, *remote)
+	defer t.Close()
+	if *verbose {
+		t.Verbose()
 	}
-	fe, err := reldb.OpenFile(*dbDir)
-	if err != nil {
-		fatal(err)
-	}
-	defer fe.Close()
-	store, err := datastore.Open(fe)
-	if err != nil {
-		fatal(err)
-	}
+	ctx := context.Background()
+	paths := flag.Args()
 	var total datastore.LoadStats
 	failed := 0
 	if *workers > 1 {
-		for _, dr := range store.BulkLoadFiles(flag.Args(), *workers) {
-			if dr.Err != nil {
-				failed++
-				fmt.Fprintln(os.Stderr, "ptload:", dr.Err)
-				continue
-			}
-			printFileStats(dr.Name, dr.Stats)
-			total.Add(dr.Stats)
-		}
-	} else {
-		for _, path := range flag.Args() {
-			stats, err := store.LoadPTdfFile(path)
-			if err != nil {
-				fatal(err)
-			}
-			printFileStats(path, stats)
-			total.Add(stats)
-		}
-	}
-	if *checkpoint {
-		if err := fe.Checkpoint(); err != nil {
-			fatal(err)
-		}
-	}
-	st := store.Stats()
-	size, err := fe.DiskSize()
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("loaded %d records total; store now holds %d executions, %d results, %d resources (%.1f MB on disk)\n",
-		total.Records, st.Executions, st.Results, st.Resources, float64(size)/(1<<20))
-	if failed > 0 {
-		fatal(fmt.Errorf("%d of %d files failed", failed, flag.NArg()))
-	}
-}
-
-// loadRemote streams the files to a ptserved instance. Sequential mode
-// posts one document per request with retry; bulk mode (-j > 1) posts
-// all files as one multipart stream and reports each document's status
-// line as the server commits it.
-func loadRemote(baseURL string, paths []string, workers int, verbose bool) {
-	c := client.New(baseURL)
-	if verbose {
-		// onFatal, not defer: fatal's os.Exit skips deferred calls, and the
-		// retry counters matter most when a load fails.
-		onFatal = func() { printClientCounters(c) }
-		defer printClientCounters(c)
-	}
-	ctx := context.Background()
-	var total datastore.LoadStats
-	failed := 0
-	if workers > 1 {
+		// One multipart request; the server reports each document's
+		// status line as it commits it.
 		docs := make([]client.BatchDoc, len(paths))
-		files := make([]*os.File, len(paths))
 		for i, path := range paths {
 			f, err := os.Open(path)
 			if err != nil {
-				fatal(err)
+				cli.Fatal(err)
 			}
-			files[i] = f
+			defer f.Close()
 			docs[i] = client.BatchDoc{Name: path, R: f}
 		}
-		summary, err := c.LoadBatch(ctx, docs, workers, func(st server.LoadDocStatus) {
+		summary, err := t.LoadBatch(ctx, docs, *workers, func(st server.LoadDocStatus) {
 			if st.Error != "" {
 				fmt.Fprintln(os.Stderr, "ptload:", st.Error)
 				return
 			}
 			printFileStats(st.Doc, st.Stats)
 		})
-		for _, f := range files {
-			f.Close()
-		}
 		if err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
-		total = summary.Stats
-		failed = summary.Failed
+		total, failed = summary.Stats, summary.Failed
 	} else {
 		for _, path := range paths {
 			f, err := os.Open(path)
 			if err != nil {
-				fatal(err)
+				cli.Fatal(err)
 			}
-			resp, err := c.Load(ctx, f)
+			resp, err := t.Load(ctx, f)
 			f.Close()
 			if err != nil {
-				fatal(fmt.Errorf("%s: %w", path, err))
+				cli.Fatal(fmt.Errorf("%s: %w", path, err))
 			}
 			printFileStats(path, resp.Stats)
 			total.Add(resp.Stats)
 		}
 	}
-	st, err := c.Stats(ctx)
+	if *checkpoint && t.DB != nil {
+		if err := t.DB.Checkpoint(); err != nil {
+			cli.Fatal(err)
+		}
+	}
+	st, err := t.Stats(ctx)
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	fmt.Printf("loaded %d records total; store now holds %d executions, %d results, %d resources\n",
 		total.Records, st.Store.Executions, st.Store.Results, st.Store.Resources)
 	if failed > 0 {
-		fatal(fmt.Errorf("%d of %d files failed", failed, len(paths)))
+		cli.Fatal(fmt.Errorf("%d of %d files failed", failed, len(paths)))
 	}
 }
 
 func printFileStats(path string, stats datastore.LoadStats) {
 	fmt.Printf("%s: %d records (%d resources, %d attributes, %d results)\n",
 		path, stats.Records, stats.Resources, stats.Attributes, stats.Results)
-}
-
-func printClientCounters(c *client.Client) {
-	st := c.Counters()
-	fmt.Fprintf(os.Stderr, "ptload: client: %d requests, %d retries, %d backoff sleeps (%s total), %d stream aborts\n",
-		st.Requests, st.Retries, st.BackoffSleeps, st.BackoffTotal, st.StreamAborts)
-}
-
-// onFatal, when set, runs before fatal exits (used by -verbose to flush
-// the client counters past os.Exit).
-var onFatal func()
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "ptload:", err)
-	if onFatal != nil {
-		onFatal()
-	}
-	os.Exit(1)
 }

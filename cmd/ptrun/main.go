@@ -10,14 +10,15 @@
 package main
 
 import (
+	"bytes"
+	"context"
 	"flag"
 	"fmt"
 	"os"
 
+	"perftrack/internal/cli"
 	"perftrack/internal/collect"
-	"perftrack/internal/datastore"
 	"perftrack/internal/ptdf"
-	"perftrack/internal/reldb"
 )
 
 func main() {
@@ -31,52 +32,41 @@ func main() {
 	dbDir := flag.String("db", "", "load directly into this data store")
 	flag.Parse()
 	if *execName == "" || *app == "" {
-		fmt.Fprintln(os.Stderr, "ptrun: -exec and -app are required")
-		flag.Usage()
-		os.Exit(2)
+		cli.Usage("-exec and -app are required")
 	}
 	info := collect.CaptureRun(*execName, *app, *np, *nt, *input)
 	info.BuildName = *build
 	recs, err := info.ToPTdf()
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	fmt.Printf("captured run %s: %s, %d processes x %d threads, %d PTdf records\n",
 		*execName, info.Concurrency, *np, *nt, len(recs))
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 		err = ptdf.WriteAll(f, recs)
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
 		if err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 		fmt.Printf("wrote %s\n", *out)
 	}
 	if *dbDir != "" {
-		fe, err := reldb.OpenFile(*dbDir)
-		if err != nil {
-			fatal(err)
+		// One document, so the capture commits whole or not at all.
+		var doc bytes.Buffer
+		if err := ptdf.WriteAll(&doc, recs); err != nil {
+			cli.Fatal(err)
 		}
-		defer fe.Close()
-		store, err := datastore.Open(fe)
-		if err != nil {
-			fatal(err)
-		}
-		for _, rec := range recs {
-			if err := store.LoadRecord(rec); err != nil {
-				fatal(err)
-			}
+		t := cli.MustOpen(*dbDir, "")
+		defer t.Close()
+		if _, err := t.Load(context.Background(), &doc); err != nil {
+			cli.Fatal(err)
 		}
 		fmt.Printf("loaded into %s\n", *dbDir)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "ptrun:", err)
-	os.Exit(1)
 }

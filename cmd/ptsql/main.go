@@ -12,16 +12,16 @@
 //	ptsql -db store -explain "SELECT count(*) FROM performance_result WHERE family = 'attr=clock>1000'"
 //	ptsql -remote http://localhost:7075 'SELECT name, application FROM execution ORDER BY name'
 //
-// With -remote the statement runs on a ptserved instance via POST
-// /v1/sql; both modes end in the same response body and print it through
-// one function, so a statement reads the same either way. -explain prints
+// Both modes run the statement through POST /v1/sql: with -remote on a
+// ptserved instance, with -db on the store served in process, so a
+// statement reads the same either way. -explain prints
 // the chosen plan (with estimated vs. actual cardinalities) to stderr,
 // through the same formatter ptquery uses. -analyze is the EXPLAIN
 // ANALYZE form: the plan plus the execution profile — per-operator row
 // counts, segment blocks scanned vs. zone-map-pruned, tail rows,
 // kernel vs. merge wall time, per-worker row loads, and the planner's
-// cardinality error. -naive disables the cost-based machinery locally,
-// for A/B-ing plans.
+// cardinality error. -naive disables the cost-based machinery, for A/B-ing
+// plans; it runs on the -db store directly, since no route offers it.
 package main
 
 import (
@@ -34,10 +34,8 @@ import (
 	"strconv"
 	"strings"
 
-	"perftrack/internal/client"
-	"perftrack/internal/datastore"
+	"perftrack/internal/cli"
 	"perftrack/internal/planner"
-	"perftrack/internal/reldb"
 	"perftrack/internal/server"
 	"perftrack/internal/sqldb"
 )
@@ -52,56 +50,47 @@ func main() {
 	flag.Parse()
 
 	if (*dbDir == "") == (*remote == "") {
-		fmt.Fprintln(os.Stderr, "ptsql: exactly one of -db or -remote is required")
-		flag.Usage()
-		os.Exit(2)
+		cli.Usage("exactly one of -db or -remote is required")
 	}
 	sqlText := strings.TrimSpace(strings.Join(flag.Args(), " "))
 	if sqlText == "" || sqlText == "-" {
 		raw, err := io.ReadAll(os.Stdin)
 		if err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 		sqlText = strings.TrimSpace(string(raw))
 	}
 	if sqlText == "" {
-		fatal(fmt.Errorf("no SQL given (pass the statement as arguments or on stdin)"))
+		cli.Fatal(fmt.Errorf("no SQL given (pass the statement as arguments or on stdin)"))
 	}
 
+	t := cli.MustOpen(*dbDir, *remote)
+	defer t.Close()
 	req := server.SQLRequest{SQL: sqlText, Explain: *explain, Analyze: *analyze, Limit: *limit}
 	var resp server.SQLResponse
-	if *remote != "" {
-		if *naive {
-			fatal(fmt.Errorf("-naive needs direct store access; use -db"))
+	if *naive {
+		if t.Store == nil {
+			cli.Fatal(fmt.Errorf("-naive needs direct store access; use -db"))
 		}
-		var err error
-		if resp, err = client.New(*remote).SQL(context.Background(), req); err != nil {
-			fatal(err)
-		}
-	} else {
-		fe, err := reldb.OpenFile(*dbDir)
-		if err != nil {
-			fatal(err)
-		}
-		defer fe.Close()
-		store, err := datastore.Open(fe)
-		if err != nil {
-			fatal(err)
-		}
-		p := planner.New(store)
-		p.Naive = *naive
+		p := planner.New(t.Store)
+		p.Naive = true
 		res, plan, err := p.Query(context.Background(), sqlText)
 		if err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 		resp = server.NewSQLResponse(res, plan, req)
+	} else {
+		var err error
+		if resp, err = t.SQL(context.Background(), req); err != nil {
+			cli.Fatal(err)
+		}
 	}
 	printResponse(resp)
 }
 
-// printResponse renders a /v1/sql body — received from a server or built
-// locally — as an aligned table on stdout and the plan, when one was
-// asked for, on stderr.
+// printResponse renders a /v1/sql body — served, or built by -naive — as
+// an aligned table on stdout and the plan, when one was asked for, on
+// stderr.
 func printResponse(resp server.SQLResponse) {
 	cells := make([][]string, len(resp.Rows))
 	for i, row := range resp.Rows {
@@ -122,8 +111,8 @@ func printResponse(resp server.SQLResponse) {
 // cellText renders one cell by value, so a number prints the same
 // whether it is still an int64 or float64 or came back from JSON as a
 // float64: integral values as integers, the rest in shortest form.
-// (Integers beyond 2^53 stay exact only locally; JSON already rounded
-// them.)
+// (Integers beyond 2^53 stay exact only under -naive; JSON already
+// rounded them.)
 func cellText(v any) string {
 	switch x := v.(type) {
 	case nil:
@@ -139,9 +128,4 @@ func cellText(v any) string {
 		return strconv.FormatFloat(x, 'g', -1, 64)
 	}
 	return fmt.Sprint(v)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "ptsql:", err)
-	os.Exit(1)
 }

@@ -172,7 +172,7 @@ func (s *Store) BulkLoad(docs []BulkSource, workers int) []DocResult {
 	return out
 }
 
-// BulkLoadFiles bulk-loads PTdf files from disk (the ptload -j path).
+// BulkLoadFiles bulk-loads PTdf files from disk.
 func (s *Store) BulkLoadFiles(paths []string, workers int) []DocResult {
 	docs := make([]BulkSource, len(paths))
 	for i, path := range paths {

@@ -459,16 +459,14 @@ func (s *Store) matchingIDs(ctx context.Context, prf core.PRFilter) (IDSet, erro
 
 // allResultIDs is the empty pr-filter's set, every result ID: read off the
 // row-ID column of performance_result's block source, whose blocks ascend
-// by ID, checking ctx once per block. No row is built.
+// by ID, checking ctx once per block. No row is built. The source opens
+// through Store.Blocks, so the scan counts in the store telemetry.
 func (s *Store) allResultIDs(ctx context.Context) ([]int64, error) {
-	prTab, ok := s.eng.Table("performance_result")
-	if !ok {
-		return nil, fmt.Errorf("datastore: no performance_result table: %w", ErrNotFound)
-	}
-	scan, err := prTab.Blocks(math.MinInt64, math.MaxInt64)
+	scan, err := s.Blocks("performance_result", math.MinInt64, math.MaxInt64)
 	if err != nil {
 		return nil, err
 	}
+	prTab, _ := s.eng.Table("performance_result")
 	all := make([]int64, 0, prTab.Len())
 	err = scan.Each(func(b *reldb.ColumnBlock) error {
 		if err := ctx.Err(); err != nil {

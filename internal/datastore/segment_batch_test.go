@@ -170,6 +170,34 @@ func TestEmptyFilterReadsRowIDsByBlock(t *testing.T) {
 	}
 }
 
+// TestEmptyFilterScanCountsInTelemetry: the empty pr-filter's full scan
+// of a compacted store is a segment scan like any other, so it shows in
+// the store telemetry behind ptserved_store_segment_scans_total.
+func TestEmptyFilterScanCountsInTelemetry(t *testing.T) {
+	s, fe := newSegmentStore(t)
+	fe.SetSegmentFlushRows(1 << 40) // the compactor runs only when asked
+	const procs, funcs, metrics = 4, 4, 4
+	if _, err := stage(s, shapedShared(procs, funcs)).Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := stage(s, fullShapedDoc("e0", procs, funcs, metrics)).Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := fe.CompactSegments(); err != nil {
+		t.Fatal(err)
+	}
+	before := s.Telemetry()
+	ids, err := s.MatchingResultIDsCtx(context.Background(), core.PRFilter{})
+	if err != nil || len(ids) != procs*funcs*metrics {
+		t.Fatalf("the empty filter: %d IDs (%v), want %d", len(ids), err, procs*funcs*metrics)
+	}
+	after := s.Telemetry()
+	if after.SegmentScans != before.SegmentScans+1 || after.SegmentRowsScanned == before.SegmentRowsScanned {
+		t.Errorf("the empty filter's scan: segment scans %d -> %d, rows scanned %d -> %d; want one more scan, of some rows",
+			before.SegmentScans, after.SegmentScans, before.SegmentRowsScanned, after.SegmentRowsScanned)
+	}
+}
+
 // TestSegmentBatchHotRowsAppearTogether is the store-level leg of the
 // engine's test of that name: while documents load — every third one
 // refused at its last record and rolled back — the counts a reader sees of

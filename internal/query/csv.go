@@ -30,37 +30,41 @@ func (t *Table) WriteCSV(w io.Writer) error {
 }
 
 // ReadCSV imports a table previously written by WriteCSV ("store the data
-// to files, read it back in"). The result is detached from any store:
-// free-resource analysis is unavailable, but sorting, filtering, grouping,
-// and charting work.
+// to files, read it back in").
 func ReadCSV(r io.Reader) (*Table, error) {
-	cr := csv.NewReader(r)
-	header, err := cr.Read()
+	recs, err := csv.NewReader(r).ReadAll()
 	if err != nil {
-		return nil, fmt.Errorf("query: CSV header: %w", err)
+		return nil, fmt.Errorf("query: CSV: %w", err)
 	}
+	if len(recs) == 0 {
+		return nil, fmt.Errorf("query: CSV has no header")
+	}
+	return TableFromCells(recs[0], recs[1:])
+}
+
+// TableFromCells builds a table from rendered cells — a CSV file's, or a
+// /v1/results response's — under a header that starts with FixedColumns.
+// Cells are Table.Cell strings, so the values round-trip exactly. The
+// result is detached from any store: free-resource analysis is
+// unavailable, but sorting, filtering, grouping, charting and export work.
+func TableFromCells(header []string, rows [][]string) (*Table, error) {
 	if len(header) < len(FixedColumns) {
-		return nil, fmt.Errorf("query: CSV header has %d columns, need at least %d",
+		return nil, fmt.Errorf("query: header has %d columns, need at least %d",
 			len(header), len(FixedColumns))
 	}
 	for i, want := range FixedColumns {
 		if header[i] != want {
-			return nil, fmt.Errorf("query: CSV column %d is %q, want %q", i, header[i], want)
+			return nil, fmt.Errorf("query: column %d is %q, want %q", i, header[i], want)
 		}
 	}
-	t := &Table{}
-	t.ExtraColumns = append(t.ExtraColumns, header[len(FixedColumns):]...)
-	for line := 2; ; line++ {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			return t, nil
-		}
-		if err != nil {
-			return nil, err
+	t := &Table{ExtraColumns: append([]string(nil), header[len(FixedColumns):]...)}
+	for n, rec := range rows {
+		if len(rec) != len(header) {
+			return nil, fmt.Errorf("query: row %d has %d cells, want %d", n+1, len(rec), len(header))
 		}
 		v, err := strconv.ParseFloat(rec[2], 64)
 		if err != nil {
-			return nil, fmt.Errorf("query: CSV line %d: bad value %q", line, rec[2])
+			return nil, fmt.Errorf("query: row %d: bad value %q", n+1, rec[2])
 		}
 		row := &Row{
 			Execution: rec[0],
@@ -75,4 +79,5 @@ func ReadCSV(r io.Reader) (*Table, error) {
 		}
 		t.Rows = append(t.Rows, row)
 	}
+	return t, nil
 }

@@ -183,7 +183,7 @@ func (s *Server) handleSelfDiagnose(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusInternalServerError, err)
 		return
 	}
-	diag := NewDiagnoseResponse(rep.Result)
+	diag := newDiagnoseResponse(rep.Result)
 	s.log.Info("selfdiagnose", "samples", rep.Samples, "baseline", len(rep.Baseline),
 		"recent", len(rep.Recent), "explanations", len(diag.Explanations),
 		"rid", RequestIDFromContext(r.Context()))

@@ -124,9 +124,8 @@ type AttributesResponse struct {
 	NextCursor string         `json:"next_cursor,omitempty"`
 }
 
-// NewDiagnoseResponse converts a diagnosis into its wire form. Exported
-// so ptdiagnose renders local and remote diagnoses through one path.
-func NewDiagnoseResponse(res *diagnose.Result) DiagnoseResponse {
+// newDiagnoseResponse converts a diagnosis into its wire form.
+func newDiagnoseResponse(res *diagnose.Result) DiagnoseResponse {
 	resp := DiagnoseResponse{
 		APIVersion:   APIVersion,
 		SideA:        res.SideA,
@@ -207,7 +206,7 @@ func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 	s.log.Info("diagnose", "side_a", len(res.SideA), "side_b", len(res.SideB),
 		"candidates", res.Candidates, "explanations", len(res.Explanations),
 		"rid", RequestIDFromContext(r.Context()))
-	writeJSON(w, http.StatusOK, NewDiagnoseResponse(res))
+	writeJSON(w, http.StatusOK, newDiagnoseResponse(res))
 }
 
 // handleAttributes is GET /v1/attributes?prefix=&limit=&cursor=: the

@@ -138,7 +138,7 @@ func TestDiagnoseResponseNeverEmitsNaN(t *testing.T) {
 		}},
 		Bottlenecks: []diagnose.Bottleneck{{Metric: "m", MeanA: nan, MeanB: inf, Delta: nan}},
 	}
-	raw, err := json.Marshal(NewDiagnoseResponse(res))
+	raw, err := json.Marshal(newDiagnoseResponse(res))
 	if err != nil {
 		t.Fatalf("marshal with NaN inputs: %v", err)
 	}

@@ -521,14 +521,13 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusInternalServerError, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, NewCompareResponse(cmp, q.Get("metric"), threshold, top))
+	writeJSON(w, http.StatusOK, newCompareResponse(cmp, q.Get("metric"), threshold, top))
 }
 
-// NewCompareResponse converts a comparison into its wire form: the
+// newCompareResponse converts a comparison into its wire form: the
 // metric filter applied, then the summary, the pairs, regressions and
-// improvements beyond threshold, and the top bottlenecks. Exported so
-// ptcompare renders local and remote comparisons through one path.
-func NewCompareResponse(cmp *compare.Comparison, metric string, threshold float64, top int) CompareResponse {
+// improvements beyond threshold, and the top bottlenecks.
+func newCompareResponse(cmp *compare.Comparison, metric string, threshold float64, top int) CompareResponse {
 	if metric != "" {
 		cmp = cmp.FilterMetric(metric)
 	}

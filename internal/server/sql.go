@@ -108,8 +108,8 @@ func sqlPlanWire(plan *planner.Plan, req SQLRequest) *PlanWire {
 }
 
 // NewSQLResponse builds the buffered /v1/sql reply for an executed
-// statement, applying the request's Limit. ptsql -db builds the same
-// body locally, so both of its doors print through one function.
+// statement, applying the request's Limit. ptsql -naive builds the same
+// body from its unplanned run, so it prints through the same function.
 func NewSQLResponse(res *sqldb.Result, plan *planner.Plan, req SQLRequest) SQLResponse {
 	rows := res.Rows
 	truncated := false

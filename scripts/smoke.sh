@@ -4,8 +4,8 @@
 # generate data, ingest it over HTTP with ptload -remote, and query it
 # back with ptquery -remote. Exercises startup, ingest, query, reports,
 # health, metrics, remote and local ptdiagnose (including the not-found
-# hint), remote and local ptcompare (one output), and graceful SIGTERM
-# shutdown (drain + checkpoint).
+# hint), remote and local ptquery, ptsql and ptcompare (one output each),
+# and graceful SIGTERM shutdown (drain + checkpoint).
 # A second pass starts a fresh durable store, loads enough results to
 # compact and then a little more, kills the server without a checkpoint,
 # and verifies that the logs held only what no segment did, that recovery
@@ -90,8 +90,9 @@ bin/ptquery -remote "$base" -family 'type=application' -count
 count=$(bin/ptquery -remote "$base" -family 'type=application' -count 2>&1 |
     sed -n 's/^pr-filter matches \([0-9]*\) performance results$/\1/p')
 [ "$count" -gt 0 ] || { echo "remote query matched nothing" >&2; exit 1; }
-bin/ptquery -remote "$base" -family 'type=application' -sort value -limit 5
-bin/ptquery -remote "$base" -report executions | grep -q smg-bgl-000
+bin/ptquery -remote "$base" -family 'type=application' -sort value -limit 5 > query_remote.txt
+bin/ptquery -remote "$base" -report executions > report_remote.txt
+grep -q smg-bgl-000 report_remote.txt
 bin/ptquery -remote "$base" -report stats
 
 echo "== remote SQL through the planner"
@@ -179,6 +180,12 @@ echo "== local ptquery sees the served store"
 final=$(bin/ptquery -db store -family 'type=application' -count 2>&1 |
     sed -n 's/^pr-filter matches \([0-9]*\) performance results$/\1/p')
 [ "$final" = "$count" ] || { echo "post-shutdown count $final != served count $count" >&2; exit 1; }
+
+echo "== local ptquery prints what the served one did"
+bin/ptquery -db store -family 'type=application' -sort value -limit 5 > query_local.txt
+diff query_remote.txt query_local.txt || { echo "ptquery -db and -remote print one table differently" >&2; exit 1; }
+bin/ptquery -db store -report executions > report_local.txt
+diff report_remote.txt report_local.txt || { echo "ptquery -db and -remote print one report differently" >&2; exit 1; }
 
 echo "== local ptsql: planned and naive answers agree"
 sqlq="SELECT metric, count(*), avg(value) FROM performance_result GROUP BY metric ORDER BY metric"
