@@ -25,6 +25,7 @@ package perftrack
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -78,24 +79,30 @@ func newBenchStore(b *testing.B, machine string) *datastore.Store {
 	if err != nil {
 		b.Fatal(err)
 	}
+	batch := s.NewBatch()
 	for _, rec := range m.ToPTdf(2) {
-		if err := s.LoadRecord(rec); err != nil {
-			b.Fatal(err)
-		}
+		batch.Stage(rec)
+	}
+	if _, err := batch.CommitCtx(context.Background()); err != nil {
+		b.Fatal(err)
 	}
 	return s
 }
 
+// loadRecords loads recs as one batch and returns how many results they
+// hold.
 func loadRecords(b *testing.B, s *datastore.Store, recs []ptdf.Record) int {
 	b.Helper()
+	batch := s.NewBatch()
 	results := 0
 	for _, rec := range recs {
-		if err := s.LoadRecord(rec); err != nil {
-			b.Fatal(err)
-		}
+		batch.Stage(rec)
 		if _, ok := rec.(ptdf.PerfResultRec); ok {
 			results++
 		}
+	}
+	if _, err := batch.CommitCtx(context.Background()); err != nil {
+		b.Fatal(err)
 	}
 	return results
 }
@@ -171,22 +178,22 @@ func fig34Store(b *testing.B) *datastore.Store {
 // families are added to a pr-filter.
 func BenchmarkFig3MatchCounts(b *testing.B) {
 	s := fig34Store(b)
-	machineFam, err := s.ApplyFilter(core.ResourceFilter{
+	machineFam, err := s.ApplyFilterCtx(context.Background(), core.ResourceFilter{
 		Name: "/MCRGrid/MCR", Include: core.IncludeDescendants,
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
-	appFam, err := s.ApplyFilter(core.ResourceFilter{Type: "application"})
+	appFam, err := s.ApplyFilterCtx(context.Background(), core.ResourceFilter{Type: "application"})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.CountFamilyMatches(machineFam); err != nil {
+		if _, err := s.CountFamilyMatchesCtx(context.Background(), machineFam); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := s.CountMatches(core.PRFilter{Families: []core.Family{machineFam, appFam}}); err != nil {
+		if _, err := s.CountMatchesCtx(context.Background(), core.PRFilter{Families: []core.Family{machineFam, appFam}}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -196,14 +203,14 @@ func BenchmarkFig3MatchCounts(b *testing.B) {
 // Columns workflow.
 func BenchmarkFig4TwoStepQuery(b *testing.B) {
 	s := fig34Store(b)
-	fam, err := s.ApplyFilter(core.ResourceFilter{Type: "application"})
+	fam, err := s.ApplyFilterCtx(context.Background(), core.ResourceFilter{Type: "application"})
 	if err != nil {
 		b.Fatal(err)
 	}
 	prf := core.PRFilter{Families: []core.Family{fam}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tbl, err := query.Retrieve(s, prf)
+		tbl, err := query.RetrieveCtx(context.Background(), s, prf)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -285,10 +292,12 @@ func BenchmarkParadynImport(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
+		batch := s.NewBatch()
 		for _, rec := range recs {
-			if err := s.LoadRecord(rec); err != nil {
-				b.Fatal(err)
-			}
+			batch.Stage(rec)
+		}
+		if _, err := batch.CommitCtx(context.Background()); err != nil {
+			b.Fatal(err)
 		}
 		b.StopTimer()
 		s.Engine().Close()
@@ -318,7 +327,7 @@ func BenchmarkCompareExecutions(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cmp, err := compare.Executions(s, "cmp-0", "cmp-1")
+		cmp, err := compare.ExecutionsCtx(context.Background(), s, "cmp-0", "cmp-1")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -358,10 +367,12 @@ func BenchmarkParadynCompactVsPerBin(b *testing.B) {
 					b.Fatal(err)
 				}
 				b.StartTimer()
+				batch := s.NewBatch()
 				for _, rec := range c.recs {
-					if err := s.LoadRecord(rec); err != nil {
-						b.Fatal(err)
-					}
+					batch.Stage(rec)
+				}
+				if _, err := batch.CommitCtx(context.Background()); err != nil {
+					b.Fatal(err)
 				}
 				b.StopTimer()
 				s.Engine().Close()
@@ -380,10 +391,12 @@ func BenchmarkAncestryClosureVsWalk(b *testing.B) {
 	s := newBenchStore(b, "MCR")
 	// A deep machine subtree.
 	m, _ := gen.MachineByName("Frost")
+	batch := s.NewBatch()
 	for _, rec := range m.ToPTdf(16) {
-		if err := s.LoadRecord(rec); err != nil {
-			b.Fatal(err)
-		}
+		batch.Stage(rec)
+	}
+	if _, err := batch.CommitCtx(context.Background()); err != nil {
+		b.Fatal(err)
 	}
 	root := core.ResourceName("/SingleMachineFrost/Frost")
 	leaf := core.ResourceName("/SingleMachineFrost/Frost/batch/frost0/p0")
@@ -422,10 +435,12 @@ func BenchmarkEngine(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			batch := s.NewBatch()
 			for _, rec := range machineRecs {
-				if err := s.LoadRecord(rec); err != nil {
-					b.Fatal(err)
-				}
+				batch.Stage(rec)
+			}
+			if _, err := batch.CommitCtx(context.Background()); err != nil {
+				b.Fatal(err)
 			}
 			b.StartTimer()
 			loadRecords(b, s, recs)
@@ -511,7 +526,7 @@ func prFilterEngineFamilies(b *testing.B, s *datastore.Store) []core.Family {
 	}
 	fams := make([]core.Family, 0, len(specs))
 	for _, rf := range specs {
-		fam, err := s.ApplyFilter(rf)
+		fam, err := s.ApplyFilterCtx(context.Background(), rf)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -536,7 +551,7 @@ func BenchmarkPRFilterEngine(b *testing.B) {
 	}}
 	b.Run("ApplyFilter/attr", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			fam, err := s.ApplyFilter(attrFilter)
+			fam, err := s.ApplyFilterCtx(context.Background(), attrFilter)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -550,18 +565,18 @@ func BenchmarkPRFilterEngine(b *testing.B) {
 		b.Run(fmt.Sprintf("CountMatches/cold-%dfam", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				s.InvalidateQueryCache()
-				if _, err := s.CountMatches(prf); err != nil {
+				if _, err := s.CountMatchesCtx(context.Background(), prf); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 		b.Run(fmt.Sprintf("CountMatches/cached-%dfam", n), func(b *testing.B) {
-			if _, err := s.CountMatches(prf); err != nil {
+			if _, err := s.CountMatchesCtx(context.Background(), prf); err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := s.CountMatches(prf); err != nil {
+				if _, err := s.CountMatchesCtx(context.Background(), prf); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -591,7 +606,7 @@ func BenchmarkPRFilterScaling(b *testing.B) {
 				}
 				loadRecords(b, s, recs)
 			}
-			fam, err := s.ApplyFilter(core.ResourceFilter{
+			fam, err := s.ApplyFilterCtx(context.Background(), core.ResourceFilter{
 				Name: "/irs-code/irs.c/main", Include: core.IncludeDescendants,
 			})
 			if err != nil {
@@ -600,7 +615,7 @@ func BenchmarkPRFilterScaling(b *testing.B) {
 			prf := core.PRFilter{Families: []core.Family{fam}}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				n, err := s.CountMatches(prf)
+				n, err := s.CountMatchesCtx(context.Background(), prf)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -631,12 +646,12 @@ func materializeBenchStore(b *testing.B) (*datastore.Store, []int64, core.PRFilt
 	s := newBenchStore(b, "UV")
 	recs := prepareExecutionRecords(b, gen.KindSMGUV, "UV", 64)
 	loadRecords(b, s, recs)
-	fam, err := s.ApplyFilter(core.ResourceFilter{Type: "application"})
+	fam, err := s.ApplyFilterCtx(context.Background(), core.ResourceFilter{Type: "application"})
 	if err != nil {
 		b.Fatal(err)
 	}
 	prf := core.PRFilter{Families: []core.Family{fam}}
-	ids, err := s.MatchingResultIDs(prf)
+	ids, err := s.MatchingResultIDsCtx(context.Background(), prf)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -657,15 +672,23 @@ func materializeBenchStore(b *testing.B) (*datastore.Store, []int64, core.PRFilt
 //	            grouped link scans, and a shared focus cache — the
 //	            algorithmic win without parallelism
 //	batch-wN    the batch engine fanned over GOMAXPROCS workers
-//	stream      MaterializeStream in default-size chunks (the bounded-
-//	            memory variant behind /v1/results?stream=1)
-//	query-cold  QueryResults end to end with the match cache invalidated
-//	            (pr-filter evaluation + batch materialization)
-//	query-warm  QueryResults with a warm match cache — the interactive
+//	stream      MaterializeStreamCtx in default-size chunks (the
+//	            bounded-memory variant behind /v1/results?stream=1)
+//	query-cold  pr-filter evaluation + batch materialization end to end
+//	            with the match cache invalidated
+//	query-warm  the same with a warm match cache — the interactive
 //	            "get data" click after the live counts already ran
 func BenchmarkMaterialize(b *testing.B) {
+	ctx := context.Background()
 	s, ids, prf := materializeBenchStore(b)
 	n := len(ids)
+	query := func() ([]*core.PerformanceResult, error) {
+		ids, err := s.MatchingResultIDsCtx(ctx, prf)
+		if err != nil {
+			return nil, err
+		}
+		return s.MaterializeResultsCtx(ctx, ids)
+	}
 	report := func(b *testing.B) {
 		b.ReportMetric(float64(n), "results")
 		b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "results/s")
@@ -682,7 +705,14 @@ func BenchmarkMaterialize(b *testing.B) {
 	})
 	b.Run("batch-w1", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			out, err := s.MaterializeResultsOpts(ids, datastore.MaterializeOptions{Workers: 1})
+			// One chunk of all of ids: MaterializeResultsCtx's work on one
+			// worker.
+			var out []*core.PerformanceResult
+			err := s.MaterializeStreamCtx(ctx, ids, datastore.MaterializeOptions{Workers: 1, ChunkSize: n},
+				func(batch []*core.PerformanceResult) error {
+					out = batch
+					return nil
+				})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -694,7 +724,7 @@ func BenchmarkMaterialize(b *testing.B) {
 	})
 	b.Run(fmt.Sprintf("batch-wn%d", runtime.GOMAXPROCS(0)), func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			out, err := s.MaterializeResults(ids)
+			out, err := s.MaterializeResultsCtx(context.Background(), ids)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -707,7 +737,7 @@ func BenchmarkMaterialize(b *testing.B) {
 	b.Run("stream", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			got := 0
-			err := s.MaterializeStream(ids, datastore.MaterializeOptions{},
+			err := s.MaterializeStreamCtx(context.Background(), ids, datastore.MaterializeOptions{},
 				func(batch []*core.PerformanceResult) error {
 					got += len(batch)
 					return nil
@@ -724,7 +754,7 @@ func BenchmarkMaterialize(b *testing.B) {
 	b.Run("query-cold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			s.InvalidateQueryCache()
-			out, err := s.QueryResults(prf)
+			out, err := query()
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -735,12 +765,12 @@ func BenchmarkMaterialize(b *testing.B) {
 		report(b)
 	})
 	b.Run("query-warm", func(b *testing.B) {
-		if _, err := s.QueryResults(prf); err != nil {
+		if _, err := query(); err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			out, err := s.QueryResults(prf)
+			out, err := query()
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -860,10 +890,12 @@ func BenchmarkBulkLoad(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		batch := s.NewBatch()
 		for _, rec := range m.ToPTdf(2) {
-			if err := s.LoadRecord(rec); err != nil {
-				b.Fatal(err)
-			}
+			batch.Stage(rec)
+		}
+		if _, err := batch.CommitCtx(context.Background()); err != nil {
+			b.Fatal(err)
 		}
 		return s, func() { fe.Close(); os.RemoveAll(dir) }
 	}
@@ -925,7 +957,9 @@ func BenchmarkBulkLoad(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if err := s.LoadRecord(rec); err != nil {
+				batch := s.NewBatch()
+				batch.Stage(rec)
+				if _, err := batch.CommitCtx(context.Background()); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -940,10 +974,23 @@ func BenchmarkBulkLoad(b *testing.B) {
 		}
 	}))
 	b.Run("j4", run(func(b *testing.B, s *datastore.Store) {
-		for _, dr := range s.BulkLoadFiles(paths, 4) {
-			if dr.Err != nil {
-				b.Fatal(dr.Err)
+		i := 0
+		next := func() (string, io.ReadCloser, error) {
+			if i == len(paths) {
+				return "", nil, io.EOF
 			}
+			i++
+			f, err := os.Open(paths[i-1])
+			return paths[i-1], f, err
+		}
+		var failed error
+		err := s.BulkLoadStreamCtx(context.Background(), next, 4, func(dr datastore.DocResult) {
+			if failed == nil {
+				failed = dr.Err
+			}
+		})
+		if err = errors.Join(err, failed); err != nil {
+			b.Fatal(err)
 		}
 	}))
 }
@@ -964,7 +1011,7 @@ func benchResultRows(b *testing.B) int {
 	return n
 }
 
-// BenchmarkMaterializeEngines compares the full MaterializeResults fetch
+// BenchmarkMaterializeEngines compares the full MaterializeResultsCtx fetch
 // path across storage shapes on the synthetic corpus (benchResultRows
 // result rows, heavily shared foci): a store in memory and one in a
 // directory that have compacted nothing, and a directory store compacted
@@ -1009,13 +1056,13 @@ func BenchmarkMaterializeEngines(b *testing.B) {
 			// One warm-up run fills the name caches, then a forced GC
 			// clears seeding garbage so collector debt from the 100k-row
 			// load doesn't land inside another engine's timed region.
-			if _, err := s.MaterializeResults(ids[:100]); err != nil {
+			if _, err := s.MaterializeResultsCtx(context.Background(), ids[:100]); err != nil {
 				b.Fatal(err)
 			}
 			runtime.GC()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				out, err := s.MaterializeResults(ids)
+				out, err := s.MaterializeResultsCtx(context.Background(), ids)
 				if err != nil {
 					b.Fatal(err)
 				}

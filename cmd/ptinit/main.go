@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 
@@ -35,7 +36,7 @@ func main() {
 			for _, rec := range m.ToPTdf(*maxNodes) {
 				b.Stage(rec)
 			}
-			if _, err := b.Commit(); err != nil {
+			if _, err := b.CommitCtx(context.Background()); err != nil {
 				cli.Fatal(err)
 			}
 			fmt.Printf("loaded machine %s (%s)\n", m.Name, m.GridName)

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -19,6 +20,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	work, err := os.MkdirTemp("", "noise-study-*")
 	check(err)
 	defer os.RemoveAll(work)
@@ -27,13 +29,17 @@ func main() {
 	check(err)
 
 	// Neither platform had previously been input into the database: add
-	// descriptive data for UV and BG/L first, as the study did.
+	// descriptive data for UV and BG/L first, as the study did, one batch
+	// per machine.
 	for _, name := range []string{"UV", "BGL"} {
 		m, err := gen.MachineByName(name)
 		check(err)
+		b := store.NewBatch()
 		for _, rec := range m.ToPTdf(2) {
-			check(store.LoadRecord(rec))
+			b.Stage(rec)
 		}
+		_, err = b.CommitCtx(ctx)
+		check(err)
 		fmt.Printf("added platform %s\n", name)
 	}
 
@@ -86,7 +92,7 @@ func main() {
 	if len(callees) > 0 {
 		callee := callees[0]
 		fam := core.NewFamily(callee)
-		tbl, err := query.Retrieve(store, core.PRFilter{Families: []core.Family{fam}})
+		tbl, err := query.RetrieveCtx(ctx, store, core.PRFilter{Families: []core.Family{fam}})
 		check(err)
 		callers := map[core.ResourceName]bool{}
 		for _, row := range tbl.Rows {
@@ -110,9 +116,9 @@ func main() {
 	}
 
 	// Cross-platform: SMG Solve wall time on both machines, per execution.
-	appFam, err := store.ApplyFilter(core.ResourceFilter{Type: "application"})
+	appFam, err := store.ApplyFilterCtx(ctx, core.ResourceFilter{Type: "application"})
 	check(err)
-	tbl, err := query.Retrieve(store, core.PRFilter{Families: []core.Family{appFam}})
+	tbl, err := query.RetrieveCtx(ctx, store, core.PRFilter{Families: []core.Family{appFam}})
 	check(err)
 	tbl.FilterMetric("SMG Solve wall clock time")
 	check(tbl.AddColumn("grid/machine", false))

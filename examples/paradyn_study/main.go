@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -22,6 +23,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	work, err := os.MkdirTemp("", "paradyn-study-*")
 	check(err)
 	defer os.RemoveAll(work)
@@ -31,9 +33,12 @@ func main() {
 	check(err)
 	m, err := gen.MachineByName("MCR")
 	check(err)
+	b := store.NewBatch()
 	for _, rec := range m.ToPTdf(2) {
-		check(store.LoadRecord(rec))
+		b.Stage(rec)
 	}
+	_, err = b.CommitCtx(ctx)
+	check(err)
 
 	// Three Paradyn sessions of IRS on MCR, exported to disk as Paradyn
 	// writes them: histogram files, index, resources, search history.
@@ -50,13 +55,17 @@ func main() {
 		check(err)
 		recs, err := bundle.ToPTdf("irs", execName)
 		check(err)
+		// One batch per session: it loads whole or not at all.
+		b := store.NewBatch()
 		results := 0
 		for _, rec := range recs {
-			check(store.LoadRecord(rec))
+			b.Stage(rec)
 			if _, ok := rec.(ptdf.PerfResultRec); ok {
 				results++
 			}
 		}
+		_, err = b.CommitCtx(ctx)
+		check(err)
 		fmt.Printf("imported %s: %d Paradyn resources, %d histograms, %d results (nan bins skipped)\n",
 			execName, len(bundle.Resources), len(bundle.Histograms), results)
 	}
@@ -69,9 +78,9 @@ func main() {
 
 	// Query across the imported data: cpu_inclusive over one execution's
 	// time bins, showing when instrumentation produced data.
-	execFam, err := store.ApplyFilter(core.ResourceFilter{Name: "/irs-paradyn-000", Include: core.IncludeDescendants})
+	execFam, err := store.ApplyFilterCtx(ctx, core.ResourceFilter{Name: "/irs-paradyn-000", Include: core.IncludeDescendants})
 	check(err)
-	tbl, err := query.Retrieve(store, core.PRFilter{Families: []core.Family{execFam}})
+	tbl, err := query.RetrieveCtx(ctx, store, core.PRFilter{Families: []core.Family{execFam}})
 	check(err)
 	tbl.FilterMetric("cpu_inclusive")
 	fmt.Printf("\ncpu_inclusive results in irs-paradyn-000: %d\n", len(tbl.Rows))

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -21,6 +22,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	work, err := os.MkdirTemp("", "purple-study-*")
 	check(err)
 	defer os.RemoveAll(work)
@@ -28,13 +30,17 @@ func main() {
 	store, err := datastore.Open(reldb.NewMem())
 	check(err)
 
-	// Machine descriptions were already in the store before the study.
+	// Machine descriptions were already in the store before the study,
+	// each loaded as one batch.
 	for _, name := range []string{"MCR", "Frost"} {
 		m, err := gen.MachineByName(name)
 		check(err)
+		b := store.NewBatch()
 		for _, rec := range m.ToPTdf(2) {
-			check(store.LoadRecord(rec))
+			b.Stage(rec)
 		}
+		_, err = b.CommitCtx(ctx)
+		check(err)
 	}
 
 	// Generate raw IRS output for a few runs per platform, build the
@@ -72,13 +78,13 @@ func main() {
 
 	// Navigate: results for one function on Frost, with free-resource
 	// columns added in a second step (the Figure 4 workflow).
-	frostFam, err := store.ApplyFilter(core.ResourceFilter{
+	frostFam, err := store.ApplyFilterCtx(ctx, core.ResourceFilter{
 		Name: "/SingleMachineFrost/Frost", Include: core.IncludeDescendants,
 	})
 	check(err)
-	fnFam, err := store.ApplyFilter(core.ResourceFilter{Name: "/irs-code/irs.c/radsolve"})
+	fnFam, err := store.ApplyFilterCtx(ctx, core.ResourceFilter{Name: "/irs-code/irs.c/radsolve"})
 	check(err)
-	tbl, err := query.Retrieve(store, core.PRFilter{Families: []core.Family{frostFam, fnFam}})
+	tbl, err := query.RetrieveCtx(ctx, store, core.PRFilter{Families: []core.Family{frostFam, fnFam}})
 	check(err)
 	tbl.FilterMetric("WallTime max")
 	check(tbl.AddColumn("execution", false))
@@ -89,7 +95,7 @@ func main() {
 	}
 
 	// Cross-platform comparison (the reason the study ran on both).
-	cmp, err := compare.Executions(store, "irs-Frost-000", "irs-MCR-000")
+	cmp, err := compare.ExecutionsCtx(ctx, store, "irs-Frost-000", "irs-MCR-000")
 	check(err)
 	sum := cmp.Summarize()
 	fmt.Printf("\nFrost vs MCR: %d aligned pairs, geometric-mean ratio %.3f (MCR/Frost)\n",

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -16,6 +17,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	// A store needs a storage engine: in-memory here, reldb.OpenFile for
 	// durability. Opening bootstraps the Figure 1 schema and the base
 	// resource types.
@@ -54,20 +56,20 @@ func main() {
 
 	// Build a pr-filter: one family per constraint. Choosing the machine
 	// includes its descendants, like the GUI's default "D" flag.
-	machineFam, err := store.ApplyFilter(core.ResourceFilter{
+	machineFam, err := store.ApplyFilterCtx(ctx, core.ResourceFilter{
 		Name: "/LabGrid/Hype", Include: core.IncludeDescendants,
 	})
 	check(err)
-	appFam, err := store.ApplyFilter(core.ResourceFilter{Type: "application"})
+	appFam, err := store.ApplyFilterCtx(ctx, core.ResourceFilter{Type: "application"})
 	check(err)
 	prf := core.PRFilter{Families: []core.Family{machineFam, appFam}}
 
-	n, err := store.CountMatches(prf)
+	n, err := store.CountMatchesCtx(ctx, prf)
 	check(err)
 	fmt.Printf("pr-filter matches %d performance results\n", n)
 
 	// Retrieve into a table, add a free-resource column, sort, chart.
-	tbl, err := query.Retrieve(store, prf)
+	tbl, err := query.RetrieveCtx(ctx, store, prf)
 	check(err)
 	check(tbl.AddColumn("execution/process", false))
 	tbl.SortBy("value", false)

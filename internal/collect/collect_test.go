@@ -1,6 +1,7 @@
 package collect
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -122,10 +123,12 @@ func loadRecords(t *testing.T, recs []ptdf.Record) *datastore.Store {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, rec := range recs {
-		if err := s.LoadRecord(rec); err != nil {
-			t.Fatalf("record %d (%s): %v", i, ptdf.FormatRecord(rec), err)
-		}
+	batch := s.NewBatch()
+	for _, rec := range recs {
+		batch.Stage(rec)
+	}
+	if _, err := batch.CommitCtx(context.Background()); err != nil {
+		t.Fatal(err)
 	}
 	return s
 }

@@ -78,7 +78,8 @@ type Comparison struct {
 	OnlyB        []int64 // and of B's with none in A
 }
 
-// Executions is ExecutionsCtx with no caller to give up.
+// Executions is ExecutionsCtx without a context, kept only because
+// bench/e2e's frozen replay calls it.
 func Executions(s *datastore.Store, execA, execB string) (*Comparison, error) {
 	return ExecutionsCtx(context.Background(), s, execA, execB)
 }

@@ -217,7 +217,7 @@ func TestExecutionResourceIDs(t *testing.T) {
 
 func TestExecutionsOfResults(t *testing.T) {
 	s := seedStudy(t)
-	ids, err := s.MatchingResultIDs(core.PRFilter{})
+	ids, err := s.MatchingResultIDsCtx(context.Background(), core.PRFilter{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,20 +16,20 @@ var ErrBatchDone = errors.New("datastore: batch already finished")
 
 // Batch is the store's multi-record write unit: begin with NewBatch,
 // stage any number of PTdf records — no lock is taken and the store is
-// not touched — then Commit applies them all in one critical section.
+// not touched — then CommitCtx applies them all in one critical section.
 // Staging is therefore free to run concurrently with readers, other
-// stagers, and even other commits; only Commit serializes on the writer
-// mutex.
+// stagers, and even other commits; only CommitCtx serializes on the
+// writer mutex.
 //
-// Commit is transactional per batch: every record applies inside one
+// CommitCtx is transactional per batch: every record applies inside one
 // engine transaction, whose rows — of every table — are private to it
 // until the engine commits them all at once. A reader sees none or all
 // of a document's rows; a bad record rolls the whole batch back, and the
 // engine never saw a row of it, so nothing is undone or logged. The store
 // generation bumps exactly once, and the commit flushes each log it
 // touched exactly once. This is the write API every multi-record path
-// sits on: LoadPTdf stages one document per batch, and BulkLoad pipelines
-// many batches from parallel decoders into a single committer.
+// sits on: LoadPTdfCtx stages one document per batch, and
+// BulkLoadStreamCtx feeds parallel decoders' batches to one committer.
 type Batch struct {
 	s     *Store
 	recs  []ptdf.Record
@@ -42,7 +42,7 @@ func (s *Store) NewBatch() *Batch {
 	return &Batch{s: s}
 }
 
-// Stage buffers one record for the next Commit, updating the staged
+// Stage buffers one record for the next CommitCtx, updating the staged
 // statistics. It takes no locks and cannot fail: validation happens at
 // commit time, inside the transaction.
 func (b *Batch) Stage(rec ptdf.Record) {
@@ -69,22 +69,14 @@ func (b *Batch) Stage(rec ptdf.Record) {
 // Len reports the number of staged records.
 func (b *Batch) Len() int { return len(b.recs) }
 
-// Stats reports the statistics of the records staged so far.
-func (b *Batch) Stats() LoadStats { return b.stats }
-
-// Commit applies every staged record in order inside one writer critical
-// section: one engine transaction, one generation bump, and one flush of
-// each log the transaction touched. On error nothing of the batch remains
-// (the transaction rolls back and the names directory is reloaded from
-// the rows) and the error names the failing record.
-func (b *Batch) Commit() (LoadStats, error) {
-	return b.CommitCtx(context.Background())
-}
-
-// CommitCtx is Commit under a context: when a trace rides ctx, the
-// commit records a datastore.batch.commit span, annotated with the record
-// count, that covers the engine commit and its log flush. The context
-// carries telemetry only — commit is not cancelable midway, by design: a
+// CommitCtx applies every staged record in order inside one writer
+// critical section: one engine transaction, one generation bump, and one
+// flush of each log the transaction touched. On error nothing of the
+// batch remains (the transaction rolls back and the names directory is
+// reloaded from the rows) and the error names the failing record. A
+// trace riding ctx gets a datastore.batch.commit span with the record
+// count, covering the engine commit and its log flush. ctx carries
+// telemetry only: by design a commit is not cancelable midway, so a
 // batch either fully applies or fully rolls back.
 func (b *Batch) CommitCtx(ctx context.Context) (LoadStats, error) {
 	if b.done {

@@ -1,6 +1,7 @@
 package datastore
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -22,6 +23,12 @@ func resultFor(exec, res string) ptdf.PerfResultRec {
 	}
 }
 
+// commitOne loads rec as a one-record batch.
+func commitOne(s *Store, rec ptdf.Record) error {
+	_, err := stage(s, []ptdf.Record{rec}).CommitCtx(context.Background())
+	return err
+}
+
 func TestBatchStageCommit(t *testing.T) {
 	s := newStore(t)
 	b := s.NewBatch()
@@ -38,7 +45,7 @@ func TestBatchStageCommit(t *testing.T) {
 	}
 
 	genBefore := s.Generation()
-	stats, err := b.Commit()
+	stats, err := b.CommitCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,10 +65,10 @@ func TestBatchCommitTwice(t *testing.T) {
 	s := newStore(t)
 	b := s.NewBatch()
 	b.Stage(ptdf.ApplicationRec{Name: "a"})
-	if _, err := b.Commit(); err != nil {
+	if _, err := b.CommitCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.Commit(); !errors.Is(err, ErrBatchDone) {
+	if _, err := b.CommitCtx(context.Background()); !errors.Is(err, ErrBatchDone) {
 		t.Errorf("second commit: err = %v, want ErrBatchDone", err)
 	}
 }
@@ -69,7 +76,7 @@ func TestBatchCommitTwice(t *testing.T) {
 func TestBatchEmptyCommitIsNoOp(t *testing.T) {
 	s := newStore(t)
 	gen := s.Generation()
-	if _, err := s.NewBatch().Commit(); err != nil {
+	if _, err := s.NewBatch().CommitCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if s.Generation() != gen {
@@ -82,7 +89,7 @@ func TestBatchRollbackDiscards(t *testing.T) {
 	b := s.NewBatch()
 	b.Stage(ptdf.ApplicationRec{Name: "a"})
 	b.Rollback()
-	if _, err := b.Commit(); !errors.Is(err, ErrBatchDone) {
+	if _, err := b.CommitCtx(context.Background()); !errors.Is(err, ErrBatchDone) {
 		t.Errorf("commit after rollback: err = %v, want ErrBatchDone", err)
 	}
 	if got := s.Stats(); got.Applications != 0 {
@@ -97,7 +104,7 @@ func TestBatchCommitFailureRollsBackWholeBatch(t *testing.T) {
 	b.Stage(ptdf.ApplicationRec{Name: "a"})
 	b.Stage(ptdf.ExecutionRec{Name: "e1", App: "a"})
 	b.Stage(resultFor("nope", "/a"))
-	_, err := b.Commit()
+	_, err := b.CommitCtx(context.Background())
 	if err == nil {
 		t.Fatal("bad batch committed")
 	}
@@ -122,26 +129,35 @@ PerfResult exec-%d /app%d(primary) tool "wall time" %d.5 seconds
 `, i, i, i, i, i, i, i, i, i)
 }
 
-func bulkSources(n int, bad map[int]bool) []BulkSource {
-	docs := make([]BulkSource, n)
-	for i := 0; i < n; i++ {
-		i := i
+// bulkLoad streams docFor(0..n-1) through BulkLoadStreamCtx, the
+// documents in bad made unparseable, and returns the emitted results.
+func bulkLoad(t *testing.T, s *Store, n int, bad map[int]bool, workers int) []DocResult {
+	t.Helper()
+	i := 0
+	next := func() (string, io.ReadCloser, error) {
+		if i == n {
+			return "", nil, io.EOF
+		}
 		doc := docFor(i)
 		if bad[i] {
 			doc = strings.Replace(doc, "(primary)", "", 1) // drop focus: parse error
 		}
-		docs[i] = BulkSource{
-			Name: fmt.Sprintf("doc-%d", i),
-			Open: func() (io.ReadCloser, error) { return io.NopCloser(strings.NewReader(doc)), nil },
-		}
+		i++
+		return fmt.Sprintf("doc-%d", i-1), io.NopCloser(strings.NewReader(doc)), nil
 	}
-	return docs
+	var results []DocResult
+	if err := s.BulkLoadStreamCtx(context.Background(), next, workers, func(dr DocResult) {
+		results = append(results, dr)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return results
 }
 
 func TestBulkLoadParallelOrderAndTotals(t *testing.T) {
 	s := newStore(t)
 	const n = 16
-	results := s.BulkLoad(bulkSources(n, nil), 4)
+	results := bulkLoad(t, s, n, nil, 4)
 	if len(results) != n {
 		t.Fatalf("got %d results, want %d", len(results), n)
 	}
@@ -170,7 +186,7 @@ func TestBulkLoadFailedDocIsolated(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n = 8
-	results := s.BulkLoad(bulkSources(n, map[int]bool{3: true}), 4)
+	results := bulkLoad(t, s, n, map[int]bool{3: true}, 4)
 	for i, dr := range results {
 		if i == 3 {
 			if dr.Err == nil {
@@ -220,19 +236,6 @@ func TestBulkLoadFailedDocIsolated(t *testing.T) {
 	}
 }
 
-func TestBulkLoadOpenErrorFailsOneDoc(t *testing.T) {
-	s := newStore(t)
-	docs := bulkSources(3, nil)
-	docs[1].Open = func() (io.ReadCloser, error) { return nil, fmt.Errorf("no such file") }
-	results := s.BulkLoad(docs, 2)
-	if results[1].Err == nil || !strings.Contains(results[1].Err.Error(), "no such file") {
-		t.Errorf("doc 1 err = %v", results[1].Err)
-	}
-	if results[0].Err != nil || results[2].Err != nil {
-		t.Errorf("open failure spread: %v / %v", results[0].Err, results[2].Err)
-	}
-}
-
 func TestBulkLoadStreamSourceError(t *testing.T) {
 	s := newStore(t)
 	boom := fmt.Errorf("source exploded")
@@ -246,7 +249,7 @@ func TestBulkLoadStreamSourceError(t *testing.T) {
 		return fmt.Sprintf("doc-%d", i-1), io.NopCloser(strings.NewReader(doc)), nil
 	}
 	var emitted int
-	err := s.BulkLoadStream(next, 2, func(dr DocResult) {
+	err := s.BulkLoadStreamCtx(context.Background(), next, 2, func(dr DocResult) {
 		emitted++
 		if dr.Err != nil {
 			t.Errorf("%s failed: %v", dr.Name, dr.Err)
@@ -265,36 +268,36 @@ func TestBulkLoadStreamSourceError(t *testing.T) {
 // ErrBadSpec — the classes the server maps to 404/409/400.
 func TestSentinelErrors(t *testing.T) {
 	s := newStore(t)
-	if _, err := s.LoadPTdf(strings.NewReader("Application a\nExecution e1 a\n")); err != nil {
+	if _, err := s.LoadPTdfCtx(context.Background(), strings.NewReader("Application a\nExecution e1 a\n")); err != nil {
 		t.Fatal(err)
 	}
 
 	// Unknown execution reference.
-	err := s.LoadRecord(resultFor("ghost", "/nowhere"))
+	err := commitOne(s, resultFor("ghost", "/nowhere"))
 	if !errors.Is(err, ErrNotFound) {
 		t.Errorf("unknown execution: err = %v, want ErrNotFound", err)
 	}
 
 	// Redefining an execution under a different application.
-	if err := s.LoadRecord(ptdf.ApplicationRec{Name: "b"}); err != nil {
+	if err := commitOne(s, ptdf.ApplicationRec{Name: "b"}); err != nil {
 		t.Fatal(err)
 	}
-	err = s.LoadRecord(ptdf.ExecutionRec{Name: "e1", App: "b"})
+	err = commitOne(s, ptdf.ExecutionRec{Name: "e1", App: "b"})
 	if !errors.Is(err, ErrExists) {
 		t.Errorf("execution conflict: err = %v, want ErrExists", err)
 	}
 
 	// Redefining a resource with a different type.
-	if err := s.LoadRecord(ptdf.ResourceRec{Name: "/a", Type: "application"}); err != nil {
+	if err := commitOne(s, ptdf.ResourceRec{Name: "/a", Type: "application"}); err != nil {
 		t.Fatal(err)
 	}
-	err = s.LoadRecord(ptdf.ResourceRec{Name: "/a", Type: "execution"})
+	err = commitOne(s, ptdf.ResourceRec{Name: "/a", Type: "execution"})
 	if !errors.Is(err, ErrExists) {
 		t.Errorf("resource type conflict: err = %v, want ErrExists", err)
 	}
 
 	// Syntax error in a document.
-	if _, err := s.LoadPTdf(strings.NewReader("Nonsense\n")); !errors.Is(err, ErrBadSpec) {
+	if _, err := s.LoadPTdfCtx(context.Background(), strings.NewReader("Nonsense\n")); !errors.Is(err, ErrBadSpec) {
 		t.Errorf("bad syntax: err = %v, want ErrBadSpec", err)
 	}
 
@@ -340,7 +343,7 @@ func TestTxBatchAppearsWhole(t *testing.T) {
 	for _, kind := range []string{reldb.KindMem, reldb.KindSegment} {
 		t.Run(kind, func(t *testing.T) {
 			s := openKind(t, kind)
-			if _, err := stage(s, shapedShared(procs, funcs)).Commit(); err != nil {
+			if _, err := stage(s, shapedShared(procs, funcs)).CommitCtx(context.Background()); err != nil {
 				t.Fatal(err)
 			}
 			base, tables := map[string]int{}, map[string]*reldb.Table{}
@@ -384,7 +387,7 @@ func TestTxBatchAppearsWhole(t *testing.T) {
 				} else {
 					visible.Add(1)
 				}
-				_, err := stage(s, recs).Commit()
+				_, err := stage(s, recs).CommitCtx(context.Background())
 				if bad != (err != nil) {
 					t.Fatalf("document %d (refused at its last record: %v): %v", k, bad, err)
 				}

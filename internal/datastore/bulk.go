@@ -4,20 +4,9 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"os"
 	"runtime"
 	"sync"
-
-	"perftrack/internal/ptdf"
 )
-
-// BulkSource names one PTdf document for a bulk load. Open is called at
-// most once, from a decode worker goroutine; the returned reader must be
-// independently readable (workers read several documents concurrently).
-type BulkSource struct {
-	Name string
-	Open func() (io.ReadCloser, error)
-}
 
 // DocResult is the per-document outcome of a bulk load. Err is nil when
 // the document committed; a failed document rolled back completely and
@@ -37,7 +26,7 @@ type bulkDoc struct {
 	err   error
 }
 
-// BulkLoadStream is the streaming bulk-ingest pipeline: next yields
+// BulkLoadStreamCtx is the streaming bulk-ingest pipeline: next yields
 // documents in order (io.EOF ends the stream), `workers` goroutines
 // decode them in parallel into staged batches, and a single committer
 // commits each batch transactionally in input order. Bounded channels
@@ -49,12 +38,8 @@ type bulkDoc struct {
 //
 // A non-EOF error from next stops dispatching and is returned after the
 // already-dispatched documents finish.
-func (s *Store) BulkLoadStream(next func() (string, io.ReadCloser, error), workers int, emit func(DocResult)) error {
-	return s.BulkLoadStreamCtx(context.Background(), next, workers, emit)
-}
-
-// BulkLoadStreamCtx is BulkLoadStream under a context: when a trace
-// rides ctx, each document's commit records its own
+//
+// When a trace rides ctx, each document's commit records its own
 // datastore.batch.commit span (the decode fan-out is not traced — its
 // cost shows up as the gap between commit spans).
 func (s *Store) BulkLoadStreamCtx(ctx context.Context, next func() (string, io.ReadCloser, error), workers int, emit func(DocResult)) error {
@@ -95,23 +80,9 @@ func (s *Store) BulkLoadStreamCtx(ctx context.Context, next func() (string, io.R
 		go func() {
 			defer wg.Done()
 			for j := range jobs {
-				b := s.NewBatch()
-				r := ptdf.NewReader(j.rc)
-				var derr error
-				for {
-					rec, err := r.Next()
-					if err == io.EOF {
-						break
-					}
-					if err != nil {
-						// Fail fast: stop decoding this document, move on.
-						derr = fmt.Errorf("%w: %w", err, ErrBadSpec)
-						break
-					}
-					b.Stage(rec)
-				}
+				b, err := s.decode(j.rc)
 				j.rc.Close()
-				decoded <- bulkDoc{index: j.index, name: j.name, batch: b, err: derr}
+				decoded <- bulkDoc{index: j.index, name: j.name, batch: b, err: err}
 			}
 		}()
 	}
@@ -147,43 +118,3 @@ func (s *Store) BulkLoadStreamCtx(ctx context.Context, next func() (string, io.R
 	}
 	return srcErr
 }
-
-// BulkLoad loads many PTdf documents with parallel decoding and a single
-// transactional committer, returning one result per document in input
-// order. See BulkLoadStream for the pipeline semantics.
-func (s *Store) BulkLoad(docs []BulkSource, workers int) []DocResult {
-	out := make([]DocResult, 0, len(docs))
-	i := 0
-	next := func() (string, io.ReadCloser, error) {
-		if i >= len(docs) {
-			return "", nil, io.EOF
-		}
-		d := docs[i]
-		i++
-		rc, err := d.Open()
-		if err != nil {
-			// A document that cannot be opened fails alone, not the stream:
-			// hand the workers a reader that reports the error.
-			return d.Name, errReadCloser{err}, nil
-		}
-		return d.Name, rc, nil
-	}
-	s.BulkLoadStream(next, workers, func(dr DocResult) { out = append(out, dr) })
-	return out
-}
-
-// BulkLoadFiles bulk-loads PTdf files from disk.
-func (s *Store) BulkLoadFiles(paths []string, workers int) []DocResult {
-	docs := make([]BulkSource, len(paths))
-	for i, path := range paths {
-		path := path
-		docs[i] = BulkSource{Name: path, Open: func() (io.ReadCloser, error) { return os.Open(path) }}
-	}
-	return s.BulkLoad(docs, workers)
-}
-
-// errReadCloser surfaces a document-open failure through the decode path.
-type errReadCloser struct{ err error }
-
-func (e errReadCloser) Read([]byte) (int, error) { return 0, e.err }
-func (e errReadCloser) Close() error             { return nil }

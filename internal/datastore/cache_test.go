@@ -1,6 +1,7 @@
 package datastore
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -140,17 +141,17 @@ func TestMatchCacheByteBounded(t *testing.T) {
 			fmt.Fprintf(&b, "PerfResult bexec /bapp,/p%d,/hot(primary) tool \"wall time\" %d.5 seconds\n", p, i)
 		}
 	}
-	if _, err := s.LoadPTdf(strings.NewReader(b.String())); err != nil {
+	if _, err := s.LoadPTdfCtx(context.Background(), strings.NewReader(b.String())); err != nil {
 		t.Fatal(err)
 	}
 
 	count := func(name string) int {
 		t.Helper()
-		fam, err := s.ApplyFilter(core.ResourceFilter{Name: core.ResourceName(name)})
+		fam, err := s.ApplyFilterCtx(context.Background(), core.ResourceFilter{Name: core.ResourceName(name)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		n, err := s.CountFamilyMatches(fam)
+		n, err := s.CountFamilyMatchesCtx(context.Background(), fam)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,14 +199,14 @@ func TestMatchCacheChargesAllocation(t *testing.T) {
 		{Type: "application"},
 		{Name: "/GM/MCR", Include: core.IncludeDescendants},
 	} {
-		fam, err := s.ApplyFilter(rf)
+		fam, err := s.ApplyFilterCtx(context.Background(), rf)
 		if err != nil {
 			t.Fatal(err)
 		}
 		fams = append(fams, fam)
 	}
 	for i := range fams {
-		if _, err := s.CountMatches(core.PRFilter{Families: fams[:i+1]}); err != nil {
+		if _, err := s.CountMatchesCtx(context.Background(), core.PRFilter{Families: fams[:i+1]}); err != nil {
 			t.Fatal(err)
 		}
 	}

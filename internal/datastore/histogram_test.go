@@ -1,6 +1,7 @@
 package datastore
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -84,11 +85,11 @@ func TestHistogramResultQueryableByFilter(t *testing.T) {
 	if _, err := s.AddHistogramResult(histResult(), 0.2, []float64{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
-	fam, err := s.ApplyFilter(core.ResourceFilter{Type: "application"})
+	fam, err := s.ApplyFilterCtx(context.Background(), core.ResourceFilter{Type: "application"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := s.CountMatches(core.PRFilter{Families: []core.Family{fam}})
+	n, err := s.CountMatchesCtx(context.Background(), core.PRFilter{Families: []core.Family{fam}})
 	if err != nil || n != 1 {
 		t.Errorf("matches = %d, %v", n, err)
 	}
@@ -101,14 +102,14 @@ Execution e1 app
 Resource /app application
 PerfHistogram e1 /app(primary) Paradyn cpu 0.2 "units/second" nan,1.5,2.5
 `
-	stats, err := s.LoadPTdf(strings.NewReader(doc))
+	stats, err := s.LoadPTdfCtx(context.Background(), strings.NewReader(doc))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.Results != 1 {
 		t.Errorf("stats = %+v", stats)
 	}
-	ids, _ := s.MatchingResultIDs(core.PRFilter{})
+	ids, _ := s.MatchingResultIDsCtx(context.Background(), core.PRFilter{})
 	if len(ids) != 1 {
 		t.Fatalf("ids = %v", ids)
 	}
@@ -155,7 +156,7 @@ func TestHistogramSurvivesReopen(t *testing.T) {
 	if s.HistogramCount() != 1 {
 		t.Fatalf("histograms after reopen = %d", s.HistogramCount())
 	}
-	ids, _ := s.MatchingResultIDs(core.PRFilter{})
+	ids, _ := s.MatchingResultIDsCtx(context.Background(), core.PRFilter{})
 	bw, bins, ok, err := s.HistogramOf(ids[0])
 	if err != nil || !ok || bw != 0.5 || len(bins) != 3 || !math.IsNaN(bins[1]) {
 		t.Errorf("after reopen: bw=%v bins=%v ok=%v err=%v", bw, bins, ok, err)

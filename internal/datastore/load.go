@@ -38,14 +38,6 @@ func (ls *LoadStats) Add(o LoadStats) {
 	ls.Results += o.Results
 }
 
-// LoadRecord applies one PTdf record to the store: a one-record batch.
-func (s *Store) LoadRecord(rec ptdf.Record) error {
-	b := s.NewBatch()
-	b.Stage(rec)
-	_, err := b.Commit()
-	return err
-}
-
 // loadRecordLocked applies one PTdf record. Callers hold s.wmu.
 func (s *Store) loadRecordLocked(rec ptdf.Record) error {
 	switch r := rec.(type) {
@@ -95,37 +87,47 @@ func (s *Store) loadRecordLocked(rec ptdf.Record) error {
 	}
 }
 
-// LoadPTdf streams a PTdf document into the store atomically. The
+// LoadPTdf is LoadPTdfCtx without a context, kept only because
+// bench/e2e's frozen replay calls it.
+func (s *Store) LoadPTdf(r io.Reader) (LoadStats, error) {
+	return s.LoadPTdfCtx(context.Background(), r)
+}
+
+// LoadPTdfCtx streams a PTdf document into the store atomically. The
 // document decodes into a staged Batch outside every lock — a slow or
 // partially-bad document costs nothing under the writer mutex — then
 // commits in one critical section: one engine transaction, one
 // generation bump, one flush of each log it touched. A bad record
 // (decode or apply) leaves no trace of the document behind; the error
-// names the failing record.
-// Concurrent loads decode in parallel and serialize only at commit.
-func (s *Store) LoadPTdf(r io.Reader) (LoadStats, error) {
-	return s.LoadPTdfCtx(context.Background(), r)
+// names the failing record. Concurrent loads decode in parallel and
+// serialize only at commit. When a trace rides ctx, the decode and
+// commit phases record datastore.load.decode and datastore.batch.commit
+// spans in the request's span tree.
+func (s *Store) LoadPTdfCtx(ctx context.Context, r io.Reader) (LoadStats, error) {
+	_, dspan := obs.StartSpan(ctx, "datastore.load.decode")
+	b, err := s.decode(r)
+	if err != nil {
+		dspan.Annotate("outcome", "decode-error")
+		dspan.End()
+		return LoadStats{}, err
+	}
+	dspan.Annotate("records", strconv.Itoa(b.Len()))
+	dspan.End()
+	return b.CommitCtx(ctx)
 }
 
-// LoadPTdfCtx is LoadPTdf under a context: when a trace rides ctx, the
-// decode and commit phases record datastore.load.decode and
-// datastore.batch.commit spans in the request's span tree.
-func (s *Store) LoadPTdfCtx(ctx context.Context, r io.Reader) (LoadStats, error) {
+// decode stages a whole PTdf document into a new batch, touching nothing
+// of the store. It stops at the first bad record.
+func (s *Store) decode(r io.Reader) (*Batch, error) {
 	b := s.NewBatch()
-	_, dspan := obs.StartSpan(ctx, "datastore.load.decode")
 	pr := ptdf.NewReader(r)
 	for {
 		rec, err := pr.Next()
 		if err == io.EOF {
-			dspan.Annotate("records", strconv.Itoa(b.Len()))
-			dspan.End()
-			return b.CommitCtx(ctx)
+			return b, nil
 		}
 		if err != nil {
-			dspan.Annotate("outcome", "decode-error")
-			dspan.End()
-			b.Rollback()
-			return LoadStats{}, fmt.Errorf("%w: %w", err, ErrBadSpec)
+			return nil, fmt.Errorf("%w: %w", err, ErrBadSpec)
 		}
 		b.Stage(rec)
 	}
@@ -150,7 +152,7 @@ func (s *Store) LoadPTdfFile(path string) (LoadStats, error) {
 		return LoadStats{}, err
 	}
 	defer f.Close()
-	stats, err := s.LoadPTdf(f)
+	stats, err := s.LoadPTdfCtx(context.TODO(), f)
 	if err != nil {
 		return stats, fmt.Errorf("%s: %w", path, err)
 	}

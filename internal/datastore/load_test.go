@@ -1,6 +1,7 @@
 package datastore
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -25,7 +26,7 @@ PerfResult irs-001 /irs-001/p0(primary) IRS "cpu time" 97.25 seconds
 
 func TestLoadPTdfDocument(t *testing.T) {
 	s := newStore(t)
-	stats, err := s.LoadPTdf(strings.NewReader(sampleDoc))
+	stats, err := s.LoadPTdfCtx(context.Background(), strings.NewReader(sampleDoc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,8 +45,8 @@ func TestLoadPTdfDocument(t *testing.T) {
 		t.Errorf("constraints = %v", p0.Constraints)
 	}
 	// Results are queryable.
-	fam, _ := s.ApplyFilter(core.ResourceFilter{Name: "/irs"})
-	n, err := s.CountMatches(core.PRFilter{Families: []core.Family{fam}})
+	fam, _ := s.ApplyFilterCtx(context.Background(), core.ResourceFilter{Name: "/irs"})
+	n, err := s.CountMatchesCtx(context.Background(), core.PRFilter{Families: []core.Family{fam}})
 	if err != nil || n != 1 {
 		t.Errorf("matches = %d, %v", n, err)
 	}
@@ -54,7 +55,7 @@ func TestLoadPTdfDocument(t *testing.T) {
 func TestLoadPTdfErrorAnnotatesRecord(t *testing.T) {
 	s := newStore(t)
 	doc := "Application a\nExecution e1 a\nPerfResult e1 /ghost(primary) t m 1 u\n"
-	_, err := s.LoadPTdf(strings.NewReader(doc))
+	_, err := s.LoadPTdfCtx(context.Background(), strings.NewReader(doc))
 	if err == nil || !strings.Contains(err.Error(), "record 3") {
 		t.Errorf("err = %v", err)
 	}
@@ -62,7 +63,7 @@ func TestLoadPTdfErrorAnnotatesRecord(t *testing.T) {
 
 func TestLoadPTdfRejectsBadSyntax(t *testing.T) {
 	s := newStore(t)
-	if _, err := s.LoadPTdf(strings.NewReader("Garbage line\n")); err == nil {
+	if _, err := s.LoadPTdfCtx(context.Background(), strings.NewReader("Garbage line\n")); err == nil {
 		t.Error("bad syntax accepted")
 	}
 }
@@ -73,7 +74,7 @@ func TestLoadPTdfTypeExtensionRecord(t *testing.T) {
 ResourceType syncObject/messageTag
 Resource /tags/42 syncObject/messageTag
 `
-	if _, err := s.LoadPTdf(strings.NewReader(doc)); err != nil {
+	if _, err := s.LoadPTdfCtx(context.Background(), strings.NewReader(doc)); err != nil {
 		t.Fatal(err)
 	}
 	if !s.Types().Has("syncObject/messageTag") {
@@ -84,7 +85,7 @@ Resource /tags/42 syncObject/messageTag
 func TestLoadPTdfIdempotentEntities(t *testing.T) {
 	s := newStore(t)
 	doc := "Application a\nApplication a\nExecution e a\nExecution e a\nResource /r application\nResource /r application\n"
-	stats, err := s.LoadPTdf(strings.NewReader(doc))
+	stats, err := s.LoadPTdfCtx(context.Background(), strings.NewReader(doc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +103,7 @@ func TestLoadPTdfIdempotentEntities(t *testing.T) {
 // file already loaded, leaving the store exactly as it was.
 func TestLoadPTdfRollsBackFailedFile(t *testing.T) {
 	s := newStore(t)
-	if _, err := s.LoadPTdf(strings.NewReader(sampleDoc)); err != nil {
+	if _, err := s.LoadPTdfCtx(context.Background(), strings.NewReader(sampleDoc)); err != nil {
 		t.Fatal(err)
 	}
 	before := s.Stats()
@@ -116,7 +117,7 @@ Resource /scorch-9 execution scorch-9
 ResourceAttribute /scorch-9 nprocs 64 string
 PerfResult scorch-9 /ghost(primary) tool "wall time" 1.5 seconds
 `
-	if _, err := s.LoadPTdf(strings.NewReader(bad)); err == nil {
+	if _, err := s.LoadPTdfCtx(context.Background(), strings.NewReader(bad)); err == nil {
 		t.Fatal("bad document loaded without error")
 	}
 
@@ -143,15 +144,15 @@ PerfResult scorch-9 /ghost(primary) tool "wall time" 1.5 seconds
 	// The store remains fully usable: the same document, corrected, loads,
 	// and the pre-existing data still answers queries.
 	good := strings.Replace(bad, "/ghost(primary)", "/scorch(primary)", 1)
-	stats, err := s.LoadPTdf(strings.NewReader(good))
+	stats, err := s.LoadPTdfCtx(context.Background(), strings.NewReader(good))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.Records != 6 || stats.Results != 1 {
 		t.Errorf("stats = %+v", stats)
 	}
-	fam, _ := s.ApplyFilter(core.ResourceFilter{Name: "/irs"})
-	if n, err := s.CountMatches(core.PRFilter{Families: []core.Family{fam}}); err != nil || n != 1 {
+	fam, _ := s.ApplyFilterCtx(context.Background(), core.ResourceFilter{Name: "/irs"})
+	if n, err := s.CountMatchesCtx(context.Background(), core.PRFilter{Families: []core.Family{fam}}); err != nil || n != 1 {
 		t.Errorf("pre-existing data lost after rollback: matches = %d, %v", n, err)
 	}
 }
@@ -169,11 +170,11 @@ func TestLoadPTdfRollbackSurvivesReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.LoadPTdf(strings.NewReader(sampleDoc)); err != nil {
+	if _, err := s.LoadPTdfCtx(context.Background(), strings.NewReader(sampleDoc)); err != nil {
 		t.Fatal(err)
 	}
 	bad := "Application ghostapp\nPerfResult nope /ghost(primary) t m 1 u\n"
-	if _, err := s.LoadPTdf(strings.NewReader(bad)); err == nil {
+	if _, err := s.LoadPTdfCtx(context.Background(), strings.NewReader(bad)); err == nil {
 		t.Fatal("bad document loaded without error")
 	}
 	before := s.Stats()

@@ -1,7 +1,7 @@
 package datastore
 
 // Batched, parallel result materialization — the read hot path behind
-// QueryResults, query.Retrieve and /v1/results.
+// query.RetrieveCtx and /v1/results.
 //
 // The per-ID path (ResultByID) pays two or more PK-prefix scans per
 // result, each taking the engine read lock once. At SMG-UV scale (~10k
@@ -52,9 +52,9 @@ type MaterializeOptions struct {
 	// Workers bounds the materialization fan-out. <=0 means
 	// runtime.GOMAXPROCS(0).
 	Workers int
-	// ChunkSize bounds how many results MaterializeStream assembles
-	// per emitted batch. <=0 means defaultMaterializeChunk. Ignored by
-	// MaterializeResults, which produces one batch.
+	// ChunkSize bounds how many results MaterializeStreamCtx assembles
+	// per emitted batch. <=0 means defaultMaterializeChunk; len(ids)
+	// gives the single batch MaterializeResultsCtx produces.
 	ChunkSize int
 }
 
@@ -756,46 +756,25 @@ func (m *materializer) decodeFoci(ctx context.Context, fids []int64) error {
 	return nil
 }
 
-// MaterializeResults materializes the given performance-result IDs in
-// one batch, preserving input order, with default options. Returned
+// MaterializeResultsCtx materializes the given performance-result IDs
+// in one batch, preserving input order, with default options. Returned
 // results may share Contexts data between results referencing the same
-// focus; callers must treat them as read-only.
-func (s *Store) MaterializeResults(ids []int64) ([]*core.PerformanceResult, error) {
-	return s.MaterializeResultsOptsCtx(context.Background(), ids, MaterializeOptions{})
-}
-
-// MaterializeResultsCtx is MaterializeResults under a context: when a
-// trace rides ctx, the materializer records its phase spans
-// (materialize.fetch, .focus, .assemble) in the request's span tree.
+// focus; callers must treat them as read-only. When a trace rides ctx,
+// the materializer records its phase spans (materialize.fetch, .focus,
+// .assemble) in the request's span tree.
 func (s *Store) MaterializeResultsCtx(ctx context.Context, ids []int64) ([]*core.PerformanceResult, error) {
-	return s.MaterializeResultsOptsCtx(ctx, ids, MaterializeOptions{})
-}
-
-// MaterializeResultsOpts is MaterializeResults with explicit options.
-func (s *Store) MaterializeResultsOpts(ids []int64, opt MaterializeOptions) ([]*core.PerformanceResult, error) {
-	return s.MaterializeResultsOptsCtx(context.Background(), ids, opt)
-}
-
-// MaterializeResultsOptsCtx is MaterializeResultsCtx with explicit
-// options.
-func (s *Store) MaterializeResultsOptsCtx(ctx context.Context, ids []int64, opt MaterializeOptions) ([]*core.PerformanceResult, error) {
-	m, err := s.newMaterializer(ctx, opt)
+	m, err := s.newMaterializer(ctx, MaterializeOptions{})
 	if err != nil {
 		return nil, err
 	}
 	return m.run(ctx, ids)
 }
 
-// MaterializeStream materializes IDs in bounded chunks, invoking emit
+// MaterializeStreamCtx materializes IDs in bounded chunks, invoking emit
 // with each batch in input order, so memory stays bounded on
 // full-corpus retrievals. The dictionary views and focus cache are
-// shared across chunks. A non-nil error from emit aborts the stream.
-func (s *Store) MaterializeStream(ids []int64, opt MaterializeOptions, emit func([]*core.PerformanceResult) error) error {
-	return s.MaterializeStreamCtx(context.Background(), ids, opt, emit)
-}
-
-// MaterializeStreamCtx is MaterializeStream under a context; each chunk
-// records its own phase spans.
+// shared across chunks, and each chunk records its own phase spans. A
+// non-nil error from emit aborts the stream.
 func (s *Store) MaterializeStreamCtx(ctx context.Context, ids []int64, opt MaterializeOptions, emit func([]*core.PerformanceResult) error) error {
 	m, err := s.newMaterializer(ctx, opt)
 	if err != nil {

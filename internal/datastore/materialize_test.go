@@ -52,7 +52,7 @@ func seedMaterializeStudy(t *testing.T) (*Store, []int64) {
 	add("m-frost", "proc time", 2.5, core.NewContext("/irs", "/GF/Frost/batch/n1/p0"))
 	add("m-mcr", "proc time", 1.5, core.NewContext("/irs", "/GF/Frost/batch/n1/p0"))
 
-	ids, err := s.MatchingResultIDs(core.PRFilter{})
+	ids, err := s.MatchingResultIDsCtx(context.Background(), core.PRFilter{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,13 @@ func TestMaterializeEquivalence(t *testing.T) {
 	for name, order := range orders {
 		want := perIDResults(t, s, order)
 		for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
-			got, err := s.MaterializeResultsOpts(order, MaterializeOptions{Workers: workers})
+			// One chunk of the whole order: MaterializeResultsCtx's work.
+			var got []*core.PerformanceResult
+			err := s.MaterializeStreamCtx(context.Background(), order, MaterializeOptions{Workers: workers, ChunkSize: len(order)},
+				func(batch []*core.PerformanceResult) error {
+					got = batch
+					return nil
+				})
 			if err != nil {
 				t.Fatalf("%s/w%d: %v", name, workers, err)
 			}
@@ -115,7 +121,7 @@ func TestMaterializeStreamEquivalence(t *testing.T) {
 	for _, chunk := range []int{1, 3, len(ids), len(ids) + 5} {
 		var got []*core.PerformanceResult
 		batches := 0
-		err := s.MaterializeStream(ids, MaterializeOptions{ChunkSize: chunk},
+		err := s.MaterializeStreamCtx(context.Background(), ids, MaterializeOptions{ChunkSize: chunk},
 			func(batch []*core.PerformanceResult) error {
 				batches++
 				got = append(got, batch...)
@@ -138,7 +144,7 @@ func TestMaterializeStreamEmitError(t *testing.T) {
 	s, ids := seedMaterializeStudy(t)
 	boom := errors.New("boom")
 	calls := 0
-	err := s.MaterializeStream(ids, MaterializeOptions{ChunkSize: 2},
+	err := s.MaterializeStreamCtx(context.Background(), ids, MaterializeOptions{ChunkSize: 2},
 		func([]*core.PerformanceResult) error {
 			calls++
 			return boom
@@ -155,11 +161,11 @@ func TestMaterializeNotFound(t *testing.T) {
 	s, ids := seedMaterializeStudy(t)
 	// Both sparse (one ID) and dense (full set plus one) shapes.
 	for _, bad := range [][]int64{{ids[len(ids)-1] + 999}, append(append([]int64{}, ids...), ids[len(ids)-1]+999)} {
-		if _, err := s.MaterializeResults(bad); !errors.Is(err, ErrNotFound) {
-			t.Errorf("MaterializeResults(%d ids) err = %v, want ErrNotFound", len(bad), err)
+		if _, err := s.MaterializeResultsCtx(context.Background(), bad); !errors.Is(err, ErrNotFound) {
+			t.Errorf("MaterializeResultsCtx(%d ids) err = %v, want ErrNotFound", len(bad), err)
 		}
 	}
-	out, err := s.MaterializeResults(nil)
+	out, err := s.MaterializeResultsCtx(context.Background(), nil)
 	if err != nil || len(out) != 0 {
 		t.Errorf("empty materialize = %v, %v", out, err)
 	}
@@ -168,12 +174,16 @@ func TestMaterializeNotFound(t *testing.T) {
 func TestQueryResultsUsesBatchPath(t *testing.T) {
 	s, ids := seedMaterializeStudy(t)
 	want := perIDResults(t, s, ids)
-	got, err := s.QueryResults(core.PRFilter{})
+	matched, err := s.MatchingResultIDsCtx(context.Background(), core.PRFilter{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.MaterializeResultsCtx(context.Background(), matched)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Error("QueryResults differs from per-ID materialization")
+		t.Error("matched results differ from per-ID materialization")
 	}
 
 	// One execution's rows read as columns agree with the per-ID path.
@@ -218,7 +228,7 @@ func TestMaterializeDenseBlocksOnMem(t *testing.T) {
 	}
 	// A dense subset that starts and ends inside a block.
 	ids = ids[50 : n-50]
-	got, err := s.MaterializeResults(ids)
+	got, err := s.MaterializeResultsCtx(context.Background(), ids)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +260,7 @@ func TestFocusCacheHitsBounded(t *testing.T) {
 	var refs uint64
 	for round := 0; round < 2; round++ {
 		// Two chunks per round: the second finds its foci cached.
-		err := s.MaterializeStream(ids, MaterializeOptions{ChunkSize: len(ids)/2 + 1},
+		err := s.MaterializeStreamCtx(context.Background(), ids, MaterializeOptions{ChunkSize: len(ids)/2 + 1},
 			func([]*core.PerformanceResult) error { return nil })
 		if err != nil {
 			t.Fatal(err)

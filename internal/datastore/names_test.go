@@ -1,6 +1,7 @@
 package datastore
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -218,7 +219,7 @@ func TestNamesMatchRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	var live []string
 	load := func(step, exec string, procs int, fail bool) {
-		_, err := s.LoadPTdf(strings.NewReader(namesDoc(rng, exec, procs, fail)))
+		_, err := s.LoadPTdfCtx(context.Background(), strings.NewReader(namesDoc(rng, exec, procs, fail)))
 		if (err != nil) != fail {
 			t.Fatalf("%s: load error = %v, want failure %v", step, err, fail)
 		}
@@ -276,7 +277,7 @@ func TestDeleteExecutionNamesMatchReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.LoadPTdf(strings.NewReader(statsDoc(4, 3))); err != nil {
+	if _, err := s.LoadPTdfCtx(context.Background(), strings.NewReader(statsDoc(4, 3))); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.DeleteExecution("se-1"); err != nil {
@@ -326,7 +327,7 @@ func TestDeleteExecutionNamesMatchReopen(t *testing.T) {
 // the commit's own [start, end] window.
 func TestReadersDoNotWaitBehindCommit(t *testing.T) {
 	s := newStore(t)
-	if _, err := s.LoadPTdf(strings.NewReader(sampleDoc)); err != nil {
+	if _, err := s.LoadPTdfCtx(context.Background(), strings.NewReader(sampleDoc)); err != nil {
 		t.Fatal(err)
 	}
 	one, err := s.ExecutionResultIDs("irs-001")
@@ -356,7 +357,7 @@ func TestReadersDoNotWaitBehindCommit(t *testing.T) {
 		{"TableStatistics", func() error { s.TableStatistics(); return nil }},
 		{"HasResource", func() error { s.HasResource("/irs"); return nil }},
 		{"LookupDict", func() error { s.LookupDict("execution", "irs-001"); return nil }},
-		{"MaterializeResults", func() error { _, err := s.MaterializeResults(one); return err }},
+		{"MaterializeResultsCtx", func() error { _, err := s.MaterializeResultsCtx(context.Background(), one); return err }},
 	}
 	type span struct{ from, to time.Time }
 	spans := make([][]span, len(reads))
@@ -382,7 +383,7 @@ func TestReadersDoNotWaitBehindCommit(t *testing.T) {
 	}()
 	<-started
 	start := time.Now()
-	_, err = b.Commit()
+	_, err = b.CommitCtx(context.Background())
 	end := time.Now()
 	done.Store(true)
 	wg.Wait()
@@ -410,7 +411,7 @@ func TestReadersDoNotWaitBehindCommit(t *testing.T) {
 // directory must equal the rows.
 func TestNamesConcurrent(t *testing.T) {
 	s := newStore(t)
-	if _, err := s.LoadPTdf(strings.NewReader(namesDoc(rand.New(rand.NewSource(2)), "keep", 4, false))); err != nil {
+	if _, err := s.LoadPTdfCtx(context.Background(), strings.NewReader(namesDoc(rand.New(rand.NewSource(2)), "keep", 4, false))); err != nil {
 		t.Fatal(err)
 	}
 	const rounds = 12
@@ -423,7 +424,7 @@ func TestNamesConcurrent(t *testing.T) {
 		rng := rand.New(rand.NewSource(3))
 		for i := 0; i < rounds; i++ {
 			exec := fmt.Sprintf("g-%d", i)
-			if _, err := s.LoadPTdf(strings.NewReader(namesDoc(rng, exec, 1+rng.Intn(6), false))); err != nil {
+			if _, err := s.LoadPTdfCtx(context.Background(), strings.NewReader(namesDoc(rng, exec, 1+rng.Intn(6), false))); err != nil {
 				t.Errorf("load %s: %v", exec, err)
 				return
 			}
@@ -435,7 +436,7 @@ func TestNamesConcurrent(t *testing.T) {
 		rng := rand.New(rand.NewSource(4))
 		for i := 0; i < rounds; i++ {
 			exec := fmt.Sprintf("b-%d", i)
-			if _, err := s.LoadPTdf(strings.NewReader(namesDoc(rng, exec, 1+rng.Intn(6), true))); err == nil {
+			if _, err := s.LoadPTdfCtx(context.Background(), strings.NewReader(namesDoc(rng, exec, 1+rng.Intn(6), true))); err == nil {
 				t.Errorf("load %s did not fail", exec)
 				return
 			}
@@ -474,7 +475,7 @@ func TestNamesConcurrent(t *testing.T) {
 				s.ResourceByName("/keep")
 				s.Descendants("/keep")
 				s.ExecutionDetail("keep")
-				s.ApplyFilter(core.ResourceFilter{Type: "execution/process"})
+				s.ApplyFilterCtx(context.Background(), core.ResourceFilter{Type: "execution/process"})
 				for k := range dictSpecs {
 					view := s.Dict(dictSpecs[k].table)
 					for id := int64(0); id <= view.MaxID(); id++ {
@@ -488,7 +489,7 @@ func TestNamesConcurrent(t *testing.T) {
 						continue
 					}
 					s.ExecutionsOfResults(ids)
-					s.MaterializeStream(ids, MaterializeOptions{ChunkSize: 2}, func(prs []*core.PerformanceResult) error {
+					s.MaterializeStreamCtx(context.Background(), ids, MaterializeOptions{ChunkSize: 2}, func(prs []*core.PerformanceResult) error {
 						for _, pr := range prs {
 							if pr.Execution == "" || pr.Metric == "" {
 								t.Errorf("materialized a result without names: %+v", pr)
@@ -526,7 +527,7 @@ func TestNamesStayUniqueUnderConcurrentBatches(t *testing.T) {
 			b.Stage(ptdf.ResourceRec{Name: "/shared-widget", Type: "widget"})
 			b.Stage(ptdf.PerfResultRec{Exec: "shared-exec", Metric: "shared-metric", Tool: "shared-tool", Units: "shared-units",
 				Value: 1, Sets: []ptdf.ResourceSet{{Names: []core.ResourceName{"/shared-widget"}, Type: core.FocusPrimary}}})
-			_, err := b.Commit()
+			_, err := b.CommitCtx(context.Background())
 			errs <- err
 		}()
 	}

@@ -215,18 +215,13 @@ func resourceNames(res Dict, ids []int64) []core.ResourceName {
 	return out
 }
 
-// ApplyFilter evaluates a resource filter over the store, returning the
-// resulting resource family (relatives included per the filter's flag).
-// Attribute predicates are answered from the resource_attribute
+// ApplyFilterCtx evaluates a resource filter over the store, returning
+// the resulting resource family (relatives included per the filter's
+// flag). Attribute predicates are answered from the resource_attribute
 // (name, value) index — one index scan per predicate, intersected
 // smallest-first — instead of materializing every candidate resource.
-func (s *Store) ApplyFilter(rf core.ResourceFilter) (core.Family, error) {
-	return s.ApplyFilterCtx(context.Background(), rf)
-}
-
-// ApplyFilterCtx is ApplyFilter under a context: when a trace rides
-// ctx, evaluation records a datastore.filter span annotated with the
-// resulting family size.
+// When a trace rides ctx, evaluation records a datastore.filter span
+// annotated with the resulting family size.
 func (s *Store) ApplyFilterCtx(ctx context.Context, rf core.ResourceFilter) (core.Family, error) {
 	ctx, span := obs.StartSpan(ctx, "datastore.filter")
 	fam, err := s.applyFilter(ctx, rf)
@@ -495,14 +490,9 @@ func (s *Store) MatchingSetCtx(ctx context.Context, prf core.PRFilter) (IDSet, e
 	return NewIDSet(all), nil
 }
 
-// MatchingResultIDs evaluates a pr-filter to the IDs of the results
-// MatchingSetCtx selects, ascending. The returned slice is the caller's to
-// modify.
-func (s *Store) MatchingResultIDs(prf core.PRFilter) ([]int64, error) {
-	return s.MatchingResultIDsCtx(context.Background(), prf)
-}
-
-// MatchingResultIDsCtx is MatchingResultIDs under a context.
+// MatchingResultIDsCtx evaluates a pr-filter to the IDs of the results
+// MatchingSetCtx selects, ascending. The returned slice is the caller's
+// to modify.
 func (s *Store) MatchingResultIDsCtx(ctx context.Context, prf core.PRFilter) ([]int64, error) {
 	if len(prf.Families) == 0 {
 		return s.allResultIDs(ctx)
@@ -514,14 +504,9 @@ func (s *Store) MatchingResultIDsCtx(ctx context.Context, prf core.PRFilter) ([]
 	return ids.IDs(), nil
 }
 
-// CountMatches reports how many performance results a pr-filter selects —
-// the GUI's live match count. It reads the set's stored length, building
-// no ID list; with a warm cache it is one map lookup.
-func (s *Store) CountMatches(prf core.PRFilter) (int, error) {
-	return s.CountMatchesCtx(context.Background(), prf)
-}
-
-// CountMatchesCtx is CountMatches under a context.
+// CountMatchesCtx reports how many performance results a pr-filter
+// selects — the GUI's live match count. It reads the set's stored length,
+// building no ID list; with a warm cache it is one map lookup.
 func (s *Store) CountMatchesCtx(ctx context.Context, prf core.PRFilter) (int, error) {
 	if len(prf.Families) == 0 {
 		prTab, _ := s.eng.Table("performance_result")
@@ -534,13 +519,8 @@ func (s *Store) CountMatchesCtx(ctx context.Context, prf core.PRFilter) (int, er
 	return ids.Len(), nil
 }
 
-// CountFamilyMatches reports how many results one family alone selects —
-// the GUI's per-family count.
-func (s *Store) CountFamilyMatches(fam core.Family) (int, error) {
-	return s.CountFamilyMatchesCtx(context.Background(), fam)
-}
-
-// CountFamilyMatchesCtx is CountFamilyMatches under a context.
+// CountFamilyMatchesCtx reports how many results one family alone
+// selects — the GUI's per-family count.
 func (s *Store) CountFamilyMatchesCtx(ctx context.Context, fam core.Family) (int, error) {
 	ids, err := s.familyResultIDs(ctx, fam)
 	if err != nil {
@@ -595,21 +575,6 @@ func (s *Store) ResultByID(id int64) (*core.PerformanceResult, error) {
 		pr.Contexts = append(pr.Contexts, core.Context{Type: ft, Resources: s.namesOfIDs(members)})
 	}
 	return pr, nil
-}
-
-// QueryResults evaluates a pr-filter and materializes the matching
-// results through the batch path.
-func (s *Store) QueryResults(prf core.PRFilter) ([]*core.PerformanceResult, error) {
-	return s.QueryResultsCtx(context.Background(), prf)
-}
-
-// QueryResultsCtx is QueryResults under a context.
-func (s *Store) QueryResultsCtx(ctx context.Context, prf core.PRFilter) ([]*core.PerformanceResult, error) {
-	ids, err := s.MatchingResultIDsCtx(ctx, prf)
-	if err != nil {
-		return nil, err
-	}
-	return s.MaterializeResultsCtx(ctx, ids)
 }
 
 // Applications lists application names, sorted.

@@ -46,7 +46,7 @@ func TestAttrFilterMissingAttribute(t *testing.T) {
 	s := seedAttrStudy(t)
 	// n3 has no "clock MHz" attribute: it must not match any clock
 	// predicate, including != which would hold vacuously.
-	fam, err := s.ApplyFilter(core.ResourceFilter{
+	fam, err := s.ApplyFilterCtx(context.Background(), core.ResourceFilter{
 		Attrs: []core.AttrPredicate{{Attr: "clock MHz", Cmp: core.CmpNe, Value: "0"}},
 	})
 	if err != nil {
@@ -56,7 +56,7 @@ func TestAttrFilterMissingAttribute(t *testing.T) {
 		t.Errorf("missing-attribute resource matched: %v", famNames(fam))
 	}
 	// A predicate on an attribute no resource has selects nothing.
-	fam, err = s.ApplyFilter(core.ResourceFilter{
+	fam, err = s.ApplyFilterCtx(context.Background(), core.ResourceFilter{
 		Attrs: []core.AttrPredicate{{Attr: "no such attr", Cmp: core.CmpEq, Value: "x"}},
 	})
 	if err != nil {
@@ -71,7 +71,7 @@ func TestAttrFilterNumericVsLexicographic(t *testing.T) {
 	s := seedAttrStudy(t)
 	// Numeric comparison: "700" < "1000" numerically even though
 	// "700" > "1000" lexicographically.
-	fam, err := s.ApplyFilter(core.ResourceFilter{
+	fam, err := s.ApplyFilterCtx(context.Background(), core.ResourceFilter{
 		Attrs: []core.AttrPredicate{{Attr: "clock MHz", Cmp: core.CmpGt, Value: "900"}},
 	})
 	if err != nil {
@@ -81,7 +81,7 @@ func TestAttrFilterNumericVsLexicographic(t *testing.T) {
 		t.Errorf("clock > 900 = %v, want the 1000 and 2400 processors", famNames(fam))
 	}
 	// Lexicographic comparison when an operand is not numeric.
-	fam, err = s.ApplyFilter(core.ResourceFilter{
+	fam, err = s.ApplyFilterCtx(context.Background(), core.ResourceFilter{
 		Attrs: []core.AttrPredicate{{Attr: "vendor", Cmp: core.CmpGe, Value: "Intel"}},
 	})
 	if err != nil {
@@ -99,7 +99,7 @@ func TestAttrFilterCombinedWithTypeAndBaseName(t *testing.T) {
 	if err := s.SetResourceAttribute("/irs", "clock MHz", "2400"); err != nil {
 		t.Fatal(err)
 	}
-	fam, err := s.ApplyFilter(core.ResourceFilter{
+	fam, err := s.ApplyFilterCtx(context.Background(), core.ResourceFilter{
 		Type:  "grid/machine/partition/node/processor",
 		Attrs: []core.AttrPredicate{{Attr: "clock MHz", Cmp: core.CmpEq, Value: "2400"}},
 	})
@@ -109,7 +109,7 @@ func TestAttrFilterCombinedWithTypeAndBaseName(t *testing.T) {
 	if fam.Size() != 1 || !fam.Contains("/GM/MCR/batch/n2/p0") {
 		t.Errorf("type+attr = %v", famNames(fam))
 	}
-	fam, err = s.ApplyFilter(core.ResourceFilter{
+	fam, err = s.ApplyFilterCtx(context.Background(), core.ResourceFilter{
 		BaseName: "p0",
 		Attrs:    []core.AttrPredicate{{Attr: "clock MHz", Cmp: core.CmpLe, Value: "1000"}},
 	})
@@ -120,7 +120,7 @@ func TestAttrFilterCombinedWithTypeAndBaseName(t *testing.T) {
 		t.Errorf("base+attr = %v", famNames(fam))
 	}
 	// Conjunction of two attribute predicates.
-	fam, err = s.ApplyFilter(core.ResourceFilter{
+	fam, err = s.ApplyFilterCtx(context.Background(), core.ResourceFilter{
 		Attrs: []core.AttrPredicate{
 			{Attr: "clock MHz", Cmp: core.CmpGt, Value: "500"},
 			{Attr: "clock MHz", Cmp: core.CmpLt, Value: "1500"},
@@ -141,7 +141,7 @@ func TestAttrFilterLastWriteWins(t *testing.T) {
 	if err := s.SetResourceAttribute("/GM/MCR/batch/n0/p0", "clock MHz", "3000"); err != nil {
 		t.Fatal(err)
 	}
-	fam, err := s.ApplyFilter(core.ResourceFilter{
+	fam, err := s.ApplyFilterCtx(context.Background(), core.ResourceFilter{
 		Attrs: []core.AttrPredicate{{Attr: "clock MHz", Cmp: core.CmpGt, Value: "2500"}},
 	})
 	if err != nil {
@@ -161,17 +161,17 @@ func TestAttrFilterLastWriteWins(t *testing.T) {
 
 func TestMatchCacheHitsAndGenerationBump(t *testing.T) {
 	s := seedStudy(t)
-	frost, err := s.ApplyFilter(core.ResourceFilter{Name: "/GF/Frost", Include: core.IncludeDescendants})
+	frost, err := s.ApplyFilterCtx(context.Background(), core.ResourceFilter{Name: "/GF/Frost", Include: core.IncludeDescendants})
 	if err != nil {
 		t.Fatal(err)
 	}
 	prf := core.PRFilter{Families: []core.Family{frost}}
-	n1, err := s.CountMatches(prf)
+	n1, err := s.CountMatchesCtx(context.Background(), prf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	before := s.QueryEngineStats()
-	n2, err := s.CountMatches(prf)
+	n2, err := s.CountMatchesCtx(context.Background(), prf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,21 +180,21 @@ func TestMatchCacheHitsAndGenerationBump(t *testing.T) {
 		t.Fatalf("repeated count changed: %d then %d", n1, n2)
 	}
 	if after.CacheHits <= before.CacheHits {
-		t.Errorf("repeated CountMatches did not hit the cache: %+v -> %+v", before, after)
+		t.Errorf("repeated CountMatchesCtx did not hit the cache: %+v -> %+v", before, after)
 	}
 
 	// Loading a new record bumps the generation and evicts stale counts.
 	gen := s.Generation()
-	if err := s.LoadRecord(ptdf.PerfResultRec{
+	if err := commitOne(s, ptdf.PerfResultRec{
 		Exec: "irs-frost", Metric: "wall time", Value: 99, Units: "seconds", Tool: "test",
 		Sets: []ptdf.ResourceSet{{Names: []core.ResourceName{"/irs", "/GF/Frost"}}},
 	}); err != nil {
 		t.Fatal(err)
 	}
 	if s.Generation() == gen {
-		t.Fatal("LoadRecord did not bump the store generation")
+		t.Fatal("a commit did not bump the store generation")
 	}
-	n3, err := s.CountMatches(prf)
+	n3, err := s.CountMatchesCtx(context.Background(), prf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,19 +205,19 @@ func TestMatchCacheHitsAndGenerationBump(t *testing.T) {
 
 func TestMatchingResultIDsCallerMayMutate(t *testing.T) {
 	s := seedStudy(t)
-	frost, err := s.ApplyFilter(core.ResourceFilter{Name: "/GF/Frost", Include: core.IncludeDescendants})
+	frost, err := s.ApplyFilterCtx(context.Background(), core.ResourceFilter{Name: "/GF/Frost", Include: core.IncludeDescendants})
 	if err != nil {
 		t.Fatal(err)
 	}
 	prf := core.PRFilter{Families: []core.Family{frost}}
-	ids, err := s.MatchingResultIDs(prf)
+	ids, err := s.MatchingResultIDsCtx(context.Background(), prf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range ids {
 		ids[i] = -1 // scribble over the returned slice
 	}
-	again, err := s.MatchingResultIDs(prf)
+	again, err := s.MatchingResultIDsCtx(context.Background(), prf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,8 +230,8 @@ func TestMatchingResultIDsCallerMayMutate(t *testing.T) {
 
 func TestInvalidateQueryCache(t *testing.T) {
 	s := seedStudy(t)
-	frost, _ := s.ApplyFilter(core.ResourceFilter{Name: "/GF/Frost", Include: core.IncludeDescendants})
-	if _, err := s.CountFamilyMatches(frost); err != nil {
+	frost, _ := s.ApplyFilterCtx(context.Background(), core.ResourceFilter{Name: "/GF/Frost", Include: core.IncludeDescendants})
+	if _, err := s.CountFamilyMatchesCtx(context.Background(), frost); err != nil {
 		t.Fatal(err)
 	}
 	if s.QueryEngineStats().CacheEntries == 0 {
@@ -243,7 +243,7 @@ func TestInvalidateQueryCache(t *testing.T) {
 		t.Fatal("InvalidateQueryCache did not bump the generation")
 	}
 	// The next lookup at the new generation discards the old entries.
-	if _, err := s.CountFamilyMatches(frost); err != nil {
+	if _, err := s.CountFamilyMatchesCtx(context.Background(), frost); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.QueryEngineStats().CacheEntries; got != 1 {
@@ -264,13 +264,13 @@ func TestParallelFamilyEvaluation(t *testing.T) {
 		{Name: "/GM/MCR", Include: core.IncludeDescendants},
 		{Type: "grid/machine/partition/node/processor"},
 	} {
-		fam, err := s.ApplyFilter(rf)
+		fam, err := s.ApplyFilterCtx(context.Background(), rf)
 		if err != nil {
 			t.Fatal(err)
 		}
 		fams = append(fams, fam)
 	}
-	want, err := s.CountMatches(core.PRFilter{Families: fams})
+	want, err := s.CountMatchesCtx(context.Background(), core.PRFilter{Families: fams})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func TestParallelFamilyEvaluation(t *testing.T) {
 				if i%5 == 0 && g == 0 {
 					s.InvalidateQueryCache()
 				}
-				n, err := s.CountMatches(core.PRFilter{Families: fams})
+				n, err := s.CountMatchesCtx(context.Background(), core.PRFilter{Families: fams})
 				if err != nil {
 					t.Error(err)
 					return
@@ -293,7 +293,7 @@ func TestParallelFamilyEvaluation(t *testing.T) {
 					t.Errorf("concurrent count = %d, want %d", n, want)
 					return
 				}
-				if _, err := s.CountFamilyMatches(fams[i%len(fams)]); err != nil {
+				if _, err := s.CountFamilyMatchesCtx(context.Background(), fams[i%len(fams)]); err != nil {
 					t.Error(err)
 					return
 				}
@@ -305,11 +305,11 @@ func TestParallelFamilyEvaluation(t *testing.T) {
 
 func TestCountMatchesNoFamiliesCountsAll(t *testing.T) {
 	s := seedStudy(t)
-	n, err := s.CountMatches(core.PRFilter{})
+	n, err := s.CountMatchesCtx(context.Background(), core.PRFilter{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids, err := s.MatchingResultIDs(core.PRFilter{})
+	ids, err := s.MatchingResultIDsCtx(context.Background(), core.PRFilter{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +324,7 @@ func TestCountMatchesNoFamiliesCountsAll(t *testing.T) {
 func TestCancelledCountStops(t *testing.T) {
 	s := seedStudy(t)
 	rf := core.ResourceFilter{Name: "/GF/Frost", Include: core.IncludeDescendants}
-	frost, err := s.ApplyFilter(rf)
+	frost, err := s.ApplyFilterCtx(context.Background(), rf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,10 +376,10 @@ func TestMatchPathsCopyNothing(t *testing.T) {
 		for i := range n {
 			fmt.Fprintf(&b, "PerfResult exec /app,/hot(primary) tool \"wall time\" %d.5 seconds\n", i)
 		}
-		if _, err := s.LoadPTdf(strings.NewReader(b.String())); err != nil {
+		if _, err := s.LoadPTdfCtx(context.Background(), strings.NewReader(b.String())); err != nil {
 			t.Fatal(err)
 		}
-		hot, err := s.ApplyFilter(core.ResourceFilter{Name: "/hot"})
+		hot, err := s.ApplyFilterCtx(context.Background(), core.ResourceFilter{Name: "/hot"})
 		if err != nil {
 			t.Fatal(err)
 		}

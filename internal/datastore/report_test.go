@@ -1,6 +1,7 @@
 package datastore
 
 import (
+	"context"
 	"testing"
 
 	"perftrack/internal/core"
@@ -69,8 +70,8 @@ func TestDeleteExecutionCascades(t *testing.T) {
 		t.Error("shared resources deleted")
 	}
 	// Remaining execution still queryable.
-	fam, _ := s.ApplyFilter(core.ResourceFilter{Name: "/GM/MCR", Include: core.IncludeDescendants})
-	n, err := s.CountFamilyMatches(fam)
+	fam, _ := s.ApplyFilterCtx(context.Background(), core.ResourceFilter{Name: "/GM/MCR", Include: core.IncludeDescendants})
+	n, err := s.CountFamilyMatchesCtx(context.Background(), fam)
 	if err != nil || n != 1 {
 		t.Errorf("surviving matches = %d, %v", n, err)
 	}
@@ -147,7 +148,7 @@ func TestDeleteExecutionReloadable(t *testing.T) {
 		t.Fatal(err)
 	}
 	addResult(t, s, "e1", "m", 2, "/app", "/e1")
-	ids, err := s.MatchingResultIDs(core.PRFilter{})
+	ids, err := s.MatchingResultIDsCtx(context.Background(), core.PRFilter{})
 	if err != nil || len(ids) != 1 {
 		t.Fatalf("ids = %v, %v", ids, err)
 	}

@@ -73,7 +73,7 @@ func stage(s *Store, recs []ptdf.Record) *Batch {
 func TestSegmentCommitAllocsPerResult(t *testing.T) {
 	s, _ := newSegmentStore(t)
 	const procs, funcs, metrics = 16, 8, 8
-	if _, err := stage(s, shapedShared(procs, funcs)).Commit(); err != nil {
+	if _, err := stage(s, shapedShared(procs, funcs)).CommitCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	const runs = 5
@@ -103,11 +103,11 @@ func TestSegmentResidentBytesPerRow(t *testing.T) {
 	s, fe := newSegmentStore(t)
 	fe.SetSegmentFlushRows(4096)
 	const procs, funcs, metrics = 16, 8, 32
-	if _, err := stage(s, shapedShared(procs, funcs)).Commit(); err != nil {
+	if _, err := stage(s, shapedShared(procs, funcs)).CommitCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	for d := 0; d < 6; d++ {
-		if _, err := stage(s, fullShapedDoc(fmt.Sprintf("e%d", d), procs, funcs, metrics)).Commit(); err != nil {
+		if _, err := stage(s, fullShapedDoc(fmt.Sprintf("e%d", d), procs, funcs, metrics)).CommitCtx(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -141,12 +141,12 @@ func TestEmptyFilterReadsRowIDsByBlock(t *testing.T) {
 	s, fe := newSegmentStore(t)
 	fe.SetSegmentFlushRows(1 << 40) // one block, however many results
 	const procs, funcs, metrics = 8, 8, 16
-	if _, err := stage(s, shapedShared(procs, funcs)).Commit(); err != nil {
+	if _, err := stage(s, shapedShared(procs, funcs)).CommitCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	allocs := func(docs int) float64 {
 		for d := 0; d < docs; d++ {
-			if _, err := stage(s, fullShapedDoc(fmt.Sprintf("e%d-%d", docs, d), procs, funcs, metrics)).Commit(); err != nil {
+			if _, err := stage(s, fullShapedDoc(fmt.Sprintf("e%d-%d", docs, d), procs, funcs, metrics)).CommitCtx(context.Background()); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -177,10 +177,10 @@ func TestEmptyFilterScanCountsInTelemetry(t *testing.T) {
 	s, fe := newSegmentStore(t)
 	fe.SetSegmentFlushRows(1 << 40) // the compactor runs only when asked
 	const procs, funcs, metrics = 4, 4, 4
-	if _, err := stage(s, shapedShared(procs, funcs)).Commit(); err != nil {
+	if _, err := stage(s, shapedShared(procs, funcs)).CommitCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := stage(s, fullShapedDoc("e0", procs, funcs, metrics)).Commit(); err != nil {
+	if _, err := stage(s, fullShapedDoc("e0", procs, funcs, metrics)).CommitCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if err := fe.CompactSegments(); err != nil {
@@ -208,7 +208,7 @@ func TestSegmentBatchHotRowsAppearTogether(t *testing.T) {
 	s, fe := newSegmentStore(t)
 	const procs, funcs, metrics = 8, 8, 8
 	const perDoc = procs * funcs * metrics
-	if _, err := stage(s, shapedShared(procs, funcs)).Commit(); err != nil {
+	if _, err := stage(s, shapedShared(procs, funcs)).CommitCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	// A document adds a focus per (process, function) and, for each of its
@@ -249,7 +249,7 @@ func TestSegmentBatchHotRowsAppearTogether(t *testing.T) {
 				if k%3 == 2 {
 					fmt.Fprintf(&doc, "PerfResult e%d /nobody/has/this(primary) tool \"metric 0\" 1.0 seconds\n", k)
 				}
-				_, err := s.LoadPTdf(strings.NewReader(doc.String()))
+				_, err := s.LoadPTdfCtx(context.Background(), strings.NewReader(doc.String()))
 				switch {
 				case k%3 == 2 && err == nil:
 					t.Errorf("document %d: its last record names an unknown resource, yet it loaded", k)

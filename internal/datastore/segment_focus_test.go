@@ -1,6 +1,7 @@
 package datastore
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -164,7 +165,7 @@ func newTwin(t *testing.T) *Store {
 func newTwinOf(t *testing.T, doc string) *Store {
 	t.Helper()
 	s := newTwin(t)
-	if _, err := s.LoadPTdf(strings.NewReader(doc)); err != nil {
+	if _, err := s.LoadPTdfCtx(context.Background(), strings.NewReader(doc)); err != nil {
 		t.Fatal(err)
 	}
 	return s
@@ -219,13 +220,13 @@ func TestSegmentDeleteExecutionOverFlushedFoci(t *testing.T) {
 	load := func(exec string) {
 		t.Helper()
 		for _, st := range []*Store{s, twin} {
-			if _, err := stage(st, fullShapedDoc(exec, procs, funcs, metrics)).Commit(); err != nil {
+			if _, err := stage(st, fullShapedDoc(exec, procs, funcs, metrics)).CommitCtx(context.Background()); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
 	for _, st := range []*Store{s, twin} {
-		if _, err := stage(st, shapedShared(procs, funcs)).Commit(); err != nil {
+		if _, err := stage(st, shapedShared(procs, funcs)).CommitCtx(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 	}

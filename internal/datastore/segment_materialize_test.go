@@ -1,6 +1,7 @@
 package datastore
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"sync"
@@ -77,7 +78,7 @@ func TestMaterializeSegmentEquivalence(t *testing.T) {
 	compare := func(wantSegmentScan bool) {
 		t.Helper()
 		before := s.Telemetry().SegmentScans
-		got, err := s.MaterializeResults(ids)
+		got, err := s.MaterializeResultsCtx(context.Background(), ids)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,7 +147,7 @@ func TestMaterializeSegmentEquivalenceConcurrentLoad(t *testing.T) {
 				break
 			}
 		}
-		seg, err := s.MaterializeResults(ids)
+		seg, err := s.MaterializeResultsCtx(context.Background(), ids)
 		if err != nil {
 			t.Errorf("round %d: %v", round, err)
 			break

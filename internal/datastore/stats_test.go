@@ -1,6 +1,7 @@
 package datastore
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"strings"
@@ -32,7 +33,7 @@ func statsDoc(execs, results int) string {
 
 func TestTableStatisticsCounts(t *testing.T) {
 	s := newStore(t)
-	if _, err := s.LoadPTdf(strings.NewReader(statsDoc(4, 3))); err != nil {
+	if _, err := s.LoadPTdfCtx(context.Background(), strings.NewReader(statsDoc(4, 3))); err != nil {
 		t.Fatal(err)
 	}
 	st := s.TableStatistics()
@@ -81,7 +82,7 @@ func TestStatisticsRecomputedOnReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.LoadPTdf(strings.NewReader(statsDoc(3, 2))); err != nil {
+	if _, err := s.LoadPTdfCtx(context.Background(), strings.NewReader(statsDoc(3, 2))); err != nil {
 		t.Fatal(err)
 	}
 	live := s.TableStatistics()
@@ -118,11 +119,11 @@ func TestNoStatisticsTable(t *testing.T) {
 	if strings.Contains(s.SchemaDDL(), "table_statistics") {
 		t.Error("SchemaDDL prints table_statistics")
 	}
-	if _, err := s.LoadPTdf(strings.NewReader(statsDoc(1, 1))); err != nil {
+	if _, err := s.LoadPTdfCtx(context.Background(), strings.NewReader(statsDoc(1, 1))); err != nil {
 		t.Fatal(err)
 	}
 	before := s.Engine().Stats().Rows
-	if err := s.LoadRecord(ptdf.ApplicationRec{Name: "one-more-app"}); err != nil {
+	if err := commitOne(s, ptdf.ApplicationRec{Name: "one-more-app"}); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.Engine().Stats().Rows; got != before+1 {
@@ -138,7 +139,7 @@ func TestAttributeStatDistinctIsLowerBoundPastCap(t *testing.T) {
 		fmt.Fprintf(&b, "Resource /n%d grid\n", i)
 		fmt.Fprintf(&b, "ResourceAttribute /n%d hostname host-%d string\n", i, i)
 	}
-	if _, err := s.LoadPTdf(strings.NewReader(b.String())); err != nil {
+	if _, err := s.LoadPTdfCtx(context.Background(), strings.NewReader(b.String())); err != nil {
 		t.Fatal(err)
 	}
 	st, ok := s.TableStatistics().AttributeStat("hostname")
@@ -155,7 +156,7 @@ func TestAttributeStatDistinctIsLowerBoundPastCap(t *testing.T) {
 
 func TestExecutionResultIDsSortedAndIndexed(t *testing.T) {
 	s := newStore(t)
-	if _, err := s.LoadPTdf(strings.NewReader(statsDoc(3, 4))); err != nil {
+	if _, err := s.LoadPTdfCtx(context.Background(), strings.NewReader(statsDoc(3, 4))); err != nil {
 		t.Fatal(err)
 	}
 	ids, err := s.ExecutionResultIDs("se-1")

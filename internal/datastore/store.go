@@ -32,10 +32,10 @@ type Store struct {
 
 	// gen is the store generation, bumped after every mutation completes;
 	// cache holds generation-stamped pr-filter results (see cache.go).
-	// Together they make the GUI's repeated CountMatches/CountFamilyMatches
-	// O(1) between writes without any risk of serving stale counts: a
-	// reader that overlaps a mutation caches under the pre-mutation
-	// generation, which the post-mutation bump discards.
+	// Together they make the GUI's repeated CountMatchesCtx and
+	// CountFamilyMatchesCtx O(1) between writes without any risk of serving
+	// stale counts: a reader that overlaps a mutation caches under the
+	// pre-mutation generation, which the post-mutation bump discards.
 	gen   atomic.Uint64
 	cache *Cache[IDSet]
 
@@ -220,12 +220,6 @@ func (s *Store) addResourceTypeLocked(t core.TypePath) error {
 	}
 	s.names.add(dictType, id, string(t), 0)
 	return nil
-}
-
-// AddApplication registers an application; re-adding returns the existing
-// ID.
-func (s *Store) AddApplication(name string) (int64, error) {
-	return s.writeID(func() (int64, error) { return s.addApplicationLocked(name) })
 }
 
 func (s *Store) addApplicationLocked(name string) (int64, error) {

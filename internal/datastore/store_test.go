@@ -1,6 +1,7 @@
 package datastore
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -265,7 +266,7 @@ func seedStudy(t *testing.T) *Store {
 
 func TestAddPerfResultAndFetch(t *testing.T) {
 	s := seedStudy(t)
-	ids, err := s.MatchingResultIDs(core.PRFilter{})
+	ids, err := s.MatchingResultIDsCtx(context.Background(), core.PRFilter{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +339,7 @@ func TestMultiContextResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids, _ := s.MatchingResultIDs(core.PRFilter{})
+	ids, _ := s.MatchingResultIDsCtx(context.Background(), core.PRFilter{})
 	pr, err := s.ResultByID(ids[0])
 	if err != nil {
 		t.Fatal(err)
@@ -348,7 +349,7 @@ func TestMultiContextResult(t *testing.T) {
 	}
 	// Filter by the callee family alone still finds the result.
 	prf := core.PRFilter{Families: []core.Family{core.NewFamily("/bld/main.c/callee")}}
-	n, err := s.CountMatches(prf)
+	n, err := s.CountMatchesCtx(context.Background(), prf)
 	if err != nil || n != 1 {
 		t.Errorf("callee filter matches = %d, %v", n, err)
 	}
@@ -359,19 +360,19 @@ func TestApplyFilterByTypeNameAttrs(t *testing.T) {
 	s.SetResourceAttribute("/GF/Frost", "vendor", "IBM")
 	s.SetResourceAttribute("/GM/MCR", "vendor", "LNXI")
 
-	fam, err := s.ApplyFilter(core.ResourceFilter{Type: "grid/machine"})
+	fam, err := s.ApplyFilterCtx(context.Background(), core.ResourceFilter{Type: "grid/machine"})
 	if err != nil || fam.Size() != 2 {
 		t.Errorf("by type: %v, %v", fam.Members(), err)
 	}
-	fam, err = s.ApplyFilter(core.ResourceFilter{Name: "/GF/Frost", Include: core.IncludeDescendants})
+	fam, err = s.ApplyFilterCtx(context.Background(), core.ResourceFilter{Name: "/GF/Frost", Include: core.IncludeDescendants})
 	if err != nil || fam.Size() != 4 { // Frost, batch, n1, p0
 		t.Errorf("by name + D: %v, %v", fam.Members(), err)
 	}
-	fam, err = s.ApplyFilter(core.ResourceFilter{BaseName: "batch"})
+	fam, err = s.ApplyFilterCtx(context.Background(), core.ResourceFilter{BaseName: "batch"})
 	if err != nil || fam.Size() != 2 {
 		t.Errorf("by base name: %v, %v", fam.Members(), err)
 	}
-	fam, err = s.ApplyFilter(core.ResourceFilter{
+	fam, err = s.ApplyFilterCtx(context.Background(), core.ResourceFilter{
 		Type:  "grid/machine",
 		Attrs: []core.AttrPredicate{{Attr: "vendor", Cmp: core.CmpEq, Value: "IBM"}},
 	})
@@ -382,16 +383,20 @@ func TestApplyFilterByTypeNameAttrs(t *testing.T) {
 
 func TestPRFilterQueryAgainstStore(t *testing.T) {
 	s := seedStudy(t)
-	frost, err := s.ApplyFilter(core.ResourceFilter{Name: "/GF/Frost", Include: core.IncludeDescendants})
+	frost, err := s.ApplyFilterCtx(context.Background(), core.ResourceFilter{Name: "/GF/Frost", Include: core.IncludeDescendants})
 	if err != nil {
 		t.Fatal(err)
 	}
-	app, err := s.ApplyFilter(core.ResourceFilter{Type: "application"})
+	app, err := s.ApplyFilterCtx(context.Background(), core.ResourceFilter{Type: "application"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	prf := core.PRFilter{Families: []core.Family{frost, app}}
-	results, err := s.QueryResults(prf)
+	ids, err := s.MatchingResultIDsCtx(context.Background(), prf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := s.MaterializeResultsCtx(context.Background(), ids)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,19 +413,19 @@ func TestPRFilterQueryAgainstStore(t *testing.T) {
 func TestLiveMatchCounts(t *testing.T) {
 	// Figure 3 behaviour: per-family counts and whole-filter counts.
 	s := seedStudy(t)
-	frost, _ := s.ApplyFilter(core.ResourceFilter{Name: "/GF/Frost", Include: core.IncludeDescendants})
-	mcr, _ := s.ApplyFilter(core.ResourceFilter{Name: "/GM/MCR", Include: core.IncludeDescendants})
+	frost, _ := s.ApplyFilterCtx(context.Background(), core.ResourceFilter{Name: "/GF/Frost", Include: core.IncludeDescendants})
+	mcr, _ := s.ApplyFilterCtx(context.Background(), core.ResourceFilter{Name: "/GM/MCR", Include: core.IncludeDescendants})
 
-	nFrost, err := s.CountFamilyMatches(frost)
+	nFrost, err := s.CountFamilyMatchesCtx(context.Background(), frost)
 	if err != nil || nFrost != 3 {
 		t.Errorf("frost family = %d, %v", nFrost, err)
 	}
-	nMCR, err := s.CountFamilyMatches(mcr)
+	nMCR, err := s.CountFamilyMatchesCtx(context.Background(), mcr)
 	if err != nil || nMCR != 1 {
 		t.Errorf("mcr family = %d, %v", nMCR, err)
 	}
 	// Both families together: no result touches both machines.
-	n, err := s.CountMatches(core.PRFilter{Families: []core.Family{frost, mcr}})
+	n, err := s.CountMatchesCtx(context.Background(), core.PRFilter{Families: []core.Family{frost, mcr}})
 	if err != nil || n != 0 {
 		t.Errorf("joint count = %d, %v", n, err)
 	}
@@ -486,7 +491,7 @@ func TestStorePersistsAcrossReopen(t *testing.T) {
 	if !s2.HasResource("/irs") {
 		t.Error("resource lost after reopen")
 	}
-	ids, err := s2.MatchingResultIDs(core.PRFilter{})
+	ids, err := s2.MatchingResultIDsCtx(context.Background(), core.PRFilter{})
 	if err != nil || len(ids) != 1 {
 		t.Fatalf("results after reopen = %v, %v", ids, err)
 	}
@@ -548,7 +553,7 @@ func TestConcurrentLoadersAndReaders(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := s.CountFamilyMatches(fam); err != nil {
+				if _, err := s.CountFamilyMatchesCtx(context.Background(), fam); err != nil {
 					errs <- err
 					return
 				}
@@ -751,7 +756,7 @@ func TestLegacyStoreParentDirectoryRecoversUnderTailLogs(t *testing.T) {
 		t.Fatal(err)
 	}
 	ids = append(ids, addSegResult(t, s, 40)) // stays in the tail, durable in a tail log alone
-	want, err := s.MaterializeResults(ids)
+	want, err := s.MaterializeResultsCtx(context.Background(), ids)
 	if err != nil || len(want) != 4+41 {
 		t.Fatalf("materialized %d results (err %v), want the parent's 4 and 41 new", len(want), err)
 	}
@@ -769,7 +774,7 @@ func TestLegacyStoreParentDirectoryRecoversUnderTailLogs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := s2.MaterializeResults(ids)
+	got, err := s2.MaterializeResultsCtx(context.Background(), ids)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -834,7 +839,7 @@ func TestSchemaMigrationBackfillsAttributeIndex(t *testing.T) {
 		t.Fatal("migration did not recreate resource_attribute_name")
 	}
 	// The backfilled index answers attribute filters over pre-migration rows.
-	fam, err := s2.ApplyFilter(core.ResourceFilter{
+	fam, err := s2.ApplyFilterCtx(context.Background(), core.ResourceFilter{
 		Attrs: []core.AttrPredicate{{Attr: "vendor", Cmp: core.CmpEq, Value: "IBM"}},
 	})
 	if err != nil {

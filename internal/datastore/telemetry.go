@@ -25,7 +25,7 @@ type telemetry struct {
 // cache; focus-cache numbers count materializer focus decodes served
 // from the per-query cache versus decoded from the engine.
 type Telemetry struct {
-	BatchCommits     uint64 // committed batches (LoadPTdf, bulk load, LoadRecord)
+	BatchCommits     uint64 // committed batches (LoadPTdfCtx, bulk load, CommitCtx)
 	BatchRollbacks   uint64 // batches rolled back by a bad record
 	WALFlushes       uint64 // log group flushes: one per committed batch
 	RecordsLoaded    uint64 // PTdf records applied by committed batches

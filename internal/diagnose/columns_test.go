@@ -32,7 +32,7 @@ func loadRecs(t testing.TB, s *datastore.Store, recs []ptdf.Record) {
 	for _, rec := range recs {
 		batch.Stage(rec)
 	}
-	if _, err := batch.Commit(); err != nil {
+	if _, err := batch.CommitCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -136,7 +136,7 @@ func materialized(t *testing.T, s *datastore.Store, exec string) ([]int64, []*co
 	if err != nil {
 		t.Fatal(err)
 	}
-	prs, err := s.MaterializeResults(ids)
+	prs, err := s.MaterializeResultsCtx(context.Background(), ids)
 	if err != nil {
 		t.Fatal(err)
 	}

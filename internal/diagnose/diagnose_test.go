@@ -30,7 +30,7 @@ func fleetStore(t testing.TB, spec gen.FleetSpec) (*datastore.Store, *gen.Fleet)
 	for _, rec := range fleet.Records {
 		batch.Stage(rec)
 	}
-	if _, err := batch.Commit(); err != nil {
+	if _, err := batch.CommitCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	return s, fleet
@@ -130,7 +130,7 @@ func TestDiagnoseNumericThresholdPredicate(t *testing.T) {
 	for _, rec := range recs {
 		batch.Stage(rec)
 	}
-	if _, err := batch.Commit(); err != nil {
+	if _, err := batch.CommitCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	res, err := Run(context.Background(), s, Spec{ExecsA: fast, ExecsB: slow})
@@ -177,7 +177,7 @@ func TestDiagnoseOneVsOneAlignsContexts(t *testing.T) {
 
 func TestDiagnoseFamilySides(t *testing.T) {
 	// Select the sides by pr-filter families over the planted attribute's
-	// values, exercising the ApplyFilter → MatchingResultIDs →
+	// values, exercising the ApplyFilterCtx → MatchingResultIDsCtx →
 	// ExecutionsOfResults path.
 	s, fleet := fleetStore(t, gen.FleetSpec{Execs: 30, Seed: 5})
 	res, err := Run(context.Background(), s, Spec{

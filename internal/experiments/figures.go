@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strconv"
@@ -13,6 +14,7 @@ import (
 	"perftrack/internal/irs"
 	"perftrack/internal/model"
 	"perftrack/internal/paradyn"
+	"perftrack/internal/ptdf"
 	"perftrack/internal/query"
 	"perftrack/internal/reldb"
 )
@@ -29,24 +31,21 @@ func Fig5Store(processCounts []int, seed int64) (*datastore.Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, rec := range m.ToPTdf(2) {
-		if err := s.LoadRecord(rec); err != nil {
-			return nil, err
-		}
+	if err := commit(s, m.ToPTdf(2)); err != nil {
+		return nil, err
 	}
+	// One batch per execution, its nprocs attribute included.
 	for i, np := range processCounts {
 		execName := fmt.Sprintf("irs-np%03d", np)
 		rep, err := generateIRSReport(irs.Run{Execution: execName, NProcs: np, Seed: seed + int64(i)})
 		if err != nil {
 			return nil, err
 		}
-		for _, rec := range rep.ToPTdf("irs", m.Res()) {
-			if err := s.LoadRecord(rec); err != nil {
-				return nil, err
-			}
-		}
-		execRes := core.ResourceName("/" + execName)
-		if err := s.SetResourceAttribute(execRes, "nprocs", fmt.Sprintf("%d", np)); err != nil {
+		recs := append(rep.ToPTdf("irs", m.Res()), ptdf.ResourceAttributeRec{
+			Resource: core.ResourceName("/" + execName), Attr: "nprocs",
+			Value: strconv.Itoa(np), AttrType: "string",
+		})
+		if err := commit(s, recs); err != nil {
 			return nil, err
 		}
 	}
@@ -64,7 +63,8 @@ func generateIRSReport(run irs.Run) (*irs.Report, error) {
 // Fig5 regenerates Figure 5: the minimum and maximum running time of one
 // function across all processors, for different process counts.
 func Fig5(s *datastore.Store, function string, processCounts []int) (*chart.BarChart, error) {
-	fnFam, err := s.ApplyFilter(core.ResourceFilter{
+	ctx := context.TODO()
+	fnFam, err := s.ApplyFilterCtx(ctx, core.ResourceFilter{
 		Name: core.ResourceName("/irs-code/irs.c/" + function),
 	})
 	if err != nil {
@@ -73,7 +73,7 @@ func Fig5(s *datastore.Store, function string, processCounts []int) (*chart.BarC
 	if fnFam.Size() == 0 {
 		return nil, fmt.Errorf("experiments: no resource for function %q", function)
 	}
-	tbl, err := query.Retrieve(s, core.PRFilter{Families: []core.Family{fnFam}})
+	tbl, err := query.RetrieveCtx(ctx, s, core.PRFilter{Families: []core.Family{fnFam}})
 	if err != nil {
 		return nil, err
 	}
@@ -116,14 +116,15 @@ func Fig5(s *datastore.Store, function string, processCounts []int) (*chart.BarC
 // ratios.
 func ModelDemo(s *datastore.Store, function string, processCounts []int) (string, error) {
 	fnRes := core.ResourceName("/irs-code/irs.c/" + function)
-	fnFam, err := s.ApplyFilter(core.ResourceFilter{Name: fnRes})
+	ctx := context.TODO()
+	fnFam, err := s.ApplyFilterCtx(ctx, core.ResourceFilter{Name: fnRes})
 	if err != nil {
 		return "", err
 	}
 	if fnFam.Size() == 0 {
 		return "", fmt.Errorf("experiments: no resource for function %q", function)
 	}
-	tbl, err := query.Retrieve(s, core.PRFilter{Families: []core.Family{fnFam}})
+	tbl, err := query.RetrieveCtx(ctx, s, core.PRFilter{Families: []core.Family{fnFam}})
 	if err != nil {
 		return "", err
 	}
@@ -153,10 +154,8 @@ func ModelDemo(s *datastore.Store, function string, processCounts []int) (string
 	preds := m.PredictRange(processCounts)
 	recs := model.ToPTdf("irs", "model-"+function, "WallTime average", "seconds",
 		[]core.ResourceName{fnRes}, preds)
-	for _, rec := range recs {
-		if err := s.LoadRecord(rec); err != nil {
-			return "", err
-		}
+	if err := commit(s, recs); err != nil {
+		return "", err
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "Scaling model for %s (WallTime average):\n  %s\n  R^2 = %.4f on %d points\n\n",

@@ -36,10 +36,12 @@ func TestSingleSessionIntegratesAllToolsAndMachines(t *testing.T) {
 	}
 	// All four machines.
 	for _, m := range gen.Catalog() {
+		batch := s.NewBatch()
 		for _, rec := range m.ToPTdf(2) {
-			if err := s.LoadRecord(rec); err != nil {
-				t.Fatal(err)
-			}
+			batch.Stage(rec)
+		}
+		if _, err := batch.CommitCtx(context.Background()); err != nil {
+			t.Fatal(err)
 		}
 	}
 
@@ -59,10 +61,12 @@ func TestSingleSessionIntegratesAllToolsAndMachines(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		batch := s.NewBatch()
 		for _, rec := range recs {
-			if err := s.LoadRecord(rec); err != nil {
-				t.Fatal(err)
-			}
+			batch.Stage(rec)
+		}
+		if _, err := batch.CommitCtx(context.Background()); err != nil {
+			t.Fatal(err)
 		}
 	}
 	// ... plus a Paradyn import (a fifth tool, different structure).
@@ -74,10 +78,12 @@ func TestSingleSessionIntegratesAllToolsAndMachines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	batch := s.NewBatch()
 	for _, rec := range recs {
-		if err := s.LoadRecord(rec); err != nil {
-			t.Fatal(err)
-		}
+		batch.Stage(rec)
+	}
+	if _, err := batch.CommitCtx(context.Background()); err != nil {
+		t.Fatal(err)
 	}
 
 	// Five tools, one store.
@@ -104,11 +110,11 @@ func TestSingleSessionIntegratesAllToolsAndMachines(t *testing.T) {
 
 	// A single pr-filter spans tools: everything measured on the irs
 	// application regardless of origin (IRS benchmark + Paradyn).
-	appFam, err := s.ApplyFilter(core.ResourceFilter{Name: "/irs"})
+	appFam, err := s.ApplyFilterCtx(context.Background(), core.ResourceFilter{Name: "/irs"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl, err := query.Retrieve(s, core.PRFilter{Families: []core.Family{appFam}})
+	tbl, err := query.RetrieveCtx(context.Background(), s, core.PRFilter{Families: []core.Family{appFam}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +128,7 @@ func TestSingleSessionIntegratesAllToolsAndMachines(t *testing.T) {
 
 	// Free-resource analysis spans machines: grid/machine is offered
 	// because the results come from different platforms.
-	allTbl, err := query.Retrieve(s, core.PRFilter{})
+	allTbl, err := query.RetrieveCtx(context.Background(), s, core.PRFilter{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +176,7 @@ func TestSingleSessionIntegratesAllToolsAndMachines(t *testing.T) {
 	if execs, err := s2.Executions(); err != nil || len(execs) != 5 {
 		t.Errorf("executions after restart = %v, %v", execs, err)
 	}
-	n, err := s2.CountMatches(core.PRFilter{})
+	n, err := s2.CountMatchesCtx(context.Background(), core.PRFilter{})
 	if err != nil {
 		t.Fatal(err)
 	}

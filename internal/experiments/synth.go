@@ -6,6 +6,7 @@ package experiments
 // (BenchmarkDiagnose).
 
 import (
+	"context"
 	"fmt"
 
 	"perftrack/internal/core"
@@ -62,14 +63,10 @@ func SeedSynthStore(eng *reldb.DB, recs []ptdf.Record) (*datastore.Store, []int6
 	if err != nil {
 		return nil, nil, err
 	}
-	batch := s.NewBatch()
-	for _, rec := range recs {
-		batch.Stage(rec)
-	}
-	if _, err := batch.Commit(); err != nil {
+	if err := commit(s, recs); err != nil {
 		return nil, nil, err
 	}
-	ids, err := s.MatchingResultIDs(core.PRFilter{})
+	ids, err := s.MatchingResultIDsCtx(context.TODO(), core.PRFilter{})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -93,11 +90,7 @@ func SeedSegmentedSynthStore(eng *reldb.DB, rows, segments int) (*datastore.Stor
 		if start < nDims {
 			end = nDims // dimensions commit in one leading batch
 		}
-		batch := s.NewBatch()
-		for _, rec := range recs[start:end] {
-			batch.Stage(rec)
-		}
-		if _, err := batch.Commit(); err != nil {
+		if err := commit(s, recs[start:end]); err != nil {
 			return nil, err
 		}
 		if start >= nDims {
@@ -121,12 +114,19 @@ func SeedFleetStore(execs int, seed int64) (*datastore.Store, *gen.Fleet, error)
 	if err != nil {
 		return nil, nil, err
 	}
-	batch := s.NewBatch()
-	for _, rec := range fleet.Records {
-		batch.Stage(rec)
-	}
-	if _, err := batch.Commit(); err != nil {
+	if err := commit(s, fleet.Records); err != nil {
 		return nil, nil, err
 	}
 	return s, fleet, nil
+}
+
+// commit stages recs into one batch and commits it, so they load whole
+// or not at all.
+func commit(s *datastore.Store, recs []ptdf.Record) error {
+	b := s.NewBatch()
+	for _, rec := range recs {
+		b.Stage(rec)
+	}
+	_, err := b.CommitCtx(context.TODO())
+	return err
 }

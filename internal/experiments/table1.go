@@ -232,10 +232,8 @@ func runDataset(cfg Table1Config, ds dataset, seed int64) (Table1Row, error) {
 	if err != nil {
 		return row, err
 	}
-	for _, rec := range m.ToPTdf(8) {
-		if err := store.LoadRecord(rec); err != nil {
-			return row, err
-		}
+	if err := commit(store, m.ToPTdf(8)); err != nil {
+		return row, err
 	}
 	if err := fe.Checkpoint(); err != nil {
 		return row, err

@@ -2,6 +2,7 @@ package gen
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -45,10 +46,12 @@ func TestMachineToPTdfLoadsWithCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, rec := range m.ToPTdf(4) {
-		if err := s.LoadRecord(rec); err != nil {
-			t.Fatalf("record %d: %v", i, err)
-		}
+	batch := s.NewBatch()
+	for _, rec := range m.ToPTdf(4) {
+		batch.Stage(rec)
+	}
+	if _, err := batch.CommitCtx(context.Background()); err != nil {
+		t.Fatal(err)
 	}
 	// 4 nodes per partition x 16 procs.
 	procs, err := s.ResourcesOfType("grid/machine/partition/node/processor")
@@ -214,10 +217,12 @@ func TestPTdfGenEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	m, _ := MachineByName("BGL")
+	batch := s.NewBatch()
 	for _, rec := range m.ToPTdf(2) {
-		if err := s.LoadRecord(rec); err != nil {
-			t.Fatal(err)
-		}
+		batch.Stage(rec)
+	}
+	if _, err := batch.CommitCtx(context.Background()); err != nil {
+		t.Fatal(err)
 	}
 	stats, err := s.LoadPTdfFile(paths[0])
 	if err != nil {

@@ -2,6 +2,7 @@ package irs
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -116,10 +117,12 @@ func TestToPTdfLoadsIntoStore(t *testing.T) {
 	if _, err := s.AddResource("/MCRGrid/MCR", "grid/machine", ""); err != nil {
 		t.Fatal(err)
 	}
-	for i, rec := range rep.ToPTdf("irs", "/MCRGrid/MCR") {
-		if err := s.LoadRecord(rec); err != nil {
-			t.Fatalf("record %d: %v", i, err)
-		}
+	batch := s.NewBatch()
+	for _, rec := range rep.ToPTdf("irs", "/MCRGrid/MCR") {
+		batch.Stage(rec)
+	}
+	if _, err := batch.CommitCtx(context.Background()); err != nil {
+		t.Fatal(err)
 	}
 	st := s.Stats()
 	if st.Results != int64(4*len(rep.Rows)) {

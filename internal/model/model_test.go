@@ -1,6 +1,7 @@
 package model
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -167,14 +168,16 @@ func TestModelVersusActualViaCompare(t *testing.T) {
 	// Store predictions at the measured counts.
 	recs := ToPTdf("app", "model", "wall time", "seconds", ctx,
 		m.PredictRange([]int{2, 4, 8, 16, 32}))
-	for i, rec := range recs {
-		if err := s.LoadRecord(rec); err != nil {
-			t.Fatalf("record %d: %v", i, err)
-		}
+	batch := s.NewBatch()
+	for _, rec := range recs {
+		batch.Stage(rec)
+	}
+	if _, err := batch.CommitCtx(context.Background()); err != nil {
+		t.Fatal(err)
 	}
 
 	// Direct comparison, prediction vs actual, at p=8.
-	cmp, err := compare.Executions(s, formatExec("actual", 8), "model-np008")
+	cmp, err := compare.ExecutionsCtx(context.Background(), s, formatExec("actual", 8), "model-np008")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package mpip
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -126,10 +127,12 @@ func TestToPTdfLoadsIntoStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, rec := range rep.ToPTdf("smg2000", "e", "") {
-		if err := s.LoadRecord(rec); err != nil {
-			t.Fatalf("record %d (%s): %v", i, ptdf.FormatRecord(rec), err)
-		}
+	batch := s.NewBatch()
+	for _, rec := range rep.ToPTdf("smg2000", "e", "") {
+		batch.Stage(rec)
+	}
+	if _, err := batch.CommitCtx(context.Background()); err != nil {
+		t.Fatal(err)
 	}
 	// Caller/callee filters find callsite results (no granularity loss).
 	callers, err := s.ResourcesOfType("build/module/function")
@@ -137,7 +140,7 @@ func TestToPTdfLoadsIntoStore(t *testing.T) {
 		t.Fatalf("callers = %v, %v", callers, err)
 	}
 	fam := core.NewFamily(callers[0])
-	n, err := s.CountFamilyMatches(fam)
+	n, err := s.CountFamilyMatchesCtx(context.Background(), fam)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +151,7 @@ func TestToPTdfLoadsIntoStore(t *testing.T) {
 	if err != nil || len(callees) == 0 {
 		t.Fatalf("callees = %v, %v", callees, err)
 	}
-	n2, err := s.CountFamilyMatches(core.NewFamily(callees[0]))
+	n2, err := s.CountFamilyMatchesCtx(context.Background(), core.NewFamily(callees[0]))
 	if err != nil || n2 == 0 {
 		t.Errorf("callee family matches = %d, %v", n2, err)
 	}

@@ -193,7 +193,7 @@ func (s *Sampler) SampleNow() error {
 		s.errors++
 		return fmt.Errorf("selfmon: serialize sample: %w", err)
 	}
-	if _, err := s.store.LoadPTdf(bytes.NewReader(buf.Bytes())); err != nil {
+	if _, err := s.store.LoadPTdfCtx(context.TODO(), bytes.NewReader(buf.Bytes())); err != nil {
 		s.errors++
 		return fmt.Errorf("selfmon: load sample: %w", err)
 	}
@@ -219,7 +219,7 @@ func (s *Sampler) rebuildLocked(keep []sampleDoc) error {
 		return fmt.Errorf("selfmon: rebuild side store: %w", err)
 	}
 	for _, d := range keep {
-		if _, err := fresh.LoadPTdf(bytes.NewReader(d.text)); err != nil {
+		if _, err := fresh.LoadPTdfCtx(context.TODO(), bytes.NewReader(d.text)); err != nil {
 			fresh.Engine().Close()
 			return fmt.Errorf("selfmon: rebuild: reload %s: %w", d.exec, err)
 		}

@@ -31,7 +31,7 @@ func TestWriteDocRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := st.LoadPTdf(bytes.NewReader(buf.Bytes()))
+	stats, err := st.LoadPTdfCtx(context.Background(), bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatalf("sample doc does not load: %v\n%s", err, buf.String())
 	}

@@ -1,6 +1,7 @@
 package paradyn
 
 import (
+	"context"
 	"testing"
 
 	"perftrack/internal/core"
@@ -60,16 +61,18 @@ func TestCompactLoadsAndPreservesBins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, rec := range recs {
-		if err := s.LoadRecord(rec); err != nil {
-			t.Fatalf("record %d (%s): %v", i, ptdf.FormatRecord(rec), err)
-		}
+	batch := s.NewBatch()
+	for _, rec := range recs {
+		batch.Stage(rec)
+	}
+	if _, err := batch.CommitCtx(context.Background()); err != nil {
+		t.Fatal(err)
 	}
 	if got := s.HistogramCount(); got != int64(len(b.Histograms)) {
 		t.Errorf("stored histograms = %d, want %d", got, len(b.Histograms))
 	}
 	// The bins survive with full granularity.
-	ids, err := s.MatchingResultIDs(core.PRFilter{})
+	ids, err := s.MatchingResultIDsCtx(context.Background(), core.PRFilter{})
 	if err != nil {
 		t.Fatal(err)
 	}

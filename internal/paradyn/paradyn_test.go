@@ -2,6 +2,7 @@ package paradyn
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -214,10 +215,12 @@ func TestBundleToPTdfLoadsAndSkipsNan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, rec := range recs {
-		if err := s.LoadRecord(rec); err != nil {
-			t.Fatalf("record %d (%s): %v", i, ptdf.FormatRecord(rec), err)
-		}
+	batch := s.NewBatch()
+	for _, rec := range recs {
+		batch.Stage(rec)
+	}
+	if _, err := batch.CommitCtx(context.Background()); err != nil {
+		t.Fatal(err)
 	}
 	// Type extensions landed.
 	if !s.Types().Has("syncObject/type/object") || !s.Types().Has("time/interval/bin") {

@@ -49,7 +49,7 @@ func TestResultCacheHitAndInvalidation(t *testing.T) {
 		Sets: []ptdf.ResourceSet{{Names: []core.ResourceName{"/app"}, Type: core.FocusPrimary}},
 		Tool: "tool", Metric: "metric-0", Value: 1e6, Units: "seconds",
 	})
-	if _, err := b.Commit(); err != nil {
+	if _, err := b.CommitCtx(context.Background()); err != nil {
 		t.Fatalf("commit: %v", err)
 	}
 	if st.Generation() == genBefore {

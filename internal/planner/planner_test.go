@@ -66,7 +66,7 @@ func seedStore(t testing.TB, eng *reldb.DB, n int) *datastore.Store {
 	for _, rec := range testRecords(n) {
 		b.Stage(rec)
 	}
-	if _, err := b.Commit(); err != nil {
+	if _, err := b.CommitCtx(context.Background()); err != nil {
 		t.Fatalf("commit: %v", err)
 	}
 	return s
@@ -152,7 +152,7 @@ func overlapStore(t testing.TB, n int) *datastore.Store {
 	b.Stage(ptdf.PerfResultRec{Exec: "exec-a", Sets: []ptdf.ResourceSet{{
 		Names: []core.ResourceName{"/app", "/SG/SM/batch/n0/p9"}, Type: core.FocusPrimary,
 	}}, Tool: "tool", Metric: "metric-1", Value: 99, Units: "seconds"})
-	if _, err := b.Commit(); err != nil {
+	if _, err := b.CommitCtx(context.Background()); err != nil {
 		t.Fatalf("commit a processor under a flushed node: %v", err)
 	}
 	links, _ := st.Table("result_has_focus")
@@ -449,11 +449,13 @@ func TestLeftoverStatisticsTableIgnored(t *testing.T) {
 	if tab, ok := fe2.Table("table_statistics"); !ok || tab.Len() != 1 {
 		t.Fatalf("leftover table not carried along untouched (present %v)", ok)
 	}
-	if err := st2.LoadRecord(ptdf.PerfResultRec{
+	b := st2.NewBatch()
+	b.Stage(ptdf.PerfResultRec{
 		Exec: "exec-a",
 		Sets: []ptdf.ResourceSet{{Names: []core.ResourceName{"/app"}, Type: core.FocusPrimary}},
 		Tool: "tool", Metric: "metric-0", Value: 1, Units: "seconds",
-	}); err != nil {
+	})
+	if _, err := b.CommitCtx(context.Background()); err != nil {
 		t.Fatalf("load: %v", err)
 	}
 	if tab, _ := fe2.Table("table_statistics"); tab.Len() != 1 {

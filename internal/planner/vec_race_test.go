@@ -60,7 +60,7 @@ func TestVectorizedScanDuringCompaction(t *testing.T) {
 					Value: float64(round*40+j) * 0.25, Units: "seconds",
 				})
 			}
-			if _, err := b.Commit(); err != nil {
+			if _, err := b.CommitCtx(context.Background()); err != nil {
 				t.Errorf("commit: %v", err)
 				return
 			}

@@ -31,7 +31,7 @@ func seedSegmentStore(t testing.TB, dir string, n, batches, tail int) (*datastor
 	for _, rec := range recs[:head] {
 		b.Stage(rec)
 	}
-	if _, err := b.Commit(); err != nil {
+	if _, err := b.CommitCtx(context.Background()); err != nil {
 		t.Fatalf("commit dims: %v", err)
 	}
 	per := n / batches
@@ -44,7 +44,7 @@ func seedSegmentStore(t testing.TB, dir string, n, batches, tail int) (*datastor
 		for _, rec := range recs[lo:hi] {
 			b.Stage(rec)
 		}
-		if _, err := b.Commit(); err != nil {
+		if _, err := b.CommitCtx(context.Background()); err != nil {
 			t.Fatalf("commit batch %d: %v", i, err)
 		}
 		if err := fe.CompactSegments(); err != nil {
@@ -56,7 +56,7 @@ func seedSegmentStore(t testing.TB, dir string, n, batches, tail int) (*datastor
 		for _, rec := range recs[head+n:] {
 			b.Stage(rec)
 		}
-		if _, err := b.Commit(); err != nil {
+		if _, err := b.CommitCtx(context.Background()); err != nil {
 			t.Fatalf("commit tail: %v", err)
 		}
 	}

@@ -2,6 +2,7 @@ package pmapi
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -67,14 +68,16 @@ func TestToPTdfPerProcessResults(t *testing.T) {
 	if _, err := s.AddResource("/UVGrid/UV", "grid/machine", ""); err != nil {
 		t.Fatal(err)
 	}
+	batch := s.NewBatch()
 	results := 0
-	for i, rec := range recs {
-		if err := s.LoadRecord(rec); err != nil {
-			t.Fatalf("record %d: %v", i, err)
-		}
+	for _, rec := range recs {
+		batch.Stage(rec)
 		if _, ok := rec.(ptdf.PerfResultRec); ok {
 			results++
 		}
+	}
+	if _, err := batch.CommitCtx(context.Background()); err != nil {
+		t.Fatal(err)
 	}
 	if results != 4*len(Counters) {
 		t.Errorf("results = %d", results)

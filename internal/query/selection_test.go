@@ -154,7 +154,7 @@ func TestResolveCountCopiesNothing(t *testing.T) {
 		for i := range n {
 			fmt.Fprintf(&b, "PerfResult exec /app,/hot(primary) tool \"wall time\" %d.5 seconds\n", i)
 		}
-		if _, err := s.LoadPTdf(strings.NewReader(b.String())); err != nil {
+		if _, err := s.LoadPTdfCtx(context.Background(), strings.NewReader(b.String())); err != nil {
 			t.Fatal(err)
 		}
 		sel := &Selection{Families: []string{"name=/hot;rel=N", "type=application"}}

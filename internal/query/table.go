@@ -46,14 +46,9 @@ type Table struct {
 // FixedColumns is the initial column set of the main window table.
 var FixedColumns = []string{"execution", "metric", "value", "units", "tool"}
 
-// Retrieve evaluates a pr-filter against the store and builds the result
-// table (the GUI's "get data" step). The filter is evaluated once; rows
-// are materialized from the matching IDs.
-func Retrieve(s *datastore.Store, prf core.PRFilter) (*Table, error) {
-	return RetrieveCtx(context.Background(), s, prf)
-}
-
-// RetrieveCtx is Retrieve under a context, so a trace riding ctx records
+// RetrieveCtx evaluates a pr-filter against the store and builds the
+// result table (the GUI's "get data" step). The filter is evaluated once;
+// rows are materialized from the matching IDs. A trace riding ctx records
 // the filter-evaluation and materialization spans.
 func RetrieveCtx(ctx context.Context, s *datastore.Store, prf core.PRFilter) (*Table, error) {
 	ids, err := s.MatchingResultIDsCtx(ctx, prf)

@@ -2,6 +2,7 @@ package query
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -69,7 +70,7 @@ func studyStore(t *testing.T) *datastore.Store {
 
 func retrieveAll(t *testing.T, s *datastore.Store) *Table {
 	t.Helper()
-	tbl, err := Retrieve(s, core.PRFilter{})
+	tbl, err := RetrieveCtx(context.Background(), s, core.PRFilter{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,11 +90,11 @@ func TestRetrieveBuildsRows(t *testing.T) {
 
 func TestRetrieveWithFilter(t *testing.T) {
 	s := studyStore(t)
-	fam, err := s.ApplyFilter(core.ResourceFilter{Name: "/GF/Frost", Include: core.IncludeDescendants})
+	fam, err := s.ApplyFilterCtx(context.Background(), core.ResourceFilter{Name: "/GF/Frost", Include: core.IncludeDescendants})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl, err := Retrieve(s, core.PRFilter{Families: []core.Family{fam}})
+	tbl, err := RetrieveCtx(context.Background(), s, core.PRFilter{Families: []core.Family{fam}})
 	if err != nil {
 		t.Fatal(err)
 	}

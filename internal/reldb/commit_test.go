@@ -1,6 +1,7 @@
 package reldb_test
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"path/filepath"
@@ -91,7 +92,7 @@ func TestSegmentCommitTakesEngineLockOnce(t *testing.T) {
 		eng.SetSegmentFlushRows(1 << 40)
 		s, err := datastore.Open(eng)
 		if err == nil {
-			_, err = s.LoadPTdf(strings.NewReader(sharedDoc()))
+			_, err = s.LoadPTdfCtx(context.Background(), strings.NewReader(sharedDoc()))
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -130,7 +131,7 @@ func TestSegmentCommitTakesEngineLockOnce(t *testing.T) {
 		for i, shape := range []docShape{docFull, docSmall} {
 			doc := execDoc(fmt.Sprintf("e%d", i), shape)
 			once(fmt.Sprintf("the load of a %d-result document", shape.procs*shape.funcs*shape.metrics), func() error {
-				_, err := s.LoadPTdf(strings.NewReader(doc))
+				_, err := s.LoadPTdfCtx(context.Background(), strings.NewReader(doc))
 				return err
 			})
 		}
@@ -161,7 +162,7 @@ func TestDeleteExecutionIsOneCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, doc := range []string{sharedDoc(), execDoc("e0", docFull), execDoc("e1", docFull), execDoc("e2", docSmall)} {
-		if _, err := s.LoadPTdf(strings.NewReader(doc)); err != nil {
+		if _, err := s.LoadPTdfCtx(context.Background(), strings.NewReader(doc)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -295,7 +296,7 @@ func TestIRSUnderMachinesStaysColumnar(t *testing.T) {
 			for _, rec := range doc {
 				b.Stage(rec)
 			}
-			if _, err := b.Commit(); err != nil {
+			if _, err := b.CommitCtx(context.Background()); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -2,6 +2,7 @@ package reldb_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math"
 	"slices"
@@ -167,7 +168,7 @@ func TestReopenReadsEqual(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, doc := range ds.ptdf {
-				if _, err := s.LoadPTdf(bytes.NewReader(doc)); err != nil {
+				if _, err := s.LoadPTdfCtx(context.Background(), bytes.NewReader(doc)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -177,7 +178,7 @@ func TestReopenReadsEqual(t *testing.T) {
 					for _, rec := range doc {
 						b.Stage(rec)
 					}
-					if _, err := b.Commit(); err != nil {
+					if _, err := b.CommitCtx(context.Background()); err != nil {
 						t.Fatal(err)
 					}
 				}

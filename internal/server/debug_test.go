@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -215,7 +216,7 @@ func TestSelfPTdfRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := fresh.LoadPTdf(bytes.NewReader(doc))
+	stats, err := fresh.LoadPTdfCtx(context.Background(), bytes.NewReader(doc))
 	if err != nil {
 		t.Fatalf("self-profile does not load: %v\n%s", err, doc)
 	}

@@ -36,7 +36,7 @@ func newFleetServer(t *testing.T, spec gen.FleetSpec) (*gen.Fleet, *httptest.Ser
 	for _, rec := range fleet.Records {
 		batch.Stage(rec)
 	}
-	if _, err := batch.Commit(); err != nil {
+	if _, err := batch.CommitCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	srv, err := New(Config{Store: store})
@@ -263,7 +263,7 @@ func TestDiagnoseCancelledMidExtractionStops(t *testing.T) {
 	for _, rec := range fleet.Records {
 		batch.Stage(rec)
 	}
-	if _, err := batch.Commit(); err != nil {
+	if _, err := batch.CommitCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	srv, err := New(Config{Store: store})

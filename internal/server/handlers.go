@@ -352,7 +352,7 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// errStreamLimit aborts MaterializeStream once the row limit is reached.
+// errStreamLimit aborts MaterializeStreamCtx once the row limit is reached.
 var errStreamLimit = errors.New("stream limit reached")
 
 // resultStreamChunk bounds how many results are materialized (and held

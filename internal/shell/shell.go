@@ -257,7 +257,7 @@ func (s *Session) Dispatch(line string) error {
 		if len(args) != 2 {
 			return fmt.Errorf("usage: compare EXEC_A EXEC_B")
 		}
-		cmp, err := compare.Executions(s.store, args[0], args[1])
+		cmp, err := compare.ExecutionsCtx(context.Background(), s.store, args[0], args[1])
 		if err != nil {
 			return err
 		}

@@ -2,6 +2,7 @@ package smg
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -92,10 +93,12 @@ func TestToPTdfLoadsAndQueries(t *testing.T) {
 	if _, err := s.AddResource("/UVGrid/UV", "grid/machine", ""); err != nil {
 		t.Fatal(err)
 	}
-	for i, rec := range rep.ToPTdf("smg2000", "smg-uv-001", "/UVGrid/UV") {
-		if err := s.LoadRecord(rec); err != nil {
-			t.Fatalf("record %d: %v", i, err)
-		}
+	batch := s.NewBatch()
+	for _, rec := range rep.ToPTdf("smg2000", "smg-uv-001", "/UVGrid/UV") {
+		batch.Stage(rec)
+	}
+	if _, err := batch.CommitCtx(context.Background()); err != nil {
+		t.Fatal(err)
 	}
 	st := s.Stats()
 	if st.Results != 8 {
