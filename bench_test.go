@@ -490,15 +490,15 @@ func BenchmarkQuerySQLVsDirect(b *testing.B) {
 				sum float64
 			}
 			groups := make(map[int64]*agg)
-			prTab.Scan(func(_ int64, row reldb.Row) bool {
-				mid := row[2].Int64()
+			prTab.Lookup("", nil, func(b *reldb.ColumnBlock, i int) bool {
+				mid := b.Ints(2).At(i)
 				a := groups[mid]
 				if a == nil {
 					a = &agg{}
 					groups[mid] = a
 				}
 				a.n++
-				a.sum += row[5].Float64()
+				a.sum += b.Float64s(5)[i]
 				return true
 			})
 			if len(groups) == 0 {

@@ -3,8 +3,10 @@ package datastore
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
+	"strings"
 
 	"perftrack/internal/reldb"
 )
@@ -30,7 +32,7 @@ type AttrKeyInfo struct {
 }
 
 // AttributeKeys enumerates attribute keys whose name starts with prefix
-// (empty = all), with per-key domain statistics. One scan of the
+// (empty = all), with per-key domain statistics. One block pass over the
 // resource_attribute table; the diagnose subsystem and GET /v1/attributes
 // use it to bound the predicate search space without touching resources.
 func (s *Store) AttributeKeys(prefix string) ([]AttrKeyInfo, error) {
@@ -47,16 +49,22 @@ func (s *Store) AttributeKeys(prefix string) ([]AttrKeyInfo, error) {
 		name string
 	}
 	latest := make(map[key]slot)
-	raTab.Scan(func(id int64, row reldb.Row) bool {
-		name := row[2].Text()
-		if len(name) < len(prefix) || name[:len(prefix)] != prefix {
-			return true
+	scan, err := raTab.Blocks(math.MinInt64, math.MaxInt64)
+	if err != nil {
+		return nil, err
+	}
+	_ = scan.Each(func(b *reldb.ColumnBlock) error { // the visitor cannot fail
+		ids, rids, names, values := b.IDs(), b.Ints(1), b.Strings(2), b.Strings(3)
+		for i, name := range names {
+			if !strings.HasPrefix(name, prefix) {
+				continue
+			}
+			k, id := key{rids.At(i), name}, ids.At(i)
+			if c, ok := latest[k]; !ok || id > c.rowID {
+				latest[k] = slot{id, values[i]}
+			}
 		}
-		k := key{row[1].Int64(), name}
-		if c, ok := latest[k]; !ok || id > c.rowID {
-			latest[k] = slot{id, row[3].Text()}
-		}
-		return true
+		return nil
 	})
 	domains := make(map[string]map[string]int)
 	for k, c := range latest {
@@ -118,11 +126,11 @@ func (s *Store) AttributeValues(attr string) (map[int64]string, error) {
 		value string
 	}
 	latest := make(map[int64]slot)
-	if err := raTab.IndexScan("resource_attribute_name", []reldb.Value{reldb.Str(attr)},
-		func(id int64, row reldb.Row) bool {
-			rid := row[1].Int64()
+	if err := raTab.Lookup("resource_attribute_name", []reldb.Value{reldb.Str(attr)},
+		func(b *reldb.ColumnBlock, i int) bool {
+			id, rid := b.IDs().At(i), b.Ints(1).At(i)
 			if c, ok := latest[rid]; !ok || id > c.rowID {
-				latest[rid] = slot{id, row[3].Text()}
+				latest[rid] = slot{id, b.Strings(3)[i]}
 			}
 			return true
 		}); err != nil {
@@ -143,8 +151,8 @@ func (s *Store) AttributeValues(attr string) (map[int64]string, error) {
 // over which attribute predicates about the execution are evaluated.
 // ctx is checked once per block of the result_has_focus pass.
 func (s *Store) ExecutionResourceIDs(ctx context.Context, exec string) ([]int64, error) {
-	// Results of the execution → foci → context resources. Each scan only
-	// collects IDs; nesting engine calls inside a scan callback would
+	// Results of the execution → foci → context resources. Each lookup only
+	// collects IDs; nesting engine calls inside its callback would
 	// recursively lock the engine.
 	resultIDs, err := s.ExecutionResultIDs(exec)
 	if err != nil {
@@ -162,21 +170,13 @@ func (s *Store) ExecutionResourceIDs(ctx context.Context, exec string) ([]int64,
 	fhrTab, _ := s.eng.Table("focus_has_resource")
 	var ids []int64
 	for _, fid := range sortDedup(foci) {
-		if err := fhrTab.PKScan([]reldb.Value{reldb.Int(fid)},
-			func(_ int64, row reldb.Row) bool {
-				ids = append(ids, row[1].Int64())
-				return true
-			}); err != nil {
+		if ids, err = appendColumn(ids, fhrTab, "", fid, 1); err != nil {
 			return nil, err
 		}
 	}
 	// Execution-scoped resources (the /execName hierarchy).
 	riTab, _ := s.eng.Table("resource_item")
-	if err := riTab.IndexScan("resource_item_exec", []reldb.Value{reldb.Int(execID)},
-		func(id int64, _ reldb.Row) bool {
-			ids = append(ids, id)
-			return true
-		}); err != nil {
+	if ids, err = appendColumn(ids, riTab, "resource_item_exec", execID, -1); err != nil {
 		return nil, err
 	}
 	base := sortDedup(ids)
@@ -184,11 +184,7 @@ func (s *Store) ExecutionResourceIDs(ctx context.Context, exec string) ([]int64,
 	rcTab, _ := s.eng.Table("resource_constraint")
 	var partners []int64
 	for _, rid := range base {
-		if err := rcTab.IndexScan("resource_constraint_r1", []reldb.Value{reldb.Int(rid)},
-			func(_ int64, row reldb.Row) bool {
-				partners = append(partners, row[2].Int64())
-				return true
-			}); err != nil {
+		if partners, err = appendColumn(partners, rcTab, "resource_constraint_r1", rid, 2); err != nil {
 			return nil, err
 		}
 	}
@@ -199,11 +195,7 @@ func (s *Store) ExecutionResourceIDs(ctx context.Context, exec string) ([]int64,
 	rhaTab, _ := s.eng.Table("resource_has_ancestor")
 	var ancestors []int64
 	for _, rid := range withPartners {
-		if err := rhaTab.PKScan([]reldb.Value{reldb.Int(rid)},
-			func(_ int64, row reldb.Row) bool {
-				ancestors = append(ancestors, row[1].Int64())
-				return true
-			}); err != nil {
+		if ancestors, err = appendColumn(ancestors, rhaTab, "", rid, 1); err != nil {
 			return nil, err
 		}
 	}

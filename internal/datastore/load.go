@@ -105,7 +105,7 @@ func (s *Store) LoadPTdf(r io.Reader) (LoadStats, error) {
 // spans in the request's span tree.
 func (s *Store) LoadPTdfCtx(ctx context.Context, r io.Reader) (LoadStats, error) {
 	_, dspan := obs.StartSpan(ctx, "datastore.load.decode")
-	b, err := s.decode(r)
+	b, err := s.decode(ctx, r)
 	if err != nil {
 		dspan.Annotate("outcome", "decode-error")
 		dspan.End()
@@ -117,11 +117,15 @@ func (s *Store) LoadPTdfCtx(ctx context.Context, r io.Reader) (LoadStats, error)
 }
 
 // decode stages a whole PTdf document into a new batch, touching nothing
-// of the store. It stops at the first bad record.
-func (s *Store) decode(r io.Reader) (*Batch, error) {
+// of the store. It stops at the first bad record, and before any record
+// once ctx is done.
+func (s *Store) decode(ctx context.Context, r io.Reader) (*Batch, error) {
 	b := s.NewBatch()
 	pr := ptdf.NewReader(r)
 	for {
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("datastore: decode: %w", err)
+		}
 		rec, err := pr.Next()
 		if err == io.EOF {
 			return b, nil

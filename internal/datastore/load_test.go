@@ -2,6 +2,8 @@ package datastore
 
 import (
 	"context"
+	"errors"
+	"io"
 	"strings"
 	"testing"
 
@@ -154,6 +156,50 @@ PerfResult scorch-9 /ghost(primary) tool "wall time" 1.5 seconds
 	fam, _ := s.ApplyFilterCtx(context.Background(), core.ResourceFilter{Name: "/irs"})
 	if n, err := s.CountMatchesCtx(context.Background(), core.PRFilter{Families: []core.Family{fam}}); err != nil || n != 1 {
 		t.Errorf("pre-existing data lost after rollback: matches = %d, %v", n, err)
+	}
+}
+
+// lineReader hands out a document a line per Read and cancels once it
+// has handed out the first k.
+type lineReader struct {
+	lines  []string
+	k      int
+	cancel context.CancelFunc
+}
+
+func (r *lineReader) Read(p []byte) (int, error) {
+	if len(r.lines) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p, r.lines[0])
+	if r.lines[0] = r.lines[0][n:]; r.lines[0] == "" {
+		r.lines = r.lines[1:]
+		if r.k--; r.k == 0 {
+			r.cancel()
+		}
+	}
+	return n, nil
+}
+
+// TestLoadPTdfCancelledMidDecode: a load whose context is cancelled while
+// its document decodes stops at the next record with context.Canceled,
+// and stages and commits nothing.
+func TestLoadPTdfCancelledMidDecode(t *testing.T) {
+	s := newStore(t)
+	before, gen := s.Stats(), s.Generation()
+	doc := func(cancel context.CancelFunc) io.Reader {
+		return &lineReader{lines: strings.SplitAfter(sampleDoc, "\n"), k: 4, cancel: cancel}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	if b, err := s.decode(ctx, doc(cancel)); b != nil || !errors.Is(err, context.Canceled) {
+		t.Fatalf("decode = %v, %v; want no batch and context.Canceled", b, err)
+	}
+	ctx, cancel = context.WithCancel(context.Background())
+	if stats, err := s.LoadPTdfCtx(ctx, doc(cancel)); !errors.Is(err, context.Canceled) || stats != (LoadStats{}) {
+		t.Fatalf("LoadPTdfCtx = %+v, %v; want context.Canceled", stats, err)
+	}
+	if s.Stats() != before || s.Generation() != gen || s.HasResource("/irs") {
+		t.Fatalf("a cancelled load left rows behind: %+v, generation %d → %d", s.Stats(), gen, s.Generation())
 	}
 }
 

@@ -529,11 +529,8 @@ func (m *materializer) run(ctx context.Context, ids []int64) ([]*core.Performanc
 	} else {
 		if err := shardRange(len(uniq), m.workers, func(lo, hi int) error {
 			for i := lo; i < hi; i++ {
-				if err := rhfTab.PKScan([]reldb.Value{reldb.Int(uniq[i])},
-					func(_ int64, link reldb.Row) bool {
-						recs[i].foci = append(recs[i].foci, link[1].Int64())
-						return true
-					}); err != nil {
+				var err error
+				if recs[i].foci, err = appendColumn(recs[i].foci, rhfTab, "", uniq[i], 1); err != nil {
 					return err
 				}
 			}
@@ -731,11 +728,7 @@ func (m *materializer) decodeFoci(ctx context.Context, fids []int64) error {
 					return err
 				}
 				types[i] = ft
-				if err := fhrTab.PKScan([]reldb.Value{reldb.Int(fids[i])},
-					func(_ int64, link reldb.Row) bool {
-						members[i] = append(members[i], link[1].Int64())
-						return true
-					}); err != nil {
+				if members[i], err = appendColumn(members[i], fhrTab, "", fids[i], 1); err != nil {
 					return err
 				}
 			}

@@ -302,17 +302,18 @@ func loadNames(eng *reldb.DB) (*nameState, error) {
 		types:     core.NewTypeSystem(),
 		attrStats: make(map[string]*attrStat),
 	}
-	scan := func(table string, fn func(id int64, row reldb.Row) error) (err error) {
+	// Every table is read as blocks: no Row is built.
+	scan := func(table string, fn func(b *reldb.ColumnBlock) error) error {
 		t, _ := eng.Table(table) // Open created or migrated every schema table
-		t.Scan(func(id int64, row reldb.Row) bool {
-			err = fn(id, row)
-			return err == nil
-		})
-		return err
+		blocks, err := t.Blocks(math.MinInt64, math.MaxInt64)
+		if err != nil {
+			return err
+		}
+		return blocks.Each(fn)
 	}
 	for k, spec := range dictSpecs {
-		// Collected as a sorted (ID, name) list — a primary-key scan
-		// ascends — then indexed by ID unless that would be mostly holes.
+		// Collected as a sorted (ID, name) list — a block pass ascends in
+		// primary key — then indexed by ID unless that would be mostly holes.
 		// The directory is the one owner of name uniqueness — no table has
 		// an index to enforce it — so this is where a second row under one
 		// name is found.
@@ -322,16 +323,19 @@ func loadNames(eng *reldb.DB) (*nameState, error) {
 		if spec.refCol > 0 {
 			d.ref = make(map[int64]int64)
 		}
-		if err := scan(spec.table, func(id int64, row reldb.Row) error {
-			name := row[1].Text()
-			if first, dup := d.ids[name]; dup {
-				return fmt.Errorf("datastore: %s rows %d and %d share the name %q", spec.table, first, id, name)
+		if err := scan(spec.table, func(b *reldb.ColumnBlock) error {
+			ids, names := b.IDs(), b.Strings(1)
+			for i, name := range names {
+				id := ids.At(i)
+				if first, dup := d.ids[name]; dup {
+					return fmt.Errorf("datastore: %s rows %d and %d share the name %q", spec.table, first, id, name)
+				}
+				var ref int64
+				if spec.refCol > 0 {
+					ref = b.Ints(spec.refCol).At(i)
+				}
+				d.add(id, name, ref)
 			}
-			var ref int64
-			if spec.refCol > 0 {
-				ref = row[spec.refCol].Int64()
-			}
-			d.add(id, name, ref)
 			return nil
 		}); err != nil {
 			return nil, err
@@ -355,15 +359,10 @@ func loadNames(eng *reldb.DB) (*nameState, error) {
 			return nil, err
 		}
 	}
-	// It owns signature uniqueness the same way; the signatures are read
-	// as a column: no Row is built for a focus.
+	// It owns signature uniqueness the same way.
 	focus, _ := eng.Table("focus")
 	st.focusIDs = make(map[string]int64, focus.Len())
-	foci, err := focus.Blocks(math.MinInt64, math.MaxInt64)
-	if err != nil {
-		return nil, err
-	}
-	if err := foci.Each(func(b *reldb.ColumnBlock) error {
+	if err := scan("focus", func(b *reldb.ColumnBlock) error {
 		ids, sigs := b.IDs(), b.Strings(2)
 		for i := range b.Len() {
 			id := ids.At(i)
@@ -376,10 +375,15 @@ func loadNames(eng *reldb.DB) (*nameState, error) {
 	}); err != nil {
 		return nil, err
 	}
-	_ = scan("resource_attribute", func(_ int64, row reldb.Row) error { // noteAttr cannot fail
-		st.noteAttr(row[2].Text(), row[3].Text())
+	if err := scan("resource_attribute", func(b *reldb.ColumnBlock) error {
+		names, values := b.Strings(2), b.Strings(3)
+		for i, name := range names {
+			st.noteAttr(name, values[i])
+		}
 		return nil
-	})
+	}); err != nil {
+		return nil, err
+	}
 	return st, nil
 }
 

@@ -27,7 +27,7 @@ func scanDict(t *testing.T, s *Store, table string) map[int64]string {
 		t.Fatalf("no %s table", table)
 	}
 	out := make(map[int64]string, tab.Len())
-	tab.Scan(func(id int64, row reldb.Row) bool {
+	eachRow(tab, func(id int64, row reldb.Row) bool {
 		out[id] = row[1].Text()
 		return true
 	})
@@ -53,7 +53,7 @@ func scanStatistics(t *testing.T, s *Store) TableStatistics {
 	}
 	attrs := map[string]*attr{}
 	raTab, _ := s.eng.Table("resource_attribute")
-	raTab.Scan(func(_ int64, row reldb.Row) bool {
+	eachRow(raTab, func(_ int64, row reldb.Row) bool {
 		a := attrs[row[2].Text()]
 		if a == nil {
 			a = &attr{vals: map[string]struct{}{}}
@@ -136,7 +136,7 @@ func checkNamesMatchRows(t *testing.T, s *Store, step string) {
 	// Resource → type, from resource_item's focus_framework_id.
 	riTab, _ := s.eng.Table("resource_item")
 	typeOf := map[core.ResourceName]core.TypePath{}
-	riTab.Scan(func(_ int64, row reldb.Row) bool {
+	eachRow(riTab, func(_ int64, row reldb.Row) bool {
 		typeOf[core.ResourceName(row[1].Text())] = core.TypePath(dicts["focus_framework"][row[4].Int64()])
 		return true
 	})
@@ -580,7 +580,7 @@ func TestDuplicateNameFailsOpen(t *testing.T) {
 			tab, _ := fe.Table(table)
 			var first int64
 			var row reldb.Row
-			tab.Scan(func(id int64, r reldb.Row) bool { first, row = id, r; return false })
+			eachRow(tab, func(id int64, r reldb.Row) bool { first, row = id, r; return false })
 			row[0] = reldb.Null()
 			second, err := fe.Insert(table, row)
 			if err != nil {

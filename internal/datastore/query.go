@@ -22,22 +22,18 @@ func (s *Store) ResourceByName(name core.ResourceName) (*core.Resource, error) {
 	typ, _ := s.names.typeOfResource(name)
 	res := core.NewResource(name, typ)
 	raTab, _ := s.eng.Table("resource_attribute")
-	if err := raTab.IndexScan("resource_attribute_res", []reldb.Value{reldb.Int(id)},
-		func(_ int64, arow reldb.Row) bool {
-			res.SetAttribute(arow[2].Text(), arow[3].Text())
+	if err := raTab.Lookup("resource_attribute_res", []reldb.Value{reldb.Int(id)},
+		func(b *reldb.ColumnBlock, i int) bool {
+			res.SetAttribute(b.Strings(2)[i], b.Strings(3)[i])
 			return true
 		}); err != nil {
 		return nil, err
 	}
-	// Collect constraint partner IDs inside the scan and resolve names
+	// Collect constraint partner IDs inside the lookup and resolve names
 	// after it returns.
 	rcTab, _ := s.eng.Table("resource_constraint")
-	var partnerIDs []int64
-	if err := rcTab.IndexScan("resource_constraint_r1", []reldb.Value{reldb.Int(id)},
-		func(_ int64, crow reldb.Row) bool {
-			partnerIDs = append(partnerIDs, crow[2].Int64())
-			return true
-		}); err != nil {
+	partnerIDs, err := appendColumn(nil, rcTab, "resource_constraint_r1", id, 2)
+	if err != nil {
 		return nil, err
 	}
 	for _, partner := range s.namesOfIDs(partnerIDs) {
@@ -70,9 +66,9 @@ func (s *Store) ResourcesOfType(t core.TypePath) ([]core.ResourceName, error) {
 	}
 	riTab, _ := s.eng.Table("resource_item")
 	var out []core.ResourceName
-	if err := riTab.IndexScan("resource_item_type", []reldb.Value{reldb.Int(ffid)},
-		func(_ int64, row reldb.Row) bool {
-			out = append(out, core.ResourceName(row[1].Text()))
+	if err := riTab.Lookup("resource_item_type", []reldb.Value{reldb.Int(ffid)},
+		func(b *reldb.ColumnBlock, i int) bool {
+			out = append(out, core.ResourceName(b.Strings(1)[i]))
 			return true
 		}); err != nil {
 		return nil, err
@@ -85,9 +81,9 @@ func (s *Store) ResourcesOfType(t core.TypePath) ([]core.ResourceName, error) {
 func (s *Store) ResourcesWithBaseName(base string) ([]core.ResourceName, error) {
 	riTab, _ := s.eng.Table("resource_item")
 	var out []core.ResourceName
-	if err := riTab.IndexScan("resource_item_base", []reldb.Value{reldb.Str(base)},
-		func(_ int64, row reldb.Row) bool {
-			out = append(out, core.ResourceName(row[1].Text()))
+	if err := riTab.Lookup("resource_item_base", []reldb.Value{reldb.Str(base)},
+		func(b *reldb.ColumnBlock, i int) bool {
+			out = append(out, core.ResourceName(b.Strings(1)[i]))
 			return true
 		}); err != nil {
 		return nil, err
@@ -105,9 +101,9 @@ func (s *Store) Children(name core.ResourceName) ([]core.ResourceName, error) {
 	}
 	riTab, _ := s.eng.Table("resource_item")
 	var out []core.ResourceName
-	if err := riTab.IndexScan("resource_item_parent", []reldb.Value{reldb.Int(id)},
-		func(_ int64, row reldb.Row) bool {
-			out = append(out, core.ResourceName(row[1].Text()))
+	if err := riTab.Lookup("resource_item_parent", []reldb.Value{reldb.Int(id)},
+		func(b *reldb.ColumnBlock, i int) bool {
+			out = append(out, core.ResourceName(b.Strings(1)[i]))
 			return true
 		}); err != nil {
 		return nil, err
@@ -127,12 +123,8 @@ func (s *Store) Ancestors(name core.ResourceName) ([]core.ResourceName, error) {
 	var out []core.ResourceName
 	if s.UseClosureTables {
 		rhaTab, _ := s.eng.Table("resource_has_ancestor")
-		var ancIDs []int64
-		if err := rhaTab.PKScan([]reldb.Value{reldb.Int(id)},
-			func(_ int64, row reldb.Row) bool {
-				ancIDs = append(ancIDs, row[1].Int64())
-				return true
-			}); err != nil {
+		ancIDs, err := appendColumn(nil, rhaTab, "", id, 1)
+		if err != nil {
 			return nil, err
 		}
 		out = s.namesOfIDs(ancIDs)
@@ -165,12 +157,8 @@ func (s *Store) Descendants(name core.ResourceName) ([]core.ResourceName, error)
 	var out []core.ResourceName
 	if s.UseClosureTables {
 		rhdTab, _ := s.eng.Table("resource_has_descendant")
-		var descIDs []int64
-		if err := rhdTab.PKScan([]reldb.Value{reldb.Int(id)},
-			func(_ int64, row reldb.Row) bool {
-				descIDs = append(descIDs, row[1].Int64())
-				return true
-			}); err != nil {
+		descIDs, err := appendColumn(nil, rhdTab, "", id, 1)
+		if err != nil {
 			return nil, err
 		}
 		out = s.namesOfIDs(descIDs)
@@ -181,10 +169,10 @@ func (s *Store) Descendants(name core.ResourceName) ([]core.ResourceName, error)
 		for len(queue) > 0 {
 			cur := queue[0]
 			queue = queue[1:]
-			if err := riTab.IndexScan("resource_item_parent", []reldb.Value{reldb.Int(cur)},
-				func(cid int64, row reldb.Row) bool {
-					out = append(out, core.ResourceName(row[1].Text()))
-					queue = append(queue, cid)
+			if err := riTab.Lookup("resource_item_parent", []reldb.Value{reldb.Int(cur)},
+				func(b *reldb.ColumnBlock, i int) bool {
+					out = append(out, core.ResourceName(b.Strings(1)[i]))
+					queue = append(queue, b.IDs().At(i))
 					return true
 				}); err != nil {
 				return nil, err
@@ -196,6 +184,21 @@ func (s *Store) Descendants(name core.ResourceName) ([]core.ResourceName, error)
 }
 
 func sortNames(ns []core.ResourceName) { slices.Sort(ns) }
+
+// appendColumn appends to dst the integer column col — the row ID when
+// col < 0 — of each row whose index key (primary key, for index "")
+// starts with key, in Lookup's order, and returns the extended slice.
+func appendColumn(dst []int64, tab *reldb.Table, index string, key int64, col int) ([]int64, error) {
+	err := tab.Lookup(index, []reldb.Value{reldb.Int(key)}, func(b *reldb.ColumnBlock, i int) bool {
+		if col < 0 {
+			dst = append(dst, b.IDs().At(i))
+		} else {
+			dst = append(dst, b.Ints(col).At(i))
+		}
+		return true
+	})
+	return dst, err
+}
 
 // namesOfIDs maps resource IDs to names.
 func (s *Store) namesOfIDs(ids []int64) []core.ResourceName {
@@ -327,11 +330,11 @@ func (s *Store) attrMatchIDs(p core.AttrPredicate) (IDSet, error) {
 		value string
 	}
 	latest := make(map[int64]cur)
-	if err := raTab.IndexScan("resource_attribute_name", []reldb.Value{reldb.Str(p.Attr)},
-		func(id int64, row reldb.Row) bool {
-			rid := row[1].Int64()
+	if err := raTab.Lookup("resource_attribute_name", []reldb.Value{reldb.Str(p.Attr)},
+		func(b *reldb.ColumnBlock, i int) bool {
+			id, rid := b.IDs().At(i), b.Ints(1).At(i)
 			if c, ok := latest[rid]; !ok || id > c.rowID {
-				latest[rid] = cur{id, row[3].Text()}
+				latest[rid] = cur{id, b.Strings(3)[i]}
 			}
 			return true
 		}); err != nil {
@@ -386,11 +389,8 @@ func (s *Store) familyResultIDs(ctx context.Context, fam core.Family) (IDSet, er
 			return IDSet{}, fmt.Errorf("datastore: family: %w", err)
 		}
 		// Column 0 of both link tables is the owner: the focus, the result.
-		if err := fhrTab.IndexScanInt("fhr_resource", []reldb.Value{reldb.Int(rid)}, 0,
-			func(_, focus int64) bool {
-				foci = append(foci, focus)
-				return true
-			}); err != nil {
+		var err error
+		if foci, err = appendColumn(foci, fhrTab, "fhr_resource", rid, 0); err != nil {
 			return IDSet{}, err
 		}
 	}
@@ -399,11 +399,8 @@ func (s *Store) familyResultIDs(ctx context.Context, fam core.Family) (IDSet, er
 		if err := ctx.Err(); err != nil {
 			return IDSet{}, fmt.Errorf("datastore: family: %w", err)
 		}
-		if err := rhfTab.IndexScanInt("rhf_focus", []reldb.Value{reldb.Int(fid)}, 0,
-			func(_, result int64) bool {
-				results = append(results, result)
-				return true
-			}); err != nil {
+		var err error
+		if results, err = appendColumn(results, rhfTab, "rhf_focus", fid, 0); err != nil {
 			return IDSet{}, err
 		}
 	}
@@ -542,18 +539,15 @@ func (s *Store) ResultByID(id int64) (*core.PerformanceResult, error) {
 	if err := dicts.resolve(pr, row[1].Int64(), row[2].Int64(), row[3].Int64(), row[4].Int64()); err != nil {
 		return nil, err
 	}
-	// Contexts: result -> foci -> resources, via PK-prefix scans on the
-	// composite-keyed link tables. Each scan only collects IDs: nesting an
-	// engine call inside a scan callback would recursively RLock the
-	// engine, which deadlocks when a writer is waiting in between.
+	// Contexts: result -> foci -> resources, via PK-prefix lookups on the
+	// composite-keyed link tables. Each lookup only collects IDs: nesting an
+	// engine call inside its callback would recursively RLock the engine,
+	// which deadlocks when a writer is waiting in between.
 	rhfTab, _ := s.eng.Table("result_has_focus")
 	fTab, _ := s.eng.Table("focus")
 	fhrTab, _ := s.eng.Table("focus_has_resource")
-	var foci []int64
-	if err := rhfTab.PKScan([]reldb.Value{reldb.Int(id)}, func(_ int64, link reldb.Row) bool {
-		foci = append(foci, link[1].Int64())
-		return true
-	}); err != nil {
+	foci, err := appendColumn(nil, rhfTab, "", id, 1)
+	if err != nil {
 		return nil, err
 	}
 	for _, fid := range foci {
@@ -565,11 +559,8 @@ func (s *Store) ResultByID(id int64) (*core.PerformanceResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		var members []int64
-		if err := fhrTab.PKScan([]reldb.Value{reldb.Int(fid)}, func(_ int64, fr reldb.Row) bool {
-			members = append(members, fr[1].Int64())
-			return true
-		}); err != nil {
+		members, err := appendColumn(nil, fhrTab, "", fid, 1)
+		if err != nil {
 			return nil, err
 		}
 		pr.Contexts = append(pr.Contexts, core.Context{Type: ft, Resources: s.namesOfIDs(members)})

@@ -42,11 +42,11 @@ func (s *Store) ExecutionDetail(name string) (*ExecutionDetail, error) {
 	prTab, _ := s.eng.Table("performance_result")
 	metricSet := map[int64]bool{}
 	toolSet := map[int64]bool{}
-	if err := prTab.IndexScan("performance_result_exec", []reldb.Value{reldb.Int(execID)},
-		func(_ int64, prow reldb.Row) bool {
+	if err := prTab.Lookup("performance_result_exec", []reldb.Value{reldb.Int(execID)},
+		func(b *reldb.ColumnBlock, i int) bool {
 			d.Results++
-			metricSet[prow[2].Int64()] = true
-			toolSet[prow[3].Int64()] = true
+			metricSet[b.Ints(2).At(i)] = true
+			toolSet[b.Ints(3).At(i)] = true
 			return true
 		}); err != nil {
 		return nil, err
@@ -61,8 +61,8 @@ func (s *Store) ExecutionDetail(name string) (*ExecutionDetail, error) {
 
 	// Execution-scoped resources.
 	riTab, _ := s.eng.Table("resource_item")
-	if err := riTab.IndexScan("resource_item_exec", []reldb.Value{reldb.Int(execID)},
-		func(int64, reldb.Row) bool {
+	if err := riTab.Lookup("resource_item_exec", []reldb.Value{reldb.Int(execID)},
+		func(*reldb.ColumnBlock, int) bool {
 			d.Resources++
 			return true
 		}); err != nil {
@@ -140,29 +140,21 @@ func (d *deletion) row(table string, id int64) {
 }
 
 // matching adds every row of a table whose index — the primary key when
-// index is "" — starts with id, and returns the rows.
-func (d *deletion) matching(table, index string, id int64) []reldb.Row {
+// index is "" — starts with id, and returns the rows' integer column col.
+func (d *deletion) matching(table, index string, id int64, col int) []int64 {
 	tab, _ := d.s.eng.Table(table)
-	var ids []int64
-	var rows []reldb.Row
-	visit := func(rid int64, row reldb.Row) bool {
-		ids, rows = append(ids, rid), append(rows, row)
+	var ids, vals []int64
+	err := tab.Lookup(index, []reldb.Value{reldb.Int(id)}, func(b *reldb.ColumnBlock, i int) bool {
+		ids, vals = append(ids, b.IDs().At(i)), append(vals, b.Ints(col).At(i))
 		return true
-	}
-	key := []reldb.Value{reldb.Int(id)}
-	var err error
-	if index == "" {
-		err = tab.PKScan(key, visit)
-	} else {
-		err = tab.IndexScan(index, key, visit)
-	}
+	})
 	if d.err == nil {
 		d.err = err
 	}
-	for _, rid := range ids { // not inside the scan: a visitor must not take the engine lock again
+	for _, rid := range ids { // not inside the lookup: its callback must not take the engine lock again
 		d.row(table, rid)
 	}
-	return rows
+	return vals
 }
 
 func (d *deletion) execution(name string, execID int64) error {
@@ -174,8 +166,8 @@ func (d *deletion) execution(name string, execID int64) error {
 	rhTab, _ := d.s.eng.Table("result_histogram")
 	touchedFoci := map[int64]bool{}
 	for _, rid := range resultIDs {
-		for _, link := range d.matching("result_has_focus", "", rid) {
-			touchedFoci[link[1].Int64()] = true
+		for _, fid := range d.matching("result_has_focus", "", rid, 1) {
+			touchedFoci[fid] = true
 		}
 		if _, hid, found := rhTab.GetByPK(reldb.Int(rid)); found {
 			d.row("result_histogram", hid)
@@ -187,24 +179,20 @@ func (d *deletion) execution(name string, execID int64) error {
 	// closure rows in both roles and every focus holding one (such a focus
 	// exists only for this execution's results).
 	riTab, _ := d.s.eng.Table("resource_item")
-	var resources []int64
-	if err := riTab.IndexScan("resource_item_exec", []reldb.Value{reldb.Int(execID)},
-		func(id int64, _ reldb.Row) bool {
-			resources = append(resources, id)
-			return true
-		}); err != nil {
+	resources, err := appendColumn(nil, riTab, "resource_item_exec", execID, -1)
+	if err != nil {
 		return err
 	}
 	for _, id := range resources {
-		d.matching("resource_attribute", "resource_attribute_res", id)
-		d.matching("resource_constraint", "resource_constraint_r1", id)
-		d.matching("resource_constraint", "resource_constraint_r2", id)
-		d.matching("resource_has_ancestor", "", id)
-		d.matching("resource_has_ancestor", "rha_ancestor", id)
-		d.matching("resource_has_descendant", "", id)
-		d.matching("resource_has_descendant", "rhd_descendant", id)
-		for _, link := range d.matching("focus_has_resource", "fhr_resource", id) {
-			d.focus(link[0].Int64())
+		d.matching("resource_attribute", "resource_attribute_res", id, 0)
+		d.matching("resource_constraint", "resource_constraint_r1", id, 0)
+		d.matching("resource_constraint", "resource_constraint_r2", id, 0)
+		d.matching("resource_has_ancestor", "", id, 0)
+		d.matching("resource_has_ancestor", "rha_ancestor", id, 0)
+		d.matching("resource_has_descendant", "", id, 0)
+		d.matching("resource_has_descendant", "rhd_descendant", id, 0)
+		for _, fid := range d.matching("focus_has_resource", "fhr_resource", id, 0) {
+			d.focus(fid)
 		}
 		d.row("resource_item", id)
 	}
@@ -214,9 +202,9 @@ func (d *deletion) execution(name string, execID int64) error {
 	rhfTab, _ := d.s.eng.Table("result_has_focus")
 	for fid := range touchedFoci {
 		orphaned := true
-		if err := rhfTab.IndexScan("rhf_focus", []reldb.Value{reldb.Int(fid)},
-			func(id int64, _ reldb.Row) bool {
-				orphaned = d.gone["result_has_focus"][id]
+		if err := rhfTab.Lookup("rhf_focus", []reldb.Value{reldb.Int(fid)},
+			func(b *reldb.ColumnBlock, i int) bool {
+				orphaned = d.gone["result_has_focus"][b.IDs().At(i)]
 				return orphaned
 			}); err != nil {
 			return err
@@ -237,7 +225,7 @@ func (d *deletion) focus(fid int64) {
 	if d.gone["focus"][fid] {
 		return
 	}
-	d.matching("focus_has_resource", "", fid)
-	d.matching("result_has_focus", "rhf_focus", fid)
+	d.matching("focus_has_resource", "", fid, 0)
+	d.matching("result_has_focus", "rhf_focus", fid, 0)
 	d.row("focus", fid)
 }

@@ -285,11 +285,7 @@ func TestSegmentBatchHotRowsAppearTogether(t *testing.T) {
 						return nil
 					})
 				}
-				var foci []int64
-				tables["result_has_focus"].PKScan([]reldb.Value{reldb.Int(last)}, func(_ int64, link reldb.Row) bool {
-					foci = append(foci, link[1].Int64())
-					return true
-				})
+				foci, _ := appendColumn(nil, tables["result_has_focus"], "", last, 1)
 				for _, fid := range foci {
 					if _, ok := tables["focus"].Get(fid); !ok {
 						t.Errorf("result %d is visible and links to focus %d, which is not", last, fid)

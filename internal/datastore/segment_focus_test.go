@@ -22,7 +22,7 @@ func tableRows(s *Store) map[string]map[int64]string {
 	for _, name := range tableNames {
 		tab, _ := s.eng.Table(name)
 		rows := make(map[int64]string, tab.Len())
-		tab.Scan(func(id int64, row reldb.Row) bool {
+		eachRow(tab, func(id int64, row reldb.Row) bool {
 			rows[id] = row.String()
 			return true
 		})
@@ -186,7 +186,7 @@ func TestDuplicateFocusSignatureFailsOpen(t *testing.T) {
 	tab, _ := eng.Table("focus")
 	var first int64
 	var row reldb.Row
-	tab.Scan(func(id int64, r reldb.Row) bool { first, row = id, r; return false })
+	eachRow(tab, func(id int64, r reldb.Row) bool { first, row = id, r; return false })
 	row[0] = reldb.Null()
 	second, err := eng.Insert("focus", row)
 	if err != nil {

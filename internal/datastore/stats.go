@@ -2,7 +2,6 @@ package datastore
 
 import (
 	"fmt"
-	"slices"
 
 	"perftrack/internal/reldb"
 )
@@ -116,8 +115,8 @@ func (s *Store) LookupDict(table, name string) (id int64, ok bool) {
 }
 
 // ExecutionResultIDs returns the sorted performance_result IDs of one
-// execution, reading the execution_id index for row IDs alone: no row is
-// built for a flushed entry.
+// execution, reading the execution_id index for row IDs alone: a whole
+// key's lookup visits in row-ID order, and no row is built.
 func (s *Store) ExecutionResultIDs(exec string) ([]int64, error) {
 	id, ok := s.names.id(dictExecution, exec)
 	if !ok {
@@ -127,16 +126,7 @@ func (s *Store) ExecutionResultIDs(exec string) ([]int64, error) {
 	if !ok {
 		return nil, fmt.Errorf("datastore: no performance_result table: %w", ErrNotFound)
 	}
-	var ids []int64
-	if err := tab.IndexScanInt("performance_result_exec", []reldb.Value{reldb.Int(id)}, 0,
-		func(rid, _ int64) bool {
-			ids = append(ids, rid)
-			return true
-		}); err != nil {
-		return nil, err
-	}
-	slices.Sort(ids)
-	return ids, nil
+	return appendColumn(nil, tab, "performance_result_exec", id, -1)
 }
 
 // Blocks opens the block source of one table (performance_result,

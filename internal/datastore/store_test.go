@@ -16,6 +16,13 @@ import (
 )
 
 // openEngine opens a file engine for persistence tests.
+// eachRow visits a table's rows in primary-key order, each as its row ID
+// and a Row, until fn returns false.
+func eachRow(tab *reldb.Table, fn func(id int64, row reldb.Row) bool) {
+	var slab []reldb.Value
+	tab.Lookup("", nil, func(b *reldb.ColumnBlock, i int) bool { return fn(b.IDs().At(i), b.Row(i, &slab)) })
+}
+
 func openEngine(dir string) (*reldb.DB, error) {
 	return reldb.OpenFile(dir)
 }
@@ -646,7 +653,7 @@ func TestSQLInterfaceOverStore(t *testing.T) {
 			cols = append(cols, c.Name)
 		}
 		var rows []reldb.Row
-		tab.Scan(func(_ int64, row reldb.Row) bool {
+		eachRow(tab, func(_ int64, row reldb.Row) bool {
 			rows = append(rows, row)
 			return true
 		})
@@ -748,7 +755,7 @@ func TestLegacyStoreParentDirectoryRecoversUnderTailLogs(t *testing.T) {
 	seedSegmentStudy(t, s)
 	var ids []int64
 	tab, _ := fe.Table("performance_result")
-	tab.Scan(func(id int64, _ reldb.Row) bool { ids = append(ids, id); return true })
+	eachRow(tab, func(id int64, _ reldb.Row) bool { ids = append(ids, id); return true })
 	for i := 0; i < 40; i++ {
 		ids = append(ids, addSegResult(t, s, i))
 	}

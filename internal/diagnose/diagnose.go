@@ -149,7 +149,10 @@ type Result struct {
 	Trace        []string // search trace; populated when Spec.Explain
 }
 
-// Run executes a diagnosis against the store.
+// Run executes a diagnosis against the store. Every phase stops once ctx
+// is done: the reads of selection and features once per block, the
+// enumeration before each attribute key, the scoring before each
+// candidate.
 func Run(ctx context.Context, s *datastore.Store, spec Spec) (*Result, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -239,6 +242,10 @@ func Run(ctx context.Context, s *datastore.Store, spec Spec) (*Result, error) {
 	}
 	var cands []candidate
 	for _, key := range keys {
+		if err := ctx.Err(); err != nil {
+			enumSpan.End()
+			return nil, fmt.Errorf("diagnose: enumerate: %w", err)
+		}
 		vals, err := s.AttributeValues(key.Name)
 		if err != nil {
 			enumSpan.End()
@@ -266,8 +273,12 @@ func Run(ctx context.Context, s *datastore.Store, spec Spec) (*Result, error) {
 	if scoreWorkers > len(cands) {
 		scoreWorkers = len(cands)
 	}
+	// The workers stop taking candidates once ctx is done.
 	if scoreWorkers <= 1 {
 		for i, c := range cands {
+			if ctx.Err() != nil {
+				break
+			}
 			exs[i] = scoreCandidate(c.pred, c.matrix, feats.profiles)
 		}
 	} else {
@@ -282,14 +293,22 @@ func Run(ctx context.Context, s *datastore.Store, spec Spec) (*Result, error) {
 				}
 			}()
 		}
+	feed:
 		for i := range cands {
-			work <- i
+			select {
+			case work <- i:
+			case <-ctx.Done():
+				break feed
+			}
 		}
 		close(work)
 		wg.Wait()
 	}
 	scoreSpan.Annotate("workers", strconv.Itoa(workers))
 	scoreSpan.End()
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("diagnose: score: %w", err)
+	}
 
 	ranked := rankExplanations(exs)
 	trace("%d of %d candidate(s) discriminate the sides (score > 0)", len(ranked), res.Candidates)

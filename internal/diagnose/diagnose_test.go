@@ -4,8 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"perftrack/internal/core"
@@ -73,6 +76,67 @@ func TestDiagnoseFleetRanksPlantedPredicate(t *testing.T) {
 	// time (100 vs 20 base) contributes the most.
 	if len(res.Bottlenecks) == 0 || res.Bottlenecks[0].Metric != "wall clock time" {
 		t.Fatalf("bottlenecks = %+v", res.Bottlenecks)
+	}
+}
+
+// countingCtx is a context whose Err answers nil a set number of times,
+// then context.Canceled: it is cancelled at a chosen ctx check, whatever
+// the clock.
+type countingCtx struct {
+	context.Context
+	left atomic.Int64
+	done chan struct{}
+	once sync.Once
+}
+
+func cancelAfter(checks int64) *countingCtx {
+	c := &countingCtx{Context: context.Background(), done: make(chan struct{})}
+	c.left.Store(checks)
+	return c
+}
+
+func (c *countingCtx) Err() error {
+	if c.left.Add(-1) >= 0 {
+		return nil
+	}
+	c.once.Do(func() { close(c.done) })
+	return context.Canceled
+}
+
+func (c *countingCtx) Done() <-chan struct{} { return c.done }
+
+// TestDiagnoseStopsWhenCancelled: a diagnosis whose context is cancelled
+// once the features are folded — at the first attribute key, or at the
+// first candidate — returns context.Canceled instead of a result.
+func TestDiagnoseStopsWhenCancelled(t *testing.T) {
+	s, fleet := fleetStore(t, gen.FleetSpec{Execs: 40, Seed: 7})
+	spec := Spec{ExecsA: fleet.Fast, ExecsB: fleet.Slow, Workers: 1}
+	full, err := Run(context.Background(), s, spec)
+	if err != nil || full.Keys == 0 || full.Candidates == 0 {
+		t.Fatalf("uncancelled run: %+v, %v", full, err)
+	}
+	// The checks Run's selection and feature phases make before it
+	// enumerates: the same calls, counted.
+	count := cancelAfter(math.MaxInt64)
+	a, err := resolveSide(count, s, "", spec.ExecsA, nil, "A")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := resolveSide(count, s, "", spec.ExecsB, nil, "B")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := extractFeatures(count, s, a, b, "", 1); err != nil {
+		t.Fatal(err)
+	}
+	before := math.MaxInt64 - count.left.Load()
+	for _, c := range []struct {
+		phase string
+		after int64
+	}{{"enumerate", before}, {"score", before + int64(full.Keys)}} {
+		if res, err := Run(cancelAfter(c.after), s, spec); !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), c.phase) {
+			t.Errorf("cancelled in the %s phase: result %t, err %v; want context.Canceled from it", c.phase, res != nil, err)
+		}
 	}
 }
 

@@ -263,7 +263,7 @@ func (p *Planner) execRows(ctx context.Context, sel *sqldb.SelectStmt, access re
 	var tuples []resultTuple
 	if p.Naive {
 		var err error
-		if tuples, err = p.naiveScan(f, plan.Profile); err != nil {
+		if tuples, err = p.naiveScan(ctx, f, plan.Profile); err != nil {
 			return nil, err
 		}
 	} else {
@@ -292,11 +292,11 @@ func (p *Planner) execRows(ctx context.Context, sel *sqldb.SelectStmt, access re
 }
 
 // naiveScan is the reference scan behind Planner.Naive: a key-order
-// walk of every row, with family specs (the only conjuncts naive mode
-// pushes) checked per row against the resolved ID set. It deliberately
-// shares nothing with the block source or the kernels it is the oracle
-// for.
-func (p *Planner) naiveScan(f *resultFilter, prof *ExecProfile) ([]resultTuple, error) {
+// Lookup of every row, its columns read at each position, with family
+// specs (the only conjuncts naive mode pushes) checked per row against
+// the resolved ID set, and ctx every 1024 rows. It deliberately shares
+// nothing with the block source or the kernels it is the oracle for.
+func (p *Planner) naiveScan(ctx context.Context, f *resultFilter, prof *ExecProfile) ([]resultTuple, error) {
 	tab, ok := p.store.Table("performance_result")
 	if !ok {
 		return nil, fmt.Errorf("datastore: no performance_result table: %w", datastore.ErrNotFound)
@@ -309,17 +309,27 @@ func (p *Planner) naiveScan(f *resultFilter, prof *ExecProfile) ([]resultTuple, 
 		}
 	}
 	var out []resultTuple
-	tab.Scan(func(id int64, row reldb.Row) bool {
+	var cancelled error
+	err := tab.Lookup("", nil, func(b *reldb.ColumnBlock, i int) bool {
+		if prof.RowsScanned%1024 == 0 {
+			if cancelled = ctx.Err(); cancelled != nil {
+				return false
+			}
+		}
 		prof.RowsScanned++
+		id := b.IDs().At(i)
 		if member != nil {
 			if _, ok := member[id]; !ok {
 				return true
 			}
 		}
-		out = append(out, resultTuple{id, row[1].Int64(), row[2].Int64(), row[3].Int64(), row[4].Int64(), row[5].Float64()})
+		out = append(out, resultTuple{id, b.Ints(1).At(i), b.Ints(2).At(i), b.Ints(3).At(i), b.Ints(4).At(i), b.Float64s(5)[i]})
 		return true
 	})
-	return out, nil
+	if cancelled != nil {
+		return nil, fmt.Errorf("planner: naive scan performance_result: %w", cancelled)
+	}
+	return out, err
 }
 
 // idBounds derives an inclusive primary-key range from pushed id
@@ -492,28 +502,25 @@ func (p *Planner) planDimension(ctx context.Context, sel *sqldb.SelectStmt, prof
 	for i, d := range spec.dicts {
 		dicts[i] = p.store.Dict(d)
 	}
+	// The physical row is built into one reusable slab; only the virtual
+	// row is kept. Rows reach the executor in row-ID order.
 	type pair struct {
 		id  int64
 		row reldb.Row
 	}
 	var pairs []pair
-	if idxName != "" {
-		if err := tab.IndexScan(idxName, idxPrefix, func(id int64, row reldb.Row) bool {
-			pairs = append(pairs, pair{id, append(reldb.Row(nil), row...)})
-			return true
-		}); err != nil {
-			return nil, nil, err
-		}
-		sort.Slice(pairs, func(i, j int) bool { return pairs[i].id < pairs[j].id })
-	} else {
-		tab.Scan(func(id int64, row reldb.Row) bool {
-			pairs = append(pairs, pair{id, append(reldb.Row(nil), row...)})
-			return true
-		})
+	phys := make([]reldb.Value, len(tab.Schema().Columns))
+	if err := tab.Lookup(idxName, idxPrefix, func(b *reldb.ColumnBlock, i int) bool {
+		slab := phys
+		pairs = append(pairs, pair{b.IDs().At(i), spec.row(dicts, b.Row(i, &slab))})
+		return true
+	}); err != nil {
+		return nil, nil, err
 	}
+	sort.Slice(pairs, func(i, j int) bool { return pairs[i].id < pairs[j].id })
 	rows := make([]reldb.Row, 0, len(pairs))
 	for _, pr := range pairs {
-		rows = append(rows, spec.row(dicts, pr.row))
+		rows = append(rows, pr.row)
 	}
 	prof.RowsScanned = int64(len(pairs))
 	plan.ActualRows = int64(len(rows))

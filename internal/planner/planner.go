@@ -18,6 +18,7 @@ package planner
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"perftrack/internal/core"
 	"perftrack/internal/datastore"
@@ -38,8 +39,9 @@ const (
 
 // Cost-model weights: relative cost of visiting one row on each access
 // path (DESIGN.md §11). Point lookups pay a binary search per block,
-// index scans a permutation walk plus row build, full scans a key-order
-// walk building rows, and segment scans stream decoded columns.
+// index lookups a permutation walk, full scans a key-order walk (both
+// Table.Lookup, a position at a time), and segment scans stream decoded
+// columns.
 const (
 	costPointLookup = 4.0
 	costIndexRow    = 2.0
@@ -164,7 +166,7 @@ func (p *Planner) execute(ctx context.Context, sqlText string) (*sqldb.Result, *
 	case p.virtualizable(sel):
 		res, plan, err = p.planDimension(ctx, sel, prof)
 	default:
-		res, plan, err = p.rawQuery(sel, prof)
+		res, plan, err = p.rawQuery(ctx, sel, prof)
 	}
 	if err == nil {
 		prof.finish(len(res.Rows))
@@ -179,14 +181,16 @@ func virtualSource(columns []string, rows []reldb.Row) sqldb.Source {
 }
 
 // rawQuery runs a statement the virtual catalog cannot express over the
-// engine's physical tables: every table the statement names is scanned
-// whole and the executor filters and joins. It only reads.
-func (p *Planner) rawQuery(sel *sqldb.SelectStmt, prof *ExecProfile) (*sqldb.Result, *Plan, error) {
+// engine's physical tables: every table the statement names is read whole
+// through its block source, ctx checked once per block, and the executor
+// filters and joins. It only reads.
+func (p *Planner) rawQuery(ctx context.Context, sel *sqldb.SelectStmt, prof *ExecProfile) (*sqldb.Result, *Plan, error) {
 	prof.markPlanned()
 	var scanned int64
+	var scanErr error
 	res, err := sqldb.Execute(sel, func(name string) ([]string, []reldb.Row, bool) {
 		tab, ok := p.store.Table(name)
-		if !ok {
+		if !ok || scanErr != nil {
 			return nil, nil, false
 		}
 		schema := tab.Schema()
@@ -195,13 +199,29 @@ func (p *Planner) rawQuery(sel *sqldb.SelectStmt, prof *ExecProfile) (*sqldb.Res
 			cols[i] = c.Name
 		}
 		var rows []reldb.Row
-		tab.Scan(func(_ int64, row reldb.Row) bool {
-			rows = append(rows, row)
-			return true
-		})
+		var slab []reldb.Value
+		scan, err := p.store.Blocks(name, math.MinInt64, math.MaxInt64)
+		if err == nil {
+			err = scan.Each(func(b *reldb.ColumnBlock) error {
+				if err := ctx.Err(); err != nil {
+					return err
+				}
+				for i := range b.Len() {
+					rows = append(rows, b.Row(i, &slab))
+				}
+				return nil
+			})
+		}
+		if err != nil {
+			scanErr = fmt.Errorf("planner: scan %s: %w", name, err)
+			return nil, nil, false
+		}
 		scanned += int64(len(rows))
 		return cols, rows, true
 	})
+	if scanErr != nil {
+		return nil, nil, scanErr
+	}
 	if err != nil {
 		return nil, nil, fmt.Errorf("planner: %v: %w", err, datastore.ErrBadSpec)
 	}

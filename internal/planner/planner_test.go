@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"perftrack/internal/core"
@@ -157,7 +158,7 @@ func overlapStore(t testing.TB, n int) *datastore.Store {
 	}
 	links, _ := st.Table("result_has_focus")
 	focusOf := func(result int64) (f int64) {
-		links.PKScan([]reldb.Value{reldb.Int(result)}, func(_ int64, row reldb.Row) bool { f = row[1].Int64(); return false })
+		links.Lookup("", []reldb.Value{reldb.Int(result)}, func(b *reldb.ColumnBlock, i int) bool { f = b.Ints(1).At(i); return false })
 		return f
 	}
 	if _, err := fe.Insert("result_has_focus", reldb.Row{reldb.Int(5), reldb.Int(focusOf(6))}); err != nil {
@@ -398,6 +399,47 @@ func assertCancelledBeforeScan(t *testing.T, p *Planner, q string) {
 	}
 	if plan == nil || plan.Profile.RowsScanned > vecBatch {
 		t.Fatalf("cancelled query still scanned the table (plan: %+v)", plan)
+	}
+}
+
+// cancelAtCheck is a context cancelled at its nth Err call: mid-work,
+// whatever the clock.
+type cancelAtCheck struct {
+	context.Context
+	left atomic.Int64
+}
+
+func (c *cancelAtCheck) Err() error {
+	if c.left.Add(-1) > 0 {
+		return nil
+	}
+	return context.Canceled
+}
+
+// TestRawAndNaiveScansStopWhenCancelled: a raw-sql join over
+// performance_result, read block by block, and a naive scan, which checks
+// every 1024 rows, return context.Canceled when cancelled at their second
+// check instead of reading on.
+func TestRawAndNaiveScansStopWhenCancelled(t *testing.T) {
+	st, _ := seedSegmentStore(t, t.TempDir(), 3000, 3, 100)
+	for _, c := range []struct {
+		naive    bool
+		strategy string
+		q        string
+	}{
+		{false, StrategyRawSQL, "SELECT m.name, count(*) FROM performance_result pr JOIN metric m ON pr.metric_id = m.id GROUP BY m.name"},
+		{true, StrategyFullScan, "SELECT id, value FROM performance_result"},
+	} {
+		p := New(st)
+		p.Naive = c.naive
+		if _, plan, err := p.Query(context.Background(), c.q); err != nil || plan.Strategy != c.strategy {
+			t.Fatalf("%s: plan %+v, err %v; want strategy %s", c.q, plan, err, c.strategy)
+		}
+		ctx := &cancelAtCheck{Context: context.Background()}
+		ctx.left.Store(2)
+		if res, _, err := p.Query(ctx, c.q); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s cancelled mid-scan: result %t, err %v; want context.Canceled", c.q, res != nil, err)
+		}
 	}
 }
 

@@ -29,7 +29,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"slices"
 	"sync"
 	"time"
 
@@ -983,13 +982,12 @@ func accessIDs(tab *reldb.Table, access resultAccess, f *resultFilter) ([]int64,
 	if access.indexDim == "metric" {
 		idx = "performance_result_metric"
 	}
-	// Index order is key order, not row order: sort so the gathered
-	// stream stays ID-ascending.
+	// A whole key's lookup visits in row-ID order: the gathered stream
+	// stays ID-ascending.
 	var ids []int64
-	err := tab.IndexScanInt(idx, []reldb.Value{reldb.Int(key)}, 0, func(id, _ int64) bool {
-		ids = append(ids, id)
+	err := tab.Lookup(idx, []reldb.Value{reldb.Int(key)}, func(b *reldb.ColumnBlock, i int) bool {
+		ids = append(ids, b.IDs().At(i))
 		return true
 	})
-	slices.Sort(ids)
 	return ids, err
 }

@@ -276,38 +276,27 @@ func (b *ColumnBlock) cell(ci, i int) Value {
 	return Null()
 }
 
-// row builds row i as a Row that is the caller's to keep.
-func (b *ColumnBlock) row(i int) Row {
-	row := make(Row, len(b.cols))
+// Row builds row i as a Row that is the caller's to keep. With a slab it
+// is carved from *slab, which, when it has no room for the row, is first
+// replaced by a new one for up to 256 rows — as many as the block holds
+// from i on — so a caller building a run of rows through one slab pays an
+// allocation per slab, not per row; each row pins its slab. A nil slab
+// allocates the row alone.
+func (b *ColumnBlock) Row(i int, slab *[]Value) Row {
+	n := len(b.cols)
+	var row Row
+	if slab == nil {
+		row = make(Row, n)
+	} else {
+		if len(*slab) < n {
+			*slab = make([]Value, max(min(b.rows-i, 256), 1)*n)
+		}
+		row, *slab = Row((*slab)[:n:n]), (*slab)[n:]
+	}
 	for ci := range row {
 		row[ci] = b.cell(ci, i)
 	}
 	return row
-}
-
-// eachRow builds the rows at positions perm[from:to] (positions
-// from..to-1 themselves when perm is nil) and hands each to fn with its
-// row ID until fn returns false, which eachRow then returns too. The
-// rows are carved from slabs of up to 256, so a run of matches costs an
-// allocation per slab, not per row; each is still the callee's to keep,
-// at the price of pinning its slab.
-func (b *ColumnBlock) eachRow(perm []int32, from, to int, fn func(id int64, row Row) bool) bool {
-	n := len(b.cols)
-	var slab []Value
-	for p := from; p < to; p++ {
-		if len(slab) == 0 {
-			slab = make([]Value, min(to-p, 256)*n)
-		}
-		i, row := at(perm, p), Row(slab[:n:n])
-		slab = slab[n:]
-		for ci := range row {
-			row[ci] = b.cell(ci, i)
-		}
-		if !fn(b.rowIDs.At(i), row) {
-			return false
-		}
-	}
-	return true
 }
 
 // zone computes the min/max summary over the column's non-null values.
@@ -430,10 +419,24 @@ func keyOrdered(spans []span, pkCols []int) [][]span {
 	return runs
 }
 
+// each hands fn the span's rows in its order, as a block and a position,
+// until fn returns false, which each then returns too.
+func (sp span) each(fn func(b *ColumnBlock, i int) bool) bool {
+	for p := sp.from; p < sp.to; p++ {
+		if !fn(sp.b, at(sp.perm, p)) {
+			return false
+		}
+	}
+	return true
+}
+
 // mergeRun hands fn the rows of a run's spans in ascending key order, as
 // a block and a position, until fn returns false, which mergeRun then
 // returns too. No key is in two spans.
 func mergeRun(run []span, pkCols []int, fn func(b *ColumnBlock, i int) bool) bool {
+	if len(run) == 1 {
+		return run[0].each(fn)
+	}
 	next := make([]int, len(run))
 	for k := range run {
 		next[k] = run[k].from

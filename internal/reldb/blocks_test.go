@@ -196,7 +196,7 @@ func TestBlockSourceSegmentsThenTail(t *testing.T) {
 	}
 	tab, _ := fe.Table("focus_has_resource")
 	var want [][2]int64
-	tab.Scan(func(_ int64, row Row) bool {
+	Visit(tab, "", nil, func(_ int64, row Row) bool {
 		if o := row[0].Int64(); o >= 45 && o <= 55 {
 			want = append(want, [2]int64{o, row[1].Int64()})
 		}
@@ -311,8 +311,8 @@ func TestBlockSourceDuringCompaction(t *testing.T) {
 
 // TestNarrowSealUnderReaders: while a writer commits results and tails are
 // sealed — installed as their narrowed copies — and published, readers of
-// block-scan views (segments, then the tail), of Gather and of
-// IndexScanInt each see every result committed before they began exactly
+// block-scan views (segments, then the tail), of Gather and of an index
+// Lookup each see every result committed before they began exactly
 // once, with its values; and a view of a tail opened before its seal
 // still reads it, wide, afterwards. Under -race this is the check that a
 // seal never writes what a reader pinned.
@@ -359,7 +359,7 @@ func TestNarrowSealUnderReaders(t *testing.T) {
 			t.Errorf("the view pinned before the seal is at width %d", b.IDs().Width())
 		}
 		for i := range b.Len() {
-			check("pinned view", b.IDs().At(i), b.row(i))
+			check("pinned view", b.IDs().At(i), b.Row(i, nil))
 			n++
 		}
 		return nil
@@ -398,7 +398,7 @@ func TestNarrowSealUnderReaders(t *testing.T) {
 						if id := b.IDs().At(i); id != next {
 							t.Errorf("block scan: row %d after %d", id, next-1)
 						}
-						check("block scan", next, b.row(i))
+						check("block scan", next, b.Row(i, nil))
 						next++
 					}
 					return nil
@@ -416,7 +416,7 @@ func TestNarrowSealUnderReaders(t *testing.T) {
 						if b.IDs().At(i) != ids[got] {
 							t.Errorf("gather: row %d, want %d", b.IDs().At(i), ids[got])
 						}
-						check("gather", ids[got], b.row(i))
+						check("gather", ids[got], b.Row(i, nil))
 						got++
 					}
 					return nil
@@ -426,8 +426,8 @@ func TestNarrowSealUnderReaders(t *testing.T) {
 				}
 				exec := int64(iter % 7)
 				want := exec + 1 // the first result whose execution_id is exec
-				tab.IndexScanInt("by_exec", []Value{Int(exec)}, 0, func(id, key int64) bool {
-					if id != want || key != id {
+				tab.Lookup("by_exec", []Value{Int(exec)}, func(b *ColumnBlock, i int) bool {
+					if id, key := b.IDs().At(i), b.Ints(0).At(i); id != want || key != id {
 						t.Errorf("index scan of execution %d: row %d (key %d), want %d", exec, id, key, want)
 					}
 					want += 7

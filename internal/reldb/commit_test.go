@@ -111,7 +111,7 @@ func TestSegmentCommitTakesEngineLockOnce(t *testing.T) {
 		// A raw transaction: 600 foci, each linked to a resource.
 		resources, _ := eng.Table("resource_item")
 		var resource int64
-		resources.Scan(func(id int64, _ reldb.Row) bool { resource = id; return false })
+		reldb.Visit(resources, "", nil, func(id int64, _ reldb.Row) bool { resource = id; return false })
 		before := reldb.WriteLocks(eng)
 		tx := eng.Begin()
 		for i := 0; i < 600; i++ {
@@ -177,7 +177,7 @@ func TestDeleteExecutionIsOneCommit(t *testing.T) {
 	results, _ := eng.Table("performance_result")
 	const all = 4096
 	count := func() (byIndex, byBlocks int) {
-		if err := results.IndexScanInt("performance_result_exec", []reldb.Value{reldb.Int(exec)}, 0, func(int64, int64) bool {
+		if err := results.Lookup("performance_result_exec", []reldb.Value{reldb.Int(exec)}, func(*reldb.ColumnBlock, int) bool {
 			byIndex++
 			return true
 		}); err != nil {
@@ -323,7 +323,7 @@ func TestIRSUnderMachinesStaysColumnar(t *testing.T) {
 	}
 	visits := func(tab *reldb.Table, prefix []reldb.Value) string {
 		var b strings.Builder
-		if err := tab.PKScan(prefix, func(id int64, row reldb.Row) bool {
+		if err := reldb.Visit(tab, "", prefix, func(id int64, row reldb.Row) bool {
 			fmt.Fprintf(&b, "%d %s;", id, row)
 			return true
 		}); err != nil {
@@ -334,7 +334,7 @@ func TestIRSUnderMachinesStaysColumnar(t *testing.T) {
 	if visits(got, nil) != visits(want, nil) {
 		t.Fatal("the full key-ordered scans differ")
 	}
-	want.Scan(func(id int64, row reldb.Row) bool {
+	reldb.Visit(want, "", nil, func(id int64, row reldb.Row) bool {
 		if g, gid, ok := got.GetByPK(row...); !ok || gid != id || g.String() != row.String() {
 			t.Errorf("GetByPK(%s) = %v, %d, %v; want row %d", row, g, gid, ok, id)
 			return false

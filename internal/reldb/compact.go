@@ -654,7 +654,7 @@ func (t *Table) orderLocked() {
 		return
 	}
 	merged := t.newBlock(0, int(t.lenLocked()))
-	t.ascendLocked(nil, func(id int64, row Row) bool { merged.appendRow(id, row); return true })
+	t.ascendLocked(nil, func(b *ColumnBlock, i int) bool { merged.appendFrom(b, i); return true })
 	for _, s := range t.blocks {
 		merged.replaces, merged.sizeOn = append(merged.replaces, s.files()...), merged.sizeOn+s.sizeOn
 	}

@@ -3,6 +3,7 @@ package reldb
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -288,21 +289,20 @@ func (t *Table) containsValueLocked(column string, v Value) bool {
 		_, ok := t.findPKLocked([]Value{v})
 		return ok
 	}
-	found := false
-	// Indexed path.
+	// Indexed path: a block holds the value when its stretch of the index is not empty.
 	for _, ix := range t.indexes {
 		if t.schema.Columns[ix.cols[0]].Name == column {
-			t.indexScanLocked(ix, []Value{v}, func(int64, Row) bool {
-				found = true
-				return false
+			return slices.ContainsFunc(t.blocks, func(s *segment) bool {
+				sp := s.indexSpan(ix, []Value{v})
+				return sp.from < sp.to
 			})
-			return found
 		}
 	}
 	// Fallback scan.
+	found := false
 	if ci := t.schema.ColumnIndex(column); ci >= 0 {
-		t.ascendLocked(nil, func(_ int64, row Row) bool {
-			found = Equal(row[ci], v)
+		t.ascendLocked(nil, func(b *ColumnBlock, i int) bool {
+			found = Equal(b.cell(ci, i), v)
 			return !found
 		})
 	}

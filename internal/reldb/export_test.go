@@ -19,8 +19,12 @@ func StopCompactor(db *DB) { db.seg.shutdown() }
 var HotTables = []string{"performance_result", "result_has_focus", "focus_has_resource",
 	"focus", "resource_has_ancestor", "resource_has_descendant"}
 
-// BlockRow builds row i of a block.
-func BlockRow(b *ColumnBlock, i int) Row { return b.row(i) }
+// Visit is Lookup for a test that reads whole rows: fn gets each row's
+// ID and the row, built by ColumnBlock.Row through one slab.
+func Visit(t *Table, index string, prefix []Value, fn func(id int64, row Row) bool) error {
+	var slab []Value
+	return t.Lookup(index, prefix, func(b *ColumnBlock, i int) bool { return fn(b.IDs().At(i), b.Row(i, &slab)) })
+}
 
 // Values returns a vector's values, whatever its width: tests compare
 // columns by value.

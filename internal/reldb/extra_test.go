@@ -31,7 +31,7 @@ func TestPKScanPrefix(t *testing.T) {
 	}
 	tab, _ := db.Table("link")
 	var got []int64
-	if err := tab.PKScan([]Value{Int(3)}, func(_ int64, row Row) bool {
+	if err := Visit(tab, "", []Value{Int(3)}, func(_ int64, row Row) bool {
 		if row[0].Int64() != 3 {
 			t.Fatalf("prefix scan leaked a=%d", row[0].Int64())
 		}
@@ -50,19 +50,19 @@ func TestPKScanPrefix(t *testing.T) {
 	}
 	// Empty prefix visits everything in order.
 	count := 0
-	if err := tab.PKScan(nil, func(int64, Row) bool { count++; return true }); err != nil {
+	if err := Visit(tab, "", nil, func(int64, Row) bool { count++; return true }); err != nil {
 		t.Fatal(err)
 	}
 	if count != 50 {
 		t.Errorf("full PK scan = %d", count)
 	}
 	// Too-long prefix errors.
-	if err := tab.PKScan([]Value{Int(1), Int(2), Int(3)}, nil); err == nil {
+	if err := Visit(tab, "", []Value{Int(1), Int(2), Int(3)}, nil); err == nil {
 		t.Error("over-long prefix accepted")
 	}
 	// Missing prefix yields nothing.
 	visited := false
-	_ = tab.PKScan([]Value{Int(99)}, func(int64, Row) bool { visited = true; return true })
+	_ = Visit(tab, "", []Value{Int(99)}, func(int64, Row) bool { visited = true; return true })
 	if visited {
 		t.Error("missing prefix visited rows")
 	}
@@ -76,7 +76,7 @@ func TestPKScanEarlyStop(t *testing.T) {
 	}
 	tab, _ := db.Table("link")
 	n := 0
-	_ = tab.PKScan([]Value{Int(1)}, func(int64, Row) bool {
+	_ = Visit(tab, "", []Value{Int(1)}, func(int64, Row) bool {
 		n++
 		return n < 3
 	})
@@ -181,7 +181,7 @@ func TestIndexConsistencyUnderRandomOps(t *testing.T) {
 			}
 		}
 		got := 0
-		if err := tab.IndexScan("t_grp", []Value{Int(grp)}, func(_ int64, row Row) bool {
+		if err := Visit(tab, "t_grp", []Value{Int(grp)}, func(_ int64, row Row) bool {
 			if row[1].Int64() != grp {
 				t.Fatalf("index leaked grp %d into scan for %d", row[1].Int64(), grp)
 			}
@@ -203,7 +203,7 @@ func TestIndexConsistencyUnderRandomOps(t *testing.T) {
 				}
 			}
 			got2 := 0
-			if err := tab.IndexScan("t_grp_label", []Value{Int(grp), Str(label)},
+			if err := Visit(tab, "t_grp_label", []Value{Int(grp), Str(label)},
 				func(int64, Row) bool { got2++; return true }); err != nil {
 				t.Fatal(err)
 			}
@@ -218,10 +218,10 @@ func TestIndexScanUnknownIndex(t *testing.T) {
 	db := newTestMem(t)
 	mustCreate(t, db, personSchema())
 	tab, _ := db.Table("person")
-	if err := tab.IndexScan("nosuch", nil, nil); err == nil {
+	if err := Visit(tab, "nosuch", nil, nil); err == nil {
 		t.Error("unknown index accepted")
 	}
-	if err := tab.IndexScan("person_by_name", []Value{Str("a"), Str("b")}, nil); err == nil {
+	if err := Visit(tab, "person_by_name", []Value{Str("a"), Str("b")}, nil); err == nil {
 		t.Error("over-long index prefix accepted")
 	}
 }
@@ -237,7 +237,7 @@ func TestDropIndex(t *testing.T) {
 	if tab.HasIndex("person_by_name") {
 		t.Error("index survives drop")
 	}
-	if err := tab.IndexScan("person_by_name", nil, nil); err == nil {
+	if err := Visit(tab, "person_by_name", nil, nil); err == nil {
 		t.Error("scan on dropped index accepted")
 	}
 	// Schema no longer lists it.
@@ -259,7 +259,7 @@ func TestDropIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	count := 0
-	if err := tab.IndexScan("person_by_name", nil, func(int64, Row) bool {
+	if err := Visit(tab, "person_by_name", nil, func(int64, Row) bool {
 		count++
 		return true
 	}); err != nil {

@@ -79,7 +79,7 @@ func TestFileEngineBasicPersistence(t *testing.T) {
 	}
 	// Secondary index must be rebuilt too.
 	count := 0
-	if err := tab.IndexScan("person_by_name", []Value{Str("p7")}, func(int64, Row) bool {
+	if err := Visit(tab, "person_by_name", []Value{Str("p7")}, func(int64, Row) bool {
 		count++
 		return true
 	}); err != nil {
@@ -321,7 +321,7 @@ func TestFileEngineCreateIndexPersists(t *testing.T) {
 		t.Fatal("index lost after reopen")
 	}
 	count := 0
-	if err := tab.IndexScan("person_by_age", []Value{Int(30)}, func(int64, Row) bool {
+	if err := Visit(tab, "person_by_age", []Value{Int(30)}, func(int64, Row) bool {
 		count++
 		return true
 	}); err != nil {

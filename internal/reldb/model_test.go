@@ -2,9 +2,9 @@ package reldb
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"math"
-	"reflect"
 	"slices"
 	"sort"
 	"strings"
@@ -400,43 +400,60 @@ func groups(rows []refRow, ci int) map[string][]refRow {
 }
 
 // sameReads fails unless the table holds the model's rows, read every way
-// a Table can be read, in the order the model says.
+// a Table can be read, in the order the model says: Lookup on the primary
+// key and on every index, for every leading value present, for one absent
+// and for the empty prefix, with the rows built by ColumnBlock.Row.
 func sameReads(t *testing.T, label string, got *Table, want *refTable) {
 	t.Helper()
-	type visit struct {
-		id  int64
-		row string
-	}
-	collect := func(into *[]visit) func(int64, Row) bool {
-		return func(id int64, row Row) bool {
-			*into = append(*into, visit{id, row.String()})
-			return true
-		}
-	}
-	expect := func(rows []refRow) []visit {
-		var out []visit
-		for _, r := range rows {
-			out = append(out, visit{r.id, r.row.String()})
-		}
-		return out
-	}
-	same := func(what string, read func(fn func(int64, Row) bool) error, w []visit) {
+	var slab []Value // one slab for every read: a point lookup takes a row of it
+	same := func(what string, read func(fn func(*ColumnBlock, int) bool) error, w []refRow) {
 		t.Helper()
-		var g []visit
-		if err := read(collect(&g)); err != nil {
+		// The rows are compared once the read is over, each after an append
+		// to it: a row that a later one carved from the same slab overwrote,
+		// or whose append overwrote the next, would show.
+		var g []refRow
+		if err := read(func(b *ColumnBlock, i int) bool {
+			g = append(g, refRow{b.IDs().At(i), b.Row(i, &slab)})
+			return true
+		}); err != nil {
 			t.Fatalf("%s: %s: %v", label, what, err)
 		}
-		if !reflect.DeepEqual(g, w) {
+		ok := len(g) == len(w)
+		for k := 0; ok && k < len(g); k++ {
+			row := g[k].row
+			ok = g[k].id == w[k].id && rowsEqual(append(row, Null())[:len(row)], w[k].row)
+		}
+		if !ok {
 			t.Fatalf("%s: %s differs:\n got %d rows %v\nwant %d rows %v", label, what, len(g), g[:min(len(g), 6)], len(w), w[:min(len(w), 6)])
 		}
+	}
+	lookup := func(index string, prefix []Value) func(fn func(*ColumnBlock, int) bool) error {
+		return func(fn func(*ColumnBlock, int) bool) error { return got.Lookup(index, prefix, fn) }
+	}
+	// leading returns each value the rows hold in column ci, and one no
+	// row holds, by encoding.
+	leading := func(rows []refRow, ci int) map[string]Value {
+		out := map[string]Value{}
+		for _, r := range rows {
+			out[string(EncodeKey(nil, r.row[ci]))] = r.row[ci]
+		}
+		absent := Int(-1)
+		if want.schema.Columns[ci].Type == KindString {
+			absent = Str("\x00absent")
+		}
+		out[string(EncodeKey(nil, absent))] = absent
+		return out
 	}
 	if got.Len() != len(want.rows) {
 		t.Fatalf("%s: Len = %d, want %d", label, got.Len(), len(want.rows))
 	}
 	all := want.ordered()
-	same("Scan", func(fn func(int64, Row) bool) error { got.Scan(fn); return nil }, expect(all))
+	same(`Lookup("", nil)`, lookup("", nil), all)
 	byFirst := groups(all, want.pkCols[0])
-	for i, r := range all {
+	for key, v := range leading(all, want.pkCols[0]) {
+		same(fmt.Sprintf(`Lookup("", %v)`, v), lookup("", []Value{v}), byFirst[key])
+	}
+	for _, r := range all {
 		g, gok := got.Get(r.id)
 		if !gok || !rowsEqual(g, r.row) {
 			t.Fatalf("%s: Get(%d) = %v, %v; want %v", label, r.id, g, gok, r.row)
@@ -446,44 +463,31 @@ func sameReads(t *testing.T, label string, got *Table, want *refTable) {
 		if !gok || gid != r.id || !rowsEqual(g, r.row) {
 			t.Fatalf("%s: GetByPK(%v) = %v, %d, %v; want %v, %d", label, pk, g, gid, gok, r.row, r.id)
 		}
-		if i%7 == 0 {
-			first := pk[:1]
-			same(fmt.Sprintf("PKScan(%v)", first), func(fn func(int64, Row) bool) error { return got.PKScan(first, fn) },
-				expect(byFirst[string(EncodeKey(nil, first...))]))
-		}
 	}
 	if _, ok := got.Get(1 << 40); ok {
 		t.Fatalf("%s: Get of a row ID never assigned succeeded", label)
 	}
+	// An index lookup visits block by block, each block's matches in
+	// (index key, row ID) order: the model's index order within each
+	// block's rows. For a whole key that is (key, row ID) order overall.
+	got.db.mu.RLock()
+	blocks := slices.Clone(got.blocks)
+	got.db.mu.RUnlock()
+	blockOf := func(id int64) int {
+		return sort.Search(len(blocks), func(k int) bool { return blocks[k].maxRowID >= id })
+	}
+	perBlock := func(rows []refRow) []refRow {
+		out := slices.Clone(rows)
+		slices.SortStableFunc(out, func(x, y refRow) int { return cmp.Compare(blockOf(x.id), blockOf(y.id)) })
+		return out
+	}
 	for _, spec := range want.schema.Indexes {
-		spec := spec
-		lead := spec.Columns[0]
 		indexed := want.byIndex(&spec)
-		same("IndexScan("+spec.Name+")", func(fn func(int64, Row) bool) error { return got.IndexScan(spec.Name, nil, fn) },
-			expect(indexed))
-		byLead := groups(indexed, want.schema.ColumnIndex(lead))
-		seen := map[int64]bool{-1: true} // and a value no row holds
-		for _, r := range all {
-			seen[r.row[want.schema.ColumnIndex(lead)].Int64()] = true
-		}
-		for v := range seen {
-			key := []Value{Int(v)}
-			match := expect(byLead[string(EncodeKey(nil, key...))])
-			same(fmt.Sprintf("IndexScan(%s, %d)", spec.Name, v), func(fn func(int64, Row) bool) error {
-				return got.IndexScan(spec.Name, key, fn)
-			}, match)
-			if len(spec.Columns) > 1 {
-				continue
-			}
-			// The projected scan reads the leading key column the same.
-			var firsts []visit
-			for _, m := range match {
-				row := want.rows[m.id]
-				firsts = append(firsts, visit{m.id, Row{row[want.pkCols[0]]}.String()})
-			}
-			same(fmt.Sprintf("IndexScanInt(%s, %d)", spec.Name, v), func(fn func(int64, Row) bool) error {
-				return got.IndexScanInt(spec.Name, key, got.pkCols[0], func(id, first int64) bool { return fn(id, Row{Int(first)}) })
-			}, firsts)
+		same(fmt.Sprintf("Lookup(%s, nil)", spec.Name), lookup(spec.Name, nil), perBlock(indexed))
+		lead := want.schema.ColumnIndex(spec.Columns[0])
+		byLead := groups(indexed, lead)
+		for key, v := range leading(indexed, lead) {
+			same(fmt.Sprintf("Lookup(%s, %v)", spec.Name, v), lookup(spec.Name, []Value{v}), perBlock(byLead[key]))
 		}
 	}
 	// Gather by ID list (with holes) and the block source by range carry
@@ -496,25 +500,25 @@ func sameReads(t *testing.T, label string, got *Table, want *refTable) {
 			gathered = append(gathered, refRow{id, row})
 		}
 	}
-	blocks := func(read func(fn func(*ColumnBlock) error) error) func(func(int64, Row) bool) error {
-		return func(fn func(int64, Row) bool) error {
+	blockRows := func(read func(fn func(*ColumnBlock) error) error) func(func(*ColumnBlock, int) bool) error {
+		return func(fn func(*ColumnBlock, int) bool) error {
 			return read(func(b *ColumnBlock) error {
-				for i, id := range Values(b.IDs()) {
-					fn(id, b.row(i))
+				for i := range b.Len() {
+					fn(b, i)
 				}
 				return nil
 			})
 		}
 	}
-	same("Gather", blocks(func(fn func(*ColumnBlock) error) error { return got.Gather(ask, fn) }), expect(gathered))
+	same("Gather", blockRows(func(fn func(*ColumnBlock) error) error { return got.Gather(ask, fn) }), gathered)
 	if want.schema.Columns[want.pkCols[0]].Type == KindInt {
-		same("Blocks", blocks(func(fn func(*ColumnBlock) error) error {
+		same("Blocks", blockRows(func(fn func(*ColumnBlock) error) error {
 			scan, err := got.Blocks(math.MinInt64, math.MaxInt64)
 			if err != nil {
 				return err
 			}
 			return scan.Each(fn)
-		}), expect(all))
+		}), all)
 	}
 }
 
@@ -554,7 +558,7 @@ func dumpDB(db *DB, tables []string) string {
 			continue
 		}
 		fmt.Fprintf(&b, "%s\n", name)
-		t.Scan(func(id int64, row Row) bool {
+		Visit(t, "", nil, func(id int64, row Row) bool {
 			fmt.Fprintf(&b, "  %d %s\n", id, row)
 			return true
 		})

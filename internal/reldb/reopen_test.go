@@ -36,7 +36,7 @@ func renderBlock(tab *reldb.Table, what string, b *reldb.ColumnBlock, segment bo
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%s %s of %d:", tab.Schema().Name, what, b.Len())
 	for i, id := range reldb.Values(b.IDs()) {
-		fmt.Fprintf(&sb, "\n%d: %s", id, renderRow(reldb.BlockRow(b, i)))
+		fmt.Fprintf(&sb, "\n%d: %s", id, renderRow(b.Row(i, nil)))
 	}
 	for ci, col := range tab.Schema().Columns {
 		if segment && col.Type == reldb.KindString {
@@ -69,7 +69,7 @@ func hotReads(t *testing.T, eng *reldb.DB) []string {
 			k++
 			ids = append(ids, reldb.Values(b.IDs())...)
 			for i := 0; i < b.Len(); i++ {
-				rows = append(rows, reldb.BlockRow(b, i))
+				rows = append(rows, b.Row(i, nil))
 			}
 			return nil
 		})

@@ -602,22 +602,22 @@ func TestSegmentIndexDDLCoversFlushedRows(t *testing.T) {
 	got, _ := p.fe.Table("performance_result")
 	sameReads(t, "after CREATE INDEX", got, p.ref.tables["performance_result"])
 	var n int
-	if err := got.IndexScan("pr_tool_metric", []Value{Int(1), Int(3)}, func(int64, Row) bool { n++; return true }); err != nil || n == 0 {
+	if err := Visit(got, "pr_tool_metric", []Value{Int(1), Int(3)}, func(int64, Row) bool { n++; return true }); err != nil || n == 0 {
 		t.Fatalf("two-column index scan over flushed rows: %d rows, err %v", n, err)
 	}
 	if st := hotStatus(t, p.fe, "performance_result"); st.Rows != 300 {
 		t.Fatalf("status after CREATE INDEX = %+v, want the 300 flushed rows still in segments", st)
 	}
-	// The projected scan wants a whole key and an integer column.
-	ignore := func(int64, int64) bool { return true }
-	if got.IndexScanInt("pr_tool_metric", []Value{Int(1)}, 0, ignore) == nil ||
-		got.IndexScanInt("performance_result_exec", []Value{Int(1)}, 5, ignore) == nil ||
-		got.IndexScanInt("nope", []Value{Int(1)}, 0, ignore) == nil {
-		t.Fatal("IndexScanInt accepted a partial key, a float column or an unknown index")
+	// A lookup wants a known index and a prefix no longer than its key.
+	ignore := func(*ColumnBlock, int) bool { return true }
+	if got.Lookup("pr_tool_metric", []Value{Int(1), Int(3), Int(5)}, ignore) == nil ||
+		got.Lookup("", []Value{Int(1), Int(2)}, ignore) == nil ||
+		got.Lookup("nope", []Value{Int(1)}, ignore) == nil {
+		t.Fatal("Lookup accepted a prefix longer than the key or an unknown index")
 	}
 	got = nil
 	rhf, _ := p.fe.Table("result_has_focus")
-	if err := rhf.IndexScan("rhf_focus", nil, func(int64, Row) bool { return true }); err == nil {
+	if err := Visit(rhf, "rhf_focus", nil, func(int64, Row) bool { return true }); err == nil {
 		t.Fatal("dropped index still scans")
 	}
 	p.reopen()

@@ -154,8 +154,8 @@ func TestSegmentRoundTrip(t *testing.T) {
 		if got.rowIDs.At(i) != seg.rowIDs.At(i) {
 			t.Fatalf("rowID[%d] = %d, want %d", i, got.rowIDs.At(i), seg.rowIDs.At(i))
 		}
-		if !rowsEqual(got.row(i), seg.row(i)) {
-			t.Fatalf("row %d mismatch: %v vs %v", i, got.row(i), seg.row(i))
+		if !rowsEqual(got.Row(i, nil), seg.Row(i, nil)) {
+			t.Fatalf("row %d mismatch: %v vs %v", i, got.Row(i, nil), seg.Row(i, nil))
 		}
 	}
 }
@@ -297,8 +297,8 @@ func legacySnapshot(db *DB) []byte {
 	for _, t := range db.order {
 		snap = appendRecord(snap, encodeSchemaPayload([]byte{snapTagSchema}, t.schema))
 		for _, s := range t.tailsLocked() {
-			s.eachRow(s.pkPerm(t.pkCols), 0, s.rows, func(id int64, row Row) bool {
-				snap = appendRecord(snap, encodeRowPayload(putVarint([]byte{snapTagRow}, id), row))
+			span{s, &s.ColumnBlock, s.pkPerm(t.pkCols), 0, s.rows}.each(func(b *ColumnBlock, i int) bool {
+				snap = appendRecord(snap, encodeRowPayload(putVarint([]byte{snapTagRow}, b.rowIDs.At(i)), b.Row(i, nil)))
 				return true
 			})
 		}
@@ -1076,7 +1076,7 @@ func FuzzSegment(f *testing.F) {
 			t.Fatalf("round trip changed shape: %d/%q vs %d/%q", re.rows, re.table, s.rows, s.table)
 		}
 		for i := 0; i < s.rows; i++ {
-			if re.rowIDs.At(i) != s.rowIDs.At(i) || !rowsEqual(re.row(i), s.row(i)) {
+			if re.rowIDs.At(i) != s.rowIDs.At(i) || !rowsEqual(re.Row(i, nil), s.Row(i, nil)) {
 				t.Fatalf("row %d changed in round trip", i)
 			}
 		}

@@ -1,7 +1,6 @@
 package reldb
 
 import (
-	"bytes"
 	"fmt"
 	"slices"
 	"sort"
@@ -116,16 +115,6 @@ func (t *Table) dropIndex(name string) {
 	}
 }
 
-// key builds the index key for a row, the row ID last: what orders the
-// matches of a partial-key scan.
-func (ix *tableIndex) key(row Row, id int64) []byte {
-	key := make([]byte, 0, 16*len(ix.cols))
-	for _, c := range ix.cols {
-		key = encodeValue(key, row[c])
-	}
-	return encodeValue(key, Int(id))
-}
-
 // Schema returns the table's schema. Callers must not mutate it.
 func (t *Table) Schema() *Schema { return t.schema }
 
@@ -146,7 +135,7 @@ type rowRef struct {
 }
 
 // clone returns a copy of the located row that is the caller's to keep.
-func (r rowRef) clone() Row { return r.seg.row(r.pos) }
+func (r rowRef) clone() Row { return r.seg.Row(r.pos, nil) }
 
 // findIDLocked locates the row with the given row ID: in the one block
 // whose row-ID range can hold it — or, while recovery has yet to put an
@@ -362,11 +351,44 @@ func (t *Table) GetByPK(key ...Value) (Row, int64, bool) {
 	return ref.clone(), ref.id, true
 }
 
-// ascendLocked visits the rows whose leading primary-key columns equal
-// prefix (every row when it is empty) in primary-key order: the stretch
-// of each block whose key zone admits the prefix, binary-searched and
-// taken run by run. A row is the visitor's to keep.
-func (t *Table) ascendLocked(prefix []Value, fn func(id int64, row Row) bool) {
+// Lookup visits the rows whose leading key columns equal prefix — every
+// row when prefix is empty — each as a block and a position in it, until
+// fn returns false. index names a secondary index; "" is the primary key.
+// Primary-key rows come in key order: the stretch of each block whose key
+// zone admits the prefix, binary-searched, blocks whose stretches overlap
+// merged (keyOrdered, mergeRun). Index rows come block by block in row-ID
+// order, each block's matches in (index key, row ID) order — for a whole
+// key, (key, row ID) order overall. fn runs under the engine read lock and
+// must not call the engine; b is valid only until fn returns. Lookup
+// errors on an unknown index or a prefix longer than the key.
+func (t *Table) Lookup(index string, prefix []Value, fn func(b *ColumnBlock, i int) bool) error {
+	t.db.mu.RLock()
+	defer t.db.mu.RUnlock()
+	cols := t.pkCols
+	ix, ok := t.indexes[index]
+	if ok {
+		cols = ix.cols
+	} else if index != "" {
+		return fmt.Errorf("reldb: table %q: no index %q", t.schema.Name, index)
+	}
+	if len(prefix) > len(cols) {
+		return fmt.Errorf("reldb: table %q: prefix has %d values, key %q has %d columns",
+			t.schema.Name, len(prefix), index, len(cols))
+	}
+	if ix == nil {
+		t.ascendLocked(prefix, fn)
+		return nil
+	}
+	for _, s := range t.blocks {
+		if !s.indexSpan(ix, prefix).each(fn) {
+			break
+		}
+	}
+	return nil
+}
+
+// ascendLocked is Lookup on the primary key.
+func (t *Table) ascendLocked(prefix []Value, fn func(b *ColumnBlock, i int) bool) {
 	var spans []span
 	for _, s := range t.blocks {
 		if s.rows == 0 || len(prefix) > 0 && s.zoneExcludes(t.pkCols[0], prefix[0]) {
@@ -377,138 +399,25 @@ func (t *Table) ascendLocked(prefix []Value, fn func(id int64, row Row) bool) {
 			s.bound(perm, t.pkCols, prefix, false), s.bound(perm, t.pkCols, prefix, true)})
 	}
 	if len(spans) == 1 { // a point prefix, nearly always
-		spans[0].b.eachRow(spans[0].perm, spans[0].from, spans[0].to, fn)
+		spans[0].each(fn)
 		return
 	}
 	for _, run := range keyOrdered(spans, t.pkCols) {
-		more := false
-		if sp := run[0]; len(run) == 1 {
-			more = sp.b.eachRow(sp.perm, sp.from, sp.to, fn)
-		} else {
-			more = mergeRun(run, t.pkCols, func(b *ColumnBlock, i int) bool { return fn(b.rowIDs.At(i), b.row(i)) })
-		}
-		if !more {
+		if !mergeRun(run, t.pkCols, fn) {
 			return
 		}
 	}
 }
 
-// Scan visits every row in primary-key order. The visitor must not mutate
-// the table; it returns false to stop.
-func (t *Table) Scan(fn func(id int64, row Row) bool) {
-	t.db.mu.RLock()
-	defer t.db.mu.RUnlock()
-	t.ascendLocked(nil, fn)
-}
-
-// PKScan visits rows whose leading primary-key columns equal the given
-// prefix values, in primary-key order. Composite-key link tables use this
-// for efficient prefix lookups without a secondary index.
-func (t *Table) PKScan(prefix []Value, fn func(id int64, row Row) bool) error {
-	t.db.mu.RLock()
-	defer t.db.mu.RUnlock()
-	if len(prefix) > len(t.pkCols) {
-		return fmt.Errorf("reldb: table %q: PK prefix has %d values, key has %d columns",
-			t.schema.Name, len(prefix), len(t.pkCols))
-	}
-	t.ascendLocked(prefix, fn)
-	return nil
-}
-
-// equalSpan returns the stretch of a block's permutation for index ix
+// indexSpan returns the stretch of a block's permutation for index ix
 // whose entries start with prefix. A block whose zone map excludes the
 // leading value is skipped before its permutation is ever built.
-func (s *segment) equalSpan(ix *tableIndex, prefix []Value) (perm []int32, from, to int) {
+func (s *segment) indexSpan(ix *tableIndex, prefix []Value) span {
 	if len(prefix) > 0 && s.zoneExcludes(ix.cols[0], prefix[0]) {
-		return nil, 0, 0
+		return span{}
 	}
-	perm = s.indexPerm(ix)
-	return perm, s.bound(perm, ix.cols, prefix, false), s.bound(perm, ix.cols, prefix, true)
-}
-
-// indexScanLocked visits rows whose index-key prefix equals the given
-// values, in index order: each block's stretch of its sorted permutation.
-// Row IDs ascend from block to block, so for a whole key the stretches
-// concatenate into (key, row ID) order; for a shorter prefix the matches
-// are gathered and sorted by key.
-func (t *Table) indexScanLocked(ix *tableIndex, prefix []Value, fn func(id int64, row Row) bool) {
-	type hit struct {
-		key []byte
-		id  int64
-		row Row
-	}
-	var hits []hit
-	visit := fn
-	if len(prefix) < len(ix.cols) && len(t.blocks) > 1 {
-		visit = func(id int64, row Row) bool {
-			hits = append(hits, hit{ix.key(row, id), id, row})
-			return true
-		}
-	}
-	for _, s := range t.blocks {
-		if perm, from, to := s.equalSpan(ix, prefix); !s.eachRow(perm, from, to, visit) {
-			return
-		}
-	}
-	sort.Slice(hits, func(a, b int) bool { return bytes.Compare(hits[a].key, hits[b].key) < 0 })
-	for _, h := range hits {
-		if !fn(h.id, h.row) {
-			return
-		}
-	}
-}
-
-// indexLocked checks an index scan's arguments.
-func (t *Table) indexLocked(index string, prefix []Value) (*tableIndex, error) {
-	ix, ok := t.indexes[index]
-	if !ok {
-		return nil, fmt.Errorf("reldb: table %q: no index %q", t.schema.Name, index)
-	}
-	if len(prefix) > len(ix.cols) {
-		return nil, fmt.Errorf("reldb: table %q index %q: prefix has %d values, index has %d columns",
-			t.schema.Name, index, len(prefix), len(ix.cols))
-	}
-	return ix, nil
-}
-
-// IndexScanInt is IndexScan for a caller that reads one NOT NULL integer
-// column of each row whose index key equals key, a value for every index
-// column: fn gets the row ID and that column's value, in (key, row ID)
-// order, and no Row is built. The pr-filter's two link-table scans, half
-// of what a cold query costs, read this way.
-func (t *Table) IndexScanInt(index string, key []Value, col int, fn func(id, v int64) bool) error {
-	t.db.mu.RLock()
-	defer t.db.mu.RUnlock()
-	ix, err := t.indexLocked(index, key)
-	if err != nil {
-		return err
-	}
-	if len(key) != len(ix.cols) || col < 0 || col >= len(t.schema.Columns) || t.schema.Columns[col].Type != KindInt {
-		return fmt.Errorf("reldb: table %q index %q: IndexScanInt needs a whole key and an integer column", t.schema.Name, index)
-	}
-	for _, s := range t.blocks {
-		perm, from, to := s.equalSpan(ix, key)
-		ids, vals := &s.rowIDs, &s.cols[col].ints
-		for _, i := range perm[from:to] {
-			if !fn(ids.At(int(i)), vals.At(int(i))) {
-				return nil
-			}
-		}
-	}
-	return nil
-}
-
-// IndexScan visits rows whose index-key prefix equals the given values, in
-// index order. The named index must exist.
-func (t *Table) IndexScan(index string, prefix []Value, fn func(id int64, row Row) bool) error {
-	t.db.mu.RLock()
-	defer t.db.mu.RUnlock()
-	ix, err := t.indexLocked(index, prefix)
-	if err != nil {
-		return err
-	}
-	t.indexScanLocked(ix, prefix, fn)
-	return nil
+	perm := s.indexPerm(ix)
+	return span{s, &s.ColumnBlock, perm, s.bound(perm, ix.cols, prefix, false), s.bound(perm, ix.cols, prefix, true)}
 }
 
 // HasIndex reports whether the table has an index with the given name.

@@ -159,14 +159,14 @@ func TestUpdate(t *testing.T) {
 	}
 	// Index must follow the update.
 	var names []string
-	_ = tab.IndexScan("person_by_name", []Value{Str("a")}, func(_ int64, r Row) bool {
+	_ = Visit(tab, "person_by_name", []Value{Str("a")}, func(_ int64, r Row) bool {
 		names = append(names, r[1].Text())
 		return true
 	})
 	if len(names) != 0 {
 		t.Errorf("old index entry survives: %v", names)
 	}
-	_ = tab.IndexScan("person_by_name", []Value{Str("b")}, func(_ int64, r Row) bool {
+	_ = Visit(tab, "person_by_name", []Value{Str("b")}, func(_ int64, r Row) bool {
 		names = append(names, r[1].Text())
 		return true
 	})
@@ -213,7 +213,7 @@ func TestDelete(t *testing.T) {
 	}
 	// Index entry must be gone.
 	count := 0
-	_ = tab.IndexScan("person_by_name", []Value{Str("a")}, func(int64, Row) bool {
+	_ = Visit(tab, "person_by_name", []Value{Str("a")}, func(int64, Row) bool {
 		count++
 		return true
 	})
@@ -230,7 +230,7 @@ func TestScanOrderedByPK(t *testing.T) {
 	}
 	tab, _ := db.Table("person")
 	var got []int64
-	tab.Scan(func(_ int64, r Row) bool {
+	Visit(tab, "", nil, func(_ int64, r Row) bool {
 		got = append(got, r[0].Int64())
 		return true
 	})
@@ -254,7 +254,7 @@ func TestIndexScanNonUnique(t *testing.T) {
 	}
 	tab, _ := db.Table("person")
 	count := 0
-	if err := tab.IndexScan("person_by_name", []Value{Str("even")}, func(int64, Row) bool {
+	if err := Visit(tab, "person_by_name", []Value{Str("even")}, func(int64, Row) bool {
 		count++
 		return true
 	}); err != nil {
@@ -273,7 +273,7 @@ func TestIndexScanEmptyPrefixVisitsAll(t *testing.T) {
 	}
 	tab, _ := db.Table("person")
 	count := 0
-	if err := tab.IndexScan("person_by_name", nil, func(int64, Row) bool {
+	if err := Visit(tab, "person_by_name", nil, func(int64, Row) bool {
 		count++
 		return true
 	}); err != nil {
@@ -327,7 +327,7 @@ func TestUniqueIndexViolation(t *testing.T) {
 		}
 	}
 	n := 0
-	if err := tab.IndexScan("u_email", []Value{Str("a@x")}, func(int64, Row) bool { n++; return true }); err != nil || n != 2 {
+	if err := Visit(tab, "u_email", []Value{Str("a@x")}, func(int64, Row) bool { n++; return true }); err != nil || n != 2 {
 		t.Fatalf("the index in name only found %d rows (%v), want both", n, err)
 	}
 }
@@ -370,7 +370,7 @@ func TestCreateIndexBackfills(t *testing.T) {
 	}
 	tab, _ := db.Table("person")
 	count := 0
-	if err := tab.IndexScan("person_by_age", []Value{Int(1)}, func(int64, Row) bool {
+	if err := Visit(tab, "person_by_age", []Value{Int(1)}, func(int64, Row) bool {
 		count++
 		return true
 	}); err != nil {
@@ -453,7 +453,7 @@ func TestConcurrentReadersWithWriter(t *testing.T) {
 				default:
 				}
 				n := 0
-				tab.Scan(func(int64, Row) bool { n++; return true })
+				Visit(tab, "", nil, func(int64, Row) bool { n++; return true })
 				if n < 100 {
 					t.Errorf("scan saw %d rows, want >= 100", n)
 					return
@@ -540,7 +540,7 @@ func TestTxRowsInvisibleUntilCommit(t *testing.T) {
 		reads := func(table string) int {
 			tab, _ := eng.Table(table)
 			n := tab.Len()
-			tab.Scan(func(int64, Row) bool { n++; return true })
+			Visit(tab, "", nil, func(int64, Row) bool { n++; return true })
 			for _, id := range ids[table] {
 				if _, ok := tab.Get(id); ok {
 					n++

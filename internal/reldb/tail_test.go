@@ -154,7 +154,7 @@ func TestSegmentBatchHotRowsAppearTogether(t *testing.T) {
 						continue
 					}
 					n = 0
-					if err := tab.IndexScanInt(sh.index, []Value{Int(sh.key)}, 0, func(int64, int64) bool { n++; return true }); err != nil {
+					if err := tab.Lookup(sh.index, []Value{Int(sh.key)}, func(*ColumnBlock, int) bool { n++; return true }); err != nil {
 						t.Error(err)
 					}
 					if n%sh.per != 0 {
@@ -164,7 +164,7 @@ func TestSegmentBatchHotRowsAppearTogether(t *testing.T) {
 				if lastResult > 0 {
 					links, _ := fe.Table("result_has_focus")
 					var foci []int64
-					links.PKScan([]Value{Int(lastResult)}, func(_ int64, link Row) bool {
+					Visit(links, "", []Value{Int(lastResult)}, func(_ int64, link Row) bool {
 						foci = append(foci, link[1].Int64())
 						return true
 					})
@@ -308,14 +308,14 @@ func TestSegmentPublishKeepsTailObject(t *testing.T) {
 		t.Fatalf("the committed results are not an unwritten, key-ordered tail: %+v", tail)
 	}
 	n := 0
-	tab.IndexScanInt("performance_result_exec", []Value{Int(3)}, 0, func(int64, int64) bool { n++; return true })
+	tab.Lookup("performance_result_exec", []Value{Int(3)}, func(*ColumnBlock, int) bool { n++; return true })
 	built := tail.perms["performance_result_exec"].covered()
 	if n == 0 || len(built) != 300 {
 		t.Fatalf("index scan saw %d rows and built a %d-entry permutation over the tail", n, len(built))
 	}
 	var ids []int64
 	var rows []Row
-	tab.Scan(func(id int64, row Row) bool {
+	Visit(tab, "", nil, func(id int64, row Row) bool {
 		ids, rows = append(ids, id), append(rows, row)
 		return true
 	})
@@ -359,7 +359,7 @@ func TestSegmentPublishKeepsTailObject(t *testing.T) {
 		t.Fatalf("result_has_focus segment: %d rows, key-ordered %v", links.segs[0].rows, links.segs[0].pkAsc)
 	}
 	ids, rows = nil, nil
-	links.Scan(func(id int64, row Row) bool {
+	Visit(links, "", nil, func(id int64, row Row) bool {
 		ids, rows = append(ids, id), append(rows, row)
 		return true
 	})
@@ -575,7 +575,7 @@ func TestSegmentConcurrentTransactions(t *testing.T) {
 		tab, _ := p.fe.Table("performance_result")
 		links, _ := p.fe.Table("result_has_focus")
 		var ids []int64
-		tab.Scan(func(id int64, row Row) bool {
+		Visit(tab, "", nil, func(id int64, row Row) bool {
 			if n := len(ids); (n > 0 && id <= ids[n-1]) || row[0].Int64() != id {
 				t.Errorf("result row %d (key %v) follows row %v", id, row[0], ids[max(n-1, 0):])
 			}
@@ -583,7 +583,7 @@ func TestSegmentConcurrentTransactions(t *testing.T) {
 			return true
 		})
 		for _, id := range ids { // not inside Scan: a visitor must not take the engine lock again
-			links.PKScan([]Value{Int(id)}, func(int64, Row) bool { linked++; return true })
+			Visit(links, "", []Value{Int(id)}, func(int64, Row) bool { linked++; return true })
 		}
 		return len(ids), linked
 	}

@@ -129,8 +129,8 @@ func foreignKeysHold(t *testing.T, label string, db *DB) {
 			parent := db.tables[fk.RefTable]
 			ci, pi := tab.schema.ColumnIndex(fk.Column), parent.schema.ColumnIndex(fk.RefColumn)
 			held := map[Value]bool{}
-			parent.Scan(func(_ int64, row Row) bool { held[row[pi]] = true; return true })
-			tab.Scan(func(id int64, row Row) bool {
+			Visit(parent, "", nil, func(_ int64, row Row) bool { held[row[pi]] = true; return true })
+			Visit(tab, "", nil, func(id int64, row Row) bool {
 				if v := row[ci]; !v.IsNull() && !held[v] {
 					t.Fatalf("%s: %s row %d has %s=%s, which %s lacks", label, tab.schema.Name, id, fk.Column, v, fk.RefTable)
 				}

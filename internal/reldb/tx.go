@@ -410,7 +410,7 @@ func (tb *txBlock) admitLocked(tx *Tx) error {
 func (tb *txBlock) admitKeysLocked() error {
 	t, b := tb.t, &tb.ColumnBlock
 	dup := func(i int) error {
-		return fmt.Errorf("reldb: table %q: duplicate primary key %s", t.schema.Name, b.row(i))
+		return fmt.Errorf("reldb: table %q: duplicate primary key %s", t.schema.Name, b.Row(i, nil))
 	}
 	for i := 1; i < b.rows; i++ {
 		if cmpRows(b, i, b, i-1, t.pkCols) <= 0 { // disordered: sort to find a repeat

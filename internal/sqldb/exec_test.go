@@ -27,8 +27,9 @@ func (db testDB) Query(q string) (*Result, error) {
 			cols = append(cols, c.Name)
 		}
 		var rows []reldb.Row
-		tab.Scan(func(_ int64, row reldb.Row) bool {
-			rows = append(rows, row)
+		var slab []reldb.Value
+		tab.Lookup("", nil, func(b *reldb.ColumnBlock, i int) bool {
+			rows = append(rows, b.Row(i, &slab))
 			return true
 		})
 		return cols, rows, true
