@@ -38,7 +38,7 @@ func main() {
 	dbDir := flag.String("db", "", "data store directory (required)")
 	readOnly := flag.Bool("readonly", false, "reject PTdf ingest (/v1/load returns 403)")
 	maxInFlight := flag.Int("max-inflight", 64, "maximum concurrently served API requests; excess is shed with 429")
-	timeout := flag.Duration("timeout", 30*time.Second, "per-request timeout for API endpoints")
+	timeout := flag.Duration("timeout", 30*time.Second, "per-request deadline for API endpoints; the streams /v1/load and /v1/results have none")
 	syncWAL := flag.Bool("sync", false, "fsync the logs a mutation or load wrote to (the tables' tail logs, perftrack.wal)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight requests")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); empty disables")

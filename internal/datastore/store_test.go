@@ -643,7 +643,7 @@ func TestSQLInterfaceOverStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := sqldb.Execute(sel, func(name string) ([]string, []reldb.Row, bool) {
+	r, err := sqldb.Execute(context.Background(), sel, func(name string) ([]string, []reldb.Row, bool) {
 		tab, ok := s.Table(name)
 		if !ok {
 			return nil, nil, false

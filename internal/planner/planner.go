@@ -17,6 +17,7 @@ package planner
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 
@@ -183,12 +184,12 @@ func virtualSource(columns []string, rows []reldb.Row) sqldb.Source {
 // rawQuery runs a statement the virtual catalog cannot express over the
 // engine's physical tables: every table the statement names is read whole
 // through its block source, ctx checked once per block, and the executor
-// filters and joins. It only reads.
+// filters and joins, checking ctx as it goes. It only reads.
 func (p *Planner) rawQuery(ctx context.Context, sel *sqldb.SelectStmt, prof *ExecProfile) (*sqldb.Result, *Plan, error) {
 	prof.markPlanned()
 	var scanned int64
 	var scanErr error
-	res, err := sqldb.Execute(sel, func(name string) ([]string, []reldb.Row, bool) {
+	res, err := sqldb.Execute(ctx, sel, func(name string) ([]string, []reldb.Row, bool) {
 		tab, ok := p.store.Table(name)
 		if !ok || scanErr != nil {
 			return nil, nil, false
@@ -219,10 +220,12 @@ func (p *Planner) rawQuery(ctx context.Context, sel *sqldb.SelectStmt, prof *Exe
 		scanned += int64(len(rows))
 		return cols, rows, true
 	})
-	if scanErr != nil {
+	switch {
+	case scanErr != nil:
 		return nil, nil, scanErr
-	}
-	if err != nil {
+	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+		return nil, nil, fmt.Errorf("planner: %w", err)
+	case err != nil:
 		return nil, nil, fmt.Errorf("planner: %v: %w", err, datastore.ErrBadSpec)
 	}
 	prof.RowsScanned = scanned

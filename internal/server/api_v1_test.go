@@ -5,11 +5,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"mime/multipart"
 	"net/http"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // multipartBody assembles named PTdf documents into one multipart body.
@@ -116,6 +118,74 @@ func TestBulkLoadMultipartNDJSON(t *testing.T) {
 	}
 	if qr.Matches != 6 {
 		t.Errorf("matches = %d, want 6", qr.Matches)
+	}
+}
+
+// TestBulkLoadReadsPartsAfterFirstStatus holds a bulk load's second
+// part back until the first part's status line has arrived: the handler
+// keeps reading parts while it streams status lines, so both commit.
+func TestBulkLoadReadsPartsAfterFirstStatus(t *testing.T) {
+	_, ts := newTestServer(t, nil)
+	pr, pw := io.Pipe()
+	mw := multipart.NewWriter(pw)
+	sent := make(chan error, 1)
+	go func() {
+		// The second part's header ends the first part.
+		part, err := mw.CreateFormFile("ptdf", "first")
+		if err == nil {
+			_, err = part.Write([]byte(ptdfDoc("first", 2)))
+		}
+		if err == nil {
+			_, err = mw.CreateFormFile("ptdf", "second")
+		}
+		sent <- err
+	}()
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/load?j=1", pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", mw.FormDataContentType())
+	lines := make(chan LoadDocStatus, 3) // every line the load sends: two documents and the summary
+	go func() {
+		defer close(lines)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			return
+		}
+		defer resp.Body.Close()
+		sc := bufio.NewScanner(resp.Body)
+		for sc.Scan() {
+			var st LoadDocStatus
+			if json.Unmarshal(sc.Bytes(), &st) == nil {
+				lines <- st
+			}
+		}
+	}()
+	select {
+	case st := <-lines:
+		if st.Doc != "first" || st.Error != "" {
+			t.Fatalf("first status line = %+v", st)
+		}
+	case <-time.After(10 * time.Second):
+		pw.CloseWithError(io.ErrUnexpectedEOF)
+		t.Fatal("no status line for the first part while the rest of the body was held back")
+	}
+	if err := <-sent; err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.WriteString(pw, ptdfDoc("second", 2)); err != nil {
+		t.Fatal(err)
+	}
+	if err := mw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	pw.Close()
+	var got []LoadDocStatus
+	for st := range lines {
+		got = append(got, st)
+	}
+	if len(got) != 2 || got[0].Doc != "second" || got[0].Error != "" || !got[1].Done || got[1].Docs != 2 || got[1].Failed != 0 {
+		t.Errorf("status lines after the first: %+v, want the second document's and a summary of 2 loaded", got)
 	}
 }
 

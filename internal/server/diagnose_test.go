@@ -245,7 +245,7 @@ func (c *abandonedCtx) Err() error {
 
 // TestDiagnoseCancelledMidExtractionStops: a /v1/diagnose whose client
 // goes away while the executions' features are being read answers with
-// the wrapped context.Canceled, and stops where it was. Each extraction
+// the 503 envelope of an ended context, and stops where it was. Each extraction
 // worker and the column fold see the cancellation at their next block,
 // so at most one check per goroutine follows the cancelling one and no
 // execution not yet started is read; the handler and every worker exit.
@@ -280,8 +280,8 @@ func TestDiagnoseCancelledMidExtractionStops(t *testing.T) {
 	srv.handleDiagnose(rec, httptest.NewRequest(http.MethodPost, "/v1/diagnose", bytes.NewReader(body)).WithContext(ctx))
 
 	var er ErrorResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil || !strings.HasSuffix(er.Error, ": "+context.Canceled.Error()) {
-		t.Fatalf("status %d, body %s: want a wrapped %v", rec.Code, rec.Body, context.Canceled)
+	if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil || rec.Code != http.StatusServiceUnavailable || er.Error != "request timed out" {
+		t.Fatalf("status %d, body %s: want the 503 envelope of an ended context", rec.Code, rec.Body)
 	}
 	if after := ctx.checks.Load() - ctx.at; after > int64(workers) {
 		t.Fatalf("%d cancellation checks after the cancelling one, want at most one per other goroutine (%d): the diagnosis went on reading executions", after, workers)

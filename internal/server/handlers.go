@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -52,7 +53,14 @@ func statusOf(err error, fallback int) int {
 	return fallback
 }
 
+// writeError answers err as the v1 error envelope. An error from an
+// ended context (the deadline passed, or the client left) gets the 503
+// envelope route gives a timed-out request.
 func writeError(w http.ResponseWriter, r *http.Request, code int, err error) {
+	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
+		writeErrorString(w, r, http.StatusServiceUnavailable, "request timed out")
+		return
+	}
 	writeErrorString(w, r, statusOf(err, code), err.Error())
 }
 
@@ -174,6 +182,11 @@ func (s *Server) handleBulkLoad(w http.ResponseWriter, r *http.Request, boundary
 		writeError(w, r, http.StatusBadRequest, err)
 		return
 	}
+	// Status lines go out while later parts are still being read. Without
+	// full duplex, net/http discards the unread body at the first flush,
+	// and the parts behind it silently never arrive. Only a writer that
+	// holds the whole reply anyway (a test's recorder) refuses it.
+	_ = http.NewResponseController(w).EnableFullDuplex()
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	enc := json.NewEncoder(w)

@@ -1,16 +1,15 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"fmt"
 	"net/http"
 	"runtime/debug"
 	"strconv"
-	"sync"
 	"time"
+
+	"perftrack/internal/obs"
 )
 
 // ctxKey is the private context-key type for request-scoped values.
@@ -25,7 +24,7 @@ func RequestIDFromContext(ctx context.Context) string {
 }
 
 // statusRecorder captures the status code and body size written by a
-// handler so the logging and metrics layers can report them.
+// handler so route's epilogue can report them.
 type statusRecorder struct {
 	http.ResponseWriter
 	code  int
@@ -48,13 +47,16 @@ func (sr *statusRecorder) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// Flush forwards to the underlying writer so streaming handlers
-// (the NDJSON bulk load) work through the middleware stack.
+// Flush forwards to the underlying writer so the NDJSON streams reach
+// the client as they are written.
 func (sr *statusRecorder) Flush() {
 	if f, ok := sr.ResponseWriter.(http.Flusher); ok {
 		f.Flush()
 	}
 }
+
+// Unwrap lets http.ResponseController reach the connection's writer.
+func (sr *statusRecorder) Unwrap() http.ResponseWriter { return sr.ResponseWriter }
 
 // newRequestID returns a 16-hex-char random tag.
 func newRequestID() string {
@@ -65,223 +67,106 @@ func newRequestID() string {
 	return hex.EncodeToString(b[:])
 }
 
-// withRequestID tags every request with an ID (honoring one supplied by
-// the caller) and echoes it in the X-Request-Id response header.
-func withRequestID(next http.Handler) http.Handler {
+// routeClass is how much of the request envelope a route gets.
+type routeClass int
+
+const (
+	// probe routes (/healthz, /metrics, /v1/debug/*) are neither traced
+	// (reading traces must not write traces), limited nor timed, so
+	// probes, scrapes and diagnosis keep answering while the API sheds
+	// load.
+	probe routeClass = iota
+	// api routes are traced, limited, and run under the request deadline.
+	api
+	// stream routes (/v1/load, /v1/results) are traced and limited but
+	// have no deadline: a large upload or a full-corpus retrieval may
+	// legitimately outlast it.
+	stream
+)
+
+// route is the one request wrapper. It tags the request with an ID
+// (honoring an X-Request-Id the caller sent, and echoing it), opens the
+// root span of non-probe routes, sheds them with 429 + Retry-After
+// beyond the in-flight ceiling, and runs the handler inline on the
+// serving goroutine, under the request deadline on api routes. One
+// deferred epilogue answers a panic with the 500 envelope and an ended
+// context the handler left unanswered with the 503 one, then records the
+// request's metrics, trace status and log line. The limiter slot, the
+// in-flight gauge and Shutdown's drain therefore last exactly as long as
+// the handler's work. The injectDelay fault hook stretches every request
+// by a fixed amount; the self-diagnosis tests use it to plant a slowdown
+// that flows through the real latency histograms and slow-trace
+// detection.
+func (s *Server) route(name string, class routeClass, h http.HandlerFunc) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		start := time.Now()
 		id := r.Header.Get("X-Request-Id")
 		if id == "" {
 			id = newRequestID()
 		}
 		w.Header().Set("X-Request-Id", id)
-		next.ServeHTTP(w, r.WithContext(context.WithValue(r.Context(), ctxKeyRequestID, id)))
-	})
-}
-
-// logRequests writes one structured line per request.
-func (s *Server) logRequests(route string, next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		sr := &statusRecorder{ResponseWriter: w}
-		start := time.Now()
-		next.ServeHTTP(sr, r)
-		if sr.code == 0 {
-			sr.code = http.StatusOK
+		ctx := context.WithValue(r.Context(), ctxKeyRequestID, id)
+		var span *obs.Span
+		if class != probe {
+			ctx, span = s.tracer.StartTrace(ctx, id, name)
+			span.Annotate("method", r.Method)
+			if r.URL.Path != name {
+				span.Annotate("path", r.URL.Path)
+			}
 		}
-		s.log.Info("request",
-			"method", r.Method, "route", route, "path", r.URL.Path,
-			"status", sr.code, "bytes", sr.bytes,
-			"dur", time.Since(start).Round(time.Microsecond),
-			"rid", RequestIDFromContext(r.Context()), "remote", r.RemoteAddr)
-	})
-}
-
-// trace opens the request's root span, keyed by the request ID so
-// /v1/debug/traces/{id} can find it later, and threads the trace down
-// through the handler's context into the datastore. The root span is
-// annotated with the method, path, and final status code; the trace is
-// published to the debug rings when the root span ends.
-func (s *Server) trace(route string, next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		ctx, span := s.tracer.StartTrace(r.Context(), RequestIDFromContext(r.Context()), route)
-		span.Annotate("method", r.Method)
-		if r.URL.Path != route {
-			span.Annotate("path", r.URL.Path)
+		if class == api {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
+			defer cancel()
 		}
+		r = r.WithContext(ctx)
 		sr := &statusRecorder{ResponseWriter: w}
+		s.metrics.inFlight.Add(1)
 		defer func() {
+			v := recover()
+			switch {
+			case v == http.ErrAbortHandler:
+				// net/http's own abort: recorded below, then re-raised.
+			case v != nil:
+				s.log.Error("panic", "err", v, "rid", id, "stack", string(debug.Stack()))
+				if sr.code == 0 {
+					writeErrorString(sr, r, http.StatusInternalServerError, "internal error")
+				}
+				sr.code = http.StatusInternalServerError
+			case sr.code == 0 && ctx.Err() != nil:
+				writeErrorString(sr, r, http.StatusServiceUnavailable, "request timed out")
+			}
 			if sr.code == 0 {
 				sr.code = http.StatusOK
 			}
+			s.metrics.inFlight.Add(-1)
+			s.metrics.observe(name, sr.code, time.Since(start), id)
 			span.Annotate("status", strconv.Itoa(sr.code))
 			span.End()
-		}()
-		next.ServeHTTP(sr, r.WithContext(ctx))
-	})
-}
-
-// recoverPanics converts a handler panic into a 500 instead of killing
-// the connection (and, under Go's default ServeMux behaviour, keeps one
-// bad request from taking down unrelated in-flight work).
-func (s *Server) recoverPanics(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		defer func() {
-			if v := recover(); v != nil {
-				if v == http.ErrAbortHandler {
-					panic(v)
-				}
-				s.log.Error("panic", "err", v,
-					"rid", RequestIDFromContext(r.Context()), "stack", string(debug.Stack()))
-				writeErrorString(w, r, http.StatusInternalServerError, "internal error")
+			s.log.Info("request",
+				"method", r.Method, "route", name, "path", r.URL.Path,
+				"status", sr.code, "bytes", sr.bytes,
+				"dur", time.Since(start).Round(time.Microsecond),
+				"rid", id, "remote", r.RemoteAddr)
+			if v == http.ErrAbortHandler {
+				panic(v)
 			}
 		}()
-		next.ServeHTTP(w, r)
-	})
-}
-
-// instrument maintains the in-flight gauge and per-route counters. The
-// injectDelay fault hook stretches every instrumented request by a fixed
-// amount; the self-diagnosis tests use it to plant a measurable slowdown
-// that flows through the real latency histograms and slow-trace
-// detection (one atomic load per request when unset).
-func (s *Server) instrument(route string, next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		s.metrics.inFlight.Add(1)
-		defer s.metrics.inFlight.Add(-1)
-		sr := &statusRecorder{ResponseWriter: w}
-		start := time.Now()
+		if class != probe {
+			select {
+			case s.sem <- struct{}{}:
+				defer func() { <-s.sem }()
+			default:
+				s.metrics.shed.Add(1)
+				s.log.Debug("shed", "route", r.URL.Path, "rid", id)
+				w.Header().Set("Retry-After", "1")
+				writeErrorString(sr, r, http.StatusTooManyRequests, "server at capacity")
+				return
+			}
+		}
 		if d := s.injectDelay.Load(); d > 0 {
 			time.Sleep(time.Duration(d))
 		}
-		next.ServeHTTP(sr, r)
-		if sr.code == 0 {
-			sr.code = http.StatusOK
-		}
-		s.metrics.observe(route, sr.code, time.Since(start), RequestIDFromContext(r.Context()))
-	})
-}
-
-// timeoutWriter buffers a handler's response so the timeout middleware
-// can atomically choose between it and the timeout envelope. After the
-// deadline fires, further writes are discarded with
-// http.ErrHandlerTimeout, mirroring http.TimeoutHandler.
-type timeoutWriter struct {
-	mu       sync.Mutex
-	header   http.Header
-	buf      bytes.Buffer
-	code     int
-	timedOut bool
-}
-
-func (tw *timeoutWriter) Header() http.Header { return tw.header }
-
-func (tw *timeoutWriter) WriteHeader(code int) {
-	tw.mu.Lock()
-	defer tw.mu.Unlock()
-	if tw.timedOut || tw.code != 0 {
-		return
-	}
-	tw.code = code
-}
-
-func (tw *timeoutWriter) Write(p []byte) (int, error) {
-	tw.mu.Lock()
-	defer tw.mu.Unlock()
-	if tw.timedOut {
-		return 0, http.ErrHandlerTimeout
-	}
-	if tw.code == 0 {
-		tw.code = http.StatusOK
-	}
-	return tw.buf.Write(p)
-}
-
-// copyTo replays the buffered response onto the real writer.
-func (tw *timeoutWriter) copyTo(w http.ResponseWriter) {
-	tw.mu.Lock()
-	defer tw.mu.Unlock()
-	dst := w.Header()
-	for k, v := range tw.header {
-		dst[k] = v
-	}
-	if tw.code == 0 {
-		tw.code = http.StatusOK
-	}
-	w.WriteHeader(tw.code)
-	w.Write(tw.buf.Bytes())
-}
-
-// timeout bounds one request end to end, like http.TimeoutHandler but
-// answering expiry with the v1 JSON error envelope (503 + request_id)
-// instead of a plain-text body — every non-2xx reply on the API surface
-// is an ErrorResponse, including this one. The handler runs in its own
-// goroutine against a buffered writer; its context is cancelled at the
-// deadline so store scans and the planner unwind promptly, and a panic
-// inside the handler is re-raised on the serving goroutine for
-// recoverPanics above. A panic that lands after the deadline branch has
-// already answered 503 has no goroutine left to re-raise on, so it is
-// logged instead of silently dropped.
-func (s *Server) timeout(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-		defer cancel()
-		r = r.WithContext(ctx)
-		tw := &timeoutWriter{header: make(http.Header)}
-		done := make(chan struct{})
-		type panicInfo struct {
-			val   any
-			stack []byte
-		}
-		panicked := make(chan panicInfo, 1)
-		go func() {
-			defer func() {
-				if v := recover(); v != nil {
-					panicked <- panicInfo{val: v, stack: debug.Stack()}
-					return
-				}
-				close(done)
-			}()
-			next.ServeHTTP(tw, r)
-		}()
-		select {
-		case p := <-panicked:
-			panic(p.val)
-		case <-done:
-			tw.copyTo(w)
-		case <-ctx.Done():
-			tw.mu.Lock()
-			tw.timedOut = true
-			tw.mu.Unlock()
-			// The handler goroutine is still unwinding and nobody is
-			// left to re-raise a late panic on, so drain and log it
-			// rather than let it vanish into the buffered channel.
-			route, rid := r.URL.Path, RequestIDFromContext(r.Context())
-			go func() {
-				select {
-				case p := <-panicked:
-					s.log.Error("handler panic after timeout", "route", route, "rid", rid, "panic", fmt.Sprint(p.val), "stack", string(p.stack))
-				case <-done:
-				}
-			}()
-			writeErrorString(w, r, http.StatusServiceUnavailable, "request timed out")
-		}
-	})
-}
-
-// limit sheds load beyond the configured in-flight ceiling with 429 +
-// Retry-After instead of queueing unboundedly: under overload the server
-// answers fast and cheap, and well-behaved clients (internal/client)
-// back off and retry.
-func (s *Server) limit(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		select {
-		case s.sem <- struct{}{}:
-			defer func() { <-s.sem }()
-			next.ServeHTTP(w, r)
-		default:
-			s.metrics.shed.Add(1)
-			s.log.Debug("shed", "route", r.URL.Path, "rid", RequestIDFromContext(r.Context()))
-			w.Header().Set("Retry-After", "1")
-			writeErrorString(w, r, http.StatusTooManyRequests, "server at capacity")
-		}
+		h(sr, r)
 	})
 }

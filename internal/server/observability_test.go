@@ -1,18 +1,14 @@
 package server
 
 import (
-	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
 	"strings"
-	"sync"
 	"testing"
 	"time"
-
-	"perftrack/internal/obs"
 )
 
 // postSQL posts one SQLRequest and decodes the buffered response.
@@ -141,20 +137,15 @@ func TestQueryRingEviction(t *testing.T) {
 	}
 }
 
-// TestTimeoutJSONEnvelope pins the raw bytes of the timeout reply: the
-// custom timeout middleware must answer expiry with the standard v1
+// TestTimeoutJSONEnvelope pins the raw bytes of the timeout reply: an
+// api request whose deadline passes unanswered gets the standard v1
 // error envelope (request_id included), not http.TimeoutHandler's
 // plain-text body.
 func TestTimeoutJSONEnvelope(t *testing.T) {
 	srv, _ := newTestServer(t, func(c *Config) { c.RequestTimeout = 10 * time.Millisecond })
-	release := make(chan struct{})
-	t.Cleanup(func() { close(release) })
-	h := withRequestID(srv.timeout(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		select {
-		case <-r.Context().Done():
-		case <-release:
-		}
-	})))
+	h := srv.route("/v1/stats", api, func(w http.ResponseWriter, r *http.Request) {
+		<-r.Context().Done()
+	})
 	req := httptest.NewRequest("GET", "/v1/stats", nil)
 	req.Header.Set("X-Request-Id", "req-timeout")
 	rec := httptest.NewRecorder()
@@ -175,11 +166,11 @@ func TestTimeoutJSONEnvelope(t *testing.T) {
 // finishes in time reaches the client byte-for-byte, headers included.
 func TestTimeoutCompletesFast(t *testing.T) {
 	srv, _ := newTestServer(t, nil)
-	h := srv.timeout(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	h := srv.route("/v1/stats", api, func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("X-Custom", "yes")
 		w.WriteHeader(http.StatusTeapot)
 		w.Write([]byte("body"))
-	}))
+	})
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/", nil))
 	if rec.Code != http.StatusTeapot || rec.Body.String() != "body" || rec.Header().Get("X-Custom") != "yes" {
@@ -187,18 +178,29 @@ func TestTimeoutCompletesFast(t *testing.T) {
 	}
 }
 
-// TestTimeoutPropagatesPanic checks that a panicking handler re-raises
-// on the serving goroutine so recoverPanics still turns it into a 500.
+// TestTimeoutPropagatesPanic checks that a panicking handler under the
+// deadline is answered with the 500 envelope on the serving goroutine,
+// and counted under its route and code like any other request.
 func TestTimeoutPropagatesPanic(t *testing.T) {
-	srv, _ := newTestServer(t, nil)
-	h := srv.timeout(http.HandlerFunc(func(http.ResponseWriter, *http.Request) { panic("boom") }))
-	defer func() {
-		if v := recover(); v != "boom" {
-			t.Errorf("recovered %v, want the handler's panic value", v)
-		}
-	}()
-	h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/", nil))
-	t.Fatal("panic did not propagate")
+	srv, ts := newTestServer(t, nil)
+	h := srv.route("/v1/stats", api, func(http.ResponseWriter, *http.Request) { panic("boom") })
+	req := httptest.NewRequest("GET", "/v1/stats", nil)
+	req.Header.Set("X-Request-Id", "req-panic")
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	want := "{\n  \"api_version\": \"v1\",\n  \"error\": \"internal error\",\n  \"request_id\": \"req-panic\"\n}\n"
+	if rec.Code != http.StatusInternalServerError || rec.Body.String() != want {
+		t.Errorf("panic reply: status %d, body:\n%s\nwant 500 and:\n%s", rec.Code, rec.Body, want)
+	}
+	r, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(r.Body)
+	r.Body.Close()
+	if want := `ptserved_requests_total{route="/v1/stats",code="500"} 1`; !strings.Contains(string(raw), want) {
+		t.Errorf("metrics missing %q\n%s", want, raw)
+	}
 }
 
 // exemplarRe matches the OpenMetrics exemplar suffix on a _bucket line.
@@ -442,55 +444,5 @@ func TestQueryLogBoundsOversizedRecords(t *testing.T) {
 	ring.add(queryRecord{})
 	if len(ring.recs) != 1 {
 		t.Errorf("record exactly at budget was dropped")
-	}
-}
-
-// lockedBuf is a goroutine-safe buffer for capturing log output.
-type lockedBuf struct {
-	mu sync.Mutex
-	b  bytes.Buffer
-}
-
-func (l *lockedBuf) Write(p []byte) (int, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.b.Write(p)
-}
-
-func (l *lockedBuf) String() string {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.b.String()
-}
-
-// TestTimeoutLatePanicLogged checks that a handler panic landing after
-// the deadline has already answered 503 — when no goroutine is left to
-// re-raise it on — is logged instead of vanishing.
-func TestTimeoutLatePanicLogged(t *testing.T) {
-	var lb lockedBuf
-	srv, _ := newTestServer(t, func(c *Config) {
-		c.RequestTimeout = 10 * time.Millisecond
-		c.Log = obs.NewLogger(&lb, obs.LevelError)
-	})
-	release := make(chan struct{})
-	h := srv.timeout(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		<-release
-		panic("late boom")
-	}))
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/stats", nil))
-	if rec.Code != http.StatusServiceUnavailable {
-		t.Fatalf("status = %d, want 503", rec.Code)
-	}
-	close(release) // now let the handler panic, after the 503 went out
-	deadline := time.Now().Add(5 * time.Second)
-	for !strings.Contains(lb.String(), "handler panic after timeout") {
-		if time.Now().After(deadline) {
-			t.Fatalf("late panic never logged; log so far:\n%s", lb.String())
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	if out := lb.String(); !strings.Contains(out, "late boom") {
-		t.Errorf("log line missing the panic value:\n%s", out)
 	}
 }

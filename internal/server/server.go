@@ -36,8 +36,9 @@ type Config struct {
 	// requests are shed with 429. 0 means the default of 64.
 	MaxInFlight int
 
-	// RequestTimeout bounds each API request end to end; 0 means the
-	// default of 30s. /healthz and /metrics are exempt.
+	// RequestTimeout is the deadline of each api-class request (see
+	// routeClass); 0 means the default of 30s. The probes and the two
+	// stream routes, /v1/load and /v1/results, have none.
 	RequestTimeout time.Duration
 
 	// Log receives structured key=value lines (one per request plus
@@ -82,8 +83,8 @@ type Server struct {
 	selfMu   sync.Mutex   // guards selfPrev (interval-delta state)
 	selfPrev selfSnapshot // previous self-sample counter snapshot
 
-	// injectDelay stretches every instrumented request by the given
-	// nanoseconds — a fault-injection hook for the self-diagnosis tests.
+	// injectDelay stretches every request by the given nanoseconds — a
+	// fault-injection hook for the self-diagnosis tests.
 	injectDelay atomic.Int64
 }
 
@@ -147,65 +148,26 @@ func (w errorLogWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// route wires one endpoint with the full middleware stack. Outermost to
-// innermost: request-ID tagging, structured logging, tracing, panic
-// recovery, metrics instrumentation, load shedding, per-request timeout.
-// The limiter sits inside instrumentation so shed requests still appear
-// in the 429 counters. `timed` is separate from `limited` because the
-// timeout middleware buffers the whole response (and hides
-// http.Flusher), which would break streaming endpoints: /v1/load counts
-// against the in-flight ceiling but streams NDJSON unbuffered. `traced`
-// marks API routes whose requests record a span tree; probe and debug
-// endpoints skip tracing so scrapes don't churn the trace rings.
-func (s *Server) route(mux *http.ServeMux, pattern, routeName string, limited, timed, traced bool, h http.Handler) {
-	if timed {
-		h = s.timeout(h)
-	}
-	if limited {
-		h = s.limit(h)
-	}
-	h = s.instrument(routeName, h)
-	h = s.recoverPanics(h)
-	if traced {
-		h = s.trace(routeName, h)
-	}
-	h = s.logRequests(routeName, h)
-	h = withRequestID(h)
-	mux.Handle(pattern, h)
-}
-
-// Handler returns the fully wired HTTP handler.
+// Handler returns the fully wired HTTP handler. A route's class says
+// whether it is traced, limited and timed.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	// /healthz and /metrics bypass the limiter and timeout so probes and
-	// scrapes keep answering while the API sheds load.
-	s.route(mux, "GET /healthz", "/healthz", false, false, false, http.HandlerFunc(s.handleHealth))
-	s.route(mux, "GET /metrics", "/metrics", false, false, false, http.HandlerFunc(s.handleMetrics))
-	// /v1/load is limited but not timed: bulk ingest streams per-document
-	// status lines, which the buffering TimeoutHandler would swallow, and
-	// a large upload may legitimately outlast the request timeout.
-	s.route(mux, "POST /v1/load", "/v1/load", true, false, true, http.HandlerFunc(s.handleLoad))
-	s.route(mux, "POST /v1/query", "/v1/query", true, true, true, http.HandlerFunc(s.handleQuery))
-	// /v1/results is limited but not timed for the same reason as
-	// /v1/load: ?stream=1 emits NDJSON through http.Flusher, which the
-	// buffering TimeoutHandler would hide, and a full-corpus retrieval
-	// may legitimately outlast the request timeout.
-	s.route(mux, "POST /v1/results", "/v1/results", true, false, true, http.HandlerFunc(s.handleResults))
-	// /v1/sql is limited but not timed: ?stream=1 emits NDJSON through
-	// http.Flusher, which the buffering TimeoutHandler would hide.
-	s.route(mux, "POST /v1/sql", "/v1/sql", true, false, true, http.HandlerFunc(s.handleSQL))
-	s.route(mux, "GET /v1/stats", "/v1/stats", true, true, true, http.HandlerFunc(s.handleStats))
-	s.route(mux, "GET /v1/compare", "/v1/compare", true, true, true, http.HandlerFunc(s.handleCompare))
-	s.route(mux, "POST /v1/diagnose", "/v1/diagnose", true, true, true, http.HandlerFunc(s.handleDiagnose))
-	s.route(mux, "GET /v1/attributes", "/v1/attributes", true, true, true, http.HandlerFunc(s.handleAttributes))
-	s.route(mux, "GET /v1/reports/{name}", "/v1/reports", true, true, true, http.HandlerFunc(s.handleReport))
-	// Debug surface: untraced (reading traces must not write traces) and
-	// unlimited, so diagnosis works while the API sheds load.
-	s.route(mux, "GET /v1/debug/traces", "/v1/debug/traces", false, false, false, http.HandlerFunc(s.handleDebugTraces))
-	s.route(mux, "GET /v1/debug/traces/{id}", "/v1/debug/trace", false, false, false, http.HandlerFunc(s.handleDebugTrace))
-	s.route(mux, "GET /v1/debug/selfptdf", "/v1/debug/selfptdf", false, false, false, http.HandlerFunc(s.handleSelfPTdf))
-	s.route(mux, "GET /v1/debug/queries", "/v1/debug/queries", false, false, false, http.HandlerFunc(s.handleDebugQueries))
-	s.route(mux, "GET /v1/debug/selfdiagnose", "/v1/debug/selfdiagnose", false, false, false, http.HandlerFunc(s.handleSelfDiagnose))
+	mux.Handle("GET /healthz", s.route("/healthz", probe, s.handleHealth))
+	mux.Handle("GET /metrics", s.route("/metrics", probe, s.handleMetrics))
+	mux.Handle("POST /v1/load", s.route("/v1/load", stream, s.handleLoad))
+	mux.Handle("POST /v1/query", s.route("/v1/query", api, s.handleQuery))
+	mux.Handle("POST /v1/results", s.route("/v1/results", stream, s.handleResults))
+	mux.Handle("POST /v1/sql", s.route("/v1/sql", api, s.handleSQL))
+	mux.Handle("GET /v1/stats", s.route("/v1/stats", api, s.handleStats))
+	mux.Handle("GET /v1/compare", s.route("/v1/compare", api, s.handleCompare))
+	mux.Handle("POST /v1/diagnose", s.route("/v1/diagnose", api, s.handleDiagnose))
+	mux.Handle("GET /v1/attributes", s.route("/v1/attributes", api, s.handleAttributes))
+	mux.Handle("GET /v1/reports/{name}", s.route("/v1/reports", api, s.handleReport))
+	mux.Handle("GET /v1/debug/traces", s.route("/v1/debug/traces", probe, s.handleDebugTraces))
+	mux.Handle("GET /v1/debug/traces/{id}", s.route("/v1/debug/trace", probe, s.handleDebugTrace))
+	mux.Handle("GET /v1/debug/selfptdf", s.route("/v1/debug/selfptdf", probe, s.handleSelfPTdf))
+	mux.Handle("GET /v1/debug/queries", s.route("/v1/debug/queries", probe, s.handleDebugQueries))
+	mux.Handle("GET /v1/debug/selfdiagnose", s.route("/v1/debug/selfdiagnose", probe, s.handleSelfDiagnose))
 	return mux
 }
 
@@ -229,7 +191,8 @@ func (s *Server) ListenAndServe(addr string) error {
 	return s.Serve(l)
 }
 
-// Shutdown drains in-flight requests (bounded by ctx), then checkpoints
+// Shutdown drains in-flight requests (bounded by ctx) — a request is in
+// flight until its handler returns, timed out or not — then checkpoints
 // the store's engine: everything ingested over the network goes into
 // segments, and perftrack.wal back to the schema.
 func (s *Server) Shutdown(ctx context.Context) error {

@@ -47,9 +47,8 @@ func appendSQLRow(dst []any, row reldb.Row) []any {
 // handleSQL is POST /v1/sql: one SELECT planned and executed against the
 // store's virtual catalog by the cost-based planner (internal/planner).
 // The buffered form replies with SQLResponse; ?stream=1 emits NDJSON
-// SQLStreamLines through http.Flusher for results too large to buffer
-// (the route is unlimited by the timeout handler for the same reason as
-// /v1/results). Parse, plan, and catalog errors are 400s.
+// SQLStreamLines through http.Flusher for results too large to buffer.
+// Parse, plan, and catalog errors are 400s.
 func (s *Server) handleSQL(w http.ResponseWriter, r *http.Request) {
 	var req SQLRequest
 	if err := decodeJSON(w, r, &req); err != nil {

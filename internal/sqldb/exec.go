@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -26,15 +27,27 @@ type Source func(table string) (columns []string, rows []reldb.Row, ok bool)
 // JOINs (hash join on an equi-condition, nested loop otherwise), WHERE,
 // then grouping with HAVING or plain projection, ORDER BY, DISTINCT and
 // LIMIT/OFFSET. The statement's WHERE is always applied here, so a source
-// may hand over a superset of the matching rows.
-func Execute(s *SelectStmt, src Source) (*Result, error) {
-	rows, f, err := buildInput(s, src)
+// may hand over a superset of the matching rows. ctx is checked every
+// 1024 rows the WHERE filters and every 1024 pairs a join compares, and
+// its error returned as is.
+func Execute(ctx context.Context, s *SelectStmt, src Source) (*Result, error) {
+	var ticks int
+	tick := func() error {
+		if ticks++; ticks%1024 == 0 {
+			return ctx.Err()
+		}
+		return nil
+	}
+	rows, f, err := buildInput(s, src, tick)
 	if err != nil {
 		return nil, err
 	}
 	if s.Where != nil {
 		kept := make([]reldb.Row, 0, len(rows))
 		for _, row := range rows {
+			if err := tick(); err != nil {
+				return nil, err
+			}
 			ok, err := isTrue(s.Where, f, row)
 			if err != nil {
 				return nil, err
@@ -62,8 +75,9 @@ func frameFor(alias string, columns []string) *frame {
 }
 
 // buildInput reads the FROM table and applies JOIN clauses, producing the
-// combined rows and the column frame.
-func buildInput(s *SelectStmt, src Source) ([]reldb.Row, *frame, error) {
+// combined rows and the column frame. tick is called once per pair a
+// join compares.
+func buildInput(s *SelectStmt, src Source, tick func() error) ([]reldb.Row, *frame, error) {
 	cols, rows, ok := src(s.From.Table)
 	if !ok {
 		return nil, nil, fmt.Errorf("sql: no table %q", s.From.Table)
@@ -102,6 +116,9 @@ func buildInput(s *SelectStmt, src Source) ([]reldb.Row, *frame, error) {
 				matched := false
 				if !kv.IsNull() {
 					for _, rr := range hash[joinKey(kv)] {
+						if err := tick(); err != nil {
+							return nil, nil, err
+						}
 						joined := append(append(reldb.Row{}, lr...), rr...)
 						ok, err := isTrue(j.On, combined, joined)
 						if err != nil {
@@ -122,6 +139,9 @@ func buildInput(s *SelectStmt, src Source) ([]reldb.Row, *frame, error) {
 			for _, lr := range rows {
 				matched := false
 				for _, rr := range rightRows {
+					if err := tick(); err != nil {
+						return nil, nil, err
+					}
 					joined := append(append(reldb.Row{}, lr...), rr...)
 					ok, err := isTrue(j.On, combined, joined)
 					if err != nil {

@@ -1,6 +1,8 @@
 package sqldb
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -17,7 +19,7 @@ func (db testDB) Query(q string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return Execute(sel, func(name string) ([]string, []reldb.Row, bool) {
+	return Execute(context.Background(), sel, func(name string) ([]string, []reldb.Row, bool) {
 		tab, ok := db.eng.Table(name)
 		if !ok {
 			return nil, nil, false
@@ -497,6 +499,32 @@ func TestLargeScanAndAggregate(t *testing.T) {
 	for _, row := range r.Rows {
 		if row[1].Int64() != 100 {
 			t.Errorf("group %v count %v", row[0], row[1])
+		}
+	}
+}
+
+// TestExecuteStopsWhenCancelled: the WHERE filter and both join loops
+// check ctx every 1024 rows or pairs, so each stops with the context's
+// error once it is cancelled.
+func TestExecuteStopsWhenCancelled(t *testing.T) {
+	rows := make([]reldb.Row, 2048)
+	for i := range rows {
+		rows[i] = reldb.Row{reldb.Int(int64(i))}
+	}
+	src := func(string) ([]string, []reldb.Row, bool) { return []string{"x"}, rows, true }
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, q := range []string{
+		"SELECT count(*) FROM t WHERE x >= 0",
+		"SELECT count(*) FROM t a JOIN t b ON a.x = b.x",
+		"SELECT count(*) FROM t a JOIN t b ON a.x < b.x - 5000",
+	} {
+		sel, err := Parse(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res, err := Execute(ctx, sel, src); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s under a cancelled context: result %t, err %v; want context.Canceled", q, res != nil, err)
 		}
 	}
 }
