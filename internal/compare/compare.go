@@ -88,8 +88,9 @@ func Executions(s *datastore.Store, execA, execB string) (*Comparison, error) {
 // store. Results that align to the same key within one execution are
 // averaged before pairing (several values measured at the same place).
 // It reads columns, not results: each execution's result → focus links
-// and its metric, units and value columns from the block source, and the
-// resources of each distinct focus once. ctx is checked once per block.
+// and its metric, units and value columns, and the resources of each
+// distinct focus once. ctx is checked once per block read, or every 1024
+// IDs read by lookup.
 func ExecutionsCtx(ctx context.Context, s *datastore.Store, execA, execB string) (*Comparison, error) {
 	al := newAligner(s)
 	sideA, err := al.side(ctx, execA)

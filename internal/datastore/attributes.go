@@ -149,7 +149,7 @@ func (s *Store) AttributeValues(attr string) (map[int64]string, error) {
 // constraint partners of those (resource-valued attributes like the node
 // a process ran on), and all of their ancestors. This is the resource set
 // over which attribute predicates about the execution are evaluated.
-// ctx is checked once per block of the result_has_focus pass.
+// ctx is checked by the result_has_focus read (ResultFoci).
 func (s *Store) ExecutionResourceIDs(ctx context.Context, exec string) ([]int64, error) {
 	// Results of the execution → foci → context resources. Each lookup only
 	// collects IDs; nesting engine calls inside its callback would
@@ -204,21 +204,16 @@ func (s *Store) ExecutionResourceIDs(ctx context.Context, exec string) ([]int64,
 
 // ExecutionsOfResults maps performance-result IDs back to the sorted set
 // of execution names that own them, reading the owner column of the rows
-// with those (ascending) IDs. Unknown result IDs are skipped.
-func (s *Store) ExecutionsOfResults(ids []int64) ([]string, error) {
-	prTab, ok := s.eng.Table("performance_result")
-	if !ok {
-		return nil, fmt.Errorf("datastore: no performance_result table")
-	}
+// with those IDs by one keyed read. Unknown result IDs are skipped.
+func (s *Store) ExecutionsOfResults(ctx context.Context, ids []int64) ([]string, error) {
 	owners := make(map[int64]bool)
-	if err := prTab.Gather(ids, func(b *reldb.ColumnBlock) error {
-		execs := b.Ints(1)
-		for i := range b.Len() {
-			owners[execs.At(i)] = true
+	if len(ids) > 0 {
+		if err := s.keyed(ctx, "performance_result", newPosIndex(ids), func(b *reldb.ColumnBlock, i, _ int) error {
+			owners[b.Ints(1).At(i)] = true
+			return nil
+		}); err != nil {
+			return nil, err
 		}
-		return nil
-	}); err != nil {
-		return nil, err
 	}
 	return s.resolveSet(dictExecution, owners)
 }

@@ -221,7 +221,7 @@ func TestExecutionsOfResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	execs, err := s.ExecutionsOfResults(ids)
+	execs, err := s.ExecutionsOfResults(context.Background(), ids)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestExecutionsOfResults(t *testing.T) {
 		t.Errorf("executions = %v", execs)
 	}
 	// Unknown result IDs are skipped, not fatal.
-	execs, err = s.ExecutionsOfResults([]int64{99999})
+	execs, err = s.ExecutionsOfResults(context.Background(), []int64{99999})
 	if err != nil {
 		t.Fatal(err)
 	}

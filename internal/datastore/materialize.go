@@ -11,21 +11,18 @@ package datastore
 //
 //   1. Take the four metadata dictionaries' ID → name views (execution,
 //      metric, performance_tool, units) from the names directory.
-//   2. Fetch the matched performance_result rows either with per-ID
-//      Gets sharded over workers (sparse) or one pass over the table's
-//      block source — segment blocks, then the tail's —
-//      bounded by the chunk's ID range and filtered by the ID set
-//      (dense).
-//   3. Resolve result_has_focus the same way, grouping focus IDs per
-//      result in PK order (ascending focus ID — identical to the
-//      per-ID path's context ordering).
-//   4. Decode each distinct focus exactly once into a shared
+//   2. Read the matched performance_result rows, then their
+//      result_has_focus links, through one keyed read (keyed): one pass
+//      over the table's block source when the IDs fill their range
+//      densely, one primary-key Lookup per ID otherwise. Links come
+//      grouped per result in PK order (ascending focus ID — identical to
+//      the per-ID path's context ordering).
+//   3. Decode each distinct focus exactly once into a shared
 //      focus → Context cache (foci are heavily shared across results):
-//      one focus Get plus one focus_has_resource scan per focus — or,
-//      when most of the table is wanted, one pass over each table's
-//      blocks, the focus type read as a column — then one view of the
-//      resource dictionary maps every resource ID to its name.
-//   5. Assemble PerformanceResults over N worker goroutines sharding
+//      its type and focus_has_resource links by the same keyed read,
+//      then one view of the resource dictionary maps every resource ID
+//      to its name.
+//   4. Assemble PerformanceResults over N worker goroutines sharding
 //      the ID slice, preserving input order.
 //
 // Consistency matches the per-ID path: neither holds a lock across
@@ -49,8 +46,8 @@ import (
 // MaterializeOptions tunes the batch materializer. The zero value picks
 // sensible defaults.
 type MaterializeOptions struct {
-	// Workers bounds the materialization fan-out. <=0 means
-	// runtime.GOMAXPROCS(0).
+	// Workers bounds the assembly fan-out; the reads before it are one
+	// keyed read per table. <=0 means runtime.GOMAXPROCS(0).
 	Workers int
 	// ChunkSize bounds how many results MaterializeStreamCtx assembles
 	// per emitted batch. <=0 means defaultMaterializeChunk; len(ids)
@@ -58,14 +55,7 @@ type MaterializeOptions struct {
 	ChunkSize int
 }
 
-const (
-	defaultMaterializeChunk = 4096
-
-	// denseScanDivisor selects between per-ID Gets and one block scan:
-	// when the wanted set is at least 1/denseScanDivisor of the table, a
-	// single scan beats len(ids) locked point lookups.
-	denseScanDivisor = 4
-)
+const defaultMaterializeChunk = 4096
 
 // resultDicts are the views a performance_result row's execution,
 // metric, tool and units columns resolve through, taken once per query.
@@ -101,7 +91,8 @@ func (d *resultDicts) resolve(pr *core.PerformanceResult, exec, metric, tool, un
 // deduplicated slice. Matched result IDs come out of the pr-filter
 // engine sorted and near-sequential, so the common case is a compact
 // range served by a direct-index table (one bounds check instead of a
-// hash per scanned row); wide ranges fall back to a map.
+// hash per scanned row); wide ranges fall back to a map. Which of the
+// two it holds is also how keyed reads the IDs' rows.
 type posIndex struct {
 	uniq  []int64
 	base  int64
@@ -208,23 +199,13 @@ func (s *Store) newMaterializer(ctx context.Context, opt MaterializeOptions) (*m
 
 // matScratch is run's pooled working memory: everything sized by the
 // chunk that does not escape into the returned results. Stale contents
-// never leak — recs and counts are cleared on reuse, starts is only read
-// where counts marks it written, and the rest are fully overwritten.
+// never leak — recs is cleared on reuse, and the rest are fully
+// overwritten.
 type matScratch struct {
-	pos            posIndex
-	recs           []resultRec
-	starts, counts []int
-	ctxOff         []int
-	arena          []int64
-}
-
-// ints returns buf resized to n without clearing, growing as needed.
-func (sc *matScratch) ints(buf *[]int, n int) []int {
-	if cap(*buf) < n {
-		*buf = make([]int, n)
-	}
-	*buf = (*buf)[:n]
-	return *buf
+	pos    posIndex
+	recs   []resultRec
+	ctxOff []int
+	arena  []int64
 }
 
 // resultRec is one performance_result row plus its focus links, staged
@@ -285,92 +266,110 @@ func cancelled(ctx context.Context) error {
 	return nil
 }
 
-// minMax returns the bounds of a non-empty ID slice.
-func minMax(ids []int64) (lo, hi int64) {
-	lo, hi = ids[0], ids[0]
-	for _, id := range ids[1:] {
-		if id < lo {
-			lo = id
+// keyed calls fn(b, i, j) for every row of table whose leading
+// primary-key value is want.uniq[j], each key's rows together and in
+// primary-key order. Keys that fill their range compactly (want holds a
+// direct-index table) are read by one pass over the table's block
+// source across that range, keys ascending, ctx checked once per block:
+// a range read costs the rows in its range, whatever the table holds.
+// Any other set is read by one primary-key Lookup per key in want.uniq
+// order, ctx checked every 1024 keys. A segment block is pruned, not
+// trimmed, so the pass keeps only rows whose key is in want. fn may run
+// under the engine read lock and must not call the engine; b is valid
+// only until it returns, and an error from it stops the read.
+func (s *Store) keyed(ctx context.Context, table string, want *posIndex, fn func(b *reldb.ColumnBlock, i, j int) error) error {
+	if want.slots != nil {
+		scan, err := s.Blocks(table, want.base, want.base+int64(len(want.slots))-1)
+		if err != nil {
+			return err
 		}
-		if id > hi {
-			hi = id
-		}
-	}
-	return lo, hi
-}
-
-// scanResults streams performance_result's block source over the wanted
-// ID range (PK == row ID), calling fn with the wanted index of every row
-// whose ID is in pos and its dictionary IDs and value, in block order:
-// ascending ID. A segment is pruned, not trimmed, so the pos test is
-// what keeps rows outside the range out. ctx is checked once per block;
-// an error from fn stops the scan.
-func (s *Store) scanResults(ctx context.Context, pos *posIndex, fn func(i int, exec, metric, tool, units int64, value float64) error) error {
-	lo, hi := minMax(pos.uniq)
-	scan, err := s.Blocks("performance_result", lo, hi)
-	if err != nil {
-		return err
-	}
-	return scan.Each(func(b *reldb.ColumnBlock) error {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("datastore: performance_result scan: %w", err)
-		}
-		ids, execs, metrics, tools, units := b.IDs(), b.Ints(1), b.Ints(2), b.Ints(3), b.Ints(4)
-		vals := b.Float64s(5)
-		for i := range b.Len() {
-			if j, ok := pos.get(ids.At(i)); ok {
-				if err := fn(j, execs.At(i), metrics.At(i), tools.At(i), units.At(i), vals[i]); err != nil {
-					return err
+		return scan.Each(func(b *reldb.ColumnBlock) error {
+			if err := ctx.Err(); err != nil {
+				return fmt.Errorf("datastore: %s read: %w", table, err)
+			}
+			keys := b.Ints(0)
+			for i := range b.Len() {
+				if j, ok := want.get(keys.At(i)); ok {
+					if err := fn(b, i, j); err != nil {
+						return err
+					}
 				}
 			}
-		}
-		return nil
-	})
-}
-
-// scanLinks streams a two-column link table (owner_id, member_id)
-// through its block source, calling add for every link whose owner is
-// in the wanted set. Blocks arrive in PK order and unflushed owners are
-// >= the flushed maximum (anything else would have invalidated the
-// segment view), so each owner's members arrive contiguously and
-// ascending whatever mix of segment and tail blocks carries them.
-// ctx is checked once per block.
-func (s *Store) scanLinks(ctx context.Context, table string, want *posIndex, add func(i int, member int64)) error {
-	lo, hi := minMax(want.uniq)
-	scan, err := s.Blocks(table, lo, hi)
-	if err != nil {
-		return err
+			return nil
+		})
 	}
-	return scan.Each(func(b *reldb.ColumnBlock) error {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("datastore: %s scan: %w", table, err)
-		}
-		owners, members := b.Ints(0), b.Ints(1)
-		for i := range b.Len() {
-			if j, ok := want.get(owners.At(i)); ok {
-				add(j, members.At(i))
+	tab, ok := s.eng.Table(table)
+	if !ok {
+		return fmt.Errorf("datastore: no %s table: %w", table, ErrNotFound)
+	}
+	var ferr error
+	j, key := 0, []reldb.Value{{}}
+	visit := func(b *reldb.ColumnBlock, i int) bool {
+		ferr = fn(b, i, j)
+		return ferr == nil
+	}
+	for j = range want.uniq {
+		if j%1024 == 0 {
+			if err := ctx.Err(); err != nil {
+				return fmt.Errorf("datastore: %s read: %w", table, err)
 			}
 		}
+		key[0] = reldb.Int(want.uniq[j])
+		if err := tab.Lookup("", key, visit); err != nil {
+			return err
+		}
+		if ferr != nil {
+			return ferr
+		}
+	}
+	return nil
+}
+
+// stageLinks reads a link table (owner_id, member_id) for the owners in
+// want and calls set(j, members) once per owner want.uniq[j] that has
+// links, members ascending (the PK order). An owner's links arrive
+// together, so each is one stretch of a shared arena instead of a tiny
+// slice grown per owner; the arena, reused from arena's storage, is
+// returned for the next call.
+func (s *Store) stageLinks(ctx context.Context, table string, want *posIndex, arena []int64, set func(j int, members []int64)) ([]int64, error) {
+	arena = arena[:0]
+	owner, from := -1, 0
+	flush := func() {
+		if owner >= 0 {
+			set(owner, arena[from:len(arena):len(arena)])
+		}
+	}
+	err := s.keyed(ctx, table, want, func(b *reldb.ColumnBlock, i, j int) error {
+		if j != owner {
+			flush()
+			owner, from = j, len(arena)
+		}
+		arena = append(arena, b.Ints(1).At(i))
 		return nil
 	})
+	if err != nil {
+		return arena, err
+	}
+	flush()
+	return arena, nil
 }
 
 // ResultColumns reads the performance_result rows with the given IDs
-// (ascending, without duplicates) from the table's block source and
-// calls fn with each one's index in ids, its metric and units dictionary
-// IDs and its value, in block order: ascending ID. No row, result or name
-// is built, so a caller folding values over an execution costs O(rows
-// scanned) and no per-result object. ctx is checked once per block; an ID
-// no block carried is ErrNotFound.
+// (ascending, without duplicates) by one keyed read and calls fn with
+// each one's index in ids, its metric and units dictionary IDs and its
+// value, in ascending ID. No row, result or name is built, so a caller
+// folding values over an execution costs O(rows read) and no per-result
+// object. fn may run under the engine's read lock, so it must not read
+// through the store. An ID no row carries is ErrNotFound.
 func (s *Store) ResultColumns(ctx context.Context, ids []int64, fn func(i int, metric, units int64, value float64) error) error {
 	if len(ids) == 0 {
 		return nil
 	}
 	pos := newPosIndex(ids)
 	found := 0
-	if err := s.scanResults(ctx, pos, func(i int, _, metric, _, units int64, value float64) error {
+	if err := s.keyed(ctx, "performance_result", pos, func(b *reldb.ColumnBlock, i, j int) error {
 		found++
-		return fn(i, metric, units, value)
+		return fn(j, b.Ints(2).At(i), b.Ints(4).At(i), b.Float64s(5)[i])
 	}); err != nil {
 		return err
 	}
@@ -381,25 +380,28 @@ func (s *Store) ResultColumns(ctx context.Context, ids []int64, fn func(i int, m
 }
 
 // ResultFoci calls fn(i, focus) for every result_has_focus link of the
-// result ids[i] (ids ascending, without duplicates), read from the
-// table's block source in one pass over the IDs' range: grouped per
-// result, ascending focus ID within each. ctx is checked once per block.
+// result ids[i] (ids ascending, without duplicates), read by one keyed
+// read: grouped per result, ascending focus ID within each. fn may run
+// under the engine's read lock, so it must not read through the store.
 func (s *Store) ResultFoci(ctx context.Context, ids []int64, fn func(i int, focus int64)) error {
 	if len(ids) == 0 {
 		return nil
 	}
-	return s.scanLinks(ctx, "result_has_focus", newPosIndex(ids), fn)
+	return s.keyed(ctx, "result_has_focus", newPosIndex(ids), func(b *reldb.ColumnBlock, i, j int) error {
+		fn(j, b.Ints(1).At(i))
+		return nil
+	})
 }
 
 // FocusResources returns the resource names of each focus in fids
 // (sorted, without duplicates), ascending by resource ID: the context the
-// materializer gives a result holding that focus. ctx is checked once
-// per block when the foci are read by block passes.
+// materializer gives a result holding that focus, decoded by the same
+// keyed reads.
 func (s *Store) FocusResources(ctx context.Context, fids []int64) ([][]core.ResourceName, error) {
 	if len(fids) == 0 {
 		return nil, nil
 	}
-	m := &materializer{s: s, workers: runtime.GOMAXPROCS(0), foci: make(map[int64]*matFocus, len(fids))}
+	m := &materializer{s: s, foci: make(map[int64]*matFocus, len(fids))}
 	if err := m.decodeFoci(ctx, fids); err != nil {
 		return nil, err
 	}
@@ -443,41 +445,19 @@ func (m *materializer) run(ctx context.Context, ids []int64) ([]*core.Performanc
 	// goroutines then pay for in stack growth).
 	_, fetchSpan := obs.StartSpan(ctx, "materialize.fetch")
 	fetchSpan.Annotate("results", strconv.Itoa(len(uniq)))
-	prTab, ok := m.s.eng.Table("performance_result")
-	if !ok {
+	if err := m.s.keyed(ctx, "performance_result", pos, func(b *reldb.ColumnBlock, i, j int) error {
+		recs[j] = resultRec{
+			found:  true,
+			exec:   b.Ints(1).At(i),
+			metric: b.Ints(2).At(i),
+			tool:   b.Ints(3).At(i),
+			units:  b.Ints(4).At(i),
+			value:  b.Float64s(5)[i],
+		}
+		return nil
+	}); err != nil {
 		fetchSpan.End()
-		return nil, fmt.Errorf("datastore: no performance_result table: %w", ErrNotFound)
-	}
-	dense := len(uniq)*denseScanDivisor >= prTab.Len()
-	if dense {
-		if err := m.s.scanResults(ctx, pos, func(j int, exec, metric, tool, units int64, value float64) error {
-			recs[j] = resultRec{found: true, exec: exec, metric: metric, tool: tool, units: units, value: value}
-			return nil
-		}); err != nil {
-			fetchSpan.End()
-			return nil, err
-		}
-	} else {
-		if err := shardRange(len(uniq), m.workers, func(lo, hi int) error {
-			for i := lo; i < hi; i++ {
-				row, ok := prTab.Get(uniq[i])
-				if !ok {
-					continue // reported below, like the dense path
-				}
-				recs[i] = resultRec{
-					found:  true,
-					exec:   row[1].Int64(),
-					metric: row[2].Int64(),
-					tool:   row[3].Int64(),
-					units:  row[4].Int64(),
-					value:  row[5].Float64(),
-				}
-			}
-			return nil
-		}); err != nil {
-			fetchSpan.End()
-			return nil, err
-		}
+		return nil, err
 	}
 	for i := range recs {
 		if !recs[i].found {
@@ -492,55 +472,12 @@ func (m *materializer) run(ctx context.Context, ids []int64) ([]*core.Performanc
 		fetchSpan.End()
 		return nil, err
 	}
-	rhfTab, ok := m.s.eng.Table("result_has_focus")
-	if !ok {
+	arena, err := m.s.stageLinks(ctx, "result_has_focus", pos, sc.arena, func(j int, foci []int64) { recs[j].foci = foci })
+	sc.arena = arena // keep any growth for the next chunk
+	if err != nil {
 		fetchSpan.End()
-		return nil, fmt.Errorf("datastore: no result_has_focus table: %w", ErrNotFound)
+		return nil, err
 	}
-	if dense {
-		// The PK is (result_id, focus_id), so the block scan hands every
-		// result's links contiguously: stage them in one shared arena
-		// and slice it up afterwards instead of growing one tiny slice
-		// per result.
-		if cap(sc.arena) < rhfTab.Len() {
-			sc.arena = make([]int64, 0, rhfTab.Len())
-		}
-		arena := sc.arena[:0]
-		starts := sc.ints(&sc.starts, len(uniq))
-		counts := sc.ints(&sc.counts, len(uniq))
-		clear(counts)
-		stage := func(i int, fid int64) {
-			if counts[i] == 0 {
-				starts[i] = len(arena)
-			}
-			arena = append(arena, fid)
-			counts[i]++
-		}
-		if err := m.s.scanLinks(ctx, "result_has_focus", pos, stage); err != nil {
-			fetchSpan.End()
-			return nil, err
-		}
-		sc.arena = arena // keep any growth for the next chunk
-		for i := range recs {
-			if counts[i] > 0 {
-				recs[i].foci = arena[starts[i] : starts[i]+counts[i] : starts[i]+counts[i]]
-			}
-		}
-	} else {
-		if err := shardRange(len(uniq), m.workers, func(lo, hi int) error {
-			for i := lo; i < hi; i++ {
-				var err error
-				if recs[i].foci, err = appendColumn(recs[i].foci, rhfTab, "", uniq[i], 1); err != nil {
-					return err
-				}
-			}
-			return nil
-		}); err != nil {
-			fetchSpan.End()
-			return nil, err
-		}
-	}
-
 	fetchSpan.End()
 
 	// Phase 3: decode each focus not yet in the per-query cache.
@@ -553,7 +490,10 @@ func (m *materializer) run(ctx context.Context, ids []int64) ([]*core.Performanc
 	// need no arena slot. refs counts every focus reference in the chunk,
 	// the population cache hits and misses are both drawn from.
 	links, refs := 0, 0
-	ctxOff := sc.ints(&sc.ctxOff, len(recs))
+	if cap(sc.ctxOff) < len(recs) {
+		sc.ctxOff = make([]int, len(recs))
+	}
+	ctxOff := sc.ctxOff[:len(recs)]
 	for i := range recs {
 		ctxOff[i] = links
 		n := len(recs[i].foci)
@@ -649,93 +589,27 @@ func (m *materializer) run(ctx context.Context, ids []int64) ([]*core.Performanc
 }
 
 // decodeFoci resolves the given sorted, deduplicated focus IDs into the
-// cache: type plus resource names in ascending resource-ID order. All
-// engine reads happen first (sharded over workers), then one view of the
-// resource dictionary maps every resource ID to its name.
+// cache: type plus resource names in ascending resource-ID order. The
+// focus and focus_has_resource rows are read first, by keyed reads, then
+// one view of the resource dictionary maps every resource ID to its name.
 func (m *materializer) decodeFoci(ctx context.Context, fids []int64) error {
-	fTab, ok := m.s.eng.Table("focus")
-	if !ok {
-		return fmt.Errorf("datastore: no focus table: %w", ErrNotFound)
-	}
-	fhrTab, ok := m.s.eng.Table("focus_has_resource")
-	if !ok {
-		return fmt.Errorf("datastore: no focus_has_resource table: %w", ErrNotFound)
-	}
+	want := newPosIndex(fids)
 	types := make([]core.FocusType, len(fids))
+	found := 0
+	if err := m.s.keyed(ctx, "focus", want, func(b *reldb.ColumnBlock, i, j int) error {
+		ft, err := core.ParseFocusType(b.Strings(1)[i])
+		types[j] = ft
+		found++
+		return err
+	}); err != nil {
+		return err
+	}
+	if found != len(fids) {
+		return fmt.Errorf("datastore: %d of %d foci missing", len(fids)-found, len(fids))
+	}
 	members := make([][]int64, len(fids))
-	if len(fids)*denseScanDivisor >= fTab.Len() {
-		fpos := newPosIndex(fids)
-		found := make([]bool, len(fids))
-		scan, err := m.s.Blocks("focus", fids[0], fids[len(fids)-1])
-		if err != nil {
-			return err
-		}
-		if err := scan.Each(func(b *reldb.ColumnBlock) error {
-			if err := ctx.Err(); err != nil {
-				return fmt.Errorf("datastore: focus scan: %w", err)
-			}
-			ids, kinds := b.IDs(), b.Strings(1)
-			for k := range b.Len() {
-				i, ok := fpos.get(ids.At(k))
-				if !ok {
-					continue
-				}
-				ft, err := core.ParseFocusType(kinds[k])
-				if err != nil {
-					return err
-				}
-				types[i], found[i] = ft, true
-			}
-			return nil
-		}); err != nil {
-			return err
-		}
-		for i, fid := range fids {
-			if !found[i] {
-				return fmt.Errorf("datastore: missing focus %d", fid)
-			}
-		}
-		// PK is (focus_id, resource_id): each focus's links arrive
-		// contiguously, so stage them in one arena (same trick as the
-		// result_has_focus scan).
-		arena := make([]int64, 0, fhrTab.Len())
-		starts := make([]int, len(fids))
-		counts := make([]int, len(fids))
-		stage := func(i int, rid int64) {
-			if counts[i] == 0 {
-				starts[i] = len(arena)
-			}
-			arena = append(arena, rid)
-			counts[i]++
-		}
-		if err := m.s.scanLinks(ctx, "focus_has_resource", fpos, stage); err != nil {
-			return err
-		}
-		for i := range members {
-			if counts[i] > 0 {
-				members[i] = arena[starts[i] : starts[i]+counts[i] : starts[i]+counts[i]]
-			}
-		}
-	} else {
-		if err := shardRange(len(fids), m.workers, func(lo, hi int) error {
-			for i := lo; i < hi; i++ {
-				row, ok := fTab.Get(fids[i])
-				if !ok {
-					return fmt.Errorf("datastore: missing focus %d", fids[i])
-				}
-				ft, err := core.ParseFocusType(row[1].Text())
-				if err != nil {
-					return err
-				}
-				types[i] = ft
-				if members[i], err = appendColumn(members[i], fhrTab, "", fids[i], 1); err != nil {
-					return err
-				}
-			}
-			return nil
-		}); err != nil {
-			return err
-		}
+	if _, err := m.s.stageLinks(ctx, "focus_has_resource", want, nil, func(j int, rids []int64) { members[j] = rids }); err != nil {
+		return err
 	}
 	res := m.s.names.dict(dictResource)
 	for i := range fids {

@@ -3,8 +3,10 @@ package datastore
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"perftrack/internal/core"
@@ -159,8 +161,10 @@ func TestMaterializeStreamEmitError(t *testing.T) {
 
 func TestMaterializeNotFound(t *testing.T) {
 	s, ids := seedMaterializeStudy(t)
-	// Both sparse (one ID) and dense (full set plus one) shapes.
-	for _, bad := range [][]int64{{ids[len(ids)-1] + 999}, append(append([]int64{}, ids...), ids[len(ids)-1]+999)} {
+	// Compact shapes (one ID; the full set plus one) and a wide one (an
+	// ID far past the rest), read by a block pass and by Lookups.
+	last := ids[len(ids)-1]
+	for _, bad := range [][]int64{{last + 999}, append(append([]int64{}, ids...), last+999), {ids[0], last + 1<<20}} {
 		if _, err := s.MaterializeResultsCtx(context.Background(), bad); !errors.Is(err, ErrNotFound) {
 			t.Errorf("MaterializeResultsCtx(%d ids) err = %v, want ErrNotFound", len(bad), err)
 		}
@@ -209,6 +213,105 @@ func TestQueryResultsUsesBatchPath(t *testing.T) {
 	}
 	if err := s.ResultColumns(context.Background(), append(own, own[len(own)-1]+999), func(int, int64, int64, float64) error { return nil }); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("ResultColumns with a missing ID = %v, want ErrNotFound", err)
+	}
+
+	// The column reads on a compact set (m-mcr's own) and on a wide one
+	// (the same plus a result past 1100 others, whose focus is as far
+	// past the seed's foci), against the per-ID path.
+	far := addSpreadResults(t, s, 1100)
+	for k, set := range [][]int64{own, append(append([]int64{}, own...), far)} {
+		if wide := newPosIndex(set).slots == nil; wide != (k == 1) {
+			t.Fatalf("set %d wide = %v", k, wide)
+		}
+		checkColumnReads(t, s, set)
+	}
+	if err := s.ResultColumns(context.Background(), []int64{own[0], far + 999}, func(int, int64, int64, float64) error { return nil }); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("ResultColumns with a missing ID in a wide set = %v, want ErrNotFound", err)
+	}
+}
+
+// addSpreadResults adds n m-frost results to seedMaterializeStudy's
+// store, each with a focus of its own, and returns the last one's ID.
+func addSpreadResults(t *testing.T, s *Store, n int) int64 {
+	t.Helper()
+	var id int64
+	for i := range n {
+		proc := core.ResourceName(fmt.Sprintf("/GF/Frost/batch/n1/p%d", i+1))
+		if _, err := s.AddResource(proc, "grid/machine/partition/node/processor", ""); err != nil {
+			t.Fatal(err)
+		}
+		var err error
+		if id, err = s.AddPerfResult(&core.PerformanceResult{
+			Execution: "m-frost", Metric: "spread", Value: float64(i), Units: "seconds", Tool: "test",
+			Contexts: []core.Context{core.NewContext("/irs", proc)},
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return id
+}
+
+// checkColumnReads reads the results ids (ascending, distinct) through
+// ResultColumns, ResultFoci, FocusResources and ExecutionsOfResults and
+// compares each with ResultByID. Whether ids and their foci are compact
+// or wide decides the branch every read takes.
+func checkColumnReads(t *testing.T, s *Store, ids []int64) {
+	t.Helper()
+	ctx := context.Background()
+	want := perIDResults(t, s, ids)
+	metrics, units := s.Dict("metric"), s.Dict("units")
+	seen := 0
+	if err := s.ResultColumns(ctx, ids, func(i int, metric, unit int64, value float64) error {
+		if pr := want[i]; metrics.Name(metric) != pr.Metric || units.Name(unit) != pr.Units || value != pr.Value {
+			t.Errorf("row %d = (%s, %s, %v), per-ID %+v", ids[i], metrics.Name(metric), units.Name(unit), value, pr)
+		}
+		seen++
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if seen != len(ids) {
+		t.Fatalf("ResultColumns read %d of %d results", seen, len(ids))
+	}
+
+	foci := make([][]int64, len(ids))
+	var fids []int64
+	if err := s.ResultFoci(ctx, ids, func(i int, focus int64) {
+		foci[i] = append(foci[i], focus)
+		fids = append(fids, focus)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	fids = sortDedup(fids)
+	names, err := s.FocusResources(ctx, fids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, pr := range want {
+		var got [][]core.ResourceName
+		for _, f := range foci[i] {
+			got = append(got, names[slices.Index(fids, f)])
+		}
+		var ref [][]core.ResourceName
+		for _, c := range pr.Contexts {
+			ref = append(ref, c.Resources)
+		}
+		if !reflect.DeepEqual(got, ref) {
+			t.Errorf("result %d: foci read as %v, per-ID contexts %v", ids[i], got, ref)
+		}
+	}
+
+	execs, err := s.ExecutionsOfResults(ctx, ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ref []string
+	for _, pr := range want {
+		ref = append(ref, pr.Execution)
+	}
+	slices.Sort(ref)
+	if ref = slices.Compact(ref); !reflect.DeepEqual(execs, ref) {
+		t.Errorf("ExecutionsOfResults = %v, want %v", execs, ref)
 	}
 }
 
@@ -290,6 +393,52 @@ func TestMaterializeCancelled(t *testing.T) {
 	if after := s.Telemetry().ResultsRead; after != before {
 		t.Fatalf("cancelled materialization read %d results", after-before)
 	}
+}
+
+// TestKeyedLookupCancelled cancels a ResultColumns read of a wide set —
+// one primary-key Lookup per ID — from its first row: the read stops at
+// its next check, within 1024 keys, with the context's error.
+func TestKeyedLookupCancelled(t *testing.T) {
+	s := newStore(t)
+	seedSegmentStudy(t, s)
+	all := commitResults(t, s, 15000)
+	var wide []int64
+	for i := 0; i < len(all); i += 5 {
+		wide = append(wide, all[i])
+	}
+	if newPosIndex(wide).slots != nil {
+		t.Fatalf("%d IDs over %d are compact", len(wide), wide[len(wide)-1]-wide[0]+1)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	keys := make(map[int]bool)
+	err := s.ResultColumns(ctx, wide, func(i int, _, _ int64, _ float64) error {
+		cancel()
+		keys[i] = true
+		return nil
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if len(keys) > 1024 {
+		t.Fatalf("a cancelled read went on for %d keys", len(keys))
+	}
+}
+
+// wideIDs returns every k-th of ids, last first, with the first two
+// repeated at the end: reversed, with duplicates, and spanning more than
+// 4n + 1024 IDs, so keyed reads them by Lookup.
+func wideIDs(t *testing.T, ids []int64, k int) []int64 {
+	t.Helper()
+	var w []int64
+	for i := len(ids) - 1; i >= 0; i -= k {
+		w = append(w, ids[i])
+	}
+	w = append(w, w[0], w[1])
+	if newPosIndex(w).slots != nil {
+		t.Fatalf("every %dth of %d IDs is compact", k, len(ids))
+	}
+	return w
 }
 
 func reverse(ids []int64) []int64 {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"perftrack/internal/core"
+	"perftrack/internal/ptdf"
 	"perftrack/internal/reldb"
 )
 
@@ -63,16 +64,41 @@ func addSegResult(t testing.TB, s *Store, i int) int64 {
 	return id
 }
 
-// TestMaterializeSegmentEquivalence compares the block-source fetch on
-// a durable store against the per-ID reference for every result, first
-// with nothing compacted (every row transposed from the B-tree), then
-// compacted — segment blocks plus the transposed, unflushed tail.
+// commitResults commits n single-focus m-mcr results in one batch and
+// returns their IDs, ascending.
+func commitResults(t testing.TB, s *Store, n int) []int64 {
+	t.Helper()
+	b := s.NewBatch()
+	for i := range n {
+		node := core.ResourceName(fmt.Sprintf("/GM/MCR/batch/n%d/p0", i%4))
+		b.Stage(ptdf.PerfResultRec{
+			Exec: "m-mcr", Metric: fmt.Sprintf("metric-%d", i%16), Value: float64(i) * 0.5,
+			Units: "seconds", Tool: "test",
+			Sets: []ptdf.ResourceSet{{Names: []core.ResourceName{"/irs", node}, Type: core.FocusPrimary}},
+		})
+	}
+	if _, err := b.CommitCtx(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	ids, err := s.ExecutionResultIDs("m-mcr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ids[len(ids)-n:]
+}
+
+// TestMaterializeSegmentEquivalence compares the batch fetch on a
+// durable store against the per-ID reference for every result, first
+// with nothing compacted (every row transposed from the tail), then
+// compacted — segment blocks plus the transposed, unflushed tail. Each
+// time a wide set of the same results, read by Lookups, is compared
+// too.
 func TestMaterializeSegmentEquivalence(t *testing.T) {
 	s, fe := newSegmentStore(t)
 	fe.SetSegmentFlushRows(1 << 40) // the compactor runs only when asked
 	seedSegmentStudy(t, s)
-	ids := make([]int64, 0, 650)
-	for i := 0; i < 600; i++ {
+	ids := make([]int64, 0, 2050)
+	for i := 0; i < 2000; i++ {
 		ids = append(ids, addSegResult(t, s, i))
 	}
 	compare := func(wantSegmentScan bool) {
@@ -94,13 +120,16 @@ func TestMaterializeSegmentEquivalence(t *testing.T) {
 				t.Fatalf("result %d differs:\n got  %+v\n want %+v", i, got[i], want[i])
 			}
 		}
+		if !sameAsPerID(t, s, "wide", wideIDs(t, ids, 16)) {
+			t.FailNow()
+		}
 	}
 	compare(false)
 	if err := fe.CompactSegments(); err != nil {
 		t.Fatal(err)
 	}
 	// Rows inserted after the compaction stay in the unflushed tail.
-	for i := 600; i < 650; i++ {
+	for i := 2000; i < 2050; i++ {
 		ids = append(ids, addSegResult(t, s, i))
 	}
 	compare(true)
@@ -114,16 +143,17 @@ func TestMaterializeSegmentEquivalence(t *testing.T) {
 func TestMaterializeSegmentEquivalenceConcurrentLoad(t *testing.T) {
 	s, fe := newSegmentStore(t)
 	seedSegmentStudy(t, s)
-	ids := make([]int64, 0, 400)
-	for i := 0; i < 400; i++ {
+	ids := make([]int64, 0, 1600)
+	for i := 0; i < 1600; i++ {
 		ids = append(ids, addSegResult(t, s, i))
 	}
+	wide := wideIDs(t, ids, 16)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for i := 400; ; i++ {
+		for i := 1600; ; i++ {
 			select {
 			case <-stop:
 				return
@@ -147,22 +177,106 @@ func TestMaterializeSegmentEquivalenceConcurrentLoad(t *testing.T) {
 				break
 			}
 		}
-		seg, err := s.MaterializeResultsCtx(context.Background(), ids)
-		if err != nil {
-			t.Errorf("round %d: %v", round, err)
-			break
-		}
-		ref := perIDResults(t, s, ids)
-		if !reflect.DeepEqual(seg, ref) {
-			for i := range ref {
-				if !reflect.DeepEqual(seg[i], ref[i]) {
-					t.Errorf("round %d: result %d differs:\n got  %+v\n want %+v", round, i, seg[i], ref[i])
-					break
-				}
-			}
+		if label := fmt.Sprintf("round %d", round); !sameAsPerID(t, s, label, ids) || !sameAsPerID(t, s, label+", wide", wide) {
 			break
 		}
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// sameAsPerID materializes ids in one batch and reports whether it
+// matches the per-ID reference, failing the test where it does not.
+func sameAsPerID(t *testing.T, s *Store, label string, ids []int64) bool {
+	t.Helper()
+	seg, err := s.MaterializeResultsCtx(context.Background(), ids)
+	if err != nil {
+		t.Errorf("%s: %v", label, err)
+		return false
+	}
+	ref := perIDResults(t, s, ids)
+	if reflect.DeepEqual(seg, ref) {
+		return true
+	}
+	for i := range ref {
+		if !reflect.DeepEqual(seg[i], ref[i]) {
+			t.Errorf("%s: result %d differs:\n got  %+v\n want %+v", label, i, seg[i], ref[i])
+			break
+		}
+	}
+	return false
+}
+
+// TestKeyedReadFollowsDensity pins how a keyed read picks its access
+// path: by how densely the IDs fill their range, not by what share of
+// the table they are. The store is five compacted batches, each one
+// segment of performance_result and one of result_has_focus, so a
+// 4096-ID chunk is under a quarter of the table. One execution's
+// contiguous run is a block pass over its own segments, the others
+// pruned; 200 IDs spread across the table are point lookups that scan
+// no segment row.
+func TestKeyedReadFollowsDensity(t *testing.T) {
+	s, fe := newSegmentStore(t)
+	fe.SetSegmentFlushRows(1 << 40) // the compactor runs only when asked
+	seedSegmentStudy(t, s)
+	var batches [][]int64
+	for _, n := range []int{4096, 4096, 4096, 4096, 100} {
+		batches = append(batches, commitResults(t, s, n))
+		if err := fe.CompactSegments(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Two default chunks: the first decodes the four foci, so what the
+	// second scans is its own result rows and links.
+	run := append(append([]int64{}, batches[0]...), batches[1]...)
+	var tel []Telemetry
+	var second []*core.PerformanceResult
+	if err := s.MaterializeStreamCtx(context.Background(), run, MaterializeOptions{}, func(prs []*core.PerformanceResult) error {
+		tel, second = append(tel, s.Telemetry()), prs
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(tel) != 2 {
+		t.Fatalf("%d chunks, want 2", len(tel))
+	}
+	if !reflect.DeepEqual(second, perIDResults(t, s, batches[1])) {
+		t.Fatal("the second chunk differs from the per-ID reference")
+	}
+	scans := tel[1].SegmentScans - tel[0].SegmentScans
+	rows := tel[1].SegmentRowsScanned - tel[0].SegmentRowsScanned
+	pruned := tel[1].ZoneMapPrunes - tel[0].ZoneMapPrunes
+	if scans == 0 || rows > 2*4096 || pruned < 4 {
+		t.Fatalf("a contiguous 4096-ID chunk: %d segment scans over %d rows, %d segments pruned; want a scan, at most %d rows, at least 4 pruned",
+			scans, rows, pruned, 2*4096)
+	}
+
+	var all, spread []int64
+	for _, b := range batches {
+		all = append(all, b...)
+	}
+	for i := 0; i < len(all); i += len(all) / 200 {
+		spread = append(spread, all[i])
+	}
+	spread = spread[:200]
+	want := perIDResults(t, s, spread)
+	metrics := s.Dict("metric")
+	before := s.Telemetry().SegmentRowsScanned
+	seen := 0
+	if err := s.ResultColumns(context.Background(), spread, func(i int, metric, _ int64, value float64) error {
+		if metrics.Name(metric) != want[i].Metric || value != want[i].Value {
+			t.Errorf("result %d = (%s, %v), per-ID %+v", spread[i], metrics.Name(metric), value, want[i])
+		}
+		seen++
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if seen != len(spread) {
+		t.Fatalf("ResultColumns read %d of %d spread IDs", seen, len(spread))
+	}
+	if rows := s.Telemetry().SegmentRowsScanned - before; rows != 0 {
+		t.Fatalf("200 IDs spread across the table scanned %d segment rows, want 0", rows)
+	}
 }

@@ -150,9 +150,9 @@ type Result struct {
 }
 
 // Run executes a diagnosis against the store. Every phase stops once ctx
-// is done: the reads of selection and features once per block, the
-// enumeration before each attribute key, the scoring before each
-// candidate.
+// is done: the reads of selection and features once per block or every
+// 1024 IDs looked up, the enumeration before each attribute key, the
+// scoring before each candidate.
 func Run(ctx context.Context, s *datastore.Store, spec Spec) (*Result, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
