@@ -83,3 +83,56 @@ func recvName(e ast.Expr) string {
 	}
 	return "?"
 }
+
+// fanOutOwners are the files that may declare a sync.WaitGroup: par, the
+// one fan-out, and the ordered ingest pipeline, whose width a load
+// request sets.
+var fanOutOwners = map[string]bool{
+	"internal/par/par.go":        true,
+	"internal/datastore/bulk.go": true,
+}
+
+// TestOneFanOut checks that every parallel read and scoring pass goes
+// through internal/par at GOMAXPROCS width: no non-test file under
+// internal/, cmd/ or examples/ outside fanOutOwners declares a
+// sync.WaitGroup, and no exported struct under internal/ has a Workers
+// field.
+func TestOneFanOut(t *testing.T) {
+	for _, root := range []string{"internal", "cmd", "examples"} {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return err
+			}
+			fset := token.NewFileSet()
+			f, err := parser.ParseFile(fset, path, nil, 0)
+			if err != nil {
+				return err
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.SelectorExpr:
+					if x, ok := n.X.(*ast.Ident); ok && x.Name == "sync" && n.Sel.Name == "WaitGroup" && !fanOutOwners[filepath.ToSlash(path)] {
+						t.Errorf("%s: declares a sync.WaitGroup: fan out through internal/par", fset.Position(n.Pos()))
+					}
+				case *ast.TypeSpec:
+					st, ok := n.Type.(*ast.StructType)
+					if !ok || !n.Name.IsExported() || root != "internal" {
+						return true
+					}
+					for _, field := range st.Fields.List {
+						for _, name := range field.Names {
+							if name.Name == "Workers" {
+								t.Errorf("%s: %s has a Workers field: every fan-out is GOMAXPROCS wide", fset.Position(name.Pos()), n.Name.Name)
+							}
+						}
+					}
+				}
+				return true
+			})
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -50,6 +50,14 @@ import (
 	"perftrack/internal/reldb"
 )
 
+// withWorkers sets GOMAXPROCS, the width of every fan-out, to n for the
+// rest of the benchmark run.
+func withWorkers(tb testing.TB, n int) {
+	tb.Helper()
+	prev := runtime.GOMAXPROCS(n)
+	tb.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
 // prepareExecutionRecords generates and converts one execution of the
 // given dataset kind, returning its PTdf records.
 func prepareExecutionRecords(b *testing.B, kind, machine string, nprocs int) []ptdf.Record {
@@ -704,11 +712,13 @@ func BenchmarkMaterialize(b *testing.B) {
 		report(b)
 	})
 	b.Run("batch-w1", func(b *testing.B) {
+		withWorkers(b, 1)
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			// One chunk of all of ids: MaterializeResultsCtx's work on one
 			// worker.
 			var out []*core.PerformanceResult
-			err := s.MaterializeStreamCtx(ctx, ids, datastore.MaterializeOptions{Workers: 1, ChunkSize: n},
+			err := s.MaterializeStreamCtx(ctx, ids, datastore.MaterializeOptions{ChunkSize: n},
 				func(batch []*core.PerformanceResult) error {
 					out = batch
 					return nil
@@ -785,8 +795,8 @@ func BenchmarkMaterialize(b *testing.B) {
 // BenchmarkDiagnose measures the automated-diagnosis pipeline (§6
 // extension) over a 100-execution synthetic fleet with a planted
 // compiler=-O0 slowdown: side perf, bottleneck ranking, attribute
-// feature extraction, and predicate enumeration/scoring. Serial pins
-// one worker; Parallel fans out over GOMAXPROCS.
+// feature extraction, and predicate enumeration/scoring. Serial runs at
+// GOMAXPROCS 1; Parallel fans out over GOMAXPROCS.
 func BenchmarkDiagnose(b *testing.B) {
 	s, fleet, err := experiments.SeedFleetStore(100, 7)
 	if err != nil {
@@ -795,9 +805,11 @@ func BenchmarkDiagnose(b *testing.B) {
 	for _, c := range []struct {
 		name    string
 		workers int
-	}{{"Serial", 1}, {fmt.Sprintf("Parallel-w%d", runtime.GOMAXPROCS(0)), 0}} {
+	}{{"Serial", 1}, {fmt.Sprintf("Parallel-w%d", runtime.GOMAXPROCS(0)), runtime.GOMAXPROCS(0)}} {
 		b.Run(c.name, func(b *testing.B) {
-			spec := diagnose.Spec{ExecsA: fleet.Fast, ExecsB: fleet.Slow, Workers: c.workers}
+			withWorkers(b, c.workers)
+			b.ResetTimer()
+			spec := diagnose.Spec{ExecsA: fleet.Fast, ExecsB: fleet.Slow}
 			for i := 0; i < b.N; i++ {
 				res, err := diagnose.Run(context.Background(), s, spec)
 				if err != nil {
@@ -1101,7 +1113,7 @@ const (
 //	{mem,segment}/naive    the same query with Planner.Naive, the oracle:
 //	                       every row materialized, then aggregated
 //	scan/w{1,4,all}        the five-aggregate query over 16 segments in a
-//	                       directory, fanned over 1, 4 and GOMAXPROCS workers
+//	                       directory, at GOMAXPROCS 1, 4 and its default
 //
 // Every planned and scan run must read segment blocks; a run served from
 // the tail fails instead of timing the wrong path.
@@ -1179,11 +1191,10 @@ func BenchmarkSQLAggregate(b *testing.B) {
 		for _, w := range []struct {
 			name    string
 			workers int
-		}{{"w1", 1}, {"w4", 4}, {"wall", 0}} {
+		}{{"w1", 1}, {"w4", 4}, {"wall", runtime.GOMAXPROCS(0)}} {
 			b.Run(w.name, func(b *testing.B) {
-				p := planner.New(s)
-				p.Workers = w.workers
-				run(b, p, scanAggregateQuery)
+				withWorkers(b, w.workers)
+				run(b, planner.New(s), scanAggregateQuery)
 			})
 		}
 	})

@@ -22,8 +22,8 @@ package datastore
 //      its type and focus_has_resource links by the same keyed read,
 //      then one view of the resource dictionary maps every resource ID
 //      to its name.
-//   4. Assemble PerformanceResults over N worker goroutines sharding
-//      the ID slice, preserving input order.
+//   4. Assemble PerformanceResults in contiguous spans of the ID slice
+//      (par.Range), preserving input order.
 //
 // Consistency matches the per-ID path: neither holds a lock across
 // results, so a query racing a writer can observe a mix of generations
@@ -34,21 +34,18 @@ package datastore
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"strconv"
-	"sync"
 
 	"perftrack/internal/core"
 	"perftrack/internal/obs"
+	"perftrack/internal/par"
 	"perftrack/internal/reldb"
 )
 
 // MaterializeOptions tunes the batch materializer. The zero value picks
-// sensible defaults.
+// sensible defaults. Assembly fans out through par at GOMAXPROCS width;
+// the reads before it are one keyed read per table.
 type MaterializeOptions struct {
-	// Workers bounds the assembly fan-out; the reads before it are one
-	// keyed read per table. <=0 means runtime.GOMAXPROCS(0).
-	Workers int
 	// ChunkSize bounds how many results MaterializeStreamCtx assembles
 	// per emitted batch. <=0 means defaultMaterializeChunk; len(ids)
 	// gives the single batch MaterializeResultsCtx produces.
@@ -180,21 +177,16 @@ type matFocus struct {
 // materializer carries the per-query state shared by every chunk of one
 // materialization: the dictionary views and the focus cache.
 type materializer struct {
-	s       *Store
-	workers int
-	dicts   resultDicts
-	foci    map[int64]*matFocus // focus ID → decoded, grows chunk by chunk
+	s     *Store
+	dicts resultDicts
+	foci  map[int64]*matFocus // focus ID → decoded, grows chunk by chunk
 }
 
-func (s *Store) newMaterializer(ctx context.Context, opt MaterializeOptions) (*materializer, error) {
+func (s *Store) newMaterializer(ctx context.Context) (*materializer, error) {
 	if err := cancelled(ctx); err != nil {
 		return nil, err
 	}
-	m := &materializer{s: s, workers: opt.Workers, dicts: s.resultDicts(), foci: make(map[int64]*matFocus)}
-	if m.workers <= 0 {
-		m.workers = runtime.GOMAXPROCS(0)
-	}
-	return m, nil
+	return &materializer{s: s, dicts: s.resultDicts(), foci: make(map[int64]*matFocus)}, nil
 }
 
 // matScratch is run's pooled working memory: everything sized by the
@@ -215,45 +207,6 @@ type resultRec struct {
 	exec, metric, tool, units int64 // dictionary IDs
 	value                     float64
 	foci                      []int64
-}
-
-// shardRange splits [0, n) into contiguous spans, runs fn(lo, hi) on
-// each from its own goroutine, and returns the first error.
-func shardRange(n, workers int, fn func(lo, hi int) error) error {
-	if n == 0 {
-		return nil
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		return fn(0, n)
-	}
-	errs := make([]error, workers)
-	span := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * span
-		hi := lo + span
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			errs[w] = fn(lo, hi)
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // cancelled reports a done context as a wrapped error. The materializer
@@ -535,7 +488,7 @@ func (m *materializer) run(ctx context.Context, ids []int64) ([]*core.Performanc
 	}
 	focusSpan.End()
 
-	// Phase 4: assemble over the worker pool into one block (a single
+	// Phase 4: assemble span by span into one block (a single
 	// allocation for the whole chunk), then lay out pointers in input
 	// order.
 	if err := cancelled(ctx); err != nil {
@@ -547,7 +500,7 @@ func (m *materializer) run(ctx context.Context, ids []int64) ([]*core.Performanc
 	// Contexts for the whole chunk live in one arena block, sliced per
 	// result at the offsets recorded above; workers fill disjoint ranges.
 	ctxArena := make([]core.Context, links)
-	if err := shardRange(len(uniq), m.workers, func(lo, hi int) error {
+	if err := par.Range(len(uniq), func(lo, hi int) error {
 		for i := lo; i < hi; i++ {
 			rec := &recs[i]
 			pr := &assembled[i]
@@ -630,7 +583,7 @@ func (m *materializer) decodeFoci(ctx context.Context, fids []int64) error {
 // the materializer records its phase spans (materialize.fetch, .focus,
 // .assemble) in the request's span tree.
 func (s *Store) MaterializeResultsCtx(ctx context.Context, ids []int64) ([]*core.PerformanceResult, error) {
-	m, err := s.newMaterializer(ctx, MaterializeOptions{})
+	m, err := s.newMaterializer(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -643,7 +596,7 @@ func (s *Store) MaterializeResultsCtx(ctx context.Context, ids []int64) ([]*core
 // shared across chunks, and each chunk records its own phase spans. A
 // non-nil error from emit aborts the stream.
 func (s *Store) MaterializeStreamCtx(ctx context.Context, ids []int64, opt MaterializeOptions, emit func([]*core.PerformanceResult) error) error {
-	m, err := s.newMaterializer(ctx, opt)
+	m, err := s.newMaterializer(ctx)
 	if err != nil {
 		return err
 	}

@@ -64,6 +64,14 @@ func seedMaterializeStudy(t *testing.T) (*Store, []int64) {
 	return s, ids
 }
 
+// withWorkers sets GOMAXPROCS, the width of every fan-out, to n for the
+// rest of the test.
+func withWorkers(tb testing.TB, n int) {
+	tb.Helper()
+	prev := runtime.GOMAXPROCS(n)
+	tb.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
 // perIDResults is the reference implementation: the N+1 path.
 func perIDResults(t *testing.T, s *Store, ids []int64) []*core.PerformanceResult {
 	t.Helper()
@@ -93,10 +101,11 @@ func TestMaterializeEquivalence(t *testing.T) {
 	}
 	for name, order := range orders {
 		want := perIDResults(t, s, order)
-		for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
+		for _, workers := range []int{1, 4} {
+			withWorkers(t, workers)
 			// One chunk of the whole order: MaterializeResultsCtx's work.
 			var got []*core.PerformanceResult
-			err := s.MaterializeStreamCtx(context.Background(), order, MaterializeOptions{Workers: workers, ChunkSize: len(order)},
+			err := s.MaterializeStreamCtx(context.Background(), order, MaterializeOptions{ChunkSize: len(order)},
 				func(batch []*core.PerformanceResult) error {
 					got = batch
 					return nil

@@ -4,12 +4,12 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 	"strconv"
 
 	"perftrack/internal/core"
 	"perftrack/internal/obs"
+	"perftrack/internal/par"
 	"perftrack/internal/reldb"
 )
 
@@ -409,12 +409,12 @@ func (s *Store) familyResultIDs(ctx context.Context, fam core.Family) (IDSet, er
 	return ids, nil
 }
 
-// familySets evaluates every family's result-ID set, fanned out over
-// the available CPUs. The engine takes a reader lock per scan, so
+// familySets evaluates every family's result-ID set in contiguous spans
+// of fams (par.Range). The engine takes a reader lock per scan, so
 // independent families read concurrently without blocking each other.
 func (s *Store) familySets(ctx context.Context, fams []core.Family) ([]IDSet, error) {
 	sets := make([]IDSet, len(fams))
-	err := shardRange(len(fams), runtime.GOMAXPROCS(0), func(lo, hi int) error {
+	err := par.Range(len(fams), func(lo, hi int) error {
 		for i := lo; i < hi; i++ {
 			ids, err := s.familyResultIDs(ctx, fams[i])
 			if err != nil {

@@ -273,7 +273,8 @@ func checkCompare(t *testing.T, s *datastore.Store, execA, execB string, wantPai
 
 func checkFeatures(t *testing.T, s *datastore.Store, execsA, execsB []string, metric string) {
 	t.Helper()
-	f, err := extractFeatures(context.Background(), s, execsA, execsB, metric, 2)
+	withWorkers(t, 2)
+	f, err := extractFeatures(context.Background(), s, execsA, execsB, metric)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,8 +432,8 @@ func repeatStore(t *testing.T, repeats int) (*datastore.Store, *gen.Fleet) {
 func TestDiagnoseAllocsIndependentOfResults(t *testing.T) {
 	allocs := func(repeats int) float64 {
 		s, fleet := repeatStore(t, repeats)
-		sets := Spec{ExecsA: fleet.Fast, ExecsB: fleet.Slow, Workers: 1}
-		pair := Spec{ExecA: fleet.Fast[0], ExecB: fleet.Slow[0], Workers: 1}
+		sets := Spec{ExecsA: fleet.Fast, ExecsB: fleet.Slow}
+		pair := Spec{ExecA: fleet.Fast[0], ExecB: fleet.Slow[0]}
 		return testing.AllocsPerRun(5, func() {
 			for _, sp := range []Spec{sets, pair} {
 				if _, err := Run(context.Background(), s, sp); err != nil {

@@ -13,23 +13,23 @@
 //     PerfXplain-style), enumerated through the attribute index rather
 //     than full resource scans.
 //
-// Predicate scoring and per-execution feature extraction fan out over a
-// bounded worker pool, mirroring the materializer's GOMAXPROCS pattern.
+// Predicate scoring and the per-execution footprint reads fan out
+// through par, GOMAXPROCS wide, and merge in candidate and execution
+// order, so a diagnosis is the same at any width.
 package diagnose
 
 import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 	"strconv"
-	"sync"
 
 	"perftrack/internal/compare"
 	"perftrack/internal/core"
 	"perftrack/internal/datastore"
 	"perftrack/internal/obs"
+	"perftrack/internal/par"
 )
 
 // Defaults applied by Run when the Spec leaves them zero.
@@ -61,9 +61,6 @@ type Spec struct {
 	MinCoverage float64
 	// Explain records the predicate search trace in Result.Trace.
 	Explain bool
-	// Workers bounds the fan-out of the execution footprint reads and of
-	// predicate scoring; <= 0 means GOMAXPROCS, 1 forces the serial path.
-	Workers int
 }
 
 // Validate checks side selection and parameter ranges.
@@ -165,10 +162,6 @@ func Run(ctx context.Context, s *datastore.Store, spec Spec) (*Result, error) {
 	if minCov == 0 {
 		minCov = DefaultMinCoverage
 	}
-	workers := spec.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	res := &Result{Metric: spec.Metric}
 	trace := func(format string, args ...any) {
 		if spec.Explain {
@@ -196,7 +189,7 @@ func Run(ctx context.Context, s *datastore.Store, spec Spec) (*Result, error) {
 	}
 
 	featCtx, featSpan := obs.StartSpan(ctx, "diagnose.features")
-	feats, err := extractFeatures(featCtx, s, res.SideA, res.SideB, spec.Metric, workers)
+	feats, err := extractFeatures(featCtx, s, res.SideA, res.SideB, spec.Metric)
 	if err != nil {
 		featSpan.End()
 		return nil, err
@@ -269,44 +262,18 @@ func Run(ctx context.Context, s *datastore.Store, spec Spec) (*Result, error) {
 
 	_, scoreSpan := obs.StartSpan(ctx, "diagnose.score")
 	exs := make([]Explanation, len(cands))
-	scoreWorkers := workers
-	if scoreWorkers > len(cands) {
-		scoreWorkers = len(cands)
-	}
-	// The workers stop taking candidates once ctx is done.
-	if scoreWorkers <= 1 {
-		for i, c := range cands {
-			if ctx.Err() != nil {
-				break
+	err = par.Range(len(cands), func(lo, hi int) error {
+		for i := lo; i < hi; i++ {
+			if err := ctx.Err(); err != nil {
+				return err
 			}
-			exs[i] = scoreCandidate(c.pred, c.matrix, feats.profiles)
+			exs[i] = scoreCandidate(cands[i].pred, cands[i].matrix, feats.profiles)
 		}
-	} else {
-		var wg sync.WaitGroup
-		work := make(chan int)
-		for w := 0; w < scoreWorkers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range work {
-					exs[i] = scoreCandidate(cands[i].pred, cands[i].matrix, feats.profiles)
-				}
-			}()
-		}
-	feed:
-		for i := range cands {
-			select {
-			case work <- i:
-			case <-ctx.Done():
-				break feed
-			}
-		}
-		close(work)
-		wg.Wait()
-	}
-	scoreSpan.Annotate("workers", strconv.Itoa(workers))
+		return nil
+	})
+	scoreSpan.Annotate("workers", strconv.Itoa(par.Workers(len(cands))))
 	scoreSpan.End()
-	if err := ctx.Err(); err != nil {
+	if err != nil {
 		return nil, fmt.Errorf("diagnose: score: %w", err)
 	}
 

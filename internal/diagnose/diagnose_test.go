@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -17,6 +18,14 @@ import (
 	"perftrack/internal/ptdf"
 	"perftrack/internal/reldb"
 )
+
+// withWorkers sets GOMAXPROCS, the width of every fan-out, to n for the
+// rest of the test.
+func withWorkers(tb testing.TB, n int) {
+	tb.Helper()
+	prev := runtime.GOMAXPROCS(n)
+	tb.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
 
 // fleetStore loads a synthetic fleet into a fresh in-memory store.
 func fleetStore(t testing.TB, spec gen.FleetSpec) (*datastore.Store, *gen.Fleet) {
@@ -107,46 +116,52 @@ func (c *countingCtx) Done() <-chan struct{} { return c.done }
 
 // TestDiagnoseStopsWhenCancelled: a diagnosis whose context is cancelled
 // once the features are folded — at the first attribute key, or at the
-// first candidate — returns context.Canceled instead of a result.
+// first candidate — returns context.Canceled instead of a result, at
+// one worker and at several.
 func TestDiagnoseStopsWhenCancelled(t *testing.T) {
 	s, fleet := fleetStore(t, gen.FleetSpec{Execs: 40, Seed: 7})
-	spec := Spec{ExecsA: fleet.Fast, ExecsB: fleet.Slow, Workers: 1}
-	full, err := Run(context.Background(), s, spec)
-	if err != nil || full.Keys == 0 || full.Candidates == 0 {
-		t.Fatalf("uncancelled run: %+v, %v", full, err)
-	}
-	// The checks Run's selection and feature phases make before it
-	// enumerates: the same calls, counted.
-	count := cancelAfter(math.MaxInt64)
-	a, err := resolveSide(count, s, "", spec.ExecsA, nil, "A")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := resolveSide(count, s, "", spec.ExecsB, nil, "B")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := extractFeatures(count, s, a, b, "", 1); err != nil {
-		t.Fatal(err)
-	}
-	before := math.MaxInt64 - count.left.Load()
-	for _, c := range []struct {
-		phase string
-		after int64
-	}{{"enumerate", before}, {"score", before + int64(full.Keys)}} {
-		if res, err := Run(cancelAfter(c.after), s, spec); !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), c.phase) {
-			t.Errorf("cancelled in the %s phase: result %t, err %v; want context.Canceled from it", c.phase, res != nil, err)
+	spec := Spec{ExecsA: fleet.Fast, ExecsB: fleet.Slow}
+	for _, workers := range []int{1, 4} {
+		withWorkers(t, workers)
+		full, err := Run(context.Background(), s, spec)
+		if err != nil || full.Keys == 0 || full.Candidates == 0 {
+			t.Fatalf("w%d: uncancelled run: %+v, %v", workers, full, err)
+		}
+		// The checks Run's selection and feature phases make before it
+		// enumerates: the same calls, counted.
+		count := cancelAfter(math.MaxInt64)
+		a, err := resolveSide(count, s, "", spec.ExecsA, nil, "A")
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := resolveSide(count, s, "", spec.ExecsB, nil, "B")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := extractFeatures(count, s, a, b, ""); err != nil {
+			t.Fatal(err)
+		}
+		before := math.MaxInt64 - count.left.Load()
+		for _, c := range []struct {
+			phase string
+			after int64
+		}{{"enumerate", before}, {"score", before + int64(full.Keys)}} {
+			if res, err := Run(cancelAfter(c.after), s, spec); !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), c.phase) {
+				t.Errorf("w%d: cancelled in the %s phase: result %t, err %v; want context.Canceled from it", workers, c.phase, res != nil, err)
+			}
 		}
 	}
 }
 
 func TestDiagnoseParallelMatchesSerial(t *testing.T) {
 	s, fleet := fleetStore(t, gen.FleetSpec{Execs: 60, Seed: 11})
-	serial, err := Run(context.Background(), s, Spec{ExecsA: fleet.Fast, ExecsB: fleet.Slow, Workers: 1})
+	withWorkers(t, 1)
+	serial, err := Run(context.Background(), s, Spec{ExecsA: fleet.Fast, ExecsB: fleet.Slow})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := Run(context.Background(), s, Spec{ExecsA: fleet.Fast, ExecsB: fleet.Slow, Workers: 8})
+	withWorkers(t, 8)
+	parallel, err := Run(context.Background(), s, Spec{ExecsA: fleet.Fast, ExecsB: fleet.Slow})
 	if err != nil {
 		t.Fatal(err)
 	}

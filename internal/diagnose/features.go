@@ -5,10 +5,9 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"perftrack/internal/datastore"
+	"perftrack/internal/par"
 	"perftrack/internal/query"
 )
 
@@ -68,12 +67,13 @@ func resolveSide(ctx context.Context, s *datastore.Store, exec string, execs, fa
 }
 
 // extractFeatures builds the per-execution profiles, footprint inversion,
-// and per-metric aggregates for both sides. The footprints fan out over
-// workers (the store's reader paths are concurrent) while this goroutine
-// folds each execution's metric, units and value columns, in side order
-// and ascending result ID within each: the per-metric sums are then the
-// same floats whatever the worker count. No result is materialized.
-func extractFeatures(ctx context.Context, s *datastore.Store, execsA, execsB []string, metric string, workers int) (*features, error) {
+// and per-metric aggregates for both sides. Two parts run at once: one
+// reads the footprints in spans of the executions (the store's reader
+// paths are concurrent), the other folds each execution's metric, units
+// and value columns, in side order and ascending result ID within each:
+// the per-metric sums are then the same floats whatever the width. No
+// result is materialized.
+func extractFeatures(ctx context.Context, s *datastore.Store, execsA, execsB []string, metric string) (*features, error) {
 	n := len(execsA) + len(execsB)
 	f := &features{
 		profiles: make([]profile, n),
@@ -82,41 +82,21 @@ func extractFeatures(ctx context.Context, s *datastore.Store, execsA, execsB []s
 	}
 	execs := append(append(make([]string, 0, n), execsA...), execsB...)
 	footprints := make([][]int64, n)
-	errs := make([]error, n)
-	var failed atomic.Bool
-	workers = max(min(workers, n), 1)
-	work := make(chan int, n) // every index is queued up front
-	for i := 0; i < n; i++ {
-		work <- i
-	}
-	close(work)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				if failed.Load() {
-					continue
-				}
-				if footprints[i], errs[i] = s.ExecutionResourceIDs(ctx, execs[i]); errs[i] != nil {
-					failed.Store(true)
+	if err := par.Each(2, func(part int) error {
+		if part == 1 {
+			return f.fold(ctx, s, execs, len(execsA), metric)
+		}
+		return par.Range(n, func(lo, hi int) error {
+			for i := lo; i < hi; i++ {
+				var err error
+				if footprints[i], err = s.ExecutionResourceIDs(ctx, execs[i]); err != nil {
+					return err
 				}
 			}
-		}()
-	}
-	foldErr := f.fold(ctx, s, execs, len(execsA), metric)
-	if foldErr != nil {
-		failed.Store(true)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	if foldErr != nil {
-		return nil, foldErr
+			return nil
+		})
+	}); err != nil {
+		return nil, err
 	}
 	for i, fp := range footprints {
 		for _, rid := range fp {

@@ -11,7 +11,7 @@ import (
 )
 
 // Request is the wire form of a diagnosis spec — the body of
-// POST /v1/diagnose. It mirrors Spec minus the local-only Workers knob.
+// POST /v1/diagnose. It mirrors Spec.
 //
 // A and B carry each side as a unified query.Selection, the shape shared
 // with /v1/query and /v1/results. The older flat spellings (exec_a,

@@ -56,7 +56,7 @@ func (p *Plan) Text() string {
 		fmt.Fprintf(&b, "\n  materialized: %d rows", p.Materialized)
 	}
 	if p.Profile != nil && p.Profile.BlocksScanned > 0 {
-		fmt.Fprintf(&b, "\n  vectorized: segment kernels, %d workers", p.Workers)
+		fmt.Fprintf(&b, "\n  vectorized: segment kernels, %d workers", len(p.Profile.WorkerRows))
 	}
 	if p.CacheHit {
 		b.WriteString("\n  cache: result served from plan cache")

@@ -16,10 +16,10 @@ func FuzzSQLPlanner(f *testing.F) {
 		label          string
 		planned, naive *Planner
 	}
+	withWorkers(f, 2)
 	var pairs []pair
 	for _, s := range differentialStores(f, 64) {
 		planned := New(s.st)
-		planned.Workers = 2
 		naive := New(s.st)
 		naive.Naive = true
 		pairs = append(pairs, pair{s.label, planned, naive})

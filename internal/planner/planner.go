@@ -84,10 +84,6 @@ type Planner struct {
 	// and `ptsql -naive`.
 	Naive bool
 
-	// Workers caps the scan fan-out over segment blocks; 0 means
-	// GOMAXPROCS.
-	Workers int
-
 	// Cache, when set, serves repeated queries from a generation-keyed
 	// result cache (see ResultCache). Naive mode bypasses it so the
 	// differential oracle always re-executes.
@@ -110,7 +106,6 @@ type Plan struct {
 	Aggregate    bool
 	Materialized int64
 	Alternatives []string // "strategy=cost" entries the cost model compared
-	Workers      int      // fan-out actually used over segment blocks (0: none read)
 	CacheHit     bool     // result served from the plan-keyed result cache
 
 	// Profile records the execution's per-operator actuals (see

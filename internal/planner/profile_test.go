@@ -12,9 +12,9 @@ import (
 // for the flagship path: a grouped aggregate over a multi-segment store
 // with a B-tree tail, executed by the parallel kernels.
 func TestExecProfileVectorizedAggregate(t *testing.T) {
+	withWorkers(t, 4)
 	st, _ := seedSegmentStore(t, t.TempDir(), 400, 4, 40)
 	p := New(st)
-	p.Workers = 4
 	q := "SELECT metric, count(*), avg(value) FROM performance_result GROUP BY metric ORDER BY metric"
 	res, plan, err := p.Query(context.Background(), q)
 	if err != nil {

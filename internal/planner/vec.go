@@ -28,12 +28,11 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 	"time"
 
 	"perftrack/internal/core"
 	"perftrack/internal/datastore"
+	"perftrack/internal/par"
 	"perftrack/internal/query"
 	"perftrack/internal/reldb"
 	"perftrack/internal/sqldb"
@@ -250,23 +249,7 @@ func (v *blockVecs) kernels(f *resultFilter) (ks []selFn, none bool) {
 	return ks, false
 }
 
-// --- worker pool ---
-
-// vecWorkers picks the fan-out width: the explicit Workers override or
-// GOMAXPROCS, never more than one worker per block.
-func (p *Planner) vecWorkers(blocks int) int {
-	w := p.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > blocks {
-		w = blocks
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
+// --- block partition ---
 
 // partitionBlocks splits blocks (given by row count) into at most w
 // contiguous [start, end) ranges of roughly equal total rows.
@@ -897,13 +880,13 @@ func (p *Planner) scanResults(ctx context.Context, access resultAccess, f *resul
 }
 
 // fanOut scans immutable segment blocks in parallel: contiguous,
-// row-balanced runs of blocks go to one worker each (head takes the
-// first), and the workers' sinks merge into head's in block order. It
+// row-balanced runs of blocks go to one part each (head takes the
+// first), and the parts' sinks merge into head's in block order. It
 // returns the rows scanned, the next block's global scan ordinal.
 func (p *Planner) fanOut(ctx context.Context, blocks []*reldb.ColumnBlock, head *scanWorker, plan *Plan,
 	maxWorkers int, newSink func() blockSink) (int64, error) {
 	lens := blockLens(blocks)
-	parts := partitionBlocks(lens, min(p.vecWorkers(len(blocks)), maxWorkers))
+	parts := partitionBlocks(lens, min(par.Workers(len(blocks)), maxWorkers))
 	bases := make([]int64, len(blocks))
 	var total int64
 	for i, n := range lens {
@@ -912,38 +895,23 @@ func (p *Planner) fanOut(ctx context.Context, blocks []*reldb.ColumnBlock, head 
 	}
 	prof := plan.Profile
 	prof.WorkerRows = partRows(lens, parts)
-	plan.Workers = len(parts)
 
 	kernelStart := time.Now()
 	workers := make([]*scanWorker, len(parts))
-	errs := make([]error, len(parts))
-	scanned := make([]int, len(parts)) // blocks each part finished
-	var wg sync.WaitGroup
-	for pi := range parts {
-		w := head
-		if pi > 0 {
-			w = &scanWorker{f: head.f, sink: newSink(), sel: make([]int32, 0, vecBatch)}
-		}
-		workers[pi] = w
-		run := func(pi int, w *scanWorker) {
-			for bi := parts[pi][0]; bi < parts[pi][1]; bi++ {
-				if errs[pi] = w.scanBlock(ctx, blocks[bi], bases[bi]); errs[pi] != nil {
-					return
-				}
-				scanned[pi]++
-			}
-		}
-		if len(parts) == 1 {
-			run(pi, w)
-			continue
-		}
-		wg.Add(1)
-		go func(pi int, w *scanWorker) {
-			defer wg.Done()
-			run(pi, w)
-		}(pi, w)
+	workers[0] = head
+	for pi := 1; pi < len(parts); pi++ {
+		workers[pi] = &scanWorker{f: head.f, sink: newSink(), sel: make([]int32, 0, vecBatch)}
 	}
-	wg.Wait()
+	scanned := make([]int, len(parts)) // blocks each part finished
+	err := par.Each(len(parts), func(pi int) error {
+		for bi := parts[pi][0]; bi < parts[pi][1]; bi++ {
+			if err := workers[pi].scanBlock(ctx, blocks[bi], bases[bi]); err != nil {
+				return err
+			}
+			scanned[pi]++
+		}
+		return nil
+	})
 	prof.KernelNanos += time.Since(kernelStart).Nanoseconds()
 	for pi, pr := range parts {
 		for _, n := range lens[pr[0] : pr[0]+scanned[pi]] {
@@ -952,10 +920,8 @@ func (p *Planner) fanOut(ctx context.Context, blocks []*reldb.ColumnBlock, head 
 		}
 		prof.BlocksScanned += scanned[pi]
 	}
-	for _, err := range errs {
-		if err != nil {
-			return 0, err
-		}
+	if err != nil {
+		return 0, err
 	}
 	mergeStart := time.Now()
 	for _, w := range workers[1:] {

@@ -18,6 +18,7 @@ import (
 // return the same bytes. Run under -race this also proves the scan
 // fan-out never touches mutable engine state unsynchronized.
 func TestVectorizedScanDuringCompaction(t *testing.T) {
+	withWorkers(t, 2)
 	const seedRows = 1200
 	st, fe := seedSegmentStore(t, t.TempDir(), seedRows, 2, 0)
 
@@ -81,7 +82,6 @@ func TestVectorizedScanDuringCompaction(t *testing.T) {
 		go func(r int) {
 			defer readerWG.Done()
 			p := New(st)
-			p.Workers = 2
 			for i := 0; i < iters; i++ {
 				qi := (r + i) % len(queries)
 				res, _, err := p.Query(context.Background(), queries[qi])

@@ -4,12 +4,21 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"testing"
 
 	"perftrack/internal/datastore"
 	"perftrack/internal/reldb"
 )
+
+// withWorkers sets GOMAXPROCS, the width of every fan-out, to n for the
+// rest of the test.
+func withWorkers(tb testing.TB, n int) {
+	tb.Helper()
+	prev := runtime.GOMAXPROCS(n)
+	tb.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
 
 // seedSegmentStore seeds a durable store in batches, compacting
 // after each, so the view holds batches independent segments plus a
@@ -71,8 +80,8 @@ func TestVectorizedMatchesNaive(t *testing.T) {
 	naive := New(st)
 	naive.Naive = true
 	for _, workers := range []int{1, 2, 4} {
+		withWorkers(t, workers)
 		planned := New(st)
-		planned.Workers = workers
 		for _, q := range differentialQueries {
 			checkPlannedMatchesNaive(t, fmt.Sprintf("w=%d", workers), planned, naive, q)
 		}
@@ -82,9 +91,9 @@ func TestVectorizedMatchesNaive(t *testing.T) {
 // TestVectorizedAggregate pins that a grouped aggregate over segments
 // actually takes the vectorized path and reports its fan-out.
 func TestVectorizedAggregate(t *testing.T) {
+	withWorkers(t, 4)
 	st, _ := seedSegmentStore(t, t.TempDir(), 400, 4, 0)
 	p := New(st)
-	p.Workers = 4
 	q := "SELECT metric, count(*), sum(value), min(value), max(value), avg(value) " +
 		"FROM performance_result GROUP BY metric ORDER BY metric"
 	res, plan, err := p.Query(context.Background(), q)
@@ -95,8 +104,8 @@ func TestVectorizedAggregate(t *testing.T) {
 		t.Fatalf("strategy=%q blocks=%d, want zone-map over segment blocks (plan: %s)",
 			plan.Strategy, plan.Profile.BlocksScanned, plan.Text())
 	}
-	if plan.Workers < 2 {
-		t.Fatalf("workers = %d, want parallel fan-out across segments", plan.Workers)
+	if w := len(plan.Profile.WorkerRows); w < 2 {
+		t.Fatalf("workers = %d, want parallel fan-out across segments", w)
 	}
 	if len(res.Rows) != 4 {
 		t.Fatalf("groups = %d, want 4", len(res.Rows))
