@@ -71,7 +71,8 @@ func (b *Batch) Len() int { return len(b.recs) }
 
 // CommitCtx applies every staged record in order inside one writer
 // critical section: one engine transaction, one generation bump, and one
-// flush of each log the transaction touched. On error nothing of the
+// flush of each log the transaction touched. Results that share their
+// resource sets (a ptdf.Reader's do) resolve them to foci once. On error nothing of the
 // batch remains (the transaction rolls back and the names directory is
 // reloaded from the rows) and the error names the failing record. A
 // trace riding ctx gets a datastore.batch.commit span with the record
@@ -91,8 +92,9 @@ func (b *Batch) CommitCtx(ctx context.Context) (LoadStats, error) {
 	span.Annotate("records", strconv.Itoa(len(b.recs)))
 	defer span.End()
 	err := s.write(func() error {
+		sets := make(resolvedSets)
 		for i, rec := range b.recs {
-			if err := s.loadRecordLocked(rec); err != nil {
+			if err := s.loadRecordLocked(rec, sets); err != nil {
 				if len(b.recs) > 1 {
 					err = fmt.Errorf("datastore: record %d: %w", i+1, err)
 				}

@@ -436,3 +436,52 @@ func TestAddPerfResultFailureLeavesNothing(t *testing.T) {
 		}
 	}
 }
+
+// TestBatchSharedSetsMatchUnshared: a document whose results share their
+// resource sets — a ptdf.Reader's do, and the commit resolves each set to
+// its foci once — loads to the same rows, row IDs included, as the same
+// records each parsed on its own, whose sets nothing shares.
+func TestBatchSharedSetsMatchUnshared(t *testing.T) {
+	var doc strings.Builder
+	recs := append(shapedShared(8, 4), fullShapedDoc("e0", 8, 4, 3)...)
+	if err := ptdf.WriteAll(&doc, recs); err != nil {
+		t.Fatal(err)
+	}
+	// Two contexts a result, one of them twice: the result links to each
+	// focus once.
+	for m := 0; m < 3; m++ {
+		fmt.Fprintf(&doc, "PerfResult e0 /e0/p1(primary):/bld/m/f2(parent):/e0/p1(primary) tool \"two %d\" 1.5 s\n", m)
+	}
+	shared, unshared := newStore(t), newStore(t)
+	if _, err := shared.LoadPTdfCtx(context.Background(), strings.NewReader(doc.String())); err != nil {
+		t.Fatal(err)
+	}
+	b := unshared.NewBatch()
+	for _, line := range strings.Split(doc.String(), "\n") {
+		rec, err := ptdf.ParseLine(line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec != nil {
+			b.Stage(rec)
+		}
+	}
+	if _, err := b.CommitCtx(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	dump := func(s *Store, table string) []string {
+		tab, _ := s.eng.Table(table)
+		var rows []string
+		tab.Lookup("", nil, func(b *reldb.ColumnBlock, i int) bool {
+			rows = append(rows, fmt.Sprint(b.IDs().At(i), b.Row(i, nil)))
+			return true
+		})
+		return rows
+	}
+	for _, table := range []string{"performance_result", "result_has_focus", "focus", "focus_has_resource"} {
+		got, want := dump(shared, table), dump(unshared, table)
+		if len(got) == 0 || strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Fatalf("%s: shared sets load %d rows\n%s\nunshared %d\n%s", table, len(got), strings.Join(got, "\n"), len(want), strings.Join(want, "\n"))
+		}
+	}
+}

@@ -15,10 +15,12 @@ import (
 // holding every bin. NaN marks bins with no data. It returns the
 // performance-result ID.
 func (s *Store) AddHistogramResult(pr *core.PerformanceResult, binWidth float64, values []float64) (int64, error) {
-	return s.writeID(func() (int64, error) { return s.addHistogramResultLocked(pr, binWidth, values) })
+	return s.writeID(func() (int64, error) { return s.addHistogramResultLocked(pr, binWidth, values, nil) })
 }
 
-func (s *Store) addHistogramResultLocked(pr *core.PerformanceResult, binWidth float64, values []float64) (int64, error) {
+// addHistogramResultLocked adds the result as addPerfResultLocked does,
+// rs included, and its bins.
+func (s *Store) addHistogramResultLocked(pr *core.PerformanceResult, binWidth float64, values []float64, rs *resolvedSet) (int64, error) {
 	if binWidth <= 0 {
 		return 0, fmt.Errorf("datastore: histogram bin width %g <= 0", binWidth)
 	}
@@ -41,7 +43,7 @@ func (s *Store) addHistogramResultLocked(pr *core.PerformanceResult, binWidth fl
 	prCopy := *pr
 	prCopy.Value = summary
 
-	id, err := s.addPerfResultLocked(&prCopy)
+	id, err := s.addPerfResultLocked(&prCopy, rs)
 	if err != nil {
 		return 0, err
 	}

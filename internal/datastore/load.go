@@ -38,8 +38,42 @@ func (ls *LoadStats) Add(o LoadStats) {
 	ls.Results += o.Results
 }
 
-// loadRecordLocked applies one PTdf record. Callers hold s.wmu.
-func (s *Store) loadRecordLocked(rec ptdf.Record) error {
+// setKey identifies the Sets the records of one ptdf.Reader share: the
+// reader parses each distinct resource-set text of a document once.
+type setKey struct {
+	first *ptdf.ResourceSet
+	n     int
+}
+
+// resolvedSet is what one transaction has made of a resource set: its
+// contexts and, once a result naming it has been linked, the distinct foci
+// such a result links to, in link order.
+type resolvedSet struct {
+	contexts []core.Context
+	foci     []int64 // nil until a result's foci all resolved
+}
+
+// resolvedSets holds a transaction's resolved sets. It lives no longer
+// than the transaction: the foci it resolves may be the transaction's own.
+type resolvedSets map[setKey]*resolvedSet
+
+// of returns the set's entry, making its contexts on first use.
+func (rs resolvedSets) of(sets []ptdf.ResourceSet, contexts func() []core.Context) *resolvedSet {
+	if len(sets) == 0 {
+		return &resolvedSet{}
+	}
+	k := setKey{&sets[0], len(sets)}
+	r := rs[k]
+	if r == nil {
+		r = &resolvedSet{contexts: contexts()}
+		rs[k] = r
+	}
+	return r
+}
+
+// loadRecordLocked applies one PTdf record; sets holds the transaction's
+// resolved resource sets. Callers hold s.wmu.
+func (s *Store) loadRecordLocked(rec ptdf.Record, sets resolvedSets) error {
 	switch r := rec.(type) {
 	case ptdf.ApplicationRec:
 		_, err := s.addApplicationLocked(r.Name)
@@ -62,25 +96,27 @@ func (s *Store) loadRecordLocked(rec ptdf.Record) error {
 	case ptdf.ResourceConstraintRec:
 		return s.addResourceConstraintLocked(r.R1, r.R2)
 	case ptdf.PerfResultRec:
+		rs := sets.of(r.Sets, r.Contexts)
 		pr := &core.PerformanceResult{
 			Execution: r.Exec,
 			Metric:    r.Metric,
 			Value:     r.Value,
 			Units:     r.Units,
 			Tool:      r.Tool,
-			Contexts:  r.Contexts(),
+			Contexts:  rs.contexts,
 		}
-		_, err := s.addPerfResultLocked(pr)
+		_, err := s.addPerfResultLocked(pr, rs)
 		return err
 	case ptdf.PerfHistogramRec:
+		rs := sets.of(r.Sets, r.Contexts)
 		pr := &core.PerformanceResult{
 			Execution: r.Exec,
 			Metric:    r.Metric,
 			Units:     r.Units,
 			Tool:      r.Tool,
-			Contexts:  r.Contexts(),
+			Contexts:  rs.contexts,
 		}
-		_, err := s.addHistogramResultLocked(pr, r.BinWidth, r.Values)
+		_, err := s.addHistogramResultLocked(pr, r.BinWidth, r.Values, rs)
 		return err
 	default:
 		return fmt.Errorf("datastore: unknown PTdf record %T: %w", rec, ErrBadSpec)

@@ -433,10 +433,14 @@ func (s *Store) internFocus(ctx core.Context) (int64, error) {
 // AddPerfResult stores a performance result with its contexts. The
 // execution and all context resources must already exist.
 func (s *Store) AddPerfResult(pr *core.PerformanceResult) (int64, error) {
-	return s.writeID(func() (int64, error) { return s.addPerfResultLocked(pr) })
+	return s.writeID(func() (int64, error) { return s.addPerfResultLocked(pr, nil) })
 }
 
-func (s *Store) addPerfResultLocked(pr *core.PerformanceResult) (int64, error) {
+// addPerfResultLocked adds a result and links it to its contexts' foci.
+// With rs, the entry of its resource set in the transaction, a set
+// resolved before links to the foci it resolved to, and one resolved now
+// leaves them there.
+func (s *Store) addPerfResultLocked(pr *core.PerformanceResult, rs *resolvedSet) (int64, error) {
 	if err := pr.Validate(); err != nil {
 		return 0, fmt.Errorf("%w: %w", err, ErrBadSpec)
 	}
@@ -463,18 +467,28 @@ func (s *Store) addPerfResultLocked(pr *core.PerformanceResult) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	// Duplicate contexts within one result collapse to a single focus link.
-	var few [4]int64 // results carry a context or two: no allocation
-	linked := few[:0]
-	for _, ctx := range pr.Contexts {
-		fid, err := s.internFocus(ctx)
-		if err != nil {
-			return 0, err
+	var linked []int64
+	if rs != nil {
+		linked = rs.foci
+	}
+	if linked == nil {
+		// Duplicate contexts within one result collapse to a single focus link.
+		var few [4]int64 // results carry a context or two: no allocation
+		linked = few[:0]
+		for _, ctx := range pr.Contexts {
+			fid, err := s.internFocus(ctx)
+			if err != nil {
+				return 0, err
+			}
+			if !slices.Contains(linked, fid) {
+				linked = append(linked, fid)
+			}
 		}
-		if slices.Contains(linked, fid) {
-			continue
+		if rs != nil {
+			rs.foci = slices.Clone(linked)
 		}
-		linked = append(linked, fid)
+	}
+	for _, fid := range linked {
 		if _, err := s.tx.Insert("result_has_focus", reldb.Row{
 			reldb.Int(rid), reldb.Int(fid),
 		}); err != nil {

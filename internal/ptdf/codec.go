@@ -117,6 +117,11 @@ func FormatRecord(rec Record) string {
 // ParseLine parses one PTdf line. It returns (nil, nil) for blank lines
 // and comments.
 func ParseLine(line string) (Record, error) {
+	return parseLine(line, ParseResourceSet)
+}
+
+// parseLine is ParseLine with the resource-set parser given.
+func parseLine(line string, parseSets func(string) ([]ResourceSet, error)) (Record, error) {
 	trimmed := strings.TrimSpace(line)
 	if trimmed == "" || strings.HasPrefix(trimmed, "#") {
 		return nil, nil
@@ -204,7 +209,7 @@ func ParseLine(line string) (Record, error) {
 		if err := need(6); err != nil {
 			return nil, err
 		}
-		sets, err := ParseResourceSet(args[1])
+		sets, err := parseSets(args[1])
 		if err != nil {
 			return nil, err
 		}
@@ -220,7 +225,7 @@ func ParseLine(line string) (Record, error) {
 		if err := need(7); err != nil {
 			return nil, err
 		}
-		sets, err := ParseResourceSet(args[1])
+		sets, err := parseSets(args[1])
 		if err != nil {
 			return nil, err
 		}
@@ -241,17 +246,34 @@ func ParseLine(line string) (Record, error) {
 	}
 }
 
-// Reader streams records from a PTdf document.
+// Reader streams records from a PTdf document. It parses each distinct
+// resource-set text once: the results of one Reader that name the same
+// set share one Sets slice, which callers must treat as read-only.
 type Reader struct {
 	sc   *bufio.Scanner
 	line int
+	sets map[string][]ResourceSet // each resource-set text parsed so far, by its text
 }
 
 // NewReader wraps an io.Reader in a PTdf record stream.
 func NewReader(r io.Reader) *Reader {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	return &Reader{sc: sc}
+	return &Reader{sc: sc, sets: make(map[string][]ResourceSet)}
+}
+
+// resourceSet parses a resource-set text, or returns the sets a parse of
+// the same text returned before. A text that fails is parsed, and fails,
+// each time.
+func (r *Reader) resourceSet(text string) ([]ResourceSet, error) {
+	if sets, ok := r.sets[text]; ok {
+		return sets, nil
+	}
+	sets, err := ParseResourceSet(text)
+	if err == nil {
+		r.sets[strings.Clone(text)] = sets // the text is a piece of its line
+	}
+	return sets, err
 }
 
 // Next returns the next record, io.EOF at end of input, or a parse error
@@ -259,7 +281,7 @@ func NewReader(r io.Reader) *Reader {
 func (r *Reader) Next() (Record, error) {
 	for r.sc.Scan() {
 		r.line++
-		rec, err := ParseLine(r.sc.Text())
+		rec, err := parseLine(r.sc.Text(), r.resourceSet)
 		if err != nil {
 			return nil, fmt.Errorf("line %d: %w", r.line, err)
 		}

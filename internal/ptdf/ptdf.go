@@ -85,7 +85,7 @@ type ResourceSet struct {
 // PerfResultRec records one scalar performance result.
 type PerfResultRec struct {
 	Exec   string
-	Sets   []ResourceSet
+	Sets   []ResourceSet // shared by the records of a Reader that name the same sets: read-only
 	Tool   string
 	Metric string
 	Value  float64
@@ -103,7 +103,7 @@ type PerfResultRec struct {
 // where values is a comma-separated list of numbers with "nan" allowed.
 type PerfHistogramRec struct {
 	Exec     string
-	Sets     []ResourceSet
+	Sets     []ResourceSet // as PerfResultRec's: read-only
 	Tool     string
 	Metric   string
 	BinWidth float64

@@ -2,6 +2,7 @@ package ptdf
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"math"
 	"reflect"
@@ -309,5 +310,47 @@ func TestLargeValueFormats(t *testing.T) {
 	}
 	if got.(PerfResultRec).Value != rec.Value {
 		t.Errorf("value round trip = %v", got.(PerfResultRec).Value)
+	}
+}
+
+// TestReaderSharesResourceSets: a Reader parses each distinct resource-set
+// text once, so results naming the same sets share their Sets, and
+// records equal ParseLine's. A set that fails is refused with ParseLine's
+// message every time it occurs.
+func TestReaderSharesResourceSets(t *testing.T) {
+	lines := []string{
+		"PerfResult e /a/b,/c(primary):/d(parent) tool m 1 s",
+		"PerfResult e /a/b,/c(primary):/d(parent) tool n 2 s",
+		"PerfHistogram e /a/b,/c(primary):/d(parent) tool h 0.5 s 1,2,3",
+		"PerfResult e /a/b(primary) tool m 3 s",
+		"PerfResult e /a/(primary) tool m 4 s",
+		"PerfResult e /a/(primary) tool m 5 s",
+	}
+	r := NewReader(strings.NewReader(strings.Join(lines, "\n")))
+	var sets [][]ResourceSet
+	for i, line := range lines {
+		rec, err := r.Next()
+		want, wantErr := ParseLine(line)
+		if wantErr != nil {
+			if err == nil || err.Error() != fmt.Sprintf("line %d: %v", i+1, wantErr) {
+				t.Fatalf("line %d: err = %v, want ParseLine's %v", i+1, err, wantErr)
+			}
+			continue
+		}
+		if err != nil || !reflect.DeepEqual(rec, want) {
+			t.Fatalf("line %d: %#v, %v; want ParseLine's %#v", i+1, rec, err, want)
+		}
+		switch r := rec.(type) {
+		case PerfResultRec:
+			sets = append(sets, r.Sets)
+		case PerfHistogramRec:
+			sets = append(sets, r.Sets)
+		}
+	}
+	if &sets[0][0] != &sets[1][0] || &sets[0][0] != &sets[2][0] {
+		t.Fatal("records naming the same sets do not share them")
+	}
+	if &sets[0][0] == &sets[3][0] {
+		t.Fatal("records naming different sets share them")
 	}
 }

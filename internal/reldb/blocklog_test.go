@@ -1,0 +1,455 @@
+package reldb
+
+import (
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"hash/crc32"
+	"math"
+	"os"
+	"path/filepath"
+	"runtime"
+	"slices"
+	"strings"
+	"testing"
+)
+
+// rowRecords is the per-row encoder of the tail logs before block records:
+// one framed opInsert record per row of the block, each naming the table
+// and tagging every cell with its kind. Directories written then hold these
+// records, and replay still reads them.
+func rowRecords(table string, b *ColumnBlock) []byte {
+	var out []byte
+	for i := 0; i < b.rows; i++ {
+		out = appendRecord(out, encodeMutationPayload(&mutation{op: opInsert, table: table, id: b.rowIDs.At(i), row: b.Row(i, nil)}))
+	}
+	return out
+}
+
+// personRows returns n rows of the person table whose keys the table
+// assigns, starting at the (from)th: a few hold NULLs, one score is
+// negative zero and one NaN, so the column codecs meet each case.
+func personRows(from, n int) []Row {
+	rows := make([]Row, n)
+	for k := range rows {
+		i := from + k
+		age, score := Int(int64(20+i%7)), Float(float64(i)/4)
+		switch i % 5 {
+		case 1:
+			age = Null()
+		case 2:
+			score = Null()
+		case 3:
+			score = Float(math.Copysign(0, -1))
+		case 4:
+			score = Float(math.NaN())
+		}
+		rows[k] = Row{Null(), Str(fmt.Sprintf("p%d", i%3)), age, score}
+	}
+	return rows
+}
+
+// commitRows inserts rows into table in one transaction.
+func commitRows(t *testing.T, db *DB, table string, rows []Row) {
+	t.Helper()
+	tx := db.Begin()
+	for _, row := range rows {
+		if _, err := tx.Insert(table, row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// dumpTable renders every row of the table with its row ID, in row-ID
+// order, bit-exactly: NaN and negative zero are told apart from others.
+func dumpTable(t *testing.T, db *DB, table string) []string {
+	t.Helper()
+	tab, ok := db.Table(table)
+	if !ok {
+		t.Fatalf("no table %q", table)
+	}
+	var out []string
+	if err := Visit(tab, "", nil, func(id int64, row Row) bool {
+		var b strings.Builder
+		fmt.Fprintf(&b, "%d:", id)
+		for _, v := range row {
+			if v.Kind() == KindFloat {
+				fmt.Fprintf(&b, " f%x", math.Float64bits(v.Float64()))
+			} else {
+				fmt.Fprintf(&b, " %v", v)
+			}
+		}
+		out = append(out, b.String())
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	slices.Sort(out)
+	return out
+}
+
+// tailLogOf returns the path of the tail log the table's next record
+// goes to.
+func tailLogOf(db *DB, table string) string {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	logs := db.tables[table].tail.logs
+	return logs[len(logs)-1].path
+}
+
+// fileSize returns the size of a file on disk.
+func fileSize(t *testing.T, path string) int64 {
+	t.Helper()
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fi.Size()
+}
+
+// TestFileEngineTornCommitRecovery cuts the record of a table's last
+// commit at every byte offset. Recovery keeps the table's rows of the
+// earlier commits and none of the cut one — never its first rows — and
+// takes the log back to where the cut commit began.
+func TestFileEngineTornCommitRecovery(t *testing.T) {
+	dir := t.TempDir()
+	fe := openTestEngine(t, dir)
+	mustCreate(t, fe, personSchema())
+	commitRows(t, fe, "person", personRows(0, 6))
+	commitRows(t, fe, "person", personRows(6, 6))
+	want := dumpTable(t, fe, "person")
+	log := tailLogOf(fe, "person")
+	fe.Stats() // flushes the logs
+	mark := fileSize(t, log)
+	commitRows(t, fe, "person", personRows(12, 6))
+	if err := fe.Close(); err != nil {
+		t.Fatal(err)
+	}
+	end := fileSize(t, log)
+	if ops := logRecords(t, osFS{}, log); len(ops) != 3 || ops[2].op != opInsertBlock || ops[2].block.rows != 6 {
+		t.Fatalf("the log holds %d records, want one block record of 6 rows per commit", len(ops))
+	}
+	for cut := mark; cut < end; cut++ {
+		crashed := filepath.Join(t.TempDir(), "db")
+		copyTree(t, dir, crashed)
+		cutLog := filepath.Join(crashed, segmentSubdir, filepath.Base(log))
+		if err := os.Truncate(cutLog, cut); err != nil {
+			t.Fatal(err)
+		}
+		db := openTestEngine(t, crashed)
+		if got := dumpTable(t, db, "person"); !slices.Equal(got, want) {
+			t.Fatalf("cut at byte %d of %d..%d: recovered\n%s\nwant the first two commits\n%s", cut, mark, end, strings.Join(got, "\n"), strings.Join(want, "\n"))
+		}
+		if db.replayedRows != 12 {
+			t.Fatalf("cut at byte %d: replayed %d rows, want 12", cut, db.replayedRows)
+		}
+		if size := fileSize(t, cutLog); size != mark {
+			t.Fatalf("cut at byte %d: the log holds %d bytes after recovery, want %d", cut, size, mark)
+		}
+		commitRows(t, db, "person", personRows(12, 1)) // takes writes again
+		db.Close()
+	}
+}
+
+// TestFileEngineTornCommitRunRecovery commits more rows to one table than
+// a block record holds, so the commit is a run of records. A crash that
+// keeps the run's first record whole and nothing of the second, or cuts
+// the second, leaves none of the commit.
+func TestFileEngineTornCommitRunRecovery(t *testing.T) {
+	schema := &Schema{Name: "pair", Columns: []Column{{Name: "id", Type: KindInt}, {Name: "v", Type: KindInt}}, PrimaryKey: []string{"id"}}
+	dir := t.TempDir()
+	fe := openTestEngine(t, dir)
+	mustCreate(t, fe, schema)
+	StopCompactor(fe)
+	fe.SetSegmentFlushRows(1 << 30)
+	commitRows(t, fe, "pair", []Row{{Null(), Int(-1)}})
+	log := tailLogOf(fe, "pair")
+	fe.Stats()
+	mark := fileSize(t, log)
+	big := make([]Row, recordRows(2)+100)
+	for i := range big {
+		big[i] = Row{Null(), Int(int64(i % 1000))}
+	}
+	commitRows(t, fe, "pair", big)
+	if err := fe.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recs := logRecords(t, osFS{}, log)
+	if len(recs) != 3 || !recs[1].more || recs[2].more || recs[1].block.rows != recordRows(2) || recs[2].block.rows != 100 {
+		t.Fatalf("the big commit was not logged as a run of two block records")
+	}
+	first := mark + 8 + int64(len(encodeMutationPayload(recs[1])))
+	end := fileSize(t, log)
+	for _, cut := range []int64{first, first + 5, end - 1, end} {
+		crashed := filepath.Join(t.TempDir(), "db")
+		copyTree(t, dir, crashed)
+		cutLog := filepath.Join(crashed, segmentSubdir, filepath.Base(log))
+		if err := os.Truncate(cutLog, cut); err != nil {
+			t.Fatal(err)
+		}
+		db := openTestEngine(t, crashed)
+		tab, _ := db.Table("pair")
+		want, wantLog := 1, mark
+		if cut == end {
+			want, wantLog = 1+len(big), end
+		}
+		if tab.Len() != want || db.replayedRows != want {
+			t.Fatalf("cut at byte %d: %d rows (%d replayed), want %d", cut, tab.Len(), db.replayedRows, want)
+		}
+		if size := fileSize(t, cutLog); size != wantLog {
+			t.Fatalf("cut at byte %d: the log holds %d bytes after recovery, want %d", cut, size, wantLog)
+		}
+		db.Close()
+	}
+}
+
+// TestBlockLogReplaysRowRecords: a tail log holding per-row insert
+// records, as a directory written before block records holds them,
+// replays; a commit appends block records to the same log, and a reopen
+// replays both kinds to the rows, row IDs and replayed-row count of a twin
+// that only ever logged block records.
+func TestBlockLogReplaysRowRecords(t *testing.T) {
+	first, second := personRows(0, 9), personRows(9, 4)
+	run := func(t *testing.T, legacy bool) (rows []string, replayed int) {
+		dir := t.TempDir()
+		fe := openTestEngine(t, dir)
+		mustCreate(t, fe, personSchema())
+		if legacy {
+			// The rows go through a transaction, for their row IDs and layout,
+			// which is then rolled back once the old encoder has logged them.
+			tx := fe.Begin()
+			for _, row := range first {
+				if _, err := tx.Insert("person", row); err != nil {
+					t.Fatal(err)
+				}
+			}
+			tb := tx.find("person")
+			fe.mu.Lock()
+			l, err := fe.seg.tailLogLocked(tb.t)
+			if err == nil {
+				l.appendFramed(rowRecords("person", &tb.ColumnBlock))
+				err = l.flush()
+			}
+			fe.mu.Unlock()
+			if err != nil {
+				t.Fatal(err)
+			}
+			tx.Rollback()
+			fe.Stats() // the CREATE TABLE record, which a commit would have flushed
+		} else {
+			commitRows(t, fe, "person", first)
+		}
+		abandon(fe)
+		fe = openTestEngine(t, dir)
+		if fe.replayedRows != len(first) {
+			t.Fatalf("legacy=%v: the first reopen replayed %d rows, want %d", legacy, fe.replayedRows, len(first))
+		}
+		commitRows(t, fe, "person", second)
+		if err := fe.Close(); err != nil {
+			t.Fatal(err)
+		}
+		var ops []mutOp
+		for _, m := range logRecords(t, osFS{}, tailLogOf(fe, "person")) {
+			ops = append(ops, m.op)
+		}
+		wantOps := []mutOp{opInsertBlock, opInsertBlock}
+		if legacy {
+			wantOps = wantOps[1:]
+			for range first {
+				wantOps = append([]mutOp{opInsert}, wantOps...)
+			}
+		}
+		if !slices.Equal(ops, wantOps) {
+			t.Fatalf("legacy=%v: the tail log holds ops %v, want %v", legacy, ops, wantOps)
+		}
+		fe = openTestEngine(t, dir)
+		defer fe.Close()
+		return dumpTable(t, fe, "person"), fe.replayedRows
+	}
+	oldRows, oldReplayed := run(t, true)
+	newRows, newReplayed := run(t, false)
+	if !slices.Equal(oldRows, newRows) || oldReplayed != newReplayed || len(oldRows) != len(first)+len(second) || oldReplayed != len(oldRows) {
+		t.Fatalf("per-row records then blocks replay to %d rows (%d replayed), the block-only twin to %d (%d):\n%s\nvs\n%s",
+			len(oldRows), oldReplayed, len(newRows), newReplayed, strings.Join(oldRows, "\n"), strings.Join(newRows, "\n"))
+	}
+}
+
+// manifestHeader returns the version a manifest file's header states and
+// the file's bytes.
+func manifestHeader(t *testing.T, dir string) (uint64, []byte) {
+	t.Helper()
+	buf, err := os.ReadFile(filepath.Join(dir, segmentSubdir, manifestFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := binary.LittleEndian.Uint32(buf)
+	p := &payloadReader{buf: buf[8 : 8+n]}
+	return p.uvarint(), buf
+}
+
+// setManifestVersion rewrites the version in a manifest's header record.
+func setManifestVersion(t *testing.T, dir string, version uint64) {
+	t.Helper()
+	_, buf := manifestHeader(t, dir)
+	n := binary.LittleEndian.Uint32(buf)
+	p := &payloadReader{buf: buf[8 : 8+n]}
+	p.uvarint()
+	rest := buf[8+n:]
+	hdr := appendRecord(nil, putVarint(putUvarint(nil, version), p.varint()))
+	if err := os.WriteFile(filepath.Join(dir, segmentSubdir, manifestFile), append(hdr, rest...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// v5Check is the manifest check of the program before block records: it
+// refuses a newer version by name.
+func v5Check(version uint64) error {
+	if version > 5 {
+		return fmt.Errorf("reldb: manifest: version %d is newer than this program's %d", version, 5)
+	}
+	return nil
+}
+
+// TestBlockLogManifestUpgrade: a directory under a version-5 manifest
+// opens, and the open makes its manifest version 6 before any commit can
+// log a block record. The check of a version-5 program refuses that
+// manifest by its version, not as a corrupt log; this program refuses a
+// newer one the same way.
+func TestBlockLogManifestUpgrade(t *testing.T) {
+	dir := t.TempDir()
+	fe := openTestEngine(t, dir)
+	mustCreate(t, fe, personSchema())
+	commitRows(t, fe, "person", personRows(0, 5))
+	if err := fe.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := fe.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want := func() []string { db := openTestEngine(t, dir); defer db.Close(); return dumpTable(t, db, "person") }()
+	setManifestVersion(t, dir, 5)
+	if v, _ := manifestHeader(t, dir); v != 5 {
+		t.Fatalf("manifest version %d, want the 5 just written", v)
+	}
+	fe = openTestEngine(t, dir)
+	if v, _ := manifestHeader(t, dir); v != 6 || manifestVersion != 6 {
+		t.Fatalf("the open left manifest version %d, want 6", v)
+	}
+	if got := dumpTable(t, fe, "person"); !slices.Equal(got, want) {
+		t.Fatalf("the upgraded directory holds %v, want %v", got, want)
+	}
+	fe.Close()
+	v, _ := manifestHeader(t, dir)
+	if err := v5Check(v); err == nil || err.Error() != "reldb: manifest: version 6 is newer than this program's 5" {
+		t.Fatalf("a version-5 program's check of this manifest says %v", err)
+	}
+	setManifestVersion(t, dir, manifestVersion+1)
+	if _, err := open(osFS{}, KindSegment, dir); err == nil || !strings.Contains(err.Error(), "version 7 is newer than this program's 6") || errors.Is(err, ErrCorruptLog) {
+		t.Fatalf("opening a version-7 manifest: %v", err)
+	}
+}
+
+// blockSample returns a block of person rows laid out as a transaction
+// lays them out, zone maps computed.
+func blockSample(t *testing.T, n int) *ColumnBlock {
+	t.Helper()
+	b := &ColumnBlock{}
+	if err := b.reset(personSchema(), n); err != nil {
+		t.Fatal(err)
+	}
+	for i, row := range personRows(0, n) {
+		row[0] = Int(int64(100 + i))
+		b.appendRow(int64(7+i), row)
+	}
+	b.finish()
+	return b
+}
+
+// TestBlockRecordHostile: a block record round-trips bit-exactly, and a
+// decoder given a cut, oversized or inconsistent one fails with
+// ErrCorruptLog before it allocates for the rows it claims.
+func TestBlockRecordHostile(t *testing.T) {
+	b := blockSample(t, 23)
+	payload := encodeMutationPayload(&mutation{op: opInsertBlock, table: "person", block: b, more: true})
+	m, err := decodeMutationPayload(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.table != "person" || !m.more || m.block.rows != b.rows || !m.block.matches(personSchema()) {
+		t.Fatalf("decoded %q, more=%v, %d rows", m.table, m.more, m.block.rows)
+	}
+	for i := 0; i < b.rows; i++ {
+		if m.block.rowIDs.At(i) != b.rowIDs.At(i) || !rowsEqual(m.block.Row(i, nil), b.Row(i, nil)) {
+			t.Fatalf("row %d decodes to %d %v, want %d %v", i, m.block.rowIDs.At(i), m.block.Row(i, nil), b.rowIDs.At(i), b.Row(i, nil))
+		}
+	}
+	for cut := 0; cut < len(payload); cut++ {
+		if _, err := decodeMutationPayload(payload[:cut]); !errors.Is(err, ErrCorruptLog) {
+			t.Fatalf("a payload cut at byte %d of %d decodes: %v", cut, len(payload), err)
+		}
+	}
+	if _, err := decodeMutationPayload(append(slices.Clone(payload), 0)); !errors.Is(err, ErrCorruptLog) {
+		t.Fatalf("a payload with a trailing byte decodes: %v", err)
+	}
+	head := append(putString([]byte{byte(opInsertBlock)}, "person"), 0)
+	// prefix is a record's head, its counts and row IDs of stride 1, which
+	// take no bytes a row; column appends a column's kind, the length it
+	// claims and its block.
+	prefix := func(rows, ncols uint64) []byte {
+		return appendInts(putUvarint(putUvarint(slices.Clone(head), rows), ncols), 0, []int64{1, 2})
+	}
+	column := func(p []byte, kind Kind, n int, block ...byte) []byte {
+		return append(putUvarint(append(p, byte(kind)), uint64(n)), block...)
+	}
+	constant := append([]byte{0}, appendInts(nil, 0, []int64{5, 5})...) // no NULLs, one value: no bytes a row
+	ints := func(rows, ncols uint64) []byte {
+		p := prefix(rows, ncols)
+		for range ncols {
+			p = column(p, KindInt, len(constant), constant...)
+		}
+		return p
+	}
+	for _, ncols := range []uint64{1, 3} {
+		if _, err := decodeMutationPayload(ints(uint64(recordRows(int(ncols))), ncols)); err != nil {
+			t.Fatalf("a well-formed record of %d columns at the bound: %v", ncols, err)
+		}
+	}
+	// The most a record can make the decoder allocate: as many cells as it
+	// may hold, strings of one word, a few bytes in all.
+	words := append([]byte{0}, appendInts(putString(putUvarint(nil, 1), "w"), 0, []int64{0, 0})...)
+	worst := column(prefix(blockRecordCells, 1), KindString, len(words), words...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = decodeMutationPayload(worst)
+	runtime.ReadMemStats(&after)
+	if err != nil || after.TotalAlloc-before.TotalAlloc > 4<<20 {
+		t.Fatalf("a %d-byte record at the cell bound: %v, %d bytes allocated", len(worst), err, after.TotalAlloc-before.TotalAlloc)
+	}
+	badFlag := slices.Clone(payload)
+	badFlag[len(head)-1] = 2
+	for name, p := range map[string][]byte{
+		"no rows":          ints(0, 1),
+		"too many rows":    ints(blockRecordCells+1, 1),
+		"too many cells":   ints(uint64(recordRows(3))+1, 3),
+		"2^62 rows":        ints(1<<62, 1),
+		"2^40 columns":     prefix(2, 1<<40),
+		"column past end":  column(prefix(2, 1), KindInt, 1000, 0),
+		"unknown kind":     column(prefix(2, 1), 9, 1, 0),
+		"more flag of 2":   badFlag,
+		"packed past end":  append(putUvarint(putUvarint(slices.Clone(head), 2), 1), 2, 2, 64),
+		"bitmap past end":  column(prefix(9, 1), KindInt, 2, 1, 0),
+		"words past count": column(prefix(1, 1), KindString, 4, 0, 9, 1, 'x'),
+	} {
+		if _, err := decodeMutationPayload(p); !errors.Is(err, ErrCorruptLog) {
+			t.Errorf("%s: decodes: %v", name, err)
+		}
+	}
+	// A framed record's checksum covers its payload.
+	rec := appendBlockRecords(nil, "person", b)
+	if crc32.ChecksumIEEE(rec[8:]) != binary.LittleEndian.Uint32(rec[4:]) || int(binary.LittleEndian.Uint32(rec)) != len(rec)-8 {
+		t.Fatal("appendBlockRecords frames its record wrongly")
+	}
+}

@@ -46,9 +46,14 @@ const (
 	// program that reads only format 1 refuses as a version, not as corrupt
 	// segments. 5 names every table, and says that no row lives in
 	// perftrack.snap or perftrack.wal any more: whatever rows they still
-	// hold, segments hold too.
-	manifestVersion = 5
-	defaultSegFlush = 4096
+	// hold, segments hold too. 6 says the tail logs may hold block records,
+	// which a program that reads one row per record would take for a
+	// corrupt log; open writes it before a commit can log one.
+	manifestVersion = 6
+	// segmentsHoldRowsVersion is the version from which no row lives in
+	// perftrack.snap or perftrack.wal.
+	segmentsHoldRowsVersion = 5
+	defaultSegFlush         = 4096
 )
 
 // segState is the engine's compaction state; what each table has sealed
@@ -605,7 +610,11 @@ func (st *segState) replayTailLogs() error {
 				if !m.isRowOp() || m.table != name {
 					return fmt.Errorf("%w: a tail log of %q holds op %d on %q", ErrCorruptLog, name, m.op, m.table)
 				}
-				st.db.replayedRows++
+				rows := 1
+				if m.block != nil {
+					rows = m.block.rows
+				}
+				st.db.replayedRows += rows
 				return st.db.apply(m)
 			})
 			if err != nil {

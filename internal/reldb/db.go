@@ -22,6 +22,7 @@ const (
 	opDelete
 	opCreateIndex
 	opDropIndex
+	opInsertBlock // the rows a commit inserts into one table, column-major
 )
 
 // mutation is one logical change to the database, as the logs record it.
@@ -29,8 +30,10 @@ type mutation struct {
 	op     mutOp
 	table  string
 	id     int64
-	row    Row     // opInsert/opUpdate: new image
-	schema *Schema // opCreateTable
+	row    Row          // opInsert/opUpdate: new image
+	block  *ColumnBlock // opInsertBlock: the rows, integers at width 8
+	more   bool         // opInsertBlock: the table's next record continues the commit
+	schema *Schema      // opCreateTable
 	index  IndexSpec
 }
 
@@ -75,7 +78,7 @@ type DB struct {
 	flushErrors  uint64 // Stats calls that could not
 	logAppended  uint64 // bytes ever appended to a log
 	logTrimmed   uint64 // bytes of log deleted or truncated away
-	replayedRows int    // tail-log records the open applied
+	replayedRows int    // rows the open applied from tail logs: inserted, updated or deleted
 }
 
 // engineLock is the engine's readers-writer lock; it counts how often it

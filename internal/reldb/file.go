@@ -174,7 +174,7 @@ func open(fsys FS, kind, dir string) (_ *DB, err error) {
 	if err != nil {
 		return nil, err
 	}
-	legacy := version < manifestVersion
+	legacy := version < segmentsHoldRowsVersion
 	_, statErr := fsys.Size(db.snapPath())
 	snap := statErr == nil
 	if snap {
@@ -248,7 +248,9 @@ func (db *DB) snapPath() string { return filepath.Join(db.dir, snapshotFile) }
 func (db *DB) walPath() string  { return filepath.Join(db.dir, walFile) }
 
 // isRowOp reports whether the mutation changes a row, not the schema.
-func (m *mutation) isRowOp() bool { return m.op == opInsert || m.op == opUpdate || m.op == opDelete }
+func (m *mutation) isRowOp() bool {
+	return m.op == opInsert || m.op == opUpdate || m.op == opDelete || m.op == opInsertBlock
+}
 
 // logLocked appends one DDL statement, applied in place, to
 // perftrack.wal. In the default asynchronous mode the record waits in the
@@ -419,24 +421,42 @@ func (db *DB) apply(m *mutation) error {
 	if !ok {
 		return fmt.Errorf("reldb: recovery: no table %q", m.table)
 	}
-	if m.op != opInsert && m.op != opUpdate {
-		return fmt.Errorf("%w: op %d", ErrCorruptLog, m.op)
+	switch m.op {
+	case opInsert, opUpdate:
+		return t.replayRowLocked(m.id, m.row)
+	case opInsertBlock:
+		if !m.block.matches(t.schema) {
+			return fmt.Errorf("%w: a block record's columns are not those of table %q", ErrCorruptLog, m.table)
+		}
+		var slab []Value
+		for i := 0; i < m.block.rows; i++ {
+			if err := t.replayRowLocked(m.block.rowIDs.At(i), m.block.Row(i, &slab)); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
-	ref, exists := t.findIDLocked(m.id)
+	return fmt.Errorf("%w: op %d", ErrCorruptLog, m.op)
+}
+
+// replayRowLocked puts a logged row image in place, as a record of one
+// row or a row of a block record.
+func (t *Table) replayRowLocked(id int64, row Row) error {
+	ref, exists := t.findIDLocked(id)
 	if !exists {
 		// For an update: a legacy snapshot is newer than this record and the
 		// row was later deleted-and-recreated; restoring the image lets the
 		// remaining log replay onto the right state.
-		return t.insertAtLocked(m.id, m.row)
+		return t.insertAtLocked(id, row)
 	}
 	// The row was loaded from a legacy snapshot or is served by a segment
 	// (a log outlives the crash window between a pass's manifest and the
 	// removal of the logs it superseded). Equal images are an idempotent
 	// no-op, which keeps a flushed row flushed; on divergence the log wins.
-	if rowsEqual(ref.clone(), m.row) {
+	if rowsEqual(ref.clone(), row) {
 		return nil
 	}
-	return t.updateLocked(m.id, m.row)
+	return t.updateLocked(id, row)
 }
 
 // applyDeletesLocked applies the run of replayed deletes apply held back,
@@ -545,9 +565,12 @@ func (db *DB) loadSnapshot(rows bool) error {
 }
 
 // replayLog applies the records of the log at path in order and returns
-// how many bytes of it are good. A torn tail — a crash mid-append — ends
-// the log: the file is truncated to its last whole record. A missing
-// file is an empty log.
+// how many bytes of it are good. A run of block records that continue
+// one another — a table's part of one commit — is applied once its last
+// record is read, so a commit is all there or not at all. A torn tail — a
+// crash mid-append — ends the log: the file is truncated to its last whole
+// record, or to the start of a run it cuts short. A missing file is an
+// empty log.
 func (db *DB) replayLog(path string, apply func(*mutation) error) (good int64, err error) {
 	f, err := db.fsys.Open(path)
 	if errors.Is(err, fs.ErrNotExist) {
@@ -563,12 +586,14 @@ func (db *DB) replayLog(path string, apply func(*mutation) error) (good int64, e
 		return good, db.applyDeletesLocked()
 	}
 	rr := newRecordReader(f)
+	var run []*mutation // read, not applied: the records of a run so far
+	read := good
 	for {
 		payload, err := rr.readRecord()
-		if err == io.EOF {
+		if err == io.EOF && len(run) == 0 {
 			return end()
 		}
-		if errors.Is(err, ErrCorruptLog) {
+		if err == io.EOF || errors.Is(err, ErrCorruptLog) {
 			if terr := db.fsys.Truncate(path, good); terr != nil {
 				return 0, fmt.Errorf("reldb: truncate torn log: %w", terr)
 			}
@@ -578,13 +603,22 @@ func (db *DB) replayLog(path string, apply func(*mutation) error) (good int64, e
 			return 0, err
 		}
 		m, err := decodeMutationPayload(payload)
+		if err == nil && len(run) > 0 && (m.op != opInsertBlock || m.table != run[0].table) {
+			err = fmt.Errorf("%w: a run of block records of %q ends without its last", ErrCorruptLog, run[0].table)
+		}
 		if err != nil {
 			return 0, fmt.Errorf("%w (%s)", err, path)
 		}
-		if err := apply(m); err != nil {
-			return 0, fmt.Errorf("%w (%s)", err, path)
+		read += int64(len(payload)) + 8
+		if run = append(run, m); m.more {
+			continue
 		}
-		good += int64(len(payload)) + 8
+		for _, m := range run {
+			if err := apply(m); err != nil {
+				return 0, fmt.Errorf("%w (%s)", err, path)
+			}
+		}
+		run, good = run[:0], read
 	}
 }
 

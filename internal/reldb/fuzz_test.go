@@ -26,12 +26,23 @@ func FuzzDecodeKey(f *testing.F) {
 }
 
 // FuzzWALRecord checks that arbitrary bytes never panic the mutation
-// decoder.
+// decoder, and that a block record's claims of rows and column lengths
+// cannot make it allocate beyond the record's bound.
 func FuzzWALRecord(f *testing.F) {
 	f.Add(encodeMutationPayload(&mutation{op: opInsert, table: "t", id: 1,
 		row: Row{Int(1), Str("x")}}))
 	f.Add(encodeMutationPayload(&mutation{op: opCreateTable, schema: personSchema()}))
 	f.Add([]byte{})
+	for _, n := range []int{1, 9, 40} {
+		b := &ColumnBlock{}
+		b.reset(personSchema(), n)
+		for i, row := range personRows(0, n) {
+			row[0] = Int(int64(i))
+			b.appendRow(int64(i+1), row)
+		}
+		f.Add(encodeMutationPayload(&mutation{op: opInsertBlock, table: "person", block: b, more: n == 9}))
+	}
+	f.Add(appendInts(putUvarint(putUvarint(append(putString([]byte{byte(opInsertBlock)}, "t"), 0), blockRecordCells+1), 1), 0, []int64{1, 2}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := decodeMutationPayload(data)
 		if err != nil {

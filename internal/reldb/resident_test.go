@@ -695,6 +695,11 @@ func TestSegmentRecoveryWhenSnapshotAndManifestOverlap(t *testing.T) {
 		asLegacy(t, p.fsys, p.dir, snap)
 		p.fe = openTestEngine(t, p.dir)
 		p.check("reopened")
+		// The open read the directory as legacy and drained: the late
+		// commit's rows are in a segment, not in the tail or its log.
+		if st := hotStatus(t, p.fe, "performance_result"); st.Rows != 239 || st.PendingRows != 0 || st.LogFiles != 0 {
+			t.Fatalf("status after recovery = %+v, want the segments to serve all 239 rows", st)
+		}
 	})
 }
 

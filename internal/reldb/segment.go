@@ -522,13 +522,13 @@ func (s *segment) zoneExcludes(col int, v Value) bool {
 	return false
 }
 
-// matches reports whether the segment's columns are those of schema.
-func (s *segment) matches(schema *Schema) bool {
-	if len(s.cols) != len(schema.Columns) {
+// matches reports whether the block's columns are those of schema.
+func (b *ColumnBlock) matches(schema *Schema) bool {
+	if len(b.cols) != len(schema.Columns) {
 		return false
 	}
 	for ci, col := range schema.Columns {
-		if s.cols[ci].kind != col.Type {
+		if b.cols[ci].kind != col.Type {
 			return false
 		}
 	}
@@ -718,6 +718,17 @@ func encodeColumn(dst []byte, c *colVec) []byte {
 	return dst
 }
 
+// appendColumnBlock writes a column block: the NULL flag byte, the
+// bitmap when the column holds NULLs, then the values (encodeColumn).
+func appendColumnBlock(dst []byte, c *colVec) []byte {
+	if c.nulls != nil {
+		dst = encodeBitmap(append(dst, 1), c.nulls)
+	} else {
+		dst = append(dst, 0)
+	}
+	return encodeColumn(dst, c)
+}
+
 // encodeSegment serializes the segment to its on-disk byte image.
 func encodeSegment(s *segment) []byte {
 	buf := append([]byte(nil), segMagic...)
@@ -730,15 +741,8 @@ func encodeSegment(s *segment) []byte {
 
 	colExt := make([]extent, len(s.cols))
 	for ci := range s.cols {
-		c := &s.cols[ci]
 		colExt[ci].off = uint64(len(buf) - bodyStart)
-		if c.nulls != nil {
-			buf = append(buf, 1)
-			buf = encodeBitmap(buf, c.nulls)
-		} else {
-			buf = append(buf, 0)
-		}
-		buf = encodeColumn(buf, c)
+		buf = appendColumnBlock(buf, &s.cols[ci])
 		colExt[ci].n = uint64(len(buf)-bodyStart) - colExt[ci].off
 	}
 	bodyCRC := crc32.ChecksumIEEE(buf[bodyStart:])

@@ -327,7 +327,7 @@ func asLegacy(t *testing.T, fsys FS, dir string, snap []byte) {
 	if version := p.uvarint(); version != manifestVersion {
 		t.Fatalf("the manifest says version %d, want %d", version, manifestVersion)
 	}
-	legacy := appendRecord(nil, putVarint(putUvarint(nil, manifestVersion-1), p.varint()))
+	legacy := appendRecord(nil, putVarint(putUvarint(nil, segmentsHoldRowsVersion-1), p.varint()))
 	if err := replaceFile(fsys, path, append(legacy, buf[8+len(hdr):]...)); err != nil {
 		t.Fatal(err)
 	}

@@ -431,7 +431,7 @@ func TestSegmentTailLogCrashSweep(t *testing.T) {
 // compactor, perftrack.wal holds no row, each table's tail logs hold
 // exactly the rows its tails do — what SegmentStats counts as PendingRows
 // — and reopening the un-checkpointed directory applies that many
-// records, not one per row ever loaded.
+// rows, not one per row ever loaded.
 func TestSegmentLogsHoldOnlyUnflushedRows(t *testing.T) {
 	p := newHotPair(t)
 	defer func() { p.fe.Close() }()
@@ -467,10 +467,15 @@ func TestSegmentLogsHoldOnlyUnflushedRows(t *testing.T) {
 				t.Fatalf("tail log %d of %s is below the low-water mark %d", seq, status.Table, status.LowWater)
 			}
 			for _, m := range logRecords(t, p.fsys, st.tailLogPath(status.Table, seq)) {
-				if m.op != opInsert || m.table != status.Table || logged[m.id] {
-					t.Fatalf("tail log %d of %s holds op %d on row %d of %s", seq, status.Table, m.op, m.id, m.table)
+				if m.op != opInsertBlock || m.table != status.Table {
+					t.Fatalf("tail log %d of %s holds op %d on %s", seq, status.Table, m.op, m.table)
 				}
-				logged[m.id] = true
+				for _, id := range Values(&m.block.rowIDs) {
+					if logged[id] {
+						t.Fatalf("tail log %d of %s holds row %d twice", seq, status.Table, id)
+					}
+					logged[id] = true
+				}
 			}
 		}
 		tab, _ := p.fe.Table(status.Table)
@@ -498,7 +503,7 @@ func TestSegmentLogsHoldOnlyUnflushedRows(t *testing.T) {
 	abandon(p.fe)
 	p.fe = openTestEngine(t, p.dir)
 	if int64(p.fe.replayedRows) != pending {
-		t.Fatalf("reopen applied %d tail-log records, want the %d pending rows", p.fe.replayedRows, pending)
+		t.Fatalf("reopen applied %d tail-log rows, want the %d pending rows", p.fe.replayedRows, pending)
 	}
 	p.check("reopened")
 }

@@ -1,10 +1,8 @@
 package reldb
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"slices"
 )
 
@@ -24,9 +22,10 @@ var ErrTxDone = errors.New("reldb: transaction already finished")
 // the published tables: each row to delete is there, the inserts' primary
 // keys are unused there (deletes aside) and in the block, each foreign
 // key is matched by a published row or one of the transaction's own. It
-// then logs the records, applies the deletes by replacing blocks
-// (Table.replaceLocked) and appends the rows to the table's columnar
-// tail.
+// then logs the records — per table a delete record per row it deletes
+// and one block record of the rows it inserts, column-major — applies
+// the deletes by replacing blocks (Table.replaceLocked) and appends the
+// rows to the table's columnar tail.
 // Readers see all of a transaction's changes or none. The commit is also
 // the batch boundary: each log it touched is flushed once (fsynced in
 // synchronous mode), and tails that reached the flush threshold are
@@ -50,7 +49,7 @@ type txBlock struct {
 	ColumnBlock
 	keyAsc   bool    // the table has one integer key column and its values here ascend
 	dels     []int64 // row IDs to delete; ascending and distinct once the commit has begun
-	recs     []byte  // the delete and insert records, framed as a log holds them
+	recs     []byte  // the delete records and the block record, framed as a log holds them
 	placed   bool    // ordered has placed the block
 	reserved bool    // counted in the table's reserving
 }
@@ -280,7 +279,7 @@ func (db *DB) commit(tx *Tx, blocks []*txBlock) error {
 		for _, id := range tb.dels {
 			tb.recs = appendRecord(tb.recs, encodeMutationPayload(&mutation{op: opDelete, table: tb.t.schema.Name, id: id}))
 		}
-		tb.recs = appendInsertRecords(tb.recs, tb.t.schema.Name, &tb.ColumnBlock)
+		tb.recs = appendBlockRecords(tb.recs, tb.t.schema.Name, &tb.ColumnBlock)
 		deletes = deletes || len(tb.dels) > 0
 	}
 	if deletes {
@@ -320,27 +319,6 @@ func (db *DB) commitLocked(tx *Tx, blocks []*txBlock) (full bool, err error) {
 		tb.release() // its rows are in: they no longer hold back a seal
 	}
 	return db.seg.sealReadyLocked(db.seg.flushRows.Load()), nil
-}
-
-// appendInsertRecords appends the insert records of the block's rows to
-// out, each framed as appendRecord frames it: the bytes logLocked would
-// append for them one by one.
-func appendInsertRecords(out []byte, table string, b *ColumnBlock) []byte {
-	out = slices.Grow(out, b.rows*(16+len(table)+9*len(b.cols)))
-	for i := 0; i < b.rows; i++ {
-		start := len(out)
-		out = append(out, 0, 0, 0, 0, 0, 0, 0, 0, byte(opInsert))
-		out = putString(out, table)
-		out = putVarint(out, b.rowIDs.At(i))
-		out = putUvarint(out, uint64(len(b.cols)))
-		for ci := range b.cols {
-			out = appendValuePayload(out, b.cell(ci, i))
-		}
-		payload := out[start+8:]
-		binary.LittleEndian.PutUint32(out[start:], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(out[start+4:], crc32.ChecksumIEEE(payload))
-	}
-	return out
 }
 
 // logBlocksLocked appends the blocks' records to their tables' tail logs

@@ -18,7 +18,18 @@ import (
 //
 // so that a torn tail write is detected and discarded on recovery. Payloads
 // use a compact binary encoding: varints for integers and lengths,
-// length-prefixed strings, one tag byte per value kind.
+// length-prefixed strings, one tag byte per value kind — except a block
+// record (opInsertBlock), which holds the rows a commit inserts into one
+// table as a segment body holds them:
+//
+//	op byte, table name, 1 when the table's next record continues the commit
+//	row count (at most recordRows), column count, the row IDs as an
+//	integer stream; per column its kind, its length and its column block
+//	(a NULL flag or bitmap, then encodeColumn)
+//
+// A table's part of a commit is one block record, or a run of them when it
+// has more rows than one may hold; recovery applies the run whole or not at
+// all (replayLog).
 
 // ErrCorruptLog reports a log or snapshot record that failed its checksum
 // or could not be decoded.
@@ -141,7 +152,23 @@ func (p *payloadReader) byteVal() byte {
 	return 0
 }
 
+// flag reads a byte that must be 0 or 1.
+func (p *payloadReader) flag() bool {
+	b := p.byteVal()
+	if b > 1 {
+		p.fail()
+	}
+	return b == 1
+}
+
 func (p *payloadReader) empty() bool { return len(p.buf) == 0 }
+
+func boolByte(b bool) byte {
+	if b {
+		return 1
+	}
+	return 0
+}
 
 // --- value / row encoding ---
 
@@ -163,11 +190,7 @@ func appendValuePayload(dst []byte, v Value) []byte {
 	case KindString:
 		dst = putString(dst, v.Text())
 	case KindBool:
-		if v.Truth() {
-			dst = append(dst, 1)
-		} else {
-			dst = append(dst, 0)
-		}
+		dst = append(dst, boolByte(v.Truth()))
 	}
 	return dst
 }
@@ -194,6 +217,87 @@ func decodeRowPayload(p *payloadReader) (Row, error) {
 	return row, p.err
 }
 
+// --- block encoding ---
+
+// blockRecordCells bounds the cells, rows × columns, of one block record,
+// and with them what decoding one allocates: integer streams of a constant
+// stride take no bytes, so the payload's length alone does not. Under
+// segments' bound of 2^30 rows a payload of a few dozen bytes could make
+// the decoder allocate gigabytes; a document's largest table part, 4 096
+// results of 6 columns, is 24 576 cells.
+const blockRecordCells = 1 << 16
+
+// recordRows is the most rows a block record of ncols columns holds.
+func recordRows(ncols int) int { return max(blockRecordCells/max(ncols, 1), 1) }
+
+// appendBlockRecords appends the block's rows to out as framed block
+// records of table: one, unless it has more rows than one may hold.
+func appendBlockRecords(out []byte, table string, b *ColumnBlock) []byte {
+	per := recordRows(len(b.cols))
+	for from := 0; from < b.rows; from += per {
+		to := min(from+per, b.rows)
+		part := b.view(from, to)
+		start := len(out)
+		out = append(out, 0, 0, 0, 0, 0, 0, 0, 0, byte(opInsertBlock))
+		out = appendBlockPayload(putString(out, table), &part, to < b.rows)
+		payload := out[start+8:]
+		binary.LittleEndian.PutUint32(out[start:], uint32(len(payload)))
+		binary.LittleEndian.PutUint32(out[start+4:], crc32.ChecksumIEEE(payload))
+	}
+	return out
+}
+
+// appendBlockPayload writes what follows a block record's table name.
+func appendBlockPayload(dst []byte, b *ColumnBlock, more bool) []byte {
+	dst = putUvarint(putUvarint(append(dst, boolByte(more)), uint64(b.rows)), uint64(len(b.cols)))
+	dst = appendIntVec(dst, &b.rowIDs)
+	var col []byte
+	for ci := range b.cols {
+		col = appendColumnBlock(col[:0], &b.cols[ci])
+		dst = append(putUvarint(append(dst, byte(b.cols[ci].kind)), uint64(len(col))), col...)
+	}
+	return dst
+}
+
+// wideZone is the zone a block record's integer columns are decoded under:
+// any value, at width 8, as a tail holds them.
+var wideZone = zoneMap{valid: true, minI: math.MinInt64, maxI: math.MaxInt64}
+
+// decodeBlockPayload reads what follows a block record's table name with
+// the segment decoders, each stream checked against the bytes left before
+// it allocates.
+func decodeBlockPayload(p *payloadReader) (b *ColumnBlock, more bool) {
+	more = p.flag()
+	rows, ncols := p.uvarint(), p.count()
+	if p.err != nil || rows == 0 || rows > uint64(recordRows(ncols)) {
+		p.fail()
+		return nil, false
+	}
+	f := segFormats[segMagic]
+	b = &ColumnBlock{rows: int(rows), cols: make([]colVec, ncols), zones: make([]zoneMap, ncols)}
+	var err error
+	if b.rowIDs, p.buf, err = f.ints(p.buf, b.rows, wideZone.minI, wideZone.maxI); err != nil {
+		p.fail()
+		return nil, false
+	}
+	for ci := range b.cols {
+		kind := Kind(p.byteVal())
+		data := p.bytes(p.count())
+		if p.err != nil {
+			return nil, false
+		}
+		if b.cols[ci], err = decodeColumn(kind, data, b.rows, f, wideZone); err != nil {
+			p.fail()
+			return nil, false
+		}
+	}
+	if !p.empty() {
+		p.fail()
+		return nil, false
+	}
+	return b, more
+}
+
 // --- schema encoding ---
 
 func encodeSchemaPayload(dst []byte, s *Schema) []byte {
@@ -201,12 +305,7 @@ func encodeSchemaPayload(dst []byte, s *Schema) []byte {
 	dst = putUvarint(dst, uint64(len(s.Columns)))
 	for _, c := range s.Columns {
 		dst = putString(dst, c.Name)
-		dst = append(dst, byte(c.Type))
-		if c.Nullable {
-			dst = append(dst, 1)
-		} else {
-			dst = append(dst, 0)
-		}
+		dst = append(dst, byte(c.Type), boolByte(c.Nullable))
 	}
 	dst = putUvarint(dst, uint64(len(s.PrimaryKey)))
 	for _, pk := range s.PrimaryKey {
@@ -226,12 +325,7 @@ func encodeSchemaPayload(dst []byte, s *Schema) []byte {
 }
 
 func encodeIndexSpec(dst []byte, ix IndexSpec) []byte {
-	dst = putString(dst, ix.Name)
-	if ix.Unique {
-		dst = append(dst, 1)
-	} else {
-		dst = append(dst, 0)
-	}
+	dst = append(putString(dst, ix.Name), boolByte(ix.Unique))
 	dst = putUvarint(dst, uint64(len(ix.Columns)))
 	for _, c := range ix.Columns {
 		dst = putString(dst, c)
@@ -286,6 +380,8 @@ func encodeMutationPayload(m *mutation) []byte {
 	case opDelete:
 		dst = putString(dst, m.table)
 		dst = putVarint(dst, m.id)
+	case opInsertBlock:
+		dst = appendBlockPayload(putString(dst, m.table), m.block, m.more)
 	}
 	return dst
 }
@@ -305,6 +401,9 @@ func decodeMutationPayload(payload []byte) (*mutation, error) {
 		m.row, _ = decodeRowPayload(p)
 	case opDelete:
 		m.table, m.id = p.str(), p.varint()
+	case opInsertBlock:
+		m.table = p.str()
+		m.block, m.more = decodeBlockPayload(p)
 	default:
 		if p.err == nil {
 			return nil, fmt.Errorf("%w: unknown op %d", ErrCorruptLog, m.op)
