@@ -105,7 +105,13 @@ func (c cli) serve(dir string) (string, func()) {
 		}
 	})
 	base := "http://" + addr
-	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(50 * time.Millisecond) {
+	// A readiness wait, not a bound on speed: ptserved has until the
+	// test's deadline nears to answer /healthz.
+	deadline := time.Now().Add(time.Minute)
+	if d, ok := c.t.Deadline(); ok {
+		deadline = d.Add(-10 * time.Second)
+	}
+	for ; ; time.Sleep(50 * time.Millisecond) {
 		if resp, err := http.Get(base + "/healthz"); err == nil {
 			resp.Body.Close()
 			return base, stop

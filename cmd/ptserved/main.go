@@ -44,7 +44,7 @@ func main() {
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); empty disables")
 	logLevel := flag.String("log-level", "info", "structured log level: debug, info, warn, or error")
 	slowThreshold := flag.Duration("slow-threshold", time.Second, "log requests at or over this duration and keep their traces in the slow ring (negative disables)")
-	storage := flag.String("storage", "", "where the store's files live: mem (in memory; nothing lands in -db) or segment (in -db; the default, also spelled wal)")
+	storage := flag.String("storage", "", "where the store's files live: mem (in memory; nothing lands in -db) or segment (in -db; the default)")
 	segmentFlush := flag.Int64("segment-flush", 0, "compact a table once this many rows are pending (0 = engine default)")
 	selfMonInterval := flag.Duration("selfmon-interval", 0, "continuous self-diagnosis sampling period (0 = default 15s, negative disables)")
 	flag.Parse()

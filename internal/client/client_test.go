@@ -97,7 +97,9 @@ func TestHonorsRetryAfter(t *testing.T) {
 	if qr.Matches != 3 {
 		t.Errorf("matches = %d", qr.Matches)
 	}
-	// Backoff would be ~ms; Retry-After forces >= 1s.
+	// Backoff would be ~ms; Retry-After forces >= 1s. A lower bound on a
+	// wait the client must make cannot fail a correct client, however
+	// loaded the host.
 	if elapsed := time.Since(start); elapsed < time.Second {
 		t.Errorf("Retry-After ignored: retried after %s", elapsed)
 	}
@@ -170,14 +172,13 @@ func TestContextCancelsRetryLoop(t *testing.T) {
 	c := fastClient(ts.URL)
 	c.BaseBackoff = 20 * time.Millisecond
 	c.MaxRetries = 1000
-	start := time.Now()
 	_, err := c.Health(ctx)
 	if err == nil || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want deadline exceeded", err)
 	}
-	if time.Since(start) > time.Second {
-		t.Error("cancellation did not stop the retry loop promptly")
-	}
+	// Counted, not timed: each retry waits at least the 20ms backoff, so
+	// a loop that stops at the deadline makes two calls or so however
+	// loaded the host, and one that ignored it would go on to 1000.
 	if calls.Load() > 10 {
 		t.Errorf("calls = %d despite 30ms deadline", calls.Load())
 	}

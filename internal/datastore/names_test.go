@@ -322,9 +322,12 @@ func TestDeleteExecutionNamesMatchReopen(t *testing.T) {
 }
 
 // TestReadersDoNotWaitBehindCommit pins that no reader of names queues
-// behind a whole commit: while one goroutine commits an 8192-result
-// batch, each directory-backed read completes at least 100 times inside
-// the commit's own [start, end] window.
+// behind a whole commit: an 8192-result batch is parked at its commit —
+// every row staged, the writer lock held (beforeCommit) — and each
+// directory-backed read must complete 100 calls before it is released. A
+// reader that waited for the writer lock would never get there; the
+// deadline below only turns that deadlock into a failure, and is not a
+// bound on how fast the reads are.
 func TestReadersDoNotWaitBehindCommit(t *testing.T) {
 	s := newStore(t)
 	if _, err := s.LoadPTdfCtx(context.Background(), strings.NewReader(sampleDoc)); err != nil {
@@ -359,48 +362,51 @@ func TestReadersDoNotWaitBehindCommit(t *testing.T) {
 		{"LookupDict", func() error { s.LookupDict("execution", "irs-001"); return nil }},
 		{"MaterializeResultsCtx", func() error { _, err := s.MaterializeResultsCtx(context.Background(), one); return err }},
 	}
-	type span struct{ from, to time.Time }
-	spans := make([][]span, len(reads))
-	var done atomic.Bool
-	started := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
+	const deadline = 30 * time.Second
+	parked, release := make(chan struct{}), make(chan struct{})
+	beforeCommit = func(st *Store) {
+		if st == s {
+			close(parked)
+			<-release
+		}
+	}
+	defer func() { beforeCommit = nil }()
+	committed := make(chan error, 1)
 	go func() {
-		defer wg.Done()
-		for first := true; !done.Load(); first = false {
-			for i, r := range reads {
-				from := time.Now()
+		_, err := b.CommitCtx(context.Background())
+		committed <- err
+	}()
+	select {
+	case <-parked:
+	case <-time.After(deadline):
+		t.Fatal("the commit never reached its publish step")
+	}
+	for _, r := range reads {
+		finished := make(chan error, 1)
+		go func() {
+			for range 100 {
 				if err := r.call(); err != nil {
-					t.Errorf("%s: %v", r.name, err)
+					finished <- err
 					return
 				}
-				spans[i] = append(spans[i], span{from, time.Now()})
 			}
-			if first {
-				close(started)
+			finished <- nil
+		}()
+		select {
+		case err := <-finished:
+			if err != nil {
+				t.Errorf("%s: %v", r.name, err)
 			}
+		case <-time.After(deadline):
+			t.Errorf("%s: 100 calls did not finish while the commit held the writer lock", r.name)
 		}
-	}()
-	<-started
-	start := time.Now()
-	_, err = b.CommitCtx(context.Background())
-	end := time.Now()
-	done.Store(true)
-	wg.Wait()
-	if err != nil {
+	}
+	close(release)
+	if err := <-committed; err != nil {
 		t.Fatal(err)
 	}
-	for i, r := range reads {
-		inside := 0
-		for _, sp := range spans[i] {
-			if sp.from.After(start) && sp.to.Before(end) {
-				inside++
-			}
-		}
-		if inside < 100 {
-			t.Errorf("%s: %d calls started and finished inside the %v commit, want >= 100",
-				r.name, inside, end.Sub(start))
-		}
+	if !s.HasResource("/big") {
+		t.Error("the released commit is not visible")
 	}
 }
 

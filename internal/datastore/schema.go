@@ -22,7 +22,6 @@ package datastore
 
 import (
 	"fmt"
-	"slices"
 
 	"perftrack/internal/reldb"
 )
@@ -287,15 +286,10 @@ var tableNames = func() []string {
 }()
 
 // ensureSchema brings the engine to the schema: a missing table is
-// created with its indexes; an index missing from an existing table (one
-// added to the schema after the store was initialized) is created through
-// the engine, which sorts each block's permutation for it on first use;
-// an index whose spec differs from the schema's — a unique name index of
-// a store from before the names directory alone kept names unique — is
-// dropped and created again, one logged DROP INDEX and one CREATE INDEX;
-// and an index the schema no longer has is dropped — focus_signature, in
-// such a store too. A fresh store and an old one take the same path; an
-// up-to-date one is not touched.
+// created with its indexes — a fresh store, or one whose first open
+// crashed between two CreateTable calls. A table that exists must be
+// Figure 1's as it stands, indexes and all: the open is refused with
+// reldb.ErrFormat otherwise, for only an older program wrote another.
 func ensureSchema(eng *reldb.DB) error {
 	for _, want := range figure1 {
 		tab, exists := eng.Table(want.Name)
@@ -305,28 +299,8 @@ func ensureSchema(eng *reldb.DB) error {
 			}
 			continue
 		}
-		have := slices.Clone(tab.Schema().Indexes)
-		for _, ix := range want.Indexes {
-			i := slices.IndexFunc(have, func(h reldb.IndexSpec) bool { return h.Name == ix.Name })
-			if i >= 0 && have[i].Unique == ix.Unique && slices.Equal(have[i].Columns, ix.Columns) {
-				continue
-			}
-			if i >= 0 {
-				if err := eng.DropIndex(want.Name, ix.Name); err != nil {
-					return fmt.Errorf("datastore: schema: index %s: %w", ix.Name, err)
-				}
-			}
-			if err := eng.CreateIndex(want.Name, ix); err != nil {
-				return fmt.Errorf("datastore: schema: index %s: %w", ix.Name, err)
-			}
-		}
-		for _, h := range have {
-			if slices.ContainsFunc(want.Indexes, func(ix reldb.IndexSpec) bool { return ix.Name == h.Name }) {
-				continue
-			}
-			if err := eng.DropIndex(want.Name, h.Name); err != nil {
-				return fmt.Errorf("datastore: schema: index %s: %w", h.Name, err)
-			}
+		if tab.Schema().DDL() != want.DDL() {
+			return fmt.Errorf("%w (table %s is not Figure 1's)", reldb.ErrFormat, want.Name)
 		}
 	}
 	return nil
@@ -338,25 +312,14 @@ func schemaExists(eng *reldb.DB) bool {
 	return ok
 }
 
-// SchemaDDL renders the live schema of every table as CREATE statements —
-// the reproduction of Figure 1, in its order: an index ensureSchema
-// replaced is the engine's newest, not the figure's last.
+// SchemaDDL renders the live schema of every table as CREATE statements:
+// the reproduction of Figure 1, in its order.
 func (s *Store) SchemaDDL() string {
 	out := ""
 	for _, want := range figure1 {
-		t, ok := s.eng.Table(want.Name)
-		if !ok {
-			continue
+		if t, ok := s.eng.Table(want.Name); ok {
+			out += t.Schema().DDL() + "\n"
 		}
-		rank := func(ix reldb.IndexSpec) int {
-			if i := slices.IndexFunc(want.Indexes, func(w reldb.IndexSpec) bool { return w.Name == ix.Name }); i >= 0 {
-				return i
-			}
-			return len(want.Indexes)
-		}
-		live := t.Schema().Clone()
-		slices.SortStableFunc(live.Indexes, func(a, b reldb.IndexSpec) int { return rank(a) - rank(b) })
-		out += live.DDL() + "\n"
 	}
 	return out
 }

@@ -3,8 +3,6 @@ package datastore
 import (
 	"context"
 	"fmt"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -58,98 +56,6 @@ func hotStatus(t *testing.T, fe *reldb.DB, table string) reldb.SegmentTableStatu
 	return reldb.SegmentTableStatus{}
 }
 
-// TestLegacyStoreUpgradesFocus: the directory the parent of the schema
-// change wrote (testdata/parent_store: focus rows in the snapshot, under a
-// unique focus_signature index) opens, its focus rows written to a
-// segment by the open, loses the index to one logged DROP INDEX, and at
-// the next seal the new focus rows join the old in segments and are
-// nowhere else. Every row and every signature equals
-// those of a twin given the same records; a copy taken between the
-// drop and the seal recovers, as does one taken after it; and a reopened
-// store, up to date, logs nothing.
-func TestLegacyStoreUpgradesFocus(t *testing.T) {
-	dir := copyDir(t, filepath.Join("testdata", "parent_store"))
-	raw, err := os.ReadFile(filepath.Join("testdata", "parent_store.ptdf"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc := string(raw)
-	twin := newTwinOf(t, doc)
-	open := func(dir string) (*Store, *reldb.DB) {
-		t.Helper()
-		fe, err := reldb.OpenFile(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { fe.Close() })
-		fe.SetSegmentFlushRows(16)
-		s, err := Open(fe)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tab, _ := fe.Table("focus"); tab.HasIndex("focus_signature") {
-			t.Fatal("the store keeps focus_signature")
-		}
-		return s, fe
-	}
-	s, fe := open(dir)
-	sameAsTwin(t, "opened", s, twin)
-	if st := hotStatus(t, fe, "focus"); st.Segments == 0 || st.PendingRows != 0 {
-		t.Fatalf("focus after the open = %+v, want the snapshot's rows in a segment", st)
-	}
-	fe.Stats() // the DROP INDEX reaches perftrack.wal
-	dropped := copyDir(t, dir)
-
-	for _, st := range []*Store{s, twin} {
-		seedSegmentStudy(t, st)
-		for i := 0; i < 40; i++ {
-			addSegResult(t, st, i)
-		}
-	}
-	if err := fe.CompactSegments(); err != nil {
-		t.Fatal(err)
-	}
-	if st := hotStatus(t, fe, "focus"); st.Segments == 0 || st.PendingRows != 0 || st.Rows != int64(len(twin.names.focusIDs)) {
-		t.Fatalf("focus after a load and a seal = %+v, want all %d rows in segments", st, len(twin.names.focusIDs))
-	}
-	sameAsTwin(t, "loaded and sealed", s, twin)
-	fe.Stats()
-	sealed := copyDir(t, dir)
-
-	// Neither copy was checkpointed: perftrack.wal, rewritten by the open,
-	// has the index, then the DROP INDEX.
-	early, _ := open(dropped)
-	sameAsTwin(t, "copy taken between the drop and the seal", early, newTwinOf(t, doc))
-	late, lateFE := open(sealed)
-	sameAsTwin(t, "copy taken after the seal", late, twin)
-	if err := lateFE.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if st := hotStatus(t, lateFE, "focus"); st.Segments == 0 || st.PendingRows != 0 {
-		t.Fatalf("focus after the copy's checkpoint = %+v, want it in segments", st)
-	}
-	if err := lateFE.Close(); err != nil {
-		t.Fatal(err)
-	}
-	fe2, err := reldb.OpenFile(sealed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fe2.Close()
-	walBefore := fe2.Stats().WALBytes
-	again, err := Open(fe2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if walAfter := fe2.Stats().WALBytes; walAfter != walBefore {
-		t.Fatalf("opening the upgraded store logged %d bytes", walAfter-walBefore)
-	}
-	sameAsTwin(t, "reopened after a checkpoint", again, twin)
-	if st := hotStatus(t, fe2, "focus"); st.Segments == 0 || st.PendingRows != 0 {
-		t.Fatalf("focus after the reopen = %+v, want it in segments", st)
-	}
-}
-
 // newTwin returns an empty store whose hot tables never seal — the flush
 // threshold is above any corpus here — so its rows stay in the tails: a
 // residency unlike the segments the store under test is read from, giving
@@ -158,16 +64,6 @@ func newTwin(t *testing.T) *Store {
 	t.Helper()
 	s := newStore(t)
 	s.Engine().SetSegmentFlushRows(1 << 40)
-	return s
-}
-
-// newTwinOf returns a twin loaded with one document.
-func newTwinOf(t *testing.T, doc string) *Store {
-	t.Helper()
-	s := newTwin(t)
-	if _, err := s.LoadPTdfCtx(context.Background(), strings.NewReader(doc)); err != nil {
-		t.Fatal(err)
-	}
 	return s
 }
 

@@ -71,6 +71,10 @@ var segScanBytesBuckets = []float64{
 // range scan.
 func (s *Store) SegmentScanBytes() *obs.Histogram { return s.scanBytes }
 
+// beforeCommit, nil but in tests, is called by write once apply has
+// staged every row, with the writer lock held, before the commit.
+var beforeCommit func(*Store)
+
 // write runs apply — the add*Locked calls of one public call or one
 // batch — as one engine transaction in one writer critical section:
 // begin, apply, then commit, or on failure roll back and reload the names
@@ -84,6 +88,9 @@ func (s *Store) write(apply func() error) error {
 	defer func() { s.tx = nil }()
 	err := apply()
 	if err == nil {
+		if beforeCommit != nil {
+			beforeCommit(s)
+		}
 		err = s.tx.Commit()
 	}
 	if err != nil {

@@ -2,10 +2,10 @@ package datastore
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -581,9 +581,9 @@ func TestConcurrentLoadersAndReaders(t *testing.T) {
 }
 
 func TestSchemaMigrationAddsNewTables(t *testing.T) {
-	// Simulate a store created by an older version that lacked the
+	// Simulate a store whose first open crashed before it created the
 	// result_histogram table: every other table of the schema, reopened,
-	// and expect the table recreated by the migration in Open.
+	// and expect Open to create the missing one.
 	dir := t.TempDir()
 	fe, err := reldb.OpenFile(dir)
 	if err != nil {
@@ -670,10 +670,8 @@ func TestSQLInterfaceOverStore(t *testing.T) {
 // TestSchemaDDLGolden pins Figure 1: testdata/figure1.ddl is SchemaDDL()
 // of a fresh store at the last commit that fed DDL strings through the
 // SQL parser, less the focus_signature index the schema has since given
-// up, and testdata/parent_store is a directory that commit's ptinit and
-// one ptload (of parent_store.ptdf) wrote. Both must render the same
-// text; opening the old directory drops that index and writes nothing
-// else, and opening an up-to-date store writes nothing at all.
+// up. A directory this program wrote renders the same text once closed
+// and reopened, and the reopen logs nothing.
 func TestSchemaDDLGolden(t *testing.T) {
 	golden, err := os.ReadFile(filepath.Join("testdata", "figure1.ddl"))
 	if err != nil {
@@ -683,121 +681,40 @@ func TestSchemaDDLGolden(t *testing.T) {
 		t.Errorf("fresh store renders a different Figure 1:\n%s", got)
 	}
 
-	dir := copyDir(t, filepath.Join("testdata", "parent_store"))
+	dir := t.TempDir()
 	fe, err := reldb.OpenFile(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(fe); err != nil {
+		t.Fatal(err)
+	}
+	if err := fe.Close(); err != nil {
+		t.Fatal(err)
+	}
+	fe, err = reldb.OpenFile(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fe.Close()
 	walBefore := fe.Stats().WALBytes
-	if _, err := Open(fe); err != nil {
-		t.Fatal(err)
-	}
-	walUpgraded := fe.Stats().WALBytes
-	if walUpgraded == walBefore {
-		t.Error("opening the parent's store logged no DROP INDEX")
-	}
 	s, err := Open(fe)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if walAfter := fe.Stats().WALBytes; walAfter != walUpgraded {
-		t.Errorf("opening an up-to-date store logged %d WAL bytes", walAfter-walUpgraded)
+	if walAfter := fe.Stats().WALBytes; walAfter != walBefore {
+		t.Errorf("reopening the store logged %d WAL bytes", walAfter-walBefore)
 	}
 	if got := s.SchemaDDL(); got != string(golden) {
-		t.Errorf("parent-written store renders a different Figure 1:\n%s", got)
-	}
-	if st := s.Stats(); st.Executions != 1 || st.Results != 4 {
-		t.Errorf("parent-written store holds %d executions, %d results; want 1, 4", st.Executions, st.Results)
+		t.Errorf("the reopened store renders a different Figure 1:\n%s", got)
 	}
 }
 
-// copyDir copies the files under src into a fresh temporary directory.
-func copyDir(t *testing.T, src string) string {
-	t.Helper()
-	dir := t.TempDir()
-	err := filepath.WalkDir(src, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		rel, _ := filepath.Rel(src, path)
-		if d.IsDir() {
-			return os.MkdirAll(filepath.Join(dir, rel), 0o755)
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		return os.WriteFile(filepath.Join(dir, rel), data, 0o644)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return dir
-}
-
-// TestLegacyStoreParentDirectoryRecoversUnderTailLogs: the directory the
-// parent commit wrote (testdata/parent_store, see TestSchemaDDLGolden)
-// opens with no upgrade step, takes a load, compacts, and — crashed
-// without a checkpoint, which a copy of the directory is — reopens with
-// every result, the old ones and the new, materializing the same.
-func TestLegacyStoreParentDirectoryRecoversUnderTailLogs(t *testing.T) {
-	dir := copyDir(t, filepath.Join("testdata", "parent_store"))
-	fe, err := reldb.OpenFile(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fe.Close()
-	s, err := Open(fe)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seedSegmentStudy(t, s)
-	var ids []int64
-	tab, _ := fe.Table("performance_result")
-	eachRow(tab, func(id int64, _ reldb.Row) bool { ids = append(ids, id); return true })
-	for i := 0; i < 40; i++ {
-		ids = append(ids, addSegResult(t, s, i))
-	}
-	if err := fe.CompactSegments(); err != nil {
-		t.Fatal(err)
-	}
-	ids = append(ids, addSegResult(t, s, 40)) // stays in the tail, durable in a tail log alone
-	want, err := s.MaterializeResultsCtx(context.Background(), ids)
-	if err != nil || len(want) != 4+41 {
-		t.Fatalf("materialized %d results (err %v), want the parent's 4 and 41 new", len(want), err)
-	}
-	fe.Stats() // flushes the logs
-	if logs, _ := filepath.Glob(filepath.Join(dir, "segments", "tail-*.log")); len(logs) == 0 {
-		t.Fatal("no tail log holds the unflushed result")
-	}
-
-	fe2, err := reldb.OpenFile(copyDir(t, dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fe2.Close()
-	s2, err := Open(fe2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := s2.MaterializeResultsCtx(context.Background(), ids)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("the crashed copy materializes %d results differently from the %d loaded", len(got), len(want))
-	}
-	if st, st2 := s.Stats(), s2.Stats(); st != st2 {
-		t.Fatalf("store statistics after the crash = %+v, want %+v", st2, st)
-	}
-}
-
-func TestSchemaMigrationBackfillsAttributeIndex(t *testing.T) {
-	// Simulate a store created by an older version that lacked the
-	// resource_attribute (name, value) index the pr-filter fast path
-	// scans: drop it, reopen, and expect Open to recreate it backfilled
-	// from the existing attribute rows.
+// TestSchemaMismatchIsRefused: a table that differs from Figure 1's — a
+// store whose resource_attribute lacks its (name, value) index, as an
+// older program left it — makes Open fail with reldb.ErrFormat, which
+// says to re-load the store from PTdf, and log nothing.
+func TestSchemaMismatchIsRefused(t *testing.T) {
 	dir := t.TempDir()
 	fe, err := reldb.OpenFile(dir)
 	if err != nil {
@@ -808,15 +725,6 @@ func TestSchemaMigrationBackfillsAttributeIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := s.AddResource("/GF/Frost", "grid/machine", ""); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.AddResource("/GM/MCR", "grid/machine", ""); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SetResourceAttribute("/GF/Frost", "vendor", "IBM"); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SetResourceAttribute("/GM/MCR", "vendor", "LNXI"); err != nil {
 		t.Fatal(err)
 	}
 	if err := fe.DropIndex("resource_attribute", "resource_attribute_name"); err != nil {
@@ -831,28 +739,15 @@ func TestSchemaMigrationBackfillsAttributeIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fe2.Close()
-	raTab, ok := fe2.Table("resource_attribute")
-	if !ok {
-		t.Fatal("resource_attribute table missing after reopen")
+	walBefore := fe2.Stats().WALBytes
+	_, err = Open(fe2)
+	if !errors.Is(err, reldb.ErrFormat) || !strings.Contains(err.Error(), "re-load it from PTdf") || !strings.Contains(err.Error(), "resource_attribute") {
+		t.Fatalf("Open over a table that is not Figure 1's = %v, want reldb.ErrFormat naming resource_attribute", err)
 	}
-	if raTab.HasIndex("resource_attribute_name") {
-		t.Fatal("index present before migration; DropIndex did not persist")
+	if walAfter := fe2.Stats().WALBytes; walAfter != walBefore {
+		t.Errorf("the refused open logged %d WAL bytes", walAfter-walBefore)
 	}
-	s2, err := Open(fe2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !raTab.HasIndex("resource_attribute_name") {
-		t.Fatal("migration did not recreate resource_attribute_name")
-	}
-	// The backfilled index answers attribute filters over pre-migration rows.
-	fam, err := s2.ApplyFilterCtx(context.Background(), core.ResourceFilter{
-		Attrs: []core.AttrPredicate{{Attr: "vendor", Cmp: core.CmpEq, Value: "IBM"}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fam.Size() != 1 || !fam.Contains("/GF/Frost") {
-		t.Fatalf("attribute filter over migrated index = %v", fam.Members())
+	if raTab, _ := fe2.Table("resource_attribute"); raTab.HasIndex("resource_attribute_name") {
+		t.Error("the refused open recreated resource_attribute_name")
 	}
 }

@@ -195,16 +195,23 @@ func TestSamplerStartStop(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Start()
-	deadline := time.After(2 * time.Second)
+	// A liveness wait, not a bound on speed: the loop has until the test's
+	// deadline nears to take its first sample.
+	giveUp := time.Now().Add(time.Minute)
+	if d, ok := t.Deadline(); ok {
+		giveUp = d.Add(-10 * time.Second)
+	}
 	for s.Stats().Samples == 0 {
-		select {
-		case <-deadline:
-			t.Fatal("background loop took no samples in 2s")
-		case <-time.After(5 * time.Millisecond):
+		if time.Now().After(giveUp) {
+			t.Fatal("background loop took no samples")
 		}
+		time.Sleep(5 * time.Millisecond)
 	}
 	s.Stop()
 	after := s.Stats().Samples
+	// Stop returns once the loop has exited, so no sample can follow it:
+	// the sleep can only miss a Stop that returns early, never fail a
+	// correct one.
 	time.Sleep(10 * time.Millisecond)
 	if got := s.Stats().Samples; got != after {
 		t.Errorf("samples kept accruing after Stop: %d -> %d", after, got)

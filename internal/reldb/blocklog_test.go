@@ -14,18 +14,6 @@ import (
 	"testing"
 )
 
-// rowRecords is the per-row encoder of the tail logs before block records:
-// one framed opInsert record per row of the block, each naming the table
-// and tagging every cell with its kind. Directories written then hold these
-// records, and replay still reads them.
-func rowRecords(table string, b *ColumnBlock) []byte {
-	var out []byte
-	for i := 0; i < b.rows; i++ {
-		out = appendRecord(out, encodeMutationPayload(&mutation{op: opInsert, table: table, id: b.rowIDs.At(i), row: b.Row(i, nil)}))
-	}
-	return out
-}
-
 // personRows returns n rows of the person table whose keys the table
 // assigns, starting at the (from)th: a few hold NULLs, one score is
 // negative zero and one NaN, so the column codecs meet each case.
@@ -203,152 +191,6 @@ func TestFileEngineTornCommitRunRecovery(t *testing.T) {
 			t.Fatalf("cut at byte %d: the log holds %d bytes after recovery, want %d", cut, size, wantLog)
 		}
 		db.Close()
-	}
-}
-
-// TestBlockLogReplaysRowRecords: a tail log holding per-row insert
-// records, as a directory written before block records holds them,
-// replays; a commit appends block records to the same log, and a reopen
-// replays both kinds to the rows, row IDs and replayed-row count of a twin
-// that only ever logged block records.
-func TestBlockLogReplaysRowRecords(t *testing.T) {
-	first, second := personRows(0, 9), personRows(9, 4)
-	run := func(t *testing.T, legacy bool) (rows []string, replayed int) {
-		dir := t.TempDir()
-		fe := openTestEngine(t, dir)
-		mustCreate(t, fe, personSchema())
-		if legacy {
-			// The rows go through a transaction, for their row IDs and layout,
-			// which is then rolled back once the old encoder has logged them.
-			tx := fe.Begin()
-			for _, row := range first {
-				if _, err := tx.Insert("person", row); err != nil {
-					t.Fatal(err)
-				}
-			}
-			tb := tx.find("person")
-			fe.mu.Lock()
-			l, err := fe.seg.tailLogLocked(tb.t)
-			if err == nil {
-				l.appendFramed(rowRecords("person", &tb.ColumnBlock))
-				err = l.flush()
-			}
-			fe.mu.Unlock()
-			if err != nil {
-				t.Fatal(err)
-			}
-			tx.Rollback()
-			fe.Stats() // the CREATE TABLE record, which a commit would have flushed
-		} else {
-			commitRows(t, fe, "person", first)
-		}
-		abandon(fe)
-		fe = openTestEngine(t, dir)
-		if fe.replayedRows != len(first) {
-			t.Fatalf("legacy=%v: the first reopen replayed %d rows, want %d", legacy, fe.replayedRows, len(first))
-		}
-		commitRows(t, fe, "person", second)
-		if err := fe.Close(); err != nil {
-			t.Fatal(err)
-		}
-		var ops []mutOp
-		for _, m := range logRecords(t, osFS{}, tailLogOf(fe, "person")) {
-			ops = append(ops, m.op)
-		}
-		wantOps := []mutOp{opInsertBlock, opInsertBlock}
-		if legacy {
-			wantOps = wantOps[1:]
-			for range first {
-				wantOps = append([]mutOp{opInsert}, wantOps...)
-			}
-		}
-		if !slices.Equal(ops, wantOps) {
-			t.Fatalf("legacy=%v: the tail log holds ops %v, want %v", legacy, ops, wantOps)
-		}
-		fe = openTestEngine(t, dir)
-		defer fe.Close()
-		return dumpTable(t, fe, "person"), fe.replayedRows
-	}
-	oldRows, oldReplayed := run(t, true)
-	newRows, newReplayed := run(t, false)
-	if !slices.Equal(oldRows, newRows) || oldReplayed != newReplayed || len(oldRows) != len(first)+len(second) || oldReplayed != len(oldRows) {
-		t.Fatalf("per-row records then blocks replay to %d rows (%d replayed), the block-only twin to %d (%d):\n%s\nvs\n%s",
-			len(oldRows), oldReplayed, len(newRows), newReplayed, strings.Join(oldRows, "\n"), strings.Join(newRows, "\n"))
-	}
-}
-
-// manifestHeader returns the version a manifest file's header states and
-// the file's bytes.
-func manifestHeader(t *testing.T, dir string) (uint64, []byte) {
-	t.Helper()
-	buf, err := os.ReadFile(filepath.Join(dir, segmentSubdir, manifestFile))
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := binary.LittleEndian.Uint32(buf)
-	p := &payloadReader{buf: buf[8 : 8+n]}
-	return p.uvarint(), buf
-}
-
-// setManifestVersion rewrites the version in a manifest's header record.
-func setManifestVersion(t *testing.T, dir string, version uint64) {
-	t.Helper()
-	_, buf := manifestHeader(t, dir)
-	n := binary.LittleEndian.Uint32(buf)
-	p := &payloadReader{buf: buf[8 : 8+n]}
-	p.uvarint()
-	rest := buf[8+n:]
-	hdr := appendRecord(nil, putVarint(putUvarint(nil, version), p.varint()))
-	if err := os.WriteFile(filepath.Join(dir, segmentSubdir, manifestFile), append(hdr, rest...), 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// v5Check is the manifest check of the program before block records: it
-// refuses a newer version by name.
-func v5Check(version uint64) error {
-	if version > 5 {
-		return fmt.Errorf("reldb: manifest: version %d is newer than this program's %d", version, 5)
-	}
-	return nil
-}
-
-// TestBlockLogManifestUpgrade: a directory under a version-5 manifest
-// opens, and the open makes its manifest version 6 before any commit can
-// log a block record. The check of a version-5 program refuses that
-// manifest by its version, not as a corrupt log; this program refuses a
-// newer one the same way.
-func TestBlockLogManifestUpgrade(t *testing.T) {
-	dir := t.TempDir()
-	fe := openTestEngine(t, dir)
-	mustCreate(t, fe, personSchema())
-	commitRows(t, fe, "person", personRows(0, 5))
-	if err := fe.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if err := fe.Close(); err != nil {
-		t.Fatal(err)
-	}
-	want := func() []string { db := openTestEngine(t, dir); defer db.Close(); return dumpTable(t, db, "person") }()
-	setManifestVersion(t, dir, 5)
-	if v, _ := manifestHeader(t, dir); v != 5 {
-		t.Fatalf("manifest version %d, want the 5 just written", v)
-	}
-	fe = openTestEngine(t, dir)
-	if v, _ := manifestHeader(t, dir); v != 6 || manifestVersion != 6 {
-		t.Fatalf("the open left manifest version %d, want 6", v)
-	}
-	if got := dumpTable(t, fe, "person"); !slices.Equal(got, want) {
-		t.Fatalf("the upgraded directory holds %v, want %v", got, want)
-	}
-	fe.Close()
-	v, _ := manifestHeader(t, dir)
-	if err := v5Check(v); err == nil || err.Error() != "reldb: manifest: version 6 is newer than this program's 5" {
-		t.Fatalf("a version-5 program's check of this manifest says %v", err)
-	}
-	setManifestVersion(t, dir, manifestVersion+1)
-	if _, err := open(osFS{}, KindSegment, dir); err == nil || !strings.Contains(err.Error(), "version 7 is newer than this program's 6") || errors.Is(err, ErrCorruptLog) {
-		t.Fatalf("opening a version-7 manifest: %v", err)
 	}
 }
 

@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"path/filepath"
-	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -346,66 +344,5 @@ func TestIRSUnderMachinesStaysColumnar(t *testing.T) {
 		if g, w := visits(got, prefix), visits(want, prefix); g != w {
 			t.Fatalf("PKScan(%d) = %s, the twin's %s", anc, g, w)
 		}
-	}
-}
-
-// TestParentStoreNameIndexesBecomePlain opens the directory the parent
-// of the names directory's uniqueness wrote (the datastore's
-// testdata/parent_store: seven unique name indexes and a focus_signature
-// index): the open replaces each name index with a plain one by exactly
-// one logged DROP INDEX and one CREATE INDEX, drops focus_signature and
-// logs nothing else, and a second open logs nothing at all.
-func TestParentStoreNameIndexesBecomePlain(t *testing.T) {
-	dir := t.TempDir()
-	reldb.CopyTree(t, filepath.Join("..", "datastore", "testdata", "parent_store"), dir)
-	wal := filepath.Join(dir, "perftrack.wal")
-	logged := func(eng *reldb.DB) []string {
-		t.Helper()
-		eng.Stats() // flushes perftrack.wal
-		ops, err := reldb.LogOps(wal)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ops
-	}
-	eng, err := reldb.OpenFile(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := len(logged(eng))
-	if _, err := datastore.Open(eng); err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"drop index focus.focus_signature"}
-	for table, index := range map[string]string{"application": "application_name", "execution": "execution_name",
-		"focus_framework": "focus_framework_name", "resource_item": "resource_item_name", "metric": "metric_name",
-		"performance_tool": "performance_tool_name", "units": "units_name"} {
-		want = append(want, "drop index "+table+"."+index, "create index "+table+"."+index)
-		tab, _ := eng.Table(table)
-		for _, ix := range tab.Schema().Indexes {
-			if ix.Name == index && ix.Unique {
-				t.Errorf("%s is still unique", index)
-			}
-		}
-	}
-	got := logged(eng)[before:]
-	slices.Sort(got)
-	slices.Sort(want)
-	if !slices.Equal(got, want) {
-		t.Fatalf("the open logged %v, want %v", got, want)
-	}
-	if err := eng.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if eng, err = reldb.OpenFile(dir); err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	before = len(logged(eng))
-	if _, err := datastore.Open(eng); err != nil {
-		t.Fatal(err)
-	}
-	if got := logged(eng)[before:]; len(got) != 0 {
-		t.Fatalf("a second open logged %v", got)
 	}
 }

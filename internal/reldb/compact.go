@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
-	"math"
 	"path/filepath"
 	"slices"
 	"sort"
@@ -38,22 +37,13 @@ import (
 const (
 	segmentSubdir = "segments"
 	manifestFile  = "MANIFEST"
-	// manifestVersion: 1 had no low-water marks; 2 named the three result
-	// tables only, 3 six. A program that keeps fewer tables in segments
-	// than a manifest names would take the others' segment files for
-	// orphans and delete them, so the version moved with the set: such a
-	// program refuses the next. 4 may name format-2 segment files, which a
-	// program that reads only format 1 refuses as a version, not as corrupt
-	// segments. 5 names every table, and says that no row lives in
-	// perftrack.snap or perftrack.wal any more: whatever rows they still
-	// hold, segments hold too. 6 says the tail logs may hold block records,
-	// which a program that reads one row per record would take for a
-	// corrupt log; open writes it before a commit can log one.
-	manifestVersion = 6
-	// segmentsHoldRowsVersion is the version from which no row lives in
-	// perftrack.snap or perftrack.wal.
-	segmentsHoldRowsVersion = 5
-	defaultSegFlush         = 4096
+	// manifestVersion is the one format version this program reads and
+	// writes: the manifest states it, and an open refuses every other
+	// (ErrFormat). 7 says the segments are format 2, the tail logs hold
+	// block records and delete records alone, and perftrack.wal the
+	// schema alone.
+	manifestVersion = 7
+	defaultSegFlush = 4096
 )
 
 // segState is the engine's compaction state; what each table has sealed
@@ -508,58 +498,57 @@ func (st *segState) writeManifest(m manifest, garbage []string) error {
 	return nil
 }
 
-// load reads the manifest, if there is one, and decodes the segment files
-// it lists into st.loaded, which attachLocked hands each table as
-// recovery creates it. It returns the manifest's version, 0 without one.
-func (st *segState) load() (version uint64, err error) {
+// load reads the manifest and decodes the segment files it lists into
+// st.loaded, which attachLocked hands each table as recovery creates it.
+// A manifest of another version is refused with ErrFormat, and so is a
+// directory without one that is not fresh (checkFresh). It only reads.
+func (st *segState) load() error {
 	f, err := st.db.fsys.Open(filepath.Join(st.dir, manifestFile))
 	if errors.Is(err, fs.ErrNotExist) {
-		return 0, nil
+		return st.db.checkFresh()
 	}
 	if err != nil {
-		return 0, fmt.Errorf("reldb: open manifest: %w", err)
+		return fmt.Errorf("reldb: open manifest: %w", err)
 	}
 	defer f.Close()
 	rr := newRecordReader(f)
 	hdr, err := rr.readRecord()
 	if err != nil {
-		return 0, fmt.Errorf("reldb: manifest: %w", err)
+		return fmt.Errorf("reldb: manifest: %w", err)
 	}
 	hp := &payloadReader{buf: hdr}
 	version, nextSeq := hp.uvarint(), hp.varint()
 	if hp.err != nil {
-		return 0, fmt.Errorf("reldb: manifest: %w", hp.err)
+		return fmt.Errorf("reldb: manifest: %w", hp.err)
 	}
-	if version > manifestVersion {
-		return 0, fmt.Errorf("reldb: manifest: version %d is newer than this program's %d", version, manifestVersion)
+	if version != manifestVersion {
+		return st.db.formatError(version)
 	}
 	st.nextSeq = nextSeq
 	for {
 		payload, err := rr.readRecord()
 		if err == io.EOF {
-			return version, nil
+			return nil
 		}
 		if err != nil {
-			return 0, fmt.Errorf("reldb: manifest: %w", err)
+			return fmt.Errorf("reldb: manifest: %w", err)
 		}
 		p := &payloadReader{buf: payload}
 		name, files := p.str(), make([]string, p.count())
 		for i := range files {
 			files[i] = p.str()
 		}
-		if version >= 2 { // version 1 trimmed nothing: low-water 0
-			st.loadedLow[name] = p.varint()
-		}
+		st.loadedLow[name] = p.varint()
 		if p.err != nil {
-			return 0, fmt.Errorf("reldb: manifest: %w", p.err)
+			return fmt.Errorf("reldb: manifest: %w", p.err)
 		}
 		for _, file := range files {
 			seg, err := readSegmentFile(st.db.fsys, filepath.Join(st.dir, file))
 			if err != nil {
-				return 0, err
+				return err
 			}
 			if seg.table != name {
-				return 0, fmt.Errorf("%w: segment %s holds table %q, manifest says %q",
+				return fmt.Errorf("%w: segment %s holds table %q, manifest says %q",
 					ErrCorruptSegment, file, seg.table, name)
 			}
 			st.loaded[name] = append(st.loaded[name], seg)
@@ -645,33 +634,6 @@ func (st *segState) attachLocked(t *Table) error {
 	}
 	t.installLocked(nil, t.tail)
 	return nil
-}
-
-// orderLocked ends a table's recovery: it merges all of the table's rows
-// into one sealed block, replacing every segment file, if its blocks' row
-// IDs do not ascend from block to block — which only a directory an
-// older program wrote can make them do. The next pass writes the block.
-func (t *Table) orderLocked() {
-	last, ordered := int64(math.MinInt64), true
-	for _, s := range t.blocks {
-		if s.rows > 0 {
-			ordered = ordered && s.minRowID > last
-			last = s.maxRowID
-		}
-	}
-	if ordered {
-		return
-	}
-	merged := t.newBlock(0, int(t.lenLocked()))
-	t.ascendLocked(nil, func(b *ColumnBlock, i int) bool { merged.appendFrom(b, i); return true })
-	for _, s := range t.blocks {
-		merged.replaces, merged.sizeOn = append(merged.replaces, s.files()...), merged.sizeOn+s.sizeOn
-	}
-	merged.appended(t.pkCols, 0)
-	merged.logs = t.tail.logs
-	t.segs, t.segRows, t.segBytes, t.segDataBytes = nil, 0, 0, 0
-	t.installLocked(nil, merged)
-	t.db.seg.sealLocked(t)
 }
 
 // cleanOrphans removes segment files the manifest does not list —

@@ -9,20 +9,19 @@ import (
 	"sync/atomic"
 )
 
-// mutOp enumerates logical mutations, as the logs record them. Nothing
-// running logs an update or a DROP TABLE any more; replay still applies
-// the ones an older directory holds.
+// mutOp enumerates logical mutations, as the logs record them; the
+// values are the records' op bytes. Nothing running logs a DROP TABLE any
+// more; replay still applies one. Ops 3 and 4, an older program's per-row
+// insert and update, are unknown to the decoder.
 type mutOp uint8
 
 const (
-	opCreateTable mutOp = iota + 1
-	opDropTable
-	opInsert
-	opUpdate
-	opDelete
-	opCreateIndex
-	opDropIndex
-	opInsertBlock // the rows a commit inserts into one table, column-major
+	opCreateTable mutOp = 1
+	opDropTable   mutOp = 2
+	opDelete      mutOp = 5
+	opCreateIndex mutOp = 6
+	opDropIndex   mutOp = 7
+	opInsertBlock mutOp = 8 // the rows a commit inserts into one table, column-major
 )
 
 // mutation is one logical change to the database, as the logs record it.
@@ -30,7 +29,6 @@ type mutation struct {
 	op     mutOp
 	table  string
 	id     int64
-	row    Row          // opInsert/opUpdate: new image
 	block  *ColumnBlock // opInsertBlock: the rows, integers at width 8
 	more   bool         // opInsertBlock: the table's next record continues the commit
 	schema *Schema      // opCreateTable

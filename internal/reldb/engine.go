@@ -22,13 +22,13 @@ type Engine interface {
 func (db *DB) DB() *DB { return db }
 
 // Open opens a store of the requested kind: "mem" for one whose files
-// live in memory and die with it, or "segment" (also "", and the legacy
-// spelling "wal") for one rooted at dir.
+// live in memory and die with it, or "segment" (also "") for one rooted
+// at dir.
 func Open(kind, dir string) (Engine, error) {
 	switch kind {
 	case KindMem:
 		return NewMem(), nil
-	case "", "wal", KindSegment:
+	case "", KindSegment:
 		if dir == "" {
 			return nil, fmt.Errorf("reldb: storage engine %q requires a directory", KindSegment)
 		}

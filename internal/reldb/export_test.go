@@ -1,10 +1,5 @@
 package reldb
 
-import (
-	"fmt"
-	"io"
-)
-
 // WriteLocks reports how often the engine's write lock has been taken —
 // what a commit is meant to do once — for the tests of package reldb_test,
 // which drive the engine through the datastore.
@@ -45,41 +40,4 @@ func StringCodes(b *ColumnBlock, col int) []uint32 {
 	}
 	codes, _ := dictOf(b.cols[col].strs)
 	return codes
-}
-
-// CopyTree copies the files under src into dst.
-var CopyTree = copyTree
-
-// LogOps renders each record of the log at path as its kind and what it
-// names — "drop index t.i", "create index t.i", "create table t", "row t"
-// — for the tests of package reldb_test, which count DDL by it.
-func LogOps(path string) ([]string, error) {
-	f, err := osFS{}.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var ops []string
-	rr := newRecordReader(f)
-	for {
-		payload, err := rr.readRecord()
-		if err == io.EOF {
-			return ops, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		m, err := decodeMutationPayload(payload)
-		if err != nil {
-			return nil, err
-		}
-		switch {
-		case m.op == opCreateTable:
-			ops = append(ops, "create table "+m.schema.Name)
-		case m.op == opCreateIndex || m.op == opDropIndex:
-			ops = append(ops, fmt.Sprintf("%s index %s.%s", map[mutOp]string{opCreateIndex: "create", opDropIndex: "drop"}[m.op], m.table, m.index.Name))
-		default:
-			ops = append(ops, "row "+m.table)
-		}
-	}
 }

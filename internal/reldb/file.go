@@ -1,7 +1,7 @@
 package reldb
 
 import (
-	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
@@ -9,11 +9,11 @@ import (
 	"math"
 	"path/filepath"
 	"slices"
+	"strings"
 )
 
 const (
-	snapshotFile = "perftrack.snap" // a legacy directory's, read once
-	walFile      = "perftrack.wal"
+	walFile = "perftrack.wal"
 	// logBufBytes is how many bytes of DDL records a log buffers
 	// before it writes them out without waiting for a commit.
 	logBufBytes = 64 << 10
@@ -137,32 +137,24 @@ func (db *DB) discardLogs(logs []*logFile) (bytes uint64) {
 	return bytes
 }
 
-// Record tags of perftrack.snap, a legacy directory's snapshot.
-const (
-	snapTagSchema byte = 1
-	snapTagRow    byte = 2
-)
+// ErrFormat is what an open returns for a directory this program did not
+// write: one whose manifest states another version, or one that holds
+// the engine's files but no manifest. Nothing in it is touched. The
+// directory's PTdf is the way forward: PTdf is the interchange format,
+// and every store is built from it.
+var ErrFormat = errors.New("reldb: the store is not in this program's format; re-load it from PTdf")
 
-// open opens (or creates) the store rooted at dir of fsys. Recovery reads
-// the manifest's segments, then perftrack.wal, attaching each table's
-// segments as the table is created, without inserting a row, then each
-// table's tail logs at or above its low-water mark in sequence order (the
-// ones below it are deleted unread: a segment the manifest names holds
-// their rows). An insert a segment already serves is a no-op, and a run
-// of deletes — a commit's, of one table — replaces each block it touches
-// once, exactly as the commit did (the log is truth).
-//
-// A directory whose manifest predates version 5 may keep rows in
-// perftrack.snap and in perftrack.wal: those are read once, first the
-// snapshot, into the tails, and the open drains every tail into segments
-// — the pass writes the first version-5 manifest — before it removes the
-// files (dropLegacyLocked). Under a version-5 manifest such rows were
-// written already, by an open that a crash kept from removing the files:
-// only the schema is read of them, and they are removed.
+// open opens (or creates) the store rooted at dir of fsys. A directory
+// opens at the current manifest version or not at all (segState.load).
+// Recovery reads the manifest's segments, then perftrack.wal — the
+// schema — attaching each table's segments as the table is created,
+// without inserting a row, then each table's tail logs at or above its
+// low-water mark in sequence order (the ones below it are deleted
+// unread: a segment the manifest names holds their rows). An insert a
+// segment already serves is a no-op, and a run of deletes — a commit's,
+// of one table — replaces each block it touches once, exactly as the
+// commit did (the log is truth).
 func open(fsys FS, kind, dir string) (_ *DB, err error) {
-	if err := fsys.MkdirAll(filepath.Join(dir, segmentSubdir)); err != nil {
-		return nil, fmt.Errorf("reldb: open %s: %w", dir, err)
-	}
 	db := &DB{tables: make(map[string]*Table), fsys: fsys, kind: kind, dir: dir, replaying: true}
 	db.seg = newSegState(db)
 	defer func() {
@@ -170,24 +162,15 @@ func open(fsys FS, kind, dir string) (_ *DB, err error) {
 			db.closeLogs()
 		}
 	}()
-	version, err := db.seg.load()
-	if err != nil {
+	if err := db.seg.load(); err != nil {
 		return nil, err
 	}
-	legacy := version < segmentsHoldRowsVersion
-	_, statErr := fsys.Size(db.snapPath())
-	snap := statErr == nil
-	if snap {
-		if err := db.loadSnapshot(legacy); err != nil {
-			return nil, err
-		}
+	if err := fsys.MkdirAll(db.seg.dir); err != nil {
+		return nil, fmt.Errorf("reldb: open %s: %w", dir, err)
 	}
-	walRows := false
 	walBytes, err := db.replayLog(db.walPath(), func(m *mutation) error {
 		if m.isRowOp() {
-			if walRows = true; !legacy {
-				return nil
-			}
+			return fmt.Errorf("%w: %s holds op %d on %q", ErrCorruptLog, walFile, m.op, m.table)
 		}
 		return db.apply(m)
 	})
@@ -198,9 +181,6 @@ func open(fsys FS, kind, dir string) (_ *DB, err error) {
 		return nil, err
 	}
 	db.seg.loaded, db.seg.loadedLow = nil, nil
-	for _, t := range db.order {
-		t.orderLocked()
-	}
 	if db.wal, err = openLog(fsys, db.walPath(), 0, walBytes); err != nil {
 		return nil, fmt.Errorf("reldb: open WAL: %w", err)
 	}
@@ -210,11 +190,6 @@ func open(fsys FS, kind, dir string) (_ *DB, err error) {
 		return nil, fmt.Errorf("reldb: open %s: %w", dir, err)
 	}
 	db.replaying = false
-	if legacy && (snap || walRows) {
-		if err := db.seg.drain(true); err != nil {
-			return nil, err
-		}
-	}
 	// Resync the manifest with post-replay state (a replayed DROP TABLE or
 	// delete may have retired segments) before orphan cleanup, so the
 	// manifest never references a deleted file.
@@ -223,11 +198,6 @@ func open(fsys FS, kind, dir string) (_ *DB, err error) {
 		return nil, err
 	}
 	db.seg.cleanOrphans(m)
-	if snap || walRows {
-		if err := db.dropLegacyLocked(); err != nil {
-			return nil, err
-		}
-	}
 	go db.seg.run()
 	// A tail that replay left at or above the threshold drains now, not
 	// at the next commit.
@@ -237,6 +207,37 @@ func open(fsys FS, kind, dir string) (_ *DB, err error) {
 	return db, nil
 }
 
+// checkFresh refuses, as version 0, a directory without a manifest that
+// holds any of the engine's files: perftrack.snap (which only an older
+// program wrote), a perftrack.wal with records, a tail log or a segment
+// file. An empty perftrack.wal is what an open that crashed before its
+// first manifest leaves; such a directory, like one that does not exist
+// yet, is fresh.
+func (db *DB) checkFresh() error {
+	_, err := db.fsys.Size(filepath.Join(db.dir, "perftrack.snap"))
+	stale := !errors.Is(err, fs.ErrNotExist)
+	if size, err := db.fsys.Size(db.walPath()); err == nil && size > 0 {
+		stale = true
+	}
+	names, err := db.fsys.ReadDir(db.seg.dir)
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return fmt.Errorf("reldb: open %s: %w", db.seg.dir, err)
+	}
+	for _, name := range names {
+		stale = stale || strings.HasPrefix(name, "tail-") || strings.HasSuffix(name, ".seg")
+	}
+	if stale {
+		return db.formatError(0)
+	}
+	return nil
+}
+
+// formatError is ErrFormat for a directory at the given version (0: one
+// without a manifest).
+func (db *DB) formatError(version uint64) error {
+	return fmt.Errorf("%w (%s holds version %d; this program reads version %d only)", ErrFormat, cmp.Or(db.dir, "."), version, manifestVersion)
+}
+
 // SetSync controls whether a commit fsyncs the logs it touched (and a
 // DDL statement its log). Synchronous mode is durable against power loss
 // but much slower — a commit fsyncs the tail log of each table it writes,
@@ -244,12 +245,11 @@ func open(fsys FS, kind, dir string) (_ *DB, err error) {
 // it is off by default, matching a DBMS with commit batching.
 func (db *DB) SetSync(sync bool) { db.syncWAL = sync }
 
-func (db *DB) snapPath() string { return filepath.Join(db.dir, snapshotFile) }
-func (db *DB) walPath() string  { return filepath.Join(db.dir, walFile) }
+func (db *DB) walPath() string { return filepath.Join(db.dir, walFile) }
 
 // isRowOp reports whether the mutation changes a row, not the schema.
 func (m *mutation) isRowOp() bool {
-	return m.op == opInsert || m.op == opUpdate || m.op == opDelete || m.op == opInsertBlock
+	return m.op == opDelete || m.op == opInsertBlock
 }
 
 // logLocked appends one DDL statement, applied in place, to
@@ -377,82 +377,42 @@ func (db *DB) apply(m *mutation) error {
 		db.replayDel.table, db.replayDel.ids = m.table, append(db.replayDel.ids, m.id)
 		return nil
 	case opCreateTable:
-		// The snapshot may have made the table already: a legacy checkpoint
-		// that crashed between its snapshot and the truncation leaves DDL
-		// the snapshot reflects, and an open that crashed between rewriting
-		// perftrack.wal and removing the snapshot leaves the schema in both.
-		// A table that exists as the record describes it, indexes set aside,
-		// takes the record's indexes: the log's later CREATE and DROP INDEX
-		// records, if any, replay from there to the truth.
-		if t := db.tables[m.schema.Name]; t != nil {
-			have := *t.schema
-			have.Indexes = m.schema.Indexes
-			if bytes.Equal(encodeSchemaPayload(nil, &have), encodeSchemaPayload(nil, m.schema)) {
-				for _, ix := range slices.Clone(t.schema.Indexes) {
-					db.dropIndexLocked(t.schema.Name, ix.Name)
-				}
-				for _, ix := range m.schema.Indexes {
-					if err := db.createIndexLocked(t.schema.Name, ix); err != nil {
-						return err
-					}
-				}
-				return nil
-			}
-		}
 		return db.createTableLocked(m.schema)
 	case opDropTable:
 		db.dropTableLocked(m.table)
 		delete(db.seg.loaded, m.table) // the rows the manifest's segments held died with the table
 		return nil
 	case opCreateIndex:
-		if t := db.tables[m.table]; t != nil {
-			if ix := t.indexes[m.index.Name]; ix != nil && ix.spec.Unique == m.index.Unique && slices.Equal(ix.spec.Columns, m.index.Columns) {
-				return nil
-			}
-		}
 		return db.createIndexLocked(m.table, m.index)
 	case opDropIndex:
-		if t := db.tables[m.table]; t != nil && t.indexes[m.index.Name] == nil {
-			return nil // the snapshot is newer than this record and already lacks the index
-		}
 		return db.dropIndexLocked(m.table, m.index.Name)
 	}
 	t, ok := db.tables[m.table]
 	if !ok {
 		return fmt.Errorf("reldb: recovery: no table %q", m.table)
 	}
-	switch m.op {
-	case opInsert, opUpdate:
-		return t.replayRowLocked(m.id, m.row)
-	case opInsertBlock:
-		if !m.block.matches(t.schema) {
-			return fmt.Errorf("%w: a block record's columns are not those of table %q", ErrCorruptLog, m.table)
-		}
-		var slab []Value
-		for i := 0; i < m.block.rows; i++ {
-			if err := t.replayRowLocked(m.block.rowIDs.At(i), m.block.Row(i, &slab)); err != nil {
-				return err
-			}
-		}
-		return nil
+	if !m.block.matches(t.schema) {
+		return fmt.Errorf("%w: a block record's columns are not those of table %q", ErrCorruptLog, m.table)
 	}
-	return fmt.Errorf("%w: op %d", ErrCorruptLog, m.op)
+	var slab []Value
+	for i := 0; i < m.block.rows; i++ {
+		if err := t.replayRowLocked(m.block.rowIDs.At(i), m.block.Row(i, &slab)); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-// replayRowLocked puts a logged row image in place, as a record of one
-// row or a row of a block record.
+// replayRowLocked puts a row of a replayed block record in place. A row
+// a segment already serves — a log outlives the crash window between a
+// pass's manifest and the removal of the logs it superseded — is an
+// idempotent no-op when the images are equal, which keeps a flushed row
+// flushed; on divergence the log wins.
 func (t *Table) replayRowLocked(id int64, row Row) error {
 	ref, exists := t.findIDLocked(id)
 	if !exists {
-		// For an update: a legacy snapshot is newer than this record and the
-		// row was later deleted-and-recreated; restoring the image lets the
-		// remaining log replay onto the right state.
 		return t.insertAtLocked(id, row)
 	}
-	// The row was loaded from a legacy snapshot or is served by a segment
-	// (a log outlives the crash window between a pass's manifest and the
-	// removal of the logs it superseded). Equal images are an idempotent
-	// no-op, which keeps a flushed row flushed; on divergence the log wins.
 	if rowsEqual(ref.clone(), row) {
 		return nil
 	}
@@ -460,8 +420,8 @@ func (t *Table) replayRowLocked(id int64, row Row) error {
 }
 
 // applyDeletesLocked applies the run of replayed deletes apply held back,
-// all of one table. A row that is not there was deleted before a legacy
-// snapshot was written.
+// all of one table. A row that is not there is one whose delete a
+// replacement segment the manifest names already holds.
 func (db *DB) applyDeletesLocked() error {
 	d := &db.replayDel
 	if len(d.ids) == 0 {
@@ -478,8 +438,8 @@ func (db *DB) applyDeletesLocked() error {
 }
 
 // rowsEqual reports bit-exact row equality (NaN-aware for floats). The
-// replay path uses it to recognize an idempotent re-insert of a row that
-// was preloaded from a legacy snapshot or a segment.
+// replay path uses it to recognize an idempotent re-insert of a row a
+// segment serves.
 func rowsEqual(a, b Row) bool {
 	if len(a) != len(b) {
 		return false
@@ -509,59 +469,6 @@ func rowsEqual(a, b Row) bool {
 		}
 	}
 	return true
-}
-
-// loadSnapshot reads a legacy directory's perftrack.snap: its tables, and
-// with rows set their rows into the tails. A row a manifest-listed
-// segment already holds is skipped: the snapshot and the manifest can be
-// of different ages — a checkpoint crashed between writing the two, or
-// snapshotted a tail a pass then flushed — and then the logs since the
-// older of them are intact, so either image replays to the truth.
-func (db *DB) loadSnapshot(rows bool) error {
-	f, err := db.fsys.Open(db.snapPath())
-	if err != nil {
-		return fmt.Errorf("reldb: open snapshot: %w", err)
-	}
-	defer f.Close()
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	rr := newRecordReader(f)
-	var t *Table // the table whose rows follow
-	for {
-		payload, err := rr.readRecord()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return fmt.Errorf("reldb: snapshot %s: %w", db.snapPath(), err)
-		}
-		p := &payloadReader{buf: payload}
-		switch tag := p.byteVal(); {
-		case tag == snapTagSchema:
-			schema, err := decodeSchemaPayload(p)
-			if err == nil {
-				err = db.createTableLocked(schema)
-			}
-			if err != nil {
-				return err
-			}
-			t = db.tables[schema.Name]
-		case tag == snapTagRow && t != nil:
-			if !rows {
-				continue
-			}
-			id := p.varint()
-			row, err := decodeRowPayload(p)
-			if _, held := t.findIDLocked(id); err == nil && !held {
-				err = t.insertAtLocked(id, row)
-			}
-			if err != nil {
-				return err
-			}
-		default:
-			return fmt.Errorf("%w: snapshot record of kind %d", ErrCorruptLog, tag)
-		}
-	}
 }
 
 // replayLog applies the records of the log at path in order and returns
@@ -659,7 +566,7 @@ func (db *DB) Checkpoint() error {
 }
 
 // rewriteWALLocked replaces perftrack.wal — the DDL records since it was
-// last rewritten, or a legacy directory's rows — with one CREATE TABLE
+// last rewritten — with one CREATE TABLE
 // record per table, parents first, through replaceFile: temp file, fsync,
 // rename, fsync the directory. Either file replays to the same schema.
 func (db *DB) rewriteWALLocked() error {
@@ -678,21 +585,6 @@ func (db *DB) rewriteWALLocked() error {
 	db.logTrimmed += uint64(db.wal.size)
 	db.logAppended += uint64(len(buf))
 	l.synced, db.wal = l.size, l
-	return nil
-}
-
-// dropLegacyLocked removes what a directory from before manifest version 5
-// kept rows in, once a manifest of that version names segments holding
-// them: perftrack.wal is rewritten to the schema alone, and only then
-// does perftrack.snap go — in a directory a legacy checkpoint left, the
-// snapshot is where the schema lives until the new WAL holds it.
-func (db *DB) dropLegacyLocked() error {
-	if err := db.rewriteWALLocked(); err != nil {
-		return err
-	}
-	if err := db.fsys.Remove(db.snapPath()); err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return fmt.Errorf("reldb: remove %s: %w", db.snapPath(), err)
-	}
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package reldb
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -176,7 +177,8 @@ var errFault = errors.New("injected fault")
 
 // faultFS is a memFS whose k-th write or sync fails — counting file
 // writes, file syncs and directory syncs from the moment it is armed. A
-// write that fails gets half its bytes into the file first.
+// write that fails gets half its bytes into the file first. Armed or not,
+// it counts every call that changes a file or a directory.
 type faultFS struct {
 	*memFS
 	mu         sync.Mutex
@@ -184,6 +186,7 @@ type faultFS struct {
 	failAt     int // 0: disarmed
 	tripped    bool
 	syncFailed bool // the fault was a file or directory sync's
+	mutations  int
 }
 
 func (f *faultFS) arm(k int) {
@@ -203,6 +206,7 @@ func (f *faultFS) disarm() bool {
 func (f *faultFS) trip(sync bool) bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	f.mutations++
 	if f.failAt == 0 {
 		return false
 	}
@@ -217,7 +221,35 @@ func (f *faultFS) trip(sync bool) bool {
 func (f *faultFS) Create(name string) (File, error) { return f.wrap(f.memFS.Create(name)) }
 func (f *faultFS) Append(name string) (File, error) { return f.wrap(f.memFS.Append(name)) }
 
+func (f *faultFS) Rename(oldname, newname string) error {
+	f.mutated()
+	return f.memFS.Rename(oldname, newname)
+}
+
+func (f *faultFS) Remove(name string) error {
+	f.mutated()
+	return f.memFS.Remove(name)
+}
+
+func (f *faultFS) Truncate(name string, size int64) error {
+	f.mutated()
+	return f.memFS.Truncate(name, size)
+}
+
+func (f *faultFS) MkdirAll(dir string) error {
+	f.mutated()
+	return f.memFS.MkdirAll(dir)
+}
+
+// mutated counts a call that changes the filesystem but cannot fail.
+func (f *faultFS) mutated() {
+	f.mu.Lock()
+	f.mutations++
+	f.mu.Unlock()
+}
+
 func (f *faultFS) wrap(file File, err error) (File, error) {
+	f.mutated()
 	if err != nil {
 		return nil, err
 	}
@@ -249,6 +281,11 @@ func (f *faultFile) Sync() error {
 		return errFault
 	}
 	return f.File.Sync()
+}
+
+func (f *faultFile) Truncate(size int64) error {
+	f.fs.mutated()
+	return f.File.Truncate(size)
 }
 
 // TestFaultFSFailedCommitLeavesNoRecord runs a document-shaped commit — a
@@ -345,6 +382,124 @@ func TestFaultFSFailedCommitLeavesNoRecord(t *testing.T) {
 		if !tripped {
 			t.Logf("the commit took %d writes and syncs; each failed once", k-1)
 			return
+		}
+	}
+}
+
+// setManifestVersion rewrites the version in the header record of the
+// manifest of the store at dir of fsys.
+func setManifestVersion(t *testing.T, fsys *memFS, dir string, version uint64) {
+	t.Helper()
+	path := filepath.Join(dir, segmentSubdir, manifestFile)
+	buf := mustRead(t, fsys, path)
+	n := binary.LittleEndian.Uint32(buf)
+	p := &payloadReader{buf: buf[8 : 8+n]}
+	p.uvarint()
+	hdr := appendRecord(nil, putVarint(putUvarint(nil, version), p.varint()))
+	if err := replaceFile(fsys, path, append(hdr, buf[8+n:]...)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestOpenRefusesOtherFormats: a directory opens at the current manifest
+// version or not at all. Over the fault FS, a store whose manifest says
+// any of versions 1–6 or 8, and a manifest-less directory holding
+// perftrack.snap, rows in perftrack.wal, a tail log or a segment file,
+// is refused with ErrFormat naming the version it holds (0 without a
+// manifest), and the open makes no call that changes a file or a
+// directory. A fresh directory opens, and so does what an open that
+// failed before its first manifest leaves, as left and after a power
+// loss.
+func TestOpenRefusesOtherFormats(t *testing.T) {
+	src := newMemFS()
+	db := openTestEngineOn(t, src, "db")
+	mustCreate(t, db, personSchema())
+	commitRows(t, db, "person", personRows(0, 5))
+	if err := db.CompactSegments(); err != nil {
+		t.Fatal(err)
+	}
+	commitRows(t, db, "person", personRows(5, 3)) // left in a tail log
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	files, err := src.ReadDir(filepath.Join("db", segmentSubdir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pick := func(suffix string) string {
+		t.Helper()
+		for _, name := range files {
+			if strings.HasSuffix(name, suffix) {
+				return filepath.Join("db", segmentSubdir, name)
+			}
+		}
+		t.Fatalf("no %s file in %v", suffix, files)
+		return ""
+	}
+	b := &ColumnBlock{}
+	b.reset(personSchema(), 1)
+	b.appendRow(1, Row{Int(1), Str("a"), Null(), Null()})
+	walRows := appendBlockRecords(appendRecord(nil, encodeMutationPayload(&mutation{op: opCreateTable, schema: personSchema()})), "person", b)
+
+	refused := func(name string, fsys *memFS, version uint64) {
+		t.Helper()
+		f := &faultFS{memFS: fsys}
+		_, err := open(f, KindMem, "db")
+		want := fmt.Sprintf("re-load it from PTdf (db holds version %d; this program reads version %d only)", version, manifestVersion)
+		if !errors.Is(err, ErrFormat) || errors.Is(err, ErrCorruptLog) || !strings.HasSuffix(fmt.Sprint(err), want) {
+			t.Errorf("%s: the open returned %v, want ErrFormat ending %q", name, err, want)
+		}
+		if f.mutations != 0 {
+			t.Errorf("%s: the refused open made %d calls that change the filesystem", name, f.mutations)
+		}
+	}
+	for _, v := range []uint64{1, 2, 3, 4, 5, 6, manifestVersion + 1} {
+		fsys := src.Crash()
+		setManifestVersion(t, fsys, "db", v)
+		refused(fmt.Sprintf("manifest version %d", v), fsys, v)
+	}
+	for name, file := range map[string]struct {
+		path string
+		data []byte
+	}{
+		"perftrack.snap":           {filepath.Join("db", "perftrack.snap"), mustRead(t, src, filepath.Join("db", walFile))},
+		"rows in perftrack.wal":    {filepath.Join("db", walFile), walRows},
+		"a tail log":               {pick(".log"), mustRead(t, src, pick(".log"))},
+		"a segment file":           {pick(".seg"), mustRead(t, src, pick(".seg"))},
+		"a DDL-only perftrack.wal": {filepath.Join("db", walFile), mustRead(t, src, filepath.Join("db", walFile))},
+	} {
+		fsys := newMemFS()
+		if err := fsys.MkdirAll(filepath.Dir(file.path)); err != nil {
+			t.Fatal(err)
+		}
+		if err := replaceFile(fsys, file.path, file.data); err != nil {
+			t.Fatal(err)
+		}
+		refused(name+" and no manifest", fsys, 0)
+	}
+
+	// A fresh open with its k-th write or sync failing, for every k up to
+	// the first it gets through: what each failure leaves reopens.
+	for k := 1; ; k++ {
+		f := &faultFS{memFS: newMemFS()}
+		f.arm(k)
+		db, err := open(f, KindMem, "db")
+		if tripped := f.disarm(); tripped == (err == nil) {
+			t.Fatalf("k=%d: the fault fired = %v, the open returned %v", k, tripped, err)
+		}
+		if err == nil {
+			db.Close()
+			if k == 1 {
+				t.Fatal("a fresh open wrote nothing")
+			}
+			return
+		}
+		for label, m := range map[string]*memFS{"as left": f.memFS, "after a power loss": f.memFS.Crash()} {
+			re, err := open(m, KindMem, "db")
+			if err != nil {
+				t.Fatalf("k=%d, %s: %v", k, label, err)
+			}
+			re.Close()
 		}
 	}
 }

@@ -633,98 +633,6 @@ func TestSegmentIndexDDLCoversFlushedRows(t *testing.T) {
 	}
 }
 
-// TestSegmentRecoveryWhenSnapshotAndManifestOverlap covers the two ways
-// a snapshot written before manifest version 5 can hold rows that a
-// manifest-listed segment or a tail log holds too; in both the logs since
-// the older of the two are intact and recovery must reach the model's
-// answer.
-func TestSegmentRecoveryWhenSnapshotAndManifestOverlap(t *testing.T) {
-	// A commit that landed between a checkpoint's drain and its snapshot
-	// had its rows snapshotted; a pass later put them in a segment as well.
-	t.Run("tail-snapshotted-then-resegmented", func(t *testing.T) {
-		p := newHotPair(t)
-		defer func() { p.fe.Close() }()
-		p.fe.seg.shutdown() // every pass runs on this goroutine
-		p.load(0, 200)
-		if err := p.fe.CompactSegments(); err != nil {
-			t.Fatal(err)
-		}
-		p.load(200, 10)
-		p.checkpointWith(func() { p.load(210, 50) })
-		if st := hotStatus(t, p.fe, "performance_result"); st.Rows != 210 || st.PendingRows != 50 {
-			t.Fatalf("status after the checkpoint = %+v, want the late commit's 50 rows in the tail", st)
-		}
-		snap := legacySnapshot(p.fe)
-		p.both("delete flushed row", func(eng writer) error { return eng.Delete("performance_result", 5) })
-		if err := p.fe.CompactSegments(); err != nil {
-			t.Fatal(err)
-		}
-		if st := hotStatus(t, p.fe, "performance_result"); st.Segments != 3 || st.Rows != 259 {
-			t.Fatalf("status after the pass = %+v, want 259 rows in 3 segments", st)
-		}
-		p.fe.Stats() // flushes the logs to their files
-		abandon(p.fe)
-		asLegacy(t, p.fsys, p.dir, snap)
-		p.fe = openTestEngine(t, p.dir)
-		p.check("reopened")
-		if st := hotStatus(t, p.fe, "performance_result"); st.Rows != 259 || st.PendingRows != 0 {
-			t.Fatalf("status after recovery = %+v, want the segments to serve all 259 rows", st)
-		}
-	})
-	// A checkpoint wrote a snapshot holding a late commit's rows and
-	// crashed before rewriting the manifest, which its drain's pass wrote
-	// (with a replacement a delete made), and before trimming the late
-	// commit's tail log.
-	t.Run("checkpoint-crashed-before-manifest", func(t *testing.T) {
-		p := newHotPair(t)
-		defer func() { p.fe.Close() }()
-		p.fe.seg.shutdown()
-		p.load(0, 200)
-		if err := p.fe.CompactSegments(); err != nil {
-			t.Fatal(err)
-		}
-		p.load(200, 10)
-		p.both("delete flushed row", func(eng writer) error { return eng.Delete("performance_result", 7) })
-		p.checkpointWith(func() { p.load(210, 30) })
-		snap := legacySnapshot(p.fe)
-		if n := hotStatus(t, p.fe, "performance_result").PendingRows; n != 30 {
-			t.Fatalf("the snapshot holds %d performance_result rows, want the late commit's 30", n)
-		}
-		p.fe.Stats()
-		abandon(p.fe)
-		asLegacy(t, p.fsys, p.dir, snap)
-		p.fe = openTestEngine(t, p.dir)
-		p.check("reopened")
-		// The open read the directory as legacy and drained: the late
-		// commit's rows are in a segment, not in the tail or its log.
-		if st := hotStatus(t, p.fe, "performance_result"); st.Rows != 239 || st.PendingRows != 0 || st.LogFiles != 0 {
-			t.Fatalf("status after recovery = %+v, want the segments to serve all 239 rows", st)
-		}
-	})
-}
-
-// checkpointWith runs a checkpoint that calls late once its drain has
-// published what it sealed: a write that lands between the drain and the
-// snapshot. The compactor must be stopped, and the checkpoint must find
-// something to seal.
-func (p *hotPair) checkpointWith(late func()) {
-	p.t.Helper()
-	st := p.fe.seg
-	st.step = func(step string) {
-		if f := late; step == "log removal" && f != nil {
-			late = nil
-			f()
-		}
-	}
-	defer func() { st.step = nil }()
-	if err := p.fe.Checkpoint(); err != nil {
-		p.t.Fatal(err)
-	}
-	if late != nil {
-		p.t.Fatal("the checkpoint sealed nothing")
-	}
-}
-
 // brokenFile is a file whose writes fail.
 type brokenFile struct{ File }
 

@@ -42,13 +42,8 @@ import (
 //
 // An integer stream is the first value and the least delta as varints, a
 // bit width, and each delta less the least one bit-packed at that width.
-// Format 1 ("PTSEG001": zig-zag varint deltas, uvarint codes, raw floats)
-// is read, never written.
 
-const (
-	segMagic   = "PTSEG002"
-	segMagicV1 = "PTSEG001"
-)
+const segMagic = "PTSEG002"
 
 // ErrCorruptSegment reports a segment file that failed structural or
 // checksum validation (including a torn tail from a crashed write).
@@ -787,35 +782,6 @@ func encodeSegment(s *segment) []byte {
 
 // --- decoding ---
 
-// segFormat is how one segment format writes integers and floats. Each
-// reader decodes n values from the front of data and returns what
-// follows them; it checks that the bytes they take are there before it
-// allocates. A zero-width integer stream takes none for any n, so there
-// only the footer's bound on rows limits what is allocated. An integer
-// column or the row IDs are read into a vector whose values the footer
-// says lie in [lo, hi].
-type segFormat struct {
-	ints   func(data []byte, n int, lo, hi int64) (IntVec, []byte, error)
-	codes  func(data []byte, n int) ([]int64, []byte, error)
-	floats func(data []byte, n int) ([]float64, []byte, error)
-}
-
-// segFormats maps a segment's magic to its format.
-var segFormats = map[string]segFormat{
-	segMagic: {readIntVec, readInts, readFloats},
-	// Format 1: zig-zag varint deltas off a running base, uvarint
-	// dictionary codes, raw floats.
-	segMagicV1: {
-		ints: func(data []byte, n int, _, _ int64) (IntVec, []byte, error) {
-			vals, rest, err := readVarints(data, n, true)
-			v := IntVec{n: len(vals), w: 8, i64: vals}
-			return v.narrowed(), rest, err
-		},
-		codes:  func(data []byte, n int) ([]int64, []byte, error) { return readVarints(data, n, false) },
-		floats: readRawFloats,
-	},
-}
-
 // readInts reads an integer stream of n values (appendInts).
 func readInts(data []byte, n int) ([]int64, []byte, error) {
 	return unpackInts[int64](data, n, 0, math.MaxUint64, 0)
@@ -894,27 +860,6 @@ func unpackInts[T Offsets](data []byte, n int, lo int64, span uint64, base int64
 	return out, rest, nil
 }
 
-// readVarints reads format 1's n varints: zig-zag deltas off a running
-// base or, without deltas, uvarint dictionary codes.
-func readVarints(data []byte, n int, deltas bool) ([]int64, []byte, error) {
-	if n > len(data) { // each takes a byte at least
-		return nil, nil, ErrCorruptSegment
-	}
-	p, out, prev := &payloadReader{buf: data}, make([]int64, n), int64(0)
-	for i := range out {
-		if deltas {
-			prev += p.varint()
-			out[i] = prev
-		} else {
-			out[i] = int64(p.uvarint())
-		}
-	}
-	if p.err != nil {
-		return nil, nil, ErrCorruptSegment
-	}
-	return out, p.buf, nil
-}
-
 // readFloats reads a float column of n values (appendFloats).
 func readFloats(data []byte, n int) ([]float64, []byte, error) {
 	if len(data) == 0 {
@@ -962,7 +907,7 @@ func decodeBitmap(data []byte, n int) ([]bool, []byte, error) {
 }
 
 // decodeColumn reads a column block of n rows; z is the column's zone map.
-func decodeColumn(kind Kind, data []byte, n int, f segFormat, z zoneMap) (colVec, error) {
+func decodeColumn(kind Kind, data []byte, n int, z zoneMap) (colVec, error) {
 	cv := colVec{kind: kind}
 	if len(data) == 0 || data[0] > 1 {
 		return cv, ErrCorruptSegment
@@ -984,9 +929,9 @@ func decodeColumn(kind Kind, data []byte, n int, f segFormat, z zoneMap) (colVec
 		if cv.nulls != nil { // a NULL keeps a zero
 			lo, hi = min(lo, 0), max(hi, 0)
 		}
-		cv.ints, data, err = f.ints(data, n, lo, hi)
+		cv.ints, data, err = readIntVec(data, n, lo, hi)
 	case KindFloat:
-		cv.floats, data, err = f.floats(data, n)
+		cv.floats, data, err = readFloats(data, n)
 	case KindString:
 		p := &payloadReader{buf: data}
 		cv.words = make([]string, p.count())
@@ -997,7 +942,7 @@ func decodeColumn(kind Kind, data []byte, n int, f segFormat, z zoneMap) (colVec
 			return cv, ErrCorruptSegment
 		}
 		var codes []int64
-		if codes, data, err = f.codes(p.buf, n); err != nil {
+		if codes, data, err = readInts(p.buf, n); err != nil {
 			return cv, err
 		}
 		cv.strs, cv.codes = make([]string, n), make([]uint32, n)
@@ -1024,8 +969,7 @@ func decodeSegment(buf []byte) (*segment, error) {
 	if len(buf) < 2*magicLen+8 {
 		return nil, ErrCorruptSegment
 	}
-	f, ok := segFormats[string(buf[:magicLen])]
-	if !ok || string(buf[len(buf)-magicLen:]) != string(buf[:magicLen]) {
+	if string(buf[:magicLen]) != segMagic || string(buf[len(buf)-magicLen:]) != segMagic {
 		return nil, ErrCorruptSegment
 	}
 	tail := buf[len(buf)-magicLen-8 : len(buf)-magicLen]
@@ -1087,7 +1031,7 @@ func decodeSegment(buf []byte) (*segment, error) {
 	if err != nil {
 		return nil, err
 	}
-	if s.rowIDs, rb, err = f.ints(rb, s.rows, s.minRowID, s.maxRowID); err != nil || len(rb) != 0 {
+	if s.rowIDs, rb, err = readIntVec(rb, s.rows, s.minRowID, s.maxRowID); err != nil || len(rb) != 0 {
 		return nil, ErrCorruptSegment
 	}
 	for ci, m := range metas {
@@ -1095,7 +1039,7 @@ func decodeSegment(buf []byte) (*segment, error) {
 		if err != nil {
 			return nil, err
 		}
-		if s.cols[ci], err = decodeColumn(m.kind, cb, s.rows, f, s.zones[ci]); err != nil {
+		if s.cols[ci], err = decodeColumn(m.kind, cb, s.rows, s.zones[ci]); err != nil {
 			return nil, err
 		}
 	}

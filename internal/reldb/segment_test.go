@@ -11,7 +11,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
-	"strings"
 	"testing"
 )
 
@@ -287,52 +286,6 @@ func TestSegmentCrashRecoveryBetweenCompactionAndCheckpoint(t *testing.T) {
 	}
 }
 
-// legacySnapshot renders what a checkpoint wrote to perftrack.snap before
-// manifest version 5: every table's schema, each followed by the rows no
-// segment holds — its tails'.
-func legacySnapshot(db *DB) []byte {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	var snap []byte
-	for _, t := range db.order {
-		snap = appendRecord(snap, encodeSchemaPayload([]byte{snapTagSchema}, t.schema))
-		for _, s := range t.tailsLocked() {
-			span{s, &s.ColumnBlock, s.pkPerm(t.pkCols), 0, s.rows}.each(func(b *ColumnBlock, i int) bool {
-				snap = appendRecord(snap, encodeRowPayload(putVarint([]byte{snapTagRow}, b.rowIDs.At(i)), b.Row(i, nil)))
-				return true
-			})
-		}
-	}
-	return snap
-}
-
-// asLegacy makes the store at dir of fsys one that a program before
-// manifest version 5 left: snap is its perftrack.snap, and its manifest
-// says version 4.
-func asLegacy(t *testing.T, fsys FS, dir string, snap []byte) {
-	t.Helper()
-	if err := replaceFile(fsys, filepath.Join(dir, snapshotFile), snap); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, segmentSubdir, manifestFile)
-	buf, err := fsys.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hdr, err := newRecordReader(bytes.NewReader(buf)).readRecord()
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := &payloadReader{buf: hdr}
-	if version := p.uvarint(); version != manifestVersion {
-		t.Fatalf("the manifest says version %d, want %d", version, manifestVersion)
-	}
-	legacy := appendRecord(nil, putVarint(putUvarint(nil, segmentsHoldRowsVersion-1), p.varint()))
-	if err := replaceFile(fsys, path, append(legacy, buf[8+len(hdr):]...)); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestSegmentCheckpointIsIncremental: a checkpoint writes the tail to a
 // segment and leaves the flushed ones as they are, writes no snapshot,
 // and leaves perftrack.wal holding the schema alone; the rows committed
@@ -359,8 +312,8 @@ func TestSegmentCheckpointIsIncremental(t *testing.T) {
 	if got := fe.SegmentStats().SegmentsWritten - written; got != 1 || len(segs) != len(flushed)+1 || !slices.Equal(segs[:len(flushed)], flushed) {
 		t.Fatalf("the checkpoint wrote %d segments, leaving %v where %v were", got, segs, flushed)
 	}
-	if _, err := os.Stat(filepath.Join(dir, snapshotFile)); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("a checkpoint wrote %s (%v)", snapshotFile, err)
+	if _, err := os.Stat(filepath.Join(dir, "perftrack.snap")); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("a checkpoint wrote perftrack.snap (%v)", err)
 	}
 	walHoldsSchemaOnly(t, osFS{}, dir)
 	insertResults(t, fe, 50)
@@ -563,15 +516,10 @@ func copyTree(t *testing.T, src, dst string) {
 	}
 }
 
-// TestOpenLegacyStoreDirectories opens store directories written by the
-// last commit that still had a separate "wal" engine and a
-// perftrack.engine marker (testdata/legacy_wal: 5 metric rows and 40
-// results in the snapshot, 20 more results only in the WAL;
-// testdata/legacy_segment: the same rows, the first 40 results in a
-// segment). Every spelling of the directory kind opens them as the one
-// engine with every row; the store then compacts, checkpoints and reopens
-// with every row, and the leftover marker is ignored.
-func TestOpenLegacyStoreDirectories(t *testing.T) {
+// TestOpenKinds: Open makes the in-memory engine for "mem" and the
+// directory engine for "segment" and "", which needs a directory; any
+// other kind is refused.
+func TestOpenKinds(t *testing.T) {
 	eng, err := Open(KindMem, "")
 	if err != nil {
 		t.Fatalf("mem open: %v", err)
@@ -580,213 +528,23 @@ func TestOpenLegacyStoreDirectories(t *testing.T) {
 		t.Fatalf("mem open: %T of kind %q, want *DB of kind %q", eng, eng.DB().Kind(), KindMem)
 	}
 	eng.Close()
-	if _, err := Open("bogus", t.TempDir()); err == nil {
-		t.Fatal("bogus kind accepted")
+	for _, kind := range []string{"bogus", "wal"} {
+		if _, err := Open(kind, t.TempDir()); err == nil {
+			t.Fatalf("kind %q accepted", kind)
+		}
 	}
 	if _, err := Open(KindSegment, ""); err == nil {
 		t.Fatal("a directory store opened without a directory")
 	}
-	check := func(t *testing.T, eng Engine, wantSegRows int64) {
-		t.Helper()
-		fe, ok := eng.(*DB)
-		if !ok || fe.Kind() != KindSegment {
-			t.Fatalf("engine = %T of kind %q, want *DB of kind %q", eng, eng.DB().Kind(), KindSegment)
-		}
-		if tab, _ := fe.Table("metric"); tab == nil || tab.Len() != 5 {
-			t.Fatalf("metric rows = %v, want 5", tab)
-		}
-		tab, _ := fe.Table("performance_result")
-		if tab == nil || tab.Len() != 60 {
-			t.Fatalf("performance_result = %v, want 60 rows", tab)
-		}
-		for i := 0; i < 60; i++ {
-			want := resultRow(i)
-			want[0] = Int(int64(i + 1))
-			if got, ok := tab.Get(int64(i + 1)); !ok || !rowsEqual(got, want) {
-				t.Fatalf("row %d = %v, want %v", i+1, got, want)
-			}
-		}
-		if got := fe.Stats().PerTable["performance_result"].SegmentRows; got != wantSegRows {
-			t.Fatalf("segment-resident rows = %d, want %d", got, wantSegRows)
-		}
-	}
-	for _, fixture := range []struct {
-		name    string
-		segRows int64 // segment-resident rows as written
-	}{{"legacy_wal", 0}, {"legacy_segment", 40}} {
-		for _, kind := range []string{"wal", "", KindSegment} {
-			t.Run(fixture.name+"/open-"+kind, func(t *testing.T) {
-				dir := t.TempDir()
-				copyTree(t, filepath.Join("testdata", fixture.name), dir)
-				eng, err := Open(kind, dir)
-				if err != nil {
-					t.Fatalf("Open(%q): %v", kind, err)
-				}
-				check(t, eng, 60) // the open wrote the legacy rows to segments
-				fe := eng.DB()
-				if err := fe.CompactSegments(); err != nil {
-					t.Fatal(err)
-				}
-				if err := fe.Checkpoint(); err != nil {
-					t.Fatal(err)
-				}
-				check(t, fe, 60)
-				if fixture.segRows > 0 { // a format-1 file is read as it is, never rewritten for its format
-					want, _ := os.ReadFile(legacySegmentFile)
-					got, err := os.ReadFile(filepath.Join(dir, segmentSubdir, filepath.Base(legacySegmentFile)))
-					if err != nil || !bytes.Equal(got, want) {
-						t.Fatalf("the format-1 segment after compaction and checkpoint: %v, equal %v", err, bytes.Equal(got, want))
-					}
-				}
-				fe.Close()
-				fe2, err := OpenFile(dir)
-				if err != nil {
-					t.Fatalf("reopen: %v", err)
-				}
-				defer fe2.Close()
-				check(t, fe2, 60)
-			})
-		}
-		// The old directory under the tail logs, never checkpointed: it loads,
-		// compacts, crashes and reopens with every row. The open wrote
-		// results 41..60, durable in the old perftrack.wal alone, to
-		// segments; the delete of one is in a tail log until the compaction.
-		t.Run(fixture.name+"/tail-logs", func(t *testing.T) {
-			dir := t.TempDir()
-			copyTree(t, filepath.Join("testdata", fixture.name), dir)
-			fe := openTestEngine(t, dir)
-			insertResults(t, fe, 10)
-			if err := fe.Delete("performance_result", 50); err != nil {
-				t.Fatal(err)
-			}
-			if err := fe.CompactSegments(); err != nil {
-				t.Fatal(err)
-			}
-			fe.Stats() // flushes the logs
-			abandon(fe)
-			fe = openTestEngine(t, dir)
-			defer fe.Close()
-			tab, _ := fe.Table("performance_result")
-			if _, ok := tab.Get(50); ok || tab.Len() != 69 {
-				t.Fatalf("after the crash: %d results, deleted row back = %v; want 69 and gone", tab.Len(), ok)
-			}
-			for i := 0; i < 10; i++ {
-				want := resultRow(i)
-				want[0] = Int(int64(61 + i))
-				if got, ok := tab.Get(int64(61 + i)); !ok || !rowsEqual(got, want) {
-					t.Fatalf("row %d = %v, want %v", 61+i, got, want)
-				}
-			}
-			// The compaction wrote the replacement of the block that held the
-			// deleted row: no tail log outlives it.
-			if st := hotStatus(t, fe, "performance_result"); st.Segments == 0 || st.LogFiles != 0 {
-				t.Fatalf("status after the crash = %+v, want segments and no tail log", st)
-			}
-		})
-	}
-}
-
-// memCopy returns a memFS holding, durably, the files under src.
-func memCopy(t *testing.T, src string) *memFS {
-	t.Helper()
-	m := newMemFS()
-	err := filepath.WalkDir(src, func(path string, d os.DirEntry, err error) error {
+	for _, kind := range []string{"", KindSegment} {
+		eng, err := Open(kind, t.TempDir())
 		if err != nil {
-			return err
+			t.Fatalf("Open(%q): %v", kind, err)
 		}
-		rel, _ := filepath.Rel(src, path)
-		if d.IsDir() {
-			return m.MkdirAll(rel)
+		if fe, ok := eng.(*DB); !ok || fe.Kind() != KindSegment {
+			t.Fatalf("Open(%q) = %T of kind %q, want *DB of kind %q", kind, eng, eng.DB().Kind(), KindSegment)
 		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		return replaceFile(m, rel, data)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m
-}
-
-// TestLegacyFilesLeaveAtOpen opens the legacy fixtures — a checkpointed
-// directory whose schema and first rows live in perftrack.snap, with more
-// rows and, appended here, a CREATE INDEX in perftrack.wal — over an
-// in-memory filesystem, with the open's k-th write or sync failing, for
-// every k up to the first the open gets through. After each failure the
-// directory reopens with every row and index, both as the failed process
-// left it and as a power loss leaves it. The open that gets through
-// leaves no perftrack.snap, a perftrack.wal holding the schema alone and
-// a version-5 manifest, and so does a checkpoint after it; the store
-// reads as before.
-func TestLegacyFilesLeaveAtOpen(t *testing.T) {
-	for _, fixture := range []string{"legacy_wal", "legacy_segment"} {
-		t.Run(fixture, func(t *testing.T) {
-			src := memCopy(t, filepath.Join("testdata", fixture))
-			wal := appendRecord(mustRead(t, src, walFile), encodeMutationPayload(&mutation{op: opCreateIndex,
-				table: "performance_result", index: IndexSpec{Name: "by_value", Columns: []string{"value"}}}))
-			if err := replaceFile(src, walFile, wal); err != nil {
-				t.Fatal(err)
-			}
-			ref := openTestEngineOn(t, src.Crash(), ".")
-			tables := ref.TableNames()
-			dump := func(db *DB) string {
-				out := dumpDB(db, tables)
-				for _, name := range tables {
-					tab, _ := db.Table(name)
-					out += fmt.Sprintf("%s indexes %v\n", name, tab.Schema().Indexes)
-				}
-				return out
-			}
-			want := dump(ref)
-			ref.Close()
-			if !strings.Contains(want, "by_value") {
-				t.Fatalf("the appended index did not replay:\n%s", want)
-			}
-			for k := 1; ; k++ {
-				fsys := &faultFS{memFS: src.Crash()}
-				fsys.arm(k)
-				db, err := open(fsys, KindMem, ".")
-				if tripped := fsys.disarm(); tripped == (err == nil) {
-					t.Fatalf("k=%d: the fault fired = %v, the open returned %v", k, tripped, err)
-				}
-				if err != nil {
-					for label, m := range map[string]*memFS{"as left": fsys.memFS, "after a power loss": fsys.memFS.Crash()} {
-						re, err := open(m, KindMem, ".")
-						if err != nil {
-							t.Fatalf("k=%d, %s: %v", k, label, err)
-						}
-						if got := dump(re); got != want {
-							t.Fatalf("k=%d, %s, the store holds\n%s\nwant\n%s", k, label, got, want)
-						}
-						re.Close()
-					}
-					continue
-				}
-				for _, step := range []string{"open", "checkpoint"} {
-					if step == "checkpoint" {
-						if err := db.Checkpoint(); err != nil {
-							t.Fatal(err)
-						}
-					}
-					if _, err := fsys.Size(snapshotFile); err == nil {
-						t.Fatalf("after the %s, %s is still there", step, snapshotFile)
-					}
-					walHoldsSchemaOnly(t, fsys, ".")
-					if hdr, err := newRecordReader(bytes.NewReader(mustRead(t, fsys, filepath.Join(segmentSubdir, manifestFile)))).readRecord(); err != nil || hdr[0] != manifestVersion {
-						t.Fatalf("after the %s, the manifest's header is %v (%v), want version %d", step, hdr, err, manifestVersion)
-					}
-				}
-				db.Close()
-				db = openTestEngineOn(t, fsys.memFS.Crash(), ".")
-				if got := dump(db); got != want {
-					t.Fatalf("converted and reopened, the store holds\n%s\nwant\n%s", got, want)
-				}
-				db.Close()
-				return
-			}
-		})
+		eng.Close()
 	}
 }
 
@@ -823,10 +581,6 @@ func TestReplaceFileFailureKeepsOldBytes(t *testing.T) {
 	}
 }
 
-// legacySegmentFile is a format-1 segment: results 1..40 of
-// testdata/legacy_segment.
-var legacySegmentFile = filepath.Join("testdata", "legacy_segment", "segments", "seg-performance_result-00000001.seg")
-
 // withRows returns a segment image whose footer claims the given row
 // count, its footer CRC made to match.
 func withRows(img []byte, rows uint64) []byte {
@@ -844,15 +598,10 @@ func withRows(img []byte, rows uint64) []byte {
 
 // TestSegmentRowCountCheckedBeforeAllocation: a CRC-valid image under
 // 1 KB whose footer claims 2^30−1 rows is rejected as corrupt without
-// allocating for them — format 1, whose varints take a byte a row at
-// least, and format 2, whose packed stream is checked against the rows
-// and its width. (A zero-width stream is valid for any row count, so the
-// format-2 image's row IDs are given a stride that varies.)
+// allocating for them: the packed stream is checked against the rows and
+// its width. (A zero-width stream is valid for any row count, so the
+// image's row IDs are given a stride that varies.)
 func TestSegmentRowCountCheckedBeforeAllocation(t *testing.T) {
-	legacy, err := os.ReadFile(legacySegmentFile)
-	if err != nil {
-		t.Fatal(err)
-	}
 	db := newTestMem(t)
 	if err := db.CreateTable(fhrSchema()); err != nil {
 		t.Fatal(err)
@@ -862,24 +611,23 @@ func TestSegmentRowCountCheckedBeforeAllocation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, img := range map[string][]byte{"format 1": legacy, "format 2": encodeSegment(seg)} {
-		if _, err := decodeSegment(img); err != nil {
-			t.Fatalf("%s: the image as written: %v", name, err)
-		}
-		img = withRows(img, 1<<30-1)
-		if len(img) >= 1024 {
-			t.Fatalf("%s: %d-byte image", name, len(img))
-		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		_, err := decodeSegment(img)
-		runtime.ReadMemStats(&after)
-		if !errors.Is(err, ErrCorruptSegment) {
-			t.Errorf("%s: err = %v, want ErrCorruptSegment", name, err)
-		}
-		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
-			t.Errorf("%s: decoding allocated %d bytes", name, grew)
-		}
+	img := encodeSegment(seg)
+	if _, err := decodeSegment(img); err != nil {
+		t.Fatalf("the image as written: %v", err)
+	}
+	img = withRows(img, 1<<30-1)
+	if len(img) >= 1024 {
+		t.Fatalf("%d-byte image", len(img))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = decodeSegment(img)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrCorruptSegment) {
+		t.Errorf("err = %v, want ErrCorruptSegment", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Errorf("decoding allocated %d bytes", grew)
 	}
 }
 
@@ -1056,11 +804,11 @@ func FuzzSegment(f *testing.F) {
 	f.Add(valid[:len(valid)-3]) // torn tail
 	f.Add([]byte(segMagic))
 	f.Add([]byte{})
-	legacy, err := os.ReadFile(legacySegmentFile)
+	fhr, err := buildSegment(tab, ids[:3], []Row{{Int(1), Null(), Float(0.5), Bool(true)}, {Int(2), Str("a"), Float(0.5), Bool(true)}, {Int(4), Str("a"), Float(0.5), Bool(false)}})
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(legacy) // format 1
+	f.Add(encodeSegment(fhr)) // row IDs of stride 1 and a constant float column: zero-width streams
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := decodeSegment(data)
 		if err != nil {
@@ -1087,56 +835,4 @@ func FuzzSegment(f *testing.F) {
 			}
 		}
 	})
-}
-
-// TestSegmentLegacyRowIDsOutOfOrderMerge: a perftrack.wal an older
-// program wrote can hold the insert of a hot row under a row ID below
-// the ones a segment holds. Recovery replays it into the tail, then
-// merges the table's rows into one block that replaces the segment file,
-// so row IDs ascend from block to block again; the next pass writes the
-// block, and every read agrees with the model throughout.
-func TestSegmentLegacyRowIDsOutOfOrderMerge(t *testing.T) {
-	dir := t.TempDir()
-	fe := openTestEngine(t, dir)
-	schema := resultSchema()
-	schema.Indexes = []IndexSpec{{Name: "by_exec", Columns: []string{"execution_id"}}}
-	if err := fe.CreateTable(schema); err != nil {
-		t.Fatal(err)
-	}
-	insertResults(t, fe, 100)
-	mem := modelResults(t, 100)
-	for _, eng := range []writer{fe, mem} {
-		if err := eng.Delete("performance_result", 50); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := fe.CompactSegments(); err != nil {
-		t.Fatal(err)
-	}
-	old := resultRow(49)
-	old[0] = Int(50)
-	logRecord(t, fe, &mutation{op: opInsert, table: "performance_result", id: 50, row: old})
-	if err := fe.Close(); err != nil {
-		t.Fatal(err)
-	}
-	ref := mem.tables["performance_result"]
-	ref.rows[50] = old
-	fe = openTestEngine(t, dir)
-	defer func() { fe.Close() }()
-	tab, _ := fe.Table("performance_result")
-	if tab.sealed == nil || len(tab.segs) != 0 || tab.sealed.rows != 100 || len(tab.sealed.replaces) != 1 {
-		t.Fatalf("recovery left %d segments and a sealed block %+v, want one 100-row block replacing the segment", len(tab.segs), tab.sealed)
-	}
-	sameReads(t, "merged", tab, ref)
-	if err := fe.CompactSegments(); err != nil {
-		t.Fatal(err)
-	}
-	if st := hotStatus(t, fe, "performance_result"); st.Segments != 1 || st.Rows != 100 {
-		t.Fatalf("after the pass: %+v, want one 100-row segment", st)
-	}
-	sameReads(t, "written", tab, ref)
-	fe.Close()
-	fe = openTestEngine(t, dir)
-	tab, _ = fe.Table("performance_result")
-	sameReads(t, "reopened", tab, ref)
 }

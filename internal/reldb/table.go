@@ -86,14 +86,12 @@ func (t *Table) installLocked(sealed, tail *segment) {
 
 // addIndex catalogs a secondary index; each block builds its permutation
 // lazily. Blocks cannot enforce uniqueness — the names directory is what
-// keeps names unique — so a unique index is refused, except in recovery:
-// one that a directory from before that declares is kept in name only
-// until the datastore replaces it.
+// keeps names unique — so a unique index is refused.
 func (t *Table) addIndex(spec IndexSpec) error {
 	if _, dup := t.indexes[spec.Name]; dup {
 		return fmt.Errorf("reldb: table %q: index %q already exists", t.schema.Name, spec.Name)
 	}
-	if spec.Unique && !t.db.replaying {
+	if spec.Unique {
 		return fmt.Errorf("reldb: table %q: unique index %q over columnar rows", t.schema.Name, spec.Name)
 	}
 	var cols []int
@@ -138,16 +136,10 @@ type rowRef struct {
 func (r rowRef) clone() Row { return r.seg.Row(r.pos, nil) }
 
 // findIDLocked locates the row with the given row ID: in the one block
-// whose row-ID range can hold it — or, while recovery has yet to put an
-// older directory's blocks in row-ID order (orderLocked), in any.
+// whose row-ID range can hold it.
 func (t *Table) findIDLocked(id int64) (rowRef, bool) {
 	if n := len(t.blocks); n > 0 && id <= t.blocks[n-1].maxRowID {
 		k := sort.Search(n, func(k int) bool { return t.blocks[k].maxRowID >= id })
-		if pos, ok := t.blocks[k].findID(id); ok {
-			return rowRef{id: id, seg: t.blocks[k], pos: pos}, true
-		}
-	}
-	for k := 0; t.db.replaying && k < len(t.blocks); k++ {
 		if pos, ok := t.blocks[k].findID(id); ok {
 			return rowRef{id: id, seg: t.blocks[k], pos: pos}, true
 		}
@@ -196,7 +188,7 @@ func (t *Table) reserveID(row Row) int64 {
 }
 
 // insertAtLocked appends a row under a specific row ID to the tail:
-// recovery loading a legacy snapshot or replaying a log.
+// recovery replaying a log.
 func (t *Table) insertAtLocked(id int64, row Row) error {
 	if _, exists := t.findIDLocked(id); exists {
 		return fmt.Errorf("reldb: table %q: row %d already present", t.schema.Name, id)
@@ -236,10 +228,9 @@ func (t *Table) deleteLocked(ids []int64) {
 	}
 }
 
-// updateLocked replaces a row: recovery replaying an update record,
-// which a directory written before the engine stopped taking updates can
-// hold. Like every replayed record it is truth: no foreign key is
-// probed.
+// updateLocked replaces a row: recovery replaying a block record whose
+// image of a row differs from the one a segment serves. Like every
+// replayed record it is truth: no foreign key is probed.
 func (t *Table) updateLocked(id int64, row Row) error {
 	ref, ok := t.findIDLocked(id)
 	if !ok {

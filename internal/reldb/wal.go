@@ -10,7 +10,7 @@ import (
 	"math"
 )
 
-// Log, manifest and legacy snapshot record codec. Every record is framed as
+// Log and manifest record codec. Every record is framed as
 //
 //	uint32 payload length (little endian)
 //	uint32 CRC-32 (IEEE) of the payload
@@ -31,7 +31,7 @@ import (
 // has more rows than one may hold; recovery applies the run whole or not at
 // all (replayLog).
 
-// ErrCorruptLog reports a log or snapshot record that failed its checksum
+// ErrCorruptLog reports a log record that failed its checksum
 // or could not be decoded.
 var ErrCorruptLog = errors.New("reldb: corrupt log record")
 
@@ -170,53 +170,6 @@ func boolByte(b bool) byte {
 	return 0
 }
 
-// --- value / row encoding ---
-
-func encodeRowPayload(dst []byte, row Row) []byte {
-	dst = putUvarint(dst, uint64(len(row)))
-	for _, v := range row {
-		dst = appendValuePayload(dst, v)
-	}
-	return dst
-}
-
-func appendValuePayload(dst []byte, v Value) []byte {
-	dst = append(dst, byte(v.Kind()))
-	switch v.Kind() {
-	case KindInt:
-		dst = putVarint(dst, v.Int64())
-	case KindFloat:
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v.Float64()))
-	case KindString:
-		dst = putString(dst, v.Text())
-	case KindBool:
-		dst = append(dst, boolByte(v.Truth()))
-	}
-	return dst
-}
-
-func decodeRowPayload(p *payloadReader) (Row, error) {
-	row := make(Row, p.count())
-	for i := range row {
-		switch Kind(p.byteVal()) {
-		case KindNull:
-		case KindInt:
-			row[i] = Int(p.varint())
-		case KindFloat:
-			if b := p.bytes(8); b != nil {
-				row[i] = Float(math.Float64frombits(binary.LittleEndian.Uint64(b)))
-			}
-		case KindString:
-			row[i] = Str(p.str())
-		case KindBool:
-			row[i] = Bool(p.byteVal() != 0)
-		default:
-			p.fail()
-		}
-	}
-	return row, p.err
-}
-
 // --- block encoding ---
 
 // blockRecordCells bounds the cells, rows × columns, of one block record,
@@ -273,10 +226,9 @@ func decodeBlockPayload(p *payloadReader) (b *ColumnBlock, more bool) {
 		p.fail()
 		return nil, false
 	}
-	f := segFormats[segMagic]
 	b = &ColumnBlock{rows: int(rows), cols: make([]colVec, ncols), zones: make([]zoneMap, ncols)}
 	var err error
-	if b.rowIDs, p.buf, err = f.ints(p.buf, b.rows, wideZone.minI, wideZone.maxI); err != nil {
+	if b.rowIDs, p.buf, err = readIntVec(p.buf, b.rows, wideZone.minI, wideZone.maxI); err != nil {
 		p.fail()
 		return nil, false
 	}
@@ -286,7 +238,7 @@ func decodeBlockPayload(p *payloadReader) (b *ColumnBlock, more bool) {
 		if p.err != nil {
 			return nil, false
 		}
-		if b.cols[ci], err = decodeColumn(kind, data, b.rows, f, wideZone); err != nil {
+		if b.cols[ci], err = decodeColumn(kind, data, b.rows, wideZone); err != nil {
 			p.fail()
 			return nil, false
 		}
@@ -373,10 +325,6 @@ func encodeMutationPayload(m *mutation) []byte {
 	case opCreateIndex, opDropIndex:
 		dst = putString(dst, m.table)
 		dst = encodeIndexSpec(dst, m.index)
-	case opInsert, opUpdate:
-		dst = putString(dst, m.table)
-		dst = putVarint(dst, m.id)
-		dst = encodeRowPayload(dst, m.row)
 	case opDelete:
 		dst = putString(dst, m.table)
 		dst = putVarint(dst, m.id)
@@ -396,9 +344,6 @@ func decodeMutationPayload(payload []byte) (*mutation, error) {
 		m.table = p.str()
 	case opCreateIndex, opDropIndex:
 		m.table, m.index = p.str(), decodeIndexSpec(p)
-	case opInsert, opUpdate:
-		m.table, m.id = p.str(), p.varint()
-		m.row, _ = decodeRowPayload(p)
 	case opDelete:
 		m.table, m.id = p.str(), p.varint()
 	case opInsertBlock:

@@ -166,7 +166,7 @@ func TestBulkLoadReadsPartsAfterFirstStatus(t *testing.T) {
 		if st.Doc != "first" || st.Error != "" {
 			t.Fatalf("first status line = %+v", st)
 		}
-	case <-time.After(10 * time.Second):
+	case <-time.After(time.Until(giveUpAt(t))): // a liveness wait, not a bound on speed
 		pw.CloseWithError(io.ErrUnexpectedEOF)
 		t.Fatal("no status line for the first part while the rest of the body was held back")
 	}

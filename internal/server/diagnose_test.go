@@ -9,8 +9,6 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -222,27 +220,6 @@ func TestAttributesEndpoint(t *testing.T) {
 	}
 }
 
-// abandonedCtx is the context of a request whose client goes away at the
-// handler's at-th cancellation check: that check and every later one see
-// context.Canceled. checks counts them all.
-type abandonedCtx struct {
-	context.Context
-	at     int64
-	checks atomic.Int64
-	once   sync.Once
-	done   chan struct{}
-}
-
-func (c *abandonedCtx) Done() <-chan struct{} { return c.done }
-
-func (c *abandonedCtx) Err() error {
-	if c.checks.Add(1) < c.at {
-		return nil
-	}
-	c.once.Do(func() { close(c.done) })
-	return context.Canceled
-}
-
 // TestDiagnoseCancelledMidExtractionStops: a /v1/diagnose whose client
 // goes away while the executions' features are being read answers with
 // the 503 envelope of an ended context, and stops where it was. Each extraction
@@ -275,7 +252,7 @@ func TestDiagnoseCancelledMidExtractionStops(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := runtime.NumGoroutine()
-	ctx := &abandonedCtx{Context: context.Background(), at: 3, done: make(chan struct{})}
+	ctx := newCountdown(context.Background(), 3, false) // the client goes away at the third check
 	rec := httptest.NewRecorder()
 	srv.handleDiagnose(rec, httptest.NewRequest(http.MethodPost, "/v1/diagnose", bytes.NewReader(body)).WithContext(ctx))
 
@@ -283,10 +260,12 @@ func TestDiagnoseCancelledMidExtractionStops(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil || rec.Code != http.StatusServiceUnavailable || er.Error != "request timed out" {
 		t.Fatalf("status %d, body %s: want the 503 envelope of an ended context", rec.Code, rec.Body)
 	}
-	if after := ctx.checks.Load() - ctx.at; after > int64(workers) {
+	if after := ctx.checks.Load() - ctx.k; after > int64(workers) {
 		t.Fatalf("%d cancellation checks after the cancelling one, want at most one per other goroutine (%d): the diagnosis went on reading executions", after, workers)
 	}
-	deadline := time.Now().Add(5 * time.Second)
+	// The workers exit on their own schedule; wait for them until the
+	// test's deadline nears (giveUpAt), not for a fixed window.
+	deadline := giveUpAt(t)
 	for runtime.NumGoroutine() > before {
 		if time.Now().After(deadline) {
 			t.Fatalf("%d goroutines after the cancelled diagnosis returned, %d before", runtime.NumGoroutine(), before)

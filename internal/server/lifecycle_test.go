@@ -2,11 +2,16 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -54,14 +59,13 @@ func timedCorpus(t testing.TB, execs, procs, metrics int) (*datastore.Store, *ge
 }
 
 // serve runs one request through srv's handler, tagged rid, and returns
-// the reply and how long it took.
-func serve(srv *Server, method, target, body, rid string) (*httptest.ResponseRecorder, time.Duration) {
+// the reply.
+func serve(srv *Server, method, target, body, rid string) *httptest.ResponseRecorder {
 	req := httptest.NewRequest(method, target, strings.NewReader(body))
 	req.Header.Set("X-Request-Id", rid)
 	rec := httptest.NewRecorder()
-	start := time.Now()
 	srv.Handler().ServeHTTP(rec, req)
-	return rec, time.Since(start)
+	return rec
 }
 
 // timeoutEnvelope is the exact reply to a request whose deadline passed.
@@ -69,13 +73,79 @@ func timeoutEnvelope(rid string) string {
 	return "{\n  \"api_version\": \"v1\",\n  \"error\": \"request timed out\",\n  \"request_id\": \"" + rid + "\"\n}\n"
 }
 
-// TestTimeoutPromptOnEveryTimedRoute gives each request a deadline at a
-// tenth of its untimed run: a cold count, a comparison, a diagnosis and
-// a raw-sql join each answer the timeout envelope within one tick of the
-// deadline, because every path under it checks ctx as it works.
+// countdown is a request context that ends at its k-th cancellation
+// check — an Err call on it, or on a context derived from it by value, as
+// every span's is — by calling end, which cancels it or waits for the
+// route's deadline. It counts, per goroutine, the checks that reported
+// the end.
+type countdown struct {
+	context.Context // the route's context, or a cancelable child of it
+	end             func()
+	k               int64
+	checks          atomic.Int64
+	mu              sync.Mutex
+	failed          map[string]int // goroutine → checks that returned the cancellation
+}
+
+func (c *countdown) Err() error {
+	if c.checks.Add(1) < c.k {
+		return c.Context.Err()
+	}
+	c.end()
+	var buf [64]byte
+	g, _, _ := strings.Cut(strings.TrimPrefix(string(buf[:runtime.Stack(buf[:], false)]), "goroutine "), " ")
+	c.mu.Lock()
+	c.failed[g]++
+	c.mu.Unlock()
+	return c.Context.Err()
+}
+
+// ticksAfter reports the most checks one goroutine made that returned the
+// cancellation: 1 when each returned at the first.
+func (c *countdown) ticksAfter() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	most := 0
+	for _, n := range c.failed {
+		most = max(most, n)
+	}
+	return most
+}
+
+// newCountdown returns a countdown of k over ctx. With untilDeadline its
+// k-th check cancels nothing: it waits for ctx's own deadline to pass.
+func newCountdown(ctx context.Context, k int64, untilDeadline bool) *countdown {
+	cd := &countdown{Context: ctx, end: func() { <-ctx.Done() }, k: k, failed: make(map[string]int)}
+	if !untilDeadline {
+		cd.Context, cd.end = context.WithCancel(ctx)
+	}
+	return cd
+}
+
+// withCountdown makes every api request served from now until the test
+// ends run under a countdown (newCountdown), and returns a function that
+// reports the last one installed.
+func withCountdown(t *testing.T, k int64, untilDeadline bool) func() *countdown {
+	var last atomic.Pointer[countdown]
+	testContext = func(ctx context.Context) context.Context {
+		cd := newCountdown(ctx, k, untilDeadline)
+		last.Store(cd)
+		return cd
+	}
+	t.Cleanup(func() { testContext = nil })
+	return last.Load
+}
+
+// TestTimeoutPromptOnEveryTimedRoute cancels by count, not by clock: a
+// cold count, a comparison, a diagnosis and a raw-sql join each run under
+// a context that cancels itself at its k-th cancellation check, for eight
+// k spread from the first check to the last but one of an untimed run.
+// Each answers the exact timeout envelope, and does at most one tick of
+// work after the cancellation: every goroutine working for the request
+// returns at the first check that reports it.
 func TestTimeoutPromptOnEveryTimedRoute(t *testing.T) {
 	store, fleet := timedCorpus(t, 40, 64, 24)
-	untimed, err := New(Config{Store: store, SelfMonInterval: -1})
+	srv, err := New(Config{Store: store, RequestTimeout: time.Hour, SelfMonInterval: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,47 +168,53 @@ func TestTimeoutPromptOnEveryTimedRoute(t *testing.T) {
 		// Each run follows a commit, which moves the store to a new
 		// generation, so none finds the cached work of the one before.
 		// The first untimed run also builds what outlives generations
-		// (index permutations, dictionary views); the second sets the
-		// deadline.
-		var run time.Duration
+		// (index permutations, dictionary views); the second counts the
+		// checks.
+		last := withCountdown(t, math.MaxInt64, false)
+		var n int64
 		for range 2 {
 			bump()
-			var rec *httptest.ResponseRecorder
-			if rec, run = serve(untimed, c.method, c.target, c.body, "untimed"); rec.Code != http.StatusOK {
+			if rec := serve(srv, c.method, c.target, c.body, "untimed"); rec.Code != http.StatusOK {
 				t.Fatalf("%s untimed: status %d: %s", c.target, rec.Code, rec.Body)
 			}
+			n = last().checks.Load()
 		}
-		bump()
-		timeout := run / 10
-		timed, err := New(Config{Store: store, RequestTimeout: timeout, SelfMonInterval: -1})
-		if err != nil {
-			t.Fatal(err)
+		if n < 3 {
+			t.Fatalf("%s: an untimed run makes %d cancellation checks, want 3 or more", c.target, n)
 		}
-		rid := fmt.Sprintf("req-%d", i)
-		rec, took := serve(timed, c.method, c.target, c.body, rid)
-		if rec.Code != http.StatusServiceUnavailable || rec.Body.String() != timeoutEnvelope(rid) {
-			t.Errorf("%s under a %v deadline (untimed %v): status %d, body %s", c.target, timeout, run, rec.Code, rec.Body)
-		}
-		if late := took - timeout; late > 250*time.Millisecond {
-			t.Errorf("%s answered %v past its %v deadline, want at most 250ms", c.target, late, timeout)
+		for step := range int64(8) {
+			k := 1 + step*(n-2)/7 // from the first check to the last but one
+			bump()
+			last := withCountdown(t, k, false)
+			rid := fmt.Sprintf("req-%d-%d", i, k)
+			rec := serve(srv, c.method, c.target, c.body, rid)
+			if rec.Code != http.StatusServiceUnavailable || rec.Body.String() != timeoutEnvelope(rid) {
+				t.Errorf("%s cancelled at check %d of %d: status %d, body %s", c.target, k, n, rec.Code, rec.Body)
+			}
+			if ticks := last().ticksAfter(); ticks != 1 {
+				t.Errorf("%s cancelled at check %d of %d: a goroutine made %d checks that returned the cancellation, want 1", c.target, k, n, ticks)
+			}
 		}
 	}
 }
 
 // TestTimeoutStopsRawSQLJoin runs a raw-sql self-join over
-// performance_result that takes seconds untimed under a 50 ms deadline:
-// the executor checks ctx as it joins, so the timeout envelope comes
-// back well within half a second.
+// performance_result, which takes seconds untimed, under a real 50 ms
+// deadline whose passing is ordered, not raced: the join's second
+// cancellation check waits for it. The deadline thus ends the join part
+// way on any host, and the join answers the timeout envelope with every
+// goroutine returning at the first check that reports it.
 func TestTimeoutStopsRawSQLJoin(t *testing.T) {
 	srv, ts := newTestServer(t, func(c *Config) { c.RequestTimeout = 50 * time.Millisecond })
 	loadDoc(t, ts.URL, ptdfDoc("join", 2000))
+	last := withCountdown(t, 2, true)
 	body := `{"sql":"SELECT count(*) FROM performance_result a JOIN performance_result b ON a.value < b.value - 1000000"}`
-	rec, took := serve(srv, "POST", "/v1/sql", body, "req-join")
+	rec := serve(srv, "POST", "/v1/sql", body, "req-join")
 	if rec.Code != http.StatusServiceUnavailable || rec.Body.String() != timeoutEnvelope("req-join") {
 		t.Errorf("join under a 50ms deadline: status %d, body %s", rec.Code, rec.Body)
 	}
-	if took > 500*time.Millisecond {
-		t.Errorf("join answered after %v, want within 500ms", took)
+	if cd := last(); cd == nil || cd.ticksAfter() != 1 || !errors.Is(cd.Context.Err(), context.DeadlineExceeded) {
+		t.Error("the join did not return at the first check that reported its deadline")
 	}
 }
 
@@ -169,6 +245,8 @@ func TestShedWhileTimedOutHandlerRuns(t *testing.T) {
 		first <- rec.Code
 	}()
 	<-expired
+	// The window cannot make a correct route fail, which never answers
+	// before its handler returns; it can only miss a route that does.
 	select {
 	case code := <-first:
 		close(release)
@@ -213,6 +291,8 @@ func TestDrainWaitsForTimedOutHandler(t *testing.T) {
 	<-expired
 	done := make(chan error, 1)
 	go func() { done <- srv.Shutdown(context.Background()) }()
+	// As above, the window can only miss a Shutdown that returns early,
+	// never fail a correct one.
 	select {
 	case err := <-done:
 		close(release)

@@ -84,6 +84,10 @@ const (
 	stream
 )
 
+// testContext, nil but in tests, replaces an api route's request context
+// with one it derives from it, deadline and all.
+var testContext func(context.Context) context.Context
+
 // route is the one request wrapper. It tags the request with an ID
 // (honoring an X-Request-Id the caller sent, and echoing it), opens the
 // root span of non-probe routes, sheds them with 429 + Retry-After
@@ -118,6 +122,9 @@ func (s *Server) route(name string, class routeClass, h http.HandlerFunc) http.H
 			var cancel context.CancelFunc
 			ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
 			defer cancel()
+			if testContext != nil {
+				ctx = testContext(ctx)
+			}
 		}
 		r = r.WithContext(ctx)
 		sr := &statusRecorder{ResponseWriter: w}

@@ -35,6 +35,17 @@ func ptdfDoc(tag string, results int) string {
 	return b.String()
 }
 
+// giveUpAt is when a test waiting for something that must happen
+// eventually stops waiting: shortly before its own deadline, or a minute
+// on, when it has none. A wait bounded so is not a bound on how fast the
+// program is and cannot fail a correct one.
+func giveUpAt(t *testing.T) time.Time {
+	if d, ok := t.Deadline(); ok {
+		return d.Add(-10 * time.Second)
+	}
+	return time.Now().Add(time.Minute)
+}
+
 func newTestServer(t *testing.T, mod func(*Config)) (*Server, *httptest.Server) {
 	t.Helper()
 	store, err := datastore.Open(reldb.NewMem())
@@ -158,7 +169,9 @@ func TestConcurrentLoadAndQuery(t *testing.T) {
 			}
 		}()
 	}
-	// Let the queriers overlap the loads, then stop them.
+	// Let the queriers overlap the loads, then stop them. Nothing below
+	// depends on how much they overlapped, so the sleep cannot fail the
+	// test; it only shapes how much concurrency the run sees.
 	time.Sleep(50 * time.Millisecond)
 	close(done)
 	wg.Wait()
@@ -382,10 +395,7 @@ func TestSheddingUnderLoad(t *testing.T) {
 	// to the scheduler (a loaded `go test ./...` has delayed it past two
 	// seconds), so poll until the test's own deadline nears, not a fixed
 	// window.
-	giveUp := time.Now().Add(time.Minute)
-	if d, ok := t.Deadline(); ok {
-		giveUp = d.Add(-10 * time.Second)
-	}
+	giveUp := giveUpAt(t)
 	shed := false
 	for time.Now().Before(giveUp) {
 		body, _ := json.Marshal(QueryRequest{Families: []string{"type=application"}})
