@@ -635,7 +635,7 @@ func TestSchemaMigrationAddsNewTables(t *testing.T) {
 
 // TestSQLInterfaceOverStore runs a physical-schema JOIN the way the
 // planner's raw-sql path does (this package cannot import the planner):
-// the sqldb executor over a source that scans the engine's tables.
+// the sqldb executor over a source that streams the engine's tables.
 func TestSQLInterfaceOverStore(t *testing.T) {
 	s := seedStudy(t)
 	sel, err := sqldb.Parse(`SELECT m.name, COUNT(*) FROM performance_result pr
@@ -643,7 +643,7 @@ func TestSQLInterfaceOverStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := sqldb.Execute(context.Background(), sel, func(name string) ([]string, []reldb.Row, bool) {
+	r, err := sqldb.Execute(context.Background(), sel, func(name string) ([]string, func(func(reldb.Row) error) error, bool) {
 		tab, ok := s.Table(name)
 		if !ok {
 			return nil, nil, false
@@ -652,12 +652,14 @@ func TestSQLInterfaceOverStore(t *testing.T) {
 		for _, c := range tab.Schema().Columns {
 			cols = append(cols, c.Name)
 		}
-		var rows []reldb.Row
-		eachRow(tab, func(_ int64, row reldb.Row) bool {
-			rows = append(rows, row)
-			return true
-		})
-		return cols, rows, true
+		return cols, func(yield func(reldb.Row) error) error {
+			var err error
+			eachRow(tab, func(_ int64, row reldb.Row) bool {
+				err = yield(row)
+				return err == nil
+			})
+			return err
+		}, true
 	})
 	if err != nil {
 		t.Fatal(err)

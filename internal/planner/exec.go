@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -128,7 +129,9 @@ func (p *Planner) aggPushable(sel *sqldb.SelectStmt, residual []sqldb.Expr) ([]v
 	// representative row carries only the group dimensions, where a naive
 	// group representative carries its whole first row.
 	ok := true
-	check := func(e sqldb.Expr) { walkNonAggRefs(e, func(cr *sqldb.ColumnRef) { ok = ok && groupSet[cr.Column] }) }
+	check := func(e sqldb.Expr) {
+		walkColumnRefs(e, false, func(cr *sqldb.ColumnRef) { ok = ok && groupSet[cr.Column] })
+	}
 	for _, item := range sel.Items {
 		if item.Star {
 			return nil, nil, false
@@ -145,31 +148,6 @@ func (p *Planner) aggPushable(sel *sqldb.SelectStmt, residual []sqldb.Expr) ([]v
 		return nil, nil, false
 	}
 	return specs, groupCols, true
-}
-
-// walkNonAggRefs visits column references outside aggregate arguments.
-func walkNonAggRefs(e sqldb.Expr, fn func(*sqldb.ColumnRef)) {
-	switch x := e.(type) {
-	case *sqldb.FuncExpr: // aggregate argument: not a per-row reference
-	case *sqldb.ColumnRef:
-		fn(x)
-	case *sqldb.BinaryExpr:
-		walkNonAggRefs(x.L, fn)
-		walkNonAggRefs(x.R, fn)
-	case *sqldb.UnaryExpr:
-		walkNonAggRefs(x.X, fn)
-	case *sqldb.InExpr:
-		walkNonAggRefs(x.X, fn)
-		for _, i := range x.List {
-			walkNonAggRefs(i, fn)
-		}
-	case *sqldb.IsNullExpr:
-		walkNonAggRefs(x.X, fn)
-	case *sqldb.BetweenExpr:
-		walkNonAggRefs(x.X, fn)
-		walkNonAggRefs(x.Lo, fn)
-		walkNonAggRefs(x.Hi, fn)
-	}
 }
 
 // execAggregate runs the scan with aggregation pushed below
@@ -252,43 +230,44 @@ func (p *Planner) execAggregate(ctx context.Context, sel *sqldb.SelectStmt, acce
 	return sqldb.FinishGrouped(sel, vcols, pgs)
 }
 
-// execRows materializes the surviving rows as virtual
-// (id, execution, metric, value, units, tool) tuples and hands them to
-// the SQL executor for residual filtering, projection, grouping, and
-// ordering.
+// execRows streams the rows that survive the pushed predicates, in row-ID
+// order, to the SQL executor as virtual (id, execution, metric, value,
+// units, tool) rows for residual filtering, projection, grouping, and
+// ordering: the kernels run block by block on one worker, or the naive
+// scan walks its Lookup.
 func (p *Planner) execRows(ctx context.Context, sel *sqldb.SelectStmt, access resultAccess,
 	f *resultFilter, plan *Plan) (*sqldb.Result, error) {
+	vr := p.resultRow()
+	var n int64
+	res, err := sqldb.Execute(ctx, sel, func(string) ([]string, func(func(reldb.Row) error) error, bool) {
+		return virtualColumns["performance_result"], func(yield func(reldb.Row) error) error {
+			counted := func(row reldb.Row) error {
+				n++
+				return yield(row)
+			}
+			if p.Naive {
+				return p.naiveScan(ctx, f, plan.Profile, vr, counted)
+			}
+			_, err := p.scanResults(ctx, access, f, plan, 1, func() blockSink { return &rowSink{row: vr, yield: counted} })
+			return err
+		}, true
+	})
+	plan.ActualRows, plan.Materialized = n, n
+	return res, err
+}
+
+// resultRow returns a builder of performance_result's virtual rows from
+// a physical row's id, dimension IDs and value, names resolved through
+// dictionary views taken once per query, into one reused row.
+func (p *Planner) resultRow() func(id, e, m, t, u int64, v float64) reldb.Row {
 	execs, metrics := p.store.Dict("execution"), p.store.Dict("metric")
 	units, tools := p.store.Dict("units"), p.store.Dict("performance_tool")
-	var tuples []resultTuple
-	if p.Naive {
-		var err error
-		if tuples, err = p.naiveScan(ctx, f, plan.Profile); err != nil {
-			return nil, err
-		}
-	} else {
-		sink, err := p.scanResults(ctx, access, f, plan, math.MaxInt, func() blockSink { return &tupleSink{} })
-		if err != nil {
-			return nil, err
-		}
-		tuples = sink.(*tupleSink).out
+	row := make(reldb.Row, len(virtualColumns["performance_result"]))
+	return func(id, e, m, t, u int64, v float64) reldb.Row {
+		row[0], row[1], row[2] = reldb.Int(id), reldb.Str(execs.Name(e)), reldb.Str(metrics.Name(m))
+		row[3], row[4], row[5] = reldb.Float(v), reldb.Str(units.Name(u)), reldb.Str(tools.Name(t))
+		return row
 	}
-	mergeStart := time.Now()
-	rows := make([]reldb.Row, len(tuples))
-	for i, r := range tuples {
-		rows[i] = reldb.Row{
-			reldb.Int(r.id),
-			reldb.Str(execs.Name(r.e)),
-			reldb.Str(metrics.Name(r.m)),
-			reldb.Float(r.v),
-			reldb.Str(units.Name(r.u)),
-			reldb.Str(tools.Name(r.t)),
-		}
-	}
-	plan.Profile.MergeNanos += time.Since(mergeStart).Nanoseconds()
-	plan.ActualRows = int64(len(rows))
-	plan.Materialized = int64(len(rows))
-	return sqldb.Execute(ctx, sel, virtualSource(virtualColumns["performance_result"], rows))
 }
 
 // naiveScan is the reference scan behind Planner.Naive: a key-order
@@ -296,10 +275,11 @@ func (p *Planner) execRows(ctx context.Context, sel *sqldb.SelectStmt, access re
 // specs (the only conjuncts naive mode pushes) checked per row against
 // the resolved ID set, and ctx every 1024 rows. It deliberately shares
 // nothing with the block source or the kernels it is the oracle for.
-func (p *Planner) naiveScan(ctx context.Context, f *resultFilter, prof *ExecProfile) ([]resultTuple, error) {
+func (p *Planner) naiveScan(ctx context.Context, f *resultFilter, prof *ExecProfile,
+	vr func(id, e, m, t, u int64, v float64) reldb.Row, yield func(reldb.Row) error) error {
 	tab, ok := p.store.Table("performance_result")
 	if !ok {
-		return nil, fmt.Errorf("datastore: no performance_result table: %w", datastore.ErrNotFound)
+		return fmt.Errorf("datastore: no performance_result table: %w", datastore.ErrNotFound)
 	}
 	var member map[int64]struct{}
 	if len(f.fams) > 0 {
@@ -308,11 +288,11 @@ func (p *Planner) naiveScan(ctx context.Context, f *resultFilter, prof *ExecProf
 			member[id] = struct{}{}
 		}
 	}
-	var out []resultTuple
-	var cancelled error
+	var stop error
 	err := tab.Lookup("", nil, func(b *reldb.ColumnBlock, i int) bool {
 		if prof.RowsScanned%1024 == 0 {
-			if cancelled = ctx.Err(); cancelled != nil {
+			if err := ctx.Err(); err != nil {
+				stop = fmt.Errorf("planner: naive scan performance_result: %w", err)
 				return false
 			}
 		}
@@ -323,13 +303,13 @@ func (p *Planner) naiveScan(ctx context.Context, f *resultFilter, prof *ExecProf
 				return true
 			}
 		}
-		out = append(out, resultTuple{id, b.Ints(1).At(i), b.Ints(2).At(i), b.Ints(3).At(i), b.Ints(4).At(i), b.Float64s(5)[i]})
-		return true
+		stop = yield(vr(id, b.Ints(1).At(i), b.Ints(2).At(i), b.Ints(3).At(i), b.Ints(4).At(i), b.Float64s(5)[i]))
+		return stop == nil
 	})
-	if cancelled != nil {
-		return nil, fmt.Errorf("planner: naive scan performance_result: %w", cancelled)
+	if stop != nil {
+		return stop
 	}
-	return out, err
+	return err
 }
 
 // idBounds derives an inclusive primary-key range from pushed id
@@ -378,9 +358,10 @@ type dimSpec struct {
 	phys string
 	// index returns the index and prefix serving col = lit, if any.
 	index func(p *Planner, col string, lit string) (string, []reldb.Value, bool)
-	// row builds the virtual row for one physical row; dicts holds a view
-	// of each dictionary the field below names, in that order.
-	row func(dicts []datastore.Dict, row reldb.Row) reldb.Row
+	// row builds the virtual row for one physical row into out; dicts
+	// holds a view of each dictionary the field below names, in that
+	// order.
+	row func(dicts []datastore.Dict, row, out reldb.Row)
 	// dicts names the dictionaries the row builder needs.
 	dicts []string
 }
@@ -395,8 +376,8 @@ var dimSpecs = map[string]dimSpec{
 			}
 			return "", nil, false
 		},
-		row: func(dicts []datastore.Dict, row reldb.Row) reldb.Row {
-			return reldb.Row{row[1], reldb.Str(dicts[0].Name(row[2].Int64()))}
+		row: func(dicts []datastore.Dict, row, out reldb.Row) {
+			out[0], out[1] = row[1], reldb.Str(dicts[0].Name(row[2].Int64()))
 		},
 	},
 	"resource": {
@@ -415,12 +396,11 @@ var dimSpecs = map[string]dimSpec{
 			}
 			return "", nil, false
 		},
-		row: func(dicts []datastore.Dict, row reldb.Row) reldb.Row {
-			exec := reldb.Null()
+		row: func(dicts []datastore.Dict, row, out reldb.Row) {
+			out[0], out[1], out[2], out[3] = row[1], row[2], reldb.Str(dicts[0].Name(row[4].Int64())), reldb.Null()
 			if !row[5].IsNull() {
-				exec = reldb.Str(dicts[1].Name(row[5].Int64()))
+				out[3] = reldb.Str(dicts[1].Name(row[5].Int64()))
 			}
-			return reldb.Row{row[1], row[2], reldb.Str(dicts[0].Name(row[4].Int64())), exec}
 		},
 	},
 	"attribute": {
@@ -432,15 +412,15 @@ var dimSpecs = map[string]dimSpec{
 			}
 			return "", nil, false
 		},
-		row: func(dicts []datastore.Dict, row reldb.Row) reldb.Row {
-			return reldb.Row{reldb.Str(dicts[0].Name(row[1].Int64())), row[2], row[3]}
+		row: func(dicts []datastore.Dict, row, out reldb.Row) {
+			out[0], out[1], out[2] = reldb.Str(dicts[0].Name(row[1].Int64())), row[2], row[3]
 		},
 	},
 }
 
 // planDimension plans and executes a SELECT over a dimension virtual
 // table (execution, resource, attribute): at most one indexable equality
-// is pushed down; everything else stays residual over the materialized
+// is pushed down; everything else stays residual over the streamed
 // virtual rows.
 func (p *Planner) planDimension(ctx context.Context, sel *sqldb.SelectStmt, prof *ExecProfile) (*sqldb.Result, *Plan, error) {
 	spec := dimSpecs[sel.From.Table]
@@ -455,19 +435,14 @@ func (p *Planner) planDimension(ctx context.Context, sel *sqldb.SelectStmt, prof
 	plan := &Plan{Table: sel.From.Table, Strategy: StrategyFullScan, EstRows: total, Profile: prof}
 	var idxName string
 	var idxPrefix []reldb.Value
-	pushSafe := !p.Naive && sel.Where != nil
-	if pushSafe {
-		// Index pushdown shrinks the row set the WHERE re-runs over; see
-		// boolSafe — every conjunct must be unable to error.
-		for _, e := range splitConjuncts(sel.Where, nil) {
-			if !boolSafe(e) {
-				pushSafe = false
-				break
-			}
-		}
+	// Index pushdown shrinks the row set the WHERE re-runs over; see
+	// boolSafe — every conjunct must be unable to error.
+	var conjs []sqldb.Expr
+	if !p.Naive && sel.Where != nil {
+		conjs = splitConjuncts(sel.Where, nil)
 	}
-	if pushSafe {
-		for _, e := range splitConjuncts(sel.Where, nil) {
+	if !slices.ContainsFunc(conjs, func(e sqldb.Expr) bool { return !boolSafe(e) }) {
+		for _, e := range conjs {
 			col, op, lit, ok := colOpLit(e)
 			if !ok || op != "=" || lit.Kind() != reldb.KindString {
 				continue
@@ -502,33 +477,48 @@ func (p *Planner) planDimension(ctx context.Context, sel *sqldb.SelectStmt, prof
 	for i, d := range spec.dicts {
 		dicts[i] = p.store.Dict(d)
 	}
-	// The physical row is built into one reusable slab; only the virtual
-	// row is kept. Rows reach the executor in row-ID order.
-	type pair struct {
-		id  int64
-		row reldb.Row
-	}
-	var pairs []pair
+	// Each physical row is built into one reused slab and each virtual
+	// row into one reused row. Rows reach the executor in row-ID order:
+	// a full scan reads the block source, an index scan gathers the
+	// index's matches sorted by row ID.
 	phys := make([]reldb.Value, len(tab.Schema().Columns))
-	if err := tab.Lookup(idxName, idxPrefix, func(b *reldb.ColumnBlock, i int) bool {
-		slab := phys
-		pairs = append(pairs, pair{b.IDs().At(i), spec.row(dicts, b.Row(i, &slab))})
-		return true
-	}); err != nil {
-		return nil, nil, err
+	virt := make(reldb.Row, len(vcols))
+	scan := func(yield func(reldb.Row) error) error {
+		each := func(b *reldb.ColumnBlock) error {
+			for i := range b.Len() {
+				slab := phys
+				spec.row(dicts, b.Row(i, &slab), virt)
+				prof.RowsScanned++
+				if err := yield(virt); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+		if idxName == "" {
+			bs, err := p.store.Blocks(spec.phys, math.MinInt64, math.MaxInt64)
+			if err != nil {
+				return err
+			}
+			return bs.Each(each)
+		}
+		var ids []int64
+		if err := tab.Lookup(idxName, idxPrefix, func(b *reldb.ColumnBlock, i int) bool {
+			ids = append(ids, b.IDs().At(i))
+			return true
+		}); err != nil {
+			return err
+		}
+		slices.Sort(ids)
+		return tab.Gather(ids, each)
 	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].id < pairs[j].id })
-	rows := make([]reldb.Row, 0, len(pairs))
-	for _, pr := range pairs {
-		rows = append(rows, pr.row)
-	}
-	prof.RowsScanned = int64(len(pairs))
-	plan.ActualRows = int64(len(rows))
-	plan.Materialized = int64(len(rows))
-	plan.Residual = sel.Where != nil
-	res, err := sqldb.Execute(ctx, sel, virtualSource(vcols, rows))
+	res, err := sqldb.Execute(ctx, sel, func(string) ([]string, func(func(reldb.Row) error) error, bool) {
+		return vcols, scan, true
+	})
 	if err != nil {
 		return nil, nil, err
 	}
+	plan.ActualRows, plan.Materialized = prof.RowsScanned, prof.RowsScanned
+	plan.Residual = sel.Where != nil
 	return res, plan, nil
 }

@@ -170,23 +170,17 @@ func (p *Planner) execute(ctx context.Context, sqlText string) (*sqldb.Result, *
 	return res, plan, err
 }
 
-// virtualSource is the row source of a virtualizable statement: its one
-// table, materialized by the chosen access path.
-func virtualSource(columns []string, rows []reldb.Row) sqldb.Source {
-	return func(string) ([]string, []reldb.Row, bool) { return columns, rows, true }
-}
-
 // rawQuery runs a statement the virtual catalog cannot express over the
-// engine's physical tables: every table the statement names is read whole
-// through its block source, ctx checked once per block, and the executor
-// filters and joins, checking ctx as it goes. It only reads.
+// engine's physical tables: each table the statement names is streamed
+// through its block source, one reused row at a time, ctx checked once per
+// block, and the executor joins and filters, checking ctx as it goes. It
+// only reads.
 func (p *Planner) rawQuery(ctx context.Context, sel *sqldb.SelectStmt, prof *ExecProfile) (*sqldb.Result, *Plan, error) {
 	prof.markPlanned()
-	var scanned int64
 	var scanErr error
-	res, err := sqldb.Execute(ctx, sel, func(name string) ([]string, []reldb.Row, bool) {
+	res, err := sqldb.Execute(ctx, sel, func(name string) ([]string, func(func(reldb.Row) error) error, bool) {
 		tab, ok := p.store.Table(name)
-		if !ok || scanErr != nil {
+		if !ok {
 			return nil, nil, false
 		}
 		schema := tab.Schema()
@@ -194,26 +188,27 @@ func (p *Planner) rawQuery(ctx context.Context, sel *sqldb.SelectStmt, prof *Exe
 		for i, c := range schema.Columns {
 			cols[i] = c.Name
 		}
-		var rows []reldb.Row
-		var slab []reldb.Value
-		scan, err := p.store.Blocks(name, math.MinInt64, math.MaxInt64)
-		if err == nil {
-			err = scan.Each(func(b *reldb.ColumnBlock) error {
+		return cols, func(yield func(reldb.Row) error) error {
+			scan, err := p.store.Blocks(name, math.MinInt64, math.MaxInt64)
+			if err != nil {
+				scanErr = fmt.Errorf("planner: scan %s: %w", name, err)
+				return scanErr
+			}
+			row := make([]reldb.Value, len(cols))
+			return scan.Each(func(b *reldb.ColumnBlock) error {
 				if err := ctx.Err(); err != nil {
 					return err
 				}
 				for i := range b.Len() {
-					rows = append(rows, b.Row(i, &slab))
+					slab := row
+					prof.RowsScanned++
+					if err := yield(b.Row(i, &slab)); err != nil {
+						return err
+					}
 				}
 				return nil
 			})
-		}
-		if err != nil {
-			scanErr = fmt.Errorf("planner: scan %s: %w", name, err)
-			return nil, nil, false
-		}
-		scanned += int64(len(rows))
-		return cols, rows, true
+		}, true
 	})
 	switch {
 	case scanErr != nil:
@@ -223,13 +218,12 @@ func (p *Planner) rawQuery(ctx context.Context, sel *sqldb.SelectStmt, prof *Exe
 	case err != nil:
 		return nil, nil, fmt.Errorf("planner: %v: %w", err, datastore.ErrBadSpec)
 	}
-	prof.RowsScanned = scanned
 	return res, &Plan{
 		Table:        sel.From.Table,
 		Strategy:     StrategyRawSQL,
 		EstRows:      int64(len(res.Rows)),
 		ActualRows:   int64(len(res.Rows)),
-		Materialized: scanned,
+		Materialized: prof.RowsScanned,
 		Profile:      prof,
 	}, nil
 }
@@ -263,7 +257,7 @@ func (p *Planner) virtualizable(sel *sqldb.SelectStmt) bool {
 	}
 	resolves := func(e sqldb.Expr, extra map[string]bool) bool {
 		ok := true
-		walkColumnRefs(e, func(cr *sqldb.ColumnRef) {
+		walkColumnRefs(e, true, func(cr *sqldb.ColumnRef) {
 			if cr.Table != "" && cr.Table != from {
 				ok = false
 			}
@@ -304,32 +298,15 @@ func (p *Planner) virtualizable(sel *sqldb.SelectStmt) bool {
 }
 
 // walkColumnRefs visits every column reference in an expression tree,
-// including aggregate arguments.
-func walkColumnRefs(e sqldb.Expr, fn func(*sqldb.ColumnRef)) {
-	switch x := e.(type) {
-	case *sqldb.ColumnRef:
-		fn(x)
-	case *sqldb.BinaryExpr:
-		walkColumnRefs(x.L, fn)
-		walkColumnRefs(x.R, fn)
-	case *sqldb.UnaryExpr:
-		walkColumnRefs(x.X, fn)
-	case *sqldb.InExpr:
-		walkColumnRefs(x.X, fn)
-		for _, i := range x.List {
-			walkColumnRefs(i, fn)
+// aggregate arguments included unless aggArgs is false.
+func walkColumnRefs(e sqldb.Expr, aggArgs bool, fn func(*sqldb.ColumnRef)) {
+	sqldb.Walk(e, func(x sqldb.Expr) bool {
+		if cr, ok := x.(*sqldb.ColumnRef); ok {
+			fn(cr)
 		}
-	case *sqldb.IsNullExpr:
-		walkColumnRefs(x.X, fn)
-	case *sqldb.BetweenExpr:
-		walkColumnRefs(x.X, fn)
-		walkColumnRefs(x.Lo, fn)
-		walkColumnRefs(x.Hi, fn)
-	case *sqldb.FuncExpr:
-		if x.Arg != nil {
-			walkColumnRefs(x.Arg, fn)
-		}
-	}
+		_, agg := x.(*sqldb.FuncExpr)
+		return aggArgs || !agg
+	})
 }
 
 // --- WHERE analysis ---
@@ -447,7 +424,7 @@ func analyzeResultWhere(where sqldb.Expr) []conjunct {
 func checkPseudo(sel *sqldb.SelectStmt, residual []sqldb.Expr) error {
 	var bad string
 	check := func(e sqldb.Expr) {
-		walkColumnRefs(e, func(cr *sqldb.ColumnRef) {
+		walkColumnRefs(e, true, func(cr *sqldb.ColumnRef) {
 			if cr.Column == "family" || cr.Column == "resource" {
 				bad = cr.Column
 			}

@@ -417,20 +417,26 @@ func (c *cancelAtCheck) Err() error {
 }
 
 // TestRawAndNaiveScansStopWhenCancelled: a raw-sql join over
-// performance_result, read block by block, and a naive scan, which checks
-// every 1024 rows, return context.Canceled when cancelled at their second
-// check instead of reading on.
+// performance_result, read block by block, a naive scan, which checks
+// every 1024 rows, and dimension scans over a resource table of more than
+// 2048 rows, which the executor checks every 1024 rows, return
+// context.Canceled when cancelled at their second check instead of
+// reading on.
 func TestRawAndNaiveScansStopWhenCancelled(t *testing.T) {
 	st, _ := seedSegmentStore(t, t.TempDir(), 3000, 3, 100)
+	wide := seedResources(t, 2100)
 	for _, c := range []struct {
+		st       *datastore.Store
 		naive    bool
 		strategy string
 		q        string
 	}{
-		{false, StrategyRawSQL, "SELECT m.name, count(*) FROM performance_result pr JOIN metric m ON pr.metric_id = m.id GROUP BY m.name"},
-		{true, StrategyFullScan, "SELECT id, value FROM performance_result"},
+		{st, false, StrategyRawSQL, "SELECT m.name, count(*) FROM performance_result pr JOIN metric m ON pr.metric_id = m.id GROUP BY m.name"},
+		{st, true, StrategyFullScan, "SELECT id, value FROM performance_result"},
+		{wide, false, StrategyFullScan, "SELECT name FROM resource"},
+		{wide, false, StrategyFullScan, "SELECT name, type FROM resource ORDER BY name"},
 	} {
-		p := New(st)
+		p := New(c.st)
 		p.Naive = c.naive
 		if _, plan, err := p.Query(context.Background(), c.q); err != nil || plan.Strategy != c.strategy {
 			t.Fatalf("%s: plan %+v, err %v; want strategy %s", c.q, plan, err, c.strategy)
@@ -441,6 +447,27 @@ func TestRawAndNaiveScansStopWhenCancelled(t *testing.T) {
 			t.Errorf("%s cancelled mid-scan: result %t, err %v; want context.Canceled", c.q, res != nil, err)
 		}
 	}
+}
+
+// seedResources builds an in-memory store whose resource_item holds n
+// processors besides their ancestors and /app.
+func seedResources(t *testing.T, n int) *datastore.Store {
+	t.Helper()
+	st := seedStore(t, reldb.NewMem(), 0)
+	b := st.NewBatch()
+	for p := range n {
+		b.Stage(ptdf.ResourceRec{
+			Name: core.ResourceName(fmt.Sprintf("/SG/SM/batch/n1/p%d", p)),
+			Type: "grid/machine/partition/node/processor",
+		})
+	}
+	if _, err := b.CommitCtx(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if rows := st.TableStatistics().TableStat("resource_item").Rows; rows <= 2048 {
+		t.Fatalf("resource_item holds %d rows, want more than 2048", rows)
+	}
+	return st
 }
 
 // TestLeftoverStatisticsTableIgnored opens a store directory that still

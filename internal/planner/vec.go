@@ -6,9 +6,10 @@ package planner
 // list), and each block then streams through the same loop — selection
 // kernels filter fixed-size windows (vecBatch rows) into a reusable
 // index buffer, and a sink folds the survivors, either into per-group
-// accumulator arrays (pushed aggregates) or into result tuples (row
-// queries). Immutable segment blocks fan out across a bounded worker
-// pool; tail and transposed blocks fold sequentially.
+// accumulator arrays (pushed aggregates) or into rows streamed to the SQL
+// executor (row queries). An aggregate's immutable segment blocks fan out
+// across a bounded worker pool; tail and transposed blocks, and every
+// block of a row query, fold sequentially.
 // Dictionary-ID → name resolution is deferred to final output.
 //
 // Kernel contract (DESIGN.md §12): every kernel must be byte-identical
@@ -460,8 +461,9 @@ type blockSink interface {
 	// open prepares the sink for one block's columns.
 	open(b *reldb.ColumnBlock, bv *blockVecs)
 	// fold consumes rows [start, end) of the open block — only the rows
-	// in sel when it is non-nil. base is the block's global scan ordinal.
-	fold(base int64, start, end int, sel []int32)
+	// in sel when it is non-nil — and stops the scan with an error. base
+	// is the block's global scan ordinal.
+	fold(base int64, start, end int, sel []int32) error
 	// merge appends a sink that scanned a later contiguous run of blocks.
 	merge(later blockSink)
 }
@@ -591,7 +593,7 @@ func addKeysOf[T reldb.Offsets](g []int32, offs []T, base, mu int32, start, end 
 }
 
 // fold runs the aggregation kernels over one selected window.
-func (s *aggSink) fold(base int64, start, end int, sel []int32) {
+func (s *aggSink) fold(base int64, start, end int, sel []int32) error {
 	acc, bv, keys, specs := s.acc, s.bv, s.keys, s.specs
 	m := end - start
 	if sel != nil {
@@ -729,44 +731,45 @@ func (s *aggSink) fold(base int64, start, end int, sel []int32) {
 			}
 		}
 	}
+	return nil
 }
 
-// --- tuple sink ---
+// --- row sink ---
 
-// resultTuple is one surviving performance_result row in physical form.
-type resultTuple struct {
-	id, e, m, t, u int64
-	v              float64
+// rowSink yields each selected row to the SQL executor, built into one
+// reused virtual row. A row scan runs on one worker, in block order, so
+// its sink never merges.
+type rowSink struct {
+	bv    *blockVecs
+	row   func(id, e, m, t, u int64, v float64) reldb.Row
+	yield func(reldb.Row) error
 }
 
-// tupleSink collects surviving rows for queries that need them
-// materialized; blocks arrive in ascending row-ID order and merge keeps
-// it, so downstream sees exactly the stream a naive scan produces.
-type tupleSink struct {
-	bv  *blockVecs
-	out []resultTuple
-}
+func (s *rowSink) open(_ *reldb.ColumnBlock, bv *blockVecs) { s.bv = bv }
 
-func (s *tupleSink) open(_ *reldb.ColumnBlock, bv *blockVecs) { s.bv = bv }
-
-func (s *tupleSink) fold(_ int64, start, end int, sel []int32) {
+func (s *rowSink) fold(_ int64, start, end int, sel []int32) error {
 	if sel != nil {
 		for _, i := range sel {
-			s.out = append(s.out, s.bv.tuple(int(i)))
+			if err := s.emit(int(i)); err != nil {
+				return err
+			}
 		}
-		return
+		return nil
 	}
 	for i := start; i < end; i++ {
-		s.out = append(s.out, s.bv.tuple(i))
+		if err := s.emit(i); err != nil {
+			return err
+		}
 	}
+	return nil
 }
 
-// tuple returns row i of the block.
-func (v *blockVecs) tuple(i int) resultTuple {
-	return resultTuple{v.ids.At(i), v.es.At(i), v.ms.At(i), v.ts.At(i), v.us.At(i), v.vs[i]}
+func (s *rowSink) emit(i int) error {
+	v := s.bv
+	return s.yield(s.row(v.ids.At(i), v.es.At(i), v.ms.At(i), v.ts.At(i), v.us.At(i), v.vs[i]))
 }
 
-func (s *tupleSink) merge(later blockSink) { s.out = append(s.out, later.(*tupleSink).out...) }
+func (s *rowSink) merge(blockSink) { panic("planner: a row scan runs on one worker") }
 
 // --- the scan loop ---
 
@@ -808,7 +811,9 @@ func (w *scanWorker) scanBlock(ctx context.Context, b *reldb.ColumnBlock, base i
 				continue
 			}
 		}
-		w.sink.fold(base, start, end, sel)
+		if err := w.sink.fold(base, start, end, sel); err != nil {
+			return err
+		}
 	}
 	return nil
 }

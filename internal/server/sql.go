@@ -130,10 +130,10 @@ func NewSQLResponse(res *sqldb.Result, plan *planner.Plan, req SQLRequest) SQLRe
 	return resp
 }
 
-// streamSQL emits a completed result set as NDJSON. sqldb results are
-// already materialized (the planner's pushed aggregation keeps them
-// small when possible); streaming bounds the response encoding, not the
-// execution.
+// streamSQL emits a completed result set as NDJSON. The executor streams
+// its input, but a result is whole before it is encoded, since ORDER BY,
+// DISTINCT and LIMIT run over the finished rows; streaming bounds the
+// response encoding, not the execution.
 func (s *Server) streamSQL(w http.ResponseWriter, res *sqldb.Result, req SQLRequest, plan *PlanWire) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)

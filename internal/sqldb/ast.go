@@ -115,3 +115,32 @@ func (*InExpr) expr()      {}
 func (*IsNullExpr) expr()  {}
 func (*BetweenExpr) expr() {}
 func (*FuncExpr) expr()    {}
+
+// Walk calls fn on e and, while fn returns true for a node, on each of
+// the node's subexpressions in source order — an aggregate's argument
+// included. A nil e is not visited.
+func Walk(e Expr, fn func(Expr) bool) {
+	if e == nil || !fn(e) {
+		return
+	}
+	switch x := e.(type) {
+	case *BinaryExpr:
+		Walk(x.L, fn)
+		Walk(x.R, fn)
+	case *UnaryExpr:
+		Walk(x.X, fn)
+	case *InExpr:
+		Walk(x.X, fn)
+		for _, item := range x.List {
+			Walk(item, fn)
+		}
+	case *IsNullExpr:
+		Walk(x.X, fn)
+	case *BetweenExpr:
+		Walk(x.X, fn)
+		Walk(x.Lo, fn)
+		Walk(x.Hi, fn)
+	case *FuncExpr:
+		Walk(x.Arg, fn)
+	}
+}

@@ -15,21 +15,36 @@ type Result struct {
 	Rows    []reldb.Row
 }
 
-// Source hands the executor the tables a statement names: each table's
-// column names in row order and its rows, or ok=false when there is no
-// such table. The executor only reads what it is handed (neither the
-// slice nor a row is modified), so a source decides what a statement can
-// see — the planner passes the virtual catalog's materialized rows or the
-// engine's physical tables.
-type Source func(table string) (columns []string, rows []reldb.Row, ok bool)
+// Source opens the tables a statement names: each table's column names
+// in row order and a scan of its rows, or ok=false when there is no such
+// table. Opening reads nothing; a scan calls yield with each row in the
+// table's order and stops at, and returns, the first error yield returns
+// or its own. The contract between the executor and every source:
+//   - a yielded row lives only until yield returns — a scan may
+//     overwrite it for the next row — so the executor copies what it
+//     keeps, and never modifies a row;
+//   - the executor scans every JOIN table (the build sides) whole before
+//     it scans the FROM table (the probe side), each scan once;
+//   - no scan starts inside another's yield, so a source may call back
+//     under a lock (reldb's Gather and Lookup hold the engine read lock,
+//     and a second read lock taken under it deadlocks behind a queued
+//     writer).
+//
+// A source decides what a statement can see: the planner hands over the
+// virtual catalog's access paths or the engine's physical tables.
+type Source func(table string) (columns []string, scan func(yield func(reldb.Row) error) error, ok bool)
 
-// Execute runs a parsed SELECT over the tables src provides: FROM and
-// JOINs (hash join on an equi-condition, nested loop otherwise), WHERE,
-// then grouping with HAVING or plain projection, ORDER BY, DISTINCT and
-// LIMIT/OFFSET. The statement's WHERE is always applied here, so a source
+// Execute runs a parsed SELECT as one pull pipeline over the tables src
+// opens. It reads and copies every JOIN's build side first, then streams
+// the FROM table's rows through the joins (hash join on an
+// equi-condition, nested loop otherwise), WHERE, and the group fold or
+// the projection; HAVING, ORDER BY, DISTINCT and LIMIT/OFFSET then run
+// over the finished groups or projected rows. Rows reach each clause in
+// input order, and the first row to raise an error in any clause decides
+// the error. The statement's WHERE is always applied here, so a source
 // may hand over a superset of the matching rows. ctx is checked every
-// 1024 rows the WHERE filters and every 1024 pairs a join compares, and
-// its error returned as is.
+// 1024 rows scanned or pairs a join compares, and its error returned as
+// is, as is a scan's own error.
 func Execute(ctx context.Context, s *SelectStmt, src Source) (*Result, error) {
 	var ticks int
 	tick := func() error {
@@ -38,30 +53,50 @@ func Execute(ctx context.Context, s *SelectStmt, src Source) (*Result, error) {
 		}
 		return nil
 	}
-	rows, f, err := buildInput(s, src, tick)
+	cols, scan, ok := src(s.From.Table)
+	if !ok {
+		return nil, fmt.Errorf("sql: no table %q", s.From.Table)
+	}
+	f := frameFor(s.From.name(), cols)
+	joins := make([]*join, len(s.Joins))
+	for i, jc := range s.Joins {
+		j, err := buildJoin(jc, f, src, tick)
+		if err != nil {
+			return nil, err
+		}
+		joins[i], f = j, j.frame
+	}
+	build := plain
+	if HasAggregates(s) {
+		build = grouped
+	}
+	fold, result, err := build(s, f)
 	if err != nil {
 		return nil, err
 	}
+	emit := fold
 	if s.Where != nil {
-		kept := make([]reldb.Row, 0, len(rows))
-		for _, row := range rows {
-			if err := tick(); err != nil {
-				return nil, err
-			}
+		emit = func(row reldb.Row) error {
 			ok, err := isTrue(s.Where, f, row)
-			if err != nil {
-				return nil, err
-			}
 			if ok {
-				kept = append(kept, row)
+				return fold(row)
 			}
+			return err
 		}
-		rows = kept
 	}
-	if HasAggregates(s) {
-		return execGrouped(s, rows, f)
+	for i := len(joins) - 1; i >= 0; i-- {
+		j, next := joins[i], emit
+		emit = func(row reldb.Row) error { return j.probe(row, tick, next) }
 	}
-	return execPlain(s, rows, f)
+	if err := scan(func(row reldb.Row) error {
+		if err := tick(); err != nil {
+			return err
+		}
+		return emit(row)
+	}); err != nil {
+		return nil, err
+	}
+	return result()
 }
 
 // frameFor binds column names under a table alias so qualified and
@@ -74,111 +109,109 @@ func frameFor(alias string, columns []string) *frame {
 	return f
 }
 
-// buildInput reads the FROM table and applies JOIN clauses, producing the
-// combined rows and the column frame. tick is called once per pair a
-// join compares.
-func buildInput(s *SelectStmt, src Source, tick func() error) ([]reldb.Row, *frame, error) {
-	cols, rows, ok := src(s.From.Table)
-	if !ok {
-		return nil, nil, fmt.Errorf("sql: no table %q", s.From.Table)
-	}
-	f := frameFor(s.From.name(), cols)
-
-	for _, j := range s.Joins {
-		rightCols, rightRows, ok := src(j.Table.Table)
-		if !ok {
-			return nil, nil, fmt.Errorf("sql: no table %q", j.Table.Table)
-		}
-		rightFrame := frameFor(j.Table.name(), rightCols)
-		combined := &frame{cols: append(append([]colBinding{}, f.cols...), rightFrame.cols...)}
-
-		// Try a hash join on an equi-condition a = b splitting across sides.
-		leftKey, rightKey := splitEquiJoin(j.On, f, rightFrame)
-		var out []reldb.Row
-		if leftKey != nil && rightKey != nil {
-			hash := make(map[string][]reldb.Row, len(rightRows))
-			for _, rr := range rightRows {
-				kv, err := eval(rightKey, rightFrame, rr)
-				if err != nil {
-					return nil, nil, err
-				}
-				if kv.IsNull() {
-					continue
-				}
-				k := joinKey(kv)
-				hash[k] = append(hash[k], rr)
-			}
-			for _, lr := range rows {
-				kv, err := eval(leftKey, f, lr)
-				if err != nil {
-					return nil, nil, err
-				}
-				matched := false
-				if !kv.IsNull() {
-					for _, rr := range hash[joinKey(kv)] {
-						if err := tick(); err != nil {
-							return nil, nil, err
-						}
-						joined := append(append(reldb.Row{}, lr...), rr...)
-						ok, err := isTrue(j.On, combined, joined)
-						if err != nil {
-							return nil, nil, err
-						}
-						if ok {
-							out = append(out, joined)
-							matched = true
-						}
-					}
-				}
-				if j.Left && !matched {
-					out = append(out, padRight(lr, len(rightCols)))
-				}
-			}
-		} else {
-			// Nested loop.
-			for _, lr := range rows {
-				matched := false
-				for _, rr := range rightRows {
-					if err := tick(); err != nil {
-						return nil, nil, err
-					}
-					joined := append(append(reldb.Row{}, lr...), rr...)
-					ok, err := isTrue(j.On, combined, joined)
-					if err != nil {
-						return nil, nil, err
-					}
-					if ok {
-						out = append(out, joined)
-						matched = true
-					}
-				}
-				if j.Left && !matched {
-					out = append(out, padRight(lr, len(rightCols)))
-				}
-			}
-		}
-		rows = out
-		f = combined
-	}
-	return rows, f, nil
+// join is one JOIN clause with its build side read: the right table's
+// rows, copied, hashed on the right half of an equi-condition when ON
+// has one.
+type join struct {
+	on      Expr
+	left    bool   // LEFT JOIN: an unmatched row is padded with NULLs
+	lframe  *frame // the columns before this join
+	frame   *frame // lframe's, then the right table's
+	width   int    // the right table's column count
+	leftKey Expr   // nil: nested loop over rows
+	hash    map[string][]reldb.Row
+	rows    []reldb.Row
+	buf     reldb.Row // the joined row handed on; reused per pair
+	key     []byte
 }
 
-// joinKey is the hash-join bucket of a key value. Integers bucket as
-// floats because the ON condition compares 1 and 1.0 equal; a bucket may
-// therefore hold near misses, which re-evaluating ON per pair rejects.
-func joinKey(v reldb.Value) string {
+// buildJoin opens a JOIN's table and reads it whole, ticking per row. A
+// NULL key joins nothing, so such a row is left out of the hash.
+func buildJoin(jc JoinClause, left *frame, src Source, tick func() error) (*join, error) {
+	cols, scan, ok := src(jc.Table.Table)
+	if !ok {
+		return nil, fmt.Errorf("sql: no table %q", jc.Table.Table)
+	}
+	right := frameFor(jc.Table.name(), cols)
+	j := &join{
+		on: jc.On, left: jc.Left, lframe: left, width: len(cols),
+		frame: &frame{cols: append(append([]colBinding{}, left.cols...), right.cols...)},
+	}
+	leftKey, rightKey := splitEquiJoin(jc.On, left, right)
+	if leftKey != nil && rightKey != nil {
+		j.leftKey, j.hash = leftKey, map[string][]reldb.Row{}
+	}
+	err := scan(func(row reldb.Row) error {
+		if err := tick(); err != nil {
+			return err
+		}
+		if j.hash == nil {
+			j.rows = append(j.rows, row.Clone())
+			return nil
+		}
+		kv, err := eval(rightKey, right, row)
+		if err != nil || kv.IsNull() {
+			return err
+		}
+		j.key = joinKey(j.key[:0], kv)
+		j.hash[string(j.key)] = append(j.hash[string(j.key)], row.Clone())
+		return nil
+	})
+	return j, err
+}
+
+// probe joins one left row with the build side, handing every joined row
+// ON accepts to next, in build order, and a NULL-padded one when a LEFT
+// JOIN matched nothing. tick runs once per pair compared.
+func (j *join) probe(lr reldb.Row, tick func() error, next func(reldb.Row) error) error {
+	candidates := j.rows
+	if j.hash != nil {
+		kv, err := eval(j.leftKey, j.lframe, lr)
+		if err != nil {
+			return err
+		}
+		candidates = nil
+		if !kv.IsNull() {
+			j.key = joinKey(j.key[:0], kv)
+			candidates = j.hash[string(j.key)]
+		}
+	}
+	matched := false
+	for _, rr := range candidates {
+		if err := tick(); err != nil {
+			return err
+		}
+		j.buf = append(append(j.buf[:0], lr...), rr...)
+		ok, err := isTrue(j.on, j.frame, j.buf)
+		if err != nil {
+			return err
+		}
+		if ok {
+			matched = true
+			if err := next(j.buf); err != nil {
+				return err
+			}
+		}
+	}
+	if j.left && !matched {
+		j.buf = append(j.buf[:0], lr...)
+		for range j.width {
+			j.buf = append(j.buf, reldb.Null())
+		}
+		return next(j.buf)
+	}
+	return nil
+}
+
+// joinKey appends the hash-join bucket of a key value. Integers bucket
+// as floats because the ON condition compares 1 and 1.0 equal; a bucket
+// may therefore hold near misses, which re-evaluating ON per pair
+// rejects.
+func joinKey(dst []byte, v reldb.Value) []byte {
 	if v.Kind() == reldb.KindInt {
 		v = reldb.Float(float64(v.Int64()))
 	}
-	return string(reldb.EncodeKey(nil, v))
-}
-
-func padRight(left reldb.Row, n int) reldb.Row {
-	out := append(reldb.Row{}, left...)
-	for i := 0; i < n; i++ {
-		out = append(out, reldb.Null())
-	}
-	return out
+	return reldb.EncodeKey(dst, v)
 }
 
 // isTrue evaluates a predicate; only an exact boolean true keeps a row.
@@ -233,47 +266,55 @@ func resolvesIn(e Expr, f *frame) bool {
 	}
 }
 
-// execPlain handles non-aggregated SELECT: projection, DISTINCT, ORDER BY,
-// LIMIT/OFFSET.
-func execPlain(s *SelectStmt, rows []reldb.Row, f *frame) (*Result, error) {
-	cols, project, err := makeProjection(s.Items, f)
-	if err != nil {
-		return nil, err
-	}
-	type sortable struct {
-		out  reldb.Row
-		keys reldb.Row
-	}
-	items := make([]sortable, 0, len(rows))
-	for _, row := range rows {
-		out, err := project(row)
-		if err != nil {
-			return nil, err
-		}
-		var keys reldb.Row
-		for _, oi := range s.OrderBy {
-			k, err := evalOrderKey(oi.Expr, f, row, s.Items, cols, out)
-			if err != nil {
-				return nil, err
-			}
-			keys = append(keys, k)
-		}
-		items = append(items, sortable{out: out, keys: keys})
-	}
+// sortable is one output row with its ORDER BY keys.
+type sortable struct {
+	out  reldb.Row
+	keys reldb.Row
+}
+
+// finish is the tail every SELECT ends in: ORDER BY (stable, so ties
+// keep input order), DISTINCT, LIMIT/OFFSET.
+func finish(s *SelectStmt, cols []string, items []sortable) *Result {
 	if len(s.OrderBy) > 0 {
 		sort.SliceStable(items, func(i, j int) bool {
 			return orderLess(items[i].keys, items[j].keys, s.OrderBy)
 		})
 	}
-	outRows := make([]reldb.Row, len(items))
+	rows := make([]reldb.Row, len(items))
 	for i, it := range items {
-		outRows[i] = it.out
+		rows[i] = it.out
 	}
 	if s.Distinct {
-		outRows = distinctRows(outRows)
+		rows = distinctRows(rows)
 	}
-	outRows = applyLimit(outRows, s.Limit, s.Offset)
-	return &Result{Columns: cols, Rows: outRows}, nil
+	return &Result{Columns: cols, Rows: applyLimit(rows, s.Limit, s.Offset)}
+}
+
+// plain is the fold of a SELECT without aggregates: each row's
+// projection and ORDER BY keys, in new rows.
+func plain(s *SelectStmt, f *frame) (func(reldb.Row) error, func() (*Result, error), error) {
+	cols, project, err := makeProjection(s.Items, f)
+	if err != nil {
+		return nil, nil, err
+	}
+	var items []sortable
+	fold := func(row reldb.Row) error {
+		out, err := project(row)
+		if err != nil {
+			return err
+		}
+		var keys reldb.Row
+		for _, oi := range s.OrderBy {
+			k, err := evalOrderKey(oi.Expr, f, row, s.Items, cols, out)
+			if err != nil {
+				return err
+			}
+			keys = append(keys, k)
+		}
+		items = append(items, sortable{out: out, keys: keys})
+		return nil
+	}
+	return fold, func() (*Result, error) { return finish(s, cols, items), nil }, nil
 }
 
 func orderLess(a, b reldb.Row, order []OrderItem) bool {
@@ -489,30 +530,6 @@ func (st *aggState) result() reldb.Value {
 	return reldb.Null()
 }
 
-// collectAggs gathers the aggregate call nodes in an expression tree.
-func collectAggs(e Expr, out *[]*FuncExpr) {
-	switch x := e.(type) {
-	case *FuncExpr:
-		*out = append(*out, x)
-	case *BinaryExpr:
-		collectAggs(x.L, out)
-		collectAggs(x.R, out)
-	case *UnaryExpr:
-		collectAggs(x.X, out)
-	case *InExpr:
-		collectAggs(x.X, out)
-		for _, i := range x.List {
-			collectAggs(i, out)
-		}
-	case *IsNullExpr:
-		collectAggs(x.X, out)
-	case *BetweenExpr:
-		collectAggs(x.X, out)
-		collectAggs(x.Lo, out)
-		collectAggs(x.Hi, out)
-	}
-}
-
 // evalWithAggs evaluates an expression where aggregate nodes take their
 // precomputed group values.
 func evalWithAggs(e Expr, f *frame, row reldb.Row, aggVals map[*FuncExpr]reldb.Value) (reldb.Value, error) {
@@ -557,64 +574,70 @@ type group struct {
 	states []*aggState
 }
 
-// collectSelectAggs gathers the aggregate call nodes of a SELECT from the
-// select list, ORDER BY, and HAVING, in the canonical order the grouped
-// executor (and FinishGrouped) consumes them.
-func collectSelectAggs(s *SelectStmt) ([]*FuncExpr, error) {
+// SelectAggregates returns the aggregate call nodes of a SELECT (from the
+// select list, ORDER BY, and HAVING) in the canonical order the grouped
+// executor consumes them and FinishGrouped expects each group's Aggs
+// slice to follow. It rejects SELECT * combined with aggregation.
+func SelectAggregates(s *SelectStmt) ([]*FuncExpr, error) {
 	var aggs []*FuncExpr
+	collect := func(e Expr) {
+		Walk(e, func(x Expr) bool {
+			fe, ok := x.(*FuncExpr)
+			if ok {
+				aggs = append(aggs, fe)
+			}
+			return !ok
+		})
+	}
 	for _, item := range s.Items {
 		if item.Star {
 			return nil, fmt.Errorf("sql: SELECT * is not valid with GROUP BY or aggregates")
 		}
-		collectAggs(item.Expr, &aggs)
+		collect(item.Expr)
 	}
 	for _, oi := range s.OrderBy {
-		collectAggs(oi.Expr, &aggs)
+		collect(oi.Expr)
 	}
-	if s.Having != nil {
-		collectAggs(s.Having, &aggs)
-	}
+	collect(s.Having)
 	return aggs, nil
 }
 
-// emptyGroup builds the single all-null group that an aggregate query with
-// no GROUP BY and no input rows still yields (e.g. COUNT(*) = 0).
-func emptyGroup(ncols int, aggs []*FuncExpr) *group {
-	g := &group{repr: make(reldb.Row, ncols)}
-	for i := range g.repr {
-		g.repr[i] = reldb.Null()
-	}
+// newGroup starts a group whose group-key columns are repr's.
+func newGroup(repr reldb.Row, aggs []*FuncExpr) *group {
+	g := &group{repr: repr}
 	for _, fe := range aggs {
 		g.states = append(g.states, newAggState(fe))
 	}
 	return g
 }
 
-func execGrouped(s *SelectStmt, rows []reldb.Row, f *frame) (*Result, error) {
-	aggs, err := collectSelectAggs(s)
+// grouped is the fold of an aggregate SELECT: each row into its group's
+// accumulators, a group keeping a copy of its first row for the
+// group-key columns.
+func grouped(s *SelectStmt, f *frame) (func(reldb.Row) error, func() (*Result, error), error) {
+	aggs, err := SelectAggregates(s)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	groups := make(map[string]*group)
-	var order []string // first-seen order
-	for _, row := range rows {
-		var keyVals reldb.Row
+	groups := map[string]*group{}
+	var order []*group // first-seen order
+	var keyVals reldb.Row
+	var key []byte
+	fold := func(row reldb.Row) error {
+		keyVals = keyVals[:0]
 		for _, ge := range s.GroupBy {
 			v, err := eval(ge, f, row)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			keyVals = append(keyVals, v)
 		}
-		k := string(reldb.EncodeKey(nil, keyVals...))
-		g, ok := groups[k]
+		key = reldb.EncodeKey(key[:0], keyVals...)
+		g, ok := groups[string(key)]
 		if !ok {
-			g = &group{repr: row}
-			for _, fe := range aggs {
-				g.states = append(g.states, newAggState(fe))
-			}
-			groups[k] = g
-			order = append(order, k)
+			g = newGroup(row.Clone(), aggs)
+			groups[string(key)] = g
+			order = append(order, g)
 		}
 		for i, fe := range aggs {
 			if fe.Star {
@@ -623,27 +646,23 @@ func execGrouped(s *SelectStmt, rows []reldb.Row, f *frame) (*Result, error) {
 			}
 			v, err := eval(fe.Arg, f, row)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			g.states[i].add(v)
 		}
+		return nil
 	}
-	// An aggregate query with no GROUP BY and no input rows still yields
-	// one row (e.g. COUNT(*) = 0).
-	if len(s.GroupBy) == 0 && len(groups) == 0 {
-		groups[""] = emptyGroup(len(f.cols), aggs)
-		order = append(order, "")
-	}
-	ordered := make([]*group, len(order))
-	for i, k := range order {
-		ordered[i] = groups[k]
-	}
-	return finishGrouped(s, f, aggs, ordered)
+	return fold, func() (*Result, error) { return finishGrouped(s, f, aggs, order) }, nil
 }
 
 // finishGrouped completes a grouped SELECT from fully-accumulated groups:
-// HAVING, projection, ORDER BY, DISTINCT, LIMIT/OFFSET.
-func finishGrouped(s *SelectStmt, f *frame, aggs []*FuncExpr, ordered []*group) (*Result, error) {
+// HAVING, projection, ORDER BY, DISTINCT, LIMIT/OFFSET. An aggregate
+// query with no GROUP BY and no groups still yields one row, of an
+// all-NULL group (e.g. COUNT(*) = 0).
+func finishGrouped(s *SelectStmt, f *frame, aggs []*FuncExpr, groups []*group) (*Result, error) {
+	if len(s.GroupBy) == 0 && len(groups) == 0 {
+		groups = append(groups, newGroup(make(reldb.Row, len(f.cols)), aggs))
+	}
 	var cols []string
 	for _, item := range s.Items {
 		name := item.Alias
@@ -652,13 +671,8 @@ func finishGrouped(s *SelectStmt, f *frame, aggs []*FuncExpr, ordered []*group) 
 		}
 		cols = append(cols, name)
 	}
-
-	type sortable struct {
-		out  reldb.Row
-		keys reldb.Row
-	}
-	var outItems []sortable
-	for _, g := range ordered {
+	var items []sortable
+	for _, g := range groups {
 		aggVals := make(map[*FuncExpr]reldb.Value, len(aggs))
 		for i, fe := range aggs {
 			aggVals[fe] = g.states[i].result()
@@ -694,22 +708,9 @@ func finishGrouped(s *SelectStmt, f *frame, aggs []*FuncExpr, ordered []*group) 
 			}
 			keys = append(keys, kv)
 		}
-		outItems = append(outItems, sortable{out: out, keys: keys})
+		items = append(items, sortable{out: out, keys: keys})
 	}
-	if len(s.OrderBy) > 0 {
-		sort.SliceStable(outItems, func(i, j int) bool {
-			return orderLess(outItems[i].keys, outItems[j].keys, s.OrderBy)
-		})
-	}
-	outRows := make([]reldb.Row, len(outItems))
-	for i, it := range outItems {
-		outRows[i] = it.out
-	}
-	if s.Distinct {
-		outRows = distinctRows(outRows)
-	}
-	outRows = applyLimit(outRows, s.Limit, s.Offset)
-	return &Result{Columns: cols, Rows: outRows}, nil
+	return finish(s, cols, items), nil
 }
 
 // FormatTable renders a result set as an aligned text table for CLI output.

@@ -10,32 +10,47 @@ import (
 )
 
 // testDB is the door these tests query through: Parse, then Execute over
-// a source that reads an engine's tables whole, as the planner's raw-sql
-// path does.
+// a source that streams an engine's tables as the planner's sources do,
+// through one reused row buffer that it poisons after every yield. A row
+// the executor keeps without copying it shows up as poison in a result.
 type testDB struct{ eng *reldb.DB }
+
+// poison overwrites every cell of a yielded row once yield returns.
+var poison = reldb.Str("\x00poisoned: the executor kept a yielded row")
 
 func (db testDB) Query(q string) (*Result, error) {
 	sel, err := Parse(q)
 	if err != nil {
 		return nil, err
 	}
-	return Execute(context.Background(), sel, func(name string) ([]string, []reldb.Row, bool) {
-		tab, ok := db.eng.Table(name)
-		if !ok {
-			return nil, nil, false
-		}
-		var cols []string
-		for _, c := range tab.Schema().Columns {
-			cols = append(cols, c.Name)
-		}
-		var rows []reldb.Row
-		var slab []reldb.Value
-		tab.Lookup("", nil, func(b *reldb.ColumnBlock, i int) bool {
-			rows = append(rows, b.Row(i, &slab))
-			return true
+	return Execute(context.Background(), sel, db.source)
+}
+
+func (db testDB) source(name string) ([]string, func(func(reldb.Row) error) error, bool) {
+	tab, ok := db.eng.Table(name)
+	if !ok {
+		return nil, nil, false
+	}
+	var cols []string
+	for _, c := range tab.Schema().Columns {
+		cols = append(cols, c.Name)
+	}
+	return cols, func(yield func(reldb.Row) error) error {
+		buf := make([]reldb.Value, len(cols))
+		var err error
+		lerr := tab.Lookup("", nil, func(b *reldb.ColumnBlock, i int) bool {
+			slab := buf
+			err = yield(b.Row(i, &slab))
+			for c := range buf {
+				buf[c] = poison
+			}
+			return err == nil
 		})
-		return cols, rows, true
-	})
+		if lerr != nil {
+			return lerr
+		}
+		return err
+	}, true
 }
 
 // mkTable builds one fixture table through the engine: columns are
@@ -503,15 +518,20 @@ func TestLargeScanAndAggregate(t *testing.T) {
 	}
 }
 
-// TestExecuteStopsWhenCancelled: the WHERE filter and both join loops
-// check ctx every 1024 rows or pairs, so each stops with the context's
-// error once it is cancelled.
+// TestExecuteStopsWhenCancelled: the executor checks ctx every 1024 rows
+// it scans and every 1024 pairs a join compares, so each statement stops
+// with the context's error once it is cancelled.
 func TestExecuteStopsWhenCancelled(t *testing.T) {
-	rows := make([]reldb.Row, 2048)
-	for i := range rows {
-		rows[i] = reldb.Row{reldb.Int(int64(i))}
+	src := func(string) ([]string, func(func(reldb.Row) error) error, bool) {
+		return []string{"x"}, func(yield func(reldb.Row) error) error {
+			for i := range 2048 {
+				if err := yield(reldb.Row{reldb.Int(int64(i))}); err != nil {
+					return err
+				}
+			}
+			return nil
+		}, true
 	}
-	src := func(string) ([]string, []reldb.Row, bool) { return []string{"x"}, rows, true }
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, q := range []string{

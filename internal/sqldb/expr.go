@@ -335,28 +335,13 @@ func likeRec(p, s string) bool {
 // hasAggregate reports whether the expression tree contains an aggregate
 // function call.
 func hasAggregate(e Expr) bool {
-	switch x := e.(type) {
-	case *FuncExpr:
-		return true
-	case *BinaryExpr:
-		return hasAggregate(x.L) || hasAggregate(x.R)
-	case *UnaryExpr:
-		return hasAggregate(x.X)
-	case *InExpr:
-		if hasAggregate(x.X) {
-			return true
-		}
-		for _, item := range x.List {
-			if hasAggregate(item) {
-				return true
-			}
-		}
-	case *IsNullExpr:
-		return hasAggregate(x.X)
-	case *BetweenExpr:
-		return hasAggregate(x.X) || hasAggregate(x.Lo) || hasAggregate(x.Hi)
-	}
-	return false
+	found := false
+	Walk(e, func(x Expr) bool {
+		_, isAgg := x.(*FuncExpr)
+		found = found || isAgg
+		return !found
+	})
+	return found
 }
 
 // exprName derives a display name for an output column.

@@ -55,14 +55,6 @@ func NewFinishedAggregator(fe *FuncExpr, count int64, sum float64, sumInt int64,
 	return &Aggregator{st: st}
 }
 
-// SelectAggregates returns the aggregate call nodes of a SELECT (from the
-// select list, ORDER BY, and HAVING) in the canonical order FinishGrouped
-// expects each group's Aggs slice to follow. It rejects SELECT * combined
-// with aggregation, matching the executor.
-func SelectAggregates(s *SelectStmt) ([]*FuncExpr, error) {
-	return collectSelectAggs(s)
-}
-
 // PlannedGroup is one pre-aggregated group produced below materialization.
 // Repr is a representative virtual-table row for the group (group-key
 // columns populated, everything else null) and Aggs holds one finished
@@ -77,7 +69,7 @@ type PlannedGroup struct {
 // LIMIT/OFFSET run here over the planner-built groups. An aggregate query
 // with no GROUP BY and no groups still yields one row (COUNT(*) = 0).
 func FinishGrouped(s *SelectStmt, columns []string, groups []PlannedGroup) (*Result, error) {
-	aggs, err := collectSelectAggs(s)
+	aggs, err := SelectAggregates(s)
 	if err != nil {
 		return nil, err
 	}
@@ -92,9 +84,6 @@ func FinishGrouped(s *SelectStmt, columns []string, groups []PlannedGroup) (*Res
 			g.states = append(g.states, a.st)
 		}
 		ordered = append(ordered, g)
-	}
-	if len(s.GroupBy) == 0 && len(ordered) == 0 {
-		ordered = append(ordered, emptyGroup(len(columns), aggs))
 	}
 	return finishGrouped(s, frameFor(s.From.name(), columns), aggs, ordered)
 }
