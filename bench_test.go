@@ -1107,23 +1107,28 @@ const (
 // BenchmarkSQLAggregate times grouped aggregates over the synthetic corpus
 // (benchResultRows result rows), compacted before timing:
 //
-//	{mem,segment}/planned  the acceptance aggregation through the cost-based
-//	                       planner: accumulators pushed into the column
-//	                       kernels, no result row built
+//	{mem,segment}/planned  the acceptance aggregation through the planner:
+//	                       accumulators pushed into the column kernels, no
+//	                       result row built
 //	{mem,segment}/naive    the same query with Planner.Naive, the oracle:
 //	                       every row materialized, then aggregated
 //	scan/w{1,4,all}        the five-aggregate query over 16 segments in a
 //	                       directory, at GOMAXPROCS 1, 4 and its default
+//	dim/{metric,execution} one dimension equality, the bench's one-metric
+//	                       shape and one execution, over 16 executions
+//	                       in a segment each plus 10 of 256 results (the
+//	                       size of the bench's doc_small) in the tail
 //
-// Every planned and scan run must read segment blocks; a run served from
-// the tail fails instead of timing the wrong path.
+// Every planned, scan and dim run must read segment blocks, and a dim
+// run must also prune some: a run served from the tail, or one that reads
+// every block, fails instead of timing the wrong path.
 func BenchmarkSQLAggregate(b *testing.B) {
 	rows := benchResultRows(b)
 	// Same collector pacing as BenchmarkMaterializeEngines: the naive runs
 	// allocate every row, and the seeded store's mark cost would bury the
 	// difference being measured.
 	defer debug.SetGCPercent(debug.SetGCPercent(400))
-	run := func(b *testing.B, p *planner.Planner, q string) {
+	run := func(b *testing.B, p *planner.Planner, q string, groups int, pruned bool) {
 		b.Helper()
 		// Warm-up keeps segment reads and dictionary maps out of the timed
 		// loop and checks the run takes the intended path.
@@ -1134,6 +1139,9 @@ func BenchmarkSQLAggregate(b *testing.B) {
 		if !p.Naive && plan.Profile.BlocksScanned == 0 {
 			b.Fatalf("query read no segment blocks (plan: %s)", plan.Text())
 		}
+		if pruned && plan.Profile.BlocksPruned == 0 {
+			b.Fatalf("query pruned no block (plan: %s)", plan.Text())
+		}
 		runtime.GC()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -1141,8 +1149,8 @@ func BenchmarkSQLAggregate(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if len(res.Rows) != sqlAggregateGroups {
-				b.Fatalf("%d groups, want %d", len(res.Rows), sqlAggregateGroups)
+			if len(res.Rows) != groups {
+				b.Fatalf("%d groups, want %d", len(res.Rows), groups)
 			}
 		}
 		b.ReportMetric(float64(rows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
@@ -1170,7 +1178,7 @@ func BenchmarkSQLAggregate(b *testing.B) {
 				b.Run(name, func(b *testing.B) {
 					p := planner.New(s)
 					p.Naive = naive
-					run(b, p, sqlAggregateQuery)
+					run(b, p, sqlAggregateQuery, sqlAggregateGroups, false)
 				})
 			}
 		})
@@ -1194,8 +1202,25 @@ func BenchmarkSQLAggregate(b *testing.B) {
 		}{{"w1", 1}, {"w4", 4}, {"wall", runtime.GOMAXPROCS(0)}} {
 			b.Run(w.name, func(b *testing.B) {
 				withWorkers(b, w.workers)
-				run(b, planner.New(s), scanAggregateQuery)
+				run(b, planner.New(s), scanAggregateQuery, sqlAggregateGroups, false)
 			})
+		}
+	})
+	b.Run("dim", func(b *testing.B) {
+		eng, err := reldb.OpenFile(b.TempDir())
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer eng.Close()
+		s, err := experiments.SeedExecutionSegments(eng, 16, rows/16, 10, 256)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, c := range []struct{ name, q string }{
+			{"metric", "SELECT count(*), sum(value), min(value) FROM performance_result WHERE value > 5 AND metric = 'a-00'"},
+			{"execution", "SELECT count(*), sum(value), min(value) FROM performance_result WHERE execution = 'e0003'"},
+		} {
+			b.Run(c.name, func(b *testing.B) { run(b, planner.New(s), c.q, 1, true) })
 		}
 	})
 }

@@ -1,5 +1,5 @@
 // Command ptsql runs SQL SELECTs against a PerfTrack data store through
-// the cost-based query planner (internal/planner). Queries see the
+// the query planner (internal/planner). Queries see the
 // virtual catalog — execution, resource, attribute, and
 // performance_result tables keyed by names — plus the WHERE-only
 // pseudo-columns "family" (a pr-filter spec) and "resource" on
@@ -20,7 +20,7 @@
 // ANALYZE form: the plan plus the execution profile — per-operator row
 // counts, segment blocks scanned vs. zone-map-pruned, tail rows,
 // kernel vs. merge wall time, per-worker row loads, and the planner's
-// cardinality error. -naive disables the cost-based machinery, for A/B-ing
+// cardinality error. -naive disables the planner's pushdown, for A/B-ing
 // plans; it runs on the -db store directly, since no route offers it.
 package main
 
@@ -46,7 +46,7 @@ func main() {
 	explain := flag.Bool("explain", false, "print the chosen plan with estimated vs. actual cardinalities to stderr")
 	analyze := flag.Bool("analyze", false, "like -explain, plus the execution profile (rows, blocks, kernel/merge time, workers)")
 	limit := flag.Int("limit", 0, "maximum rows to return (0 = all)")
-	naive := flag.Bool("naive", false, "disable the cost-based planner (local only; full scans, no pushdown)")
+	naive := flag.Bool("naive", false, "disable the planner (local only; full scans, no pushdown)")
 	flag.Parse()
 
 	if (*dbDir == "") == (*remote == "") {

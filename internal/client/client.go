@@ -247,7 +247,7 @@ func (c *Client) QueryWith(ctx context.Context, req server.QueryRequest) (server
 	return out, err
 }
 
-// SQL runs one SELECT on the server's cost-based planner
+// SQL runs one SELECT on the server's planner
 // (POST /v1/sql). A malformed or unsupported statement unwraps to
 // datastore.ErrBadSpec.
 func (c *Client) SQL(ctx context.Context, req server.SQLRequest) (server.SQLResponse, error) {

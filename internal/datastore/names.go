@@ -273,7 +273,7 @@ func (n *names) addAttr(attr, value string) {
 	n.mu.Unlock()
 }
 
-// statistics snapshots what the planner's cost model reads: distinct
+// statistics snapshots what the planner's estimates read: distinct
 // names per table and the per-attribute row and value counts.
 func (n *names) statistics() (distinct map[string]int64, attrs []AttributeStat) {
 	n.mu.RLock()

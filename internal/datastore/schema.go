@@ -237,7 +237,6 @@ var figure1 = []*reldb.Schema{
 		},
 		Indexes: []reldb.IndexSpec{
 			{Name: "performance_result_exec", Columns: []string{"execution_id"}},
-			{Name: "performance_result_metric", Columns: []string{"metric_id"}},
 		},
 	},
 	// Complex (histogram-valued) performance results — the paper's §6

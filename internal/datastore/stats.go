@@ -6,10 +6,9 @@ import (
 	"perftrack/internal/reldb"
 )
 
-// Planner statistics. The cost-based planner (internal/planner) chooses
-// between attribute-index scans, cached ID-set intersection, zone-map
-// segment scans, and full scans using row counts, distinct-value
-// estimates, and segment coverage. The numbers are computed on demand
+// Planner statistics. The planner (internal/planner) estimates rows from
+// row counts and distinct-value estimates, and labels a scan zone-map
+// when segments cover rows. The numbers are computed on demand
 // from the names directory (loadNames builds it from the rows), never
 // stored, and served over the wire via GET /v1/stats.
 

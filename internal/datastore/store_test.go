@@ -712,44 +712,58 @@ func TestSchemaDDLGolden(t *testing.T) {
 	}
 }
 
-// TestSchemaMismatchIsRefused: a table that differs from Figure 1's — a
-// store whose resource_attribute lacks its (name, value) index, as an
-// older program left it — makes Open fail with reldb.ErrFormat, which
-// says to re-load the store from PTdf, and log nothing.
+// TestSchemaMismatchIsRefused: a table that differs from Figure 1's makes
+// Open fail with reldb.ErrFormat, which says to re-load the store from
+// PTdf, and log nothing. Two stores an older program left: one whose
+// resource_attribute lacks its (name, value) index, and one whose
+// performance_result still carries the metric_id index.
 func TestSchemaMismatchIsRefused(t *testing.T) {
-	dir := t.TempDir()
-	fe, err := reldb.OpenFile(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := Open(fe)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.AddResource("/GF/Frost", "grid/machine", ""); err != nil {
-		t.Fatal(err)
-	}
-	if err := fe.DropIndex("resource_attribute", "resource_attribute_name"); err != nil {
-		t.Fatal(err)
-	}
-	if err := fe.Close(); err != nil {
-		t.Fatal(err)
-	}
+	for _, c := range []struct {
+		table, index string
+		has          bool // whether the older program's table holds index
+		alter        func(*reldb.DB) error
+	}{
+		{"resource_attribute", "resource_attribute_name", false, func(fe *reldb.DB) error {
+			return fe.DropIndex("resource_attribute", "resource_attribute_name")
+		}},
+		{"performance_result", "performance_result_metric", true, func(fe *reldb.DB) error {
+			return fe.CreateIndex("performance_result", reldb.IndexSpec{Name: "performance_result_metric", Columns: []string{"metric_id"}})
+		}},
+	} {
+		dir := t.TempDir()
+		fe, err := reldb.OpenFile(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(fe)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.AddResource("/GF/Frost", "grid/machine", ""); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.alter(fe); err != nil {
+			t.Fatal(err)
+		}
+		if err := fe.Close(); err != nil {
+			t.Fatal(err)
+		}
 
-	fe2, err := reldb.OpenFile(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fe2.Close()
-	walBefore := fe2.Stats().WALBytes
-	_, err = Open(fe2)
-	if !errors.Is(err, reldb.ErrFormat) || !strings.Contains(err.Error(), "re-load it from PTdf") || !strings.Contains(err.Error(), "resource_attribute") {
-		t.Fatalf("Open over a table that is not Figure 1's = %v, want reldb.ErrFormat naming resource_attribute", err)
-	}
-	if walAfter := fe2.Stats().WALBytes; walAfter != walBefore {
-		t.Errorf("the refused open logged %d WAL bytes", walAfter-walBefore)
-	}
-	if raTab, _ := fe2.Table("resource_attribute"); raTab.HasIndex("resource_attribute_name") {
-		t.Error("the refused open recreated resource_attribute_name")
+		fe2, err := reldb.OpenFile(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		walBefore := fe2.Stats().WALBytes
+		_, err = Open(fe2)
+		if !errors.Is(err, reldb.ErrFormat) || !strings.Contains(err.Error(), "re-load it from PTdf") || !strings.Contains(err.Error(), c.table) {
+			t.Errorf("Open over a %s that is not Figure 1's = %v, want reldb.ErrFormat naming it", c.table, err)
+		}
+		if walAfter := fe2.Stats().WALBytes; walAfter != walBefore {
+			t.Errorf("%s: the refused open logged %d WAL bytes", c.table, walAfter-walBefore)
+		}
+		if tab, _ := fe2.Table(c.table); tab.HasIndex(c.index) != c.has {
+			t.Errorf("the refused open changed %s's index %s", c.table, c.index)
+		}
+		fe2.Close()
 	}
 }

@@ -1,7 +1,8 @@
 package experiments
 
 // Synthetic corpora behind the benchmarks in the repo root: a 100k-row
-// result corpus (BenchmarkMaterializeEngines, BenchmarkSQLAggregate) and a
+// result corpus (BenchmarkMaterializeEngines, BenchmarkSQLAggregate), the
+// same rows as one segment per execution (BenchmarkSQLAggregate/dim) and a
 // diagnosis fleet with one planted discriminating attribute
 // (BenchmarkDiagnose).
 
@@ -99,6 +100,57 @@ func SeedSegmentedSynthStore(eng *reldb.DB, rows, segments int) (*datastore.Stor
 			}
 		}
 		start = end
+	}
+	return s, nil
+}
+
+// SeedExecutionSegments loads execs synthetic executions of perExec
+// results each, committing and compacting each alone, so every execution
+// fills a segment of its own, whose execution column is constant. Then
+// tail more executions of tailRows results each stay in the uncompacted
+// tail. Executions are named e0000, e0001, …; even ones report metrics
+// a-00…a-07 through tool synth-a, odd ones b-00…b-07 through synth-b,
+// the disjoint metric sets of two tools.
+func SeedExecutionSegments(eng *reldb.DB, execs, perExec, tail, tailRows int) (*datastore.Store, error) {
+	s, err := datastore.Open(eng)
+	if err != nil {
+		return nil, err
+	}
+	recs := []ptdf.Record{ptdf.ApplicationRec{Name: "synth"}, ptdf.ResourceRec{Name: "/synth", Type: "application"}}
+	for p := 0; p < synthProcs; p++ {
+		recs = append(recs, ptdf.ResourceRec{Name: synthProcName(p), Type: "grid/machine/partition/node/processor"})
+	}
+	if err := commit(s, recs); err != nil {
+		return nil, err
+	}
+	for k := range execs + tail {
+		n, exec, tool := perExec, fmt.Sprintf("e%04d", k), "a"
+		if k >= execs {
+			n = tailRows
+		}
+		if k%2 == 1 {
+			tool = "b"
+		}
+		recs := []ptdf.Record{ptdf.ExecutionRec{Name: exec, App: "synth"}}
+		for i := range n {
+			recs = append(recs, ptdf.PerfResultRec{
+				Exec: exec,
+				Sets: []ptdf.ResourceSet{{
+					Names: []core.ResourceName{"/synth", synthProcName(i)},
+					Type:  core.FocusPrimary,
+				}},
+				Tool: "synth-" + tool, Metric: fmt.Sprintf("%s-%02d", tool, i%8),
+				Value: float64(i) * 0.25, Units: "seconds",
+			})
+		}
+		if err := commit(s, recs); err != nil {
+			return nil, err
+		}
+		if k < execs {
+			if err := eng.CompactSegments(); err != nil {
+				return nil, err
+			}
+		}
 	}
 	return s, nil
 }

@@ -51,16 +51,8 @@ func (p *Planner) planResults(ctx context.Context, sel *sqldb.SelectStmt, prof *
 	if err != nil {
 		return nil, nil, err
 	}
-	stats := p.store.TableStatistics()
-	access := p.chooseResultAccess(stats, pushed, f.fams)
-	plan := &Plan{
-		Table:        "performance_result",
-		Strategy:     access.strategy,
-		EstRows:      access.est,
-		Residual:     len(residual) > 0,
-		Alternatives: access.alternatives,
-		Profile:      prof,
-	}
+	plan := &Plan{Table: "performance_result", Residual: len(residual) > 0, Profile: prof}
+	plan.Strategy, plan.EstRows = p.resultStrategy(p.store.TableStatistics(), pushed, f.fams)
 	prof.markPlanned()
 	for _, c := range pushed {
 		plan.Pushed = append(plan.Pushed, describeConjunct(c))
@@ -70,10 +62,10 @@ func (p *Planner) planResults(ctx context.Context, sel *sqldb.SelectStmt, prof *
 	}
 
 	if specs, groupCols, ok := p.aggPushable(sel, residual); ok {
-		res, err := p.execAggregate(ctx, sel, access, &f, specs, groupCols, plan)
+		res, err := p.execAggregate(ctx, sel, &f, specs, groupCols, plan)
 		return res, plan, err
 	}
-	res, err := p.execRows(ctx, sel, access, &f, plan)
+	res, err := p.execRows(ctx, sel, &f, plan)
 	return res, plan, err
 }
 
@@ -154,8 +146,8 @@ func (p *Planner) aggPushable(sel *sqldb.SelectStmt, residual []sqldb.Expr) ([]v
 // materialization: the kernels fold (id, dims, value) columns straight
 // off the access path into per-group accumulators and no result row is
 // ever built.
-func (p *Planner) execAggregate(ctx context.Context, sel *sqldb.SelectStmt, access resultAccess,
-	f *resultFilter, specs []vecAggSpec, groupCols []string, plan *Plan) (*sqldb.Result, error) {
+func (p *Planner) execAggregate(ctx context.Context, sel *sqldb.SelectStmt, f *resultFilter,
+	specs []vecAggSpec, groupCols []string, plan *Plan) (*sqldb.Result, error) {
 	plan.Aggregate = true
 
 	// Packed key space: each key column sized by its dictionary's largest
@@ -181,7 +173,7 @@ func (p *Planner) execAggregate(ctx context.Context, sel *sqldb.SelectStmt, acce
 	if proto.dense > 0 {
 		workers = maxDenseGroups / proto.dense
 	}
-	merged, err := p.scanResults(ctx, access, f, plan, workers, func() blockSink {
+	merged, err := p.scanResults(ctx, f, plan, workers, func() blockSink {
 		s := proto
 		s.acc = newVecAccum(s.dense, specs)
 		s.gbuf = make([]int32, 0, vecBatch)
@@ -235,8 +227,7 @@ func (p *Planner) execAggregate(ctx context.Context, sel *sqldb.SelectStmt, acce
 // units, tool) rows for residual filtering, projection, grouping, and
 // ordering: the kernels run block by block on one worker, or the naive
 // scan walks its Lookup.
-func (p *Planner) execRows(ctx context.Context, sel *sqldb.SelectStmt, access resultAccess,
-	f *resultFilter, plan *Plan) (*sqldb.Result, error) {
+func (p *Planner) execRows(ctx context.Context, sel *sqldb.SelectStmt, f *resultFilter, plan *Plan) (*sqldb.Result, error) {
 	vr := p.resultRow()
 	var n int64
 	res, err := sqldb.Execute(ctx, sel, func(string) ([]string, func(func(reldb.Row) error) error, bool) {
@@ -248,7 +239,7 @@ func (p *Planner) execRows(ctx context.Context, sel *sqldb.SelectStmt, access re
 			if p.Naive {
 				return p.naiveScan(ctx, f, plan.Profile, vr, counted)
 			}
-			_, err := p.scanResults(ctx, access, f, plan, 1, func() blockSink { return &rowSink{row: vr, yield: counted} })
+			_, err := p.scanResults(ctx, f, plan, 1, func() blockSink { return &rowSink{row: vr, yield: counted} })
 			return err
 		}, true
 	})
@@ -313,37 +304,36 @@ func (p *Planner) naiveScan(ctx context.Context, f *resultFilter, prof *ExecProf
 }
 
 // idBounds derives an inclusive primary-key range from pushed id
-// predicates; it bounds both zone-map pruning and the key-order walk.
+// predicates; it bounds both zone-map pruning and the key-order walk. A
+// literal beyond the int64 range clamps to its end before it converts,
+// and the ±1 of a strict comparison stops there, so such a bound never
+// wraps into a wrong range.
 func idBounds(nums []numPred) (lo, hi int64) {
 	lo, hi = 0, math.MaxInt64
+	key := func(f float64) int64 {
+		switch {
+		case f >= math.MaxInt64: // float64(MaxInt64) is 2^63, one above it
+			return math.MaxInt64
+		case f <= math.MinInt64:
+			return math.MinInt64
+		}
+		return int64(f)
+	}
 	for _, np := range nums {
 		if np.col != "id" {
 			continue
 		}
 		switch np.op {
 		case "=":
-			if b := int64(math.Ceil(np.f)); b > lo {
-				lo = b
-			}
-			if b := int64(math.Floor(np.f)); b < hi {
-				hi = b
-			}
+			lo, hi = max(lo, key(math.Ceil(np.f))), min(hi, key(math.Floor(np.f)))
 		case ">":
-			if b := int64(math.Floor(np.f)) + 1; b > lo {
-				lo = b
-			}
+			lo = max(lo, min(key(math.Floor(np.f)), math.MaxInt64-1)+1)
 		case ">=":
-			if b := int64(math.Ceil(np.f)); b > lo {
-				lo = b
-			}
+			lo = max(lo, key(math.Ceil(np.f)))
 		case "<":
-			if b := int64(math.Ceil(np.f)) - 1; b < hi {
-				hi = b
-			}
+			hi = min(hi, max(key(math.Ceil(np.f)), math.MinInt64+1)-1)
 		case "<=":
-			if b := int64(math.Floor(np.f)); b < hi {
-				hi = b
-			}
+			hi = min(hi, key(math.Floor(np.f)))
 		}
 	}
 	return lo, hi

@@ -61,9 +61,6 @@ func (p *Plan) Text() string {
 	if p.CacheHit {
 		b.WriteString("\n  cache: result served from plan cache")
 	}
-	if len(p.Alternatives) > 0 {
-		fmt.Fprintf(&b, "\n  cost: %s", strings.Join(p.Alternatives, " "))
-	}
 	return b.String()
 }
 

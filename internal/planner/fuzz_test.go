@@ -4,7 +4,7 @@ import "testing"
 
 // FuzzSQLPlanner feeds arbitrary SQL through parse → plan → execute and
 // holds two invariants: the planner never panics, and whenever a query
-// runs at all, the cost-based execution returns exactly what the naive
+// runs at all, the planned execution returns exactly what the naive
 // (no pushdown, direct B-tree scan) execution returns. The check runs
 // over every storage shape holding the same corpus (differentialStores):
 // stores in memory and in a directory whose rows are all in the tail, a

@@ -1,13 +1,15 @@
-// Package planner is the cost-based query planner between the SQL
-// frontend (internal/sqldb) and the datastore. It exposes the store as a
-// small virtual catalog — execution, resource, attribute, and
-// performance_result tables keyed by names instead of internal IDs —
-// and, per predicate, chooses between attribute-index scans, the cached
-// ID-set intersection of the pr-filter engine, zone-map-pruned columnar
-// segment scans, and full scans, using the table statistics the store
-// collects at batch-commit time. Predicates and aggregations are pushed
-// below materialization, so SELECT avg(value) ... GROUP BY metric never
-// builds result rows.
+// Package planner is the query planner between the SQL frontend
+// (internal/sqldb) and the datastore. It exposes the store as a small
+// virtual catalog — execution, resource, attribute, and
+// performance_result tables keyed by names instead of internal IDs — and
+// hands the one executor a block source: a performance_result statement
+// with family specs gathers their resolved ID set (attr-index or
+// idset-cache), and any other is one zone-map-pruned block scan whose
+// kernels apply the pushed equalities and comparisons; a dimension table
+// takes its string index for an indexed equality. The statistics the
+// store derives only estimate rows; no access path is priced. Predicates
+// and aggregations are pushed below materialization, so SELECT
+// avg(value) ... GROUP BY metric never builds result rows.
 //
 // Queries the catalog cannot express (joins, physical columns such as
 // execution_id, physical-only tables) run through the same sqldb executor
@@ -38,18 +40,6 @@ const (
 	StrategyRawSQL    = "raw-sql"     // scan + join over the physical tables
 )
 
-// Cost-model weights: relative cost of visiting one row on each access
-// path (DESIGN.md §11). Point lookups pay a binary search per block,
-// index lookups a permutation walk, full scans a key-order walk (both
-// Table.Lookup, a position at a time), and segment scans stream decoded
-// columns.
-const (
-	costPointLookup = 4.0
-	costIndexRow    = 2.0
-	costScanRow     = 1.0
-	costSegmentRow  = 0.25
-)
-
 // virtualColumns is the planner catalog: the virtual tables and their
 // column order. performance_result additionally accepts the WHERE-only
 // pseudo-columns "resource" (a resource name, descendants included) and
@@ -77,7 +67,7 @@ var resultDims = map[string]struct {
 type Planner struct {
 	store *datastore.Store
 
-	// Naive disables the cost-based machinery — no predicate or aggregate
+	// Naive disables the planner's machinery — no predicate or aggregate
 	// pushdown, full-scan access, every WHERE conjunct re-evaluated per
 	// materialized row. Family specs are still honored (they are
 	// semantics, not optimization). It is the oracle for FuzzSQLPlanner
@@ -105,8 +95,7 @@ type Plan struct {
 	Residual     bool
 	Aggregate    bool
 	Materialized int64
-	Alternatives []string // "strategy=cost" entries the cost model compared
-	CacheHit     bool     // result served from the plan-keyed result cache
+	CacheHit     bool // result served from the plan-keyed result cache
 
 	// Profile records the execution's per-operator actuals (see
 	// profile.go). A cache hit carries the profile of the execution that
@@ -559,113 +548,48 @@ func estimateFamilies(stats datastore.TableStatistics, fams []core.ResourceFilte
 	return int64(est)
 }
 
-// --- cost-based strategy choice for performance_result ---
+// --- strategy and estimate for performance_result ---
 
-// resultAccess is the planner's decision for one performance_result scan.
-type resultAccess struct {
-	strategy     string
-	indexDim     string // kindDim column driving an index scan
-	est          int64
-	alternatives []string
-}
-
-// chooseResultAccess costs the applicable access paths and picks the
-// cheapest. Family specs (families holds their parsed filters) force the
-// set-based path (they are semantics); everything else competes on
-// estimated rows visited times per-row cost.
-func (p *Planner) chooseResultAccess(stats datastore.TableStatistics, cs []conjunct, families []core.ResourceFilter) resultAccess {
+// resultStrategy labels a performance_result scan and estimates its
+// output rows. Nothing is priced: family specs (families holds their
+// parsed filters) gather their resolved selection, and every other
+// statement is the one block scan, bounded by the pushed id predicates
+// and narrowed by the pushed equalities and comparisons in the kernels.
+// The label says what that scan prunes with: zone-map when the
+// statistics show segment rows, full-scan otherwise. Naive mode is a
+// full scan of every row.
+func (p *Planner) resultStrategy(stats datastore.TableStatistics, cs []conjunct, families []core.ResourceFilter) (string, int64) {
 	total := stats.TableStat("performance_result").Rows
-	segRows := stats.TableStat("performance_result").SegmentRows
-	dims := map[string]string{}
-	nums := 0
-	for _, c := range cs {
-		switch c.kind {
-		case kindDim:
-			dims[c.dimCol] = c.dimVal
-		case kindNum:
-			nums++
-		}
-	}
-
-	// Scan-output estimate: whatever the access path, the pushed
-	// predicates thin the stream.
-	estOut := float64(total)
-	if len(families) > 0 {
-		estOut = float64(estimateFamilies(stats, families))
-	}
-	dimSel := func(col string) float64 {
-		d := stats.TableStat(resultDims[col].dict).DistinctKeys
-		if d <= 0 {
-			return 1
-		}
-		return 1 / float64(d)
-	}
-	for col := range dims {
-		estOut *= dimSel(col)
-	}
-	for i := 0; i < nums; i++ {
-		estOut /= 3
-	}
-	if estOut < 1 {
-		estOut = 1
-	}
-	out := resultAccess{est: int64(estOut)}
-
 	if p.Naive {
-		out.strategy = StrategyFullScan
-		out.est = total
-		return out
+		return StrategyFullScan, total
 	}
+	est := float64(total)
 	if len(families) > 0 {
-		out.strategy = familiesStrategy(families)
-		setSize := float64(estimateFamilies(stats, families))
-		out.alternatives = append(out.alternatives,
-			fmt.Sprintf("%s=%.0f", out.strategy, setSize*costPointLookup),
-			fmt.Sprintf("%s=%.0f", StrategyFullScan, float64(total)*costScanRow))
-		return out
+		est = float64(estimateFamilies(stats, families))
 	}
-
-	type option struct {
-		strategy string
-		dim      string
-		cost     float64
-	}
-	opts := []option{{strategy: StrategyFullScan, cost: float64(total) * costScanRow}}
-	if segRows > 0 { // the statistics count scannable segments only
-		tail := float64(total - segRows)
-		if tail < 0 {
-			tail = 0
-		}
-		opts = append(opts, option{
-			strategy: StrategyZoneMap,
-			cost:     float64(segRows)*costSegmentRow + tail*costScanRow,
-		})
-	}
-	for _, dim := range []string{"execution", "metric"} { // the indexed dims
-		if _, ok := dims[dim]; !ok {
-			continue
-		}
-		opts = append(opts, option{
-			strategy: StrategyIndex,
-			dim:      dim,
-			cost:     float64(total) * dimSel(dim) * costIndexRow,
-		})
-	}
-	best := opts[0]
-	for _, o := range opts[1:] {
-		if o.cost < best.cost {
-			best = o
+	nums, dims := 0, map[string]bool{}
+	for _, c := range cs {
+		switch {
+		case c.kind == kindNum:
+			nums++
+		case c.kind == kindDim && !dims[c.dimCol]:
+			dims[c.dimCol] = true
+			if d := stats.TableStat(resultDims[c.dimCol].dict).DistinctKeys; d > 0 {
+				est *= 1 / float64(d) // x·(1/d) can round off x/d; est_rows is on the wire
+			}
 		}
 	}
-	out.strategy, out.indexDim = best.strategy, best.dim
-	for _, o := range opts {
-		name := o.strategy
-		if o.dim != "" {
-			name += "(" + o.dim + ")"
-		}
-		out.alternatives = append(out.alternatives, fmt.Sprintf("%s=%.0f", name, o.cost))
+	for range nums {
+		est /= 3
 	}
-	return out
+	est = max(est, 1)
+	switch {
+	case len(families) > 0:
+		return familiesStrategy(families), int64(est)
+	case stats.TableStat("performance_result").SegmentRows > 0:
+		return StrategyZoneMap, int64(est)
+	}
+	return StrategyFullScan, int64(est)
 }
 
 // describeConjunct renders a pushed conjunct for plan output.

@@ -103,6 +103,14 @@ var differentialQueries = []string{
 	"SELECT name, type FROM resource WHERE base_name = 'p1'",
 	"SELECT name, execution FROM resource WHERE name = '/app'",
 	"SELECT resource, name, value FROM attribute WHERE name = 'clock' ORDER BY resource",
+	// Dimension equalities ride the block scan, alone and beside a value
+	// comparison, through the aggregate and the row sinks.
+	"SELECT count(*), sum(value) FROM performance_result WHERE metric = 'metric-2'",
+	"SELECT id, value FROM performance_result WHERE execution = 'exec-b' AND value > 20 ORDER BY id",
+	// Id bounds beyond the int64 range bound nothing.
+	"SELECT count(*) FROM performance_result WHERE id <= 1e300",
+	"SELECT count(*) FROM performance_result WHERE id <= 1e19",
+	"SELECT count(*) FROM performance_result WHERE id >= -1e300",
 	// Raw-executor fallbacks: physical columns and tables.
 	"SELECT count(*) FROM metric",
 	"SELECT execution_id, count(*) FROM performance_result GROUP BY execution_id ORDER BY execution_id",
@@ -200,7 +208,7 @@ func checkPlannedMatchesNaive(t testing.TB, label string, planned, naive *Planne
 }
 
 // TestPlannedMatchesNaive is the differential oracle: every query must
-// produce byte-identical results with the cost-based machinery on and
+// produce byte-identical results with the planner's pushdown on and
 // off, on every storage shape.
 func TestPlannedMatchesNaive(t *testing.T) {
 	for _, s := range differentialStores(t, 400) {
@@ -208,6 +216,32 @@ func TestPlannedMatchesNaive(t *testing.T) {
 		naive := New(s.st)
 		naive.Naive = true
 		for _, q := range differentialQueries {
+			checkPlannedMatchesNaive(t, s.label, planned, naive, q)
+		}
+	}
+}
+
+// TestDimensionEqualitiesRideTheBlockScan: an execution or metric
+// equality on performance_result is the one block scan on every storage
+// shape — zone-map once the store has segments, full-scan before — and
+// answers what naive does, through the aggregate and the row sinks.
+func TestDimensionEqualitiesRideTheBlockScan(t *testing.T) {
+	for _, s := range differentialStores(t, 400) {
+		want := StrategyFullScan
+		if s.st.TableStatistics().TableStat("performance_result").SegmentRows > 0 {
+			want = StrategyZoneMap
+		}
+		planned := New(s.st)
+		naive := New(s.st)
+		naive.Naive = true
+		for _, q := range []string{
+			"SELECT count(*), avg(value) FROM performance_result WHERE metric = 'metric-1'",
+			"SELECT execution, sum(value) FROM performance_result WHERE execution = 'exec-a' GROUP BY execution",
+			"SELECT id, metric FROM performance_result WHERE metric = 'metric-3' AND execution = 'exec-b' ORDER BY id DESC",
+		} {
+			if _, plan, err := planned.Query(context.Background(), q); err != nil || plan.Strategy != want {
+				t.Fatalf("%s %q: plan %+v, err %v; want strategy %s", s.label, q, plan, err, want)
+			}
 			checkPlannedMatchesNaive(t, s.label, planned, naive, q)
 		}
 	}
@@ -256,17 +290,28 @@ func TestAggregatePushdown(t *testing.T) {
 		t.Fatalf("groups = %d, want 4", len(res.Rows))
 	}
 
-	// A selective dimension equality should drive the index path.
-	_, plan, err = p.Query(context.Background(),
-		"SELECT avg(value) FROM performance_result WHERE metric = 'metric-2' GROUP BY metric")
+	// A dimension equality rides the block scan: its kernel selects the
+	// rows, and no index is read.
+	q := "SELECT avg(value) FROM performance_result WHERE metric = 'metric-2' GROUP BY metric"
+	res, plan, err = p.Query(context.Background(), q)
 	if err != nil {
 		t.Fatalf("query: %v", err)
 	}
-	if plan.Strategy != StrategyIndex {
-		t.Fatalf("strategy = %q, want %q (plan: %s)", plan.Strategy, StrategyIndex, plan.Text())
+	if plan.Strategy != StrategyFullScan || !plan.Aggregate {
+		t.Fatalf("strategy = %q, aggregate = %v; want the pushed block scan %q (plan: %s)",
+			plan.Strategy, plan.Aggregate, StrategyFullScan, plan.Text())
 	}
 	if plan.ActualRows != 100 {
 		t.Fatalf("actual_rows = %d, want 100", plan.ActualRows)
+	}
+	naive := New(st)
+	naive.Naive = true
+	nres, _, err := naive.Query(context.Background(), q)
+	if err != nil {
+		t.Fatalf("naive: %v", err)
+	}
+	if got, want := renderResult(res), renderResult(nres); got != want {
+		t.Fatalf("planned and naive diverge:\n%s\nvs\n%s", got, want)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"perftrack/internal/experiments"
 	"perftrack/internal/reldb"
 )
 
@@ -79,6 +80,38 @@ func TestExecProfileZoneMapPruning(t *testing.T) {
 	}
 	if prof.SegmentRows == 0 || prof.SegmentRows >= 400 {
 		t.Errorf("SegmentRows = %d, want a pruned subset of 400", prof.SegmentRows)
+	}
+}
+
+// TestExecProfileKernelPruning: an execution equality on a store that
+// holds each of 16 executions in a segment of its own reads one segment.
+// The equality kernel rules the other 15 out unread (their execution
+// column is constant), and the profile counts them as pruned, not
+// scanned.
+func TestExecProfileKernelPruning(t *testing.T) {
+	eng, err := reldb.OpenFile(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { eng.Close() })
+	st, err := experiments.SeedExecutionSegments(eng, 16, 4096, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, plan, err := New(st).Query(context.Background(),
+		"SELECT count(*), avg(value) FROM performance_result WHERE execution = 'e0007'")
+	if err != nil {
+		t.Fatalf("query: %v", err)
+	}
+	w := plan.WireAnalyze().Profile
+	if plan.Strategy != StrategyZoneMap || plan.ActualRows != 4096 {
+		t.Fatalf("strategy %s, actual rows %d; want %s, 4096 (plan: %s)", plan.Strategy, plan.ActualRows, StrategyZoneMap, plan.Text())
+	}
+	if w.BlocksPruned != 15 || w.BlocksScanned != 1 || w.RowsScanned != 4096 || w.SegmentRows != 4096 || w.TailRows != 0 {
+		t.Errorf("profile %+v, want 15 blocks pruned, 1 scanned, 4096 segment rows scanned, 0 tail rows", *w)
+	}
+	if out := w.Text(); !strings.Contains(out, "scanned: 4096 rows (4096 segment rows in 1 blocks, 15 blocks pruned, 0 tail rows)") {
+		t.Errorf("analyze output does not show the pruned blocks:\n%s", out)
 	}
 }
 

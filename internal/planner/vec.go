@@ -74,8 +74,8 @@ type resultFilter struct {
 // buildResultFilter resolves the pushed conjuncts of a
 // performance_result scan. Family specs resolve here — even when another
 // predicate already rules every row out, because naive execution reports
-// a bad spec either way — and parse exactly once: the cost model and the
-// plan text read the parsed filters from the result.
+// a bad spec either way — and parse exactly once: the strategy label, the
+// estimate and the plan text read the parsed filters from the result.
 func (p *Planner) buildResultFilter(ctx context.Context, pushed []conjunct) (resultFilter, error) {
 	var f resultFilter
 	var sel query.Selection
@@ -782,19 +782,20 @@ type scanWorker struct {
 }
 
 // scanBlock streams one block through the selection kernels into the
-// sink, window by window. base is the block's global scan ordinal. It is
+// sink, window by window, and reports whether the kernels ruled the
+// whole block out unread. base is the block's global scan ordinal. It is
 // the only place planned execution iterates performance_result rows.
-func (w *scanWorker) scanBlock(ctx context.Context, b *reldb.ColumnBlock, base int64) error {
+func (w *scanWorker) scanBlock(ctx context.Context, b *reldb.ColumnBlock, base int64) (pruned bool, err error) {
 	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("planner: scan performance_result: %w", err)
+		return false, fmt.Errorf("planner: scan performance_result: %w", err)
 	}
 	bv, err := resultBlockVecs(b)
 	if err != nil {
-		return err
+		return false, err
 	}
 	ks, none := bv.kernels(w.f)
 	if none {
-		return nil
+		return true, nil
 	}
 	w.sink.open(b, &bv)
 	n := b.Len()
@@ -812,20 +813,21 @@ func (w *scanWorker) scanBlock(ctx context.Context, b *reldb.ColumnBlock, base i
 			}
 		}
 		if err := w.sink.fold(base, start, end, sel); err != nil {
-			return err
+			return false, err
 		}
 	}
-	return nil
+	return false, nil
 }
 
-// scanResults is the one planned scan of performance_result. The access
-// strategy is a block producer: full-scan and zone-map open the block
-// source over the pushed id bounds; idset-cache, attr-index and index
-// resolve an ascending row-ID list and gather it. Segment blocks fan
-// out over at most maxWorkers workers, one sink each, merged in block
-// order into the first; transposed blocks then fold into that sink one
-// at a time. It returns the merged sink.
-func (p *Planner) scanResults(ctx context.Context, access resultAccess, f *resultFilter, plan *Plan,
+// scanResults is the one planned scan of performance_result. Family
+// specs gather their resolved ascending ID list; any other statement opens
+// the block source over the pushed id bounds, and the kernels apply the
+// pushed equalities and comparisons. Segment blocks fan out over at most
+// maxWorkers workers, one sink each, merged in block order into the
+// first; the tail's blocks, or the gathered ones, then fold into that
+// sink one at a time. A block the kernels rule out counts as pruned, not
+// scanned. It returns the merged sink.
+func (p *Planner) scanResults(ctx context.Context, f *resultFilter, plan *Plan,
 	maxWorkers int, newSink func() blockSink) (blockSink, error) {
 	prof := plan.Profile
 	head := &scanWorker{f: f, sink: newSink(), sel: make([]int32, 0, vecBatch)}
@@ -833,7 +835,6 @@ func (p *Planner) scanResults(ctx context.Context, access resultAccess, f *resul
 	if !ok {
 		return nil, fmt.Errorf("datastore: no performance_result table: %w", datastore.ErrNotFound)
 	}
-	ranged := access.strategy == StrategyFullScan || access.strategy == StrategyZoneMap
 	lo, hi := idBounds(f.nums)
 	if f.impossible || lo > hi {
 		return head.sink, nil
@@ -842,20 +843,28 @@ func (p *Planner) scanResults(ctx context.Context, access resultAccess, f *resul
 	var base int64
 	segmented := false
 	seq := func(b *reldb.ColumnBlock) error {
-		err := head.scanBlock(ctx, b, base)
-		if err == nil {
-			n := int64(b.Len())
-			base += n
+		pruned, err := head.scanBlock(ctx, b, base)
+		n := int64(b.Len())
+		switch {
+		case err != nil:
+			return err
+		case pruned:
+			prof.BlocksPruned++
+		default:
 			prof.RowsScanned += n
 			if segmented {
 				prof.TailRows += n
 			}
 		}
-		return err
+		base += n
+		return nil
 	}
 	var start time.Time
 	var err error
-	if ranged {
+	if len(f.fams) > 0 {
+		start = time.Now()
+		err = tab.Gather(f.famIDs, seq)
+	} else {
 		var scan *reldb.BlockScan
 		if scan, err = p.store.Blocks("performance_result", lo, hi); err != nil {
 			return nil, err
@@ -869,13 +878,6 @@ func (p *Planner) scanResults(ctx context.Context, access resultAccess, f *resul
 		}
 		start = time.Now()
 		err = scan.Tail(seq)
-	} else {
-		var ids []int64
-		if ids, err = accessIDs(tab, access, f); err != nil {
-			return nil, err
-		}
-		start = time.Now()
-		err = tab.Gather(ids, seq)
 	}
 	prof.KernelNanos += time.Since(start).Nanoseconds()
 	if err != nil {
@@ -907,23 +909,29 @@ func (p *Planner) fanOut(ctx context.Context, blocks []*reldb.ColumnBlock, head 
 	for pi := 1; pi < len(parts); pi++ {
 		workers[pi] = &scanWorker{f: head.f, sink: newSink(), sel: make([]int32, 0, vecBatch)}
 	}
-	scanned := make([]int, len(parts)) // blocks each part finished
+	pruned := make([]bool, len(blocks))
+	finished := make([]int, len(parts)) // blocks each part finished
 	err := par.Each(len(parts), func(pi int) error {
 		for bi := parts[pi][0]; bi < parts[pi][1]; bi++ {
-			if err := workers[pi].scanBlock(ctx, blocks[bi], bases[bi]); err != nil {
+			var err error
+			if pruned[bi], err = workers[pi].scanBlock(ctx, blocks[bi], bases[bi]); err != nil {
 				return err
 			}
-			scanned[pi]++
+			finished[pi]++
 		}
 		return nil
 	})
 	prof.KernelNanos += time.Since(kernelStart).Nanoseconds()
 	for pi, pr := range parts {
-		for _, n := range lens[pr[0] : pr[0]+scanned[pi]] {
-			prof.RowsScanned += int64(n)
-			prof.SegmentRows += int64(n)
+		for bi := pr[0]; bi < pr[0]+finished[pi]; bi++ {
+			if pruned[bi] {
+				prof.BlocksPruned++
+				continue
+			}
+			prof.RowsScanned += int64(lens[bi])
+			prof.SegmentRows += int64(lens[bi])
+			prof.BlocksScanned++
 		}
-		prof.BlocksScanned += scanned[pi]
 	}
 	if err != nil {
 		return 0, err
@@ -934,31 +942,4 @@ func (p *Planner) fanOut(ctx context.Context, blocks []*reldb.ColumnBlock, head 
 	}
 	prof.MergeNanos += time.Since(mergeStart).Nanoseconds()
 	return total, nil
-}
-
-// accessIDs is the ascending row-ID list of the set- and index-based
-// strategies: the family specs' resolved selection, or one
-// secondary-index prefix.
-func accessIDs(tab *reldb.Table, access resultAccess, f *resultFilter) ([]int64, error) {
-	if access.strategy != StrategyIndex {
-		return f.famIDs, nil
-	}
-	var key int64
-	for _, df := range f.dims {
-		if df.col == resultDims[access.indexDim].physCol {
-			key = df.id
-		}
-	}
-	idx := "performance_result_exec"
-	if access.indexDim == "metric" {
-		idx = "performance_result_metric"
-	}
-	// A whole key's lookup visits in row-ID order: the gathered stream
-	// stays ID-ascending.
-	var ids []int64
-	err := tab.Lookup(idx, []reldb.Value{reldb.Int(key)}, func(b *reldb.ColumnBlock, i int) bool {
-		ids = append(ids, b.IDs().At(i))
-		return true
-	})
-	return ids, err
 }

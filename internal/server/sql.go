@@ -45,7 +45,7 @@ func appendSQLRow(dst []any, row reldb.Row) []any {
 }
 
 // handleSQL is POST /v1/sql: one SELECT planned and executed against the
-// store's virtual catalog by the cost-based planner (internal/planner).
+// store's virtual catalog by the planner (internal/planner).
 // The buffered form replies with SQLResponse; ?stream=1 emits NDJSON
 // SQLStreamLines through http.Flusher for results too large to buffer.
 // Parse, plan, and catalog errors are 400s.

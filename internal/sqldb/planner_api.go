@@ -1,6 +1,6 @@
 package sqldb
 
-// The door for groups the cost-based planner (internal/planner)
+// The door for groups the planner (internal/planner)
 // pre-aggregated below materialization: its kernels hand over finished
 // accumulators and FinishGrouped applies the rest of the statement, so SQL
 // semantics — projection, HAVING, ORDER BY, DISTINCT, LIMIT — stay in
