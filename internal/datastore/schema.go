@@ -199,7 +199,6 @@ var figure1 = []*reldb.Schema{
 		Columns: []reldb.Column{
 			{Name: "id", Type: reldb.KindInt},
 			{Name: "focus_type", Type: reldb.KindString},
-			{Name: "signature", Type: reldb.KindString},
 		},
 		PrimaryKey: []string{"id"},
 	},

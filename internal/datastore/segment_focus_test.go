@@ -4,15 +4,17 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
+	"perftrack/internal/core"
 	"perftrack/internal/reldb"
 )
 
-// Tests of the focus table as a hot table: the directory alone owns
-// signature uniqueness, an old store gives up its focus_signature index
-// and its focus rows move to columns, and a delete keeps them there.
+// Tests of the focus table as a hot table: a focus is its type and its
+// focus_has_resource rows, the directory alone owns focus uniqueness,
+// and a delete keeps the rows in columns.
 
 // tableRows is every row of every schema table, by table and row ID.
 func tableRows(s *Store) map[string]map[int64]string {
@@ -30,7 +32,7 @@ func tableRows(s *Store) map[string]map[int64]string {
 }
 
 // sameAsTwin fails unless the store holds the twin's rows, row ID for row
-// ID, and resolves every focus signature as the twin does.
+// ID, and resolves every focus key as the twin does.
 func sameAsTwin(t *testing.T, label string, s, twin *Store) {
 	t.Helper()
 	got, want := tableRows(s), tableRows(twin)
@@ -41,7 +43,7 @@ func sameAsTwin(t *testing.T, label string, s, twin *Store) {
 		}
 	}
 	if !reflect.DeepEqual(s.names.focusIDs, twin.names.focusIDs) {
-		t.Fatalf("%s: %d focus signatures resolve, the twin's %d, or they differ", label, len(s.names.focusIDs), len(twin.names.focusIDs))
+		t.Fatalf("%s: %d focus keys resolve, the twin's %d, or they differ", label, len(s.names.focusIDs), len(twin.names.focusIDs))
 	}
 }
 
@@ -67,11 +69,12 @@ func newTwin(t *testing.T) *Store {
 	return s
 }
 
-// TestDuplicateFocusSignatureFailsOpen: signature uniqueness has one
-// owner, the names directory, and no index behind it — so a second focus
-// row under a signature, which only a writer that went round the store can
-// make, is refused where the directory is built, by both IDs.
-func TestDuplicateFocusSignatureFailsOpen(t *testing.T) {
+// TestDuplicateFocusFailsOpen: focus uniqueness has one owner, the names
+// directory, and no index behind it — so a second focus row with copies
+// of the first's focus_has_resource rows, which only a writer that went
+// round the store can make, is refused where the directory is built, by
+// both IDs.
+func TestDuplicateFocusFailsOpen(t *testing.T) {
 	eng := reldb.NewMem()
 	s, err := Open(eng)
 	if err != nil {
@@ -88,10 +91,102 @@ func TestDuplicateFocusSignatureFailsOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	links, _ := eng.Table("focus_has_resource")
+	var members []int64
+	eachRow(links, func(_ int64, r reldb.Row) bool {
+		if r[0].Int64() == first {
+			members = append(members, r[1].Int64())
+		}
+		return true
+	})
+	for _, rid := range members {
+		if _, err := eng.Insert("focus_has_resource", reldb.Row{reldb.Int(second), reldb.Int(rid)}); err != nil {
+			t.Fatal(err)
+		}
+	}
 	_, err = Open(eng)
-	want := fmt.Sprintf("foci %d and %d share the signature", first, second)
+	want := fmt.Sprintf("foci %d and %d have the same type and resources", first, second)
 	if err == nil || !strings.Contains(err.Error(), want) {
-		t.Fatalf("Open over a duplicated signature = %v, want an error saying %q", err, want)
+		t.Fatalf("Open over a duplicated focus = %v, want an error saying %q", err, want)
+	}
+}
+
+// TestFocusWithoutLinksIsNotKeyed: a crash between the focus and
+// focus_has_resource log flushes (DESIGN §9 rule 3) leaves focus rows
+// without links — here two, of one type, as a document with two new
+// contexts leaves them. The directory keys neither, so reopening finds no
+// duplicate, a later load of the same context gets a new, linked focus,
+// and a query by its resource finds the result.
+func TestFocusWithoutLinksIsNotKeyed(t *testing.T) {
+	eng := reldb.NewMem()
+	s, err := Open(eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seedSegmentStudy(t, s)
+	var orphans []int64
+	for range 2 {
+		id, err := eng.Insert("focus", reldb.Row{reldb.Null(), reldb.Str(core.FocusPrimary.String())})
+		if err != nil {
+			t.Fatal(err)
+		}
+		orphans = append(orphans, id)
+	}
+	if s, err = Open(eng); err != nil {
+		t.Fatalf("Open over two foci without links = %v, want it opened", err)
+	}
+	if len(s.names.focusIDs) != 0 {
+		t.Fatalf("the directory keys %d foci without links", len(s.names.focusIDs))
+	}
+	rid := addSegResult(t, s, 1) // one primary context: /irs and node 1
+	var fids []int64
+	if err := s.ResultFoci(context.Background(), []int64{rid}, func(_ int, fid int64) { fids = append(fids, fid) }); err != nil {
+		t.Fatal(err)
+	}
+	if len(fids) != 1 || slices.Contains(orphans, fids[0]) {
+		t.Fatalf("the result links foci %v, want one new focus, not one of %v", fids, orphans)
+	}
+	links, _ := eng.Table("focus_has_resource")
+	n := 0
+	eachRow(links, func(_ int64, r reldb.Row) bool {
+		if r[0].Int64() == fids[0] {
+			n++
+		}
+		return true
+	})
+	if n != 2 {
+		t.Fatalf("the new focus %d has %d links, want 2", fids[0], n)
+	}
+	fam := core.NewFamily("/GM/MCR/batch/n1/p0")
+	got, err := s.MatchingResultIDsCtx(context.Background(), core.PRFilter{Families: []core.Family{fam}})
+	if err != nil || !slices.Equal(got, []int64{rid}) {
+		t.Fatalf("results of the context's resource = %v, %v; want [%d]", got, err, rid)
+	}
+	checkNamesMatchRows(t, s, "after the load")
+}
+
+// TestInternFocusHitAllocatesNothing: re-interning a context the store
+// holds, in any resource order, builds its key in reused buffers and
+// looks it up without a copy.
+func TestInternFocusHitAllocatesNothing(t *testing.T) {
+	s := newStore(t)
+	seedSegmentStudy(t, s)
+	rid := addSegResult(t, s, 1)
+	var want int64
+	if err := s.ResultFoci(context.Background(), []int64{rid}, func(_ int, fid int64) { want = fid }); err != nil {
+		t.Fatal(err)
+	}
+	ctx := core.NewContext("/GM/MCR/batch/n1/p0", "/irs", "/irs")
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	var got int64
+	var err error
+	allocs := testing.AllocsPerRun(100, func() { got, err = s.internFocus(ctx) })
+	if err != nil || got != want {
+		t.Fatalf("internFocus = %d, %v; want the stored focus %d", got, err, want)
+	}
+	if allocs != 0 {
+		t.Fatalf("a hit allocated %.0f times, want 0", allocs)
 	}
 }
 

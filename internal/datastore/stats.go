@@ -69,10 +69,7 @@ func (s *Store) TableStatistics() TableStatistics {
 	}
 	out := TableStatistics{Generation: s.gen.Load(), Attributes: attrs}
 	for _, name := range tableNames {
-		tab, ok := s.eng.Table(name)
-		if !ok {
-			continue
-		}
+		tab, _ := s.eng.Table(name)
 		out.Tables = append(out.Tables, TableStat{
 			Table:        name,
 			Rows:         int64(tab.Len()),
@@ -121,10 +118,7 @@ func (s *Store) ExecutionResultIDs(exec string) ([]int64, error) {
 	if !ok {
 		return nil, fmt.Errorf("datastore: unknown execution %q: %w", exec, ErrNotFound)
 	}
-	tab, ok := s.eng.Table("performance_result")
-	if !ok {
-		return nil, fmt.Errorf("datastore: no performance_result table: %w", ErrNotFound)
-	}
+	tab, _ := s.eng.Table("performance_result")
 	return appendColumn(nil, tab, "performance_result_exec", id, -1)
 }
 

@@ -4,9 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -41,9 +38,12 @@ type Store struct {
 
 	// wmu serializes mutating entry points against each other and against
 	// whole-file transactional loads, without blocking readers. It guards
-	// tx, the open write transaction every insert goes into.
-	wmu sync.Mutex
-	tx  *reldb.Tx
+	// tx, the open write transaction every insert goes into, and the
+	// buffers internFocus reuses.
+	wmu       sync.Mutex
+	tx        *reldb.Tx
+	internIDs []int64
+	internKey []byte
 
 	// names resolves every name ↔ ID; see names.go.
 	names names
@@ -340,7 +340,7 @@ func (s *Store) addResourceLocked(name core.ResourceName, typ core.TypePath, exe
 	}
 	s.names.add(dictResource, id, string(name), typeID)
 	// Maintain the closure tables: link this resource to every ancestor.
-	ancestors, _ := s.names.resourceIDs(name.Ancestors())
+	ancestors, _ := s.names.resourceIDs(nil, name.Ancestors())
 	for _, aid := range ancestors {
 		if _, err := s.tx.Insert("resource_has_ancestor", reldb.Row{
 			reldb.Int(id), reldb.Int(aid),
@@ -383,7 +383,7 @@ func (s *Store) AddResourceConstraint(r1, r2 core.ResourceName) error {
 
 func (s *Store) addResourceConstraintLocked(r1, r2 core.ResourceName) error {
 	pair := []core.ResourceName{r1, r2}
-	ids, miss := s.names.resourceIDs(pair)
+	ids, miss := s.names.resourceIDs(nil, pair)
 	if miss >= 0 {
 		return fmt.Errorf("datastore: no resource %q: %w", pair[miss], ErrNotFound)
 	}
@@ -393,47 +393,35 @@ func (s *Store) addResourceConstraintLocked(r1, r2 core.ResourceName) error {
 	return err
 }
 
-// focusSignature canonically identifies a context for deduplication: a
-// single context can apply to multiple performance results.
-func focusSignature(ft core.FocusType, ids []int64) string {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	var b strings.Builder
-	b.WriteString(ft.String())
-	for _, id := range ids {
-		b.WriteByte(':')
-		b.WriteString(strconv.FormatInt(id, 10))
-	}
-	return b.String()
-}
-
 // internFocus returns the focus ID for a context, creating the focus and
-// its focus_has_resource rows if it is new.
+// its focus_has_resource rows if it is new. A single context can apply to
+// many performance results; a hit allocates nothing.
 func (s *Store) internFocus(ctx core.Context) (int64, error) {
-	ids, miss := s.names.resourceIDs(ctx.Resources)
+	if ctx.Type < core.FocusPrimary || ctx.Type > core.FocusReceiver {
+		return 0, fmt.Errorf("datastore: unknown focus type %d: %w", int(ctx.Type), ErrBadSpec)
+	}
+	ids, miss := s.names.resourceIDs(s.internIDs[:0], ctx.Resources)
 	if miss >= 0 {
 		return 0, fmt.Errorf("datastore: context references unknown resource %q: %w", ctx.Resources[miss], ErrNotFound)
 	}
-	sig := focusSignature(ctx.Type, ids)
-	if id, ok := s.names.focusID(sig); ok {
+	slices.Sort(ids)
+	ids = slices.Compact(ids)
+	s.internIDs, s.internKey = ids, focusKey(s.internKey[:0], ctx.Type, ids)
+	if id, ok := s.names.focusID(s.internKey); ok {
 		return id, nil
 	}
-	fid, err := s.tx.Insert("focus", reldb.Row{
-		reldb.Null(), reldb.Str(ctx.Type.String()), reldb.Str(sig),
-	})
+	fid, err := s.tx.Insert("focus", reldb.Row{reldb.Null(), reldb.Str(ctx.Type.String())})
 	if err != nil {
 		return 0, err
 	}
-	for i, rid := range ids {
-		if i > 0 && rid == ids[i-1] { // focusSignature sorted them
-			continue
-		}
+	for _, rid := range ids {
 		if _, err := s.tx.Insert("focus_has_resource", reldb.Row{
 			reldb.Int(fid), reldb.Int(rid),
 		}); err != nil {
 			return 0, err
 		}
 	}
-	s.names.addFocus(sig, fid)
+	s.names.addFocus(s.internKey, fid)
 	return fid, nil
 }
 
@@ -520,10 +508,7 @@ type Stats struct {
 // Stats reports current row counts and data volume.
 func (s *Store) Stats() Stats {
 	count := func(table string) int64 {
-		t, ok := s.eng.Table(table)
-		if !ok {
-			return 0
-		}
+		t, _ := s.eng.Table(table) // Open created every schema table
 		return int64(t.Len())
 	}
 	return Stats{

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -714,20 +715,23 @@ func TestSchemaDDLGolden(t *testing.T) {
 
 // TestSchemaMismatchIsRefused: a table that differs from Figure 1's makes
 // Open fail with reldb.ErrFormat, which says to re-load the store from
-// PTdf, and log nothing. Two stores an older program left: one whose
-// resource_attribute lacks its (name, value) index, and one whose
-// performance_result still carries the metric_id index.
+// PTdf, and log nothing. Three stores an older program left: one whose
+// resource_attribute lacks its (name, value) index, one whose
+// performance_result still carries the metric_id index, and one whose
+// focus still carries the signature column.
 func TestSchemaMismatchIsRefused(t *testing.T) {
 	for _, c := range []struct {
-		table, index string
-		has          bool // whether the older program's table holds index
-		alter        func(*reldb.DB) error
+		table string
+		old   func(*reldb.Schema) // Figure 1's table as the older program had it
 	}{
-		{"resource_attribute", "resource_attribute_name", false, func(fe *reldb.DB) error {
-			return fe.DropIndex("resource_attribute", "resource_attribute_name")
+		{"resource_attribute", func(sc *reldb.Schema) {
+			sc.Indexes = slices.DeleteFunc(sc.Indexes, func(ix reldb.IndexSpec) bool { return ix.Name == "resource_attribute_name" })
 		}},
-		{"performance_result", "performance_result_metric", true, func(fe *reldb.DB) error {
-			return fe.CreateIndex("performance_result", reldb.IndexSpec{Name: "performance_result_metric", Columns: []string{"metric_id"}})
+		{"performance_result", func(sc *reldb.Schema) {
+			sc.Indexes = append(sc.Indexes, reldb.IndexSpec{Name: "performance_result_metric", Columns: []string{"metric_id"}})
+		}},
+		{"focus", func(sc *reldb.Schema) {
+			sc.Columns = append(sc.Columns, reldb.Column{Name: "signature", Type: reldb.KindString})
 		}},
 	} {
 		dir := t.TempDir()
@@ -735,14 +739,16 @@ func TestSchemaMismatchIsRefused(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := Open(fe)
-		if err != nil {
-			t.Fatal(err)
+		for _, want := range figure1 {
+			sc := want.Clone()
+			if sc.Name == c.table {
+				c.old(sc)
+			}
+			if err := fe.CreateTable(sc); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if _, err := s.AddResource("/GF/Frost", "grid/machine", ""); err != nil {
-			t.Fatal(err)
-		}
-		if err := c.alter(fe); err != nil {
+		if _, err := fe.Insert("focus_framework", reldb.Row{reldb.Null(), reldb.Str("grid"), reldb.Null()}); err != nil {
 			t.Fatal(err)
 		}
 		if err := fe.Close(); err != nil {
@@ -753,7 +759,8 @@ func TestSchemaMismatchIsRefused(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		walBefore := fe2.Stats().WALBytes
+		tab, _ := fe2.Table(c.table)
+		ddlBefore, walBefore := tab.Schema().DDL(), fe2.Stats().WALBytes
 		_, err = Open(fe2)
 		if !errors.Is(err, reldb.ErrFormat) || !strings.Contains(err.Error(), "re-load it from PTdf") || !strings.Contains(err.Error(), c.table) {
 			t.Errorf("Open over a %s that is not Figure 1's = %v, want reldb.ErrFormat naming it", c.table, err)
@@ -761,8 +768,8 @@ func TestSchemaMismatchIsRefused(t *testing.T) {
 		if walAfter := fe2.Stats().WALBytes; walAfter != walBefore {
 			t.Errorf("%s: the refused open logged %d WAL bytes", c.table, walAfter-walBefore)
 		}
-		if tab, _ := fe2.Table(c.table); tab.HasIndex(c.index) != c.has {
-			t.Errorf("the refused open changed %s's index %s", c.table, c.index)
+		if tab, _ := fe2.Table(c.table); tab.Schema().DDL() != ddlBefore {
+			t.Errorf("the refused open changed %s:\n%s", c.table, tab.Schema().DDL())
 		}
 		fe2.Close()
 	}
