@@ -579,8 +579,10 @@ func BenchmarkPRFilterEngine(b *testing.B) {
 			}
 		})
 		b.Run(fmt.Sprintf("CountMatches/cached-%dfam", n), func(b *testing.B) {
-			if _, err := s.CountMatchesCtx(context.Background(), prf); err != nil {
-				b.Fatal(err)
+			for range 2 { // the cache stores a set on its second fill
+				if _, err := s.CountMatchesCtx(context.Background(), prf); err != nil {
+					b.Fatal(err)
+				}
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -775,8 +777,10 @@ func BenchmarkMaterialize(b *testing.B) {
 		report(b)
 	})
 	b.Run("query-warm", func(b *testing.B) {
-		if _, err := query(); err != nil {
-			b.Fatal(err)
+		for range 2 { // the cache stores a set on its second fill
+			if _, err := query(); err != nil {
+				b.Fatal(err)
+			}
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

@@ -137,8 +137,8 @@ func main() {
 		if err != nil {
 			cli.Fatal(err)
 		}
-		fmt.Fprintf(os.Stderr, "query engine: generation %d, cache %d hits / %d misses, %d entries, %d bytes\n",
-			qr.Generation, qr.CacheHits, qr.CacheMisses, st.Engine.CacheEntries, st.Engine.CacheBytes)
+		fmt.Fprintf(os.Stderr, "query engine: generation %d, cache %d hits / %d misses, %d entries, %d bytes, %d declined\n",
+			qr.Generation, qr.CacheHits, qr.CacheMisses, st.Engine.CacheEntries, st.Engine.CacheBytes, st.Engine.CacheDeclined)
 		fmt.Fprint(os.Stderr, planner.Format(qr.Plan))
 	}
 	switch {

@@ -2,6 +2,7 @@ package datastore
 
 import (
 	"container/list"
+	"hash/maphash"
 	"sync"
 )
 
@@ -10,9 +11,13 @@ import (
 const DefaultCacheBytes = 32 << 20
 
 // cacheEntryOverhead is the approximate bookkeeping cost charged per
-// entry on top of its payload bytes, so many tiny values still respect
-// the byte bound.
+// entry on top of its payload and key bytes, so many tiny values still
+// respect the byte bound.
 const cacheEntryOverhead = 256
+
+// doorkeeperSlots is how many key hashes a cache's doorkeeper holds:
+// 4 096 slots of 8 bytes, 32 KB per cache.
+const doorkeeperSlots = 4096
 
 // Cache memoizes values derived from store contents: the store's
 // pr-filter ID sets and the planner's finished query results are its two
@@ -23,10 +28,23 @@ const cacheEntryOverhead = 256
 // generation drops every older entry at once — none can ever hit again —
 // and that flush is not eviction. A Put from a generation older than the
 // cache has seen is discarded: the value was computed against a snapshot
-// a mutation has since replaced. Within a generation, LRU eviction keeps
-// resident bytes at or under the bound, and a value larger than the whole
-// bound is not cached. Cached values are shared between callers and must
-// be treated as immutable.
+// a mutation has since replaced.
+//
+// A key is admitted on its second fill. The doorkeeper, an array of key
+// hashes, remembers the keys filled once: a key's hash goes in two slots
+// picked by its low and high bits, and a Put whose hash is in neither only
+// writes it to both (declined). So a stream of never-repeated keys stores
+// nothing and cannot evict the keys asked again, and two keys that share
+// one slot and are filled by turns (a pr-filter and its one family) are
+// still both admitted. The doorkeeper holds hashes, not values, so it
+// survives generation flushes: a key asked before a write is admitted on
+// its first fill after it. A hash collision can only admit a one-off key
+// or cost a key one more miss; values stay keyed by the full key.
+//
+// Within a generation, LRU eviction keeps resident bytes (payload, key
+// and per-entry overhead) at or under the bound, and a value larger than
+// the whole bound is not cached. Cached values are shared between
+// callers and must be treated as immutable.
 type Cache[V any] struct {
 	mu      sync.Mutex
 	max     int64
@@ -34,8 +52,10 @@ type Cache[V any] struct {
 	gen     uint64
 	lru     *list.List // front = most recent; values are *cacheEntry[V]
 	entries map[string]*list.Element
+	seed    maphash.Seed
+	door    [doorkeeperSlots]uint64 // hashes of keys filled before, at door[h%n] and door[h>>32%n]
 
-	hits, misses, evictions uint64
+	hits, misses, evictions, declined uint64
 }
 
 type cacheEntry[V any] struct {
@@ -50,7 +70,7 @@ func NewCache[V any](maxBytes int64) *Cache[V] {
 	if maxBytes <= 0 {
 		maxBytes = DefaultCacheBytes
 	}
-	return &Cache[V]{max: maxBytes, lru: list.New(), entries: make(map[string]*list.Element)}
+	return &Cache[V]{max: maxBytes, lru: list.New(), entries: make(map[string]*list.Element), seed: maphash.MakeSeed()}
 }
 
 // CacheStats is a point-in-time counter snapshot for /v1/stats and the
@@ -62,6 +82,7 @@ type CacheStats struct {
 	Entries   int    `json:"entries"`
 	Bytes     int64  `json:"bytes"`
 	MaxBytes  int64  `json:"max_bytes"`
+	Declined  uint64 `json:"declined"` // first fills the doorkeeper only recorded
 }
 
 // Stats snapshots the cache counters.
@@ -69,7 +90,7 @@ func (c *Cache[V]) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return CacheStats{
-		Hits: c.hits, Misses: c.misses, Evictions: c.evictions,
+		Hits: c.hits, Misses: c.misses, Evictions: c.evictions, Declined: c.declined,
 		Entries: c.lru.Len(), Bytes: c.cur, MaxBytes: c.max,
 	}
 }
@@ -102,9 +123,11 @@ func (c *Cache[V]) Get(gen uint64, key string) (V, bool) {
 }
 
 // Put stores a value of the given payload size computed at generation
-// gen, evicting from the LRU tail to stay under the byte bound.
+// gen if its key was filled before, evicting from the LRU tail to stay
+// under the byte bound; a first fill is only recorded.
 func (c *Cache[V]) Put(gen uint64, key string, val V, bytes int64) {
-	bytes += cacheEntryOverhead
+	bytes += int64(len(key)) + cacheEntryOverhead
+	h := maphash.String(c.seed, key)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if !c.advanceLocked(gen) || bytes > c.max {
@@ -112,6 +135,11 @@ func (c *Cache[V]) Put(gen uint64, key string, val V, bytes int64) {
 	}
 	if el, ok := c.entries[key]; ok { // racing fill: keep the first
 		c.lru.MoveToFront(el)
+		return
+	}
+	if lo, hi := &c.door[h%doorkeeperSlots], &c.door[h>>32%doorkeeperSlots]; *lo != h && *hi != h {
+		*lo, *hi = h, h
+		c.declined++
 		return
 	}
 	for c.cur+bytes > c.max {

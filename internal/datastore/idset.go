@@ -47,23 +47,26 @@ func offsetWidth(span uint64) uint8 {
 	return 8
 }
 
+// bitmapForm reports whether n IDs whose greatest lies span past the
+// least take fewer words as a bitmap than as offsets.
+func bitmapForm(n int, span uint64) bool {
+	return span/64+1 < (uint64(n)*uint64(offsetWidth(span))+7)/8
+}
+
 // pack builds the set of the n ascending IDs, lo the least and hi the
 // greatest, that each yields, in whichever form takes fewer words.
 func pack(n int, lo, hi int64, each func(yield func(int64))) IDSet {
 	span := uint64(hi - lo) // exact even where hi-lo overflows int64
-	s := IDSet{base: lo, n: n, width: offsetWidth(span)}
-	bitmapWords := span/64 + 1
-	offsetWords := (uint64(n)*uint64(s.width) + 7) / 8
-	if bitmapWords < offsetWords {
-		s.width = 0
-		s.words = make([]uint64, bitmapWords)
+	if bitmapForm(n, span) {
+		s := IDSet{base: lo, n: n, words: make([]uint64, span/64+1)}
 		each(func(id int64) {
 			k := uint64(id - lo)
 			s.words[k/64] |= 1 << (k % 64)
 		})
 		return s
 	}
-	s.words = make([]uint64, offsetWords)
+	s := IDSet{base: lo, n: n, width: offsetWidth(span)}
+	s.words = make([]uint64, (uint64(n)*uint64(s.width)+7)/8)
 	bit := uint64(0)
 	each(func(id int64) {
 		s.words[bit/64] |= uint64(id-lo) << (bit % 64)
@@ -87,6 +90,35 @@ func collect(seq func(yield func(int64))) IDSet {
 		return IDSet{}
 	}
 	return pack(n, lo, hi, seq)
+}
+
+// packUnordered packs ids, which may come in any order and repeat, and
+// may reorder them. A bitmap is filled straight from them and counted;
+// only the offsets form needs them sorted and compacted first.
+func packUnordered(ids []int64) IDSet {
+	if len(ids) == 0 {
+		return IDSet{}
+	}
+	lo, hi := ids[0], ids[0]
+	for _, id := range ids {
+		lo, hi = min(lo, id), max(hi, id)
+	}
+	span := uint64(hi - lo)
+	if !bitmapForm(len(ids), span) {
+		return NewIDSet(sortDedup(ids))
+	}
+	s := IDSet{base: lo, words: make([]uint64, span/64+1)}
+	for _, id := range ids {
+		k := uint64(id - lo)
+		s.words[k/64] |= 1 << (k % 64)
+	}
+	for _, w := range s.words {
+		s.n += bits.OnesCount64(w)
+	}
+	if s.n < len(ids) && !bitmapForm(s.n, span) { // repeats hid that offsets take fewer words
+		return pack(s.n, lo, hi, s.each)
+	}
+	return s
 }
 
 // Len reports how many IDs the set holds.

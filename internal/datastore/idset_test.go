@@ -244,3 +244,30 @@ func FuzzIDSet(f *testing.F) {
 		checkSet(t, "b ∪ a", sb.Union(sa), union)
 	})
 }
+
+// TestPackUnordered checks the family sets' builder against NewIDSet:
+// links in any order, results linked more than once, at densities that
+// pick either form, and repeats that flip a bitmap to offsets.
+func TestPackUnordered(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, c := range []struct {
+		name       string
+		n, repeats int
+		span       int64
+	}{
+		{"dense, no repeats", 2000, 0, 2000},
+		{"dense, repeated", 2000, 3, 2000},
+		{"sparse", 300, 1, 1 << 20},
+		{"repeats hide the offsets form", 40, 40, 640},
+		{"one ID", 1, 5, 1},
+	} {
+		ids := randomIDs(rng, c.n, 100, c.span)
+		links := slices.Clone(ids)
+		for range c.repeats {
+			links = append(links, ids...)
+		}
+		rng.Shuffle(len(links), func(i, j int) { links[i], links[j] = links[j], links[i] })
+		checkSet(t, c.name, packUnordered(links), ids)
+	}
+	checkSet(t, "no links", packUnordered(nil), nil)
+}

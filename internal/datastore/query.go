@@ -362,32 +362,39 @@ func (s *Store) familyResultIDs(ctx context.Context, fam core.Family) (IDSet, er
 	span.Annotate("cache", "miss")
 	fhrTab, _ := s.eng.Table("focus_has_resource")
 	rhfTab, _ := s.eng.Table("result_has_focus")
-	memberIDs, _ := s.names.resourceIDs(nil, fam.Members())
-	var foci []int64
-	for _, rid := range memberIDs {
-		if err := ctx.Err(); err != nil {
-			return IDSet{}, fmt.Errorf("datastore: family: %w", err)
-		}
-		// Column 0 of both link tables is the owner: the focus, the result.
-		var err error
-		if foci, err = appendColumn(foci, fhrTab, "fhr_resource", rid, 0); err != nil {
-			return IDSet{}, err
-		}
-	}
-	var results []int64
-	for _, fid := range sortDedup(foci) {
+	sc := s.famScratch.Get().(*famScratch)
+	defer s.famScratch.Put(sc)
+	sc.members, _ = s.names.resourceIDs(sc.members[:0], fam.Members())
+	// Column 0 of both link tables is the owner: the focus, the result.
+	sc.foci = sc.foci[:0]
+	for _, rid := range sc.members {
 		if err := ctx.Err(); err != nil {
 			return IDSet{}, fmt.Errorf("datastore: family: %w", err)
 		}
 		var err error
-		if results, err = appendColumn(results, rhfTab, "rhf_focus", fid, 0); err != nil {
+		if sc.foci, err = appendColumn(sc.foci, fhrTab, "fhr_resource", rid, 0); err != nil {
 			return IDSet{}, err
 		}
 	}
-	ids := NewIDSet(sortDedup(results))
+	sc.results = sc.results[:0]
+	for _, fid := range sortDedup(sc.foci) {
+		if err := ctx.Err(); err != nil {
+			return IDSet{}, fmt.Errorf("datastore: family: %w", err)
+		}
+		var err error
+		if sc.results, err = appendColumn(sc.results, rhfTab, "rhf_focus", fid, 0); err != nil {
+			return IDSet{}, err
+		}
+	}
+	ids := packUnordered(sc.results)
 	s.cache.Put(gen, key, ids, ids.bytes())
 	return ids, nil
 }
+
+// famScratch is one family evaluation's working memory, pooled in
+// Store.famScratch so a cold count allocates little beyond its set: the
+// member resources, their foci, and the results linked to those.
+type famScratch struct{ members, foci, results []int64 }
 
 // familySets evaluates every family's result-ID set in contiguous spans
 // of fams (par.Range). The engine takes a reader lock per scan, so

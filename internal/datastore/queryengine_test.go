@@ -166,9 +166,12 @@ func TestMatchCacheHitsAndGenerationBump(t *testing.T) {
 		t.Fatal(err)
 	}
 	prf := core.PRFilter{Families: []core.Family{frost}}
-	n1, err := s.CountMatchesCtx(context.Background(), prf)
-	if err != nil {
-		t.Fatal(err)
+	// The cache admits a key on its second fill: count twice to store it.
+	var n1 int
+	for range 2 {
+		if n1, err = s.CountMatchesCtx(context.Background(), prf); err != nil {
+			t.Fatal(err)
+		}
 	}
 	before := s.QueryEngineStats()
 	n2, err := s.CountMatchesCtx(context.Background(), prf)
@@ -231,18 +234,21 @@ func TestMatchingResultIDsCallerMayMutate(t *testing.T) {
 func TestInvalidateQueryCache(t *testing.T) {
 	s := seedStudy(t)
 	frost, _ := s.ApplyFilterCtx(context.Background(), core.ResourceFilter{Name: "/GF/Frost", Include: core.IncludeDescendants})
-	if _, err := s.CountFamilyMatchesCtx(context.Background(), frost); err != nil {
-		t.Fatal(err)
+	for range 2 { // the second fill is admitted
+		if _, err := s.CountFamilyMatchesCtx(context.Background(), frost); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if s.QueryEngineStats().CacheEntries == 0 {
-		t.Fatal("no cache entries after a count")
+		t.Fatal("no cache entries after two counts")
 	}
 	gen := s.Generation()
 	s.InvalidateQueryCache()
 	if s.Generation() == gen {
 		t.Fatal("InvalidateQueryCache did not bump the generation")
 	}
-	// The next lookup at the new generation discards the old entries.
+	// The next lookup at the new generation discards the old entries; the
+	// doorkeeper still knows the key, so its first fill there is stored.
 	if _, err := s.CountFamilyMatchesCtx(context.Background(), frost); err != nil {
 		t.Fatal(err)
 	}

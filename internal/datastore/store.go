@@ -60,6 +60,9 @@ type Store struct {
 	// (*matScratch); at 100k-result chunks it tops 10 MB per call, and
 	// reuse roughly halves a materialize's allocation and GC-assist cost.
 	scratch sync.Pool
+
+	// famScratch pools a family evaluation's ID buffers (*famScratch).
+	famScratch sync.Pool
 }
 
 // segScanBytesBuckets spans 4 KiB point scans to multi-GiB full sweeps.
@@ -124,6 +127,7 @@ func Open(e reldb.Engine) (*Store, error) {
 		UseClosureTables: true,
 	}
 	s.scratch.New = func() any { return new(matScratch) }
+	s.famScratch.New = func() any { return new(famScratch) }
 	fresh := !schemaExists(eng)
 	if err := ensureSchema(eng); err != nil {
 		return nil, err
@@ -180,18 +184,22 @@ type QueryEngineStats struct {
 	CacheHits    uint64
 	CacheMisses  uint64
 	CacheEntries int
-	CacheBytes   int64 // the resident ID sets' allocations plus per-entry overhead
+	CacheBytes   int64 // the resident ID sets' allocations plus their keys and per-entry overhead
+	// CacheDeclined counts first fills the cache only recorded: it
+	// admits a key on its second fill.
+	CacheDeclined uint64
 }
 
 // QueryEngineStats snapshots the query engine counters.
 func (s *Store) QueryEngineStats() QueryEngineStats {
 	cs := s.cache.Stats()
 	return QueryEngineStats{
-		Generation:   s.gen.Load(),
-		CacheHits:    cs.Hits,
-		CacheMisses:  cs.Misses,
-		CacheEntries: cs.Entries,
-		CacheBytes:   cs.Bytes,
+		Generation:    s.gen.Load(),
+		CacheHits:     cs.Hits,
+		CacheMisses:   cs.Misses,
+		CacheEntries:  cs.Entries,
+		CacheBytes:    cs.Bytes,
+		CacheDeclined: cs.Declined,
 	}
 }
 

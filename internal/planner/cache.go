@@ -1,6 +1,8 @@
 package planner
 
 import (
+	"unsafe"
+
 	"perftrack/internal/datastore"
 	"perftrack/internal/reldb"
 	"perftrack/internal/sqldb"
@@ -8,10 +10,10 @@ import (
 
 // ResultCache caches finished SELECT results by query text under the
 // store generation: the planner's instance of datastore.Cache, whose
-// policy (flush on a newer generation, discard stale fills, byte-bounded
-// LRU) is documented there. Hits return the cached *sqldb.Result
-// pointer — results are immutable once built — with a copy of the plan
-// marked CacheHit.
+// policy (admit a key on its second fill, flush on a newer generation,
+// discard stale fills, byte-bounded LRU) is documented there. Hits
+// return the cached *sqldb.Result pointer — results are immutable once
+// built — with a copy of the plan marked CacheHit.
 type ResultCache = datastore.Cache[cachedResult]
 
 // ResultCacheStats is the counter snapshot behind /v1/stats' plan_cache
@@ -44,6 +46,19 @@ func resultBytes(res *sqldb.Result) int64 {
 				n += int64(len(v.Text()))
 			}
 		}
+	}
+	return n
+}
+
+// planBytes approximates what an entry's plan copy holds: the Plan
+// itself, its strings, and the execution profile with its worker rows.
+func planBytes(p *Plan) int64 {
+	n := int64(unsafe.Sizeof(*p)) + int64(len(p.Table)+len(p.Strategy))
+	for _, s := range p.Pushed {
+		n += 16 + int64(len(s))
+	}
+	if ep := p.Profile; ep != nil {
+		n += int64(unsafe.Sizeof(*ep)) + 8*int64(cap(ep.WorkerRows))
 	}
 	return n
 }

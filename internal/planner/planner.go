@@ -104,9 +104,10 @@ type Plan struct {
 }
 
 // Query parses, plans, and executes one SELECT. With a Cache attached,
-// a repeated query under an unchanged store generation returns the
-// cached result; any mutation bumps the generation and implicitly
-// invalidates every cached entry. When the context carries a trace, the
+// a query repeated under an unchanged store generation returns the
+// cached result once the cache has stored it (on its second execution);
+// any mutation bumps the generation and implicitly invalidates every
+// cached entry. When the context carries a trace, the
 // whole lookup runs under a planner.query span tagged cache=hit|miss,
 // so cached requests still show up in /v1/debug/traces instead of
 // vanishing at the short-circuit.
@@ -127,7 +128,7 @@ func (p *Planner) Query(ctx context.Context, sqlText string) (*sqldb.Result, *Pl
 	}
 	res, plan, err := p.execute(ctx, sqlText)
 	if cached && err == nil {
-		p.Cache.Put(gen, sqlText, cachedResult{res, *plan}, resultBytes(res))
+		p.Cache.Put(gen, sqlText, cachedResult{res, *plan}, resultBytes(res)+planBytes(plan))
 	}
 	if err == nil {
 		span.Annotate("strategy", plan.Strategy)

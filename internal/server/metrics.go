@@ -84,8 +84,11 @@ func (m *serverMetrics) registerStore(store *datastore.Store) {
 		"pr-filter match-cache resident entries.",
 		func() float64 { return float64(store.QueryEngineStats().CacheEntries) })
 	m.reg.GaugeFunc("ptserved_query_cache_bytes",
-		"pr-filter match-cache resident bytes: each ID set's allocation plus per-entry overhead.",
+		"pr-filter match-cache resident bytes: each ID set's allocation plus its key and per-entry overhead.",
 		func() float64 { return float64(store.QueryEngineStats().CacheBytes) })
+	m.reg.GaugeFunc("ptserved_query_cache_declined",
+		"pr-filter match-cache first fills recorded but not stored: a key is admitted on its second fill.",
+		func() float64 { return float64(store.QueryEngineStats().CacheDeclined) })
 
 	m.reg.CounterFunc("ptserved_store_batch_commits_total",
 		"Committed write batches.",
@@ -181,6 +184,9 @@ func (m *serverMetrics) registerPlanCache(c *planner.ResultCache) {
 	m.reg.CounterFunc("ptserved_plan_cache_evictions_total",
 		"Plan-cache entries evicted to stay under the byte bound.",
 		func() uint64 { return c.Stats().Evictions })
+	m.reg.CounterFunc("ptserved_plan_cache_declined_total",
+		"/v1/sql first fills recorded but not stored: a query is admitted on its second fill.",
+		func() uint64 { return c.Stats().Declined })
 	m.reg.GaugeFunc("ptserved_plan_cache_entries",
 		"Plan-cache resident entries.",
 		func() float64 { return float64(c.Stats().Entries) })

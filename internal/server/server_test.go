@@ -456,6 +456,8 @@ func TestMetricsExposition(t *testing.T) {
 		"ptserved_store_generation",
 		"ptserved_query_cache_misses",
 		"ptserved_query_cache_bytes",
+		"ptserved_query_cache_declined 2", // the family and the pr-filter, each filled once
+		"ptserved_plan_cache_declined_total 0",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q\n%s", want, body)
