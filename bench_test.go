@@ -11,6 +11,7 @@ package perftrack
 //	BenchmarkFig4TwoStepQuery    Figure 4 — retrieve + add columns
 //	BenchmarkFig5Chart           Figure 5 — min/max load-balance chart
 //	BenchmarkFig6PTdfParse       Figure 6 — PTdf parse throughput
+//	BenchmarkDecodePTdf          PTdf decode into a staged batch (ingest)
 //	BenchmarkParadynImport       §4.3 — Paradyn bundle → store
 //	BenchmarkCompareExecutions   §6 operators on §4.1 data
 //	BenchmarkDiagnose/*          automated diagnosis over a 100-exec fleet
@@ -36,6 +37,7 @@ import (
 	"strings"
 	"testing"
 
+	"perftrack/bench/e2e/corpus"
 	"perftrack/internal/compare"
 	"perftrack/internal/core"
 	"perftrack/internal/datastore"
@@ -279,6 +281,37 @@ func BenchmarkFig6PTdfParse(b *testing.B) {
 			}
 		}
 	}
+}
+
+// BenchmarkDecodePTdf measures decoding one bench doc_full (64 processes
+// × 8 functions × 8 metrics, about 400 KB) into a staged batch: the part
+// of a load that runs outside the writer lock. B/ptdf-byte is the bytes
+// allocated per byte of PTdf, allocs/record the allocations per line.
+func BenchmarkDecodePTdf(b *testing.B) {
+	s, err := datastore.Open(reldb.NewMem())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Engine().Close()
+	doc := corpus.Generate(1, 1).ExecDoc(0)
+	records := bytes.Count(doc, []byte("\n"))
+	ctx := context.Background()
+	b.SetBytes(int64(len(doc)))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		batch := s.NewBatch()
+		if err := batch.Decode(ctx, bytes.NewReader(doc)); err != nil {
+			b.Fatal(err)
+		}
+		batch.Rollback()
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	n := float64(b.N)
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/n/float64(len(doc)), "B/ptdf-byte")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/n/float64(records), "allocs/record")
 }
 
 // BenchmarkParadynImport measures mapping and loading one Paradyn export

@@ -2,15 +2,18 @@
 // — UV (benchmark output + PMAPI hardware counters + mpiP profiles) and
 // BlueGene/L (raw benchmark output only) — into one store, and use the
 // multi-resource-set contexts that mpiP's caller/callee breakdown
-// required. Mirrors the paper's second case study.
+// required. Mirrors the paper's second case study. Its output is the
+// same on every run.
 package main
 
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"perftrack/internal/core"
 	"perftrack/internal/datastore"
@@ -20,32 +23,47 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run does the study, writing its report to w.
+func run(w io.Writer) error {
 	ctx := context.Background()
 	work, err := os.MkdirTemp("", "noise-study-*")
-	check(err)
+	if err != nil {
+		return err
+	}
 	defer os.RemoveAll(work)
 
 	store, err := datastore.Open(reldb.NewMem())
-	check(err)
+	if err != nil {
+		return err
+	}
+	defer store.Engine().Close()
 
 	// Neither platform had previously been input into the database: add
 	// descriptive data for UV and BG/L first, as the study did, one batch
 	// per machine.
 	for _, name := range []string{"UV", "BGL"} {
 		m, err := gen.MachineByName(name)
-		check(err)
+		if err != nil {
+			return err
+		}
 		b := store.NewBatch()
 		for _, rec := range m.ToPTdf(2) {
 			b.Stage(rec)
 		}
-		_, err = b.CommitCtx(ctx)
-		check(err)
-		fmt.Printf("added platform %s\n", name)
+		if _, err := b.CommitCtx(ctx); err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "added platform %s\n", name)
 	}
 
 	// UV runs carry three data kinds; BG/L runs only the raw benchmark.
 	var entries []gen.IndexEntry
-	add := func(kind, machine string, count, np int) {
+	add := func(kind, machine string, count, np int) error {
 		for e := 0; e < count; e++ {
 			execName := fmt.Sprintf("smg-%s-%03d", machine, e)
 			dir := filepath.Join(work, execName)
@@ -54,7 +72,7 @@ func main() {
 				Machine: machine, NProcs: np, Seed: int64(e + 1),
 			}
 			if _, err := gen.WriteExecution(dir, spec); err != nil {
-				log.Fatal(err)
+				return err
 			}
 			entries = append(entries, gen.IndexEntry{
 				Execution: execName, App: "smg2000", Concurrency: "MPI",
@@ -63,76 +81,91 @@ func main() {
 				Kind: kind, Machine: machine, Dir: dir, Seed: int64(e + 1),
 			})
 		}
+		return nil
 	}
-	add(gen.KindSMGUV, "UV", 2, 32)
-	add(gen.KindSMGBGL, "BGL", 4, 64)
+	if err := add(gen.KindSMGUV, "UV", 2, 32); err != nil {
+		return err
+	}
+	if err := add(gen.KindSMGBGL, "BGL", 4, 64); err != nil {
+		return err
+	}
 
 	paths, err := gen.PTdfGen(entries, filepath.Join(work, "ptdf"))
-	check(err)
-	var total datastore.LoadStats
+	if err != nil {
+		return err
+	}
 	for _, p := range paths {
 		stats, err := store.LoadPTdfFile(p)
-		check(err)
-		total.Add(stats)
-		fmt.Printf("loaded %s: %d results\n", filepath.Base(p), stats.Results)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "loaded %s: %d results\n", filepath.Base(p), stats.Results)
 	}
 	st := store.Stats()
-	fmt.Printf("store now holds %d executions, %d results, %d metrics, %d resources\n",
+	fmt.Fprintf(w, "store now holds %d executions, %d results, %d metrics, %d resources\n",
 		st.Executions, st.Results, st.Metrics, st.Resources)
 
 	// All three data kinds land in one queryable store.
 	tools, err := store.Tools()
-	check(err)
-	fmt.Printf("tools represented: %v\n", tools)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "tools represented: %v\n", tools)
 
 	// The mpiP caller/callee breakdown: filter by one MPI function (a
 	// "child" resource set) and see which application functions call it.
 	callees, err := store.ResourcesOfType("environment/module/function")
-	check(err)
+	if err != nil {
+		return err
+	}
 	if len(callees) > 0 {
 		callee := callees[0]
 		fam := core.NewFamily(callee)
 		tbl, err := query.RetrieveCtx(ctx, store, core.PRFilter{Families: []core.Family{fam}})
-		check(err)
-		callers := map[core.ResourceName]bool{}
+		if err != nil {
+			return err
+		}
+		var callers []core.ResourceName
 		for _, row := range tbl.Rows {
 			for _, r := range row.Resources {
 				tp, err := store.TypeOfResource(r)
-				check(err)
+				if err != nil {
+					return err
+				}
 				if tp == "build/module/function" {
-					callers[r] = true
+					callers = append(callers, r)
 				}
 			}
 		}
-		fmt.Printf("\n%s appears in %d results; called from %d distinct functions:\n",
+		slices.Sort(callers)
+		callers = slices.Compact(callers)
+		fmt.Fprintf(w, "\n%s appears in %d results; called from %d distinct functions:\n",
 			callee.BaseName(), len(tbl.Rows), len(callers))
-		n := 0
-		for c := range callers {
-			fmt.Printf("  %s\n", c.BaseName())
-			if n++; n >= 6 {
-				break
-			}
+		for _, c := range callers[:min(len(callers), 6)] {
+			fmt.Fprintf(w, "  %s\n", c.BaseName())
 		}
 	}
 
 	// Cross-platform: SMG Solve wall time on both machines, per execution.
 	appFam, err := store.ApplyFilterCtx(ctx, core.ResourceFilter{Type: "application"})
-	check(err)
+	if err != nil {
+		return err
+	}
 	tbl, err := query.RetrieveCtx(ctx, store, core.PRFilter{Families: []core.Family{appFam}})
-	check(err)
+	if err != nil {
+		return err
+	}
 	tbl.FilterMetric("SMG Solve wall clock time")
-	check(tbl.AddColumn("grid/machine", false))
-	check(tbl.AddColumn("execution", false))
+	for _, col := range []core.TypePath{"grid/machine", "execution"} {
+		if err := tbl.AddColumn(col, false); err != nil {
+			return err
+		}
+	}
 	tbl.SortBy("value", false)
-	fmt.Printf("\nSMG Solve wall clock time across platforms:\n")
+	fmt.Fprintf(w, "\nSMG Solve wall clock time across platforms:\n")
 	for _, row := range tbl.Rows {
-		fmt.Printf("  %-6s %-14s %8.3f s\n",
+		fmt.Fprintf(w, "  %-6s %-14s %8.3f s\n",
 			tbl.Cell(row, "grid/machine"), tbl.Cell(row, "execution"), row.Value)
 	}
-}
-
-func check(err error) {
-	if err != nil {
-		log.Fatal(err)
-	}
+	return nil
 }

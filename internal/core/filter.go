@@ -193,9 +193,13 @@ func (f Family) Members() []ResourceName {
 // Signature returns a canonical identity for the family's member set:
 // two families have equal signatures iff they contain the same resources,
 // regardless of insertion order. Query layers use it as a cache key.
-func (f Family) Signature() string {
+func (f Family) Signature() string { return SignatureOf(f.Members()) }
+
+// SignatureOf is the Signature of a family whose sorted members are
+// given, for a caller that needs the members too.
+func SignatureOf(members []ResourceName) string {
 	h := sha256.New()
-	for _, n := range f.Members() {
+	for _, n := range members {
 		h.Write([]byte(n))
 		h.Write([]byte{0})
 	}
@@ -253,6 +257,12 @@ func (prf PRFilter) Signature() string {
 	for _, fam := range prf.Families {
 		sigs = append(sigs, fam.Signature())
 	}
+	return JoinSignatures(sigs)
+}
+
+// JoinSignatures is the Signature of a pr-filter whose families'
+// signatures are given. It sorts sigs.
+func JoinSignatures(sigs []string) string {
 	sort.Strings(sigs)
 	out := sigs[:0]
 	for _, sig := range sigs {

@@ -97,6 +97,68 @@ func TestBatchRollbackDiscards(t *testing.T) {
 	}
 }
 
+// TestBatchDecodeStatsAndFailure decodes a document of every record kind:
+// rows and kept records apply in document order and count by kind. A
+// document that fails to decode leaves its batch rolled back.
+func TestBatchDecodeStatsAndFailure(t *testing.T) {
+	s := newStore(t)
+	doc := `Application a
+Execution e1 a
+Resource /e1 execution e1
+PerfResult e1 /e1/p0(primary) t m 1 u
+Resource /e1/p0 execution/process e1
+ResourceAttribute /e1 "n procs" 1 string
+PerfResult e1 /e1/p0(primary) t m 2 u
+PerfHistogram e1 /e1/p0(primary) t h 0.5 u 1,nan,3
+PerfResult e1 /e1/p0(primary) t m2 3 ""
+`
+	// The first result names /e1/p0 before its Resource line: staged in
+	// document order, the batch fails there, whole.
+	b := s.NewBatch()
+	if err := b.Decode(context.Background(), strings.NewReader(doc)); err != nil {
+		t.Fatal(err)
+	}
+	if b.Len() != 9 {
+		t.Fatalf("Len = %d, want 9", b.Len())
+	}
+	if _, err := b.CommitCtx(context.Background()); !errors.Is(err, ErrNotFound) || !strings.Contains(err.Error(), "record 4:") {
+		t.Fatalf("commit = %v, want ErrNotFound at record 4", err)
+	}
+	if got := s.Stats(); got.Applications != 0 || got.Results != 0 {
+		t.Fatalf("a failed batch left rows: %+v", got)
+	}
+
+	lines := strings.Split(doc, "\n")
+	lines[3], lines[4] = lines[4], lines[3]
+	b = s.NewBatch()
+	if err := b.Decode(context.Background(), strings.NewReader(strings.Join(lines, "\n"))); err != nil {
+		t.Fatal(err)
+	}
+	st, err := b.CommitCtx(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := LoadStats{Records: 9, Apps: 1, Executions: 1, Resources: 2, Attributes: 1, Results: 4}
+	if st != want {
+		t.Fatalf("stats = %+v, want %+v", st, want)
+	}
+	if got := s.Stats(); got.Results != 4 || got.Metrics != 3 {
+		t.Fatalf("store = %+v, want 4 results of 3 metrics", got)
+	}
+
+	b = s.NewBatch()
+	err = b.Decode(context.Background(), strings.NewReader("Application a\nPerfResult e1 /e1(primary) t m x u\n"))
+	if !errors.Is(err, ErrBadSpec) || !strings.Contains(err.Error(), "line 2:") {
+		t.Fatalf("decode = %v, want ErrBadSpec naming line 2", err)
+	}
+	if _, err := b.CommitCtx(context.Background()); !errors.Is(err, ErrBatchDone) {
+		t.Errorf("commit after a failed decode: err = %v, want ErrBatchDone", err)
+	}
+	if err := b.Decode(context.Background(), strings.NewReader("Application a\n")); !errors.Is(err, ErrBatchDone) {
+		t.Errorf("decode into a finished batch: err = %v, want ErrBatchDone", err)
+	}
+}
+
 func TestBatchCommitFailureRollsBackWholeBatch(t *testing.T) {
 	s := newStore(t)
 	before := s.Stats()

@@ -80,7 +80,8 @@ func (s *Store) BulkLoadStreamCtx(ctx context.Context, next func() (string, io.R
 		go func() {
 			defer wg.Done()
 			for j := range jobs {
-				b, err := s.decode(ctx, j.rc)
+				b := s.NewBatch()
+				err := b.Decode(ctx, j.rc)
 				j.rc.Close()
 				decoded <- bulkDoc{index: j.index, name: j.name, batch: b, err: err}
 			}

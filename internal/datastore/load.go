@@ -1,6 +1,7 @@
 package datastore
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -38,55 +39,119 @@ func (ls *LoadStats) Add(o LoadStats) {
 	ls.Results += o.Results
 }
 
-// setKey identifies the Sets the records of one ptdf.Reader share: the
-// reader parses each distinct resource-set text of a document once.
-type setKey struct {
-	first *ptdf.ResourceSet
-	n     int
+// commitState is what one CommitCtx has resolved of its batch — the ID of
+// each staged name (0 until resolved) and each staged set's resolution —
+// and the statistics of what it applied. It lives no longer than the
+// transaction: the IDs may be the transaction's own.
+type commitState struct {
+	execs, tools, metrics, units []int64
+	sets                         []resolvedSet
+	stats                        LoadStats
 }
 
 // resolvedSet is what one transaction has made of a resource set: its
-// contexts and, once a result naming it has been linked, the distinct foci
-// such a result links to, in link order.
+// contexts, whether they passed validation, and, once a result naming it
+// has been linked, the distinct foci such a result links to, in link
+// order.
 type resolvedSet struct {
-	contexts []core.Context
+	contexts []core.Context // nil until first used
+	valid    bool
 	foci     []int64 // nil until a result's foci all resolved
 }
 
-// resolvedSets holds a transaction's resolved sets. It lives no longer
-// than the transaction: the foci it resolves may be the transaction's own.
-type resolvedSets map[setKey]*resolvedSet
-
-// of returns the set's entry, making its contexts on first use.
-func (rs resolvedSets) of(sets []ptdf.ResourceSet, contexts func() []core.Context) *resolvedSet {
-	if len(sets) == 0 {
-		return &resolvedSet{}
+// set returns the resolution of the batch's set i, making its contexts on
+// first use. A histogram's set may be new to the batch at commit, so the
+// resolutions grow to it.
+func (c *commitState) set(b *Batch, i int32) *resolvedSet {
+	if n := int(i) + 1 - len(c.sets); n > 0 {
+		c.sets = append(c.sets, make([]resolvedSet, n)...)
 	}
-	k := setKey{&sets[0], len(sets)}
-	r := rs[k]
-	if r == nil {
-		r = &resolvedSet{contexts: contexts()}
-		rs[k] = r
+	rs := &c.sets[i]
+	if rs.contexts == nil {
+		sets := b.sets.vals[i]
+		rs.contexts = make([]core.Context, len(sets))
+		for j, set := range sets {
+			rs.contexts[j] = core.Context{Type: set.Type, Resources: set.Names}
+		}
 	}
-	return r
+	return rs
 }
 
-// loadRecordLocked applies one PTdf record; sets holds the transaction's
-// resolved resource sets. Callers hold s.wmu.
-func (s *Store) loadRecordLocked(rec ptdf.Record, sets resolvedSets) error {
+// internOnce is intern for the batch's name i of one kind, whose ID ids
+// keeps for the rest of the commit.
+func (s *Store) internOnce(ids []int64, i int32, k int, name string) (int64, error) {
+	if ids[i] == 0 {
+		id, err := s.intern(k, name)
+		if err != nil {
+			return 0, err
+		}
+		ids[i] = id
+	}
+	return ids[i], nil
+}
+
+// loadResultLocked applies one staged result row as addPerfResultLocked
+// applies a result — the same checks, interning and inserts in the same
+// order — with each distinct name and set of the batch resolved once.
+// Callers hold s.wmu.
+func (s *Store) loadResultLocked(b *Batch, row *resultRow, c *commitState) error {
+	rs := c.set(b, row.set)
+	metric := b.metrics.vals[row.metric]
+	if metric == "" || !rs.valid {
+		pr := core.PerformanceResult{Metric: metric, Contexts: rs.contexts}
+		if err := pr.Validate(); err != nil {
+			return fmt.Errorf("%w: %w", err, ErrBadSpec)
+		}
+		rs.valid = true
+	}
+	exec := c.execs[row.exec]
+	if exec == 0 {
+		name := b.execs.vals[row.exec]
+		id, ok := s.names.id(dictExecution, name)
+		if !ok {
+			return fmt.Errorf("datastore: unknown execution %q: %w", name, ErrNotFound)
+		}
+		c.execs[row.exec], exec = id, id
+	}
+	metricID, err := s.internOnce(c.metrics, row.metric, dictMetric, metric)
+	if err != nil {
+		return err
+	}
+	tool, err := s.internOnce(c.tools, row.tool, dictTool, cmp.Or(b.tools.vals[row.tool], "unknown"))
+	if err != nil {
+		return err
+	}
+	units, err := s.internOnce(c.units, row.units, dictUnits, cmp.Or(b.units.vals[row.units], "unitless"))
+	if err != nil {
+		return err
+	}
+	c.stats.Results++
+	_, err = s.insertResultLocked(exec, metricID, tool, units, row.value, rs.contexts, rs)
+	return err
+}
+
+// loadRecordLocked applies one staged record that is not a result row and
+// counts it in c's statistics. Callers hold s.wmu.
+func (s *Store) loadRecordLocked(b *Batch, rec ptdf.Record, c *commitState) error {
+	st := &c.stats
 	switch r := rec.(type) {
 	case ptdf.ApplicationRec:
+		st.Apps++
 		_, err := s.addApplicationLocked(r.Name)
 		return err
 	case ptdf.ResourceTypeRec:
+		st.Types++
 		return s.addResourceTypeLocked(r.Type)
 	case ptdf.ExecutionRec:
+		st.Executions++
 		_, err := s.addExecutionLocked(r.Name, r.App)
 		return err
 	case ptdf.ResourceRec:
+		st.Resources++
 		_, err := s.addResourceLocked(r.Name, r.Type, r.Exec)
 		return err
 	case ptdf.ResourceAttributeRec:
+		st.Attributes++
 		if r.AttrType == "resource" {
 			// Adding a resource-typed attribute is equivalent to adding a
 			// resource constraint (Figure 6).
@@ -94,21 +159,11 @@ func (s *Store) loadRecordLocked(rec ptdf.Record, sets resolvedSets) error {
 		}
 		return s.setResourceAttributeLocked(r.Resource, r.Attr, r.Value)
 	case ptdf.ResourceConstraintRec:
+		st.Constraints++
 		return s.addResourceConstraintLocked(r.R1, r.R2)
-	case ptdf.PerfResultRec:
-		rs := sets.of(r.Sets, r.Contexts)
-		pr := &core.PerformanceResult{
-			Execution: r.Exec,
-			Metric:    r.Metric,
-			Value:     r.Value,
-			Units:     r.Units,
-			Tool:      r.Tool,
-			Contexts:  rs.contexts,
-		}
-		_, err := s.addPerfResultLocked(pr, rs)
-		return err
 	case ptdf.PerfHistogramRec:
-		rs := sets.of(r.Sets, r.Contexts)
+		st.Results++
+		rs := c.set(b, b.sets.of(keyOf(r.Sets), r.Sets))
 		pr := &core.PerformanceResult{
 			Execution: r.Exec,
 			Metric:    r.Metric,
@@ -141,8 +196,8 @@ func (s *Store) LoadPTdf(r io.Reader) (LoadStats, error) {
 // spans in the request's span tree.
 func (s *Store) LoadPTdfCtx(ctx context.Context, r io.Reader) (LoadStats, error) {
 	_, dspan := obs.StartSpan(ctx, "datastore.load.decode")
-	b, err := s.decode(ctx, r)
-	if err != nil {
+	b := s.NewBatch()
+	if err := b.Decode(ctx, r); err != nil {
 		dspan.Annotate("outcome", "decode-error")
 		dspan.End()
 		return LoadStats{}, err
@@ -150,27 +205,6 @@ func (s *Store) LoadPTdfCtx(ctx context.Context, r io.Reader) (LoadStats, error)
 	dspan.Annotate("records", strconv.Itoa(b.Len()))
 	dspan.End()
 	return b.CommitCtx(ctx)
-}
-
-// decode stages a whole PTdf document into a new batch, touching nothing
-// of the store. It stops at the first bad record, and before any record
-// once ctx is done.
-func (s *Store) decode(ctx context.Context, r io.Reader) (*Batch, error) {
-	b := s.NewBatch()
-	pr := ptdf.NewReader(r)
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("datastore: decode: %w", err)
-		}
-		rec, err := pr.Next()
-		if err == io.EOF {
-			return b, nil
-		}
-		if err != nil {
-			return nil, fmt.Errorf("%w: %w", err, ErrBadSpec)
-		}
-		b.Stage(rec)
-	}
 }
 
 // rollbackLoad drops a failed write's transaction — the engine never saw

@@ -191,8 +191,12 @@ func TestLoadPTdfCancelledMidDecode(t *testing.T) {
 		return &lineReader{lines: strings.SplitAfter(sampleDoc, "\n"), k: 4, cancel: cancel}
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	if b, err := s.decode(ctx, doc(cancel)); b != nil || !errors.Is(err, context.Canceled) {
-		t.Fatalf("decode = %v, %v; want no batch and context.Canceled", b, err)
+	b := s.NewBatch()
+	if err := b.Decode(ctx, doc(cancel)); b.Len() != 0 || !errors.Is(err, context.Canceled) {
+		t.Fatalf("Decode = %v with %d records staged; want context.Canceled and none", err, b.Len())
+	}
+	if _, err := b.CommitCtx(context.Background()); !errors.Is(err, ErrBatchDone) {
+		t.Fatalf("commit after a cancelled decode: %v, want ErrBatchDone", err)
 	}
 	ctx, cancel = context.WithCancel(context.Background())
 	if stats, err := s.LoadPTdfCtx(ctx, doc(cancel)); !errors.Is(err, context.Canceled) || stats != (LoadStats{}) {

@@ -350,9 +350,9 @@ func (s *Store) attrFilterIDs(preds []core.AttrPredicate) (IDSet, error) {
 // per-family live counts cost one map lookup between writes. ctx is
 // checked before each member's and each focus's index scan; a cancelled
 // evaluation caches nothing.
-func (s *Store) familyResultIDs(ctx context.Context, fam core.Family) (IDSet, error) {
+func (s *Store) familyResultIDs(ctx context.Context, fam sortedFamily) (IDSet, error) {
 	gen := s.gen.Load()
-	key := "fam:" + fam.Signature()
+	key := "fam:" + fam.sig
 	_, span := obs.StartSpan(ctx, "datastore.family")
 	defer span.End()
 	if ids, ok := s.cache.Get(gen, key); ok {
@@ -364,7 +364,7 @@ func (s *Store) familyResultIDs(ctx context.Context, fam core.Family) (IDSet, er
 	rhfTab, _ := s.eng.Table("result_has_focus")
 	sc := s.famScratch.Get().(*famScratch)
 	defer s.famScratch.Put(sc)
-	sc.members, _ = s.names.resourceIDs(sc.members[:0], fam.Members())
+	sc.members, _ = s.names.resourceIDs(sc.members[:0], fam.members)
 	// Column 0 of both link tables is the owner: the focus, the result.
 	sc.foci = sc.foci[:0]
 	for _, rid := range sc.members {
@@ -391,6 +391,18 @@ func (s *Store) familyResultIDs(ctx context.Context, fam core.Family) (IDSet, er
 	return ids, nil
 }
 
+// sortedFamily is a family as its evaluation uses it: its members, sorted,
+// and their signature (core.Family.Signature), each made once.
+type sortedFamily struct {
+	members []core.ResourceName
+	sig     string
+}
+
+func sortFamily(fam core.Family) sortedFamily {
+	members := fam.Members()
+	return sortedFamily{members, core.SignatureOf(members)}
+}
+
 // famScratch is one family evaluation's working memory, pooled in
 // Store.famScratch so a cold count allocates little beyond its set: the
 // member resources, their foci, and the results linked to those.
@@ -399,7 +411,7 @@ type famScratch struct{ members, foci, results []int64 }
 // familySets evaluates every family's result-ID set in contiguous spans
 // of fams (par.Range). The engine takes a reader lock per scan, so
 // independent families read concurrently without blocking each other.
-func (s *Store) familySets(ctx context.Context, fams []core.Family) ([]IDSet, error) {
+func (s *Store) familySets(ctx context.Context, fams []sortedFamily) ([]IDSet, error) {
 	sets := make([]IDSet, len(fams))
 	err := par.Range(len(fams), func(lo, hi int) error {
 		for i := lo; i < hi; i++ {
@@ -419,7 +431,13 @@ func (s *Store) familySets(ctx context.Context, fams []core.Family) ([]IDSet, er
 // datastore.prfilter span annotated with the match-cache outcome.
 func (s *Store) matchingIDs(ctx context.Context, prf core.PRFilter) (IDSet, error) {
 	gen := s.gen.Load()
-	key := "prf:" + prf.Signature()
+	fams := make([]sortedFamily, len(prf.Families))
+	sigs := make([]string, len(prf.Families))
+	for i, fam := range prf.Families {
+		fams[i] = sortFamily(fam)
+		sigs[i] = fams[i].sig
+	}
+	key := "prf:" + core.JoinSignatures(sigs)
 	ctx, span := obs.StartSpan(ctx, "datastore.prfilter")
 	defer span.End()
 	if ids, ok := s.cache.Get(gen, key); ok {
@@ -427,7 +445,7 @@ func (s *Store) matchingIDs(ctx context.Context, prf core.PRFilter) (IDSet, erro
 		return ids, nil
 	}
 	span.Annotate("cache", "miss")
-	sets, err := s.familySets(ctx, prf.Families)
+	sets, err := s.familySets(ctx, fams)
 	if err != nil {
 		return IDSet{}, err
 	}
@@ -506,7 +524,7 @@ func (s *Store) CountMatchesCtx(ctx context.Context, prf core.PRFilter) (int, er
 // CountFamilyMatchesCtx reports how many results one family alone
 // selects — the GUI's per-family count.
 func (s *Store) CountFamilyMatchesCtx(ctx context.Context, fam core.Family) (int, error) {
-	ids, err := s.familyResultIDs(ctx, fam)
+	ids, err := s.familyResultIDs(ctx, sortFamily(fam))
 	if err != nil {
 		return 0, err
 	}

@@ -439,10 +439,8 @@ func (s *Store) AddPerfResult(pr *core.PerformanceResult) (int64, error) {
 	return s.writeID(func() (int64, error) { return s.addPerfResultLocked(pr, nil) })
 }
 
-// addPerfResultLocked adds a result and links it to its contexts' foci.
-// With rs, the entry of its resource set in the transaction, a set
-// resolved before links to the foci it resolved to, and one resolved now
-// leaves them there.
+// addPerfResultLocked checks a result, resolves its names and inserts it
+// (insertResultLocked); rs is as there.
 func (s *Store) addPerfResultLocked(pr *core.PerformanceResult, rs *resolvedSet) (int64, error) {
 	if err := pr.Validate(); err != nil {
 		return 0, fmt.Errorf("%w: %w", err, ErrBadSpec)
@@ -463,9 +461,17 @@ func (s *Store) addPerfResultLocked(pr *core.PerformanceResult, rs *resolvedSet)
 	if err != nil {
 		return 0, err
 	}
+	return s.insertResultLocked(exec, metric, tool, units, pr.Value, pr.Contexts, rs)
+}
+
+// insertResultLocked inserts a result row and links it to its contexts'
+// foci. With rs, the entry of its resource set in the transaction, a set
+// resolved before links to the foci it resolved to, and one resolved now
+// leaves them there.
+func (s *Store) insertResultLocked(exec, metric, tool, units int64, value float64, contexts []core.Context, rs *resolvedSet) (int64, error) {
 	rid, err := s.tx.Insert("performance_result", reldb.Row{
 		reldb.Null(), reldb.Int(exec), reldb.Int(metric),
-		reldb.Int(tool), reldb.Int(units), reldb.Float(pr.Value),
+		reldb.Int(tool), reldb.Int(units), reldb.Float(value),
 	})
 	if err != nil {
 		return 0, err
@@ -478,7 +484,7 @@ func (s *Store) addPerfResultLocked(pr *core.PerformanceResult, rs *resolvedSet)
 		// Duplicate contexts within one result collapse to a single focus link.
 		var few [4]int64 // results carry a context or two: no allocation
 		linked = few[:0]
-		for _, ctx := range pr.Contexts {
+		for _, ctx := range contexts {
 			fid, err := s.internFocus(ctx)
 			if err != nil {
 				return 0, err

@@ -2,6 +2,7 @@ package ptdf
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"strconv"
@@ -10,54 +11,100 @@ import (
 	"perftrack/internal/core"
 )
 
-// splitFields tokenizes a PTdf line: whitespace-separated fields, with
+// parser turns PTdf lines into records without per-line garbage: it
+// tokenizes a line's bytes into one reused field buffer, unescapes quoted
+// fields into one reused scratch buffer, and hands a result line back in
+// one PerfResultRec it owns. With its maps set it also interns names and
+// parses each distinct resource-set text once; without them (ParseLine)
+// every record is built afresh.
+type parser struct {
+	fields  [][]byte
+	scratch []byte
+	names   map[string]string        // each name string made so far, by its text
+	sets    map[string][]ResourceSet // each resource-set text parsed so far, by its text
+	res     PerfResultRec
+}
+
+// split tokenizes a trimmed PTdf line: whitespace-separated fields, with
 // double-quoted fields allowing embedded whitespace and backslash escapes
-// for '"' and '\'.
-func splitFields(line string) ([]string, error) {
-	var fields []string
-	i := 0
-	for i < len(line) {
-		c := line[i]
-		if c == ' ' || c == '\t' {
+// for '"' and '\'. The fields alias the line and p.scratch, so they are
+// valid until the next call.
+func (p *parser) split(line []byte) ([][]byte, error) {
+	fields := p.fields[:0]
+	if cap(p.scratch) < len(line) {
+		p.scratch = make([]byte, 0, len(line)) // an unescaped field is never longer: no regrowth below
+	}
+	scratch := p.scratch[:0]
+	for i := 0; i < len(line); {
+		switch c := line[i]; {
+		case c == ' ' || c == '\t':
 			i++
-			continue
-		}
-		if c == '"' {
-			i++
-			var sb strings.Builder
-			closed := false
-			for i < len(line) {
+		case c == '"':
+			start, closed := len(scratch), false
+			for i++; i < len(line) && !closed; {
 				switch line[i] {
 				case '\\':
 					if i+1 >= len(line) {
 						return nil, fmt.Errorf("ptdf: trailing backslash")
 					}
-					sb.WriteByte(line[i+1])
+					scratch = append(scratch, line[i+1])
 					i += 2
 				case '"':
 					closed = true
 					i++
 				default:
-					sb.WriteByte(line[i])
+					scratch = append(scratch, line[i])
 					i++
-				}
-				if closed {
-					break
 				}
 			}
 			if !closed {
 				return nil, fmt.Errorf("ptdf: unterminated quoted field")
 			}
-			fields = append(fields, sb.String())
-			continue
+			fields = append(fields, scratch[start:len(scratch):len(scratch)])
+		default:
+			start := i
+			for i < len(line) && line[i] != ' ' && line[i] != '\t' {
+				i++
+			}
+			fields = append(fields, line[start:i])
 		}
-		start := i
-		for i < len(line) && line[i] != ' ' && line[i] != '\t' {
-			i++
-		}
-		fields = append(fields, line[start:i])
 	}
+	p.fields = fields
 	return fields, nil
+}
+
+// name returns b as a string, the same string for every repeat of it once
+// p interns names.
+func (p *parser) name(b []byte) string {
+	if s, ok := p.names[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	if p.names != nil {
+		p.names[s] = s
+	}
+	return s
+}
+
+// resourceSet parses a resource-set text, or returns the sets a parse of
+// the same text returned before. A text that fails is parsed, and fails,
+// each time.
+func (p *parser) resourceSet(text []byte) ([]ResourceSet, error) {
+	if sets, ok := p.sets[string(text)]; ok {
+		return sets, nil
+	}
+	s := string(text)
+	sets, err := ParseResourceSet(s)
+	if err == nil && p.sets != nil {
+		p.sets[s] = sets
+	}
+	return sets, err
+}
+
+// parseFloat parses a number field; strconv copies what its error keeps,
+// so the conversion stays on the stack.
+func parseFloat(b []byte) (float64, error) {
+	return strconv.ParseFloat(string(b), 64)
 }
 
 // quoteField renders a field, quoting when it contains whitespace, quotes,
@@ -117,183 +164,197 @@ func FormatRecord(rec Record) string {
 // ParseLine parses one PTdf line. It returns (nil, nil) for blank lines
 // and comments.
 func ParseLine(line string) (Record, error) {
-	return parseLine(line, ParseResourceSet)
+	var p parser
+	rec, res, err := p.parse([]byte(line))
+	if res != nil {
+		return *res, nil
+	}
+	return rec, err
 }
 
-// parseLine is ParseLine with the resource-set parser given.
-func parseLine(line string, parseSets func(string) ([]ResourceSet, error)) (Record, error) {
-	trimmed := strings.TrimSpace(line)
-	if trimmed == "" || strings.HasPrefix(trimmed, "#") {
-		return nil, nil
+// needFields checks a record's field count.
+func needFields(kind []byte, args [][]byte, n int) error {
+	if len(args) != n {
+		return fmt.Errorf("ptdf: %s record needs %d fields, got %d", kind, n, len(args))
 	}
-	fields, err := splitFields(trimmed)
+	return nil
+}
+
+// parse parses one line. A result line comes back as res, which is &p.res
+// and valid until the next call; any other record comes back as rec. Both
+// are nil for blank lines and comments.
+func (p *parser) parse(line []byte) (rec Record, res *PerfResultRec, err error) {
+	line = bytes.TrimSpace(line)
+	if len(line) == 0 || line[0] == '#' {
+		return nil, nil, nil
+	}
+	fields, err := p.split(line)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	kind := fields[0]
-	args := fields[1:]
-	need := func(n int) error {
-		if len(args) != n {
-			return fmt.Errorf("ptdf: %s record needs %d fields, got %d", kind, n, len(args))
+	kind, args := fields[0], fields[1:]
+	switch string(kind) {
+	case "PerfResult":
+		if err := needFields(kind, args, 6); err != nil {
+			return nil, nil, err
 		}
-		return nil
-	}
-	switch kind {
+		sets, err := p.resourceSet(args[1])
+		if err != nil {
+			return nil, nil, err
+		}
+		v, err := parseFloat(args[4])
+		if err != nil {
+			return nil, nil, fmt.Errorf("ptdf: bad value %q: %w", args[4], err)
+		}
+		p.res = PerfResultRec{
+			Exec: p.name(args[0]), Sets: sets, Tool: p.name(args[2]), Metric: p.name(args[3]),
+			Value: v, Units: p.name(args[5]),
+		}
+		return nil, &p.res, nil
 	case "Application":
-		if err := need(1); err != nil {
-			return nil, err
+		if err := needFields(kind, args, 1); err != nil {
+			return nil, nil, err
 		}
-		return ApplicationRec{Name: args[0]}, nil
+		return ApplicationRec{Name: p.name(args[0])}, nil, nil
 	case "ResourceType":
-		if err := need(1); err != nil {
-			return nil, err
+		if err := needFields(kind, args, 1); err != nil {
+			return nil, nil, err
 		}
-		tp := core.TypePath(args[0])
+		tp := core.TypePath(p.name(args[0]))
 		if err := tp.Validate(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		return ResourceTypeRec{Type: tp}, nil
+		return ResourceTypeRec{Type: tp}, nil, nil
 	case "Execution":
-		if err := need(2); err != nil {
-			return nil, err
+		if err := needFields(kind, args, 2); err != nil {
+			return nil, nil, err
 		}
-		return ExecutionRec{Name: args[0], App: args[1]}, nil
+		return ExecutionRec{Name: p.name(args[0]), App: p.name(args[1])}, nil, nil
 	case "Resource":
 		if len(args) != 2 && len(args) != 3 {
-			return nil, fmt.Errorf("ptdf: Resource record needs 2 or 3 fields, got %d", len(args))
+			return nil, nil, fmt.Errorf("ptdf: Resource record needs 2 or 3 fields, got %d", len(args))
 		}
 		name := core.ResourceName(args[0])
 		if err := name.Validate(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		tp := core.TypePath(args[1])
+		tp := core.TypePath(p.name(args[1]))
 		if err := tp.Validate(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		rec := ResourceRec{Name: name, Type: tp}
 		if len(args) == 3 {
-			rec.Exec = args[2]
+			rec.Exec = p.name(args[2])
 		}
-		return rec, nil
+		return rec, nil, nil
 	case "ResourceAttribute":
-		if err := need(4); err != nil {
-			return nil, err
+		if err := needFields(kind, args, 4); err != nil {
+			return nil, nil, err
 		}
 		name := core.ResourceName(args[0])
 		if err := name.Validate(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		if args[3] != "string" && args[3] != "resource" {
-			return nil, fmt.Errorf("ptdf: attribute type must be string or resource, got %q", args[3])
+		attrType := p.name(args[3])
+		if attrType != "string" && attrType != "resource" {
+			return nil, nil, fmt.Errorf("ptdf: attribute type must be string or resource, got %q", attrType)
 		}
-		if args[3] == "resource" {
-			if err := core.ResourceName(args[2]).Validate(); err != nil {
-				return nil, fmt.Errorf("ptdf: resource-typed attribute value: %w", err)
+		value := string(args[2])
+		if attrType == "resource" {
+			if err := core.ResourceName(value).Validate(); err != nil {
+				return nil, nil, fmt.Errorf("ptdf: resource-typed attribute value: %w", err)
 			}
 		}
-		return ResourceAttributeRec{Resource: name, Attr: args[1], Value: args[2], AttrType: args[3]}, nil
+		return ResourceAttributeRec{Resource: name, Attr: p.name(args[1]), Value: value, AttrType: attrType}, nil, nil
 	case "ResourceConstraint":
-		if err := need(2); err != nil {
-			return nil, err
+		if err := needFields(kind, args, 2); err != nil {
+			return nil, nil, err
 		}
 		r1 := core.ResourceName(args[0])
 		r2 := core.ResourceName(args[1])
 		if err := r1.Validate(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if err := r2.Validate(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		return ResourceConstraintRec{R1: r1, R2: r2}, nil
-	case "PerfResult":
-		if err := need(6); err != nil {
-			return nil, err
-		}
-		sets, err := parseSets(args[1])
-		if err != nil {
-			return nil, err
-		}
-		v, err := strconv.ParseFloat(args[4], 64)
-		if err != nil {
-			return nil, fmt.Errorf("ptdf: bad value %q: %w", args[4], err)
-		}
-		return PerfResultRec{
-			Exec: args[0], Sets: sets, Tool: args[2], Metric: args[3],
-			Value: v, Units: args[5],
-		}, nil
+		return ResourceConstraintRec{R1: r1, R2: r2}, nil, nil
 	case "PerfHistogram":
-		if err := need(7); err != nil {
-			return nil, err
+		if err := needFields(kind, args, 7); err != nil {
+			return nil, nil, err
 		}
-		sets, err := parseSets(args[1])
+		sets, err := p.resourceSet(args[1])
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		bw, err := strconv.ParseFloat(args[4], 64)
+		bw, err := parseFloat(args[4])
 		if err != nil || bw <= 0 {
-			return nil, fmt.Errorf("ptdf: bad bin width %q", args[4])
+			return nil, nil, fmt.Errorf("ptdf: bad bin width %q", args[4])
 		}
-		values, err := ParseHistogramValues(args[6])
+		values, err := ParseHistogramValues(string(args[6]))
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		return PerfHistogramRec{
-			Exec: args[0], Sets: sets, Tool: args[2], Metric: args[3],
-			BinWidth: bw, Units: args[5], Values: values,
-		}, nil
+			Exec: p.name(args[0]), Sets: sets, Tool: p.name(args[2]), Metric: p.name(args[3]),
+			BinWidth: bw, Units: p.name(args[5]), Values: values,
+		}, nil, nil
 	default:
-		return nil, fmt.Errorf("ptdf: unknown record kind %q", kind)
+		return nil, nil, fmt.Errorf("ptdf: unknown record kind %q", kind)
 	}
 }
 
-// Reader streams records from a PTdf document. It parses each distinct
-// resource-set text once: the results of one Reader that name the same
-// set share one Sets slice, which callers must treat as read-only.
+// Reader streams records from a PTdf document. It interns the names of a
+// document (executions, applications, tools, metrics, units, types and
+// attribute names) once, and parses each distinct resource-set text once:
+// the records of one Reader that name the same set share one Sets slice,
+// which callers must treat as read-only.
 type Reader struct {
 	sc   *bufio.Scanner
 	line int
-	sets map[string][]ResourceSet // each resource-set text parsed so far, by its text
+	p    parser
 }
+
+// maxLine bounds one PTdf line.
+const maxLine = 16 << 20
 
 // NewReader wraps an io.Reader in a PTdf record stream.
 func NewReader(r io.Reader) *Reader {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	return &Reader{sc: sc, sets: make(map[string][]ResourceSet)}
+	sc.Buffer(nil, maxLine) // starts at 4 KiB and doubles only for a longer line
+	return &Reader{sc: sc, p: parser{names: make(map[string]string), sets: make(map[string][]ResourceSet)}}
 }
 
-// resourceSet parses a resource-set text, or returns the sets a parse of
-// the same text returned before. A text that fails is parsed, and fails,
-// each time.
-func (r *Reader) resourceSet(text string) ([]ResourceSet, error) {
-	if sets, ok := r.sets[text]; ok {
-		return sets, nil
+// Scan reads the next record. A result line comes back as res: a record
+// the Reader owns and overwrites on the next call, so a caller that keeps
+// it copies it. Any other record comes back as rec. At the end of input
+// Scan returns io.EOF; a parse error is annotated with the line number.
+// Blank lines and comments are skipped.
+func (r *Reader) Scan() (rec Record, res *PerfResultRec, err error) {
+	for r.sc.Scan() {
+		r.line++
+		rec, res, err := r.p.parse(r.sc.Bytes())
+		if err != nil {
+			return nil, nil, fmt.Errorf("line %d: %w", r.line, err)
+		}
+		if rec != nil || res != nil {
+			return rec, res, nil
+		}
 	}
-	sets, err := ParseResourceSet(text)
-	if err == nil {
-		r.sets[strings.Clone(text)] = sets // the text is a piece of its line
+	if err := r.sc.Err(); err != nil {
+		return nil, nil, err
 	}
-	return sets, err
+	return nil, nil, io.EOF
 }
 
 // Next returns the next record, io.EOF at end of input, or a parse error
 // annotated with the line number. Blank lines and comments are skipped.
 func (r *Reader) Next() (Record, error) {
-	for r.sc.Scan() {
-		r.line++
-		rec, err := parseLine(r.sc.Text(), r.resourceSet)
-		if err != nil {
-			return nil, fmt.Errorf("line %d: %w", r.line, err)
-		}
-		if rec == nil {
-			continue
-		}
-		return rec, nil
+	rec, res, err := r.Scan()
+	if res != nil {
+		return *res, nil
 	}
-	if err := r.sc.Err(); err != nil {
-		return nil, err
-	}
-	return nil, io.EOF
+	return rec, err
 }
 
 // ReadAll parses every record in the input.

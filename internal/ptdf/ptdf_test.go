@@ -148,8 +148,9 @@ func TestQuoteFieldProperty(t *testing.T) {
 		if strings.ContainsAny(s, "\n\r") {
 			return true // PTdf is line-oriented; newlines are out of scope
 		}
-		fields, err := splitFields(quoteField(s))
-		return err == nil && len(fields) == 1 && fields[0] == s
+		var p parser
+		fields, err := p.split([]byte(quoteField(s)))
+		return err == nil && len(fields) == 1 && string(fields[0]) == s
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
