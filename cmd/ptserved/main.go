@@ -11,7 +11,7 @@
 //	         [-storage mem|segment] [-segment-flush N]
 //
 // On SIGINT/SIGTERM the server drains in-flight requests, checkpoints
-// the store (every table's tail into segments, perftrack.wal back to the
+// the store (every table's tail into segments, the commit log back to the
 // schema), and exits.
 package main
 
@@ -39,7 +39,7 @@ func main() {
 	readOnly := flag.Bool("readonly", false, "reject PTdf ingest (/v1/load returns 403)")
 	maxInFlight := flag.Int("max-inflight", 64, "maximum concurrently served API requests; excess is shed with 429")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request deadline for API endpoints; the streams /v1/load and /v1/results have none")
-	syncWAL := flag.Bool("sync", false, "fsync the logs a mutation or load wrote to (the tables' tail logs, perftrack.wal)")
+	syncWAL := flag.Bool("sync", false, "fsync the commit log at every mutation or load: one fsync a commit")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight requests")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); empty disables")
 	logLevel := flag.String("log-level", "info", "structured log level: debug, info, warn, or error")

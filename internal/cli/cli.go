@@ -107,7 +107,7 @@ func MustOpen(db, remote string) *Target {
 func (t *Target) Verbose() { t.verbose = true }
 
 // Close ends the target. For -db it closes the in-process listener and
-// the engine, which syncs its logs; it does not shut the server down,
+// the engine, which syncs its log; it does not shut the server down,
 // which would checkpoint, so a read-only verb leaves the store's files
 // as it found them.
 func (t *Target) Close() error {

@@ -33,8 +33,8 @@ var ErrBatchDone = errors.New("datastore: batch already finished")
 // until the engine commits them all at once. A reader sees none or all
 // of a document's rows; a bad record rolls the whole batch back, and the
 // engine never saw a row of it, so nothing is undone or logged. The store
-// generation bumps exactly once, and the commit flushes each log it
-// touched exactly once. This is the write API every multi-record path
+// generation bumps exactly once, and the commit is one group of the
+// engine's log, written once. This is the write API every multi-record path
 // sits on: LoadPTdfCtx stages one document per batch, and
 // BulkLoadStreamCtx feeds parallel decoders' batches to one committer.
 type Batch struct {
@@ -183,7 +183,7 @@ func (b *Batch) Len() int { return len(b.order) }
 
 // CommitCtx applies every staged record in order inside one writer
 // critical section: one engine transaction, one generation bump, and one
-// flush of each log the transaction touched. Each distinct name and
+// write of the engine's log. Each distinct name and
 // resource set resolves once per commit. On error nothing of the batch
 // remains (the transaction rolls back and the names directory is
 // reloaded from the rows) and the error names the failing record. A

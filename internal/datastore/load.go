@@ -188,7 +188,7 @@ func (s *Store) LoadPTdf(r io.Reader) (LoadStats, error) {
 // document decodes into a staged Batch outside every lock — a slow or
 // partially-bad document costs nothing under the writer mutex — then
 // commits in one critical section: one engine transaction, one
-// generation bump, one flush of each log it touched. A bad record
+// generation bump, one write of the log (one group). A bad record
 // (decode or apply) leaves no trace of the document behind; the error
 // names the failing record. Concurrent loads decode in parallel and
 // serialize only at commit. When a trace rides ctx, the decode and

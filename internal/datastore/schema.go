@@ -36,9 +36,6 @@ var figure1 = []*reldb.Schema{
 			{Name: "name", Type: reldb.KindString},
 		},
 		PrimaryKey: []string{"id"},
-		Indexes: []reldb.IndexSpec{
-			{Name: "application_name", Columns: []string{"name"}},
-		},
 	},
 	{
 		Name: "execution",
@@ -53,7 +50,6 @@ var figure1 = []*reldb.Schema{
 		},
 		Indexes: []reldb.IndexSpec{
 			{Name: "execution_name", Columns: []string{"name"}},
-			{Name: "execution_app", Columns: []string{"application_id"}},
 		},
 	},
 	{
@@ -66,10 +62,6 @@ var figure1 = []*reldb.Schema{
 		PrimaryKey: []string{"id"},
 		ForeignKeys: []reldb.ForeignKey{
 			{Column: "parent_id", RefTable: "focus_framework", RefColumn: "id"},
-		},
-		Indexes: []reldb.IndexSpec{
-			{Name: "focus_framework_name", Columns: []string{"type_name"}},
-			{Name: "focus_framework_parent", Columns: []string{"parent_id"}},
 		},
 	},
 	{
@@ -168,9 +160,6 @@ var figure1 = []*reldb.Schema{
 			{Name: "name", Type: reldb.KindString},
 		},
 		PrimaryKey: []string{"id"},
-		Indexes: []reldb.IndexSpec{
-			{Name: "metric_name", Columns: []string{"name"}},
-		},
 	},
 	{
 		Name: "performance_tool",
@@ -179,9 +168,6 @@ var figure1 = []*reldb.Schema{
 			{Name: "name", Type: reldb.KindString},
 		},
 		PrimaryKey: []string{"id"},
-		Indexes: []reldb.IndexSpec{
-			{Name: "performance_tool_name", Columns: []string{"name"}},
-		},
 	},
 	{
 		Name: "units",
@@ -190,9 +176,6 @@ var figure1 = []*reldb.Schema{
 			{Name: "name", Type: reldb.KindString},
 		},
 		PrimaryKey: []string{"id"},
-		Indexes: []reldb.IndexSpec{
-			{Name: "units_name", Columns: []string{"name"}},
-		},
 	},
 	{
 		Name: "focus",

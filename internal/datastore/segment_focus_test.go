@@ -111,10 +111,10 @@ func TestDuplicateFocusFailsOpen(t *testing.T) {
 	}
 }
 
-// TestFocusWithoutLinksIsNotKeyed: a crash between the focus and
-// focus_has_resource log flushes (DESIGN §9 rule 3) leaves focus rows
-// without links — here two, of one type, as a document with two new
-// contexts leaves them. The directory keys neither, so reopening finds no
+// TestFocusWithoutLinksIsNotKeyed: focus rows without links — which no
+// commit leaves, a commit being one log group, but a direct engine write
+// can — here two, of one type, as a document with two new contexts would
+// leave them. The directory keys neither, so reopening finds no
 // duplicate, a later load of the same context gets a new, linked focus,
 // and a query by its resource finds the result.
 func TestFocusWithoutLinksIsNotKeyed(t *testing.T) {

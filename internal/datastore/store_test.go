@@ -673,7 +673,7 @@ func TestSQLInterfaceOverStore(t *testing.T) {
 // TestSchemaDDLGolden pins Figure 1: testdata/figure1.ddl is SchemaDDL()
 // of a fresh store at the last commit that fed DDL strings through the
 // SQL parser, less the focus_signature index the schema has since given
-// up. A directory this program wrote renders the same text once closed
+// up and the seven indexes no reader named. A directory this program wrote renders the same text once closed
 // and reopened, and the reopen logs nothing.
 func TestSchemaDDLGolden(t *testing.T) {
 	golden, err := os.ReadFile(filepath.Join("testdata", "figure1.ddl"))

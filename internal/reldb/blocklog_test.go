@@ -1,6 +1,7 @@
 package reldb
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -79,13 +80,12 @@ func dumpTable(t *testing.T, db *DB, table string) []string {
 	return out
 }
 
-// tailLogOf returns the path of the tail log the table's next record
+// logPathOf returns the path of the log file the engine's next record
 // goes to.
-func tailLogOf(db *DB, table string) string {
+func logPathOf(db *DB) string {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	logs := db.tables[table].tail.logs
-	return logs[len(logs)-1].path
+	return db.log.path
 }
 
 // fileSize returns the size of a file on disk.
@@ -98,10 +98,10 @@ func fileSize(t *testing.T, path string) int64 {
 	return fi.Size()
 }
 
-// TestFileEngineTornCommitRecovery cuts the record of a table's last
-// commit at every byte offset. Recovery keeps the table's rows of the
-// earlier commits and none of the cut one — never its first rows — and
-// takes the log back to where the cut commit began.
+// TestFileEngineTornCommitRecovery cuts the group of the last commit at
+// every byte offset. Recovery keeps the rows of the earlier commits and
+// none of the cut one — never its first rows — and takes the log back to
+// where the cut commit began.
 func TestFileEngineTornCommitRecovery(t *testing.T) {
 	dir := t.TempDir()
 	fe := openTestEngine(t, dir)
@@ -109,16 +109,16 @@ func TestFileEngineTornCommitRecovery(t *testing.T) {
 	commitRows(t, fe, "person", personRows(0, 6))
 	commitRows(t, fe, "person", personRows(6, 6))
 	want := dumpTable(t, fe, "person")
-	log := tailLogOf(fe, "person")
-	fe.Stats() // flushes the logs
+	log := logPathOf(fe)
+	fe.Stats() // writes the log
 	mark := fileSize(t, log)
 	commitRows(t, fe, "person", personRows(12, 6))
 	if err := fe.Close(); err != nil {
 		t.Fatal(err)
 	}
 	end := fileSize(t, log)
-	if ops := logRecords(t, osFS{}, log); len(ops) != 3 || ops[2].op != opInsertBlock || ops[2].block.rows != 6 {
-		t.Fatalf("the log holds %d records, want one block record of 6 rows per commit", len(ops))
+	if ops := logRecords(t, osFS{}, log); len(ops) != 4 || ops[3].op != opInsertBlock || ops[3].block.rows != 6 || ops[3].more {
+		t.Fatalf("the log holds %d records, want the table's and one block record of 6 rows per commit", len(ops))
 	}
 	for cut := mark; cut < end; cut++ {
 		crashed := filepath.Join(t.TempDir(), "db")
@@ -143,9 +143,9 @@ func TestFileEngineTornCommitRecovery(t *testing.T) {
 }
 
 // TestFileEngineTornCommitRunRecovery commits more rows to one table than
-// a block record holds, so the commit is a run of records. A crash that
-// keeps the run's first record whole and nothing of the second, or cuts
-// the second, leaves none of the commit.
+// a block record holds, so the commit's group is a run of records. A
+// crash that keeps the run's first record whole and nothing of the
+// second, or cuts the second, leaves none of the commit.
 func TestFileEngineTornCommitRunRecovery(t *testing.T) {
 	schema := &Schema{Name: "pair", Columns: []Column{{Name: "id", Type: KindInt}, {Name: "v", Type: KindInt}}, PrimaryKey: []string{"id"}}
 	dir := t.TempDir()
@@ -154,7 +154,7 @@ func TestFileEngineTornCommitRunRecovery(t *testing.T) {
 	StopCompactor(fe)
 	fe.SetSegmentFlushRows(1 << 30)
 	commitRows(t, fe, "pair", []Row{{Null(), Int(-1)}})
-	log := tailLogOf(fe, "pair")
+	log := logPathOf(fe)
 	fe.Stats()
 	mark := fileSize(t, log)
 	big := make([]Row, recordRows(2)+100)
@@ -166,10 +166,10 @@ func TestFileEngineTornCommitRunRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	recs := logRecords(t, osFS{}, log)
-	if len(recs) != 3 || !recs[1].more || recs[2].more || recs[1].block.rows != recordRows(2) || recs[2].block.rows != 100 {
+	if len(recs) != 4 || !recs[2].more || recs[3].more || recs[2].block.rows != recordRows(2) || recs[3].block.rows != 100 {
 		t.Fatalf("the big commit was not logged as a run of two block records")
 	}
-	first := mark + 8 + int64(len(encodeMutationPayload(recs[1])))
+	first := mark + 8 + int64(len(encodeMutationPayload(recs[2])))
 	end := fileSize(t, log)
 	for _, cut := range []int64{first, first + 5, end - 1, end} {
 		crashed := filepath.Join(t.TempDir(), "db")
@@ -293,5 +293,60 @@ func TestBlockRecordHostile(t *testing.T) {
 	rec := appendBlockRecords(nil, "person", b)
 	if crc32.ChecksumIEEE(rec[8:]) != binary.LittleEndian.Uint32(rec[4:]) || int(binary.LittleEndian.Uint32(rec)) != len(rec)-8 {
 		t.Fatal("appendBlockRecords frames its record wrongly")
+	}
+	// endGroup clears the flag of the group's last record and checksums it
+	// again.
+	two := appendBlockRecords(slices.Clone(rec), "person", b)
+	endGroup(two, 0)
+	var more []bool
+	for rr := newRecordReader(bytes.NewReader(two)); ; {
+		payload, err := rr.readRecord()
+		if err != nil {
+			break
+		}
+		m, err := decodeMutationPayload(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		more = append(more, m.more)
+	}
+	if !slices.Equal(more, []bool{true, false}) {
+		t.Fatalf("after endGroup the records are continued = %v, want [true false]", more)
+	}
+}
+
+// TestTornGroupLeavesNothing cuts a document-shaped commit — results,
+// foci, their links and closure links, six tables in one group — at every
+// byte of its group: the store reopens to the state before the commit,
+// never to part of it, and takes the log back to where the group began.
+func TestTornGroupLeavesNothing(t *testing.T) {
+	p := newHotPairOn(t, newMemFS(), "db")
+	p.fe.SetSegmentFlushRows(1 << 40) // no pass: the log is one file
+	p.load(0, 12)
+	want := dumpDB(p.fe, HotTables)
+	p.fe.Stats() // writes the log
+	path, mark := logPathOf(p.fe), p.fe.log.size
+	p.load(12, 12)
+	if err := p.fe.Close(); err != nil {
+		t.Fatal(err)
+	}
+	mem := p.fsys.(*memFS)
+	end, _ := mem.Size(path)
+	if recs := logRecords(t, mem, path); len(groupEnds(t, mem, path)) != 8 || len(recs) != 6+2*6 {
+		t.Fatalf("the log holds %d records, want the schema's six groups and two commits of six tables each", len(recs))
+	}
+	for cut := mark; cut < end; cut++ {
+		crashed := mem.Crash()
+		if err := crashed.Truncate(path, cut); err != nil {
+			t.Fatal(err)
+		}
+		db := openTestEngineOn(t, crashed, "db")
+		if got := dumpDB(db, HotTables); got != want {
+			t.Fatalf("cut at byte %d of %d..%d: the store holds\n%s\nwant the state before the commit\n%s", cut, mark, end, got, want)
+		}
+		if size, _ := crashed.Size(path); size != mark {
+			t.Fatalf("cut at byte %d: the log holds %d bytes after recovery, want %d", cut, size, mark)
+		}
+		db.Close()
 	}
 }

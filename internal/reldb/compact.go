@@ -1,15 +1,12 @@
 package reldb
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"io"
 	"io/fs"
 	"path/filepath"
 	"slices"
-	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -27,22 +24,21 @@ import (
 // recovery. A change to a block is a replacement block
 // (Table.replaceLocked), which the next pass writes like a sealed tail.
 //
-// A row is durable in exactly one place: the tail log of the tail that
-// holds it, then — once the segment file is fsynced and a durable
-// manifest names it — that segment, at which point the pass deletes the
-// tail's logs; a delete, in its tail log, then in the replacement's file.
-// Three rules make the deletion safe (DESIGN §9): the barrier before a
-// manifest, the pass counted last, and the flush order.
+// A row is durable in exactly one place: the commit log, from its commit
+// until a pass's manifest names the segment file holding it; a delete
+// likewise, then in the replacement's file. Each pass starts a new log
+// file that carries the active tails forward, and once its manifest names
+// that file the older ones are deleted. The barrier before a manifest and
+// the pass counted last make the deletion safe (DESIGN §9).
 
 const (
 	segmentSubdir = "segments"
 	manifestFile  = "MANIFEST"
 	// manifestVersion is the one format version this program reads and
 	// writes: the manifest states it, and an open refuses every other
-	// (ErrFormat). 7 says the segments are format 2, the tail logs hold
-	// block records and delete records alone, and perftrack.wal the
-	// schema alone.
-	manifestVersion = 7
+	// (ErrFormat). 8 says the segments are format 2 and every commit and
+	// DDL statement is a group of the one numbered commit log.
+	manifestVersion = 8
 	defaultSegFlush = 4096
 )
 
@@ -54,17 +50,16 @@ type segState struct {
 
 	compactMu sync.Mutex // serializes compaction passes and checkpoints
 	nextSeq   int64      // under compactMu
+	low       int64      // the low-water log file the last durable manifest names; under compactMu
 
 	flushRows   atomic.Int64
-	compactions atomic.Uint64 // compaction passes that wrote segments and have deleted the logs those supersede (rule 2)
+	compactions atomic.Uint64 // compaction passes that have deleted the log files their manifest made dead (rule 2)
 	segsWritten atomic.Uint64 // segment files written
 
 	// Guarded by the engine lock.
-	loaded    map[string][]*segment // recovery: manifest-listed segments, by table, until replay ends
-	loadedLow map[string]int64      // recovery: the manifest's low-water marks
-	garbage   []string              // files of replaced segments, removed after the next manifest write
-	logSeq    map[string]int64      // sequence number of each table's next tail log
-	retired   []*logFile            // tail logs of published or emptied tails, deleted after the next manifest write
+	loaded  map[string][]*segment // recovery: manifest-listed segments, by table, until replay ends
+	garbage []string              // files of replaced segments, removed after the next manifest write
+	nextLog int64                 // the number of the next log file
 
 	step func(string) // tests: called after each durable step of a pass or checkpoint
 
@@ -76,14 +71,13 @@ type segState struct {
 
 func newSegState(db *DB) *segState {
 	st := &segState{
-		db:        db,
-		dir:       filepath.Join(db.dir, segmentSubdir),
-		loaded:    make(map[string][]*segment),
-		loadedLow: make(map[string]int64),
-		logSeq:    make(map[string]int64),
-		notify:    make(chan struct{}, 1),
-		stop:      make(chan struct{}),
-		done:      make(chan struct{}),
+		db:     db,
+		dir:    filepath.Join(db.dir, segmentSubdir),
+		loaded: make(map[string][]*segment),
+		low:    1,
+		notify: make(chan struct{}, 1),
+		stop:   make(chan struct{}),
+		done:   make(chan struct{}),
 	}
 	st.flushRows.Store(defaultSegFlush)
 	return st
@@ -108,8 +102,7 @@ func (db *DB) SetSegmentFlushRows(n int64) {
 // sealReadyLocked seals — moves a pointer — every table's tail that
 // holds at least atLeast rows, has no sealed tail waiting and no open
 // transaction holding row IDs of the table, then wakes the compactor if
-// any table has a block to write. The sealed tail keeps its logs and the
-// next record opens a new one. It reports whether some table is full
+// any table has a block to write. It reports whether some table is full
 // behind a sealed tail: at the threshold too, and not sealable until the
 // pass in flight publishes.
 func (st *segState) sealReadyLocked(atLeast int64) (full bool) {
@@ -138,74 +131,12 @@ func (st *segState) sealReadyLocked(atLeast int64) (full bool) {
 // tail keeps reading the wide vectors it pinned.
 func (st *segState) sealLocked(t *Table) {
 	old := t.tail
-	if k := len(old.logs); k > 0 && old.logs[k-1].finish() != nil {
-		return // the log cannot take its buffered records: the tail stays active, the committer's next flush reports it
-	}
 	old.freeze(t.pkCols)
 	sealed := old.narrowed()
 	t.installLocked(sealed, t.newBlock(sealed.maxRowID, 0))
 }
 
 func unwritten(s *segment) bool { return s.file == "" }
-
-// tailLogLocked returns the tail log the table's next record goes to:
-// the last one its active tail owns while that still takes records, else
-// a new one under the table's next sequence number.
-func (st *segState) tailLogLocked(t *Table) (*logFile, error) {
-	if n := len(t.tail.logs); n > 0 && !t.tail.logs[n-1].finished {
-		return t.tail.logs[n-1], nil
-	}
-	name := t.schema.Name
-	seq := st.logSeq[name]
-	l, err := openLog(st.db.fsys, st.tailLogPath(name, seq), seq, 0)
-	if err != nil {
-		return nil, fmt.Errorf("reldb: open tail log: %w", err)
-	}
-	if st.db.syncWAL {
-		if err := synced(st.db.fsys.SyncDir(st.dir)); err != nil { // the commit's fsync must not outlive the file's name
-			st.db.discardLogs([]*logFile{l})
-			return nil, err
-		}
-	}
-	st.logSeq[name] = seq + 1
-	t.tail.logs = append(t.tail.logs, l)
-	return l, nil
-}
-
-func (st *segState) tailLogPath(table string, seq int64) string {
-	return filepath.Join(st.dir, fmt.Sprintf("tail-%s-%08d.log", table, seq))
-}
-
-// parseTailLogName undoes tailLogPath on a file's base name.
-func parseTailLogName(base string) (table string, seq int64, ok bool) {
-	base, ok = strings.CutSuffix(base, ".log")
-	cut := strings.LastIndexByte(base, '-')
-	if !ok || !strings.HasPrefix(base, "tail-") || cut < len("tail-") {
-		return "", 0, false
-	}
-	seq, err := strconv.ParseInt(base[cut+1:], 10, 64)
-	return base[len("tail-"):cut], seq, err == nil
-}
-
-// discardLogsLocked deletes the table's tail logs: it is being dropped.
-func (t *Table) discardLogsLocked() {
-	for _, s := range t.tailsLocked() {
-		if len(s.logs) > 0 {
-			t.db.logTrimmed += t.db.discardLogs(s.logs)
-			s.logs = nil
-		}
-	}
-}
-
-// lowWaterLocked is the sequence number below which no tail log of the
-// table is needed: the lowest one its unflushed rows own, or the next to
-// be assigned.
-func (t *Table) lowWaterLocked() int64 {
-	if logs := t.logsLocked(); len(logs) > 0 {
-		return logs[0].seq
-	}
-	return t.db.seg.logSeq[t.schema.Name]
-}
 
 // adoptLocked makes a segment the table's newest. A published tail keeps
 // the permutations it has built; a decoded file starts with none.
@@ -225,15 +156,15 @@ func (t *Table) segDelta(s *segment, sign int64) {
 
 // publishLocked puts seg, the block a pass has just written to path from
 // block b, in b's place: a sealed tail becomes the table's newest segment,
-// a replacement keeps its position. b's logs and the files it replaced
-// go once a manifest that names seg instead is durable.
+// a replacement keeps its position. The files it replaced go once a
+// manifest that names seg instead is durable.
 func (t *Table) publishLocked(b, seg *segment, path string, size int64) {
 	st := t.db.seg
-	st.garbage, st.retired = append(st.garbage, b.replaces...), append(st.retired, b.logs...)
+	st.garbage = append(st.garbage, b.replaces...)
 	if b != t.sealed {
 		t.segDelta(b, -1)
 	}
-	b.logs, b.replaces = nil, nil
+	b.replaces = nil
 	seg.file, seg.sizeOn = path, size
 	if b == t.sealed {
 		t.adoptLocked(seg)
@@ -295,7 +226,7 @@ func (db *DB) CompactSegments() error {
 // sealed tail. Requires compactMu.
 func (st *segState) drain(force bool) error {
 	for ; ; force = false {
-		if worked, err := st.pass(force); err != nil || !worked {
+		if worked, err := st.pass(force, false); err != nil || !worked {
 			return err
 		}
 	}
@@ -303,17 +234,21 @@ func (st *segState) drain(force bool) error {
 
 // pass writes and publishes the blocks that wait for it — sealed tails
 // and the replacements deletes made — and reports whether there were
-// any. It starts with the barrier (rule 1): every log, the sealed tails'
-// own included, and the tail-log directory are fsynced, so that no
-// segment is named before what its rows refer to is durable. It then
-// writes a segment file per block outside the engine lock and publishes
-// it under the lock (publishLocked), sealing the table's next tail if
-// that has meanwhile crossed the threshold (when forced, holds a row).
-// Then the manifest is rewritten, the retired logs are deleted, and only
-// then is the pass counted (rule 2). Requires compactMu, which a commit
-// that deletes holds too: no block is replaced under a pass, and every
-// replacement older than a retired log's delete records is written.
-func (st *segState) pass(force bool) (worked bool, err error) {
+// any; with none it does nothing, unless rotate is set. Under the engine
+// lock that collects the blocks it starts a new log file
+// (rotateLocked), whose carry holds every row but theirs that no
+// manifest's segment does. Then comes the barrier (rule 1): every log
+// file's bytes no fsync covers, the carry's included, and the log
+// directory are fsynced, so that no segment is named before what its rows
+// refer to is durable. It then writes a segment file per block outside
+// the engine lock and publishes it under the lock (publishLocked),
+// sealing the table's next tail if that has meanwhile crossed the
+// threshold (when forced, holds a row). Then the manifest is rewritten,
+// naming the new log file as the low-water one, the older log files are
+// deleted, and only then is the pass counted (rule 2). Requires
+// compactMu, which a commit that deletes holds too: no block is replaced
+// under a pass.
+func (st *segState) pass(force, rotate bool) (worked bool, err error) {
 	db := st.db
 	type job struct {
 		t *Table
@@ -340,15 +275,23 @@ func (st *segState) pass(force bool) (worked bool, err error) {
 			jobs = append(jobs, job{t, t.sealed})
 		}
 	}
+	if len(jobs) == 0 && !rotate {
+		db.mu.Unlock()
+		return false, nil
+	}
+	err = db.rotateLocked()
+	low, dead := db.log.seq, db.oldLogs
 	var unsynced []logMark
-	if len(jobs) > 0 {
-		unsynced, err = db.flushLogsLocked()
+	for _, l := range db.liveLogsLocked() {
+		if l.size > l.synced {
+			unsynced = append(unsynced, logMark{l, l.size})
+		}
 	}
 	db.mu.Unlock()
-	if err != nil || len(jobs) == 0 {
+	if err != nil {
 		return false, err
 	}
-	st.stepped("seal")
+	st.stepped("rotate")
 	if err := db.syncLogs(unsynced); err != nil {
 		return false, db.refuse(err)
 	}
@@ -366,21 +309,23 @@ func (st *segState) pass(force bool) (worked bool, err error) {
 		st.stepped("segment file")
 	}
 	db.mu.Lock()
-	m, garbage := st.manifestLocked()
-	retired := st.retired
+	m, garbage := st.manifestLocked(low)
 	db.mu.Unlock()
 	if err := st.writeManifest(m, garbage); err != nil {
 		return false, db.refuse(err)
 	}
+	st.low = low
 	st.stepped("manifest")
-	trimmed := db.discardLogs(retired)
 	db.mu.Lock()
-	st.retired = nil // appended to under compactMu only
-	db.logTrimmed += trimmed
+	db.oldLogs = nil // appended to under compactMu only
+	for _, l := range dead {
+		db.logTrimmed += uint64(l.size)
+	}
 	db.mu.Unlock()
+	db.discardLogs(dead)
 	st.stepped("log removal")
 	st.compactions.Add(1)
-	return true, nil
+	return len(jobs) > 0, nil
 }
 
 // awaitPass is what a committer does when its commit finds a table full
@@ -392,30 +337,12 @@ func (st *segState) pass(force bool) (worked bool, err error) {
 func (st *segState) awaitPass() error {
 	st.compactMu.Lock()
 	defer st.compactMu.Unlock()
-	_, err := st.pass(false)
+	_, err := st.pass(false, false)
 	return err
 }
 
-// flushLogsLocked flushes every log still taking records and marks the
-// logs a pass must fsync — perftrack.wal and the tail logs the tables'
-// unflushed rows own — where they hold bytes no fsync covers.
-func (db *DB) flushLogsLocked() (unsynced []logMark, err error) {
-	for _, l := range db.openLogsLocked() {
-		if err := l.flush(); err != nil {
-			return nil, err
-		}
-	}
-	for _, l := range append(db.tailLogsLocked(), db.wal) {
-		if l.size > l.synced {
-			unsynced = append(unsynced, logMark{l, l.size})
-		}
-	}
-	return unsynced, nil
-}
-
-// syncLogs fsyncs the marked logs and the directory of the tail logs,
-// outside the engine lock, and records how much of each log is now
-// durable.
+// syncLogs fsyncs the marked log files and their directory, outside the
+// engine lock, and records how much of each file is now durable.
 func (db *DB) syncLogs(marks []logMark) error {
 	for _, m := range marks {
 		if err := synced(m.l.f.Sync()); err != nil {
@@ -449,22 +376,22 @@ func (st *segState) writeSegment(t *Table, b *segment) (seg *segment, path strin
 
 // --- manifest ---
 
-// manifest is what the MANIFEST file says, after its version: per table,
-// the segment files that hold its rows, in row-ID order, and the
-// low-water mark below which its tail logs are dead — the files hold
-// their rows.
+// manifest is what the MANIFEST file says after its version and the
+// next segment number: the low-water log file, below which every log file
+// is dead, and per table the segment files that hold its rows, in row-ID
+// order.
 type manifest struct {
-	tables   []string
-	files    [][]string
-	lowWater []int64
+	low    int64
+	tables []string
+	files  [][]string
 }
 
-// manifestLocked returns what the next manifest says — each table's
-// segment files: a written block's own, in its place the files an
-// unwritten replacement replaces; and the lowest tail log the table's
-// unflushed rows own — and takes the released segment files it thereby
-// stops referencing.
-func (st *segState) manifestLocked() (m manifest, garbage []string) {
+// manifestLocked returns what the next manifest says — low, and each
+// table's segment files: a written block's own, in its place the files an
+// unwritten replacement replaces — and takes the released segment files
+// it thereby stops referencing.
+func (st *segState) manifestLocked(low int64) (m manifest, garbage []string) {
+	m.low = low
 	for _, t := range st.db.order {
 		var list []string
 		for _, s := range t.blocks {
@@ -472,7 +399,7 @@ func (st *segState) manifestLocked() (m manifest, garbage []string) {
 				list = append(list, filepath.Base(path))
 			}
 		}
-		m.tables, m.files, m.lowWater = append(m.tables, t.schema.Name), append(m.files, list), append(m.lowWater, t.lowWaterLocked())
+		m.tables, m.files = append(m.tables, t.schema.Name), append(m.files, list)
 	}
 	garbage, st.garbage = st.garbage, nil
 	return m, garbage
@@ -481,13 +408,13 @@ func (st *segState) manifestLocked() (m manifest, garbage []string) {
 // writeManifest atomically rewrites the manifest and then deletes the
 // garbage it no longer names. Requires compactMu.
 func (st *segState) writeManifest(m manifest, garbage []string) error {
-	buf := appendRecord(nil, putVarint(putUvarint(nil, manifestVersion), st.nextSeq))
+	buf := appendRecord(nil, putVarint(putVarint(putUvarint(nil, manifestVersion), st.nextSeq), m.low))
 	for i, name := range m.tables {
 		p := putUvarint(putString(nil, name), uint64(len(m.files[i])))
 		for _, file := range m.files[i] {
 			p = putString(p, file)
 		}
-		buf = appendRecord(buf, putVarint(p, m.lowWater[i]))
+		buf = appendRecord(buf, p)
 	}
 	if err := replaceFile(st.db.fsys, filepath.Join(st.dir, manifestFile), buf); err != nil {
 		return fmt.Errorf("reldb: write manifest: %w", err)
@@ -517,14 +444,14 @@ func (st *segState) load() error {
 		return fmt.Errorf("reldb: manifest: %w", err)
 	}
 	hp := &payloadReader{buf: hdr}
-	version, nextSeq := hp.uvarint(), hp.varint()
+	if version := hp.uvarint(); hp.err == nil && version != manifestVersion {
+		return st.db.formatError(version)
+	}
+	nextSeq, low := hp.varint(), hp.varint()
 	if hp.err != nil {
 		return fmt.Errorf("reldb: manifest: %w", hp.err)
 	}
-	if version != manifestVersion {
-		return st.db.formatError(version)
-	}
-	st.nextSeq = nextSeq
+	st.nextSeq, st.low = nextSeq, low
 	for {
 		payload, err := rr.readRecord()
 		if err == io.EOF {
@@ -538,7 +465,6 @@ func (st *segState) load() error {
 		for i := range files {
 			files[i] = p.str()
 		}
-		st.loadedLow[name] = p.varint()
 		if p.err != nil {
 			return fmt.Errorf("reldb: manifest: %w", p.err)
 		}
@@ -556,71 +482,9 @@ func (st *segState) load() error {
 	}
 }
 
-// replayTailLogs ends recovery: it deletes, unread, the tail logs below
-// their table's low-water mark (a crash came between a manifest write and
-// the removal of the logs it superseded) and those of tables that no
-// longer exist, replays the rest table by table in sequence order, and
-// hands them to each table's active tail, which now holds their rows. The
-// next record opens a new log.
-func (st *segState) replayTailLogs() error {
-	names, err := st.db.fsys.ReadDir(st.dir)
-	if err != nil {
-		return fmt.Errorf("reldb: open %s: %w", st.dir, err)
-	}
-	logs := make(map[string][]*logFile)
-	for _, name := range names {
-		if !strings.HasPrefix(name, "tail-") {
-			continue
-		}
-		table, seq, ok := parseTailLogName(name)
-		if !ok {
-			return fmt.Errorf("reldb: %s is not a tail log", filepath.Join(st.dir, name))
-		}
-		logs[table] = append(logs[table], &logFile{path: filepath.Join(st.dir, name), seq: seq})
-		st.logSeq[table] = max(st.logSeq[table], seq+1)
-	}
-	for name, low := range st.loadedLow {
-		st.logSeq[name] = max(st.logSeq[name], low)
-	}
-	tables := make([]string, 0, len(logs))
-	for name := range logs {
-		tables = append(tables, name)
-	}
-	sort.Strings(tables)
-	for _, name := range tables {
-		t := st.db.tables[name]
-		slices.SortFunc(logs[name], func(a, b *logFile) int { return cmp.Compare(a.seq, b.seq) })
-		for _, l := range logs[name] {
-			if t == nil || l.seq < st.loadedLow[name] {
-				st.db.fsys.Remove(l.path)
-				continue
-			}
-			l.size, err = st.db.replayLog(l.path, func(m *mutation) error {
-				if !m.isRowOp() || m.table != name {
-					return fmt.Errorf("%w: a tail log of %q holds op %d on %q", ErrCorruptLog, name, m.op, m.table)
-				}
-				rows := 1
-				if m.block != nil {
-					rows = m.block.rows
-				}
-				st.db.replayedRows += rows
-				return st.db.apply(m)
-			})
-			if err != nil {
-				return err
-			}
-			if l.f, err = st.db.fsys.Append(l.path); err != nil {
-				return fmt.Errorf("reldb: open tail log: %w", err)
-			}
-			t.tail.logs = append(t.tail.logs, l)
-		}
-	}
-	return nil
-}
-
 // attachLocked hands a table recovery has just created the segments the
 // manifest lists for it, before its empty tail, without inserting a row:
-// its next row ID moves past them, and log replay finds their rows served.
+// its next row ID moves past them.
 func (st *segState) attachLocked(t *Table) error {
 	segs := st.loaded[t.schema.Name]
 	delete(st.loaded, t.schema.Name)
@@ -671,9 +535,6 @@ type SegmentTableStatus struct {
 	Bytes       int64  `json:"bytes"`
 	PendingRows int64  `json:"pending_rows"`
 	Watermark   int64  `json:"watermark"`
-	LogBytes    int64  `json:"log_bytes,omitempty"` // the tail logs the table's unflushed rows own, buffered records included
-	LogFiles    int    `json:"log_files,omitempty"`
-	LowWater    int64  `json:"low_water,omitempty"` // tail logs numbered below it are gone
 }
 
 // SegmentStats summarizes the engine's compaction state.
@@ -682,15 +543,14 @@ type SegmentStats struct {
 	FlushRows       int64  `json:"flush_rows"`
 	Compactions     uint64 `json:"compactions"`
 	SegmentsWritten uint64 `json:"segments_written"`
-	// Log bytes ever appended (perftrack.wal and tail logs alike) and ever
-	// deleted or truncated away; wal_bytes is what is live.
+	// Log bytes ever appended, carries included, and ever deleted or
+	// truncated away; wal_bytes is what is live.
 	LogBytesAppended uint64               `json:"log_bytes_appended"`
 	LogBytesTrimmed  uint64               `json:"log_bytes_trimmed"`
 	Tables           []SegmentTableStatus `json:"tables,omitempty"`
 }
 
-// SegmentStats reports compaction status, of each table that holds rows
-// or logs.
+// SegmentStats reports compaction status, of each table that holds rows.
 func (db *DB) SegmentStats() SegmentStats {
 	st := db.seg
 	out := SegmentStats{
@@ -703,15 +563,12 @@ func (db *DB) SegmentStats() SegmentStats {
 	defer db.mu.RUnlock()
 	out.LogBytesAppended, out.LogBytesTrimmed = db.logAppended, db.logTrimmed
 	for _, t := range db.order {
-		status := SegmentTableStatus{Table: t.schema.Name, LowWater: t.lowWaterLocked(),
-			Segments: len(t.segs), Rows: t.segRows, Bytes: t.segBytes, PendingRows: t.lenLocked() - t.segRows}
-		for _, l := range t.logsLocked() {
-			status.LogBytes, status.LogFiles = status.LogBytes+l.size, status.LogFiles+1
-		}
+		status := SegmentTableStatus{Table: t.schema.Name, Segments: len(t.segs), Rows: t.segRows,
+			Bytes: t.segBytes, PendingRows: t.lenLocked() - t.segRows}
 		if len(t.segs) > 0 {
 			status.Watermark = t.segs[len(t.segs)-1].maxRowID
 		}
-		if status.Rows+status.PendingRows > 0 || status.LogFiles > 0 {
+		if status.Rows+status.PendingRows > 0 {
 			out.Tables = append(out.Tables, status)
 		}
 	}

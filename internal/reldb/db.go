@@ -9,30 +9,31 @@ import (
 	"sync/atomic"
 )
 
-// mutOp enumerates logical mutations, as the logs record them; the
-// values are the records' op bytes. Nothing running logs a DROP TABLE any
-// more; replay still applies one. Ops 3 and 4, an older program's per-row
-// insert and update, are unknown to the decoder.
+// mutOp enumerates logical mutations, as the log records them; the
+// values are the records' op bytes. Ops 2, 3 and 4, an older program's
+// DROP TABLE, per-row insert and update, are unknown to the decoder.
 type mutOp uint8
 
 const (
 	opCreateTable mutOp = 1
-	opDropTable   mutOp = 2
 	opDelete      mutOp = 5
 	opCreateIndex mutOp = 6
 	opDropIndex   mutOp = 7
-	opInsertBlock mutOp = 8 // the rows a commit inserts into one table, column-major
+	opInsertBlock mutOp = 8 // rows a commit inserts into one table, column-major
+	opRotate      mutOp = 9 // a log file's first record: the file it continues
 )
 
-// mutation is one logical change to the database, as the logs record it.
+// mutation is one logical change to the database, as the log records it.
 type mutation struct {
 	op     mutOp
 	table  string
+	more   bool // the next record continues the group
 	id     int64
 	block  *ColumnBlock // opInsertBlock: the rows, integers at width 8
-	more   bool         // opInsertBlock: the table's next record continues the commit
 	schema *Schema      // opCreateTable
 	index  IndexSpec
+	seq    int64 // opRotate: the log file this one continues
+	size   int64 // opRotate: that file's length when this one began
 }
 
 // ErrRefused wraps the error every write returns once an fsync failed or
@@ -47,36 +48,34 @@ var errClosed = errors.New("reldb: engine closed")
 // DB is the storage engine: a set of tables guarded by one
 // readers-writer lock, whose rows a background compactor moves from
 // columnar tails into columnar segments (compact.go) — all through one
-// filesystem, fsys. A table's row records go to its numbered tail logs,
-// deleted as soon as a manifest names the segment holding their rows; DDL
-// goes to perftrack.wal, which a checkpoint rewrites as the schema alone.
-// NewMem opens it over an in-memory filesystem, OpenFile over a
-// directory; the engine is the same. It stands in for the DBMS backends
-// (Oracle, PostgreSQL) of the original PerfTrack prototype.
+// filesystem, fsys. Every commit and DDL statement goes to one numbered
+// commit log (file.go); each compaction pass starts a new log file that
+// carries the schema and the tails forward, and deletes the older ones
+// once a manifest names the segments holding their other rows. NewMem
+// opens it over an in-memory filesystem, OpenFile over a directory; the
+// engine is the same. It stands in for the DBMS backends (Oracle,
+// PostgreSQL) of the original PerfTrack prototype.
 type DB struct {
 	mu     engineLock
 	tables map[string]*Table
-	order  []*Table // every table, each after the ones its foreign keys name: the flush order (rule 3)
+	order  []*Table // every table, each after the ones its foreign keys name
 	seg    *segState
 
 	fsys    FS
 	kind    string
 	dir     string
-	wal     *logFile // perftrack.wal: DDL
-	syncWAL bool     // fsync the logs a commit touched
+	log     *logFile   // the log file taking records
+	oldLogs []*logFile // older log files, live until a manifest names a newer low-water file
+	syncWAL bool       // fsync the log at each commit and DDL statement
 
 	// Guarded by the engine lock.
-	replaying bool // recovery: mutations apply without being logged
-	replayDel struct {
-		table string
-		ids   []int64
-	} // recovery: the run of deletes apply holds back
+	replaying    bool   // recovery: mutations apply without being logged
 	refused      error  // set by Close, a failed fsync, or a failed write that could not be undone: every later write returns it
-	logBytes     int64  // bytes of all live logs at the last Stats call that could flush them
+	logBytes     int64  // bytes of all live log files at the last Stats call that could flush them
 	flushErrors  uint64 // Stats calls that could not
 	logAppended  uint64 // bytes ever appended to a log
 	logTrimmed   uint64 // bytes of log deleted or truncated away
-	replayedRows int    // rows the open applied from tail logs: inserted, updated or deleted
+	replayedRows int    // rows the open applied from the log: inserted or deleted
 }
 
 // engineLock is the engine's readers-writer lock; it counts how often it
@@ -112,26 +111,10 @@ func (db *DB) createTableLocked(schema *Schema) error {
 	}
 	db.tables[schema.Name] = t
 	db.orderLocked()
-	if db.seg.logSeq[schema.Name] == 0 {
-		db.seg.logSeq[schema.Name] = 1
-	}
 	if db.replaying {
 		return db.seg.attachLocked(t)
 	}
 	return nil
-}
-
-// dropTableLocked forgets a table — recovery replaying a DROP TABLE
-// record; its segment files and tail logs die with it.
-func (db *DB) dropTableLocked(name string) {
-	if t := db.tables[name]; t != nil {
-		for _, s := range t.blocks {
-			db.seg.garbage = append(db.seg.garbage, s.files()...)
-		}
-		t.discardLogsLocked()
-	}
-	delete(db.tables, name)
-	db.orderLocked()
 }
 
 // orderLocked lists the tables in db.order: by name, each after the

@@ -175,10 +175,12 @@ func TestIndexConsistencyUnderRandomOps(t *testing.T) {
 		case 2: // update random live row
 			for id := range live {
 				row := Row{live[id][0], Int(int64(rng.Intn(8))), Str(fmt.Sprintf("L%d", rng.Intn(4)))}
-				if err := replayUpdate(db, "t", id, row); err != nil {
+				nid, err := update(db, "t", id, row)
+				if err != nil {
 					t.Fatal(err)
 				}
-				live[id] = row
+				delete(live, id)
+				live[nid] = row
 				break
 			}
 		case 3: // delete random live row

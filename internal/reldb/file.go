@@ -6,42 +6,37 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
-	"math"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 )
 
-const (
-	walFile = "perftrack.wal"
-	// logBufBytes is how many bytes of DDL records a log buffers
-	// before it writes them out without waiting for a commit.
-	logBufBytes = 64 << 10
-)
+// logBufBytes is how many bytes of DDL records the log buffers before it
+// writes them out without waiting for a commit.
+const logBufBytes = 64 << 10
 
-// logFile is one append-only record log: perftrack.wal, or a numbered
-// tail log of one table (segments/tail-<table>-<seq>.log), owned by
-// the tail whose rows it holds. Records wait in buf until a
-// flush writes them. Guarded by the engine lock, except that f may be
-// fsynced outside it.
+// logFile is one file of the commit log, segments/log-<seq>.log. The
+// newest takes records; an older one holds groups a manifest still needs
+// until a pass's manifest names a newer low-water file. Records wait in
+// buf until a flush writes them. Guarded by the engine lock, except that
+// f may be fsynced outside it.
 type logFile struct {
-	path     string
-	seq      int64 // tail logs: the file's place in its table's replay order
-	f        File
-	buf      []byte // framed records not yet written to f
-	size     int64  // bytes appended: f's and buf's
-	synced   int64  // leading bytes known to be fsynced
-	finished bool   // takes no more records: it travels with a sealed tail and holds exactly what its file holds
+	path   string
+	seq    int64
+	f      File   // nil for an older file recovery replayed: it is only read
+	buf    []byte // framed records not yet written to f
+	size   int64  // bytes appended: f's and buf's
+	synced int64  // leading bytes known to be fsynced
 }
 
-// openLog opens path for appending, creating it if need be; size is what
-// the file already holds.
-func openLog(fsys FS, path string, seq, size int64) (*logFile, error) {
+// openLog creates log file seq at path, or opens it for appending.
+func openLog(fsys FS, path string, seq int64) (*logFile, error) {
 	f, err := fsys.Append(path)
 	if err != nil {
 		return nil, err
 	}
-	return &logFile{path: path, seq: seq, f: f, size: size}, nil
+	return &logFile{path: path, seq: seq, f: f}, nil
 }
 
 func (l *logFile) append(payload []byte) {
@@ -89,16 +84,6 @@ func (l *logFile) sync() error {
 	return nil
 }
 
-// finish flushes the log and stops it taking records: it now travels
-// with a sealed tail and holds exactly what its file holds.
-func (l *logFile) finish() error {
-	if err := l.flush(); err != nil {
-		return err
-	}
-	l.finished = true
-	return nil
-}
-
 // rewind takes the log back to its first mark bytes, dropping the records
 // a failed write appended past them — from the buffer, and from the file
 // where they reached it, which is then fsynced so that no disk keeps them.
@@ -119,22 +104,37 @@ func (l *logFile) rewind(mark int64) error {
 	return nil
 }
 
-// logMark is a log and how many bytes it held when the mark was taken.
+// logMark is a log file and how many bytes it held when the mark was
+// taken.
 type logMark struct {
 	l    *logFile
 	size int64
 }
 
-// discardLogs closes and deletes logs whose records are durable elsewhere
-// and returns how many bytes went. Deletion is best effort: the next open
-// deletes what lies below a low-water mark.
-func (db *DB) discardLogs(logs []*logFile) (bytes uint64) {
+// discardLogs closes and deletes log files no manifest needs any more.
+// Deletion is best effort: the next open deletes what lies below the
+// low-water file.
+func (db *DB) discardLogs(logs []*logFile) {
 	for _, l := range logs {
-		bytes += uint64(l.size)
-		l.f.Close()
+		if l.f != nil {
+			l.f.Close()
+		}
 		db.fsys.Remove(l.path)
 	}
-	return bytes
+}
+
+func (db *DB) logPath(seq int64) string {
+	return filepath.Join(db.seg.dir, fmt.Sprintf("log-%08d.log", seq))
+}
+
+// parseLogName undoes logPath on a file's base name.
+func parseLogName(base string) (seq int64, ok bool) {
+	digits, ok := strings.CutPrefix(base, "log-")
+	if digits, ok = strings.CutSuffix(digits, ".log"); !ok {
+		return 0, false
+	}
+	seq, err := strconv.ParseInt(digits, 10, 64)
+	return seq, err == nil
 }
 
 // ErrFormat is what an open returns for a directory this program did not
@@ -146,14 +146,10 @@ var ErrFormat = errors.New("reldb: the store is not in this program's format; re
 
 // open opens (or creates) the store rooted at dir of fsys. A directory
 // opens at the current manifest version or not at all (segState.load).
-// Recovery reads the manifest's segments, then perftrack.wal — the
-// schema — attaching each table's segments as the table is created,
-// without inserting a row, then each table's tail logs at or above its
-// low-water mark in sequence order (the ones below it are deleted
-// unread: a segment the manifest names holds their rows). An insert a
-// segment already serves is a no-op, and a run of deletes — a commit's,
-// of one table — replaces each block it touches once, exactly as the
-// commit did (the log is truth).
+// Recovery reads the manifest's segments, then replays the log from the
+// low-water file the manifest names (replayLogs): the schema first,
+// attaching each table's segments as the table is created without
+// inserting a row, then the rows no segment holds.
 func open(fsys FS, kind, dir string) (_ *DB, err error) {
 	db := &DB{tables: make(map[string]*Table), fsys: fsys, kind: kind, dir: dir, replaying: true}
 	db.seg = newSegState(db)
@@ -168,32 +164,19 @@ func open(fsys FS, kind, dir string) (_ *DB, err error) {
 	if err := fsys.MkdirAll(db.seg.dir); err != nil {
 		return nil, fmt.Errorf("reldb: open %s: %w", dir, err)
 	}
-	walBytes, err := db.replayLog(db.walPath(), func(m *mutation) error {
-		if m.isRowOp() {
-			return fmt.Errorf("%w: %s holds op %d on %q", ErrCorruptLog, walFile, m.op, m.table)
-		}
-		return db.apply(m)
-	})
-	if err != nil {
+	if err := db.replayLogs(); err != nil {
 		return nil, err
 	}
-	if err := db.seg.replayTailLogs(); err != nil {
-		return nil, err
-	}
-	db.seg.loaded, db.seg.loadedLow = nil, nil
-	if db.wal, err = openLog(fsys, db.walPath(), 0, walBytes); err != nil {
-		return nil, fmt.Errorf("reldb: open WAL: %w", err)
-	}
-	// perftrack.wal and the segments directory may be new: their entries
-	// must be durable before a commit counts on them.
+	// The segments directory may be new: its entry must be durable before
+	// a commit counts on it. The manifest's write makes the log file's
+	// entry durable.
 	if err := fsys.SyncDir(dir); err != nil {
 		return nil, fmt.Errorf("reldb: open %s: %w", dir, err)
 	}
 	db.replaying = false
-	// Resync the manifest with post-replay state (a replayed DROP TABLE or
-	// delete may have retired segments) before orphan cleanup, so the
-	// manifest never references a deleted file.
-	m, garbage := db.seg.manifestLocked()
+	// The manifest — a fresh store's first — is written before orphan
+	// cleanup, so that it never names a deleted file.
+	m, garbage := db.seg.manifestLocked(db.seg.low)
 	if err := db.seg.writeManifest(m, garbage); err != nil {
 		return nil, err
 	}
@@ -208,23 +191,25 @@ func open(fsys FS, kind, dir string) (_ *DB, err error) {
 }
 
 // checkFresh refuses, as version 0, a directory without a manifest that
-// holds any of the engine's files: perftrack.snap (which only an older
-// program wrote), a perftrack.wal with records, a tail log or a segment
-// file. An empty perftrack.wal is what an open that crashed before its
+// holds any of the engine's files: a file an older program wrote beside
+// segments/ (perftrack.*), a tail log, a segment file or a log file with
+// records. An empty log file is what an open that crashed before its
 // first manifest leaves; such a directory, like one that does not exist
 // yet, is fresh.
 func (db *DB) checkFresh() error {
-	_, err := db.fsys.Size(filepath.Join(db.dir, "perftrack.snap"))
-	stale := !errors.Is(err, fs.ErrNotExist)
-	if size, err := db.fsys.Size(db.walPath()); err == nil && size > 0 {
-		stale = true
-	}
-	names, err := db.fsys.ReadDir(db.seg.dir)
-	if err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return fmt.Errorf("reldb: open %s: %w", db.seg.dir, err)
-	}
-	for _, name := range names {
-		stale = stale || strings.HasPrefix(name, "tail-") || strings.HasSuffix(name, ".seg")
+	stale := false
+	for _, dir := range []string{db.dir, db.seg.dir} {
+		names, err := db.fsys.ReadDir(dir)
+		if err != nil && !errors.Is(err, fs.ErrNotExist) {
+			return fmt.Errorf("reldb: open %s: %w", dir, err)
+		}
+		for _, name := range names {
+			if _, isLog := parseLogName(name); isLog {
+				size, err := db.fsys.Size(filepath.Join(dir, name))
+				stale = stale || err != nil || size > 0
+			}
+			stale = stale || strings.HasPrefix(name, "perftrack.") || strings.HasPrefix(name, "tail-") || strings.HasSuffix(name, ".seg")
+		}
 	}
 	if stale {
 		return db.formatError(0)
@@ -238,23 +223,15 @@ func (db *DB) formatError(version uint64) error {
 	return fmt.Errorf("%w (%s holds version %d; this program reads version %d only)", ErrFormat, cmp.Or(db.dir, "."), version, manifestVersion)
 }
 
-// SetSync controls whether a commit fsyncs the logs it touched (and a
-// DDL statement its log). Synchronous mode is durable against power loss
-// but much slower — a commit fsyncs the tail log of each table it writes,
-// one after another in the flush order: ten for a typical document — and
-// it is off by default, matching a DBMS with commit batching.
+// SetSync controls whether a commit, and a DDL statement, fsyncs the log.
+// Synchronous mode is durable against power loss but slower — a commit
+// is one write and one fsync, whatever tables it writes — and it is off by
+// default, matching a DBMS with commit batching.
 func (db *DB) SetSync(sync bool) { db.syncWAL = sync }
 
-func (db *DB) walPath() string { return filepath.Join(db.dir, walFile) }
-
-// isRowOp reports whether the mutation changes a row, not the schema.
-func (m *mutation) isRowOp() bool {
-	return m.op == opDelete || m.op == opInsertBlock
-}
-
-// logLocked appends one DDL statement, applied in place, to
-// perftrack.wal. In the default asynchronous mode the record waits in the
-// log's buffer for the next commit, checkpoint, close or size query to
+// logLocked appends one DDL statement, applied in place, to the log as a
+// group of its own. In the default asynchronous mode the record waits in
+// the log's buffer for the next commit, pass, close or size query to
 // write it (or for the buffer to fill); synchronous mode writes and
 // fsyncs it at once. A record that fails leaves the log as it was.
 // Recovery logs nothing. Called with the engine write lock held.
@@ -262,8 +239,8 @@ func (db *DB) logLocked(m *mutation) error {
 	if err := db.writableLocked(); err != nil || db.replaying {
 		return err
 	}
-	l := db.wal
-	mark := logMark{l, l.size}
+	l := db.log
+	mark := l.size
 	l.append(encodeMutationPayload(m))
 	var err error
 	if db.syncWAL {
@@ -272,23 +249,20 @@ func (db *DB) logLocked(m *mutation) error {
 		err = l.flush()
 	}
 	if err != nil {
-		return db.rewindLocked(err, []logMark{mark})
+		return db.rewindLocked(err, mark)
 	}
-	db.logAppended += uint64(l.size - mark.size)
+	db.logAppended += uint64(l.size - mark)
 	return nil
 }
 
 // rewindLocked undoes what a failed write — err is its failure — appended
-// to the logs, by taking each back to its mark, latest first. If that
-// fails too, a log holds bytes of a write that did not happen, and the
-// engine refuses every later write; so it does after a failed fsync
-// (refuseLocked).
-func (db *DB) rewindLocked(err error, marks []logMark) error {
-	for i := len(marks) - 1; i >= 0; i-- {
-		if rerr := marks[i].l.rewind(marks[i].size); rerr != nil {
-			db.refused = fmt.Errorf("%w: %w (undoing it: %v)", ErrRefused, err, rerr)
-			return db.refused
-		}
+// to the log, by taking it back to mark. If that fails too, the log holds
+// bytes of a write that did not happen, and the engine refuses every
+// later write; so it does after a failed fsync (refuseLocked).
+func (db *DB) rewindLocked(err error, mark int64) error {
+	if rerr := db.log.rewind(mark); rerr != nil {
+		db.refused = fmt.Errorf("%w: %w (undoing it: %v)", ErrRefused, err, rerr)
+		return db.refused
 	}
 	return db.refuseLocked(err)
 }
@@ -326,207 +300,248 @@ func (db *DB) refuse(err error) error {
 	return db.refuseLocked(err)
 }
 
-// openLogsLocked returns the logs still taking records in the order a
-// commit flushes them (rule 3): perftrack.wal, then the tables' tail
-// logs, parents before children, so that a process killed between two
-// flushes leaves foci and results without their links rather than links
-// without what they name.
-func (db *DB) openLogsLocked() []*logFile {
-	logs := []*logFile{db.wal}
-	for _, t := range db.order {
-		if n := len(t.tail.logs); n > 0 && !t.tail.logs[n-1].finished {
-			logs = append(logs, t.tail.logs[n-1])
-		}
-	}
-	return logs
-}
-
-// tailLogsLocked returns the tail logs the tables' unflushed rows own.
-func (db *DB) tailLogsLocked() []*logFile {
-	var logs []*logFile
-	for _, t := range db.order {
-		logs = append(logs, t.logsLocked()...)
-	}
-	return logs
-}
-
-// liveLogsLocked returns every log file the engine has: the tail logs
-// unflushed rows own, the ones a compaction pass is about to delete, and
-// perftrack.wal (once the open got that far).
+// liveLogsLocked returns every log file the engine has, oldest first
+// (none before the open got that far).
 func (db *DB) liveLogsLocked() []*logFile {
-	logs := append(db.tailLogsLocked(), db.seg.retired...)
-	if db.wal != nil {
-		logs = append(logs, db.wal)
-	}
-	return logs
-}
-
-// apply reproduces a logged mutation during recovery (no re-logging). A
-// delete is held back with the ones after it that delete from the same
-// table — a commit's — and applied with them (applyDeletesLocked).
-func (db *DB) apply(m *mutation) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if m.op != opDelete || m.table != db.replayDel.table {
-		if err := db.applyDeletesLocked(); err != nil {
-			return err
-		}
-	}
-	switch m.op {
-	case opDelete:
-		db.replayDel.table, db.replayDel.ids = m.table, append(db.replayDel.ids, m.id)
-		return nil
-	case opCreateTable:
-		return db.createTableLocked(m.schema)
-	case opDropTable:
-		db.dropTableLocked(m.table)
-		delete(db.seg.loaded, m.table) // the rows the manifest's segments held died with the table
-		return nil
-	case opCreateIndex:
-		return db.createIndexLocked(m.table, m.index)
-	case opDropIndex:
-		return db.dropIndexLocked(m.table, m.index.Name)
-	}
-	t, ok := db.tables[m.table]
-	if !ok {
-		return fmt.Errorf("reldb: recovery: no table %q", m.table)
-	}
-	if !m.block.matches(t.schema) {
-		return fmt.Errorf("%w: a block record's columns are not those of table %q", ErrCorruptLog, m.table)
-	}
-	var slab []Value
-	for i := 0; i < m.block.rows; i++ {
-		if err := t.replayRowLocked(m.block.rowIDs.At(i), m.block.Row(i, &slab)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// replayRowLocked puts a row of a replayed block record in place. A row
-// a segment already serves — a log outlives the crash window between a
-// pass's manifest and the removal of the logs it superseded — is an
-// idempotent no-op when the images are equal, which keeps a flushed row
-// flushed; on divergence the log wins.
-func (t *Table) replayRowLocked(id int64, row Row) error {
-	ref, exists := t.findIDLocked(id)
-	if !exists {
-		return t.insertAtLocked(id, row)
-	}
-	if rowsEqual(ref.clone(), row) {
+	if db.log == nil {
 		return nil
 	}
-	return t.updateLocked(id, row)
+	return append(slices.Clone(db.oldLogs), db.log)
 }
 
-// applyDeletesLocked applies the run of replayed deletes apply held back,
-// all of one table. A row that is not there is one whose delete a
-// replacement segment the manifest names already holds.
-func (db *DB) applyDeletesLocked() error {
-	d := &db.replayDel
-	if len(d.ids) == 0 {
-		return nil
+// rotateLocked starts a new log file; the last one takes no more records.
+// The new file's first group, the carry, is what the log must hold once a
+// manifest names segments for every block outside the active tails — the
+// blocks the pass that rotates writes: a record naming the file it
+// continues and that file's length, the schema (one CREATE TABLE per
+// table, indexes included), and the rows of every active tail as block
+// records. In synchronous mode the old file's bytes and the new file's
+// entry are made durable before a commit can count on them.
+func (db *DB) rotateLocked() error {
+	old, st := db.log, db.seg
+	if err := old.flush(); err != nil {
+		return err
 	}
-	t, ok := db.tables[d.table]
-	if !ok {
-		return fmt.Errorf("reldb: recovery: no table %q", d.table)
-	}
-	slices.Sort(d.ids)
-	t.deleteLocked(slices.Compact(d.ids))
-	d.table, d.ids = "", d.ids[:0]
-	return nil
-}
-
-// rowsEqual reports bit-exact row equality (NaN-aware for floats). The
-// replay path uses it to recognize an idempotent re-insert of a row a
-// segment serves.
-func rowsEqual(a, b Row) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		va, vb := a[i], b[i]
-		if va.Kind() != vb.Kind() {
-			return false
-		}
-		switch va.Kind() {
-		case KindInt:
-			if va.Int64() != vb.Int64() {
-				return false
-			}
-		case KindFloat:
-			if math.Float64bits(va.Float64()) != math.Float64bits(vb.Float64()) {
-				return false
-			}
-		case KindString:
-			if va.Text() != vb.Text() {
-				return false
-			}
-		case KindBool:
-			if va.Truth() != vb.Truth() {
-				return false
-			}
+	if db.syncWAL {
+		if err := old.sync(); err != nil {
+			return db.refuseLocked(err)
 		}
 	}
-	return true
-}
-
-// replayLog applies the records of the log at path in order and returns
-// how many bytes of it are good. A run of block records that continue
-// one another — a table's part of one commit — is applied once its last
-// record is read, so a commit is all there or not at all. A torn tail — a
-// crash mid-append — ends the log: the file is truncated to its last whole
-// record, or to the start of a run it cuts short. A missing file is an
-// empty log.
-func (db *DB) replayLog(path string, apply func(*mutation) error) (good int64, err error) {
-	f, err := db.fsys.Open(path)
-	if errors.Is(err, fs.ErrNotExist) {
-		return 0, nil
+	buf := appendRecord(nil, encodeMutationPayload(&mutation{op: opRotate, more: true, seq: old.seq, size: old.size}))
+	for _, t := range db.order {
+		buf = appendRecord(buf, encodeMutationPayload(&mutation{op: opCreateTable, more: true, schema: t.schema}))
+	}
+	for _, t := range db.order {
+		buf = appendBlockRecords(buf, t.schema.Name, &t.tail.ColumnBlock)
+	}
+	endGroup(buf, 0)
+	seq := st.nextLog
+	st.nextLog++
+	l, err := openLog(db.fsys, db.logPath(seq), seq)
+	if err != nil {
+		return fmt.Errorf("reldb: open log: %w", err)
+	}
+	l.appendFramed(buf)
+	err = l.flush()
+	if err == nil && db.syncWAL {
+		err = synced(db.fsys.SyncDir(st.dir))
 	}
 	if err != nil {
-		return 0, fmt.Errorf("reldb: open log: %w", err)
+		db.discardLogs([]*logFile{l})
+		return db.refuseLocked(err)
 	}
-	defer f.Close()
-	end := func() (int64, error) {
-		db.mu.Lock()
-		defer db.mu.Unlock()
-		return good, db.applyDeletesLocked()
+	db.oldLogs, db.log = append(db.oldLogs, old), l
+	db.logAppended += uint64(len(buf))
+	return nil
+}
+
+// replayLogs ends recovery. It replays the log files from the low-water
+// one in order, each group whole or not at all (replayFile). A file after
+// the low-water one continues the log only if its first record names the
+// file before it and that file's whole length; its first group, the
+// carry, is then not applied — the file before holds those rows, and the
+// segments that complement the carry are ones no durable manifest names.
+// A torn group ends the log: that file is truncated to its last whole
+// group, and no later file continues it. Files below the low-water one and
+// files that do not continue the log are deleted, once nothing is left to
+// refuse the open; the last file replayed takes the next records.
+func (db *DB) replayLogs() error {
+	st := db.seg
+	names, err := db.fsys.ReadDir(st.dir)
+	if err != nil {
+		return fmt.Errorf("reldb: open %s: %w", st.dir, err)
 	}
-	rr := newRecordReader(f)
-	var run []*mutation // read, not applied: the records of a run so far
-	read := good
-	for {
-		payload, err := rr.readRecord()
-		if err == io.EOF && len(run) == 0 {
-			return end()
-		}
-		if err == io.EOF || errors.Is(err, ErrCorruptLog) {
-			if terr := db.fsys.Truncate(path, good); terr != nil {
-				return 0, fmt.Errorf("reldb: truncate torn log: %w", terr)
-			}
-			return end()
-		}
-		if err != nil {
-			return 0, err
-		}
-		m, err := decodeMutationPayload(payload)
-		if err == nil && len(run) > 0 && (m.op != opInsertBlock || m.table != run[0].table) {
-			err = fmt.Errorf("%w: a run of block records of %q ends without its last", ErrCorruptLog, run[0].table)
-		}
-		if err != nil {
-			return 0, fmt.Errorf("%w (%s)", err, path)
-		}
-		read += int64(len(payload)) + 8
-		if run = append(run, m); m.more {
+	var chain []*logFile
+	var drop []string
+	prev := &logFile{seq: st.low} // what a file after a missing low-water one would have to continue
+	for _, name := range names {
+		seq, ok := parseLogName(name)
+		if !ok {
 			continue
 		}
-		for _, m := range run {
-			if err := apply(m); err != nil {
-				return 0, fmt.Errorf("%w (%s)", err, path)
-			}
+		st.nextLog = max(st.nextLog, seq+1)
+		l := &logFile{path: filepath.Join(st.dir, name), seq: seq}
+		if seq == st.low {
+			prev = nil
 		}
-		run, good = run[:0], read
+		if seq < st.low {
+			ok = false
+		} else if ok, err = db.replayFile(l, prev); err != nil {
+			return err
+		}
+		if !ok {
+			drop = append(drop, l.path)
+			continue
+		}
+		l.synced = l.size
+		chain, prev = append(chain, l), l
 	}
+	for name := range st.loaded {
+		return fmt.Errorf("%w: the manifest names segments of table %q, which the log never creates", ErrCorruptLog, name)
+	}
+	if len(chain) == 0 {
+		chain = append(chain, &logFile{path: db.logPath(st.low), seq: st.low})
+		st.nextLog = max(st.nextLog, st.low+1)
+	}
+	last := chain[len(chain)-1]
+	size, err := db.fsys.Size(last.path)
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return fmt.Errorf("reldb: open log: %w", err)
+	}
+	if size > last.size {
+		if err := db.fsys.Truncate(last.path, last.size); err != nil {
+			return fmt.Errorf("reldb: truncate torn log: %w", err)
+		}
+	}
+	if last.f, err = db.fsys.Append(last.path); err != nil {
+		return fmt.Errorf("reldb: open log: %w", err)
+	}
+	db.log, db.oldLogs = last, chain[:len(chain)-1]
+	for _, path := range drop {
+		db.fsys.Remove(path) // best effort: the next open drops a file left again
+	}
+	return nil
+}
+
+// replayFile applies the groups of log file l and sets l.size to the
+// bytes they take; it reports whether l continues the log after prev (nil
+// for the low-water file, which continues nothing), whose first group it
+// then skips.
+func (db *DB) replayFile(l, prev *logFile) (bool, error) {
+	f, err := db.fsys.Open(l.path)
+	if err != nil {
+		return false, fmt.Errorf("reldb: open log: %w", err)
+	}
+	defer f.Close()
+	rr := newRecordReader(f)
+	for first := true; ; first = false {
+		group, n, err := readGroup(rr)
+		if err == io.EOF {
+			return !first || prev == nil, nil
+		}
+		if err != nil {
+			return false, fmt.Errorf("%w (%s)", err, l.path)
+		}
+		if first && prev != nil {
+			if m := group[0]; m.op != opRotate || m.seq != prev.seq || m.size != prev.size {
+				return false, nil
+			}
+		} else if err := db.applyGroup(group); err != nil {
+			return false, fmt.Errorf("%w (%s)", err, l.path)
+		}
+		l.size += n
+	}
+}
+
+// readGroup reads the next group of records and the bytes it takes.
+// io.EOF marks the end of the log: a clean one, or a group it cuts short.
+func readGroup(rr *recordReader) (group []*mutation, n int64, err error) {
+	for {
+		payload, err := rr.readRecord()
+		if err == io.EOF || errors.Is(err, ErrCorruptLog) {
+			return nil, 0, io.EOF
+		}
+		if err != nil {
+			return nil, 0, err
+		}
+		m, err := decodeMutationPayload(payload)
+		if err != nil {
+			return nil, 0, err
+		}
+		group, n = append(group, m), n+int64(len(payload))+8
+		if !m.more {
+			return group, n, nil
+		}
+	}
+}
+
+// applyGroup reproduces a group of logged mutations during recovery (no
+// re-logging). A run of deletes from one table — a commit's — replaces
+// each block it touches once, as the commit did. Replay starts where the
+// manifest's segments end, so a row a table already holds, or a delete of
+// one it does not, is corruption.
+func (db *DB) applyGroup(group []*mutation) error {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	for i := 0; i < len(group); i++ {
+		m := group[i]
+		t := db.tables[m.table]
+		if t == nil && m.op != opCreateTable && m.op != opRotate {
+			return fmt.Errorf("%w: no table %q", ErrCorruptLog, m.table)
+		}
+		var err error
+		switch m.op {
+		case opCreateTable:
+			err = db.createTableLocked(m.schema)
+		case opCreateIndex:
+			err = db.createIndexLocked(m.table, m.index)
+		case opDropIndex:
+			err = db.dropIndexLocked(m.table, m.index.Name)
+		case opDelete:
+			ids := []int64{m.id}
+			for ; i+1 < len(group) && group[i+1].op == opDelete && group[i+1].table == m.table; i++ {
+				ids = append(ids, group[i+1].id)
+			}
+			err = t.replayDeletesLocked(ids)
+		case opInsertBlock:
+			err = t.replayBlockLocked(m.block)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// replayBlockLocked appends the rows of a replayed block record to the
+// table's tail.
+func (t *Table) replayBlockLocked(b *ColumnBlock) error {
+	if !b.matches(t.schema) {
+		return fmt.Errorf("%w: a block record's columns are not those of table %q", ErrCorruptLog, t.schema.Name)
+	}
+	var slab []Value
+	for i := 0; i < b.rows; i++ {
+		if err := t.insertAtLocked(b.rowIDs.At(i), b.Row(i, &slab)); err != nil {
+			return fmt.Errorf("%w: %w", ErrCorruptLog, err)
+		}
+	}
+	t.db.replayedRows += b.rows
+	return nil
+}
+
+// replayDeletesLocked deletes the rows of a replayed run of delete
+// records.
+func (t *Table) replayDeletesLocked(ids []int64) error {
+	slices.Sort(ids)
+	ids = slices.Compact(ids)
+	for _, id := range ids {
+		if _, ok := t.findIDLocked(id); !ok {
+			return fmt.Errorf("%w: table %q: delete of row %d, which it does not hold", ErrCorruptLog, t.schema.Name, id)
+		}
+	}
+	t.deleteLocked(ids)
+	t.db.replayedRows += len(ids)
+	return nil
 }
 
 // replaceFile durably replaces path with data (writeFile), then fsyncs
@@ -540,9 +555,9 @@ func replaceFile(fsys FS, path string, data []byte) error {
 }
 
 // Checkpoint seals every non-empty tail and drains them into segments,
-// whose manifest the drain writes, then replaces perftrack.wal with the
-// schema's DDL alone (rewriteWALLocked). Rows committed after the seal
-// keep their tail logs.
+// then runs one more pass, which rotates the log whether or not a block
+// waits: the log then holds the schema and the rows committed after the
+// seal alone.
 func (db *DB) Checkpoint() error {
 	st := db.seg
 	st.compactMu.Lock()
@@ -556,39 +571,11 @@ func (db *DB) Checkpoint() error {
 	if err := st.drain(true); err != nil {
 		return err
 	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if err := db.rewriteWALLocked(); err != nil {
-		return err
-	}
-	st.stepped("wal rewrite")
-	return nil
+	_, err = st.pass(false, true)
+	return err
 }
 
-// rewriteWALLocked replaces perftrack.wal — the DDL records since it was
-// last rewritten — with one CREATE TABLE
-// record per table, parents first, through replaceFile: temp file, fsync,
-// rename, fsync the directory. Either file replays to the same schema.
-func (db *DB) rewriteWALLocked() error {
-	var buf []byte
-	for _, t := range db.order {
-		buf = appendRecord(buf, encodeMutationPayload(&mutation{op: opCreateTable, schema: t.schema}))
-	}
-	if err := replaceFile(db.fsys, db.walPath(), buf); err != nil {
-		return db.refuseLocked(fmt.Errorf("reldb: rewrite %s: %w", db.walPath(), err))
-	}
-	l, err := openLog(db.fsys, db.walPath(), 0, int64(len(buf)))
-	if err != nil {
-		return db.refuseLocked(fmt.Errorf("reldb: open WAL: %w", err))
-	}
-	db.wal.f.Close()
-	db.logTrimmed += uint64(db.wal.size)
-	db.logAppended += uint64(len(buf))
-	l.synced, db.wal = l.size, l
-	return nil
-}
-
-// DiskSize reports the total bytes of the engine's files (logs and
+// DiskSize reports the total bytes of the engine's files (log and
 // segment files), flushing buffered log records first so the figure is
 // accurate.
 func (db *DB) DiskSize() (int64, error) {
@@ -597,10 +584,10 @@ func (db *DB) DiskSize() (int64, error) {
 }
 
 // Stats returns row counts and data volume, and the footprint of the
-// engine's files: logs (perftrack.wal and every live tail log, as
-// WALBytes) and segment files. When a log cannot be flushed its
-// size in the file is stale, so WALBytes (and with it DiskBytes) stays at
-// the last good value and the failure is counted in FlushErrors.
+// engine's files: the live log files (WALBytes) and segment files. When
+// the log cannot be flushed its size in the file is stale, so WALBytes
+// (and with it DiskBytes) stays at the last good value and the failure is
+// counted in FlushErrors.
 func (db *DB) Stats() Stats {
 	s, _ := db.stats()
 	return s
@@ -611,10 +598,7 @@ func (db *DB) stats() (Stats, error) {
 	s := db.tableStatsLocked()
 	db.mu.RUnlock()
 	db.mu.Lock()
-	var err error
-	for _, l := range db.openLogsLocked() {
-		err = errors.Join(err, l.flush())
-	}
+	err := db.log.flush()
 	if err != nil {
 		db.flushErrors++
 	} else {
@@ -629,17 +613,19 @@ func (db *DB) stats() (Stats, error) {
 	return s, err
 }
 
-// closeLogs releases every log's file handle without flushing.
+// closeLogs releases every log file's handle without flushing.
 func (db *DB) closeLogs() error {
 	var err error
 	for _, l := range db.liveLogsLocked() {
-		err = errors.Join(err, l.f.Close())
+		if l.f != nil {
+			err = errors.Join(err, l.f.Close())
+		}
 	}
 	return err
 }
 
-// Close stops the compactor, flushes and fsyncs the logs, and releases
-// their file handles — always, whatever failed before; it returns every
+// Close stops the compactor, flushes and fsyncs the log, and releases its
+// file handles — always, whatever failed before; it returns every
 // failure. The tables stay readable; every later write fails.
 func (db *DB) Close() error {
 	db.seg.shutdown()
@@ -650,7 +636,9 @@ func (db *DB) Close() error {
 	}
 	var err error
 	for _, l := range db.liveLogsLocked() {
-		err = errors.Join(err, l.sync())
+		if l.f != nil {
+			err = errors.Join(err, l.sync())
+		}
 	}
 	db.refused = errClosed
 	return errors.Join(err, db.closeLogs())

@@ -1,6 +1,7 @@
 package reldb
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -9,44 +10,80 @@ import (
 
 func openTestEngine(t *testing.T, dir string) *DB { return openTestEngineOn(t, osFS{}, dir) }
 
-// replayUpdate applies an update the way recovery replays one: nothing
-// running makes an update any more, but a log written before can hold it.
-func replayUpdate(db *DB, table string, id int64, row Row) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.tables[table].updateLocked(id, row)
+// update replaces row id of table with row in one transaction — a delete
+// and an insert — and returns the new image's row ID.
+func update(db *DB, table string, id int64, row Row) (nid int64, err error) {
+	err = db.one(func(tx *Tx) error {
+		if err := tx.Delete(table, id); err != nil {
+			return err
+		}
+		nid, err = tx.Insert(table, row)
+		return err
+	})
+	return nid, err
 }
 
-// logRecord appends a record to the engine's logs without applying it —
-// a row's to its table's tail log, DDL to perftrack.wal: what an older
-// program left in the log for replay.
-func logRecord(t *testing.T, fe *DB, m *mutation) {
+// logGroup appends the records to the engine's log as one group without
+// applying them — what a log holding them replays — and writes it.
+func logGroup(t *testing.T, db *DB, ms ...*mutation) {
 	t.Helper()
-	fe.mu.Lock()
-	defer fe.mu.Unlock()
-	if !m.isRowOp() {
-		if err := fe.logLocked(m); err != nil {
-			t.Fatal(err)
-		}
-		return
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	var buf []byte
+	for i, m := range ms {
+		m.more = i < len(ms)-1
+		buf = appendRecord(buf, encodeMutationPayload(m))
 	}
-	l, err := fe.seg.tailLogLocked(fe.tables[m.table])
-	if err == nil {
-		l.append(encodeMutationPayload(m))
-		err = l.flush()
-	}
-	if err != nil {
+	db.log.appendFramed(buf)
+	if err := db.log.flush(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// walHoldsSchemaOnly fails unless perftrack.wal is what a checkpoint
-// leaves: a CREATE TABLE record per table, nothing else.
-func walHoldsSchemaOnly(t *testing.T, fsys FS, dir string) {
+// logFiles returns the paths of a store's log files, oldest first.
+func logFiles(t *testing.T, fsys FS, dir string) []string {
 	t.Helper()
-	for _, m := range logRecords(t, fsys, filepath.Join(dir, walFile)) {
-		if m.op != opCreateTable {
-			t.Fatalf("perftrack.wal holds op %d on %q after a checkpoint, want the schema alone", m.op, m.table)
+	names, err := fsys.ReadDir(filepath.Join(dir, segmentSubdir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var paths []string
+	for _, name := range names {
+		if _, ok := parseLogName(name); ok {
+			paths = append(paths, filepath.Join(dir, segmentSubdir, name))
+		}
+	}
+	return paths
+}
+
+// groupEnds returns the offset at which each whole group of a log file
+// ends.
+func groupEnds(t *testing.T, fsys FS, path string) []int64 {
+	t.Helper()
+	var ends []int64
+	var off int64
+	for _, m := range logRecords(t, fsys, path) {
+		off += 8 + int64(len(encodeMutationPayload(m)))
+		if !m.more {
+			ends = append(ends, off)
+		}
+	}
+	return ends
+}
+
+// logHoldsSchemaOnly fails unless the store has one log file and it holds
+// what a checkpoint leaves: one group, of the record naming the file it
+// continues and a CREATE TABLE record per table.
+func logHoldsSchemaOnly(t *testing.T, fsys FS, dir string) {
+	t.Helper()
+	files := logFiles(t, fsys, dir)
+	if len(files) != 1 {
+		t.Fatalf("%d log files after a checkpoint, want 1: %v", len(files), files)
+	}
+	recs := logRecords(t, fsys, files[0])
+	for i, m := range recs {
+		if (i == 0) != (m.op == opRotate) || i > 0 && m.op != opCreateTable || m.more == (i == len(recs)-1) {
+			t.Fatalf("%s record %d is op %d on %q (more %v) after a checkpoint, want one group of the schema alone", files[0], i, m.op, m.table, m.more)
 		}
 	}
 }
@@ -90,18 +127,25 @@ func TestFileEngineBasicPersistence(t *testing.T) {
 	}
 }
 
+// TestFileEngineUpdateDeletePersist: an update — a transaction that
+// deletes a row and inserts its new image under the same key — and a
+// delete survive a reopen.
 func TestFileEngineUpdateDeletePersist(t *testing.T) {
 	dir := t.TempDir()
 	fe := openTestEngine(t, dir)
 	mustCreate(t, fe, personSchema())
 	id1, _ := fe.Insert("person", Row{Int(1), Str("a"), Null(), Null()})
 	id2, _ := fe.Insert("person", Row{Int(2), Str("b"), Null(), Null()})
-	// A block record that logs row id1 again with another image: replay
-	// takes the log's.
-	b := &ColumnBlock{}
-	b.reset(personSchema(), 1)
-	b.appendRow(id1, Row{Int(1), Str("a2"), Null(), Null()})
-	logRecord(t, fe, &mutation{op: opInsertBlock, table: "person", block: b})
+	tx := fe.Begin()
+	if err := tx.Delete("person", id1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tx.Insert("person", Row{Int(1), Str("a2"), Null(), Null()}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
 	if err := fe.Delete("person", id2); err != nil {
 		t.Fatal(err)
 	}
@@ -119,6 +163,42 @@ func TestFileEngineUpdateDeletePersist(t *testing.T) {
 	}
 }
 
+// TestFileEngineReplayRefusesRowsItHolds: replay starts where the
+// manifest's segments end, so a logged insert of a row ID the table
+// already holds — in a segment or in its tail — or a delete of a row it
+// does not hold fails the open with ErrCorruptLog.
+func TestFileEngineReplayRefusesRowsItHolds(t *testing.T) {
+	held := &ColumnBlock{}
+	held.reset(personSchema(), 1)
+	held.appendRow(1, Row{Int(1), Str("a2"), Null(), Null()})
+	for _, c := range []struct {
+		name      string
+		compacted bool
+		m         *mutation
+	}{
+		{"insert of a row a segment holds", true, &mutation{op: opInsertBlock, table: "person", block: held}},
+		{"insert of a row the tail holds", false, &mutation{op: opInsertBlock, table: "person", block: held}},
+		{"delete of a row the table lacks", false, &mutation{op: opDelete, table: "person", id: 99}},
+	} {
+		fsys := newMemFS()
+		db := openTestEngineOn(t, fsys, "db")
+		mustCreate(t, db, personSchema())
+		if _, err := db.Insert("person", Row{Int(1), Str("a"), Null(), Null()}); err != nil {
+			t.Fatal(err)
+		}
+		if c.compacted {
+			if err := db.CompactSegments(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		logGroup(t, db, c.m)
+		db.Close()
+		if _, err := open(fsys, KindMem, "db"); !errors.Is(err, ErrCorruptLog) {
+			t.Errorf("%s: the open returned %v, want ErrCorruptLog", c.name, err)
+		}
+	}
+}
+
 func TestFileEngineCheckpointAndReopen(t *testing.T) {
 	dir := t.TempDir()
 	fe := openTestEngine(t, dir)
@@ -129,11 +209,11 @@ func TestFileEngineCheckpointAndReopen(t *testing.T) {
 	if err := fe.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	walHoldsSchemaOnly(t, osFS{}, dir)
+	logHoldsSchemaOnly(t, osFS{}, dir)
 	if _, err := os.Stat(filepath.Join(dir, "perftrack.snap")); !os.IsNotExist(err) {
 		t.Errorf("a checkpoint wrote perftrack.snap (%v)", err)
 	}
-	// Writes after the checkpoint land in a tail log and survive reopen.
+	// Writes after the checkpoint land in the log and survive reopen.
 	fe.Insert("person", Row{Int(1000), Str("post"), Null(), Null()})
 	fe.Close()
 
@@ -175,8 +255,8 @@ func TestFileEngineTornTailRecovery(t *testing.T) {
 	}
 	fe.Close()
 
-	// Corrupt the WAL by appending a torn record.
-	walPath := filepath.Join(dir, walFile)
+	// Corrupt the log by appending a torn record.
+	walPath := logFiles(t, osFS{}, dir)[0]
 	f, err := os.OpenFile(walPath, os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -204,9 +284,9 @@ func TestFileEngineCorruptMiddleDetected(t *testing.T) {
 	fe.Insert("person", Row{Int(2), Str("klmnopqrst"), Null(), Null()})
 	fe.Close()
 
-	// Flip a byte in the middle of the WAL (inside the first insert record,
+	// Flip a byte in the middle of the log (inside the first insert record,
 	// past the CREATE TABLE record).
-	walPath := filepath.Join(dir, walFile)
+	walPath := logFiles(t, osFS{}, dir)[0]
 	data, err := os.ReadFile(walPath)
 	if err != nil {
 		t.Fatal(err)
@@ -227,6 +307,9 @@ func TestFileEngineCorruptMiddleDetected(t *testing.T) {
 	}
 }
 
+// TestFileEngineCheckpointSurvivesWALLoss: a checkpoint leaves its rows
+// in segments and the schema in the log's first group, so a store that
+// loses every later record of its log still holds them.
 func TestFileEngineCheckpointSurvivesWALLoss(t *testing.T) {
 	dir := t.TempDir()
 	fe := openTestEngine(t, dir)
@@ -237,14 +320,16 @@ func TestFileEngineCheckpointSurvivesWALLoss(t *testing.T) {
 	fe.Checkpoint()
 	fe.Insert("person", Row{Int(100), Str("after"), Null(), Null()})
 	fe.Close()
-	// Simulate losing the tail logs, which hold only what came after the
-	// checkpoint.
-	logs, _ := filepath.Glob(filepath.Join(dir, segmentSubdir, "tail-*.log"))
-	if len(logs) == 0 {
-		t.Fatal("the row inserted after the checkpoint is in no tail log")
+	logs := logFiles(t, osFS{}, dir)
+	if len(logs) != 1 {
+		t.Fatalf("%d log files, want 1", len(logs))
 	}
-	for _, l := range logs {
-		os.Remove(l)
+	ends := groupEnds(t, osFS{}, logs[0])
+	if len(ends) != 2 {
+		t.Fatalf("the log holds %d groups, want the checkpoint's and the row inserted after it", len(ends))
+	}
+	if err := os.Truncate(logs[0], ends[0]); err != nil {
+		t.Fatal(err)
 	}
 
 	fe2 := openTestEngine(t, dir)
@@ -336,28 +421,10 @@ func TestFileEngineCreateIndexPersists(t *testing.T) {
 	}
 }
 
-func TestFileEngineDropTablePersists(t *testing.T) {
-	dir := t.TempDir()
-	fe := openTestEngine(t, dir)
-	mustCreate(t, fe, personSchema())
-	if _, err := fe.Insert("person", Row{Int(1), Str("a"), Null(), Null()}); err != nil {
-		t.Fatal(err)
-	}
-	// A DROP TABLE record, as a program from before DROP TABLE went left one.
-	logRecord(t, fe, &mutation{op: opDropTable, table: "person"})
-	fe.Close()
-
-	fe2 := openTestEngine(t, dir)
-	defer fe2.Close()
-	if _, ok := fe2.Table("person"); ok {
-		t.Error("dropped table reappeared")
-	}
-}
-
 func TestWALMutationRoundTrip(t *testing.T) {
 	muts := []*mutation{
-		{op: opCreateTable, schema: personSchema()},
-		{op: opDropTable, table: "person"},
+		{op: opCreateTable, schema: personSchema(), more: true},
+		{op: opRotate, seq: 3, size: 1 << 40},
 		{op: opCreateIndex, table: "person", index: IndexSpec{Name: "i", Columns: []string{"name"}, Unique: true}},
 		{op: opDropIndex, table: "person", index: IndexSpec{Name: "i"}},
 		{op: opDelete, table: "person", id: 7},
@@ -368,7 +435,7 @@ func TestWALMutationRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("decode op %d: %v", m.op, err)
 		}
-		if got.op != m.op || got.table != m.table || got.id != m.id {
+		if got.op != m.op || got.table != m.table && m.op != opCreateTable || got.id != m.id || got.more != m.more || got.seq != m.seq || got.size != m.size {
 			t.Errorf("round trip op %d: got %+v", m.op, got)
 		}
 		if m.schema != nil && got.schema.Name != m.schema.Name {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -71,25 +72,6 @@ func listing(t *testing.T, fsys FS, dir string) map[string]int64 {
 		}
 	}
 	return files
-}
-
-// tailLogsOnDisk returns the sequence numbers of a store's tail logs, by
-// table.
-func tailLogsOnDisk(t *testing.T, fsys FS, dir string) map[string][]int64 {
-	t.Helper()
-	seqs := make(map[string][]int64)
-	for rel := range listing(t, fsys, dir) {
-		base := filepath.Base(rel)
-		if !strings.HasPrefix(base, "tail-") {
-			continue
-		}
-		table, seq, ok := parseTailLogName(base)
-		if !ok {
-			t.Fatalf("tail log %s: unparseable name", rel)
-		}
-		seqs[table] = append(seqs[table], seq)
-	}
-	return seqs
 }
 
 // logRecords decodes every record of a log file.
@@ -178,15 +160,17 @@ var errFault = errors.New("injected fault")
 // faultFS is a memFS whose k-th write or sync fails — counting file
 // writes, file syncs and directory syncs from the moment it is armed. A
 // write that fails gets half its bytes into the file first. Armed or not,
-// it counts every call that changes a file or a directory.
+// it counts every call that changes a file or a directory, and the file
+// writes and file syncs among them.
 type faultFS struct {
 	*memFS
-	mu         sync.Mutex
-	ops        int // counted since armed
-	failAt     int // 0: disarmed
-	tripped    bool
-	syncFailed bool // the fault was a file or directory sync's
-	mutations  int
+	mu            sync.Mutex
+	ops           int // counted since armed
+	failAt        int // 0: disarmed
+	tripped       bool
+	syncFailed    bool // the fault was a file or directory sync's
+	mutations     int
+	writes, syncs int
 }
 
 func (f *faultFS) arm(k int) {
@@ -269,6 +253,9 @@ type faultFile struct {
 }
 
 func (f *faultFile) Write(p []byte) (int, error) {
+	f.fs.mu.Lock()
+	f.fs.writes++
+	f.fs.mu.Unlock()
 	if f.fs.trip(false) {
 		n, _ := f.File.Write(p[:len(p)/2])
 		return n, errFault
@@ -277,6 +264,9 @@ func (f *faultFile) Write(p []byte) (int, error) {
 }
 
 func (f *faultFile) Sync() error {
+	f.fs.mu.Lock()
+	f.fs.syncs++
+	f.fs.mu.Unlock()
 	if f.fs.trip(true) {
 		return errFault
 	}
@@ -289,8 +279,8 @@ func (f *faultFile) Truncate(size int64) error {
 }
 
 // TestFaultFSFailedCommitLeavesNoRecord runs a document-shaped commit — a
-// metric row in perftrack.wal; results, foci, their links and closure
-// links in six tail logs — with its k-th write or sync failing, for
+// metric row; results, foci, their links and closure links: one group of
+// seven tables — with its k-th write or sync failing, for
 // every k up to the first the commit gets through. A failed commit
 // installs nothing and must leave no record in any log. After a failed
 // write the next commit, on every table, goes through; after a failed
@@ -386,6 +376,47 @@ func TestFaultFSFailedCommitLeavesNoRecord(t *testing.T) {
 	}
 }
 
+// TestFaultFSSyncCommitFsyncsOnce: in synchronous mode a document's
+// commit — a metric row, results, foci, their links and closure links,
+// seven tables — is one write and one fsync of the log, and no directory
+// sync.
+func TestFaultFSSyncCommitFsyncsOnce(t *testing.T) {
+	metric := &Schema{
+		Name:       "metric",
+		Columns:    []Column{{Name: "id", Type: KindInt}, {Name: "name", Type: KindString}},
+		PrimaryKey: []string{"id"},
+	}
+	fsys := &faultFS{memFS: newMemFS()}
+	db := openTestEngineOn(t, fsys, "db")
+	defer db.Close()
+	db.SetSync(true)
+	db.SetSegmentFlushRows(1 << 40) // no pass
+	for _, schema := range append([]*Schema{metric}, hotSchemas()...) {
+		mustCreate(t, db, schema)
+	}
+	for first := 0; first <= 100; first += 100 {
+		fsys.mu.Lock()
+		writes, syncs, mutations := fsys.writes, fsys.syncs, fsys.mutations
+		fsys.mu.Unlock()
+		tx := db.Begin()
+		if _, err := tx.Insert("metric", Row{Int(int64(first)), Str("m")}); err != nil {
+			t.Fatal(err)
+		}
+		if err := loadResults(tx, first, 30); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		fsys.mu.Lock()
+		writes, syncs, mutations = fsys.writes-writes, fsys.syncs-syncs, fsys.mutations-mutations
+		fsys.mu.Unlock()
+		if writes != 1 || syncs != 1 || mutations != 2 {
+			t.Fatalf("document %d: the commit made %d writes, %d fsyncs and %d calls that change the filesystem, want one write and one fsync alone", first, writes, syncs, mutations)
+		}
+	}
+}
+
 // setManifestVersion rewrites the version in the header record of the
 // manifest of the store at dir of fsys.
 func setManifestVersion(t *testing.T, fsys *memFS, dir string, version uint64) {
@@ -403,9 +434,9 @@ func setManifestVersion(t *testing.T, fsys *memFS, dir string, version uint64) {
 
 // TestOpenRefusesOtherFormats: a directory opens at the current manifest
 // version or not at all. Over the fault FS, a store whose manifest says
-// any of versions 1–6 or 8, and a manifest-less directory holding
-// perftrack.snap, rows in perftrack.wal, a tail log or a segment file,
-// is refused with ErrFormat naming the version it holds (0 without a
+// any of versions 1–7 or 9, and a manifest-less directory holding what an
+// older program wrote — perftrack.snap, perftrack.wal, a tail log — a
+// segment file or a log file with records, is refused with ErrFormat naming the version it holds (0 without a
 // manifest), and the open makes no call that changes a file or a
 // directory. A fresh directory opens, and so does what an open that
 // failed before its first manifest leaves, as left and after a power
@@ -418,7 +449,7 @@ func TestOpenRefusesOtherFormats(t *testing.T) {
 	if err := db.CompactSegments(); err != nil {
 		t.Fatal(err)
 	}
-	commitRows(t, db, "person", personRows(5, 3)) // left in a tail log
+	commitRows(t, db, "person", personRows(5, 3)) // left in the log
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -439,7 +470,8 @@ func TestOpenRefusesOtherFormats(t *testing.T) {
 	b := &ColumnBlock{}
 	b.reset(personSchema(), 1)
 	b.appendRow(1, Row{Int(1), Str("a"), Null(), Null()})
-	walRows := appendBlockRecords(appendRecord(nil, encodeMutationPayload(&mutation{op: opCreateTable, schema: personSchema()})), "person", b)
+	schema := appendRecord(nil, encodeMutationPayload(&mutation{op: opCreateTable, schema: personSchema()}))
+	walRows := appendBlockRecords(slices.Clone(schema), "person", b)
 
 	refused := func(name string, fsys *memFS, version uint64) {
 		t.Helper()
@@ -453,7 +485,7 @@ func TestOpenRefusesOtherFormats(t *testing.T) {
 			t.Errorf("%s: the refused open made %d calls that change the filesystem", name, f.mutations)
 		}
 	}
-	for _, v := range []uint64{1, 2, 3, 4, 5, 6, manifestVersion + 1} {
+	for _, v := range []uint64{1, 2, 3, 4, 5, 6, 7, manifestVersion + 1} {
 		fsys := src.Crash()
 		setManifestVersion(t, fsys, "db", v)
 		refused(fmt.Sprintf("manifest version %d", v), fsys, v)
@@ -462,11 +494,12 @@ func TestOpenRefusesOtherFormats(t *testing.T) {
 		path string
 		data []byte
 	}{
-		"perftrack.snap":           {filepath.Join("db", "perftrack.snap"), mustRead(t, src, filepath.Join("db", walFile))},
-		"rows in perftrack.wal":    {filepath.Join("db", walFile), walRows},
-		"a tail log":               {pick(".log"), mustRead(t, src, pick(".log"))},
+		"perftrack.snap":           {filepath.Join("db", "perftrack.snap"), schema},
+		"rows in perftrack.wal":    {filepath.Join("db", "perftrack.wal"), walRows},
+		"a tail log":               {filepath.Join("db", segmentSubdir, "tail-person-00000001.log"), walRows[len(schema):]},
 		"a segment file":           {pick(".seg"), mustRead(t, src, pick(".seg"))},
-		"a DDL-only perftrack.wal": {filepath.Join("db", walFile), mustRead(t, src, filepath.Join("db", walFile))},
+		"a DDL-only perftrack.wal": {filepath.Join("db", "perftrack.wal"), schema},
+		"a log with records":       {pick(".log"), mustRead(t, src, pick(".log"))},
 	} {
 		fsys := newMemFS()
 		if err := fsys.MkdirAll(filepath.Dir(file.path)); err != nil {

@@ -11,6 +11,38 @@ import (
 	"testing"
 )
 
+// rowsEqual reports bit-exact row equality (NaN-aware for floats).
+func rowsEqual(a, b Row) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		va, vb := a[i], b[i]
+		if va.Kind() != vb.Kind() {
+			return false
+		}
+		switch va.Kind() {
+		case KindInt:
+			if va.Int64() != vb.Int64() {
+				return false
+			}
+		case KindFloat:
+			if math.Float64bits(va.Float64()) != math.Float64bits(vb.Float64()) {
+				return false
+			}
+		case KindString:
+			if va.Text() != vb.Text() {
+				return false
+			}
+		case KindBool:
+			if va.Truth() != vb.Truth() {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // refModel is the reference the engine's reads are judged against: each
 // table a map of rows by row ID, kept by code that shares nothing with
 // the engine's storage — no row set, no B-tree, no block, no log. It

@@ -638,15 +638,15 @@ type brokenFile struct{ File }
 
 func (brokenFile) Write([]byte) (int, error) { return 0, errFault }
 
-// TestFileEngineCloseAlwaysClosesWAL: Close releases the WAL handle and
+// TestFileEngineCloseAlwaysClosesWAL: Close releases the log's handle and
 // reports every failure, instead of returning at the first.
 func TestFileEngineCloseAlwaysClosesWAL(t *testing.T) {
 	fe := openTestEngine(t, t.TempDir())
 	if err := fe.CreateTable(resultSchema()); err != nil {
 		t.Fatal(err)
 	}
-	wal := fe.wal.f
-	fe.wal.f = brokenFile{wal} // the buffered CREATE TABLE record cannot be written
+	wal := fe.log.f
+	fe.log.f = brokenFile{wal} // the buffered CREATE TABLE record cannot be written
 	if err := fe.Close(); err == nil {
 		t.Fatal("Close hid a flush failure")
 	}
@@ -695,16 +695,16 @@ func TestFileEngineStatsCountsFlushFailure(t *testing.T) {
 	if good.WALBytes == 0 || good.FlushErrors != 0 {
 		t.Fatalf("healthy stats = %+v", good)
 	}
-	healthy, mark := fe.wal.f, fe.wal.size
-	fe.wal.f = brokenFile{healthy}
-	fe.wal.append([]byte("x"))
+	healthy, mark := fe.log.f, fe.log.size
+	fe.log.f = brokenFile{healthy}
+	fe.log.append([]byte("x"))
 	bad := fe.Stats()
 	if bad.FlushErrors != 1 || bad.WALBytes != good.WALBytes || bad.DiskBytes != good.DiskBytes {
 		t.Fatalf("stats after a failed flush = wal %d disk %d errors %d, want the last good %d / %d and 1 error",
 			bad.WALBytes, bad.DiskBytes, bad.FlushErrors, good.WALBytes, good.DiskBytes)
 	}
-	fe.wal.f = healthy
-	if err := fe.wal.rewind(mark); err != nil {
+	fe.log.f = healthy
+	if err := fe.log.rewind(mark); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -108,7 +108,6 @@ type segment struct {
 	byPK  *lazyPerm            // positions by primary key, unless pkAsc
 	byID  *lazyPerm            // positions by row ID, unless idAsc
 	perms map[string]*lazyPerm // per secondary index: positions by (index columns, row ID)
-	logs  []*logFile           // tails: the tail logs holding these rows' records, in replay order
 }
 
 // files returns the files that hold the block's rows: its own, or the

@@ -83,7 +83,7 @@ func insertResults(t *testing.T, fe *DB, n int) {
 
 // abandon simulates a crash: stop the compactor and drop the file
 // handles without flushing, checkpointing, or closing cleanly. With
-// sync mode on, everything committed is already in the logs.
+// sync mode on, everything committed is already in the log.
 func abandon(fe *DB) {
 	fe.seg.shutdown()
 	fe.closeLogs()
@@ -288,8 +288,8 @@ func TestSegmentCrashRecoveryBetweenCompactionAndCheckpoint(t *testing.T) {
 
 // TestSegmentCheckpointIsIncremental: a checkpoint writes the tail to a
 // segment and leaves the flushed ones as they are, writes no snapshot,
-// and leaves perftrack.wal holding the schema alone; the rows committed
-// after it are durable in their tail log.
+// and leaves the log holding the schema alone; the rows committed after it
+// are durable in the log.
 func TestSegmentCheckpointIsIncremental(t *testing.T) {
 	dir := t.TempDir()
 	fe := openTestEngine(t, dir)
@@ -315,7 +315,7 @@ func TestSegmentCheckpointIsIncremental(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "perftrack.snap")); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("a checkpoint wrote perftrack.snap (%v)", err)
 	}
-	walHoldsSchemaOnly(t, osFS{}, dir)
+	logHoldsSchemaOnly(t, osFS{}, dir)
 	insertResults(t, fe, 50)
 	fe.SetSync(true)
 	insertResults(t, fe, 1) // force a synced flush of the tail

@@ -188,7 +188,7 @@ func (t *Table) reserveID(row Row) int64 {
 }
 
 // insertAtLocked appends a row under a specific row ID to the tail:
-// recovery replaying a log.
+// recovery replaying the log.
 func (t *Table) insertAtLocked(id int64, row Row) error {
 	if _, exists := t.findIDLocked(id); exists {
 		return fmt.Errorf("reldb: table %q: row %d already present", t.schema.Name, id)
@@ -214,54 +214,32 @@ func (t *Table) advanceID(next int64) {
 // deleteLocked removes the rows with the given IDs, skipping any the
 // table does not hold, by replacing each block they touch once.
 func (t *Table) deleteLocked(ids []int64) {
-	edits := make(map[*segment]map[int]Row)
+	drops := make(map[*segment]map[int]bool)
 	for _, id := range ids {
 		if ref, ok := t.findIDLocked(id); ok {
-			if edits[ref.seg] == nil {
-				edits[ref.seg] = make(map[int]Row)
+			if drops[ref.seg] == nil {
+				drops[ref.seg] = make(map[int]bool)
 			}
-			edits[ref.seg][ref.pos] = nil
+			drops[ref.seg][ref.pos] = true
 		}
 	}
-	for s, e := range edits {
-		t.replaceLocked(s, e)
+	for s, drop := range drops {
+		t.replaceLocked(s, drop)
 	}
 }
 
-// updateLocked replaces a row: recovery replaying a block record whose
-// image of a row differs from the one a segment serves. Like every
-// replayed record it is truth: no foreign key is probed.
-func (t *Table) updateLocked(id int64, row Row) error {
-	ref, ok := t.findIDLocked(id)
-	if !ok {
-		return fmt.Errorf("reldb: table %q: no row %d", t.schema.Name, id)
-	}
-	row = row.Clone()
-	if err := t.schema.CheckRow(row); err != nil {
-		return err
-	}
-	if other, exists := t.findPKLocked(t.pkOf(row)); exists && other.id != id {
-		return fmt.Errorf("reldb: table %q: duplicate primary key %s", t.schema.Name, row)
-	}
-	t.replaceLocked(ref.seg, map[int]Row{ref.pos: row})
-	return nil
-}
-
-// replaceLocked swaps block s for a copy without the row at each position
-// edits maps to nil and with the mapped image at each other one it names.
-// A tail's copy is that tail, logs and all; a segment's is an unwritten
-// segment in its place, narrowed once filled, which the next pass writes
-// and its manifest names instead of the files it replaces. An emptied
-// copy leaves the table: its
-// files and logs go once the next manifest is durable.
-func (t *Table) replaceLocked(s *segment, edits map[int]Row) {
+// replaceLocked swaps block s for a copy without the rows at the
+// positions drop names. A tail's copy is that tail; a segment's is an
+// unwritten segment in its place, narrowed once filled, which the next
+// pass writes and its manifest names instead of the files it replaces. An
+// emptied copy leaves the table: its files go once the next manifest is
+// durable.
+func (t *Table) replaceLocked(s *segment, drop map[int]bool) {
 	c := t.newBlock(0, s.rows)
-	c.logs, c.replaces, c.sizeOn = s.logs, s.files(), s.sizeOn
+	c.replaces, c.sizeOn = s.files(), s.sizeOn
 	for i := 0; i < s.rows; i++ {
-		if img, edited := edits[i]; !edited {
+		if !drop[i] {
 			c.appendFrom(&s.ColumnBlock, i)
-		} else if img != nil {
-			c.appendRow(s.rowIDs.At(i), img)
 		}
 	}
 	c.appended(t.pkCols, 0)
@@ -276,7 +254,7 @@ func (t *Table) replaceLocked(s *segment, edits map[int]Row) {
 	c.freeze(t.pkCols)
 	c = c.narrowed()
 	if st := t.db.seg; c.rows == 0 {
-		st.garbage, st.retired = append(st.garbage, c.replaces...), append(st.retired, c.logs...)
+		st.garbage = append(st.garbage, c.replaces...)
 		c = nil
 	}
 	if s == t.sealed {
@@ -292,16 +270,6 @@ func (t *Table) replaceLocked(s *segment, edits map[int]Row) {
 		t.segDelta(c, 1)
 	}
 	t.installLocked(t.sealed, t.tail)
-}
-
-// logsLocked returns the tail logs the table's unflushed rows own, in
-// replay order: the sealed tail's, then the active one's.
-func (t *Table) logsLocked() []*logFile {
-	var logs []*logFile
-	for _, s := range t.tailsLocked() {
-		logs = append(logs, s.logs...)
-	}
-	return logs
 }
 
 // lenLocked counts the table's rows wherever they live.

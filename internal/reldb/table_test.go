@@ -145,11 +145,13 @@ func TestIntLiteralAcceptedInFloatColumn(t *testing.T) {
 	}
 }
 
+// TestUpdate: an update is one transaction that deletes a row and inserts
+// its new image under the same key; the indexes follow it.
 func TestUpdate(t *testing.T) {
 	db := newTestMem(t)
 	mustCreate(t, db, personSchema())
 	id, _ := db.Insert("person", Row{Int(1), Str("a"), Int(10), Null()})
-	if err := replayUpdate(db, "person", id, Row{Int(1), Str("b"), Int(11), Null()}); err != nil {
+	if _, err := update(db, "person", id, Row{Int(1), Str("b"), Int(11), Null()}); err != nil {
 		t.Fatal(err)
 	}
 	tab, _ := db.Table("person")
@@ -175,17 +177,19 @@ func TestUpdate(t *testing.T) {
 	}
 }
 
+// TestUpdatePKChange: an update may move a row to a free key, not to one
+// another row holds.
 func TestUpdatePKChange(t *testing.T) {
 	db := newTestMem(t)
 	mustCreate(t, db, personSchema())
 	id, _ := db.Insert("person", Row{Int(1), Str("a"), Null(), Null()})
 	db.Insert("person", Row{Int(2), Str("b"), Null(), Null()})
 	// Changing PK to an occupied value must fail.
-	if err := replayUpdate(db, "person", id, Row{Int(2), Str("a"), Null(), Null()}); err == nil {
+	if _, err := update(db, "person", id, Row{Int(2), Str("a"), Null(), Null()}); err == nil {
 		t.Error("PK collision on update accepted")
 	}
 	// Changing PK to a free value must work.
-	if err := replayUpdate(db, "person", id, Row{Int(3), Str("a"), Null(), Null()}); err != nil {
+	if _, err := update(db, "person", id, Row{Int(3), Str("a"), Null(), Null()}); err != nil {
 		t.Fatal(err)
 	}
 	tab, _ := db.Table("person")
@@ -311,7 +315,7 @@ func TestUniqueIndexViolation(t *testing.T) {
 
 	dir := t.TempDir()
 	fe := openTestEngine(t, dir)
-	logRecord(t, fe, &mutation{op: opCreateTable, schema: schema})
+	logGroup(t, fe, &mutation{op: opCreateTable, schema: schema})
 	fe.Close()
 	if _, err := OpenFile(dir); err == nil || !strings.Contains(err.Error(), "unique index") {
 		t.Fatalf("opening a log that declares a unique index: %v", err)
@@ -364,26 +368,6 @@ func TestCreateIndexBackfills(t *testing.T) {
 	}
 	if count != 7 {
 		t.Errorf("backfilled index found %d, want 7", count)
-	}
-}
-
-// TestDropTable: replaying a DROP TABLE forgets the table and its rows;
-// a table of the name can be created again, empty.
-func TestDropTable(t *testing.T) {
-	db := newTestMem(t)
-	mustCreate(t, db, personSchema())
-	if _, err := db.Insert("person", Row{Int(1), Str("a"), Null(), Null()}); err != nil {
-		t.Fatal(err)
-	}
-	db.mu.Lock()
-	db.dropTableLocked("person")
-	db.mu.Unlock()
-	if _, ok := db.Table("person"); ok {
-		t.Error("table survives drop")
-	}
-	mustCreate(t, db, personSchema())
-	if tab, _ := db.Table("person"); tab.Len() != 0 {
-		t.Errorf("the re-created table holds %d rows", tab.Len())
 	}
 }
 

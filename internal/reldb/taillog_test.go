@@ -11,7 +11,7 @@ import (
 // crashCheck is the crash sweep's judge. It takes the store as a power
 // loss at this instant would leave it — what was synced, nothing else —
 // reopens it, and requires one of the states the history may recover to
-// (states), no tail log below its table's low-water mark left in the
+// (states), no log file below the manifest's low-water one left in the
 // store, and a second reopen that changes nothing.
 func (p *hotPair) crashCheck(label string, tables []string, states []string) {
 	p.t.Helper()
@@ -30,11 +30,9 @@ func (p *hotPair) crashCheck(label string, tables []string, states []string) {
 			p.t.Fatalf("%s: %s holds\n%s\nwhere the first held\n%s", label, pass, got, first)
 		}
 		first = got
-		for table, seqs := range tailLogsOnDisk(p.t, crashed, p.dir) {
-			for _, seq := range seqs {
-				if low := hotStatus(p.t, fe, table).LowWater; seq < low {
-					p.t.Fatalf("%s: %s left tail log %d of %s in the store, below the low-water mark %d", label, pass, seq, table, low)
-				}
+		for _, path := range logFiles(p.t, crashed, p.dir) {
+			if seq, _ := parseLogName(filepath.Base(path)); seq < fe.seg.low {
+				p.t.Fatalf("%s: %s left %s in the store, below the low-water log file %d", label, pass, path, fe.seg.low)
 			}
 		}
 		if err := fe.Close(); err != nil {
@@ -119,46 +117,23 @@ func loadNames(eng inserter, k int64) error {
 	return nil
 }
 
-// foreignKeysHold fails unless every foreign key of every table of the
-// engine is matched: what a crash between two of a commit's log flushes
-// must leave (rule 3).
-func foreignKeysHold(t *testing.T, label string, db *DB) {
-	t.Helper()
-	for _, tab := range db.order {
-		for _, fk := range tab.schema.ForeignKeys {
-			parent := db.tables[fk.RefTable]
-			ci, pi := tab.schema.ColumnIndex(fk.Column), parent.schema.ColumnIndex(fk.RefColumn)
-			held := map[Value]bool{}
-			Visit(parent, "", nil, func(_ int64, row Row) bool { held[row[pi]] = true; return true })
-			Visit(tab, "", nil, func(id int64, row Row) bool {
-				if v := row[ci]; !v.IsNull() && !held[v] {
-					t.Fatalf("%s: %s row %d has %s=%s, which %s lacks", label, tab.schema.Name, id, fk.Column, v, fk.RefTable)
-				}
-				return true
-			})
-		}
-	}
-}
-
 // TestSegmentTailLogCrashSweep crashes the engine after every durable
 // step of every compaction pass and checkpoint of a scripted history over
 // all sixteen tables of the PerfTrack schema — by taking, from the step
 // hook, what a power loss would leave of its in-memory filesystem — and
 // judges each crash with crashCheck: the store must recover to a state the
-// history went through, no older than the last one every log was fsynced
-// in (a pass's barrier). The history is built so that dropping any of the
-// three rules that make deleting a log safe fails it, each checked
-// directly as well: the barrier (rule 1: once a manifest has named a
-// pass's segments, no log that outlives the pass holds bytes no fsync
-// covers), the pass counted last (rule 2: no pass is counted before its
-// logs are gone) and the flush order (rule 3: in synchronous mode a
-// crash after any of a commit's log flushes leaves every foreign key
-// matched); so does a pass that retires the log holding a delete without
-// writing the replacement the delete made. Deletes of flushed, sealed and
-// tail rows, an insert below the flushed maximum and a commit that lands
-// during a checkpoint are part of it. The background compactor is stopped
-// and the passes are run by the script, so every step fires on this
-// goroutine.
+// history went through, no older than the last one every log file was
+// fsynced in (a pass's barrier). The two rules that make deleting a log
+// file safe are checked directly as well: the barrier (rule 1: once a
+// manifest has named a pass's segments and its log file, that file holds
+// no byte no fsync covers, its carry included) and the pass counted last
+// (rule 2: no pass is counted before the log files its manifest made dead
+// are gone). A synchronous commit is atomic: a crash after its write
+// recovers to the state just before it, one after its fsync to the state
+// just after it. Deletes of flushed, sealed and tail rows, an insert
+// below the flushed maximum and a commit that lands during a checkpoint
+// are part of the history. The background compactor is stopped and the
+// passes are run by the script, so every step fires on this goroutine.
 func TestSegmentTailLogCrashSweep(t *testing.T) {
 	p := newHotPairOn(t, newMemFS(), "db")
 	defer func() { p.fe.Close() }()
@@ -186,17 +161,19 @@ func TestSegmentTailLogCrashSweep(t *testing.T) {
 	var phase string
 	var hand func() // the script's hand inside a pass: runs once, after the next step named handAt
 	var handAt string
+	// commitCrashes are the states a crash inside the synchronous commit
+	// in flight recovers to, by step, judged once the commit is done.
+	commitCrashes := map[string]string{}
+	counted0 := st.compactions.Load() // the set-up checkpoint's pass
 	st.step = func(step string) {
 		steps[step]++
-		if step == "commit flush" {
-			// Rule 3: a crash between a synchronous commit's log flushes
-			// leaves parents without children, never the reverse.
+		if step == "commit write" || step == "commit" {
 			if p.fe.syncWAL {
 				crashed, err := open(p.fsys.(*memFS).Crash(), KindMem, p.dir)
 				if err != nil {
-					t.Fatalf("%s: after a commit's log flush: %v", phase, err)
+					t.Fatalf("%s: after step %q: %v", phase, step, err)
 				}
-				foreignKeysHold(t, phase+": after a commit's log flush", crashed)
+				commitCrashes[step] = dumpDB(crashed, tables)
 				crashed.Close()
 				crashes++
 			}
@@ -205,24 +182,19 @@ func TestSegmentTailLogCrashSweep(t *testing.T) {
 		if step == "barrier" {
 			floor = len(history) - 1
 		}
-		// Rule 2: a pass is counted once its logs are gone, not before.
-		if counted, done := st.compactions.Load(), steps["log removal"]; step == "log removal" && counted != uint64(done-1) ||
+		// Rule 2: a pass is counted once the log files it made dead are gone, not before.
+		if counted, done := st.compactions.Load()-counted0, steps["log removal"]; step == "log removal" && counted != uint64(done-1) ||
 			step != "log removal" && counted != uint64(done) {
-			t.Fatalf("%s: after step %q, %d passes are counted and %d have removed their logs (rule 2)", phase, step, counted, done)
+			t.Fatalf("%s: after step %q, %d passes are counted and %d have removed their dead log files (rule 2)", phase, step, counted, done)
 		}
 		if f := hand; step == handAt && f != nil {
 			hand = nil
 			f()
 		}
-		if step == "manifest" {
-			// Rule 1: a manifest has named the pass's segments, so nothing that
-			// outlives the pass — the retired logs do not — may be unsynced.
-			for _, l := range append(p.fe.tailLogsLocked(), p.fe.wal) {
-				if l.size > l.synced {
-					t.Fatalf("%s: a manifest was written while %s holds %d bytes no fsync covers (rule 1)",
-						phase, l.path, l.size-l.synced)
-				}
-			}
+		if l := p.fe.log; step == "manifest" && l.size > l.synced {
+			// Rule 1: a manifest has named the pass's segments and log file,
+			// so that file may hold no unsynced byte.
+			t.Fatalf("%s: a manifest was written while %s holds %d bytes no fsync covers (rule 1)", phase, l.path, l.size-l.synced)
 		}
 		p.crashCheck(phase+": after "+step, tables, history[floor:])
 		crashes++
@@ -237,7 +209,8 @@ func TestSegmentTailLogCrashSweep(t *testing.T) {
 	}
 	// write applies op to the engine and the model and adds the state it
 	// acknowledged to the history; in synchronous mode that state is
-	// durable.
+	// durable, and a crash inside its commit recovers to it or to the one
+	// before.
 	write := func(what string, op func(writer) error) {
 		t.Helper()
 		phase = what
@@ -245,6 +218,12 @@ func TestSegmentTailLogCrashSweep(t *testing.T) {
 		history = append(history, p.ref.dump(tables))
 		if p.fe.syncWAL {
 			floor = len(history) - 1
+			for step, want := range map[string]string{"commit write": history[floor-1], "commit": history[floor]} {
+				if got, ok := commitCrashes[step]; !ok || got != want {
+					t.Fatalf("%s: a crash after the commit's step %q recovers to\n%s\nwant\n%s", what, step, got, want)
+				}
+			}
+			clear(commitCrashes)
 		}
 	}
 	// load is a document's commit: one transaction, a row in each table
@@ -280,7 +259,7 @@ func TestSegmentTailLogCrashSweep(t *testing.T) {
 			t.Fatalf("set-up: %s has no segment", name)
 		}
 	}
-	// A synchronous commit, crashed after each of its log flushes.
+	// A synchronous commit, crashed after its write and after its fsync.
 	p.fe.SetSync(true)
 	load(20)
 	p.fe.SetSync(false)
@@ -323,10 +302,10 @@ func TestSegmentTailLogCrashSweep(t *testing.T) {
 	pass(false)
 
 	// Deletes. A delete of a flushed row of focus_has_resource replaces its
-	// segment, and its record goes to the tail log of the tail the next
-	// load seals: the pass that retires that log must write the
-	// replacement, and a manifest name it, first. One transaction deletes
-	// flushed rows of the resource tables the same way.
+	// segment, and its record goes to the log: the pass that makes that log
+	// file dead must write the replacement, and a manifest name it, first.
+	// One transaction deletes flushed rows of the resource tables the same
+	// way.
 	write("delete of a flushed row", func(eng writer) error { return eng.Delete("focus_has_resource", 5) })
 	if st := hotStatus(t, p.fe, "focus_has_resource"); st.Segments == 0 || st.PendingRows == 0 {
 		t.Fatalf("focus_has_resource after the delete = %+v, want its segments and a tail", st)
@@ -346,8 +325,8 @@ func TestSegmentTailLogCrashSweep(t *testing.T) {
 	}
 	phase = "pass writing a replacement and the tail holding its delete"
 	pass(false)
-	// A delete of a sealed row replaces the sealed tail, which keeps its
-	// logs; one transaction deletes it and a flushed row of another table.
+	// A delete of a sealed row replaces the sealed tail; one transaction
+	// deletes it and a flushed row of another table.
 	lastResult := func() int64 {
 		rows := p.ref.tables["performance_result"].ordered()
 		return rows[len(rows)-1].id
@@ -379,8 +358,9 @@ func TestSegmentTailLogCrashSweep(t *testing.T) {
 	}
 
 	// A commit that lands during a checkpoint, once its drain's first pass
-	// is done, stays in the tails with its tail logs; a delete of one of
-	// its rows then replaces the tail.
+	// is done, stays in the tails, and the checkpoint's last pass carries it
+	// into the new log file; a delete of one of its rows then replaces the
+	// tail.
 	load(10)
 	phase = "checkpoint with a commit after its seal"
 	handAt, hand = "log removal", func() {
@@ -391,8 +371,8 @@ func TestSegmentTailLogCrashSweep(t *testing.T) {
 	if err := p.fe.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if st := hotStatus(t, p.fe, "performance_result"); hand != nil || st.LogFiles == 0 {
-		t.Fatalf("performance_result after the checkpoint = %+v, want the late commit in its tail logs", st)
+	if st := hotStatus(t, p.fe, "performance_result"); hand != nil || st.PendingRows != 20 {
+		t.Fatalf("performance_result after the checkpoint = %+v, want the late commit in its tail", st)
 	}
 	victim := lastResult() // the late commit's last result
 	write("delete of a row committed during a checkpoint", func(eng writer) error { return eng.Delete("performance_result", victim) })
@@ -404,20 +384,13 @@ func TestSegmentTailLogCrashSweep(t *testing.T) {
 	if err := p.fe.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if logs := tailLogsOnDisk(t, p.fsys, p.dir); len(logs) != 0 {
-		t.Fatalf("tail logs left after a checkpoint: %v", logs)
-	}
-	for _, m := range logRecords(t, p.fsys, p.fe.walPath()) {
-		if m.op != opCreateTable {
-			t.Fatalf("perftrack.wal holds op %d on %s after a checkpoint, want the schema alone", m.op, m.table)
-		}
-	}
+	logHoldsSchemaOnly(t, p.fsys, p.dir)
 	load(70)
 	pass(false)
-	if st := hotStatus(t, p.fe, "performance_result"); st.PendingRows != 0 || st.LogFiles != 0 {
-		t.Fatalf("performance_result after the last pass = %+v, want it flushed and its logs trimmed", st)
+	if st := hotStatus(t, p.fe, "performance_result"); st.PendingRows != 0 || len(logFiles(t, p.fsys, p.dir)) != 1 {
+		t.Fatalf("performance_result after the last pass = %+v, want it flushed and one log file", st)
 	}
-	for _, step := range []string{"seal", "segment file", "barrier", "manifest", "log removal", "wal rewrite", "commit flush"} {
+	for _, step := range []string{"rotate", "segment file", "barrier", "manifest", "log removal", "commit write", "commit"} {
 		if steps[step] == 0 {
 			t.Errorf("the history never crashed after step %q", step)
 		}
@@ -426,12 +399,71 @@ func TestSegmentTailLogCrashSweep(t *testing.T) {
 	p.check("survivor")
 }
 
-// TestSegmentLogsHoldOnlyUnflushedRows: row records have one writer, the
-// tail-log path. After loads that cross the flush threshold and an idle
-// compactor, perftrack.wal holds no row, each table's tail logs hold
-// exactly the rows its tails do — what SegmentStats counts as PendingRows
-// — and reopening the un-checkpointed directory applies that many
-// rows, not one per row ever loaded.
+// logHoldsTails fails unless the store has one log file, which holds the
+// schema first and then exactly the rows the tables' tails hold, each
+// once — what SegmentStats counts as PendingRows — and no delete; with
+// oneGroup, as the one group a pass's carry is. It returns how many rows
+// that is.
+func logHoldsTails(t *testing.T, p *hotPair, oneGroup bool) (pending int64) {
+	t.Helper()
+	files := logFiles(t, p.fsys, p.dir)
+	if len(files) != 1 {
+		t.Fatalf("%d log files, want 1: %v", len(files), files)
+	}
+	recs := logRecords(t, p.fsys, files[0])
+	logged := map[string]map[int64]bool{}
+	for i, m := range recs {
+		switch {
+		case m.op == opRotate && i == 0, m.op == opCreateTable && (i == 0 || recs[i-1].op != opInsertBlock):
+		case m.op == opInsertBlock:
+			if logged[m.table] == nil {
+				logged[m.table] = map[int64]bool{}
+			}
+			for _, id := range Values(&m.block.rowIDs) {
+				if logged[m.table][id] {
+					t.Fatalf("the log holds row %d of %s twice", id, m.table)
+				}
+				logged[m.table][id] = true
+			}
+		default:
+			t.Fatalf("the log's record %d is op %d on %s", i, m.op, m.table)
+		}
+		if oneGroup && m.more != (i < len(recs)-1) {
+			t.Fatalf("the log's record %d ends a group, want one group", i)
+		}
+	}
+	for _, status := range p.fe.SegmentStats().Tables {
+		tab, _ := p.fe.Table(status.Table)
+		held := map[int64]bool{}
+		for _, tail := range tab.tailsLocked() {
+			for _, id := range Values(&tail.rowIDs) {
+				held[id] = true
+			}
+		}
+		if len(logged[status.Table]) != len(held) || int64(len(held)) != status.PendingRows {
+			t.Fatalf("%s: the log holds %d rows, the tails %d, pending_rows says %d", status.Table, len(logged[status.Table]), len(held), status.PendingRows)
+		}
+		for id := range held {
+			if !logged[status.Table][id] {
+				t.Fatalf("%s: the log lacks row %d of the tail", status.Table, id)
+			}
+		}
+		delete(logged, status.Table)
+		pending += status.PendingRows
+	}
+	for table := range logged {
+		t.Fatalf("the log holds rows of %s, which has none", table)
+	}
+	return pending
+}
+
+// TestSegmentLogsHoldOnlyUnflushedRows: a pass carries the tails forward
+// into a new log file and deletes the older ones once its manifest is
+// durable. After loads that cross the flush threshold and an idle
+// compactor, the store has one log file, which holds the schema and
+// exactly the rows the tails hold; wal_bytes is its size, and reopening
+// the un-checkpointed directory applies that many rows, not one per row
+// ever loaded.
 func TestSegmentLogsHoldOnlyUnflushedRows(t *testing.T) {
 	p := newHotPair(t)
 	defer func() { p.fe.Close() }()
@@ -446,53 +478,15 @@ func TestSegmentLogsHoldOnlyUnflushedRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := p.fe.Stats() // flushes the logs
-	for _, m := range logRecords(t, p.fsys, filepath.Join(p.dir, walFile)) {
-		if m.isRowOp() {
-			t.Fatalf("perftrack.wal holds a row of %s (op %d, row %d)", m.table, m.op, m.id)
-		}
-	}
-	var pending, logBytes int64
-	statuses := p.fe.SegmentStats().Tables
-	if len(statuses) != len(hotSchemas()) {
-		t.Fatalf("%d tables have a segment status, want all %d that were loaded into", len(statuses), len(hotSchemas()))
-	}
-	for _, status := range statuses {
+	before := p.fe.Stats() // writes the log
+	for _, status := range p.fe.SegmentStats().Tables {
 		if status.Rows == 0 {
 			t.Fatalf("%s has no flushed rows: the loads did not cross the threshold", status.Table)
 		}
-		logged := map[int64]bool{}
-		for _, seq := range tailLogsOnDisk(t, p.fsys, p.dir)[status.Table] {
-			if seq < status.LowWater {
-				t.Fatalf("tail log %d of %s is below the low-water mark %d", seq, status.Table, status.LowWater)
-			}
-			for _, m := range logRecords(t, p.fsys, st.tailLogPath(status.Table, seq)) {
-				if m.op != opInsertBlock || m.table != status.Table {
-					t.Fatalf("tail log %d of %s holds op %d on %s", seq, status.Table, m.op, m.table)
-				}
-				for _, id := range Values(&m.block.rowIDs) {
-					if logged[id] {
-						t.Fatalf("tail log %d of %s holds row %d twice", seq, status.Table, id)
-					}
-					logged[id] = true
-				}
-			}
-		}
-		tab, _ := p.fe.Table(status.Table)
-		held := map[int64]bool{}
-		for _, tail := range tab.tailsLocked() {
-			for _, id := range Values(&tail.rowIDs) {
-				held[id] = true
-			}
-		}
-		if !reflect.DeepEqual(logged, held) || int64(len(held)) != status.PendingRows {
-			t.Fatalf("%s: tail logs hold %d rows, the tails %d, pending_rows says %d", status.Table, len(logged), len(held), status.PendingRows)
-		}
-		pending += status.PendingRows
-		logBytes += status.LogBytes
 	}
-	if wal, _ := p.fsys.Size(filepath.Join(p.dir, walFile)); before.WALBytes != wal+logBytes {
-		t.Fatalf("wal_bytes = %d, want perftrack.wal's %d + the tail logs' %d", before.WALBytes, wal, logBytes)
+	pending := logHoldsTails(t, p, false)
+	if size, _ := p.fsys.Size(logFiles(t, p.fsys, p.dir)[0]); before.WALBytes != size {
+		t.Fatalf("wal_bytes = %d, want the log file's %d", before.WALBytes, size)
 	}
 	if size, err := p.fe.DiskSize(); err != nil || size != before.DiskBytes {
 		t.Fatalf("DiskSize = %d, %v; Stats says %d", size, err, before.DiskBytes)
@@ -503,7 +497,66 @@ func TestSegmentLogsHoldOnlyUnflushedRows(t *testing.T) {
 	abandon(p.fe)
 	p.fe = openTestEngine(t, p.dir)
 	if int64(p.fe.replayedRows) != pending {
-		t.Fatalf("reopen applied %d tail-log rows, want the %d pending rows", p.fe.replayedRows, pending)
+		t.Fatalf("reopen applied %d rows from the log, want the %d pending rows", p.fe.replayedRows, pending)
 	}
 	p.check("reopened")
+}
+
+// TestSegmentRarelyWrittenTablePinsNoLog: one commit writes a row of a
+// table nothing writes again; then loads that seal performance_result
+// alone drive pass after pass. That row holds no log file back: at every
+// step of every pass the store has at most two log files, and after an
+// idle pass its one log file holds the schema and exactly the rows the
+// tails hold — that row among them — as one group.
+func TestSegmentRarelyWrittenTablePinsNoLog(t *testing.T) {
+	p := newHotPairOn(t, newMemFS(), "db")
+	defer func() { p.fe.Close() }()
+	st := p.fe.seg
+	st.shutdown()
+	p.fe.SetSegmentFlushRows(64)
+	app := nameSchemas()[0]
+	p.both("create application", func(w writer) error { return w.CreateTable(app) })
+	p.both("one application", func(w writer) error { _, err := w.Insert("application", Row{Int(1), Str("irs")}); return err })
+	steps := 0
+	st.step = func(step string) {
+		if n := len(logFiles(t, p.fsys, p.dir)); n > 2 {
+			t.Fatalf("after step %q, %d log files", step, n)
+		}
+		steps++
+	}
+	for first := 0; first < 400; first += 40 {
+		p.both("results", func(w writer) error {
+			tx := w.begin()
+			for i := first; i < first+40; i++ {
+				if _, err := tx.Insert("performance_result", resultRow(i)); err != nil {
+					return err
+				}
+			}
+			return tx.Commit()
+		})
+		st.compactMu.Lock()
+		err := st.drain(false)
+		st.compactMu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	st.compactMu.Lock()
+	_, err := st.pass(false, true) // idle
+	st.compactMu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pr, app := hotStatus(t, p.fe, "performance_result"), hotStatus(t, p.fe, "application"); pr.Segments < 5 || app.Segments != 0 || app.PendingRows != 1 {
+		t.Fatalf("after the loads: performance_result %+v, application %+v; want several passes and the application row in its tail", pr, app)
+	}
+	logHoldsTails(t, p, true)
+	if steps == 0 {
+		t.Fatal("no pass ran")
+	}
+	p.reopen()
+	p.check("reopened")
+	if tab, _ := p.fe.Table("application"); tab.Len() != 1 {
+		t.Fatalf("the application table holds %d rows after a reopen, want 1", tab.Len())
+	}
 }

@@ -23,14 +23,14 @@ var ErrTxDone = errors.New("reldb: transaction already finished")
 // keys are unused there (deletes aside) and in the block, each foreign
 // key is matched by a published row or one of the transaction's own. It
 // then logs the records — per table a delete record per row it deletes
-// and one block record of the rows it inserts, column-major — applies
-// the deletes by replacing blocks (Table.replaceLocked) and appends the
-// rows to the table's columnar tail.
-// Readers see all of a transaction's changes or none. The commit is also
-// the batch boundary: each log it touched is flushed once (fsynced in
-// synchronous mode), and tails that reached the flush threshold are
-// sealed. A Commit that fails changes nothing visible, leaves no record
-// in any log and leaves the transaction open; Rollback writes nothing.
+// and one block record of the rows it inserts, column-major — as one
+// group, in one write (and one fsync in synchronous mode), applies the
+// deletes by replacing blocks (Table.replaceLocked) and appends the rows
+// to the table's columnar tail. Readers see all of a transaction's
+// changes or none, and so does recovery. The commit is also the batch
+// boundary: tails that reached the flush threshold are sealed. A Commit
+// that fails changes nothing visible, leaves no record in the log and
+// leaves the transaction open; Rollback writes nothing.
 //
 // Committers serialize on the engine lock and a transaction reads nothing,
 // so transactions are serializable in commit order.
@@ -49,8 +49,7 @@ type txBlock struct {
 	ColumnBlock
 	keyAsc   bool    // the table has one integer key column and its values here ascend
 	dels     []int64 // row IDs to delete; ascending and distinct once the commit has begun
-	recs     []byte  // the delete records and the block record, framed as a log holds them
-	placed   bool    // ordered has placed the block
+	recs     []byte  // the delete records and the block records, framed as the log holds them
 	reserved bool    // counted in the table's reserving
 }
 
@@ -207,7 +206,8 @@ func (tx *Tx) Commit() error {
 	if tx.done {
 		return ErrTxDone
 	}
-	if blocks := tx.ordered(); len(blocks) > 0 {
+	blocks := slices.DeleteFunc(slices.Clone(tx.blocks), func(tb *txBlock) bool { return tb.rows == 0 && len(tb.dels) == 0 })
+	if len(blocks) > 0 {
 		if err := tx.db.commit(tx, blocks); err != nil {
 			return err
 		}
@@ -226,49 +226,11 @@ func (tx *Tx) Rollback() error {
 	return nil
 }
 
-// ordered returns the transaction's non-empty blocks in the order their
-// records are logged (rule 3): each after the ones its foreign keys name —
-// and a transaction that only deletes the other way round, children
-// before parents.
-func (tx *Tx) ordered() []*txBlock {
-	out := make([]*txBlock, 0, len(tx.blocks))
-	inserts := false
-	for _, tb := range tx.blocks {
-		tb.placed = false
-		inserts = inserts || tb.rows > 0
-	}
-	for _, tb := range tx.blocks {
-		out = tx.place(tb, out)
-	}
-	if !inserts {
-		slices.Reverse(out)
-	}
-	return out
-}
-
-func (tb *txBlock) empty() bool { return tb.rows == 0 && len(tb.dels) == 0 }
-
-// place appends tb to out after the blocks of the tables it refers to.
-func (tx *Tx) place(tb *txBlock, out []*txBlock) []*txBlock {
-	if tb.placed {
-		return out
-	}
-	tb.placed = true
-	for _, fk := range tb.t.schema.ForeignKeys {
-		if ref := tx.find(fk.RefTable); ref != nil {
-			out = tx.place(ref, out)
-		}
-	}
-	if !tb.empty() {
-		out = append(out, tb)
-	}
-	return out
-}
-
-// commit finishes the blocks outside the lock — their zone maps and their
-// log records — then admits, logs and applies them under it. A commit
-// that leaves a tail full behind a sealed one waits, outside the lock,
-// for the compaction pass in flight (segState.awaitPass).
+// commit finishes the blocks outside the lock — their zone maps and the
+// records of the commit's group, the last one closing it — then admits,
+// logs and applies them under it. A commit that leaves a tail full behind
+// a sealed one waits, outside the lock, for the compaction pass in flight
+// (segState.awaitPass).
 func (db *DB) commit(tx *Tx, blocks []*txBlock) error {
 	deletes := false
 	for _, tb := range blocks {
@@ -277,11 +239,12 @@ func (db *DB) commit(tx *Tx, blocks []*txBlock) error {
 		tb.dels = slices.Compact(tb.dels)
 		tb.recs = tb.recs[:0]
 		for _, id := range tb.dels {
-			tb.recs = appendRecord(tb.recs, encodeMutationPayload(&mutation{op: opDelete, table: tb.t.schema.Name, id: id}))
+			tb.recs = appendRecord(tb.recs, encodeMutationPayload(&mutation{op: opDelete, table: tb.t.schema.Name, more: true, id: id}))
 		}
 		tb.recs = appendBlockRecords(tb.recs, tb.t.schema.Name, &tb.ColumnBlock)
 		deletes = deletes || len(tb.dels) > 0
 	}
+	endGroup(blocks[len(blocks)-1].recs, 0)
 	if deletes {
 		db.seg.compactMu.Lock()
 	}
@@ -290,7 +253,7 @@ func (db *DB) commit(tx *Tx, blocks []*txBlock) error {
 		db.seg.compactMu.Unlock()
 	}
 	if full {
-		// The commit is in the logs whatever becomes of the pass; one that
+		// The commit is in the log whatever becomes of the pass; one that
 		// fails is retried at the next commit.
 		_ = db.seg.awaitPass()
 	}
@@ -308,7 +271,7 @@ func (db *DB) commitLocked(tx *Tx, blocks []*txBlock) (full bool, err error) {
 			return false, err
 		}
 	}
-	if err := db.logBlocksLocked(blocks); err != nil {
+	if err := db.logGroupLocked(blocks); err != nil {
 		return false, err
 	}
 	for _, tb := range blocks {
@@ -321,42 +284,29 @@ func (db *DB) commitLocked(tx *Tx, blocks []*txBlock) (full bool, err error) {
 	return db.seg.sealReadyLocked(db.seg.flushRows.Load()), nil
 }
 
-// logBlocksLocked appends the blocks' records to their tables' tail logs
-// and flushes each log once its records are in, fsyncing it in
-// synchronous mode: in the blocks' order, which is the flush order (rule
-// 3). Every log is opened before anything is written, and the DDL records
-// left in perftrack.wal's buffer reach its file first. If a write or
-// fsync fails, every log the commit wrote to is taken back to where it
-// stood (rewindLocked): a failed commit leaves no record.
-func (db *DB) logBlocksLocked(blocks []*txBlock) error {
-	logs := make([]*logFile, len(blocks))
-	for i, tb := range blocks {
-		var err error
-		if logs[i], err = db.seg.tailLogLocked(tb.t); err != nil {
-			return db.refuseLocked(err)
+// logGroupLocked appends the commit's group — the blocks' records — to
+// the log, after the DDL records its buffer holds, and writes them in one
+// write, fsynced in synchronous mode. If the write or fsync fails, the
+// log is taken back to where it stood (rewindLocked): a failed commit
+// leaves no record.
+func (db *DB) logGroupLocked(blocks []*txBlock) error {
+	l := db.log
+	mark := l.size
+	for _, tb := range blocks {
+		l.appendFramed(tb.recs)
+	}
+	err := l.flush()
+	if err == nil {
+		db.seg.stepped("commit write")
+		if db.syncWAL {
+			err = l.sync()
 		}
 	}
-	for _, l := range db.openLogsLocked() {
-		if err := l.flush(); err != nil {
-			return err
-		}
+	if err != nil {
+		return db.rewindLocked(err, mark)
 	}
-	flush := (*logFile).flush
-	if db.syncWAL {
-		flush = (*logFile).sync
-	}
-	marks := make([]logMark, 0, len(blocks))
-	for i, tb := range blocks {
-		marks = append(marks, logMark{logs[i], logs[i].size})
-		logs[i].appendFramed(tb.recs)
-		if err := flush(logs[i]); err != nil {
-			return db.rewindLocked(err, marks)
-		}
-		db.seg.stepped("commit flush")
-	}
-	for _, m := range marks {
-		db.logAppended += uint64(m.l.size - m.size)
-	}
+	db.seg.stepped("commit")
+	db.logAppended += uint64(l.size - mark)
 	return nil
 }
 
@@ -364,8 +314,8 @@ func (db *DB) logBlocksLocked(blocks []*txBlock) error {
 
 // admitLocked checks the block against the published table: it is still
 // the table the block was begun on, every row it deletes is there, no
-// primary key of its inserts is taken there or twice in the block, and
-// every foreign key is matched.
+// primary key of its inserts is taken there (but by a row it deletes) or
+// twice in the block, and every foreign key is matched.
 func (tb *txBlock) admitLocked(tx *Tx) error {
 	t := tb.t
 	if t.db.tables[t.schema.Name] != t {
@@ -382,8 +332,8 @@ func (tb *txBlock) admitLocked(tx *Tx) error {
 	return t.db.checkBlockForeignKeys(tx, tb)
 }
 
-// admitKeysLocked checks the block's primary keys against the table and
-// each other. A row above every key the blocks hold — each row of a
+// admitKeysLocked checks the block's primary keys against the table's
+// rows but the ones the block deletes, and against each other. A row above every key the blocks hold — each row of a
 // document — costs one comparison; any other is looked up.
 func (tb *txBlock) admitKeysLocked() error {
 	t, b := tb.t, &tb.ColumnBlock
@@ -415,8 +365,10 @@ func (tb *txBlock) admitKeysLocked() error {
 		for k, c := range t.pkCols {
 			key[k] = b.cell(c, i)
 		}
-		if _, exists := t.findPKLocked(key); exists {
-			return dup(i)
+		if ref, exists := t.findPKLocked(key); exists {
+			if _, deleted := slices.BinarySearch(tb.dels, ref.id); !deleted {
+				return dup(i)
+			}
 		}
 	}
 	return nil

@@ -16,20 +16,22 @@ import (
 //	uint32 CRC-32 (IEEE) of the payload
 //	payload bytes
 //
-// so that a torn tail write is detected and discarded on recovery. Payloads
-// use a compact binary encoding: varints for integers and lengths,
-// length-prefixed strings, one tag byte per value kind — except a block
-// record (opInsertBlock), which holds the rows a commit inserts into one
-// table as a segment body holds them:
+// so that a torn tail write is detected and discarded on recovery. A
+// payload starts with the op byte, the table's name and a flag, 1 when the
+// next record continues the group; then come varints for integers and
+// lengths, length-prefixed strings, one tag byte per value kind — except
+// in a block record (opInsertBlock), which holds rows a commit inserts
+// into one table as a segment body holds them:
 //
-//	op byte, table name, 1 when the table's next record continues the commit
 //	row count (at most recordRows), column count, the row IDs as an
 //	integer stream; per column its kind, its length and its column block
 //	(a NULL flag or bitmap, then encodeColumn)
 //
-// A table's part of a commit is one block record, or a run of them when it
-// has more rows than one may hold; recovery applies the run whole or not at
-// all (replayLog).
+// A group is a run of records each flagged as continued but the last: a
+// commit — per table its delete records and its block records, one unless
+// the table's part has more rows than one may hold — a DDL statement, or
+// the carry that starts a log file (rotateLocked). Recovery applies a
+// group whole or not at all (replayFile).
 
 // ErrCorruptLog reports a log record that failed its checksum
 // or could not be decoded.
@@ -184,15 +186,15 @@ const blockRecordCells = 1 << 16
 func recordRows(ncols int) int { return max(blockRecordCells/max(ncols, 1), 1) }
 
 // appendBlockRecords appends the block's rows to out as framed block
-// records of table: one, unless it has more rows than one may hold.
+// records of table, each flagged as continued: one, unless it has more
+// rows than one may hold. endGroup closes the group they end.
 func appendBlockRecords(out []byte, table string, b *ColumnBlock) []byte {
 	per := recordRows(len(b.cols))
 	for from := 0; from < b.rows; from += per {
-		to := min(from+per, b.rows)
-		part := b.view(from, to)
+		part := b.view(from, min(from+per, b.rows))
 		start := len(out)
 		out = append(out, 0, 0, 0, 0, 0, 0, 0, 0, byte(opInsertBlock))
-		out = appendBlockPayload(putString(out, table), &part, to < b.rows)
+		out = appendBlockPayload(append(putString(out, table), 1), &part)
 		payload := out[start+8:]
 		binary.LittleEndian.PutUint32(out[start:], uint32(len(payload)))
 		binary.LittleEndian.PutUint32(out[start+4:], crc32.ChecksumIEEE(payload))
@@ -200,9 +202,23 @@ func appendBlockRecords(out []byte, table string, b *ColumnBlock) []byte {
 	return out
 }
 
-// appendBlockPayload writes what follows a block record's table name.
-func appendBlockPayload(dst []byte, b *ColumnBlock, more bool) []byte {
-	dst = putUvarint(putUvarint(append(dst, boolByte(more)), uint64(b.rows)), uint64(len(b.cols)))
+// endGroup makes the last record framed in buf[from:] the last of its
+// group: it clears the record's continuation flag and checksums it again.
+func endGroup(buf []byte, from int) {
+	last := from
+	for off := from; off < len(buf); off += 8 + int(binary.LittleEndian.Uint32(buf[off:])) {
+		last = off
+	}
+	payload := buf[last+8:]
+	p := &payloadReader{buf: payload[1:]}
+	p.str()
+	payload[len(payload)-len(p.buf)] = 0
+	binary.LittleEndian.PutUint32(buf[last+4:], crc32.ChecksumIEEE(payload))
+}
+
+// appendBlockPayload writes what follows a block record's flag.
+func appendBlockPayload(dst []byte, b *ColumnBlock) []byte {
+	dst = putUvarint(putUvarint(dst, uint64(b.rows)), uint64(len(b.cols)))
 	dst = appendIntVec(dst, &b.rowIDs)
 	var col []byte
 	for ci := range b.cols {
@@ -216,44 +232,40 @@ func appendBlockPayload(dst []byte, b *ColumnBlock, more bool) []byte {
 // any value, at width 8, as a tail holds them.
 var wideZone = zoneMap{valid: true, minI: math.MinInt64, maxI: math.MaxInt64}
 
-// decodeBlockPayload reads what follows a block record's table name with
-// the segment decoders, each stream checked against the bytes left before
-// it allocates.
-func decodeBlockPayload(p *payloadReader) (b *ColumnBlock, more bool) {
-	more = p.flag()
+// decodeBlockPayload reads what follows a block record's flag with the
+// segment decoders, each stream checked against the bytes left before it
+// allocates.
+func decodeBlockPayload(p *payloadReader) *ColumnBlock {
 	rows, ncols := p.uvarint(), p.count()
 	if p.err != nil || rows == 0 || rows > uint64(recordRows(ncols)) {
 		p.fail()
-		return nil, false
+		return nil
 	}
-	b = &ColumnBlock{rows: int(rows), cols: make([]colVec, ncols), zones: make([]zoneMap, ncols)}
+	b := &ColumnBlock{rows: int(rows), cols: make([]colVec, ncols), zones: make([]zoneMap, ncols)}
 	var err error
 	if b.rowIDs, p.buf, err = readIntVec(p.buf, b.rows, wideZone.minI, wideZone.maxI); err != nil {
 		p.fail()
-		return nil, false
+		return nil
 	}
 	for ci := range b.cols {
 		kind := Kind(p.byteVal())
 		data := p.bytes(p.count())
 		if p.err != nil {
-			return nil, false
+			return nil
 		}
 		if b.cols[ci], err = decodeColumn(kind, data, b.rows, wideZone); err != nil {
 			p.fail()
-			return nil, false
+			return nil
 		}
 	}
-	if !p.empty() {
-		p.fail()
-		return nil, false
-	}
-	return b, more
+	return b
 }
 
 // --- schema encoding ---
 
+// encodeSchemaPayload writes a schema but its name, which the record's
+// table name is.
 func encodeSchemaPayload(dst []byte, s *Schema) []byte {
-	dst = putString(dst, s.Name)
 	dst = putUvarint(dst, uint64(len(s.Columns)))
 	for _, c := range s.Columns {
 		dst = putString(dst, c.Name)
@@ -293,8 +305,8 @@ func decodeIndexSpec(p *payloadReader) IndexSpec {
 	return ix
 }
 
-func decodeSchemaPayload(p *payloadReader) (*Schema, error) {
-	s := &Schema{Name: p.str()}
+func decodeSchemaPayload(p *payloadReader, name string) (*Schema, error) {
+	s := &Schema{Name: name}
 	for n := p.count(); n > 0; n-- {
 		s.Columns = append(s.Columns, Column{Name: p.str(), Type: Kind(p.byteVal()), Nullable: p.byteVal() != 0})
 	}
@@ -316,43 +328,47 @@ func decodeSchemaPayload(p *payloadReader) (*Schema, error) {
 // --- mutation encoding ---
 
 func encodeMutationPayload(m *mutation) []byte {
-	dst := []byte{byte(m.op)}
+	table := m.table
+	if m.op == opCreateTable {
+		table = m.schema.Name
+	}
+	dst := append(putString([]byte{byte(m.op)}, table), boolByte(m.more))
 	switch m.op {
 	case opCreateTable:
 		dst = encodeSchemaPayload(dst, m.schema)
-	case opDropTable:
-		dst = putString(dst, m.table)
 	case opCreateIndex, opDropIndex:
-		dst = putString(dst, m.table)
 		dst = encodeIndexSpec(dst, m.index)
 	case opDelete:
-		dst = putString(dst, m.table)
 		dst = putVarint(dst, m.id)
 	case opInsertBlock:
-		dst = appendBlockPayload(putString(dst, m.table), m.block, m.more)
+		dst = appendBlockPayload(dst, m.block)
+	case opRotate:
+		dst = putVarint(putVarint(dst, m.seq), m.size)
 	}
 	return dst
 }
 
 func decodeMutationPayload(payload []byte) (*mutation, error) {
 	p := &payloadReader{buf: payload}
-	m := &mutation{op: mutOp(p.byteVal())}
+	m := &mutation{op: mutOp(p.byteVal()), table: p.str(), more: p.flag()}
 	switch m.op {
 	case opCreateTable:
-		m.schema, _ = decodeSchemaPayload(p)
-	case opDropTable:
-		m.table = p.str()
+		m.schema, _ = decodeSchemaPayload(p, m.table)
 	case opCreateIndex, opDropIndex:
-		m.table, m.index = p.str(), decodeIndexSpec(p)
+		m.index = decodeIndexSpec(p)
 	case opDelete:
-		m.table, m.id = p.str(), p.varint()
+		m.id = p.varint()
 	case opInsertBlock:
-		m.table = p.str()
-		m.block, m.more = decodeBlockPayload(p)
+		m.block = decodeBlockPayload(p)
+	case opRotate:
+		m.seq, m.size = p.varint(), p.varint()
 	default:
 		if p.err == nil {
 			return nil, fmt.Errorf("%w: unknown op %d", ErrCorruptLog, m.op)
 		}
+	}
+	if p.err == nil && !p.empty() {
+		p.fail()
 	}
 	if p.err != nil {
 		return nil, p.err

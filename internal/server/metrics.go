@@ -158,17 +158,17 @@ func (m *serverMetrics) registerStore(store *datastore.Store) {
 	m.reg.CounterFunc("ptserved_store_stats_flush_errors_total",
 		"Storage statistics reads whose log flush failed (wal_bytes then reports the last good value).",
 		func() uint64 { return eng.Stats().FlushErrors })
-	// wal_bytes is what is live, not what was ever written: hot-table
-	// tail logs are deleted as their rows reach segments. These two keep
-	// write amplification visible.
+	// wal_bytes is what is live, not what was ever written: each pass
+	// starts a log file carrying the tails forward and deletes the older
+	// ones. These two keep write amplification visible.
 	m.reg.CounterFunc("ptserved_store_log_bytes_appended_total",
-		"Bytes appended to perftrack.wal and the tables' tail logs.",
+		"Bytes appended to the commit log, the tails each pass carries into a new log file included.",
 		func() uint64 { return eng.SegmentStats().LogBytesAppended })
 	m.reg.CounterFunc("ptserved_store_log_bytes_trimmed_total",
-		"Log bytes deleted or rewritten away once segments superseded them.",
+		"Log bytes deleted or truncated away once segments superseded them.",
 		func() uint64 { return eng.SegmentStats().LogBytesTrimmed })
 	m.reg.GaugeFunc("ptserved_store_log_bytes",
-		"Bytes of live logs on disk: perftrack.wal and every tail log (wal_bytes on /v1/stats).",
+		"Bytes of the commit log's live files on disk (wal_bytes on /v1/stats).",
 		func() float64 { return float64(eng.Stats().WALBytes) })
 }
 

@@ -194,7 +194,7 @@ func (s *Server) ListenAndServe(addr string) error {
 // Shutdown drains in-flight requests (bounded by ctx) — a request is in
 // flight until its handler returns, timed out or not — then checkpoints
 // the store's engine: everything ingested over the network goes into
-// segments, and perftrack.wal back to the schema.
+// segments, and the commit log back to the schema.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.log.Info("shutting down, draining in-flight requests")
 	if s.selfmon != nil {

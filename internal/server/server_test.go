@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -490,7 +491,7 @@ func TestRequestIDPropagation(t *testing.T) {
 
 // TestShutdownDrainsAndCheckpoints runs a real listener over a file-backed
 // store, ingests over the network, then shuts down: every row must be in a
-// segment the manifest names, perftrack.wal must hold the schema alone,
+// segment the manifest names, the one log file must hold the schema alone,
 // and a reopened store must serve the data.
 func TestShutdownDrainsAndCheckpoints(t *testing.T) {
 	dir := t.TempDir()
@@ -550,14 +551,11 @@ func TestShutdownDrainsAndCheckpoints(t *testing.T) {
 	if err := fe.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Checkpoint happened: no snapshot, no tail log, a manifest naming every
-	// table, and a perftrack.wal byte for byte what a fresh store's
-	// checkpoint leaves: the schema.
+	// Checkpoint happened: no snapshot, a manifest naming every table, and
+	// one log file, byte for byte what a fresh store's checkpoint leaves
+	// past the record naming the file it continues: the schema.
 	if _, err := os.Stat(filepath.Join(dir, "perftrack.snap")); !os.IsNotExist(err) {
 		t.Errorf("perftrack.snap after shutdown: %v", err)
-	}
-	if logs, _ := filepath.Glob(filepath.Join(dir, "segments", "tail-*.log")); len(logs) != 0 {
-		t.Errorf("tail logs after shutdown: %v", logs)
 	}
 	manifest, err := os.ReadFile(filepath.Join(dir, "segments", "MANIFEST"))
 	if names := fe.TableNames(); err != nil || len(names) != 16 {
@@ -569,9 +567,8 @@ func TestShutdownDrainsAndCheckpoints(t *testing.T) {
 			}
 		}
 	}
-	wal, err := os.ReadFile(filepath.Join(dir, "perftrack.wal"))
-	if err != nil || !bytes.Equal(wal, checkpointedSchema(t)) {
-		t.Errorf("perftrack.wal after shutdown holds more than the schema: %d bytes, %v", len(wal), err)
+	if wal := checkpointedLog(t, dir); !bytes.Equal(wal, checkpointedSchema(t)) {
+		t.Errorf("the log after shutdown holds more than the schema: %d bytes", len(wal))
 	}
 
 	fe2, err := reldb.OpenFile(dir)
@@ -588,8 +585,8 @@ func TestShutdownDrainsAndCheckpoints(t *testing.T) {
 	}
 }
 
-// checkpointedSchema returns the perftrack.wal a fresh store's checkpoint
-// leaves: the schema's DDL records and nothing else.
+// checkpointedSchema returns the log a fresh store's checkpoint leaves,
+// past its first record: the schema's DDL records and nothing else.
 func checkpointedSchema(t *testing.T) []byte {
 	t.Helper()
 	dir := t.TempDir()
@@ -604,9 +601,20 @@ func checkpointedSchema(t *testing.T) []byte {
 	if err := fe.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	wal, err := os.ReadFile(filepath.Join(dir, "perftrack.wal"))
-	if err != nil {
-		t.Fatal(err)
+	return checkpointedLog(t, dir)
+}
+
+// checkpointedLog returns the one log file of the store at dir past its
+// first record, the one naming the file it continues.
+func checkpointedLog(t *testing.T, dir string) []byte {
+	t.Helper()
+	logs, _ := filepath.Glob(filepath.Join(dir, "segments", "log-*.log"))
+	if len(logs) != 1 {
+		t.Fatalf("%d log files in %s, want 1", len(logs), dir)
 	}
-	return wal
+	data, err := os.ReadFile(logs[0])
+	if err != nil || len(data) < 8 {
+		t.Fatalf("%s: %d bytes, %v", logs[0], len(data), err)
+	}
+	return data[8+binary.LittleEndian.Uint32(data):]
 }
