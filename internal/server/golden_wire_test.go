@@ -62,19 +62,62 @@ func goldenDoc(tag string, nprocs, results int) string {
 	return b.String()
 }
 
+// pairedDoc is two executions of one application that share portable
+// context — build functions and a time phase aligned by base name — so a
+// comparison pairs results: three time-like pairs with distinct positive
+// deltas (one cell holding two of A's values), a byte count that fell,
+// and one unpaired function on each side.
+func pairedDoc() string {
+	var b strings.Builder
+	b.WriteString("Application app-pair\n")
+	b.WriteString("Resource /app-pair application\n")
+	for _, f := range []string{"f0", "f1", "f2", "onlya", "onlyb"} {
+		fmt.Fprintf(&b, "Resource /pairbuild/m.c/%s build/module/function\n", f)
+	}
+	for _, e := range []struct {
+		exec   string
+		nprocs int
+		values []string // "function metric value units"
+	}{
+		{"pair-a", 8, []string{
+			"f0 \"wall time\" 10.5 seconds", "f0 \"wall time\" 11.5 seconds", "f1 \"wall time\" 20.25 seconds",
+			"f2 \"wall time\" 30.125 seconds", "f0 \"bytes sent\" 2048 bytes", "onlya \"wall time\" 7 seconds",
+		}},
+		{"pair-b", 16, []string{
+			"f0 \"wall time\" 15 seconds", "f1 \"wall time\" 21.25 seconds", "f2 \"wall time\" 32.125 seconds",
+			"f0 \"bytes sent\" 1024 bytes", "onlyb \"wall time\" 3 seconds",
+		}},
+	} {
+		fmt.Fprintf(&b, "Execution %s app-pair\n", e.exec)
+		fmt.Fprintf(&b, "Resource /%s execution %s\n", e.exec, e.exec)
+		fmt.Fprintf(&b, "Resource /%s-wall time %s\n", e.exec, e.exec)
+		fmt.Fprintf(&b, "Resource /%s-wall/solve time/interval %s\n", e.exec, e.exec)
+		fmt.Fprintf(&b, "ResourceAttribute /%s nprocs %d string\n", e.exec, e.nprocs)
+		for _, v := range e.values {
+			fn, rest, _ := strings.Cut(v, " ")
+			fmt.Fprintf(&b, "PerfResult %s /app-pair,/pairbuild/m.c/%s,/%s,/%s-wall/solve(primary) ptool %s\n",
+				e.exec, fn, e.exec, e.exec, rest)
+		}
+	}
+	return b.String()
+}
+
+// goldenStep is one request of a golden sequence.
+type goldenStep struct {
+	golden string // "" = setup only
+	method string
+	path   string
+	body   string
+	status int
+}
+
 func TestGoldenWireEnvelopes(t *testing.T) {
 	_, ts := newTestServer(t, nil)
 
 	// Every request in this fixed sequence pins its request ID, so error
 	// envelopes and trace lookups are byte-deterministic. Steps with a
 	// golden name snapshot their raw response body.
-	steps := []struct {
-		golden string // "" = setup only
-		method string
-		path   string
-		body   string
-		status int
-	}{
+	steps := []goldenStep{
 		{"load", "POST", "/v1/load", goldenDoc("ga", 8, 3), 200},
 		{"", "POST", "/v1/load", goldenDoc("gb", 16, 3), 200},
 		{"health", "GET", "/healthz", "", 200},
@@ -94,7 +137,22 @@ func TestGoldenWireEnvelopes(t *testing.T) {
 		{"queries", "GET", "/v1/debug/queries?limit=5", "", 200},
 		{"selfdiagnose", "GET", "/v1/debug/selfdiagnose", "", 200},
 	}
+	runGolden(t, ts.URL, steps)
 
+	// A store of its own whose two executions pair: the comparison and
+	// a one-to-one diagnosis pin the aligner's pairs and the ranking.
+	_, paired := newTestServer(t, nil)
+	runGolden(t, paired.URL, []goldenStep{
+		{"", "POST", "/v1/load", pairedDoc(), 200},
+		{"compare_paired", "GET", "/v1/compare?a=pair-a&b=pair-b", "", 200},
+		{"diagnose_paired", "POST", "/v1/diagnose", `{"exec_a": "pair-a", "exec_b": "pair-b"}`, 200},
+	})
+}
+
+// runGolden sends steps in order to the server at url and compares each
+// named step's scrubbed body with its fixture.
+func runGolden(t *testing.T, url string, steps []goldenStep) {
+	t.Helper()
 	dir := filepath.Join("testdata", "golden")
 	if *updateGolden {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -106,7 +164,7 @@ func TestGoldenWireEnvelopes(t *testing.T) {
 		if name == "" {
 			name = fmt.Sprintf("setup-%d", i)
 		}
-		req, err := http.NewRequest(step.method, ts.URL+step.path, strings.NewReader(step.body))
+		req, err := http.NewRequest(step.method, url+step.path, strings.NewReader(step.body))
 		if err != nil {
 			t.Fatal(err)
 		}
