@@ -368,7 +368,7 @@ func BenchmarkCompareExecutions(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cmp, err := compare.ExecutionsCtx(context.Background(), s, "cmp-0", "cmp-1")
+		cmp, err := compare.Sets(context.Background(), s, []string{"cmp-0"}, []string{"cmp-1"})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -95,7 +95,7 @@ func main() {
 	}
 
 	// Cross-platform comparison (the reason the study ran on both).
-	cmp, err := compare.ExecutionsCtx(ctx, store, "irs-Frost-000", "irs-MCR-000")
+	cmp, err := compare.Sets(ctx, store, []string{"irs-Frost-000"}, []string{"irs-MCR-000"})
 	check(err)
 	sum := cmp.Summarize()
 	fmt.Printf("\nFrost vs MCR: %d aligned pairs, geometric-mean ratio %.3f (MCR/Frost)\n",

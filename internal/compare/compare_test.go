@@ -1,6 +1,7 @@
 package compare
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -178,7 +179,7 @@ func TestDiagnoseBottlenecks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	findings := cmp.DiagnoseBottlenecks("", 0)
+	findings := Rank(cmp.Pairs, "", 0)
 	if len(findings) != 2 {
 		t.Fatalf("findings = %d", len(findings))
 	}
@@ -191,17 +192,22 @@ func TestDiagnoseBottlenecks(t *testing.T) {
 		t.Errorf("contribution = %v, want %v", findings[0].Contribution, wantShare)
 	}
 	// topN truncates.
-	if got := cmp.DiagnoseBottlenecks("", 1); len(got) != 1 || got[0].Delta != 50 {
+	if got := Rank(cmp.Pairs, "", 1); len(got) != 1 || got[0].Delta != 50 {
 		t.Errorf("topN = %+v", got)
 	}
 	// The fast direction has no bottlenecks.
 	fast, _ := Executions(s, "irs-frost", "irs-mcr")
-	if got := fast.DiagnoseBottlenecks("", 0); len(got) != 0 {
+	if got := Rank(fast.Pairs, "", 0); len(got) != 0 {
 		t.Errorf("fast direction findings = %d", len(got))
 	}
 	// Metric filter.
-	if got := cmp.DiagnoseBottlenecks("nosuch", 0); len(got) != 0 {
+	if got := Rank(cmp.Pairs, "nosuch", 0); len(got) != 0 {
 		t.Errorf("bogus metric findings = %d", len(got))
+	}
+	// A NaN delta is no slowdown, and leaves the others' shares whole.
+	nan := []Pair{{A: 1, B: 3, Units: "seconds"}, {A: 1, B: math.NaN(), Units: "seconds"}, {A: 1, B: 2, Units: "seconds"}}
+	if got := Rank(nan, "", 0); len(got) != 2 || got[0].Contribution != 2.0/3 || got[1].Contribution != 1.0/3 {
+		t.Errorf("with a NaN pair: %+v, want deltas 2 and 1 sharing the slowdown", got)
 	}
 }
 
@@ -244,5 +250,47 @@ func TestDuplicateKeyValuesAveraged(t *testing.T) {
 	}
 	if len(cmp.Pairs) != 1 || cmp.Pairs[0].A != 15 || cmp.Pairs[0].B != 30 {
 		t.Errorf("pairs = %+v", cmp.Pairs)
+	}
+}
+
+// TestSetsMeanOverSide: with several executions a side, a pair's value is
+// the mean of the side's results in its cell, and each execution's perf
+// and each side's stand beside it.
+func TestSetsMeanOverSide(t *testing.T) {
+	s, err := datastore.Open(reldb.NewMem())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.AddResource("/app", "application", "")
+	for _, e := range []struct {
+		exec string
+		vals []float64
+	}{{"a1", []float64{10, 40}}, {"a2", []float64{20}}, {"b", []float64{30}}, {"c", nil}} {
+		exec := e.exec
+		s.AddExecution(exec, "app")
+		for _, v := range e.vals {
+			if _, err := s.AddPerfResult(&core.PerformanceResult{
+				Execution: exec, Metric: "m", Value: v, Units: "seconds",
+				Contexts: []core.Context{core.NewContext("/app")},
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	cmp, err := Sets(context.Background(), s, []string{"a1", "a2"}, []string{"b", "c"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cmp.Pairs) != 1 || cmp.Pairs[0].A != 70.0/3 || cmp.Pairs[0].B != 30 || len(cmp.OnlyA)+len(cmp.OnlyB) != 0 {
+		t.Fatalf("pairs %+v, unpaired %v / %v; want one pair 70/3 vs 30", cmp.Pairs, cmp.OnlyA, cmp.OnlyB)
+	}
+	if perf, ok := cmp.Perf(0, ""); !ok || perf != 25 {
+		t.Errorf("a1 perf = %v, %t; want 25", perf, ok)
+	}
+	if _, ok := cmp.Perf(3, ""); ok {
+		t.Error("c, without results, has a perf")
+	}
+	if a, b := cmp.SidePerf(""); a != 22.5 || b != 30 {
+		t.Errorf("side perf = %v / %v, want 22.5 / 30 (c has none)", a, b)
 	}
 }

@@ -333,19 +333,23 @@ func (s *Store) ResultFoci(ctx context.Context, ids []int64, fn func(i int, focu
 
 // FocusResources returns the resource names of each focus in fids
 // (sorted, without duplicates), ascending by resource ID: the context the
-// materializer gives a result holding that focus, decoded by the same
-// keyed reads.
+// materializer gives a result holding that focus, read by the same keyed
+// read of focus_has_resource. The names of all foci share one arena.
 func (s *Store) FocusResources(ctx context.Context, fids []int64) ([][]core.ResourceName, error) {
 	if len(fids) == 0 {
 		return nil, nil
 	}
-	m := &materializer{s: s, foci: make(map[int64]*matFocus, len(fids))}
-	if err := m.decodeFoci(ctx, fids); err != nil {
-		return nil, err
-	}
+	res := s.names.dict(dictResource)
 	out := make([][]core.ResourceName, len(fids))
-	for i, fid := range fids {
-		out[i] = m.foci[fid].res
+	var arena []core.ResourceName
+	if _, err := s.stageLinks(ctx, "focus_has_resource", newPosIndex(fids), nil, func(j int, rids []int64) {
+		from := len(arena)
+		for _, id := range rids {
+			arena = append(arena, core.ResourceName(res.Name(id)))
+		}
+		out[j] = arena[from:len(arena):len(arena)]
+	}); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

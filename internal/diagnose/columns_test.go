@@ -1,9 +1,9 @@
 package diagnose
 
-// Differential and allocation tests of the column readers: feature
-// extraction and compare.ExecutionsCtx fold performance_result and
-// result_has_focus blocks, and must give the very floats a fold over
-// materialized results gives, on every storage shape a block read meets.
+// Differential and allocation tests of the column readers: compare.Sets
+// folds performance_result and result_has_focus blocks, and must give the
+// very floats a fold over materialized results gives, on every storage
+// shape a block read meets.
 
 import (
 	"context"
@@ -107,6 +107,19 @@ func messageRecs(exec string, seed int64) []ptdf.Record {
 	return recs
 }
 
+// bytesOnly drops an execution's send-time results, whatever their units:
+// what is left has no time-like result, so no perf under the time-like
+// selection.
+func bytesOnly(recs []ptdf.Record) []ptdf.Record {
+	var out []ptdf.Record
+	for _, rec := range recs {
+		if pr, ok := rec.(ptdf.PerfResultRec); !ok || !strings.Contains(pr.Units, "sec") {
+			out = append(out, rec)
+		}
+	}
+	return out
+}
+
 // refKey is the alignment key of one materialized result: its metric
 // and the sorted tokens of its portable resources.
 func refKey(t *testing.T, s *datastore.Store, pr *core.PerformanceResult) string {
@@ -207,7 +220,15 @@ func refCompare(t *testing.T, s *datastore.Store, execA, execB string) *compare.
 	return cmp
 }
 
-// refFeatures folds materialized results the way extractFeatures folds
+// metricAgg is one metric's values summed per side, as refFeatures folds
+// them.
+type metricAgg struct {
+	name, units string
+	sumA, sumB  float64
+	nA, nB      int
+}
+
+// refFeatures folds materialized results the way compare.Sets folds
 // columns: executions in side order, results ascending by ID.
 func refFeatures(t *testing.T, s *datastore.Store, execsA, execsB []string, metric string) ([]profile, map[string]*metricAgg) {
 	t.Helper()
@@ -249,7 +270,7 @@ func same(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b)
 
 func checkCompare(t *testing.T, s *datastore.Store, execA, execB string, wantPairs bool) {
 	t.Helper()
-	got, err := compare.ExecutionsCtx(context.Background(), s, execA, execB)
+	got, err := compare.Sets(context.Background(), s, []string{execA}, []string{execB})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,24 +295,48 @@ func checkCompare(t *testing.T, s *datastore.Store, execA, execB string, wantPai
 func checkFeatures(t *testing.T, s *datastore.Store, execsA, execsB []string, metric string) {
 	t.Helper()
 	withWorkers(t, 2)
-	f, err := extractFeatures(context.Background(), s, execsA, execsB, metric)
+	cmp, err := compare.Sets(context.Background(), s, execsA, execsB)
 	if err != nil {
 		t.Fatal(err)
 	}
-	profiles, metrics := refFeatures(t, s, execsA, execsB, metric)
-	for i, w := range profiles {
+	f, err := extractFeatures(context.Background(), s, execsA, execsB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.profiles = profiles(cmp, metric)
+	ref, metrics := refFeatures(t, s, execsA, execsB, metric)
+	sumA, nA, sumB, nB := 0.0, 0, 0.0, 0
+	for i, w := range ref {
 		g := f.profiles[i]
 		if g.name != w.name || g.slow != w.slow || g.perfOK != w.perfOK || !same(g.perf, w.perf) {
 			t.Fatalf("metric %q: profile %d = %+v, reference %+v", metric, i, g, w)
 		}
+		switch {
+		case !w.perfOK:
+		case w.slow:
+			sumB, nB = sumB+w.perf, nB+1
+		default:
+			sumA, nA = sumA+w.perf, nA+1
+		}
 	}
-	if len(f.metrics) != len(metrics) {
-		t.Fatalf("metric %q: %d metrics, reference %d", metric, len(f.metrics), len(metrics))
+	// Each side's perf is the mean over its executions that have one.
+	wantA, wantB := math.NaN(), math.NaN()
+	if nA > 0 {
+		wantA = sumA / float64(nA)
 	}
-	for name, w := range metrics {
-		g := f.metrics[name]
-		if g == nil || g.units != w.units || g.nA != w.nA || g.nB != w.nB || !same(g.sumA, w.sumA) || !same(g.sumB, w.sumB) {
-			t.Fatalf("metric %q: aggregate %q = %+v, reference %+v", metric, name, g, w)
+	if nB > 0 {
+		wantB = sumB / float64(nB)
+	}
+	if a, b := cmp.SidePerf(metric); !same(a, wantA) || !same(b, wantB) {
+		t.Fatalf("metric %q: side perf %v / %v, reference %v / %v", metric, a, b, wantA, wantB)
+	}
+	if len(cmp.Metrics) != len(metrics) {
+		t.Fatalf("metric %q: %d metrics, reference %d", metric, len(cmp.Metrics), len(metrics))
+	}
+	for _, g := range cmp.Metrics {
+		w := metrics[g.Name]
+		if w == nil || g.Units != w.units || g.Sides[0].N != w.nA || g.Sides[1].N != w.nB || !same(g.Sides[0].Sum, w.sumA) || !same(g.Sides[1].Sum, w.sumB) {
+			t.Fatalf("metric %q: aggregate %q = %+v, reference %+v", metric, g.Name, g, w)
 		}
 	}
 	// Every context resource of an execution's results is in its footprint.
@@ -360,14 +405,16 @@ func TestColumnFoldsMatchMaterializedFolds(t *testing.T) {
 			}
 		}
 		checkCompare(t, s, execs[0], execs[len(execs)-1], false)
-		// Sides holding one metric in several executions each.
-		for _, half := range []int{2, 4} {
+		// Sides holding one metric in several executions each, and a side
+		// with an execution that has no time-like result.
+		for _, sides := range [][2][]string{{execs[:2], execs[2:]}, {execs[:4], execs[4:]}, {{execs[0], "bytes-0"}, execs[1:3]}} {
 			for _, metric := range []string{"", "send time", "no such metric"} {
-				checkFeatures(t, s, execs[:half], execs[half:], metric)
+				checkFeatures(t, s, sides[0], sides[1], metric)
 			}
 		}
 	}
 
+	loadRecs(t, s, bytesOnly(messageRecs("bytes-0", 30)))
 	load(0, "MCR")
 	load(1, "Frost")
 	if st := hotTable(t, s, "performance_result"); st.Segments != 0 || st.PendingRows == 0 {

@@ -3,26 +3,27 @@
 // comparisons. Given two executions (or two pr-filter-selected sets of
 // executions), it answers "why is side B slower than side A?" three ways:
 //
-//   - aligning results with compare.Executions and ranking per-context
-//     deltas (single-execution sides only),
-//   - ranking metrics by their contribution to the slowdown (the
-//     bottleneck framing),
+//   - aligning results with compare.Sets and ranking per-context deltas
+//     with compare.Rank (single-execution sides only),
+//   - ranking metrics by their contribution to the slowdown with the same
+//     compare.Rank (the bottleneck framing),
 //   - searching the resource-attribute space for predicates that best
 //     discriminate the slow side from the fast side (equality and
 //     numeric-threshold candidates, scored by effect size × coverage,
 //     PerfXplain-style), enumerated through the attribute index rather
 //     than full resource scans.
 //
-// Predicate scoring and the per-execution footprint reads fan out
-// through par, GOMAXPROCS wide, and merge in candidate and execution
-// order, so a diagnosis is the same at any width.
+// compare.Sets folds both sides once, giving the aligned pairs, each
+// execution's perf and each metric's per-side sums. Predicate scoring and
+// the per-execution footprint reads fan out through par, GOMAXPROCS wide,
+// and merge in candidate and execution order, so a diagnosis is the same
+// at any width.
 package diagnose
 
 import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 
 	"perftrack/internal/compare"
@@ -110,13 +111,13 @@ type Bottleneck struct {
 	MeanA  float64 // mean value per result on side A
 	MeanB  float64
 	Delta  float64 // MeanB - MeanA
-	// Contribution is Delta as a fraction of the total positive slowdown
-	// across ranked metrics; 0 for metrics where B improved.
+	// Contribution is Delta as a fraction of the total slowdown across
+	// the metrics ranked: those B is slower on.
 	Contribution float64
 }
 
-// ContextFinding is one aligned-context delta from compare.Executions,
-// produced only when both sides are single executions.
+// ContextFinding is one aligned-context delta from compare.Sets, ranked
+// by compare.Rank, produced only when both sides are single executions.
 type ContextFinding struct {
 	Context      []core.ResourceName
 	Metric       string
@@ -135,7 +136,7 @@ type Result struct {
 	PerfA, PerfB float64
 	Delta        float64 // PerfB - PerfA
 	Ratio        float64 // PerfB / PerfA; NaN when PerfA is 0
-	// AlignedPairs counts result pairs aligned by compare.Executions
+	// AlignedPairs counts result pairs aligned by compare.Sets
 	// (single-execution sides only).
 	AlignedPairs int
 	Keys         int // attribute keys considered
@@ -189,15 +190,27 @@ func Run(ctx context.Context, s *datastore.Store, spec Spec) (*Result, error) {
 	}
 
 	featCtx, featSpan := obs.StartSpan(ctx, "diagnose.features")
-	feats, err := extractFeatures(featCtx, s, res.SideA, res.SideB, spec.Metric)
+	var (
+		cmp   *compare.Comparison
+		feats *features
+	)
+	err = par.Each(2, func(part int) (err error) {
+		if part == 0 {
+			feats, err = extractFeatures(featCtx, s, res.SideA, res.SideB)
+		} else {
+			cmp, err = compare.Sets(featCtx, s, res.SideA, res.SideB)
+		}
+		return err
+	})
 	if err != nil {
 		featSpan.End()
 		return nil, err
 	}
 	featSpan.Annotate("footprint_resources", strconv.Itoa(len(feats.resExecs)))
 	featSpan.End()
+	feats.profiles = profiles(cmp, spec.Metric)
 
-	res.PerfA, res.PerfB = sidePerf(feats.profiles)
+	res.PerfA, res.PerfB = cmp.SidePerf(spec.Metric)
 	res.Delta = res.PerfB - res.PerfA
 	if res.PerfA == 0 {
 		res.Ratio = math.NaN()
@@ -206,12 +219,8 @@ func Run(ctx context.Context, s *datastore.Store, spec Spec) (*Result, error) {
 	}
 
 	if len(res.SideA) == 1 && len(res.SideB) == 1 {
-		cmp, err := compare.ExecutionsCtx(ctx, s, res.SideA[0], res.SideB[0])
-		if err != nil {
-			return nil, err
-		}
 		res.AlignedPairs = len(cmp.Pairs)
-		for _, f := range cmp.DiagnoseBottlenecks(spec.Metric, top) {
+		for _, f := range compare.Rank(cmp.Pairs, spec.Metric, top) {
 			res.Contexts = append(res.Contexts, ContextFinding{
 				Context: f.Pair.Context, Metric: f.Pair.Metric, Units: f.Pair.Units,
 				A: f.Pair.A, B: f.Pair.B, Delta: f.Delta, Contribution: f.Contribution,
@@ -220,7 +229,12 @@ func Run(ctx context.Context, s *datastore.Store, spec Spec) (*Result, error) {
 		trace("aligned %d result pair(s) between %q and %q; %d slower-context finding(s)",
 			res.AlignedPairs, res.SideA[0], res.SideB[0], len(res.Contexts))
 	}
-	res.Bottlenecks = rankBottlenecks(feats.metrics, spec.Metric, top)
+	for _, f := range compare.Rank(cmp.MetricMeans(), spec.Metric, top) {
+		res.Bottlenecks = append(res.Bottlenecks, Bottleneck{
+			Metric: f.Pair.Metric, Units: f.Pair.Units,
+			MeanA: f.Pair.A, MeanB: f.Pair.B, Delta: f.Delta, Contribution: f.Contribution,
+		})
+	}
 
 	_, enumSpan := obs.StartSpan(ctx, "diagnose.enumerate")
 	keys, err := s.AttributeKeys("")
@@ -284,73 +298,4 @@ func Run(ctx context.Context, s *datastore.Store, spec Spec) (*Result, error) {
 	}
 	res.Explanations = ranked
 	return res, nil
-}
-
-// sidePerf means the per-execution perf of each side; NaN for a side with
-// no measured executions.
-func sidePerf(profiles []profile) (a, b float64) {
-	sumA, nA, sumB, nB := 0.0, 0, 0.0, 0
-	for _, p := range profiles {
-		if !p.perfOK {
-			continue
-		}
-		if p.slow {
-			sumB += p.perf
-			nB++
-		} else {
-			sumA += p.perf
-			nA++
-		}
-	}
-	a, b = math.NaN(), math.NaN()
-	if nA > 0 {
-		a = sumA / float64(nA)
-	}
-	if nB > 0 {
-		b = sumB / float64(nB)
-	}
-	return a, b
-}
-
-// rankBottlenecks orders metrics by their per-result slowdown, largest
-// first, with contributions normalized over the positive deltas.
-func rankBottlenecks(metrics map[string]*metricAgg, metric string, top int) []Bottleneck {
-	var out []Bottleneck
-	totalSlow := 0.0
-	for name, agg := range metrics {
-		if metric != "" && name != metric {
-			continue
-		}
-		if agg.nA == 0 || agg.nB == 0 {
-			continue
-		}
-		b := Bottleneck{
-			Metric: name, Units: agg.units,
-			MeanA: agg.sumA / float64(agg.nA),
-			MeanB: agg.sumB / float64(agg.nB),
-		}
-		b.Delta = b.MeanB - b.MeanA
-		// Only metrics where B actually lost time are bottlenecks; a NaN
-		// delta (NaN measurements on a side) fails the test and drops too.
-		if !(b.Delta > 0) {
-			continue
-		}
-		totalSlow += b.Delta
-		out = append(out, b)
-	}
-	if totalSlow > 0 {
-		for i := range out {
-			out[i].Contribution = out[i].Delta / totalSlow
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Delta != out[j].Delta {
-			return out[i].Delta > out[j].Delta
-		}
-		return out[i].Metric < out[j].Metric
-	})
-	if top > 0 && len(out) > top {
-		out = out[:top]
-	}
-	return out
 }

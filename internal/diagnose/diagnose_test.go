@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"perftrack/internal/compare"
 	"perftrack/internal/core"
 	"perftrack/internal/datastore"
 	"perftrack/internal/gen"
@@ -114,6 +115,131 @@ func (c *countingCtx) Err() error {
 
 func (c *countingCtx) Done() <-chan struct{} { return c.done }
 
+// readsCtx counts the ctx checks made inside Store.ResultColumns, the
+// read of performance_result's columns: one per block read, or per 1024
+// IDs looked up.
+type readsCtx struct {
+	context.Context
+	reads atomic.Int64
+}
+
+func (c *readsCtx) Err() error {
+	pc := make([]uintptr, 64)
+	frames := runtime.CallersFrames(pc[:runtime.Callers(2, pc)])
+	for {
+		f, more := frames.Next()
+		if strings.HasSuffix(f.Function, "datastore.(*Store).ResultColumns") {
+			c.reads.Add(1)
+			return nil
+		}
+		if !more {
+			return nil
+		}
+	}
+}
+
+// TestDiagnoseReadsEachResultOnce: a one-to-one diagnosis reads each
+// execution's performance_result columns once, as one pass over them
+// does.
+func TestDiagnoseReadsEachResultOnce(t *testing.T) {
+	s, fleet := fleetStore(t, gen.FleetSpec{Execs: 10, Seed: 3})
+	a, b := fleet.Fast[0], fleet.Slow[0]
+	once := &readsCtx{Context: context.Background()}
+	for _, exec := range []string{a, b} {
+		ids, err := s.ExecutionResultIDs(exec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.ResultColumns(once, ids, func(int, int64, int64, float64) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run := &readsCtx{Context: context.Background()}
+	if _, err := Run(run, s, Spec{ExecA: a, ExecB: b}); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := run.reads.Load(), once.reads.Load(); want == 0 || got != want {
+		t.Fatalf("a diagnosis of %s vs %s made %d checks reading result columns; one pass over both makes %d", a, b, got, want)
+	}
+}
+
+// twoExecs loads executions "a" and "b" of one application: result i
+// measures its metric at function f<i> on each, so each aligns with its
+// counterpart.
+func twoExecs(t *testing.T, results []ptdf.PerfResultRec, b []float64) *datastore.Store {
+	t.Helper()
+	recs := []ptdf.Record{ptdf.ApplicationRec{Name: "app"}, ptdf.ResourceRec{Name: "/app", Type: "application"}}
+	for i := range results {
+		recs = append(recs, ptdf.ResourceRec{Name: core.ResourceName(fmt.Sprintf("/build/m/f%d", i)), Type: "build/module/function"})
+	}
+	for _, exec := range []string{"a", "b"} {
+		recs = append(recs, ptdf.ExecutionRec{Name: exec, App: "app"},
+			ptdf.ResourceRec{Name: core.ResourceName("/" + exec), Type: "execution", Exec: exec})
+		for i, pr := range results {
+			pr.Exec, pr.Tool = exec, "gen"
+			pr.Sets = []ptdf.ResourceSet{{Names: []core.ResourceName{"/app", core.ResourceName(fmt.Sprintf("/build/m/f%d", i)), core.ResourceName("/" + exec)}, Type: core.FocusPrimary}}
+			if exec == "b" {
+				pr.Value = b[i]
+			}
+			recs = append(recs, pr)
+		}
+	}
+	s, err := datastore.Open(reldb.NewMem())
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := s.NewBatch()
+	for _, rec := range recs {
+		batch.Stage(rec)
+	}
+	if _, err := batch.CommitCtx(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// TestDiagnoseNaNPairIsNoSlowdown: a context whose B value is NaN (as
+// Paradyn imports carry) is not a finding, and the others share the
+// slowdown whole.
+func TestDiagnoseNaNPairIsNoSlowdown(t *testing.T) {
+	wall := ptdf.PerfResultRec{Metric: "wall time", Units: "seconds", Value: 10}
+	s := twoExecs(t, []ptdf.PerfResultRec{wall, wall, wall}, []float64{12, math.NaN(), 11})
+	res, err := Run(context.Background(), s, Spec{ExecA: "a", ExecB: "b"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.AlignedPairs != 3 || len(res.Contexts) != 2 ||
+		res.Contexts[0].Delta != 2 || res.Contexts[0].Contribution != 2.0/3 ||
+		res.Contexts[1].Delta != 1 || res.Contexts[1].Contribution != 1.0/3 {
+		t.Fatalf("%d pairs, contexts %+v; want deltas 2 and 1 sharing the slowdown 2:1", res.AlignedPairs, res.Contexts)
+	}
+}
+
+// TestDiagnoseBottlenecksRankTimeLikeMetrics: with no metric named, the
+// bottleneck ranking takes time-like metrics only, as the perf measure
+// does; a counter's delta is not summed with seconds.
+func TestDiagnoseBottlenecksRankTimeLikeMetrics(t *testing.T) {
+	s := twoExecs(t, []ptdf.PerfResultRec{
+		{Metric: "wall time", Units: "seconds", Value: 10},
+		{Metric: "cache misses", Units: "count", Value: 100},
+	}, []float64{12, 500})
+	res, err := Run(context.Background(), s, Spec{ExecA: "a", ExecB: "b"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Bottlenecks) != 1 || res.Bottlenecks[0].Metric != "wall time" || res.Bottlenecks[0].Contribution != 1 {
+		t.Fatalf("bottlenecks %+v, want wall time alone with the whole slowdown", res.Bottlenecks)
+	}
+	// Named, the counter is ranked.
+	res, err = Run(context.Background(), s, Spec{ExecA: "a", ExecB: "b", Metric: "cache misses"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Bottlenecks) != 1 || res.Bottlenecks[0].Metric != "cache misses" || res.Bottlenecks[0].Delta != 400 {
+		t.Fatalf("bottlenecks for cache misses %+v, want it alone, delta 400", res.Bottlenecks)
+	}
+}
+
 // TestDiagnoseStopsWhenCancelled: a diagnosis whose context is cancelled
 // once the features are folded — at the first attribute key, or at the
 // first candidate — returns context.Canceled instead of a result, at
@@ -138,7 +264,10 @@ func TestDiagnoseStopsWhenCancelled(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := extractFeatures(count, s, a, b, ""); err != nil {
+		if _, err := extractFeatures(count, s, a, b); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := compare.Sets(count, s, a, b); err != nil {
 			t.Fatal(err)
 		}
 		before := math.MaxInt64 - count.left.Load()

@@ -172,7 +172,7 @@ func ToPTdfExecName(prefix string, procs int) string {
 // ToPTdf emits the predictions as performance results of a synthetic
 // execution (one per process count) with tool "model", in a context of
 // application + the given portable context resources. Loading these and
-// running compare.Executions against a real run compares model to
+// aligning them with a real run by compare.Sets compares model to
 // measurement directly.
 func ToPTdf(app, execPrefix, metric, units string, context []core.ResourceName,
 	preds []Prediction) []ptdf.Record {

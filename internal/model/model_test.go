@@ -177,7 +177,7 @@ func TestModelVersusActualViaCompare(t *testing.T) {
 	}
 
 	// Direct comparison, prediction vs actual, at p=8.
-	cmp, err := compare.ExecutionsCtx(context.Background(), s, formatExec("actual", 8), "model-np008")
+	cmp, err := compare.Sets(context.Background(), s, []string{formatExec("actual", 8)}, []string{"model-np008"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -492,9 +492,10 @@ func wirePair(p compare.Pair) ComparePair {
 	return wp
 }
 
-// handleCompare wraps compare.ExecutionsCtx under the request context:
-// GET /v1/compare?a=&b= with optional metric, threshold (default 0.10),
-// and top (default 10) parameters. An unknown execution is a 404.
+// handleCompare aligns two executions with compare.Sets under the
+// request context: GET /v1/compare?a=&b= with optional metric, threshold
+// (default 0.10), and top (default 10) parameters. An unknown execution
+// is a 404.
 func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	for key := range q {
@@ -529,7 +530,7 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 		top = v
 	}
 
-	cmp, err := compare.ExecutionsCtx(r.Context(), s.store, a, b)
+	cmp, err := compare.Sets(r.Context(), s.store, []string{a}, []string{b})
 	if err != nil {
 		writeError(w, r, http.StatusInternalServerError, err)
 		return
@@ -566,7 +567,7 @@ func newCompareResponse(cmp *compare.Comparison, metric string, threshold float6
 	for _, imp := range cmp.Improvements(threshold) {
 		resp.Improvements = append(resp.Improvements, CompareDelta{Pair: wirePair(imp.Pair), Percent: finite(imp.Percent)})
 	}
-	for _, f := range cmp.DiagnoseBottlenecks(metric, top) {
+	for _, f := range compare.Rank(cmp.Pairs, metric, top) {
 		resp.Bottlenecks = append(resp.Bottlenecks, CompareFinding{
 			Pair: wirePair(f.Pair), Delta: finite(f.Delta), Contribution: finite(f.Contribution),
 		})

@@ -257,14 +257,14 @@ func (s *Session) Dispatch(line string) error {
 		if len(args) != 2 {
 			return fmt.Errorf("usage: compare EXEC_A EXEC_B")
 		}
-		cmp, err := compare.ExecutionsCtx(context.Background(), s.store, args[0], args[1])
+		cmp, err := compare.Sets(context.Background(), s.store, args[:1], args[1:])
 		if err != nil {
 			return err
 		}
 		sum := cmp.Summarize()
 		fmt.Fprintf(s.out, "%s vs %s: %d pairs, geomean ratio %.4f, only-A %d, only-B %d\n",
 			args[0], args[1], sum.Paired, sum.GeoMeanRatio, sum.OnlyA, sum.OnlyB)
-		for i, f := range cmp.DiagnoseBottlenecks("", 5) {
+		for i, f := range compare.Rank(cmp.Pairs, "", 5) {
 			if i == 0 {
 				fmt.Fprintln(s.out, "top bottlenecks in B:")
 			}
