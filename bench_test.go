@@ -29,6 +29,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -50,6 +52,7 @@ import (
 	"perftrack/internal/ptdf"
 	"perftrack/internal/query"
 	"perftrack/internal/reldb"
+	"perftrack/internal/server"
 )
 
 // withWorkers sets GOMAXPROCS, the width of every fan-out, to n for the
@@ -827,6 +830,59 @@ func BenchmarkMaterialize(b *testing.B) {
 		}
 		report(b)
 	})
+}
+
+// BenchmarkResultsPage measures one page_big-shaped POST /v1/results
+// of the reference benchmark — a 2 000-row page of one 4 096-result
+// execution, with two free-resource columns added — through the server's
+// handler into a writer that keeps no byte; B/op is what one request
+// allocates.
+func BenchmarkResultsPage(b *testing.B) {
+	st, err := datastore.Open(reldb.NewMem())
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv, err := server.New(server.Config{Store: st})
+	if err != nil {
+		b.Fatal(err)
+	}
+	h := srv.Handler()
+	c := corpus.Generate(1, 2)
+	for _, doc := range [][]byte{corpus.SharedDoc(), c.ExecDoc(0), c.ExecDoc(1)} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/load", bytes.NewReader(doc)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("load: %d %s", rec.Code, rec.Body)
+		}
+	}
+	body := fmt.Sprintf(`{"families": [%q], "limit": 2000, "add_columns": ["execution/process", "build/module/function"]}`, c.FamExec(0).Spec)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w := &discardWriter{h: http.Header{}}
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/results", strings.NewReader(body)))
+		if w.code != http.StatusOK || w.n < 2000*10 {
+			b.Fatalf("results: status %d, %d bytes", w.code, w.n)
+		}
+	}
+}
+
+// discardWriter is a ResponseWriter that counts the body's bytes and
+// keeps none.
+type discardWriter struct {
+	h    http.Header
+	code int
+	n    int
+}
+
+func (w *discardWriter) Header() http.Header  { return w.h }
+func (w *discardWriter) WriteHeader(code int) { w.code = code }
+func (w *discardWriter) Write(p []byte) (int, error) {
+	if w.code == 0 {
+		w.code = http.StatusOK
+	}
+	w.n += len(p)
+	return len(p), nil
 }
 
 // BenchmarkDiagnose measures the automated-diagnosis pipeline (§6

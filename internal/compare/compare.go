@@ -82,6 +82,8 @@ type Comparison struct {
 	Execs []Execution
 	// Metrics is every metric met, in the order first met.
 	Metrics []Metric
+	// onlyMetric is the metric of each result in OnlyA and OnlyB.
+	onlyMetric map[int64]string
 }
 
 // Sum is a running sum of values and their count.
@@ -106,8 +108,10 @@ func (s Sum) Mean() float64 {
 // Execution is one execution's results, summed under each metric
 // selection.
 type Execution struct {
-	Name    string
-	Side    int   // 0 = A, 1 = B
+	Name string
+	Side int // 0 = A, 1 = B
+	// Foci is the distinct foci its results hold, ascending.
+	Foci    []int64
 	time    Sum   // its time-like results
 	metrics []Sum // its results of each metric, by index into Comparison.Metrics
 	ids     []int64
@@ -161,6 +165,7 @@ func Sets(ctx context.Context, s *datastore.Store, execsA, execsB []string) (*Co
 		c.Execs = append(c.Execs, e)
 	}
 	cells := &al.cells
+	c.onlyMetric = make(map[int64]string)
 	for i := range c.Execs {
 		e := &c.Execs[i]
 		own, other, only := &cells[e.Side], &cells[1-e.Side], &c.OnlyA
@@ -170,6 +175,7 @@ func Sets(ctx context.Context, s *datastore.Store, execsA, execsB []string) (*Co
 		for j, ci := range e.cell {
 			if _, ok := other.find(own.list[ci].align, own.list[ci].metric); !ok {
 				*only = append(*only, e.ids[j])
+				c.onlyMetric[e.ids[j]] = c.Metrics[own.list[ci].metric].Name
 			}
 		}
 		e.ids, e.cell = nil, nil // read no more
@@ -301,6 +307,7 @@ func (al *aligner) execution(ctx context.Context, e *Execution) error {
 	if err := al.resolve(ctx); err != nil {
 		return err
 	}
+	e.Foci = slices.Clone(al.fids)
 	return al.fold(ctx, e, &al.cells[e.Side])
 }
 
@@ -578,13 +585,18 @@ func Rank(pairs []Pair, metric string, top int) []Finding {
 	return out
 }
 
-// FilterMetric keeps only pairs with the given metric.
+// FilterMetric keeps only the pairs and the unpaired results of the
+// given metric.
 func (c *Comparison) FilterMetric(metric string) *Comparison {
-	out := &Comparison{ExecA: c.ExecA, ExecB: c.ExecB}
+	out := &Comparison{ExecA: c.ExecA, ExecB: c.ExecB, onlyMetric: c.onlyMetric}
 	for _, p := range c.Pairs {
 		if p.Metric == metric {
 			out.Pairs = append(out.Pairs, p)
 		}
 	}
+	of := func(ids []int64) []int64 {
+		return slices.DeleteFunc(slices.Clone(ids), func(id int64) bool { return c.onlyMetric[id] != metric })
+	}
+	out.OnlyA, out.OnlyB = of(c.OnlyA), of(c.OnlyB)
 	return out
 }

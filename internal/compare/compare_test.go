@@ -164,11 +164,13 @@ func TestSummarizeEmpty(t *testing.T) {
 func TestFilterMetric(t *testing.T) {
 	s := twoPlatformStore(t)
 	cmp, _ := Executions(s, "irs-frost", "irs-mcr")
-	if got := cmp.FilterMetric("wall time"); len(got.Pairs) != 2 {
-		t.Errorf("wall time pairs = %d", len(got.Pairs))
+	// radsolve ran on Frost only and mcronly on MCR only: each side keeps
+	// its unpaired wall time result.
+	if got := cmp.FilterMetric("wall time"); len(got.Pairs) != 2 || len(got.OnlyA) != 1 || len(got.OnlyB) != 1 {
+		t.Errorf("wall time: %d pairs, %d only in A, %d only in B; want 2, 1, 1", len(got.Pairs), len(got.OnlyA), len(got.OnlyB))
 	}
-	if got := cmp.FilterMetric("nosuch"); len(got.Pairs) != 0 {
-		t.Errorf("nosuch pairs = %d", len(got.Pairs))
+	if got := cmp.FilterMetric("nosuch"); len(got.Pairs) != 0 || len(got.OnlyA) != 0 || len(got.OnlyB) != 0 {
+		t.Errorf("nosuch: %d pairs, %d only in A, %d only in B", len(got.Pairs), len(got.OnlyA), len(got.OnlyB))
 	}
 }
 

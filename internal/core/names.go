@@ -110,11 +110,8 @@ func (n ResourceName) Depth() int { return len(n.Segments()) }
 // BaseName is the final path component: the paper's shorthand "base name"
 // (e.g. "batch" for any machine's batch partition).
 func (n ResourceName) BaseName() string {
-	segs := n.Segments()
-	if len(segs) == 0 {
-		return ""
-	}
-	return segs[len(segs)-1]
+	s := strings.TrimPrefix(string(n), "/")
+	return s[strings.LastIndexByte(s, '/')+1:]
 }
 
 // Parent is the name with the final component removed; it is "" for a

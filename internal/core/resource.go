@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -139,18 +140,12 @@ func (pr *PerformanceResult) PrimaryContext() Context {
 // AllResources returns the union of resources across all contexts, sorted
 // and deduplicated.
 func (pr *PerformanceResult) AllResources() []ResourceName {
-	seen := make(map[ResourceName]bool)
 	var out []ResourceName
 	for _, c := range pr.Contexts {
-		for _, r := range c.Resources {
-			if !seen[r] {
-				seen[r] = true
-				out = append(out, r)
-			}
-		}
+		out = append(out, c.Resources...)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // Validate checks structural invariants: a metric, at least one context,

@@ -149,27 +149,18 @@ func (s *Store) AttributeValues(attr string) (map[int64]string, error) {
 // constraint partners of those (resource-valued attributes like the node
 // a process ran on), and all of their ancestors. This is the resource set
 // over which attribute predicates about the execution are evaluated.
-// ctx is checked by the result_has_focus read (ResultFoci).
-func (s *Store) ExecutionResourceIDs(ctx context.Context, exec string) ([]int64, error) {
-	// Results of the execution → foci → context resources. Each lookup only
-	// collects IDs; nesting engine calls inside its callback would
-	// recursively lock the engine.
-	resultIDs, err := s.ExecutionResultIDs(exec)
-	if err != nil {
-		return nil, err // an unknown execution among them
-	}
-	execID, _ := s.names.id(dictExecution, exec)
-	var foci []int64
-	if err := s.ResultFoci(ctx, resultIDs, func(_ int, focus int64) {
-		if n := len(foci); n == 0 || foci[n-1] != focus { // neighbouring results often share a focus
-			foci = append(foci, focus)
-		}
-	}); err != nil {
-		return nil, err
+// foci are the distinct foci of the execution's results, ascending, as
+// the caller read them (a comparison's aligner does): the results and
+// their focus links are not read again.
+func (s *Store) ExecutionResourceIDs(exec string, foci []int64) ([]int64, error) {
+	execID, ok := s.names.id(dictExecution, exec)
+	if !ok {
+		return nil, fmt.Errorf("datastore: unknown execution %q: %w", exec, ErrNotFound)
 	}
 	fhrTab, _ := s.eng.Table("focus_has_resource")
 	var ids []int64
-	for _, fid := range sortDedup(foci) {
+	var err error
+	for _, fid := range foci {
 		if ids, err = appendColumn(ids, fhrTab, "", fid, 1); err != nil {
 			return nil, err
 		}

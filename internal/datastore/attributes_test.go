@@ -172,7 +172,15 @@ func TestExecutionResourceIDs(t *testing.T) {
 	}
 	addResult(t, s, "e1", "wall time", 42, "/irs", "/e1")
 
-	ids, err := s.ExecutionResourceIDs(context.Background(), "e1")
+	results, err := s.ExecutionResultIDs("e1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var foci []int64
+	if err := s.ResultFoci(context.Background(), results, func(_ int, focus int64) { foci = append(foci, focus) }); err != nil {
+		t.Fatal(err)
+	}
+	ids, err := s.ExecutionResourceIDs("e1", sortDedup(foci))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +218,7 @@ func TestExecutionResourceIDs(t *testing.T) {
 		}
 	}
 
-	if _, err := s.ExecutionResourceIDs(context.Background(), "ghost"); !errors.Is(err, ErrNotFound) {
+	if _, err := s.ExecutionResourceIDs("ghost", nil); !errors.Is(err, ErrNotFound) {
 		t.Errorf("unknown execution: %v, want ErrNotFound", err)
 	}
 }

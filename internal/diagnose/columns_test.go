@@ -299,7 +299,7 @@ func checkFeatures(t *testing.T, s *datastore.Store, execsA, execsB []string, me
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := extractFeatures(context.Background(), s, execsA, execsB)
+	f, err := extractFeatures(context.Background(), s, cmp)
 	if err != nil {
 		t.Fatal(err)
 	}

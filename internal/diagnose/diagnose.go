@@ -190,18 +190,11 @@ func Run(ctx context.Context, s *datastore.Store, spec Spec) (*Result, error) {
 	}
 
 	featCtx, featSpan := obs.StartSpan(ctx, "diagnose.features")
-	var (
-		cmp   *compare.Comparison
-		feats *features
-	)
-	err = par.Each(2, func(part int) (err error) {
-		if part == 0 {
-			feats, err = extractFeatures(featCtx, s, res.SideA, res.SideB)
-		} else {
-			cmp, err = compare.Sets(featCtx, s, res.SideA, res.SideB)
-		}
-		return err
-	})
+	cmp, err := compare.Sets(featCtx, s, res.SideA, res.SideB)
+	var feats *features
+	if err == nil {
+		feats, err = extractFeatures(featCtx, s, cmp)
+	}
 	if err != nil {
 		featSpan.End()
 		return nil, err

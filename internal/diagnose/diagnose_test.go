@@ -115,11 +115,11 @@ func (c *countingCtx) Err() error {
 
 func (c *countingCtx) Done() <-chan struct{} { return c.done }
 
-// readsCtx counts the ctx checks made inside Store.ResultColumns, the
-// read of performance_result's columns: one per block read, or per 1024
-// IDs looked up.
+// readsCtx counts the ctx checks made inside one read of the store,
+// the method named by fn: one per block read, or per 1024 IDs looked up.
 type readsCtx struct {
 	context.Context
+	fn    string
 	reads atomic.Int64
 }
 
@@ -128,7 +128,7 @@ func (c *readsCtx) Err() error {
 	frames := runtime.CallersFrames(pc[:runtime.Callers(2, pc)])
 	for {
 		f, more := frames.Next()
-		if strings.HasSuffix(f.Function, "datastore.(*Store).ResultColumns") {
+		if strings.HasSuffix(f.Function, "datastore.(*Store)."+c.fn) {
 			c.reads.Add(1)
 			return nil
 		}
@@ -138,28 +138,45 @@ func (c *readsCtx) Err() error {
 	}
 }
 
-// TestDiagnoseReadsEachResultOnce: a one-to-one diagnosis reads each
-// execution's performance_result columns once, as one pass over them
-// does.
+// TestDiagnoseReadsEachResultOnce: a diagnosis reads each execution's
+// performance_result columns once, and its result → focus links once,
+// as one pass over each does — one to one, and between sets of
+// executions, whose footprints come from the foci the comparison read.
 func TestDiagnoseReadsEachResultOnce(t *testing.T) {
 	s, fleet := fleetStore(t, gen.FleetSpec{Execs: 10, Seed: 3})
-	a, b := fleet.Fast[0], fleet.Slow[0]
-	once := &readsCtx{Context: context.Background()}
-	for _, exec := range []string{a, b} {
-		ids, err := s.ExecutionResultIDs(exec)
-		if err != nil {
+	for _, c := range []struct {
+		name string
+		spec Spec
+		fn   string
+	}{
+		{"one to one", Spec{ExecA: fleet.Fast[0], ExecB: fleet.Slow[0]}, "ResultColumns"},
+		{"one to one", Spec{ExecA: fleet.Fast[0], ExecB: fleet.Slow[0]}, "ResultFoci"},
+		{"sets", Spec{ExecsA: fleet.Fast, ExecsB: fleet.Slow}, "ResultColumns"},
+		{"sets", Spec{ExecsA: fleet.Fast, ExecsB: fleet.Slow}, "ResultFoci"},
+	} {
+		once := &readsCtx{Context: context.Background(), fn: c.fn}
+		for _, exec := range append(append([]string{c.spec.ExecA, c.spec.ExecB}, c.spec.ExecsA...), c.spec.ExecsB...) {
+			if exec == "" {
+				continue
+			}
+			ids, err := s.ExecutionResultIDs(exec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.ResultColumns(once, ids, func(int, int64, int64, float64) error { return nil }); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.ResultFoci(once, ids, func(int, int64) {}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run := &readsCtx{Context: context.Background(), fn: c.fn}
+		if _, err := Run(run, s, c.spec); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.ResultColumns(once, ids, func(int, int64, int64, float64) error { return nil }); err != nil {
-			t.Fatal(err)
+		if got, want := run.reads.Load(), once.reads.Load(); want == 0 || got != want {
+			t.Errorf("%s: a diagnosis made %d checks in %s; one pass over each execution makes %d", c.name, got, c.fn, want)
 		}
-	}
-	run := &readsCtx{Context: context.Background()}
-	if _, err := Run(run, s, Spec{ExecA: a, ExecB: b}); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := run.reads.Load(), once.reads.Load(); want == 0 || got != want {
-		t.Fatalf("a diagnosis of %s vs %s made %d checks reading result columns; one pass over both makes %d", a, b, got, want)
 	}
 }
 
@@ -264,10 +281,11 @@ func TestDiagnoseStopsWhenCancelled(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := extractFeatures(count, s, a, b); err != nil {
+		cmp, err := compare.Sets(count, s, a, b)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := compare.Sets(count, s, a, b); err != nil {
+		if _, err := extractFeatures(count, s, cmp); err != nil {
 			t.Fatal(err)
 		}
 		before := math.MaxInt64 - count.left.Load()

@@ -69,16 +69,20 @@ func resolveSide(ctx context.Context, s *datastore.Store, exec string, execs, fa
 	return matched, nil
 }
 
-// extractFeatures reads the footprint of every execution of both sides,
-// in spans of the executions (the store's reader paths are concurrent),
-// and inverts them. No result is materialized.
-func extractFeatures(ctx context.Context, s *datastore.Store, execsA, execsB []string) (*features, error) {
-	execs := append(append(make([]string, 0, len(execsA)+len(execsB)), execsA...), execsB...)
-	footprints := make([][]int64, len(execs))
-	if err := par.Range(len(execs), func(lo, hi int) error {
+// extractFeatures reads the footprint of every execution a comparison
+// of the sides folded, from the foci its aligner read, in spans of the
+// executions (the store's reader paths are concurrent), and inverts
+// them. No result or focus link is read again; ctx is checked once per
+// execution.
+func extractFeatures(ctx context.Context, s *datastore.Store, cmp *compare.Comparison) (*features, error) {
+	footprints := make([][]int64, len(cmp.Execs))
+	if err := par.Range(len(cmp.Execs), func(lo, hi int) error {
 		for i := lo; i < hi; i++ {
+			if err := ctx.Err(); err != nil {
+				return fmt.Errorf("diagnose: features: %w", err)
+			}
 			var err error
-			if footprints[i], err = s.ExecutionResourceIDs(ctx, execs[i]); err != nil {
+			if footprints[i], err = s.ExecutionResourceIDs(cmp.Execs[i].Name, cmp.Execs[i].Foci); err != nil {
 				return err
 			}
 		}

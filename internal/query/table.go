@@ -9,6 +9,7 @@ package query
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -59,31 +60,15 @@ func RetrieveCtx(ctx context.Context, s *datastore.Store, prf core.PRFilter) (*T
 }
 
 // NewTable materializes the given results — typically Resolution.IDs —
-// into a table, one row per ID in the order given.
+// into a table, one row per ID in the order given: a Page with no
+// refinement and no limit.
 func NewTable(ctx context.Context, s *datastore.Store, ids []int64) (*Table, error) {
-	results, err := s.MaterializeResultsCtx(ctx, ids)
-	if err != nil {
-		return nil, err
-	}
-	t := &Table{store: s}
-	for i, pr := range results {
-		row := &Row{
-			ID:        ids[i],
-			Execution: pr.Execution,
-			Metric:    pr.Metric,
-			Tool:      pr.Tool,
-			Units:     pr.Units,
-			Value:     pr.Value,
-			Resources: pr.AllResources(),
-			Extra:     make(map[string]string),
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	return t, nil
+	t, _, err := Page(ctx, s, ids, Refinement{}, 0, 0)
+	return t, err
 }
 
 // Refinement is the second step of the two-step retrieval (§3.2): the
-// view changes applied to a retrieved table, in field order.
+// view changes applied to retrieved results, in field order.
 type Refinement struct {
 	Metric        string   // keep only rows with this metric
 	AddColumns    []string // free-resource columns, by resource type
@@ -92,29 +77,192 @@ type Refinement struct {
 	Descending    bool
 }
 
-// Refine applies a refinement; zero fields are skipped.
-func (t *Table) Refine(r Refinement) error {
+// Page is the two-step retrieval over ids, which must ascend without
+// duplicates when r is not zero (a Resolution's do): r is decided on the
+// IDs, and only the rows [offset, offset+limit) of the result — every row
+// from offset when limit is 0 — are materialized and given their added
+// columns. total is how many rows r keeps. The metric filter reads each
+// ID's metric column. A sort computes the sort column's cell (Cell) for
+// every kept ID — from its metric, units and value columns for those
+// columns, from its result materialized in bounded chunks for any other,
+// filling only that column — and orders the IDs stably as SortBy orders
+// rows, so a page holds the rows the whole sorted table holds there.
+func Page(ctx context.Context, s *datastore.Store, ids []int64, r Refinement, offset, limit int) (*Table, int, error) {
+	t := &Table{store: s}
+	cols, err := r.columns()
+	if err != nil {
+		return nil, 0, err
+	}
 	if r.Metric != "" {
-		t.FilterMetric(r.Metric)
+		if ids, err = t.withMetric(ctx, ids, r.Metric); err != nil {
+			return nil, 0, err
+		}
+	}
+	keys, err := t.sortKeys(ctx, ids, r.SortBy, cols)
+	if err != nil {
+		return nil, 0, err
+	}
+	lo := min(max(offset, 0), len(ids))
+	hi := len(ids)
+	if limit > 0 {
+		hi = min(lo+limit, hi)
+	}
+	page := ids[lo:hi]
+	if keys != nil {
+		page = make([]int64, hi-lo)
+		for i, j := range order(keys, r.Descending)[lo:hi] {
+			page[i] = ids[j]
+		}
+	}
+	results, err := s.MaterializeResultsCtx(ctx, page)
+	if err != nil {
+		return nil, 0, err
+	}
+	t.Rows = make([]*Row, len(results))
+	for i, pr := range results {
+		t.Rows[i] = &Row{
+			ID:        page[i],
+			Execution: pr.Execution,
+			Metric:    pr.Metric,
+			Tool:      pr.Tool,
+			Units:     pr.Units,
+			Value:     pr.Value,
+			Resources: pr.AllResources(),
+			Extra:     make(map[string]string),
+		}
+	}
+	for _, c := range cols {
+		if err := t.add(c); err != nil {
+			return nil, 0, err
+		}
+	}
+	return t, len(ids), nil
+}
+
+// withMetric returns the IDs whose result has the metric, read off the
+// metric column in ascending ID.
+func (t *Table) withMetric(ctx context.Context, ids []int64, metric string) ([]int64, error) {
+	want, ok := t.store.LookupDict("metric", metric)
+	if !ok {
+		return nil, nil
+	}
+	var out []int64
+	err := t.store.ResultColumns(ctx, ids, func(i int, metric, _ int64, _ float64) error {
+		if metric == want {
+			out = append(out, ids[i])
+		}
+		return nil
+	})
+	return out, err
+}
+
+// sortKeys computes the sort column's cell for every ID, through a
+// scratch row: nil when there is no sort, or the column is one that no
+// row has, since all its cells are "" and a stable sort moves nothing.
+func (t *Table) sortKeys(ctx context.Context, ids []int64, by string, cols []column) ([]cellKey, error) {
+	var added *column
+	if !slices.Contains(FixedColumns, by) {
+		i := slices.IndexFunc(cols, func(c column) bool { return c.name == by })
+		if i < 0 {
+			return nil, nil // no sort, or a column no row has
+		}
+		added = &cols[i]
+	}
+	row := &Row{Extra: make(map[string]string)}
+	keys := make([]cellKey, len(ids))
+	if by == "value" || by == "metric" || by == "units" {
+		metrics, units := t.store.Dict("metric"), t.store.Dict("units")
+		err := t.store.ResultColumns(ctx, ids, func(i int, metric, unit int64, value float64) error {
+			row.Metric, row.Units, row.Value = metrics.Name(metric), units.Name(unit), value
+			keys[i] = keyOf(t.Cell(row, by))
+			return nil
+		})
+		return keys, err
+	}
+	keys = keys[:0]
+	err := t.store.MaterializeStreamCtx(ctx, ids, datastore.MaterializeOptions{}, func(batch []*core.PerformanceResult) error {
+		for _, pr := range batch {
+			row.Execution, row.Tool = pr.Execution, pr.Tool
+			if added != nil {
+				clear(row.Extra)
+				row.Resources = pr.AllResources()
+				if err := t.fill(row, *added); err != nil {
+					return err
+				}
+			}
+			keys = append(keys, keyOf(t.Cell(row, by)))
+		}
+		return nil
+	})
+	return keys, err
+}
+
+// cellKey is a cell as SortBy compares it: numerically when both cells
+// parse as numbers, else as strings.
+type cellKey struct {
+	s   string
+	f   float64
+	num bool
+}
+
+func keyOf(cell string) cellKey {
+	f, err := strconv.ParseFloat(cell, 64)
+	return cellKey{s: cell, f: f, num: err == nil}
+}
+
+func (a cellKey) less(b cellKey) bool {
+	if a.num && b.num {
+		return a.f < b.f
+	}
+	return a.s < b.s
+}
+
+// order returns the indexes of keys in stable sorted order, the one sort
+// behind Page and SortBy.
+func order(keys []cellKey, descending bool) []int {
+	perm := make([]int, len(keys))
+	for i := range perm {
+		perm[i] = i
+	}
+	sort.SliceStable(perm, func(i, j int) bool {
+		if descending {
+			return keys[perm[j]].less(keys[perm[i]])
+		}
+		return keys[perm[i]].less(keys[perm[j]])
+	})
+	return perm
+}
+
+// column is one added display column: a free-resource column of a type,
+// or with isAttr an attribute column of the resource of that type.
+type column struct {
+	name   string
+	tp     core.TypePath
+	attr   string
+	isAttr bool
+	full   bool // the resource's full name, not its base name
+}
+
+// columns parses a refinement's added columns in display order: the
+// free-resource columns, then the attribute columns, a name once.
+func (r Refinement) columns() ([]column, error) {
+	var out []column
+	add := func(c column) {
+		if !slices.ContainsFunc(out, func(o column) bool { return o.name == c.name }) {
+			out = append(out, c)
+		}
 	}
 	for _, col := range r.AddColumns {
-		if err := t.AddColumn(core.TypePath(col), false); err != nil {
-			return err
-		}
+		add(column{name: col, tp: core.TypePath(col)})
 	}
 	for _, spec := range r.AddAttributes {
 		i := strings.LastIndexByte(spec, '.')
 		if i <= 0 {
-			return fmt.Errorf("bad attribute column %q, want type.attribute", spec)
+			return nil, fmt.Errorf("bad attribute column %q, want type.attribute: %w", spec, datastore.ErrBadSpec)
 		}
-		if err := t.AddAttributeColumn(core.TypePath(spec[:i]), spec[i+1:]); err != nil {
-			return err
-		}
+		add(column{name: spec, tp: core.TypePath(spec[:i]), attr: spec[i+1:], isAttr: true})
 	}
-	if r.SortBy != "" {
-		t.SortBy(r.SortBy, r.Descending)
-	}
-	return nil
+	return out, nil
 }
 
 func (t *Table) resolveType(name core.ResourceName) (core.TypePath, error) {
@@ -192,61 +340,58 @@ func (t *Table) FreeResources() ([]FreeResourceColumn, error) {
 // cell holds the name of its context resource with that type (the base
 // name, or full name if requested); rows without such a resource get "".
 func (t *Table) AddColumn(tp core.TypePath, fullNames bool) error {
-	colName := string(tp)
-	for _, existing := range t.ExtraColumns {
-		if existing == colName {
-			return nil
-		}
-	}
-	for _, row := range t.Rows {
-		for _, r := range row.Resources {
-			rt, err := t.resolveType(r)
-			if err != nil {
-				return err
-			}
-			if rt == tp {
-				if fullNames {
-					row.Extra[colName] = string(r)
-				} else {
-					row.Extra[colName] = r.BaseName()
-				}
-				break
-			}
-		}
-	}
-	t.ExtraColumns = append(t.ExtraColumns, colName)
-	return nil
+	return t.add(column{name: string(tp), tp: tp, full: fullNames})
 }
 
 // AddAttributeColumn adds a column holding the value of an attribute of
 // each row's resource of the given type.
 func (t *Table) AddAttributeColumn(tp core.TypePath, attr string) error {
-	colName := string(tp) + "." + attr
-	for _, existing := range t.ExtraColumns {
-		if existing == colName {
-			return nil
-		}
+	return t.add(column{name: string(tp) + "." + attr, tp: tp, attr: attr, isAttr: true})
+}
+
+// add fills a column on every row, unless the table has one of its name.
+func (t *Table) add(c column) error {
+	if slices.Contains(t.ExtraColumns, c.name) {
+		return nil
 	}
 	for _, row := range t.Rows {
-		for _, r := range row.Resources {
-			rt, err := t.resolveType(r)
-			if err != nil {
-				return err
-			}
-			if rt != tp {
-				continue
-			}
+		if err := t.fill(row, c); err != nil {
+			return err
+		}
+	}
+	t.ExtraColumns = append(t.ExtraColumns, c.name)
+	return nil
+}
+
+// fill sets a row's cell of an added column from its first context
+// resource of the column's type: the resource's name, or its value of
+// the attribute. A row without one, or whose resource lacks the
+// attribute, gets no cell.
+func (t *Table) fill(row *Row, c column) error {
+	for _, r := range row.Resources {
+		rt, err := t.resolveType(r)
+		if err != nil {
+			return err
+		}
+		if rt != c.tp {
+			continue
+		}
+		switch {
+		case c.isAttr:
 			res, err := t.store.ResourceByName(r)
 			if err != nil {
 				return err
 			}
-			if v, ok := res.Attributes[attr]; ok {
-				row.Extra[colName] = v
+			if v, ok := res.Attributes[c.attr]; ok {
+				row.Extra[c.name] = v
 			}
-			break
+		case c.full:
+			row.Extra[c.name] = string(r)
+		default:
+			row.Extra[c.name] = r.BaseName()
 		}
+		return nil
 	}
-	t.ExtraColumns = append(t.ExtraColumns, colName)
 	return nil
 }
 
@@ -273,23 +418,18 @@ func (t *Table) Cell(row *Row, column string) string {
 	}
 }
 
-// SortBy orders rows by a column; numeric cells compare numerically.
+// SortBy orders rows by a column, stably; numeric cells compare
+// numerically.
 func (t *Table) SortBy(column string, descending bool) {
-	less := func(a, b *Row) bool {
-		va, vb := t.Cell(a, column), t.Cell(b, column)
-		if fa, errA := strconv.ParseFloat(va, 64); errA == nil {
-			if fb, errB := strconv.ParseFloat(vb, 64); errB == nil {
-				return fa < fb
-			}
-		}
-		return va < vb
+	keys := make([]cellKey, len(t.Rows))
+	for i, r := range t.Rows {
+		keys[i] = keyOf(t.Cell(r, column))
 	}
-	sort.SliceStable(t.Rows, func(i, j int) bool {
-		if descending {
-			return less(t.Rows[j], t.Rows[i])
-		}
-		return less(t.Rows[i], t.Rows[j])
-	})
+	rows := make([]*Row, len(t.Rows))
+	for i, j := range order(keys, descending) {
+		rows[i] = t.Rows[j]
+	}
+	t.Rows = rows
 }
 
 // FilterRows keeps only rows for which keep returns true, returning the
@@ -342,14 +482,7 @@ func (t *Table) GroupBy(column, reducer string) ([]string, []float64, error) {
 	for k := range groups {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		fi, errI := strconv.ParseFloat(keys[i], 64)
-		fj, errJ := strconv.ParseFloat(keys[j], 64)
-		if errI == nil && errJ == nil {
-			return fi < fj
-		}
-		return keys[i] < keys[j]
-	})
+	sort.Slice(keys, func(i, j int) bool { return keyOf(keys[i]).less(keyOf(keys[j])) })
 	vals := make([]float64, len(keys))
 	for i, k := range keys {
 		vs := groups[k]

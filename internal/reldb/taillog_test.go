@@ -23,6 +23,9 @@ func (p *hotPair) crashCheck(label string, tables []string, states []string) {
 		if err != nil {
 			p.t.Fatalf("%s: %s: %v", label, pass, err)
 		}
+		// Judge what open left: a pass the reopened engine's compactor
+		// runs moves the low-water mark before it deletes the logs below.
+		fe.seg.shutdown()
 		got := dumpDB(fe, tables)
 		if first == "" && !slices.Contains(states, got) {
 			p.t.Fatalf("%s: %s holds no state the history may recover to:\n%s\nthe latest is\n%s", label, pass, got, states[len(states)-1])

@@ -222,10 +222,11 @@ func TestAttributesEndpoint(t *testing.T) {
 
 // TestDiagnoseCancelledMidExtractionStops: a /v1/diagnose whose client
 // goes away while the executions' features are being read answers with
-// the 503 envelope of an ended context, and stops where it was. Each extraction
-// worker and the column fold see the cancellation at their next block,
-// so at most one check per goroutine follows the cancelling one and no
-// execution not yet started is read; the handler and every worker exit.
+// the 503 envelope of an ended context, and stops where it was. The
+// column fold sees the cancellation at its next block and each footprint
+// worker before its next execution, so at most one check per goroutine
+// follows the cancelling one and no execution not yet started is read;
+// the handler and every worker exit.
 func TestDiagnoseCancelledMidExtractionStops(t *testing.T) {
 	workers := runtime.GOMAXPROCS(0)
 	fleet, err := gen.FleetRecords(gen.FleetSpec{Execs: 8*workers + 8, Seed: 4})

@@ -145,6 +145,7 @@ func TestGoldenWireEnvelopes(t *testing.T) {
 	runGolden(t, paired.URL, []goldenStep{
 		{"", "POST", "/v1/load", pairedDoc(), 200},
 		{"compare_paired", "GET", "/v1/compare?a=pair-a&b=pair-b", "", 200},
+		{"compare_paired_metric", "GET", "/v1/compare?a=pair-a&b=pair-b&metric=wall%20time", "", 200},
 		{"diagnose_paired", "POST", "/v1/diagnose", `{"exec_a": "pair-a", "exec_b": "pair-b"}`, 200},
 	})
 }

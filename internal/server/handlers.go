@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -302,23 +303,6 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusInternalServerError, err)
 		return
 	}
-	tbl, err := query.NewTable(r.Context(), s.store, res.IDs())
-	if err != nil {
-		writeError(w, r, http.StatusInternalServerError, err)
-		return
-	}
-	if err := tbl.Refine(query.Refinement{
-		Metric: req.Metric, AddColumns: req.AddColumns, AddAttributes: req.AddAttributes,
-		SortBy: req.SortBy, Descending: req.Descending,
-	}); err != nil {
-		writeError(w, r, http.StatusBadRequest, err)
-		return
-	}
-
-	cols := tbl.Columns()
-	total := len(tbl.Rows)
-	rows := tbl.Rows
-
 	// Pagination: the cursor is bound to the refinements (but not the
 	// page size) via a fingerprint, so a cursor replayed against a
 	// different query is a 400 rather than a silently wrong page.
@@ -344,25 +328,60 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 			writeErrorString(w, r, http.StatusBadRequest, "cursor does not match this request")
 			return
 		}
-		offset = min(off, len(rows))
+		offset = off
 	}
-	rows = rows[offset:]
+	tbl, total, err := query.Page(r.Context(), s.store, res.IDs(), query.Refinement{
+		Metric: req.Metric, AddColumns: req.AddColumns, AddAttributes: req.AddAttributes,
+		SortBy: req.SortBy, Descending: req.Descending,
+	}, offset, req.Limit)
+	if err != nil {
+		writeError(w, r, http.StatusInternalServerError, err)
+		return
+	}
 	next := ""
-	if req.Limit > 0 && len(rows) > req.Limit {
-		rows = rows[:req.Limit]
+	if req.Limit > 0 && total-offset > req.Limit {
 		next = encodeCursor("r1", strconv.Itoa(offset+req.Limit), sig)
 	}
-	out := make([][]string, 0, len(rows))
-	for _, row := range rows {
-		cells := make([]string, len(cols))
+	writeResults(w, tbl, total, next)
+}
+
+// writeResults answers a page with the bytes
+// writeJSON(ResultsResponse{...}) writes, but renders and encodes one
+// row at a time through a buffered writer, so neither the page's cells
+// nor its encoding are ever held whole.
+func writeResults(w http.ResponseWriter, tbl *query.Table, total int, next string) {
+	cols := tbl.Columns()
+	var doc bytes.Buffer
+	enc := json.NewEncoder(&doc)
+	enc.SetIndent("", "  ")
+	enc.Encode(ResultsResponse{APIVersion: APIVersion, Columns: cols, Rows: [][]string{}, Total: total, NextCursor: next})
+	open := []byte(`"rows": [`)
+	cut := bytes.Index(doc.Bytes(), open) + len(open) // the rows go here
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	bw := bufio.NewWriter(w)
+	bw.Write(doc.Bytes()[:cut])
+	var line bytes.Buffer
+	enc = json.NewEncoder(&line)
+	enc.SetIndent("    ", "  ") // a row sits two levels in
+	cells := make([]string, len(cols))
+	for i, row := range tbl.Rows {
 		for j, c := range cols {
 			cells[j] = tbl.Cell(row, c)
 		}
-		out = append(out, cells)
+		line.Reset()
+		enc.Encode(cells)
+		if i > 0 {
+			bw.WriteByte(',')
+		}
+		bw.WriteString("\n    ")
+		bw.Write(bytes.TrimSuffix(line.Bytes(), []byte("\n")))
 	}
-	writeJSON(w, http.StatusOK, ResultsResponse{
-		APIVersion: APIVersion, Columns: cols, Rows: out, Total: total, NextCursor: next,
-	})
+	if len(tbl.Rows) > 0 {
+		bw.WriteString("\n  ")
+	}
+	bw.Write(doc.Bytes()[cut:])
+	bw.Flush()
 }
 
 // errStreamLimit aborts MaterializeStreamCtx once the row limit is reached.

@@ -252,6 +252,12 @@ func TestResultsEndpoint(t *testing.T) {
 	if res.Rows[0][5] != "8" {
 		t.Errorf("attribute cell = %q, want 8", res.Rows[0][5])
 	}
+	// An attribute column that names no attribute is the request's fault.
+	if code, raw := postJSON(t, ts.URL+"/v1/results", ResultsRequest{
+		Families: []string{"type=application"}, AddAttributes: []string{"nprocs"},
+	}, nil); code != http.StatusBadRequest {
+		t.Errorf("attribute column without a type: %d %s, want 400", code, raw)
+	}
 }
 
 func TestReports(t *testing.T) {

@@ -171,9 +171,9 @@ func (s *Session) Dispatch(line string) error {
 			return fmt.Errorf("usage: addcol TYPE or addcol TYPE.ATTR")
 		}
 		if i := strings.LastIndexByte(args[0], '.'); i > 0 && !strings.Contains(args[0][i:], "/") {
-			return s.tbl.Refine(query.Refinement{AddAttributes: args})
+			return s.tbl.AddAttributeColumn(core.TypePath(args[0][:i]), args[0][i+1:])
 		}
-		return s.tbl.Refine(query.Refinement{AddColumns: args})
+		return s.tbl.AddColumn(core.TypePath(args[0]), false)
 	case "sort":
 		if s.tbl == nil {
 			return fmt.Errorf("fetch first")
