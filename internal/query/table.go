@@ -81,24 +81,19 @@ type Refinement struct {
 // duplicates when r is not zero (a Resolution's do): r is decided on the
 // IDs, and only the rows [offset, offset+limit) of the result — every row
 // from offset when limit is 0 — are materialized and given their added
-// columns. total is how many rows r keeps. The metric filter reads each
-// ID's metric column. A sort computes the sort column's cell (Cell) for
-// every kept ID — from its metric, units and value columns for those
-// columns, from its result materialized in bounded chunks for any other,
-// filling only that column — and orders the IDs stably as SortBy orders
-// rows, so a page holds the rows the whole sorted table holds there.
+// columns. total is how many rows r keeps. A metric filter or a sort
+// reads every ID's result once, in bounded chunks: it drops the results
+// of other metrics and computes the sort column's cell (Cell) for the
+// rest, filling only that column, then orders the IDs stably as SortBy
+// orders rows, so a page holds the rows the whole sorted table holds
+// there.
 func Page(ctx context.Context, s *datastore.Store, ids []int64, r Refinement, offset, limit int) (*Table, int, error) {
 	t := &Table{store: s}
 	cols, err := r.columns()
 	if err != nil {
 		return nil, 0, err
 	}
-	if r.Metric != "" {
-		if ids, err = t.withMetric(ctx, ids, r.Metric); err != nil {
-			return nil, 0, err
-		}
-	}
-	keys, err := t.sortKeys(ctx, ids, r.SortBy, cols)
+	ids, keys, err := t.decide(ctx, ids, r, cols)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -139,50 +134,45 @@ func Page(ctx context.Context, s *datastore.Store, ids []int64, r Refinement, of
 	return t, len(ids), nil
 }
 
-// withMetric returns the IDs whose result has the metric, read off the
-// metric column in ascending ID.
-func (t *Table) withMetric(ctx context.Context, ids []int64, metric string) ([]int64, error) {
-	want, ok := t.store.LookupDict("metric", metric)
-	if !ok {
-		return nil, nil
-	}
-	var out []int64
-	err := t.store.ResultColumns(ctx, ids, func(i int, metric, _ int64, _ float64) error {
-		if metric == want {
-			out = append(out, ids[i])
-		}
-		return nil
-	})
-	return out, err
-}
-
-// sortKeys computes the sort column's cell for every ID, through a
-// scratch row: nil when there is no sort, or the column is one that no
-// row has, since all its cells are "" and a stable sort moves nothing.
-func (t *Table) sortKeys(ctx context.Context, ids []int64, by string, cols []column) ([]cellKey, error) {
+// decide applies r's metric filter to ids and computes the sort column's
+// cell for every ID it keeps, through a scratch row. It reads nothing
+// when there is no filter and no sort, or the sort column is one that no
+// row has (all its cells are "" and a stable sort moves nothing); keys is
+// nil when there is no sort.
+func (t *Table) decide(ctx context.Context, ids []int64, r Refinement, cols []column) ([]int64, []cellKey, error) {
+	by := r.SortBy
 	var added *column
-	if !slices.Contains(FixedColumns, by) {
-		i := slices.IndexFunc(cols, func(c column) bool { return c.name == by })
-		if i < 0 {
-			return nil, nil // no sort, or a column no row has
+	if by != "" && !slices.Contains(FixedColumns, by) {
+		if i := slices.IndexFunc(cols, func(c column) bool { return c.name == by }); i >= 0 {
+			added = &cols[i]
+		} else {
+			by = ""
 		}
-		added = &cols[i]
 	}
+	if r.Metric == "" && by == "" {
+		return ids, nil, nil
+	}
+	kept := ids
+	if r.Metric != "" {
+		kept = nil
+	}
+	var keys []cellKey
 	row := &Row{Extra: make(map[string]string)}
-	keys := make([]cellKey, len(ids))
-	if by == "value" || by == "metric" || by == "units" {
-		metrics, units := t.store.Dict("metric"), t.store.Dict("units")
-		err := t.store.ResultColumns(ctx, ids, func(i int, metric, unit int64, value float64) error {
-			row.Metric, row.Units, row.Value = metrics.Name(metric), units.Name(unit), value
-			keys[i] = keyOf(t.Cell(row, by))
-			return nil
-		})
-		return keys, err
-	}
-	keys = keys[:0]
+	i := 0
 	err := t.store.MaterializeStreamCtx(ctx, ids, datastore.MaterializeOptions{}, func(batch []*core.PerformanceResult) error {
 		for _, pr := range batch {
-			row.Execution, row.Tool = pr.Execution, pr.Tool
+			id := ids[i]
+			i++
+			if r.Metric != "" {
+				if pr.Metric != r.Metric {
+					continue
+				}
+				kept = append(kept, id)
+			}
+			if by == "" {
+				continue
+			}
+			row.Execution, row.Metric, row.Tool, row.Units, row.Value = pr.Execution, pr.Metric, pr.Tool, pr.Units, pr.Value
 			if added != nil {
 				clear(row.Extra)
 				row.Resources = pr.AllResources()
@@ -194,7 +184,10 @@ func (t *Table) sortKeys(ctx context.Context, ids []int64, by string, cols []col
 		}
 		return nil
 	})
-	return keys, err
+	if err != nil {
+		return nil, nil, err
+	}
+	return kept, keys, nil
 }
 
 // cellKey is a cell as SortBy compares it: numerically when both cells

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -342,46 +341,18 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	if req.Limit > 0 && total-offset > req.Limit {
 		next = encodeCursor("r1", strconv.Itoa(offset+req.Limit), sig)
 	}
-	writeResults(w, tbl, total, next)
-}
-
-// writeResults answers a page with the bytes
-// writeJSON(ResultsResponse{...}) writes, but renders and encodes one
-// row at a time through a buffered writer, so neither the page's cells
-// nor its encoding are ever held whole.
-func writeResults(w http.ResponseWriter, tbl *query.Table, total int, next string) {
 	cols := tbl.Columns()
-	var doc bytes.Buffer
-	enc := json.NewEncoder(&doc)
-	enc.SetIndent("", "  ")
-	enc.Encode(ResultsResponse{APIVersion: APIVersion, Columns: cols, Rows: [][]string{}, Total: total, NextCursor: next})
-	open := []byte(`"rows": [`)
-	cut := bytes.Index(doc.Bytes(), open) + len(open) // the rows go here
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	bw := bufio.NewWriter(w)
-	bw.Write(doc.Bytes()[:cut])
-	var line bytes.Buffer
-	enc = json.NewEncoder(&line)
-	enc.SetIndent("    ", "  ") // a row sits two levels in
-	cells := make([]string, len(cols))
-	for i, row := range tbl.Rows {
+	out := make([][]string, 0, len(tbl.Rows))
+	for _, row := range tbl.Rows {
+		cells := make([]string, len(cols))
 		for j, c := range cols {
 			cells[j] = tbl.Cell(row, c)
 		}
-		line.Reset()
-		enc.Encode(cells)
-		if i > 0 {
-			bw.WriteByte(',')
-		}
-		bw.WriteString("\n    ")
-		bw.Write(bytes.TrimSuffix(line.Bytes(), []byte("\n")))
+		out = append(out, cells)
 	}
-	if len(tbl.Rows) > 0 {
-		bw.WriteString("\n  ")
-	}
-	bw.Write(doc.Bytes()[cut:])
-	bw.Flush()
+	writeJSON(w, http.StatusOK, ResultsResponse{
+		APIVersion: APIVersion, Columns: cols, Rows: out, Total: total, NextCursor: next,
+	})
 }
 
 // errStreamLimit aborts MaterializeStreamCtx once the row limit is reached.

@@ -74,10 +74,12 @@ func pageServer(t testing.TB, execs, procs, funcs, metrics int) (*Server, *datas
 }
 
 // resultsOracle answers a buffered /v1/results request the way the
-// handler did before a page was decided on IDs: every selected result
-// materialized into a table, the metric filter, added columns and the
-// sort applied to all of its rows, then the page cut out and the whole
-// response encoded at once. FuzzResultsPage holds the handler to it.
+// handler did before a page was decided on IDs, with none of package
+// query's table code: every selected result materialized, its cells
+// rendered and its added columns filled by loops of its own (as the old
+// AddColumn and AddAttributeColumn filled them), the metric filter and
+// the sort applied to all of the rows, then the page cut out and the
+// whole response encoded at once. FuzzResultsPage holds the handler to it.
 func resultsOracle(t *testing.T, st *datastore.Store, req ResultsRequest) []byte {
 	t.Helper()
 	ctx := context.Background()
@@ -86,27 +88,80 @@ func resultsOracle(t *testing.T, st *datastore.Store, req ResultsRequest) []byte
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl, err := query.NewTable(ctx, st, res.IDs())
+	results, err := st.MaterializeResultsCtx(ctx, res.IDs())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if req.Metric != "" {
-		tbl.FilterMetric(req.Metric)
+	type added struct {
+		name, attr string
+		tp         core.TypePath
+		isAttr     bool
+	}
+	var extra []added
+	addCol := func(c added) {
+		for _, e := range extra {
+			if e.name == c.name {
+				return
+			}
+		}
+		extra = append(extra, c)
 	}
 	for _, col := range req.AddColumns {
-		if err := tbl.AddColumn(core.TypePath(col), false); err != nil {
-			t.Fatal(err)
-		}
+		addCol(added{name: col, tp: core.TypePath(col)})
 	}
 	for _, spec := range req.AddAttributes {
 		i := strings.LastIndexByte(spec, '.')
-		if err := tbl.AddAttributeColumn(core.TypePath(spec[:i]), spec[i+1:]); err != nil {
-			t.Fatal(err)
+		addCol(added{name: spec, tp: core.TypePath(spec[:i]), attr: spec[i+1:], isAttr: true})
+	}
+	var rows []map[string]string
+	for _, pr := range results {
+		if req.Metric != "" && pr.Metric != req.Metric {
+			continue
 		}
+		row := map[string]string{
+			"execution": pr.Execution, "metric": pr.Metric, "units": pr.Units, "tool": pr.Tool,
+			"value": strconv.FormatFloat(pr.Value, 'g', -1, 64),
+		}
+		seen := make(map[core.ResourceName]bool)
+		var resources []core.ResourceName
+		for _, c := range pr.Contexts {
+			for _, r := range c.Resources {
+				if !seen[r] {
+					seen[r] = true
+					resources = append(resources, r)
+				}
+			}
+		}
+		sort.Slice(resources, func(i, j int) bool { return resources[i] < resources[j] })
+		for _, c := range extra {
+			for _, r := range resources {
+				rt, err := st.TypeOfResource(r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rt != c.tp {
+					continue
+				}
+				if !c.isAttr {
+					segs := strings.Split(string(r), "/")
+					row[c.name] = segs[len(segs)-1]
+				} else {
+					rsrc, err := st.ResourceByName(r)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if v, ok := rsrc.Attributes[c.attr]; ok {
+						row[c.name] = v
+					}
+				}
+				break
+			}
+		}
+		rows = append(rows, row)
 	}
 	if req.SortBy != "" {
-		less := func(a, b *query.Row) bool {
-			va, vb := tbl.Cell(a, req.SortBy), tbl.Cell(b, req.SortBy)
+		less := func(a, b map[string]string) bool {
+			va, vb := a[req.SortBy], b[req.SortBy]
 			if fa, errA := strconv.ParseFloat(va, 64); errA == nil {
 				if fb, errB := strconv.ParseFloat(vb, 64); errB == nil {
 					return fa < fb
@@ -114,11 +169,11 @@ func resultsOracle(t *testing.T, st *datastore.Store, req ResultsRequest) []byte
 			}
 			return va < vb
 		}
-		sort.SliceStable(tbl.Rows, func(i, j int) bool {
+		sort.SliceStable(rows, func(i, j int) bool {
 			if req.Descending {
-				return less(tbl.Rows[j], tbl.Rows[i])
+				return less(rows[j], rows[i])
 			}
-			return less(tbl.Rows[i], tbl.Rows[j])
+			return less(rows[i], rows[j])
 		})
 	}
 	sigFields := append([]string{strconv.Itoa(len(sel.Families))}, sel.Families...)
@@ -127,7 +182,7 @@ func resultsOracle(t *testing.T, st *datastore.Store, req ResultsRequest) []byte
 		strings.Join(req.AddColumns, ","), strings.Join(req.AddAttributes, ","),
 		req.SortBy, strconv.FormatBool(req.Descending))
 	sig := cursorSig(sigFields...)
-	rows, offset := tbl.Rows, 0
+	total, offset := len(rows), 0
 	if req.Cursor != "" {
 		parts, err := decodeCursor(req.Cursor, "r1", 3)
 		if err != nil {
@@ -142,18 +197,21 @@ func resultsOracle(t *testing.T, st *datastore.Store, req ResultsRequest) []byte
 		rows = rows[:req.Limit]
 		next = encodeCursor("r1", strconv.Itoa(offset+req.Limit), sig)
 	}
-	cols := tbl.Columns()
+	cols := []string{"execution", "metric", "value", "units", "tool"}
+	for _, c := range extra {
+		cols = append(cols, c.name)
+	}
 	out := make([][]string, 0, len(rows))
 	for _, row := range rows {
 		cells := make([]string, len(cols))
 		for j, c := range cols {
-			cells[j] = tbl.Cell(row, c)
+			cells[j] = row[c]
 		}
 		out = append(out, cells)
 	}
 	rec := httptest.NewRecorder()
 	writeJSON(rec, http.StatusOK, ResultsResponse{
-		APIVersion: APIVersion, Columns: cols, Rows: out, Total: len(tbl.Rows), NextCursor: next,
+		APIVersion: APIVersion, Columns: cols, Rows: out, Total: total, NextCursor: next,
 	})
 	return rec.Body.Bytes()
 }
@@ -245,57 +303,22 @@ func FuzzResultsPage(f *testing.F) {
 }
 
 // TestResultsPageMaterializesOnlyItsRows: a 200-row page of a 512-result
-// selection materializes 200 results, and a sort on a fixed column
-// computed from result columns materializes no more.
+// selection materializes 200 results.
 func TestResultsPageMaterializesOnlyItsRows(t *testing.T) {
 	srv, st := pageServer(t, 1, 64, 1, 8)
-	for _, body := range []string{
-		`{"families": ["type=application"], "limit": 200}`,
-		`{"families": ["type=application"], "limit": 200, "sort_by": "value", "descending": true}`,
-	} {
-		before := st.Telemetry().ResultsRead
-		rec := serve(srv, "POST", "/v1/results", body, "req-count")
-		if rec.Code != http.StatusOK {
-			t.Fatalf("%s: status %d: %s", body, rec.Code, rec.Body)
-		}
-		var resp ResultsResponse
-		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-			t.Fatal(err)
-		}
-		read := st.Telemetry().ResultsRead - before
-		if len(resp.Rows) != 200 || read != 200 {
-			t.Errorf("%s: a page of %d rows of %d read %d results, want 200", body, len(resp.Rows), resp.Total, read)
-		}
+	body := `{"families": ["type=application"], "limit": 200}`
+	before := st.Telemetry().ResultsRead
+	rec := serve(srv, "POST", "/v1/results", body, "req-count")
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", rec.Code, rec.Body)
+	}
+	var resp ResultsResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	read := st.Telemetry().ResultsRead - before
+	if len(resp.Rows) != 200 || resp.Total != 512 || read != 200 {
+		t.Errorf("a page of %d rows of %d read %d results, want 200 of 512 reading 200", len(resp.Rows), resp.Total, read)
 	}
 }
 
-// TestResultsPageEncodesLikeWriteJSON: the row-by-row encoding is
-// writeJSON's, for an empty page, a page of HTML-escaped cells and a
-// page without a next cursor.
-func TestResultsPageEncodesLikeWriteJSON(t *testing.T) {
-	tbl, err := query.TableFromCells(query.FixedColumns, [][]string{{"<a&b>", "m ", "1.5", "s", "\"t\""}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	empty, _ := query.TableFromCells(append(query.FixedColumns, "x"), nil)
-	for _, c := range []struct {
-		tbl   *query.Table
-		total int
-		next  string
-	}{{tbl, 1, ""}, {tbl, 9, "cur"}, {empty, 0, ""}} {
-		got, want := httptest.NewRecorder(), httptest.NewRecorder()
-		writeResults(got, c.tbl, c.total, c.next)
-		rows := [][]string{}
-		for _, row := range c.tbl.Rows {
-			var cells []string
-			for _, col := range c.tbl.Columns() {
-				cells = append(cells, c.tbl.Cell(row, col))
-			}
-			rows = append(rows, cells)
-		}
-		writeJSON(want, http.StatusOK, ResultsResponse{APIVersion: APIVersion, Columns: c.tbl.Columns(), Rows: rows, Total: c.total, NextCursor: c.next})
-		if got.Body.String() != want.Body.String() {
-			t.Errorf("writeResults wrote\n%s\nwriteJSON writes\n%s", got.Body, want.Body)
-		}
-	}
-}
