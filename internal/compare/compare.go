@@ -110,12 +110,13 @@ func (s Sum) Mean() float64 {
 type Execution struct {
 	Name string
 	Side int // 0 = A, 1 = B
-	// Foci is the distinct foci its results hold, ascending.
-	Foci    []int64
-	time    Sum   // its time-like results
-	metrics []Sum // its results of each metric, by index into Comparison.Metrics
-	ids     []int64
-	cell    []int32 // the cell of each result, among its side's
+	// Resources is the distinct resources of its results' contexts,
+	// ascending by ID.
+	Resources []int64
+	time      Sum   // its time-like results
+	metrics   []Sum // its results of each metric, by index into Comparison.Metrics
+	ids       []int64
+	cell      []int32 // the cell of each result, among its side's
 }
 
 // Metric is one metric's results summed on each side (Sides[0] is A's);
@@ -153,7 +154,7 @@ func Executions(s *datastore.Store, execA, execB string) (*Comparison, error) {
 // once per block read, or every 1024 IDs read by lookup.
 func Sets(ctx context.Context, s *datastore.Store, execsA, execsB []string) (*Comparison, error) {
 	c := &Comparison{ExecA: strings.Join(execsA, ","), ExecB: strings.Join(execsB, ",")}
-	al := &aligner{s: s, c: c, metricOf: make(map[int64]int), tokenOf: make(map[core.ResourceName]string), alignOf: make(map[string]int32), setOf: make(map[string]int32)}
+	al := &aligner{s: s, c: c, metricOf: make(map[int64]int), tokenOf: make(map[int64]string), alignOf: make(map[string]int32), setOf: make(map[string]int32)}
 	for i, exec := range append(append(make([]string, 0, len(execsA)+len(execsB)), execsA...), execsB...) {
 		e := Execution{Name: exec}
 		if i >= len(execsA) {
@@ -250,8 +251,8 @@ func (c *Comparison) MetricMeans() []Pair {
 type aligner struct {
 	s        *datastore.Store
 	c        *Comparison
-	metricOf map[int64]int // metric ID → index in c.Metrics
-	tokenOf  map[core.ResourceName]string
+	metricOf map[int64]int    // metric ID → index in c.Metrics
+	tokenOf  map[int64]string // resource ID → token
 	alignOf  map[string]int32 // alignment tokens → index in tokens
 	tokens   []string         // each alignment's tokens, sorted and NUL-separated
 	cells    [2]cells         // side A's, side B's
@@ -264,7 +265,8 @@ type aligner struct {
 	foci  []int64          // every set's foci, one stretch each
 	last  int32            // the set intern returned last
 	fids  []int64          // the distinct foci, ascending
-	names [][]core.ResourceName
+	rids  [][]int64        // each distinct focus's resources
+	res   datastore.Dict   // resource names
 }
 
 // focusSet is the foci a result holds, ascending (al.foci[lo:hi]), and
@@ -307,7 +309,11 @@ func (al *aligner) execution(ctx context.Context, e *Execution) error {
 	if err := al.resolve(ctx); err != nil {
 		return err
 	}
-	e.Foci = slices.Clone(al.fids)
+	for _, r := range al.rids {
+		e.Resources = append(e.Resources, r...)
+	}
+	slices.Sort(e.Resources)
+	e.Resources = slices.Compact(e.Resources)
 	return al.fold(ctx, e, &al.cells[e.Side])
 }
 
@@ -340,10 +346,11 @@ func (al *aligner) resolve(ctx context.Context) error {
 	slices.Sort(al.fids)
 	al.fids = slices.Compact(al.fids)
 	var err error
-	if al.names, err = al.s.FocusResources(ctx, al.fids); err != nil {
+	if al.rids, err = al.s.FocusResources(ctx, al.fids); err != nil {
 		return err
 	}
-	var res []core.ResourceName
+	al.res = al.s.Dict("resource_item")
+	var res []int64
 	var tokens []string
 	for i := range al.sets {
 		res = al.resources(res[:0], int32(i))
@@ -379,12 +386,12 @@ func (al *aligner) resolve(ctx context.Context) error {
 	return nil
 }
 
-// resources appends the resources of a focus set's foci to res, sorted
-// by name and without duplicates.
-func (al *aligner) resources(res []core.ResourceName, set int32) []core.ResourceName {
+// resources appends the resources of a focus set's foci to res,
+// ascending by ID and without duplicates.
+func (al *aligner) resources(res []int64, set int32) []int64 {
 	for _, f := range al.foci[al.sets[set].lo:al.sets[set].hi] {
 		j, _ := slices.BinarySearch(al.fids, f)
-		res = append(res, al.names[j]...)
+		res = append(res, al.rids[j]...)
 	}
 	slices.Sort(res)
 	return slices.Compact(res)
@@ -392,7 +399,8 @@ func (al *aligner) resources(res []core.ResourceName, set int32) []core.Resource
 
 // token is a resource's part of an alignment: "" for a resource of a
 // non-portable hierarchy.
-func (al *aligner) token(r core.ResourceName) (string, error) {
+func (al *aligner) token(id int64) (string, error) {
+	r := core.ResourceName(al.res.Name(id))
 	tp, err := al.s.TypeOfResource(r)
 	if err != nil {
 		return "", err
@@ -469,7 +477,12 @@ func (al *aligner) fold(ctx context.Context, e *Execution, cs *cells) error {
 			ci = int32(len(cs.list))
 			c := cell{metric: mi, align: align, sortKey: m.Name + "\x00" + al.tokens[align], units: unitName}
 			if e.Side == 0 {
-				c.context = slices.DeleteFunc(al.resources(nil, al.set[i]), func(r core.ResourceName) bool { return al.tokenOf[r] == "" })
+				for _, r := range al.resources(nil, al.set[i]) {
+					if al.tokenOf[r] != "" {
+						c.context = append(c.context, core.ResourceName(al.res.Name(r)))
+					}
+				}
+				slices.Sort(c.context)
 			}
 			cs.list = append(cs.list, c)
 			at := &cs.at[align]

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -149,25 +150,18 @@ func (s *Store) AttributeValues(attr string) (map[int64]string, error) {
 // constraint partners of those (resource-valued attributes like the node
 // a process ran on), and all of their ancestors. This is the resource set
 // over which attribute predicates about the execution are evaluated.
-// foci are the distinct foci of the execution's results, ascending, as
-// the caller read them (a comparison's aligner does): the results and
-// their focus links are not read again.
-func (s *Store) ExecutionResourceIDs(exec string, foci []int64) ([]int64, error) {
+// resources are the resources of the execution's results' contexts, as
+// the caller read them (a comparison's aligner does): the results, their
+// foci and the foci's resources are not read again.
+func (s *Store) ExecutionResourceIDs(exec string, resources []int64) ([]int64, error) {
 	execID, ok := s.names.id(dictExecution, exec)
 	if !ok {
 		return nil, fmt.Errorf("datastore: unknown execution %q: %w", exec, ErrNotFound)
 	}
-	fhrTab, _ := s.eng.Table("focus_has_resource")
-	var ids []int64
-	var err error
-	for _, fid := range foci {
-		if ids, err = appendColumn(ids, fhrTab, "", fid, 1); err != nil {
-			return nil, err
-		}
-	}
 	// Execution-scoped resources (the /execName hierarchy).
 	riTab, _ := s.eng.Table("resource_item")
-	if ids, err = appendColumn(ids, riTab, "resource_item_exec", execID, -1); err != nil {
+	ids, err := appendColumn(slices.Clone(resources), riTab, "resource_item_exec", execID, -1)
+	if err != nil {
 		return nil, err
 	}
 	base := sortDedup(ids)

@@ -180,7 +180,15 @@ func TestExecutionResourceIDs(t *testing.T) {
 	if err := s.ResultFoci(context.Background(), results, func(_ int, focus int64) { foci = append(foci, focus) }); err != nil {
 		t.Fatal(err)
 	}
-	ids, err := s.ExecutionResourceIDs("e1", sortDedup(foci))
+	var resources []int64
+	rids, err := s.FocusResources(context.Background(), sortDedup(foci))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rids {
+		resources = append(resources, r...)
+	}
+	ids, err := s.ExecutionResourceIDs("e1", sortDedup(resources))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -331,23 +331,17 @@ func (s *Store) ResultFoci(ctx context.Context, ids []int64, fn func(i int, focu
 	})
 }
 
-// FocusResources returns the resource names of each focus in fids
-// (sorted, without duplicates), ascending by resource ID: the context the
-// materializer gives a result holding that focus, read by the same keyed
-// read of focus_has_resource. The names of all foci share one arena.
-func (s *Store) FocusResources(ctx context.Context, fids []int64) ([][]core.ResourceName, error) {
+// FocusResources returns the resource IDs of each focus in fids,
+// ascending: the context the materializer gives a result holding that
+// focus, read by the same keyed read of focus_has_resource. The IDs of
+// all foci share one arena.
+func (s *Store) FocusResources(ctx context.Context, fids []int64) ([][]int64, error) {
 	if len(fids) == 0 {
 		return nil, nil
 	}
-	res := s.names.dict(dictResource)
-	out := make([][]core.ResourceName, len(fids))
-	var arena []core.ResourceName
+	out := make([][]int64, len(fids))
 	if _, err := s.stageLinks(ctx, "focus_has_resource", newPosIndex(fids), nil, func(j int, rids []int64) {
-		from := len(arena)
-		for _, id := range rids {
-			arena = append(arena, core.ResourceName(res.Name(id)))
-		}
-		out[j] = arena[from:len(arena):len(arena)]
+		out[j] = rids
 	}); err != nil {
 		return nil, err
 	}

@@ -292,14 +292,19 @@ func checkColumnReads(t *testing.T, s *Store, ids []int64) {
 		t.Fatal(err)
 	}
 	fids = sortDedup(fids)
-	names, err := s.FocusResources(ctx, fids)
+	rids, err := s.FocusResources(ctx, fids)
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := s.Dict("resource_item")
 	for i, pr := range want {
 		var got [][]core.ResourceName
 		for _, f := range foci[i] {
-			got = append(got, names[slices.Index(fids, f)])
+			var names []core.ResourceName
+			for _, r := range rids[slices.Index(fids, f)] {
+				names = append(names, core.ResourceName(res.Name(r)))
+			}
+			got = append(got, names)
 		}
 		var ref [][]core.ResourceName
 		for _, c := range pr.Contexts {

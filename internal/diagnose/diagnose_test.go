@@ -141,7 +141,8 @@ func (c *readsCtx) Err() error {
 // TestDiagnoseReadsEachResultOnce: a diagnosis reads each execution's
 // performance_result columns once, and its result → focus links once,
 // as one pass over each does — one to one, and between sets of
-// executions, whose footprints come from the foci the comparison read.
+// executions, whose footprints come from the resources the comparison
+// read.
 func TestDiagnoseReadsEachResultOnce(t *testing.T) {
 	s, fleet := fleetStore(t, gen.FleetSpec{Execs: 10, Seed: 3})
 	for _, c := range []struct {

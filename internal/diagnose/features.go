@@ -70,10 +70,10 @@ func resolveSide(ctx context.Context, s *datastore.Store, exec string, execs, fa
 }
 
 // extractFeatures reads the footprint of every execution a comparison
-// of the sides folded, from the foci its aligner read, in spans of the
-// executions (the store's reader paths are concurrent), and inverts
-// them. No result or focus link is read again; ctx is checked once per
-// execution.
+// of the sides folded, from the context resources its aligner read, in
+// spans of the executions (the store's reader paths are concurrent), and
+// inverts them. No result, focus link or focus is read again; ctx is
+// checked once per execution.
 func extractFeatures(ctx context.Context, s *datastore.Store, cmp *compare.Comparison) (*features, error) {
 	footprints := make([][]int64, len(cmp.Execs))
 	if err := par.Range(len(cmp.Execs), func(lo, hi int) error {
@@ -82,7 +82,7 @@ func extractFeatures(ctx context.Context, s *datastore.Store, cmp *compare.Compa
 				return fmt.Errorf("diagnose: features: %w", err)
 			}
 			var err error
-			if footprints[i], err = s.ExecutionResourceIDs(cmp.Execs[i].Name, cmp.Execs[i].Foci); err != nil {
+			if footprints[i], err = s.ExecutionResourceIDs(cmp.Execs[i].Name, cmp.Execs[i].Resources); err != nil {
 				return err
 			}
 		}

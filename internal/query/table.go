@@ -77,10 +77,9 @@ type Refinement struct {
 	Descending    bool
 }
 
-// Page is the two-step retrieval over ids, which must ascend without
-// duplicates when r is not zero (a Resolution's do): r is decided on the
-// IDs, and only the rows [offset, offset+limit) of the result — every row
-// from offset when limit is 0 — are materialized and given their added
+// Page is the two-step retrieval over ids: r is decided on the IDs, and
+// only the rows [offset, offset+limit) of the result — every row from
+// offset when limit is 0 — are materialized and given their added
 // columns. total is how many rows r keeps. A metric filter or a sort
 // reads every ID's result once, in bounded chunks: it drops the results
 // of other metrics and computes the sort column's cell (Cell) for the

@@ -321,4 +321,3 @@ func TestResultsPageMaterializesOnlyItsRows(t *testing.T) {
 		t.Errorf("a page of %d rows of %d read %d results, want 200 of 512 reading 200", len(resp.Rows), resp.Total, read)
 	}
 }
-
