@@ -838,23 +838,7 @@ func BenchmarkMaterialize(b *testing.B) {
 // handler into a writer that keeps no byte; B/op is what one request
 // allocates.
 func BenchmarkResultsPage(b *testing.B) {
-	st, err := datastore.Open(reldb.NewMem())
-	if err != nil {
-		b.Fatal(err)
-	}
-	srv, err := server.New(server.Config{Store: st})
-	if err != nil {
-		b.Fatal(err)
-	}
-	h := srv.Handler()
-	c := corpus.Generate(1, 2)
-	for _, doc := range [][]byte{corpus.SharedDoc(), c.ExecDoc(0), c.ExecDoc(1)} {
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/load", bytes.NewReader(doc)))
-		if rec.Code != http.StatusOK {
-			b.Fatalf("load: %d %s", rec.Code, rec.Body)
-		}
-	}
+	c, h := corpusHandler(b, 2)
 	body := fmt.Sprintf(`{"families": [%q], "limit": 2000, "add_columns": ["execution/process", "build/module/function"]}`, c.FamExec(0).Spec)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -864,6 +848,70 @@ func BenchmarkResultsPage(b *testing.B) {
 		if w.code != http.StatusOK || w.n < 2000*10 {
 			b.Fatalf("results: status %d, %d bytes", w.code, w.n)
 		}
+	}
+}
+
+// corpusHandler loads the shared document and execs execution documents
+// of the reference benchmark's corpus into an in-memory store, through
+// the server's /v1/load, and returns the corpus and the handler.
+func corpusHandler(b *testing.B, execs int) (*corpus.Corpus, http.Handler) {
+	b.Helper()
+	st, err := datastore.Open(reldb.NewMem())
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv, err := server.New(server.Config{Store: st})
+	if err != nil {
+		b.Fatal(err)
+	}
+	h := srv.Handler()
+	c := corpus.Generate(1, execs)
+	docs := [][]byte{corpus.SharedDoc()}
+	for i := range execs {
+		docs = append(docs, c.ExecDoc(i))
+	}
+	for _, doc := range docs {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/load", bytes.NewReader(doc)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("load: %d %s", rec.Code, rec.Body)
+		}
+	}
+	return c, h
+}
+
+// BenchmarkRetrieveOps sends the four request shapes of the reference
+// benchmark's retrieve_bulk workload through the server's handler over a
+// 16-execution corpus store, into a writer that keeps no byte: a whole
+// execution's NDJSON stream, a comparison of two executions, a 2 000-row
+// page with two added columns, and a diagnosis of two attribute-selected
+// sides. B/op is what one request allocates.
+func BenchmarkRetrieveOps(b *testing.B) {
+	c, h := corpusHandler(b, 16)
+	fast, slow := c.FamAttr("compiler", "-O2"), c.FamAttr("compiler", "-O0")
+	ops := []struct {
+		name, method, target, body string
+		min                        int // the fewest body bytes a right answer has
+	}{
+		{"stream_exec", http.MethodPost, "/v1/results?stream=1",
+			fmt.Sprintf(`{"select": {"execution": %q}}`, c.Execs[0].Name), corpus.Full.Results() * 50},
+		{"compare", http.MethodGet, "/v1/compare?a=" + c.Execs[0].Name + "&b=" + c.Execs[1].Name, "", 1000},
+		{"page_big", http.MethodPost, "/v1/results",
+			fmt.Sprintf(`{"families": [%q], "limit": 2000, "add_columns": ["execution/process", "build/module/function"]}`, c.FamExec(0).Spec), 2000 * 10},
+		{"diagnose", http.MethodPost, "/v1/diagnose",
+			fmt.Sprintf(`{"families_a": [%q], "families_b": [%q]}`, fast.Spec, slow.Spec), 200},
+	}
+	for _, op := range ops {
+		b.Run(op.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				w := &discardWriter{h: http.Header{}}
+				h.ServeHTTP(w, httptest.NewRequest(op.method, op.target, strings.NewReader(op.body)))
+				if w.code != http.StatusOK || w.n < op.min {
+					b.Fatalf("%s: status %d, %d bytes", op.name, w.code, w.n)
+				}
+			}
+		})
 	}
 }
 

@@ -259,14 +259,16 @@ type aligner struct {
 	buf      []byte
 	// The execution being folded: the focus set each result holds, and
 	// each set; the foci each holds, and their resources.
-	set   []int32
-	sets  []focusSet
-	setOf map[string]int32 // focus IDs, as bytes → index in sets
-	foci  []int64          // every set's foci, one stretch each
-	last  int32            // the set intern returned last
-	fids  []int64          // the distinct foci, ascending
-	rids  [][]int64        // each distinct focus's resources
-	res   datastore.Dict   // resource names
+	set      []int32
+	sets     []focusSet
+	setOf    map[string]int32 // focus IDs, as bytes → index in sets
+	foci     []int64          // every set's foci, one stretch each
+	last     int32            // the set intern returned last
+	fids     []int64          // the distinct foci, ascending
+	rids     [][]int64        // each distinct focus's resources
+	arena    []int64          // the resources rids holds
+	distinct []int64          // the execution's distinct resources
+	res      datastore.Dict   // resource names
 }
 
 // focusSet is the foci a result holds, ascending (al.foci[lo:hi]), and
@@ -309,11 +311,15 @@ func (al *aligner) execution(ctx context.Context, e *Execution) error {
 	if err := al.resolve(ctx); err != nil {
 		return err
 	}
+	// Every focus's resources, deduplicated in reused storage: an
+	// execution keeps only its distinct resources, exactly sized.
+	all := al.distinct[:0]
 	for _, r := range al.rids {
-		e.Resources = append(e.Resources, r...)
+		all = append(all, r...)
 	}
-	slices.Sort(e.Resources)
-	e.Resources = slices.Compact(e.Resources)
+	slices.Sort(all)
+	al.distinct = slices.Compact(all)
+	e.Resources = slices.Clone(al.distinct)
 	return al.fold(ctx, e, &al.cells[e.Side])
 }
 
@@ -346,7 +352,7 @@ func (al *aligner) resolve(ctx context.Context) error {
 	slices.Sort(al.fids)
 	al.fids = slices.Compact(al.fids)
 	var err error
-	if al.rids, err = al.s.FocusResources(ctx, al.fids); err != nil {
+	if al.rids, al.arena, err = al.s.FocusResources(ctx, al.fids, al.rids, al.arena); err != nil {
 		return err
 	}
 	al.res = al.s.Dict("resource_item")

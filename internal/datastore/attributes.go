@@ -187,14 +187,28 @@ func (s *Store) ExecutionResourceIDs(exec string, resources []int64) ([]int64, e
 	return sortDedup(append([]int64(withPartners), ancestors...)), nil
 }
 
-// ExecutionsOfResults maps performance-result IDs back to the sorted set
-// of execution names that own them, reading the owner column of the rows
-// with those IDs by one keyed read. Unknown result IDs are skipped.
-func (s *Store) ExecutionsOfResults(ctx context.Context, ids []int64) ([]string, error) {
+// ExecutionsOfResults maps a set of performance-result IDs back to the
+// sorted names of the executions that own them, reading the owner column
+// by one pass over the blocks of the set's ID range, ctx checked once
+// per block: a row counts when the set holds its ID. IDs no row carries
+// are skipped.
+func (s *Store) ExecutionsOfResults(ctx context.Context, ids IDSet) ([]string, error) {
 	owners := make(map[int64]bool)
-	if len(ids) > 0 {
-		if err := s.keyed(ctx, "performance_result", newPosIndex(ids), func(b *reldb.ColumnBlock, i, _ int) error {
-			owners[b.Ints(1).At(i)] = true
+	if ids.Len() > 0 {
+		scan, err := s.Blocks("performance_result", ids.base, ids.last())
+		if err != nil {
+			return nil, err
+		}
+		if err := scan.Each(func(b *reldb.ColumnBlock) error {
+			if err := ctx.Err(); err != nil {
+				return fmt.Errorf("datastore: performance_result read: %w", err)
+			}
+			keys, execs := b.Ints(0), b.Ints(1)
+			for i := range b.Len() {
+				if ids.has(keys.At(i)) {
+					owners[execs.At(i)] = true
+				}
+			}
 			return nil
 		}); err != nil {
 			return nil, err

@@ -4,9 +4,12 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 
 	"perftrack/internal/core"
+	"perftrack/internal/ptdf"
+	"perftrack/internal/reldb"
 )
 
 func TestAttributeKeys(t *testing.T) {
@@ -181,7 +184,7 @@ func TestExecutionResourceIDs(t *testing.T) {
 		t.Fatal(err)
 	}
 	var resources []int64
-	rids, err := s.FocusResources(context.Background(), sortDedup(foci))
+	rids, _, err := s.FocusResources(context.Background(), sortDedup(foci), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,25 +234,116 @@ func TestExecutionResourceIDs(t *testing.T) {
 	}
 }
 
+// countingCtx counts its Err calls.
+type countingCtx struct {
+	context.Context
+	n int
+}
+
+func (c *countingCtx) Err() error {
+	c.n++
+	return nil
+}
+
+// TestExecutionsOfResults reads owners off sets of every form over a
+// store whose performance_result is part segments, part uncompacted
+// tail, and compares each with a per-ID oracle (ResultByID, skipping
+// IDs no row carries).
 func TestExecutionsOfResults(t *testing.T) {
-	s := seedStudy(t)
-	ids, err := s.MatchingResultIDsCtx(context.Background(), core.PRFilter{})
+	s, fe := newSegmentStore(t)
+	fe.SetSegmentFlushRows(1 << 40) // the compactor runs only when asked
+	seedSegmentStudy(t, s)
+	for _, e := range []string{"m-two", "m-three"} {
+		if _, err := s.AddExecution(e, "irs"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	commit := func(exec string, n int) {
+		b := s.NewBatch()
+		for i := range n {
+			b.Stage(ptdf.PerfResultRec{
+				Exec: exec, Metric: "metric", Value: float64(i), Units: "seconds", Tool: "test",
+				Sets: []ptdf.ResourceSet{{Names: []core.ResourceName{"/irs"}, Type: core.FocusPrimary}},
+			})
+		}
+		if _, err := b.CommitCtx(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	commit("m-mcr", 300)
+	commit("m-two", 300)
+	if err := fe.CompactSegments(); err != nil {
+		t.Fatal(err)
+	}
+	commit("m-three", 300) // these and the rest stay in the tail
+	commit("m-mcr", 50)
+	all, err := s.MatchingResultIDsCtx(context.Background(), core.PRFilter{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	execs, err := s.ExecutionsOfResults(context.Background(), ids)
-	if err != nil {
-		t.Fatal(err)
+	if len(all) != 950 {
+		t.Fatalf("%d results, want 950", len(all))
 	}
-	if !reflect.DeepEqual(execs, []string{"irs-frost", "irs-mcr"}) {
-		t.Errorf("executions = %v", execs)
+	every := func(k int) []int64 {
+		var out []int64
+		for i := 0; i < len(all); i += k {
+			out = append(out, all[i])
+		}
+		return out
 	}
-	// Unknown result IDs are skipped, not fatal.
-	execs, err = s.ExecutionsOfResults(context.Background(), []int64{99999})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(execs) != 0 {
-		t.Errorf("bogus ids resolved to %v", execs)
+	last := all[len(all)-1]
+	for _, c := range []struct {
+		name  string
+		ids   []int64
+		width uint8 // of the set: 0 is the bitmap form
+	}{
+		{"bitmap, segments and tail", all, 0},
+		{"bitmap, one segment", all[:300], 0},
+		{"offsets at width 1", []int64{all[310], all[400], all[500]}, 1},
+		{"offsets at width 2, segments and tail", every(97), 2},
+		{"offsets at width 4, an ID no row carries", []int64{all[0], all[700], last + 70000}, 4},
+		{"offsets at width 8, an ID no row carries", []int64{all[650], last + 1<<40}, 8},
+		{"only IDs no row carries", []int64{last + 1, last + 99}, 1},
+		{"empty", nil, 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			set := NewIDSet(c.ids)
+			if set.width != c.width {
+				t.Fatalf("set of %d IDs has width %d, want %d", len(c.ids), set.width, c.width)
+			}
+			checks := &countingCtx{Context: context.Background()}
+			got, err := s.ExecutionsOfResults(checks, set)
+			if err != nil {
+				t.Fatal(err)
+			}
+			blocks := 0
+			if len(c.ids) > 0 {
+				scan, err := s.Blocks("performance_result", c.ids[0], c.ids[len(c.ids)-1])
+				if err != nil {
+					t.Fatal(err)
+				}
+				scan.Each(func(*reldb.ColumnBlock) error { blocks++; return nil })
+			}
+			if checks.n != blocks {
+				t.Errorf("%d ctx checks over %d blocks, want one per block", checks.n, blocks)
+			}
+			want := []string{}
+			for _, id := range c.ids {
+				pr, err := s.ResultByID(id)
+				if errors.Is(err, ErrNotFound) {
+					continue
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Contains(want, pr.Execution) {
+					want = append(want, pr.Execution)
+				}
+			}
+			slices.Sort(want)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("ExecutionsOfResults = %v, per-ID oracle %v", got, want)
+			}
+		})
 	}
 }

@@ -98,12 +98,6 @@ type posIndex struct {
 	m     map[int64]int
 }
 
-func newPosIndex(ids []int64) *posIndex {
-	p := &posIndex{}
-	p.reset(ids)
-	return p
-}
-
 // reset rebuilds the index over ids, reusing backing storage from any
 // previous use (pooled indexes come through here between chunks).
 func (p *posIndex) reset(ids []int64) {
@@ -136,6 +130,24 @@ func (p *posIndex) reset(ids []int64) {
 				p.uniq = append(p.uniq, id)
 			}
 		}
+	}
+}
+
+// maxPooledIndex caps the slots and IDs of a posIndex returned to the
+// store's pool, so one wide read does not pin its memory forever.
+const maxPooledIndex = 1 << 16
+
+// borrowIndex returns a posIndex over ids from the store's pool; the
+// caller gives it back with returnIndex once its read is done.
+func (s *Store) borrowIndex(ids []int64) *posIndex {
+	p := s.indexes.Get().(*posIndex)
+	p.reset(ids)
+	return p
+}
+
+func (s *Store) returnIndex(p *posIndex) {
+	if cap(p.slots) <= maxPooledIndex && cap(p.uniq) <= maxPooledIndex && len(p.m) <= maxPooledIndex {
+		s.indexes.Put(p)
 	}
 }
 
@@ -303,7 +315,8 @@ func (s *Store) ResultColumns(ctx context.Context, ids []int64, fn func(i int, m
 	if len(ids) == 0 {
 		return nil
 	}
-	pos := newPosIndex(ids)
+	pos := s.borrowIndex(ids)
+	defer s.returnIndex(pos)
 	found := 0
 	if err := s.keyed(ctx, "performance_result", pos, func(b *reldb.ColumnBlock, i, j int) error {
 		found++
@@ -325,27 +338,32 @@ func (s *Store) ResultFoci(ctx context.Context, ids []int64, fn func(i int, focu
 	if len(ids) == 0 {
 		return nil
 	}
-	return s.keyed(ctx, "result_has_focus", newPosIndex(ids), func(b *reldb.ColumnBlock, i, j int) error {
+	pos := s.borrowIndex(ids)
+	defer s.returnIndex(pos)
+	return s.keyed(ctx, "result_has_focus", pos, func(b *reldb.ColumnBlock, i, j int) error {
 		fn(j, b.Ints(1).At(i))
 		return nil
 	})
 }
 
-// FocusResources returns the resource IDs of each focus in fids,
-// ascending: the context the materializer gives a result holding that
-// focus, read by the same keyed read of focus_has_resource. The IDs of
-// all foci share one arena.
-func (s *Store) FocusResources(ctx context.Context, fids []int64) ([][]int64, error) {
+// FocusResources sets rids[j] to the resource IDs of the focus fids[j]
+// (fids ascending, without duplicates), ascending: the context the
+// materializer gives a result holding that focus, read by the same keyed
+// read of focus_has_resource. rids and the arena their IDs share are the
+// caller's, reused from the storage of the rids and arena given and
+// returned for the next call; a focus without resources gets none.
+func (s *Store) FocusResources(ctx context.Context, fids []int64, rids [][]int64, arena []int64) ([][]int64, []int64, error) {
+	rids = slices.Grow(rids[:0], len(fids))[:len(fids)]
+	clear(rids)
 	if len(fids) == 0 {
-		return nil, nil
+		return rids, arena, nil
 	}
-	out := make([][]int64, len(fids))
-	if _, err := s.stageLinks(ctx, "focus_has_resource", newPosIndex(fids), nil, func(j int, rids []int64) {
-		out[j] = rids
-	}); err != nil {
-		return nil, err
-	}
-	return out, nil
+	pos := s.borrowIndex(fids)
+	defer s.returnIndex(pos)
+	arena, err := s.stageLinks(ctx, "focus_has_resource", pos, arena, func(j int, members []int64) {
+		rids[j] = members
+	})
+	return rids, arena, err
 }
 
 // run materializes one chunk of IDs, preserving input order (duplicate
@@ -529,7 +547,8 @@ func (m *materializer) run(ctx context.Context, ids []int64) ([]*core.Performanc
 // focus and focus_has_resource rows are read first, by keyed reads, then
 // one view of the resource dictionary maps every resource ID to its name.
 func (m *materializer) decodeFoci(ctx context.Context, fids []int64) error {
-	want := newPosIndex(fids)
+	want := m.s.borrowIndex(fids)
+	defer m.s.returnIndex(want)
 	types := make([]core.FocusType, len(fids))
 	found := 0
 	if err := m.s.keyed(ctx, "focus", want, func(b *reldb.ColumnBlock, i, j int) error {

@@ -229,7 +229,7 @@ func TestQueryResultsUsesBatchPath(t *testing.T) {
 	// past the seed's foci), against the per-ID path.
 	far := addSpreadResults(t, s, 1100)
 	for k, set := range [][]int64{own, append(append([]int64{}, own...), far)} {
-		if wide := newPosIndex(set).slots == nil; wide != (k == 1) {
+		if wide := s.borrowIndex(set).slots == nil; wide != (k == 1) {
 			t.Fatalf("set %d wide = %v", k, wide)
 		}
 		checkColumnReads(t, s, set)
@@ -292,7 +292,7 @@ func checkColumnReads(t *testing.T, s *Store, ids []int64) {
 		t.Fatal(err)
 	}
 	fids = sortDedup(fids)
-	rids, err := s.FocusResources(ctx, fids)
+	rids, _, err := s.FocusResources(ctx, fids, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +315,7 @@ func checkColumnReads(t *testing.T, s *Store, ids []int64) {
 		}
 	}
 
-	execs, err := s.ExecutionsOfResults(ctx, ids)
+	execs, err := s.ExecutionsOfResults(ctx, NewIDSet(ids))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,7 +420,7 @@ func TestKeyedLookupCancelled(t *testing.T) {
 	for i := 0; i < len(all); i += 5 {
 		wide = append(wide, all[i])
 	}
-	if newPosIndex(wide).slots != nil {
+	if s.borrowIndex(wide).slots != nil {
 		t.Fatalf("%d IDs over %d are compact", len(wide), wide[len(wide)-1]-wide[0]+1)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -449,7 +449,8 @@ func wideIDs(t *testing.T, ids []int64, k int) []int64 {
 		w = append(w, ids[i])
 	}
 	w = append(w, w[0], w[1])
-	if newPosIndex(w).slots != nil {
+	var p posIndex
+	if p.reset(w); p.slots != nil {
 		t.Fatalf("every %dth of %d IDs is compact", k, len(ids))
 	}
 	return w

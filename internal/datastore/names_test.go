@@ -500,7 +500,7 @@ func TestNamesConcurrent(t *testing.T) {
 					if err != nil {
 						continue
 					}
-					s.ExecutionsOfResults(context.Background(), ids)
+					s.ExecutionsOfResults(context.Background(), NewIDSet(ids))
 					s.MaterializeStreamCtx(context.Background(), ids, MaterializeOptions{ChunkSize: 2}, func(prs []*core.PerformanceResult) error {
 						for _, pr := range prs {
 							if pr.Execution == "" || pr.Metric == "" {

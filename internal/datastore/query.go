@@ -406,6 +406,7 @@ func sortFamily(fam core.Family) sortedFamily {
 // famScratch is one family evaluation's working memory, pooled in
 // Store.famScratch so a cold count allocates little beyond its set: the
 // member resources, their foci, and the results linked to those.
+// ExecutionResultIDs gathers an execution's results in the same buffer.
 type famScratch struct{ members, foci, results []int64 }
 
 // familySets evaluates every family's result-ID set in contiguous spans

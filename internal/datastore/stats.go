@@ -112,14 +112,21 @@ func (s *Store) LookupDict(table, name string) (id int64, ok bool) {
 
 // ExecutionResultIDs returns the sorted performance_result IDs of one
 // execution, reading the execution_id index for row IDs alone: a whole
-// key's lookup visits in row-ID order, and no row is built.
+// key's lookup visits in row-ID order, and no row is built. The IDs are
+// gathered in a pooled buffer, so the list returned is sized exactly.
 func (s *Store) ExecutionResultIDs(exec string) ([]int64, error) {
 	id, ok := s.names.id(dictExecution, exec)
 	if !ok {
 		return nil, fmt.Errorf("datastore: unknown execution %q: %w", exec, ErrNotFound)
 	}
 	tab, _ := s.eng.Table("performance_result")
-	return appendColumn(nil, tab, "performance_result_exec", id, -1)
+	sc := s.famScratch.Get().(*famScratch)
+	defer s.famScratch.Put(sc)
+	var err error
+	if sc.results, err = appendColumn(sc.results[:0], tab, "performance_result_exec", id, -1); err != nil {
+		return nil, err
+	}
+	return append(make([]int64, 0, len(sc.results)), sc.results...), nil
 }
 
 // Blocks opens the block source of one table (performance_result,

@@ -63,6 +63,10 @@ type Store struct {
 
 	// famScratch pools a family evaluation's ID buffers (*famScratch).
 	famScratch sync.Pool
+
+	// indexes pools the posIndex of a keyed read whose IDs a caller
+	// gives (*posIndex); see borrowIndex.
+	indexes sync.Pool
 }
 
 // segScanBytesBuckets spans 4 KiB point scans to multi-GiB full sweeps.
@@ -128,6 +132,7 @@ func Open(e reldb.Engine) (*Store, error) {
 	}
 	s.scratch.New = func() any { return new(matScratch) }
 	s.famScratch.New = func() any { return new(famScratch) }
+	s.indexes.New = func() any { return new(posIndex) }
 	fresh := !schemaExists(eng)
 	if err := ensureSchema(eng); err != nil {
 		return nil, err

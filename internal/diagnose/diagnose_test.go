@@ -261,41 +261,50 @@ func TestDiagnoseBottlenecksRankTimeLikeMetrics(t *testing.T) {
 // TestDiagnoseStopsWhenCancelled: a diagnosis whose context is cancelled
 // once the features are folded — at the first attribute key, or at the
 // first candidate — returns context.Canceled instead of a result, at
-// one worker and at several.
+// one worker and at several, with sides named and with sides selected
+// by families, whose owner pass checks once per block.
 func TestDiagnoseStopsWhenCancelled(t *testing.T) {
 	s, fleet := fleetStore(t, gen.FleetSpec{Execs: 40, Seed: 7})
-	spec := Spec{ExecsA: fleet.Fast, ExecsB: fleet.Slow}
-	for _, workers := range []int{1, 4} {
-		withWorkers(t, workers)
-		full, err := Run(context.Background(), s, spec)
-		if err != nil || full.Keys == 0 || full.Candidates == 0 {
-			t.Fatalf("w%d: uncancelled run: %+v, %v", workers, full, err)
-		}
-		// The checks Run's selection and feature phases make before it
-		// enumerates: the same calls, counted.
-		count := cancelAfter(math.MaxInt64)
-		a, err := resolveSide(count, s, "", spec.ExecsA, nil, "A")
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := resolveSide(count, s, "", spec.ExecsB, nil, "B")
-		if err != nil {
-			t.Fatal(err)
-		}
-		cmp, err := compare.Sets(count, s, a, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := extractFeatures(count, s, cmp); err != nil {
-			t.Fatal(err)
-		}
-		before := math.MaxInt64 - count.left.Load()
-		for _, c := range []struct {
-			phase string
-			after int64
-		}{{"enumerate", before}, {"score", before + int64(full.Keys)}} {
-			if res, err := Run(cancelAfter(c.after), s, spec); !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), c.phase) {
-				t.Errorf("w%d: cancelled in the %s phase: result %t, err %v; want context.Canceled from it", workers, c.phase, res != nil, err)
+	for _, spec := range []Spec{
+		{ExecsA: fleet.Fast, ExecsB: fleet.Slow},
+		{FamiliesA: []string{"attr=compiler=-O2"}, FamiliesB: []string{"attr=compiler=-O0"}},
+	} {
+		for _, workers := range []int{1, 4} {
+			withWorkers(t, workers)
+			var full *Result
+			for range 2 { // the match cache stores a family's set on its second fill
+				var err error
+				full, err = Run(context.Background(), s, spec)
+				if err != nil || full.Keys == 0 || full.Candidates == 0 {
+					t.Fatalf("w%d: uncancelled run: %+v, %v", workers, full, err)
+				}
+			}
+			// The checks Run's selection and feature phases make before it
+			// enumerates: the same calls, counted.
+			count := cancelAfter(math.MaxInt64)
+			a, err := resolveSide(count, s, spec.ExecA, spec.ExecsA, spec.FamiliesA, "A")
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := resolveSide(count, s, spec.ExecB, spec.ExecsB, spec.FamiliesB, "B")
+			if err != nil {
+				t.Fatal(err)
+			}
+			cmp, err := compare.Sets(count, s, a, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := extractFeatures(count, s, cmp); err != nil {
+				t.Fatal(err)
+			}
+			before := math.MaxInt64 - count.left.Load()
+			for _, c := range []struct {
+				phase string
+				after int64
+			}{{"enumerate", before}, {"score", before + int64(full.Keys)}} {
+				if res, err := Run(cancelAfter(c.after), s, spec); !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), c.phase) {
+					t.Errorf("w%d %v: cancelled in the %s phase: result %t, err %v; want context.Canceled from it", workers, spec, c.phase, res != nil, err)
+				}
 			}
 		}
 	}

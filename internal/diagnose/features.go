@@ -59,7 +59,7 @@ func resolveSide(ctx context.Context, s *datastore.Store, exec string, execs, fa
 	if err != nil {
 		return nil, fmt.Errorf("diagnose: side %s %w", side, err)
 	}
-	matched, err := s.ExecutionsOfResults(ctx, res.IDs())
+	matched, err := s.ExecutionsOfResults(ctx, res.Set())
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 )
 
@@ -66,18 +67,14 @@ func TableFromCells(header []string, rows [][]string) (*Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("query: row %d: bad value %q", n+1, rec[2])
 		}
-		row := &Row{
+		t.Rows = append(t.Rows, &Row{
 			Execution: rec[0],
 			Metric:    rec[1],
 			Value:     v,
 			Units:     rec[3],
 			Tool:      rec[4],
-			Extra:     make(map[string]string),
-		}
-		for i, c := range t.ExtraColumns {
-			row.Extra[c] = rec[len(FixedColumns)+i]
-		}
-		t.Rows = append(t.Rows, row)
+			Extra:     slices.Clone(rec[len(FixedColumns):]),
+		})
 	}
 	return t, nil
 }

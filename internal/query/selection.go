@@ -85,6 +85,11 @@ func (r *Resolution) Len() int { return r.set.Len() }
 // the caller's to modify.
 func (r *Resolution) IDs() []int64 { return r.set.IDs() }
 
+// Set returns the selected performance results as the packed set the
+// store answered, which may be shared with its match cache: no list is
+// built.
+func (r *Resolution) Set() datastore.IDSet { return r.set }
+
 // Resolve is the one place a Selection becomes result IDs; every route,
 // CLI, and the planner's family pseudo-column go through it. Each family
 // spec is parsed and applied (datastore.ApplyFilterCtx), the families are

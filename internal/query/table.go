@@ -30,9 +30,9 @@ type Row struct {
 	// Resources is the union of context resources for the result.
 	Resources []core.ResourceName
 
-	// Extra holds the values of added free-resource columns, keyed by
-	// column name.
-	Extra map[string]string
+	// Extra holds the cells of the added columns, indexed like
+	// Table.ExtraColumns.
+	Extra []string
 }
 
 // Table is a retrieved result set in GUI tabular form (Figure 4).
@@ -112,9 +112,12 @@ func Page(ctx context.Context, s *datastore.Store, ids []int64, r Refinement, of
 	if err != nil {
 		return nil, 0, err
 	}
+	// The rows and their added cells are each one block.
+	rows := make([]Row, len(results))
+	cells := make([]string, len(results)*len(cols))
 	t.Rows = make([]*Row, len(results))
 	for i, pr := range results {
-		t.Rows[i] = &Row{
+		rows[i] = Row{
 			ID:        page[i],
 			Execution: pr.Execution,
 			Metric:    pr.Metric,
@@ -122,8 +125,9 @@ func Page(ctx context.Context, s *datastore.Store, ids []int64, r Refinement, of
 			Units:     pr.Units,
 			Value:     pr.Value,
 			Resources: pr.AllResources(),
-			Extra:     make(map[string]string),
+			Extra:     cells[i*len(cols) : i*len(cols) : (i+1)*len(cols)],
 		}
+		t.Rows[i] = &rows[i]
 	}
 	for _, c := range cols {
 		if err := t.add(c); err != nil {
@@ -156,7 +160,7 @@ func (t *Table) decide(ctx context.Context, ids []int64, r Refinement, cols []co
 		kept = nil
 	}
 	var keys []cellKey
-	row := &Row{Extra: make(map[string]string)}
+	row := &Row{}
 	i := 0
 	err := t.store.MaterializeStreamCtx(ctx, ids, datastore.MaterializeOptions{}, func(batch []*core.PerformanceResult) error {
 		for _, pr := range batch {
@@ -171,15 +175,17 @@ func (t *Table) decide(ctx context.Context, ids []int64, r Refinement, cols []co
 			if by == "" {
 				continue
 			}
-			row.Execution, row.Metric, row.Tool, row.Units, row.Value = pr.Execution, pr.Metric, pr.Tool, pr.Units, pr.Value
-			if added != nil {
-				clear(row.Extra)
-				row.Resources = pr.AllResources()
-				if err := t.fill(row, *added); err != nil {
-					return err
-				}
+			if added == nil {
+				row.Execution, row.Metric, row.Tool, row.Units, row.Value = pr.Execution, pr.Metric, pr.Tool, pr.Units, pr.Value
+				keys = append(keys, keyOf(t.Cell(row, by)))
+				continue
 			}
-			keys = append(keys, keyOf(t.Cell(row, by)))
+			row.Resources = pr.AllResources()
+			cell, err := t.cell(row, *added)
+			if err != nil {
+				return err
+			}
+			keys = append(keys, keyOf(cell))
 		}
 		return nil
 	})
@@ -341,29 +347,32 @@ func (t *Table) AddAttributeColumn(tp core.TypePath, attr string) error {
 	return t.add(column{name: string(tp) + "." + attr, tp: tp, attr: attr, isAttr: true})
 }
 
-// add fills a column on every row, unless the table has one of its name.
+// add appends a column's cell to every row, unless the table has a
+// column of its name.
 func (t *Table) add(c column) error {
 	if slices.Contains(t.ExtraColumns, c.name) {
 		return nil
 	}
 	for _, row := range t.Rows {
-		if err := t.fill(row, c); err != nil {
+		cell, err := t.cell(row, c)
+		if err != nil {
 			return err
 		}
+		row.Extra = append(row.Extra, cell)
 	}
 	t.ExtraColumns = append(t.ExtraColumns, c.name)
 	return nil
 }
 
-// fill sets a row's cell of an added column from its first context
+// cell is a row's cell of an added column, from its first context
 // resource of the column's type: the resource's name, or its value of
 // the attribute. A row without one, or whose resource lacks the
-// attribute, gets no cell.
-func (t *Table) fill(row *Row, c column) error {
+// attribute, gets "".
+func (t *Table) cell(row *Row, c column) (string, error) {
 	for _, r := range row.Resources {
 		rt, err := t.resolveType(r)
 		if err != nil {
-			return err
+			return "", err
 		}
 		if rt != c.tp {
 			continue
@@ -372,19 +381,15 @@ func (t *Table) fill(row *Row, c column) error {
 		case c.isAttr:
 			res, err := t.store.ResourceByName(r)
 			if err != nil {
-				return err
+				return "", err
 			}
-			if v, ok := res.Attributes[c.attr]; ok {
-				row.Extra[c.name] = v
-			}
+			return res.Attributes[c.attr], nil
 		case c.full:
-			row.Extra[c.name] = string(r)
-		default:
-			row.Extra[c.name] = r.BaseName()
+			return string(r), nil
 		}
-		return nil
+		return r.BaseName(), nil
 	}
-	return nil
+	return "", nil
 }
 
 // Columns returns the full display column list.
@@ -405,9 +410,17 @@ func (t *Table) Cell(row *Row, column string) string {
 		return row.Units
 	case "tool":
 		return row.Tool
-	default:
-		return row.Extra[column]
 	}
+	// A name the columns hold twice (a CSV header may) reads its last.
+	for i := len(t.ExtraColumns) - 1; i >= 0; i-- {
+		if t.ExtraColumns[i] == column {
+			if i < len(row.Extra) {
+				return row.Extra[i]
+			}
+			break
+		}
+	}
+	return ""
 }
 
 // SortBy orders rows by a column, stably; numeric cells compare

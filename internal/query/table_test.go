@@ -294,7 +294,7 @@ func TestCSVRoundTrip(t *testing.T) {
 	for i := range got.Rows {
 		if got.Rows[i].Value != tbl.Rows[i].Value ||
 			got.Rows[i].Execution != tbl.Rows[i].Execution ||
-			got.Rows[i].Extra["execution.nprocs"] != tbl.Rows[i].Extra["execution.nprocs"] {
+			got.Cell(got.Rows[i], "execution.nprocs") != tbl.Cell(tbl.Rows[i], "execution.nprocs") {
 			t.Fatalf("row %d mismatch", i)
 		}
 	}

@@ -30,14 +30,6 @@ const maxRequestBody = 1 << 20
 // for on a multi-document load.
 const maxBulkWorkers = 32
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
 // statusOf maps a store error class onto an HTTP status: missing
 // entities are 404, identity conflicts 409, malformed input 400, and
 // anything unclassified keeps the handler's fallback.
@@ -342,13 +334,13 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 		next = encodeCursor("r1", strconv.Itoa(offset+req.Limit), sig)
 	}
 	cols := tbl.Columns()
-	out := make([][]string, 0, len(tbl.Rows))
-	for _, row := range tbl.Rows {
-		cells := make([]string, len(cols))
+	out := make([][]string, len(tbl.Rows))
+	cells := make([]string, len(tbl.Rows)*len(cols)) // every row's, one block
+	for i, row := range tbl.Rows {
+		out[i] = cells[i*len(cols) : (i+1)*len(cols) : (i+1)*len(cols)]
 		for j, c := range cols {
-			cells[j] = tbl.Cell(row, c)
+			out[i][j] = tbl.Cell(row, c)
 		}
-		out = append(out, cells)
 	}
 	writeJSON(w, http.StatusOK, ResultsResponse{
 		APIVersion: APIVersion, Columns: cols, Rows: out, Total: total, NextCursor: next,
@@ -397,30 +389,19 @@ func (s *Server) handleResultsStream(w http.ResponseWriter, r *http.Request, req
 			flusher.Flush()
 		}
 	}
-	if err := enc.Encode(ResultStreamLine{APIVersion: APIVersion, Columns: query.FixedColumns, Total: total}); err != nil {
+	rs := &resultStream{enc: enc}
+	if err := rs.send(ResultStreamLine{APIVersion: APIVersion, Columns: query.FixedColumns, Total: total}); err != nil {
 		return
 	}
 	flush()
 	emitted := 0
-	var row ResultRow // reused across lines; only Resources' backing array survives a reset
 	err = s.store.MaterializeStreamCtx(r.Context(), ids, datastore.MaterializeOptions{ChunkSize: resultStreamChunk},
 		func(batch []*core.PerformanceResult) error {
 			for _, pr := range batch {
 				if req.Metric != "" && pr.Metric != req.Metric {
 					continue
 				}
-				row = ResultRow{
-					Execution: pr.Execution,
-					Metric:    pr.Metric,
-					Value:     pr.Value,
-					Units:     pr.Units,
-					Tool:      pr.Tool,
-					Resources: row.Resources[:0],
-				}
-				for _, res := range pr.AllResources() {
-					row.Resources = append(row.Resources, string(res))
-				}
-				if err := enc.Encode(ResultStreamLine{APIVersion: APIVersion, Row: &row}); err != nil {
+				if err := rs.sendRow(pr); err != nil {
 					return err
 				}
 				emitted++
@@ -435,11 +416,11 @@ func (s *Server) handleResultsStream(w http.ResponseWriter, r *http.Request, req
 		// Headers are gone; all we can do is report in-band and stop
 		// before the Done line so the client sees a truncated stream.
 		s.log.Warn("results stream aborted", "err", err, "rid", RequestIDFromContext(r.Context()))
-		enc.Encode(ResultStreamLine{APIVersion: APIVersion, Error: err.Error()})
+		rs.send(ResultStreamLine{APIVersion: APIVersion, Error: err.Error()})
 		flush()
 		return
 	}
-	enc.Encode(ResultStreamLine{APIVersion: APIVersion, Done: true, Rows: emitted})
+	rs.send(ResultStreamLine{APIVersion: APIVersion, Done: true, Rows: emitted})
 	flush()
 	s.log.Debug("results stream", "rows", emitted, "total", total, "rid", RequestIDFromContext(r.Context()))
 }

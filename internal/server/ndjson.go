@@ -1,18 +1,24 @@
 package server
 
 // Pooled NDJSON line encoding for the streaming endpoints
-// (/v1/results?stream=1, /v1/sql?stream=1). Encoding straight into the
-// ResponseWriter allocates a fresh encode buffer per line at the json
-// layer boundary; marshalling into a pooled per-stream buffer instead
-// reuses one buffer for every line of a stream and across streams, so
-// per-row allocations stay flat regardless of result size (pinned by
-// BenchmarkSQLStreamEncode / BenchmarkResultsStreamEncode).
+// (/v1/results?stream=1, /v1/sql?stream=1). Each stream marshals its
+// lines into one pooled buffer, reused for every line of a stream and
+// across streams, and encodes one reused line value: a row is copied
+// into the stream's line (resultStream, sqlStream) and a pointer to it
+// is encoded, so emitting one more row allocates nothing
+// (TestStreamLinesAllocateNothing; BenchmarkSQLStreamEncode and
+// BenchmarkResultsStreamEncode).
 
 import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
+	"slices"
 	"sync"
+
+	"perftrack/internal/core"
+	"perftrack/internal/reldb"
 )
 
 // maxPooledEncodeBuf caps the buffer capacity returned to the pool, so
@@ -58,4 +64,91 @@ func (e *ndjsonEncoder) Release() {
 		e.enc = json.NewEncoder(e.buf)
 	}
 	ndjsonPool.Put(e)
+}
+
+// resultStream is one /v1/results stream's reused line.
+type resultStream struct {
+	enc  *ndjsonEncoder
+	line ResultStreamLine
+	row  ResultRow
+}
+
+// send encodes one header, error or summary line.
+func (rs *resultStream) send(line ResultStreamLine) error {
+	rs.line = line
+	return rs.enc.Encode(&rs.line)
+}
+
+// sendRow encodes pr as one row line. Its resources are the union of its
+// contexts' resources, sorted (PerformanceResult.AllResources), collected
+// into the row's reused slice.
+func (rs *resultStream) sendRow(pr *core.PerformanceResult) error {
+	res := rs.row.Resources[:0]
+	for _, c := range pr.Contexts {
+		for _, r := range c.Resources {
+			res = append(res, string(r))
+		}
+	}
+	slices.Sort(res)
+	rs.row = ResultRow{
+		Execution: pr.Execution,
+		Metric:    pr.Metric,
+		Value:     pr.Value,
+		Units:     pr.Units,
+		Tool:      pr.Tool,
+		Resources: slices.Compact(res),
+	}
+	return rs.send(ResultStreamLine{APIVersion: APIVersion, Row: &rs.row})
+}
+
+// sqlStream is one /v1/sql stream's reused line. A row's cells are held
+// in slots, one per column, and the line's cells point at them: boxing
+// a pointer allocates nothing, and it encodes as the value it points at,
+// which is the value sqlCell boxes.
+type sqlStream struct {
+	enc   *ndjsonEncoder
+	line  SQLStreamLine
+	cells []any
+	slots []sqlSlot
+}
+
+type sqlSlot struct {
+	i int64
+	f float64
+	s string
+}
+
+// send encodes one header or summary line.
+func (ss *sqlStream) send(line SQLStreamLine) error {
+	ss.line = line
+	return ss.enc.Encode(&ss.line)
+}
+
+// sendRow encodes row as one row line.
+func (ss *sqlStream) sendRow(row reldb.Row) error {
+	if len(ss.slots) < len(row) {
+		ss.slots = make([]sqlSlot, len(row))
+	}
+	ss.cells = ss.cells[:0]
+	for k, v := range row {
+		sl := &ss.slots[k]
+		var cell any
+		switch v.Kind() {
+		case reldb.KindInt:
+			sl.i = v.Int64()
+			cell = &sl.i
+		case reldb.KindFloat:
+			if f := v.Float64(); !math.IsNaN(f) && !math.IsInf(f, 0) {
+				sl.f = f
+				cell = &sl.f
+			}
+		case reldb.KindString:
+			sl.s = v.Text()
+			cell = &sl.s
+		case reldb.KindBool:
+			cell = v.Truth() // a one-byte value boxes without allocating
+		}
+		ss.cells = append(ss.cells, cell)
+	}
+	return ss.send(SQLStreamLine{APIVersion: APIVersion, Row: ss.cells})
 }

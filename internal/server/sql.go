@@ -32,16 +32,11 @@ func sqlCell(v reldb.Value) any {
 }
 
 func sqlRow(row reldb.Row) []any {
-	return appendSQLRow(make([]any, 0, len(row)), row)
-}
-
-// appendSQLRow converts a row into dst, reusing its backing array —
-// the streaming encoder recycles one slice across every emitted row.
-func appendSQLRow(dst []any, row reldb.Row) []any {
-	for _, v := range row {
-		dst = append(dst, sqlCell(v))
+	out := make([]any, len(row))
+	for i, v := range row {
+		out[i] = sqlCell(v)
 	}
-	return dst
+	return out
 }
 
 // handleSQL is POST /v1/sql: one SELECT planned and executed against the
@@ -140,17 +135,16 @@ func (s *Server) streamSQL(w http.ResponseWriter, res *sqldb.Result, req SQLRequ
 	enc := newNDJSON(w)
 	defer enc.Release()
 	flusher, _ := w.(http.Flusher)
-	if err := enc.Encode(SQLStreamLine{APIVersion: APIVersion, Columns: res.Columns}); err != nil {
+	ss := &sqlStream{enc: enc}
+	if err := ss.send(SQLStreamLine{APIVersion: APIVersion, Columns: res.Columns}); err != nil {
 		return
 	}
 	emitted := 0
-	var rowBuf []any // one backing array for every emitted line
 	for _, row := range res.Rows {
 		if req.Limit > 0 && emitted >= req.Limit {
 			break
 		}
-		rowBuf = appendSQLRow(rowBuf[:0], row)
-		if err := enc.Encode(SQLStreamLine{APIVersion: APIVersion, Row: rowBuf}); err != nil {
+		if err := ss.sendRow(row); err != nil {
 			return
 		}
 		emitted++
@@ -158,7 +152,7 @@ func (s *Server) streamSQL(w http.ResponseWriter, res *sqldb.Result, req SQLRequ
 			flusher.Flush()
 		}
 	}
-	enc.Encode(SQLStreamLine{APIVersion: APIVersion, Done: true, Rows: emitted, Plan: plan})
+	ss.send(SQLStreamLine{APIVersion: APIVersion, Done: true, Rows: emitted, Plan: plan})
 	if flusher != nil {
 		flusher.Flush()
 	}

@@ -31,7 +31,7 @@ func benchResult(rows int) *sqldb.Result {
 }
 
 // BenchmarkSQLStreamEncode measures the pooled streaming encoder: one
-// reused line buffer and one reused row slice per stream.
+// reused line buffer and one reused line per stream.
 func BenchmarkSQLStreamEncode(b *testing.B) {
 	s := &Server{}
 	res := benchResult(1000)
@@ -62,24 +62,19 @@ func BenchmarkSQLStreamEncodeDirect(b *testing.B) {
 	}
 }
 
-// BenchmarkResultsStreamEncode measures the pooled encoder on the
-// /v1/results line shape with a reused ResultRow.
+// BenchmarkResultsStreamEncode measures the /v1/results stream's line
+// encoding: 1 000 rows through the handler's reused line.
 func BenchmarkResultsStreamEncode(b *testing.B) {
 	w := discardRW{h: http.Header{}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		enc := newNDJSON(w)
-		var row ResultRow
+		rs := &resultStream{enc: newNDJSON(w)}
 		for j := 0; j < 1000; j++ {
-			row = ResultRow{
-				Execution: "exec-a", Metric: "time", Value: float64(j), Units: "seconds",
-				Tool: "tool", Resources: append(row.Resources[:0], "/app", "/SG/SM/batch/n0/p0"),
-			}
-			if err := enc.Encode(ResultStreamLine{APIVersion: APIVersion, Row: &row}); err != nil {
+			if err := rs.sendRow(streamResult); err != nil {
 				b.Fatal(err)
 			}
 		}
-		enc.Release()
+		rs.enc.Release()
 	}
 }
