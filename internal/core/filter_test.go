@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -340,6 +341,11 @@ func TestPerformanceResultAllResources(t *testing.T) {
 	all := pr.AllResources()
 	if len(all) != 3 || all[0] != "/a" || all[1] != "/b" || all[2] != "/c" {
 		t.Errorf("AllResources = %v", all)
+	}
+	dst := make([]ResourceName, 1, 8)
+	dst[0] = "/z"
+	if got := pr.AppendAllResources(dst); !slices.Equal(got, []ResourceName{"/z", "/a", "/b", "/c"}) {
+		t.Errorf("AppendAllResources after /z = %v", got)
 	}
 }
 

@@ -140,12 +140,18 @@ func (pr *PerformanceResult) PrimaryContext() Context {
 // AllResources returns the union of resources across all contexts, sorted
 // and deduplicated.
 func (pr *PerformanceResult) AllResources() []ResourceName {
-	var out []ResourceName
+	return pr.AppendAllResources(nil)
+}
+
+// AppendAllResources appends AllResources' union to dst, reusing its
+// backing array, and returns the extended slice.
+func (pr *PerformanceResult) AppendAllResources(dst []ResourceName) []ResourceName {
+	n := len(dst)
 	for _, c := range pr.Contexts {
-		out = append(out, c.Resources...)
+		dst = append(dst, c.Resources...)
 	}
-	slices.Sort(out)
-	return slices.Compact(out)
+	slices.Sort(dst[n:])
+	return dst[:n+len(slices.Compact(dst[n:]))]
 }
 
 // Validate checks structural invariants: a metric, at least one context,

@@ -188,13 +188,27 @@ func (s *Store) ExecutionResourceIDs(exec string, resources []int64) ([]int64, e
 }
 
 // ExecutionsOfResults maps a set of performance-result IDs back to the
-// sorted names of the executions that own them, reading the owner column
-// by one pass over the blocks of the set's ID range, ctx checked once
-// per block: a row counts when the set holds its ID. IDs no row carries
-// are skipped.
+// sorted names of the executions that own them. IDs no row carries are
+// skipped. A bitmap-form set is dense over its ID range, so it is read by
+// one pass over the blocks of that range, ctx checked once per block, a
+// row counting when the set holds its ID. The offsets form holds few IDs
+// for its span, so they are read by key (keyed): a lookup each, unless
+// they lie close enough for a block pass.
 func (s *Store) ExecutionsOfResults(ctx context.Context, ids IDSet) ([]string, error) {
 	owners := make(map[int64]bool)
-	if ids.Len() > 0 {
+	switch {
+	case ids.Len() == 0:
+	case ids.width != 0:
+		want := s.borrowIndex(ids.IDs())
+		err := s.keyed(ctx, "performance_result", want, func(b *reldb.ColumnBlock, i, _ int) error {
+			owners[b.Ints(1).At(i)] = true
+			return nil
+		})
+		s.returnIndex(want)
+		if err != nil {
+			return nil, err
+		}
+	default:
 		scan, err := s.Blocks("performance_result", ids.base, ids.last())
 		if err != nil {
 			return nil, err

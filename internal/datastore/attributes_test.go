@@ -248,7 +248,9 @@ func (c *countingCtx) Err() error {
 // TestExecutionsOfResults reads owners off sets of every form over a
 // store whose performance_result is part segments, part uncompacted
 // tail, and compares each with a per-ID oracle (ResultByID, skipping
-// IDs no row carries).
+// IDs no row carries). A set read by block pass checks ctx once per
+// block of its range; one read by lookups checks it once per 1024 IDs
+// and scans no segment rows.
 func TestExecutionsOfResults(t *testing.T) {
 	s, fe := newSegmentStore(t)
 	fe.SetSegmentFlushRows(1 << 40) // the compactor runs only when asked
@@ -293,18 +295,20 @@ func TestExecutionsOfResults(t *testing.T) {
 	}
 	last := all[len(all)-1]
 	for _, c := range []struct {
-		name  string
-		ids   []int64
-		width uint8 // of the set: 0 is the bitmap form
+		name    string
+		ids     []int64
+		width   uint8 // of the set: 0 is the bitmap form
+		lookups bool  // read one ID at a time, not by block pass
 	}{
-		{"bitmap, segments and tail", all, 0},
-		{"bitmap, one segment", all[:300], 0},
-		{"offsets at width 1", []int64{all[310], all[400], all[500]}, 1},
-		{"offsets at width 2, segments and tail", every(97), 2},
-		{"offsets at width 4, an ID no row carries", []int64{all[0], all[700], last + 70000}, 4},
-		{"offsets at width 8, an ID no row carries", []int64{all[650], last + 1<<40}, 8},
-		{"only IDs no row carries", []int64{last + 1, last + 99}, 1},
-		{"empty", nil, 0},
+		{"bitmap, segments and tail", all, 0, false},
+		{"bitmap, one segment", all[:300], 0, false},
+		{"offsets at width 1", []int64{all[310], all[400], all[500]}, 1, false},
+		{"offsets at width 2, segments and tail", every(97), 2, false},
+		{"sparse offsets across the table", []int64{all[5], all[475], all[940], last + 5000}, 2, true},
+		{"offsets at width 4, an ID no row carries", []int64{all[0], all[700], last + 70000}, 4, true},
+		{"offsets at width 8, an ID no row carries", []int64{all[650], last + 1<<40}, 8, true},
+		{"only IDs no row carries", []int64{last + 1, last + 99}, 1, false},
+		{"empty", nil, 0, false},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			set := NewIDSet(c.ids)
@@ -312,20 +316,27 @@ func TestExecutionsOfResults(t *testing.T) {
 				t.Fatalf("set of %d IDs has width %d, want %d", len(c.ids), set.width, c.width)
 			}
 			checks := &countingCtx{Context: context.Background()}
+			scanned := s.tel.segmentRowsScanned.Load()
 			got, err := s.ExecutionsOfResults(checks, set)
 			if err != nil {
 				t.Fatal(err)
 			}
-			blocks := 0
-			if len(c.ids) > 0 {
+			scanned = s.tel.segmentRowsScanned.Load() - scanned
+			wantChecks := 0
+			if c.lookups {
+				wantChecks = (len(c.ids) + 1023) / 1024
+				if scanned != 0 {
+					t.Errorf("%d IDs read by lookups scanned %d segment rows", len(c.ids), scanned)
+				}
+			} else if len(c.ids) > 0 {
 				scan, err := s.Blocks("performance_result", c.ids[0], c.ids[len(c.ids)-1])
 				if err != nil {
 					t.Fatal(err)
 				}
-				scan.Each(func(*reldb.ColumnBlock) error { blocks++; return nil })
+				scan.Each(func(*reldb.ColumnBlock) error { wantChecks++; return nil })
 			}
-			if checks.n != blocks {
-				t.Errorf("%d ctx checks over %d blocks, want one per block", checks.n, blocks)
+			if checks.n != wantChecks {
+				t.Errorf("%d ctx checks, want %d", checks.n, wantChecks)
 			}
 			want := []string{}
 			for _, id := range c.ids {

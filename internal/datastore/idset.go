@@ -141,13 +141,8 @@ func (s IDSet) at(i int) int64 {
 	return s.base + int64(s.words[bit/64]>>(bit%64)&mask)
 }
 
-// has reports whether the set holds id: a bit test in the bitmap form,
-// a binary search of the offsets.
+// has reports whether the bitmap form holds id.
 func (s IDSet) has(id int64) bool {
-	if s.width != 0 {
-		i := s.gallop(0, id)
-		return i < s.n && s.at(i) == id
-	}
 	k := uint64(id - s.base)
 	return id >= s.base && k/64 < uint64(len(s.words)) && s.words[k/64]&(1<<(k%64)) != 0
 }

@@ -3,22 +3,19 @@ package server
 // Pooled NDJSON line encoding for the streaming endpoints
 // (/v1/results?stream=1, /v1/sql?stream=1). Each stream marshals its
 // lines into one pooled buffer, reused for every line of a stream and
-// across streams, and encodes one reused line value: a row is copied
-// into the stream's line (resultStream, sqlStream) and a pointer to it
-// is encoded, so emitting one more row allocates nothing
-// (TestStreamLinesAllocateNothing; BenchmarkSQLStreamEncode and
-// BenchmarkResultsStreamEncode).
+// across streams. The results stream also encodes one reused line: a
+// row is copied into the stream's line (resultStream) and a pointer to
+// it is encoded, so emitting one more row allocates nothing
+// (TestStreamLinesAllocateNothing, BenchmarkResultsStreamEncode). The
+// SQL stream reuses one row slice (BenchmarkSQLStreamEncode).
 
 import (
 	"bytes"
 	"encoding/json"
 	"io"
-	"math"
-	"slices"
 	"sync"
 
 	"perftrack/internal/core"
-	"perftrack/internal/reldb"
 )
 
 // maxPooledEncodeBuf caps the buffer capacity returned to the pool, so
@@ -71,6 +68,7 @@ type resultStream struct {
 	enc  *ndjsonEncoder
 	line ResultStreamLine
 	row  ResultRow
+	res  []core.ResourceName // the row's resources, before conversion
 }
 
 // send encodes one header, error or summary line.
@@ -79,76 +77,22 @@ func (rs *resultStream) send(line ResultStreamLine) error {
 	return rs.enc.Encode(&rs.line)
 }
 
-// sendRow encodes pr as one row line. Its resources are the union of its
-// contexts' resources, sorted (PerformanceResult.AllResources), collected
-// into the row's reused slice.
+// sendRow encodes pr as one row line. Its resources are
+// PerformanceResult.AppendAllResources', gathered into the stream's
+// reused slices.
 func (rs *resultStream) sendRow(pr *core.PerformanceResult) error {
-	res := rs.row.Resources[:0]
-	for _, c := range pr.Contexts {
-		for _, r := range c.Resources {
-			res = append(res, string(r))
-		}
+	rs.res = pr.AppendAllResources(rs.res[:0])
+	names := rs.row.Resources[:0]
+	for _, r := range rs.res {
+		names = append(names, string(r))
 	}
-	slices.Sort(res)
 	rs.row = ResultRow{
 		Execution: pr.Execution,
 		Metric:    pr.Metric,
 		Value:     pr.Value,
 		Units:     pr.Units,
 		Tool:      pr.Tool,
-		Resources: slices.Compact(res),
+		Resources: names,
 	}
 	return rs.send(ResultStreamLine{APIVersion: APIVersion, Row: &rs.row})
-}
-
-// sqlStream is one /v1/sql stream's reused line. A row's cells are held
-// in slots, one per column, and the line's cells point at them: boxing
-// a pointer allocates nothing, and it encodes as the value it points at,
-// which is the value sqlCell boxes.
-type sqlStream struct {
-	enc   *ndjsonEncoder
-	line  SQLStreamLine
-	cells []any
-	slots []sqlSlot
-}
-
-type sqlSlot struct {
-	i int64
-	f float64
-	s string
-}
-
-// send encodes one header or summary line.
-func (ss *sqlStream) send(line SQLStreamLine) error {
-	ss.line = line
-	return ss.enc.Encode(&ss.line)
-}
-
-// sendRow encodes row as one row line.
-func (ss *sqlStream) sendRow(row reldb.Row) error {
-	if len(ss.slots) < len(row) {
-		ss.slots = make([]sqlSlot, len(row))
-	}
-	ss.cells = ss.cells[:0]
-	for k, v := range row {
-		sl := &ss.slots[k]
-		var cell any
-		switch v.Kind() {
-		case reldb.KindInt:
-			sl.i = v.Int64()
-			cell = &sl.i
-		case reldb.KindFloat:
-			if f := v.Float64(); !math.IsNaN(f) && !math.IsInf(f, 0) {
-				sl.f = f
-				cell = &sl.f
-			}
-		case reldb.KindString:
-			sl.s = v.Text()
-			cell = &sl.s
-		case reldb.KindBool:
-			cell = v.Truth() // a one-byte value boxes without allocating
-		}
-		ss.cells = append(ss.cells, cell)
-	}
-	return ss.send(SQLStreamLine{APIVersion: APIVersion, Row: ss.cells})
 }

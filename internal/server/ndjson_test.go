@@ -3,11 +3,9 @@ package server
 import (
 	"bytes"
 	"encoding/json"
-	"math"
 	"testing"
 
 	"perftrack/internal/core"
-	"perftrack/internal/reldb"
 )
 
 // streamResult is a result of two contexts that share a resource, so
@@ -20,17 +18,11 @@ var streamResult = &core.PerformanceResult{
 	},
 }
 
-// streamRow holds a cell of every kind, a non-finite float and values
-// that do not box without allocating.
-var streamRow = reldb.Row{reldb.Int(123456789), reldb.Float(0.25), reldb.Str("metric-7 <&>"),
-	reldb.Bool(true), reldb.Null(), reldb.Float(math.Inf(1)), reldb.Int(-1 << 40)}
-
 // raceDetector is set when the tests run under the race detector.
 var raceDetector bool
 
-// TestStreamLinesAllocateNothing emits one more results-stream row and
-// one more SQL-stream row, after the first of each has sized the reused
-// buffers: neither allocates.
+// TestStreamLinesAllocateNothing emits one more results-stream row,
+// after the first has sized the reused buffers: it allocates nothing.
 func TestStreamLinesAllocateNothing(t *testing.T) {
 	if raceDetector {
 		// sync.Pool drops items at random under the race detector, so
@@ -49,19 +41,11 @@ func TestStreamLinesAllocateNothing(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("a results-stream row allocates %v times", n)
 	}
-	ss := &sqlStream{enc: enc}
-	if n := testing.AllocsPerRun(100, func() {
-		out.Reset()
-		if err := ss.sendRow(streamRow); err != nil {
-			t.Fatal(err)
-		}
-	}); n != 0 {
-		t.Errorf("an SQL-stream row allocates %v times", n)
-	}
 }
 
-// TestStreamLinesMatchBoxedLines holds the reused-line streams to the
-// bytes json.Encoder writes for the line values they stand for.
+// TestStreamLinesMatchBoxedLines holds the reused-line results stream to
+// the bytes json.Encoder writes for the line values it stands for, its
+// resources those of PerformanceResult.AllResources.
 func TestStreamLinesMatchBoxedLines(t *testing.T) {
 	var got, want bytes.Buffer
 	enc := newNDJSON(&got)
@@ -83,14 +67,6 @@ func TestStreamLinesMatchBoxedLines(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref.Encode(ResultStreamLine{APIVersion: APIVersion, Row: &ResultRow{Metric: "m"}})
-
-	ss := &sqlStream{enc: enc}
-	for _, row := range []reldb.Row{streamRow, {reldb.Str("x"), reldb.Null()}, streamRow} {
-		if err := ss.sendRow(row); err != nil {
-			t.Fatal(err)
-		}
-		ref.Encode(SQLStreamLine{APIVersion: APIVersion, Row: sqlRow(row)})
-	}
 	if got.String() != want.String() {
 		t.Fatalf("stream lines\n%s\nwant\n%s", got.String(), want.String())
 	}

@@ -32,11 +32,16 @@ func sqlCell(v reldb.Value) any {
 }
 
 func sqlRow(row reldb.Row) []any {
-	out := make([]any, len(row))
-	for i, v := range row {
-		out[i] = sqlCell(v)
+	return appendSQLRow(make([]any, 0, len(row)), row)
+}
+
+// appendSQLRow converts a row into dst, reusing its backing array —
+// the streaming encoder recycles one slice across every emitted row.
+func appendSQLRow(dst []any, row reldb.Row) []any {
+	for _, v := range row {
+		dst = append(dst, sqlCell(v))
 	}
-	return out
+	return dst
 }
 
 // handleSQL is POST /v1/sql: one SELECT planned and executed against the
@@ -135,16 +140,17 @@ func (s *Server) streamSQL(w http.ResponseWriter, res *sqldb.Result, req SQLRequ
 	enc := newNDJSON(w)
 	defer enc.Release()
 	flusher, _ := w.(http.Flusher)
-	ss := &sqlStream{enc: enc}
-	if err := ss.send(SQLStreamLine{APIVersion: APIVersion, Columns: res.Columns}); err != nil {
+	if err := enc.Encode(SQLStreamLine{APIVersion: APIVersion, Columns: res.Columns}); err != nil {
 		return
 	}
 	emitted := 0
+	var rowBuf []any // one backing array for every emitted line
 	for _, row := range res.Rows {
 		if req.Limit > 0 && emitted >= req.Limit {
 			break
 		}
-		if err := ss.sendRow(row); err != nil {
+		rowBuf = appendSQLRow(rowBuf[:0], row)
+		if err := enc.Encode(SQLStreamLine{APIVersion: APIVersion, Row: rowBuf}); err != nil {
 			return
 		}
 		emitted++
@@ -152,7 +158,7 @@ func (s *Server) streamSQL(w http.ResponseWriter, res *sqldb.Result, req SQLRequ
 			flusher.Flush()
 		}
 	}
-	ss.send(SQLStreamLine{APIVersion: APIVersion, Done: true, Rows: emitted, Plan: plan})
+	enc.Encode(SQLStreamLine{APIVersion: APIVersion, Done: true, Rows: emitted, Plan: plan})
 	if flusher != nil {
 		flusher.Flush()
 	}

@@ -31,7 +31,7 @@ func benchResult(rows int) *sqldb.Result {
 }
 
 // BenchmarkSQLStreamEncode measures the pooled streaming encoder: one
-// reused line buffer and one reused line per stream.
+// reused line buffer and one reused row slice per stream.
 func BenchmarkSQLStreamEncode(b *testing.B) {
 	s := &Server{}
 	res := benchResult(1000)
