@@ -135,6 +135,7 @@ func TestTraceSpans(t *testing.T) {
 	ctx2, s1 := StartSpan(ctx, "datastore.filter")
 	s1.Annotate("cache", "miss")
 	_, s2 := StartSpan(ctx2, "materialize.fetch")
+	s2.Attach("profile") // any span sets its trace's one slot
 	s2.End()
 	s1.End()
 	root.End()
@@ -155,9 +156,12 @@ func TestTraceSpans(t *testing.T) {
 	if len(data.Spans[1].Annotations) != 1 || data.Spans[1].Annotations[0].Value != "miss" {
 		t.Errorf("annotations = %+v", data.Spans[1].Annotations)
 	}
-	recent := tr.Recent(0)
-	if len(recent) != 1 {
-		t.Errorf("Recent = %d traces, want 1", len(recent))
+	if data.Attachment != "profile" {
+		t.Errorf("Data().Attachment = %v, want profile", data.Attachment)
+	}
+	recent := tr.Traces(false)
+	if len(recent) != 1 || recent[0].SpanCount() != 3 || recent[0].Attachment() != "profile" {
+		t.Errorf("recent ring = %d traces, want 1 of 3 spans carrying its attachment", len(recent))
 	}
 }
 
@@ -172,6 +176,7 @@ func TestStartSpanWithoutTrace(t *testing.T) {
 	}
 	// The nil handle must absorb every call.
 	s.Annotate("k", "v")
+	s.Attach("v")
 	s.End()
 }
 
@@ -218,9 +223,9 @@ func TestTracerSlow(t *testing.T) {
 	if gotSlow == nil || gotSlow.ID() != "slow-1" {
 		t.Fatal("onSlow callback not fired")
 	}
-	slow := tr.Slow(0)
-	if len(slow) != 1 || !slow[0].Slow {
-		t.Fatalf("Slow ring = %+v", slow)
+	slow := tr.Traces(true)
+	if len(slow) != 1 || !slow[0].Data().Slow || slow[0].Duration() < time.Millisecond {
+		t.Fatalf("slow ring = %+v", slow)
 	}
 }
 

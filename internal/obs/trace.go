@@ -28,12 +28,13 @@ type SpanData struct {
 
 // TraceData is an immutable copy of a completed trace.
 type TraceData struct {
-	ID       string
-	Name     string
-	Start    time.Time
-	Duration time.Duration
-	Slow     bool
-	Spans    []SpanData
+	ID         string
+	Name       string
+	Start      time.Time
+	Duration   time.Duration
+	Slow       bool
+	Spans      []SpanData
+	Attachment any // set by Span.Attach; shared, not copied
 }
 
 // Trace is one request's span tree. Spans may start and end from
@@ -46,11 +47,12 @@ type Trace struct {
 	name   string
 	start  time.Time
 
-	mu       sync.Mutex
-	spans    []*Span
-	duration time.Duration
-	slow     bool
-	done     bool
+	mu         sync.Mutex
+	spans      []*Span
+	duration   time.Duration
+	slow       bool
+	done       bool
+	attachment any
 }
 
 // Span is a live handle to one operation inside a trace. The zero
@@ -143,6 +145,18 @@ func (s *Span) Annotate(key, value string) {
 	s.trace.mu.Unlock()
 }
 
+// Attach sets the one value its trace carries beyond spans and
+// annotations, replacing any earlier one; the caller must not mutate v
+// afterwards, since readers share it. No-op on a nil span.
+func (s *Span) Attach(v any) {
+	if s == nil {
+		return
+	}
+	s.trace.mu.Lock()
+	s.trace.attachment = v
+	s.trace.mu.Unlock()
+}
+
 // End finishes the span. Ending the root span completes the trace:
 // its duration is fixed, slow-op policy runs, and the trace is
 // published to the tracer's rings. No-op on a nil span.
@@ -182,17 +196,40 @@ func (t *Trace) ID() string { return t.id }
 // Name returns the root span's name (the route).
 func (t *Trace) Name() string { return t.name }
 
-// Data returns an immutable deep copy of the trace.
+// Duration returns the trace's total duration, zero until it completes.
+func (t *Trace) Duration() time.Duration {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.duration
+}
+
+// SpanCount returns the number of spans the trace holds.
+func (t *Trace) SpanCount() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return len(t.spans)
+}
+
+// Attachment returns the value set by Span.Attach, or nil.
+func (t *Trace) Attachment() any {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.attachment
+}
+
+// Data returns an immutable deep copy of the trace's spans, with its
+// attachment.
 func (t *Trace) Data() TraceData {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	d := TraceData{
-		ID:       t.id,
-		Name:     t.name,
-		Start:    t.start,
-		Duration: t.duration,
-		Slow:     t.slow,
-		Spans:    make([]SpanData, len(t.spans)),
+		ID:         t.id,
+		Name:       t.name,
+		Start:      t.start,
+		Duration:   t.duration,
+		Slow:       t.slow,
+		Spans:      make([]SpanData, len(t.spans)),
+		Attachment: t.attachment,
 	}
 	for i, s := range t.spans {
 		d.Spans[i] = SpanData{
@@ -207,14 +244,13 @@ func (t *Trace) Data() TraceData {
 	return d
 }
 
-// Recent returns up to max completed traces, newest first.
-func (t *Tracer) Recent(max int) []TraceData {
-	return snapshotData(t.recent, max)
-}
-
-// Slow returns up to max slow traces, newest first.
-func (t *Tracer) Slow(max int) []TraceData {
-	return snapshotData(t.slow, max)
+// Traces returns the completed traces (with slow, the slow ones),
+// newest first, without copying them.
+func (t *Tracer) Traces(slow bool) []*Trace {
+	if slow {
+		return t.slow.Snapshot(0)
+	}
+	return t.recent.Snapshot(0)
 }
 
 // Find returns the most recent completed trace with the given request
@@ -234,13 +270,4 @@ func (t *Tracer) Find(id string) (TraceData, bool) {
 // Stats reports lifetime tracer counters.
 func (t *Tracer) Stats() (started, completed, slow, spans uint64) {
 	return t.started.Load(), t.completed.Load(), t.slowCount.Load(), t.spanCount.Load()
-}
-
-func snapshotData(r *Ring[Trace], max int) []TraceData {
-	traces := r.Snapshot(max)
-	out := make([]TraceData, len(traces))
-	for i, tr := range traces {
-		out[i] = tr.Data()
-	}
-	return out
 }

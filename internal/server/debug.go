@@ -26,29 +26,36 @@ func wireTraceSummary(d obs.TraceData) TraceSummary {
 	}
 }
 
-// handleDebugTraces lists completed traces, newest first. ?slow=1 reads
-// the slow ring instead of the recent one; ?limit=N caps the list.
-func (s *Server) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
+// listParams parses the parameters of the debug list routes: ?limit=N
+// (at most debugTraceLimit, the default) and ?slow=1|true. A bad limit
+// is answered with 400 and ok false.
+func listParams(w http.ResponseWriter, r *http.Request) (limit int, slow, ok bool) {
 	q := r.URL.Query()
-	limit := debugTraceLimit
+	limit = debugTraceLimit
 	if raw := q.Get("limit"); raw != "" {
 		n, err := strconv.Atoi(raw)
 		if err != nil || n < 1 {
 			writeErrorString(w, r, http.StatusBadRequest, fmt.Sprintf("bad limit %q", raw))
-			return
+			return 0, false, false
 		}
 		limit = min(n, debugTraceLimit)
 	}
-	slow := q.Get("slow") == "1" || q.Get("slow") == "true"
-	var traces []obs.TraceData
-	if slow {
-		traces = s.tracer.Slow(limit)
-	} else {
-		traces = s.tracer.Recent(limit)
+	slow = q.Get("slow") == "1" || q.Get("slow") == "true"
+	return limit, slow, true
+}
+
+// handleDebugTraces lists completed traces, newest first. ?slow=1 reads
+// the slow ring instead of the recent one; ?limit=N caps the list.
+func (s *Server) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
+	limit, slow, ok := listParams(w, r)
+	if !ok {
+		return
 	}
+	traces := s.tracer.Traces(slow)
+	traces = traces[:min(limit, len(traces))]
 	resp := TracesResponse{APIVersion: APIVersion, Slow: slow, Traces: make([]TraceSummary, 0, len(traces))}
-	for _, d := range traces {
-		resp.Traces = append(resp.Traces, wireTraceSummary(d))
+	for _, tr := range traces {
+		resp.Traces = append(resp.Traces, wireTraceSummary(tr.Data()))
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -107,36 +114,37 @@ func (s *Server) handleSelfPTdf(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleDebugQueries lists captured /v1/sql executions with their
-// EXPLAIN ANALYZE profiles, newest first. ?slow=1 reads the slow ring
-// (queries at or over the slow-request threshold); ?limit=N caps the
-// list.
+// handleDebugQueries is a view of the trace rings: the /v1/sql requests
+// whose trace carries a sqlCapture, with their EXPLAIN ANALYZE
+// profiles, newest first. Start, duration and slowness are the
+// request's, from its trace. ?slow=1 reads the slow ring; ?limit=N caps
+// the list.
 func (s *Server) handleDebugQueries(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	limit := debugTraceLimit
-	if raw := q.Get("limit"); raw != "" {
-		n, err := strconv.Atoi(raw)
-		if err != nil || n < 1 {
-			writeErrorString(w, r, http.StatusBadRequest, fmt.Sprintf("bad limit %q", raw))
-			return
-		}
-		limit = min(n, debugTraceLimit)
+	limit, slow, ok := listParams(w, r)
+	if !ok {
+		return
 	}
-	slow := q.Get("slow") == "1" || q.Get("slow") == "true"
-	recs := s.queries.list(slow, limit)
-	resp := QueriesResponse{APIVersion: APIVersion, Slow: slow, Queries: make([]QueryProfileWire, 0, len(recs))}
-	for _, rec := range recs {
+	resp := QueriesResponse{APIVersion: APIVersion, Slow: slow, Queries: []QueryProfileWire{}}
+	for _, tr := range s.tracer.Traces(slow) {
+		if len(resp.Queries) == limit {
+			break
+		}
+		c, ok := tr.Attachment().(*sqlCapture)
+		if !ok {
+			continue
+		}
+		d := tr.Data()
 		resp.Queries = append(resp.Queries, QueryProfileWire{
-			SQL:        rec.SQL,
-			RequestID:  rec.RequestID,
-			Start:      rec.Start.UTC().Format(time.RFC3339Nano),
-			DurationMS: float64(rec.Duration) / float64(time.Millisecond),
-			Strategy:   rec.Strategy,
-			CacheHit:   rec.CacheHit,
-			Rows:       rec.Rows,
-			Error:      rec.Error,
-			Slow:       rec.Slow,
-			Profile:    rec.Profile,
+			SQL:        c.sql,
+			RequestID:  d.ID,
+			Start:      d.Start.UTC().Format(time.RFC3339Nano),
+			DurationMS: float64(d.Duration) / float64(time.Millisecond),
+			Strategy:   c.strategy,
+			CacheHit:   c.cacheHit,
+			Rows:       c.rows,
+			Error:      c.err,
+			Slow:       d.Slow,
+			Profile:    c.profile,
 		})
 	}
 	writeJSON(w, http.StatusOK, resp)

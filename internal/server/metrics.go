@@ -49,23 +49,6 @@ func (m *serverMetrics) observe(route string, code int, d time.Duration, request
 	m.latency.With(route).ObserveExemplar(d.Seconds(), requestID)
 }
 
-// registerQueryLog exposes the slow-query capture's counters and
-// footprint.
-func (m *serverMetrics) registerQueryLog(ql *queryLog) {
-	m.reg.CounterFunc("ptserved_query_profiles_total",
-		"Query executions captured with profiles by the /v1/sql query log.",
-		func() uint64 { return ql.stats().Total })
-	m.reg.CounterFunc("ptserved_query_profiles_slow_total",
-		"Captured queries at or over the slow-request threshold.",
-		func() uint64 { return ql.stats().SlowTotal })
-	m.reg.GaugeFunc("ptserved_query_profile_entries",
-		"Query-log resident entries (recent ring).",
-		func() float64 { return float64(ql.stats().Entries) })
-	m.reg.GaugeFunc("ptserved_query_profile_bytes",
-		"Approximate query-log resident bytes across both rings.",
-		func() float64 { return float64(ql.stats().Bytes) })
-}
-
 // registerStore bridges the store's query-engine and telemetry counters
 // into the registry. The ptserved_query_cache_* and
 // ptserved_store_generation names predate the registry and are kept

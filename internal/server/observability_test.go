@@ -1,14 +1,19 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 	"time"
+
+	"perftrack/internal/obs"
 )
 
 // postSQL posts one SQLRequest and decodes the buffered response.
@@ -47,93 +52,227 @@ func TestSQLAnalyzeAttachesProfile(t *testing.T) {
 	}
 }
 
-// TestDebugQueriesCapture checks the slow-query ring end to end: every
-// /v1/sql execution is captured with its profile and request ID, the
-// slow ring keeps only executions over the threshold, and parameters
-// are validated.
+// getQueries reads GET /v1/debug/queries with the given query string.
+func getQueries(t *testing.T, baseURL, params string) QueriesResponse {
+	t.Helper()
+	r, err := http.Get(baseURL + "/v1/debug/queries" + params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Body.Close()
+	raw, _ := io.ReadAll(r.Body)
+	if r.StatusCode != http.StatusOK {
+		t.Fatalf("queries%s: status %d: %s", params, r.StatusCode, raw)
+	}
+	var resp QueriesResponse
+	if err := json.Unmarshal(raw, &resp); err != nil {
+		t.Fatal(err)
+	}
+	return resp
+}
+
+// drainBody reads a response to its end and closes it.
+func drainBody(r *http.Response) {
+	io.Copy(io.Discard, r.Body)
+	r.Body.Close()
+}
+
+// TestDebugQueriesCapture checks the queries view end to end: every
+// /v1/sql request that reached the planner is listed with its profile
+// and request ID, in the slow ring too when over the threshold; no
+// other trace is listed, not even a /v1/sql request rejected before
+// planning; and both debug list routes validate their parameters.
 func TestDebugQueriesCapture(t *testing.T) {
-	srv, ts := newTestServer(t, func(c *Config) {
+	_, ts := newTestServer(t, func(c *Config) {
 		c.SlowRequestThreshold = time.Nanosecond // everything classifies slow
 	})
 	loadDoc(t, ts.URL, ptdfDoc("qc", 4))
 
-	req, _ := http.NewRequest("POST", ts.URL+"/v1/sql",
-		strings.NewReader(`{"sql": "SELECT count(*) FROM performance_result"}`))
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("X-Request-Id", "req-capture")
-	r, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, r.Body)
-	r.Body.Close()
+	drainBody(doTagged(t, "POST", ts.URL+"/v1/sql", "req-capture", `{"sql": "SELECT count(*) FROM performance_result"}`))
 	// A failing query is captured too, with its error.
 	postJSON(t, ts.URL+"/v1/sql", SQLRequest{SQL: "SELEC nope"}, nil)
+	// Traced, but never planned: listed by neither ring.
+	drainBody(doTagged(t, "POST", ts.URL+"/v1/sql", "req-undecodable", `{"sql": "SELECT 1", "bogus": true}`))
+	drainBody(doTagged(t, "POST", ts.URL+"/v1/query", "req-family", `{"families": ["type=application"]}`))
 
 	for _, slow := range []string{"", "?slow=1"} {
-		r, err := http.Get(ts.URL + "/v1/debug/queries" + slow)
+		resp := getQueries(t, ts.URL, slow)
+		if len(resp.Queries) != 2 {
+			t.Fatalf("queries%s: %d listed, want the 2 planned /v1/sql requests: %+v", slow, len(resp.Queries), resp.Queries)
+		}
+		// Newest first: the parse error, then the counted query.
+		if resp.Queries[0].Error == "" {
+			t.Errorf("queries%s: newest capture missing error: %+v", slow, resp.Queries[0])
+		}
+		ok := resp.Queries[1]
+		if ok.RequestID != "req-capture" || ok.Profile == nil || ok.Rows != 1 || !ok.Slow || ok.DurationMS <= 0 {
+			t.Errorf("queries%s: captured query = %+v, want req-capture with profile, 1 row, slow, a duration", slow, ok)
+		}
+	}
+	if tr, code := getTrace(t, ts.URL, "req-undecodable"); code != http.StatusOK || tr.Trace.Route != "/v1/sql" {
+		t.Errorf("rejected /v1/sql request not traced: status %d, %+v", code, tr.Trace)
+	}
+
+	for _, path := range []string{"/v1/debug/queries", "/v1/debug/traces"} {
+		r, err := http.Get(ts.URL + path + "?limit=zero")
 		if err != nil {
 			t.Fatal(err)
 		}
-		raw, _ := io.ReadAll(r.Body)
-		r.Body.Close()
-		if r.StatusCode != http.StatusOK {
-			t.Fatalf("queries%s: status %d: %s", slow, r.StatusCode, raw)
+		drainBody(r)
+		if r.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s bad limit: status %d, want 400", path, r.StatusCode)
 		}
-		var resp QueriesResponse
-		if err := json.Unmarshal(raw, &resp); err != nil {
-			t.Fatal(err)
-		}
-		if len(resp.Queries) == 0 {
-			t.Fatalf("queries%s: empty capture", slow)
-		}
-		if slow == "" {
-			// Newest first: the parse error, then the counted query.
-			if resp.Queries[0].Error == "" {
-				t.Errorf("newest capture missing error: %+v", resp.Queries[0])
-			}
-			ok := resp.Queries[1]
-			if ok.RequestID != "req-capture" || ok.Profile == nil || ok.Rows != 1 || !ok.Slow {
-				t.Errorf("captured query = %+v, want req-capture with profile, 1 row, slow", ok)
-			}
-		}
-	}
-
-	st := srv.queries.stats()
-	if st.Total != 2 || st.SlowTotal != 2 || st.Entries != 2 {
-		t.Errorf("query log stats = %+v, want 2 total, 2 slow, 2 resident", st)
-	}
-
-	if code, _ := func() (int, string) {
-		r, err := http.Get(ts.URL + "/v1/debug/queries?limit=zero")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer r.Body.Close()
-		raw, _ := io.ReadAll(r.Body)
-		return r.StatusCode, string(raw)
-	}(); code != http.StatusBadRequest {
-		t.Errorf("bad limit: status %d, want 400", code)
 	}
 }
 
-// TestQueryRingEviction pins the byte bound: a ring never grows past
-// its budget and evicts oldest-first.
-func TestQueryRingEviction(t *testing.T) {
-	ring := queryRing{maxBytes: 3 * queryRecordOverhead}
-	for i := 0; i < 10; i++ {
-		ring.add(queryRecord{SQL: strings.Repeat("x", i)})
+// TestDebugQueriesSlowOutlivesRecent checks what the separate slow ring
+// is for: a slow /v1/sql request stays listed under ?slow=1 after more
+// than traceBuffer fast requests have pushed it out of the recent ring.
+func TestDebugQueriesSlowOutlivesRecent(t *testing.T) {
+	srv, ts := newTestServer(t, func(c *Config) {
+		c.SlowRequestThreshold = 250 * time.Millisecond
+	})
+	loadDoc(t, ts.URL, ptdfDoc("so", 2))
+	const q = `{"sql": "SELECT count(*) FROM performance_result"}`
+	srv.injectDelay.Store(int64(300 * time.Millisecond))
+	drainBody(doTagged(t, "POST", ts.URL+"/v1/sql", "req-slow", q))
+	srv.injectDelay.Store(0)
+	for i := 0; i <= traceBuffer; i++ {
+		drainBody(doTagged(t, "POST", ts.URL+"/v1/sql", fmt.Sprintf("req-fast-%d", i), q))
 	}
-	if len(ring.recs) >= 10 {
-		t.Fatalf("ring never evicted: %d records", len(ring.recs))
+	for _, tr := range srv.tracer.Traces(false) {
+		if tr.ID() == "req-slow" {
+			t.Fatal("slow request still in the recent ring after traceBuffer newer requests")
+		}
 	}
-	if ring.bytes > ring.maxBytes+queryRecordOverhead {
-		t.Errorf("ring bytes %d exceed budget %d", ring.bytes, ring.maxBytes)
+	for _, rec := range getQueries(t, ts.URL, "?slow=1").Queries {
+		if rec.RequestID == "req-slow" {
+			if !rec.Slow || rec.DurationMS < 300 || rec.Profile == nil {
+				t.Errorf("slow capture = %+v, want slow, >= 300ms, with profile", rec)
+			}
+			return
+		}
 	}
-	// Newest survives.
-	last := ring.recs[len(ring.recs)-1]
-	if len(last.SQL) != 9 {
-		t.Errorf("newest record evicted; tail SQL len = %d", len(last.SQL))
+	t.Error("slow request missing from ?slow=1")
+}
+
+// TestDebugQueriesTruncatesText pins the per-request text cap: an
+// oversized SQL statement and an oversized error are each cut to
+// maxQueryTextBytes, marked, before the trace keeps them.
+func TestDebugQueriesTruncatesText(t *testing.T) {
+	_, ts := newTestServer(t, nil)
+	loadDoc(t, ts.URL, ptdfDoc("tt", 2))
+	long := strings.Repeat("x", 3*maxQueryTextBytes)
+	postSQL(t, ts.URL, SQLRequest{SQL: "SELECT count(*) FROM performance_result WHERE metric <> '" + long + "'"})
+	if code, raw := postJSON(t, ts.URL+"/v1/sql", SQLRequest{SQL: "SELECT count(*) FROM " + long}, nil); code != http.StatusBadRequest || len(raw) < len(long) {
+		t.Fatalf("unknown table: status %d, %d-byte body; want 400 naming the table", code, len(raw))
+	}
+	recs := getQueries(t, ts.URL, "").Queries
+	if len(recs) != 2 {
+		t.Fatalf("%d queries listed, want 2", len(recs))
+	}
+	// Newest first: the failed statement, then the one that ran.
+	for _, text := range []string{recs[0].SQL, recs[0].Error, recs[1].SQL} {
+		if len(text) != maxQueryTextBytes || !strings.HasSuffix(text, "...[truncated]") {
+			t.Errorf("kept text of %d bytes ending %q, want %d bytes ending ...[truncated]",
+				len(text), text[max(0, len(text)-20):], maxQueryTextBytes)
+		}
+	}
+}
+
+// TestDebugQueriesRetainedTextBound pins the memory bound DESIGN.md §13
+// states: however many and however large the statements, the trace
+// rings keep at most 2 × traceBuffer traces, each holding at most
+// maxQueryTextBytes of SQL and as much of error.
+func TestDebugQueriesRetainedTextBound(t *testing.T) {
+	srv, ts := newTestServer(t, func(c *Config) {
+		c.SlowRequestThreshold = time.Nanosecond // both rings fill
+	})
+	loadDoc(t, ts.URL, ptdfDoc("tb", 2))
+	body, err := json.Marshal(SQLRequest{
+		SQL: "SELECT count(*) FROM performance_result WHERE metric <> '" + strings.Repeat("y", 64<<10) + "'",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2*traceBuffer+8; i++ {
+		r, err := http.Post(ts.URL+"/v1/sql", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		drainBody(r)
+	}
+	held := map[*obs.Trace]bool{}
+	text := 0
+	for _, slow := range []bool{false, true} {
+		for _, tr := range srv.tracer.Traces(slow) {
+			if c, ok := tr.Attachment().(*sqlCapture); ok && !held[tr] {
+				held[tr] = true
+				text += len(c.sql) + len(c.err)
+			}
+		}
+	}
+	if len(held) < traceBuffer || len(held) > 2*traceBuffer {
+		t.Errorf("rings hold %d captures, want between %d and %d", len(held), traceBuffer, 2*traceBuffer)
+	}
+	if bound := 2 * traceBuffer * 2 * maxQueryTextBytes; text > bound {
+		t.Errorf("rings keep %d bytes of query text, over the %d-byte bound", text, bound)
+	}
+}
+
+// TestDebugQueriesRace races /v1/sql writers, which attach their
+// captures on the handler goroutine, against readers of the queries
+// view and of single traces. Under -race it checks that every capture
+// reaches the readers ordered after its write and is never written
+// again once a reader can see it.
+func TestDebugQueriesRace(t *testing.T) {
+	_, ts := newTestServer(t, func(c *Config) {
+		c.SlowRequestThreshold = time.Nanosecond // writers feed both rings
+	})
+	loadDoc(t, ts.URL, ptdfDoc("rc", 3))
+	do := func(method, path, rid, body string) {
+		req, err := http.NewRequest(method, ts.URL+path, strings.NewReader(body))
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		req.Header.Set("X-Request-Id", rid)
+		req.Header.Set("Content-Type", "application/json")
+		r, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		drainBody(r)
+		if r.StatusCode != http.StatusOK && r.StatusCode != http.StatusNotFound {
+			t.Errorf("%s %s: status %d", method, path, r.StatusCode)
+		}
+	}
+	const writers, readers, rounds = 3, 2, 25
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				do("POST", "/v1/sql", fmt.Sprintf("race-%d-%d", w, i),
+					fmt.Sprintf(`{"sql": "SELECT count(*) FROM performance_result WHERE value > %d"}`, i))
+			}
+		}(w)
+	}
+	for rd := 0; rd < readers; rd++ {
+		wg.Add(1)
+		go func(rd int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				do("GET", []string{"/v1/debug/queries", "/v1/debug/queries?slow=1"}[rd], "", "")
+				do("GET", fmt.Sprintf("/v1/debug/traces/race-%d-%d", rd, i), "", "")
+			}
+		}(rd)
+	}
+	wg.Wait()
+	if n := len(getQueries(t, ts.URL, "?limit=100").Queries); n != writers*rounds {
+		t.Errorf("%d queries listed, want %d", n, writers*rounds)
 	}
 }
 
@@ -211,7 +350,8 @@ var exemplarRe = regexp.MustCompile(`_bucket{[^}]*} \d+ # \{trace_id="req-exempl
 const openMetricsAccept = "application/openmetrics-text;version=1.0.0,text/plain;version=0.0.4;q=0.5"
 
 // TestMetricsExemplarsAndQueryProfiles checks the /metrics surface in
-// both negotiated formats: the query-profile family is exported, the
+// both negotiated formats: the /v1/sql request count and latency
+// buckets (which count slow queries) are exported, the
 // plain 0.0.4 body stays exemplar-free (its parser rejects trailing
 // content after a sample value), and an OpenMetrics scrape gets the
 // request ID of a recent observation as a bucket exemplar plus the
@@ -250,10 +390,8 @@ func TestMetricsExemplarsAndQueryProfiles(t *testing.T) {
 		t.Errorf("plain scrape Content-Type = %q", ct)
 	}
 	for _, name := range []string{
-		"ptserved_query_profiles_total",
-		"ptserved_query_profiles_slow_total",
-		"ptserved_query_profile_entries",
-		"ptserved_query_profile_bytes",
+		`ptserved_requests_total{route="/v1/sql",code="200"} 1`,
+		`ptserved_request_duration_seconds_bucket{route="/v1/sql",le=`,
 		"ptserved_selfmon_samples_total",
 	} {
 		if !strings.Contains(body, name) {
@@ -418,31 +556,5 @@ func TestAcceptsOpenMetrics(t *testing.T) {
 		if got := acceptsOpenMetrics(accept); got != want {
 			t.Errorf("acceptsOpenMetrics(%q) = %v, want %v", accept, got, want)
 		}
-	}
-}
-
-// TestQueryLogBoundsOversizedRecords pins the byte budget against a
-// single pathological statement: SQL text is truncated at capture time,
-// and a record that would alone exceed a ring's whole budget is dropped
-// rather than pinning the ring above its bound.
-func TestQueryLogBoundsOversizedRecords(t *testing.T) {
-	ql := newQueryLog(queryLogBytes, 0)
-	ql.add(queryRecord{SQL: strings.Repeat("s", 3*maxQueryTextBytes)})
-	recs := ql.list(false, 10)
-	if len(recs) != 1 || len(recs[0].SQL) != maxQueryTextBytes {
-		t.Fatalf("oversized SQL not truncated: %d records, SQL len %d", len(recs), len(recs[0].SQL))
-	}
-	if !strings.HasSuffix(recs[0].SQL, "...[truncated]") {
-		t.Errorf("truncated SQL not marked: %q", recs[0].SQL[len(recs[0].SQL)-20:])
-	}
-
-	ring := queryRing{maxBytes: queryRecordOverhead} // any non-empty text is over budget
-	ring.add(queryRecord{SQL: "x"})
-	if len(ring.recs) != 0 || ring.bytes != 0 {
-		t.Errorf("record over the whole budget was kept: %d records, %d bytes", len(ring.recs), ring.bytes)
-	}
-	ring.add(queryRecord{})
-	if len(ring.recs) != 1 {
-		t.Errorf("record exactly at budget was dropped")
 	}
 }

@@ -62,9 +62,8 @@ type Config struct {
 // Fixed capacities of the server's bounded buffers. The /v1/sql result
 // cache takes the shared datastore.DefaultCacheBytes.
 const (
-	traceBuffer   = 256     // completed (and, separately, slow) traces kept for /v1/debug/traces
-	queryLogBytes = 1 << 20 // per ring (recent, slow) of the /v1/debug/queries capture
-	selfMonWindow = 64      // telemetry samples the self-monitor retains
+	traceBuffer   = 256 // completed (and, separately, slow) traces kept for /v1/debug/traces and /v1/debug/queries
+	selfMonWindow = 64  // telemetry samples the self-monitor retains
 )
 
 // Server is the ptserved HTTP service.
@@ -77,7 +76,6 @@ type Server struct {
 	sem       chan struct{}
 	httpSrv   *http.Server
 	planCache *planner.ResultCache
-	queries   *queryLog
 	selfmon   *selfmon.Sampler // nil when disabled
 
 	selfMu   sync.Mutex   // guards selfPrev (interval-delta state)
@@ -113,14 +111,11 @@ func New(cfg Config) (*Server, error) {
 		log:       cfg.Log,
 		sem:       make(chan struct{}, cfg.MaxInFlight),
 		planCache: planner.NewResultCache(0),
-		queries:   newQueryLog(queryLogBytes, cfg.SlowRequestThreshold),
 	}
 	s.metrics.registerPlanCache(s.planCache)
-	s.metrics.registerQueryLog(s.queries)
 	s.tracer = obs.NewTracer(traceBuffer, cfg.SlowRequestThreshold, func(tr *obs.Trace) {
-		d := tr.Data()
 		s.log.Warn("slow request", "rid", tr.ID(), "route", tr.Name(),
-			"dur", d.Duration, "spans", len(d.Spans))
+			"dur", tr.Duration(), "spans", tr.SpanCount())
 	})
 	s.metrics.registerStore(cfg.Store)
 	s.metrics.registerTracer(s.tracer)

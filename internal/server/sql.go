@@ -4,8 +4,8 @@ import (
 	"math"
 	"net/http"
 	"strings"
-	"time"
 
+	"perftrack/internal/obs"
 	"perftrack/internal/planner"
 	"perftrack/internal/reldb"
 	"perftrack/internal/sqldb"
@@ -44,11 +44,37 @@ func appendSQLRow(dst []any, row reldb.Row) []any {
 	return dst
 }
 
+// sqlCapture is what a /v1/sql request's trace carries beyond its own
+// ID and timing, for GET /v1/debug/queries: the statement, how it ran,
+// and its EXPLAIN ANALYZE profile, so a latency exemplar on /metrics
+// can be chased to the exact query without re-running anything.
+type sqlCapture struct {
+	sql, err, strategy string
+	cacheHit           bool
+	rows               int
+	profile            *planner.ExecProfileWire
+}
+
+// maxQueryTextBytes caps the SQL and error text a trace keeps: a few KB
+// is plenty to identify a statement, and the cap bounds what one
+// pathological query can pin in the trace rings.
+const maxQueryTextBytes = 4 << 10
+
+// truncateText bounds s to maxQueryTextBytes, marking the cut.
+func truncateText(s string) string {
+	const marker = "...[truncated]"
+	if len(s) <= maxQueryTextBytes {
+		return s
+	}
+	return s[:maxQueryTextBytes-len(marker)] + marker
+}
+
 // handleSQL is POST /v1/sql: one SELECT planned and executed against the
 // store's virtual catalog by the planner (internal/planner).
 // The buffered form replies with SQLResponse; ?stream=1 emits NDJSON
 // SQLStreamLines through http.Flusher for results too large to buffer.
-// Parse, plan, and catalog errors are 400s.
+// Parse, plan, and catalog errors are 400s. A request that reaches the
+// planner attaches a sqlCapture to its trace.
 func (s *Server) handleSQL(w http.ResponseWriter, r *http.Request) {
 	var req SQLRequest
 	if err := decodeJSON(w, r, &req); err != nil {
@@ -65,25 +91,15 @@ func (s *Server) handleSQL(w http.ResponseWriter, r *http.Request) {
 	}
 	pl := planner.New(s.store)
 	pl.Cache = s.planCache
-	start := time.Now()
 	res, plan, err := pl.Query(r.Context(), req.SQL)
-	rec := queryRecord{
-		SQL:       req.SQL,
-		RequestID: RequestIDFromContext(r.Context()),
-		Start:     start,
-		Duration:  time.Since(start),
-	}
+	span := obs.SpanFromContext(r.Context())
 	if err != nil {
-		rec.Error = err.Error()
-		s.queries.add(rec)
+		span.Attach(&sqlCapture{sql: truncateText(req.SQL), err: truncateText(err.Error())})
 		writeError(w, r, statusOf(err, http.StatusInternalServerError), err)
 		return
 	}
-	rec.Strategy = plan.Strategy
-	rec.CacheHit = plan.CacheHit
-	rec.Rows = len(res.Rows)
-	rec.Profile = plan.ProfileWire()
-	s.queries.add(rec)
+	span.Attach(&sqlCapture{sql: truncateText(req.SQL), strategy: plan.Strategy,
+		cacheHit: plan.CacheHit, rows: len(res.Rows), profile: plan.ProfileWire()})
 	s.log.Debug("sql", "strategy", plan.Strategy, "rows", len(res.Rows),
 		"est", plan.EstRows, "actual", plan.ActualRows, "cache_hit", plan.CacheHit,
 		"rid", RequestIDFromContext(r.Context()))

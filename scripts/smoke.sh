@@ -159,10 +159,10 @@ if command -v curl >/dev/null; then
     grep -q '"profile"' queries.json
     grep -q '"rows_scanned"' queries.json
 
-    echo "== query-profile telemetry and exemplars ride /metrics"
+    echo "== /v1/sql request counts, latency buckets and exemplars ride /metrics"
     curl -fsS "$base/metrics" > metrics2.txt
-    grep -q 'ptserved_query_profile_' metrics2.txt
-    grep -q 'ptserved_query_profiles_total' metrics2.txt
+    grep -q 'ptserved_requests_total{route="/v1/sql"' metrics2.txt
+    grep -q 'ptserved_request_duration_seconds_bucket{route="/v1/sql"' metrics2.txt
     # plain 0.0.4 scrapes must stay exemplar-free; the OpenMetrics
     # negotiation carries the exemplars and the # EOF terminator
     ! grep -q '# {trace_id=' metrics2.txt
