@@ -33,6 +33,7 @@ import (
 	"sort"
 	"strings"
 
+	"perftrack/internal/chart"
 	"perftrack/internal/cli"
 	"perftrack/internal/datastore"
 	"perftrack/internal/planner"
@@ -199,7 +200,16 @@ func main() {
 		if err != nil {
 			cli.Fatal(err)
 		}
-		printChart(keys, vals, *chartBy, *reduce)
+		c := &chart.BarChart{
+			Title:      fmt.Sprintf("%s(value) by %s", *reduce, *chartBy),
+			Categories: keys,
+			Series:     []chart.Series{{Name: *reduce, Values: vals}},
+		}
+		out, err := c.RenderASCII(50)
+		if err != nil {
+			cli.Fatal(err)
+		}
+		fmt.Print(out)
 	}
 }
 
@@ -252,23 +262,6 @@ func printStats(st datastore.Stats) {
 	fmt.Printf("applications: %d\nexecutions:   %d\nresources:    %d\nattributes:   %d\nresults:      %d\nmetrics:      %d\nfoci:         %d\ndata bytes:   %d\n",
 		st.Applications, st.Executions, st.Resources, st.Attributes,
 		st.Results, st.Metrics, st.Foci, st.DataBytes)
-}
-
-func printChart(keys []string, vals []float64, column, reduce string) {
-	maxV := 0.0
-	for _, v := range vals {
-		if v > maxV {
-			maxV = v
-		}
-	}
-	if maxV == 0 {
-		maxV = 1
-	}
-	fmt.Printf("%s(value) by %s\n", reduce, column)
-	for i, k := range keys {
-		n := int(vals[i] / maxV * 50)
-		fmt.Printf("%-20s |%s %g\n", k, strings.Repeat("#", n), vals[i])
-	}
 }
 
 func sortedKeys(m map[string]string) []string {

@@ -19,7 +19,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"log"
+	"log/slog"
 	"net/http"
 	_ "net/http/pprof" // registers /debug/pprof on DefaultServeMux for -pprof
 	"os"
@@ -28,7 +28,6 @@ import (
 	"time"
 
 	"perftrack/internal/datastore"
-	"perftrack/internal/obs"
 	"perftrack/internal/reldb"
 	"perftrack/internal/server"
 )
@@ -54,14 +53,13 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	level, err := obs.ParseLevel(*logLevel)
-	if err != nil {
+	var level slog.Level
+	if err := level.UnmarshalText([]byte(*logLevel)); err != nil {
 		fmt.Fprintln(os.Stderr, "ptserved:", err)
 		flag.Usage()
 		os.Exit(2)
 	}
-	logger := log.New(os.Stderr, "ptserved: ", log.LstdFlags|log.Lmsgprefix)
-	slog := obs.NewLogger(os.Stderr, level)
+	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
 
 	e, err := reldb.Open(*storage, *dbDir)
 	if err != nil {
@@ -76,15 +74,15 @@ func main() {
 		fatal(err)
 	}
 	st := store.Stats()
-	logger.Printf("opened %s (%s engine): %d executions, %d results, %d resources",
-		*dbDir, eng.Kind(), st.Executions, st.Results, st.Resources)
+	logger.Info("opened", "db", *dbDir, "engine", eng.Kind(),
+		"executions", st.Executions, "results", st.Results, "resources", st.Resources)
 
 	srv, err := server.New(server.Config{
 		Store:                store,
 		ReadOnly:             *readOnly,
 		MaxInFlight:          *maxInFlight,
 		RequestTimeout:       *timeout,
-		Log:                  slog,
+		Log:                  logger,
 		SlowRequestThreshold: *slowThreshold,
 		SelfMonInterval:      *selfMonInterval,
 	})
@@ -97,9 +95,9 @@ func main() {
 	// to localhost in production.
 	if *pprofAddr != "" {
 		go func() {
-			logger.Printf("pprof on http://%s/debug/pprof/", *pprofAddr)
+			logger.Info("pprof", "url", "http://"+*pprofAddr+"/debug/pprof/")
 			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
-				logger.Printf("pprof listener failed: %v", err)
+				logger.Error("pprof listener failed", "err", err)
 			}
 		}()
 	}
@@ -112,7 +110,7 @@ func main() {
 
 	select {
 	case sig := <-sigc:
-		logger.Printf("received %s", sig)
+		logger.Info("received", "signal", sig)
 		ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 		defer cancel()
 		if err := srv.Shutdown(ctx); err != nil {

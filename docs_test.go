@@ -1,6 +1,10 @@
 package perftrack
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -104,4 +108,76 @@ func docFlagErrors(line string, tools map[string]map[string]bool, packages map[s
 		}
 	}
 	return bad
+}
+
+// identDocs name Go identifiers as they are; EXPERIMENTS.md records past
+// runs and may name what a later change removed.
+var identDocs = []string{"README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"}
+
+var (
+	codeSpan = regexp.MustCompile("`[^`\n]+`")
+	// pkgIdent is pkg.Name with pkg standing alone: not the tail of a
+	// path (internal/obs.go) or of a longer selector (x.obs.Name).
+	pkgIdent = regexp.MustCompile(`(?:^|[^\w./])([a-z][a-z0-9]*)\.([A-Z]\w*)`)
+)
+
+// TestDocsNameRealIdentifiers checks that every backticked pkg.Name in
+// the documents, where pkg is a package under internal/ and Name is
+// exported, is declared in that package: a type, function, method,
+// variable or constant.
+func TestDocsNameRealIdentifiers(t *testing.T) {
+	declared := map[string]map[string]bool{} // by package name
+	err := filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		names := declared[f.Name.Name]
+		if names == nil {
+			names = map[string]bool{}
+			declared[f.Name.Name] = names
+		}
+		for _, decl := range f.Decls {
+			switch decl := decl.(type) {
+			case *ast.FuncDecl:
+				names[decl.Name.Name] = true
+			case *ast.GenDecl:
+				for _, spec := range decl.Specs {
+					switch spec := spec.(type) {
+					case *ast.TypeSpec:
+						names[spec.Name.Name] = true
+					case *ast.ValueSpec:
+						for _, n := range spec.Names {
+							names[n.Name] = true
+						}
+					}
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, doc := range identDocs {
+		data, err := os.ReadFile(doc)
+		if os.IsNotExist(err) {
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(data), "\n") {
+			for _, span := range codeSpan.FindAllString(line, -1) {
+				for _, m := range pkgIdent.FindAllStringSubmatch(span, -1) {
+					if names, ok := declared[m[1]]; ok && !names[m[2]] {
+						t.Errorf("%s:%d: %s.%s is not declared in internal/%s", doc, i+1, m[1], m[2], m[1])
+					}
+				}
+			}
+		}
+	}
 }

@@ -290,49 +290,6 @@ func TestRegistryIdempotentAndConflict(t *testing.T) {
 	r.Gauge("x_total", "")
 }
 
-func TestLoggerLevelsAndFormat(t *testing.T) {
-	var b strings.Builder
-	l := NewLogger(&b, LevelInfo)
-	l.Debug("hidden", "k", "v")
-	l.Info("request done", "route", "/v1/query", "dur", 1500*time.Microsecond, "code", 200, "msgy", "two words")
-	out := b.String()
-	if strings.Contains(out, "hidden") {
-		t.Error("debug line leaked through info level")
-	}
-	for _, want := range []string{
-		"level=info", `msg="request done"`, "route=/v1/query",
-		"dur=1.5ms", "code=200", `msgy="two words"`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("log line missing %q: %s", want, out)
-		}
-	}
-	if !strings.HasPrefix(out, "time=") {
-		t.Errorf("log line should start with time=: %s", out)
-	}
-
-	var nilLogger *Logger
-	nilLogger.Info("must not panic")
-	if nilLogger.Enabled(LevelError) {
-		t.Error("nil logger should report not enabled")
-	}
-}
-
-func TestParseLevel(t *testing.T) {
-	for s, want := range map[string]Level{
-		"debug": LevelDebug, "info": LevelInfo, "warn": LevelWarn,
-		"warning": LevelWarn, "error": LevelError, "": LevelInfo,
-	} {
-		got, err := ParseLevel(s)
-		if err != nil || got != want {
-			t.Errorf("ParseLevel(%q) = %v, %v", s, got, err)
-		}
-	}
-	if _, err := ParseLevel("loud"); err == nil {
-		t.Error("ParseLevel should reject unknown levels")
-	}
-}
-
 func TestRuntimeMetrics(t *testing.T) {
 	r := NewRegistry()
 	RegisterRuntimeMetrics(r)

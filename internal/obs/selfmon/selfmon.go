@@ -1,6 +1,6 @@
 // Package selfmon closes PerfTrack's dog-food loop: it periodically
-// samples a process's own telemetry, serializes each sample as one PTdf
-// execution into an in-memory side store, and runs the comparison-based
+// samples a process's own telemetry, commits each sample as one PTdf
+// execution to an in-memory side store, and runs the comparison-based
 // diagnosis engine (internal/diagnose) over a rolling baseline-vs-recent
 // window split — so ptserved can answer "why are recent requests
 // slower?" with the same ranked discriminating predicates it offers for
@@ -10,17 +10,18 @@
 // exec-scoped resource carries the sample's operational attributes
 // (in-flight requests, goroutines, heap, shed/slow-trace deltas, ...) as
 // resource attributes, and whose time-like metrics (interval latency
-// means, in seconds) feed the diagnosis perf measure. The side store is
-// rebuilt from the retained window when it outgrows it, so memory stays
-// bounded no matter how long the process runs.
+// means, in seconds) feed the diagnosis perf measure. The sampler opens
+// one side store for its life; once the window is full, each new sample
+// deletes the oldest one's execution, so memory stays bounded no matter
+// how long the process runs.
 package selfmon
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"time"
 
@@ -62,7 +63,8 @@ type Config struct {
 	// Window bounds retained samples; older samples age out of the side
 	// store. Default 64.
 	Window int
-	// Collect snapshots the process. Required.
+	// Collect snapshots the process. Required. SampleNow calls it under
+	// the sampler's write lock, so calls never overlap.
 	Collect func() Sample
 	// OnError receives background sampling failures; nil drops them.
 	OnError func(error)
@@ -76,33 +78,31 @@ type DocSpec struct {
 	Comment string
 }
 
-// WriteDoc serializes one sample as a loadable PTdf document: the app,
-// an execution, the host as a grid/machine resource, an exec-scoped
-// sample resource carrying the attributes (when any), and one
-// PerfResult per metric focused on the sample + machine context. The
-// record order matches /v1/debug/selfptdf's original hand-rolled form,
-// which is the Attrs-free special case of this function.
-func WriteDoc(w io.Writer, spec DocSpec, s Sample) error {
-	pw := ptdf.NewWriter(w)
-	if spec.Comment != "" {
-		pw.Comment(spec.Comment)
-	}
-	pw.Write(ptdf.ApplicationRec{Name: spec.App})
-	pw.Write(ptdf.ResourceTypeRec{Type: "grid"})
-	pw.Write(ptdf.ResourceTypeRec{Type: "grid/machine"})
-	if len(s.Attrs) > 0 {
-		pw.Write(ptdf.ResourceTypeRec{Type: "execution"})
-	}
-	pw.Write(ptdf.ExecutionRec{Name: spec.Exec, App: spec.App})
+// records builds one sample's PTdf records: the app, an execution, the
+// host as a grid/machine resource, an exec-scoped sample resource
+// carrying the attributes (when any), and one PerfResult per metric
+// focused on the sample + machine context. The results share one
+// resource-set slice, as a ptdf.Reader's would.
+func records(spec DocSpec, s Sample) []ptdf.Record {
 	machine := core.ResourceName("/" + spec.App + "/" + spec.Host)
-	pw.Write(ptdf.ResourceRec{Name: core.ResourceName("/" + spec.App), Type: "grid"})
-	pw.Write(ptdf.ResourceRec{Name: machine, Type: "grid/machine"})
+	recs := []ptdf.Record{
+		ptdf.ApplicationRec{Name: spec.App},
+		ptdf.ResourceTypeRec{Type: "grid"},
+		ptdf.ResourceTypeRec{Type: "grid/machine"},
+	}
+	if len(s.Attrs) > 0 {
+		recs = append(recs, ptdf.ResourceTypeRec{Type: "execution"})
+	}
+	recs = append(recs,
+		ptdf.ExecutionRec{Name: spec.Exec, App: spec.App},
+		ptdf.ResourceRec{Name: core.ResourceName("/" + spec.App), Type: "grid"},
+		ptdf.ResourceRec{Name: machine, Type: "grid/machine"})
 	focus := []core.ResourceName{machine}
 	if len(s.Attrs) > 0 {
 		execRes := core.ResourceName("/" + spec.Exec)
-		pw.Write(ptdf.ResourceRec{Name: execRes, Type: "execution", Exec: spec.Exec})
+		recs = append(recs, ptdf.ResourceRec{Name: execRes, Type: "execution", Exec: spec.Exec})
 		for _, kv := range s.Attrs {
-			pw.Write(ptdf.ResourceAttributeRec{
+			recs = append(recs, ptdf.ResourceAttributeRec{
 				Resource: execRes, Attr: kv[0], Value: kv[1], AttrType: "string",
 			})
 		}
@@ -110,33 +110,41 @@ func WriteDoc(w io.Writer, spec DocSpec, s Sample) error {
 	}
 	sets := []ptdf.ResourceSet{{Names: focus, Type: core.FocusPrimary}}
 	for _, m := range s.Metrics {
-		pw.Write(ptdf.PerfResultRec{
+		recs = append(recs, ptdf.PerfResultRec{
 			Exec: spec.Exec, Sets: sets, Tool: spec.App,
 			Metric: m.Name, Value: m.Value, Units: m.Units,
 		})
 	}
+	return recs
+}
+
+// WriteDoc serializes one sample as a loadable PTdf document: the
+// optional comment, then the sample's records.
+func WriteDoc(w io.Writer, spec DocSpec, s Sample) error {
+	pw := ptdf.NewWriter(w)
+	if spec.Comment != "" {
+		pw.Comment(spec.Comment)
+	}
+	for _, rec := range records(spec, s) {
+		pw.Write(rec)
+	}
 	return pw.Flush()
 }
 
-// sampleDoc retains one loaded sample so the side store can be rebuilt
-// when the window slides.
-type sampleDoc struct {
-	exec string
-	text []byte
-}
-
-// Sampler maintains the rolling sample window and its side store.
+// Sampler maintains the rolling sample window in one side store.
 type Sampler struct {
 	cfg Config
 
-	mu    sync.Mutex
-	store *datastore.Store
-	docs  []sampleDoc // oldest first; the current store holds exactly these
+	// mu is held for writing while SampleNow changes the store and for
+	// reading while Diagnose reads it, so a slide never deletes an
+	// execution under a running diagnosis.
+	mu    sync.RWMutex
+	store *datastore.Store // opened by New, closed by Stop
+	execs []string         // the store's sample executions, oldest first
 	seq   int
 
-	samples  uint64
-	errors   uint64
-	rebuilds uint64
+	samples uint64
+	errors  uint64
 
 	startOnce sync.Once
 	stop      chan struct{}
@@ -147,7 +155,6 @@ type Sampler struct {
 type Stats struct {
 	Samples  uint64
 	Errors   uint64
-	Rebuilds uint64
 	Retained int
 }
 
@@ -180,54 +187,32 @@ func New(cfg Config) (*Sampler, error) {
 	}, nil
 }
 
-// SampleNow collects one sample and loads it into the side store,
-// sliding the window if it is full.
+// SampleNow collects one sample and commits it to the side store as one
+// batch; once the window is full, it deletes the oldest sample's
+// execution.
 func (s *Sampler) SampleNow() error {
-	sample := s.cfg.Collect()
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	sample := s.cfg.Collect()
 	s.seq++
 	exec := fmt.Sprintf("%s-sample-%06d", s.cfg.App, s.seq)
-	var buf bytes.Buffer
-	if err := WriteDoc(&buf, DocSpec{App: s.cfg.App, Exec: exec, Host: s.cfg.Host}, sample); err != nil {
-		s.errors++
-		return fmt.Errorf("selfmon: serialize sample: %w", err)
+	b := s.store.NewBatch()
+	for _, rec := range records(DocSpec{App: s.cfg.App, Exec: exec, Host: s.cfg.Host}, sample) {
+		b.Stage(rec)
 	}
-	if _, err := s.store.LoadPTdfCtx(context.TODO(), bytes.NewReader(buf.Bytes())); err != nil {
+	if _, err := b.CommitCtx(context.TODO()); err != nil {
 		s.errors++
 		return fmt.Errorf("selfmon: load sample: %w", err)
 	}
-	s.docs = append(s.docs, sampleDoc{exec: exec, text: buf.Bytes()})
+	s.execs = append(s.execs, exec)
 	s.samples++
-	if len(s.docs) > s.cfg.Window {
-		if err := s.rebuildLocked(s.docs[len(s.docs)-s.cfg.Window:]); err != nil {
+	for len(s.execs) > s.cfg.Window {
+		if err := s.store.DeleteExecution(s.execs[0]); err != nil {
 			s.errors++
-			return err
+			return fmt.Errorf("selfmon: drop %s: %w", s.execs[0], err)
 		}
+		s.execs = append(s.execs[:0], s.execs[1:]...)
 	}
-	return nil
-}
-
-// rebuildLocked replaces the side store with a fresh one holding only
-// the given window of retained docs, and closes the one it replaces,
-// which stops that store's compactor. Readers holding the old store
-// pointer keep a consistent (just stale) view: a closed store stays
-// readable.
-func (s *Sampler) rebuildLocked(keep []sampleDoc) error {
-	fresh, err := datastore.Open(reldb.NewMem())
-	if err != nil {
-		return fmt.Errorf("selfmon: rebuild side store: %w", err)
-	}
-	for _, d := range keep {
-		if _, err := fresh.LoadPTdfCtx(context.TODO(), bytes.NewReader(d.text)); err != nil {
-			fresh.Engine().Close()
-			return fmt.Errorf("selfmon: rebuild: reload %s: %w", d.exec, err)
-		}
-	}
-	s.store.Engine().Close()
-	s.store = fresh
-	s.docs = append([]sampleDoc(nil), keep...)
-	s.rebuilds++
 	return nil
 }
 
@@ -247,16 +232,12 @@ type Report struct {
 // Diagnose splits the retained window into a baseline (older) and a
 // recent slice — recentN samples, default max(1, retained/4) — and runs
 // the diagnosis engine with the baseline as side A and the recent
-// samples as side B, so a positive delta reads "recent is slower".
+// samples as side B, so a positive delta reads "recent is slower". It
+// reads the store under the read lock: samples wait for it.
 func (s *Sampler) Diagnose(ctx context.Context, recentN int) (*Report, error) {
-	s.mu.Lock()
-	store := s.store
-	execs := make([]string, len(s.docs))
-	for i, d := range s.docs {
-		execs[i] = d.exec
-	}
-	s.mu.Unlock()
-
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	execs := slices.Clone(s.execs)
 	if len(execs) < 2 {
 		return nil, fmt.Errorf("%w, have %d", ErrNotEnoughSamples, len(execs))
 	}
@@ -268,7 +249,7 @@ func (s *Sampler) Diagnose(ctx context.Context, recentN int) (*Report, error) {
 	}
 	baseline := execs[:len(execs)-recentN]
 	recent := execs[len(execs)-recentN:]
-	res, err := diagnose.Run(ctx, store, diagnose.Spec{
+	res, err := diagnose.Run(ctx, s.store, diagnose.Spec{
 		ExecsA: baseline,
 		ExecsB: recent,
 	})
@@ -323,12 +304,11 @@ func (s *Sampler) Stop() {
 
 // Stats snapshots the sampler's counters.
 func (s *Sampler) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	return Stats{
 		Samples:  s.samples,
 		Errors:   s.errors,
-		Rebuilds: s.rebuilds,
-		Retained: len(s.docs),
+		Retained: len(s.execs),
 	}
 }

@@ -3,8 +3,12 @@ package selfmon
 import (
 	"bytes"
 	"context"
+	"errors"
+	"fmt"
 	"runtime"
+	"slices"
 	"strconv"
+	"sync"
 	"testing"
 	"time"
 
@@ -37,6 +41,43 @@ func TestWriteDocRoundTrip(t *testing.T) {
 	}
 	if stats.Executions != 1 || stats.Results != 2 || stats.Attributes != 2 {
 		t.Errorf("load stats = %+v, want 1 execution, 2 results, 2 attributes", stats)
+	}
+}
+
+// TestWriteDocBytes pins the document /v1/debug/selfptdf serves, with
+// and without attributes.
+func TestWriteDocBytes(t *testing.T) {
+	spec := DocSpec{App: "ptserved", Exec: "ptserved-h1", Host: "h1", Comment: "self-profile"}
+	for _, c := range []struct {
+		sample Sample
+		want   string
+	}{{
+		Sample{Metrics: []Metric{
+			{Name: "/v1/query latency p50", Value: 0.0125, Units: "seconds"},
+			{Name: "batch commits", Value: 3, Units: "batches"},
+		}},
+		"# self-profile\nApplication ptserved\nResourceType grid\nResourceType grid/machine\n" +
+			"Execution ptserved-h1 ptserved\nResource /ptserved grid\nResource /ptserved/h1 grid/machine\n" +
+			"PerfResult ptserved-h1 /ptserved/h1(primary) ptserved \"/v1/query latency p50\" 0.0125 seconds\n" +
+			"PerfResult ptserved-h1 /ptserved/h1(primary) ptserved \"batch commits\" 3 batches\n",
+	}, {
+		Sample{
+			Metrics: []Metric{{Name: "request latency mean", Value: 0.012, Units: "seconds"}},
+			Attrs:   [][2]string{{"in_flight", "3"}, {"heap mb", "25"}},
+		},
+		"# self-profile\nApplication ptserved\nResourceType grid\nResourceType grid/machine\n" +
+			"ResourceType execution\nExecution ptserved-h1 ptserved\nResource /ptserved grid\n" +
+			"Resource /ptserved/h1 grid/machine\nResource /ptserved-h1 execution ptserved-h1\n" +
+			"ResourceAttribute /ptserved-h1 in_flight 3 string\nResourceAttribute /ptserved-h1 \"heap mb\" 25 string\n" +
+			"PerfResult ptserved-h1 /ptserved-h1,/ptserved/h1(primary) ptserved \"request latency mean\" 0.012 seconds\n",
+	}} {
+		var b bytes.Buffer
+		if err := WriteDoc(&b, spec, c.sample); err != nil {
+			t.Fatal(err)
+		}
+		if b.String() != c.want {
+			t.Errorf("WriteDoc wrote\n%s\nwant\n%s", b.String(), c.want)
+		}
 	}
 }
 
@@ -103,68 +144,91 @@ func TestSamplerDiagnosePlantedSlowdown(t *testing.T) {
 	}
 }
 
-// TestSamplerWindowSlide checks that the side store is rebuilt once the
-// window fills and diagnosis keeps working over the retained slice.
+// TestSamplerWindowSlide: the sampler keeps one side store for its life.
+// Over three windows of samples the store and the goroutine count stay
+// the same, and the store holds exactly the last window's executions and
+// their results; diagnosis reads that window. Stop closes the store.
 func TestSamplerWindowSlide(t *testing.T) {
-	fc := &fakeCollect{latency: 0.01}
-	s, err := New(Config{Collect: fc.sample, Window: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		if err := s.SampleNow(); err != nil {
-			t.Fatalf("sample %d: %v", i, err)
-		}
-	}
-	st := s.Stats()
-	if st.Samples != 10 || st.Retained != 4 || st.Rebuilds == 0 {
-		t.Errorf("stats = %+v, want 10 samples, 4 retained, rebuilds > 0", st)
-	}
-	rep, err := s.Diagnose(context.Background(), 0)
-	if err != nil {
-		t.Fatalf("diagnose after slide: %v", err)
-	}
-	if rep.Samples != 4 {
-		t.Errorf("diagnose saw %d samples, want the retained 4", rep.Samples)
-	}
-}
-
-// TestSamplerRebuildClosesReplacedStores: every store runs a compactor
-// goroutine, so a rebuild closes the store it replaces — the goroutine
-// count after three windows of samples is the count after one — while a
-// reader that took the old store keeps its stale view; Stop closes the
-// last one.
-func TestSamplerRebuildClosesReplacedStores(t *testing.T) {
 	const window = 4
 	fc := &fakeCollect{latency: 0.01}
 	s, err := New(Config{Collect: fc.sample, Window: window})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sample := func(n int) {
-		t.Helper()
-		for i := 0; i < n; i++ {
-			if err := s.SampleNow(); err != nil {
-				t.Fatal(err)
-			}
+	if err := s.SampleNow(); err != nil {
+		t.Fatal(err)
+	}
+	store := s.store
+	before := runtime.NumGoroutine()
+	for i := 1; i < 3*window; i++ {
+		if err := s.SampleNow(); err != nil {
+			t.Fatalf("sample %d: %v", i, err)
 		}
 	}
-	sample(window)
-	s.mu.Lock()
-	old := s.store
-	s.mu.Unlock()
-	before := runtime.NumGoroutine()
-	sample(2 * window)
-	if after := runtime.NumGoroutine(); after != before || s.Stats().Rebuilds == 0 {
-		t.Fatalf("%d goroutines after %d rebuilds, %d before them", after, s.Stats().Rebuilds, before)
+	if after := runtime.NumGoroutine(); s.store != store || after != before {
+		t.Fatalf("store replaced (%v) or %d goroutines, %d before", s.store != store, after, before)
 	}
-	if got := old.Stats().Executions; got != window+1 { // the sample that overflowed it landed first
-		t.Fatalf("the replaced store reads %d executions, want its %d", got, window+1)
+	if st := s.Stats(); st.Samples != 3*window || st.Retained != window || st.Errors != 0 {
+		t.Errorf("stats = %+v, want %d samples, %d retained", st, 3*window, window)
+	}
+	execs, err := store.Executions()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for i := 2*window + 1; i <= 3*window; i++ {
+		want = append(want, fmt.Sprintf("ptserved-sample-%06d", i))
+	}
+	if !slices.Equal(execs, want) {
+		t.Errorf("store holds executions %v, want %v", execs, want)
+	}
+	if got, perSample := store.Stats().Results, int64(len(fc.sample().Metrics)); got != window*perSample {
+		t.Errorf("store holds %d results, want %d", got, window*perSample)
+	}
+	rep, err := s.Diagnose(context.Background(), 0)
+	if err != nil {
+		t.Fatalf("diagnose after slide: %v", err)
+	}
+	if rep.Samples != window {
+		t.Errorf("diagnose saw %d samples, want the retained %d", rep.Samples, window)
 	}
 	s.Stop()
 	if err := s.SampleNow(); err == nil {
 		t.Fatal("the side store takes writes after Stop")
 	}
+}
+
+// TestSamplerDiagnoseRacesSamples runs diagnoses while samples slide
+// the window: a diagnosis reads the store under the sampler's read lock,
+// so none fails but for want of samples.
+func TestSamplerDiagnoseRacesSamples(t *testing.T) {
+	fc := &fakeCollect{latency: 0.01}
+	s, err := New(Config{Collect: fc.sample, Window: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Stop()
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 40; i++ {
+			if err := s.SampleNow(); err != nil {
+				t.Errorf("sample %d: %v", i, err)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 40; i++ {
+			if _, err := s.Diagnose(context.Background(), 0); err != nil && !errors.Is(err, ErrNotEnoughSamples) {
+				t.Errorf("diagnosis %d: %v", i, err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
 }
 
 // TestDiagnoseNeedsTwoSamples pins the sentinel error before the window

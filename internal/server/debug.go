@@ -96,10 +96,8 @@ func (s *Server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 // an application, this process an execution, the host a grid/machine
 // resource, and every per-route latency quantile and store counter a
 // PerfResult — so ptserved's performance can be loaded into a PerfTrack
-// store (even its own) and diagnosed with the same pr-filter/compare
-// workflow as any parallel application. The continuous form of the same
-// idea is the selfmon sampler behind /v1/debug/selfdiagnose; both share
-// one Sample→PTdf serialization.
+// store (even its own) and diagnosed like any parallel application. The
+// selfmon sampler behind /v1/debug/selfdiagnose builds the same records.
 func (s *Server) handleSelfPTdf(w http.ResponseWriter, r *http.Request) {
 	host := hostname()
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"runtime/debug"
 	"strconv"
+	"strings"
 	"time"
 
 	"perftrack/internal/obs"
@@ -58,6 +59,20 @@ func (sr *statusRecorder) Flush() {
 // Unwrap lets http.ResponseController reach the connection's writer.
 func (sr *statusRecorder) Unwrap() http.ResponseWriter { return sr.ResponseWriter }
 
+// requestIDChars are the bytes of an X-Request-Id the server keeps.
+const requestIDChars = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789._:-"
+
+// requestID returns the client's X-Request-Id when it is 1–64 bytes of
+// requestIDChars, and a new ID otherwise: a trace keeps its ID, so the
+// trace rings' bound on traces must bound the client text they hold.
+func requestID(r *http.Request) string {
+	id := r.Header.Get("X-Request-Id")
+	if id == "" || len(id) > 64 || strings.Trim(id, requestIDChars) != "" {
+		return newRequestID()
+	}
+	return id
+}
+
 // newRequestID returns a 16-hex-char random tag.
 func newRequestID() string {
 	var b [8]byte
@@ -104,18 +119,15 @@ var testContext func(context.Context) context.Context
 func (s *Server) route(name string, class routeClass, h http.HandlerFunc) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		id := r.Header.Get("X-Request-Id")
-		if id == "" {
-			id = newRequestID()
-		}
+		id := requestID(r)
 		w.Header().Set("X-Request-Id", id)
 		ctx := context.WithValue(r.Context(), ctxKeyRequestID, id)
 		var span *obs.Span
 		if class != probe {
 			ctx, span = s.tracer.StartTrace(ctx, id, name)
 			span.Annotate("method", r.Method)
-			if r.URL.Path != name {
-				span.Annotate("path", r.URL.Path)
+			if p := r.URL.Path; p != name {
+				span.Annotate("path", p[:min(len(p), 256)]) // bounded, as the ID is
 			}
 		}
 		if class == api {

@@ -220,6 +220,42 @@ func TestDebugQueriesRetainedTextBound(t *testing.T) {
 	}
 }
 
+// TestTraceRingsBoundClientText: the request ID and path a trace keeps
+// are the client's text, so route bounds both. 64 requests with a
+// 200 KB X-Request-Id and a 200 KB path leave at most 64 KiB of trace
+// IDs and annotations in the rings.
+func TestTraceRingsBoundClientText(t *testing.T) {
+	srv, ts := newTestServer(t, nil)
+	long := strings.Repeat("x", 200<<10)
+	for i := 0; i < 64; i++ {
+		req, _ := http.NewRequest(http.MethodGet, ts.URL+"/v1/reports/"+long, nil)
+		req.Header.Set("X-Request-Id", long)
+		r, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := r.Header.Get("X-Request-Id"); i == 0 && (got == long || got == "") {
+			t.Errorf("echoed request ID of %d bytes, want a generated one", len(got))
+		}
+		drainBody(r)
+	}
+	held := 0
+	for _, slow := range []bool{false, true} {
+		for _, tr := range srv.tracer.Traces(slow) {
+			d := tr.Data()
+			held += len(d.ID)
+			for _, sp := range d.Spans {
+				for _, a := range sp.Annotations {
+					held += len(a.Key) + len(a.Value)
+				}
+			}
+		}
+	}
+	if held > 64<<10 {
+		t.Errorf("trace rings keep %d bytes of IDs and annotations, want at most %d", held, 64<<10)
+	}
+}
+
 // TestDebugQueriesRace races /v1/sql writers, which attach their
 // captures on the handler goroutine, against readers of the queries
 // view and of single traces. Under -race it checks that every capture

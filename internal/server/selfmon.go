@@ -65,8 +65,6 @@ func (s *Server) takeSelfSnapshot() selfSnapshot {
 // space — a diagnosis can answer not just "recent samples are slower"
 // but "...and they are exactly the samples where shed_delta >= 1".
 func (s *Server) collectSelfSample() selfmon.Sample {
-	s.selfMu.Lock()
-	defer s.selfMu.Unlock()
 	cur := s.takeSelfSnapshot()
 	prev := s.selfPrev
 	s.selfPrev = cur

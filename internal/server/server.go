@@ -9,13 +9,13 @@
 package server
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"log"
+	"io"
+	"log/slog"
 	"net"
 	"net/http"
-	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -41,10 +41,10 @@ type Config struct {
 	// stream routes, /v1/load and /v1/results, have none.
 	RequestTimeout time.Duration
 
-	// Log receives structured key=value lines (one per request plus
-	// lifecycle events, and net/http's own error lines at error level).
-	// Nil means no logging.
-	Log *obs.Logger
+	// Log receives structured lines (one per request plus lifecycle
+	// events, and net/http's own error lines at error level). Nil means
+	// no logging.
+	Log *slog.Logger
 
 	// SlowRequestThreshold marks traces at or over this duration as slow
 	// (kept in a separate ring and logged at warn level). 0 means the
@@ -72,14 +72,13 @@ type Server struct {
 	store     *datastore.Store
 	metrics   *serverMetrics
 	tracer    *obs.Tracer
-	log       *obs.Logger
+	log       *slog.Logger
 	sem       chan struct{}
 	httpSrv   *http.Server
 	planCache *planner.ResultCache
 	selfmon   *selfmon.Sampler // nil when disabled
 
-	selfMu   sync.Mutex   // guards selfPrev (interval-delta state)
-	selfPrev selfSnapshot // previous self-sample counter snapshot
+	selfPrev selfSnapshot // the last interval sample's counters; Collect calls never overlap
 
 	// injectDelay stretches every request by the given nanoseconds — a
 	// fault-injection hook for the self-diagnosis tests.
@@ -108,7 +107,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:       cfg,
 		store:     cfg.Store,
 		metrics:   newServerMetrics(),
-		log:       cfg.Log,
+		log:       cmp.Or(cfg.Log, slog.New(slog.NewTextHandler(io.Discard, nil))),
 		sem:       make(chan struct{}, cfg.MaxInFlight),
 		planCache: planner.NewResultCache(0),
 	}
@@ -128,19 +127,11 @@ func New(cfg Config) (*Server, error) {
 		Handler:     s.Handler(),
 		ReadTimeout: 0, // streamed loads may upload for a long time
 		IdleTimeout: 2 * time.Minute,
-		ErrorLog:    log.New(errorLogWriter{cfg.Log}, "", 0),
+		// net/http's own error lines: failed accepts, malformed
+		// requests, superfluous WriteHeader calls.
+		ErrorLog: slog.NewLogLogger(s.log.Handler(), slog.LevelError),
 	}
 	return s, nil
-}
-
-// errorLogWriter feeds net/http's own error lines (failed accepts,
-// malformed requests, superfluous WriteHeader calls) into the structured
-// log.
-type errorLogWriter struct{ log *obs.Logger }
-
-func (w errorLogWriter) Write(p []byte) (int, error) {
-	w.log.Error("http server", "err", strings.TrimSpace(string(p)))
-	return len(p), nil
 }
 
 // Handler returns the fully wired HTTP handler. A route's class says

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -492,6 +493,64 @@ func TestRequestIDPropagation(t *testing.T) {
 	r2.Body.Close()
 	if r2.Header.Get("X-Request-Id") == "" {
 		t.Error("no generated request id")
+	}
+}
+
+// lockedBuffer is a log sink the test reads while handlers write it.
+type lockedBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (l *lockedBuffer) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *lockedBuffer) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
+}
+
+// TestRequestLogLine: a request logs one msg=request line at info level,
+// naming its route, status and request ID, and nothing at error level.
+func TestRequestLogLine(t *testing.T) {
+	for _, level := range []slog.Level{slog.LevelInfo, slog.LevelError} {
+		var out lockedBuffer
+		_, ts := newTestServer(t, func(c *Config) {
+			c.Log = slog.New(slog.NewTextHandler(&out, &slog.HandlerOptions{Level: level}))
+		})
+		req, _ := http.NewRequest(http.MethodGet, ts.URL+"/v1/stats", nil)
+		req.Header.Set("X-Request-Id", "log-line-1")
+		r, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, r.Body)
+		r.Body.Close()
+		ts.Close() // waits for the handler, and so for its log line
+		var lines []string
+		for _, line := range strings.Split(out.String(), "\n") {
+			if strings.Contains(line, " msg=request ") {
+				lines = append(lines, line)
+			}
+		}
+		if level == slog.LevelError {
+			if got := out.String(); got != "" {
+				t.Errorf("level error logged:\n%s", got)
+			}
+			continue
+		}
+		if len(lines) != 1 {
+			t.Fatalf("%d msg=request lines, want 1:\n%s", len(lines), out.String())
+		}
+		for _, want := range []string{"level=INFO", "route=/v1/stats", "status=200", "rid=log-line-1"} {
+			if !strings.Contains(lines[0], want) {
+				t.Errorf("request line lacks %s: %s", want, lines[0])
+			}
+		}
 	}
 }
 
