@@ -2,63 +2,54 @@ package compare
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
-	"perftrack/internal/core"
 	"perftrack/internal/datastore"
 	"perftrack/internal/reldb"
 )
 
-// twoPlatformStore builds IRS runs on Frost and MCR with per-function
-// timings, matching the §4.1 cross-platform study shape.
-func twoPlatformStore(t *testing.T) *datastore.Store {
+// newStore opens an in-memory store holding the PTdf lines, loaded as
+// one document.
+func newStore(t *testing.T, lines ...string) *datastore.Store {
 	t.Helper()
 	s, err := datastore.Open(reldb.NewMem())
 	if err != nil {
 		t.Fatal(err)
 	}
-	must := func(err error) {
-		t.Helper()
-		if err != nil {
-			t.Fatal(err)
-		}
+	if _, err := s.LoadPTdfCtx(context.Background(), strings.NewReader(strings.Join(lines, "\n"))); err != nil {
+		t.Fatal(err)
 	}
-	_, err = s.AddResource("/irs", "application", "")
-	must(err)
-	for _, fn := range []string{"main", "xdouble", "radsolve"} {
-		_, err = s.AddResource(core.ResourceName("/irsbuild/irs.c/"+fn), "build/module/function", "")
-		must(err)
-	}
-	_, err = s.AddResource("/GF/Frost", "grid/machine", "")
-	must(err)
-	_, err = s.AddResource("/GM/MCR", "grid/machine", "")
-	must(err)
-	_, err = s.AddExecution("irs-frost", "irs")
-	must(err)
-	_, err = s.AddExecution("irs-mcr", "irs")
-	must(err)
-
-	add := func(exec string, machine core.ResourceName, fn string, v float64) {
-		t.Helper()
-		_, err := s.AddPerfResult(&core.PerformanceResult{
-			Execution: exec, Metric: "wall time", Value: v, Units: "seconds", Tool: "IRS",
-			Contexts: []core.Context{core.NewContext("/irs", machine,
-				core.ResourceName("/irsbuild/irs.c/"+fn))},
-		})
-		must(err)
-	}
-	// Frost is ~2x slower on main/xdouble; radsolve only on Frost.
-	add("irs-frost", "/GF/Frost", "main", 100)
-	add("irs-frost", "/GF/Frost", "xdouble", 40)
-	add("irs-frost", "/GF/Frost", "radsolve", 25)
-	add("irs-mcr", "/GM/MCR", "main", 50)
-	add("irs-mcr", "/GM/MCR", "xdouble", 22)
-	// An MCR-only function.
-	_, err = s.AddResource("/irsbuild/irs.c/mcronly", "build/module/function", "")
-	must(err)
-	add("irs-mcr", "/GM/MCR", "mcronly", 1)
 	return s
+}
+
+// twoPlatformStore builds IRS runs on Frost and MCR with per-function
+// timings, matching the §4.1 cross-platform study shape.
+func twoPlatformStore(t *testing.T) *datastore.Store {
+	t.Helper()
+	result := func(exec, machine, fn string, v float64) string {
+		return fmt.Sprintf(`PerfResult %s /irs,%s,/irsbuild/irs.c/%s(primary) IRS "wall time" %g seconds`, exec, machine, fn, v)
+	}
+	return newStore(t,
+		"Resource /irs application",
+		"Resource /irsbuild/irs.c/main build/module/function",
+		"Resource /irsbuild/irs.c/xdouble build/module/function",
+		"Resource /irsbuild/irs.c/radsolve build/module/function",
+		"Resource /GF/Frost grid/machine",
+		"Resource /GM/MCR grid/machine",
+		"Execution irs-frost irs",
+		"Execution irs-mcr irs",
+		// Frost is ~2x slower on main/xdouble; radsolve only on Frost.
+		result("irs-frost", "/GF/Frost", "main", 100),
+		result("irs-frost", "/GF/Frost", "xdouble", 40),
+		result("irs-frost", "/GF/Frost", "radsolve", 25),
+		result("irs-mcr", "/GM/MCR", "main", 50),
+		result("irs-mcr", "/GM/MCR", "xdouble", 22),
+		// An MCR-only function.
+		"Resource /irsbuild/irs.c/mcronly build/module/function",
+		result("irs-mcr", "/GM/MCR", "mcronly", 1))
 }
 
 func TestExecutionsAlignAcrossMachines(t *testing.T) {
@@ -225,27 +216,13 @@ func TestPairEdgeCaseOperators(t *testing.T) {
 }
 
 func TestDuplicateKeyValuesAveraged(t *testing.T) {
-	s, err := datastore.Open(reldb.NewMem())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.AddResource("/app", "application", "")
-	s.AddExecution("a", "app")
-	s.AddExecution("b", "app")
-	for _, v := range []float64{10, 20} {
-		if _, err := s.AddPerfResult(&core.PerformanceResult{
-			Execution: "a", Metric: "m", Value: v,
-			Contexts: []core.Context{core.NewContext("/app")},
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := s.AddPerfResult(&core.PerformanceResult{
-		Execution: "b", Metric: "m", Value: 30,
-		Contexts: []core.Context{core.NewContext("/app")},
-	}); err != nil {
-		t.Fatal(err)
-	}
+	s := newStore(t,
+		"Resource /app application",
+		"Execution a app",
+		"Execution b app",
+		`PerfResult a /app(primary) "" m 10 ""`,
+		`PerfResult a /app(primary) "" m 20 ""`,
+		`PerfResult b /app(primary) "" m 30 ""`)
 	cmp, err := Executions(s, "a", "b")
 	if err != nil {
 		t.Fatal(err)
@@ -259,26 +236,17 @@ func TestDuplicateKeyValuesAveraged(t *testing.T) {
 // the mean of the side's results in its cell, and each execution's perf
 // and each side's stand beside it.
 func TestSetsMeanOverSide(t *testing.T) {
-	s, err := datastore.Open(reldb.NewMem())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.AddResource("/app", "application", "")
+	doc := []string{"Resource /app application"}
 	for _, e := range []struct {
 		exec string
 		vals []float64
 	}{{"a1", []float64{10, 40}}, {"a2", []float64{20}}, {"b", []float64{30}}, {"c", nil}} {
-		exec := e.exec
-		s.AddExecution(exec, "app")
+		doc = append(doc, "Execution "+e.exec+" app")
 		for _, v := range e.vals {
-			if _, err := s.AddPerfResult(&core.PerformanceResult{
-				Execution: exec, Metric: "m", Value: v, Units: "seconds",
-				Contexts: []core.Context{core.NewContext("/app")},
-			}); err != nil {
-				t.Fatal(err)
-			}
+			doc = append(doc, fmt.Sprintf(`PerfResult %s /app(primary) "" m %g seconds`, e.exec, v))
 		}
 	}
+	s := newStore(t, doc...)
 	cmp, err := Sets(context.Background(), s, []string{"a1", "a2"}, []string{"b", "c"})
 	if err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package datastore
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"slices"
 	"testing"
@@ -57,9 +58,7 @@ func TestAttributeKeysLastWriteWins(t *testing.T) {
 	s := seedAttrStudy(t)
 	// Overwriting an attribute must not inflate Resources or leave the
 	// stale value in the domain.
-	if err := s.SetResourceAttribute("/GM/MCR/batch/n0/p0", "clock MHz", "2400"); err != nil {
-		t.Fatal(err)
-	}
+	load(t, s, `ResourceAttribute /GM/MCR/batch/n0/p0 "clock MHz" 2400 string`)
 	keys, err := s.AttributeKeys("clock")
 	if err != nil {
 		t.Fatal(err)
@@ -78,15 +77,12 @@ func TestAttributeKeysLastWriteWins(t *testing.T) {
 
 func TestAttributeKeysDomainCap(t *testing.T) {
 	s := newStore(t)
+	var doc []string
 	for i := 0; i < MaxAttrDomain+8; i++ {
-		name := core.ResourceName("/app" + string(rune('a'+i/26)) + string(rune('a'+i%26)))
-		if _, err := s.AddResource(name, "application", ""); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.SetResourceAttribute(name, "serial", name.BaseName()); err != nil {
-			t.Fatal(err)
-		}
+		name := "/app" + string(rune('a'+i/26)) + string(rune('a'+i%26))
+		doc = append(doc, "Resource "+name+" application", "ResourceAttribute "+name+" serial "+name[1:]+" string")
 	}
+	load(t, s, doc...)
 	keys, err := s.AttributeKeys("serial")
 	if err != nil {
 		t.Fatal(err)
@@ -105,14 +101,8 @@ func TestAttributeKeysDomainCap(t *testing.T) {
 
 func TestAttributeValues(t *testing.T) {
 	s := newStore(t)
-	id1, err := s.AddResource("/a", "application", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	id2, err := s.AddResource("/b", "application", "")
-	if err != nil {
-		t.Fatal(err)
-	}
+	load(t, s, "Resource /a application", "Resource /b application")
+	id1, id2 := resourceID(t, s, "/a"), resourceID(t, s, "/b")
 	for _, set := range []struct {
 		res  core.ResourceName
 		attr string
@@ -123,9 +113,7 @@ func TestAttributeValues(t *testing.T) {
 		{"/a", "compiler", "-O3"}, // overwrite: last write wins
 		{"/a", "vendor", "IBM"},
 	} {
-		if err := s.SetResourceAttribute(set.res, set.attr, set.val); err != nil {
-			t.Fatal(err)
-		}
+		load(t, s, fmt.Sprintf("ResourceAttribute %s %s %s string", set.res, set.attr, set.val))
 	}
 	vals, err := s.AttributeValues("compiler")
 	if err != nil {
@@ -146,33 +134,17 @@ func TestAttributeValues(t *testing.T) {
 
 func TestExecutionResourceIDs(t *testing.T) {
 	s := newStore(t)
-	appID, err := s.AddResource("/irs", "application", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	procID, err := s.AddResource("/GM/MCR/batch/n0/p0", "grid/machine/partition/node/processor", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.AddExecution("e1", "irs"); err != nil {
-		t.Fatal(err)
-	}
-	execResID, err := s.AddResource("/e1", "execution", "e1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	procOtherID, err := s.AddResource("/GF/Frost/batch/n9/p0", "grid/machine/partition/node/processor", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A process scoped to e1, constrained to the processor it ran on.
-	procResID, err := s.AddResource("/e1/pid100", "execution/process", "e1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.AddResourceConstraint("/e1/pid100", "/GM/MCR/batch/n0/p0"); err != nil {
-		t.Fatal(err)
-	}
+	load(t, s,
+		"Resource /irs application",
+		"Resource /GM/MCR/batch/n0/p0 grid/machine/partition/node/processor",
+		"Execution e1 irs",
+		"Resource /e1 execution e1",
+		"Resource /GF/Frost/batch/n9/p0 grid/machine/partition/node/processor",
+		// A process scoped to e1, constrained to the processor it ran on.
+		"Resource /e1/pid100 execution/process e1",
+		"ResourceConstraint /e1/pid100 /GM/MCR/batch/n0/p0")
+	appID, procID, execResID := resourceID(t, s, "/irs"), resourceID(t, s, "/GM/MCR/batch/n0/p0"), resourceID(t, s, "/e1")
+	procOtherID, procResID := resourceID(t, s, "/GF/Frost/batch/n9/p0"), resourceID(t, s, "/e1/pid100")
 	addResult(t, s, "e1", "wall time", 42, "/irs", "/e1")
 
 	results, err := s.ExecutionResultIDs("e1")
@@ -255,11 +227,7 @@ func TestExecutionsOfResults(t *testing.T) {
 	s, fe := newSegmentStore(t)
 	fe.SetSegmentFlushRows(1 << 40) // the compactor runs only when asked
 	seedSegmentStudy(t, s)
-	for _, e := range []string{"m-two", "m-three"} {
-		if _, err := s.AddExecution(e, "irs"); err != nil {
-			t.Fatal(err)
-		}
-	}
+	load(t, s, "Execution m-two irs", "Execution m-three irs")
 	commit := func(exec string, n int) {
 		b := s.NewBatch()
 		for i := range n {

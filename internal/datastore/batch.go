@@ -15,7 +15,7 @@ import (
 // batch.
 var ErrBatchDone = errors.New("datastore: batch already finished")
 
-// Batch is the store's multi-record write unit: begin with NewBatch,
+// Batch is the store's one write door: begin with NewBatch,
 // stage any number of PTdf records — no lock is taken and the store is
 // not touched — then CommitCtx applies them all in one critical section.
 // Staging is therefore free to run concurrently with readers, other
@@ -34,9 +34,10 @@ var ErrBatchDone = errors.New("datastore: batch already finished")
 // of a document's rows; a bad record rolls the whole batch back, and the
 // engine never saw a row of it, so nothing is undone or logged. The store
 // generation bumps exactly once, and the commit is one group of the
-// engine's log, written once. This is the write API every multi-record path
-// sits on: LoadPTdfCtx stages one document per batch, and
-// BulkLoadStreamCtx feeds parallel decoders' batches to one committer.
+// engine's log, written once. Every row enters the store this way (only
+// DeleteExecution runs a transaction of its own): LoadPTdfCtx stages one
+// document per batch, BulkLoadStreamCtx feeds parallel decoders' batches
+// to one committer, and Open stages the base types.
 type Batch struct {
 	s *Store
 	// order holds one entry per staged record, in staging order: a row's
@@ -116,13 +117,31 @@ func (s *Store) NewBatch() *Batch {
 
 // Stage buffers one record for the next CommitCtx. It takes no locks and
 // cannot fail: validation happens at commit time, inside the transaction.
+// A histogram is kept as it is, its names and set entered in the batch's
+// tables now: at commit it applies as a row of them (loadHistogramLocked).
 func (b *Batch) Stage(rec ptdf.Record) {
-	if r, ok := rec.(ptdf.PerfResultRec); ok {
+	switch r := rec.(type) {
+	case ptdf.PerfResultRec:
 		b.stageResult(&r)
 		return
+	case ptdf.PerfHistogramRec:
+		b.rowOf(r.Sets, r.Exec, r.Tool, r.Metric, r.Units, 0)
 	}
 	b.order = append(b.order, ^int32(len(b.others)))
 	b.others = append(b.others, rec)
+}
+
+// rowOf returns the row of a result with the given resource sets, names
+// and value, entering each in the batch's tables.
+func (b *Batch) rowOf(sets []ptdf.ResourceSet, exec, tool, metric, units string, value float64) resultRow {
+	return resultRow{
+		set:    b.sets.of(keyOf(sets), sets),
+		exec:   b.execs.of(exec, exec),
+		tool:   b.tools.of(tool, tool),
+		metric: b.metrics.of(metric, metric),
+		units:  b.units.of(units, units),
+		value:  value,
+	}
 }
 
 // stageResult appends r as a row; r itself is not kept.
@@ -139,14 +158,7 @@ func (b *Batch) stageResult(r *ptdf.PerfResultRec) {
 		b.rows[k] = append(make([]resultRow, 0, 2*cap(b.rows[k])), b.rows[k]...)
 	}
 	b.order = append(b.order, int32(k*resultChunk+len(b.rows[k])))
-	b.rows[k] = append(b.rows[k], resultRow{
-		set:    b.sets.of(keyOf(r.Sets), r.Sets),
-		exec:   b.execs.of(r.Exec, r.Exec),
-		tool:   b.tools.of(r.Tool, r.Tool),
-		metric: b.metrics.of(r.Metric, r.Metric),
-		units:  b.units.of(r.Units, r.Units),
-		value:  r.Value,
-	})
+	b.rows[k] = append(b.rows[k], b.rowOf(r.Sets, r.Exec, r.Tool, r.Metric, r.Units, r.Value))
 }
 
 // Decode stages every record of a PTdf document, result lines straight
@@ -210,27 +222,39 @@ func (b *Batch) CommitCtx(ctx context.Context) (LoadStats, error) {
 		units:   make([]int64, len(b.units.vals)),
 		sets:    make([]resolvedSet, len(b.sets.vals)),
 	}
-	err := s.write(func() error {
-		for i, o := range b.order {
-			var err error
-			if o >= 0 {
-				err = s.loadResultLocked(b, &b.rows[o/resultChunk][o%resultChunk], &c)
-			} else {
-				err = s.loadRecordLocked(b, b.others[^o], &c)
-			}
-			if err != nil {
-				if len(b.order) > 1 {
-					err = fmt.Errorf("datastore: record %d: %w", i+1, err)
-				}
-				return err
-			}
+	// One engine transaction in one writer critical section: begin, apply,
+	// then commit, or on failure roll back and reload the names directory,
+	// which the records updated in place. The generation bumps after the
+	// outcome, whatever it is.
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	defer s.bumpGen()
+	s.tx = s.eng.Begin()
+	defer func() { s.tx = nil }()
+	var err error
+	for i, o := range b.order {
+		if o >= 0 {
+			_, err = s.loadResultLocked(b, &b.rows[o/resultChunk][o%resultChunk], &c)
+		} else {
+			err = s.loadRecordLocked(b, b.others[^o], &c)
 		}
-		return nil
-	})
+		if err != nil {
+			if len(b.order) > 1 {
+				err = fmt.Errorf("datastore: record %d: %w", i+1, err)
+			}
+			break
+		}
+	}
+	if err == nil {
+		if beforeCommit != nil {
+			beforeCommit(s)
+		}
+		err = s.tx.Commit()
+	}
 	if err != nil {
 		s.tel.batchRollbacks.Add(1)
 		span.Annotate("outcome", "rollback")
-		return LoadStats{}, err
+		return LoadStats{}, s.rollbackLoad(s.tx, err)
 	}
 	s.tel.batchCommits.Add(1)
 	s.tel.recordsLoaded.Add(uint64(len(b.order)))

@@ -468,24 +468,19 @@ func TestTxBatchAppearsWhole(t *testing.T) {
 	}
 }
 
-// TestAddPerfResultFailureLeavesNothing: each public write is a
-// transaction too. An AddPerfResult whose context names an unknown
-// resource is refused and leaves neither its result row nor the metric it
-// interned — in the rows or in the names directory — in memory and in a
-// directory, and bumps the generation once.
+// TestAddPerfResultFailureLeavesNothing: a one-result batch whose
+// context names an unknown resource is refused and leaves neither its
+// result row nor the metric it interned — in the rows or in the names
+// directory — in memory and in a directory, and bumps the generation once.
 func TestAddPerfResultFailureLeavesNothing(t *testing.T) {
 	for _, kind := range []string{reldb.KindMem, reldb.KindSegment} {
 		s := openKind(t, kind)
-		if _, err := s.AddExecution("e1", "app"); err != nil {
-			t.Fatal(err)
-		}
+		load(t, s, "Execution e1 app")
 		before, gen := s.Stats(), s.Generation()
-		_, err := s.AddPerfResult(&core.PerformanceResult{
-			Execution: "e1", Metric: "fresh metric", Value: 1,
-			Contexts: []core.Context{core.NewContext("/ghost")},
-		})
-		if !errors.Is(err, ErrNotFound) {
-			t.Fatalf("%s: AddPerfResult = %v, want ErrNotFound", kind, err)
+		rec := resultFor("e1", "/ghost")
+		rec.Metric = "fresh metric"
+		if err := commitOne(s, rec); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("%s: commit = %v, want ErrNotFound", kind, err)
 		}
 		if after := s.Stats(); after.Results != before.Results || after.Metrics != before.Metrics || after.Foci != before.Foci {
 			t.Fatalf("%s: the refused result left rows behind:\nbefore %+v\n after %+v", kind, before, after)

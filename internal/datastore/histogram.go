@@ -4,59 +4,41 @@ import (
 	"fmt"
 	"math"
 
-	"perftrack/internal/core"
 	"perftrack/internal/ptdf"
 	"perftrack/internal/reldb"
 )
 
-// AddHistogramResult stores a complex, histogram-valued performance
+// loadHistogramLocked applies a complex, histogram-valued performance
 // result (§6 future work): one performance_result row carrying the mean
-// over bins with data as its summary scalar, plus a result_histogram row
-// holding every bin. NaN marks bins with no data. It returns the
-// performance-result ID.
-func (s *Store) AddHistogramResult(pr *core.PerformanceResult, binWidth float64, values []float64) (int64, error) {
-	return s.writeID(func() (int64, error) { return s.addHistogramResultLocked(pr, binWidth, values, nil) })
-}
-
-// addHistogramResultLocked adds the result as addPerfResultLocked does,
-// rs included, and its bins.
-func (s *Store) addHistogramResultLocked(pr *core.PerformanceResult, binWidth float64, values []float64, rs *resolvedSet) (int64, error) {
-	if binWidth <= 0 {
-		return 0, fmt.Errorf("datastore: histogram bin width %g <= 0", binWidth)
-	}
-	if len(values) == 0 {
-		return 0, fmt.Errorf("datastore: histogram has no bins")
+// over bins with data as its summary scalar, applied as a staged result
+// row, plus a result_histogram row holding every bin. NaN marks bins with
+// no data. Callers hold s.wmu.
+func (s *Store) loadHistogramLocked(b *Batch, r *ptdf.PerfHistogramRec, c *commitState) error {
+	if r.BinWidth <= 0 {
+		return fmt.Errorf("datastore: histogram bin width %g <= 0: %w", r.BinWidth, ErrBadSpec)
 	}
 	sum, n := 0.0, 0
-	for _, v := range values {
+	for _, v := range r.Values {
 		if !math.IsNaN(v) {
 			sum += v
 			n++
 		}
 	}
-	summary := math.NaN()
-	if n > 0 {
-		summary = sum / float64(n)
-	} else {
-		return 0, fmt.Errorf("datastore: histogram has no bins with data")
+	if n == 0 {
+		return fmt.Errorf("datastore: histogram has no bins with data: %w", ErrBadSpec)
 	}
-	prCopy := *pr
-	prCopy.Value = summary
-
-	id, err := s.addPerfResultLocked(&prCopy, rs)
+	row := b.rowOf(r.Sets, r.Exec, r.Tool, r.Metric, r.Units, sum/float64(n))
+	id, err := s.loadResultLocked(b, &row, c)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	_, err = s.tx.Insert("result_histogram", reldb.Row{
 		reldb.Int(id),
-		reldb.Float(binWidth),
-		reldb.Int(int64(len(values))),
-		reldb.Str(ptdf.FormatHistogramValues(values)),
+		reldb.Float(r.BinWidth),
+		reldb.Int(int64(len(r.Values))),
+		reldb.Str(ptdf.FormatHistogramValues(r.Values)),
 	})
-	if err != nil {
-		return 0, err
-	}
-	return id, nil
+	return err
 }
 
 // HistogramOf fetches the bins of a histogram-valued result. ok is false
@@ -75,13 +57,4 @@ func (s *Store) HistogramOf(resultID int64) (binWidth float64, values []float64,
 		return 0, nil, false, err
 	}
 	return row[1].Float64(), values, true, nil
-}
-
-// HistogramCount reports how many results are histogram-valued.
-func (s *Store) HistogramCount() int64 {
-	tab, ok := s.eng.Table("result_histogram")
-	if !ok {
-		return 0
-	}
-	return int64(tab.Len())
 }

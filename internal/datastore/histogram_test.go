@@ -2,40 +2,53 @@ package datastore
 
 import (
 	"context"
+	"errors"
 	"math"
 	"strings"
 	"testing"
 
 	"perftrack/internal/core"
+	"perftrack/internal/ptdf"
 )
 
 func histStore(t *testing.T) *Store {
 	t.Helper()
 	s := newStore(t)
-	if _, err := s.AddResource("/app", "application", ""); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.AddExecution("e1", "app"); err != nil {
-		t.Fatal(err)
-	}
+	load(t, s, "Resource /app application", "Execution e1 app")
 	return s
 }
 
-func histResult() *core.PerformanceResult {
-	return &core.PerformanceResult{
-		Execution: "e1", Metric: "cpu_inclusive", Units: "units/second",
-		Tool:     "Paradyn",
-		Contexts: []core.Context{core.NewContext("/app")},
+// histRec is a histogram of e1 on /app with the given bins.
+func histRec(binWidth float64, values ...float64) ptdf.PerfHistogramRec {
+	return ptdf.PerfHistogramRec{
+		Exec: "e1", Metric: "cpu_inclusive", Units: "units/second", Tool: "Paradyn",
+		Sets:     []ptdf.ResourceSet{{Names: []core.ResourceName{"/app"}, Type: core.FocusPrimary}},
+		BinWidth: binWidth, Values: values,
 	}
+}
+
+// histogramRows counts the result_histogram rows.
+func histogramRows(s *Store) int {
+	tab, _ := s.Engine().Table("result_histogram")
+	return tab.Len()
+}
+
+// addHistogram commits a histogram and returns its result ID.
+func addHistogram(t *testing.T, s *Store, rec ptdf.PerfHistogramRec) int64 {
+	t.Helper()
+	if err := commitOne(s, rec); err != nil {
+		t.Fatal(err)
+	}
+	ids, err := s.ExecutionResultIDs(rec.Exec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ids[len(ids)-1]
 }
 
 func TestAddHistogramResultStoresSummaryAndBins(t *testing.T) {
 	s := histStore(t)
-	values := []float64{math.NaN(), 2, 4, math.NaN(), 6}
-	id, err := s.AddHistogramResult(histResult(), 0.2, values)
-	if err != nil {
-		t.Fatal(err)
-	}
+	id := addHistogram(t, s, histRec(0.2, math.NaN(), 2, 4, math.NaN(), 6))
 	pr, err := s.ResultByID(id)
 	if err != nil {
 		t.Fatal(err)
@@ -53,8 +66,8 @@ func TestAddHistogramResultStoresSummaryAndBins(t *testing.T) {
 	if !math.IsNaN(bins[0]) || bins[2] != 4 {
 		t.Errorf("bins = %v", bins)
 	}
-	if s.HistogramCount() != 1 {
-		t.Errorf("HistogramCount = %d", s.HistogramCount())
+	if n := histogramRows(s); n != 1 {
+		t.Errorf("result_histogram rows = %d", n)
 	}
 }
 
@@ -67,24 +80,28 @@ func TestHistogramOfScalarResult(t *testing.T) {
 	}
 }
 
+// TestAddHistogramResultErrors: bins a PTdf line cannot carry, staged as
+// records, fail the batch as bad input and leave nothing behind.
 func TestAddHistogramResultErrors(t *testing.T) {
 	s := histStore(t)
-	if _, err := s.AddHistogramResult(histResult(), 0, []float64{1}); err == nil {
-		t.Error("zero bin width accepted")
+	before := s.Stats()
+	for name, rec := range map[string]ptdf.PerfHistogramRec{
+		"zero bin width":  histRec(0, 1),
+		"empty histogram": histRec(0.2),
+		"all-nan bins":    histRec(0.2, math.NaN()),
+	} {
+		if err := commitOne(s, rec); !errors.Is(err, ErrBadSpec) {
+			t.Errorf("%s: err = %v, want ErrBadSpec", name, err)
+		}
 	}
-	if _, err := s.AddHistogramResult(histResult(), 0.2, nil); err == nil {
-		t.Error("empty histogram accepted")
-	}
-	if _, err := s.AddHistogramResult(histResult(), 0.2, []float64{math.NaN()}); err == nil {
-		t.Error("all-nan histogram accepted")
+	if after := s.Stats(); after != before || histogramRows(s) != 0 {
+		t.Errorf("refused histograms left rows: %+v, %d histograms", after, histogramRows(s))
 	}
 }
 
 func TestHistogramResultQueryableByFilter(t *testing.T) {
 	s := histStore(t)
-	if _, err := s.AddHistogramResult(histResult(), 0.2, []float64{1, 2, 3}); err != nil {
-		t.Fatal(err)
-	}
+	addHistogram(t, s, histRec(0.2, 1, 2, 3))
 	fam, err := s.ApplyFilterCtx(context.Background(), core.ResourceFilter{Type: "application"})
 	if err != nil {
 		t.Fatal(err)
@@ -135,14 +152,7 @@ func TestHistogramSurvivesReopen(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.AddResource("/app", "application", "")
-		s.AddExecution("e1", "app")
-		if _, err := s.AddHistogramResult(&core.PerformanceResult{
-			Execution: "e1", Metric: "m", Tool: "t", Units: "u",
-			Contexts: []core.Context{core.NewContext("/app")},
-		}, 0.5, []float64{1, math.NaN(), 3}); err != nil {
-			t.Fatal(err)
-		}
+		load(t, s, "Resource /app application", "Execution e1 app", "PerfHistogram e1 /app(primary) t m 0.5 u 1,nan,3")
 	}()
 	fe, err := openEngine(dir)
 	if err != nil {
@@ -153,8 +163,8 @@ func TestHistogramSurvivesReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.HistogramCount() != 1 {
-		t.Fatalf("histograms after reopen = %d", s.HistogramCount())
+	if n := histogramRows(s); n != 1 {
+		t.Fatalf("histograms after reopen = %d", n)
 	}
 	ids, _ := s.MatchingResultIDsCtx(context.Background(), core.PRFilter{})
 	bw, bins, ok, err := s.HistogramOf(ids[0])

@@ -60,12 +60,8 @@ type resolvedSet struct {
 }
 
 // set returns the resolution of the batch's set i, making its contexts on
-// first use. A histogram's set may be new to the batch at commit, so the
-// resolutions grow to it.
+// first use.
 func (c *commitState) set(b *Batch, i int32) *resolvedSet {
-	if n := int(i) + 1 - len(c.sets); n > 0 {
-		c.sets = append(c.sets, make([]resolvedSet, n)...)
-	}
 	rs := &c.sets[i]
 	if rs.contexts == nil {
 		sets := b.sets.vals[i]
@@ -90,17 +86,16 @@ func (s *Store) internOnce(ids []int64, i int32, k int, name string) (int64, err
 	return ids[i], nil
 }
 
-// loadResultLocked applies one staged result row as addPerfResultLocked
-// applies a result — the same checks, interning and inserts in the same
-// order — with each distinct name and set of the batch resolved once.
-// Callers hold s.wmu.
-func (s *Store) loadResultLocked(b *Batch, row *resultRow, c *commitState) error {
+// loadResultLocked checks one staged result row, resolves its names and
+// set — each distinct one of the batch once — and inserts it, returning
+// its ID. Callers hold s.wmu.
+func (s *Store) loadResultLocked(b *Batch, row *resultRow, c *commitState) (int64, error) {
 	rs := c.set(b, row.set)
 	metric := b.metrics.vals[row.metric]
 	if metric == "" || !rs.valid {
 		pr := core.PerformanceResult{Metric: metric, Contexts: rs.contexts}
 		if err := pr.Validate(); err != nil {
-			return fmt.Errorf("%w: %w", err, ErrBadSpec)
+			return 0, fmt.Errorf("%w: %w", err, ErrBadSpec)
 		}
 		rs.valid = true
 	}
@@ -109,25 +104,24 @@ func (s *Store) loadResultLocked(b *Batch, row *resultRow, c *commitState) error
 		name := b.execs.vals[row.exec]
 		id, ok := s.names.id(dictExecution, name)
 		if !ok {
-			return fmt.Errorf("datastore: unknown execution %q: %w", name, ErrNotFound)
+			return 0, fmt.Errorf("datastore: unknown execution %q: %w", name, ErrNotFound)
 		}
 		c.execs[row.exec], exec = id, id
 	}
 	metricID, err := s.internOnce(c.metrics, row.metric, dictMetric, metric)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	tool, err := s.internOnce(c.tools, row.tool, dictTool, cmp.Or(b.tools.vals[row.tool], "unknown"))
 	if err != nil {
-		return err
+		return 0, err
 	}
 	units, err := s.internOnce(c.units, row.units, dictUnits, cmp.Or(b.units.vals[row.units], "unitless"))
 	if err != nil {
-		return err
+		return 0, err
 	}
 	c.stats.Results++
-	_, err = s.insertResultLocked(exec, metricID, tool, units, row.value, rs.contexts, rs)
-	return err
+	return s.insertResultLocked(exec, metricID, tool, units, row.value, rs)
 }
 
 // loadRecordLocked applies one staged record that is not a result row and
@@ -162,17 +156,7 @@ func (s *Store) loadRecordLocked(b *Batch, rec ptdf.Record, c *commitState) erro
 		st.Constraints++
 		return s.addResourceConstraintLocked(r.R1, r.R2)
 	case ptdf.PerfHistogramRec:
-		st.Results++
-		rs := c.set(b, b.sets.of(keyOf(r.Sets), r.Sets))
-		pr := &core.PerformanceResult{
-			Execution: r.Exec,
-			Metric:    r.Metric,
-			Units:     r.Units,
-			Tool:      r.Tool,
-			Contexts:  rs.contexts,
-		}
-		_, err := s.addHistogramResultLocked(pr, r.BinWidth, r.Values, rs)
-		return err
+		return s.loadHistogramLocked(b, &r, c)
 	default:
 		return fmt.Errorf("datastore: unknown PTdf record %T: %w", rec, ErrBadSpec)
 	}

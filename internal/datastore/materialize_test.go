@@ -20,39 +20,28 @@ import (
 func seedMaterializeStudy(t *testing.T) (*Store, []int64) {
 	t.Helper()
 	s := newStore(t)
-	s.AddResource("/irs", "application", "")
-	s.AddResource("/GF/Frost/batch/n1/p0", "grid/machine/partition/node/processor", "")
-	s.AddResource("/GM/MCR/batch/n1/p0", "grid/machine/partition/node/processor", "")
-	s.AddResource("/GM/MCR/batch/n2/p0", "grid/machine/partition/node/processor", "")
-	for _, exec := range []string{"m-frost", "m-mcr"} {
-		if _, err := s.AddExecution(exec, "irs"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	add := func(exec, metric string, value float64, ctxs ...core.Context) {
-		t.Helper()
-		if _, err := s.AddPerfResult(&core.PerformanceResult{
-			Execution: exec, Metric: metric, Value: value, Units: "seconds", Tool: "test",
-			Contexts: ctxs,
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ctxFrost := core.NewContext("/irs", "/GF/Frost")
-	ctxMCR := core.NewContext("/irs", "/GM/MCR")
-	ctxSend := core.Context{Type: core.FocusSender, Resources: []core.ResourceName{"/GM/MCR/batch/n1/p0"}}
-	ctxRecv := core.Context{Type: core.FocusReceiver, Resources: []core.ResourceName{"/GM/MCR/batch/n2/p0"}}
-	add("m-frost", "wall time", 120, ctxFrost)
-	add("m-frost", "cpu time", 110, ctxFrost)
-	add("m-mcr", "wall time", 80, ctxMCR)
-	// Two contexts; their foci are shared with the messaging result below.
-	add("m-mcr", "bytes sent", 4096, ctxSend, ctxRecv)
-	// Same foci declared in the opposite order: both paths must emit
-	// contexts in focus-ID order, not declaration order.
-	add("m-mcr", "message count", 17, ctxRecv, ctxSend)
-	// Focus shared across executions.
-	add("m-frost", "proc time", 2.5, core.NewContext("/irs", "/GF/Frost/batch/n1/p0"))
-	add("m-mcr", "proc time", 1.5, core.NewContext("/irs", "/GF/Frost/batch/n1/p0"))
+	const (
+		ctxSend = "/GM/MCR/batch/n1/p0(sender)"
+		ctxRecv = "/GM/MCR/batch/n2/p0(receiver)"
+	)
+	load(t, s,
+		"Resource /irs application",
+		"Resource /GF/Frost/batch/n1/p0 grid/machine/partition/node/processor",
+		"Resource /GM/MCR/batch/n1/p0 grid/machine/partition/node/processor",
+		"Resource /GM/MCR/batch/n2/p0 grid/machine/partition/node/processor",
+		"Execution m-frost irs",
+		"Execution m-mcr irs",
+		`PerfResult m-frost /irs,/GF/Frost(primary) test "wall time" 120 seconds`,
+		`PerfResult m-frost /irs,/GF/Frost(primary) test "cpu time" 110 seconds`,
+		`PerfResult m-mcr /irs,/GM/MCR(primary) test "wall time" 80 seconds`,
+		// Two contexts; their foci are shared with the messaging result below.
+		`PerfResult m-mcr `+ctxSend+":"+ctxRecv+` test "bytes sent" 4096 seconds`,
+		// Same foci declared in the opposite order: both paths must emit
+		// contexts in focus-ID order, not declaration order.
+		`PerfResult m-mcr `+ctxRecv+":"+ctxSend+` test "message count" 17 seconds`,
+		// Focus shared across executions.
+		`PerfResult m-frost /irs,/GF/Frost/batch/n1/p0(primary) test "proc time" 2.5 seconds`,
+		`PerfResult m-mcr /irs,/GF/Frost/batch/n1/p0(primary) test "proc time" 1.5 seconds`)
 
 	ids, err := s.MatchingResultIDsCtx(context.Background(), core.PRFilter{})
 	if err != nil {
@@ -243,21 +232,18 @@ func TestQueryResultsUsesBatchPath(t *testing.T) {
 // store, each with a focus of its own, and returns the last one's ID.
 func addSpreadResults(t *testing.T, s *Store, n int) int64 {
 	t.Helper()
-	var id int64
+	var doc []string
 	for i := range n {
-		proc := core.ResourceName(fmt.Sprintf("/GF/Frost/batch/n1/p%d", i+1))
-		if _, err := s.AddResource(proc, "grid/machine/partition/node/processor", ""); err != nil {
-			t.Fatal(err)
-		}
-		var err error
-		if id, err = s.AddPerfResult(&core.PerformanceResult{
-			Execution: "m-frost", Metric: "spread", Value: float64(i), Units: "seconds", Tool: "test",
-			Contexts: []core.Context{core.NewContext("/irs", proc)},
-		}); err != nil {
-			t.Fatal(err)
-		}
+		proc := fmt.Sprintf("/GF/Frost/batch/n1/p%d", i+1)
+		doc = append(doc, "Resource "+proc+" grid/machine/partition/node/processor",
+			fmt.Sprintf("PerfResult m-frost /irs,%s(primary) test spread %d seconds", proc, i))
 	}
-	return id
+	load(t, s, doc...)
+	ids, err := s.ExecutionResultIDs("m-frost")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ids[len(ids)-1]
 }
 
 // checkColumnReads reads the results ids (ascending, distinct) through
@@ -339,10 +325,7 @@ func TestMaterializeDenseBlocksOnMem(t *testing.T) {
 	s.Engine().SetSegmentFlushRows(1 << 40)
 	seedSegmentStudy(t, s)
 	const n = 2*4096 + 100
-	ids := make([]int64, 0, n)
-	for i := 0; i < n; i++ {
-		ids = append(ids, addSegResult(t, s, i))
-	}
+	ids := addSegResults(t, s, 0, n)
 	// A dense subset that starts and ends inside a block.
 	ids = ids[50 : n-50]
 	got, err := s.MaterializeResultsCtx(context.Background(), ids)
@@ -370,8 +353,8 @@ func TestFocusCacheHitsBounded(t *testing.T) {
 	seedSegmentStudy(t, s)
 	var ids []int64
 	for i := 1; i <= 40; i++ {
-		if i%3 != 0 { // addSegResult gives every third result a second focus
-			ids = append(ids, addSegResult(t, s, i))
+		if i%3 != 0 { // addSegResults gives every third result a second focus
+			ids = append(ids, addSegResults(t, s, i, i+1)...)
 		}
 	}
 	var refs uint64

@@ -588,7 +588,7 @@ func TestDuplicateNameFailsOpen(t *testing.T) {
 				t.Fatal(err)
 			}
 			seedSegmentStudy(t, s)
-			addSegResult(t, s, 1)
+			addSegResults(t, s, 1, 2)
 			tab, _ := fe.Table(table)
 			var first int64
 			var row reldb.Row

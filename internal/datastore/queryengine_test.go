@@ -18,25 +18,16 @@ import (
 func seedAttrStudy(t *testing.T) *Store {
 	t.Helper()
 	s := newStore(t)
-	if _, err := s.AddResource("/irs", "application", ""); err != nil {
-		t.Fatal(err)
-	}
+	doc := []string{"Resource /irs application"}
 	for i, clock := range []string{"700", "1000", "2400"} {
-		name := core.ResourceName(fmt.Sprintf("/GM/MCR/batch/n%d/p0", i))
-		if _, err := s.AddResource(name, "grid/machine/partition/node/processor", ""); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.SetResourceAttribute(name, "clock MHz", clock); err != nil {
-			t.Fatal(err)
-		}
+		name := fmt.Sprintf("/GM/MCR/batch/n%d/p0", i)
+		doc = append(doc, "Resource "+name+" grid/machine/partition/node/processor",
+			"ResourceAttribute "+name+` "clock MHz" `+clock+" string")
 	}
 	// One processor with a vendor but no clock attribute.
-	if _, err := s.AddResource("/GM/MCR/batch/n3/p0", "grid/machine/partition/node/processor", ""); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SetResourceAttribute("/GM/MCR/batch/n3/p0", "vendor", "Intel"); err != nil {
-		t.Fatal(err)
-	}
+	load(t, s, append(doc,
+		"Resource /GM/MCR/batch/n3/p0 grid/machine/partition/node/processor",
+		"ResourceAttribute /GM/MCR/batch/n3/p0 vendor Intel string")...)
 	return s
 }
 
@@ -96,9 +87,7 @@ func TestAttrFilterCombinedWithTypeAndBaseName(t *testing.T) {
 	s := seedAttrStudy(t)
 	// Give the application the same attribute value to prove the type
 	// filter still constrains the result.
-	if err := s.SetResourceAttribute("/irs", "clock MHz", "2400"); err != nil {
-		t.Fatal(err)
-	}
+	load(t, s, `ResourceAttribute /irs "clock MHz" 2400 string`)
 	fam, err := s.ApplyFilterCtx(context.Background(), core.ResourceFilter{
 		Type:  "grid/machine/partition/node/processor",
 		Attrs: []core.AttrPredicate{{Attr: "clock MHz", Cmp: core.CmpEq, Value: "2400"}},
@@ -138,9 +127,7 @@ func TestAttrFilterLastWriteWins(t *testing.T) {
 	s := seedAttrStudy(t)
 	// Re-setting an attribute changes its effective value; the index path
 	// must match the materialized-resource view (last write wins).
-	if err := s.SetResourceAttribute("/GM/MCR/batch/n0/p0", "clock MHz", "3000"); err != nil {
-		t.Fatal(err)
-	}
+	load(t, s, `ResourceAttribute /GM/MCR/batch/n0/p0 "clock MHz" 3000 string`)
 	fam, err := s.ApplyFilterCtx(context.Background(), core.ResourceFilter{
 		Attrs: []core.AttrPredicate{{Attr: "clock MHz", Cmp: core.CmpGt, Value: "2500"}},
 	})

@@ -9,8 +9,7 @@ import (
 
 func TestExecutionDetail(t *testing.T) {
 	s := seedStudy(t)
-	s.AddResource("/irs-frost", "execution", "irs-frost")
-	s.SetResourceAttribute("/irs-frost", "nprocs", "32")
+	load(t, s, "Resource /irs-frost execution irs-frost", "ResourceAttribute /irs-frost nprocs 32 string")
 
 	d, err := s.ExecutionDetail("irs-frost")
 	if err != nil {
@@ -43,10 +42,11 @@ func TestDeleteExecutionCascades(t *testing.T) {
 	s := seedStudy(t)
 	// Give irs-frost execution-scoped resources with attributes,
 	// constraints, and focus membership.
-	s.AddResource("/irs-frost", "execution", "irs-frost")
-	s.AddResource("/irs-frost/p0", "execution/process", "irs-frost")
-	s.SetResourceAttribute("/irs-frost/p0", "rank", "0")
-	s.AddResourceConstraint("/irs-frost/p0", "/GF/Frost/batch/n1/p0")
+	load(t, s,
+		"Resource /irs-frost execution irs-frost",
+		"Resource /irs-frost/p0 execution/process irs-frost",
+		"ResourceAttribute /irs-frost/p0 rank 0 string",
+		"ResourceConstraint /irs-frost/p0 /GF/Frost/batch/n1/p0")
 	addResult(t, s, "irs-frost", "proc wall", 1.5, "/irs", "/irs-frost/p0")
 
 	before := s.Stats()
@@ -83,9 +83,7 @@ func TestDeleteExecutionCascades(t *testing.T) {
 
 func TestDeleteExecutionRemovesOrphanedFoci(t *testing.T) {
 	s := newStore(t)
-	s.AddResource("/app", "application", "")
-	s.AddExecution("e1", "app")
-	s.AddExecution("e2", "app")
+	load(t, s, "Resource /app application", "Execution e1 app", "Execution e2 app")
 	// e1 and e2 share a context {app}; deleting e1 must keep the focus.
 	addResult(t, s, "e1", "m", 1, "/app")
 	addResult(t, s, "e2", "m", 2, "/app")
@@ -114,19 +112,12 @@ func TestDeleteExecutionRemovesOrphanedFoci(t *testing.T) {
 
 func TestDeleteExecutionWithHistogram(t *testing.T) {
 	s := newStore(t)
-	s.AddResource("/app", "application", "")
-	s.AddExecution("e1", "app")
-	if _, err := s.AddHistogramResult(&core.PerformanceResult{
-		Execution: "e1", Metric: "m", Tool: "t", Units: "u",
-		Contexts: []core.Context{core.NewContext("/app")},
-	}, 0.2, []float64{1, 2}); err != nil {
-		t.Fatal(err)
-	}
+	load(t, s, "Resource /app application", "Execution e1 app", "PerfHistogram e1 /app(primary) t m 0.2 u 1,2")
 	if err := s.DeleteExecution("e1"); err != nil {
 		t.Fatal(err)
 	}
-	if s.HistogramCount() != 0 {
-		t.Errorf("histograms survive: %d", s.HistogramCount())
+	if n := histogramRows(s); n != 0 {
+		t.Errorf("histograms survive: %d", n)
 	}
 }
 
@@ -134,19 +125,12 @@ func TestDeleteExecutionReloadable(t *testing.T) {
 	// After deleting, the same execution can be reloaded cleanly — the
 	// workflow for replacing bad data.
 	s := newStore(t)
-	s.AddResource("/app", "application", "")
-	s.AddExecution("e1", "app")
-	s.AddResource("/e1", "execution", "e1")
+	load(t, s, "Resource /app application", "Execution e1 app", "Resource /e1 execution e1")
 	addResult(t, s, "e1", "m", 1, "/app", "/e1")
 	if err := s.DeleteExecution("e1"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.AddExecution("e1", "app"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.AddResource("/e1", "execution", "e1"); err != nil {
-		t.Fatal(err)
-	}
+	load(t, s, "Execution e1 app", "Resource /e1 execution e1")
 	addResult(t, s, "e1", "m", 2, "/app", "/e1")
 	ids, err := s.MatchingResultIDsCtx(context.Background(), core.PRFilter{})
 	if err != nil || len(ids) != 1 {

@@ -287,12 +287,6 @@ func ensureSchema(eng *reldb.DB) error {
 	return nil
 }
 
-// schemaExists reports whether the schema is already present.
-func schemaExists(eng *reldb.DB) bool {
-	_, ok := eng.Table("resource_item")
-	return ok
-}
-
 // SchemaDDL renders the live schema of every table as CREATE statements:
 // the reproduction of Figure 1, in its order.
 func (s *Store) SchemaDDL() string {

@@ -81,7 +81,7 @@ func TestDuplicateFocusFailsOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 	seedSegmentStudy(t, s)
-	addSegResult(t, s, 1)
+	addSegResults(t, s, 1, 2)
 	tab, _ := eng.Table("focus")
 	var first int64
 	var row reldb.Row
@@ -138,7 +138,7 @@ func TestFocusWithoutLinksIsNotKeyed(t *testing.T) {
 	if len(s.names.focusIDs) != 0 {
 		t.Fatalf("the directory keys %d foci without links", len(s.names.focusIDs))
 	}
-	rid := addSegResult(t, s, 1) // one primary context: /irs and node 1
+	rid := addSegResults(t, s, 1, 2)[0] // one primary context: /irs and node 1
 	var fids []int64
 	if err := s.ResultFoci(context.Background(), []int64{rid}, func(_ int, fid int64) { fids = append(fids, fid) }); err != nil {
 		t.Fatal(err)
@@ -171,7 +171,7 @@ func TestFocusWithoutLinksIsNotKeyed(t *testing.T) {
 func TestInternFocusHitAllocatesNothing(t *testing.T) {
 	s := newStore(t)
 	seedSegmentStudy(t, s)
-	rid := addSegResult(t, s, 1)
+	rid := addSegResults(t, s, 1, 2)[0]
 	var want int64
 	if err := s.ResultFoci(context.Background(), []int64{rid}, func(_ int, fid int64) { want = fid }); err != nil {
 		t.Fatal(err)

@@ -34,34 +34,37 @@ func newSegmentStore(t *testing.T) (*Store, *reldb.DB) {
 // by the segment equivalence tests.
 func seedSegmentStudy(t *testing.T, s *Store) {
 	t.Helper()
-	s.AddResource("/irs", "application", "")
-	for n := 0; n < 4; n++ {
-		name := core.ResourceName(fmt.Sprintf("/GM/MCR/batch/n%d/p0", n))
-		if _, err := s.AddResource(name, "grid/machine/partition/node/processor", ""); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := s.AddExecution("m-mcr", "irs"); err != nil {
-		t.Fatal(err)
-	}
+	load(t, s,
+		"Resource /irs application",
+		"Resource /GM/MCR/batch/n0/p0 grid/machine/partition/node/processor",
+		"Resource /GM/MCR/batch/n1/p0 grid/machine/partition/node/processor",
+		"Resource /GM/MCR/batch/n2/p0 grid/machine/partition/node/processor",
+		"Resource /GM/MCR/batch/n3/p0 grid/machine/partition/node/processor",
+		"Execution m-mcr irs")
 }
 
-// addSegResult stores one deterministic result with one or two contexts.
-func addSegResult(t testing.TB, s *Store, i int) int64 {
-	node := core.ResourceName(fmt.Sprintf("/GM/MCR/batch/n%d/p0", i%4))
-	ctxs := []core.Context{core.NewContext("/irs", node)}
-	if i%3 == 0 {
-		other := core.ResourceName(fmt.Sprintf("/GM/MCR/batch/n%d/p0", (i+1)%4))
-		ctxs = append(ctxs, core.Context{Type: core.FocusSender, Resources: []core.ResourceName{other}})
+// addSegResults commits results from..to-1 of m-mcr, each deterministic
+// with one or two contexts and a batch of its own, and returns their IDs.
+func addSegResults(t testing.TB, s *Store, from, to int) []int64 {
+	t.Helper()
+	for i := from; i < to; i++ {
+		sets := []ptdf.ResourceSet{{Names: []core.ResourceName{"/irs", core.ResourceName(fmt.Sprintf("/GM/MCR/batch/n%d/p0", i%4))}, Type: core.FocusPrimary}}
+		if i%3 == 0 {
+			other := core.ResourceName(fmt.Sprintf("/GM/MCR/batch/n%d/p0", (i+1)%4))
+			sets = append(sets, ptdf.ResourceSet{Names: []core.ResourceName{other}, Type: core.FocusSender})
+		}
+		if err := commitOne(s, ptdf.PerfResultRec{
+			Exec: "m-mcr", Metric: fmt.Sprintf("metric-%d", i%16), Value: float64(i) * 0.5,
+			Units: "seconds", Tool: "test", Sets: sets,
+		}); err != nil {
+			t.Fatalf("result %d: %v", i, err)
+		}
 	}
-	id, err := s.AddPerfResult(&core.PerformanceResult{
-		Execution: "m-mcr", Metric: fmt.Sprintf("metric-%d", i%16), Value: float64(i) * 0.5,
-		Units: "seconds", Tool: "test", Contexts: ctxs,
-	})
+	ids, err := s.ExecutionResultIDs("m-mcr")
 	if err != nil {
-		t.Fatalf("AddPerfResult %d: %v", i, err)
+		t.Fatal(err)
 	}
-	return id
+	return ids[len(ids)-(to-from):]
 }
 
 // commitResults commits n single-focus m-mcr results in one batch and
@@ -97,10 +100,7 @@ func TestMaterializeSegmentEquivalence(t *testing.T) {
 	s, fe := newSegmentStore(t)
 	fe.SetSegmentFlushRows(1 << 40) // the compactor runs only when asked
 	seedSegmentStudy(t, s)
-	ids := make([]int64, 0, 2050)
-	for i := 0; i < 2000; i++ {
-		ids = append(ids, addSegResult(t, s, i))
-	}
+	ids := addSegResults(t, s, 0, 2000)
 	compare := func(wantSegmentScan bool) {
 		t.Helper()
 		before := s.Telemetry().SegmentScans
@@ -129,9 +129,7 @@ func TestMaterializeSegmentEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Rows inserted after the compaction stay in the unflushed tail.
-	for i := 2000; i < 2050; i++ {
-		ids = append(ids, addSegResult(t, s, i))
-	}
+	ids = append(ids, addSegResults(t, s, 2000, 2050)...)
 	compare(true)
 }
 
@@ -143,10 +141,7 @@ func TestMaterializeSegmentEquivalence(t *testing.T) {
 func TestMaterializeSegmentEquivalenceConcurrentLoad(t *testing.T) {
 	s, fe := newSegmentStore(t)
 	seedSegmentStudy(t, s)
-	ids := make([]int64, 0, 1600)
-	for i := 0; i < 1600; i++ {
-		ids = append(ids, addSegResult(t, s, i))
-	}
+	ids := addSegResults(t, s, 0, 1600)
 	wide := wideIDs(t, ids, 16)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -160,12 +155,12 @@ func TestMaterializeSegmentEquivalenceConcurrentLoad(t *testing.T) {
 			default:
 			}
 			node := core.ResourceName(fmt.Sprintf("/GM/MCR/batch/n%d/p0", i%4))
-			if _, err := s.AddPerfResult(&core.PerformanceResult{
-				Execution: "m-mcr", Metric: fmt.Sprintf("metric-%d", i%16), Value: float64(i) * 0.5,
+			if err := commitOne(s, ptdf.PerfResultRec{
+				Exec: "m-mcr", Metric: fmt.Sprintf("metric-%d", i%16), Value: float64(i) * 0.5,
 				Units: "seconds", Tool: "test",
-				Contexts: []core.Context{core.NewContext("/irs", node)},
+				Sets: []ptdf.ResourceSet{{Names: []core.ResourceName{"/irs", node}, Type: core.FocusPrimary}},
 			}); err != nil {
-				t.Errorf("concurrent AddPerfResult %d: %v", i, err)
+				t.Errorf("concurrent commit %d: %v", i, err)
 				return
 			}
 		}

@@ -1,7 +1,7 @@
 package datastore
 
 import (
-	"cmp"
+	"context"
 	"fmt"
 	"slices"
 	"sync"
@@ -9,6 +9,7 @@ import (
 
 	"perftrack/internal/core"
 	"perftrack/internal/obs"
+	"perftrack/internal/ptdf"
 	"perftrack/internal/reldb"
 )
 
@@ -36,10 +37,10 @@ type Store struct {
 	gen   atomic.Uint64
 	cache *Cache[IDSet]
 
-	// wmu serializes mutating entry points against each other and against
-	// whole-file transactional loads, without blocking readers. It guards
-	// tx, the open write transaction every insert goes into, and the
-	// buffers internFocus reuses.
+	// wmu serializes batch commits and DeleteExecution against each
+	// other, without blocking readers. It guards tx, the open write
+	// transaction every insert goes into, and the buffers internFocus
+	// reuses.
 	wmu       sync.Mutex
 	tx        *reldb.Tx
 	internIDs []int64
@@ -78,50 +79,14 @@ var segScanBytesBuckets = []float64{
 // range scan.
 func (s *Store) SegmentScanBytes() *obs.Histogram { return s.scanBytes }
 
-// beforeCommit, nil but in tests, is called by write once apply has
-// staged every row, with the writer lock held, before the commit.
+// beforeCommit, nil but in tests, is called by CommitCtx once every
+// record of a batch is staged into the transaction, with the writer lock
+// held, before the commit.
 var beforeCommit func(*Store)
 
-// write runs apply — the add*Locked calls of one public call or one
-// batch — as one engine transaction in one writer critical section:
-// begin, apply, then commit, or on failure roll back and reload the names
-// directory, which apply updated in place. The store generation bumps
-// once, after the outcome, whatever it is.
-func (s *Store) write(apply func() error) error {
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
-	defer s.bumpGen()
-	s.tx = s.eng.Begin()
-	defer func() { s.tx = nil }()
-	err := apply()
-	if err == nil {
-		if beforeCommit != nil {
-			beforeCommit(s)
-		}
-		err = s.tx.Commit()
-	}
-	if err != nil {
-		return s.rollbackLoad(s.tx, err)
-	}
-	return nil
-}
-
-// writeID is write for an apply that returns the ID of what it added.
-func (s *Store) writeID(apply func() (int64, error)) (int64, error) {
-	var id int64
-	err := s.write(func() (err error) {
-		id, err = apply()
-		return err
-	})
-	if err != nil {
-		return 0, err
-	}
-	return id, nil
-}
-
-// Open attaches a store to a storage engine, creating and bootstrapping
-// the schema if it is not present, and loading the names directory from
-// the rows if it is.
+// Open attaches a store to a storage engine, creating the schema if it is
+// not present, loading the names directory from the rows, and adding the
+// base types the store lacks.
 func Open(e reldb.Engine) (*Store, error) {
 	eng := e.DB()
 	s := &Store{
@@ -133,21 +98,25 @@ func Open(e reldb.Engine) (*Store, error) {
 	s.scratch.New = func() any { return new(matScratch) }
 	s.famScratch.New = func() any { return new(famScratch) }
 	s.indexes.New = func() any { return new(posIndex) }
-	fresh := !schemaExists(eng)
 	if err := ensureSchema(eng); err != nil {
 		return nil, err
 	}
 	if err := s.reloadNames(); err != nil {
 		return nil, err
 	}
-	if fresh {
-		// §3.1: PerfTrack uses the type extension interface to load the
-		// initial set of base types when a new database is initialized.
-		for _, t := range core.BaseTypes() {
-			if err := s.AddResourceType(t); err != nil {
-				return nil, err
-			}
+	// §3.1: PerfTrack uses the type extension interface to load the
+	// initial set of base types when a new database is initialized. They
+	// are one batch of whichever the directory lacks, so a first open cut
+	// short after its CREATE TABLEs still gets them at the next; a store
+	// holding them all commits nothing.
+	b := s.NewBatch()
+	for _, t := range core.BaseTypes() {
+		if _, ok := s.names.id(dictType, string(t)); !ok {
+			b.Stage(ptdf.ResourceTypeRec{Type: t})
 		}
+	}
+	if _, err := b.CommitCtx(context.TODO()); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
@@ -211,15 +180,12 @@ func (s *Store) QueryEngineStats() QueryEngineStats {
 // Types returns a copy of the store's type system.
 func (s *Store) Types() *core.TypeSystem { return s.names.typeSystem() }
 
-// AddResourceType registers a resource type (the extensible type system of
-// §2.1). Parent levels must be registered first; re-adding is a no-op.
-func (s *Store) AddResourceType(t core.TypePath) error {
-	return s.write(func() error { return s.addResourceTypeLocked(t) })
-}
-
 // The add*Locked functions apply one record into s.tx; callers are
-// inside write.
+// inside CommitCtx.
 
+// addResourceTypeLocked registers a resource type (the extensible type
+// system of §2.1). Parent levels must be registered first; re-adding is a
+// no-op.
 func (s *Store) addResourceTypeLocked(t core.TypePath) error {
 	if _, ok := s.names.id(dictType, string(t)); ok {
 		return nil
@@ -249,12 +215,8 @@ func (s *Store) addApplicationLocked(name string) (int64, error) {
 	return s.intern(dictApplication, name)
 }
 
-// AddExecution registers an execution of an application, creating the
-// application if needed.
-func (s *Store) AddExecution(name, app string) (int64, error) {
-	return s.writeID(func() (int64, error) { return s.addExecutionLocked(name, app) })
-}
-
+// addExecutionLocked registers an execution of an application, creating
+// the application if needed.
 func (s *Store) addExecutionLocked(name, app string) (int64, error) {
 	if id, ok := s.names.id(dictExecution, name); ok {
 		// Idempotent re-add; redefining under a different application is a
@@ -297,14 +259,10 @@ func (s *Store) intern(k int, name string) (int64, error) {
 	return id, nil
 }
 
-// AddResource inserts a resource with the given full name and type,
+// addResourceLocked inserts a resource with the given full name and type,
 // optionally scoped to an execution. Missing ancestor resources are
-// created automatically with the corresponding type prefix. Re-adding an
-// existing resource returns its ID.
-func (s *Store) AddResource(name core.ResourceName, typ core.TypePath, exec string) (int64, error) {
-	return s.writeID(func() (int64, error) { return s.addResourceLocked(name, typ, exec) })
-}
-
+// created with the corresponding type prefix. Re-adding an existing
+// resource returns its ID.
 func (s *Store) addResourceLocked(name core.ResourceName, typ core.TypePath, exec string) (int64, error) {
 	typeID, known := s.names.id(dictType, string(typ))
 	if id, ok := s.names.id(dictResource, string(name)); ok {
@@ -369,11 +327,6 @@ func (s *Store) addResourceLocked(name core.ResourceName, typ core.TypePath, exe
 	return id, nil
 }
 
-// SetResourceAttribute attaches a string attribute to a resource.
-func (s *Store) SetResourceAttribute(name core.ResourceName, attr, value string) error {
-	return s.write(func() error { return s.setResourceAttributeLocked(name, attr, value) })
-}
-
 func (s *Store) setResourceAttributeLocked(name core.ResourceName, attr, value string) error {
 	id, ok := s.names.id(dictResource, string(name))
 	if !ok {
@@ -388,12 +341,8 @@ func (s *Store) setResourceAttributeLocked(name core.ResourceName, attr, value s
 	return err
 }
 
-// AddResourceConstraint records a resource-valued attribute: r2 is an
-// attribute of r1 (e.g. the node a process ran on).
-func (s *Store) AddResourceConstraint(r1, r2 core.ResourceName) error {
-	return s.write(func() error { return s.addResourceConstraintLocked(r1, r2) })
-}
-
+// addResourceConstraintLocked records a resource-valued attribute: r2 is
+// an attribute of r1 (e.g. the node a process ran on).
 func (s *Store) addResourceConstraintLocked(r1, r2 core.ResourceName) error {
 	pair := []core.ResourceName{r1, r2}
 	ids, miss := s.names.resourceIDs(nil, pair)
@@ -438,42 +387,10 @@ func (s *Store) internFocus(ctx core.Context) (int64, error) {
 	return fid, nil
 }
 
-// AddPerfResult stores a performance result with its contexts. The
-// execution and all context resources must already exist.
-func (s *Store) AddPerfResult(pr *core.PerformanceResult) (int64, error) {
-	return s.writeID(func() (int64, error) { return s.addPerfResultLocked(pr, nil) })
-}
-
-// addPerfResultLocked checks a result, resolves its names and inserts it
-// (insertResultLocked); rs is as there.
-func (s *Store) addPerfResultLocked(pr *core.PerformanceResult, rs *resolvedSet) (int64, error) {
-	if err := pr.Validate(); err != nil {
-		return 0, fmt.Errorf("%w: %w", err, ErrBadSpec)
-	}
-	exec, ok := s.names.id(dictExecution, pr.Execution)
-	if !ok {
-		return 0, fmt.Errorf("datastore: unknown execution %q: %w", pr.Execution, ErrNotFound)
-	}
-	metric, err := s.intern(dictMetric, pr.Metric)
-	if err != nil {
-		return 0, err
-	}
-	tool, err := s.intern(dictTool, cmp.Or(pr.Tool, "unknown"))
-	if err != nil {
-		return 0, err
-	}
-	units, err := s.intern(dictUnits, cmp.Or(pr.Units, "unitless"))
-	if err != nil {
-		return 0, err
-	}
-	return s.insertResultLocked(exec, metric, tool, units, pr.Value, pr.Contexts, rs)
-}
-
-// insertResultLocked inserts a result row and links it to its contexts'
-// foci. With rs, the entry of its resource set in the transaction, a set
-// resolved before links to the foci it resolved to, and one resolved now
-// leaves them there.
-func (s *Store) insertResultLocked(exec, metric, tool, units int64, value float64, contexts []core.Context, rs *resolvedSet) (int64, error) {
+// insertResultLocked inserts a result row and links it to the foci of its
+// resource set rs: a set resolved before links to the foci it resolved
+// to, and one resolved now leaves them there.
+func (s *Store) insertResultLocked(exec, metric, tool, units int64, value float64, rs *resolvedSet) (int64, error) {
 	rid, err := s.tx.Insert("performance_result", reldb.Row{
 		reldb.Null(), reldb.Int(exec), reldb.Int(metric),
 		reldb.Int(tool), reldb.Int(units), reldb.Float(value),
@@ -481,15 +398,12 @@ func (s *Store) insertResultLocked(exec, metric, tool, units int64, value float6
 	if err != nil {
 		return 0, err
 	}
-	var linked []int64
-	if rs != nil {
-		linked = rs.foci
-	}
+	linked := rs.foci
 	if linked == nil {
 		// Duplicate contexts within one result collapse to a single focus link.
 		var few [4]int64 // results carry a context or two: no allocation
 		linked = few[:0]
-		for _, ctx := range contexts {
+		for _, ctx := range rs.contexts {
 			fid, err := s.internFocus(ctx)
 			if err != nil {
 				return 0, err
@@ -498,9 +412,7 @@ func (s *Store) insertResultLocked(exec, metric, tool, units int64, value float6
 				linked = append(linked, fid)
 			}
 		}
-		if rs != nil {
-			rs.foci = slices.Clone(linked)
-		}
+		rs.foci = slices.Clone(linked)
 	}
 	for _, fid := range linked {
 		if _, err := s.tx.Insert("result_has_focus", reldb.Row{

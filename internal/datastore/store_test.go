@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"perftrack/internal/core"
+	"perftrack/internal/ptdf"
 	"perftrack/internal/reldb"
 	"perftrack/internal/sqldb"
 )
@@ -39,6 +40,32 @@ func newStore(t *testing.T) *Store {
 	return s
 }
 
+// load commits PTdf lines as one document, failing the test on error.
+func load(t testing.TB, s *Store, lines ...string) {
+	t.Helper()
+	if err := tryLoad(s, lines...); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// tryLoad commits PTdf lines as one document.
+func tryLoad(s *Store, lines ...string) error {
+	_, err := s.LoadPTdfCtx(context.Background(), strings.NewReader(strings.Join(lines, "\n")))
+	return err
+}
+
+// resourceID is the ID the names directory holds for a resource.
+func resourceID(t testing.TB, s *Store, name core.ResourceName) int64 {
+	t.Helper()
+	id, ok := s.LookupDict("resource_item", string(name))
+	if !ok {
+		t.Fatalf("no resource %q", name)
+	}
+	return id
+}
+
+// TestOpenBootstrapsSchemaAndBaseTypes: a fresh store has every Figure 1
+// table and every base type, staged as one batch: one commit.
 func TestOpenBootstrapsSchemaAndBaseTypes(t *testing.T) {
 	s := newStore(t)
 	for _, table := range tableNames {
@@ -47,8 +74,53 @@ func TestOpenBootstrapsSchemaAndBaseTypes(t *testing.T) {
 		}
 	}
 	ts := s.Types()
-	if !ts.Has("grid/machine/partition/node/processor") || !ts.Has("application") {
-		t.Error("base types not bootstrapped")
+	for _, typ := range core.BaseTypes() {
+		if !ts.Has(typ) {
+			t.Errorf("base type %q not bootstrapped", typ)
+		}
+	}
+	if got := s.Generation(); got != 1 {
+		t.Errorf("generation after bootstrap = %d, want 1 (one commit)", got)
+	}
+}
+
+// TestOpenAddsBaseTypesAfterSchemaOnly: a first open cut short after its
+// CREATE TABLEs (under -sync each is durable as it runs) leaves the schema
+// and no type. The next open adds the base types, and a resource of one
+// loads; an open of a store holding them all commits nothing.
+func TestOpenAddsBaseTypesAfterSchemaOnly(t *testing.T) {
+	dir := t.TempDir()
+	fe, err := reldb.OpenFile(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ensureSchema(fe); err != nil {
+		t.Fatal(err)
+	}
+	if err := fe.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for open := 1; open <= 2; open++ {
+		fe, err := reldb.OpenFile(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(fe)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := len(s.Types().All()); n != len(core.BaseTypes()) {
+			t.Errorf("open %d: %d types, want the %d base types", open, n, len(core.BaseTypes()))
+		}
+		if want := uint64(2 - open); s.Generation() != want {
+			t.Errorf("open %d: generation %d, want %d", open, s.Generation(), want)
+		}
+		if err := tryLoad(s, "Resource /m grid"); err != nil {
+			t.Errorf("open %d: %v", open, err)
+		}
+		if err := fe.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -71,11 +143,7 @@ func TestSchemaDDLShowsFigure1Tables(t *testing.T) {
 
 func TestAddResourceCreatesAncestors(t *testing.T) {
 	s := newStore(t)
-	_, err := s.AddResource("/SingleMachineFrost/Frost/batch/frost121/p0",
-		"grid/machine/partition/node/processor", "")
-	if err != nil {
-		t.Fatal(err)
-	}
+	load(t, s, "Resource /SingleMachineFrost/Frost/batch/frost121/p0 grid/machine/partition/node/processor")
 	// All four ancestors exist with the right types.
 	for name, typ := range map[core.ResourceName]core.TypePath{
 		"/SingleMachineFrost":                      "grid",
@@ -95,47 +163,47 @@ func TestAddResourceCreatesAncestors(t *testing.T) {
 
 func TestAddResourceIdempotent(t *testing.T) {
 	s := newStore(t)
-	id1, err := s.AddResource("/irs", "application", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	id2, err := s.AddResource("/irs", "application", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if id1 != id2 {
+	load(t, s, "Resource /irs application", "Execution e1 irs", "ResourceType syncObject")
+	id1, before := resourceID(t, s, "/irs"), s.Stats()
+	// Re-adding a resource, an execution under its application or a type
+	// is a no-op, in a batch of its own or twice in one.
+	load(t, s, "Resource /irs application", "Execution e1 irs", "ResourceType syncObject", "Resource /irs application")
+	if id2 := resourceID(t, s, "/irs"); id1 != id2 {
 		t.Errorf("re-add returned new id %d != %d", id2, id1)
+	}
+	if after := s.Stats(); after != before {
+		t.Errorf("re-adds wrote rows: before %+v after %+v", before, after)
 	}
 }
 
 func TestAddResourceRejectsTypeMismatch(t *testing.T) {
 	s := newStore(t)
-	if _, err := s.AddResource("/a/b", "application", ""); err == nil {
-		t.Error("depth mismatch accepted")
+	if err := tryLoad(s, "Resource /a/b application"); !errors.Is(err, ErrBadSpec) {
+		t.Errorf("depth mismatch: err = %v, want ErrBadSpec", err)
 	}
-	if _, err := s.AddResource("/a", "nosuchtype", ""); err == nil {
-		t.Error("unknown type accepted")
+	if err := tryLoad(s, "Resource /a nosuchtype"); !errors.Is(err, ErrBadSpec) {
+		t.Errorf("unknown type: err = %v, want ErrBadSpec", err)
+	}
+	// Redefining a resource's type or an execution's application is a
+	// conflict, not a silent aliasing.
+	load(t, s, "Resource /m grid", "Execution e1 app")
+	if err := tryLoad(s, "Resource /m application"); !errors.Is(err, ErrExists) {
+		t.Errorf("resource type changed: err = %v, want ErrExists", err)
+	}
+	if err := tryLoad(s, "Execution e1 other"); !errors.Is(err, ErrExists) {
+		t.Errorf("execution application changed: err = %v, want ErrExists", err)
 	}
 }
 
 func TestResourceAttributesAndConstraints(t *testing.T) {
 	s := newStore(t)
-	if _, err := s.AddResource("/M/m/b/n16", "grid/machine/partition/node", ""); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.AddExecution("e1", "irs"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.AddResource("/e1/p8", "execution/process", "e1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SetResourceAttribute("/M/m/b/n16", "memory GB", "16"); err != nil {
-		t.Fatal(err)
-	}
-	// §3.1's example: process 8 runs on node 16.
-	if err := s.AddResourceConstraint("/e1/p8", "/M/m/b/n16"); err != nil {
-		t.Fatal(err)
-	}
+	load(t, s,
+		"Resource /M/m/b/n16 grid/machine/partition/node",
+		"Execution e1 irs",
+		"Resource /e1/p8 execution/process e1",
+		`ResourceAttribute /M/m/b/n16 "memory GB" 16 string`,
+		// §3.1's example: process 8 runs on node 16.
+		"ResourceConstraint /e1/p8 /M/m/b/n16")
 	res, err := s.ResourceByName("/M/m/b/n16")
 	if err != nil {
 		t.Fatal(err)
@@ -154,39 +222,31 @@ func TestResourceAttributesAndConstraints(t *testing.T) {
 
 func TestAttributeOnMissingResource(t *testing.T) {
 	s := newStore(t)
-	if err := s.SetResourceAttribute("/nope", "a", "b"); err == nil {
-		t.Error("attribute on missing resource accepted")
+	if err := tryLoad(s, "ResourceAttribute /nope a b string"); !errors.Is(err, ErrNotFound) {
+		t.Errorf("attribute on missing resource: err = %v, want ErrNotFound", err)
 	}
-	if err := s.AddResourceConstraint("/nope", "/also-nope"); err == nil {
-		t.Error("constraint on missing resources accepted")
+	if err := tryLoad(s, "ResourceConstraint /nope /also-nope"); !errors.Is(err, ErrNotFound) {
+		t.Errorf("constraint on missing resources: err = %v, want ErrNotFound", err)
 	}
 }
 
 func TestTypeExtension(t *testing.T) {
 	s := newStore(t)
 	// §4.3: a brand-new top-level hierarchy for Paradyn syncObjects.
-	if err := s.AddResourceType("syncObject"); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.AddResourceType("syncObject/communicator"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.AddResource("/comm/MPI_COMM_WORLD", "syncObject/communicator", ""); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.AddResourceType("nochild/without/parent"); err == nil {
+	load(t, s,
+		"ResourceType syncObject",
+		"ResourceType syncObject/communicator",
+		"Resource /comm/MPI_COMM_WORLD syncObject/communicator")
+	if err := tryLoad(s, "ResourceType nochild/without/parent"); err == nil {
 		t.Error("orphan type accepted")
 	}
 }
 
 func TestAncestorsDescendantsBothPaths(t *testing.T) {
 	s := newStore(t)
-	if _, err := s.AddResource("/G/M/b/n1/p0", "grid/machine/partition/node/processor", ""); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.AddResource("/G/M/b/n1/p1", "grid/machine/partition/node/processor", ""); err != nil {
-		t.Fatal(err)
-	}
+	load(t, s,
+		"Resource /G/M/b/n1/p0 grid/machine/partition/node/processor",
+		"Resource /G/M/b/n1/p1 grid/machine/partition/node/processor")
 	for _, useClosure := range []bool{true, false} {
 		s.UseClosureTables = useClosure
 		anc, err := s.Ancestors("/G/M/b/n1/p0")
@@ -208,8 +268,9 @@ func TestAncestorsDescendantsBothPaths(t *testing.T) {
 
 func TestChildrenLazyFetch(t *testing.T) {
 	s := newStore(t)
-	s.AddResource("/G/M/b/n1/p0", "grid/machine/partition/node/processor", "")
-	s.AddResource("/G/M/b/n2/p0", "grid/machine/partition/node/processor", "")
+	load(t, s,
+		"Resource /G/M/b/n1/p0 grid/machine/partition/node/processor",
+		"Resource /G/M/b/n2/p0 grid/machine/partition/node/processor")
 	kids, err := s.Children("/G/M/b")
 	if err != nil {
 		t.Fatal(err)
@@ -221,9 +282,10 @@ func TestChildrenLazyFetch(t *testing.T) {
 
 func TestResourcesOfTypeAndBaseName(t *testing.T) {
 	s := newStore(t)
-	s.AddResource("/GF/Frost/batch", "grid/machine/partition", "")
-	s.AddResource("/GM/MCR/batch", "grid/machine/partition", "")
-	s.AddResource("/GM/MCR/debug", "grid/machine/partition", "")
+	load(t, s,
+		"Resource /GF/Frost/batch grid/machine/partition",
+		"Resource /GM/MCR/batch grid/machine/partition",
+		"Resource /GM/MCR/debug grid/machine/partition")
 	byType, err := s.ResourcesOfType("grid/machine/partition")
 	if err != nil {
 		t.Fatal(err)
@@ -240,35 +302,35 @@ func TestResourcesOfTypeAndBaseName(t *testing.T) {
 	}
 }
 
-func addResult(t *testing.T, s *Store, exec, metric string, value float64, resources ...core.ResourceName) int64 {
+func addResult(t testing.TB, s *Store, exec, metric string, value float64, resources ...core.ResourceName) int64 {
 	t.Helper()
-	id, err := s.AddPerfResult(&core.PerformanceResult{
-		Execution: exec, Metric: metric, Value: value, Units: "seconds", Tool: "test",
-		Contexts: []core.Context{core.NewContext(resources...)},
-	})
+	if err := commitOne(s, ptdf.PerfResultRec{
+		Exec: exec, Metric: metric, Value: value, Units: "seconds", Tool: "test",
+		Sets: []ptdf.ResourceSet{{Names: resources, Type: core.FocusPrimary}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	ids, err := s.ExecutionResultIDs(exec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return id
+	return ids[len(ids)-1] // the newest
 }
 
 // seedStudy builds a small two-machine, two-execution study.
 func seedStudy(t *testing.T) *Store {
 	t.Helper()
 	s := newStore(t)
-	s.AddResource("/irs", "application", "")
-	s.AddResource("/GF/Frost/batch/n1/p0", "grid/machine/partition/node/processor", "")
-	s.AddResource("/GM/MCR/batch/n1/p0", "grid/machine/partition/node/processor", "")
-	if _, err := s.AddExecution("irs-frost", "irs"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.AddExecution("irs-mcr", "irs"); err != nil {
-		t.Fatal(err)
-	}
-	addResult(t, s, "irs-frost", "wall time", 120, "/irs", "/GF/Frost")
-	addResult(t, s, "irs-frost", "cpu time", 110, "/irs", "/GF/Frost")
-	addResult(t, s, "irs-mcr", "wall time", 80, "/irs", "/GM/MCR")
-	addResult(t, s, "irs-frost", "proc time", 2.5, "/irs", "/GF/Frost/batch/n1/p0")
+	load(t, s,
+		"Resource /irs application",
+		"Resource /GF/Frost/batch/n1/p0 grid/machine/partition/node/processor",
+		"Resource /GM/MCR/batch/n1/p0 grid/machine/partition/node/processor",
+		"Execution irs-frost irs",
+		"Execution irs-mcr irs",
+		`PerfResult irs-frost /irs,/GF/Frost(primary) test "wall time" 120 seconds`,
+		`PerfResult irs-frost /irs,/GF/Frost(primary) test "cpu time" 110 seconds`,
+		`PerfResult irs-mcr /irs,/GM/MCR(primary) test "wall time" 80 seconds`,
+		`PerfResult irs-frost /irs,/GF/Frost/batch/n1/p0(primary) test "proc time" 2.5 seconds`)
 	return s
 }
 
@@ -295,33 +357,24 @@ func TestAddPerfResultAndFetch(t *testing.T) {
 
 func TestPerfResultUnknownExecution(t *testing.T) {
 	s := newStore(t)
-	s.AddResource("/irs", "application", "")
-	_, err := s.AddPerfResult(&core.PerformanceResult{
-		Execution: "nope", Metric: "t", Value: 1,
-		Contexts: []core.Context{core.NewContext("/irs")},
-	})
-	if err == nil {
-		t.Error("unknown execution accepted")
+	load(t, s, "Resource /irs application")
+	if err := tryLoad(s, "PerfResult nope /irs(primary) test t 1 s"); !errors.Is(err, ErrNotFound) {
+		t.Errorf("unknown execution: err = %v, want ErrNotFound", err)
 	}
 }
 
 func TestPerfResultUnknownResource(t *testing.T) {
 	s := newStore(t)
-	s.AddExecution("e1", "app")
-	_, err := s.AddPerfResult(&core.PerformanceResult{
-		Execution: "e1", Metric: "t", Value: 1,
-		Contexts: []core.Context{core.NewContext("/ghost")},
-	})
-	if err == nil {
-		t.Error("unknown context resource accepted")
+	load(t, s, "Execution e1 app")
+	if err := tryLoad(s, "PerfResult e1 /ghost(primary) test t 1 s"); !errors.Is(err, ErrNotFound) {
+		t.Errorf("unknown context resource: err = %v, want ErrNotFound", err)
 	}
 }
 
 func TestFocusDeduplication(t *testing.T) {
 	// "a single context can apply to multiple performance results."
 	s := newStore(t)
-	s.AddResource("/irs", "application", "")
-	s.AddExecution("e1", "irs")
+	load(t, s, "Resource /irs application", "Execution e1 irs")
 	addResult(t, s, "e1", "m1", 1, "/irs")
 	addResult(t, s, "e1", "m2", 2, "/irs")
 	fTab, _ := s.Engine().Table("focus")
@@ -333,20 +386,12 @@ func TestFocusDeduplication(t *testing.T) {
 func TestMultiContextResult(t *testing.T) {
 	// §4.2: two resource sets per result (mpiP caller/callee).
 	s := newStore(t)
-	s.AddResource("/irs", "application", "")
-	s.AddResource("/bld/main.c/caller", "build/module/function", "")
-	s.AddResource("/bld/main.c/callee", "build/module/function", "")
-	s.AddExecution("e1", "irs")
-	_, err := s.AddPerfResult(&core.PerformanceResult{
-		Execution: "e1", Metric: "MPI time", Value: 3, Tool: "mpiP",
-		Contexts: []core.Context{
-			{Type: core.FocusParent, Resources: []core.ResourceName{"/bld/main.c/caller"}},
-			{Type: core.FocusChild, Resources: []core.ResourceName{"/bld/main.c/callee"}},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	load(t, s,
+		"Resource /irs application",
+		"Resource /bld/main.c/caller build/module/function",
+		"Resource /bld/main.c/callee build/module/function",
+		"Execution e1 irs",
+		`PerfResult e1 /bld/main.c/caller(parent):/bld/main.c/callee(child) mpiP "MPI time" 3 ""`)
 	ids, _ := s.MatchingResultIDsCtx(context.Background(), core.PRFilter{})
 	pr, err := s.ResultByID(ids[0])
 	if err != nil {
@@ -365,8 +410,7 @@ func TestMultiContextResult(t *testing.T) {
 
 func TestApplyFilterByTypeNameAttrs(t *testing.T) {
 	s := seedStudy(t)
-	s.SetResourceAttribute("/GF/Frost", "vendor", "IBM")
-	s.SetResourceAttribute("/GM/MCR", "vendor", "LNXI")
+	load(t, s, "ResourceAttribute /GF/Frost vendor IBM string", "ResourceAttribute /GM/MCR vendor LNXI string")
 
 	fam, err := s.ApplyFilterCtx(context.Background(), core.ResourceFilter{Type: "grid/machine"})
 	if err != nil || fam.Size() != 2 {
@@ -479,8 +523,7 @@ func TestStorePersistsAcrossReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.AddResource("/irs", "application", "")
-	s.AddExecution("e1", "irs")
+	load(t, s, "Resource /irs application", "Execution e1 irs")
 	addResult(t, s, "e1", "wall", 9.5, "/irs")
 	if err := fe.Close(); err != nil {
 		t.Fatal(err)
@@ -508,7 +551,7 @@ func TestStorePersistsAcrossReopen(t *testing.T) {
 		t.Errorf("result = %+v, %v", pr, err)
 	}
 	// The type system is restored; extensions still work.
-	if err := s2.AddResourceType("time/interval/phase"); err != nil {
+	if err := tryLoad(s2, "ResourceType time/interval/phase"); err != nil {
 		t.Errorf("type extension after reopen: %v", err)
 	}
 	addResult(t, s2, "e1", "wall2", 1.5, "/irs")
@@ -518,7 +561,7 @@ func TestConcurrentLoadersAndReaders(t *testing.T) {
 	// Multiple goroutines load different executions while readers run
 	// pr-filter queries — the multi-scientist sharing scenario of §1.
 	s := newStore(t)
-	s.AddResource("/irs", "application", "")
+	load(t, s, "Resource /irs application")
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
 	for w := 0; w < 4; w++ {
@@ -527,23 +570,13 @@ func TestConcurrentLoadersAndReaders(t *testing.T) {
 			defer wg.Done()
 			for e := 0; e < 5; e++ {
 				exec := fmt.Sprintf("w%d-e%d", w, e)
-				if _, err := s.AddExecution(exec, "irs"); err != nil {
-					errs <- err
-					return
-				}
-				execRes := core.ResourceName("/" + exec)
-				if _, err := s.AddResource(execRes, "execution", exec); err != nil {
-					errs <- err
-					return
-				}
+				doc := []string{"Execution " + exec + " irs", "Resource /" + exec + " execution " + exec}
 				for r := 0; r < 10; r++ {
-					if _, err := s.AddPerfResult(&core.PerformanceResult{
-						Execution: exec, Metric: fmt.Sprintf("m%d", r), Value: float64(r),
-						Contexts: []core.Context{core.NewContext("/irs", execRes)},
-					}); err != nil {
-						errs <- err
-						return
-					}
+					doc = append(doc, fmt.Sprintf("PerfResult %s /irs,/%s(primary) test m%d %d s", exec, exec, r, r))
+				}
+				if err := tryLoad(s, doc...); err != nil {
+					errs <- err
+					return
 				}
 			}
 		}(w)
@@ -584,7 +617,7 @@ func TestConcurrentLoadersAndReaders(t *testing.T) {
 func TestSchemaMigrationAddsNewTables(t *testing.T) {
 	// Simulate a store whose first open crashed before it created the
 	// result_histogram table: every other table of the schema, reopened,
-	// and expect Open to create the missing one.
+	// and expect Open to create the missing one and the base types.
 	dir := t.TempDir()
 	fe, err := reldb.OpenFile(dir)
 	if err != nil {
@@ -615,23 +648,7 @@ func TestSchemaMigrationAddsNewTables(t *testing.T) {
 		t.Fatal("migration did not recreate result_histogram")
 	}
 	// The recreated table is usable.
-	for _, typ := range core.BaseTypes() {
-		if err := s.AddResourceType(typ); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := s.AddResource("/app", "application", ""); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.AddExecution("e1", "app"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.AddHistogramResult(&core.PerformanceResult{
-		Execution: "e1", Metric: "m", Tool: "t", Units: "u",
-		Contexts: []core.Context{core.NewContext("/app")},
-	}, 0.1, []float64{1}); err != nil {
-		t.Fatal(err)
-	}
+	load(t, s, "Resource /app application", "Execution e1 app", "PerfHistogram e1 /app(primary) t m 0.1 u 1")
 }
 
 // TestSQLInterfaceOverStore runs a physical-schema JOIN the way the

@@ -21,16 +21,14 @@ type telemetry struct {
 }
 
 // Telemetry is a point-in-time snapshot of the store's operation
-// counters. Match-cache numbers come from the generation-stamped query
-// cache; focus-cache numbers count materializer focus decodes served
-// from the per-query cache versus decoded from the engine.
+// counters. Focus-cache numbers count materializer focus decodes served
+// from the per-query cache versus decoded from the engine; the match
+// cache's are in QueryEngineStats.
 type Telemetry struct {
 	BatchCommits     uint64 // committed batches (LoadPTdfCtx, bulk load, CommitCtx)
 	BatchRollbacks   uint64 // batches rolled back by a bad record
 	WALFlushes       uint64 // log group flushes: one per committed batch
 	RecordsLoaded    uint64 // PTdf records applied by committed batches
-	MatchCacheHits   uint64 // pr-filter query cache hits
-	MatchCacheMisses uint64 // pr-filter query cache misses
 	FocusCacheHits   uint64 // focus links served from a materializer's cache
 	FocusCacheMisses uint64 // focus IDs decoded from the engine
 	Materializations uint64 // materializer chunks run
@@ -48,14 +46,11 @@ type Telemetry struct {
 
 // Telemetry snapshots the store's operation counters.
 func (s *Store) Telemetry() Telemetry {
-	cs := s.cache.Stats()
 	return Telemetry{
 		BatchCommits:     s.tel.batchCommits.Load(),
 		BatchRollbacks:   s.tel.batchRollbacks.Load(),
 		WALFlushes:       s.tel.batchCommits.Load(),
 		RecordsLoaded:    s.tel.recordsLoaded.Load(),
-		MatchCacheHits:   cs.Hits,
-		MatchCacheMisses: cs.Misses,
 		FocusCacheHits:   s.tel.focusCacheHits.Load(),
 		FocusCacheMisses: s.tel.focusCacheMisses.Load(),
 		Materializations: s.tel.materializations.Load(),

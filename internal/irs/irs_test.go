@@ -114,7 +114,7 @@ func TestToPTdfLoadsIntoStore(t *testing.T) {
 	}
 	// The machine must pre-exist (as in §4.1, machine data was already in
 	// the store).
-	if _, err := s.AddResource("/MCRGrid/MCR", "grid/machine", ""); err != nil {
+	if _, err := s.LoadPTdfCtx(context.Background(), strings.NewReader("Resource /MCRGrid/MCR grid/machine")); err != nil {
 		t.Fatal(err)
 	}
 	batch := s.NewBatch()

@@ -9,6 +9,7 @@ import (
 	"perftrack/internal/compare"
 	"perftrack/internal/core"
 	"perftrack/internal/datastore"
+	"perftrack/internal/ptdf"
 	"perftrack/internal/reldb"
 )
 
@@ -129,13 +130,10 @@ func TestModelVersusActualViaCompare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.AddResource("/app", "application", ""); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.AddResource("/appcode/main.c/solve", "build/module/function", ""); err != nil {
-		t.Fatal(err)
-	}
 	ctx := []core.ResourceName{"/appcode/main.c/solve"}
+	measured := s.NewBatch()
+	measured.Stage(ptdf.ResourceRec{Name: "/app", Type: "application"})
+	measured.Stage(ptdf.ResourceRec{Name: ctx[0], Type: "build/module/function"})
 
 	// "Measured" runs follow T(p) = 1 + 64/p with 2% deviation at p=8.
 	var pts []Point
@@ -145,17 +143,15 @@ func TestModelVersusActualViaCompare(t *testing.T) {
 			v *= 1.02
 		}
 		execName := formatExec("actual", p)
-		if _, err := s.AddExecution(execName, "app"); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.AddPerfResult(&core.PerformanceResult{
-			Execution: execName, Metric: "wall time", Value: v, Units: "seconds",
-			Tool:     "bench",
-			Contexts: []core.Context{core.NewContext(append([]core.ResourceName{"/app"}, ctx...)...)},
-		}); err != nil {
-			t.Fatal(err)
-		}
+		measured.Stage(ptdf.ExecutionRec{Name: execName, App: "app"})
+		measured.Stage(ptdf.PerfResultRec{
+			Exec: execName, Metric: "wall time", Value: v, Units: "seconds", Tool: "bench",
+			Sets: []ptdf.ResourceSet{{Names: append([]core.ResourceName{"/app"}, ctx...), Type: core.FocusPrimary}},
+		})
 		pts = append(pts, Point{Procs: p, Value: v})
+	}
+	if _, err := measured.CommitCtx(context.Background()); err != nil {
+		t.Fatal(err)
 	}
 
 	m, err := FitScaling(pts)

@@ -65,7 +65,7 @@ func TestToPTdfPerProcessResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.AddResource("/UVGrid/UV", "grid/machine", ""); err != nil {
+	if _, err := s.LoadPTdfCtx(context.Background(), strings.NewReader("Resource /UVGrid/UV grid/machine")); err != nil {
 		t.Fatal(err)
 	}
 	batch := s.NewBatch()

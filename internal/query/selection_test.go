@@ -9,7 +9,6 @@ import (
 	"sync"
 	"testing"
 
-	"perftrack/internal/core"
 	"perftrack/internal/datastore"
 	"perftrack/internal/reldb"
 )
@@ -101,15 +100,12 @@ func TestResolveConcurrentWithWrites(t *testing.T) {
 			default:
 			}
 			exec := fmt.Sprintf("irs-mcr-extra-%d", i)
-			if _, err := s.AddExecution(exec, "irs"); err != nil {
+			if err := loadPTdf(s, "Execution "+exec+" irs"); err != nil {
 				t.Error(err)
 				return
 			}
 			for _, metric := range []string{"wall time", "mpi time"} {
-				if _, err := s.AddPerfResult(&core.PerformanceResult{
-					Execution: exec, Metric: metric, Value: 1, Units: "seconds", Tool: "IRS",
-					Contexts: []core.Context{core.NewContext("/irs", "/GM/MCR")},
-				}); err != nil {
+				if err := loadPTdf(s, "PerfResult "+exec+` /irs,/GM/MCR(primary) IRS "`+metric+`" 1 seconds`); err != nil {
 					t.Error(err)
 					return
 				}

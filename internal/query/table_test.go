@@ -3,6 +3,7 @@ package query
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -10,6 +11,12 @@ import (
 	"perftrack/internal/datastore"
 	"perftrack/internal/reldb"
 )
+
+// loadPTdf commits PTdf lines to s as one document.
+func loadPTdf(s *datastore.Store, lines ...string) error {
+	_, err := s.LoadPTdfCtx(context.Background(), strings.NewReader(strings.Join(lines, "\n")))
+	return err
+}
 
 // studyStore builds a store with IRS runs at two process counts on two
 // machines, with per-machine attributes.
@@ -19,24 +26,16 @@ func studyStore(t *testing.T) *datastore.Store {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mustDo := func(err error) {
-		t.Helper()
-		if err != nil {
-			t.Fatal(err)
-		}
+	doc := []string{
+		"Resource /irs application",
+		"Resource /GF/Frost grid/machine",
+		"Resource /GM/MCR grid/machine",
+		"ResourceAttribute /GF/Frost os AIX string",
+		"ResourceAttribute /GM/MCR os Linux string",
 	}
-	_, err = s.AddResource("/irs", "application", "")
-	mustDo(err)
-	_, err = s.AddResource("/GF/Frost", "grid/machine", "")
-	mustDo(err)
-	_, err = s.AddResource("/GM/MCR", "grid/machine", "")
-	mustDo(err)
-	mustDo(s.SetResourceAttribute("/GF/Frost", "os", "AIX"))
-	mustDo(s.SetResourceAttribute("/GM/MCR", "os", "Linux"))
-
 	runs := []struct {
 		exec    string
-		machine core.ResourceName
+		machine string
 		nprocs  string
 		wall    float64
 	}{
@@ -46,24 +45,16 @@ func studyStore(t *testing.T) *datastore.Store {
 		{"irs-mcr-16", "/GM/MCR", "16", 45},
 	}
 	for _, run := range runs {
-		_, err := s.AddExecution(run.exec, "irs")
-		mustDo(err)
-		execRes := core.ResourceName("/" + run.exec)
-		_, err = s.AddResource(execRes, "execution", run.exec)
-		mustDo(err)
-		mustDo(s.SetResourceAttribute(execRes, "nprocs", run.nprocs))
-		_, err = s.AddPerfResult(&core.PerformanceResult{
-			Execution: run.exec, Metric: "wall time", Value: run.wall,
-			Units: "seconds", Tool: "IRS",
-			Contexts: []core.Context{core.NewContext("/irs", run.machine, execRes)},
-		})
-		mustDo(err)
-		_, err = s.AddPerfResult(&core.PerformanceResult{
-			Execution: run.exec, Metric: "mpi time", Value: run.wall * 0.3,
-			Units: "seconds", Tool: "IRS",
-			Contexts: []core.Context{core.NewContext("/irs", run.machine, execRes)},
-		})
-		mustDo(err)
+		set := "/irs," + run.machine + ",/" + run.exec + "(primary)"
+		doc = append(doc,
+			"Execution "+run.exec+" irs",
+			"Resource /"+run.exec+" execution "+run.exec,
+			"ResourceAttribute /"+run.exec+" nprocs "+run.nprocs+" string",
+			fmt.Sprintf(`PerfResult %s %s IRS "wall time" %g seconds`, run.exec, set, run.wall),
+			fmt.Sprintf(`PerfResult %s %s IRS "mpi time" %g seconds`, run.exec, set, run.wall*0.3))
+	}
+	if err := loadPTdf(s, doc...); err != nil {
+		t.Fatal(err)
 	}
 	return s
 }

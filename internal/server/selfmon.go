@@ -142,8 +142,9 @@ func (s *Server) selfPTdfSample() selfmon.Sample {
 	add("batch rollbacks", float64(tel.BatchRollbacks), "batches")
 	add("wal flushes", float64(tel.WALFlushes), "flushes")
 	add("records loaded", float64(tel.RecordsLoaded), "records")
-	add("match cache hits", float64(tel.MatchCacheHits), "hits")
-	add("match cache misses", float64(tel.MatchCacheMisses), "misses")
+	qs := s.store.QueryEngineStats()
+	add("match cache hits", float64(qs.CacheHits), "hits")
+	add("match cache misses", float64(qs.CacheMisses), "misses")
 	add("focus cache hits", float64(tel.FocusCacheHits), "hits")
 	add("focus cache misses", float64(tel.FocusCacheMisses), "misses")
 	add("materializations", float64(tel.Materializations), "chunks")

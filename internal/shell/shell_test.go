@@ -2,15 +2,23 @@ package shell
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
 
-	"perftrack/internal/core"
 	"perftrack/internal/datastore"
 	"perftrack/internal/reldb"
 )
+
+// loadPTdf commits PTdf lines to s as one document.
+func loadPTdf(t *testing.T, s *datastore.Store, lines ...string) {
+	t.Helper()
+	if _, err := s.LoadPTdfCtx(context.Background(), strings.NewReader(strings.Join(lines, "\n"))); err != nil {
+		t.Fatal(err)
+	}
+}
 
 // sessionStore builds a small study for driving the interactive surface.
 func sessionStore(t *testing.T) *datastore.Store {
@@ -19,24 +27,16 @@ func sessionStore(t *testing.T) *datastore.Store {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.AddResource("/irs", "application", "")
-	s.AddResource("/GF/Frost/batch/n1/p0", "grid/machine/partition/node/processor", "")
-	s.SetResourceAttribute("/GF/Frost", "vendor", "IBM")
-	s.AddExecution("e1", "irs")
-	s.AddResource("/e1", "execution", "e1")
-	s.SetResourceAttribute("/e1", "nprocs", "4")
-	for i, v := range []float64{10, 20, 30} {
-		metric := "wall time"
-		if i == 2 {
-			metric = "cpu time"
-		}
-		if _, err := s.AddPerfResult(&core.PerformanceResult{
-			Execution: "e1", Metric: metric, Value: v, Units: "seconds", Tool: "test",
-			Contexts: []core.Context{core.NewContext("/irs", "/GF/Frost", "/e1")},
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
+	loadPTdf(t, s,
+		"Resource /irs application",
+		"Resource /GF/Frost/batch/n1/p0 grid/machine/partition/node/processor",
+		"ResourceAttribute /GF/Frost vendor IBM string",
+		"Execution e1 irs",
+		"Resource /e1 execution e1",
+		"ResourceAttribute /e1 nprocs 4 string",
+		`PerfResult e1 /irs,/GF/Frost,/e1(primary) test "wall time" 10 seconds`,
+		`PerfResult e1 /irs,/GF/Frost,/e1(primary) test "wall time" 20 seconds`,
+		`PerfResult e1 /irs,/GF/Frost,/e1(primary) test "cpu time" 30 seconds`)
 	return s
 }
 
@@ -198,13 +198,7 @@ func TestSessionImportRoundTrip(t *testing.T) {
 func TestSessionCompare(t *testing.T) {
 	s := sessionStore(t)
 	// A second execution with a slower wall time for the bottleneck list.
-	s.AddExecution("e2", "irs")
-	if _, err := s.AddPerfResult(&core.PerformanceResult{
-		Execution: "e2", Metric: "wall time", Value: 50, Units: "seconds", Tool: "test",
-		Contexts: []core.Context{core.NewContext("/irs", "/GF/Frost")},
-	}); err != nil {
-		t.Fatal(err)
-	}
+	loadPTdf(t, s, "Execution e2 irs", `PerfResult e2 /irs,/GF/Frost(primary) test "wall time" 50 seconds`)
 	out := run(t, s, "compare e1 e2\ncompare e1 nosuch\ncompare onearg\n")
 	if !strings.Contains(out, "e1 vs e2:") || !strings.Contains(out, "geomean ratio") {
 		t.Errorf("compare output missing:\n%s", out)
@@ -219,13 +213,12 @@ func TestSessionCompare(t *testing.T) {
 
 func TestSessionHistogramSparkline(t *testing.T) {
 	s := sessionStore(t)
-	id, err := s.AddHistogramResult(&core.PerformanceResult{
-		Execution: "e1", Metric: "cpu_inclusive", Tool: "Paradyn", Units: "units/second",
-		Contexts: []core.Context{core.NewContext("/irs")},
-	}, 0.2, []float64{1, 2, 3, 4})
+	loadPTdf(t, s, "PerfHistogram e1 /irs(primary) Paradyn cpu_inclusive 0.2 units/second 1,2,3,4")
+	ids, err := s.ExecutionResultIDs("e1")
 	if err != nil {
 		t.Fatal(err)
 	}
+	id := ids[len(ids)-1]
 	out := run(t, s, "hist "+strconvItoa(id)+"\nhist 999\nhist notanumber\n")
 	if !strings.Contains(out, "cpu_inclusive (Paradyn), 4 bins x 0.2s") {
 		t.Errorf("hist header missing:\n%s", out)
