@@ -12,6 +12,7 @@ package perftrack
 //	BenchmarkFig5Chart           Figure 5 — min/max load-balance chart
 //	BenchmarkFig6PTdfParse       Figure 6 — PTdf parse throughput
 //	BenchmarkDecodePTdf          PTdf decode into a staged batch (ingest)
+//	BenchmarkCommitDoc           a staged doc_full's commit (ingest)
 //	BenchmarkParadynImport       §4.3 — Paradyn bundle → store
 //	BenchmarkCompareExecutions   §6 operators on §4.1 data
 //	BenchmarkDiagnose/*          automated diagnosis over a 100-exec fleet
@@ -315,6 +316,37 @@ func BenchmarkDecodePTdf(b *testing.B) {
 	n := float64(b.N)
 	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/n/float64(len(doc)), "B/ptdf-byte")
 	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/n/float64(records), "allocs/record")
+}
+
+// BenchmarkCommitDoc measures committing one staged doc_full into a
+// directory store that holds heldStoreDocs of them: the part of a load
+// that runs under the writer lock (apply, admission, log write, tail
+// append), with compaction held off so nothing runs behind it. Each
+// commit gets a fresh copy of the held store and a batch staged before
+// the timer runs. allocs/result is the allocations per staged result.
+func BenchmarkCommitDoc(b *testing.B) {
+	c := corpus.Generate(1, heldStoreDocs+1)
+	held := heldStore(b, c)
+	doc := c.ExecDoc(heldStoreDocs)
+	var mallocs uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		s, db := openCopy(b, held)
+		batch := stagedDoc(b, s, doc)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		b.StartTimer()
+		if _, err := batch.CommitCtx(context.Background()); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		runtime.ReadMemStats(&after)
+		mallocs += after.Mallocs - before.Mallocs
+		db.Close()
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(mallocs)/float64(b.N)/float64(corpus.Full.Results()), "allocs/result")
 }
 
 // BenchmarkParadynImport measures mapping and loading one Paradyn export

@@ -225,12 +225,27 @@ func (c *Client) Health(ctx context.Context) (server.HealthResponse, error) {
 // the server applies it transactionally.
 func (c *Client) Load(ctx context.Context, r io.Reader) (server.LoadResponse, error) {
 	var out server.LoadResponse
-	doc, err := io.ReadAll(r)
+	doc, err := readDoc(r)
 	if err != nil {
 		return out, fmt.Errorf("client: read PTdf document: %w", err)
 	}
 	err = c.do(ctx, http.MethodPost, "/v1/load", "text/plain", doc, &out)
 	return out, err
+}
+
+// readDoc reads r to its end. A reader that reports how many bytes it
+// holds (a *bytes.Reader, *bytes.Buffer or *strings.Reader) is read into
+// one buffer sized for that many, where io.ReadAll would grow one by
+// doubling; a reader holding more than it reports is still read whole.
+func readDoc(r io.Reader) ([]byte, error) {
+	sized, ok := r.(interface{ Len() int })
+	if !ok {
+		return io.ReadAll(r)
+	}
+	var doc bytes.Buffer
+	doc.Grow(sized.Len() + bytes.MinRead) // ReadFrom wants MinRead bytes free before its last, empty read
+	_, err := doc.ReadFrom(r)
+	return doc.Bytes(), err
 }
 
 // Query evaluates a pr-filter (one spec per family) and returns the

@@ -1,12 +1,15 @@
 package client
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -56,27 +59,55 @@ func TestRetriesTransient5xxThenSucceeds(t *testing.T) {
 	}
 }
 
-func TestRetries429AndReplaysLoadBody(t *testing.T) {
-	var gotBody atomic.Value
-	h, calls := flakyHandler(1, http.StatusTooManyRequests, nil, func(w http.ResponseWriter, r *http.Request) {
-		b := make([]byte, r.ContentLength)
-		r.Body.Read(b)
-		gotBody.Store(string(b))
-		json.NewEncoder(w).Encode(server.LoadResponse{Generation: 1})
-	})
-	ts := httptest.NewServer(h)
-	defer ts.Close()
+// shortLen is a reader that reports fewer bytes than it holds.
+type shortLen struct{ *strings.Reader }
 
-	doc := "Application retried\n"
-	if _, err := fastClient(ts.URL).Load(context.Background(), strings.NewReader(doc)); err != nil {
-		t.Fatal(err)
+func (r shortLen) Len() int { return r.Reader.Len() / 2 }
+
+// TestRetries429AndReplaysLoadBody loads one document through each kind
+// of reader Load sizes its buffer from, through one it cannot size and
+// through one that under-reports its length, against a server that sheds
+// the first attempt: both attempts carry the whole document, byte for
+// byte.
+func TestRetries429AndReplaysLoadBody(t *testing.T) {
+	doc := strings.Repeat("PerfResult e /e/p0(primary) tool metric 1.5 seconds\n", 2000)
+	readers := map[string]func() io.Reader{
+		"bytes.Reader":   func() io.Reader { return bytes.NewReader([]byte(doc)) },
+		"bytes.Buffer":   func() io.Reader { return bytes.NewBufferString(doc) },
+		"strings.Reader": func() io.Reader { return strings.NewReader(doc) },
+		"unsized":        func() io.Reader { return io.MultiReader(strings.NewReader(doc)) },
+		"short Len":      func() io.Reader { return shortLen{strings.NewReader(doc)} },
 	}
-	if calls.Load() != 2 {
-		t.Errorf("calls = %d, want 2", calls.Load())
-	}
-	// The retried attempt carried the full, identical document.
-	if got, _ := gotBody.Load().(string); got != doc {
-		t.Errorf("retried body = %q, want %q", got, doc)
+	for name, reader := range readers {
+		t.Run(name, func(t *testing.T) {
+			var mu sync.Mutex
+			var bodies []string
+			h, calls := flakyHandler(1, http.StatusTooManyRequests, nil, func(w http.ResponseWriter, r *http.Request) {
+				json.NewEncoder(w).Encode(server.LoadResponse{Generation: 1})
+			})
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				body, err := io.ReadAll(r.Body)
+				if err != nil {
+					t.Error(err)
+				}
+				mu.Lock()
+				bodies = append(bodies, string(body))
+				mu.Unlock()
+				h(w, r)
+			}))
+			defer ts.Close()
+			if _, err := fastClient(ts.URL).Load(context.Background(), reader()); err != nil {
+				t.Fatal(err)
+			}
+			if calls.Load() != 2 {
+				t.Errorf("calls = %d, want 2", calls.Load())
+			}
+			for i, body := range bodies {
+				if body != doc {
+					t.Errorf("attempt %d sent %d bytes, not the %d-byte document", i+1, len(body), len(doc))
+				}
+			}
+		})
 	}
 }
 

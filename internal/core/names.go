@@ -161,12 +161,18 @@ func (n ResourceName) Validate() error {
 	if strings.HasSuffix(string(n), "/") {
 		return fmt.Errorf("core: resource name %q must not end with '/'", n)
 	}
-	if strings.ContainsAny(string(n), "(),:") {
-		return fmt.Errorf("core: resource name %q contains a character reserved by PTdf resource-set syntax", n)
-	}
 	// Between a leading '/' and a last character that is none, a component is
 	// empty exactly where two separators meet.
-	if strings.Contains(string(n), "//") {
+	empty := false
+	for i := 1; i < len(n); i++ {
+		switch n[i] {
+		case '(', ')', ',', ':':
+			return fmt.Errorf("core: resource name %q contains a character reserved by PTdf resource-set syntax", n)
+		case '/':
+			empty = empty || n[i-1] == '/'
+		}
+	}
+	if empty {
 		return fmt.Errorf("core: resource name %q has an empty component", n)
 	}
 	return nil

@@ -7,6 +7,7 @@ import (
 	"io"
 	"strconv"
 
+	"perftrack/internal/core"
 	"perftrack/internal/obs"
 	"perftrack/internal/ptdf"
 )
@@ -22,11 +23,11 @@ var ErrBatchDone = errors.New("datastore: batch already finished")
 // stagers, and even other commits; only CommitCtx serializes on the
 // writer mutex.
 //
-// A staged result is one fixed-size row (resultRow) in fixed chunks of
-// resultChunk rows: its resource set and its four names are indices into
-// the batch's tables of each distinct set and name. Every other record is
-// kept as it is; the few a document holds apply in document order with
-// the rows, through order.
+// A staged result is one fixed-size row (a ptdf.Result) in fixed chunks
+// of resultChunk rows: its resource set and its four names are indices
+// into the batch's dict of each distinct set and name. Every other record
+// is kept as it is, with the count of rows staged before it: the few a
+// document holds apply in document order with the rows.
 //
 // CommitCtx is transactional per batch: every record applies inside one
 // engine transaction, whose rows — of every table — are private to it
@@ -39,25 +40,16 @@ var ErrBatchDone = errors.New("datastore: batch already finished")
 // document per batch, BulkLoadStreamCtx feeds parallel decoders' batches
 // to one committer, and Open stages the base types.
 type Batch struct {
-	s *Store
-	// order holds one entry per staged record, in staging order: a row's
-	// index in rows, or ^i for others[i].
-	order  []int32
-	rows   [][]resultRow
-	others []ptdf.Record
+	s      *Store
+	rows   [][]ptdf.Result
+	nrows  int
+	others []other
 
-	// The names and resource sets rows refer to. A Reader's records share
-	// their Sets, so a set is keyed by its slice.
-	execs, tools, metrics, units dict[string, string]
-	sets                         dict[setKey, []ptdf.ResourceSet]
-	done                         bool
-}
-
-// resultRow is one staged ptdf.PerfResultRec: the indices of its set and
-// names in the batch's tables, and its value. 32 bytes.
-type resultRow struct {
-	set, exec, tool, metric, units int32
-	value                          float64
+	// The names and resource sets rows refer to. Decode's reader numbers
+	// them as it parses; Stage enters a staged record's, a set by its
+	// slice (a Reader's records share their Sets), so each has one index.
+	dict ptdf.Dict
+	done bool
 }
 
 // resultChunk is the rows of a full chunk of Batch.rows. The first chunk
@@ -68,46 +60,11 @@ const (
 	firstChunk  = 64
 )
 
-// setKey identifies a resource-set slice: a ptdf.Reader parses each
-// distinct resource-set text of a document once and hands every record
-// naming it the same slice.
-type setKey struct {
-	first *ptdf.ResourceSet
-	n     int
-}
-
-func keyOf(sets []ptdf.ResourceSet) setKey {
-	if len(sets) == 0 {
-		return setKey{}
-	}
-	return setKey{&sets[0], len(sets)}
-}
-
-// dict is one of a batch's tables of what its rows refer to: each distinct
-// key's value once, in first-staged order.
-type dict[K comparable, V any] struct {
-	vals    []V
-	index   map[K]int32
-	lastKey K
-	last    int32 // lastKey's index: consecutive results mostly repeat it
-}
-
-// of returns k's index, adding v under it if k is new.
-func (d *dict[K, V]) of(k K, v V) int32 {
-	if len(d.vals) > 0 && k == d.lastKey {
-		return d.last
-	}
-	i, ok := d.index[k]
-	if !ok {
-		if d.index == nil {
-			d.index = make(map[K]int32)
-		}
-		i = int32(len(d.vals))
-		d.vals = append(d.vals, v)
-		d.index[k] = i
-	}
-	d.lastKey, d.last = k, i
-	return i
+// other is a staged record that is not a result row, and how many rows
+// were staged before it.
+type other struct {
+	rec ptdf.Record
+	at  int
 }
 
 // NewBatch begins an empty batch against the store.
@@ -122,54 +79,49 @@ func (s *Store) NewBatch() *Batch {
 func (b *Batch) Stage(rec ptdf.Record) {
 	switch r := rec.(type) {
 	case ptdf.PerfResultRec:
-		b.stageResult(&r)
+		row := b.rowOf(r.Sets, r.Exec, r.Tool, r.Metric, r.Units, r.Value)
+		b.stageResult(&row)
 		return
 	case ptdf.PerfHistogramRec:
 		b.rowOf(r.Sets, r.Exec, r.Tool, r.Metric, r.Units, 0)
 	}
-	b.order = append(b.order, ^int32(len(b.others)))
-	b.others = append(b.others, rec)
+	b.others = append(b.others, other{rec: rec, at: b.nrows})
 }
 
 // rowOf returns the row of a result with the given resource sets, names
-// and value, entering each in the batch's tables.
-func (b *Batch) rowOf(sets []ptdf.ResourceSet, exec, tool, metric, units string, value float64) resultRow {
-	return resultRow{
-		set:    b.sets.of(keyOf(sets), sets),
-		exec:   b.execs.of(exec, exec),
-		tool:   b.tools.of(tool, tool),
-		metric: b.metrics.of(metric, metric),
-		units:  b.units.of(units, units),
-		value:  value,
-	}
+// and value, entering each in the batch's dict.
+func (b *Batch) rowOf(sets []ptdf.ResourceSet, exec, tool, metric, units string, value float64) ptdf.Result {
+	d := &b.dict
+	return ptdf.Result{Exec: d.Name(exec), Set: d.AddSets(sets), Tool: d.Name(tool), Metric: d.Name(metric), Units: d.Name(units), Value: value}
 }
 
-// stageResult appends r as a row; r itself is not kept.
-func (b *Batch) stageResult(r *ptdf.PerfResultRec) {
+// stageResult appends a row.
+func (b *Batch) stageResult(row *ptdf.Result) {
 	k := len(b.rows) - 1
 	switch {
 	case k < 0:
-		b.rows = append(b.rows, make([]resultRow, 0, firstChunk))
+		b.rows = append(b.rows, make([]ptdf.Result, 0, firstChunk))
 		k = 0
 	case len(b.rows[k]) == resultChunk:
-		b.rows = append(b.rows, make([]resultRow, 0, resultChunk))
+		b.rows = append(b.rows, make([]ptdf.Result, 0, resultChunk))
 		k++
 	case len(b.rows[k]) == cap(b.rows[k]): // the first chunk, short of resultChunk
-		b.rows[k] = append(make([]resultRow, 0, 2*cap(b.rows[k])), b.rows[k]...)
+		b.rows[k] = append(make([]ptdf.Result, 0, 2*cap(b.rows[k])), b.rows[k]...)
 	}
-	b.order = append(b.order, int32(k*resultChunk+len(b.rows[k])))
-	b.rows[k] = append(b.rows[k], b.rowOf(r.Sets, r.Exec, r.Tool, r.Metric, r.Units, r.Value))
+	b.rows[k] = append(b.rows[k], *row)
+	b.nrows++
 }
 
 // Decode stages every record of a PTdf document, result lines straight
-// from the reader's buffer into rows. It stops at the first bad line,
-// with an error naming it, and before any line once ctx is done; either
-// way it rolls the batch back.
+// from the reader's buffer into rows: the reader numbers their names and
+// sets in the batch's dict as it parses them. It stops at the first bad
+// line, with an error naming it, and before any line once ctx is done;
+// either way it rolls the batch back.
 func (b *Batch) Decode(ctx context.Context, r io.Reader) error {
 	if b.done {
 		return ErrBatchDone
 	}
-	pr := ptdf.NewReader(r)
+	pr := ptdf.NewDictReader(r, &b.dict)
 	for {
 		if err := ctx.Err(); err != nil {
 			b.Rollback()
@@ -191,7 +143,7 @@ func (b *Batch) Decode(ctx context.Context, r io.Reader) error {
 }
 
 // Len reports the number of staged records.
-func (b *Batch) Len() int { return len(b.order) }
+func (b *Batch) Len() int { return b.nrows + len(b.others) }
 
 // CommitCtx applies every staged record in order inside one writer
 // critical section: one engine transaction, one generation bump, and one
@@ -200,27 +152,32 @@ func (b *Batch) Len() int { return len(b.order) }
 // remains (the transaction rolls back and the names directory is
 // reloaded from the rows) and the error names the failing record. A
 // trace riding ctx gets a datastore.batch.commit span with the record
-// count, covering the engine commit and its log flush. ctx carries
-// telemetry only: by design a commit is not cancelable midway, so a
-// batch either fully applies or fully rolls back.
+// count and two children: datastore.batch.apply, staging the records
+// into the transaction (annotated with the rows it inserted), and
+// reldb.commit, the engine's admission, log write, tail append and seal.
+// ctx carries telemetry only: by design a commit is not cancelable
+// midway, so a batch either fully applies or fully rolls back.
 func (b *Batch) CommitCtx(ctx context.Context) (LoadStats, error) {
 	if b.done {
 		return LoadStats{}, ErrBatchDone
 	}
 	b.done = true
-	if len(b.order) == 0 {
+	if b.Len() == 0 {
 		return LoadStats{}, nil
 	}
 	s := b.s
-	_, span := obs.StartSpan(ctx, "datastore.batch.commit")
-	span.Annotate("records", strconv.Itoa(len(b.order)))
+	ctx, span := obs.StartSpan(ctx, "datastore.batch.commit")
+	span.Annotate("records", strconv.Itoa(b.Len()))
 	defer span.End()
+	names := len(b.dict.Names)
 	c := commitState{
-		execs:   make([]int64, len(b.execs.vals)),
-		tools:   make([]int64, len(b.tools.vals)),
-		metrics: make([]int64, len(b.metrics.vals)),
-		units:   make([]int64, len(b.units.vals)),
-		sets:    make([]resolvedSet, len(b.sets.vals)),
+		execs:    make([]int64, names),
+		tools:    make([]int64, names),
+		metrics:  make([]int64, names),
+		units:    make([]int64, names),
+		sets:     make([]resolvedSet, len(b.dict.Sets)),
+		contexts: make([]core.Context, 0, len(b.dict.Sets)),
+		foci:     make([]int64, 0, len(b.dict.Sets)),
 	}
 	// One engine transaction in one writer critical section: begin, apply,
 	// then commit, or on failure roll back and reload the names directory,
@@ -231,25 +188,38 @@ func (b *Batch) CommitCtx(ctx context.Context) (LoadStats, error) {
 	defer s.bumpGen()
 	s.tx = s.eng.Begin()
 	defer func() { s.tx = nil }()
+	_, apply := obs.StartSpan(ctx, "datastore.batch.apply")
 	var err error
-	for i, o := range b.order {
-		if o >= 0 {
-			_, err = s.loadResultLocked(b, &b.rows[o/resultChunk][o%resultChunk], &c)
-		} else {
-			err = s.loadRecordLocked(b, b.others[^o], &c)
+	pos, o := 0, 0 // the record applying, in staging order; the next of b.others
+	for k := 0; err == nil && k <= b.nrows; k++ {
+		for ; err == nil && o < len(b.others) && b.others[o].at == k; o++ {
+			pos = k + o
+			err = s.loadRecordLocked(b, b.others[o].rec, &c)
 		}
-		if err != nil {
-			if len(b.order) > 1 {
-				err = fmt.Errorf("datastore: record %d: %w", i+1, err)
+		if err == nil && k < b.nrows {
+			pos = k + o
+			_, err = s.loadResultLocked(b, &b.rows[k/resultChunk][k%resultChunk], &c)
+			if err == nil && k == 0 {
+				// Nearly every row left is a result or one of its focus
+				// links, at least one each: room made for them now spares
+				// their columns' regrowth. The first result has made both
+				// blocks, so the log keeps the order of their first rows.
+				err = errors.Join(s.tx.Grow("performance_result", b.nrows), s.tx.Grow("result_has_focus", b.nrows))
 			}
-			break
 		}
 	}
+	if err != nil && b.Len() > 1 {
+		err = fmt.Errorf("datastore: record %d: %w", pos+1, err)
+	}
+	apply.Annotate("rows", strconv.Itoa(s.tx.Rows()))
+	apply.End()
 	if err == nil {
 		if beforeCommit != nil {
 			beforeCommit(s)
 		}
+		_, commit := obs.StartSpan(ctx, "reldb.commit")
 		err = s.tx.Commit()
+		commit.End()
 	}
 	if err != nil {
 		s.tel.batchRollbacks.Add(1)
@@ -257,8 +227,8 @@ func (b *Batch) CommitCtx(ctx context.Context) (LoadStats, error) {
 		return LoadStats{}, s.rollbackLoad(s.tx, err)
 	}
 	s.tel.batchCommits.Add(1)
-	s.tel.recordsLoaded.Add(uint64(len(b.order)))
-	c.stats.Records = len(b.order)
+	s.tel.recordsLoaded.Add(uint64(b.Len()))
+	c.stats.Records = b.Len()
 	return c.stats, nil
 }
 

@@ -121,6 +121,11 @@ PerfResult e1 /e1/p0(primary) t m2 3 ""
 	if b.Len() != 9 {
 		t.Fatalf("Len = %d, want 9", b.Len())
 	}
+	// Three results and a histogram name one set: the reader's index of
+	// it is the one Stage finds for the histogram.
+	if n := len(b.dict.Sets); n != 1 {
+		t.Fatalf("the batch indexes %d resource sets, want 1", n)
+	}
 	if _, err := b.CommitCtx(context.Background()); !errors.Is(err, ErrNotFound) || !strings.Contains(err.Error(), "record 4:") {
 		t.Fatalf("commit = %v, want ErrNotFound at record 4", err)
 	}

@@ -47,6 +47,10 @@ type commitState struct {
 	execs, tools, metrics, units []int64
 	sets                         []resolvedSet
 	stats                        LoadStats
+
+	// The storage the sets' contexts and foci are cut from.
+	contexts []core.Context
+	foci     []int64
 }
 
 // resolvedSet is what one transaction has made of a resource set: its
@@ -64,11 +68,11 @@ type resolvedSet struct {
 func (c *commitState) set(b *Batch, i int32) *resolvedSet {
 	rs := &c.sets[i]
 	if rs.contexts == nil {
-		sets := b.sets.vals[i]
-		rs.contexts = make([]core.Context, len(sets))
-		for j, set := range sets {
-			rs.contexts[j] = core.Context{Type: set.Type, Resources: set.Names}
+		from := len(c.contexts)
+		for _, set := range b.dict.Sets[i] {
+			c.contexts = append(c.contexts, core.Context{Type: set.Type, Resources: set.Names})
 		}
+		rs.contexts = c.contexts[from:len(c.contexts):len(c.contexts)]
 	}
 	return rs
 }
@@ -89,9 +93,10 @@ func (s *Store) internOnce(ids []int64, i int32, k int, name string) (int64, err
 // loadResultLocked checks one staged result row, resolves its names and
 // set — each distinct one of the batch once — and inserts it, returning
 // its ID. Callers hold s.wmu.
-func (s *Store) loadResultLocked(b *Batch, row *resultRow, c *commitState) (int64, error) {
-	rs := c.set(b, row.set)
-	metric := b.metrics.vals[row.metric]
+func (s *Store) loadResultLocked(b *Batch, row *ptdf.Result, c *commitState) (int64, error) {
+	rs := c.set(b, row.Set)
+	names := b.dict.Names
+	metric := names[row.Metric]
 	if metric == "" || !rs.valid {
 		pr := core.PerformanceResult{Metric: metric, Contexts: rs.contexts}
 		if err := pr.Validate(); err != nil {
@@ -99,29 +104,29 @@ func (s *Store) loadResultLocked(b *Batch, row *resultRow, c *commitState) (int6
 		}
 		rs.valid = true
 	}
-	exec := c.execs[row.exec]
+	exec := c.execs[row.Exec]
 	if exec == 0 {
-		name := b.execs.vals[row.exec]
+		name := names[row.Exec]
 		id, ok := s.names.id(dictExecution, name)
 		if !ok {
 			return 0, fmt.Errorf("datastore: unknown execution %q: %w", name, ErrNotFound)
 		}
-		c.execs[row.exec], exec = id, id
+		c.execs[row.Exec], exec = id, id
 	}
-	metricID, err := s.internOnce(c.metrics, row.metric, dictMetric, metric)
+	metricID, err := s.internOnce(c.metrics, row.Metric, dictMetric, metric)
 	if err != nil {
 		return 0, err
 	}
-	tool, err := s.internOnce(c.tools, row.tool, dictTool, cmp.Or(b.tools.vals[row.tool], "unknown"))
+	tool, err := s.internOnce(c.tools, row.Tool, dictTool, cmp.Or(names[row.Tool], "unknown"))
 	if err != nil {
 		return 0, err
 	}
-	units, err := s.internOnce(c.units, row.units, dictUnits, cmp.Or(b.units.vals[row.units], "unitless"))
+	units, err := s.internOnce(c.units, row.Units, dictUnits, cmp.Or(names[row.Units], "unitless"))
 	if err != nil {
 		return 0, err
 	}
 	c.stats.Results++
-	return s.insertResultLocked(exec, metricID, tool, units, row.value, rs)
+	return s.insertResultLocked(c, exec, metricID, tool, units, row.Value, rs)
 }
 
 // loadRecordLocked applies one staged record that is not a result row and

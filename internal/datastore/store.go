@@ -389,8 +389,8 @@ func (s *Store) internFocus(ctx core.Context) (int64, error) {
 
 // insertResultLocked inserts a result row and links it to the foci of its
 // resource set rs: a set resolved before links to the foci it resolved
-// to, and one resolved now leaves them there.
-func (s *Store) insertResultLocked(exec, metric, tool, units int64, value float64, rs *resolvedSet) (int64, error) {
+// to, and one resolved now leaves them there, cut from c's arena.
+func (s *Store) insertResultLocked(c *commitState, exec, metric, tool, units int64, value float64, rs *resolvedSet) (int64, error) {
 	rid, err := s.tx.Insert("performance_result", reldb.Row{
 		reldb.Null(), reldb.Int(exec), reldb.Int(metric),
 		reldb.Int(tool), reldb.Int(units), reldb.Float(value),
@@ -412,12 +412,12 @@ func (s *Store) insertResultLocked(exec, metric, tool, units int64, value float6
 				linked = append(linked, fid)
 			}
 		}
-		rs.foci = slices.Clone(linked)
+		from := len(c.foci)
+		c.foci = append(c.foci, linked...)
+		rs.foci = c.foci[from:len(c.foci):len(c.foci)]
 	}
 	for _, fid := range linked {
-		if _, err := s.tx.Insert("result_has_focus", reldb.Row{
-			reldb.Int(rid), reldb.Int(fid),
-		}); err != nil {
+		if _, err := s.tx.Insert("result_has_focus", reldb.Row{reldb.Int(rid), reldb.Int(fid)}); err != nil {
 			return 0, err
 		}
 	}

@@ -196,10 +196,14 @@ func FormatResourceSet(sets []ResourceSet) string {
 }
 
 // ParseResourceSet parses PTdf resource-set syntax. Spaces around
-// delimiters are tolerated.
+// delimiters are tolerated. The names of every set share one backing
+// array, and each name is a substring of s.
 func ParseResourceSet(s string) ([]ResourceSet, error) {
-	var sets []ResourceSet
-	for _, part := range splitTopLevel(s, ':') {
+	sets := make([]ResourceSet, 0, strings.Count(s, ":")+1)
+	all := make([]core.ResourceName, 0, strings.Count(s, ",")+cap(sets))
+	for rest, more := s, true; more; {
+		var part string
+		part, rest, more = cutTopLevel(rest, ':')
 		part = strings.TrimSpace(part)
 		if part == "" {
 			return nil, fmt.Errorf("ptdf: empty resource set in %q", s)
@@ -213,8 +217,10 @@ func ParseResourceSet(s string) ([]ResourceSet, error) {
 		if err != nil {
 			return nil, fmt.Errorf("ptdf: resource set %q: %w", part, err)
 		}
-		var names []core.ResourceName
-		for _, n := range strings.Split(part[:open], ",") {
+		first := len(all)
+		for list, more := part[:open], true; more; {
+			var n string
+			n, list, more = strings.Cut(list, ",")
 			n = strings.TrimSpace(n)
 			if n == "" {
 				return nil, fmt.Errorf("ptdf: resource set %q has an empty name", part)
@@ -223,23 +229,16 @@ func ParseResourceSet(s string) ([]ResourceSet, error) {
 			if err := name.Validate(); err != nil {
 				return nil, fmt.Errorf("ptdf: %w", err)
 			}
-			names = append(names, name)
+			all = append(all, name)
 		}
-		if len(names) == 0 {
-			return nil, fmt.Errorf("ptdf: resource set %q has no names", part)
-		}
-		sets = append(sets, ResourceSet{Names: names, Type: ft})
-	}
-	if len(sets) == 0 {
-		return nil, fmt.Errorf("ptdf: empty resource set %q", s)
+		sets = append(sets, ResourceSet{Names: all[first:len(all):len(all)], Type: ft})
 	}
 	return sets, nil
 }
 
-// splitTopLevel splits on sep outside parentheses.
-func splitTopLevel(s string, sep byte) []string {
-	var parts []string
-	depth, start := 0, 0
+// cutTopLevel slices s around the first sep outside parentheses.
+func cutTopLevel(s string, sep byte) (before, after string, found bool) {
+	depth := 0
 	for i := 0; i < len(s); i++ {
 		switch s[i] {
 		case '(':
@@ -250,11 +249,9 @@ func splitTopLevel(s string, sep byte) []string {
 			}
 		case sep:
 			if depth == 0 {
-				parts = append(parts, s[start:i])
-				start = i + 1
+				return s[:i], s[i+1:], true
 			}
 		}
 	}
-	parts = append(parts, s[start:])
-	return parts
+	return s, "", false
 }

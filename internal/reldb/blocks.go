@@ -108,6 +108,23 @@ func (b *ColumnBlock) reset(schema *Schema, n int) error {
 	return nil
 }
 
+// grow makes room for n more rows in a block at width 8.
+func (b *ColumnBlock) grow(n int) {
+	b.rowIDs.i64 = slices.Grow(b.rowIDs.i64, n)
+	for ci := range b.cols {
+		switch c := &b.cols[ci]; c.kind {
+		case KindInt:
+			c.ints.i64 = slices.Grow(c.ints.i64, n)
+		case KindFloat:
+			c.floats = slices.Grow(c.floats, n)
+		case KindString:
+			c.strs = slices.Grow(c.strs, n)
+		case KindBool:
+			c.bools = slices.Grow(c.bools, n)
+		}
+	}
+}
+
 // push appends one cell to a column that holds n so far. A NULL leaves a
 // zero placeholder in the value stream; the column's first one sizes the
 // NULL bitmap to the value stream's capacity, so a block of a few rows
@@ -301,6 +318,9 @@ func (b *ColumnBlock) Row(i int, slab *[]Value) Row {
 
 // zone computes the min/max summary over the column's non-null values.
 func (c *colVec) zone() (z zoneMap) {
+	if v := &c.ints; v.n > 0 && v.w == 8 && c.nulls == nil { // a transaction's block
+		return zoneMap{minI: slices.Min(v.i64[:v.n]), maxI: slices.Max(v.i64[:v.n]), valid: true}
+	}
 	for i := 0; i < c.ints.Len(); i++ {
 		if c.nulls != nil && c.nulls[i] {
 			continue

@@ -131,7 +131,7 @@ func (s *Schema) CheckRow(r Row) error {
 // checkValue checks one value against column i and returns it as the
 // column stores it.
 func (s *Schema) checkValue(i int, v Value) (Value, error) {
-	c := s.Columns[i]
+	c := &s.Columns[i]
 	switch {
 	case v.IsNull():
 		if !c.Nullable {

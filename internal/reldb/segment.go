@@ -236,13 +236,17 @@ func (t *Table) withPerms(s *segment) *segment {
 // their row-ID range, their least and greatest key, and whether positions
 // still ascend in row ID and in primary key — where they do not, reads go
 // through a permutation.
-func (s *segment) appended(pkCols []int, from int) {
+func (s *segment) appended(pkCols []int, from int, asc bool) {
 	for i := from; i < s.rows; i++ {
 		id := s.rowIDs.At(i)
 		if i > 0 && id <= s.rowIDs.At(i-1) {
 			s.idAsc = false
 		}
 		s.minRowID, s.maxRowID = min(s.minRowID, id), max(s.maxRowID, id)
+		if asc && i > from && s.top == i-1 {
+			s.top = i // above the row before it, which is the top and not below the low
+			continue
+		}
 		if s.top < 0 || cmpRows(&s.ColumnBlock, i, &s.ColumnBlock, s.top, pkCols) > 0 {
 			s.top = i
 		} else {
@@ -260,14 +264,16 @@ func (s *segment) tailAppendRow(pkCols []int, id int64, row Row) {
 	for ci := range s.cols {
 		s.zones[ci].widen(cellZone(s.cols[ci].kind, row[ci]))
 	}
-	s.appended(pkCols, s.rows-1)
+	s.appended(pkCols, s.rows-1, false)
 }
 
 // tailAppendBlock adds a block of rows, its zone maps computed, to a tail.
-func (s *segment) tailAppendBlock(pkCols []int, b *ColumnBlock) {
+// asc says the block's keys strictly ascend, as a transaction's mostly
+// do: a row above the tail's top then takes its place without comparing.
+func (s *segment) tailAppendBlock(pkCols []int, b *ColumnBlock, asc bool) {
 	from := s.rows
 	s.appendBlock(b)
-	s.appended(pkCols, from)
+	s.appended(pkCols, from, asc)
 }
 
 // inKeyOrder returns the block itself when its rows lie in primary-key

@@ -242,7 +242,7 @@ func (t *Table) replaceLocked(s *segment, drop map[int]bool) {
 			c.appendFrom(&s.ColumnBlock, i)
 		}
 	}
-	c.appended(t.pkCols, 0)
+	c.appended(t.pkCols, 0, false)
 	if c.rows == 0 {
 		c.maxRowID = s.maxRowID // an empty tail still bounds the row IDs before it
 	}

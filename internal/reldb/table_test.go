@@ -347,6 +347,41 @@ func TestForeignKeyEnforcement(t *testing.T) {
 	if _, err := db.Insert("pet", Row{Int(3), Null()}); err != nil {
 		t.Errorf("NULL FK rejected: %v", err)
 	}
+
+	// One transaction inserting owners and pets: each pet's owner is
+	// matched by the transaction's own rows — consecutive keys or not —
+	// or by a published one, whatever order the pets name them in; a
+	// value between or beside the transaction's keys that no row holds
+	// refuses the commit.
+	for i, c := range []struct {
+		people, owners []int64
+		ok             bool
+	}{
+		{[]int64{10, 12, 14}, []int64{14, 1, 12, 10, 12}, true},
+		{[]int64{20, 22}, []int64{20, 21, 22}, false},
+		{[]int64{30, 32}, []int64{32, 31, 30}, false},
+		{[]int64{40, 41, 42}, []int64{40, 42, 1, 41}, true},
+		{[]int64{50, 51, 52}, []int64{50, 53}, false},
+		{[]int64{60, 61}, []int64{59, 61}, false},
+	} {
+		tx := db.Begin()
+		for _, id := range c.people {
+			if _, err := tx.Insert("person", Row{Int(id), Str("p"), Null(), Null()}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for k, owner := range c.owners {
+			if _, err := tx.Insert("pet", Row{Int(int64(100*(i+1) + k)), Int(owner)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tx.Commit(); (err == nil) != c.ok {
+			t.Errorf("people %v, pets owned by %v: commit error %v, want ok=%v", c.people, c.owners, err, c.ok)
+		}
+		if !c.ok {
+			tx.Rollback()
+		}
+	}
 }
 
 func TestCreateIndexBackfills(t *testing.T) {

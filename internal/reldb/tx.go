@@ -37,6 +37,7 @@ var ErrTxDone = errors.New("reldb: transaction already finished")
 type Tx struct {
 	db     *DB
 	blocks []*txBlock // one per table, in the order the tables were first written
+	last   *txBlock   // the block block returned last: rows mostly come in runs
 	done   bool
 }
 
@@ -47,9 +48,10 @@ type Tx struct {
 type txBlock struct {
 	t *Table
 	ColumnBlock
-	keyAsc   bool    // the table has one integer key column and its values here ascend
+	keyAsc   bool    // the first key column is an integer and its values here strictly ascend
 	dels     []int64 // row IDs to delete; ascending and distinct once the commit has begun
 	recs     []byte  // the delete records and the block records, framed as the log holds them
+	distinct []int64 // admission's scratch: one column's distinct values
 	reserved bool    // counted in the table's reserving
 }
 
@@ -66,10 +68,12 @@ func (db *DB) Begin() *Tx {
 	return &Tx{db: db}
 }
 
-// find returns the transaction's block for the table, or nil.
+// find returns the transaction's block for the table, or nil. It looks
+// at the tables written first last: a document's results and their
+// links go to tables its first result makes blocks for.
 func (tx *Tx) find(table string) *txBlock {
-	for _, tb := range tx.blocks {
-		if tb.t.schema.Name == table {
+	for i := len(tx.blocks) - 1; i >= 0; i-- {
+		if tb := tx.blocks[i]; tb.t.schema.Name == table {
 			return tb
 		}
 	}
@@ -78,7 +82,11 @@ func (tx *Tx) find(table string) *txBlock {
 
 // block returns the transaction's private block for the table.
 func (tx *Tx) block(table string) (*txBlock, error) {
+	if tx.last != nil && tx.last.t.schema.Name == table {
+		return tx.last, nil
+	}
 	if tb := tx.find(table); tb != nil {
+		tx.last = tb
 		return tb, nil
 	}
 	tx.db.mu.RLock()
@@ -91,12 +99,13 @@ func (tx *Tx) block(table string) (*txBlock, error) {
 	if tb == nil {
 		tb = &txBlock{t: t}
 	}
-	tb.keyAsc = len(t.pkCols) == 1 && t.schema.Columns[t.pkCols[0]].Type == KindInt
+	tb.keyAsc = t.schema.Columns[t.pkCols[0]].Type == KindInt
 	tb.dels = tb.dels[:0]
 	if err := tb.reset(t.schema, 0); err != nil {
 		return nil, err
 	}
 	tx.blocks = append(tx.blocks, tb)
+	tx.last = tb
 	return tb, nil
 }
 
@@ -107,7 +116,7 @@ func (tx *Tx) finish() {
 		tb.release()
 		tb.t.txBlocks.Put(tb)
 	}
-	tx.done, tx.blocks = true, nil
+	tx.done, tx.blocks, tx.last = true, nil, nil
 }
 
 // Insert adds a row within the transaction and returns its row ID, which
@@ -122,6 +131,29 @@ func (tx *Tx) Insert(table string, row Row) (int64, error) {
 		return 0, err
 	}
 	return tb.add(row)
+}
+
+// Grow makes room in the transaction for n more rows of the table, so
+// inserting them grows no column storage. It inserts nothing.
+func (tx *Tx) Grow(table string, n int) error {
+	if tx.done {
+		return ErrTxDone
+	}
+	tb, err := tx.block(table)
+	if err != nil {
+		return err
+	}
+	tb.grow(n)
+	return nil
+}
+
+// Rows reports how many rows the transaction inserts.
+func (tx *Tx) Rows() int {
+	n := 0
+	for _, tb := range tx.blocks {
+		n += tb.rows
+	}
+	return n
 }
 
 // Delete removes the row with the given ID within the transaction; Commit
@@ -143,15 +175,16 @@ func (tx *Tx) Delete(table string, id int64) error {
 // an assigned primary key) and appends it to the block. It takes no lock.
 func (tb *txBlock) add(row Row) (int64, error) {
 	t := tb.t
-	if len(row) != len(t.schema.Columns) {
+	cols := t.schema.Columns
+	if len(row) != len(cols) {
 		return 0, t.schema.CheckRow(row)
 	}
 	auto := t.autoKey(row)
-	for ci, v := range row {
-		if auto && ci == t.pkCols[0] {
+	for ci := range row {
+		if row[ci].kind == cols[ci].Type || auto && ci == t.pkCols[0] {
 			continue
 		}
-		if _, err := t.schema.checkValue(ci, v); err != nil {
+		if _, err := t.schema.checkValue(ci, row[ci]); err != nil {
 			return 0, err
 		}
 	}
@@ -278,7 +311,7 @@ func (db *DB) commitLocked(tx *Tx, blocks []*txBlock) (full bool, err error) {
 		if len(tb.dels) > 0 {
 			tb.t.deleteLocked(tb.dels)
 		}
-		tb.t.tail.tailAppendBlock(tb.t.pkCols, &tb.ColumnBlock)
+		tb.t.tail.tailAppendBlock(tb.t.pkCols, &tb.ColumnBlock, tb.keyAsc)
 		tb.release() // its rows are in: they no longer hold back a seal
 	}
 	return db.seg.sealReadyLocked(db.seg.flushRows.Load()), nil
@@ -333,14 +366,16 @@ func (tb *txBlock) admitLocked(tx *Tx) error {
 }
 
 // admitKeysLocked checks the block's primary keys against the table's
-// rows but the ones the block deletes, and against each other. A row above every key the blocks hold — each row of a
-// document — costs one comparison; any other is looked up.
+// rows but the ones the block deletes, and against each other. Keys that
+// ascend in the block — each row of a document — need no sort, and a
+// row above every key the blocks hold costs one comparison; any other is
+// looked up.
 func (tb *txBlock) admitKeysLocked() error {
 	t, b := tb.t, &tb.ColumnBlock
 	dup := func(i int) error {
 		return fmt.Errorf("reldb: table %q: duplicate primary key %s", t.schema.Name, b.Row(i, nil))
 	}
-	for i := 1; i < b.rows; i++ {
+	for i := 1; i < b.rows && !tb.keyAsc; i++ {
 		if cmpRows(b, i, b, i-1, t.pkCols) <= 0 { // disordered: sort to find a repeat
 			perm := b.sortedRun(t.pkCols, 0, b.rows)
 			for k := 1; k < len(perm); k++ {
@@ -360,6 +395,9 @@ func (tb *txBlock) admitKeysLocked() error {
 	key := make([]Value, len(t.pkCols))
 	for i := 0; i < b.rows; i++ {
 		if top == nil || cmpRows(b, i, &top.ColumnBlock, top.top, t.pkCols) > 0 {
+			if tb.keyAsc {
+				break // every later key is greater still
+			}
 			continue
 		}
 		for k, c := range t.pkCols {
@@ -374,9 +412,11 @@ func (tb *txBlock) admitKeysLocked() error {
 	return nil
 }
 
-// checkBlockForeignKeys probes each foreign key of the block's table once
-// per distinct value the block holds, against the published rows and the
-// transaction's own.
+// checkBlockForeignKeys checks each foreign key of the block's table for
+// every distinct value the block holds: against the rows the transaction
+// inserts into the referenced table, then against the published ones.
+// An integer column's distinct values come ascending (distinctInts), so
+// they meet the transaction's own ascending keys in one merge walk.
 func (db *DB) checkBlockForeignKeys(tx *Tx, tb *txBlock) error {
 	schema := tb.t.schema
 	for _, fk := range schema.ForeignKeys {
@@ -384,42 +424,92 @@ func (db *DB) checkBlockForeignKeys(tx *Tx, tb *txBlock) error {
 		if !ok {
 			return fmt.Errorf("reldb: table %q: foreign key references missing table %q", schema.Name, fk.RefTable)
 		}
-		if err := tb.eachDistinct(schema.ColumnIndex(fk.Column), func(v Value) error {
-			if !tx.holds(ref, fk.RefColumn, v) && !ref.containsValueLocked(fk.RefColumn, v) {
+		published := func(v Value) error {
+			if !ref.containsValueLocked(fk.RefColumn, v) {
 				return fkError(schema, fk, v)
 			}
 			return nil
-		}); err != nil {
-			return err
+		}
+		ci := schema.ColumnIndex(fk.Column)
+		if tb.cols[ci].kind != KindInt {
+			if err := tb.eachDistinct(ci, func(v Value) error {
+				if tx.holds(ref, fk.RefColumn, v) {
+					return nil
+				}
+				return published(v)
+			}); err != nil {
+				return err
+			}
+			continue
+		}
+		tb.distinct = tb.distinctInts(tb.distinct, ci)
+		keys, ascending := tx.ownKeys(ref, fk.RefColumn)
+		j := 0
+		for _, v := range tb.distinct {
+			var held bool
+			if ascending {
+				for j < len(keys) && keys[j] < v {
+					j++
+				}
+				held = j < len(keys) && keys[j] == v
+			} else {
+				held = tx.holds(ref, fk.RefColumn, Int(v))
+			}
+			if !held {
+				if err := published(Int(v)); err != nil {
+					return err
+				}
+			}
 		}
 	}
 	return nil
 }
 
+// ownKeys returns the values the transaction inserts into the named
+// column of table t when they ascend strictly — its first key column,
+// assigned IDs — and whether they do; no values ascend.
+func (tx *Tx) ownKeys(t *Table, column string) (keys []int64, ascending bool) {
+	tb := tx.find(t.schema.Name)
+	if tb == nil || tb.t != t || tb.rows == 0 {
+		return nil, true
+	}
+	if ci := t.schema.ColumnIndex(column); !tb.keyAsc || ci != t.pkCols[0] {
+		return nil, false
+	}
+	return tb.cols[t.pkCols[0]].ints.i64[:tb.rows], true // a transaction's block is at width 8
+}
+
+// distinctInts returns the distinct non-NULL values of integer column ci,
+// ascending, in dst's storage (made room for every row once): in one pass
+// when they ascend in the block, else by sorting them there.
+func (b *ColumnBlock) distinctInts(dst []int64, ci int) []int64 {
+	dst = slices.Grow(dst[:0], b.rows)
+	c := &b.cols[ci]
+	vals := c.ints.i64[:b.rows] // a transaction's block is at width 8
+	for i, v := range vals {
+		switch k := len(dst); {
+		case c.nulls != nil && c.nulls[i], k > 0 && v == dst[k-1]:
+		case k > 0 && v < dst[k-1]:
+			dst = dst[:0]
+			for i, v := range vals {
+				if c.nulls == nil || !c.nulls[i] {
+					dst = append(dst, v)
+				}
+			}
+			slices.Sort(dst)
+			return slices.Compact(dst)
+		default:
+			dst = append(dst, v)
+		}
+	}
+	return dst
+}
+
 // eachDistinct calls fn with each distinct non-NULL value of column ci,
-// until fn fails. A repeat of the row before costs one comparison; a small
-// block finds other repeats by a scan, a large one by a set.
+// until fn fails. A small block finds repeats by a scan, a large one by a
+// set.
 func (b *ColumnBlock) eachDistinct(ci int, fn func(Value) error) error {
 	const small = 8
-	if c := &b.cols[ci]; c.kind == KindInt && c.nulls == nil { // nearly every reference the PerfTrack schema makes
-		var seen map[int64]bool
-		if b.rows > small {
-			seen = make(map[int64]bool)
-		}
-		ints := c.ints.i64 // a transaction's block is at width 8
-		for i, v := range ints {
-			if i > 0 && v == ints[i-1] || seen[v] || seen == nil && slices.Contains(ints[:i], v) {
-				continue
-			}
-			if seen != nil {
-				seen[v] = true
-			}
-			if err := fn(Int(v)); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	var seen map[Value]bool
 	if b.rows > small {
 		seen = make(map[Value]bool)

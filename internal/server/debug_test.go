@@ -89,7 +89,7 @@ func TestTraceByRequestID(t *testing.T) {
 	if root.Annotations["status"] != "200" || root.Annotations["method"] != "POST" {
 		t.Errorf("root annotations = %v", root.Annotations)
 	}
-	for _, want := range []string{"datastore.load.decode", "datastore.batch.commit"} {
+	for _, want := range []string{"datastore.load.decode", "datastore.batch.commit", "datastore.batch.apply", "reldb.commit"} {
 		sp, ok := spans[want]
 		if !ok {
 			t.Errorf("trace missing span %q; have %v", want, tr.Spans)
@@ -101,6 +101,16 @@ func TestTraceByRequestID(t *testing.T) {
 	}
 	if commit := spans["datastore.batch.commit"]; commit.Annotations["records"] != "8" {
 		t.Errorf("commit records annotation = %v", commit.Annotations)
+	}
+	// The commit's two phases are its children: staging the records into
+	// the transaction, and the engine's commit of what they staged.
+	for _, child := range []string{"datastore.batch.apply", "reldb.commit"} {
+		if p := spans[child].Parent; p < 0 || p >= len(tr.Spans) || tr.Spans[p].Name != "datastore.batch.commit" {
+			t.Errorf("span %q is not a child of datastore.batch.commit (parent %d)", child, p)
+		}
+	}
+	if rows := spans["datastore.batch.apply"].Annotations["rows"]; rows == "" || rows == "0" {
+		t.Errorf("apply rows annotation = %q", rows)
 	}
 
 	// A traced query records the pr-filter evaluation and family lookups,
