@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -288,6 +289,34 @@ func TestRegistryIdempotentAndConflict(t *testing.T) {
 		}
 	}()
 	r.Gauge("x_total", "")
+}
+
+// TestRuntimeMetricsReadFreshPerScrape: two scrapes a GC apart, well
+// within a second, read different GC cycle counts — a per-window rate
+// over short windows reads the cycles that ran in it.
+func TestRuntimeMetricsReadFreshPerScrape(t *testing.T) {
+	r := NewRegistry()
+	RegisterRuntimeMetrics(r)
+	cycles := func() string {
+		var b strings.Builder
+		if err := r.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(b.String(), "\n") {
+			if strings.HasPrefix(line, "go_gc_cycles_total ") {
+				return line
+			}
+		}
+		t.Fatalf("no go_gc_cycles_total in\n%s", b.String())
+		return ""
+	}
+	start := time.Now()
+	before := cycles()
+	runtime.GC()
+	after := cycles()
+	if time.Since(start) < time.Second && before == after {
+		t.Fatalf("a scrape after runtime.GC() still reads %q", after)
+	}
 }
 
 func TestRuntimeMetrics(t *testing.T) {

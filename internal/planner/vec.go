@@ -29,6 +29,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"perftrack/internal/core"
@@ -162,8 +163,12 @@ type selFn struct {
 }
 
 // eqKernel selects the rows of an integer column whose offset from the
-// column's base is off: a narrow column is compared in its own width.
+// column's base is off: a narrow column is compared in its own width, and
+// a consecutive one holds it at position off alone.
 func eqKernel(v *reldb.IntVec, off uint64) selFn {
+	if v.Consecutive() {
+		return posKernel(int32(off))
+	}
 	switch v.Width() {
 	case 1:
 		return eqKernelOf(v.U8(), uint8(off))
@@ -194,6 +199,24 @@ func eqKernelOf[T reldb.Offsets](vals []T, want T) selFn {
 				}
 			}
 			return out
+		},
+	}
+}
+
+// posKernel selects the row at position p.
+func posKernel(p int32) selFn {
+	return selFn{
+		fill: func(sel []int32, start, end int) []int32 {
+			if int(p) >= start && int(p) < end {
+				sel = append(sel, p)
+			}
+			return sel
+		},
+		refine: func(sel []int32) []int32 {
+			if slices.Contains(sel, p) {
+				return append(sel[:0], p)
+			}
+			return sel[:0]
 		},
 	}
 }
@@ -234,7 +257,7 @@ func (v *blockVecs) kernels(f *resultFilter) (ks []selFn, none bool) {
 		switch off, ok := col.Offset(d.id); {
 		case !ok:
 			return nil, true
-		case col.Width() > 0:
+		case col.Width() > 0 || col.Consecutive():
 			ks = append(ks, eqKernel(col, off))
 		}
 	}
@@ -561,13 +584,22 @@ func (s *aggSink) merge(later blockSink) {
 
 // addKeys adds key column kv's packed contribution, its value times mu, to
 // the group ordinal of each row of the window — in the column's own width:
-// a constant column adds one term to every row.
+// a constant column adds one term to every row, a consecutive one its
+// position times mu.
 func addKeys(g []int32, kv *reldb.IntVec, mu int32, start, end int, sel []int32) {
 	base := int32(kv.Base()) * mu
 	switch kv.Width() {
 	case 0:
 		for j := range g {
-			g[j] += base
+			if !kv.Consecutive() {
+				g[j] += base
+				continue
+			}
+			i := start + j // row i's offset is i
+			if sel != nil {
+				i = int(sel[j])
+			}
+			g[j] += base + int32(i)*mu
 		}
 	case 1:
 		addKeysOf(g, kv.U8(), base, mu, start, end, sel)

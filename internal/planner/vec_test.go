@@ -238,6 +238,15 @@ func TestKeyOutsidePackedSpace(t *testing.T) {
 // hands it out: its integer vectors at the widths their ranges need.
 func resultBlock(t *testing.T, metrics []int64) *reldb.ColumnBlock {
 	t.Helper()
+	_, seg := resultBlocks(t, metrics)
+	return seg
+}
+
+// resultBlocks returns the tail block the rows of resultBlock are committed
+// to, its integer vectors at width 8, and the segment they are compacted
+// into.
+func resultBlocks(t *testing.T, metrics []int64) (tail, seg *reldb.ColumnBlock) {
+	t.Helper()
 	db := reldb.NewMem()
 	t.Cleanup(func() { db.Close() })
 	schema := &reldb.Schema{Name: "performance_result", PrimaryKey: []string{"id"}, Columns: []reldb.Column{
@@ -258,15 +267,24 @@ func resultBlock(t *testing.T, metrics []int64) *reldb.ColumnBlock {
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
+	tab, _ := db.Table("performance_result")
+	scan, err := tab.Blocks(math.MinInt64, math.MaxInt64)
+	if err == nil {
+		err = scan.Each(func(b *reldb.ColumnBlock) error {
+			tail = b
+			return nil
+		})
+	}
+	if err != nil || tail == nil || tail.Ints(2).Width() != 8 {
+		t.Fatalf("block source before compaction: %v, no block at width 8", err)
+	}
 	if err := db.CompactSegments(); err != nil {
 		t.Fatal(err)
 	}
-	tab, _ := db.Table("performance_result")
-	scan, err := tab.Blocks(math.MinInt64, math.MaxInt64)
-	if err != nil || len(scan.Segments) != 1 {
+	if scan, err = tab.Blocks(math.MinInt64, math.MaxInt64); err != nil || len(scan.Segments) != 1 {
 		t.Fatalf("block source: %v, %d segments, want 1", err, len(scan.Segments))
 	}
-	return scan.Segments[0]
+	return tail, scan.Segments[0]
 }
 
 // widthCases are metric columns whose ranges need each width.
@@ -275,6 +293,7 @@ var widthCases = []struct {
 	metrics []int64
 }{
 	{0, []int64{5, 5, 5, 5}},
+	{0, []int64{3, 4, 5, 6, 7}},           // consecutive
 	{1, []int64{100, 355, 100, 200, 355}}, // 255 above a base of 100
 	{2, []int64{7, 65542, 300, 7}},
 	{4, []int64{0, 1<<32 - 1, 5, 5}},
@@ -363,6 +382,126 @@ func TestGroupKeysEveryWidth(t *testing.T) {
 			t.Errorf("width %d: groups %v, want %v", c.width, got, brute)
 		}
 	}
+}
+
+// FuzzIntVecForms holds eqKernel and addKeys, over the metric column of a
+// sealed block in whatever form the seal gives it — constant, consecutive,
+// offsets at widths 1, 2, 4 and 8 — and over its consecutive row IDs, to
+// the same kernels over the tail block the rows were committed to, which
+// holds the same values at width 8. The shapes are reldb's FuzzIntVecForms':
+// a constant, a consecutive run, one with a gap, a descending run, one
+// value, a stride that needs width 8.
+func FuzzIntVecForms(f *testing.F) {
+	f.Add(uint8(0), int64(7), uint16(5), uint16(0), int64(0), int32(3))
+	f.Add(uint8(1), int64(1), uint16(300), uint16(0), int64(0), int32(1))
+	f.Add(uint8(1), int64(math.MaxInt64-9), uint16(10), uint16(0), int64(0), int32(-7))
+	f.Add(uint8(2), int64(-5), uint16(40), uint16(17), int64(1), int32(5))
+	f.Add(uint8(2), int64(100), uint16(40), uint16(0), int64(1<<20), int32(2))
+	f.Add(uint8(3), int64(9), uint16(12), uint16(0), int64(0), int32(11))
+	f.Add(uint8(4), int64(math.MinInt64), uint16(0), uint16(0), int64(0), int32(1))
+	f.Add(uint8(5), int64(-1<<62), uint16(9), uint16(0), int64(1<<50), int32(1<<20))
+	f.Fuzz(func(t *testing.T, shape uint8, base int64, n, at uint16, step int64, mu int32) {
+		n = n%600 + 1
+		metrics := make([]int64, n)
+		for i := range metrics {
+			switch x := int64(i); shape % 6 {
+			case 0:
+				metrics[i] = base
+			case 1:
+				metrics[i] = base + x
+			case 2:
+				metrics[i] = base + x
+				if i >= int(at%n) {
+					metrics[i] += max(step, 1)
+				}
+			case 3:
+				metrics[i] = base - x
+			case 4:
+				metrics[i] = base + int64(i%2)*step
+			default:
+				metrics[i] = base + x*(step|1<<40)
+			}
+		}
+		if shape%6 == 4 {
+			metrics = metrics[:1]
+		}
+		rows := len(metrics)
+		tail, seg := resultBlocks(t, metrics)
+		wide, err := resultBlockVecs(tail)
+		if err != nil {
+			t.Fatal(err)
+		}
+		narrow, err := resultBlockVecs(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !narrow.ids.Consecutive() && rows > 1 {
+			t.Fatalf("%d row IDs are held at width %d, not as a range", rows, narrow.ids.Width())
+		}
+		var all, odd []int32
+		for i := range int32(rows) {
+			all = append(all, i)
+			if i%2 == 1 {
+				odd = append(odd, i)
+			}
+		}
+		// selections returns what the filter metric = x selects from a
+		// window at a time, and refined from all rows and from the odd ones.
+		selections := func(bv *blockVecs, x int64) [3][]int32 {
+			var out [3][]int32
+			ks, none := bv.kernels(&resultFilter{dims: []vecDim{{col: 2, id: x}}})
+			switch {
+			case none:
+			case len(ks) == 0: // a constant column holding x
+				out = [3][]int32{all, all, odd}
+			default:
+				out[0] = ks[0].fill(ks[0].fill(nil, 0, rows/2), rows/2, rows)
+				out[1], out[2] = ks[0].refine(slices.Clone(all)), ks[0].refine(slices.Clone(odd))
+			}
+			return out
+		}
+		// idSelection is the same for the row-ID column and id = x, which
+		// kernels leaves to a comparison.
+		idSelection := func(ids *reldb.IntVec, x int64) [3][]int32 {
+			off, ok := ids.Offset(x)
+			switch {
+			case !ok:
+				return [3][]int32{}
+			case ids.Width() == 0 && !ids.Consecutive(): // one row, holding x
+				return [3][]int32{all, all, odd}
+			}
+			k := eqKernel(ids, off)
+			return [3][]int32{k.fill(k.fill(nil, 0, rows/2), rows/2, rows), k.refine(slices.Clone(all)), k.refine(slices.Clone(odd))}
+		}
+		for i, x := range metrics {
+			for _, probe := range []int64{x, x - 1, x + 1, math.MinInt64, math.MaxInt64} {
+				if got, want := selections(&narrow, probe), selections(&wide, probe); fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("metrics %v, metric = %d: sealed block selects %v, tail %v", metrics, probe, got, want)
+				}
+			}
+			id := wide.ids.At(i)
+			for _, probe := range []int64{id, id - 1, id + 1} {
+				if got, want := idSelection(narrow.ids, probe), idSelection(wide.ids, probe); fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("%d rows, id = %d: sealed block selects %v, tail %v", rows, probe, got, want)
+				}
+			}
+		}
+		for k, kv := range [][2]*reldb.IntVec{{narrow.ms, wide.ms}, {narrow.ids, wide.ids}} {
+			for _, sel := range [][]int32{nil, odd} {
+				start, end := rows/3, rows
+				m := end - start
+				if sel != nil {
+					m = len(sel)
+				}
+				got, want := make([]int32, m), make([]int32, m)
+				addKeys(got, kv[0], mu, start, end, sel)
+				addKeys(want, kv[1], mu, start, end, sel)
+				if !slices.Equal(got, want) {
+					t.Fatalf("metrics %v, key column %d times %d over %v: sealed block adds %v, tail %v", metrics, k, mu, sel, got, want)
+				}
+			}
+		}
+	})
 }
 
 // TestPartitionBlocks pins the contiguous partitioner invariants:

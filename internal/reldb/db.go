@@ -29,7 +29,7 @@ type mutation struct {
 	table  string
 	more   bool // the next record continues the group
 	id     int64
-	block  *ColumnBlock // opInsertBlock: the rows, integers at width 8
+	block  *ColumnBlock // opInsertBlock: the rows, integers at width 8 (consecutive ones decoded as runs)
 	schema *Schema      // opCreateTable
 	index  IndexSpec
 	seq    int64 // opRotate: the log file this one continues

@@ -41,3 +41,6 @@ func StringCodes(b *ColumnBlock, col int) []uint32 {
 	codes, _ := dictOf(b.cols[col].strs)
 	return codes
 }
+
+// VecBytes is what a vector's storage takes in memory.
+func VecBytes(v *IntVec) int64 { return v.bytes() }

@@ -386,8 +386,10 @@ func (b *ColumnBlock) sortedRun(cols []int, from, to int) []int32 {
 	ids := &b.rowIDs
 	if len(cols) == 1 && b.cols[cols[0]].kind == KindInt && b.cols[cols[0]].nulls == nil {
 		switch v := &b.cols[cols[0]].ints; v.w {
-		case 0: // one value: row-ID order
-			slices.SortFunc(run, func(x, y int32) int { return cmp.Compare(ids.At(int(x)), ids.At(int(y))) })
+		case 0: // one value: row-ID order; consecutive values: position order, as run is
+			if !v.seq {
+				slices.SortFunc(run, func(x, y int32) int { return cmp.Compare(ids.At(int(x)), ids.At(int(y))) })
+			}
 		case 1:
 			sortRun(run, v.u8, ids)
 		case 2:
@@ -611,11 +613,14 @@ func appendIntVec(dst []byte, v *IntVec) []byte {
 	case 8:
 		return appendInts(dst, 0, v.i64)
 	}
-	first := v.base // width 0: the base n times, a stride of 0
+	first, least := v.base, int64(0) // width 0: the base n times, a stride of 0 …
 	if v.n == 0 {
 		first = 0
 	}
-	return append(putVarint(putVarint(dst, first), 0), 0)
+	if v.seq && v.n > 1 {
+		least = 1 // … or consecutive, a stride of 1
+	}
+	return append(putVarint(putVarint(dst, first), least), 0)
 }
 
 // pow10 holds the powers of ten a float64 represents exactly.
@@ -795,8 +800,16 @@ func readInts(data []byte, n int) ([]int64, []byte, error) {
 // readIntVec reads an integer stream of n values that lie in [lo, hi]
 // straight into a vector at the width that range needs: the footer's
 // ranges size a decoded segment before any value is read. A value outside
-// the range makes the segment corrupt.
+// the range makes the segment corrupt. A stream of consecutive values —
+// a stride of 1 and nothing packed — reads to a consecutive vector, and
+// allocates nothing.
 func readIntVec(data []byte, n int, lo, hi int64) (IntVec, []byte, error) {
+	p := &payloadReader{buf: data}
+	first, least, w := p.varint(), p.varint(), p.byteVal()
+	last := first + int64(n-1)
+	if p.err == nil && least == 1 && w == 0 && n > 1 && first <= last && first >= lo && last <= hi {
+		return IntVec{base: first, n: n, seq: true}, p.buf, nil
+	}
 	v := IntVec{base: lo, n: n, w: widthFor(lo, hi)}
 	span := uint64(hi) - uint64(lo)
 	var err error

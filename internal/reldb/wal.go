@@ -229,7 +229,7 @@ func appendBlockPayload(dst []byte, b *ColumnBlock) []byte {
 }
 
 // wideZone is the zone a block record's integer columns are decoded under:
-// any value, at width 8, as a tail holds them.
+// any value, at width 8, as a tail holds them — or, consecutive, as a run.
 var wideZone = zoneMap{valid: true, minI: math.MinInt64, maxI: math.MaxInt64}
 
 // decodeBlockPayload reads what follows a block record's flag with the
