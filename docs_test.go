@@ -181,3 +181,117 @@ func TestDocsNameRealIdentifiers(t *testing.T) {
 		}
 	}
 }
+
+// testName is a test, benchmark or fuzzer name standing alone; a trailing
+// * or … makes it a prefix.
+var testName = regexp.MustCompile(`(?:^|[^\w])((?:Test|Benchmark|Fuzz)[A-Z0-9_]\w*)(\*|…)?`)
+
+// TestDocsNameRealTests checks that every backticked Test…, Benchmark…
+// or Fuzz… name in identDocs is a func of some _test.go file, or,
+// written with a trailing * or …, the prefix of one.
+func TestDocsNameRealTests(t *testing.T) {
+	var funcs []string
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && strings.HasPrefix(d.Name(), ".") && path != "." {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil {
+				funcs = append(funcs, fn.Name.Name)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exists := func(name string, prefix bool) bool {
+		for _, fn := range funcs {
+			if fn == name || prefix && strings.HasPrefix(fn, name) {
+				return true
+			}
+		}
+		return false
+	}
+	for _, doc := range identDocs {
+		data, err := os.ReadFile(doc)
+		if os.IsNotExist(err) {
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(data), "\n") {
+			for _, span := range codeSpan.FindAllString(line, -1) {
+				for _, m := range testName.FindAllStringSubmatch(span, -1) {
+					if !exists(m[1], m[2] != "") {
+						t.Errorf("%s:%d: no _test.go file declares %s%s", doc, i+1, m[1], m[2])
+					}
+				}
+			}
+		}
+	}
+}
+
+// docCaps are the most bytes each document may hold: DESIGN.md describes
+// the code as it is, and EXPERIMENTS.md does not grow.
+var docCaps = map[string]int64{"DESIGN.md": 70000, "EXPERIMENTS.md": 126765}
+
+// TestDocsWithinCaps checks each capped document's size.
+func TestDocsWithinCaps(t *testing.T) {
+	for doc, limit := range docCaps {
+		fi, err := os.Stat(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fi.Size() > limit {
+			t.Errorf("%s is %d B, over its cap of %d B", doc, fi.Size(), limit)
+		}
+	}
+}
+
+// dirWord is a directory name as the Architecture block writes it.
+var dirWord = regexp.MustCompile(`(?:^|\s)(\w+)/`)
+
+// TestDocsArchitectureNamesEveryPackage checks that README's Architecture
+// block lists every directory under internal/.
+func TestDocsArchitectureNamesEveryPackage(t *testing.T) {
+	data, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, arch, ok := strings.Cut(string(data), "\n## Architecture\n")
+	if !ok {
+		t.Fatal("README.md has no Architecture section")
+	}
+	_, block, ok := strings.Cut(arch, "```\n")
+	if ok {
+		block, _, ok = strings.Cut(block, "```")
+	}
+	if !ok {
+		t.Fatal("README.md's Architecture section has no code block")
+	}
+	listed := map[string]bool{}
+	for _, m := range dirWord.FindAllStringSubmatch(block, -1) {
+		listed[m[1]] = true
+	}
+	dirs, err := os.ReadDir("internal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range dirs {
+		if d.IsDir() && !listed[d.Name()] {
+			t.Errorf("README.md's Architecture block does not list internal/%s", d.Name())
+		}
+	}
+}

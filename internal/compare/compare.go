@@ -62,14 +62,6 @@ func (p Pair) Speedup() float64 {
 	return p.A / p.B
 }
 
-// PercentChange is 100 * (B - A) / A; it is NaN when A is zero.
-func (p Pair) PercentChange() float64 {
-	if p.A == 0 {
-		return math.NaN()
-	}
-	return 100 * (p.B - p.A) / p.A
-}
-
 // Comparison is the aligned view of two sides of executions, and what a
 // diagnosis measures on them.
 type Comparison struct {

@@ -39,7 +39,7 @@ func ExamplePRFilter_Matches() {
 		Metric:    "wall time",
 		Value:     98.5,
 		Contexts: []core.Context{
-			core.NewContext("/irs", "/MCRGrid/MCR"),
+			{Type: core.FocusPrimary, Resources: []core.ResourceName{"/irs", "/MCRGrid/MCR"}},
 		},
 	}
 	filter := core.PRFilter{Families: []core.Family{

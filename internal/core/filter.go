@@ -190,13 +190,10 @@ func (f Family) Members() []ResourceName {
 	return out
 }
 
-// Signature returns a canonical identity for the family's member set:
-// two families have equal signatures iff they contain the same resources,
-// regardless of insertion order. Query layers use it as a cache key.
-func (f Family) Signature() string { return SignatureOf(f.Members()) }
-
-// SignatureOf is the Signature of a family whose sorted members are
-// given, for a caller that needs the members too.
+// SignatureOf is a canonical identity for a family whose sorted members
+// are given: two families have equal signatures iff they contain the same
+// resources, regardless of insertion order. Query layers use it as a
+// cache key.
 func SignatureOf(members []ResourceName) string {
 	h := sha256.New()
 	for _, n := range members {
@@ -249,18 +246,7 @@ type PRFilter struct {
 	Families []Family
 }
 
-// Signature returns a canonical identity for the pr-filter: family order
-// and duplicate families do not affect it, mirroring the match rule's
-// semantics (intersection is commutative and idempotent).
-func (prf PRFilter) Signature() string {
-	sigs := make([]string, 0, len(prf.Families))
-	for _, fam := range prf.Families {
-		sigs = append(sigs, fam.Signature())
-	}
-	return JoinSignatures(sigs)
-}
-
-// JoinSignatures is the Signature of a pr-filter whose families'
+// JoinSignatures is the signature of a pr-filter whose families'
 // signatures are given. It sorts sigs.
 func JoinSignatures(sigs []string) string {
 	sort.Strings(sigs)

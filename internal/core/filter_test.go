@@ -178,7 +178,7 @@ func TestPRFilterFilterResults(t *testing.T) {
 	mkpr := func(metric string, res ...ResourceName) *PerformanceResult {
 		return &PerformanceResult{
 			Execution: "e1", Metric: metric, Value: 1,
-			Contexts: []Context{NewContext(res...)},
+			Contexts: []Context{{Type: FocusPrimary, Resources: res}},
 		}
 	}
 	prs := []*PerformanceResult{
@@ -218,7 +218,7 @@ func TestPRFilterMonotonicityProperty(t *testing.T) {
 	mkpr := func(res ...ResourceName) *PerformanceResult {
 		return &PerformanceResult{
 			Execution: "e", Metric: "m", Value: 1,
-			Contexts: []Context{NewContext(res...)},
+			Contexts: []Context{{Type: FocusPrimary, Resources: res}},
 		}
 	}
 	pool := []ResourceName{"/a", "/b", "/c", "/d"}
@@ -312,16 +312,16 @@ func TestFocusTypeParseAndString(t *testing.T) {
 
 func TestPerformanceResultValidate(t *testing.T) {
 	good := &PerformanceResult{
-		Metric: "time", Contexts: []Context{NewContext("/a")},
+		Metric: "time", Contexts: []Context{{Type: FocusPrimary, Resources: []ResourceName{"/a"}}},
 	}
 	if err := good.Validate(); err != nil {
 		t.Errorf("valid result rejected: %v", err)
 	}
 	bad := []*PerformanceResult{
-		{Contexts: []Context{NewContext("/a")}},               // no metric
-		{Metric: "t"},                                         // no context
-		{Metric: "t", Contexts: []Context{{}}},                // empty context
-		{Metric: "t", Contexts: []Context{NewContext("rel")}}, // bad name
+		{Contexts: []Context{{Type: FocusPrimary, Resources: []ResourceName{"/a"}}}}, // no metric
+		{Metric: "t"},                          // no context
+		{Metric: "t", Contexts: []Context{{}}}, // empty context
+		{Metric: "t", Contexts: []Context{{Type: FocusPrimary, Resources: []ResourceName{"rel"}}}}, // bad name
 	}
 	for i, pr := range bad {
 		if err := pr.Validate(); err == nil {
@@ -349,56 +349,40 @@ func TestPerformanceResultAllResources(t *testing.T) {
 	}
 }
 
-func TestPrimaryContext(t *testing.T) {
-	pr := &PerformanceResult{
-		Metric: "t",
-		Contexts: []Context{
-			{Type: FocusSender, Resources: []ResourceName{"/s"}},
-			{Type: FocusPrimary, Resources: []ResourceName{"/p"}},
-		},
-	}
-	if got := pr.PrimaryContext(); len(got.Resources) != 1 || got.Resources[0] != "/p" {
-		t.Errorf("PrimaryContext = %v", got)
-	}
-	none := &PerformanceResult{Metric: "t", Contexts: []Context{{Type: FocusSender, Resources: []ResourceName{"/s"}}}}
-	if got := none.PrimaryContext(); len(got.Resources) != 0 {
-		t.Errorf("missing primary should be empty, got %v", got)
-	}
-}
-
 func TestFamilySignatureCanonical(t *testing.T) {
 	a := NewFamily("/x", "/y", "/z")
 	b := NewFamily("/z", "/x")
 	b.Add("/y")
-	if a.Signature() != b.Signature() {
+	if SignatureOf(a.Members()) != SignatureOf(b.Members()) {
 		t.Error("same member set, different signatures")
 	}
 	c := NewFamily("/x", "/y")
-	if a.Signature() == c.Signature() {
+	if SignatureOf(a.Members()) == SignatureOf(c.Members()) {
 		t.Error("different member sets, equal signatures")
 	}
-	if NewFamily().Signature() == c.Signature() {
+	if SignatureOf(NewFamily().Members()) == SignatureOf(c.Members()) {
 		t.Error("empty family collides with non-empty")
 	}
 }
 
+// TestPRFilterSignatureOrderAndDuplicates checks that a pr-filter's
+// signature, JoinSignatures of its families', ignores family order and
+// duplicates, as the match rule's intersection does.
 func TestPRFilterSignatureOrderAndDuplicates(t *testing.T) {
-	a := NewFamily("/x", "/y")
-	b := NewFamily("/z")
-	fwd := PRFilter{Families: []Family{a, b}}
-	rev := PRFilter{Families: []Family{b, a}}
-	dup := PRFilter{Families: []Family{a, b, a}}
-	if fwd.Signature() != rev.Signature() {
+	a := SignatureOf(NewFamily("/x", "/y").Members())
+	b := SignatureOf(NewFamily("/z").Members())
+	fwd := JoinSignatures([]string{a, b})
+	if rev := JoinSignatures([]string{b, a}); fwd != rev {
 		t.Error("family order changed the signature")
 	}
-	if fwd.Signature() != dup.Signature() {
+	if dup := JoinSignatures([]string{a, b, a}); fwd != dup {
 		t.Error("duplicate family changed the signature")
 	}
-	only := PRFilter{Families: []Family{a}}
-	if fwd.Signature() == only.Signature() {
+	only := JoinSignatures([]string{a})
+	if fwd == only {
 		t.Error("dropping a family kept the signature")
 	}
-	if (PRFilter{}).Signature() == only.Signature() {
+	if JoinSignatures(nil) == only {
 		t.Error("empty filter collides")
 	}
 }

@@ -59,19 +59,6 @@ func (t TypePath) Parent() TypePath {
 	return t[:i]
 }
 
-// Child extends the type path by one level.
-func (t TypePath) Child(level string) TypePath {
-	if t == "" {
-		return TypePath(level)
-	}
-	return TypePath(string(t) + "/" + level)
-}
-
-// IsAncestorOf reports whether t is a proper prefix hierarchy of other.
-func (t TypePath) IsAncestorOf(other TypePath) bool {
-	return t != other && strings.HasPrefix(string(other), string(t)+"/")
-}
-
 // Validate checks that the type path is well formed: nonempty levels, no
 // leading or trailing slash.
 func (t TypePath) Validate() error {

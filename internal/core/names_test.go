@@ -19,24 +19,6 @@ func TestTypePathBasics(t *testing.T) {
 	if TypePath("grid").Parent() != "" {
 		t.Error("top-level parent should be empty")
 	}
-	if got := TypePath("time").Child("interval"); got != "time/interval" {
-		t.Errorf("Child = %q", got)
-	}
-	if got := TypePath("").Child("app"); got != "app" {
-		t.Errorf("Child of empty = %q", got)
-	}
-}
-
-func TestTypePathAncestry(t *testing.T) {
-	if !TypePath("grid").IsAncestorOf("grid/machine") {
-		t.Error("grid should be ancestor of grid/machine")
-	}
-	if TypePath("grid").IsAncestorOf("grid") {
-		t.Error("a type is not its own ancestor")
-	}
-	if TypePath("grid").IsAncestorOf("gridlock/machine") {
-		t.Error("prefix confusion: grid vs gridlock")
-	}
 }
 
 func TestTypePathValidate(t *testing.T) {

@@ -96,21 +96,6 @@ type Context struct {
 	Resources []ResourceName
 }
 
-// NewContext builds a primary context over the given resources.
-func NewContext(resources ...ResourceName) Context {
-	return Context{Type: FocusPrimary, Resources: resources}
-}
-
-// Contains reports whether the context includes the resource.
-func (c Context) Contains(name ResourceName) bool {
-	for _, r := range c.Resources {
-		if r == name {
-			return true
-		}
-	}
-	return false
-}
-
 // PerformanceResult is a measured or calculated value plus descriptive
 // metadata (§2.2): a metric and one or more contexts. The prototype
 // stores scalar values only, as does this implementation.
@@ -125,16 +110,6 @@ type PerformanceResult struct {
 	// measurements spanning same-typed resources (e.g. message transit
 	// between a sender and a receiver process, or mpiP caller/callee).
 	Contexts []Context
-}
-
-// PrimaryContext returns the first primary context, or an empty context.
-func (pr *PerformanceResult) PrimaryContext() Context {
-	for _, c := range pr.Contexts {
-		if c.Type == FocusPrimary {
-			return c
-		}
-	}
-	return Context{}
 }
 
 // AllResources returns the union of resources across all contexts, sorted

@@ -46,18 +46,6 @@ func NewTypeSystem() *TypeSystem {
 	return &TypeSystem{types: make(map[TypePath]bool)}
 }
 
-// NewBaseTypeSystem returns a type system preloaded with the Figure 2
-// base types.
-func NewBaseTypeSystem() *TypeSystem {
-	ts := NewTypeSystem()
-	for _, t := range BaseTypes() {
-		if err := ts.Add(t); err != nil {
-			panic(fmt.Sprintf("core: base types are inconsistent: %v", err))
-		}
-	}
-	return ts
-}
-
 // Add registers a type path. The parent path must already exist unless
 // the path is a single level (a new hierarchy root). Adding an existing
 // type is a no-op.

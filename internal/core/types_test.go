@@ -2,8 +2,20 @@ package core
 
 import "testing"
 
+// baseTypeSystem returns a type system holding the Figure 2 base types.
+func baseTypeSystem(t *testing.T) *TypeSystem {
+	t.Helper()
+	ts := NewTypeSystem()
+	for _, tp := range BaseTypes() {
+		if err := ts.Add(tp); err != nil {
+			t.Fatalf("base type %q: %v", tp, err)
+		}
+	}
+	return ts
+}
+
 func TestBaseTypesComplete(t *testing.T) {
-	ts := NewBaseTypeSystem()
+	ts := baseTypeSystem(t)
 	// Figure 2: five hierarchies.
 	for _, leaf := range []TypePath{
 		"build/module/function/codeBlock",
@@ -45,7 +57,7 @@ func TestTypeSystemAddRequiresParent(t *testing.T) {
 
 func TestTypeSystemExtension(t *testing.T) {
 	// §3.1: extend Time with a sub-interval level; add a new hierarchy.
-	ts := NewBaseTypeSystem()
+	ts := baseTypeSystem(t)
 	if err := ts.Add("time/interval/calculationPhase"); err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +73,7 @@ func TestTypeSystemExtension(t *testing.T) {
 }
 
 func TestTypeSystemRootsAndChildren(t *testing.T) {
-	ts := NewBaseTypeSystem()
+	ts := baseTypeSystem(t)
 	roots := ts.Roots()
 	if len(roots) != 13 { // 5 hierarchies + 8 flat types
 		t.Errorf("Roots = %d entries: %v", len(roots), roots)
@@ -76,7 +88,7 @@ func TestTypeSystemRootsAndChildren(t *testing.T) {
 }
 
 func TestCheckResource(t *testing.T) {
-	ts := NewBaseTypeSystem()
+	ts := baseTypeSystem(t)
 	ok := []struct {
 		n ResourceName
 		p TypePath

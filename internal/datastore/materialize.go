@@ -441,8 +441,7 @@ func (m *materializer) run(ctx context.Context, ids []int64) ([]*core.Performanc
 	_, focusSpan := obs.StartSpan(ctx, "materialize.focus")
 	// links counts only multi-focus results: single-focus results (the
 	// common case) reuse their focus's shared ctx1 slice at assembly and
-	// need no arena slot. refs counts every focus reference in the chunk,
-	// the population cache hits and misses are both drawn from.
+	// need no arena slot. refs counts every focus reference in the chunk.
 	links, refs := 0, 0
 	if cap(sc.ctxOff) < len(recs) {
 		sc.ctxOff = make([]int, len(recs))
@@ -460,13 +459,11 @@ func (m *materializer) run(ctx context.Context, ids []int64) ([]*core.Performanc
 	// (a small set) instead of sorting one entry per link.
 	var needed []int64
 	var pending map[int64]struct{}
-	misses := 0
 	for i := range recs {
 		for _, fid := range recs[i].foci {
 			if _, ok := m.foci[fid]; ok {
 				continue
 			}
-			misses++
 			if pending == nil {
 				pending = make(map[int64]struct{}, 64)
 			}
@@ -476,8 +473,12 @@ func (m *materializer) run(ctx context.Context, ids []int64) ([]*core.Performanc
 			}
 		}
 	}
-	m.s.tel.focusCacheHits.Add(uint64(refs - misses))
-	focusSpan.Annotate("cached", strconv.Itoa(refs-misses))
+	// A hit is a reference served without its own decode: its focus was
+	// decoded by an earlier chunk, or is decoded once for the whole chunk.
+	// A miss is a decode.
+	hits := refs - len(needed)
+	m.s.tel.focusCacheHits.Add(uint64(hits))
+	focusSpan.Annotate("cached", strconv.Itoa(hits))
 	if len(needed) > 0 {
 		decode := sortDedup(needed)
 		m.s.tel.focusCacheMisses.Add(uint64(len(decode)))

@@ -372,6 +372,25 @@ func TestFocusCacheHitsBounded(t *testing.T) {
 	}
 }
 
+// TestFocusCacheHitsWithinChunk materializes N single-focus results over
+// k distinct foci in one chunk of a fresh request: each focus is decoded
+// once, so the chunk reads k misses and N-k hits.
+func TestFocusCacheHitsWithinChunk(t *testing.T) {
+	s := newStore(t)
+	seedSegmentStudy(t, s)
+	const n, k = 40, 4 // commitResults cycles through four nodes
+	ids := commitResults(t, s, n)
+	before := s.Telemetry()
+	if _, err := s.MaterializeResultsCtx(context.Background(), ids); err != nil {
+		t.Fatal(err)
+	}
+	after := s.Telemetry()
+	hits, misses := after.FocusCacheHits-before.FocusCacheHits, after.FocusCacheMisses-before.FocusCacheMisses
+	if hits != n-k || misses != k {
+		t.Fatalf("hits, misses = %d, %d, want %d, %d", hits, misses, n-k, k)
+	}
+}
+
 // TestMaterializeCancelled checks that a cancelled context stops the
 // materializer before it reads anything.
 func TestMaterializeCancelled(t *testing.T) {

@@ -176,7 +176,7 @@ func TestInternFocusHitAllocatesNothing(t *testing.T) {
 	if err := s.ResultFoci(context.Background(), []int64{rid}, func(_ int, fid int64) { want = fid }); err != nil {
 		t.Fatal(err)
 	}
-	ctx := core.NewContext("/GM/MCR/batch/n1/p0", "/irs", "/irs")
+	ctx := core.Context{Type: core.FocusPrimary, Resources: []core.ResourceName{"/GM/MCR/batch/n1/p0", "/irs", "/irs"}}
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
 	var got int64

@@ -60,7 +60,8 @@ func TestExemplarTTLExpiry(t *testing.T) {
 // must stay exemplar-free.
 func TestExemplarEscaping(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("esc_seconds", "Escaping.", []float64{1})
+	h := NewHistogram([]float64{1})
+	r.RegisterHistogram("esc_seconds", "Escaping.", h)
 	h.ObserveExemplar(0.5, "id\"with\\tricks\nnewline")
 	var buf bytes.Buffer
 	if err := r.WriteOpenMetrics(&buf); err != nil {
@@ -152,7 +153,7 @@ func parseExposition(t *testing.T, body string) map[string]*familyBlock {
 func TestExpositionStrict(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("strict_events_total", "Events.").Add(7)
-	r.Gauge("strict_depth", "Depth.").Set(3.5)
+	r.Gauge("strict_depth", "Depth.").Add(3.5)
 	hv := r.HistogramVec("strict_latency_seconds", "Latency.", []float64{0.1, 1}, "route")
 	for _, v := range []float64{0.05, 0.5, 0.5, 2} {
 		hv.With("/a").ObserveExemplar(v, "trace-a")

@@ -235,7 +235,7 @@ func TestExpositionGolden(t *testing.T) {
 	c := r.Counter("app_ops_total", "Total operations.")
 	c.Add(7)
 	g := r.Gauge("app_temperature", "Current temperature.")
-	g.Set(2.5)
+	g.Add(2.5)
 	r.CounterFunc("app_func_total", "From a callback.", func() uint64 { return 3 })
 	v := r.CounterVec("app_requests_total", "Requests by route and code.", "route", "code")
 	v.With("/v1/load", "200").Add(2)

@@ -185,14 +185,11 @@ func (r *Registry) CounterFunc(name, help string, fn func() uint64) {
 
 // --- gauge ---
 
-// Gauge is a settable float64.
+// Gauge is a float64 that goes up and down.
 type Gauge struct {
 	help string
 	bits atomic.Uint64
 }
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
 // Add adds delta (possibly negative).
 func (g *Gauge) Add(delta float64) {
@@ -383,11 +380,6 @@ func (v *HistogramVec) write(w *bufio.Writer, name string, exemplars bool) {
 	v.Each(func(values []string, h *Histogram) {
 		h.writeSeries(w, name, v.labels, values, exemplars)
 	})
-}
-
-// Histogram registers (or returns) an unlabeled histogram.
-func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
-	return r.register(name, &histogramMetric{help: help, h: NewHistogram(buckets)}).(*histogramMetric).h
 }
 
 // RegisterHistogram installs an externally owned histogram under name —

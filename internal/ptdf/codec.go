@@ -531,8 +531,7 @@ func ReadAll(r io.Reader) ([]Record, error) {
 
 // Writer streams records to a PTdf document.
 type Writer struct {
-	w     *bufio.Writer
-	count int
+	w *bufio.Writer
 }
 
 // NewWriter wraps an io.Writer for PTdf output.
@@ -545,7 +544,6 @@ func (w *Writer) Write(rec Record) error {
 	if _, err := w.w.WriteString(FormatRecord(rec)); err != nil {
 		return err
 	}
-	w.count++
 	return w.w.WriteByte('\n')
 }
 
@@ -554,9 +552,6 @@ func (w *Writer) Comment(text string) error {
 	_, err := fmt.Fprintf(w.w, "# %s\n", text)
 	return err
 }
-
-// Count reports how many records have been written.
-func (w *Writer) Count() int { return w.count }
 
 // Flush flushes buffered output.
 func (w *Writer) Flush() error { return w.w.Flush() }

@@ -120,24 +120,6 @@ func (ResourceConstraintRec) record() {}
 func (PerfResultRec) record()         {}
 func (PerfHistogramRec) record()      {}
 
-// Contexts converts the record's resource sets to model contexts.
-func (r PerfResultRec) Contexts() []core.Context {
-	return setsToContexts(r.Sets)
-}
-
-// Contexts converts the record's resource sets to model contexts.
-func (r PerfHistogramRec) Contexts() []core.Context {
-	return setsToContexts(r.Sets)
-}
-
-func setsToContexts(sets []ResourceSet) []core.Context {
-	out := make([]core.Context, 0, len(sets))
-	for _, s := range sets {
-		out = append(out, core.Context{Type: s.Type, Resources: append([]core.ResourceName(nil), s.Names...)})
-	}
-	return out
-}
-
 // FormatHistogramValues renders histogram bins as a comma-separated list
 // with "nan" for missing bins.
 func FormatHistogramValues(values []float64) string {

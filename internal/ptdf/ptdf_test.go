@@ -209,24 +209,11 @@ func TestWriterCountAndComment(t *testing.T) {
 	w.Write(ApplicationRec{Name: "a"})
 	w.Write(ExecutionRec{Name: "e", App: "a"})
 	w.Flush()
-	if w.Count() != 2 {
-		t.Errorf("Count = %d", w.Count())
+	if n := strings.Count(buf.String(), "\n"); n != 3 {
+		t.Errorf("%d lines, want a comment and 2 records", n)
 	}
 	if !strings.HasPrefix(buf.String(), "# header\n") {
 		t.Errorf("output = %q", buf.String())
-	}
-}
-
-func TestPerfResultContexts(t *testing.T) {
-	rec := PerfResultRec{
-		Sets: []ResourceSet{
-			{Names: []core.ResourceName{"/a"}, Type: core.FocusSender},
-			{Names: []core.ResourceName{"/b"}, Type: core.FocusReceiver},
-		},
-	}
-	ctxs := rec.Contexts()
-	if len(ctxs) != 2 || ctxs[0].Type != core.FocusSender || ctxs[1].Resources[0] != "/b" {
-		t.Errorf("Contexts = %+v", ctxs)
 	}
 }
 

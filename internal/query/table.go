@@ -463,18 +463,6 @@ func (t *Table) FilterMetric(metric string) int {
 	return t.FilterEqual("metric", metric)
 }
 
-// Series extracts a named series for bar charts (Figure 5): one (label,
-// value) point per row, labels drawn from labelColumn.
-func (t *Table) Series(labelColumn string) ([]string, []float64) {
-	labels := make([]string, len(t.Rows))
-	values := make([]float64, len(t.Rows))
-	for i, r := range t.Rows {
-		labels[i] = t.Cell(r, labelColumn)
-		values[i] = r.Value
-	}
-	return labels, values
-}
-
 // GroupBy aggregates row values grouped by a column with the given
 // reducer ("min", "max", "avg", "sum", "count"). Keys are returned sorted.
 func (t *Table) GroupBy(column, reducer string) ([]string, []float64, error) {

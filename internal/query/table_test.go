@@ -249,20 +249,6 @@ func TestGroupByReducers(t *testing.T) {
 	}
 }
 
-func TestSeriesExtraction(t *testing.T) {
-	s := studyStore(t)
-	tbl := retrieveAll(t, s)
-	tbl.FilterMetric("wall time")
-	tbl.SortBy("execution", false)
-	labels, values := tbl.Series("execution")
-	if len(labels) != 4 || len(values) != 4 {
-		t.Fatalf("series = %v %v", labels, values)
-	}
-	if labels[0] != "irs-frost-16" || values[0] != 60 {
-		t.Errorf("first point = %q %v", labels[0], values[0])
-	}
-}
-
 func TestCSVRoundTrip(t *testing.T) {
 	s := studyStore(t)
 	tbl := retrieveAll(t, s)
